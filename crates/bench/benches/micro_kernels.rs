@@ -255,9 +255,8 @@ fn bench_sort_kernels(c: &mut Criterion) {
 }
 
 fn bench_sort_kernels_1m(c: &mut Criterion) {
-    // The acceptance-scale comparison: key-index entries vs whole-record
-    // radix at 1 M records (100 MB). Skippable quick mode: CTS_RECORDS_1M=0
-    // disables the group entirely.
+    // The key-index kernel at acceptance scale, 1 M records (100 MB).
+    // Skippable quick mode: CTS_RECORDS_1M=0 disables the group entirely.
     let records = cts_bench::env_usize("CTS_RECORDS_1M", 1_000_000);
     if records == 0 {
         return;
@@ -265,12 +264,11 @@ fn bench_sort_kernels_1m(c: &mut Criterion) {
     let input = teragen::generate(records, 14);
     let mut group = c.benchmark_group("reduce_sort_1m");
     group.throughput(Throughput::Bytes(input.len() as u64));
-    for kernel in [SortKernel::LsdRadix, SortKernel::KeyIndex] {
-        group.bench_function(format!("{kernel}_{records}"), |b| {
-            let mut scratch = SortScratch::new();
-            b.iter(|| std::hint::black_box(sort_records_with(&input, kernel, &mut scratch)));
-        });
-    }
+    let kernel = SortKernel::KeyIndex;
+    group.bench_function(format!("{kernel}_{records}"), |b| {
+        let mut scratch = SortScratch::new();
+        b.iter(|| std::hint::black_box(sort_records_with(&input, kernel, &mut scratch)));
+    });
     group.finish();
 }
 

@@ -35,7 +35,7 @@ impl std::fmt::Display for JobReport {
     }
 }
 
-/// Errors surfaced by the MapReduce engines.
+/// Errors surfaced by the MapReduce engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The engine configuration is invalid (K/r out of range, mismatched

@@ -1,20 +1,46 @@
-//! # cts-mapreduce — uncoded and coded MapReduce engines
+//! # cts-mapreduce — the uncoded/coded MapReduce engine
 //!
-//! This crate runs real MapReduce jobs over the `cts-net` substrate, in
-//! both of the paper's flavors:
+//! This crate runs real MapReduce jobs over the `cts-net` substrate. One
+//! barrier-synchronized pipeline executes every scheme:
 //!
-//! * [`uncoded::run_uncoded`] — conventional TeraSort-style execution
-//!   (paper §III): Map → Pack → serial-unicast Shuffle → Unpack → Reduce;
-//! * [`coded::run_coded`] — CodedTeraSort-style execution (paper §IV):
-//!   CodeGen → redundant Map → Encode → serial-multicast Shuffle →
-//!   Decode → Reduce, built on the `cts-core` coding layer.
+//! 1. **Placement** (untimed, the coordinator's job): the input splits
+//!    into `C(K, r)` files, file `F_S` staged on every node of `S`.
+//! 2. **CodeGen** (when there are groups): every node enumerates the
+//!    `C(K, r+1)` multicast groups (the paper's `MPI_Comm_split`; our
+//!    group communicators are member lists, so the real cost is
+//!    enumeration — the EC2 cost is modeled).
+//! 3. **Map**: each node hashes each of its files into `K` intermediates
+//!    and keeps them per the §IV-B rule.
+//! 4. **Pack/Encode**: Algorithm 1 — one coded packet per group
+//!    membership. Uncoded pieces are already the buffers Map produced.
+//! 5. **Shuffle**: serial multicast (Fig. 9(b)) — groups in id order,
+//!    members in rank order, over the configured
+//!    [`ShuffleFabric`](cts_net::fabric::ShuffleFabric) — or, in quorum
+//!    mode, fire-then-poll; then serial unicast (Fig. 9(a)) of whatever
+//!    travels uncoded, senders taking turns.
+//! 6. **Unpack/Decode**: Algorithm 2 cancels received packets against
+//!    local intermediates; everything a node reduces is merged in input
+//!    order.
+//! 7. **Reduce**.
 //!
-//! Both engines are generic over a byte-oriented [`workload::Workload`] —
+//! The entry points differ only in the layout they hand the pipeline:
+//!
+//! * [`uncoded::run_uncoded`] — conventional TeraSort (paper §III):
+//!   `r = 1`, one file per node, every intermediate a unicast;
+//! * [`coded::run_coded`] — CodedTeraSort (paper §IV) at redundancy `r`,
+//!   built on the `cts-core` coding layer (`r = 1` is `run_uncoded`);
+//! * [`pods::run_coded_pods`] — the coded exchange inside disjoint pods,
+//!   unicasts across them (paper §VI).
+//!
+//! The engine is generic over a byte-oriented [`workload::Workload`] —
 //! TeraSort lives in `cts-terasort`; [`wordcount::WordCount`],
 //! [`grep::Grep`] and [`invindex::InvertedIndex`] here realize the paper's
-//! §VI "beyond sorting" direction. Engines return a
-//! [`uncoded::JobOutcome`]: per-partition outputs, a transfer trace, wall
-//! times, and the [`cts_netsim::RunStats`] the performance model consumes.
+//! §VI "beyond sorting" direction. A run returns a
+//! [`uncoded::JobOutcome`]: per-partition outputs, a transfer trace, the
+//! stage spans with the wall times derived from them, and the
+//! [`cts_netsim::RunStats`] the performance model consumes. A rank that
+//! fails shuts the job's endpoints down and the run returns that rank's
+//! error.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -33,6 +59,7 @@
 #![forbid(unsafe_code)]
 
 pub mod coded;
+mod engine;
 pub mod error;
 pub mod grep;
 pub mod invindex;
@@ -49,10 +76,53 @@ pub mod workload;
 
 pub use coded::{run_coded, run_coded_on};
 pub use error::{EngineError, JobReport, Result};
-pub use pods::run_coded_pods;
+pub use pods::{run_coded_pods, run_coded_pods_on};
 pub use runtime::{JobContext, JobHandle, JobRuntime, JobStatus, RuntimeConfig};
 pub use stage::{EngineConfig, NodeWall, RecoveryMode, WallTimes};
 pub use timeline::{chrome_trace, stage_totals_ns};
 pub use uncoded::{run_uncoded, run_uncoded_on, JobOutcome};
 pub use verify::{diff_outputs, run_sequential};
 pub use workload::{InputFormat, Workload};
+
+#[cfg(test)]
+pub(crate) mod testutil {
+    //! The fixture the engine's unit tests share.
+
+    use bytes::Bytes;
+
+    use crate::workload::{InputFormat, Workload};
+
+    /// Trivial workload: records are single bytes, partition = value % K,
+    /// reduce sorts.
+    pub(crate) struct ByteSort;
+
+    impl Workload for ByteSort {
+        fn name(&self) -> &str {
+            "bytesort"
+        }
+        fn format(&self) -> InputFormat {
+            InputFormat::FixedWidth(1)
+        }
+        fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
+            let mut out = vec![Vec::new(); num_partitions];
+            for &b in file {
+                out[b as usize % num_partitions].push(b);
+            }
+            out
+        }
+        fn reduce(&self, _partition: usize, data: &[u8]) -> Vec<u8> {
+            let mut v = data.to_vec();
+            v.sort_unstable();
+            v
+        }
+    }
+
+    /// `len` deterministic, well-spread bytes.
+    pub(crate) fn sample_input(len: usize) -> Bytes {
+        Bytes::from(
+            (0..len)
+                .map(|i| ((i * 131 + 17) % 251) as u8)
+                .collect::<Vec<u8>>(),
+        )
+    }
+}

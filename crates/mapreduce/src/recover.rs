@@ -1,9 +1,8 @@
-//! Failure recovery for the coded engine: fail-fast panic payloads, the
-//! alive-aware stage synchronizer, and the speculative re-execution
-//! planner that rebuilds a dead rank's reduce partition on a
-//! deterministic successor.
+//! Failure recovery: the alive-aware stage synchronizer and the
+//! speculative re-execution planner that rebuilds a dead rank's reduce
+//! partition on a deterministic successor.
 //!
-//! The coded engine's recovery story leans on a CDC-specific fact: with
+//! The recovery story leans on a CDC-specific fact: with
 //! quorum (MDS) decode, a single dead rank costs the shuffle *nothing* —
 //! every multicast group that contained it still fields `r − 1` live
 //! senders, which is exactly the quorum each surviving receiver needs.
@@ -20,8 +19,7 @@ use bytes::Bytes;
 use cts_core::exec::WorkerPool;
 use cts_core::intermediate::MapOutputStore;
 use cts_core::placement::{FileId, PlacementPlan};
-use cts_net::fault::CrashPoint;
-use cts_net::health::HealthBoard;
+use cts_net::health::{HealthBoard, HealthConfig, Heartbeat};
 use cts_net::message::Tag;
 use cts_net::registry::MembershipView;
 use cts_net::Communicator;
@@ -30,27 +28,45 @@ use cts_netsim::stats::NodeStats;
 use crate::error::{EngineError, JobReport, Result};
 use crate::workload::Workload;
 
-/// Panic payload thrown by a fail-stop crash injection when recovery is
-/// off. The cluster runner's panic-safe teardown unblocks every other
-/// rank, and `run_coded` downcasts this into
-/// [`EngineError::RankDied`] — a typed fast failure instead of a hang.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrashPanic {
-    /// The rank that died.
-    pub rank: usize,
-    /// Where in the job it died.
-    pub point: CrashPoint,
+/// Health-layer state carried by a recovery-mode rank: its view of who is
+/// alive, its own heartbeat beacon, and the epoch of its next
+/// [`alive_sync`].
+pub(crate) struct Recovery {
+    pub(crate) board: HealthBoard,
+    pub(crate) beat: Heartbeat,
+    epoch: u32,
 }
 
-/// Panic payload thrown when recovery capacity is exhausted (more dead
-/// senders in a multicast group than the quorum margin tolerates). Rides
-/// the same teardown path as [`CrashPanic`]; `run_coded` downcasts it
-/// into [`EngineError::Unrecoverable`].
-#[derive(Clone, Debug)]
-pub struct RecoveryAbort(
-    /// The structured post-mortem: dead ranks and unsatisfiable groups.
-    pub JobReport,
-);
+impl Recovery {
+    /// Starts beaconing every `heartbeat` and watching the peers.
+    pub(crate) fn start(comm: &Communicator, heartbeat: Duration) -> Recovery {
+        let mut board = HealthBoard::new(
+            comm.rank(),
+            comm.world_size(),
+            HealthConfig::from_heartbeat(heartbeat),
+        );
+        // Liveness transitions feed the runtime's metric registry when one
+        // is attached (resident service); standalone runs skip this.
+        if let Some(hub) = comm.metrics() {
+            board = board.with_transition_counters(
+                hub.counter("cts_heartbeat_suspect_total"),
+                hub.counter("cts_heartbeat_dead_total"),
+            );
+        }
+        Recovery {
+            board,
+            beat: Heartbeat::spawn(comm.transport().clone(), heartbeat),
+            epoch: 0,
+        }
+    }
+
+    /// The next stage synchronization. Every rank walks the same sequence
+    /// of sync points, so the epochs line up by construction.
+    pub(crate) fn sync(&mut self, comm: &Communicator) -> Result<u128> {
+        self.epoch += 1;
+        alive_sync(comm, &mut self.board, self.epoch - 1)
+    }
+}
 
 /// Reads a little-endian dead-mask payload (up to 16 bytes).
 fn le_mask(b: &Bytes) -> u128 {
@@ -153,7 +169,7 @@ pub fn alive_sync(comm: &Communicator, board: &mut HealthBoard, epoch: u32) -> R
 /// Pieces arrive tagged `Tag::RECOVER` with `(dead index << 16) | file`,
 /// so the engine caps recovery jobs at 65 536 files. Returns the
 /// `(dead rank, reduced output)` pairs this rank adopted.
-#[allow(clippy::too_many_arguments)] // mirrors the engine's finish_reduce
+#[allow(clippy::too_many_arguments)] // one borrow per piece of rank state
 pub fn adopt_dead_partitions<W: Workload>(
     workload: &W,
     comm: &Communicator,
@@ -238,20 +254,26 @@ pub fn adopt_dead_partitions<W: Workload>(
             }
         }
         if successor == me {
-            // Identical assembly to `finish_reduce`: ascending file order,
-            // concatenate, reduce — so the adopted output is byte-identical
-            // to what the dead rank would have produced.
-            pieces.sort_unstable_by_key(|(bits, _)| *bits);
-            let total: usize = pieces.iter().map(|(_, b)| b.len()).sum();
-            let mut partition = Vec::with_capacity(total);
-            for (_, b) in &pieces {
-                partition.extend_from_slice(b);
-            }
+            // The engine's own assembly, so the adopted output is
+            // byte-identical to what the dead rank would have produced.
+            let partition = merge_pieces(&mut pieces);
             stats.reduce_input_bytes += partition.len() as u64;
             adopted.push((d, workload.reduce_par(d, &partition, pool)));
         }
     }
     Ok(adopted)
+}
+
+/// Concatenates a partition's pieces in ascending file order (each piece
+/// keyed by its file's node-set bits) — input order, so a stable reduce
+/// is deterministic whichever way the pieces travelled.
+pub(crate) fn merge_pieces(pieces: &mut [(u64, Bytes)]) -> Vec<u8> {
+    pieces.sort_unstable_by_key(|(bits, _)| *bits);
+    let mut partition = Vec::with_capacity(pieces.iter().map(|(_, b)| b.len()).sum());
+    for (_, b) in pieces.iter() {
+        partition.extend_from_slice(b);
+    }
+    partition
 }
 
 /// Every survivor computes this identically from the agreed membership,
@@ -324,20 +346,5 @@ mod tests {
         .unwrap();
         assert_eq!(run.results[1], 0b1);
         assert_eq!(run.results[2], 0b1);
-    }
-
-    #[test]
-    fn crash_payloads_are_cloneable_and_structured() {
-        let c = CrashPanic {
-            rank: 3,
-            point: CrashPoint::MidEncode,
-        };
-        assert_eq!(c, c);
-        let a = RecoveryAbort(JobReport {
-            dead: vec![3],
-            unrecoverable_groups: vec![9],
-            what: "test".into(),
-        });
-        assert_eq!(a.0.dead, vec![3]);
     }
 }

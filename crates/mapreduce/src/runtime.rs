@@ -1,6 +1,6 @@
 //! The resident job runtime: ownership inverted.
 //!
-//! The one-shot engines ([`run_uncoded`](crate::run_uncoded),
+//! The one-shot entry points ([`run_uncoded`](crate::run_uncoded),
 //! [`run_coded`](crate::run_coded)) let each job build and tear down its
 //! own cluster, fabric, and thread pool. A [`JobRuntime`] turns that
 //! inside out: *it* owns the [`SharedFabric`] (transports + trace
@@ -181,9 +181,8 @@ type BoxedJob = Box<dyn FnOnce(&JobContext<'_>) -> Result<JobOutcome> + Send>;
 
 /// Runtime-level instruments, registered on the fabric's
 /// [`MetricsHub`](cts_core::metrics::MetricsHub) at start. The stage
-/// histograms record each finished job's slowest-node wall time per
-/// stage (the paper's Fig. 9 breakdown), in nanoseconds, rendered as
-/// seconds.
+/// histograms record each finished job's slowest-rank span per stage (the
+/// paper's Fig. 9 breakdown), in nanoseconds, rendered as seconds.
 struct RuntimeMetrics {
     submitted: Arc<Counter>,
     completed: Arc<Counter>,
@@ -224,18 +223,9 @@ impl RuntimeMetrics {
         match outcome {
             Ok(o) => {
                 self.completed.inc();
-                let w = &o.wall.max;
                 for (name, hist) in &self.stage_hists {
-                    let d = match *name {
-                        crate::stage::stages::CODEGEN => w.codegen,
-                        crate::stage::stages::MAP => w.map,
-                        crate::stage::stages::PACK_ENCODE => w.pack_encode,
-                        crate::stage::stages::SHUFFLE => w.shuffle,
-                        crate::stage::stages::UNPACK_DECODE => w.unpack_decode,
-                        _ => w.reduce,
-                    };
-                    if !d.is_zero() {
-                        hist.record(d.as_nanos() as u64);
+                    if let Some(&ns) = o.spans.stage_durations_ns(name).iter().max() {
+                        hist.record(ns);
                     }
                 }
             }
@@ -416,9 +406,9 @@ impl JobRuntime {
                             binding: JobBinding { slot, id: sub.id },
                             cfg: template.clone(),
                         };
-                        // A panicking job takes the fabric down with it
-                        // (SharedFabric policy); keep the dispatcher alive
-                        // so queued jobs fail with errors, not a hang.
+                        // A panicking job takes the fabric's endpoints
+                        // down with it (SharedFabric policy); keep the
+                        // dispatcher alive for the jobs behind it.
                         let outcome = catch_unwind(AssertUnwindSafe(|| (sub.run)(&ctx)))
                             .unwrap_or_else(|payload| {
                                 let what = payload
@@ -576,40 +566,9 @@ impl Drop for JobRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{sample_input, ByteSort};
     use crate::verify::run_sequential;
     use crate::wordcount::WordCount;
-    use crate::workload::InputFormat;
-
-    struct ByteSort;
-
-    impl Workload for ByteSort {
-        fn name(&self) -> &str {
-            "bytesort"
-        }
-        fn format(&self) -> InputFormat {
-            InputFormat::FixedWidth(1)
-        }
-        fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
-            let mut out = vec![Vec::new(); num_partitions];
-            for &b in file {
-                out[b as usize % num_partitions].push(b);
-            }
-            out
-        }
-        fn reduce(&self, _partition: usize, data: &[u8]) -> Vec<u8> {
-            let mut v = data.to_vec();
-            v.sort_unstable();
-            v
-        }
-    }
-
-    fn sample_input(len: usize) -> Bytes {
-        Bytes::from(
-            (0..len)
-                .map(|i| ((i * 149 + 11) % 239) as u8)
-                .collect::<Vec<u8>>(),
-        )
-    }
 
     #[test]
     fn concurrent_jobs_match_one_shot_runs() {

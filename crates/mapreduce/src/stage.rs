@@ -1,7 +1,7 @@
-//! Stage names, wall-clock timing, and engine configuration.
+//! Stage names, span-derived wall times, and engine configuration.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cts_core::decode::DecodeMode;
 use cts_core::exec::{Budget, WorkerPool};
@@ -10,6 +10,7 @@ use cts_net::cluster::ClusterConfig;
 use cts_net::fabric::ShuffleFabric;
 use cts_net::fault::CrashSpec;
 use cts_net::rate::NicProfile;
+use cts_net::span::SpanLog;
 
 /// Canonical stage labels (also used as trace stage names).
 pub mod stages {
@@ -26,16 +27,17 @@ pub mod stages {
     pub const UNPACK_DECODE: &str = "UnpackDecode";
     /// Local per-partition reduction.
     pub const REDUCE: &str = "Reduce";
-    /// Speculative re-execution traffic after a rank death (coded engine
-    /// in recovery mode only).
+    /// Speculative re-execution traffic after a rank death (recovery mode
+    /// only).
     pub const RECOVER: &str = "Recover";
 }
 
-/// Whether and how the coded engine recovers from rank deaths.
+/// Whether and how the engine recovers from rank deaths.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryMode {
     /// No health layer: a dead rank fails the job fast with a typed error
-    /// (the panic-teardown path guarantees no hang). The default.
+    /// (the failing rank tears the fabric down, so nobody hangs). The
+    /// default.
     #[default]
     Off,
     /// Heartbeat failure detection plus speculative re-execution: a dead
@@ -60,7 +62,9 @@ impl std::str::FromStr for RecoveryMode {
     }
 }
 
-/// Measured wall-clock stage durations for one node.
+/// Wall-clock stage durations for one node, each stage bracketed from its
+/// `set_stage` to the next (so a stage includes the wait at its closing
+/// synchronization).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeWall {
     /// CodeGen duration.
@@ -69,7 +73,7 @@ pub struct NodeWall {
     pub map: Duration,
     /// Pack/Encode duration.
     pub pack_encode: Duration,
-    /// Shuffle duration (includes waiting for peers — synchronous stages).
+    /// Shuffle duration.
     pub shuffle: Duration,
     /// Unpack/Decode duration.
     pub unpack_decode: Duration,
@@ -93,6 +97,32 @@ pub struct WallTimes {
 }
 
 impl WallTimes {
+    /// The walls of one job's span log — the only clock the engine keeps.
+    /// Each rank's spans are summed per stage (Recover counts as Reduce:
+    /// rebuilding a dead rank's partition is reduce work done elsewhere),
+    /// then aggregated. All-zero when spans were disabled.
+    pub fn from_spans(log: &SpanLog) -> Self {
+        let mut nodes: Vec<NodeWall> = Vec::new();
+        for span in &log.spans {
+            let rank = usize::from(span.rank);
+            if nodes.len() <= rank {
+                nodes.resize(rank + 1, NodeWall::default());
+            }
+            let node = &mut nodes[rank];
+            let slot = match log.stage_name(span.stage) {
+                stages::CODEGEN => &mut node.codegen,
+                stages::MAP => &mut node.map,
+                stages::PACK_ENCODE => &mut node.pack_encode,
+                stages::SHUFFLE => &mut node.shuffle,
+                stages::UNPACK_DECODE => &mut node.unpack_decode,
+                stages::REDUCE | stages::RECOVER => &mut node.reduce,
+                _ => continue,
+            };
+            *slot += Duration::from_nanos(span.dur_ns());
+        }
+        WallTimes::aggregate(&nodes)
+    }
+
     /// Aggregates per-node measurements.
     pub fn aggregate(nodes: &[NodeWall]) -> Self {
         let mut max = NodeWall::default();
@@ -108,47 +138,15 @@ impl WallTimes {
     }
 }
 
-/// A simple scoped stopwatch.
-pub struct StageTimer {
-    started: Instant,
-}
-
-impl StageTimer {
-    /// Starts timing.
-    pub fn start() -> Self {
-        StageTimer {
-            started: Instant::now(),
-        }
-    }
-
-    /// Stops and returns the elapsed duration.
-    pub fn stop(self) -> Duration {
-        self.started.elapsed()
-    }
-}
-
-/// Parameters shared by the engines.
+/// Parameters of one engine run.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker count `K`.
     pub k: usize,
-    /// Redundancy `r` (ignored by the uncoded engine).
+    /// Redundancy `r` (`run_uncoded` runs at `r = 1` whatever this says).
     pub r: usize,
     /// Cluster fabric configuration.
     pub cluster: ClusterConfig,
-    /// Insert a global barrier after every multicast group / sender turn so
-    /// *wall-clock* execution is strictly serial like the paper's. The
-    /// virtual-time model replays the trace serially regardless, so this
-    /// only matters for rate-limited real-time runs.
-    pub strict_serial_shuffle: bool,
-    /// Decode each coded packet as it arrives instead of in a separate
-    /// stage afterwards — a first step toward the paper's §VI
-    /// *asynchronous execution* direction: XOR cancellation overlaps the
-    /// waits of the multicast shuffle. Outputs are identical; the decode
-    /// work simply lands inside the Shuffle wall-clock window (stats and
-    /// traced bytes are unchanged, so the paper-scale model is
-    /// unaffected).
-    pub pipelined_decode: bool,
     /// Intra-node worker threads for the CPU-bound stages (Map hashing,
     /// per-group encode, per-packet decode, the Reduce sort). `1` (the
     /// default) runs every stage inline; higher values lease workers from
@@ -202,8 +200,6 @@ impl EngineConfig {
             k,
             r,
             cluster: ClusterConfig::local(k),
-            strict_serial_shuffle: false,
-            pipelined_decode: false,
             threads: 1,
             field: FieldKind::Gf2,
             decode: DecodeMode::All,
@@ -224,12 +220,6 @@ impl EngineConfig {
         }
     }
 
-    /// Enables pipelined (asynchronous) decode.
-    pub fn with_pipelined_decode(mut self) -> Self {
-        self.pipelined_decode = true;
-        self
-    }
-
     /// Sets the intra-node worker-thread count for the CPU-bound stages
     /// (`0` = the machine's available parallelism).
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -237,7 +227,7 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the coding field for the coded engine's packets (GF(2)
+    /// Selects the coding field for coded packets (GF(2)
     /// XOR — the default — or GF(256) q-ary combinations). A pure
     /// performance/algebra knob: outputs are byte-identical either way.
     pub fn with_field(mut self, field: FieldKind) -> Self {
@@ -399,9 +389,37 @@ mod tests {
     }
 
     #[test]
-    fn timer_measures_something() {
-        let t = StageTimer::start();
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(t.stop() >= Duration::from_millis(4));
+    fn span_walls_take_the_slowest_rank_and_fold_recover_into_reduce() {
+        use cts_net::span::StageSpan;
+        let names = [stages::MAP, stages::REDUCE, stages::RECOVER, "Other"];
+        let span = |rank: u16, stage: usize, start_ms: u64, end_ms: u64| StageSpan {
+            job: 7,
+            rank,
+            stage: stage as u16,
+            start_ns: start_ms * 1_000_000,
+            end_ns: end_ms * 1_000_000,
+        };
+        let log = SpanLog {
+            names: names.iter().map(|n| n.to_string()).collect(),
+            spans: vec![
+                span(0, 0, 0, 10),
+                span(1, 0, 0, 4),
+                // Rank 0 recovers for 3 ms, then reduces for 5; rank 1 only
+                // reduces, for 6: the fold is per rank, before the max.
+                span(0, 2, 10, 13),
+                span(0, 1, 13, 18),
+                span(1, 1, 4, 10),
+                span(1, 3, 10, 99),
+            ],
+        };
+        let w = WallTimes::from_spans(&log).max;
+        assert_eq!(w.map, Duration::from_millis(10));
+        assert_eq!(w.reduce, Duration::from_millis(8));
+        assert_eq!(w.total(), Duration::from_millis(18));
+        // Spans disabled: the log is empty and so are the walls.
+        assert_eq!(
+            WallTimes::from_spans(&SpanLog::default()),
+            WallTimes::default()
+        );
     }
 }

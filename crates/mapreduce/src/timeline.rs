@@ -69,37 +69,13 @@ pub fn stage_totals_ns(outcome: &JobOutcome, job_id: u32) -> Vec<(String, u64)> 
 mod tests {
     use super::*;
     use crate::stage::{stages, EngineConfig};
+    use crate::testutil::{sample_input, ByteSort};
     use crate::uncoded::run_uncoded;
-    use crate::workload::{InputFormat, Workload};
-    use bytes::Bytes;
-
-    struct ByteSort;
-
-    impl Workload for ByteSort {
-        fn name(&self) -> &str {
-            "bytesort"
-        }
-        fn format(&self) -> InputFormat {
-            InputFormat::FixedWidth(1)
-        }
-        fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
-            let mut out = vec![Vec::new(); num_partitions];
-            for &b in file {
-                out[b as usize % num_partitions].push(b);
-            }
-            out
-        }
-        fn reduce(&self, _partition: usize, data: &[u8]) -> Vec<u8> {
-            let mut v = data.to_vec();
-            v.sort_unstable();
-            v
-        }
-    }
 
     #[test]
     fn chrome_trace_covers_every_rank_and_stage() {
-        let input = Bytes::from((0..500).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
-        let outcome = run_uncoded(&ByteSort, input, &EngineConfig::local(3, 1)).unwrap();
+        let outcome =
+            run_uncoded(&ByteSort, sample_input(500), &EngineConfig::local(3, 1)).unwrap();
         let json = chrome_trace(&outcome, 0);
         assert!(json.starts_with("{\"traceEvents\":["));
         // Every uncoded stage appears as an event name.

@@ -1,69 +1,34 @@
-//! The conventional TeraSort-style engine (paper §III).
-//!
-//! Five stages, barrier-synchronized like the paper's implementation:
-//!
-//! 1. **File placement** (untimed, done by the harness/coordinator): the
-//!    input splits into `K` files, file `k` on node `k`.
-//! 2. **Map**: node `k` hashes file `F_{k}` into `K` intermediates.
-//! 3. **Pack**: intermediates destined to other nodes are finalized as
-//!    contiguous buffers (one TCP flow per intermediate — paper §V-A).
-//! 4. **Shuffle**: serial unicast (Fig. 9(a)): senders take turns; each
-//!    sends `I^j_{k}` to node `j` back-to-back.
-//! 5. **Unpack + Reduce**: node `k` deserializes what it received and
-//!    reduces its partition.
+//! Conventional TeraSort-style execution (paper §III): the engine at
+//! `r = 1` — file `k` on node `k`, no multicast groups, and every
+//! intermediate `I^j_{k}` a plain unicast to node `j` in the serial
+//! schedule of Fig. 9(a) (one flow per intermediate — paper §V-A).
 
 use bytes::Bytes;
 use cts_net::cluster::{JobBinding, SharedFabric};
-use cts_net::message::Tag;
-use cts_net::span::SpanLog;
-use cts_net::trace::Trace;
-use cts_netsim::stats::{NodeStats, RunStats};
 
-use crate::error::{EngineError, Result};
-use crate::stage::{stages, EngineConfig, NodeWall, StageTimer, WallTimes};
+pub use crate::engine::JobOutcome;
+use crate::engine::{self, Layout};
+use crate::error::Result;
+use crate::stage::EngineConfig;
 use crate::workload::Workload;
 
-/// The result of an engine run.
-#[derive(Debug)]
-pub struct JobOutcome {
-    /// Final output of each partition (`outputs[p]` reduced by node `p`).
-    pub outputs: Vec<Vec<u8>>,
-    /// Per-node measured work counts (feed to `cts_netsim::PerfModel`).
-    pub stats: RunStats,
-    /// Recorded transfer trace.
-    pub trace: Trace,
-    /// Recorded per-rank stage spans (the timeline's raw material).
-    pub spans: SpanLog,
-    /// Measured wall-clock stage times (slowest node per stage).
-    pub wall: WallTimes,
-}
-
-/// Runs `workload` over `input` with conventional uncoded execution.
+/// Runs `workload` over `input` with conventional uncoded execution
+/// (`cfg.r` is ignored).
 ///
 /// Builds an ephemeral [`SharedFabric`] and submits the job at
 /// [`JobBinding::ROOT`] — the one-shot path and the resident runtime's
 /// per-job path are the same code.
 ///
 /// # Errors
-/// Propagates transport failures; panics in worker closures propagate as
-/// panics (after fabric teardown).
+/// `BadConfig` for an invalid `K`; a rank's failure (transport, protocol)
+/// fails the job with that rank's error. Panics in worker closures
+/// propagate as panics (after fabric teardown).
 pub fn run_uncoded<W: Workload>(
     workload: &W,
     input: Bytes,
     cfg: &EngineConfig,
 ) -> Result<JobOutcome> {
-    check_k(cfg.k)?;
-    let fabric = SharedFabric::build(&cfg.cluster)?;
-    run_uncoded_on(&fabric, JobBinding::ROOT, workload, input, cfg)
-}
-
-fn check_k(k: usize) -> Result<()> {
-    if k == 0 || k > 64 {
-        return Err(EngineError::BadConfig {
-            what: format!("K must be in 1..=64, got {k}"),
-        });
-    }
-    Ok(())
+    engine::run(workload, input, cfg, Layout::flat(cfg.k, 1)?)
 }
 
 /// Runs `workload` as one job on an existing [`SharedFabric`], isolated
@@ -81,165 +46,17 @@ pub fn run_uncoded_on<W: Workload>(
     input: Bytes,
     cfg: &EngineConfig,
 ) -> Result<JobOutcome> {
-    let k = cfg.k;
-    check_k(k)?;
-    if k != fabric.k() {
-        return Err(EngineError::BadConfig {
-            what: format!("job wants K = {k} on a fabric of {} ranks", fabric.k()),
-        });
-    }
-    let files = workload.format().split(&input, k);
-
-    let run = fabric.run_job(binding, cfg.cluster.nic, files, |comm, file: Bytes| {
-        node_main(workload, comm, file, cfg)
-    })?;
-
-    let mut outputs = Vec::with_capacity(k);
-    let mut stats = RunStats::new(k, 1);
-    let mut walls = Vec::with_capacity(k);
-    for (rank, result) in run.results.into_iter().enumerate() {
-        let (output, node_stats, wall) = result?;
-        outputs.push(output);
-        stats.per_node[rank] = node_stats;
-        walls.push(wall);
-    }
-    Ok(JobOutcome {
-        outputs,
-        stats,
-        trace: run.trace,
-        spans: run.spans,
-        wall: WallTimes::aggregate(&walls),
-    })
-}
-
-type NodeResult = Result<(Vec<u8>, NodeStats, NodeWall)>;
-
-fn node_main<W: Workload>(
-    workload: &W,
-    comm: &cts_net::Communicator,
-    file: Bytes,
-    cfg: &EngineConfig,
-) -> NodeResult {
-    let k = comm.world_size();
-    let me = comm.rank();
-    let mut stats = NodeStats::default();
-    let mut wall = NodeWall::default();
-    let pool = cfg.worker_pool();
-
-    // ---- Map ----------------------------------------------------------
-    comm.set_stage(stages::MAP);
-    let timer = StageTimer::start();
-    stats.map_input_bytes = file.len() as u64;
-    stats.files_mapped = 1;
-    let intermediates = workload.map_file_par(&file, k, &pool);
-    debug_assert_eq!(intermediates.len(), k);
-    wall.map = timer.stop();
-    comm.barrier()?;
-
-    // ---- Pack ---------------------------------------------------------
-    comm.set_stage(stages::PACK_ENCODE);
-    let timer = StageTimer::start();
-    let mut packed: Vec<Option<Bytes>> = Vec::with_capacity(k);
-    for (p, data) in intermediates.into_iter().enumerate() {
-        if p == me {
-            packed.push(Some(Bytes::from(data)));
-        } else {
-            stats.pack_bytes += data.len() as u64;
-            packed.push(Some(Bytes::from(data)));
-        }
-    }
-    wall.pack_encode = timer.stop();
-    comm.barrier()?;
-
-    // ---- Shuffle: serial unicast (Fig. 9(a)) ---------------------------
-    comm.set_stage(stages::SHUFFLE);
-    let timer = StageTimer::start();
-    let mut received: Vec<Bytes> = Vec::with_capacity(k - 1);
-    for sender in 0..k {
-        if sender == me {
-            // Staggered destination order (s+1, s+2, …): irrelevant for the
-            // serial schedule, hotspot-free for the parallel-shuffle replay.
-            for i in 1..k {
-                let dst = (me + i) % k;
-                let payload = packed[dst].take().expect("each partition sent once");
-                stats.sent_bytes += payload.len() as u64;
-                comm.send(dst, Tag::app(sender as u32), payload)?;
-            }
-        } else {
-            let payload = comm.recv(sender, Tag::app(sender as u32))?;
-            stats.recv_bytes += payload.len() as u64;
-            received.push(payload);
-        }
-        if cfg.strict_serial_shuffle {
-            comm.barrier()?;
-        }
-    }
-    comm.barrier()?;
-    wall.shuffle = timer.stop();
-
-    // ---- Unpack --------------------------------------------------------
-    comm.set_stage(stages::UNPACK_DECODE);
-    let timer = StageTimer::start();
-    let own = packed[me].take().expect("own partition kept");
-    let mut partition_data =
-        Vec::with_capacity(own.len() + received.iter().map(|b| b.len()).sum::<usize>());
-    partition_data.extend_from_slice(&own);
-    for buf in &received {
-        stats.unpack_bytes += buf.len() as u64;
-        partition_data.extend_from_slice(buf);
-    }
-    wall.unpack_decode = timer.stop();
-    comm.barrier()?;
-
-    // ---- Reduce --------------------------------------------------------
-    comm.set_stage(stages::REDUCE);
-    let timer = StageTimer::start();
-    stats.reduce_input_bytes = partition_data.len() as u64;
-    let output = workload.reduce_par(me, &partition_data, &pool);
-    wall.reduce = timer.stop();
-    comm.barrier()?;
-
-    Ok((output, stats, wall))
+    let layout = Layout::flat(cfg.k, 1)?;
+    engine::run_on(fabric, binding, workload, input, cfg, layout)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
+    use crate::stage::stages;
+    use crate::testutil::{sample_input, ByteSort};
     use crate::verify::run_sequential;
-    use crate::workload::InputFormat;
-
-    /// Trivial workload: records are single bytes, partition = value % K,
-    /// reduce sorts.
-    struct ByteSort;
-
-    impl Workload for ByteSort {
-        fn name(&self) -> &str {
-            "bytesort"
-        }
-        fn format(&self) -> InputFormat {
-            InputFormat::FixedWidth(1)
-        }
-        fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
-            let mut out = vec![Vec::new(); num_partitions];
-            for &b in file {
-                out[b as usize % num_partitions].push(b);
-            }
-            out
-        }
-        fn reduce(&self, _partition: usize, data: &[u8]) -> Vec<u8> {
-            let mut v = data.to_vec();
-            v.sort_unstable();
-            v
-        }
-    }
-
-    fn sample_input(len: usize) -> Bytes {
-        Bytes::from(
-            (0..len)
-                .map(|i| ((i * 131 + 17) % 251) as u8)
-                .collect::<Vec<u8>>(),
-        )
-    }
 
     #[test]
     fn matches_sequential_reference() {
@@ -285,16 +102,6 @@ mod tests {
         let mut expect = input.to_vec();
         expect.sort_unstable();
         assert_eq!(outcome.outputs[0], expect);
-    }
-
-    #[test]
-    fn strict_serial_shuffle_gives_same_answer() {
-        let input = sample_input(900);
-        let mut cfg = EngineConfig::local(3, 1);
-        cfg.strict_serial_shuffle = true;
-        let a = run_uncoded(&ByteSort, input.clone(), &cfg).unwrap();
-        let b = run_uncoded(&ByteSort, input.clone(), &EngineConfig::local(3, 1)).unwrap();
-        assert_eq!(a.outputs, b.outputs);
     }
 
     #[test]

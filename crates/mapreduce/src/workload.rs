@@ -82,7 +82,7 @@ impl InputFormat {
     }
 }
 
-/// A MapReduce workload runnable by both engines.
+/// A MapReduce workload runnable by the engine, coded or not.
 pub trait Workload: Send + Sync {
     /// Human-readable name ("terasort", "wordcount", …).
     fn name(&self) -> &str;

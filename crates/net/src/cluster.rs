@@ -25,12 +25,13 @@
 //! ```
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cts_core::metrics::{Histogram, MetricsHub};
 use parking_lot::Mutex;
 
-use crate::comm::{BcastAlgorithm, Communicator};
+use crate::comm::Communicator;
 use crate::error::Result;
 use crate::fabric::ShuffleFabric;
 use crate::fault::{FaultRule, FaultyTransport};
@@ -90,8 +91,6 @@ pub struct ClusterConfig {
     /// Optional per-node emulated NIC (egress rate cap, per-transfer
     /// latency, multicast penalty). `None` runs at memory/loopback speed.
     pub nic: Option<NicProfile>,
-    /// Legacy broadcast algorithm (the [`Communicator::broadcast`] path).
-    pub bcast: BcastAlgorithm,
     /// How [`Communicator::multicast`] group sends hit the wire.
     pub fabric: ShuffleFabric,
     /// Whether to record a transfer trace.
@@ -115,7 +114,6 @@ impl ClusterConfig {
             k,
             transport: TransportKind::Local,
             nic: None,
-            bcast: BcastAlgorithm::default(),
             fabric: ShuffleFabric::default(),
             trace_enabled: true,
             spans_enabled: true,
@@ -150,12 +148,6 @@ impl ClusterConfig {
     /// Installs a full emulated-NIC profile on every node.
     pub fn with_nic(mut self, nic: NicProfile) -> Self {
         self.nic = Some(nic);
-        self
-    }
-
-    /// Selects the legacy broadcast algorithm.
-    pub fn with_bcast(mut self, algo: BcastAlgorithm) -> Self {
-        self.bcast = algo;
         self
     }
 
@@ -239,6 +231,63 @@ impl JobBinding {
     pub const ROOT: JobBinding = JobBinding { slot: 0, id: 0 };
 }
 
+/// One generation of a fabric's per-rank endpoints. A shut-down transport
+/// stays shut and its mailbox holds whatever the failed job left behind,
+/// so teardown retires the whole generation instead of repairing it.
+pub(crate) struct Endpoints {
+    transports: Vec<Arc<dyn Transport>>,
+    down: AtomicBool,
+}
+
+impl Endpoints {
+    /// Transports for all `k` ranks, with any configured per-rank fault
+    /// wrapper.
+    fn build(config: &ClusterConfig) -> Result<Endpoints> {
+        let k = config.k;
+        let mut transports: Vec<Arc<dyn Transport>> = match config.resolved_transport() {
+            TransportKind::Local => {
+                let fabric = LocalFabric::new(k);
+                (0..k)
+                    .map(|r| Arc::new(fabric.endpoint(r)) as Arc<dyn Transport>)
+                    .collect()
+            }
+            TransportKind::Tcp => build_tcp_fabric(k)?
+                .into_iter()
+                .map(|ep| Arc::new(ep) as Arc<dyn Transport>)
+                .collect(),
+            TransportKind::Udp => build_udp_fabric_with(k, config.udp.clone())?
+                .into_iter()
+                .map(|ep| Arc::new(ep) as Arc<dyn Transport>)
+                .collect(),
+        };
+        if let Some(fault) = &config.fault {
+            assert!(
+                fault.rank < k,
+                "faulted rank {} outside world {k}",
+                fault.rank
+            );
+            let rule = Arc::clone(&fault.rule);
+            let inner = Arc::clone(&transports[fault.rank]);
+            transports[fault.rank] = Arc::new(FaultyTransport::new(
+                inner,
+                Box::new(move |dst, tag, payload, idx| rule(dst, tag, payload, idx)),
+            ));
+        }
+        Ok(Endpoints {
+            transports,
+            down: AtomicBool::new(false),
+        })
+    }
+
+    /// Shuts down every transport, waking any blocked receiver.
+    pub(crate) fn shutdown(&self) {
+        self.down.store(true, Ordering::Release);
+        for t in &self.transports {
+            t.shutdown();
+        }
+    }
+}
+
 /// A resident cluster fabric that outlives any single job.
 ///
 /// This inverts the one-shot ownership model: [`run_spmd`] builds a fabric,
@@ -256,11 +305,15 @@ impl JobBinding {
 ///   (from `nic_override` or the cluster default), so one tenant
 ///   saturating its egress budget stalls only its own sends.
 ///
-/// A panicking job is catastrophic: it shuts down the whole fabric (to
-/// unblock every peer, including other jobs' ranks) before re-raising the
-/// panic. Engine-level failures should surface as `Err` results instead.
+/// A failing job costs the fabric its endpoints: a panicking rank shuts
+/// them all down (to unblock every peer, including other jobs' ranks)
+/// before the panic is re-raised, and a rank that fails with an `Err` its
+/// peers cannot see asks for the same teardown through
+/// [`Communicator::abort`] and then returns the error as its result. Jobs
+/// in flight at that moment fail with it; the next job to start gets fresh
+/// endpoints.
 pub struct SharedFabric {
-    transports: Vec<Arc<dyn Transport>>,
+    endpoints: Mutex<Arc<Endpoints>>,
     trace: Arc<TraceCollector>,
     spans: Arc<SpanCollector>,
     metrics: Arc<MetricsHub>,
@@ -295,37 +348,8 @@ impl SharedFabric {
         let spans = Arc::new(SpanCollector::new(config.spans_enabled));
         let metrics = Arc::new(MetricsHub::new());
         let nic_wait_hist = metrics.histogram_scaled("cts_nic_wait_seconds", 1e-9);
-        let mut transports: Vec<Arc<dyn Transport>> = match config.resolved_transport() {
-            TransportKind::Local => {
-                let fabric = LocalFabric::new(k);
-                (0..k)
-                    .map(|r| Arc::new(fabric.endpoint(r)) as Arc<dyn Transport>)
-                    .collect()
-            }
-            TransportKind::Tcp => build_tcp_fabric(k)?
-                .into_iter()
-                .map(|ep| Arc::new(ep) as Arc<dyn Transport>)
-                .collect(),
-            TransportKind::Udp => build_udp_fabric_with(k, config.udp.clone())?
-                .into_iter()
-                .map(|ep| Arc::new(ep) as Arc<dyn Transport>)
-                .collect(),
-        };
-        if let Some(fault) = &config.fault {
-            assert!(
-                fault.rank < k,
-                "faulted rank {} outside world {k}",
-                fault.rank
-            );
-            let rule = Arc::clone(&fault.rule);
-            let inner = Arc::clone(&transports[fault.rank]);
-            transports[fault.rank] = Arc::new(FaultyTransport::new(
-                inner,
-                Box::new(move |dst, tag, payload, idx| rule(dst, tag, payload, idx)),
-            ));
-        }
         Ok(SharedFabric {
-            transports,
+            endpoints: Mutex::new(Arc::new(Endpoints::build(config)?)),
             trace,
             spans,
             metrics,
@@ -343,17 +367,6 @@ impl SharedFabric {
     /// The configuration the fabric was built from.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
-    }
-
-    /// Rank `rank`'s transport endpoint (for health monitors that need raw
-    /// transport access on exclusive fabrics).
-    pub fn transport(&self, rank: usize) -> Arc<dyn Transport> {
-        Arc::clone(&self.transports[rank])
-    }
-
-    /// A snapshot of the full (all-jobs) trace recorded so far.
-    pub fn trace_snapshot(&self) -> Trace {
-        self.trace.snapshot()
     }
 
     /// A snapshot of the retained (all-jobs) stage spans.
@@ -414,11 +427,10 @@ impl SharedFabric {
         out
     }
 
-    /// Shuts down every transport, waking any blocked receiver. Irreversible.
+    /// Shuts down every live transport, waking any blocked receiver and
+    /// failing the jobs in flight.
     pub fn shutdown(&self) {
-        for t in &self.transports {
-            t.shutdown();
-        }
+        self.endpoints.lock().shutdown();
     }
 
     /// Runs one SPMD job over the shared fabric: `f` on every rank with
@@ -430,8 +442,13 @@ impl SharedFabric {
     ///
     /// Safe to call concurrently from multiple threads as long as each live
     /// job uses a distinct nonzero slot (slot 0 is reserved for exclusive
-    /// runs). If any rank panics the whole fabric is shut down and the
-    /// first panic re-raised.
+    /// runs). If any rank panics the job's endpoints are shut down and
+    /// the first panic re-raised; a rank calling [`Communicator::abort`]
+    /// shuts them down the same way and the run returns normally. The
+    /// first job to start after a teardown builds fresh endpoints (and
+    /// fails if that fails). The job's trace events leave the shared
+    /// collector with the returned [`ClusterRun::trace`], so a resident
+    /// fabric's trace memory is bounded by the jobs in flight.
     ///
     /// # Panics
     /// Panics if `inputs.len() != k`.
@@ -455,11 +472,18 @@ impl SharedFabric {
             inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
         let results: Vec<Mutex<Option<R>>> = (0..k).map(|_| Mutex::new(None)).collect();
         let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = Mutex::new(Vec::new());
+        let endpoints = {
+            let mut live = self.endpoints.lock();
+            if live.down.load(Ordering::Acquire) {
+                *live = Arc::new(Endpoints::build(&self.config)?);
+            }
+            Arc::clone(&live)
+        };
 
         std::thread::scope(|scope| {
             let meter = profile.map(|_| self.job_meter(binding.id));
             for rank in 0..k {
-                let transport = Arc::clone(&self.transports[rank]);
+                let transport = Arc::clone(&endpoints.transports[rank]);
                 let trace = Arc::clone(&self.trace);
                 let spans = Arc::clone(&self.spans);
                 let metrics = Arc::clone(&self.metrics);
@@ -467,15 +491,15 @@ impl SharedFabric {
                     let meter = Arc::clone(meter.as_ref().expect("meter exists when shaped"));
                     Arc::new(Nic::new(p).with_meter(meter, Some(Arc::clone(&self.nic_wait_hist))))
                 });
-                let bcast = self.config.bcast;
+                let endpoints = Arc::clone(&endpoints);
                 let fabric = self.config.fabric;
                 let slots = &slots;
                 let results = &results;
                 let panics = &panics;
-                let this = &*self;
                 let f = &f;
                 scope.spawn(move || {
-                    let comm = Communicator::new(transport, trace, nic, bcast)
+                    let comm = Communicator::new(transport, trace, nic)
+                        .with_endpoints(endpoints)
                         .with_fabric(fabric)
                         .with_job(binding.slot, binding.id)
                         .with_spans(spans)
@@ -489,7 +513,7 @@ impl SharedFabric {
                         Err(payload) => {
                             // Unblock every peer — including other jobs'
                             // ranks — before propagating.
-                            this.shutdown();
+                            comm.abort();
                             panics.lock().push(payload);
                         }
                     }
@@ -508,7 +532,7 @@ impl SharedFabric {
             .collect();
         Ok(ClusterRun {
             results,
-            trace: self.trace.snapshot().for_job(binding.id),
+            trace: self.trace.take_job(binding.id),
             spans: self.spans.snapshot().for_job(binding.id),
         })
     }
@@ -552,6 +576,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::NetError;
     use crate::message::Tag;
     use bytes::Bytes;
 
@@ -712,9 +737,70 @@ mod tests {
         assert_eq!(b.trace.jobs(), vec![0xB2]);
         assert_eq!(a.trace.stage_bytes("Shuffle"), 16 * 3);
         assert_eq!(b.trace.stage_bytes("Shuffle"), 16 * 3);
-        // The fabric-wide trace saw both.
-        let all = fabric.trace_snapshot();
-        assert_eq!(all.jobs(), vec![0xA1, 0xB2]);
+    }
+
+    #[test]
+    fn finished_jobs_leave_no_events_in_the_collector() {
+        let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
+        for id in 1..=5u32 {
+            let run = fabric
+                .run_job(JobBinding { slot: 1, id }, None, vec![(); 2], |comm, ()| {
+                    comm.set_stage("Shuffle");
+                    let peer = 1 - comm.rank();
+                    comm.send(peer, Tag::app(0), Bytes::from(vec![0u8; 10]))
+                        .unwrap();
+                    comm.recv(peer, Tag::app(0)).unwrap();
+                    comm.barrier().unwrap();
+                })
+                .unwrap();
+            // Complete: both unicasts plus the barrier's control frames.
+            assert_eq!(run.trace.jobs(), vec![id]);
+            assert_eq!(run.trace.stage_bytes("Shuffle"), 20);
+            assert_eq!(run.trace.events.len(), 4);
+            assert!(fabric.trace.snapshot().events.is_empty(), "after job {id}");
+        }
+    }
+
+    #[test]
+    fn abort_fails_the_job_and_the_next_one_gets_fresh_endpoints() {
+        for cfg in [ClusterConfig::local(3), ClusterConfig::tcp(3)] {
+            let fabric = SharedFabric::build(&cfg).unwrap();
+            let run = fabric
+                .run_job(JobBinding::ROOT, None, vec![(); 3], |comm, ()| {
+                    match comm.rank() {
+                        // Left behind in rank 2's mailbox.
+                        0 => comm.send(2, Tag::app(0), Bytes::from_static(b"stale"))?,
+                        1 => {
+                            comm.abort();
+                            return Err(NetError::Io {
+                                what: "rank 1 failed".into(),
+                            });
+                        }
+                        _ => {}
+                    }
+                    // Ranks 0 and 2 wait for a message that never comes; the
+                    // abort must wake them.
+                    comm.recv(1, Tag::app(0)).map(|_| ())
+                })
+                .unwrap();
+            assert!(matches!(run.results[1], Err(NetError::Io { .. })));
+            for rank in [0, 2] {
+                assert!(run.results[rank].is_err(), "{:?}", run.results[rank]);
+            }
+            // Same slot, same tags: the next job neither finds the fabric
+            // shut nor the failed job's leftovers.
+            let run = fabric
+                .run_job(JobBinding::ROOT, None, vec![(); 3], |comm, ()| {
+                    if comm.rank() == 0 {
+                        comm.send(2, Tag::app(0), Bytes::from_static(b"fresh"))
+                            .unwrap();
+                    }
+                    comm.barrier().unwrap();
+                    (comm.rank() == 2).then(|| comm.recv(0, Tag::app(0)).unwrap())
+                })
+                .unwrap();
+            assert_eq!(run.results[2].as_deref(), Some(&b"fresh"[..]));
+        }
     }
 
     #[test]

@@ -1,21 +1,15 @@
-//! The per-node communicator: point-to-point sends plus MPI-style
-//! collectives (barrier, broadcast, multicast, gather, scatter) with
+//! The per-node communicator: point-to-point sends plus the two
+//! MPI-style collectives the engine uses (barrier, multicast), with
 //! transfer tracing and optional NIC emulation.
 //!
 //! One `Communicator` is handed to each SPMD node closure by the
 //! [`cluster`](crate::cluster) runner. It mirrors the Open MPI surface the
 //! paper's C++ implementation uses: `MPI_Send`/`MPI_Recv`, `MPI_Bcast`
-//! within a multicast group, and `MPI_Barrier` between stages. Two
-//! group-cast paths exist:
-//!
-//! * [`broadcast`](Communicator::broadcast) — the legacy software
-//!   collective (flat or binomial tree over point-to-point hops), kept for
-//!   the tree-cost ablation;
-//! * [`multicast`](Communicator::multicast) — the fabric-aware path the
-//!   coded shuffle uses: dispatching on the configured
-//!   [`ShuffleFabric`], it sends serial unicasts, overlapped fanout
-//!   copies, or one native multicast, charges the emulated NIC
-//!   accordingly, and records the per-fabric egress count in the trace.
+//! within a multicast group, and `MPI_Barrier` between stages. The group
+//! cast is [`multicast`](Communicator::multicast): dispatching on the
+//! configured [`ShuffleFabric`], it sends serial unicasts, overlapped
+//! fanout copies, or one native multicast, charges the emulated NIC
+//! accordingly, and records the per-fabric egress count in the trace.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -43,6 +37,7 @@ use bytes::Bytes;
 
 use cts_core::metrics::MetricsHub;
 
+use crate::cluster::Endpoints;
 use crate::error::{NetError, Result};
 use crate::fabric::ShuffleFabric;
 use crate::message::Tag;
@@ -50,17 +45,6 @@ use crate::rate::Nic;
 use crate::span::SpanCollector;
 use crate::trace::{EventKind, TraceCollector};
 use crate::transport::Transport;
-
-/// Which broadcast algorithm multicasts use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BcastAlgorithm {
-    /// Root sends to every member back-to-back (`r` serial unicasts).
-    Flat,
-    /// Binomial tree (MPICH/Open MPI style): `⌈log2 m⌉` rounds, relays
-    /// forward as they receive.
-    #[default]
-    BinomialTree,
-}
 
 /// The receiver bitmask of a group cast: every member except the root.
 fn group_mask(members: &[usize], root: usize) -> u128 {
@@ -75,11 +59,9 @@ pub struct Communicator {
     transport: Arc<dyn Transport>,
     trace: Arc<TraceCollector>,
     nic: Option<Arc<Nic>>,
-    bcast_algo: BcastAlgorithm,
     fabric: ShuffleFabric,
     stage: AtomicU16,
     barrier_epoch: AtomicU32,
-    bcast_epoch: AtomicU32,
     /// Job slot scoped into every tag (0 = exclusive, tags unchanged).
     job_slot: u8,
     /// Job id stamped on every trace event.
@@ -95,6 +77,9 @@ pub struct Communicator {
     /// fabric so engines can register job-level instruments (heartbeat
     /// transitions, decode progress) without new plumbing.
     metrics: Option<Arc<MetricsHub>>,
+    /// The endpoints this rank's job runs on, attached by the shared fabric
+    /// (see [`Self::abort`]).
+    endpoints: Option<Arc<Endpoints>>,
 }
 
 impl Communicator {
@@ -106,24 +91,22 @@ impl Communicator {
         transport: Arc<dyn Transport>,
         trace: Arc<TraceCollector>,
         nic: Option<Arc<Nic>>,
-        bcast_algo: BcastAlgorithm,
     ) -> Self {
         let stage = trace.intern("init");
         Communicator {
             transport,
             trace,
             nic,
-            bcast_algo,
             fabric: ShuffleFabric::default(),
             stage: AtomicU16::new(stage),
             barrier_epoch: AtomicU32::new(0),
-            bcast_epoch: AtomicU32::new(0),
             job_slot: 0,
             job_id: 0,
             spans: None,
             span_stage: AtomicU16::new(u16::MAX),
             span_start: AtomicU64::new(0),
             metrics: None,
+            endpoints: None,
         }
     }
 
@@ -146,6 +129,25 @@ impl Communicator {
     /// instruments lazily; standalone communicators return `None`.
     pub fn metrics(&self) -> Option<&Arc<MetricsHub>> {
         self.metrics.as_ref()
+    }
+
+    /// Attaches the endpoints [`abort`](Self::abort) shuts down.
+    pub(crate) fn with_endpoints(mut self, endpoints: Arc<Endpoints>) -> Self {
+        self.endpoints = Some(endpoints);
+        self
+    }
+
+    /// Called by a rank that is about to return an error its peers cannot
+    /// see: shuts down the endpoints its job runs on, so every peer blocked
+    /// in a receive or barrier on this rank fails with `Disconnected`
+    /// instead of waiting forever — the teardown a panicking rank gets from
+    /// the cluster runner. Jobs sharing those endpoints fail with it; the
+    /// fabric hands the next job fresh ones. A no-op on a communicator no
+    /// fabric built.
+    pub fn abort(&self) {
+        if let Some(endpoints) = &self.endpoints {
+            endpoints.shutdown();
+        }
     }
 
     /// Selects how [`multicast`](Self::multicast) realizes group sends.
@@ -259,12 +261,6 @@ impl Communicator {
         &self.transport
     }
 
-    fn shape(&self, bytes: usize) {
-        if let Some(nic) = &self.nic {
-            nic.charge(bytes as u64);
-        }
-    }
-
     /// Application point-to-point send (recorded as shuffle traffic).
     ///
     /// NIC emulation is *asynchronous with backpressure*: the payload is
@@ -303,33 +299,22 @@ impl Communicator {
         Ok(())
     }
 
-    /// Substrate-internal send (control traffic, tree relays) — excluded
-    /// from communication-load accounting. Deliberately pays egress bytes
-    /// but *not* the per-transfer NIC latency: barrier/collective control
-    /// messages would otherwise distort strict-serial schedules, and the
-    /// legacy tree-broadcast path keeps its pre-NIC-emulation timing. The
-    /// fabric-aware [`multicast`](Self::multicast) is the path whose
-    /// wall-clock mirrors the model.
-    fn send_internal(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
-        self.send_internal_oh(dst, tag, payload, 0)
-    }
-
-    /// Internal send carrying an explicit protocol-overhead byte count
-    /// (tree relays of a coded packet inherit the packet's header size).
-    /// Callers pass an already-scoped tag (collectives scope at entry).
-    fn send_internal_oh(&self, dst: usize, tag: Tag, payload: Bytes, overhead: u64) -> Result<()> {
+    /// Barrier control send — an empty frame, excluded from
+    /// communication-load accounting and from NIC pacing (the per-transfer
+    /// latency would charge every stage transition a shuffle's worth of
+    /// setup time). `tag` is already scoped.
+    fn send_internal(&self, dst: usize, tag: Tag) -> Result<()> {
         self.trace.record_transfer_for(
             self.job_id,
             self.stage.load(Ordering::Relaxed),
             self.rank(),
             1u128 << dst,
-            payload.len() as u64,
-            overhead,
+            0,
+            0,
             1,
             EventKind::Internal,
         );
-        self.shape(payload.len());
-        self.transport.send(dst, tag, payload)
+        self.transport.send(dst, tag, Bytes::new())
     }
 
     /// Blocking receive matched on `(src, tag)`.
@@ -361,138 +346,18 @@ impl Communicator {
                 self.transport.recv(src, tag)?;
             }
             for dst in 1..k {
-                self.send_internal(dst, tag, Bytes::new())?;
+                self.send_internal(dst, tag)?;
             }
         } else {
-            self.send_internal(0, tag, Bytes::new())?;
+            self.send_internal(0, tag)?;
             self.transport.recv(0, tag)?;
         }
         Ok(())
     }
 
-    /// Multicast within a member group — the `MPI_Bcast` equivalent.
-    ///
-    /// `members` must be sorted ascending, contain both `root` and the
-    /// caller, and every member must call `broadcast` with the same
-    /// arguments (SPMD). The root passes `Some(payload)`, others `None`;
-    /// everyone returns the payload.
-    ///
-    /// The trace records **one** `Multicast` event at the root (bytes
-    /// counted once — the paper's communication-load convention) plus the
-    /// underlying tree/flat unicasts as `Internal` events.
-    pub fn broadcast(
-        &self,
-        root: usize,
-        members: &[usize],
-        tag: Tag,
-        data: Option<Bytes>,
-    ) -> Result<Bytes> {
-        self.broadcast_with_overhead(root, members, tag, data, 0)
-    }
-
-    /// [`broadcast`](Self::broadcast) with an explicit protocol-overhead
-    /// byte count recorded on the multicast trace event. The coded engine
-    /// passes its packet-header size so the performance model can scale
-    /// payload and overhead separately.
-    pub fn broadcast_with_overhead(
-        &self,
-        root: usize,
-        members: &[usize],
-        tag: Tag,
-        data: Option<Bytes>,
-        overhead: u64,
-    ) -> Result<Bytes> {
-        let tag = self.scope(tag);
-        let m = members.len();
-        let (my_pos, root_pos) = self.validate_group(root, members, &data)?;
-        let is_root = self.rank() == root;
-
-        if is_root {
-            // A *logical* multicast record: bytes counted once, and zero
-            // wire copies of its own — the constituent hops are traced as
-            // `Internal` events below (the tree-cost ablation reads them).
-            self.trace.record_transfer_for(
-                self.job_id,
-                self.stage.load(Ordering::Relaxed),
-                self.rank(),
-                group_mask(members, root),
-                data.as_ref().map(|d| d.len()).unwrap_or(0) as u64,
-                overhead,
-                0,
-                EventKind::Multicast,
-            );
-        }
-        if m == 1 {
-            return Ok(data.unwrap());
-        }
-
-        match self.bcast_algo {
-            BcastAlgorithm::Flat => {
-                if is_root {
-                    let payload = data.unwrap();
-                    for &dst in members.iter().filter(|&&n| n != root) {
-                        self.send_internal_oh(dst, tag, payload.clone(), overhead)?;
-                    }
-                    Ok(payload)
-                } else {
-                    self.transport.recv(root, tag)
-                }
-            }
-            BcastAlgorithm::BinomialTree => {
-                let vrank = (my_pos + m - root_pos) % m;
-                let actual = |v: usize| members[(v + root_pos) % m];
-                let mut payload = data;
-                let mut mask = 1usize;
-                while mask < m {
-                    if vrank & mask != 0 {
-                        let parent = actual(vrank - mask);
-                        payload = Some(self.transport.recv(parent, tag)?);
-                        break;
-                    }
-                    mask <<= 1;
-                }
-                let payload = payload.expect("binomial bcast: payload after recv phase");
-                mask >>= 1;
-                while mask > 0 {
-                    if vrank + mask < m {
-                        self.send_internal_oh(
-                            actual(vrank + mask),
-                            tag,
-                            payload.clone(),
-                            overhead,
-                        )?;
-                    }
-                    mask >>= 1;
-                }
-                Ok(payload)
-            }
-        }
-    }
-
-    /// Broadcast with an automatically assigned group-unique tag, for use
-    /// when the same group multicasts repeatedly (serial multicast shuffle).
-    /// All members' epochs advance in lockstep because the call pattern is
-    /// SPMD-deterministic.
-    pub fn broadcast_auto(
-        &self,
-        root: usize,
-        members: &[usize],
-        data: Option<Bytes>,
-    ) -> Result<Bytes> {
-        let epoch = self.bcast_epoch.fetch_add(1, Ordering::Relaxed);
-        let tag = Tag::new(Tag::BCAST, epoch & self.epoch_mask());
-        self.broadcast(root, members, tag, data)
-    }
-
-    /// Shared SPMD group validation: members sorted/unique, caller and root
-    /// both present, root supplies the payload. Returns the caller's and
-    /// the root's positions in `members`.
-    fn validate_group(
-        &self,
-        root: usize,
-        members: &[usize],
-        data: &Option<Bytes>,
-    ) -> Result<(usize, usize)> {
+    /// SPMD group validation: members sorted/unique and in range, caller
+    /// and root both present, root supplies the payload.
+    fn validate_group(&self, root: usize, members: &[usize], data: &Option<Bytes>) -> Result<()> {
         if members.is_empty() || members.windows(2).any(|w| w[0] >= w[1]) {
             return Err(NetError::CollectiveMisuse {
                 what: "members must be non-empty, sorted, unique".into(),
@@ -507,31 +372,25 @@ impl Communicator {
                 world: self.world_size(),
             });
         }
-        let my_pos =
-            members
-                .binary_search(&self.rank())
-                .map_err(|_| NetError::CollectiveMisuse {
-                    what: format!("caller {} not in group", self.rank()),
-                })?;
-        let root_pos = members
-            .binary_search(&root)
-            .map_err(|_| NetError::CollectiveMisuse {
-                what: format!("root {root} not in group"),
-            })?;
-        if self.rank() == root && data.is_none() {
-            return Err(NetError::CollectiveMisuse {
-                what: "root must supply the payload".into(),
-            });
-        }
-        Ok((my_pos, root_pos))
+        let misuse = if members.binary_search(&self.rank()).is_err() {
+            format!("caller {} not in group", self.rank())
+        } else if members.binary_search(&root).is_err() {
+            format!("root {root} not in group")
+        } else if self.rank() == root && data.is_none() {
+            "root must supply the payload".into()
+        } else {
+            return Ok(());
+        };
+        Err(NetError::CollectiveMisuse { what: misuse })
     }
 
     /// Multicast within a member group over the configured
     /// [`ShuffleFabric`] — the path the coded shuffle takes.
     ///
-    /// Same SPMD contract as [`broadcast`](Self::broadcast): `members`
-    /// sorted and containing both `root` and the caller, every member
-    /// calling with the same arguments, the root passing `Some(payload)`.
+    /// `members` must be sorted ascending and contain both `root` and the
+    /// caller, and every member must call with the same arguments (SPMD).
+    /// The root passes `Some(payload)`, others `None`; everyone returns the
+    /// payload.
     /// All receivers get the payload directly from the root (no relaying),
     /// so the receive path is fabric-independent; what changes per fabric
     /// is how the root's copies leave the machine:
@@ -640,92 +499,6 @@ impl Communicator {
         record(self);
         Ok(payload)
     }
-
-    /// Gathers one payload from every member at `root` (member order).
-    /// Returns `Some(payloads)` at the root, `None` elsewhere. Recorded as
-    /// internal control traffic.
-    pub fn gather(
-        &self,
-        root: usize,
-        members: &[usize],
-        tag: Tag,
-        data: Bytes,
-    ) -> Result<Option<Vec<Bytes>>> {
-        let tag = self.scope(tag);
-        if !members.contains(&self.rank()) || !members.contains(&root) {
-            return Err(NetError::CollectiveMisuse {
-                what: "gather: caller and root must both be members".into(),
-            });
-        }
-        if let Some(&bad) = members.iter().find(|&&m| m >= self.world_size()) {
-            return Err(NetError::InvalidRank {
-                rank: bad,
-                world: self.world_size(),
-            });
-        }
-        if self.rank() == root {
-            let mut out = Vec::with_capacity(members.len());
-            for &m in members {
-                if m == root {
-                    out.push(data.clone());
-                } else {
-                    out.push(self.transport.recv(m, tag)?);
-                }
-            }
-            Ok(Some(out))
-        } else {
-            self.send_internal(root, tag, data)?;
-            Ok(None)
-        }
-    }
-
-    /// Scatters `chunks[i]` to `members[i]` from `root`; returns the
-    /// caller's chunk. The coordinator's file-placement path (paper Fig. 8).
-    pub fn scatter(
-        &self,
-        root: usize,
-        members: &[usize],
-        tag: Tag,
-        chunks: Option<Vec<Bytes>>,
-    ) -> Result<Bytes> {
-        let tag = self.scope(tag);
-        if !members.contains(&self.rank()) || !members.contains(&root) {
-            return Err(NetError::CollectiveMisuse {
-                what: "scatter: caller and root must both be members".into(),
-            });
-        }
-        if let Some(&bad) = members.iter().find(|&&m| m >= self.world_size()) {
-            return Err(NetError::InvalidRank {
-                rank: bad,
-                world: self.world_size(),
-            });
-        }
-        if self.rank() == root {
-            let chunks = chunks.ok_or_else(|| NetError::CollectiveMisuse {
-                what: "scatter: root must supply chunks".into(),
-            })?;
-            if chunks.len() != members.len() {
-                return Err(NetError::CollectiveMisuse {
-                    what: format!(
-                        "scatter: {} chunks for {} members",
-                        chunks.len(),
-                        members.len()
-                    ),
-                });
-            }
-            let mut own = None;
-            for (&m, chunk) in members.iter().zip(chunks) {
-                if m == root {
-                    own = Some(chunk);
-                } else {
-                    self.send_internal(m, tag, chunk)?;
-                }
-            }
-            Ok(own.expect("root is a member"))
-        } else {
-            self.transport.recv(root, tag)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -733,14 +506,8 @@ mod tests {
     use super::*;
     use crate::local::LocalFabric;
 
-    fn comms(k: usize, algo: BcastAlgorithm) -> Vec<Communicator> {
-        let fabric = LocalFabric::new(k);
-        let trace = Arc::new(TraceCollector::new(true));
-        (0..k)
-            .map(|r| {
-                Communicator::new(Arc::new(fabric.endpoint(r)), Arc::clone(&trace), None, algo)
-            })
-            .collect()
+    fn comms(k: usize) -> Vec<Communicator> {
+        fabric_comms(k, ShuffleFabric::default()).0
     }
 
     fn run_spmd<R: Send>(comms: &[Communicator], f: impl Fn(&Communicator) -> R + Sync) -> Vec<R> {
@@ -753,7 +520,7 @@ mod tests {
     #[test]
     fn barrier_synchronizes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let comms = comms(4, BcastAlgorithm::default());
+        let comms = comms(4);
         let counter = AtomicUsize::new(0);
         run_spmd(&comms, |c| {
             counter.fetch_add(1, Ordering::SeqCst);
@@ -764,95 +531,13 @@ mod tests {
         });
     }
 
-    #[test]
-    fn broadcast_binomial_reaches_all() {
-        let comms = comms(6, BcastAlgorithm::BinomialTree);
-        let members = [0usize, 2, 3, 5];
-        let results = run_spmd(&comms, |c| {
-            if members.contains(&c.rank()) {
-                let data = (c.rank() == 3).then(|| Bytes::from_static(b"tree!"));
-                Some(
-                    c.broadcast(3, &members, Tag::new(Tag::BCAST, 1), data)
-                        .unwrap(),
-                )
-            } else {
-                None
-            }
-        });
-        for (rank, res) in results.iter().enumerate() {
-            if members.contains(&rank) {
-                assert_eq!(res.as_ref().unwrap(), "tree!");
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_flat_reaches_all() {
-        let comms = comms(5, BcastAlgorithm::Flat);
-        let members = [1usize, 2, 4];
-        let results = run_spmd(&comms, |c| {
-            if members.contains(&c.rank()) {
-                let data = (c.rank() == 1).then(|| Bytes::from_static(b"flat"));
-                Some(
-                    c.broadcast(1, &members, Tag::new(Tag::BCAST, 9), data)
-                        .unwrap(),
-                )
-            } else {
-                None
-            }
-        });
-        assert_eq!(results[2].as_ref().unwrap(), "flat");
-        assert_eq!(results[4].as_ref().unwrap(), "flat");
-    }
-
-    #[test]
-    fn broadcast_records_one_multicast_event() {
-        let fabric = LocalFabric::new(3);
-        let trace = Arc::new(TraceCollector::new(true));
-        let comms: Vec<Communicator> = (0..3)
-            .map(|r| {
-                Communicator::new(
-                    Arc::new(fabric.endpoint(r)),
-                    Arc::clone(&trace),
-                    None,
-                    BcastAlgorithm::BinomialTree,
-                )
-            })
-            .collect();
-        run_spmd(&comms, |c| {
-            c.set_stage("Shuffle");
-            let data = (c.rank() == 0).then(|| Bytes::from(vec![0u8; 100]));
-            c.broadcast(0, &[0, 1, 2], Tag::new(Tag::BCAST, 0), data)
-                .unwrap();
-        });
-        let t = trace.snapshot();
-        let multicasts: Vec<_> = t
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Multicast)
-            .collect();
-        assert_eq!(multicasts.len(), 1);
-        assert_eq!(multicasts[0].bytes, 100);
-        assert_eq!(multicasts[0].fanout(), 2);
-        // Bytes counted once despite 2 receivers.
-        assert_eq!(t.stage_bytes("Shuffle"), 100);
-        assert_eq!(t.stage_bytes_unicast_equivalent("Shuffle"), 200);
-    }
-
     fn fabric_comms(k: usize, fabric: ShuffleFabric) -> (Vec<Communicator>, Arc<TraceCollector>) {
         let fab = LocalFabric::new(k);
         let trace = Arc::new(TraceCollector::new(true));
         let comms = (0..k)
             .map(|r| {
-                Communicator::new(
-                    Arc::new(fab.endpoint(r)),
-                    Arc::clone(&trace),
-                    None,
-                    BcastAlgorithm::default(),
-                )
-                .with_fabric(fabric)
+                Communicator::new(Arc::new(fab.endpoint(r)), Arc::clone(&trace), None)
+                    .with_fabric(fabric)
             })
             .collect();
         (comms, trace)
@@ -923,14 +608,27 @@ mod tests {
     }
 
     #[test]
-    fn multicast_validates_like_broadcast() {
+    fn multicast_rejects_outsider_and_bad_members() {
         let (comms, _) = fabric_comms(3, ShuffleFabric::Multicast);
+        let tag = Tag::new(Tag::BCAST, 0);
+        // Caller not in group.
         assert!(matches!(
-            comms[2].multicast(0, &[0, 1], Tag::new(Tag::BCAST, 0), None),
+            comms[2].multicast(0, &[0, 1], tag, None),
             Err(NetError::CollectiveMisuse { .. })
         ));
+        // Unsorted member list.
         assert!(matches!(
-            comms[0].multicast(0, &[0, 1], Tag::new(Tag::BCAST, 0), None),
+            comms[0].multicast(0, &[1, 0], tag, Some(Bytes::new())),
+            Err(NetError::CollectiveMisuse { .. })
+        ));
+        // Root not in group.
+        assert!(matches!(
+            comms[0].multicast(2, &[0, 1], tag, None),
+            Err(NetError::CollectiveMisuse { .. })
+        ));
+        // Root missing payload.
+        assert!(matches!(
+            comms[0].multicast(0, &[0, 1], tag, None),
             Err(NetError::CollectiveMisuse { .. })
         ));
     }
@@ -953,19 +651,6 @@ mod tests {
             ),
             Err(NetError::InvalidRank { rank: 200, .. })
         ));
-        assert!(matches!(
-            comms[0].broadcast(
-                0,
-                &[0, 200],
-                Tag::new(Tag::BCAST, 0),
-                Some(Bytes::from_static(b"x"))
-            ),
-            Err(NetError::InvalidRank { rank: 200, .. })
-        ));
-        assert!(matches!(
-            comms[0].gather(0, &[0, 200], Tag::new(Tag::GATHER, 0), Bytes::new()),
-            Err(NetError::InvalidRank { rank: 200, .. })
-        ));
     }
 
     #[test]
@@ -983,93 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_rejects_outsider_and_bad_members() {
-        let comms = comms(3, BcastAlgorithm::default());
-        // Caller not in group.
-        let err = comms[2]
-            .broadcast(0, &[0, 1], Tag::new(Tag::BCAST, 0), None)
-            .unwrap_err();
-        assert!(matches!(err, NetError::CollectiveMisuse { .. }));
-        // Unsorted member list.
-        let err = comms[0]
-            .broadcast(0, &[1, 0], Tag::new(Tag::BCAST, 0), Some(Bytes::new()))
-            .unwrap_err();
-        assert!(matches!(err, NetError::CollectiveMisuse { .. }));
-        // Root missing payload.
-        let err = comms[0]
-            .broadcast(0, &[0, 1], Tag::new(Tag::BCAST, 0), None)
-            .unwrap_err();
-        assert!(matches!(err, NetError::CollectiveMisuse { .. }));
-    }
-
-    #[test]
-    fn gather_collects_in_member_order() {
-        let comms = comms(4, BcastAlgorithm::default());
-        let members = [0usize, 1, 3];
-        let results = run_spmd(&comms, |c| {
-            if !members.contains(&c.rank()) {
-                return None;
-            }
-            c.gather(
-                1,
-                &members,
-                Tag::new(Tag::GATHER, 0),
-                Bytes::copy_from_slice(&[c.rank() as u8]),
-            )
-            .unwrap()
-        });
-        let gathered = results[1].as_ref().unwrap();
-        let got: Vec<u8> = gathered.iter().map(|b| b[0]).collect();
-        assert_eq!(got, vec![0, 1, 3]);
-        assert!(results[0].is_none());
-        assert!(results[3].is_none());
-    }
-
-    #[test]
-    fn scatter_distributes_by_member_order() {
-        let comms = comms(3, BcastAlgorithm::default());
-        let members = [0usize, 1, 2];
-        let results = run_spmd(&comms, |c| {
-            let chunks = (c.rank() == 0).then(|| {
-                vec![
-                    Bytes::from_static(b"zero"),
-                    Bytes::from_static(b"one"),
-                    Bytes::from_static(b"two"),
-                ]
-            });
-            c.scatter(0, &members, Tag::new(Tag::SCATTER, 0), chunks)
-                .unwrap()
-        });
-        assert_eq!(results[0], "zero");
-        assert_eq!(results[1], "one");
-        assert_eq!(results[2], "two");
-    }
-
-    #[test]
-    fn broadcast_auto_serializes_repeated_groups() {
-        let comms = comms(3, BcastAlgorithm::BinomialTree);
-        let members = [0usize, 1, 2];
-        let results = run_spmd(&comms, |c| {
-            let mut got = Vec::new();
-            for round in 0..10u8 {
-                for &root in &members {
-                    let data =
-                        (c.rank() == root).then(|| Bytes::copy_from_slice(&[root as u8, round]));
-                    got.push(c.broadcast_auto(root, &members, data).unwrap());
-                }
-            }
-            got
-        });
-        for r in results {
-            assert_eq!(r.len(), 30);
-            for (i, payload) in r.iter().enumerate() {
-                assert_eq!(payload[0] as usize, i % 3);
-                assert_eq!(payload[1] as usize, i / 3);
-            }
-        }
-    }
-
-    #[test]
     fn job_scoping_isolates_identical_tags_on_one_fabric() {
         // Two "jobs" share one fabric and both use Tag::app(7). Without
         // scoping the receives could match either sender's payload; with
@@ -1077,13 +675,8 @@ mod tests {
         let fabric = LocalFabric::new(2);
         let trace = Arc::new(TraceCollector::new(true));
         let comm_for = |rank: usize, slot: u8, id: u32| {
-            Communicator::new(
-                Arc::new(fabric.endpoint(rank)),
-                Arc::clone(&trace),
-                None,
-                BcastAlgorithm::default(),
-            )
-            .with_job(slot, id)
+            Communicator::new(Arc::new(fabric.endpoint(rank)), Arc::clone(&trace), None)
+                .with_job(slot, id)
         };
         let (a0, a1) = (comm_for(0, 1, 101), comm_for(1, 1, 101));
         let (b0, b1) = (comm_for(0, 2, 202), comm_for(1, 2, 202));
@@ -1109,19 +702,14 @@ mod tests {
         let job_comms = |slot: u8| -> Vec<Communicator> {
             (0..3)
                 .map(|r| {
-                    Communicator::new(
-                        Arc::new(fabric.endpoint(r)),
-                        Arc::clone(&trace),
-                        None,
-                        BcastAlgorithm::default(),
-                    )
-                    .with_job(slot, slot as u32)
+                    Communicator::new(Arc::new(fabric.endpoint(r)), Arc::clone(&trace), None)
+                        .with_job(slot, slot as u32)
                 })
                 .collect()
         };
         let a = job_comms(1);
         let b = job_comms(2);
-        // Run both jobs' broadcasts concurrently over the same endpoints
+        // Run both jobs' multicasts concurrently over the same endpoints
         // with the same tag; payloads must stay within their job.
         std::thread::scope(|s| {
             for comms in [&a, &b] {
@@ -1138,19 +726,5 @@ mod tests {
                 }
             }
         });
-    }
-
-    #[test]
-    fn single_member_broadcast_is_identity() {
-        let comms = comms(2, BcastAlgorithm::default());
-        let out = comms[0]
-            .broadcast(
-                0,
-                &[0],
-                Tag::new(Tag::BCAST, 0),
-                Some(Bytes::from_static(b"me")),
-            )
-            .unwrap();
-        assert_eq!(out, "me");
     }
 }

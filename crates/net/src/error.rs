@@ -28,7 +28,7 @@ pub enum NetError {
         /// Stringified `std::io::Error`.
         what: String,
     },
-    /// A collective was invoked inconsistently (e.g. broadcast root not in
+    /// A collective was invoked inconsistently (e.g. multicast root not in
     /// the group, or a member list not containing the caller).
     CollectiveMisuse {
         /// Description of the inconsistency.

@@ -135,7 +135,7 @@ pub fn straggler_blackhole_rule() -> Arc<FaultRule> {
 }
 
 /// Where in a job's lifecycle an injected crash fires. Points map to the
-/// coded engine's stage sequence; the engine checks its crash spec at each
+/// engine's stage sequence; the engine checks its crash spec at each
 /// one and dies there — fail-stop, never Byzantine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashPoint {

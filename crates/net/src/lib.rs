@@ -21,9 +21,9 @@
 //! * [`fabric`] — the [`ShuffleFabric`] selector: serial-unicast vs fanout
 //!   vs native multicast realizations of a group send;
 //! * [`comm`] — the per-node [`Communicator`]:
-//!   send/recv, barrier, legacy tree/flat broadcast, fabric-aware
+//!   send/recv, barrier, and the fabric-aware
 //!   [`Communicator::multicast`] (the `MPI_Bcast` of the paper's Multicast
-//!   Shuffling), gather, scatter;
+//!   Shuffling);
 //! * [`rate`] — emulated-NIC pacing: token-bucket egress shaping (the
 //!   paper's 100 Mbps `tc` cap), per-transfer latency, multicast `α`;
 //! * [`trace`] — transfer tracing: every unicast and multicast with stage
@@ -33,9 +33,9 @@
 //!   by the engines' `set_stage` annotations, recorded into a bounded
 //!   ring for live daemon introspection (`cts stats`, `--timeline`);
 //! * [`cluster`] — SPMD runners ([`run_spmd`]) spawning
-//!   one thread per rank over either fabric, with panic-safe teardown,
-//!   plus the resident [`SharedFabric`] that runs many concurrent
-//!   job-scoped SPMD programs over one set of transports;
+//!   one thread per rank over either fabric, with panic- and abort-safe
+//!   teardown, plus the resident [`SharedFabric`] that runs many
+//!   concurrent job-scoped SPMD programs over one set of transports;
 //! * [`admission`] — admission control for the resident runtime: a
 //!   bounded job queue that refuses (rather than stalls) when full, and
 //!   the pool of per-job tag-namespace slots;
@@ -55,7 +55,7 @@
 //! let run = run_spmd(&ClusterConfig::local(3), |comm| {
 //!     comm.set_stage("Shuffle");
 //!     let data = (comm.rank() == 0).then(|| Bytes::from_static(b"coded packet"));
-//!     comm.broadcast(0, &[0, 1, 2], Tag::new(Tag::BCAST, 0), data).unwrap()
+//!     comm.multicast(0, &[0, 1, 2], Tag::new(Tag::BCAST, 0), data).unwrap()
 //! })
 //! .unwrap();
 //! assert!(run.results.iter().all(|r| r == "coded packet"));
@@ -91,7 +91,7 @@ pub use cluster::{
     run_spmd, run_spmd_with_inputs, ClusterConfig, ClusterRun, JobBinding, SharedFabric,
     TransportKind,
 };
-pub use comm::{BcastAlgorithm, Communicator};
+pub use comm::Communicator;
 pub use error::{NetError, Result};
 pub use fabric::ShuffleFabric;
 pub use health::{HealthBoard, HealthConfig, Heartbeat, Liveness};

@@ -24,12 +24,8 @@ impl Tag {
     pub const APP: u8 = 0x00;
     /// Barrier control messages.
     pub const BARRIER: u8 = 0xB0;
-    /// Broadcast payloads (one sub-tag per multicast group).
+    /// Multicast payloads (one sub-tag per multicast group).
     pub const BCAST: u8 = 0xB1;
-    /// Gather payloads.
-    pub const GATHER: u8 = 0xB2;
-    /// Scatter payloads.
-    pub const SCATTER: u8 = 0xB3;
     /// UDP-fabric control requests (status queries, NACKs) carried over the
     /// TCP control channel and serviced by each endpoint's control thread.
     pub const UDP_CTRL: u8 = 0xC0;

@@ -40,10 +40,8 @@ pub enum EventKind {
     /// A logical multicast: one coded packet delivered to a receiver set
     /// (recorded once, at the root, regardless of the tree used).
     Multicast,
-    /// Substrate-internal traffic: barrier control messages and the
-    /// point-to-point hops a tree broadcast decomposes into. Network models
-    /// for the paper's schedules ignore these; the tree-cost ablation uses
-    /// them.
+    /// Substrate-internal traffic: barrier control messages. Network
+    /// models for the paper's schedules ignore these.
     Internal,
 }
 
@@ -71,9 +69,7 @@ pub struct TraceEvent {
     pub overhead: u64,
     /// How many separate egress transmissions this payload made at the
     /// sender: 1 for unicasts and native multicasts, the fanout for
-    /// serial-unicast / fanout multicast emulation, and 0 for *logical*
-    /// multicast records whose constituent hops are traced separately as
-    /// [`EventKind::Internal`] events (the legacy tree-broadcast path).
+    /// serial-unicast / fanout multicast emulation.
     pub wire_copies: u16,
     /// Transfer kind.
     pub kind: EventKind,
@@ -232,20 +228,6 @@ impl TraceCollector {
         self.record_transfer(stage, src, dsts, bytes, 0, 1, kind);
     }
 
-    /// Records one single-transmission event with an explicit
-    /// protocol-overhead byte count.
-    pub fn record_with_overhead(
-        &self,
-        stage: u16,
-        src: usize,
-        dsts: u128,
-        bytes: u64,
-        overhead: u64,
-        kind: EventKind,
-    ) {
-        self.record_transfer(stage, src, dsts, bytes, overhead, 1, kind);
-    }
-
     /// Records one event with an explicit egress-transmission count (see
     /// [`TraceEvent::wire_copies`]), attributed to job 0.
     #[allow(clippy::too_many_arguments)]
@@ -304,6 +286,24 @@ impl TraceCollector {
         Trace {
             stages: inner.stages.clone(),
             events: inner.events.clone(),
+        }
+    }
+
+    /// Removes and returns `job`'s events (record order preserved), leaving
+    /// every other job's in place — how a resident fabric hands a finished
+    /// job its trace without the collector growing with uptime.
+    pub fn take_job(&self, job: u32) -> Trace {
+        let mut inner = self.inner.lock();
+        let mut events = Vec::new();
+        inner.events.retain(|e| {
+            if e.job == job {
+                events.push(*e);
+            }
+            e.job != job
+        });
+        Trace {
+            stages: inner.stages.clone(),
+            events,
         }
     }
 }
@@ -404,5 +404,10 @@ mod tests {
         assert_eq!(j1.events[1].seq, 2);
         assert_eq!(t.for_job(2).stage_bytes("Shuffle"), 40);
         assert!(t.for_job(9).events.is_empty());
+        // Taking a job out leaves exactly the others behind.
+        let taken = c.take_job(1);
+        assert_eq!(taken.events, j1.events);
+        assert_eq!(c.snapshot().jobs(), vec![2]);
+        assert!(c.take_job(1).events.is_empty());
     }
 }

@@ -1,12 +1,13 @@
-//! Property tests of the collectives: flat and binomial-tree broadcasts
-//! must deliver identical payloads to every member for arbitrary group
-//! compositions and roots, over both fabrics.
+//! Property tests of the multicast collective: every shuffle fabric must
+//! deliver identical payloads to every member for arbitrary group
+//! compositions and roots, plus scale and ordering checks over both
+//! transports.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use cts_net::cluster::{run_spmd, ClusterConfig};
-use cts_net::comm::BcastAlgorithm;
+use cts_net::fabric::ShuffleFabric;
 use cts_net::message::Tag;
 use cts_net::trace::EventKind;
 use proptest::prelude::*;
@@ -23,22 +24,22 @@ fn payload(root: usize, round: usize) -> Bytes {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every member of a random group receives the root's payload, for
-    /// both algorithms, across several rounds with rotating roots.
+    /// Every member of a random group receives the root's payload, on
+    /// every emulated fabric, across several rounds with rotating roots.
     #[test]
-    fn broadcast_delivers_for_random_groups(
+    fn multicast_delivers_for_random_groups(
         k in 2usize..=8,
         member_bits in 0u64..256,
-        algo_flat in any::<bool>(),
+        fabric_sel in 0usize..3,
     ) {
         let members: Vec<usize> = (0..k).filter(|i| member_bits >> i & 1 == 1).collect();
         prop_assume!(members.len() >= 2);
-        let algo = if algo_flat {
-            BcastAlgorithm::Flat
-        } else {
-            BcastAlgorithm::BinomialTree
-        };
-        let cfg = ClusterConfig::local(k).with_bcast(algo);
+        let fabric = [
+            ShuffleFabric::SerialUnicast,
+            ShuffleFabric::Fanout,
+            ShuffleFabric::Multicast,
+        ][fabric_sel];
+        let cfg = ClusterConfig::local(k).with_fabric(fabric);
         let members = Arc::new(members);
         let members2 = Arc::clone(&members);
 
@@ -50,7 +51,7 @@ proptest! {
             for (round, &root) in members2.iter().enumerate() {
                 let data = (comm.rank() == root).then(|| payload(root, round));
                 got.push(
-                    comm.broadcast(root, &members2, Tag::new(Tag::BCAST, round as u32), data)
+                    comm.multicast(root, &members2, Tag::new(Tag::BCAST, round as u32), data)
                         .unwrap(),
                 );
             }
@@ -68,7 +69,7 @@ proptest! {
                 prop_assert!(got.is_empty());
             }
         }
-        // Exactly one Multicast event per broadcast, with fanout m-1.
+        // Exactly one Multicast event per group send, with fanout m-1.
         let multicasts: Vec<_> = run
             .trace
             .events
@@ -80,44 +81,6 @@ proptest! {
             prop_assert_eq!(m.fanout() as usize, members.len() - 1);
         }
     }
-
-    /// Gather returns payloads in member order for arbitrary groups/roots.
-    #[test]
-    fn gather_orders_by_member(
-        k in 2usize..=8,
-        member_bits in 0u64..256,
-        root_sel in 0usize..8,
-    ) {
-        let members: Vec<usize> = (0..k).filter(|i| member_bits >> i & 1 == 1).collect();
-        prop_assume!(!members.is_empty());
-        let root = members[root_sel % members.len()];
-        let members = Arc::new(members);
-        let members2 = Arc::clone(&members);
-
-        let run = run_spmd(&ClusterConfig::local(k), move |comm| {
-            if !members2.contains(&comm.rank()) {
-                return None;
-            }
-            comm.gather(
-                root,
-                &members2,
-                Tag::new(Tag::GATHER, 0),
-                Bytes::copy_from_slice(&[comm.rank() as u8]),
-            )
-            .unwrap()
-        })
-        .unwrap();
-
-        for (rank, res) in run.results.iter().enumerate() {
-            if rank == root {
-                let gathered = res.as_ref().expect("root gathers");
-                let ids: Vec<usize> = gathered.iter().map(|b| b[0] as usize).collect();
-                prop_assert_eq!(&ids, &*members);
-            } else {
-                prop_assert!(res.is_none());
-            }
-        }
-    }
 }
 
 /// K = 64 on one host — far beyond the old thread-per-rank fabric's
@@ -125,7 +88,6 @@ proptest! {
 /// in-memory fabric, with per-fabric egress accounting checked end to end.
 #[test]
 fn k64_multicast_groups_scale_on_local_fabric() {
-    use cts_net::fabric::ShuffleFabric;
     let k = 64usize;
     for (fabric, copies_per_send) in [
         (ShuffleFabric::SerialUnicast, 3u64),
@@ -172,7 +134,6 @@ fn k64_multicast_groups_scale_on_local_fabric() {
 /// sockets, 32 reactor threads) through a barrier and a multicast round.
 #[test]
 fn k32_tcp_mesh_barrier_and_multicast() {
-    use cts_net::fabric::ShuffleFabric;
     let k = 32usize;
     let cfg = ClusterConfig::tcp(k).with_fabric(ShuffleFabric::Multicast);
     let run = run_spmd(&cfg, move |comm| {
@@ -189,9 +150,9 @@ fn k32_tcp_mesh_barrier_and_multicast() {
     assert!(run.results.iter().all(|r| r == "wide"));
 }
 
-/// A deterministic stress test: many interleaved broadcasts in overlapping
-/// groups over TCP, exercising the FIFO-per-channel relay ordering the
-/// coded shuffle depends on.
+/// A deterministic stress test: many interleaved multicasts in overlapping
+/// groups over TCP, exercising the FIFO-per-channel ordering the coded
+/// shuffle depends on.
 #[test]
 fn overlapping_groups_over_tcp_stay_ordered() {
     let k = 5;
@@ -214,7 +175,7 @@ fn overlapping_groups_over_tcp_stay_ordered() {
             for &root in members {
                 let data = (comm.rank() == root).then(|| payload(root, gi));
                 let got = comm
-                    .broadcast(root, members, Tag::new(Tag::BCAST, gi as u32), data)
+                    .multicast(root, members, Tag::new(Tag::BCAST, gi as u32), data)
                     .unwrap();
                 received.push((gi, root, got));
             }

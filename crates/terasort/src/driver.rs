@@ -223,11 +223,11 @@ mod tests {
     }
 
     #[test]
-    fn radix_kernel_validates_too() {
+    fn key_index_kernel_validates_too() {
         let input = generate(500, 74);
         let run = run_coded_terasort(
             input,
-            &SortJob::local(4, 2).with_kernel(SortKernel::LsdRadix),
+            &SortJob::local(4, 2).with_kernel(SortKernel::KeyIndex),
         )
         .unwrap();
         run.validate().unwrap();

@@ -22,8 +22,9 @@
 //! | `0x07` TIMELINE | `job_id u32 LE` (blocks until done) | Chrome trace-event JSON |
 //!
 //! `kind` is 0 = sort (TeraGen records, range partitioner), 1 =
-//! wordcount, 2 = grep (`pattern` required). `r ≤ 1` runs the uncoded
-//! engine, `r > 1` the coded engine at that redundancy. Responses lead
+//! wordcount, 2 = grep (`pattern` required). `r` is the redundancy the
+//! engine runs at: `r ≤ 1` is conventional (uncoded) execution, `r > 1`
+//! coded. Responses lead
 //! with a status byte: `0x00` OK (payload follows), `0xFF` error (UTF-8
 //! message follows). A connection may issue any number of requests;
 //! closing it does not cancel submitted jobs.
@@ -381,31 +382,15 @@ impl Inner {
             .runtime
             .submit(move |ctx| {
                 let mut cfg = ctx.cfg.clone();
-                cfg.r = r;
-                let coded = r > 1;
+                // The protocol lets `r = 0` stand for conventional too.
+                cfg.r = r.max(1);
                 match &kind {
                     JobKind::Sort => {
-                        let w = TeraSortWorkload::range(cfg.k);
-                        if coded {
-                            ctx.run_coded_with(&w, input, &cfg)
-                        } else {
-                            ctx.run_uncoded_with(&w, input, &cfg)
-                        }
+                        ctx.run_coded_with(&TeraSortWorkload::range(cfg.k), input, &cfg)
                     }
-                    JobKind::WordCount => {
-                        if coded {
-                            ctx.run_coded_with(&WordCount, input, &cfg)
-                        } else {
-                            ctx.run_uncoded_with(&WordCount, input, &cfg)
-                        }
-                    }
+                    JobKind::WordCount => ctx.run_coded_with(&WordCount, input, &cfg),
                     JobKind::Grep(pattern) => {
-                        let w = Grep::new(pattern.clone());
-                        if coded {
-                            ctx.run_coded_with(&w, input, &cfg)
-                        } else {
-                            ctx.run_uncoded_with(&w, input, &cfg)
-                        }
+                        ctx.run_coded_with(&Grep::new(pattern.clone()), input, &cfg)
                     }
                 }
             })

@@ -1,20 +1,18 @@
 //! Local sort kernels for the Reduce stage.
 //!
 //! The paper uses `std::sort` (§V-A); [`SortKernel::Comparison`] is the
-//! direct equivalent. The other kernels are optimization ablations built on
-//! the observation (shared with offset-value coding, arXiv:2209.08420) that
+//! direct equivalent. The other kernel is an optimization built on the
+//! observation (shared with offset-value coding, arXiv:2209.08420) that
 //! sort time is dominated by key comparisons and *record movement* — so the
 //! fastest plan touches the 100-byte records as little as possible:
 //!
-//! * [`SortKernel::LsdRadix`] — least-significant-digit radix sort over the
-//!   10-byte key in five 16-bit passes, moving whole records every pass
-//!   (5 × 100 B per record of traffic);
-//! * [`SortKernel::KeyIndex`] — the same five radix passes, but over packed
-//!   `(key, index)` entries (`u128`: 80 key bits above 32 index bits), so
-//!   each pass moves 16-byte entries and the records are gathered **once**
-//!   at the end (5 × 16 B + 1 × 100 B per record).
+//! * [`SortKernel::KeyIndex`] — least-significant-digit radix sort over the
+//!   10-byte key in five 16-bit passes, run over packed `(key, index)`
+//!   entries (`u128`: 80 key bits above 32 index bits), so each pass moves
+//!   16-byte entries and the records are gathered **once** at the end
+//!   (5 × 16 B + 1 × 100 B per record).
 //!
-//! All kernels are **stable** (equal keys keep input order), which makes
+//! Both kernels are **stable** (equal keys keep input order), which makes
 //! every kernel — and every [`WorkerPool`] thread count, via chunked
 //! sort-then-merge — produce byte-identical output.
 //!
@@ -33,28 +31,21 @@ pub enum SortKernel {
     /// Stable `std`-style comparison sort by key (the paper's `std::sort`).
     #[default]
     Comparison,
-    /// LSD radix sort moving whole records: five stable counting-sort
-    /// passes over 16-bit key digits, least significant first.
-    LsdRadix,
-    /// Key-index LSD radix sort: radix passes over packed `(u128 key,
+    /// Key-index LSD radix sort: five stable counting-sort passes over
+    /// 16-bit key digits (least significant first) of packed `(u128 key,
     /// u32 index)` entries, then a single gather of the records.
     KeyIndex,
 }
 
 impl SortKernel {
     /// All kernels, for ablations and equivalence tests.
-    pub const ALL: [SortKernel; 3] = [
-        SortKernel::Comparison,
-        SortKernel::LsdRadix,
-        SortKernel::KeyIndex,
-    ];
+    pub const ALL: [SortKernel; 2] = [SortKernel::Comparison, SortKernel::KeyIndex];
 }
 
 impl std::fmt::Display for SortKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             SortKernel::Comparison => "comparison",
-            SortKernel::LsdRadix => "lsd-radix",
             SortKernel::KeyIndex => "key-index",
         })
     }
@@ -66,10 +57,9 @@ impl std::str::FromStr for SortKernel {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "comparison" | "std" => Ok(SortKernel::Comparison),
-            "lsd-radix" | "radix" => Ok(SortKernel::LsdRadix),
             "key-index" | "keyindex" => Ok(SortKernel::KeyIndex),
             other => Err(format!(
-                "unknown sort kernel `{other}` (expected comparison | lsd-radix | key-index)"
+                "unknown sort kernel `{other}` (expected comparison | key-index)"
             )),
         }
     }
@@ -96,7 +86,6 @@ pub struct SortScratch {
     offsets: Scratch<u32>,
     entries: Scratch<u128>,
     entries_tmp: Scratch<u128>,
-    records_tmp: Scratch<u8>,
 }
 
 impl SortScratch {
@@ -123,7 +112,6 @@ pub fn sort_records(data: &[u8], kernel: SortKernel) -> Vec<u8> {
 pub fn sort_records_with(data: &[u8], kernel: SortKernel, scratch: &mut SortScratch) -> Vec<u8> {
     match kernel {
         SortKernel::Comparison => comparison_sort(data),
-        SortKernel::LsdRadix => lsd_radix_sort(data, scratch),
         SortKernel::KeyIndex => key_index_sort(data, scratch),
     }
 }
@@ -202,52 +190,6 @@ fn comparison_sort(data: &[u8]) -> Vec<u8> {
         out.extend_from_slice(r);
     }
     out
-}
-
-/// The 16-bit digit of `pass` (least significant first) from a record's
-/// key bytes: pass 0 reads key bytes (8,9), pass 4 reads (0,1).
-#[inline]
-fn record_digit(rec: &[u8], pass: usize) -> usize {
-    let hi = 8 - 2 * pass;
-    u16::from_be_bytes([rec[hi], rec[hi + 1]]) as usize
-}
-
-fn lsd_radix_sort(data: &[u8], scratch: &mut SortScratch) -> Vec<u8> {
-    let n = record_count(data);
-    if n <= 1 {
-        return data.to_vec();
-    }
-    // Two-buffer ping-pong over whole records; the second buffer comes from
-    // (and returns to) the scratch.
-    let mut src = data.to_vec();
-    let mut dst = scratch.records_tmp.take();
-    dst.clear();
-    dst.resize(data.len(), 0);
-    for pass in 0..RADIX_PASSES {
-        let counts = scratch.counts.zeroed(RADIX);
-        for rec in src.chunks_exact(RECORD_LEN) {
-            counts[record_digit(rec, pass)] += 1;
-        }
-        // All records share this digit → the pass is the identity.
-        if counts[record_digit(&src[..RECORD_LEN], pass)] as usize == n {
-            continue;
-        }
-        let offsets = scratch.offsets.zeroed(RADIX);
-        let mut acc = 0u32;
-        for (o, c) in offsets.iter_mut().zip(counts.iter()) {
-            *o = acc;
-            acc += c;
-        }
-        for rec in src.chunks_exact(RECORD_LEN) {
-            let d = record_digit(rec, pass);
-            let at = offsets[d] as usize * RECORD_LEN;
-            dst[at..at + RECORD_LEN].copy_from_slice(rec);
-            offsets[d] += 1;
-        }
-        std::mem::swap(&mut src, &mut dst);
-    }
-    scratch.records_tmp.restore(dst);
-    src
 }
 
 fn key_index_sort(data: &[u8], scratch: &mut SortScratch) -> Vec<u8> {
@@ -340,9 +282,7 @@ mod tests {
     fn kernels_agree_exactly() {
         let data = generate(1000, 123);
         let reference = sort_records(&data, SortKernel::Comparison);
-        for kernel in [SortKernel::LsdRadix, SortKernel::KeyIndex] {
-            assert_eq!(reference, sort_records(&data, kernel), "{kernel:?}");
-        }
+        assert_eq!(reference, sort_records(&data, SortKernel::KeyIndex));
     }
 
     /// Input with heavy key duplication, distinguishable values.
@@ -363,9 +303,7 @@ mod tests {
         let data = duplicate_key_data(997, 5);
         let reference = sort_records(&data, SortKernel::Comparison);
         assert!(is_sorted(&reference));
-        for kernel in [SortKernel::LsdRadix, SortKernel::KeyIndex] {
-            assert_eq!(reference, sort_records(&data, kernel), "{kernel:?}");
-        }
+        assert_eq!(reference, sort_records(&data, SortKernel::KeyIndex));
     }
 
     #[test]
@@ -394,9 +332,7 @@ mod tests {
     fn already_sorted_is_fixed_point() {
         let data = generate(200, 44);
         let once = sort_records(&data, SortKernel::Comparison);
-        for kernel in [SortKernel::LsdRadix, SortKernel::KeyIndex] {
-            assert_eq!(once, sort_records(&once, kernel), "{kernel:?}");
-        }
+        assert_eq!(once, sort_records(&once, SortKernel::KeyIndex));
     }
 
     #[test]
@@ -440,7 +376,7 @@ mod tests {
         for kernel in SortKernel::ALL {
             assert_eq!(kernel.to_string().parse::<SortKernel>(), Ok(kernel));
         }
-        assert_eq!("radix".parse::<SortKernel>(), Ok(SortKernel::LsdRadix));
+        assert_eq!("keyindex".parse::<SortKernel>(), Ok(SortKernel::KeyIndex));
         assert!("bogosort".parse::<SortKernel>().is_err());
     }
 

@@ -150,11 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn radix_kernel_matches_comparison() {
+    fn key_index_kernel_matches_comparison() {
         let data = generate(500, 33);
         let a = run_sequential(&TeraSortWorkload::range(4), &data, 4);
         let b = run_sequential(
-            &TeraSortWorkload::range(4).with_kernel(SortKernel::LsdRadix),
+            &TeraSortWorkload::range(4).with_kernel(SortKernel::KeyIndex),
             &data,
             4,
         );

@@ -31,7 +31,6 @@ fn main() {
     if rate_limited {
         println!("Rate-limiting every node's egress to 100 Mbps (tc-style)…");
         job.engine.cluster = job.engine.cluster.with_rate_limit(100e6 / 8.0);
-        job.engine.strict_serial_shuffle = true;
     }
 
     let started = std::time::Instant::now();
@@ -73,7 +72,6 @@ fn main() {
     };
     if rate_limited {
         plain_job.engine.cluster = plain_job.engine.cluster.with_rate_limit(100e6 / 8.0);
-        plain_job.engine.strict_serial_shuffle = true;
     }
     let started = std::time::Instant::now();
     let plain = run_terasort(input, &plain_job).expect("terasort over tcp");

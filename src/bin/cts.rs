@@ -68,14 +68,14 @@ USAGE:
   cts gen    --records N --out FILE [--seed S] [--skew F]
                generate TeraGen records (100 B each; --skew hot-fraction)
   cts sort   --input FILE --k K [--r R] [--pods G] [--sampled STRIDE]
-               [--tcp] [--radix] [--no-validate]
-               [--sort-kernel comparison|lsd-radix|key-index] [--threads T]
+               [--tcp] [--no-validate]
+               [--sort-kernel comparison|key-index] [--threads T]
                [--fabric serial-unicast|fanout|multicast|udp-multicast]
                [--field gf2|gf256] [--decode all|quorum] [--paper-nic]
-               sort a file: r=1 → TeraSort, r>1 → CodedTeraSort,
-               --pods G → pod-partitioned coded engine,
-               --sort-kernel → Reduce sort algorithm (--radix is the
-                 lsd-radix shorthand), --threads → intra-node workers for
+               sort a file on the one engine: r=1 → TeraSort, r>1 →
+               CodedTeraSort, --pods G → coding inside pods of G nodes,
+               --sort-kernel → Reduce sort algorithm,
+               --threads → intra-node workers for
                  Map/Encode/Decode/Reduce (0 = all cores),
                --field → finite field for coded packets (gf2 = the
                  paper's XOR code, default; gf256 = q-ary combinations on
@@ -139,7 +139,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         // Boolean flags take no value.
         if matches!(
             name,
-            "tcp" | "radix" | "no-validate" | "paper-nic" | "no-wait" | "shutdown"
+            "tcp" | "no-validate" | "paper-nic" | "no-wait" | "shutdown"
         ) {
             out.insert(name.to_string(), "true".to_string());
             continue;
@@ -199,7 +199,6 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     let threads: usize = opt(opts, "threads", 1)?;
     let kernel: SortKernel = match opts.get("sort-kernel") {
         Some(v) => v.parse()?,
-        None if opts.contains_key("radix") => SortKernel::LsdRadix,
         None => SortKernel::Comparison,
     };
     let fabric: cts_net::ShuffleFabric = match opts.get("fabric") {
@@ -311,11 +310,8 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
         let outcome = run_coded_pods(&workload, input.clone(), &job.engine, pods)
             .map_err(|e| e.to_string())?;
         (outcome.outputs, outcome.stats)
-    } else if r > 1 {
-        let run = run_coded_terasort(input.clone(), &job).map_err(|e| e.to_string())?;
-        (run.outcome.outputs, run.outcome.stats)
     } else {
-        let run = run_terasort(input.clone(), &job).map_err(|e| e.to_string())?;
+        let run = run_coded_terasort(input.clone(), &job).map_err(|e| e.to_string())?;
         (run.outcome.outputs, run.outcome.stats)
     };
     let elapsed = started.elapsed();

@@ -12,7 +12,7 @@
 //! * decode: [`Decoder::decode_packet_into`] into a warm accumulator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use cts_core::decode::{DecodePipeline, Decoder};
@@ -26,21 +26,38 @@ use cts_core::subset::NodeSet;
 /// `realloc`; deallocations are free).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The test runner runs the four
+    /// tests on parallel threads, so a process-wide counter would charge
+    /// each measured window with its neighbours' warm-ups. Const-initialized
+    /// and without a destructor: touching it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread (ignored during
+/// thread teardown, when the slot is gone).
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// This thread's allocation count so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -110,7 +127,7 @@ fn warm_round_trip_allocates_nothing() {
     assert!(!warm_segment.is_empty(), "decode must recover bytes");
 
     // Measured steady state: the full round trip, many times, zero allocs.
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for _ in 0..100 {
         encoder
             .encode_group_into(m, &tx_store, &mut scratch)
@@ -122,7 +139,7 @@ fn warm_round_trip_allocates_nothing() {
             .decode_packet_into(&shell, &rx_store, &mut acc)
             .unwrap();
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let allocs = allocs() - before;
     assert_eq!(
         allocs, 0,
         "warm encode→pack→unpack→decode round trip performed {allocs} heap allocations"
@@ -176,7 +193,7 @@ fn warm_gf256_round_trip_allocates_nothing() {
     let warm_segment = acc.clone();
     assert!(!warm_segment.is_empty(), "decode must recover bytes");
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for _ in 0..100 {
         encoder
             .encode_group_into(m, &tx_store, &mut scratch)
@@ -188,7 +205,7 @@ fn warm_gf256_round_trip_allocates_nothing() {
             .decode_packet_into(&shell, &rx_store, &mut acc)
             .unwrap();
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let allocs = allocs() - before;
     assert_eq!(
         allocs, 0,
         "warm GF(256) encode→pack→unpack→decode round trip performed {allocs} heap allocations"
@@ -245,7 +262,7 @@ fn warm_parallel_decode_shard_path_allocates_nothing() {
     assert!(!reference.is_empty(), "decode must recover bytes");
 
     // Measured steady state: fifty waves of the per-packet worker path.
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     let mut last_len = 0usize;
     for _ in 0..50 {
         shard.refill(WAVE);
@@ -260,7 +277,7 @@ fn warm_parallel_decode_shard_path_allocates_nothing() {
             shard.put(acc);
         }
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let allocs = allocs() - before;
     assert_eq!(
         allocs, 0,
         "warm sharded parallel-decode path performed {allocs} heap allocations"
@@ -338,7 +355,7 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
     let warm_segment = acc.clone();
     assert!(!warm_segment.is_empty(), "decode must recover bytes");
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..100u64 {
         encoder
             .encode_group_into(m, &tx_store, &mut scratch)
@@ -379,7 +396,7 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
             end_ns: 1,
         });
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let allocs = allocs() - before;
     assert_eq!(
         allocs, 0,
         "metrics-enabled warm round trip performed {allocs} heap allocations"

@@ -83,14 +83,34 @@ fn threads_zero_uses_machine_parallelism_and_matches() {
 }
 
 #[test]
-fn pipelined_decode_with_threads_matches() {
-    let input = teragen::generate(2_000, 41);
-    let reference = outputs(&SortJob::local(5, 2), &input, true);
-    let mut job = SortJob::local(5, 2)
-        .with_kernel(SortKernel::KeyIndex)
-        .with_threads(4);
-    job.engine = job.engine.with_pipelined_decode();
-    assert_eq!(outputs(&job, &input, true), reference);
+fn pods_threads_and_the_resident_runtime_are_byte_identical() {
+    use coded_terasort::mapreduce::run_coded_pods_on;
+    let (k, r, g) = (6, 2, 3);
+    let input = teragen::generate(3_000, 63);
+    let reference = outputs(&SortJob::local(k, 1), &input, false);
+    let workload = move |kernel| TeraSortWorkload::range(k).with_kernel(kernel);
+    for kernel in SortKernel::ALL {
+        for threads in [1usize, 4] {
+            let cfg = EngineConfig::local(k, r).with_threads(threads);
+            let pods = run_coded_pods(&workload(kernel), input.clone(), &cfg, g).expect("pods run");
+            assert_eq!(pods.outputs, reference, "pods {kernel} threads={threads}");
+        }
+    }
+    // The same layout as a job of a resident runtime, on a leased slot.
+    let template = EngineConfig::local(k, r).with_threads(2);
+    let runtime = JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();
+    let job_input = input.clone();
+    let resident = runtime
+        .submit(move |ctx| {
+            let w = workload(SortKernel::KeyIndex);
+            run_coded_pods_on(ctx.fabric, ctx.binding, &w, job_input, &ctx.cfg, g)
+        })
+        .unwrap()
+        .wait()
+        .expect("pods job");
+    assert_eq!(resident.outputs, reference);
+    assert_eq!(resident.stats.num_groups, 2); // 2 pods × C(3,3)
+    runtime.shutdown();
 }
 
 #[test]

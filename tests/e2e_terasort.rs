@@ -97,7 +97,7 @@ fn duplicate_keys_are_preserved() {
 }
 
 #[test]
-fn radix_and_comparison_kernels_agree_distributed() {
+fn key_index_and_comparison_kernels_agree_distributed() {
     let input = teragen::generate(4_000, 1005);
     let a = run_coded_terasort(
         input.clone(),
@@ -106,7 +106,7 @@ fn radix_and_comparison_kernels_agree_distributed() {
     .unwrap();
     let b = run_coded_terasort(
         input,
-        &SortJob::local(4, 2).with_kernel(SortKernel::LsdRadix),
+        &SortJob::local(4, 2).with_kernel(SortKernel::KeyIndex),
     )
     .unwrap();
     assert_eq!(a.outcome.outputs, b.outcome.outputs);

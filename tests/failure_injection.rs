@@ -149,6 +149,68 @@ fn corrupted_wire_bytes_fail_engine_style_parsing() {
     assert!(matches!(err, CodedError::MalformedPacket { .. }));
 }
 
+/// One rank failing must fail the job, not strand its peers: a truncated
+/// coded packet makes exactly one receiver's decode return `Err` while
+/// everybody else is healthy and waiting at the next synchronization.
+/// The failing rank shuts the job's endpoints down and the job reports
+/// *its* error, not the `Disconnected` the teardown hands the others. That
+/// costs a resident runtime those endpoints, not its life: the next job
+/// runs on fresh ones, in the slot the failed job left its traffic in.
+#[test]
+fn one_ranks_decode_error_fails_the_job_with_that_error() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    // Over GF(2) both shuffles need every packet of a group, so the bad one
+    // is always decoded. (The MDS quorum over GF(256) completes a group on
+    // any r − 1 of its r packets and would discard the bad one unread
+    // whenever it lost that race.)
+    for tcp in [false, true] {
+        for decode in [DecodeMode::All, DecodeMode::Quorum] {
+            // Truncates the first coded packet rank 0 sends rank 2, ever.
+            let fired = AtomicBool::new(false);
+            let rule: Arc<coded_terasort::net::fault::FaultRule> =
+                Arc::new(move |dst, tag: Tag, payload: &Bytes, _| {
+                    let hit = tag.purpose() == Tag::BCAST && dst == 2;
+                    if hit && !fired.swap(true, Ordering::SeqCst) {
+                        FaultAction::Corrupt(payload.slice(..payload.len() / 2))
+                    } else {
+                        FaultAction::Deliver
+                    }
+                });
+            let mut template = if tcp {
+                EngineConfig::tcp(4, 2)
+            } else {
+                EngineConfig::local(4, 2)
+            };
+            template = template.with_decode(decode);
+            template.cluster = template.cluster.with_fault(0, rule);
+            let runtime =
+                JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();
+            let sort = |seed: u64| {
+                let input = teragen::generate(1_200, seed);
+                let reference = run_sequential(&TeraSortWorkload::range(4), &input, 4);
+                let job = runtime
+                    .submit(move |ctx| ctx.run_coded(&TeraSortWorkload::range(4), input))
+                    .unwrap();
+                (job.wait().map(|outcome| outcome.outputs), reference)
+            };
+            let started = Instant::now();
+            let err = sort(1).0.unwrap_err();
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "tcp={tcp} {decode}: took {:?}",
+                started.elapsed()
+            );
+            assert!(
+                matches!(err, EngineError::Coded(CodedError::MalformedPacket { .. })),
+                "tcp={tcp} {decode}: {err}"
+            );
+            let (outputs, reference) = sort(2);
+            assert_eq!(outputs.unwrap(), reference, "tcp={tcp} {decode}");
+            runtime.shutdown();
+        }
+    }
+}
+
 /// One timed coded sort with an optional fault rule on `victim`.
 fn timed_run(
     input: &Bytes,

@@ -75,20 +75,6 @@ fn gf256_pods_engine_matches_gf2() {
 }
 
 #[test]
-fn gf256_pipelined_decode_matches_batch() {
-    let (k, r) = (6, 2);
-    let input = teragen::generate(1_600, 7);
-    let batch = SortJob::local(k, r).with_field(FieldKind::Gf256);
-    let mut pipelined = batch.clone();
-    pipelined.engine = pipelined.engine.with_pipelined_decode();
-    assert_eq!(
-        sorted_outputs(&batch, &input),
-        sorted_outputs(&pipelined, &input),
-        "gf256 batch vs pipelined decode"
-    );
-}
-
-#[test]
 fn quorum_decode_matches_all_decode_across_fields_and_fabrics() {
     let (k, r) = (5, 3);
     let input = teragen::generate(1_800, 333);

@@ -245,3 +245,37 @@ fn throttled_tenant_does_not_inflate_unshaped_p99() {
         "throttled tenant inflated unshaped p99: solo {solo_p99:.4}s vs contended {contended_p99:.4}s"
     );
 }
+
+/// A quorum job returns once `r − 1` of each group's `r` packets decoded;
+/// the last one must not stay behind in the mailbox, where the next
+/// quorum job on the same tag slot would receive it as its own (different
+/// input ⇒ malformed packet, a stall, or a silently wrong equation).
+#[test]
+fn consecutive_quorum_jobs_on_one_slot_do_not_see_each_others_packets() {
+    let template = EngineConfig::local(5, 3)
+        .with_field(FieldKind::Gf256)
+        .with_decode(DecodeMode::Quorum)
+        .with_idle_timeout(Duration::from_secs(5));
+    // Exclusive mode reuses slot 0; in multi mode two jobs run back to back
+    // both lease the lowest free slot.
+    for max_concurrent in [1, 2] {
+        let runtime = JobRuntime::start(
+            RuntimeConfig::new(template.clone()).with_max_concurrent(max_concurrent),
+        )
+        .unwrap();
+        for seed in 0..4u64 {
+            let input = teragen::generate(700 + 150 * seed as usize, seed);
+            let reference = run_sequential(&TeraSortWorkload::range(5), &input, 5);
+            let outcome = runtime
+                .submit(move |ctx| ctx.run_coded(&TeraSortWorkload::range(5), input))
+                .unwrap()
+                .wait()
+                .unwrap_or_else(|e| panic!("job {seed}, {max_concurrent} concurrent: {e}"));
+            assert_eq!(
+                outcome.outputs, reference,
+                "job {seed}, {max_concurrent} concurrent"
+            );
+        }
+        runtime.shutdown();
+    }
+}
