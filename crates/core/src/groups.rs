@@ -145,13 +145,6 @@ impl MulticastGroups {
         all.sort_unstable_by_key(|(id, _)| *id);
         all.into_iter()
     }
-
-    /// Number of coded packets each node sends overall: one per group it
-    /// belongs to, `C(K-1, r)` (paper §IV-C).
-    #[inline]
-    pub fn packets_per_node(&self) -> u64 {
-        self.groups_per_node()
-    }
 }
 
 /// Pod-partitioned multicast groups — the *scalable coding* extension.

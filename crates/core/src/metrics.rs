@@ -320,16 +320,7 @@ impl MetricsHub {
 
     /// Registers (or fetches) an unlabeled gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.gauge_with_opt(name, None)
-    }
-
-    /// Registers (or fetches) a gauge carrying one label pair.
-    pub fn gauge_with(&self, name: &str, key: &str, value: &str) -> Arc<Gauge> {
-        self.gauge_with_opt(name, Some((key, value)))
-    }
-
-    fn gauge_with_opt(&self, name: &str, label: Option<(&str, &str)>) -> Arc<Gauge> {
-        if let Some(g) = self.lookup(name, label, |i| match i {
+        if let Some(g) = self.lookup(name, None, |i| match i {
             Instrument::Gauge(g) => Some(Arc::clone(g)),
             _ => None,
         }) {
@@ -338,7 +329,7 @@ impl MetricsHub {
         let g = Arc::new(Gauge::new());
         self.inner.lock().unwrap().push(Registration {
             name: name.to_string(),
-            label: label.map(|(k, v)| (k.to_string(), v.to_string())),
+            label: None,
             instrument: Instrument::Gauge(Arc::clone(&g)),
         });
         g

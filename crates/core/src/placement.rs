@@ -144,12 +144,6 @@ impl PlacementPlan {
         ids.into_iter()
     }
 
-    /// True if `node` stores `file`.
-    #[inline]
-    pub fn node_has_file(&self, node: NodeId, file: FileId) -> bool {
-        self.nodes_of_file(file).contains(node)
-    }
-
     /// The *keep rule* of the Map stage (paper §IV-B): after mapping file
     /// `F_S`, node `k` keeps intermediate `I^t_S` iff `t == k` or `t ∉ S`.
     ///

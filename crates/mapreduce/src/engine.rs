@@ -7,6 +7,7 @@
 //! node maps, which multicast groups it codes in, and which intermediates
 //! carry no side information and therefore travel as plain unicasts.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -25,7 +26,7 @@ use cts_net::message::Tag;
 use cts_net::registry::MembershipView;
 use cts_net::span::SpanLog;
 use cts_net::trace::Trace;
-use cts_net::Communicator;
+use cts_net::{Communicator, Key, NetError};
 use cts_netsim::stats::{NodeStats, RunStats};
 use parking_lot::Mutex;
 
@@ -531,8 +532,8 @@ fn node_main<W: Workload>(
     let encoder = Encoder::with_field(g, r, local, cfg.field).expect("validated by driver");
     // Quorum decode needs MDS-mixed packets, which only GF(256) supports
     // (there is no nontrivial binary MDS code): over GF(2) the quorum
-    // shuffle still polls instead of blocking per sender, but sends the
-    // classic packets and needs all of them.
+    // shuffle still takes packets as they come instead of sender by
+    // sender, but sends the classic packets and needs all of them.
     let mds = cfg.decode == DecodeMode::Quorum && cfg.field.supports_quorum();
     // Groups encode independently: fan Algorithm 1 out over the pool, one
     // warm (scratch, wire buffer) pair per worker so the per-group loop is
@@ -586,7 +587,7 @@ fn node_main<W: Workload>(
     // All mode buffers packets for the Decode stage, as the paper executes;
     // quorum mode decodes inline and may leave late packets behind.
     let mut received: Vec<Bytes> = Vec::new();
-    let mut late: Vec<(usize, Tag)> = Vec::new();
+    let mut late: Vec<Key> = Vec::new();
     let crashed = match cfg.decode {
         DecodeMode::All => shuffle_all(&mut rank, &my_groups, &mut packets, &mut received)?,
         DecodeMode::Quorum => shuffle_quorum(
@@ -625,8 +626,8 @@ fn node_main<W: Workload>(
     // fabric whatever the quorum did not wait for sits in the mailbox:
     // discard it, or the next job on this slot of a resident fabric would
     // receive it as its own. Best effort — a dead sender's entry errors.
-    for (sender, tag) in late {
-        let _ = comm.try_recv(sender, tag);
+    for (tag, sender) in late {
+        let _ = comm.transport().try_recv(sender, tag);
     }
 
     // ---- Unpack / Decode (Algorithm 2) ------------------------------------
@@ -780,26 +781,34 @@ fn shuffle_all(
 }
 
 /// The quorum shuffle: fire every owned multicast without waiting for
-/// peers, then poll the expected `(group, sender)` pairs, decoding inline.
-/// Each group releases the moment its decode completes — with MDS
+/// peers, then block for whichever expected packet arrives next, decoding
+/// inline. Each group releases the moment its decode completes — with MDS
 /// packets, after any `r − 1` of its `r` sends — so a straggling or dead
 /// sender delays nothing but its own groups' last equation. Returns true
 /// if this rank crash-stopped.
 ///
-/// The pairs a released group no longer waits for are handed back in
-/// `late` for the caller to discard once the stage has synchronized. That
-/// empties the mailbox on the in-memory fabric, where a send is delivered
-/// before it returns; a straggler still in flight on TCP/UDP at that point
-/// is not caught (ROADMAP direction 4).
+/// The wait is one [`Transport::recv_any`](cts_net::Transport::recv_any)
+/// over every `(sender, tag)` still expected: only such a packet ends it,
+/// and `idle_timeout` without one fails the job. With recovery
+/// on it also returns once per heartbeat interval, because the health board
+/// only advances when ticked.
+///
+/// The keys whose packet never came (their group released without it) are
+/// handed back in `late`, as the transport sees them, for the caller to
+/// discard once the stage has synchronized. That empties the mailbox on
+/// the in-memory fabric, where a send is delivered before it returns; a
+/// straggler still in flight on TCP/UDP at that point is not caught
+/// (ROADMAP direction 4).
 fn shuffle_quorum(
     rank: &mut Rank<'_>,
     groups: &[&Group],
     r: usize,
     packets: &mut impl Iterator<Item = (Bytes, u64)>,
     decode: &mut Decode<'_>,
-    late: &mut Vec<(usize, Tag)>,
+    late: &mut Vec<Key>,
 ) -> Result<bool> {
     let (comm, me) = (rank.comm, rank.me);
+    let transport = comm.transport().as_ref();
     for (sent, group) in groups.iter().enumerate() {
         if rank.crashed_after_sends(sent as u64, false)? {
             return Ok(true);
@@ -809,37 +818,47 @@ fn shuffle_quorum(
     if rank.crashed_after_sends(groups.len() as u64, true)? {
         return Ok(true);
     }
-    let mut pending: Vec<(usize, usize)> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(i, group)| {
-            let senders = group.ranks.iter().filter(move |&&sender| sender != me);
-            senders.map(move |&sender| (i, sender))
+    // Every key a packet is expected under, sorted: `recv_any` hands packets
+    // out lowest tag first, so a group's packets come together and the group
+    // releases (and frees its decode state) before the next one starts. A
+    // key stays listed after its group released, so a late packet is taken
+    // and dropped here rather than left for the next job.
+    let tags: Vec<Tag> = groups.iter().map(|group| comm.scope(group.tag)).collect();
+    let group_of: HashMap<Tag, usize> = tags.iter().enumerate().map(|(g, &t)| (t, g)).collect();
+    let mut keys: Vec<Key> = (groups.iter().zip(&tags))
+        .flat_map(|(group, &tag)| {
+            let senders = group.ranks.iter().filter(|&&sender| sender != me);
+            senders.map(move |&sender| (tag, sender))
         })
         .collect();
-    let mut got = vec![0usize; groups.len()];
+    keys.sort_unstable();
+    // Per group: the senders heard from, one bit per rank.
+    let mut heard = vec![0u128; groups.len()];
     let mut done = vec![false; groups.len()];
     let mut open = groups.len();
-    let mut last_progress = Instant::now();
+    let mut stalled_at = Instant::now() + rank.cfg.idle_timeout;
+    let mut next_tick = Instant::now();
     while open > 0 {
-        if let Some(rec) = &mut rank.recovery {
-            // Drain heartbeats and drop pending receives from ranks
+        let tick_due = Instant::now() >= next_tick;
+        if let Some(rec) = rank.recovery.as_mut().filter(|_| tick_due) {
+            // Drain heartbeats and stop expecting packets from ranks
             // declared dead: the quorum needs only r − 1 of each group's r
             // senders, so a single death costs nothing. If any unfinished
             // group no longer has enough live senders left, the job is
             // unrecoverable — fail it with a structured report rather
             // than stall.
-            rec.board.tick(comm.transport().as_ref());
-            let before = pending.len();
-            pending.retain(|&(_, sender)| rec.board.is_alive(sender));
-            if pending.len() < before {
-                let mut alive = vec![0usize; groups.len()];
-                for &(i, _) in &pending {
-                    alive[i] += 1;
+            rec.board.tick(transport);
+            let listed = keys.len();
+            keys.retain(|&(_, sender)| rec.board.is_alive(sender));
+            if keys.len() < listed {
+                let mut reachable: Vec<u32> = heard.iter().map(|h| h.count_ones()).collect();
+                for &(tag, sender) in &keys {
+                    let g = group_of[&tag];
+                    reachable[g] += u32::from(heard[g] & (1 << sender) == 0);
                 }
                 let bad: Vec<u64> = (0..groups.len())
-                    .filter(|&i| !done[i] && got[i] + alive[i] < r - 1)
-                    .map(|i| groups[i].id)
+                    .filter(|&g| !done[g] && (reachable[g] as usize) < r - 1)
+                    .map(|g| groups[g].id)
                     .collect();
                 if !bad.is_empty() {
                     rec.beat.stop();
@@ -854,47 +873,39 @@ fn shuffle_quorum(
                     }));
                 }
             }
+            next_tick = Instant::now() + rank.cfg.heartbeat;
         }
-        let mut progressed = false;
-        let mut i = 0;
-        while i < pending.len() {
-            let (g, sender) = pending[i];
-            if done[g] {
-                late.push((sender, groups[g].tag));
-                pending.swap_remove(i);
-                continue;
+        let deadline = match rank.recovery {
+            Some(_) => stalled_at.min(next_tick),
+            None => stalled_at,
+        };
+        let (hit, packet) = match transport.recv_any(&keys, Some(deadline)) {
+            Ok(hit) => hit,
+            Err(NetError::Timeout { .. }) if Instant::now() < stalled_at => continue,
+            Err(NetError::Timeout { .. }) => {
+                return Err(EngineError::Protocol {
+                    what: format!(
+                        "node {me}: quorum shuffle stalled with {open}/{} groups incomplete",
+                        groups.len()
+                    ),
+                })
             }
-            match comm.try_recv(sender, groups[g].tag)? {
-                Some(packet) => {
-                    progressed = true;
-                    got[g] += 1;
-                    rank.stats.recv_bytes += packet.len() as u64;
-                    if decode.packet(&packet, &mut rank.stats)? {
-                        done[g] = true;
-                        open -= 1;
-                    }
-                    pending.swap_remove(i);
-                }
-                None => i += 1,
-            }
+            Err(e) => return Err(e.into()),
+        };
+        stalled_at = Instant::now() + rank.cfg.idle_timeout;
+        let (tag, sender) = keys[hit];
+        let g = group_of[&tag];
+        heard[g] |= 1 << sender;
+        if done[g] {
+            continue;
         }
-        if progressed {
-            last_progress = Instant::now();
-        } else if last_progress.elapsed() > rank.cfg.idle_timeout {
-            return Err(EngineError::Protocol {
-                what: format!(
-                    "node {me}: quorum shuffle stalled with {open}/{} groups incomplete",
-                    groups.len()
-                ),
-            });
-        } else {
-            std::thread::sleep(std::time::Duration::from_micros(50));
+        rank.stats.recv_bytes += packet.len() as u64;
+        if decode.packet(&packet, &mut rank.stats)? {
+            done[g] = true;
+            open -= 1;
         }
     }
-    late.extend(
-        pending
-            .into_iter()
-            .map(|(g, sender)| (sender, groups[g].tag)),
-    );
+    keys.retain(|&(tag, sender)| heard[group_of[&tag]] & (1 << sender) == 0);
+    late.extend(keys);
     Ok(false)
 }

@@ -16,8 +16,8 @@
 //! 5. **Shuffle**: serial multicast (Fig. 9(b)) — groups in id order,
 //!    members in rank order, over the configured
 //!    [`ShuffleFabric`](cts_net::fabric::ShuffleFabric) — or, in quorum
-//!    mode, fire-then-poll; then serial unicast (Fig. 9(a)) of whatever
-//!    travels uncoded, senders taking turns.
+//!    mode, fire everything, then wait for any; then serial unicast
+//!    (Fig. 9(a)) of whatever travels uncoded, senders taking turns.
 //! 6. **Unpack/Decode**: Algorithm 2 cancels received packets against
 //!    local intermediates; everything a node reduces is merged in input
 //!    order.

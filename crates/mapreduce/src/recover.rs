@@ -13,7 +13,7 @@
 //! ([`adopt_dead_partitions`]). Recovery is therefore re-execution of
 //! *only the missing work*, never a restart.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use cts_core::exec::WorkerPool;
@@ -22,7 +22,7 @@ use cts_core::placement::{FileId, PlacementPlan};
 use cts_net::health::{HealthBoard, HealthConfig, Heartbeat};
 use cts_net::message::Tag;
 use cts_net::registry::MembershipView;
-use cts_net::Communicator;
+use cts_net::{Communicator, Key, NetError};
 use cts_netsim::stats::NodeStats;
 
 use crate::error::{EngineError, JobReport, Result};
@@ -93,34 +93,38 @@ pub fn alive_sync(comm: &Communicator, board: &mut HealthBoard, epoch: u32) -> R
     let me = comm.rank();
     let k = comm.world_size();
     let tag = Tag::new(Tag::RBARRIER, epoch & 0x00FF_FFFF);
-    let transport = comm.transport();
-    let poll = Duration::from_micros(100);
+    let transport = comm.transport().as_ref();
     if k == 1 {
         return Ok(board.dead_mask());
     }
+    // Blocks for a frame under one of `keys`, but no longer than to the
+    // next heartbeat: the board only advances when ticked.
+    let frame_or_tick = |board: &HealthBoard, keys: &[Key]| {
+        let next_tick = Instant::now() + board.heartbeat();
+        match transport.recv_any(keys, Some(next_tick)) {
+            Ok(hit) => Ok(Some(hit)),
+            Err(NetError::Timeout { .. }) => Ok(None),
+            Err(e) => Err(EngineError::from(e)),
+        }
+    };
     let mut sent_to: Option<usize> = None;
     loop {
-        board.tick(transport.as_ref());
+        board.tick(transport);
         let coord = board.min_alive();
         if coord == me {
             // Coordinator: collect a mask from every rank still believed
-            // alive (skipping any declared dead while we wait), then
+            // alive (dropping any declared dead while we wait), then
             // release everyone with the union.
-            let mut s = 0;
-            while s < k {
-                if s == me || !board.is_alive(s) {
-                    s += 1;
-                    continue;
+            let mut awaited: Vec<Key> = (0..k).filter(|&s| s != me).map(|s| (tag, s)).collect();
+            loop {
+                board.tick(transport);
+                awaited.retain(|&(_, s)| board.is_alive(s));
+                if awaited.is_empty() {
+                    break;
                 }
-                match transport.try_recv(s, tag)? {
-                    Some(mask) => {
-                        board.merge_dead_mask(le_mask(&mask), transport.as_ref());
-                        s += 1;
-                    }
-                    None => {
-                        board.tick(transport.as_ref());
-                        std::thread::sleep(poll);
-                    }
+                if let Some((i, mask)) = frame_or_tick(board, &awaited)? {
+                    board.merge_dead_mask(le_mask(&mask), transport);
+                    awaited.remove(i);
                 }
             }
             let agreed = board.dead_mask();
@@ -133,17 +137,16 @@ pub fn alive_sync(comm: &Communicator, board: &mut HealthBoard, epoch: u32) -> R
             return Ok(agreed);
         }
         // Non-coordinator: (re-)submit our mask whenever the coordinator
-        // changes, then poll for its release while watching its health.
+        // changes, then wait for its release while watching its health.
         if sent_to != Some(coord) {
             let payload = Bytes::copy_from_slice(&board.dead_mask().to_le_bytes());
             let _ = transport.send(coord, tag, payload);
             sent_to = Some(coord);
         }
-        if let Some(release) = transport.try_recv(coord, tag)? {
-            board.merge_dead_mask(le_mask(&release), transport.as_ref());
+        if let Some((_, release)) = frame_or_tick(board, &[(tag, coord)])? {
+            board.merge_dead_mask(le_mask(&release), transport);
             return Ok(board.dead_mask());
         }
-        std::thread::sleep(poll);
     }
 }
 

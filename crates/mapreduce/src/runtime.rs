@@ -96,12 +96,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the cooperative yield granularity for all jobs.
-    pub fn with_yield_slices(mut self, slices: usize) -> Self {
-        self.yield_slices = slices;
-        self
-    }
-
     /// Sets the shared budget size (`0` = available parallelism).
     pub fn with_pool_threads(mut self, threads: usize) -> Self {
         self.pool_threads = threads;
@@ -442,12 +436,6 @@ impl JobRuntime {
         })
     }
 
-    /// Convenience: a resident runtime around `template` with the default
-    /// [`RuntimeConfig`] knobs.
-    pub fn with_template(template: EngineConfig) -> Result<JobRuntime> {
-        JobRuntime::start(RuntimeConfig::new(template))
-    }
-
     /// Submits a job. `f` runs on a dispatcher thread with this job's
     /// [`JobContext`]; returns immediately with a [`JobHandle`].
     ///
@@ -484,13 +472,6 @@ impl JobRuntime {
     /// The job's current status, if the id is known.
     pub fn status(&self, id: u32) -> Option<JobStatus> {
         self.shared.jobs.lock().get(&id).map(|e| e.status.clone())
-    }
-
-    /// Takes a finished job's outcome without blocking. `None` if the id
-    /// is unknown, the job is still in flight, or the outcome was already
-    /// taken.
-    pub fn take_outcome(&self, id: u32) -> Option<Result<JobOutcome>> {
-        self.shared.jobs.lock().get_mut(&id)?.outcome.take()
     }
 
     /// Blocks until job `id` finishes and returns its outcome.

@@ -295,13 +295,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the cooperative yield granularity (see
-    /// [`EngineConfig::yield_slices`]).
-    pub fn with_yield_slices(mut self, slices: usize) -> Self {
-        self.yield_slices = slices;
-        self
-    }
-
     /// Installs the thread-lease budget this job's pools draw from (see
     /// [`EngineConfig::budget`]).
     pub fn with_budget(mut self, budget: Arc<Budget>) -> Self {

@@ -174,13 +174,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Overrides the UDP-fabric tuning (chunk size, NACK cadence,
-    /// retransmit budgets, datagram fault injection, stats sink).
-    pub fn with_udp(mut self, udp: UdpConfig) -> Self {
-        self.udp = udp;
-        self
-    }
-
     /// Injects a message-level fault on `rank`'s outgoing traffic (see
     /// [`ClusterFault`]).
     pub fn with_fault(mut self, rank: usize, rule: Arc<FaultRule>) -> Self {

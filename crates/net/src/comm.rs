@@ -31,7 +31,6 @@
 
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 
@@ -181,9 +180,12 @@ impl Communicator {
         (self.job_slot, self.job_id)
     }
 
-    /// Applies the job-slot namespace to a caller-supplied tag.
+    /// `tag` as it travels on the transport, in this job's slot namespace.
+    /// Every method here applies it to the tags it is given; callers need
+    /// it only to build the keys of a [`Transport::recv_any`] wait on the
+    /// raw [`transport`](Self::transport).
     #[inline]
-    fn scope(&self, tag: Tag) -> Tag {
+    pub fn scope(&self, tag: Tag) -> Tag {
         tag.scoped(self.job_slot)
     }
 
@@ -320,16 +322,6 @@ impl Communicator {
     /// Blocking receive matched on `(src, tag)`.
     pub fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
         self.transport.recv(src, self.scope(tag))
-    }
-
-    /// Blocking receive with a deadline.
-    pub fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
-        self.transport.recv_timeout(src, self.scope(tag), timeout)
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
-        self.transport.try_recv(src, self.scope(tag))
     }
 
     /// Global barrier across all ranks (flat coordinator pattern through

@@ -29,12 +29,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
 use crate::error::{NetError, Result};
-use crate::message::Tag;
+use crate::message::{Key, Tag};
 use crate::transport::Transport;
 
 /// Decision returned by a datagram-level fault rule for one outgoing UDP
@@ -273,16 +273,8 @@ impl Transport for FaultyTransport {
         }
     }
 
-    fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
-        self.inner.recv(src, tag)
-    }
-
-    fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
-        self.inner.recv_timeout(src, tag, timeout)
-    }
-
-    fn try_recv(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
-        self.inner.try_recv(src, tag)
+    fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
+        self.inner.recv_any(keys, deadline)
     }
 
     fn shutdown(&self) {

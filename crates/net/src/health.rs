@@ -3,7 +3,7 @@
 //!
 //! Every rank in a recovery-enabled job runs a [`Heartbeat`] thread that
 //! beacons to all peers on [`Tag::HEARTBEAT`], and keeps a [`HealthBoard`]
-//! that drains those beacons whenever the engine polls. A peer that stops
+//! that drains those beacons whenever the engine ticks it. A peer that stops
 //! beaconing moves `Alive → Suspect` once its deadline lapses, then
 //! through a bounded sequence of exponentially backed-off probe windows
 //! before it is finally declared `Dead` — late heartbeats at any point
@@ -173,6 +173,12 @@ impl HealthBoard {
             state: vec![Liveness::Alive; k],
             transitions: None,
         }
+    }
+
+    /// The beacon interval the deadlines derive from — how long a waiter
+    /// may block before the next [`tick`](Self::tick) is due.
+    pub fn heartbeat(&self) -> Duration {
+        self.cfg.heartbeat
     }
 
     /// Attaches transition counters: `suspect` increments on every

@@ -95,7 +95,7 @@ pub use comm::Communicator;
 pub use error::{NetError, Result};
 pub use fabric::ShuffleFabric;
 pub use health::{HealthBoard, HealthConfig, Heartbeat, Liveness};
-pub use message::{Message, Tag};
+pub use message::{Key, Message, Tag};
 pub use rate::{Nic, NicMeter, NicProfile};
 pub use registry::{MembershipView, RankRegistry};
 pub use span::{SpanCollector, SpanLog, StageSpan};

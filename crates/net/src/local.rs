@@ -21,13 +21,13 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 use bytes::Bytes;
 
 use crate::error::{NetError, Result};
 use crate::mailbox::Mailbox;
-use crate::message::{Message, Tag};
+use crate::message::{Key, Message, Tag};
 use crate::transport::Transport;
 
 /// The shared state of an in-process fabric.
@@ -137,19 +137,8 @@ impl Transport for LocalEndpoint {
         Ok(())
     }
 
-    fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
-        self.check(src)?;
-        self.mailboxes[self.rank].recv(src, tag)
-    }
-
-    fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
-        self.check(src)?;
-        self.mailboxes[self.rank].recv_timeout(src, tag, timeout)
-    }
-
-    fn try_recv(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
-        self.check(src)?;
-        self.mailboxes[self.rank].try_recv_checked(src, tag)
+    fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
+        self.mailboxes[self.rank].recv_any(keys, deadline)
     }
 
     fn shutdown(&self) {
@@ -164,6 +153,7 @@ impl Transport for LocalEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn ping_pong() {

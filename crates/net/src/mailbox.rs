@@ -1,9 +1,12 @@
 //! Tag-matched mailboxes.
 //!
 //! Each endpoint owns one [`Mailbox`]. Incoming messages are queued by
-//! `(source, tag)`; `recv(src, tag)` blocks until a matching message is
-//! available, preserving FIFO order per `(source, tag)` pair — the same
-//! matching semantics as MPI's `MPI_Recv` with an explicit source and tag.
+//! exact tag and source — a [`Key`] — and leave in FIFO order per key: the
+//! matching semantics of MPI's `MPI_Recv` with an explicit source and tag.
+//! There is one way to wait: [`Mailbox::recv_any`] blocks until a message
+//! is queued under any of a set of keys, a listed source is dead or
+//! disconnected, the mailbox is closed, or a deadline passes. Every other
+//! receive in the crate is that call with one key and some deadline.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -12,23 +15,28 @@
 //!
 //! let mb = Mailbox::new(0);
 //! mb.deliver(Message { src: 2, tag: Tag::app(7), payload: Bytes::from_static(b"hi") });
-//! // Matching is on exact (source, tag); other keys stay queued.
-//! assert_eq!(mb.try_recv(1, Tag::app(7)), None);
-//! assert_eq!(mb.recv(2, Tag::app(7)).unwrap(), "hi");
+//! // Matching is on exact tag and source; the hit names the key it came under.
+//! let keys = [(Tag::app(7), 1), (Tag::app(7), 2)];
+//! let (key, payload) = mb.recv_any(&keys, None).unwrap();
+//! assert_eq!((key, &payload[..]), (1, &b"hi"[..]));
 //! ```
 
-use std::collections::{HashMap, VecDeque};
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{NetError, Result};
-use crate::message::{Message, Tag};
+use crate::message::{Key, Message, Tag};
 
 #[derive(Default)]
 struct Inner {
-    queues: HashMap<(usize, u32), VecDeque<Bytes>>,
+    /// Every queued message under its key and arrival number, so that the
+    /// messages of one key sit together, oldest first, and the map's size
+    /// is the backlog — not the history of keys ever used.
+    queued: BTreeMap<(Tag, usize, u64), Bytes>,
+    arrivals: u64,
     closed: bool,
     /// Per-source disconnect bits (bit `s` set = no further messages will
     /// ever arrive from source `s`; world sizes are ≤ 128).
@@ -37,6 +45,30 @@ struct Inner {
     /// receiver learns *which* peer failed via `PeerDead` instead of the
     /// anonymous `Disconnected`.
     dead: u128,
+}
+
+impl Inner {
+    /// Takes the oldest message of the lowest queued key in `keys` (sorted),
+    /// with the index of that key. The two sorted sets leapfrog: from a
+    /// listed key to the first queued message at or after it, from there —
+    /// unless it is a hit — to the first listed key after it. A step is two
+    /// logarithmic searches and skips a whole run of misses, so a wait on
+    /// tens of thousands of keys costs no more per wake-up than a wait on
+    /// one.
+    fn take(&mut self, keys: &[Key]) -> Option<(usize, Bytes)> {
+        let mut at = 0;
+        while let Some(&(tag, src)) = keys.get(at) {
+            let (&(tag, src, arrival), _) = self.queued.range((tag, src, 0)..).next()?;
+            match keys[at..].binary_search(&(tag, src)) {
+                Ok(i) => {
+                    let payload = self.queued.remove(&(tag, src, arrival))?;
+                    return Some((at + i, payload));
+                }
+                Err(i) => at += i,
+            }
+        }
+        None
+    }
 }
 
 /// A blocking, tag-matched message queue for one endpoint.
@@ -70,114 +102,72 @@ impl Mailbox {
         if inner.closed {
             return;
         }
-        inner
-            .queues
-            .entry((msg.src, msg.tag.0))
-            .or_default()
-            .push_back(msg.payload);
+        inner.arrivals += 1;
+        let at = (msg.tag, msg.src, inner.arrivals);
+        inner.queued.insert(at, msg.payload);
         drop(inner);
         self.available.notify_all();
     }
 
-    /// Blocks until a message from `(src, tag)` is available and returns it.
+    /// Blocks until a message is queued under one of `keys` and returns it
+    /// with the index of its key. `keys` must be sorted ascending — by tag,
+    /// then source. When several have messages the lowest key wins, so a
+    /// caller that numbers its work in tags takes it in that order;
+    /// messages under one key leave in arrival order. A key whose source is
+    /// no rank of the fabric never matches.
     ///
-    /// # Errors
-    /// `Disconnected` if the mailbox is closed while waiting (or already
-    /// closed and empty for this key).
-    pub fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
+    /// A queued message always drains first. With nothing queued, the wait
+    /// ends on the first of: a listed source the health layer declared dead
+    /// (`PeerDead`, naming it), a listed source that disconnected or a
+    /// closed mailbox (`Disconnected`), `deadline` passing (`Timeout`,
+    /// naming the first key). A deadline that has already passed makes the
+    /// call a non-blocking probe; `None` waits indefinitely.
+    pub fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
         let mut inner = self.inner.lock();
+        let mut sources = None;
         loop {
-            if let Some(q) = inner.queues.get_mut(&(src, tag.0)) {
-                if let Some(payload) = q.pop_front() {
-                    return Ok(payload);
-                }
+            if let Some(hit) = inner.take(keys) {
+                return Ok(hit);
             }
-            if src < 128 && inner.dead & (1u128 << src) != 0 {
+            // Whose messages these keys await matters only once somebody
+            // is down, and costs a pass over them: worked out then, once.
+            let sources = match inner.dead | inner.gone {
+                0 => 0,
+                _ => *sources.get_or_insert_with(|| {
+                    let listed = keys.iter().filter(|key| key.1 < 128);
+                    listed.fold(0u128, |mask, key| mask | 1 << key.1)
+                }),
+            };
+            if inner.dead & sources != 0 {
                 return Err(NetError::PeerDead {
                     rank: self.rank,
-                    peer: src,
+                    peer: (inner.dead & sources).trailing_zeros() as usize,
                 });
             }
-            if inner.closed || (src < 128 && inner.gone & (1u128 << src) != 0) {
+            if inner.closed || inner.gone & sources != 0 {
                 return Err(NetError::Disconnected { rank: self.rank });
             }
-            self.available.wait(&mut inner);
-        }
-    }
-
-    /// Like [`recv`](Self::recv) with a deadline.
-    ///
-    /// # Errors
-    /// `Timeout` if the deadline passes, `Disconnected` if closed.
-    pub fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(q) = inner.queues.get_mut(&(src, tag.0)) {
-                if let Some(payload) = q.pop_front() {
-                    return Ok(payload);
+            let timed_out = match deadline {
+                None => {
+                    self.available.wait(&mut inner);
+                    false
                 }
-            }
-            if src < 128 && inner.dead & (1u128 << src) != 0 {
-                return Err(NetError::PeerDead {
-                    rank: self.rank,
-                    peer: src,
-                });
-            }
-            if inner.closed || (src < 128 && inner.gone & (1u128 << src) != 0) {
-                return Err(NetError::Disconnected { rank: self.rank });
-            }
-            if self.available.wait_until(&mut inner, deadline).timed_out() {
+                Some(at) => self.available.wait_until(&mut inner, at).timed_out(),
+            };
+            if timed_out {
+                let (tag, src) = keys.first().copied().unwrap_or((Tag(0), self.rank));
                 return Err(NetError::Timeout { src, tag: tag.0 });
             }
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self, src: usize, tag: Tag) -> Option<Bytes> {
-        let mut inner = self.inner.lock();
-        inner
-            .queues
-            .get_mut(&(src, tag.0))
-            .and_then(|q| q.pop_front())
-    }
-
-    /// Non-blocking receive that also reports terminal states. A queued
-    /// message always drains first; with nothing queued, a source the
-    /// health layer declared dead surfaces as `PeerDead` and a closed
-    /// mailbox (or per-source disconnect) as `Disconnected` — so polling
-    /// loops fail fast on teardown instead of spinning `Ok(None)` until
-    /// an idle deadline expires.
-    pub fn try_recv_checked(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
-        let mut inner = self.inner.lock();
-        if let Some(payload) = inner
-            .queues
-            .get_mut(&(src, tag.0))
-            .and_then(|q| q.pop_front())
-        {
-            return Ok(Some(payload));
-        }
-        if src < 128 && inner.dead & (1u128 << src) != 0 {
-            return Err(NetError::PeerDead {
-                rank: self.rank,
-                peer: src,
-            });
-        }
-        if inner.closed || (src < 128 && inner.gone & (1u128 << src) != 0) {
-            return Err(NetError::Disconnected { rank: self.rank });
-        }
-        Ok(None)
-    }
-
     /// Total queued messages (diagnostics).
     pub fn queued(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.queues.values().map(|q| q.len()).sum()
+        self.inner.lock().queued.len()
     }
 
-    /// Closes the mailbox: queued messages remain readable via
-    /// [`try_recv`](Self::try_recv), but blocked and future `recv`s fail
-    /// with `Disconnected`.
+    /// Closes the mailbox: queued messages stay receivable, but blocked and
+    /// future waits that find nothing queued fail with `Disconnected`.
     pub fn close(&self) {
         let mut inner = self.inner.lock();
         inner.closed = true;
@@ -187,7 +177,7 @@ impl Mailbox {
 
     /// Marks one source as disconnected: already-queued messages from it
     /// remain receivable, but once its queues drain, blocked and future
-    /// `recv`s matching that source fail with `Disconnected`. Other sources
+    /// waits listing that source fail with `Disconnected`. Other sources
     /// are unaffected — the lazy TCP mesh calls this when a single peer's
     /// link EOFs, where closing the whole mailbox would wrongly unblock
     /// receives from still-healthy peers.
@@ -202,10 +192,10 @@ impl Mailbox {
     }
 
     /// Marks one source as *dead* (declared by the health layer): queued
-    /// messages from it still drain, then blocked and future `recv`s
-    /// matching that source fail with the typed `PeerDead` error — the
-    /// receiver learns exactly which peer will never speak again instead
-    /// of blocking until a generic timeout.
+    /// messages from it still drain, then blocked and future waits listing
+    /// that source fail with the typed `PeerDead` error — the receiver
+    /// learns exactly which peer will never speak again instead of
+    /// blocking until a generic timeout.
     pub fn mark_dead(&self, src: usize) {
         if src >= 128 {
             return;
@@ -222,6 +212,30 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::time::Duration;
+
+    /// The single-key receives the transports build over `recv_any`.
+    impl Mailbox {
+        fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
+            Ok(self.recv_any(&[(tag, src)], None)?.1)
+        }
+
+        fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
+            let deadline = Instant::now() + timeout;
+            Ok(self.recv_any(&[(tag, src)], Some(deadline))?.1)
+        }
+
+        fn try_recv_checked(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
+            match self.recv_any(&[(tag, src)], Some(Instant::now())) {
+                Ok((_, payload)) => Ok(Some(payload)),
+                Err(NetError::Timeout { .. }) => Ok(None),
+                Err(e) => Err(e),
+            }
+        }
+
+        fn try_recv(&self, src: usize, tag: Tag) -> Option<Bytes> {
+            self.try_recv_checked(src, tag).ok().flatten()
+        }
+    }
 
     fn msg(src: usize, tag: Tag, bytes: &'static [u8]) -> Message {
         Message {
@@ -436,5 +450,108 @@ mod tests {
         for (src, h) in handles.into_iter().enumerate() {
             assert_eq!(h.join().unwrap()[0] as usize, src);
         }
+    }
+
+    #[test]
+    fn wait_wakes_on_any_listed_key_and_not_on_an_unlisted_one() {
+        let mb = Arc::new(Mailbox::new(0));
+        let keys = [(Tag::app(0), 1), (Tag::app(0), 3), (Tag::app(5), 2)];
+        let (woke_tx, woke_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let mb = Arc::clone(&mb);
+            std::thread::spawn(move || {
+                let hit = mb.recv_any(&keys, None).unwrap();
+                woke_tx.send(()).unwrap();
+                hit
+            })
+        };
+        // Same source under another tag, same tag from another source:
+        // neither is a listed key, so the waiter stays blocked.
+        mb.deliver(msg(2, Tag::app(0), b"other-tag"));
+        mb.deliver(msg(4, Tag::app(0), b"other-src"));
+        assert!(woke_rx.recv_timeout(Duration::from_millis(50)).is_err());
+        mb.deliver(msg(2, Tag::app(5), b"listed"));
+        let (key, payload) = waiter.join().unwrap();
+        assert_eq!((key, &payload[..]), (2, &b"listed"[..]));
+        // The unlisted messages are still there for whoever wants them.
+        assert_eq!(mb.queued(), 2);
+    }
+
+    #[test]
+    fn many_keys_come_lowest_key_first_and_fifo_within_a_key() {
+        let mb = Mailbox::new(0);
+        let keys: Vec<Key> = (0..64).map(|t| (Tag::app(t), 1)).collect();
+        mb.deliver(msg(1, Tag::app(40), b"a"));
+        mb.deliver(msg(1, Tag::app(40), b"b"));
+        mb.deliver(msg(1, Tag::app(7), b"c"));
+        let order: Vec<(usize, Bytes)> =
+            (0..3).map(|_| mb.recv_any(&keys, None).unwrap()).collect();
+        assert_eq!(order[0], (7, Bytes::from_static(b"c")));
+        assert_eq!(order[1], (40, Bytes::from_static(b"a")));
+        assert_eq!(order[2], (40, Bytes::from_static(b"b")));
+        assert!(matches!(
+            mb.recv_any(&keys, Some(Instant::now())),
+            Err(NetError::Timeout { src: 1, tag: 0 })
+        ));
+    }
+
+    #[test]
+    fn terminal_states_during_a_multi_key_wait_wake_it() {
+        type Mark = fn(&Mailbox);
+        let cases: [(Mark, NetError); 3] = [
+            (
+                |mb| mb.mark_dead(2),
+                NetError::PeerDead { rank: 9, peer: 2 },
+            ),
+            (
+                |mb| mb.disconnect_src(1),
+                NetError::Disconnected { rank: 9 },
+            ),
+            (|mb| mb.close(), NetError::Disconnected { rank: 9 }),
+        ];
+        for (mark, expected) in cases {
+            let mb = Arc::new(Mailbox::new(9));
+            let waiter = {
+                let mb = Arc::clone(&mb);
+                std::thread::spawn(move || mb.recv_any(&[(Tag::app(0), 1), (Tag::app(0), 2)], None))
+            };
+            std::thread::sleep(Duration::from_millis(20));
+            // A terminal mark on a source nobody listed wakes nothing.
+            mb.mark_dead(3);
+            mb.disconnect_src(4);
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!waiter.is_finished());
+            mark(&mb);
+            assert_eq!(waiter.join().unwrap(), Err(expected));
+        }
+    }
+
+    #[test]
+    fn a_queued_message_under_any_key_drains_before_a_terminal_state() {
+        let mb = Mailbox::new(0);
+        let keys = [(Tag::app(0), 1), (Tag::app(0), 2)];
+        mb.deliver(msg(2, Tag::app(0), b"still-here"));
+        mb.mark_dead(1);
+        mb.close();
+        assert_eq!(mb.recv_any(&keys, None).unwrap().1, "still-here");
+        assert_eq!(
+            mb.recv_any(&keys, None),
+            Err(NetError::PeerDead { rank: 0, peer: 1 })
+        );
+    }
+
+    #[test]
+    fn drained_keys_leave_nothing_behind() {
+        // A resident endpoint sees a fresh tag per multicast group and per
+        // barrier epoch; its map must track the backlog, not that history.
+        let mb = Mailbox::new(0);
+        for t in 0..10_000u32 {
+            mb.deliver(msg(t as usize % 8, Tag::app(t), b"x"));
+        }
+        assert_eq!(mb.inner.lock().queued.len(), 10_000);
+        for t in 0..10_000u32 {
+            mb.recv(t as usize % 8, Tag::app(t)).unwrap();
+        }
+        assert!(mb.inner.lock().queued.is_empty());
     }
 }

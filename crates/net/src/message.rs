@@ -124,6 +124,11 @@ impl std::fmt::Display for Tag {
     }
 }
 
+/// What a receive matches on: the exact tag and source rank. Tag first,
+/// because that is the order a [`Mailbox`](crate::mailbox::Mailbox) hands
+/// messages out in when a wait lists several keys.
+pub type Key = (Tag, usize);
+
 /// An in-flight message: source rank, tag, and payload.
 #[derive(Clone, Debug)]
 pub struct Message {

@@ -58,14 +58,14 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::error::{NetError, Result};
 use crate::mailbox::Mailbox;
-use crate::message::{Message, Tag};
+use crate::message::{Key, Message, Tag};
 use crate::nio::{self, Backoff, FrameReader, FrameWrite, ReadStatus};
 use crate::registry::RankRegistry;
 use crate::transport::Transport;
@@ -491,34 +491,8 @@ impl Transport for TcpEndpoint {
         Ok(())
     }
 
-    fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
-        if src >= self.world_size() {
-            return Err(NetError::InvalidRank {
-                rank: src,
-                world: self.world_size(),
-            });
-        }
-        self.mailbox.recv(src, tag)
-    }
-
-    fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
-        if src >= self.world_size() {
-            return Err(NetError::InvalidRank {
-                rank: src,
-                world: self.world_size(),
-            });
-        }
-        self.mailbox.recv_timeout(src, tag, timeout)
-    }
-
-    fn try_recv(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
-        if src >= self.world_size() {
-            return Err(NetError::InvalidRank {
-                rank: src,
-                world: self.world_size(),
-            });
-        }
-        self.mailbox.try_recv_checked(src, tag)
+    fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
+        self.mailbox.recv_any(keys, deadline)
     }
 
     fn shutdown(&self) {

@@ -16,12 +16,12 @@
 //! assert_eq!(fabric.endpoint(2).recv(0, Tag::app(0)).unwrap(), "pkt");
 //! ```
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::error::Result;
-use crate::message::Tag;
+use crate::error::{NetError, Result};
+use crate::message::{Key, Tag};
 
 /// A message transport for one endpoint of a fabric.
 ///
@@ -32,7 +32,7 @@ use crate::message::Tag;
 ///
 /// Semantics mirror MPI's point-to-point layer:
 /// * `send` is asynchronous and never blocks on the receiver (buffered);
-/// * `recv(src, tag)` matches on exact source *and* tag;
+/// * receives match on exact source *and* tag;
 /// * messages between one `(src, dst, tag)` triple arrive in send order;
 /// * `multicast` delivers one payload to a destination set, overlapping the
 ///   copies where the fabric can (shared buffer in memory, interleaved
@@ -71,14 +71,46 @@ pub trait Transport: Send + Sync {
         Ok(())
     }
 
+    /// The one way to wait for a message: blocks until one is queued under
+    /// any of `keys` — exact tag and source, sorted ascending — and returns
+    /// it with the index of its key, the lowest key first. A queued message
+    /// always drains first; with nothing queued the wait ends with
+    /// `PeerDead` when a listed source has been declared dead,
+    /// `Disconnected` when one hung up or this endpoint shut down, and
+    /// `Timeout` once `deadline` passes (`None` waits indefinitely, a past
+    /// deadline only probes). See
+    /// [`Mailbox::recv_any`](crate::mailbox::Mailbox::recv_any).
+    fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)>;
+
+    /// A wait on the one key `(src, tag)`, with the rank checked — what the
+    /// three receives below share.
+    fn recv_from(&self, src: usize, tag: Tag, deadline: Option<Instant>) -> Result<Bytes> {
+        let world = self.world_size();
+        if src >= world {
+            return Err(NetError::InvalidRank { rank: src, world });
+        }
+        Ok(self.recv_any(&[(tag, src)], deadline)?.1)
+    }
+
     /// Blocks until a message from `(src, tag)` arrives.
-    fn recv(&self, src: usize, tag: Tag) -> Result<Bytes>;
+    fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
+        self.recv_from(src, tag, None)
+    }
 
     /// Blocking receive with a deadline.
-    fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes>;
+    fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
+        self.recv_from(src, tag, Some(Instant::now() + timeout))
+    }
 
-    /// Non-blocking receive.
-    fn try_recv(&self, src: usize, tag: Tag) -> Result<Option<Bytes>>;
+    /// Non-blocking receive: `Ok(None)` when nothing is queued and the
+    /// source can still speak.
+    fn try_recv(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
+        match self.recv_from(src, tag, Some(Instant::now())) {
+            Ok(payload) => Ok(Some(payload)),
+            Err(NetError::Timeout { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
 
     /// Tears down this endpoint: wakes blocked receivers with
     /// `Disconnected`. Used for orderly shutdown and for aborting a fabric

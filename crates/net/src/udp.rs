@@ -81,7 +81,7 @@ use parking_lot::Mutex;
 use crate::error::{NetError, Result};
 use crate::fault::{DatagramAction, DatagramRule};
 use crate::mailbox::Mailbox;
-use crate::message::{Message, Tag};
+use crate::message::{Key, Message, Tag};
 use crate::nio::Backoff;
 use crate::registry::UdpGroupPlan;
 use crate::tcp::{build_tcp_fabric, TcpEndpoint};
@@ -823,58 +823,6 @@ impl UdpEndpoint {
             }
         }
     }
-
-    /// The polling receive shared by all receive flavours: drains the UDP
-    /// mailbox (hot path for multicast payloads), waits on the TCP mailbox
-    /// in short slices (which also surfaces peer disconnects), and runs
-    /// recovery rounds against `src` while stalled. Only rounds that found
-    /// something outstanding to repair count against the bounded recovery
-    /// budget — a peer that simply has not sent yet keeps `recv` blocking
-    /// indefinitely, matching every other transport's contract, while the
-    /// idle status polls back off exponentially.
-    fn recv_inner(&self, src: usize, tag: Tag, deadline: Option<Instant>) -> Result<Bytes> {
-        let shared = &self.shared;
-        if src >= self.world_size() {
-            return Err(NetError::InvalidRank {
-                rank: src,
-                world: self.world_size(),
-            });
-        }
-        let rx = &shared.core.rx[shared.rank];
-        let mut quiet_since = Instant::now();
-        let mut repair_rounds = 0u32;
-        let mut idle_rounds = 0u32;
-        loop {
-            if let Some(payload) = rx.mailbox.try_recv(src, tag) {
-                return Ok(payload);
-            }
-            match shared.tcp.recv_timeout(src, tag, POLL_SLICE) {
-                Ok(payload) => return Ok(payload),
-                Err(NetError::Timeout { .. }) => {}
-                Err(e) => return Err(e),
-            }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    return Err(NetError::Timeout { src, tag: tag.0 });
-                }
-            }
-            // Idle rounds double the next status-poll interval (capped at
-            // 32×) so a long compute-stage wait does not spam the peer.
-            let interval = shared.cfg.nack_interval * (1u32 << idle_rounds.min(5));
-            if quiet_since.elapsed() >= interval {
-                if shared.recovery_round(src)? {
-                    idle_rounds = 0;
-                    repair_rounds += 1;
-                    if repair_rounds > shared.cfg.max_recovery_rounds {
-                        return Err(NetError::Timeout { src, tag: tag.0 });
-                    }
-                } else {
-                    idle_rounds = idle_rounds.saturating_add(1);
-                }
-                quiet_since = Instant::now();
-            }
-        }
-    }
 }
 
 impl Transport for UdpEndpoint {
@@ -943,22 +891,52 @@ impl Transport for UdpEndpoint {
         shared.send_chunks(mask, seq, tag.0, &payload, None)
     }
 
-    fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
-        self.recv_inner(src, tag, None)
-    }
-
-    fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
-        self.recv_inner(src, tag, Some(Instant::now() + timeout))
-    }
-
-    fn try_recv(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
-        if let Some(payload) = self.shared.core.rx[self.shared.rank]
-            .mailbox
-            .try_recv(src, tag)
-        {
-            return Ok(Some(payload));
+    /// Drains the UDP mailbox (hot path for multicast payloads), then waits
+    /// on the TCP mailbox in short slices — which also reports a dead or
+    /// disconnected peer and shutdown, once both mailboxes have drained. A wait for one sender runs recovery rounds against it
+    /// while stalled; only rounds that found something outstanding to
+    /// repair count against the bounded recovery budget, so a peer that
+    /// simply has not sent yet keeps the wait blocking like on every other
+    /// transport, while the idle status polls back off exponentially. A
+    /// wait on several keys awaits no sender in particular and runs none:
+    /// its caller is the quorum shuffle, which rides a lost packet out
+    /// instead of repairing it.
+    fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
+        let shared = &self.shared;
+        let rx = &shared.core.rx[shared.rank];
+        let mut quiet_since = Instant::now();
+        let mut repair_rounds = 0u32;
+        let mut idle_rounds = 0u32;
+        loop {
+            if let Ok(hit) = rx.mailbox.recv_any(keys, Some(Instant::now())) {
+                return Ok(hit);
+            }
+            let slice = Instant::now() + POLL_SLICE;
+            let until = deadline.map_or(slice, |d| d.min(slice));
+            let timeout = match shared.tcp.recv_any(keys, Some(until)) {
+                Err(e @ NetError::Timeout { .. }) => e,
+                other => return other,
+            };
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(timeout);
+            }
+            let &[(_, src)] = keys else { continue };
+            // Idle rounds double the next status-poll interval (capped at
+            // 32×) so a long compute-stage wait does not spam the peer.
+            let interval = shared.cfg.nack_interval * (1u32 << idle_rounds.min(5));
+            if quiet_since.elapsed() >= interval {
+                if shared.recovery_round(src)? {
+                    idle_rounds = 0;
+                    repair_rounds += 1;
+                    if repair_rounds > shared.cfg.max_recovery_rounds {
+                        return Err(timeout);
+                    }
+                } else {
+                    idle_rounds = idle_rounds.saturating_add(1);
+                }
+                quiet_since = Instant::now();
+            }
         }
-        self.shared.tcp.try_recv(src, tag)
     }
 
     fn shutdown(&self) {
@@ -971,11 +949,7 @@ impl Transport for UdpEndpoint {
     }
 
     fn mark_peer_dead(&self, peer: usize) {
-        // Both wait paths learn about the death: the UDP data mailbox and
-        // the TCP control channel the polling recv also blocks on.
-        self.shared.core.rx[self.shared.rank]
-            .mailbox
-            .mark_dead(peer);
+        // The TCP mailbox is the one that reports terminal states.
         self.shared.tcp.mark_peer_dead(peer);
     }
 }
@@ -1220,7 +1194,7 @@ mod tests {
             mask: 0b10,
         };
         rx.ingest(&good, b"abc", &stats);
-        assert_eq!(rx.mailbox.try_recv(0, Tag(0)).unwrap(), "abc");
+        assert_eq!(rx.mailbox.recv_any(&[(Tag(0), 0)], None).unwrap().1, "abc");
         assert_eq!(stats.messages_completed(), 1);
         assert_eq!(rx.state.lock().partial.len(), 0, "forged entry discarded");
     }

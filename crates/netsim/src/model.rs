@@ -5,7 +5,7 @@ use cts_net::trace::Trace;
 
 use crate::breakdown::StageBreakdown;
 use crate::config::PerfModelConfig;
-use crate::serial::{serial_makespan, serial_makespan_tree_unicast};
+use crate::serial::serial_makespan;
 use crate::stats::RunStats;
 
 /// Stage label used by the engines for shuffle traffic.
@@ -63,12 +63,6 @@ impl PerfModel {
     /// Modeled Shuffle time under the paper's serial schedule.
     pub fn shuffle_s(&self, stats: &RunStats, trace: &Trace) -> f64 {
         serial_makespan(trace, SHUFFLE_STAGE, &self.cfg.net, stats.scale)
-    }
-
-    /// Shuffle time if every multicast is decomposed into its binomial-tree
-    /// unicast hops (the `MPI_Bcast` software-tree ablation).
-    pub fn shuffle_tree_unicast_s(&self, stats: &RunStats, trace: &Trace) -> f64 {
-        serial_makespan_tree_unicast(trace, SHUFFLE_STAGE, &self.cfg.net, stats.scale)
     }
 
     /// Modeled Unpack / Decode time.

@@ -36,17 +36,36 @@
 //! text-format dump of the runtime's
 //! [`MetricsHub`](cts_core::metrics::MetricsHub) (a minimal hard-coded
 //! HTTP/1.1 200 — `curl http://addr/metrics` works, no HTTP stack
-//! involved). And [`SortService::run_until`] gives the daemon a graceful
-//! drain: when the caller's stop flag rises (e.g. from SIGINT/SIGTERM),
-//! the service stops accepting connections and admitting jobs, finishes
-//! everything in flight, and returns cleanly.
+//! involved).
+//!
+//! ## Waiting and stopping
+//!
+//! Nothing in the daemon wakes on a timer: each listener blocks in
+//! `accept` and each connection's handler thread blocks reading its next
+//! frame. One timer is still waited out, and it is the kernel's: a reply
+//! leaves as two writes (header, payload) on a socket without
+//! `TCP_NODELAY`, so its payload is held until the client acknowledges the
+//! header, and the client's kernel delays that ACK by 40 ms. A small job
+//! therefore takes 44 or 88 ms over the wire, about 1 ms of it compute
+//! (CHANGES.md, PR 13, says why that is still so).
+//!
+//! There is one way to stop: the SHUTDOWN opcode, a [`StopHandle`] and
+//! `cts serve`'s SIGINT/SIGTERM handler (which writes [`SHUTDOWN_FRAME`]
+//! on a connection it opened beforehand) all raise the same flag and wake
+//! every listener by connecting to it. [`SortService::run`] then drains:
+//! no further connection is served and no further job admitted; a request
+//! in flight — a frame partly read, a DIGEST blocked on a running job —
+//! gets its reply; connections sitting at a frame boundary are closed;
+//! queued and running jobs finish inside the runtime; `run` returns `Ok`.
+//! A request whose first bytes race the stop may find its connection
+//! closed instead of answered, never answered wrongly.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::{JoinHandle, ThreadId};
 
 use bytes::Bytes;
 use cts_mapreduce::grep::Grep;
@@ -152,78 +171,43 @@ fn pct(sorted: &[u64], q: f64) -> u64 {
 
 // ---- framing ------------------------------------------------------------
 
+/// The frame a client sends to stop the service: a one-byte payload, the
+/// SHUTDOWN opcode. A constant so a signal handler can `write` it.
+pub const SHUTDOWN_FRAME: [u8; 5] = [1, 0, 0, 0, OP_SHUTDOWN];
+
+/// Sends one frame in two writes, header then payload (what that costs a
+/// reply: "Waiting and stopping" in the module docs).
 fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large"))?;
+    let len = u32::try_from(payload.len()).map_err(|_| std::io::Error::other("frame too large"))?;
     stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+    stream.write_all(payload)
 }
 
-/// Fills `buf` completely, tolerating read timeouts. Returns `Ok(false)`
-/// — without consuming anything — on clean EOF before the first byte, or
-/// when `stop` rises while still at the boundary (no byte read yet). Once
-/// any byte has arrived the frame is committed: timeouts keep retrying
-/// so a drain never truncates a frame mid-flight.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: Option<&AtomicBool>,
-) -> std::io::Result<bool> {
-    use std::io::ErrorKind;
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "EOF mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if filled == 0 {
-                    if let Some(s) = stop {
-                        if s.load(Ordering::SeqCst) {
-                            return Ok(false);
-                        }
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one frame; `Ok(None)` on clean EOF at a frame boundary, or when
-/// `stop` rises at one (requires a read timeout on `stream` to be
-/// observed — in-flight frames always complete first).
-fn read_frame(
-    stream: &mut TcpStream,
-    stop: Option<&AtomicBool>,
-) -> std::io::Result<Option<Vec<u8>>> {
+/// Reads a frame header: the payload length, or `None` if the peer hung up
+/// instead of sending one.
+fn read_len(stream: &mut TcpStream) -> std::io::Result<Option<u32>> {
     let mut len_buf = [0u8; 4];
-    if !read_full(stream, &mut len_buf, stop)? {
-        return Ok(None);
+    match stream.read_exact(&mut len_buf) {
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        other => other?,
     }
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
+        let what = format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap");
+        return Err(std::io::Error::other(what));
     }
-    let mut payload = vec![0u8; len as usize];
-    if !read_full(stream, &mut payload, None)? {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "EOF mid-frame",
-        ));
+    Ok(Some(len))
+}
+
+/// Reads the payload a header announced. The length is the peer's claim:
+/// the buffer grows with the bytes that actually arrive, not with it.
+fn read_payload(stream: &mut TcpStream, len: u32) -> std::io::Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    stream.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
     }
-    Ok(Some(payload))
+    Ok(payload)
 }
 
 fn take<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], String> {
@@ -250,7 +234,36 @@ struct Inner {
     // STATUS/DIGEST/FETCH/TIMELINE can be asked any number of times by
     // any client.
     results: parking_lot::Mutex<HashMap<u32, CachedRecord>>,
-    stop: AtomicBool,
+    stop: StopHandle,
+}
+
+#[derive(Default)]
+struct StopState {
+    raised: AtomicBool,
+    /// Every listener a thread may be blocked accepting on.
+    listeners: parking_lot::Mutex<Vec<SocketAddr>>,
+}
+
+/// The one stop mechanism (see the module docs). The service hands a clone
+/// out through [`SortService::stop_handle`], for an embedding process that
+/// has no connection to send SHUTDOWN on.
+#[derive(Clone, Default)]
+pub struct StopHandle(Arc<StopState>);
+
+impl StopHandle {
+    fn raised(&self) -> bool {
+        self.0.raised.load(Ordering::SeqCst)
+    }
+
+    /// Begins the drain and, the first time, wakes each listener with a
+    /// connection for its accept loop to find the flag behind.
+    pub fn stop(&self) {
+        if !self.0.raised.swap(true, Ordering::SeqCst) {
+            for addr in self.0.listeners.lock().iter() {
+                let _ = TcpStream::connect(addr);
+            }
+        }
+    }
 }
 
 impl Inner {
@@ -398,7 +411,10 @@ impl Inner {
         Ok(handle.id())
     }
 
-    fn handle_request(&self, req: &[u8]) -> Result<Vec<u8>, String> {
+    /// Serves one request, appending the OK payload to `out` (the reply
+    /// frame under construction, so the payload is written where it leaves
+    /// from).
+    fn handle_request(&self, req: &[u8], out: &mut Vec<u8>) -> Result<(), String> {
         let op = *req.first().ok_or("empty frame")?;
         match op {
             OP_SUBMIT => {
@@ -417,7 +433,7 @@ impl Inner {
                     other => return Err(format!("unknown job kind {other}")),
                 };
                 let id = self.submit(kind, r, input)?;
-                Ok(id.to_le_bytes().to_vec())
+                out.extend_from_slice(&id.to_le_bytes());
             }
             OP_STATUS => {
                 let id = u32::from_le_bytes(take::<4>(req, 1)?);
@@ -425,7 +441,6 @@ impl Inner {
                     .runtime
                     .status(id)
                     .ok_or_else(|| format!("unknown job id {id}"))?;
-                let mut out = Vec::new();
                 match status {
                     JobStatus::Queued => out.push(0),
                     JobStatus::Running => out.push(1),
@@ -435,45 +450,90 @@ impl Inner {
                         out.extend_from_slice(msg.as_bytes());
                     }
                 }
-                Ok(out)
             }
             OP_DIGEST => {
                 let id = u32::from_le_bytes(take::<4>(req, 1)?);
                 let outputs = self.outputs_of(id)?;
                 let digest = ResultDigest::of(&outputs);
-                let mut out = Vec::with_capacity(4 + digest.partitions.len() * 16 + 8);
                 out.extend_from_slice(&(digest.partitions.len() as u32).to_le_bytes());
                 for (len, fnv) in &digest.partitions {
                     out.extend_from_slice(&len.to_le_bytes());
                     out.extend_from_slice(&fnv.to_le_bytes());
                 }
                 out.extend_from_slice(&digest.total.to_le_bytes());
-                Ok(out)
             }
             OP_FETCH => {
                 let id = u32::from_le_bytes(take::<4>(req, 1)?);
                 let outputs = self.outputs_of(id)?;
-                let total: usize = outputs.iter().map(|o| o.len() + 8).sum();
-                let mut out = Vec::with_capacity(4 + total);
+                out.reserve(4 + outputs.iter().map(|o| o.len() + 8).sum::<usize>());
                 out.extend_from_slice(&(outputs.len() as u32).to_le_bytes());
                 for o in outputs.iter() {
                     out.extend_from_slice(&(o.len() as u64).to_le_bytes());
                     out.extend_from_slice(o);
                 }
-                Ok(out)
             }
-            OP_STATS => Ok(self.render_stats().into_bytes()),
+            OP_STATS => out.extend_from_slice(self.render_stats().as_bytes()),
             OP_TIMELINE => {
                 let id = u32::from_le_bytes(take::<4>(req, 1)?);
-                let record = self.record_of(id)?;
-                Ok(record.timeline.as_bytes().to_vec())
+                out.extend_from_slice(self.record_of(id)?.timeline.as_bytes());
             }
-            OP_SHUTDOWN => {
-                self.stop.store(true, Ordering::SeqCst);
-                Ok(Vec::new())
-            }
-            other => Err(format!("unknown opcode {other:#04x}")),
+            OP_SHUTDOWN => self.stop.stop(),
+            other => return Err(format!("unknown opcode {other:#04x}")),
         }
+        Ok(())
+    }
+}
+
+/// The live connections by handler thread: what the drain closes and
+/// joins. A handler's entry goes when the handler does, so a resident
+/// daemon holds one per open connection, not one per connection ever
+/// served.
+type Registry = Arc<parking_lot::Mutex<HashMap<ThreadId, Conn>>>;
+
+struct Conn {
+    /// A second handle on the handler's socket, for the drain to close.
+    stream: TcpStream,
+    /// At a frame boundary, no request in flight: the drain may close it.
+    idle: Arc<AtomicBool>,
+    handler: JoinHandle<()>,
+}
+
+/// Accepts on `listener` until the stop is raised, serving each connection
+/// on its own registered thread.
+fn accept_loop(
+    listener: &TcpListener,
+    inner: &Arc<Inner>,
+    conns: &Registry,
+    serve: fn(TcpStream, &Inner, &AtomicBool),
+) -> std::io::Result<()> {
+    loop {
+        let (stream, _peer) = listener.accept()?;
+        if inner.stop.raised() {
+            // The connection that woke us, or a client racing the stop.
+            return Ok(());
+        }
+        let Ok(peer) = stream.try_clone() else {
+            continue;
+        };
+        let idle = Arc::new(AtomicBool::new(true));
+        let (inner, registry, flag) = (Arc::clone(inner), Arc::clone(conns), Arc::clone(&idle));
+        // Registered under the lock the handler's last act takes, so the
+        // entry is there before the handler can remove it.
+        let mut live = conns.lock();
+        let handler = std::thread::spawn(move || {
+            serve(stream, &inner, &flag);
+            // Let go of the runtime first: once the entry is gone nobody
+            // joins this thread, and `run` must not return while it could
+            // still be the one keeping the runtime from draining.
+            drop(inner);
+            registry.lock().remove(&std::thread::current().id());
+        });
+        let conn = Conn {
+            stream: peer,
+            idle,
+            handler,
+        };
+        live.insert(conn.handler.thread().id(), conn);
     }
 }
 
@@ -482,7 +542,8 @@ impl Inner {
 pub struct SortService {
     listener: TcpListener,
     inner: Arc<Inner>,
-    metrics_threads: Vec<std::thread::JoinHandle<()>>,
+    conns: Registry,
+    metrics_threads: Vec<JoinHandle<()>>,
 }
 
 impl SortService {
@@ -492,13 +553,17 @@ impl SortService {
     pub fn bind(addr: impl ToSocketAddrs, cfg: RuntimeConfig) -> Result<SortService, String> {
         let runtime = JobRuntime::start(cfg).map_err(|e| e.to_string())?;
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind: {e}"))?;
+        let stop = StopHandle::default();
+        let bound = listener.local_addr().map_err(|e| e.to_string())?;
+        stop.0.listeners.lock().push(bound);
         Ok(SortService {
             listener,
             inner: Arc::new(Inner {
                 runtime,
                 results: parking_lot::Mutex::new(HashMap::new()),
-                stop: AtomicBool::new(false),
+                stop,
             }),
+            conns: Registry::default(),
             metrics_threads: Vec::new(),
         })
     }
@@ -508,123 +573,90 @@ impl SortService {
     /// `curl http://addr/metrics` — receives one minimal HTTP/1.1 200
     /// with the runtime's full metric dump and is closed. The listener
     /// thread exits with the service.
-    pub fn serve_metrics(
-        &mut self,
-        addr: impl ToSocketAddrs,
-    ) -> Result<std::net::SocketAddr, String> {
+    pub fn serve_metrics(&mut self, addr: impl ToSocketAddrs) -> Result<SocketAddr, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("metrics bind: {e}"))?;
         let bound = listener.local_addr().map_err(|e| e.to_string())?;
-        listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-        let inner = Arc::clone(&self.inner);
+        self.inner.stop.0.listeners.lock().push(bound);
+        let (inner, conns) = (Arc::clone(&self.inner), Arc::clone(&self.conns));
         self.metrics_threads.push(std::thread::spawn(move || {
-            while !inner.stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((mut stream, _peer)) => {
-                        // Drain whatever request line arrived (best
-                        // effort), then answer with the dump and close.
-                        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-                        let mut scratch = [0u8; 1024];
-                        let _ = stream.read(&mut scratch);
-                        let body = inner.runtime.fabric().render_prometheus();
-                        let resp = format!(
-                            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                             Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-                            body.len(),
-                            body
-                        );
-                        let _ = stream.write_all(resp.as_bytes());
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
+            let _ = accept_loop(&listener, &inner, &conns, serve_scrape);
         }));
         Ok(bound)
     }
 
     /// The bound address (the actual port when bound with port 0).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
-    /// Serves until a client sends SHUTDOWN. Each connection gets its own
-    /// handler thread; in-flight requests finish before return.
-    pub fn run(self) -> Result<(), String> {
-        self.run_until(&AtomicBool::new(false))
+    /// A handle that stops this service exactly as a SHUTDOWN frame does.
+    pub fn stop_handle(&self) -> StopHandle {
+        self.inner.stop.clone()
     }
 
-    /// Serves until a client sends SHUTDOWN **or** `stop` rises (the
-    /// graceful-drain path `cts serve` wires to SIGINT/SIGTERM): new
-    /// connections stop being accepted, connected clients are cut loose
-    /// at their next frame boundary, queued and running jobs finish
-    /// inside the runtime, and the call returns `Ok`.
-    pub fn run_until(mut self, stop: &AtomicBool) -> Result<(), String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| e.to_string())?;
-        let mut handlers = Vec::new();
-        while !self.inner.stop.load(Ordering::SeqCst) && !stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false).map_err(|e| e.to_string())?;
-                    let inner = Arc::clone(&self.inner);
-                    handlers.push(std::thread::spawn(move || serve_connection(stream, &inner)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(format!("accept: {e}")),
+    /// Serves until stopped (SHUTDOWN frame or [`StopHandle`]), then
+    /// drains as the module docs describe and returns.
+    pub fn run(mut self) -> Result<(), String> {
+        let accepted = accept_loop(&self.listener, &self.inner, &self.conns, serve_connection);
+        // However accepting ended, everything else now ends the same way.
+        self.inner.stop.stop();
+        let handlers: Vec<JoinHandle<()>> = {
+            let mut live = self.conns.lock();
+            for conn in live.values().filter(|c| c.idle.load(Ordering::SeqCst)) {
+                let _ = conn.stream.shutdown(Shutdown::Both);
             }
-        }
-        // Propagate the drain to connection handlers (their stop-aware
-        // frame reads observe it at the next boundary) and the metrics
-        // listener, then wait for everyone. The runtime itself drains on
-        // drop: admission closes, dispatchers finish queued jobs, join.
-        self.inner.stop.store(true, Ordering::SeqCst);
-        for h in handlers {
+            live.drain().map(|(_, conn)| conn.handler).collect()
+        };
+        for h in handlers.into_iter().chain(self.metrics_threads.drain(..)) {
             let _ = h.join();
         }
-        for h in self.metrics_threads.drain(..) {
-            let _ = h.join();
-        }
-        Ok(())
+        // The runtime itself drains on drop: admission closes, dispatchers
+        // finish queued jobs, join.
+        accepted.map_err(|e| format!("accept: {e}"))
     }
 }
 
-fn serve_connection(mut stream: TcpStream, inner: &Inner) {
-    // The read timeout makes the boundary-only stop check in `read_full`
-    // fire; committed frames still complete.
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
-        return;
-    }
-    loop {
-        let req = match read_frame(&mut stream, Some(&inner.stop)) {
-            Ok(Some(req)) => req,
-            Ok(None) | Err(_) => return,
+fn serve_connection(mut stream: TcpStream, inner: &Inner, idle: &AtomicBool) {
+    while let Ok(Some(len)) = read_len(&mut stream) {
+        idle.store(false, Ordering::SeqCst);
+        let Ok(req) = read_payload(&mut stream, len) else {
+            return;
         };
-        let mut resp = Vec::new();
-        match inner.handle_request(&req) {
-            Ok(payload) => {
-                resp.push(RESP_OK);
-                resp.extend_from_slice(&payload);
-            }
-            Err(msg) => {
-                resp.push(RESP_ERR);
-                resp.extend_from_slice(msg.as_bytes());
-            }
+        let mut resp = vec![RESP_OK];
+        if let Err(msg) = inner.handle_request(&req, &mut resp) {
+            resp.clear();
+            resp.push(RESP_ERR);
+            resp.extend_from_slice(msg.as_bytes());
         }
         if write_frame(&mut stream, &resp).is_err() {
             return;
         }
-        if req.first() == Some(&OP_SHUTDOWN) {
+        // Idle first, then look at the stop; the drain raises the stop
+        // first, then looks at idle. Whichever order the two run in, either
+        // this thread sees the stop or the drain sees it idle and closes the
+        // socket under its next read.
+        idle.store(true, Ordering::SeqCst);
+        if inner.stop.raised() {
             return;
         }
     }
+}
+
+/// Answers one metrics scrape with the Prometheus dump and closes.
+fn serve_scrape(mut stream: TcpStream, inner: &Inner, idle: &AtomicBool) {
+    // Take in the request before answering: closing with it unread would
+    // send a reset that can overtake the reply.
+    let mut scratch = [0u8; 1024];
+    let _ = stream.read(&mut scratch);
+    idle.store(false, Ordering::SeqCst);
+    let body = inner.runtime.fabric().render_prometheus();
+    let resp = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{}",
+        body.len(),
+        body
+    );
+    let _ = stream.write_all(resp.as_bytes());
 }
 
 // ---- client -------------------------------------------------------------
@@ -655,16 +687,26 @@ impl ServiceClient {
         Ok(ServiceClient { stream })
     }
 
+    /// Sends the request payload `req` and returns the OK response's
+    /// payload.
     fn roundtrip(&mut self, req: &[u8]) -> Result<Vec<u8>, String> {
         write_frame(&mut self.stream, req).map_err(|e| format!("send: {e}"))?;
-        let resp = read_frame(&mut self.stream, None)
-            .map_err(|e| format!("recv: {e}"))?
+        let recv = |e: std::io::Error| format!("recv: {e}");
+        let len = read_len(&mut self.stream)
+            .map_err(recv)?
             .ok_or("service closed the connection")?;
+        let resp = read_payload(&mut self.stream, len).map_err(recv)?;
         match resp.split_first() {
             Some((&RESP_OK, payload)) => Ok(payload.to_vec()),
             Some((&RESP_ERR, msg)) => Err(String::from_utf8_lossy(msg).into_owned()),
             _ => Err("malformed response".into()),
         }
+    }
+
+    /// A request payload: `op` followed by a job id.
+    fn job_request(op: u8, id: u32) -> [u8; 5] {
+        let id = id.to_le_bytes();
+        [op, id[0], id[1], id[2], id[3]]
     }
 
     /// Submits a job; returns its service-wide id immediately.
@@ -691,9 +733,7 @@ impl ServiceClient {
 
     /// Polls a job's status.
     pub fn status(&mut self, id: u32) -> Result<RemoteStatus, String> {
-        let mut req = vec![OP_STATUS];
-        req.extend_from_slice(&id.to_le_bytes());
-        let resp = self.roundtrip(&req)?;
+        let resp = self.roundtrip(&Self::job_request(OP_STATUS, id))?;
         match resp.split_first() {
             Some((0, _)) => Ok(RemoteStatus::Queued),
             Some((1, _)) => Ok(RemoteStatus::Running),
@@ -707,9 +747,7 @@ impl ServiceClient {
 
     /// Blocks until the job finishes and returns its result digest.
     pub fn digest(&mut self, id: u32) -> Result<ResultDigest, String> {
-        let mut req = vec![OP_DIGEST];
-        req.extend_from_slice(&id.to_le_bytes());
-        let resp = self.roundtrip(&req)?;
+        let resp = self.roundtrip(&Self::job_request(OP_DIGEST, id))?;
         let parts = u32::from_le_bytes(take::<4>(&resp, 0)?) as usize;
         let mut partitions = Vec::with_capacity(parts);
         let mut at = 4;
@@ -726,9 +764,7 @@ impl ServiceClient {
     /// Blocks until the job finishes and returns the full per-partition
     /// outputs.
     pub fn fetch(&mut self, id: u32) -> Result<Vec<Vec<u8>>, String> {
-        let mut req = vec![OP_FETCH];
-        req.extend_from_slice(&id.to_le_bytes());
-        let resp = self.roundtrip(&req)?;
+        let resp = self.roundtrip(&Self::job_request(OP_FETCH, id))?;
         let parts = u32::from_le_bytes(take::<4>(&resp, 0)?) as usize;
         let mut outputs = Vec::with_capacity(parts);
         let mut at = 4;
@@ -757,9 +793,7 @@ impl ServiceClient {
     /// as Chrome trace-event JSON (load it in `chrome://tracing` or
     /// Perfetto).
     pub fn timeline(&mut self, id: u32) -> Result<String, String> {
-        let mut req = vec![OP_TIMELINE];
-        req.extend_from_slice(&id.to_le_bytes());
-        let resp = self.roundtrip(&req)?;
+        let resp = self.roundtrip(&Self::job_request(OP_TIMELINE, id))?;
         Ok(String::from_utf8_lossy(&resp).into_owned())
     }
 
@@ -870,5 +904,110 @@ mod tests {
         let mut client = ServiceClient::connect(addr).unwrap();
         client.shutdown().unwrap();
         server.join().unwrap();
+    }
+
+    /// Polls `cond` (the daemon's own state, which no event reports to a
+    /// test) until it holds.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_lying_length_header_costs_nothing_and_the_next_client_is_served() {
+        let (addr, server) = service(2, 1, 1);
+        let mut liar = TcpStream::connect(addr).unwrap();
+        // Just under the 1 GiB cap, then hang up: nothing may be allocated
+        // on the header's say-so, and the daemon must carry on.
+        liar.write_all(&[0xFF, 0xFF, 0xFF, 0x3F]).unwrap();
+        drop(liar);
+        let mut oversized = TcpStream::connect(addr).unwrap();
+        oversized.write_all(&[0xFF; 4]).unwrap();
+        assert_eq!(oversized.read(&mut [0u8; 1]).unwrap(), 0, "over the cap");
+        let mut client = ServiceClient::connect(addr).unwrap();
+        assert!(client.stats().unwrap().contains("jobs: 0 known"));
+        client.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn every_way_to_stop_ends_run_under_an_idle_client() {
+        let by_frame: fn(SocketAddr, &StopHandle) = |addr, _| {
+            ServiceClient::connect(addr).unwrap().shutdown().unwrap();
+        };
+        let by_handle: fn(SocketAddr, &StopHandle) = |_, handle| handle.stop();
+        let by_raw_frame: fn(SocketAddr, &StopHandle) = |addr, _| {
+            // What `cts serve`'s signal handler does.
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(&SHUTDOWN_FRAME).unwrap();
+        };
+        for stop in [by_frame, by_handle, by_raw_frame] {
+            let cfg = RuntimeConfig::new(EngineConfig::local(2, 1));
+            let mut svc = SortService::bind("127.0.0.1:0", cfg).unwrap();
+            let addr = svc.local_addr().unwrap();
+            let metrics = svc.serve_metrics("127.0.0.1:0").unwrap();
+            let handle = svc.stop_handle();
+            let server = std::thread::spawn(move || svc.run());
+            // One client mid-session, one that never said a word, and a
+            // scraper that connected and never asked.
+            let mut idle = ServiceClient::connect(addr).unwrap();
+            idle.stats().unwrap();
+            let mut silent = TcpStream::connect(addr).unwrap();
+            let _mute_scraper = TcpStream::connect(metrics).unwrap();
+            stop(addr, &handle);
+            server.join().unwrap().expect("drain is a clean exit");
+            assert!(idle.stats().is_err(), "closed at the frame boundary");
+            assert_eq!(silent.read(&mut [0u8; 1]).unwrap_or(0), 0);
+        }
+    }
+
+    #[test]
+    fn a_digest_blocked_on_a_running_job_outlives_the_drain() {
+        // Behind the paper's 100 Mbps NIC the 1 MB shuffle alone takes tens
+        // of milliseconds: long enough to stop the daemon under it.
+        let engine = EngineConfig::local(3, 1).with_nic(cts_net::NicProfile::paper_100mbps());
+        let svc = SortService::bind("127.0.0.1:0", RuntimeConfig::new(engine)).unwrap();
+        let addr = svc.local_addr().unwrap();
+        let (handle, conns) = (svc.stop_handle(), Arc::clone(&svc.conns));
+        let server = std::thread::spawn(move || svc.run());
+        let input = generate(10_000, 3);
+        let mut client = ServiceClient::connect(addr).unwrap();
+        let id = client.submit(&JobKind::Sort, 1, &input).unwrap();
+        let busy = || {
+            let live = conns.lock();
+            live.values().any(|conn| !conn.idle.load(Ordering::SeqCst))
+        };
+        eventually("the handler is back at the frame boundary", || !busy());
+        let waiter = std::thread::spawn(move || client.digest(id));
+        eventually("the DIGEST request is in flight", busy);
+        handle.stop();
+        let digest = waiter.join().unwrap().expect("in-flight request answered");
+        let local =
+            crate::driver::run_terasort(input, &crate::driver::SortJob::local(3, 1)).unwrap();
+        assert_eq!(digest, ResultDigest::of(&local.outcome.outputs));
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn finished_connections_leave_the_registry() {
+        let svc = SortService::bind("127.0.0.1:0", RuntimeConfig::new(EngineConfig::local(2, 1)))
+            .unwrap();
+        let addr = svc.local_addr().unwrap();
+        let conns = Arc::clone(&svc.conns);
+        let server = std::thread::spawn(move || svc.run());
+        for _ in 0..50 {
+            ServiceClient::connect(addr).unwrap().stats().unwrap();
+        }
+        eventually("every finished handler removed its entry", || {
+            conns.lock().is_empty()
+        });
+        let mut client = ServiceClient::connect(addr).unwrap();
+        client.stats().unwrap();
+        assert_eq!(conns.lock().len(), 1);
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
     }
 }

@@ -363,42 +363,54 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         println!("metrics endpoint: curl http://{maddr}/metrics");
     }
     println!("submit with: cts submit --addr {addr} --kind sort --records 1000");
-    signals::install();
-    service.run_until(signals::stop_flag())
+    signals::install(addr).map_err(|e| format!("signal connection: {e}"))?;
+    service.run()
 }
 
-/// SIGINT/SIGTERM → a process-wide stop flag the serve loop drains on.
-/// Registered through the raw C `signal` entry point: the handler only
-/// stores into an atomic, which is async-signal-safe.
+/// SIGINT/SIGTERM → the service's SHUTDOWN frame, written by the handler
+/// itself on a connection opened beforehand: `write(2)` is
+/// async-signal-safe, and the frame reaches the daemon the way any
+/// client's would, so nothing has to poll a flag. Registered through the
+/// raw C `signal` entry point.
+#[cfg(unix)]
 mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::os::fd::IntoRawFd;
+    use std::sync::atomic::{AtomicI32, Ordering};
 
-    static STOP: AtomicBool = AtomicBool::new(false);
+    static FD: AtomicI32 = AtomicI32::new(-1);
 
-    pub fn stop_flag() -> &'static AtomicBool {
-        &STOP
+    unsafe extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
-    #[cfg(unix)]
     extern "C" fn on_signal(_sig: i32) {
-        STOP.store(true, Ordering::SeqCst);
+        let frame = &cts_terasort::service::SHUTDOWN_FRAME;
+        // SAFETY: `write` reads `frame.len()` bytes of a constant; the
+        // descriptor is the never-closed socket `install` stored.
+        unsafe { write(FD.load(Ordering::SeqCst), frame.as_ptr(), frame.len()) };
     }
 
-    #[cfg(unix)]
-    pub fn install() {
+    pub fn install(service: std::net::SocketAddr) -> std::io::Result<()> {
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
-        unsafe extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
+        let conn = std::net::TcpStream::connect(service)?;
+        FD.store(conn.into_raw_fd(), Ordering::SeqCst);
+        // SAFETY: `on_signal` has the handler type `signal` expects and
+        // makes only an async-signal-safe call.
         unsafe {
             signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
             signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
         }
+        Ok(())
     }
+}
 
-    #[cfg(not(unix))]
-    pub fn install() {}
+#[cfg(not(unix))]
+mod signals {
+    pub fn install(_service: std::net::SocketAddr) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 fn cmd_stats(opts: &Flags) -> Result<(), String> {

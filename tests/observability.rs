@@ -3,12 +3,10 @@
 //! *accounting*, not just the bytes), the daemon must answer STATS and
 //! serve a Prometheus dump mid-flight, the TIMELINE frame must be
 //! Chrome trace-event JSON whose per-stage extents agree with the span
-//! log's own accounting, and `run_until` must drain gracefully.
+//! log's own accounting, and `run` must drain gracefully when stopped.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use bytes::Bytes;
 use coded_terasort::mapreduce::stage::stages;
@@ -231,18 +229,15 @@ fn stats_frame_and_metrics_endpoint_report_live_counters() {
     server.join().unwrap();
 }
 
-/// The graceful-drain path `cts serve` wires to SIGINT/SIGTERM: raising
-/// the stop flag (no SHUTDOWN frame) makes `run_until` return cleanly
-/// after in-flight work finishes, and the port stops answering.
+/// The graceful-drain path of an embedding process: the stop handle (no
+/// SHUTDOWN frame) makes `run` return cleanly after in-flight work
+/// finishes, and the port stops answering.
 #[test]
 fn run_until_drains_and_exits_on_stop_flag() {
     let svc = bound_service(3, 2);
     let addr = svc.local_addr().unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let server = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || svc.run_until(&stop).unwrap())
-    };
+    let stop = svc.stop_handle();
+    let server = std::thread::spawn(move || svc.run().unwrap());
 
     let input = teragen::generate(500, 9);
     let mut client = ServiceClient::connect(addr).unwrap();
@@ -251,8 +246,8 @@ fn run_until_drains_and_exits_on_stop_flag() {
     let local = run_terasort(input, &SortJob::local(3, 1)).unwrap();
     assert_eq!(digest, ResultDigest::of(&local.outcome.outputs));
 
-    stop.store(true, Ordering::SeqCst);
-    server.join().expect("run_until did not drain");
+    stop.stop();
+    server.join().expect("run did not drain");
     assert!(
         TcpStream::connect(addr).is_err() || {
             // The listener may linger in the accept backlog for an
