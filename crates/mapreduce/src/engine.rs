@@ -31,7 +31,7 @@ use cts_netsim::stats::{NodeStats, RunStats};
 use parking_lot::Mutex;
 
 use crate::error::{EngineError, JobReport, Result};
-use crate::recover::{adopt_dead_partitions, merge_pieces, Recovery};
+use crate::recover::{adopt_dead_partitions, reduce_in_file_order, Recovery};
 use crate::stage::{stages, EngineConfig, RecoveryMode, WallTimes};
 use crate::workload::{InputFormat, Workload};
 
@@ -487,7 +487,16 @@ fn node_main<W: Workload>(
     // for any thread count). A single file is chunked instead.
     let mapped: Vec<Vec<Vec<u8>>> = match &my_files[..] {
         [(_, file)] => vec![workload.map_file_par(file, k, &pool)],
-        files => pool.map(files.len(), |i| workload.map_file(&files[i].1, k)),
+        files => pool.map(files.len(), |i| {
+            let file = layout.globalize(plan.nodes_of_file(files[i].0), me);
+            let mut parts = workload.map_file(&files[i].1, k);
+            // Free what `route` drops before the next file allocates: a rank's
+            // heap then peaks lower, and its Reduce output still fits its arena.
+            for t in (0..k).filter(|&t| layout.route(me, file, t) == Route::Drop) {
+                parts[t] = Vec::new();
+            }
+            parts
+        }),
     };
     // What the coder reads, in pod-local ids.
     let mut store = MapOutputStore::new();
@@ -536,19 +545,19 @@ fn node_main<W: Workload>(
     // sender, but sends the classic packets and needs all of them.
     let mds = cfg.decode == DecodeMode::Quorum && cfg.field.supports_quorum();
     // Groups encode independently: fan Algorithm 1 out over the pool, one
-    // warm (scratch, wire buffer) pair per worker so the per-group loop is
-    // allocation-free apart from the shareable wire frame itself. Each
-    // packet's wire bytes split into a *scalable* part (the mean segment
-    // length — the quantity that grows linearly with input size) and an
-    // *overhead* part (the fixed header plus zero-padding, which is a
-    // small-scale artifact: at paper scale segments are megabytes and
-    // max ≈ mean). The model scales only the scalable part.
-    let encoded: Vec<Result<(Bytes, u64)>> = pool.map_with(
-        my_groups.len(),
-        || (EncodeScratch::new(), Vec::new()),
-        |(scratch, wire), i| {
+    // warm scratch per worker so the per-group loop is allocation-free
+    // apart from the wire frame, which is written once, at its final size,
+    // into the buffer that travels. Each packet's wire bytes split into a
+    // *scalable* part (the mean segment length — the quantity that grows
+    // linearly with input size) and an *overhead* part (the fixed header
+    // plus zero-padding, which is a small-scale artifact: at paper scale
+    // segments are megabytes and max ≈ mean). The model scales only the
+    // scalable part.
+    let encoded: Vec<Result<(Bytes, u64)>> =
+        pool.map_with(my_groups.len(), EncodeScratch::new, |scratch, i| {
             let m = my_groups[i].members;
-            wire.clear();
+            let mut frame = Vec::new();
+            let wire = &mut frame;
             let scalable = if mds {
                 encoder.encode_group_mds_into(m, &store, scratch)?;
                 CodedPacket::write_wire_mds(m, local, &scratch.seg_lens, &scratch.payload, wire);
@@ -561,9 +570,8 @@ fn node_main<W: Workload>(
                 scratch.seg_len_sum() / r as u64
             };
             let overhead = wire.len() as u64 - scalable.min(wire.len() as u64);
-            Ok((Bytes::copy_from_slice(wire), overhead))
-        },
-    );
+            Ok((Bytes::from(frame), overhead))
+        });
     // One packet per owned group, in schedule order.
     let mut packets = encoded.into_iter().collect::<Result<Vec<_>>>()?.into_iter();
     if rank.crashed_at(CrashPoint::MidEncode)? {
@@ -700,20 +708,14 @@ fn node_main<W: Workload>(
             ),
         });
     }
-    // Merge everything this node reduces — locally mapped, decoded and
-    // unicast pieces — in ascending file order, which is input order.
+    // Everything this node reduces: locally mapped, unicast and decoded
+    // pieces, read by Reduce where they lie.
     pieces.extend(
         decode
             .recovered
             .into_iter()
             .map(|(file, v)| (layout.globalize(file, me).bits(), Bytes::from(v))),
     );
-    // The pieces stay alive to the end of the job: handing a partition's
-    // worth of buffers back to the allocator between Decode and Reduce makes
-    // it release and re-fault those pages (−20 % throughput on a 100 MB
-    // in-memory sort).
-    let partition = merge_pieces(&mut pieces);
-    rank.stats.reduce_input_bytes = partition.len() as u64;
     rank.sync()?;
     if rank.crashed_at(CrashPoint::PreReduce)? {
         return Ok(None);
@@ -742,7 +744,7 @@ fn node_main<W: Workload>(
 
     // ---- Reduce ------------------------------------------------------------
     comm.set_stage(stages::REDUCE);
-    let output = workload.reduce_par(me, &partition, &pool);
+    let output = reduce_in_file_order(workload, me, &mut pieces, &pool, &mut rank.stats);
     rank.sync()?;
     Ok(Some(Finished {
         output,

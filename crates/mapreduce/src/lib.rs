@@ -19,9 +19,9 @@
 //!    mode, fire everything, then wait for any; then serial unicast
 //!    (Fig. 9(a)) of whatever travels uncoded, senders taking turns.
 //! 6. **Unpack/Decode**: Algorithm 2 cancels received packets against
-//!    local intermediates; everything a node reduces is merged in input
-//!    order.
-//! 7. **Reduce**.
+//!    local intermediates.
+//! 7. **Reduce**: everything a node reduces — kept, unicast and decoded
+//!    pieces — goes to the workload in input order, unconcatenated.
 //!
 //! The entry points differ only in the layout they hand the pipeline:
 //!

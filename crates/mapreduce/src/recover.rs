@@ -257,26 +257,29 @@ pub fn adopt_dead_partitions<W: Workload>(
             }
         }
         if successor == me {
-            // The engine's own assembly, so the adopted output is
+            // The engine's own Reduce entry, so the adopted output is
             // byte-identical to what the dead rank would have produced.
-            let partition = merge_pieces(&mut pieces);
-            stats.reduce_input_bytes += partition.len() as u64;
-            adopted.push((d, workload.reduce_par(d, &partition, pool)));
+            let output = reduce_in_file_order(workload, d, &mut pieces, pool, stats);
+            adopted.push((d, output));
         }
     }
     Ok(adopted)
 }
 
-/// Concatenates a partition's pieces in ascending file order (each piece
+/// Reduces `partition` from its pieces in ascending file order (each piece
 /// keyed by its file's node-set bits) — input order, so a stable reduce
 /// is deterministic whichever way the pieces travelled.
-pub(crate) fn merge_pieces(pieces: &mut [(u64, Bytes)]) -> Vec<u8> {
+pub(crate) fn reduce_in_file_order<W: Workload>(
+    workload: &W,
+    partition: usize,
+    pieces: &mut [(u64, Bytes)],
+    pool: &WorkerPool,
+    stats: &mut NodeStats,
+) -> Vec<u8> {
     pieces.sort_unstable_by_key(|(bits, _)| *bits);
-    let mut partition = Vec::with_capacity(pieces.iter().map(|(_, b)| b.len()).sum());
-    for (_, b) in pieces.iter() {
-        partition.extend_from_slice(b);
-    }
-    partition
+    let in_order: Vec<&[u8]> = pieces.iter().map(|(_, b)| &b[..]).collect();
+    stats.reduce_input_bytes += in_order.iter().map(|b| b.len() as u64).sum::<u64>();
+    workload.reduce_pieces(partition, &in_order, pool)
 }
 
 /// Every survivor computes this identically from the agreed membership,

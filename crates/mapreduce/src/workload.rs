@@ -9,7 +9,8 @@
 //!   serialized intermediates (the paper's `Hash(F)` producing
 //!   `{I¹_F, …, I^K_F}`);
 //! * [`Workload::reduce`] turns the *concatenation* of a partition's
-//!   intermediates into final output (the paper's `Sort`).
+//!   intermediates into final output (the paper's `Sort`); the engine
+//!   calls it through [`Workload::reduce_pieces`], unconcatenated.
 //!
 //! Two contracts make a workload coding-compatible:
 //! 1. intermediates must be concatenation-mergeable — `reduce` sees the
@@ -113,16 +114,20 @@ pub trait Workload: Send + Sync {
         self.map_file(file, num_partitions)
     }
 
-    /// Parallel variant of [`reduce`](Workload::reduce); same contract:
-    /// byte-identical to the serial `reduce` for every thread count.
-    fn reduce_par(
+    /// The engine's Reduce entry: the partition as its `pieces` (one
+    /// intermediate per input file, in input order) and the engine's
+    /// [`WorkerPool`](cts_core::exec::WorkerPool). **Must** produce output
+    /// byte-identical to [`reduce`](Workload::reduce) of the concatenated
+    /// pieces for every thread count, as the default does; a workload that
+    /// can read the pieces where they lie (TeraSort) saves the copy.
+    fn reduce_pieces(
         &self,
         partition: usize,
-        data: &[u8],
+        pieces: &[&[u8]],
         pool: &cts_core::exec::WorkerPool,
     ) -> Vec<u8> {
         let _ = pool;
-        self.reduce(partition, data)
+        self.reduce(partition, &pieces.concat())
     }
 }
 

@@ -526,7 +526,7 @@ impl SharedFabric {
         Ok(ClusterRun {
             results,
             trace: self.trace.take_job(binding.id),
-            spans: self.spans.snapshot().for_job(binding.id),
+            spans: self.spans.job_log(binding.id),
         })
     }
 }

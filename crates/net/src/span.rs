@@ -163,16 +163,23 @@ impl SpanCollector {
     /// Snapshot of the retained spans, oldest first.
     pub fn snapshot(&self) -> SpanLog {
         let inner = self.inner.lock();
-        let mut spans = Vec::with_capacity(inner.ring.len());
-        if inner.ring.len() == self.capacity {
-            spans.extend_from_slice(&inner.ring[inner.head..]);
-            spans.extend_from_slice(&inner.ring[..inner.head]);
-        } else {
-            spans.extend_from_slice(&inner.ring);
-        }
+        // `head` stays 0 until the ring is full, then marks its oldest span.
+        let (newer, older) = inner.ring.split_at(inner.head);
         SpanLog {
             names: inner.names.clone(),
-            spans,
+            spans: [older, newer].concat(),
+        }
+    }
+
+    /// `snapshot().for_job(job)` without copying the rest of the ring out
+    /// from under the lock — what a resident fabric asks after every job.
+    pub fn job_log(&self, job: u32) -> SpanLog {
+        let inner = self.inner.lock();
+        let (newer, older) = inner.ring.split_at(inner.head);
+        let of_job = older.iter().chain(newer).filter(|s| s.job == job);
+        SpanLog {
+            names: inner.names.clone(),
+            spans: of_job.copied().collect(),
         }
     }
 }
@@ -322,6 +329,23 @@ mod tests {
         assert_eq!(j1.stages_in_order(), vec!["Map", "Shuffle"]);
         assert_eq!(log.for_job(2).stage_durations_ns("Map"), vec![30]);
         assert!(log.for_job(9).spans.is_empty());
+    }
+
+    #[test]
+    fn job_log_equals_the_filtered_snapshot_on_a_wrapped_ring() {
+        let c = SpanCollector::with_capacity(true, 8);
+        let map = c.intern("Map");
+        // 21 spans of three interleaved jobs through an 8-slot ring: the
+        // ring has wrapped twice and its oldest span sits mid-buffer.
+        for i in 0..21u64 {
+            c.record(span((i % 3) as u32, i as u16, map, i, i + 1));
+            for job in 0..4 {
+                assert_eq!(c.job_log(job).spans, c.snapshot().for_job(job).spans);
+                assert_eq!(c.job_log(job).names, vec!["Map"]);
+            }
+        }
+        let ranks: Vec<u16> = c.job_log(1).spans.iter().map(|s| s.rank).collect();
+        assert_eq!(ranks, vec![13, 16, 19], "oldest first");
     }
 
     #[test]

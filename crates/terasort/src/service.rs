@@ -109,15 +109,15 @@ impl JobKind {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64 over `data` — the digest the service streams back in place
 /// of full outputs.
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    data.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// A job's result digest: per-partition lengths and FNV-1a hashes plus
@@ -135,15 +135,17 @@ impl ResultDigest {
     /// Digests locally produced outputs (for comparison with a service
     /// job's digest).
     pub fn of(outputs: &[Vec<u8>]) -> ResultDigest {
-        let mut total: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut total = FNV_OFFSET;
         let partitions = outputs
             .iter()
             .map(|o| {
-                for &b in o.iter() {
-                    total ^= u64::from(b);
-                    total = total.wrapping_mul(0x0000_0100_0000_01b3);
+                // One walk over the bytes feeds both hashes.
+                let mut part = FNV_OFFSET;
+                for &b in o {
+                    part = (part ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+                    total = (total ^ u64::from(b)).wrapping_mul(FNV_PRIME);
                 }
-                (o.len() as u64, fnv1a(o))
+                (o.len() as u64, part)
             })
             .collect();
         ResultDigest { partitions, total }
@@ -413,19 +415,20 @@ impl Inner {
 
     /// Serves one request, appending the OK payload to `out` (the reply
     /// frame under construction, so the payload is written where it leaves
-    /// from).
-    fn handle_request(&self, req: &[u8], out: &mut Vec<u8>) -> Result<(), String> {
+    /// from). Owns the request frame: a SUBMIT's input is a slice of it, not
+    /// a copy.
+    fn handle_request(&self, req: Bytes, out: &mut Vec<u8>) -> Result<(), String> {
         let op = *req.first().ok_or("empty frame")?;
         match op {
             OP_SUBMIT => {
                 let kind_code = *req.get(1).ok_or("truncated SUBMIT")?;
                 let r = usize::from(*req.get(2).ok_or("truncated SUBMIT")?);
-                let pat_len = usize::from(u16::from_le_bytes(take::<2>(req, 3)?));
+                let pat_len = usize::from(u16::from_le_bytes(take::<2>(&req, 3)?));
                 let pattern = req
                     .get(5..5 + pat_len)
                     .ok_or("truncated SUBMIT pattern")?
                     .to_vec();
-                let input = Bytes::copy_from_slice(req.get(5 + pat_len..).unwrap_or(&[]));
+                let input = req.slice(5 + pat_len..);
                 let kind = match kind_code {
                     0 => JobKind::Sort,
                     1 => JobKind::WordCount,
@@ -436,7 +439,7 @@ impl Inner {
                 out.extend_from_slice(&id.to_le_bytes());
             }
             OP_STATUS => {
-                let id = u32::from_le_bytes(take::<4>(req, 1)?);
+                let id = u32::from_le_bytes(take::<4>(&req, 1)?);
                 let status = self
                     .runtime
                     .status(id)
@@ -452,7 +455,7 @@ impl Inner {
                 }
             }
             OP_DIGEST => {
-                let id = u32::from_le_bytes(take::<4>(req, 1)?);
+                let id = u32::from_le_bytes(take::<4>(&req, 1)?);
                 let outputs = self.outputs_of(id)?;
                 let digest = ResultDigest::of(&outputs);
                 out.extend_from_slice(&(digest.partitions.len() as u32).to_le_bytes());
@@ -463,7 +466,7 @@ impl Inner {
                 out.extend_from_slice(&digest.total.to_le_bytes());
             }
             OP_FETCH => {
-                let id = u32::from_le_bytes(take::<4>(req, 1)?);
+                let id = u32::from_le_bytes(take::<4>(&req, 1)?);
                 let outputs = self.outputs_of(id)?;
                 out.reserve(4 + outputs.iter().map(|o| o.len() + 8).sum::<usize>());
                 out.extend_from_slice(&(outputs.len() as u32).to_le_bytes());
@@ -474,7 +477,7 @@ impl Inner {
             }
             OP_STATS => out.extend_from_slice(self.render_stats().as_bytes()),
             OP_TIMELINE => {
-                let id = u32::from_le_bytes(take::<4>(req, 1)?);
+                let id = u32::from_le_bytes(take::<4>(&req, 1)?);
                 out.extend_from_slice(self.record_of(id)?.timeline.as_bytes());
             }
             OP_SHUTDOWN => self.stop.stop(),
@@ -623,7 +626,7 @@ fn serve_connection(mut stream: TcpStream, inner: &Inner, idle: &AtomicBool) {
             return;
         };
         let mut resp = vec![RESP_OK];
-        if let Err(msg) = inner.handle_request(&req, &mut resp) {
+        if let Err(msg) = inner.handle_request(Bytes::from(req), &mut resp) {
             resp.clear();
             resp.push(RESP_ERR);
             resp.extend_from_slice(msg.as_bytes());
@@ -820,6 +823,23 @@ mod tests {
         let addr = svc.local_addr().unwrap();
         let server = std::thread::spawn(move || svc.run().unwrap());
         (addr, server)
+    }
+
+    #[test]
+    fn digest_hashes_each_partition_and_their_concatenation() {
+        let outputs = vec![
+            generate(40, 1).to_vec(),
+            Vec::new(),
+            b"not a record".to_vec(),
+            generate(7, 2).to_vec(),
+        ];
+        let digest = ResultDigest::of(&outputs);
+        let expected: Vec<(u64, u64)> = (outputs.iter())
+            .map(|o| (o.len() as u64, fnv1a(o)))
+            .collect();
+        assert_eq!(digest.partitions, expected);
+        assert_eq!(digest.total, fnv1a(&outputs.concat()));
+        assert_eq!(ResultDigest::of(&[]).total, fnv1a(&[]));
     }
 
     #[test]

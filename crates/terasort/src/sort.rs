@@ -1,22 +1,26 @@
 //! Local sort kernels for the Reduce stage.
 //!
-//! The paper uses `std::sort` (§V-A); [`SortKernel::Comparison`] is the
-//! direct equivalent. The other kernel is an optimization built on the
-//! observation (shared with offset-value coding, arXiv:2209.08420) that
-//! sort time is dominated by key comparisons and *record movement* — so the
-//! fastest plan touches the 100-byte records as little as possible:
+//! Sort time is key comparisons plus *record movement* (the observation
+//! behind offset-value coding, arXiv:2209.08420), so both kernels touch the
+//! 100-byte records as little as possible: they read each key once into a
+//! packed `(key, index)` entry (`u128`: 80 key bits above 48 index bits),
+//! order the 16-byte entries, and gather the records **once**, straight
+//! from wherever they lie — a partition is handed over as its *pieces*
+//! (one buffer per input file) and is never concatenated first.
 //!
+//! * [`SortKernel::Comparison`] — `sort_unstable` over the entries: the
+//!   paper's `std::sort` (§V-A), comparing two machine words per step
+//!   instead of dereferencing two records.
 //! * [`SortKernel::KeyIndex`] — least-significant-digit radix sort over the
-//!   10-byte key in five 16-bit passes, run over packed `(key, index)`
-//!   entries (`u128`: 80 key bits above 32 index bits), so each pass moves
-//!   16-byte entries and the records are gathered **once** at the end
-//!   (5 × 16 B + 1 × 100 B per record).
+//!   10-byte key in five 16-bit passes over the same entries
+//!   (5 × 16 B + 1 × 100 B moved per record).
 //!
-//! Both kernels are **stable** (equal keys keep input order), which makes
-//! every kernel — and every [`WorkerPool`] thread count, via chunked
-//! sort-then-merge — produce byte-identical output.
+//! An entry's index counts records in piece order, so the total order is
+//! `(key, input position)`: both kernels are **stable** (equal keys keep
+//! input order), which makes every kernel — and every [`WorkerPool`] thread
+//! count, via chunked sort-then-merge — produce byte-identical output.
 //!
-//! Per-pass count/offset tables and entry arrays live in a reusable
+//! Entry arrays and the per-pass count/offset tables live in a reusable
 //! [`SortScratch`] (built on [`cts_core::pool::Scratch`]), so a warm sort
 //! performs exactly one allocation: the returned output buffer.
 
@@ -28,12 +32,13 @@ use crate::record::{key_of, key_to_u128, record_count, records, RECORD_LEN};
 /// Which sorting algorithm the Reduce stage runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SortKernel {
-    /// Stable `std`-style comparison sort by key (the paper's `std::sort`).
+    /// Comparison sort (the paper's `std::sort`) of packed `(key, index)`
+    /// entries, then a single gather of the records.
     #[default]
     Comparison,
     /// Key-index LSD radix sort: five stable counting-sort passes over
-    /// 16-bit key digits (least significant first) of packed `(u128 key,
-    /// u32 index)` entries, then a single gather of the records.
+    /// 16-bit key digits (least significant first) of the same entries,
+    /// then the same gather.
     KeyIndex,
 }
 
@@ -74,12 +79,8 @@ const RADIX: usize = 1 << RADIX_BITS;
 const RADIX_PASSES: usize = 5;
 
 /// Reusable buffers for the sort kernels (grow-only; see
-/// [`cts_core::pool::Scratch`]).
-///
-/// The count/offset tables are the former per-pass
-/// `vec![0u32; 1 << 16]` allocations, hoisted out of the pass loop: one
-/// warm scratch serves any number of sorts with a single table (re)zeroing
-/// per pass instead of two 256 KiB allocations.
+/// [`cts_core::pool::Scratch`]): the entry arrays and the radix passes'
+/// count/offset tables.
 #[derive(Debug, Default)]
 pub struct SortScratch {
     counts: Scratch<u32>,
@@ -95,6 +96,10 @@ impl SortScratch {
     }
 }
 
+/// Width of the index field under the key in a packed entry: the piece
+/// number above the record number within the piece.
+const INDEX_BITS: usize = 48;
+
 /// Sorts a packed record buffer by key, returning the sorted buffer.
 ///
 /// # Panics
@@ -107,39 +112,133 @@ pub fn sort_records(data: &[u8], kernel: SortKernel) -> Vec<u8> {
 /// scratch makes every kernel's only allocation the returned buffer.
 ///
 /// # Panics
-/// Panics if `data.len()` is not a multiple of the record size, or if the
-/// buffer holds ≥ 2³² records (the key-index packing limit).
+/// As [`sort_pieces`].
 pub fn sort_records_with(data: &[u8], kernel: SortKernel, scratch: &mut SortScratch) -> Vec<u8> {
-    match kernel {
-        SortKernel::Comparison => comparison_sort(data),
-        SortKernel::KeyIndex => key_index_sort(data, scratch),
-    }
+    sort_pieces_with(&[data], kernel, scratch)
 }
 
-/// Sorts a packed record buffer by key with up to `pool.threads()` workers:
-/// the buffer splits into contiguous chunks, each chunk is sorted
-/// independently (one warm [`SortScratch`] per worker), and the sorted runs
-/// are merged stably (ties broken by chunk order = input order).
+/// Sorts the concatenation of `pieces` by key without building it: entries
+/// are packed from, and records gathered from, the pieces where they lie.
+fn sort_pieces_with(pieces: &[&[u8]], kernel: SortKernel, scratch: &mut SortScratch) -> Vec<u8> {
+    let counts = pieces.iter().map(|piece| record_count(piece));
+    let (n, longest) = counts.fold((0, 0), |(n, longest), c| (n + c, longest.max(c)));
+    // Index = piece number above the record number: ascending in input
+    // position, and split back with a shift and a mask at gather time.
+    let rec_bits = bits_for(longest);
+    assert!(
+        bits_for(pieces.len()) + rec_bits <= INDEX_BITS as u32,
+        "entry packing supports pieces x records-per-piece < 2^{INDEX_BITS}"
+    );
+    let mut entries = scratch.entries.take();
+    entries.clear();
+    entries.reserve(n);
+    for (p, piece) in pieces.iter().enumerate() {
+        let base = (p as u128) << rec_bits;
+        for (i, rec) in records(piece).enumerate() {
+            entries.push((key_to_u128(key_of(rec)) << INDEX_BITS) | base | i as u128);
+        }
+    }
+    match kernel {
+        // Unstable sort — the paper's `std::sort` — made stable by the index
+        // every entry carries below its key, at unstable-sort speed and
+        // without the stable sort's n/2 temp allocation.
+        SortKernel::Comparison => entries.sort_unstable(),
+        SortKernel::KeyIndex => radix_sort_by_key(&mut entries, scratch),
+    }
+    // Gather the records once, in final order.
+    let rec_mask = (1u64 << rec_bits) - 1;
+    let mut out = Vec::with_capacity(n * RECORD_LEN);
+    for &e in &entries {
+        let index = e as u64 & ((1 << INDEX_BITS) - 1);
+        let at = (index & rec_mask) as usize * RECORD_LEN;
+        out.extend_from_slice(&pieces[(index >> rec_bits) as usize][at..at + RECORD_LEN]);
+    }
+    scratch.entries.restore(entries);
+    out
+}
+
+/// Bits needed to number `n` items (`0..n`).
+fn bits_for(n: usize) -> u32 {
+    usize::BITS - n.saturating_sub(1).leading_zeros()
+}
+
+/// Orders `entries` by their key bits in five stable counting-sort passes,
+/// least significant digit first; stability keeps equal-key entries in
+/// input (index) order.
+fn radix_sort_by_key(entries: &mut Vec<u128>, scratch: &mut SortScratch) {
+    let n = entries.len();
+    if n <= 1 {
+        return;
+    }
+    assert!(n <= u32::MAX as usize, "radix tables count < 2^32 records");
+    let mut dst = scratch.entries_tmp.take();
+    dst.clear();
+    dst.resize(n, 0);
+    for pass in 0..RADIX_PASSES {
+        let shift = INDEX_BITS + RADIX_BITS * pass;
+        let counts = scratch.counts.zeroed(RADIX);
+        for &e in entries.iter() {
+            counts[(e >> shift) as usize & (RADIX - 1)] += 1;
+        }
+        if counts[(entries[0] >> shift) as usize & (RADIX - 1)] as usize == n {
+            continue;
+        }
+        let offsets = scratch.offsets.zeroed(RADIX);
+        let mut acc = 0u32;
+        for (o, c) in offsets.iter_mut().zip(counts.iter()) {
+            *o = acc;
+            acc += c;
+        }
+        for &e in entries.iter() {
+            let d = (e >> shift) as usize & (RADIX - 1);
+            dst[offsets[d] as usize] = e;
+            offsets[d] += 1;
+        }
+        std::mem::swap(entries, &mut dst);
+    }
+    scratch.entries_tmp.restore(dst);
+}
+
+/// Sorts the concatenation of `pieces` by key with up to `pool.threads()`
+/// workers: the records split into contiguous chunks (of the concatenation,
+/// so a chunk may span pieces), each chunk is sorted independently (one
+/// warm [`SortScratch`] per worker), and the sorted runs are merged stably
+/// (ties broken by chunk order = input order).
 ///
 /// Because every kernel is stable, the output is byte-identical for *any*
-/// thread count and equal to the serial [`sort_records`].
+/// thread count and equal to the serial [`sort_records`] of the
+/// concatenated buffer.
 ///
 /// # Panics
-/// As [`sort_records_with`].
-pub fn sort_records_parallel(data: &[u8], kernel: SortKernel, pool: &WorkerPool) -> Vec<u8> {
-    let ranges = pool.chunk_ranges(record_count(data), PAR_MIN_RECORDS_PER_CHUNK);
+/// Panics if a piece's length is not a multiple of the record size, or if
+/// piece count × longest piece overflows the 48-bit entry index.
+pub fn sort_pieces(pieces: &[&[u8]], kernel: SortKernel, pool: &WorkerPool) -> Vec<u8> {
+    let total: usize = pieces.iter().map(|piece| piece.len()).sum();
+    let ranges = pool.chunk_ranges(total / RECORD_LEN, PAR_MIN_RECORDS_PER_CHUNK);
     if ranges.len() <= 1 {
-        return sort_records(data, kernel);
+        return sort_pieces_with(pieces, kernel, &mut SortScratch::new());
     }
     let runs: Vec<Vec<u8>> = pool.map_with(ranges.len(), SortScratch::new, |scratch, c| {
         let r = &ranges[c];
-        sort_records_with(
-            &data[r.start * RECORD_LEN..r.end * RECORD_LEN],
-            kernel,
-            scratch,
-        )
+        let chunk = byte_range_of(pieces, r.start * RECORD_LEN..r.end * RECORD_LEN);
+        sort_pieces_with(&chunk, kernel, scratch)
     });
-    merge_sorted_runs(&runs, data.len())
+    merge_sorted_runs(&runs, total)
+}
+
+/// The sub-slices of `pieces` that make up `range` of their concatenation.
+fn byte_range_of<'a>(pieces: &[&'a [u8]], range: std::ops::Range<usize>) -> Vec<&'a [u8]> {
+    let mut out = Vec::new();
+    let mut offset = 0usize;
+    for piece in pieces {
+        let start = range.start.max(offset) - offset;
+        let end = range.end.min(offset + piece.len()).saturating_sub(offset);
+        if start < end {
+            out.push(&piece[start..end]);
+        }
+        offset += piece.len();
+    }
+    out
 }
 
 /// Minimum records per parallel chunk (~400 KiB of records): below this,
@@ -175,74 +274,6 @@ fn merge_sorted_runs(runs: &[Vec<u8>], total_len: usize) -> Vec<u8> {
             .then(|| key_to_u128(key_of(&runs[i][pos[i]..pos[i] + RECORD_LEN])));
     }
     debug_assert_eq!(out.len(), total_len);
-    out
-}
-
-fn comparison_sort(data: &[u8]) -> Vec<u8> {
-    let mut views: Vec<(&[u8], usize)> = records(data).enumerate().map(|(i, r)| (r, i)).collect();
-    // Unstable sort — the paper's `std::sort` — with the input index as a
-    // tie breaker, which gives the stable semantics every kernel must share
-    // (equal keys keep input order) at unstable-sort speed and without the
-    // stable sort's n/2 temp allocation.
-    views.sort_unstable_by_key(|&(r, i)| (key_of(r), i));
-    let mut out = Vec::with_capacity(data.len());
-    for (r, _) in views {
-        out.extend_from_slice(r);
-    }
-    out
-}
-
-fn key_index_sort(data: &[u8], scratch: &mut SortScratch) -> Vec<u8> {
-    let n = record_count(data);
-    if n <= 1 {
-        return data.to_vec();
-    }
-    assert!(
-        n <= u32::MAX as usize,
-        "key-index packing supports < 2^32 records"
-    );
-    // Pack (key, index): 80 key bits in 112..32, index in the low 32. The
-    // radix passes only touch the key bits; stability of counting sort
-    // keeps equal-key entries in input (index) order.
-    let entries = scratch.entries.cleared();
-    entries.reserve(n);
-    for (i, rec) in records(data).enumerate() {
-        entries.push((key_to_u128(key_of(rec)) << 32) | i as u128);
-    }
-    let mut src = scratch.entries.take();
-    let mut dst = scratch.entries_tmp.take();
-    dst.clear();
-    dst.resize(n, 0);
-    for pass in 0..RADIX_PASSES {
-        let shift = 32 + RADIX_BITS * pass;
-        let counts = scratch.counts.zeroed(RADIX);
-        for &e in src.iter() {
-            counts[(e >> shift) as usize & (RADIX - 1)] += 1;
-        }
-        if counts[(src[0] >> shift) as usize & (RADIX - 1)] as usize == n {
-            continue;
-        }
-        let offsets = scratch.offsets.zeroed(RADIX);
-        let mut acc = 0u32;
-        for (o, c) in offsets.iter_mut().zip(counts.iter()) {
-            *o = acc;
-            acc += c;
-        }
-        for &e in src.iter() {
-            let d = (e >> shift) as usize & (RADIX - 1);
-            dst[offsets[d] as usize] = e;
-            offsets[d] += 1;
-        }
-        std::mem::swap(&mut src, &mut dst);
-    }
-    // Gather the records once, in final order.
-    let mut out = Vec::with_capacity(data.len());
-    for &e in src.iter() {
-        let at = (e as u32) as usize * RECORD_LEN;
-        out.extend_from_slice(&data[at..at + RECORD_LEN]);
-    }
-    scratch.entries.restore(src);
-    scratch.entries_tmp.restore(dst);
     out
 }
 
@@ -362,13 +393,45 @@ mod tests {
                 for threads in [1usize, 2, 4] {
                     let pool = WorkerPool::new(threads);
                     assert_eq!(
-                        sort_records_parallel(input, kernel, &pool),
+                        sort_pieces(&[input], kernel, &pool),
                         reference,
                         "{kernel:?} threads {threads}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn pieces_sort_like_their_concatenation() {
+        // Duplicate-heavy keys: only the (key, input position) order makes
+        // the split invisible. Cuts at record boundaries, with empty pieces
+        // at the front, in the middle and at the end.
+        let data = duplicate_key_data(9_000, 3);
+        for cuts in [1usize, 2, 56] {
+            let mut pieces: Vec<&[u8]> = vec![&[]];
+            let mut at = 0usize;
+            for c in 1..=cuts {
+                let end = record_count(&data) * c / cuts * RECORD_LEN;
+                pieces.push(&data[at..end]);
+                if c % 5 == 0 {
+                    pieces.push(&[]);
+                }
+                at = end;
+            }
+            pieces.push(&[]);
+            for kernel in SortKernel::ALL {
+                let reference = sort_records(&data, kernel);
+                for threads in [1usize, 2, 4] {
+                    assert_eq!(
+                        sort_pieces(&pieces, kernel, &WorkerPool::new(threads)),
+                        reference,
+                        "{kernel:?} {cuts} pieces threads {threads}"
+                    );
+                }
+            }
+        }
+        assert!(sort_pieces(&[], SortKernel::Comparison, &WorkerPool::serial()).is_empty());
     }
 
     #[test]

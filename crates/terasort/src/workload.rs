@@ -5,7 +5,7 @@ use cts_mapreduce::workload::{InputFormat, Workload};
 
 use crate::partition::{KeyPartitioner, RangePartitioner, SampledPartitioner};
 use crate::record::{key_of, record_count, records, RECORD_LEN};
-use crate::sort::{sort_records_parallel, SortKernel};
+use crate::sort::{sort_pieces, SortKernel};
 
 /// TeraSort as a [`Workload`]: Map hashes records into ordered key-range
 /// partitions (paper §III-A3); Reduce sorts the partition locally
@@ -65,17 +65,25 @@ impl Workload for TeraSortWorkload {
     }
 
     fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
-        let mut out = vec![Vec::new(); num_partitions];
-        for rec in records(file) {
-            let p = self.partitioner.partition(key_of(rec));
-            debug_assert!(p < num_partitions, "partitioner out of range");
-            out[p].extend_from_slice(rec);
+        // Count, then scatter: every partition buffer is allocated once at
+        // its final size instead of growing by doubling.
+        let mut sizes = vec![0usize; num_partitions];
+        let ids: Vec<u32> = records(file)
+            .map(|rec| {
+                let p = self.partitioner.partition(key_of(rec));
+                sizes[p] += RECORD_LEN;
+                p as u32
+            })
+            .collect();
+        let mut out: Vec<Vec<u8>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (rec, p) in records(file).zip(ids) {
+            out[p as usize].extend_from_slice(rec);
         }
         out
     }
 
-    fn reduce(&self, _partition: usize, data: &[u8]) -> Vec<u8> {
-        sort_records_parallel(data, self.kernel, &WorkerPool::serial())
+    fn reduce(&self, partition: usize, data: &[u8]) -> Vec<u8> {
+        self.reduce_pieces(partition, &[data], &WorkerPool::serial())
     }
 
     fn map_file_par(&self, file: &[u8], num_partitions: usize, pool: &WorkerPool) -> Vec<Vec<u8>> {
@@ -93,22 +101,13 @@ impl Workload for TeraSortWorkload {
                 num_partitions,
             )
         });
-        let mut out: Vec<Vec<u8>> = (0..num_partitions)
-            .map(|p| {
-                let total: usize = parts.iter().map(|chunk| chunk[p].len()).sum();
-                Vec::with_capacity(total)
-            })
-            .collect();
-        for chunk in &parts {
-            for (p, piece) in chunk.iter().enumerate() {
-                out[p].extend_from_slice(piece);
-            }
-        }
-        out
+        let pieces_of =
+            |p: usize| -> Vec<&[u8]> { parts.iter().map(|chunk| &chunk[p][..]).collect() };
+        (0..num_partitions).map(|p| pieces_of(p).concat()).collect()
     }
 
-    fn reduce_par(&self, _partition: usize, data: &[u8], pool: &WorkerPool) -> Vec<u8> {
-        sort_records_parallel(data, self.kernel, pool)
+    fn reduce_pieces(&self, _partition: usize, pieces: &[&[u8]], pool: &WorkerPool) -> Vec<u8> {
+        sort_pieces(pieces, self.kernel, pool)
     }
 }
 
@@ -133,6 +132,24 @@ mod tests {
         }
         let total: usize = parts.iter().map(|b| b.len()).sum();
         assert_eq!(total, data.len());
+    }
+
+    #[test]
+    fn map_scatters_into_exactly_sized_buffers() {
+        // 3 records over 8 partitions leaves most of them empty.
+        for (n, k) in [(5_000, 7), (3, 8), (0, 2)] {
+            let data = generate(n, 8);
+            // The oracle: append each record to its partition as it comes.
+            let mut expected = vec![Vec::new(); k];
+            for rec in records(&data) {
+                expected[RangePartitioner::new(k).partition(key_of(rec))].extend_from_slice(rec);
+            }
+            let parts = TeraSortWorkload::range(k).map_file(&data, k);
+            assert_eq!(parts, expected);
+            for part in &parts {
+                assert_eq!(part.capacity(), part.len(), "{n} records, K = {k}");
+            }
+        }
     }
 
     #[test]
@@ -172,7 +189,7 @@ mod tests {
             assert_eq!(w.map_file_par(&data, 5, &pool), serial_map, "{threads}");
             for p in 0..5 {
                 assert_eq!(
-                    w.reduce_par(p, &serial_map[p], &pool),
+                    w.reduce_pieces(p, &[&serial_map[p]], &pool),
                     serial_reduce[p],
                     "partition {p} threads {threads}"
                 );

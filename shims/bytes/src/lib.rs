@@ -3,8 +3,13 @@
 //! The build environment has no access to crates.io, so the workspace
 //! patches `bytes` to this shim. It implements the subset of the real
 //! crate's API that coded-terasort uses: cheaply cloneable, sliceable
-//! `Bytes` backed by `Arc<[u8]>`, a growable `BytesMut`, and the `Buf` /
-//! `BufMut` cursor traits for little-endian wire formats.
+//! `Bytes`, a growable `BytesMut`, and the `Buf` / `BufMut` cursor traits
+//! for little-endian wire formats.
+//!
+//! As in the real crate, `Bytes::from(Vec<u8>)` and `BytesMut::freeze`
+//! take ownership of the buffer: a `Bytes` is a view into a shared
+//! `Arc<Vec<u8>>`, so freezing costs one `Arc` header and no copy of the
+//! bytes. The empty buffer holds no `Arc`, so `Bytes::new()` never allocates.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -15,7 +20,8 @@ use std::sync::Arc;
 /// A cheaply cloneable, immutable, sliceable contiguous byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The shared buffer; `None` for an empty view that owns nothing.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -62,7 +68,7 @@ impl Bytes {
         assert!(begin <= end, "slice range starts after end");
         assert!(end <= len, "slice range out of bounds");
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + begin,
             end: self.start + end,
         }
@@ -88,7 +94,10 @@ impl Bytes {
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -112,10 +121,11 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `v`'s buffer: no copy.
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: (end > 0).then(|| Arc::new(v)),
             start: 0,
             end,
         }
@@ -274,7 +284,7 @@ impl BytesMut {
         self.inner.clear();
     }
 
-    /// Converts into an immutable [`Bytes`].
+    /// Converts into an immutable [`Bytes`] that owns this buffer (no copy).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.inner)
     }
@@ -426,6 +436,35 @@ mod tests {
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(s.slice(1..), [3, 4]);
         assert_eq!(b.len(), 5);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_take_ownership() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "From<Vec<u8>> must not copy");
+        // Views share the one buffer, at their offsets.
+        let s = b.slice(100..200);
+        assert_eq!(s.as_ptr(), ptr.wrapping_add(100));
+        assert_eq!(b.clone().split_off(4000).as_ptr(), ptr.wrapping_add(4000));
+        drop(b);
+        assert_eq!(s, vec![7u8; 100], "a slice keeps the buffer alive");
+
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(b"frozen");
+        let ptr = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), ptr, "freeze must not copy");
+    }
+
+    #[test]
+    fn empty_buffers_own_nothing() {
+        for b in [Bytes::new(), Bytes::default(), Bytes::from(Vec::new())] {
+            assert!(b.data.is_none());
+            assert!(b.is_empty());
+            assert_eq!(b.slice(..), Bytes::new());
+            assert_eq!(b.to_vec(), Vec::<u8>::new());
+        }
     }
 
     #[test]

@@ -87,6 +87,25 @@ fn store_for(k: usize, r: usize, node: usize, value_len: usize) -> MapOutputStor
     store
 }
 
+/// What the loops below lean on: an empty `Bytes` owns no buffer, and views
+/// of a frozen one (`clone`, `slice`, what `read_wire` borrows a payload
+/// with) share it.
+#[test]
+fn empty_and_shared_bytes_allocate_nothing() {
+    let frame = Bytes::from(vec![7u8; 4096]);
+    let before = allocs();
+    for _ in 0..100 {
+        let views = [
+            Bytes::new(),
+            Bytes::default(),
+            frame.clone(),
+            frame.slice(16..),
+        ];
+        std::hint::black_box(&views);
+    }
+    assert_eq!(allocs() - before, 0);
+}
+
 #[test]
 fn warm_round_trip_allocates_nothing() {
     let (k, r, value_len) = (6usize, 3usize, 4096usize);
