@@ -98,7 +98,8 @@ fn main() {
         );
         assert!(
             model.all_bracket().contains(all_s),
-            "{factor}×: all-mode {all_s:.3}s below the injected delay {delay_s:.3}s"
+            "{factor}×: all-mode {all_s:.3}s outside {:?}",
+            model.all_bracket()
         );
         points.push(Point {
             label: format!("{factor}x"),

@@ -142,15 +142,23 @@ impl Layout {
         }
     }
 
-    /// The files whose piece for `target` travels as a unicast from
-    /// `sender`, ascending, as `(pod-local id, global node set)` — both
-    /// ends enumerate this, so a piece needs no header: its tag is the id.
-    fn unicasts(&self, sender: usize, target: usize) -> Vec<(FileId, NodeSet)> {
+    /// Every piece that reaches `target` as a plain unicast, by sender then
+    /// file, as `(sender, pod-local id, global node set)` — both ends
+    /// enumerate this, so a piece needs no header: its tag is the id.
+    fn unicasts_to(&self, target: usize) -> Vec<(usize, FileId, NodeSet)> {
         let plan = self.plan();
-        plan.files_of_node(sender - self.base_of(sender))
-            .map(|fid| (fid, self.globalize(plan.nodes_of_file(fid), sender)))
-            .filter(|&(_, file)| self.route(sender, file, target) == Route::Unicast)
-            .collect()
+        let mut expected = Vec::new();
+        // A pod that codes sends its own nodes nothing plain.
+        let plain = |&s: &usize| self.r == 1 || self.base_of(s) != self.base_of(target);
+        for sender in (0..self.k).filter(|&s| s != target && plain(&s)) {
+            for fid in plan.files_of_node(sender - self.base_of(sender)) {
+                let file = self.globalize(plan.nodes_of_file(fid), sender);
+                if self.route(sender, file, target) == Route::Unicast {
+                    expected.push((sender, fid, file));
+                }
+            }
+        }
+        expected
     }
 
     /// Coordinator role: splits the input and stages each node's file set
@@ -372,17 +380,42 @@ impl Rank<'_> {
         }
     }
 
-    /// Multicasts this rank's packet for `group`.
-    fn multicast(&mut self, group: &Group, (packet, header): (Bytes, u64)) -> Result<()> {
-        self.stats.sent_bytes += packet.len() as u64;
-        self.comm.multicast_with_overhead(
-            self.me,
-            &group.ranks,
-            group.tag,
-            Some(packet),
-            header,
-        )?;
-        Ok(())
+    /// The send half of the Shuffle, the same for every layout and decode
+    /// discipline: this rank's packet for each group it owns, in schedule
+    /// order over the configured
+    /// [`ShuffleFabric`](cts_net::fabric::ShuffleFabric), then its unicast
+    /// outbox, all posted back to back before it receives anything. A send
+    /// returns when the rank's NIC has drained it, not when a peer took it,
+    /// so the NIC is busy from the stage's first microsecond to the rank's
+    /// last byte and no rank waits on another to start. Returns true if
+    /// this rank crash-stopped.
+    fn post_sends(
+        &mut self,
+        groups: &[&Group],
+        packets: Vec<(Bytes, u64)>,
+        outbox: Vec<(usize, FileId, Bytes)>,
+    ) -> Result<bool> {
+        for (sent, (group, (packet, header))) in groups.iter().zip(packets).enumerate() {
+            if self.crashed_after_sends(sent as u64, false)? {
+                return Ok(true);
+            }
+            self.stats.sent_bytes += packet.len() as u64;
+            self.comm.multicast_with_overhead(
+                self.me,
+                &group.ranks,
+                group.tag,
+                Some(packet),
+                header,
+            )?;
+        }
+        if self.crashed_after_sends(groups.len() as u64, true)? {
+            return Ok(true);
+        }
+        for (target, fid, piece) in outbox {
+            self.stats.sent_bytes += piece.len() as u64;
+            self.comm.send(target, Tag::app(fid.0 as u32), piece)?;
+        }
+        Ok(false)
     }
 }
 
@@ -527,8 +560,8 @@ fn node_main<W: Workload>(
 
     // ---- Pack / Encode (Algorithm 1) -------------------------------------
     comm.set_stage(stages::PACK_ENCODE);
-    // Staggered destination order (me+1, me+2, …): irrelevant for the
-    // serial schedule, hotspot-free for the parallel-shuffle replay.
+    // Staggered destination order (me+1, me+2, …): every rank sends at the
+    // same time, so at any instant each receiver is fed by one peer, not all.
     outbox.sort_by_key(|&(t, fid, _)| (fid, (t + k - me) % k));
     rank.stats.pack_bytes = outbox.iter().map(|(_, _, b)| b.len() as u64).sum();
     if !my_groups.is_empty() {
@@ -573,7 +606,7 @@ fn node_main<W: Workload>(
             Ok((Bytes::from(frame), overhead))
         });
     // One packet per owned group, in schedule order.
-    let mut packets = encoded.into_iter().collect::<Result<Vec<_>>>()?.into_iter();
+    let packets = encoded.into_iter().collect::<Result<Vec<_>>>()?;
     if rank.crashed_at(CrashPoint::MidEncode)? {
         return Ok(None);
     }
@@ -592,42 +625,26 @@ fn node_main<W: Workload>(
             .metrics()
             .map(|h| h.counter("cts_decode_packets_total")),
     };
-    // All mode buffers packets for the Decode stage, as the paper executes;
-    // quorum mode decodes inline and may leave late packets behind.
-    let mut received: Vec<Bytes> = Vec::new();
-    let mut late: Vec<Key> = Vec::new();
-    let crashed = match cfg.decode {
-        DecodeMode::All => shuffle_all(&mut rank, &my_groups, &mut packets, &mut received)?,
-        DecodeMode::Quorum => shuffle_quorum(
-            &mut rank,
-            &my_groups,
-            r,
-            &mut packets,
-            &mut decode,
-            &mut late,
-        )?,
-    };
-    if crashed {
+    // Post every send, then drain: what a rank receives is queued by the
+    // time it asks, unless its sender is slower than it is.
+    if rank.post_sends(&my_groups, packets, outbox)? {
         return Ok(None);
     }
-    // Serial unicast (Fig. 9(a)): senders take turns; each sends its
-    // pieces back-to-back, one flow per intermediate (paper §V-A). One pod
-    // at r > 1 codes everything and has no turns to take.
-    let turns = if r == 1 || g < k { k } else { 0 };
-    for sender in 0..turns {
-        if sender == me {
-            for (t, fid, piece) in outbox.drain(..) {
-                rank.stats.sent_bytes += piece.len() as u64;
-                comm.send(t, Tag::app(fid.0 as u32), piece)?;
-            }
-        } else {
-            for (fid, file) in layout.unicasts(sender, me) {
-                let piece = comm.recv(sender, Tag::app(fid.0 as u32))?;
-                rank.stats.recv_bytes += piece.len() as u64;
-                rank.stats.unpack_bytes += piece.len() as u64;
-                pieces.push((file.bits(), piece));
-            }
+    // All mode buffers packets for the Decode stage, as the paper executes;
+    // quorum mode decodes inline and may leave late packets behind.
+    let (received, late) = match cfg.decode {
+        DecodeMode::All => (shuffle_all(&mut rank, &my_groups)?, Vec::new()),
+        DecodeMode::Quorum => {
+            let late = shuffle_quorum(&mut rank, &my_groups, r, &mut decode)?;
+            (Vec::new(), late)
         }
+    };
+    // Whatever travels uncoded (paper §V-A: one flow per intermediate).
+    for (sender, fid, file) in layout.unicasts_to(me) {
+        let piece = comm.recv(sender, Tag::app(fid.0 as u32))?;
+        rank.stats.recv_bytes += piece.len() as u64;
+        rank.stats.unpack_bytes += piece.len() as u64;
+        pieces.push((file.bits(), piece));
     }
     rank.sync()?;
     // Every sender has issued all its sends by now, so on the in-memory
@@ -753,41 +770,25 @@ fn node_main<W: Workload>(
     }))
 }
 
-/// The paper's serial multicast (Fig. 9(b)): groups in schedule order;
-/// within a group, members multicast in rank order over the configured
-/// [`ShuffleFabric`](cts_net::fabric::ShuffleFabric) and every other
-/// member blocks for each packet. Returns true if this rank crash-stopped.
-fn shuffle_all(
-    rank: &mut Rank<'_>,
-    groups: &[&Group],
-    packets: &mut impl Iterator<Item = (Bytes, u64)>,
-    received: &mut Vec<Bytes>,
-) -> Result<bool> {
-    let mut sent = 0u64;
+/// The paper's barrier-on-all receive: every packet of every owned group,
+/// groups in schedule order and senders in rank order within a group —
+/// the order the Decode stage consumes them in.
+fn shuffle_all(rank: &mut Rank<'_>, groups: &[&Group]) -> Result<Vec<Bytes>> {
+    let mut received = Vec::new();
     for group in groups {
-        for &sender in &group.ranks {
-            if sender == rank.me {
-                if rank.crashed_after_sends(sent, false)? {
-                    return Ok(true);
-                }
-                rank.multicast(group, packets.next().expect("one packet per owned group"))?;
-                sent += 1;
-            } else {
-                let packet = rank.comm.multicast(sender, &group.ranks, group.tag, None)?;
-                rank.stats.recv_bytes += packet.len() as u64;
-                received.push(packet);
-            }
+        for &sender in group.ranks.iter().filter(|&&sender| sender != rank.me) {
+            let packet = rank.comm.recv(sender, group.tag)?;
+            rank.stats.recv_bytes += packet.len() as u64;
+            received.push(packet);
         }
     }
-    rank.crashed_after_sends(sent, true)
+    Ok(received)
 }
 
-/// The quorum shuffle: fire every owned multicast without waiting for
-/// peers, then block for whichever expected packet arrives next, decoding
-/// inline. Each group releases the moment its decode completes — with MDS
-/// packets, after any `r − 1` of its `r` sends — so a straggling or dead
-/// sender delays nothing but its own groups' last equation. Returns true
-/// if this rank crash-stopped.
+/// The quorum receive: block for whichever expected packet arrives next,
+/// decoding inline. Each group releases the moment its decode completes —
+/// with MDS packets, after any `r − 1` of its `r` sends — so a straggling
+/// or dead sender delays nothing but its own groups' last equation.
 ///
 /// The wait is one [`Transport::recv_any`](cts_net::Transport::recv_any)
 /// over every `(sender, tag)` still expected: only such a packet ends it,
@@ -795,9 +796,9 @@ fn shuffle_all(
 /// on it also returns once per heartbeat interval, because the health board
 /// only advances when ticked.
 ///
-/// The keys whose packet never came (their group released without it) are
-/// handed back in `late`, as the transport sees them, for the caller to
-/// discard once the stage has synchronized. That empties the mailbox on
+/// Returns the keys whose packet never came (their group released without
+/// it), as the transport sees them, for the caller to discard once the
+/// stage has synchronized. That empties the mailbox on
 /// the in-memory fabric, where a send is delivered before it returns; a
 /// straggler still in flight on TCP/UDP at that point is not caught
 /// (ROADMAP direction 4).
@@ -805,21 +806,10 @@ fn shuffle_quorum(
     rank: &mut Rank<'_>,
     groups: &[&Group],
     r: usize,
-    packets: &mut impl Iterator<Item = (Bytes, u64)>,
     decode: &mut Decode<'_>,
-    late: &mut Vec<Key>,
-) -> Result<bool> {
+) -> Result<Vec<Key>> {
     let (comm, me) = (rank.comm, rank.me);
     let transport = comm.transport().as_ref();
-    for (sent, group) in groups.iter().enumerate() {
-        if rank.crashed_after_sends(sent as u64, false)? {
-            return Ok(true);
-        }
-        rank.multicast(group, packets.next().expect("one packet per owned group"))?;
-    }
-    if rank.crashed_after_sends(groups.len() as u64, true)? {
-        return Ok(true);
-    }
     // Every key a packet is expected under, sorted: `recv_any` hands packets
     // out lowest tag first, so a group's packets come together and the group
     // releases (and frees its decode state) before the next one starts. A
@@ -908,6 +898,5 @@ fn shuffle_quorum(
         }
     }
     keys.retain(|&(tag, sender)| heard[group_of[&tag]] & (1 << sender) == 0);
-    late.extend(keys);
-    Ok(false)
+    Ok(keys)
 }

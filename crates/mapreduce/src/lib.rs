@@ -13,11 +13,13 @@
 //!    and keeps them per the §IV-B rule.
 //! 4. **Pack/Encode**: Algorithm 1 — one coded packet per group
 //!    membership. Uncoded pieces are already the buffers Map produced.
-//! 5. **Shuffle**: serial multicast (Fig. 9(b)) — groups in id order,
-//!    members in rank order, over the configured
-//!    [`ShuffleFabric`](cts_net::fabric::ShuffleFabric) — or, in quorum
-//!    mode, fire everything, then wait for any; then serial unicast
-//!    (Fig. 9(a)) of whatever travels uncoded, senders taking turns.
+//! 5. **Shuffle**: every node posts all of its sends back to back — its
+//!    packet for each group it is in, over the configured
+//!    [`ShuffleFabric`](cts_net::fabric::ShuffleFabric), then whatever
+//!    travels uncoded — and only then receives: every packet in group
+//!    order, or, in quorum mode, whichever comes next until each group
+//!    decodes. The paper sends one node at a time (Fig. 9); behind a NIC
+//!    that shapes egress this stage takes the busiest sender's egress time.
 //! 6. **Unpack/Decode**: Algorithm 2 cancels received packets against
 //!    local intermediates.
 //! 7. **Reduce**: everything a node reduces — kept, unicast and decoded

@@ -131,7 +131,7 @@ impl Trace {
 
     /// Data-plane egress transmissions in the named stage: the sum of
     /// [`TraceEvent::wire_copies`] over non-internal events. A serial or
-    /// fanout shuffle sends `fanout` frames per multicast group turn; a
+    /// fanout shuffle sends `fanout` frames per group multicast; a
     /// native multicast sends one — this is the per-fabric send count the
     /// equivalence tests assert on.
     pub fn stage_wire_sends(&self, name: &str) -> u64 {

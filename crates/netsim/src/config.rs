@@ -21,6 +21,7 @@
 //! | Reduce sort rate | 72 MB/s | Table I Reduce 10.47 s |
 //! | memory-pressure penalty | 9 %/unit of (r−1) on Reduce | §V-C Reduce observation |
 
+use cts_net::rate::NicProfile;
 use serde::{Deserialize, Serialize};
 
 /// Network-side model parameters.
@@ -52,6 +53,19 @@ impl NetModelConfig {
             per_transfer_latency_s: 1e-4,
             multicast_alpha: 0.30,
             group_setup_s: 3.3e-3,
+        }
+    }
+
+    /// The model twin of an emulated NIC: its rate with nothing lost to
+    /// TCP, its per-transfer latency and its α, so measured and modeled
+    /// shuffle times describe the same machine. Unshaped is infinitely fast.
+    pub fn of_nic(nic: &NicProfile) -> Self {
+        NetModelConfig {
+            bandwidth_bits_per_sec: nic.rate_bytes_per_sec.map_or(f64::INFINITY, |r| r * 8.0),
+            tcp_efficiency: 1.0,
+            per_transfer_latency_s: nic.latency_s,
+            multicast_alpha: nic.multicast_alpha,
+            group_setup_s: 0.0,
         }
     }
 
@@ -148,6 +162,19 @@ mod tests {
         // 11.25 GB at effective rate ≈ 947 s — the paper measured 945.72 s.
         let t = 11.25e9 / net.effective_bytes_per_sec();
         assert!((t - 947.4).abs() < 1.0, "t = {t}");
+    }
+
+    #[test]
+    fn nic_twin_charges_what_the_nic_does() {
+        let nic = NicProfile::paper_100mbps();
+        let net = NetModelConfig::of_nic(&nic);
+        assert_eq!(net.effective_bytes_per_sec(), 12.5e6);
+        assert_eq!(net.per_transfer_latency_s, nic.latency_s);
+        assert_eq!(net.multicast_penalty(3), nic.multicast_penalty(3));
+        assert_eq!(
+            NetModelConfig::of_nic(&NicProfile::unlimited()).transfer_seconds(1e9, 3),
+            0.0
+        );
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! Since the async-fabric refactor this module is also the *validation
 //! oracle* for measured runs: [`fabric_queues`] decomposes a trace into
 //! per-fabric flow schedules and [`predict_fabric_shuffle_s`] replays them
-//! here, giving the concurrent lower bound that brackets a NIC-emulated
-//! run's measured shuffle wall-clock from below (the serial closed form in
-//! [`serial`](crate::serial) brackets it from above).
+//! here — what the engine's post-everything-then-drain shuffle would take
+//! on a cluster whose NICs cap ingress too. The emulated NIC caps egress
+//! only, so measured runs are bracketed by the two closed forms in
+//! [`serial`](crate::serial) instead: the egress floor from below, one
+//! sender at a time from above.
 //!
 //! ```
 //! use cts_net::fabric::ShuffleFabric;
@@ -257,12 +259,14 @@ pub fn fabric_queues(
 }
 
 /// The fluid half of the fabric validation oracle: the modeled shuffle
-/// makespan when flows overlap as much as the fabric permits. Together
-/// with the serial upper bound
-/// ([`serial_fabric_makespan`](crate::serial::serial_fabric_makespan))
-/// this sandwiches the *measured* wall-clock of a NIC-emulated run: the
-/// real engine's turn-taking inside multicast groups serializes more than
-/// this bound but never less than the serial one.
+/// makespan when every sender streams at once on a cluster that caps
+/// *ingress as well as egress*. The engine does send that way, but the
+/// NIC it is measured behind (`cts_net::rate`) shapes egress only, so a
+/// NIC-emulated run sits on
+/// [`egress_floor_s`](crate::serial::egress_floor_s) — at or below this
+/// projection, far below it for coded packets, whose `r`-fold fan-in is
+/// free there — and under the one-sender-at-a-time bound
+/// ([`serial_fabric_makespan`](crate::serial::serial_fabric_makespan)).
 pub fn predict_fabric_shuffle_s(
     trace: &Trace,
     stage: &str,

@@ -47,7 +47,8 @@ pub use fluid::{fabric_queues, predict_fabric_shuffle_s, simulate_parallel, Flui
 pub use model::{PerfModel, SHUFFLE_STAGE};
 pub use recovery::RecoveryModel;
 pub use serial::{
-    serial_fabric_makespan, serial_makespan, serial_schedule, transfers_by_sender, Schedule,
+    egress_floor_s, serial_fabric_makespan, serial_makespan, serial_schedule, transfers_by_sender,
+    Schedule,
 };
 pub use stats::{NodeStats, RunStats};
 pub use straggler::{Bracket, Slowdown, StragglerModel};

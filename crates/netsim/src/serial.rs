@@ -8,7 +8,8 @@
 //! link rate, the per-transfer latency, and the logarithmic multicast
 //! penalty. [`serial_fabric_makespan`] extends the same sum to the three
 //! shuffle fabrics, as the upper-bound half of the measured-vs-modeled
-//! validation oracle.
+//! validation oracle; [`egress_floor_s`] is the lower-bound half — the
+//! engine itself does not take turns, every rank sends at once.
 //!
 //! ```
 //! use cts_net::fabric::ShuffleFabric;
@@ -72,16 +73,19 @@ impl Schedule {
 /// Evaluates the serial schedule over the non-internal events of `stage`,
 /// with byte counts multiplied by `scale`.
 ///
-/// Transfers execute one after another in trace order — the order the
-/// engines produced them, which for both algorithms is the paper's
-/// node-by-node serial order.
+/// Transfers execute one after another in the paper's order: unicasts node
+/// by node (Fig. 9(a)), multicasts group by group with a group's members in
+/// rank order (Fig. 9(b)). Trace order says nothing — ranks send at once.
 pub fn serial_schedule(trace: &Trace, stage: &str, net: &NetModelConfig, scale: f64) -> Schedule {
     let mut clock = 0.0f64;
     let mut transfers = Vec::new();
-    for ev in trace.stage_events(stage) {
-        if ev.kind == EventKind::Internal {
-            continue;
-        }
+    let sent = trace.stage_events(stage);
+    let mut events: Vec<_> = sent.filter(|e| e.kind != EventKind::Internal).collect();
+    events.sort_by_key(|e| match e.kind {
+        EventKind::Multicast => (e.dsts | 1 << e.src, e.src),
+        _ => (0, e.src),
+    });
+    for ev in events {
         let bytes = scaled_wire_bytes(ev, scale);
         let duration = net.per_transfer_latency_s + net.transfer_seconds(bytes, ev.fanout());
         transfers.push(ScheduledTransfer {
@@ -120,8 +124,8 @@ pub fn serial_makespan(trace: &Trace, stage: &str, net: &NetModelConfig, scale: 
 /// [`ShuffleFabric`] — the closed-form upper-bound half of the
 /// measured-vs-modeled validation oracle (the fluid simulator's
 /// [`predict_fabric_shuffle_s`](crate::fluid::predict_fabric_shuffle_s)
-/// is the concurrent lower bound). Per non-internal event with fanout `m`
-/// and scaled bytes `B`:
+/// is the projection for a cluster that caps ingress too). Per non-internal
+/// event with fanout `m` and scaled bytes `B`:
 ///
 /// * `SerialUnicast` — `m` back-to-back unicasts: `m·(L + B/rate)`;
 /// * `Fanout` — one setup, copies overlap but share egress:
@@ -131,7 +135,7 @@ pub fn serial_makespan(trace: &Trace, stage: &str, net: &NetModelConfig, scale: 
 ///
 /// This mirrors, term for term, what the real-time NIC emulation in
 /// `cts-net::rate` charges, so a rate-limited run's measured shuffle
-/// wall-clock should land between this bound and the fluid prediction.
+/// wall-clock lands between [`egress_floor_s`] and this bound.
 pub fn serial_fabric_makespan(
     trace: &Trace,
     stage: &str,
@@ -142,24 +146,51 @@ pub fn serial_fabric_makespan(
     trace
         .stage_events(stage)
         .filter(|e| e.kind != EventKind::Internal)
-        .map(|e| {
-            let bytes = scaled_wire_bytes(e, scale);
-            let m = e.fanout().max(1);
-            let latency = net.per_transfer_latency_s;
-            match fabric {
-                ShuffleFabric::SerialUnicast => {
-                    m as f64 * (latency + net.transfer_seconds(bytes, 1))
-                }
-                ShuffleFabric::Fanout => latency + m as f64 * net.transfer_seconds(bytes, 1),
-                // Physical UDP multicast costs what the emulated native
-                // multicast is charged: one transmission with the software
-                // α-penalty (a conservative bound for real IGMP snooping).
-                ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => {
-                    latency + net.transfer_seconds(bytes, m)
-                }
-            }
-        })
+        .map(|e| fabric_transfer_s(e, fabric, net, scale))
         .sum()
+}
+
+/// How long one traced transfer occupies its sender's egress under `fabric`.
+fn fabric_transfer_s(
+    e: &TraceEvent,
+    fabric: ShuffleFabric,
+    net: &NetModelConfig,
+    scale: f64,
+) -> f64 {
+    let bytes = scaled_wire_bytes(e, scale);
+    let m = e.fanout().max(1);
+    let latency = net.per_transfer_latency_s;
+    match fabric {
+        ShuffleFabric::SerialUnicast => m as f64 * (latency + net.transfer_seconds(bytes, 1)),
+        ShuffleFabric::Fanout => latency + m as f64 * net.transfer_seconds(bytes, 1),
+        // Physical UDP multicast costs what the emulated native
+        // multicast is charged: one transmission with the software
+        // α-penalty (a conservative bound for real IGMP snooping).
+        ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => {
+            latency + net.transfer_seconds(bytes, m)
+        }
+    }
+}
+
+/// The floor of a stage behind the *emulated* NIC, which shapes egress
+/// only (`cts_net::rate`, like a plain `tc` qdisc): the busiest sender's
+/// own egress time — per transfer, the term [`serial_fabric_makespan`]
+/// sums over all senders. A schedule meets it when no sender ever waits
+/// for a peer; a cluster that also caps ingress cannot (the fluid model's
+/// [`predict_fabric_shuffle_s`](crate::fluid::predict_fabric_shuffle_s)).
+/// Sends smaller than the token bucket's burst can undercut it: the bucket
+/// refills while their latency elapses.
+pub fn egress_floor_s(
+    trace: &Trace,
+    stage: &str,
+    fabric: ShuffleFabric,
+    net: &NetModelConfig,
+) -> f64 {
+    let egress_s = |e: &TraceEvent| fabric_transfer_s(e, fabric, net, 1.0);
+    transfers_by_sender(trace, stage, 1.0)
+        .iter()
+        .map(|sent| sent.iter().map(egress_s).sum::<f64>())
+        .fold(0.0, f64::max)
 }
 
 /// Evaluates the *tree-decomposed* cost of multicasts: instead of the
@@ -253,6 +284,41 @@ mod tests {
     }
 
     #[test]
+    fn schedule_is_in_the_papers_order_whatever_the_trace_order() {
+        // Two groups {0,1,2} and {0,1,3}, recorded as racing ranks would.
+        let t = trace_with(&[
+            (1, 0b1001, 10, EventKind::Multicast),
+            (2, 0b0011, 10, EventKind::Multicast),
+            (0, 0b1010, 10, EventKind::Multicast),
+            (1, 0b0101, 10, EventKind::Multicast),
+            (3, 0b0011, 10, EventKind::Multicast),
+            (0, 0b0110, 10, EventKind::Multicast),
+        ]);
+        let s = serial_schedule(&t, "Shuffle", &net(), 1.0);
+        let order: Vec<(u16, u128)> = s.transfers.iter().map(|x| (x.src, x.dsts)).collect();
+        let group = |members: u128| {
+            [0u16, 1, 2, 3]
+                .into_iter()
+                .filter(move |&n| members >> n & 1 == 1)
+        };
+        let expected: Vec<(u16, u128)> = [0b0111u128, 0b1011]
+            .into_iter()
+            .flat_map(|m| group(m).map(move |src| (src, m & !(1 << src))))
+            .collect();
+        assert_eq!(order, expected);
+        // Unicasts: node by node, each sender's own order kept.
+        let t = trace_with(&[
+            (1, 0b100, 1, EventKind::AppUnicast),
+            (0, 0b100, 2, EventKind::AppUnicast),
+            (1, 0b001, 3, EventKind::AppUnicast),
+            (0, 0b010, 4, EventKind::AppUnicast),
+        ]);
+        let s = serial_schedule(&t, "Shuffle", &net(), 1.0);
+        let bytes: Vec<f64> = s.transfers.iter().map(|x| x.bytes).collect();
+        assert_eq!(bytes, [2.0, 4.0, 1.0, 3.0]);
+    }
+
+    #[test]
     fn multicast_pays_log_penalty() {
         let t = trace_with(&[(0, 0b1110, 10_000_000, EventKind::Multicast)]);
         let s = serial_makespan(&t, "Shuffle", &net(), 1.0);
@@ -341,6 +407,30 @@ mod tests {
             "{mcast}"
         );
         assert!(mcast < fanout && fanout < serial);
+    }
+
+    #[test]
+    fn egress_floor_is_the_busiest_senders_share_of_the_serial_sum() {
+        // Sender 0: two multicasts to 3 receivers; sender 1: one unicast.
+        let t = trace_with(&[
+            (0, 0b1110, 10_000_000, EventKind::Multicast),
+            (1, 0b0001, 5_000_000, EventKind::AppUnicast),
+            (0, 0b1110, 10_000_000, EventKind::Multicast),
+            (1, 0b0001, 1_000_000, EventKind::Internal), // free
+        ]);
+        let n = net();
+        for fabric in ShuffleFabric::ALL {
+            let serial = serial_fabric_makespan(&t, "Shuffle", fabric, &n, 1.0);
+            let floor = egress_floor_s(&t, "Shuffle", fabric, &n);
+            // Sender 1's 0.501 s overlaps sender 0's egress.
+            assert!((serial - floor - 0.501).abs() < 1e-9, "{fabric}");
+        }
+        let mcast = egress_floor_s(&t, "Shuffle", ShuffleFabric::Multicast, &n);
+        assert!((mcast - 2.0 * (0.001 + 1.0 + 0.5 * 3f64.log2())).abs() < 1e-9);
+        assert_eq!(
+            egress_floor_s(&trace_with(&[]), "Shuffle", ShuffleFabric::Multicast, &n),
+            0.0
+        );
     }
 
     #[test]

@@ -3,20 +3,21 @@
 //!
 //! The paper's engines barrier on *every* coded packet (§IV, stage 5), so
 //! one slow sender holds the whole Shuffle stage hostage: the makespan
-//! lower bound is the straggler's injected delay, and in the worst case
-//! delays cascade through the serial multicast schedule. The MDS quorum
-//! decode (any `r−1` of `r` packets release a group) removes the straggler
-//! from every group's critical path, so the makespan should track the
-//! *healthy* run regardless of how slow — or how dead — the victim is.
+//! lower bound is the straggler's injected delay. It is paid once, however
+//! many groups the victim sends in: every rank posts all of its multicasts
+//! before it waits for any, so the victim's delayed packets travel side by
+//! side rather than one after another. The MDS quorum decode (any `r−1` of
+//! `r` packets release a group) removes the straggler from every group's
+//! critical path, so the makespan should track the *healthy* run
+//! regardless of how slow — or how dead — the victim is.
 //!
 //! [`StragglerModel`] turns that argument into testable brackets. It is
 //! deliberately coarse: the quorum bound is a constant multiple of the
-//! measured healthy makespan (polling overhead, scheduler jitter) plus an
-//! additive slack, and the all-mode bound is just the injected delay from
-//! below — all-mode upper bounds are not asserted because delayed
-//! multicasts compound across the serial schedule in ways this model does
-//! not chase. `tests/failure_injection.rs` holds measured runs inside
-//! these brackets; `crates/bench` records the sweep they bracket.
+//! measured healthy makespan (wake-ups, scheduler jitter) plus an additive
+//! slack, and the all-mode bracket is the injected delay from below and
+//! the delay plus that same headroom from above.
+//! `tests/failure_injection.rs` holds measured runs inside these brackets;
+//! `crates/bench` records the sweep they bracket.
 
 use serde::{Deserialize, Serialize};
 
@@ -103,14 +104,14 @@ impl StragglerModel {
     }
 
     /// Bracket for the paper's barrier-on-all decode: every node waits
-    /// for the victim's first delayed multicast, so the makespan is at
-    /// least the injected delay (and unboundedly more as delays cascade
-    /// through the serial schedule — no upper bound is asserted). A
-    /// blackhole never completes: the bracket is empty (`lo = hi = ∞`).
+    /// for the victim's delayed multicasts, which all left together, so
+    /// the makespan is at least the injected delay and at most the delay
+    /// plus the quorum bracket's headroom. A blackhole never completes:
+    /// the bracket is empty (`lo = hi = ∞`).
     pub fn all_bracket(&self) -> Bracket {
         Bracket {
             lo_s: self.slowdown.delay_s(),
-            hi_s: f64::INFINITY,
+            hi_s: self.slowdown.delay_s() + self.quorum_bracket().hi_s,
         }
     }
 
@@ -136,12 +137,15 @@ mod tests {
     }
 
     #[test]
-    fn all_bracket_floors_at_the_delay() {
+    fn all_bracket_pays_the_delay_exactly_once() {
         let m = StragglerModel::new(0.1, Slowdown::DelayS(0.4));
         assert_eq!(m.all_bracket().lo_s, 0.4);
         assert!(m.all_bracket().contains(0.4));
-        assert!(m.all_bracket().contains(3.0));
         assert!(!m.all_bracket().contains(0.39));
+        // 0.4 + (6 × 0.1 + 0.5): one delay and the healthy headroom, not
+        // one delay per group the victim sends in.
+        assert!(m.all_bracket().contains(1.5));
+        assert!(!m.all_bracket().contains(1.6));
     }
 
     #[test]

@@ -23,6 +23,7 @@ use bytes::Bytes;
 use coded_terasort::bench::Experiment;
 use coded_terasort::mapreduce::run_coded_pods;
 use coded_terasort::prelude::*;
+use cts_netsim::{egress_floor_s, predict_fabric_shuffle_s, NetModelConfig, SHUFFLE_STAGE};
 use cts_terasort::workload::TeraSortWorkload;
 
 fn main() -> ExitCode {
@@ -299,32 +300,46 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
             cts_core::Gf256Kernel::active()
         );
     }
+    let nic = cts_net::NicProfile::paper_100mbps();
     if paper_nic {
-        job = job.with_nic(cts_net::NicProfile::paper_100mbps());
+        job = job.with_nic(nic);
         println!("emulating the paper's NIC: 100 Mbps egress, 0.1 ms/transfer, α = 0.30");
     }
 
     let started = std::time::Instant::now();
-    let (outputs, stats) = if pods > 0 {
+    let outcome = if pods > 0 {
         let workload = TeraSortWorkload::range(k);
-        let outcome = run_coded_pods(&workload, input.clone(), &job.engine, pods)
-            .map_err(|e| e.to_string())?;
-        (outcome.outputs, outcome.stats)
+        run_coded_pods(&workload, input.clone(), &job.engine, pods)
     } else {
-        let run = run_coded_terasort(input.clone(), &job).map_err(|e| e.to_string())?;
-        (run.outcome.outputs, run.outcome.stats)
-    };
+        run_coded_terasort(input.clone(), &job).map(|run| run.outcome)
+    }
+    .map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
 
     if validate {
-        cts_terasort::validate(&input, &outputs).map_err(|e| format!("TeraValidate: {e}"))?;
+        cts_terasort::validate(&input, &outcome.outputs)
+            .map_err(|e| format!("TeraValidate: {e}"))?;
         println!("TeraValidate passed ✓");
     }
     println!("wall-clock: {elapsed:.2?}");
+    let wall = outcome.wall.max;
+    println!("stage walls, slowest rank each: {wall:.1?}");
+    if paper_nic {
+        // The emulated NIC shapes egress only; the fluid model caps ingress too.
+        let net = NetModelConfig::of_nic(&nic);
+        let shuffle_s = wall.shuffle.as_secs_f64();
+        let floor_s = egress_floor_s(&outcome.trace, SHUFFLE_STAGE, fabric, &net);
+        let fluid_s = predict_fabric_shuffle_s(&outcome.trace, SHUFFLE_STAGE, fabric, &net, 1.0);
+        println!(
+            "shuffle: {shuffle_s:.3} s = {:.2}× the egress floor {floor_s:.3} s \
+             (fluid model with ingress caps: {fluid_s:.3} s)",
+            shuffle_s / floor_s
+        );
+    }
     println!(
         "shuffle: {} bytes across the wire (load {:.4}; TeraSort baseline {:.4})",
-        stats.shuffle_bytes(),
-        stats.comm_load(input.len() as u64),
+        outcome.stats.shuffle_bytes(),
+        outcome.stats.comm_load(input.len() as u64),
         theory::uncoded_comm_load(1, k),
     );
     Ok(())

@@ -61,7 +61,7 @@ fn trace_send_counts_scale_with_fabric() {
         serial.1
     );
     // And the send count equals the multicast-event count (one frame per
-    // group turn).
+    // group send).
     assert_eq!(multicast.1, multicast.2 as u64);
 }
 

@@ -1,0 +1,169 @@
+//! The Shuffle schedule: every rank posts all of its sends, then drains.
+//! Behind a shaped NIC the stage must therefore sit on the egress floor —
+//! the busiest sender's own NIC time — for every layout and both decode
+//! disciplines; and nothing but *when* the NIC is busy may differ from the
+//! turn-taking schedule this replaced: the traced transfers are pinned to
+//! the multisets that schedule produced, and `AfterSends(n)` still dies with
+//! exactly `n` group sends out.
+
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
+
+use bytes::Bytes;
+use coded_terasort::mapreduce::{EngineError, JobOutcome};
+use coded_terasort::net::fault::{CrashPoint, CrashSpec, FaultAction, FaultRule};
+use coded_terasort::netsim::{egress_floor_s, NetModelConfig, SHUFFLE_STAGE};
+use coded_terasort::prelude::*;
+
+const K: usize = 8;
+
+/// The four ways a job's pieces travel: conventional, coded with either
+/// decode discipline, and pods (in-pod groups *and* cross-pod unicasts).
+#[derive(Clone, Copy, Debug)]
+enum Leg {
+    Uncoded,
+    CodedAll,
+    CodedQuorum,
+    Pods,
+}
+
+fn run(leg: Leg, engine: EngineConfig, input: &Bytes) -> JobOutcome {
+    let workload = TeraSortWorkload::range(K);
+    let engine = match leg {
+        Leg::CodedQuorum => engine
+            .with_field(FieldKind::Gf256)
+            .with_decode(DecodeMode::Quorum),
+        _ => engine,
+    };
+    let outcome = match leg {
+        Leg::Pods => run_coded_pods(&workload, input.clone(), &engine, 4),
+        _ => run_coded(&workload, input.clone(), &engine),
+    }
+    .unwrap_or_else(|e| panic!("{leg:?}: {e}"));
+    cts_terasort::validate(input, &outcome.outputs).unwrap_or_else(|e| panic!("{leg:?}: {e}"));
+    outcome
+}
+
+fn redundancy(leg: Leg) -> usize {
+    match leg {
+        Leg::Uncoded => 1,
+        Leg::CodedAll | Leg::CodedQuorum => 3,
+        Leg::Pods => 2,
+    }
+}
+
+#[test]
+fn shuffle_sits_on_the_egress_floor_in_every_layout() {
+    let input = teragen::generate(5_000, 2017);
+    // Egress rates that put each leg's busiest sender at 150–300 ms.
+    for (leg, rate) in [
+        (Leg::Uncoded, 275e3),
+        (Leg::CodedAll, 100e3),
+        (Leg::CodedQuorum, 150e3),
+        (Leg::Pods, 370e3),
+    ] {
+        let mut nic = NicProfile::rate_limited(rate)
+            .with_latency_s(1e-4)
+            .with_multicast_alpha(0.30);
+        nic.burst_bytes = 256.0; // the free first bytes: under 1 % of any sender's egress
+        let engine = EngineConfig::local(K, redundancy(leg)).with_nic(nic);
+        let outcome = run(leg, engine, &input);
+        let floor_s = egress_floor_s(
+            &outcome.trace,
+            SHUFFLE_STAGE,
+            ShuffleFabric::default(),
+            &NetModelConfig::of_nic(&nic),
+        );
+        assert!(
+            (0.15..=0.30).contains(&floor_s),
+            "{leg:?}: the floor {floor_s:.3} s left the range this test is sized for"
+        );
+        let shuffle_s = outcome.wall.max.shuffle.as_secs_f64();
+        let ratio = shuffle_s / floor_s;
+        println!("{leg:?}: shuffle {shuffle_s:.3} s = {ratio:.2}× the egress floor {floor_s:.3} s");
+        assert!(
+            (0.9..=1.25).contains(&ratio),
+            "{leg:?}: shuffle {shuffle_s:.3} s is {ratio:.2}× the egress floor {floor_s:.3} s"
+        );
+    }
+}
+
+/// Count and FNV-1a digest of a stage's traced events as the sorted multiset
+/// of `(src, dst mask, bytes, wire copies, kind)`.
+fn shuffle_events(outcome: &JobOutcome) -> (usize, u64) {
+    let mut events: Vec<_> = outcome
+        .trace
+        .stage_events(SHUFFLE_STAGE)
+        .map(|e| (e.src, e.dsts, e.bytes, e.wire_copies, e.kind as u8))
+        .collect();
+    events.sort_unstable();
+    let fields = events.iter().flat_map(|&(src, dsts, bytes, copies, kind)| {
+        [src.into(), dsts, bytes.into(), copies.into(), kind.into()]
+    });
+    let wire: Vec<u8> = fields.flat_map(u128::to_le_bytes).collect();
+    (events.len(), cts_terasort::service::fnv1a(&wire))
+}
+
+/// What the Shuffle stage puts on the wire, pinned to values taken from the
+/// turn-taking schedule of the commit before this file existed.
+#[test]
+fn shuffle_event_multisets_are_the_turn_taking_schedules() {
+    let input = teragen::generate(4_000, 99);
+    for (leg, tcp, pinned) in [
+        (Leg::Uncoded, false, PINNED_UNCODED),
+        (Leg::CodedAll, false, PINNED_CODED),
+        (Leg::Pods, false, PINNED_PODS),
+        (Leg::CodedAll, true, PINNED_CODED),
+    ] {
+        let r = redundancy(leg);
+        let engine = if tcp {
+            EngineConfig::tcp(K, r)
+        } else {
+            EngineConfig::local(K, r)
+        };
+        let got = shuffle_events(&run(leg, engine, &input));
+        assert_eq!(got, pinned, "{leg:?}, tcp = {tcp}: {got:#x?}");
+    }
+}
+
+// 56 pieces, 280 packets, 24 packets + 48 pieces; 14 barrier frames each.
+const PINNED_UNCODED: (usize, u64) = (70, 0xe73d_96c6_85a6_a9d6);
+const PINNED_CODED: (usize, u64) = (294, 0x927a_6b27_3f08_c0d7);
+const PINNED_PODS: (usize, u64) = (86, 0x5bfc_e5a4_3594_56d5);
+
+/// `AfterSends(n)` in all-mode with recovery off: the victim fails the job
+/// as `RankDied` having multicast to exactly `n` of its groups (all of them
+/// for a budget at or past the total).
+#[test]
+fn after_sends_dies_with_exactly_n_group_sends_posted() {
+    let (k, r, victim) = (4usize, 2usize, 1usize);
+    let owned = 3; // C(k − 1, r) groups per rank
+    let input = teragen::generate(1_200, 7);
+    for n in [0u64, 1, owned, owned + 4] {
+        let posted = Arc::new(Mutex::new(BTreeSet::new()));
+        let seen = Arc::clone(&posted);
+        let rule: Arc<FaultRule> = Arc::new(move |_dst, tag: Tag, _payload: &Bytes, _idx| {
+            if tag.purpose() == Tag::BCAST {
+                seen.lock().unwrap().insert(tag.0);
+            }
+            FaultAction::Deliver
+        });
+        let point = CrashPoint::AfterSends(n);
+        let mut engine = EngineConfig::local(k, r).with_crash(CrashSpec {
+            rank: victim,
+            point,
+        });
+        engine.cluster = engine.cluster.with_fault(victim, rule);
+        match run_coded(&TeraSortWorkload::range(k), input.clone(), &engine) {
+            Err(EngineError::RankDied { rank, point: p }) => {
+                assert_eq!((rank, p), (victim, point));
+            }
+            other => panic!("AfterSends({n}): expected RankDied, got {other:?}"),
+        }
+        assert_eq!(
+            posted.lock().unwrap().len() as u64,
+            n.min(owned),
+            "AfterSends({n})"
+        );
+    }
+}
