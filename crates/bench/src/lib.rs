@@ -163,30 +163,11 @@ pub fn env_f64(name: &str, default: f64) -> f64 {
 }
 
 /// Machine-readable bench output: `BENCH_<target>.json` files written
-/// next to the console report (gated on `CTS_BENCH_JSON_DIR`, like the
-/// criterion shim's kernel-level results).
+/// next to the console report (gated on `CTS_BENCH_JSON_DIR`).
 pub mod results {
     use cts_netsim::breakdown::TableRow;
     use serde::json::Value;
     use serde::Serialize;
-
-    /// Writes an arbitrary JSON document as `BENCH_<target>.json` inside
-    /// `$CTS_BENCH_JSON_DIR`. No-op (returning `None`) when the variable
-    /// is unset, so plain `cargo bench` runs leave no files behind.
-    pub fn write_json(target: &str, doc: &Value) -> Option<std::path::PathBuf> {
-        let dir = std::env::var_os("CTS_BENCH_JSON_DIR")?;
-        let path = std::path::Path::new(&dir).join(format!("BENCH_{target}.json"));
-        match std::fs::write(&path, doc.render()) {
-            Ok(()) => {
-                println!("results json: {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-                None
-            }
-        }
-    }
 
     /// Serializes experiment rows (per-stage breakdowns + speedups) and
     /// writes them as `BENCH_<target>.json` via [`BenchDoc`].
@@ -221,8 +202,7 @@ pub mod results {
     /// `target` names the bench, `config` records the knobs the run used
     /// (K, r, record counts, env overrides), `units` maps row fields to
     /// their unit strings, and `rows` holds the measurements. Build with
-    /// the fluent methods and finish with [`write`](BenchDoc::write)
-    /// (gated on `CTS_BENCH_JSON_DIR` like [`write_json`]).
+    /// the fluent methods and finish with [`write`](BenchDoc::write).
     #[derive(Debug)]
     pub struct BenchDoc {
         target: String,
@@ -265,16 +245,29 @@ pub mod results {
             self.rows.push(row);
         }
 
-        /// Renders the document and writes `BENCH_<target>.json` via
-        /// [`write_json`]. No-op without `CTS_BENCH_JSON_DIR`.
+        /// Renders the document and writes it as `BENCH_<target>.json`
+        /// inside `$CTS_BENCH_JSON_DIR`. No-op (returning `None`) when the
+        /// variable is unset, so plain `cargo bench` runs leave no files
+        /// behind.
         pub fn write(&self) -> Option<std::path::PathBuf> {
+            let dir = std::env::var_os("CTS_BENCH_JSON_DIR")?;
+            let path = std::path::Path::new(&dir).join(format!("BENCH_{}.json", self.target));
             let doc = Value::Object(vec![
                 ("target".to_string(), Value::Str(self.target.clone())),
                 ("config".to_string(), Value::Object(self.config.clone())),
                 ("units".to_string(), Value::Object(self.units.clone())),
                 ("rows".to_string(), Value::Array(self.rows.clone())),
             ]);
-            write_json(&self.target, &doc)
+            match std::fs::write(&path, doc.render()) {
+                Ok(()) => {
+                    println!("results json: {}", path.display());
+                    Some(path)
+                }
+                Err(e) => {
+                    eprintln!("warning: cannot write {}: {e}", path.display());
+                    None
+                }
+            }
         }
     }
 

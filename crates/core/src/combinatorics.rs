@@ -118,7 +118,6 @@ pub fn colex_unrank(rank: u64, k: usize, n: usize) -> NodeSet {
 #[derive(Clone)]
 pub struct Combinations {
     n: usize,
-    k: usize,
     next: Option<NodeSet>,
 }
 
@@ -131,12 +130,7 @@ impl Combinations {
         } else {
             Some(NodeSet::full(k)) // {0, …, k-1} is the colex-first subset
         };
-        Combinations { n, k, next }
-    }
-
-    /// Number of subsets remaining plus already yielded (`C(n, k)`).
-    pub fn total(&self) -> u64 {
-        binomial(self.n as u64, self.k as u64)
+        Combinations { n, next }
     }
 }
 

@@ -283,26 +283,12 @@ impl SegmentAssembler {
         self.file
     }
 
-    /// Adds one decoded segment.
+    /// Adds an attributed, already-decoded buffer. A benign duplicate
+    /// hands the buffer back so the caller can recycle it.
     ///
     /// # Errors
     /// `MalformedPacket` if the segment's file disagrees, the position is out
     /// of range, or the slot is already filled with different data.
-    pub fn add(&mut self, seg: DecodedSegment) -> Result<()> {
-        let info = SegmentInfo {
-            file: seg.file,
-            sender: seg.sender,
-            position: seg.position,
-        };
-        self.add_owned(info, seg.data).map(drop)
-    }
-
-    /// Adds an attributed, already-decoded buffer (the pooled form of
-    /// [`add`](SegmentAssembler::add)). A benign duplicate hands the
-    /// buffer back so the caller can recycle it.
-    ///
-    /// # Errors
-    /// As [`add`](SegmentAssembler::add).
     pub fn add_owned(&mut self, info: SegmentInfo, buf: Vec<u8>) -> Result<Option<Vec<u8>>> {
         if info.file != self.file {
             return Err(CodedError::MalformedPacket {
@@ -344,25 +330,14 @@ impl SegmentAssembler {
     }
 
     /// Concatenates the segments into the full intermediate value, verifying
-    /// that each piece has the length the deterministic split implies.
-    ///
-    /// # Errors
-    /// `MalformedPacket` if incomplete or if piece lengths are inconsistent
-    /// with the split rule of eq. (7).
-    pub fn assemble(mut self) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.total_len());
-        let discard = BufPool::new();
-        self.assemble_into(&mut out, &discard)?;
-        Ok(out)
-    }
-
-    /// Merge-in-place form of [`assemble`](SegmentAssembler::assemble):
+    /// that each piece has the length the deterministic split implies:
     /// appends the value to `out` and returns every drained piece buffer to
     /// `recycle`.
     ///
     /// # Errors
-    /// As [`assemble`](SegmentAssembler::assemble); on error the pieces
-    /// validated so far are already recycled.
+    /// `MalformedPacket` if incomplete or if piece lengths are inconsistent
+    /// with the split rule of eq. (7); on error the pieces validated so far
+    /// are already recycled.
     pub fn assemble_into(&mut self, out: &mut Vec<u8>, recycle: &BufPool) -> Result<()> {
         if !self.is_complete() {
             return Err(CodedError::MalformedPacket {
@@ -468,11 +443,6 @@ impl DecodePipeline {
     /// The configured release policy.
     pub fn mode(&self) -> DecodeMode {
         self.mode
-    }
-
-    /// Number of intermediates this node must recover in total.
-    pub fn expected_total(&self) -> u64 {
-        self.decoder.groups.groups_per_node()
     }
 
     /// Processes one received packet; returns the completed `(file, value)`
@@ -697,12 +667,6 @@ impl DecodePipeline {
         self.slots.len() + self.quorum_slots.len()
     }
 
-    /// The pipeline's internal buffer pool (exposed for reuse diagnostics
-    /// and so parallel decode fan-outs can draw accumulators from it).
-    pub fn buf_pool(&self) -> &BufPool {
-        &self.pool
-    }
-
     /// Checks out up to `n` segment accumulators as a per-worker
     /// [`BufPoolShard`]: the parallel decode fan-out takes one shard per
     /// worker per wave, so its per-packet path never contends on the
@@ -733,6 +697,16 @@ mod tests {
 
     fn fs(nodes: &[usize]) -> NodeSet {
         nodes.iter().copied().collect()
+    }
+
+    /// Feeds one decoded segment to the assembler.
+    fn add(asm: &mut SegmentAssembler, seg: DecodedSegment) -> Result<()> {
+        let info = SegmentInfo {
+            file: seg.file,
+            sender: seg.sender,
+            position: seg.position,
+        };
+        asm.add_owned(info, seg.data).map(drop)
     }
 
     /// Deterministic intermediate contents for (target, file).
@@ -798,7 +772,7 @@ mod tests {
             // not map: C(K-1, r) of them.
             assert_eq!(
                 recovered[node].len() as u64,
-                pipelines[node].expected_total(),
+                pipelines[node].decoder().groups().groups_per_node(),
                 "node {node} at (k={k}, r={r})"
             );
             assert_eq!(pipelines[node].in_flight(), 0);
@@ -869,28 +843,28 @@ mod tests {
         let (k, r) = (5, 2);
         let stores = stores(k, r, 6);
         let mut pipeline = DecodePipeline::new(k, r, 0).unwrap();
-        let mut done = 0u64;
+        let (mut accepted, mut done) = (0usize, 0u64);
         for sender in 1..k {
             let enc = Encoder::new(k, r, sender).unwrap();
             for pkt in enc.encode_all(&stores[sender]).unwrap() {
-                if pkt.group.contains(0) && pipeline.accept(&pkt, &stores[0]).unwrap().is_some() {
+                if !pkt.group.contains(0) {
+                    continue;
+                }
+                accepted += 1;
+                if pipeline.accept(&pkt, &stores[0]).unwrap().is_some() {
                     done += 1;
                 }
             }
         }
-        assert_eq!(done, pipeline.expected_total());
+        assert_eq!(done, pipeline.decoder().groups().groups_per_node());
         assert_eq!(pipeline.in_flight(), 0);
         // Each completed group returned its r buffers to the pool, and
-        // later packets drew from it instead of allocating.
+        // later packets drew from it instead of allocating: the pool ends
+        // up holding fewer buffers than packets were accepted.
+        let pooled = pipeline.segment_shard(accepted).pooled();
         assert!(
-            pipeline.buf_pool().recycle_hits() > 0,
-            "pooled accumulators were never reused"
-        );
-        // Every piece buffer came back: the pool holds exactly the fresh
-        // allocations ever made.
-        assert_eq!(
-            pipeline.buf_pool().pooled() as u64,
-            pipeline.buf_pool().recycle_misses()
+            (1..accepted).contains(&pooled),
+            "{pooled} buffers pooled after {accepted} packets"
         );
     }
 
@@ -919,7 +893,10 @@ mod tests {
             }
         }
         assert_eq!(a, b);
-        assert_eq!(a.len() as u64, via_accept.expected_total());
+        assert_eq!(
+            a.len() as u64,
+            via_accept.decoder().groups().groups_per_node()
+        );
     }
 
     #[test]
@@ -977,22 +954,27 @@ mod tests {
     fn assembler_rejects_conflicting_duplicate() {
         let file = fs(&[1, 2]);
         let mut asm = SegmentAssembler::new(file);
-        asm.add(DecodedSegment {
-            file,
-            sender: 1,
-            position: 0,
-            data: vec![1, 2],
-        })
+        add(
+            &mut asm,
+            DecodedSegment {
+                file,
+                sender: 1,
+                position: 0,
+                data: vec![1, 2],
+            },
+        )
         .unwrap();
         // Same position, different bytes.
-        let err = asm
-            .add(DecodedSegment {
+        let err = add(
+            &mut asm,
+            DecodedSegment {
                 file,
                 sender: 1,
                 position: 0,
                 data: vec![9, 9],
-            })
-            .unwrap_err();
+            },
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("conflicting"));
     }
 
@@ -1006,15 +988,15 @@ mod tests {
             position: 0,
             data: vec![1, 2],
         };
-        asm.add(seg.clone()).unwrap();
-        asm.add(seg).unwrap();
+        add(&mut asm, seg.clone()).unwrap();
+        add(&mut asm, seg).unwrap();
         assert!(!asm.is_complete());
     }
 
     #[test]
     fn assembler_incomplete_fails() {
-        let asm = SegmentAssembler::new(fs(&[1, 2]));
-        assert!(asm.assemble().is_err());
+        let mut asm = SegmentAssembler::new(fs(&[1, 2]));
+        assert!(asm.assemble_into(&mut Vec::new(), &BufPool::new()).is_err());
     }
 
     /// Encodes sender's MDS-mixed packet for group `m` and roundtrips it
@@ -1065,7 +1047,7 @@ mod tests {
         for node in 0..k {
             assert_eq!(
                 recovered[node].len() as u64,
-                pipelines[node].expected_total(),
+                pipelines[node].decoder().groups().groups_per_node(),
                 "node {node} at (k={k}, r={r}, skip={skip})"
             );
             assert_eq!(pipelines[node].in_flight(), 0);
@@ -1157,21 +1139,29 @@ mod tests {
         let file = fs(&[1, 2]);
         let mut asm = SegmentAssembler::new(file);
         // Position 0 must be the longer piece; give it the shorter one.
-        asm.add(DecodedSegment {
-            file,
-            sender: 1,
-            position: 0,
-            data: vec![1],
-        })
+        add(
+            &mut asm,
+            DecodedSegment {
+                file,
+                sender: 1,
+                position: 0,
+                data: vec![1],
+            },
+        )
         .unwrap();
-        asm.add(DecodedSegment {
-            file,
-            sender: 2,
-            position: 1,
-            data: vec![2, 3],
-        })
+        add(
+            &mut asm,
+            DecodedSegment {
+                file,
+                sender: 2,
+                position: 1,
+                data: vec![2, 3],
+            },
+        )
         .unwrap();
-        let err = asm.assemble().unwrap_err();
+        let err = asm
+            .assemble_into(&mut Vec::new(), &BufPool::new())
+            .unwrap_err();
         assert!(err.to_string().contains("split rule"));
     }
 }

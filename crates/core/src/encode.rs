@@ -116,16 +116,6 @@ impl Encoder {
         })
     }
 
-    /// The node this encoder belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The coding field the packets are combined in.
-    pub fn field(&self) -> FieldKind {
-        self.field
-    }
-
     /// The group enumeration shared with the decoder.
     pub fn groups(&self) -> &MulticastGroups {
         &self.groups

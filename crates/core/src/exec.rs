@@ -8,20 +8,12 @@
 //!   order, and every work item is a pure function of its index, so the
 //!   output is byte-identical for *any* thread count (asserted by
 //!   `tests/compute_equivalence.rs`).
-//! * **Bounded parallelism** — extra worker threads are leased from a
-//!   [`Budget`] (by default the process-wide one, sized to the machine's
-//!   available parallelism). When 64 emulated nodes all request 4 threads
-//!   at once, the budget grants what exists and the rest run inline on the
-//!   node's own thread; outputs are unaffected.
-//! * **Cooperative sharing** — a pool built
-//!   [`with_yield`](WorkerPool::with_yield) splits each `map`/`map_with`
-//!   into item slices and releases its lease between slices, so long jobs
-//!   (encode/decode loops over thousands of coded groups) take turns on
-//!   the budget instead of holding it end to end. Cooperative acquires are
-//!   FIFO-ordered with a bounded patience, so two long jobs interleave
-//!   leases deterministically instead of serializing. Slicing never
-//!   changes which item maps to which output index, so results stay
-//!   byte-identical to the non-cooperative pool.
+//! * **Bounded parallelism** — extra worker threads are leased from one
+//!   process-wide budget sized to the machine's available parallelism. The
+//!   grant never blocks: when 64 emulated nodes (or two resident runtimes
+//!   in one process) all request 4 threads at once, the budget hands out
+//!   what is free and the rest run inline on the caller's own thread;
+//!   outputs are unaffected.
 //!
 //! ```
 //! use cts_core::exec::WorkerPool;
@@ -33,191 +25,43 @@
 //! assert_eq!(squares, WorkerPool::serial().map(8, |i| i * i));
 //! ```
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
-
-/// The process-wide extra-thread budget (the default lease source).
-pub fn global_budget() -> &'static Arc<Budget> {
-    static BUDGET: OnceLock<Arc<Budget>> = OnceLock::new();
-    BUDGET.get_or_init(|| Arc::new(Budget::new(default_parallelism())))
-}
+use std::sync::{Mutex, OnceLock};
 
 /// The machine's available parallelism (fallback 4 when undetectable).
-pub fn default_parallelism() -> usize {
+fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
 }
 
-/// One observed lease grant: which caller (keyed by its thread) asked and
-/// how many extra threads it got. Recorded only while the probe is on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LeaseEvent {
-    /// Stable key of the acquiring thread (hash of its `ThreadId`).
-    pub owner: u64,
-    /// Extra threads granted (0 = the caller runs inline).
-    pub granted: usize,
+/// The process-wide extra-thread budget every pool leases from.
+fn global_budget() -> &'static Budget {
+    static BUDGET: OnceLock<Budget> = OnceLock::new();
+    BUDGET.get_or_init(|| Budget::new(default_parallelism()))
 }
 
-struct BudgetState {
-    avail: usize,
-    /// FIFO ticket counter for cooperative acquires.
-    next_ticket: u64,
-    /// The ticket currently allowed to take threads.
-    serving: u64,
-    /// Cooperative tickets whose owner gave up waiting; skipped when
-    /// `serving` reaches them so the queue cannot stall.
-    abandoned: VecDeque<u64>,
-}
-
-/// A leasable extra-thread budget.
-///
-/// Pools usually share the [`global_budget`]; a multi-tenant runtime can
-/// own a private `Budget` so its jobs contend only with each other. Plain
-/// [`acquire`](Budget::acquire) never blocks (legacy all-or-nothing
-/// semantics); [`acquire_coop`](Budget::acquire_coop) waits briefly in
-/// FIFO order so yielded leases hand off fairly between jobs.
-pub struct Budget {
-    state: Mutex<BudgetState>,
-    cv: Condvar,
-    probe: Mutex<Option<Vec<LeaseEvent>>>,
-    /// Observability sink for cooperative lease wait times (ns), attached
-    /// by the owning runtime. `None` costs one uncontended mutex lock per
-    /// cooperative acquire.
-    wait_hist: Mutex<Option<Arc<crate::metrics::Histogram>>>,
-}
-
-impl std::fmt::Debug for Budget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let avail = self.state.lock().map(|s| s.avail).unwrap_or(0);
-        f.debug_struct("Budget").field("avail", &avail).finish()
-    }
+/// A count of extra worker threads that may run at once.
+struct Budget {
+    avail: Mutex<usize>,
 }
 
 impl Budget {
-    /// A budget holding `n` extra threads.
-    pub fn new(n: usize) -> Budget {
+    fn new(n: usize) -> Budget {
         Budget {
-            state: Mutex::new(BudgetState {
-                avail: n,
-                next_ticket: 0,
-                serving: 0,
-                abandoned: VecDeque::new(),
-            }),
-            cv: Condvar::new(),
-            probe: Mutex::new(None),
-            wait_hist: Mutex::new(None),
-        }
-    }
-
-    /// Attaches a histogram that receives the time (ns) each cooperative
-    /// acquire spent waiting for its FIFO turn.
-    pub fn set_wait_histogram(&self, hist: Arc<crate::metrics::Histogram>) {
-        *self.wait_hist.lock().expect("budget wait hist lock") = Some(hist);
-    }
-
-    /// Starts recording lease grants (for fairness tests and diagnostics).
-    pub fn enable_probe(&self) {
-        *self.probe.lock().expect("budget probe lock") = Some(Vec::new());
-    }
-
-    /// Stops recording and returns the grant log in acquisition order.
-    pub fn take_probe(&self) -> Vec<LeaseEvent> {
-        self.probe
-            .lock()
-            .expect("budget probe lock")
-            .take()
-            .unwrap_or_default()
-    }
-
-    fn record(&self, owner: u64, granted: usize) {
-        if let Some(log) = self.probe.lock().expect("budget probe lock").as_mut() {
-            log.push(LeaseEvent { owner, granted });
+            avail: Mutex::new(n),
         }
     }
 
     /// Leases up to `want` extra threads without blocking: grants whatever
-    /// is available right now (possibly 0). Ignores the cooperative FIFO.
-    pub fn acquire(&self, want: usize, owner: u64) -> usize {
-        let granted = {
-            let mut s = self.state.lock().expect("exec budget lock");
-            let granted = want.min(s.avail);
-            s.avail -= granted;
-            granted
-        };
-        self.record(owner, granted);
-        granted
-    }
-
-    /// Cooperative lease: takes a FIFO ticket and waits up to `patience`
-    /// for its turn *and* for threads to be available. On timeout the
-    /// caller proceeds with whatever is free (possibly 0) — cooperative
-    /// acquires never deadlock, they only wait politely.
-    pub fn acquire_coop(&self, want: usize, patience: Duration, owner: u64) -> usize {
-        let start = Instant::now();
-        let deadline = start + patience;
-        let mut s = self.state.lock().expect("exec budget lock");
-        let ticket = s.next_ticket;
-        s.next_ticket += 1;
-        let granted = loop {
-            Self::skip_abandoned(&mut s);
-            if s.serving == ticket && s.avail > 0 {
-                let granted = want.min(s.avail);
-                s.avail -= granted;
-                s.serving += 1;
-                self.cv.notify_all();
-                break granted;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                if s.serving == ticket {
-                    // Our turn, nothing free: give up and run inline.
-                    s.serving += 1;
-                    self.cv.notify_all();
-                } else {
-                    // Still queued behind others: abandon the ticket so the
-                    // queue flows past it.
-                    s.abandoned.push_back(ticket);
-                    self.cv.notify_all();
-                }
-                break 0;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(s, deadline - now)
-                .expect("exec budget wait");
-            s = guard;
-        };
-        drop(s);
-        if let Some(h) = self
-            .wait_hist
-            .lock()
-            .expect("budget wait hist lock")
-            .as_ref()
-        {
-            h.record(start.elapsed().as_nanos() as u64);
-        }
-        self.record(owner, granted);
-        granted
-    }
-
-    fn skip_abandoned(s: &mut BudgetState) {
-        while let Some(pos) = s.abandoned.iter().position(|&t| t == s.serving) {
-            s.abandoned.remove(pos);
-            s.serving += 1;
-        }
-    }
-
-    /// Returns leased threads. Paired with the acquire methods via
-    /// an RAII `Lease` so panics cannot strand permits.
-    pub fn release(&self, n: usize) {
-        if n > 0 {
-            let mut s = self.state.lock().expect("exec budget lock");
-            s.avail += n;
-            Self::skip_abandoned(&mut s);
-            drop(s);
-            self.cv.notify_all();
+    /// is free right now (possibly 0). The lease returns them on drop, so
+    /// a panicking worker cannot strand permits.
+    fn acquire(&self, want: usize) -> Lease<'_> {
+        let mut avail = self.avail.lock().expect("exec budget lock");
+        let granted = want.min(*avail);
+        *avail -= granted;
+        Lease {
+            budget: self,
+            granted,
         }
     }
 }
@@ -230,22 +74,12 @@ struct Lease<'a> {
 
 impl Drop for Lease<'_> {
     fn drop(&mut self) {
-        self.budget.release(self.granted);
+        // A drop may run while a worker's panic unwinds: never panic here.
+        if let Ok(mut avail) = self.budget.avail.lock() {
+            *avail += self.granted;
+        }
     }
 }
-
-/// Stable per-thread owner key for lease accounting.
-fn owner_key() -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    h.finish()
-}
-
-/// How long a cooperative acquire waits for its FIFO turn before running
-/// inline. Long enough to bridge another job's slice, short enough that a
-/// non-cooperative lease holder cannot stall the caller noticeably.
-const DEFAULT_YIELD_PATIENCE: Duration = Duration::from_millis(20);
 
 /// A deterministic chunked worker pool.
 ///
@@ -255,9 +89,6 @@ const DEFAULT_YIELD_PATIENCE: Duration = Duration::from_millis(20);
 #[derive(Clone, Debug)]
 pub struct WorkerPool {
     threads: usize,
-    yield_slices: usize,
-    yield_patience: Duration,
-    budget: Option<Arc<Budget>>,
 }
 
 impl Default for WorkerPool {
@@ -276,9 +107,6 @@ impl WorkerPool {
             } else {
                 threads
             },
-            yield_slices: 1,
-            yield_patience: DEFAULT_YIELD_PATIENCE,
-            budget: None,
         }
     }
 
@@ -287,44 +115,9 @@ impl WorkerPool {
         WorkerPool::new(1)
     }
 
-    /// Makes the pool cooperative: each `map`/`map_with` call is split
-    /// into up to `slices` item slices with the lease released between
-    /// them, so concurrent long jobs interleave instead of one holding the
-    /// whole budget end to end. `slices <= 1` keeps the legacy
-    /// single-lease behavior. Slices never shrink below the pool's thread
-    /// count in items, so intra-slice parallelism is unaffected, and the
-    /// item→output mapping is unchanged (byte-identical results).
-    pub fn with_yield(mut self, slices: usize) -> Self {
-        self.yield_slices = slices.max(1);
-        self
-    }
-
-    /// Sets how long cooperative acquires wait for their FIFO turn.
-    pub fn with_yield_patience(mut self, patience: Duration) -> Self {
-        self.yield_patience = patience;
-        self
-    }
-
-    /// Leases from `budget` instead of the process-wide [`global_budget`]
-    /// (a job runtime owns one budget and hands it to every job's pool).
-    pub fn with_budget(mut self, budget: Arc<Budget>) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
     /// The configured (requested) worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The cooperative slice count (1 = non-cooperative).
-    pub fn yield_slices(&self) -> usize {
-        self.yield_slices
-    }
-
-    /// The lease source this pool draws from.
-    pub fn budget(&self) -> &Arc<Budget> {
-        self.budget.as_ref().unwrap_or_else(|| global_budget())
     }
 
     /// Applies `f` to every index in `0..n`, returning results in index
@@ -377,82 +170,49 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.threads <= 1 || n == 1 {
-            let mut state = init();
-            return (0..n).map(|i| f(&mut state, i)).collect();
-        }
-        // Cooperative pools slice the items and re-lease per slice; slices
-        // never hold fewer items than the pool has threads, so a slice's
-        // internal parallelism matches the non-cooperative pool's.
-        let slice_len = if self.yield_slices > 1 {
-            n.div_ceil(self.yield_slices).max(self.threads.min(n))
-        } else {
-            n
-        };
-        let owner = owner_key();
-        let mut out: Vec<T> = Vec::with_capacity(n);
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + slice_len).min(n);
-            self.run_slice(start..end, owner, &init, &f, &mut out);
-            start = end;
-        }
-        out
+        self.map_on(global_budget(), n, init, f)
     }
 
-    /// Runs one leased slice of items, appending results in index order.
-    fn run_slice<S, T, I, F>(
-        &self,
-        range: std::ops::Range<usize>,
-        owner: u64,
-        init: &I,
-        f: &F,
-        out: &mut Vec<T>,
-    ) where
+    /// [`map_with`](WorkerPool::map_with) leasing from `budget`.
+    fn map_on<S, T, I, F>(&self, budget: &Budget, n: usize, init: I, f: F) -> Vec<T>
+    where
         T: Send,
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
     {
-        let n = range.len();
-        let budget: &Budget = self.budget().as_ref();
-        // Lease extra workers; our own thread always counts as one.
-        let want = self.threads.min(n) - 1;
-        let granted = if self.yield_slices > 1 {
-            budget.acquire_coop(want, self.yield_patience, owner)
-        } else {
-            budget.acquire(want, owner)
+        if n == 0 {
+            return Vec::new();
+        }
+        let inline = || {
+            let mut state = init();
+            (0..n).map(|i| f(&mut state, i)).collect()
         };
-        let lease = Lease { budget, granted };
+        if self.threads <= 1 || n == 1 {
+            return inline();
+        }
+        // Lease extra workers; our own thread always counts as one.
+        let lease = budget.acquire(self.threads.min(n) - 1);
         let workers = lease.granted + 1;
         if workers == 1 {
-            let mut state = init();
-            for i in range {
-                out.push(f(&mut state, i));
-            }
-            return;
+            return inline();
         }
         let chunk = n.div_ceil(workers);
+        let (init, f) = (&init, &f);
+        let mut out: Vec<T> = Vec::with_capacity(n);
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers - 1);
-            for w in 1..workers {
-                let lo = range.start + w * chunk;
-                if lo >= range.end {
-                    break;
-                }
-                let hi = (lo + chunk).min(range.end);
-                handles.push(scope.spawn(move || {
-                    let mut state = init();
-                    (lo..hi).map(|i| f(&mut state, i)).collect::<Vec<T>>()
-                }));
-            }
+            let handles: Vec<_> = (1..workers)
+                .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
+                .filter(|(lo, hi)| lo < hi)
+                .map(|(lo, hi)| {
+                    scope.spawn(move || {
+                        let mut state = init();
+                        (lo..hi).map(|i| f(&mut state, i)).collect::<Vec<T>>()
+                    })
+                })
+                .collect();
             // This thread processes the first chunk while workers run.
             let mut state = init();
-            for i in range.start..(range.start + chunk).min(range.end) {
-                out.push(f(&mut state, i));
-            }
+            out.extend((0..chunk.min(n)).map(|i| f(&mut state, i)));
             for h in handles {
                 match h.join() {
                     Ok(part) => out.extend(part),
@@ -460,6 +220,7 @@ impl WorkerPool {
                 }
             }
         });
+        out
     }
 }
 
@@ -467,7 +228,8 @@ impl WorkerPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     #[test]
     fn map_preserves_index_order() {
@@ -540,112 +302,70 @@ mod tests {
         assert!(WorkerPool::new(0).threads() >= 1);
     }
 
+    /// The module's promise: however many pools ask at once, the budget
+    /// never has more extra workers running than it holds, and what each
+    /// pool was granted never shows in its output. A rendezvous keeps all
+    /// eight calls (and every extra worker) inside `map` at the same time.
     #[test]
-    fn budget_limits_but_never_blocks() {
-        // Saturate the budget from many pools at once; all must finish and
-        // give identical results regardless of what each was granted.
-        let expected: Vec<usize> = (0..200).map(|i| i ^ 0x5a).collect();
+    fn pools_sharing_a_budget_never_exceed_it() {
+        const POOLS: usize = 8;
+        const EXTRA: usize = 3;
+        struct Worker<'a> {
+            extras: Option<&'a AtomicUsize>,
+            fresh: bool,
+        }
+        impl Drop for Worker<'_> {
+            fn drop(&mut self) {
+                if let Some(extras) = self.extras {
+                    extras.fetch_sub(1, Ordering::SeqCst);
+                }
+            }
+        }
+        let budget = Budget::new(EXTRA);
+        let expected = WorkerPool::serial().map(200, |i| i ^ 0x5a);
+        let (extras, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let arrived = (Mutex::new(0usize), Condvar::new());
+        let rendezvous = || {
+            let mut n = arrived.0.lock().unwrap();
+            *n += 1;
+            arrived.1.notify_all();
+            let (n, _) = arrived
+                .1
+                .wait_timeout_while(n, Duration::from_secs(30), |n| *n < POOLS + EXTRA)
+                .unwrap();
+            assert!(*n >= POOLS + EXTRA, "only {n} workers showed up");
+        };
         std::thread::scope(|s| {
-            for _ in 0..8 {
-                let expected = &expected;
-                s.spawn(move || {
-                    let pool = WorkerPool::new(16);
-                    assert_eq!(&pool.map(200, |i| i ^ 0x5a), expected);
+            for _ in 0..POOLS {
+                s.spawn(|| {
+                    let caller = std::thread::current().id();
+                    let out = WorkerPool::new(4).map_on(
+                        &budget,
+                        200,
+                        || {
+                            let extra = std::thread::current().id() != caller;
+                            if extra {
+                                let now = extras.fetch_add(1, Ordering::SeqCst) + 1;
+                                peak.fetch_max(now, Ordering::SeqCst);
+                            }
+                            Worker {
+                                extras: extra.then_some(&extras),
+                                fresh: true,
+                            }
+                        },
+                        |worker, i| {
+                            if std::mem::take(&mut worker.fresh) {
+                                rendezvous();
+                            }
+                            i ^ 0x5a
+                        },
+                    );
+                    assert_eq!(out, expected);
                 });
             }
         });
-    }
-
-    #[test]
-    fn cooperative_map_matches_serial_output() {
-        let expected: Vec<usize> = (0..257usize).map(|i| i.wrapping_mul(31)).collect();
-        for slices in [1usize, 2, 4, 16, 300] {
-            let budget = Arc::new(Budget::new(3));
-            let pool = WorkerPool::new(4).with_budget(budget).with_yield(slices);
-            assert_eq!(pool.map(257, |i| i.wrapping_mul(31)), expected, "{slices}");
-        }
-    }
-
-    /// The PR 3 leftover, demonstrated: two long jobs on a shared
-    /// one-thread budget. Without yield the first lease spans a job's whole
-    /// map, so exactly one job ever holds the budget (the other runs inline
-    /// start to finish). With cooperative yield the lease is released
-    /// between slices and the FIFO handoff bounces it between the jobs.
-    #[test]
-    fn cooperative_yield_interleaves_two_long_jobs() {
-        let work = |i: usize| {
-            std::thread::sleep(Duration::from_millis(2));
-            i
-        };
-        let run_pair = |slices: usize, budget: &Arc<Budget>| {
-            let start = Barrier::new(2);
-            std::thread::scope(|s| {
-                for _ in 0..2 {
-                    let budget = Arc::clone(budget);
-                    let start = &start;
-                    s.spawn(move || {
-                        let pool = WorkerPool::new(2)
-                            .with_budget(budget)
-                            .with_yield(slices)
-                            .with_yield_patience(Duration::from_millis(500));
-                        start.wait();
-                        assert_eq!(pool.map(8, work), (0..8).collect::<Vec<_>>());
-                    });
-                }
-            });
-        };
-
-        // Cooperative: the lone extra thread must serve BOTH jobs, and the
-        // holder sequence must alternate (A…B…A or B…A…B), not serialize.
-        let budget = Arc::new(Budget::new(1));
-        budget.enable_probe();
-        run_pair(4, &budget);
-        let events = budget.take_probe();
-        let holders: Vec<u64> = events
-            .iter()
-            .filter(|e| e.granted > 0)
-            .map(|e| e.owner)
-            .collect();
-        let mut owners: Vec<u64> = holders.clone();
-        owners.sort_unstable();
-        owners.dedup();
-        assert_eq!(owners.len(), 2, "both jobs must hold a lease: {events:?}");
-        let sandwiched = holders
-            .iter()
-            .enumerate()
-            .any(|(i, &h)| holders[..i].contains(&h) && holders[..i].iter().any(|&o| o != h));
-        assert!(sandwiched, "lease never bounced between jobs: {holders:?}");
-
-        // Legacy (slices = 1): the first job to acquire keeps the budget
-        // for its entire map, so exactly one distinct owner ever holds it.
-        let budget = Arc::new(Budget::new(1));
-        budget.enable_probe();
-        run_pair(1, &budget);
-        let events = budget.take_probe();
-        let mut holders: Vec<u64> = events
-            .iter()
-            .filter(|e| e.granted > 0)
-            .map(|e| e.owner)
-            .collect();
-        holders.sort_unstable();
-        holders.dedup();
-        assert_eq!(
-            holders.len(),
-            1,
-            "all-or-nothing lease serialized: {events:?}"
-        );
-    }
-
-    #[test]
-    fn coop_acquire_times_out_instead_of_deadlocking() {
-        let budget = Budget::new(0);
-        let t0 = Instant::now();
-        // Nothing will ever be released; the coop acquire must give up.
-        assert_eq!(budget.acquire_coop(2, Duration::from_millis(10), 7), 0);
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        // The abandoned ticket must not wedge later acquires.
-        budget.release(1);
-        assert_eq!(budget.acquire_coop(1, Duration::from_millis(50), 7), 1);
+        assert_eq!(peak.load(Ordering::SeqCst), EXTRA);
+        assert_eq!(*budget.avail.lock().unwrap(), EXTRA, "every lease returned");
     }
 
     #[test]

@@ -65,18 +65,6 @@ impl MulticastGroups {
         Ok(MulticastGroups { k, r })
     }
 
-    /// Number of nodes `K`.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Redundancy `r`; group size is `r + 1`.
-    #[inline]
-    pub fn r(&self) -> usize {
-        self.r
-    }
-
     /// Members per group (`r + 1`).
     #[inline]
     pub fn group_size(&self) -> usize {
@@ -190,48 +178,9 @@ impl PodGroups {
         Ok(PodGroups { k, r, pod_size })
     }
 
-    /// Number of pods, `K / g`.
-    #[inline]
-    pub fn num_pods(&self) -> usize {
-        self.k / self.pod_size
-    }
-
-    /// Pod size `g`.
-    #[inline]
-    pub fn pod_size(&self) -> usize {
-        self.pod_size
-    }
-
-    /// Members of pod `p`: nodes `p·g .. (p+1)·g`.
-    pub fn pod_members(&self, pod: usize) -> NodeSet {
-        assert!(pod < self.num_pods());
-        (pod * self.pod_size..(pod + 1) * self.pod_size).collect()
-    }
-
-    /// The pod containing `node`.
-    #[inline]
-    pub fn pod_of(&self, node: NodeId) -> usize {
-        assert!(node < self.k);
-        node / self.pod_size
-    }
-
     /// Total multicast groups across all pods: `(K/g)·C(g, r+1)`.
     pub fn num_groups(&self) -> u64 {
-        self.num_pods() as u64 * binomial(self.pod_size as u64, (self.r + 1) as u64)
-    }
-
-    /// Iterates every group of every pod as `(pod, members)`.
-    pub fn iter_groups(&self) -> impl Iterator<Item = (usize, NodeSet)> + '_ {
-        (0..self.num_pods()).flat_map(move |pod| {
-            combinations_of(self.pod_members(pod), self.r + 1).map(move |m| (pod, m))
-        })
-    }
-
-    /// CodeGen-cost reduction factor vs. the flat scheme,
-    /// `C(K, r+1) / ((K/g)·C(g, r+1))`.
-    pub fn codegen_reduction(&self) -> f64 {
-        let flat = binomial(self.k as u64, (self.r + 1) as u64) as f64;
-        flat / self.num_groups() as f64
+        (self.k / self.pod_size) as u64 * binomial(self.pod_size as u64, (self.r + 1) as u64)
     }
 }
 
@@ -305,32 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn pods_partition_nodes() {
-        let p = PodGroups::new(12, 2, 4).unwrap();
-        assert_eq!(p.num_pods(), 3);
-        let mut all = NodeSet::EMPTY;
-        for pod in 0..3 {
-            let m = p.pod_members(pod);
-            assert_eq!(m.len(), 4);
-            assert!(all.intersection(m).is_empty());
-            all = all.union(m);
-        }
-        assert_eq!(all, NodeSet::full(12));
-        for n in 0..12 {
-            assert!(p.pod_members(p.pod_of(n)).contains(n));
-        }
-    }
-
-    #[test]
-    fn pod_group_count_and_reduction() {
+    fn pod_group_count() {
         let p = PodGroups::new(20, 3, 10).unwrap();
         assert_eq!(p.num_groups(), 2 * binomial(10, 4));
-        assert!(p.codegen_reduction() > 11.0);
-        assert_eq!(p.iter_groups().count() as u64, p.num_groups());
-        for (pod, m) in p.iter_groups() {
-            assert!(m.is_subset_of(p.pod_members(pod)));
-            assert_eq!(m.len(), 4);
-        }
     }
 
     #[test]

@@ -59,59 +59,15 @@ impl MapOutputStore {
         old
     }
 
-    /// Removes and returns `I^target_file`.
-    pub fn remove(&mut self, target: NodeId, file: NodeSet) -> Option<Bytes> {
-        let old = self.values.remove(&(target, file.bits()));
-        if let Some(ref o) = old {
-            self.total_bytes -= o.len() as u64;
-        }
-        old
-    }
-
     /// Borrowed access as [`Bytes`] (cheaply cloneable).
     pub fn get(&self, target: NodeId, file: NodeSet) -> Option<&Bytes> {
         self.values.get(&(target, file.bits()))
-    }
-
-    /// Number of stored intermediate values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Sum of stored payload lengths — the memory-overhead quantity the
     /// paper's §V-C Reduce discussion refers to.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Iterates `(target, file, data)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeSet, &Bytes)> {
-        self.values
-            .iter()
-            .map(|(&(t, bits), d)| (t, NodeSet::from_bits(bits), d))
-    }
-
-    /// Drains all values for reduce target `target` (used when feeding the
-    /// local Reduce stage), in ascending file order.
-    pub fn take_for_target(&mut self, target: NodeId) -> Vec<(NodeSet, Bytes)> {
-        let mut keys: Vec<u64> = self
-            .values
-            .keys()
-            .filter(|(t, _)| *t == target)
-            .map(|(_, bits)| *bits)
-            .collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|bits| {
-                let data = self.remove(target, NodeSet::from_bits(bits)).unwrap();
-                (NodeSet::from_bits(bits), data)
-            })
-            .collect()
     }
 }
 
@@ -136,18 +92,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove() {
+    fn insert_and_get() {
         let mut store = MapOutputStore::new();
-        assert!(store.is_empty());
+        assert_eq!(store.total_bytes(), 0);
         store.insert(0, fs(&[0, 1]), Bytes::from_static(b"abc"));
         store.insert(2, fs(&[0, 1]), Bytes::from_static(b"defg"));
-        assert_eq!(store.len(), 2);
         assert_eq!(store.total_bytes(), 7);
         assert_eq!(store.intermediate(0, fs(&[0, 1])), Some(&b"abc"[..]));
-        let removed = store.remove(0, fs(&[0, 1])).unwrap();
-        assert_eq!(&removed[..], b"abc");
-        assert_eq!(store.total_bytes(), 4);
-        assert_eq!(store.intermediate(0, fs(&[0, 1])), None);
+        assert_eq!(store.intermediate(1, fs(&[0, 1])), None);
     }
 
     #[test]
@@ -157,7 +109,6 @@ mod tests {
         let old = store.insert(1, fs(&[1, 2]), Bytes::from_static(b"yy"));
         assert_eq!(old.as_deref(), Some(&b"xxxx"[..]));
         assert_eq!(store.total_bytes(), 2);
-        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -168,18 +119,6 @@ mod tests {
         store.insert(1, f, Bytes::from_static(b"b"));
         assert_eq!(store.intermediate(0, f), Some(&b"a"[..]));
         assert_eq!(store.intermediate(1, f), Some(&b"b"[..]));
-    }
-
-    #[test]
-    fn take_for_target_is_sorted_and_exhaustive() {
-        let mut store = MapOutputStore::new();
-        store.insert(0, fs(&[0, 3]), Bytes::from_static(b"late"));
-        store.insert(0, fs(&[0, 1]), Bytes::from_static(b"early"));
-        store.insert(1, fs(&[1, 2]), Bytes::from_static(b"other"));
-        let taken = store.take_for_target(0);
-        assert_eq!(taken.len(), 2);
-        assert!(taken[0].0.bits() < taken[1].0.bits());
-        assert_eq!(store.len(), 1); // target 1 untouched
     }
 
     #[test]

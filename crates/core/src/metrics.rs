@@ -294,16 +294,7 @@ impl MetricsHub {
 
     /// Registers (or fetches) an unlabeled counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.counter_with_opt(name, None)
-    }
-
-    /// Registers (or fetches) a counter carrying one label pair.
-    pub fn counter_with(&self, name: &str, key: &str, value: &str) -> Arc<Counter> {
-        self.counter_with_opt(name, Some((key, value)))
-    }
-
-    fn counter_with_opt(&self, name: &str, label: Option<(&str, &str)>) -> Arc<Counter> {
-        if let Some(c) = self.lookup(name, label, |i| match i {
+        if let Some(c) = self.lookup(name, None, |i| match i {
             Instrument::Counter(c) => Some(Arc::clone(c)),
             _ => None,
         }) {
@@ -312,7 +303,7 @@ impl MetricsHub {
         let c = Arc::new(Counter::new());
         self.inner.lock().unwrap().push(Registration {
             name: name.to_string(),
-            label: label.map(|(k, v)| (k.to_string(), v.to_string())),
+            label: None,
             instrument: Instrument::Counter(Arc::clone(&c)),
         });
         c
@@ -333,11 +324,6 @@ impl MetricsHub {
             instrument: Instrument::Gauge(Arc::clone(&g)),
         });
         g
-    }
-
-    /// Registers (or fetches) a histogram whose samples render 1:1.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with_opt(name, None, 1.0)
     }
 
     /// Registers (or fetches) a histogram whose raw samples are scaled by
@@ -513,11 +499,17 @@ mod tests {
         a.inc();
         assert_eq!(b.get(), 1);
         // Different label, different series.
-        let c = hub.counter_with("x_total", "stage", "Map");
-        c.add(5);
-        assert_eq!(a.get(), 1);
-        let d = hub.counter_with("x_total", "stage", "Map");
-        assert_eq!(d.get(), 5);
+        let c = hub.histogram_with("x_seconds", "stage", "Map", 1.0);
+        c.record(5);
+        assert_eq!(
+            hub.histogram_with("x_seconds", "stage", "Reduce", 1.0)
+                .count(),
+            0
+        );
+        assert_eq!(
+            hub.histogram_with("x_seconds", "stage", "Map", 1.0).count(),
+            1
+        );
     }
 
     #[test]

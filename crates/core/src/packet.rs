@@ -135,7 +135,7 @@ impl CodedPacket {
     /// that the payload length equals the longest recorded segment.
     ///
     /// This variant copies the payload out of `buf`; prefer
-    /// [`from_wire`](CodedPacket::from_wire) when the frame is already a
+    /// [`read_wire`](CodedPacket::read_wire) when the frame is already a
     /// [`Bytes`] (as everything received from a fabric is).
     pub fn from_bytes(buf: &[u8]) -> Result<Self> {
         let mut packet = CodedPacket::empty();
@@ -144,17 +144,10 @@ impl CodedPacket {
         Ok(packet)
     }
 
-    /// Zero-copy parse: identical validation to
-    /// [`from_bytes`](CodedPacket::from_bytes), but the payload *borrows*
-    /// `wire`'s allocation as a [`Bytes`] slice instead of copying.
-    pub fn from_wire(wire: &Bytes) -> Result<Self> {
-        let mut packet = CodedPacket::empty();
-        packet.read_wire(wire)?;
-        Ok(packet)
-    }
-
-    /// Zero-copy, zero-allocation parse into an existing packet shell: the
-    /// payload borrows `wire` and the warm `seg_lens` vector is reused.
+    /// Zero-copy, zero-allocation parse into an existing packet shell:
+    /// identical validation to [`from_bytes`](CodedPacket::from_bytes), but
+    /// the payload *borrows* `wire`'s allocation as a [`Bytes`] slice and
+    /// the warm `seg_lens` vector is reused.
     ///
     /// # Errors
     /// `MalformedPacket` exactly as [`from_bytes`](CodedPacket::from_bytes);
@@ -354,7 +347,8 @@ mod tests {
     fn zero_copy_parse_borrows_frame() {
         let p = sample();
         let wire = Bytes::from(p.to_bytes());
-        let q = CodedPacket::from_wire(&wire).unwrap();
+        let mut q = CodedPacket::empty();
+        q.read_wire(&wire).unwrap();
         assert_eq!(p, q);
         // The payload points into the wire frame's allocation.
         let payload_start = wire.len() - p.payload.len();
@@ -434,7 +428,10 @@ mod tests {
             );
             // The zero-copy parser enforces the same structure.
             let wire = Bytes::from(bytes[..cut].to_vec());
-            assert!(CodedPacket::from_wire(&wire).is_err(), "wire cut at {cut}");
+            assert!(
+                CodedPacket::empty().read_wire(&wire).is_err(),
+                "wire cut at {cut}"
+            );
         }
     }
 

@@ -11,7 +11,7 @@
 //! `r = 1` degenerates to conventional TeraSort placement (`K` files, one per
 //! node); `r = K` stores the single file everywhere (no shuffle needed).
 
-use crate::combinatorics::{binomial, colex_rank, colex_unrank, combinations_of, Combinations};
+use crate::combinatorics::{binomial, colex_rank, colex_unrank, combinations_of};
 use crate::error::{CodedError, Result};
 use crate::subset::{NodeId, NodeSet};
 
@@ -40,7 +40,6 @@ impl std::fmt::Display for FileId {
 ///
 /// let plan = PlacementPlan::new(4, 2).unwrap();
 /// assert_eq!(plan.num_files(), 6);            // C(4,2)
-/// assert_eq!(plan.files_per_node(), 3);       // C(3,1)
 /// // Node 1 (paper's "Node 2") stores F_{1,2}, F_{2,3}, F_{2,4}:
 /// let files: Vec<String> = plan
 ///     .files_of_node(1)
@@ -73,12 +72,6 @@ impl PlacementPlan {
         Ok(PlacementPlan { k, r })
     }
 
-    /// Number of nodes `K`.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Redundancy (computation load) `r`: the number of nodes each file is
     /// placed on.
     #[inline]
@@ -90,12 +83,6 @@ impl PlacementPlan {
     #[inline]
     pub fn num_files(&self) -> u64 {
         binomial(self.k as u64, self.r as u64)
-    }
-
-    /// Number of files stored on each node, `C(K-1, r-1)`.
-    #[inline]
-    pub fn files_per_node(&self) -> u64 {
-        binomial((self.k - 1) as u64, (self.r - 1) as u64)
     }
 
     /// The node subset `S` that file `file` is placed on.
@@ -123,13 +110,6 @@ impl PlacementPlan {
         Ok(FileId(colex_rank(s)))
     }
 
-    /// Iterates all files in `FileId` order together with their node sets.
-    pub fn iter_files(&self) -> impl Iterator<Item = (FileId, NodeSet)> {
-        Combinations::new(self.k, self.r)
-            .enumerate()
-            .map(|(i, s)| (FileId(i as u64), s))
-    }
-
     /// Iterates the files stored on `node`, in ascending `FileId` order.
     ///
     /// # Panics
@@ -154,27 +134,16 @@ impl PlacementPlan {
         debug_assert!(file_nodes.contains(node));
         target == node || !file_nodes.contains(target)
     }
-
-    /// Splits `total` items into per-file spans as evenly as possible:
-    /// files `0..(total % N)` get one extra item. Returns `(offset, len)` for
-    /// `file`, measured in items.
-    pub fn file_span(&self, file: FileId, total: u64) -> (u64, u64) {
-        let n = self.num_files();
-        assert!(file.0 < n);
-        let base = total / n;
-        let extra = total % n;
-        let i = file.0;
-        if i < extra {
-            (i * (base + 1), base + 1)
-        } else {
-            (extra * (base + 1) + (i - extra) * base, base)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All files in `FileId` order together with their node sets.
+    fn iter_files(plan: &PlacementPlan) -> impl Iterator<Item = (FileId, NodeSet)> + '_ {
+        (0..plan.num_files()).map(|i| (FileId(i), plan.nodes_of_file(FileId(i))))
+    }
 
     #[test]
     fn rejects_bad_parameters() {
@@ -191,15 +160,9 @@ mod tests {
             for r in 1..=k {
                 let plan = PlacementPlan::new(k, r).unwrap();
                 assert_eq!(plan.num_files(), binomial(k as u64, r as u64));
-                assert_eq!(
-                    plan.files_per_node(),
-                    binomial((k - 1) as u64, (r - 1) as u64)
-                );
-                // Double counting: Σ_nodes files_per_node == N * r.
-                assert_eq!(
-                    plan.files_per_node() * k as u64,
-                    plan.num_files() * r as u64
-                );
+                // Double counting: Σ_nodes |files of node| == N * r.
+                let stored: usize = (0..k).map(|n| plan.files_of_node(n).count()).sum();
+                assert_eq!(stored as u64, plan.num_files() * r as u64);
             }
         }
     }
@@ -207,7 +170,7 @@ mod tests {
     #[test]
     fn file_id_roundtrip() {
         let plan = PlacementPlan::new(9, 4).unwrap();
-        for (id, s) in plan.iter_files() {
+        for (id, s) in iter_files(&plan) {
             assert_eq!(plan.nodes_of_file(id), s);
             assert_eq!(plan.file_of_nodes(s).unwrap(), id);
         }
@@ -217,7 +180,7 @@ mod tests {
     fn every_r_subset_shares_exactly_one_file() {
         let plan = PlacementPlan::new(7, 3).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for (_, s) in plan.iter_files() {
+        for (_, s) in iter_files(&plan) {
             assert!(seen.insert(s), "duplicate file for {s}");
         }
         assert_eq!(seen.len() as u64, plan.num_files());
@@ -228,13 +191,12 @@ mod tests {
         let plan = PlacementPlan::new(8, 3).unwrap();
         for node in 0..8 {
             let via_iter: Vec<FileId> = plan.files_of_node(node).collect();
-            let via_scan: Vec<FileId> = plan
-                .iter_files()
+            let via_scan: Vec<FileId> = iter_files(&plan)
                 .filter(|(_, s)| s.contains(node))
                 .map(|(id, _)| id)
                 .collect();
             assert_eq!(via_iter, via_scan, "node {node}");
-            assert_eq!(via_iter.len() as u64, plan.files_per_node());
+            assert_eq!(via_iter.len() as u64, binomial(7, 2));
         }
     }
 
@@ -277,33 +239,5 @@ mod tests {
         assert!(!plan.keeps_intermediate(0, s, 1));
         assert!(plan.keeps_intermediate(0, s, 2));
         assert!(plan.keeps_intermediate(0, s, 3));
-    }
-
-    #[test]
-    fn file_span_partitions_total_exactly() {
-        let plan = PlacementPlan::new(5, 2).unwrap(); // N = 10
-        for total in [0u64, 1, 9, 10, 11, 1000, 1003] {
-            let mut covered = 0u64;
-            let mut expected_offset = 0u64;
-            for (id, _) in plan.iter_files() {
-                let (off, len) = plan.file_span(id, total);
-                assert_eq!(off, expected_offset);
-                expected_offset += len;
-                covered += len;
-            }
-            assert_eq!(covered, total, "total {total}");
-        }
-    }
-
-    #[test]
-    fn file_span_sizes_differ_by_at_most_one() {
-        let plan = PlacementPlan::new(6, 3).unwrap(); // N = 20
-        let lens: Vec<u64> = plan
-            .iter_files()
-            .map(|(id, _)| plan.file_span(id, 1234).1)
-            .collect();
-        let min = *lens.iter().min().unwrap();
-        let max = *lens.iter().max().unwrap();
-        assert!(max - min <= 1);
     }
 }

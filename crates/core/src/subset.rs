@@ -98,12 +98,6 @@ impl NodeSet {
         NodeSet(self.0 | other.0)
     }
 
-    /// Set intersection.
-    #[inline]
-    pub const fn intersection(self, other: NodeSet) -> NodeSet {
-        NodeSet(self.0 & other.0)
-    }
-
     /// Set difference `self \ other`.
     #[inline]
     pub const fn difference(self, other: NodeSet) -> NodeSet {
@@ -138,16 +132,6 @@ impl NodeSet {
         }
     }
 
-    /// Largest member, if any.
-    #[inline]
-    pub fn max(self) -> Option<NodeId> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(63 - self.0.leading_zeros() as NodeId)
-        }
-    }
-
     /// Zero-based position of `node` among the members in ascending order.
     ///
     /// This is the index used by the segment-splitting rule of paper eq. (7):
@@ -161,12 +145,6 @@ impl NodeSet {
         }
         let below = self.0 & ((1u64 << node) - 1);
         Some(below.count_ones() as usize)
-    }
-
-    /// The member at zero-based `position` in ascending order, if any.
-    #[inline]
-    pub fn nth(self, position: usize) -> Option<NodeId> {
-        self.iter().nth(position)
     }
 
     /// Iterates members in ascending order.
@@ -269,7 +247,6 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.len(), 0);
         assert_eq!(e.min(), None);
-        assert_eq!(e.max(), None);
         assert_eq!(e.iter().count(), 0);
     }
 
@@ -302,13 +279,12 @@ mod tests {
     }
 
     #[test]
-    fn union_intersection_difference() {
+    fn union_difference_subset() {
         let a = NodeSet::from_iter([0usize, 1, 2]);
         let b = NodeSet::from_iter([2usize, 3]);
         assert_eq!(a.union(b).to_vec(), vec![0, 1, 2, 3]);
-        assert_eq!(a.intersection(b).to_vec(), vec![2]);
         assert_eq!(a.difference(b).to_vec(), vec![0, 1]);
-        assert!(a.intersection(b).is_subset_of(a));
+        assert!(a.difference(b).is_subset_of(a));
         assert!(!a.is_subset_of(b));
     }
 
@@ -323,13 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn nth_inverts_position_of() {
+    fn position_of_follows_iteration_order() {
         let s = NodeSet::from_iter([3usize, 17, 40, 63]);
         for (i, n) in s.iter().enumerate() {
             assert_eq!(s.position_of(n), Some(i));
-            assert_eq!(s.nth(i), Some(n));
         }
-        assert_eq!(s.nth(4), None);
     }
 
     #[test]

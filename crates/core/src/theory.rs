@@ -87,40 +87,11 @@ pub fn predicted_optimal_time(t_map: f64, t_shuffle: f64, t_reduce: f64) -> f64 
     2.0 * (t_shuffle * t_map).sqrt() + t_reduce
 }
 
-/// Bytes crossing the network in an uncoded shuffle of `input_bytes` with
-/// computation load `r` over `k` nodes: `D·(1 − r/K)`.
-pub fn shuffle_bytes_uncoded(input_bytes: u64, r: usize, k: usize) -> u64 {
-    (input_bytes as f64 * uncoded_comm_load(r, k)).round() as u64
-}
-
-/// Bytes crossing the network in the coded shuffle: `D·(1 − r/K)/r`.
-pub fn shuffle_bytes_coded(input_bytes: u64, r: usize, k: usize) -> u64 {
-    (input_bytes as f64 * coded_comm_load(r, k)).round() as u64
-}
-
 /// Theoretical end-to-end speedup of CMR at load `r` over the `r = 1`
 /// baseline, per eqs. (3)/(4).
 pub fn predicted_speedup(r: usize, t_map: f64, t_shuffle: f64, t_reduce: f64) -> f64 {
     let base = t_map + t_shuffle + t_reduce;
     base / predicted_total_time(r, t_map, t_shuffle, t_reduce)
-}
-
-/// The storage bound on `r` (paper footnote 6): each input byte is stored
-/// on `r` nodes, so `r ≤ K·(per-node storage)/(input size)`. Returns the
-/// largest admissible `r` in `1..=k`, or `None` if even `r = 1` does not
-/// fit.
-pub fn max_r_for_storage(input_bytes: u64, per_node_storage_bytes: u64, k: usize) -> Option<usize> {
-    assert!(k >= 1);
-    if input_bytes == 0 {
-        return Some(k);
-    }
-    let total = per_node_storage_bytes as u128 * k as u128;
-    let r = (total / input_bytes as u128) as usize;
-    if r == 0 {
-        None
-    } else {
-        Some(r.min(k))
-    }
 }
 
 #[cfg(test)]
@@ -209,33 +180,6 @@ mod tests {
         for cand in 1..=k {
             assert!(t <= predicted_total_time(cand, tm, ts, tr) + EPS);
         }
-    }
-
-    #[test]
-    fn shuffle_bytes_formulas() {
-        let d = 12_000_000_000u64; // the paper's 12 GB
-        assert_eq!(shuffle_bytes_uncoded(d, 1, 16), 11_250_000_000);
-        // r=3, K=16: (13/16)/3 = 0.27083…
-        assert_eq!(shuffle_bytes_coded(d, 3, 16), 3_250_000_000);
-        assert_eq!(shuffle_bytes_coded(d, 16, 16), 0);
-    }
-
-    #[test]
-    fn storage_bound_footnote6() {
-        // 16 workers with 32 GB SSDs and 12 GB of input: r ≤ 42 → clamped
-        // to K. With 2 GB per node: r ≤ ⌊32/12⌋ = 2.
-        assert_eq!(
-            max_r_for_storage(12_000_000_000, 32_000_000_000, 16),
-            Some(16)
-        );
-        assert_eq!(
-            max_r_for_storage(12_000_000_000, 2_000_000_000, 16),
-            Some(2)
-        );
-        // Input larger than the cluster's total storage: nothing fits.
-        assert_eq!(max_r_for_storage(100, 5, 16), None);
-        // Empty input always fits.
-        assert_eq!(max_r_for_storage(0, 1, 8), Some(8));
     }
 
     #[test]

@@ -69,6 +69,7 @@ mod tests {
     use crate::testutil::{sample_input, ByteSort};
     use crate::uncoded::run_uncoded;
     use crate::verify::run_sequential;
+    use cts_core::decode::DecodeMode;
     use cts_net::fault::CrashPoint;
 
     #[test]
@@ -177,8 +178,12 @@ mod tests {
             for (k, r) in [(4, 2), (5, 3), (4, 1), (5, 4)] {
                 let cfg = EngineConfig::local(k, r).with_field(field);
                 let all = run_coded(&ByteSort, input.clone(), &cfg).unwrap();
-                let quorum =
-                    run_coded(&ByteSort, input.clone(), &cfg.clone().decode_quorum()).unwrap();
+                let quorum = run_coded(
+                    &ByteSort,
+                    input.clone(),
+                    &cfg.clone().with_decode(DecodeMode::Quorum),
+                )
+                .unwrap();
                 assert_eq!(all.outputs, quorum.outputs, "k={k} r={r} field={field}");
                 // Traffic accounting stays sane: one multicast per group
                 // membership either way.
@@ -197,7 +202,7 @@ mod tests {
             input.clone(),
             &EngineConfig::tcp(4, 3)
                 .with_field(FieldKind::Gf256)
-                .decode_quorum(),
+                .with_decode(DecodeMode::Quorum),
         )
         .unwrap();
         assert_eq!(tcp.outputs, reference);
@@ -206,7 +211,7 @@ mod tests {
             input,
             &EngineConfig::local(4, 3)
                 .with_field(FieldKind::Gf256)
-                .decode_quorum()
+                .with_decode(DecodeMode::Quorum)
                 .with_threads(4),
         )
         .unwrap();
@@ -220,7 +225,7 @@ mod tests {
         let input = sample_input(3000);
         let healthy_cfg = EngineConfig::local(6, 3)
             .with_field(FieldKind::Gf256)
-            .decode_quorum();
+            .with_decode(DecodeMode::Quorum);
         let healthy = run_coded(&ByteSort, input.clone(), &healthy_cfg).unwrap();
         for point in [
             CrashPoint::MidMap,
@@ -245,7 +250,7 @@ mod tests {
         let input = sample_input(1500);
         let cfg = EngineConfig::local(5, 2)
             .with_field(FieldKind::Gf256)
-            .decode_quorum()
+            .with_decode(DecodeMode::Quorum)
             .with_idle_timeout(std::time::Duration::from_secs(2))
             .with_crash(CrashSpec {
                 rank: 3,
@@ -268,7 +273,7 @@ mod tests {
         let input = sample_input(1500);
         let cfg = EngineConfig::local(5, 2)
             .with_field(FieldKind::Gf256)
-            .decode_quorum()
+            .with_decode(DecodeMode::Quorum)
             .with_recovery(RecoveryMode::Speculative)
             .with_heartbeat(std::time::Duration::from_millis(5))
             .with_crash(CrashSpec {
@@ -299,7 +304,7 @@ mod tests {
                 .with_recovery(RecoveryMode::Speculative),
             EngineConfig::local(4, 1)
                 .with_field(cts_core::field::FieldKind::Gf256)
-                .decode_quorum()
+                .with_decode(DecodeMode::Quorum)
                 .with_recovery(RecoveryMode::Speculative),
         ] {
             let err = run_coded(&ByteSort, input.clone(), &cfg).unwrap_err();

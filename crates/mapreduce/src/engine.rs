@@ -13,6 +13,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use cts_core::decode::{DecodeMode, DecodePipeline, DecodedSegment};
 use cts_core::encode::{EncodeScratch, Encoder};
+use cts_core::exec::WorkerPool;
 use cts_core::groups::{MulticastGroups, PodGroups};
 use cts_core::intermediate::MapOutputStore;
 use cts_core::metrics::Counter;
@@ -479,7 +480,7 @@ fn node_main<W: Workload>(
     let base = layout.base_of(me);
     let local = me - base;
     let plan = layout.plan();
-    let pool = cfg.worker_pool();
+    let pool = WorkerPool::new(cfg.threads);
     let mut rank = Rank {
         comm,
         cfg,

@@ -62,6 +62,7 @@ mod tests {
     use super::*;
     use crate::testutil::{sample_input, ByteSort};
     use crate::uncoded::run_uncoded;
+    use cts_core::decode::DecodeMode;
 
     #[test]
     fn pods_match_uncoded_output() {
@@ -85,7 +86,7 @@ mod tests {
         let input = sample_input(4_000);
         let cfg = EngineConfig::local(8, 3)
             .with_field(cts_core::field::FieldKind::Gf256)
-            .decode_quorum();
+            .with_decode(DecodeMode::Quorum);
         let pods = run_coded_pods(&ByteSort, input.clone(), &cfg, 4).unwrap();
         let unc = run_uncoded(&ByteSort, input, &EngineConfig::local(8, 1)).unwrap();
         assert_eq!(pods.outputs, unc.outputs);

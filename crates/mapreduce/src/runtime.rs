@@ -4,9 +4,10 @@
 //! [`run_coded`](crate::run_coded)) let each job build and tear down its
 //! own cluster, fabric, and thread pool. A [`JobRuntime`] turns that
 //! inside out: *it* owns the [`SharedFabric`] (transports + trace
-//! collector), the thread-lease [`Budget`], the bounded admission queue,
-//! and the pool of job tag-namespace slots — and jobs are **submitted
-//! into it**:
+//! collector), the bounded admission queue, and the pool of job
+//! tag-namespace slots — and jobs are **submitted into it** (their worker
+//! pools lease extra threads from the one process-wide
+//! [`cts_core::exec`] budget, like a one-shot run's):
 //!
 //! ```text
 //!                 ┌────────────────────────── JobRuntime ─┐
@@ -19,8 +20,6 @@
 //!                 │   ▼                                   │
 //!                 │ SharedFabric::run_job(binding, …)     │
 //!                 │   tags/trace/NIC scoped per job       │
-//!                 │ Budget: all jobs' WorkerPools lease   │
-//!                 │   threads cooperatively (yield_slices)│
 //!                 └───────────────────────────────────────┘
 //! ```
 //!
@@ -37,7 +36,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use cts_core::exec::Budget;
 use cts_core::metrics::{Counter, Gauge, Histogram};
 use cts_net::admission::{AdmissionQueue, SlotPool};
 use cts_net::cluster::{JobBinding, SharedFabric};
@@ -63,24 +61,16 @@ pub struct RuntimeConfig {
     /// `1` selects exclusive mode (slot 0: full tag space, recovery
     /// allowed); `> 1` leases nonzero job slots.
     pub max_concurrent: usize,
-    /// Cooperative yield granularity applied to every job's worker pools
-    /// (see [`EngineConfig::yield_slices`]).
-    pub yield_slices: usize,
-    /// Size of the runtime-owned thread-lease [`Budget`] all jobs share.
-    /// `0` (the default) uses the machine's available parallelism.
-    pub pool_threads: usize,
 }
 
 impl RuntimeConfig {
     /// A runtime serving jobs shaped like `template`: queue of 16, up to
-    /// 4 concurrent jobs, 8 yield slices, machine-sized budget.
+    /// 4 concurrent jobs.
     pub fn new(template: EngineConfig) -> Self {
         RuntimeConfig {
             template,
             queue_capacity: 16,
             max_concurrent: 4,
-            yield_slices: 8,
-            pool_threads: 0,
         }
     }
 
@@ -93,12 +83,6 @@ impl RuntimeConfig {
     /// Sets the concurrent-job cap (dispatcher count).
     pub fn with_max_concurrent(mut self, max: usize) -> Self {
         self.max_concurrent = max;
-        self
-    }
-
-    /// Sets the shared budget size (`0` = available parallelism).
-    pub fn with_pool_threads(mut self, threads: usize) -> Self {
-        self.pool_threads = threads;
         self
     }
 }
@@ -124,9 +108,8 @@ impl JobStatus {
 }
 
 /// What a dispatcher hands a job when it runs: the shared fabric, the
-/// job's binding on it, and a ready-to-use engine configuration (the
-/// runtime template with this job's binding, budget, and yield slices
-/// applied).
+/// job's binding on it, and a ready-to-use engine configuration (a copy
+/// of the runtime template).
 pub struct JobContext<'a> {
     /// The resident fabric the job runs over.
     pub fabric: &'a SharedFabric,
@@ -265,8 +248,9 @@ impl Shared {
     }
 }
 
-/// A submitted job's ticket: poll its [`status`](JobHandle::status) or
-/// block in [`wait`](JobHandle::wait) for the outcome. Dropping the
+/// A submitted job's ticket: poll [`JobRuntime::status`] with its
+/// [`id`](JobHandle::id) or block in [`wait`](JobHandle::wait) for the
+/// outcome. Dropping the
 /// handle does not cancel the job.
 pub struct JobHandle {
     id: u32,
@@ -283,16 +267,6 @@ impl JobHandle {
     /// The job's runtime-unique id (also its trace id).
     pub fn id(&self) -> u32 {
         self.id
-    }
-
-    /// The job's current lifecycle state.
-    pub fn status(&self) -> JobStatus {
-        self.shared
-            .jobs
-            .lock()
-            .get(&self.id)
-            .map(|e| e.status.clone())
-            .expect("submitted job has an entry")
     }
 
     /// Blocks until the job finishes and returns its outcome.
@@ -317,7 +291,6 @@ pub struct JobRuntime {
     fabric: Arc<SharedFabric>,
     queue: Arc<AdmissionQueue<Submission>>,
     shared: Arc<Shared>,
-    budget: Arc<Budget>,
     metrics: Arc<RuntimeMetrics>,
     next_id: AtomicU32,
     dispatchers: Vec<JoinHandle<()>>,
@@ -345,14 +318,6 @@ impl JobRuntime {
             });
         }
         let fabric = Arc::new(SharedFabric::build(&cfg.template.cluster)?);
-        let pool_threads = if cfg.pool_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.pool_threads
-        };
-        let budget = Arc::new(Budget::new(pool_threads));
         // Observability: every runtime instrument registers on the
         // fabric's hub, so one Prometheus render (or STATS frame) covers
         // admission, execution, and transport in a single snapshot.
@@ -360,7 +325,6 @@ impl JobRuntime {
         let metrics = Arc::new(RuntimeMetrics::register(&hub));
         hub.gauge("cts_admission_queue_capacity")
             .set(cfg.queue_capacity as i64);
-        budget.set_wait_histogram(hub.histogram_scaled("cts_worker_lease_wait_seconds", 1e-9));
         let queue: Arc<AdmissionQueue<Submission>> =
             Arc::new(AdmissionQueue::new(cfg.queue_capacity).with_metrics(
                 hub.gauge("cts_admission_queue_depth"),
@@ -378,10 +342,6 @@ impl JobRuntime {
                 .with_gauge(hub.gauge("cts_slots_in_use")),
         );
 
-        let mut job_template = cfg.template.clone();
-        job_template.yield_slices = cfg.yield_slices;
-        job_template.budget = Some(Arc::clone(&budget));
-
         let dispatchers = (0..cfg.max_concurrent)
             .map(|_| {
                 let fabric = Arc::clone(&fabric);
@@ -389,7 +349,7 @@ impl JobRuntime {
                 let shared = Arc::clone(&shared);
                 let slots = Arc::clone(&slots);
                 let metrics = Arc::clone(&metrics);
-                let template = job_template.clone();
+                let template = cfg.template.clone();
                 std::thread::spawn(move || {
                     while let Some(sub) = queue.dequeue() {
                         shared.set_status(sub.id, JobStatus::Running);
@@ -429,7 +389,6 @@ impl JobRuntime {
             fabric,
             queue,
             shared,
-            budget,
             metrics,
             next_id: AtomicU32::new(1),
             dispatchers,
@@ -518,11 +477,6 @@ impl JobRuntime {
     /// The resident fabric (e.g. for all-jobs trace snapshots).
     pub fn fabric(&self) -> &SharedFabric {
         &self.fabric
-    }
-
-    /// The runtime-owned thread-lease budget all jobs draw from.
-    pub fn budget(&self) -> &Arc<Budget> {
-        &self.budget
     }
 
     /// Stops admission, drains queued jobs, and joins the dispatchers.
@@ -674,7 +628,7 @@ mod tests {
         use crate::stage::RecoveryMode;
         let template = EngineConfig::local(4, 2)
             .with_field(cts_core::field::FieldKind::Gf256)
-            .decode_quorum()
+            .with_decode(cts_core::decode::DecodeMode::Quorum)
             .with_recovery(RecoveryMode::Speculative);
         let runtime =
             JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();

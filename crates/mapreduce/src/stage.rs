@@ -1,10 +1,8 @@
 //! Stage names, span-derived wall times, and engine configuration.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use cts_core::decode::DecodeMode;
-use cts_core::exec::{Budget, WorkerPool};
 use cts_core::field::FieldKind;
 use cts_net::cluster::ClusterConfig;
 use cts_net::fabric::ShuffleFabric;
@@ -167,8 +165,7 @@ pub struct EngineConfig {
     /// slowest sender. Sorted outputs are byte-identical either way.
     pub decode: DecodeMode,
     /// How long the quorum shuffle's receive loop tolerates zero progress
-    /// before declaring the shuffle stalled. Defaults to 10 s (the old
-    /// hard-coded `QUORUM_IDLE_TIMEOUT`).
+    /// before declaring the shuffle stalled. Defaults to 10 s.
     pub idle_timeout: Duration,
     /// Rank-death handling (see [`RecoveryMode`]).
     pub recovery: RecoveryMode,
@@ -179,18 +176,6 @@ pub struct EngineConfig {
     /// Crash injection for failure testing: each spec kills one rank
     /// fail-stop at a stage point. Empty in production.
     pub crashes: Vec<CrashSpec>,
-    /// Cooperative yield granularity for this job's worker pools: `1` (the
-    /// default) keeps the legacy hold-for-the-whole-call lease behavior;
-    /// `n > 1` splits each pool call into up to `n` slices, releasing and
-    /// re-acquiring the thread lease between slices so concurrent jobs
-    /// sharing one [`Budget`] interleave instead of serializing. Outputs
-    /// are byte-identical for any value.
-    pub yield_slices: usize,
-    /// The thread-lease budget this job's pools draw from. `None` (the
-    /// default) uses the process-wide [`cts_core::exec::global_budget`];
-    /// a resident runtime installs its own budget here so *it* owns the
-    /// compute that all tenant jobs share.
-    pub budget: Option<Arc<Budget>>,
 }
 
 impl EngineConfig {
@@ -207,8 +192,6 @@ impl EngineConfig {
             recovery: RecoveryMode::Off,
             heartbeat: Duration::from_millis(25),
             crashes: Vec::new(),
-            yield_slices: 1,
-            budget: None,
         }
     }
 
@@ -240,12 +223,6 @@ impl EngineConfig {
     pub fn with_decode(mut self, decode: DecodeMode) -> Self {
         self.decode = decode;
         self
-    }
-
-    /// Shorthand for quorum decode: release each group as soon as its
-    /// MDS system reaches full rank instead of waiting for every sender.
-    pub fn decode_quorum(self) -> Self {
-        self.with_decode(DecodeMode::Quorum)
     }
 
     /// Selects how the coded shuffle's group sends hit the wire
@@ -293,26 +270,6 @@ impl EngineConfig {
     pub fn with_crash(mut self, spec: CrashSpec) -> Self {
         self.crashes.push(spec);
         self
-    }
-
-    /// Installs the thread-lease budget this job's pools draw from (see
-    /// [`EngineConfig::budget`]).
-    pub fn with_budget(mut self, budget: Arc<Budget>) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Builds the worker pool every engine stage of this job uses,
-    /// honoring `threads`, `yield_slices`, and `budget`.
-    pub fn worker_pool(&self) -> WorkerPool {
-        let mut pool = WorkerPool::new(self.threads);
-        if self.yield_slices > 1 {
-            pool = pool.with_yield(self.yield_slices);
-        }
-        if let Some(budget) = &self.budget {
-            pool = pool.with_budget(Arc::clone(budget));
-        }
-        pool
     }
 
     /// The crash point at which `rank` dies under this config, if any.

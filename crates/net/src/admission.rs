@@ -115,11 +115,6 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of items currently waiting.
     pub fn depth(&self) -> usize {
         self.state.lock().items.len()
@@ -218,16 +213,6 @@ impl SlotPool {
         }
     }
 
-    /// Takes a free slot without blocking, if one exists.
-    pub fn try_acquire(&self) -> Option<u8> {
-        let mut free = self.free.lock();
-        let slot = free.pop();
-        if slot.is_some() {
-            self.mirror(free.len());
-        }
-        slot
-    }
-
     /// Blocks until a slot frees up and takes it.
     pub fn acquire(&self) -> u8 {
         let mut free = self.free.lock();
@@ -313,7 +298,7 @@ mod tests {
         let in_use = Arc::new(Gauge::new());
         let pool = SlotPool::new(3).with_gauge(Arc::clone(&in_use));
         let a = pool.acquire();
-        let _b = pool.try_acquire().unwrap();
+        let _b = pool.acquire();
         assert_eq!(in_use.get(), 2);
         pool.release(a);
         assert_eq!(in_use.get(), 1);
@@ -322,11 +307,10 @@ mod tests {
     #[test]
     fn slot_pool_leases_lowest_first_and_recycles() {
         let pool = SlotPool::new(2);
-        assert_eq!(pool.try_acquire(), Some(1));
-        assert_eq!(pool.try_acquire(), Some(2));
-        assert_eq!(pool.try_acquire(), None);
+        assert_eq!(pool.acquire(), 1);
+        assert_eq!(pool.acquire(), 2);
         pool.release(2);
-        assert_eq!(pool.try_acquire(), Some(2));
+        assert_eq!(pool.acquire(), 2);
     }
 
     #[test]

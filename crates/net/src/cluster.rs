@@ -93,8 +93,6 @@ pub struct ClusterConfig {
     pub nic: Option<NicProfile>,
     /// How [`Communicator::multicast`] group sends hit the wire.
     pub fabric: ShuffleFabric,
-    /// Whether to record a transfer trace.
-    pub trace_enabled: bool,
     /// Whether to record per-stage wall-clock spans (the observability
     /// plane's timing layer; a bounded ring, on by default).
     pub spans_enabled: bool,
@@ -108,21 +106,20 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// An in-memory cluster of `k` nodes with tracing on.
+    /// An in-memory cluster of `k` nodes.
     pub fn local(k: usize) -> Self {
         ClusterConfig {
             k,
             transport: TransportKind::Local,
             nic: None,
             fabric: ShuffleFabric::default(),
-            trace_enabled: true,
             spans_enabled: true,
             udp: UdpConfig::default(),
             fault: None,
         }
     }
 
-    /// A loopback-TCP cluster of `k` nodes with tracing on.
+    /// A loopback-TCP cluster of `k` nodes.
     pub fn tcp(k: usize) -> Self {
         ClusterConfig {
             transport: TransportKind::Tcp,
@@ -130,19 +127,10 @@ impl ClusterConfig {
         }
     }
 
-    /// A physical UDP-multicast cluster of `k` nodes with tracing on
+    /// A physical UDP-multicast cluster of `k` nodes
     /// (equivalent to `local(k).with_fabric(ShuffleFabric::UdpMulticast)`).
     pub fn udp(k: usize) -> Self {
         ClusterConfig::local(k).with_fabric(ShuffleFabric::UdpMulticast)
-    }
-
-    /// Sets the per-node egress rate limit (bytes/second), keeping any
-    /// other NIC parameters already configured.
-    pub fn with_rate_limit(mut self, bps: f64) -> Self {
-        let mut nic = self.nic.unwrap_or_default();
-        nic.rate_bytes_per_sec = Some(bps);
-        self.nic = Some(nic);
-        self
     }
 
     /// Installs a full emulated-NIC profile on every node.
@@ -178,12 +166,6 @@ impl ClusterConfig {
     /// [`ClusterFault`]).
     pub fn with_fault(mut self, rank: usize, rule: Arc<FaultRule>) -> Self {
         self.fault = Some(ClusterFault { rank, rule });
-        self
-    }
-
-    /// Enables or disables trace recording.
-    pub fn with_trace(mut self, enabled: bool) -> Self {
-        self.trace_enabled = enabled;
         self
     }
 
@@ -337,7 +319,7 @@ impl SharedFabric {
             "world size {k} outside 1..={} (trace masks are 128-bit)",
             crate::registry::MAX_WORLD
         );
-        let trace = Arc::new(TraceCollector::new(config.trace_enabled));
+        let trace = Arc::new(TraceCollector::new(true));
         let spans = Arc::new(SpanCollector::new(config.spans_enabled));
         let metrics = Arc::new(MetricsHub::new());
         let nic_wait_hist = metrics.histogram_scaled("cts_nic_wait_seconds", 1e-9);
@@ -355,11 +337,6 @@ impl SharedFabric {
     /// World size `K`.
     pub fn k(&self) -> usize {
         self.config.k
-    }
-
-    /// The configuration the fabric was built from.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
     }
 
     /// A snapshot of the retained (all-jobs) stage spans.
@@ -894,7 +871,7 @@ mod tests {
     fn rate_limited_cluster_throttles() {
         use std::time::Instant;
         // 1 MB/s egress; send 200 KB beyond burst → ≥ ~0.13 s.
-        let cfg = ClusterConfig::local(2).with_rate_limit(1_000_000.0);
+        let cfg = ClusterConfig::local(2).with_nic(NicProfile::rate_limited(1_000_000.0));
         let start = Instant::now();
         run_spmd(&cfg, |comm| {
             if comm.rank() == 0 {

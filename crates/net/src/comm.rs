@@ -200,11 +200,6 @@ impl Communicator {
         }
     }
 
-    /// The shuffle fabric in effect.
-    pub fn fabric(&self) -> ShuffleFabric {
-        self.fabric
-    }
-
     /// This node's rank.
     pub fn rank(&self) -> usize {
         self.transport.rank()

@@ -164,35 +164,13 @@ impl std::fmt::Display for CrashPoint {
 
 /// A crash-at-point injection: `rank` dies fail-stop at `point`. The coded
 /// engine interprets this spec directly (it knows where stage boundaries
-/// are); [`rank_crash_rule`] is the transport-level flavor for tests that
-/// only need a node's egress to go silent.
+/// are).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashSpec {
     /// The rank that dies.
     pub rank: usize,
     /// Where it dies.
     pub point: CrashPoint,
-}
-
-impl CrashSpec {
-    /// True if this spec kills `rank` at `point`.
-    pub fn fires(&self, rank: usize, point: CrashPoint) -> bool {
-        self.rank == rank && self.point == point
-    }
-}
-
-/// Transport-level crash rule: the node's egress dies after its first
-/// `after_sends` messages — everything later is silently dropped, exactly
-/// what peers of a fail-stop crash observe on the wire. Pair with
-/// [`CrashSpec`] when the compute side should die too.
-pub fn rank_crash_rule(after_sends: u64) -> Arc<FaultRule> {
-    Arc::new(move |_dst, _tag: Tag, _payload: &Bytes, idx| {
-        if idx >= after_sends {
-            FaultAction::Drop
-        } else {
-            FaultAction::Deliver
-        }
-    })
 }
 
 /// A [`Transport`] wrapper that applies a [`FaultRule`] to outgoing traffic.
@@ -423,34 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn rank_crash_rule_silences_egress_after_budget() {
-        let fabric = LocalFabric::new(2);
-        let rule = rank_crash_rule(2);
-        let faulty = FaultyTransport::new(
-            Arc::new(fabric.endpoint(0)),
-            Box::new(move |d, t, p, i| rule(d, t, p, i)),
-        );
-        for msg in [&b"one"[..], b"two", b"three", b"four"] {
-            faulty
-                .send(1, Tag::app(0), Bytes::copy_from_slice(msg))
-                .unwrap();
-        }
-        assert_eq!(faulty.dropped(), 2);
-        let rx = fabric.endpoint(1);
-        assert_eq!(rx.recv(0, Tag::app(0)).unwrap(), "one");
-        assert_eq!(rx.recv(0, Tag::app(0)).unwrap(), "two");
-        assert_eq!(rx.try_recv(0, Tag::app(0)).unwrap(), None);
-    }
-
-    #[test]
-    fn crash_spec_matches_rank_and_point() {
-        let spec = CrashSpec {
-            rank: 3,
-            point: CrashPoint::MidMap,
-        };
-        assert!(spec.fires(3, CrashPoint::MidMap));
-        assert!(!spec.fires(2, CrashPoint::MidMap));
-        assert!(!spec.fires(3, CrashPoint::PreReduce));
+    fn crash_points_display_their_cli_names() {
         assert_eq!(CrashPoint::AfterSends(5).to_string(), "after-5-sends");
         assert_eq!(CrashPoint::MidEncode.to_string(), "mid-encode");
     }

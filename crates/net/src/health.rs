@@ -285,11 +285,6 @@ impl HealthBoard {
             .find(|&p| self.is_alive(p))
             .expect("own rank is always alive")
     }
-
-    /// Number of ranks not declared dead.
-    pub fn alive_count(&self) -> usize {
-        (0..self.k).filter(|&p| self.is_alive(p)).count()
-    }
 }
 
 #[cfg(test)]
@@ -356,7 +351,6 @@ mod tests {
         ));
         assert_eq!(board.dead_mask(), 0b10);
         assert_eq!(board.min_alive(), 0);
-        assert_eq!(board.alive_count(), 1);
     }
 
     #[test]
@@ -408,7 +402,6 @@ mod tests {
         board.merge_dead_mask(0b1010, &rx);
         assert_eq!(board.dead_mask(), 0b1010);
         assert_eq!(board.min_alive(), 0);
-        assert_eq!(board.alive_count(), 2);
         // Own rank can never be declared dead.
         board.declare_dead(0, &rx);
         assert!(board.is_alive(0));

@@ -88,11 +88,6 @@ impl Mailbox {
         }
     }
 
-    /// The owner's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// Enqueues a message (called by the transport's delivery path).
     ///
     /// Delivery to a closed mailbox is silently dropped — the owner has

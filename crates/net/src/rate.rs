@@ -64,17 +64,6 @@ impl TokenBucket {
         }
     }
 
-    /// A bucket shaped like the paper's setup: 100 Mbps with a burst of one
-    /// MTU-ish 64 KiB.
-    pub fn paper_100mbps() -> Self {
-        TokenBucket::new(100e6 / 8.0, 64.0 * 1024.0)
-    }
-
-    /// The configured rate in bytes per second.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Blocks until `n` bytes worth of tokens are available, then consumes
     /// them. Requests larger than the burst size are admitted by letting the
     /// token count go negative (debt), which delays subsequent senders —

@@ -7,9 +7,6 @@
 //! links up **lazily** — a directed link is dialed on the first send that
 //! needs it, the dialer introducing itself with a 4-byte hello — so sparse
 //! communication patterns open only the file descriptors they use.
-//! [`connect_mesh`] remains as the eager bring-up (every pair connected up
-//! front, higher rank dials lower) for diagnostics and tests that want the
-//! whole `K(K−1)/2` mesh established before traffic flows.
 //!
 //! [`UdpGroupPlan`] extends the registry to the [`udp`](crate::udp)
 //! fabric: it deterministically allocates a multicast group address for
@@ -29,9 +26,7 @@
 //! assert!(registry.addr(7).is_none());
 //! ```
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener};
 
 use crate::error::{NetError, Result};
 
@@ -55,8 +50,8 @@ impl RankRegistry {
     pub const BIND_RETRIES: usize = 8;
 
     /// Binds `k` loopback listeners and records their addresses. Returns
-    /// the registry plus the listeners (in rank order) to pass to
-    /// [`connect_mesh`].
+    /// the registry plus the listeners (in rank order), one per endpoint's
+    /// reactor.
     ///
     /// Ports are always kernel-assigned ephemerals (never fixed offsets),
     /// so any number of clusters can come up concurrently in one process
@@ -110,18 +105,6 @@ impl RankRegistry {
     pub fn addr(&self, rank: usize) -> Option<SocketAddr> {
         self.addrs.get(rank).copied()
     }
-
-    /// All addresses, rank order.
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-
-    /// The membership view of this registry's world under a dead-mask from
-    /// the health layer: who is still in, and who deterministically adopts
-    /// each dead rank's responsibilities.
-    pub fn membership(&self, dead_mask: u128) -> MembershipView {
-        MembershipView::new(self.world_size(), dead_mask)
-    }
 }
 
 /// A point-in-time membership view: the registry's world filtered by the
@@ -134,7 +117,7 @@ impl RankRegistry {
 ///
 /// let view = MembershipView::new(4, 0b0100); // rank 2 is dead
 /// assert!(view.is_alive(1) && !view.is_alive(2));
-/// assert_eq!(view.alive_ranks(), vec![0, 1, 3]);
+/// assert_eq!(view.dead_ranks(), vec![2]);
 /// assert_eq!(view.successor_of(2), Some(3));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,24 +141,9 @@ impl MembershipView {
         }
     }
 
-    /// The registered world size (alive and dead).
-    pub fn world_size(&self) -> usize {
-        self.world
-    }
-
     /// True if `rank` has not been declared dead.
     pub fn is_alive(&self, rank: usize) -> bool {
         rank < self.world && self.dead_mask & (1u128 << rank) == 0
-    }
-
-    /// The dead-mask this view was built from.
-    pub fn dead_mask(&self) -> u128 {
-        self.dead_mask
-    }
-
-    /// Surviving ranks, ascending.
-    pub fn alive_ranks(&self) -> Vec<usize> {
-        (0..self.world).filter(|&r| self.is_alive(r)).collect()
     }
 
     /// Dead ranks, ascending.
@@ -255,64 +223,9 @@ impl UdpGroupPlan {
     }
 }
 
-/// Establishes the full mesh over a freshly bound registry: rank `j` dials
-/// every lower rank `i < j` (loopback connects to a bound listener succeed
-/// from the backlog without a concurrent accept, so the serial sweep cannot
-/// deadlock) and introduces itself with a 4-byte little-endian hello.
-/// Returns, per rank, the map of peer rank → connected stream.
-///
-/// # Errors
-/// Propagates I/O failures; `Io` if a hello announces an out-of-range rank.
-pub fn connect_mesh(
-    registry: &RankRegistry,
-    listeners: Vec<TcpListener>,
-) -> Result<Vec<HashMap<usize, TcpStream>>> {
-    let k = registry.world_size();
-    assert_eq!(listeners.len(), k, "one listener per registered rank");
-    let mut streams: Vec<HashMap<usize, TcpStream>> = (0..k).map(|_| HashMap::new()).collect();
-
-    for i in 0..k {
-        for (j, peer_streams) in streams.iter_mut().enumerate().skip(i + 1) {
-            let stream = TcpStream::connect(registry.addrs[i])?;
-            stream.set_nodelay(true)?;
-            let mut s = stream.try_clone()?;
-            s.write_all(&(j as u32).to_le_bytes())?;
-            peer_streams.insert(i, stream);
-        }
-        // Accept the k-1-i inbound connections for listener i.
-        for _ in (i + 1)..k {
-            let (mut stream, _) = listeners[i].accept()?;
-            stream.set_nodelay(true)?;
-            let mut hello = [0u8; 4];
-            stream.read_exact(&mut hello)?;
-            let peer = u32::from_le_bytes(hello) as usize;
-            if peer <= i || peer >= k {
-                return Err(NetError::Io {
-                    what: format!("unexpected hello rank {peer} on listener {i}"),
-                });
-            }
-            streams[i].insert(peer, stream);
-        }
-    }
-    Ok(streams)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mesh_is_fully_connected() {
-        let (registry, listeners) = RankRegistry::bind_loopback(4).unwrap();
-        let meshes = connect_mesh(&registry, listeners).unwrap();
-        assert_eq!(meshes.len(), 4);
-        for (rank, peers) in meshes.iter().enumerate() {
-            assert_eq!(peers.len(), 3, "rank {rank}");
-            for peer in 0..4 {
-                assert_eq!(peers.contains_key(&peer), peer != rank);
-            }
-        }
-    }
 
     #[test]
     fn zero_and_oversized_worlds_are_rejected() {
@@ -348,7 +261,7 @@ mod tests {
     #[test]
     fn membership_views_pick_deterministic_successors() {
         let view = MembershipView::new(5, 0);
-        assert_eq!(view.alive_ranks(), vec![0, 1, 2, 3, 4]);
+        assert!(view.dead_ranks().is_empty());
         assert_eq!(view.successor_of(4), Some(0), "succession wraps");
 
         let holey = MembershipView::new(5, 0b11000); // 3 and 4 dead
@@ -358,17 +271,8 @@ mod tests {
 
         // Out-of-world bits are masked off; a fully dead world has no
         // successor.
-        assert_eq!(MembershipView::new(3, !0b111).dead_mask(), 0);
+        assert!(MembershipView::new(3, !0b111).dead_ranks().is_empty());
         assert_eq!(MembershipView::new(3, 0b111).successor_of(0), None);
-    }
-
-    #[test]
-    fn registry_surfaces_membership() {
-        let (registry, _listeners) = RankRegistry::bind_loopback(3).unwrap();
-        let view = registry.membership(0b010);
-        assert_eq!(view.world_size(), 3);
-        assert_eq!(view.alive_ranks(), vec![0, 2]);
-        assert_eq!(view.successor_of(1), Some(2));
     }
 
     #[test]
@@ -390,18 +294,10 @@ mod tests {
         });
         let mut all_addrs = std::collections::HashSet::new();
         for registry in &registries {
-            for addr in registry.addrs() {
-                assert!(all_addrs.insert(*addr), "duplicate bound addr {addr}");
+            for addr in (0..6).map(|rank| registry.addr(rank).unwrap()) {
+                assert!(all_addrs.insert(addr), "duplicate bound addr {addr}");
             }
         }
         assert_eq!(all_addrs.len(), 6 * 6);
-    }
-
-    #[test]
-    fn single_rank_world_has_no_links() {
-        let (registry, listeners) = RankRegistry::bind_loopback(1).unwrap();
-        let meshes = connect_mesh(&registry, listeners).unwrap();
-        assert_eq!(meshes.len(), 1);
-        assert!(meshes[0].is_empty());
     }
 }

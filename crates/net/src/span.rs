@@ -14,8 +14,8 @@
 //! through, and — the property `tests/alloc_free.rs` pins — steady-state
 //! recording performs zero heap allocations. Old spans are overwritten
 //! oldest-first; a job's timeline is complete as long as it is queried
-//! within the last [`SpanCollector::capacity`] spans, which at seven
-//! stages × K ranks per job holds thousands of recent jobs.
+//! within the last `capacity` spans ([`SpanCollector::with_capacity`]),
+//! which at seven stages × K ranks per job holds thousands of recent jobs.
 //!
 //! ```
 //! use cts_net::span::{SpanCollector, StageSpan};
@@ -109,11 +109,6 @@ impl SpanCollector {
     /// Whether recording is on.
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The ring capacity (retention bound in spans).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Nanoseconds since this collector was created — the clock every

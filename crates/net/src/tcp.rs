@@ -47,15 +47,12 @@
 //!     .unwrap();
 //! assert_eq!(endpoints[1].recv(0, Tag::app(0)).unwrap(), "coded");
 //! assert_eq!(endpoints[2].recv(0, Tag::app(0)).unwrap(), "coded");
-//! // Lazy mesh: only the links that carried traffic exist.
-//! assert_eq!(endpoints[0].outbound_links(), 2);
-//! assert_eq!(endpoints[1].outbound_links(), 0);
 //! ```
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -132,7 +129,6 @@ pub struct TcpEndpoint {
     /// peer agree on a single link without blocking traffic to others.
     dial_locks: Vec<Mutex<()>>,
     inbound_raw: InboundRaw,
-    inbound_count: Arc<AtomicUsize>,
     stop: Arc<AtomicBool>,
     reactor: Mutex<Option<JoinHandle<()>>>,
 }
@@ -143,26 +139,14 @@ impl TcpEndpoint {
         let mailbox = Arc::new(Mailbox::new(rank));
         let stop = Arc::new(AtomicBool::new(false));
         let inbound_raw: InboundRaw = Arc::new(Mutex::new(Vec::new()));
-        let inbound_count = Arc::new(AtomicUsize::new(0));
         let world = registry.world_size();
         let reactor = {
             let mailbox = Arc::clone(&mailbox);
             let stop = Arc::clone(&stop);
             let inbound_raw = Arc::clone(&inbound_raw);
-            let inbound_count = Arc::clone(&inbound_count);
             std::thread::Builder::new()
                 .name(format!("cts-net-reactor-{rank}"))
-                .spawn(move || {
-                    reactor_loop(
-                        listener,
-                        world,
-                        rank,
-                        &mailbox,
-                        &stop,
-                        &inbound_raw,
-                        &inbound_count,
-                    )
-                })
+                .spawn(move || reactor_loop(listener, world, rank, &mailbox, &stop, &inbound_raw))
                 .expect("spawn reactor thread")
         };
         Ok(TcpEndpoint {
@@ -172,21 +156,9 @@ impl TcpEndpoint {
             outbound: Mutex::new(HashMap::new()),
             dial_locks: (0..world).map(|_| Mutex::new(())).collect(),
             inbound_raw,
-            inbound_count,
             stop,
             reactor: Mutex::new(Some(reactor)),
         })
-    }
-
-    /// Number of outbound links this endpoint has dialed so far — with the
-    /// lazy mesh, exactly the number of distinct peers it has sent to.
-    pub fn outbound_links(&self) -> usize {
-        self.outbound.lock().len()
-    }
-
-    /// Number of inbound links the reactor has accepted so far.
-    pub fn inbound_links(&self) -> usize {
-        self.inbound_count.load(Ordering::Relaxed)
     }
 
     /// Returns the link to `dst`, dialing it first if this is the first
@@ -283,7 +255,6 @@ fn dial_with_retry(me: usize, dst: usize, addr: std::net::SocketAddr) -> Result<
 /// while idle. A peer's EOF marks that source disconnected in the mailbox
 /// (queued messages stay readable; fresh receives from it fail). Exits when
 /// asked to stop.
-#[allow(clippy::too_many_arguments)]
 fn reactor_loop(
     listener: TcpListener,
     world: usize,
@@ -291,7 +262,6 @@ fn reactor_loop(
     mailbox: &Mailbox,
     stop: &AtomicBool,
     inbound_raw: &InboundRaw,
-    inbound_count: &AtomicUsize,
 ) {
     struct Link {
         peer: usize,
@@ -391,7 +361,6 @@ fn reactor_loop(
                 prune_inbound(inbound_raw, p.id);
                 continue;
             }
-            inbound_count.fetch_add(1, Ordering::Relaxed);
             links.push(Link {
                 peer,
                 stream: p.stream,
@@ -524,6 +493,12 @@ impl Drop for TcpEndpoint {
 mod tests {
     use super::*;
 
+    /// Outbound links `ep` has dialed so far — with the lazy mesh, exactly
+    /// the number of distinct peers it has sent to.
+    fn outbound_links(ep: &TcpEndpoint) -> usize {
+        ep.outbound.lock().len()
+    }
+
     #[test]
     fn mesh_ping_pong() {
         let endpoints = build_tcp_fabric(2).unwrap();
@@ -604,18 +579,16 @@ mod tests {
             .send(1, Tag::app(0), Bytes::from_static(b"sparse"))
             .unwrap();
         assert_eq!(endpoints[1].recv(0, Tag::app(0)).unwrap(), "sparse");
-        assert_eq!(endpoints[0].outbound_links(), 1);
-        assert_eq!(endpoints[1].inbound_links(), 1);
-        for ep in &endpoints[2..] {
-            assert_eq!(ep.outbound_links(), 0, "rank {}", ep.rank());
-            assert_eq!(ep.inbound_links(), 0, "rank {}", ep.rank());
+        assert_eq!(outbound_links(&endpoints[0]), 1);
+        for ep in &endpoints[1..] {
+            assert_eq!(outbound_links(ep), 0, "rank {}", ep.rank());
         }
         // Repeat sends reuse the dialed link instead of opening more.
         endpoints[0]
             .send(1, Tag::app(1), Bytes::from_static(b"again"))
             .unwrap();
         assert_eq!(endpoints[1].recv(0, Tag::app(1)).unwrap(), "again");
-        assert_eq!(endpoints[0].outbound_links(), 1);
+        assert_eq!(outbound_links(&endpoints[0]), 1);
     }
 
     #[test]
@@ -774,6 +747,6 @@ mod tests {
         for t in 0..4u32 {
             assert_eq!(endpoints[1].recv(0, Tag::app(t)).unwrap()[0], t as u8);
         }
-        assert_eq!(endpoints[0].outbound_links(), 1);
+        assert_eq!(outbound_links(&endpoints[0]), 1);
     }
 }

@@ -113,15 +113,6 @@ impl Trace {
             .sum()
     }
 
-    /// Total bytes if every multicast were replaced by per-receiver
-    /// unicasts — the uncoded-equivalent volume.
-    pub fn stage_bytes_unicast_equivalent(&self, name: &str) -> u64 {
-        self.stage_events(name)
-            .filter(|e| e.kind != EventKind::Internal)
-            .map(|e| e.bytes * e.fanout() as u64)
-            .sum()
-    }
-
     /// Count of non-internal events in the named stage.
     pub fn stage_transfer_count(&self, name: &str) -> usize {
         self.stage_events(name)
@@ -196,11 +187,6 @@ impl TraceCollector {
             enabled,
             inner: Mutex::new(CollectorInner::default()),
         }
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Interns a stage name, returning its index.
@@ -333,7 +319,6 @@ mod tests {
         assert_eq!(t.events[1].seq, 1);
         assert_eq!(t.events[1].fanout(), 3);
         assert_eq!(t.stage_bytes("Shuffle"), 140);
-        assert_eq!(t.stage_bytes_unicast_equivalent("Shuffle"), 100 + 120);
         assert_eq!(t.stage_transfer_count("Shuffle"), 2);
     }
 

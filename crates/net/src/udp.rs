@@ -799,16 +799,6 @@ pub struct UdpEndpoint {
 }
 
 impl UdpEndpoint {
-    /// The fabric-wide datagram counters.
-    pub fn stats(&self) -> &Arc<UdpFabricStats> {
-        &self.shared.core.stats
-    }
-
-    /// The group-address plan in effect.
-    pub fn plan(&self) -> &UdpGroupPlan {
-        &self.shared.core.plan
-    }
-
     fn teardown(&self) {
         self.shutdown();
         if let Some(handle) = self.servicer.lock().take() {

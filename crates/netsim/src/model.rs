@@ -28,11 +28,6 @@ impl PerfModel {
         PerfModel::new(PerfModelConfig::ec2_paper())
     }
 
-    /// The underlying configuration.
-    pub fn config(&self) -> &PerfModelConfig {
-        &self.cfg
-    }
-
     /// Modeled CodeGen time: `C(K, r+1)` group initializations.
     pub fn codegen_s(&self, stats: &RunStats) -> f64 {
         stats.num_groups as f64 * self.cfg.net.group_setup_s

@@ -83,13 +83,6 @@ impl RecoveryModel {
             hi_s: self.tolerance * self.healthy_s + self.slack_s,
         }
     }
-
-    /// The worst added makespan this model permits a death to cost a
-    /// recovered run over the healthy one: the detection deadline plus
-    /// the re-execution headroom.
-    pub fn predicted_overhead_s(&self) -> f64 {
-        self.speculative_bracket().hi_s - self.healthy_s
-    }
 }
 
 #[cfg(test)]
@@ -111,8 +104,7 @@ mod tests {
     fn overhead_scales_with_detection_latency() {
         let fast = RecoveryModel::new(0.2, 0.05);
         let slow = RecoveryModel::new(0.2, 0.9);
-        assert!(slow.predicted_overhead_s() > fast.predicted_overhead_s());
-        let delta = slow.predicted_overhead_s() - fast.predicted_overhead_s();
+        let delta = slow.speculative_bracket().hi_s - fast.speculative_bracket().hi_s;
         assert!((delta - (0.9 - 0.05)).abs() < 1e-12, "delta {delta}");
     }
 

@@ -70,11 +70,6 @@ impl RunStats {
         self.per_node.iter().map(f).sum()
     }
 
-    /// Maximum of a per-node quantity.
-    pub fn max<F: Fn(&NodeStats) -> u64>(&self, f: F) -> u64 {
-        self.per_node.iter().map(f).max().unwrap_or(0)
-    }
-
     /// Total application bytes shuffled (multicasts counted once),
     /// unscaled.
     pub fn shuffle_bytes(&self) -> u64 {
@@ -109,10 +104,9 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_maxima() {
+    fn totals() {
         let s = sample();
         assert_eq!(s.total(|n| n.map_input_bytes), 600);
-        assert_eq!(s.max(|n| n.map_input_bytes), 300);
         assert_eq!(s.shuffle_bytes(), 60);
     }
 

@@ -35,13 +35,6 @@ pub fn key_of(record: &[u8]) -> &[u8] {
     &record[..KEY_LEN]
 }
 
-/// The value bytes of a record slice.
-#[inline]
-pub fn value_of(record: &[u8]) -> &[u8] {
-    assert_eq!(record.len(), RECORD_LEN, "not a record");
-    &record[KEY_LEN..]
-}
-
 /// Interprets a 10-byte key as an unsigned integer (big-endian), the
 /// paper's "standard integer ordering".
 #[inline]
@@ -157,12 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn accessors_split_key_and_value() {
+    fn key_accessor_splits_off_the_key() {
         let r = rec(42);
         assert_eq!(key_of(&r)[0], 42);
         assert_eq!(key_of(&r).len(), KEY_LEN);
-        assert_eq!(value_of(&r)[0], 0xEE);
-        assert_eq!(value_of(&r).len(), VALUE_LEN);
     }
 
     #[test]

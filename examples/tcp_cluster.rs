@@ -30,7 +30,7 @@ fn main() {
     };
     if rate_limited {
         println!("Rate-limiting every node's egress to 100 Mbps (tc-style)…");
-        job.engine.cluster = job.engine.cluster.with_rate_limit(100e6 / 8.0);
+        job = job.with_nic(NicProfile::rate_limited(100e6 / 8.0));
     }
 
     let started = std::time::Instant::now();
@@ -71,7 +71,7 @@ fn main() {
         engine: EngineConfig::tcp(k, 1),
     };
     if rate_limited {
-        plain_job.engine.cluster = plain_job.engine.cluster.with_rate_limit(100e6 / 8.0);
+        plain_job = plain_job.with_nic(NicProfile::rate_limited(100e6 / 8.0));
     }
     let started = std::time::Instant::now();
     let plain = run_terasort(input, &plain_job).expect("terasort over tcp");

@@ -106,7 +106,9 @@ USAGE:
                sockets; --max-concurrent bounds in-flight jobs (1 =
                exclusive mode, full tag space); --queue bounds admitted-
                but-not-running jobs (beyond it, submits are refused);
-               --metrics-port binds a Prometheus text endpoint
+               --threads sets every job's intra-node workers, as for
+               `cts sort` (default 1, 0 = all cores); --metrics-port
+               binds a Prometheus text endpoint
                (`curl http://127.0.0.1:P/metrics`). SIGINT/SIGTERM drain
                gracefully: admission stops, in-flight jobs finish, exit 0
   cts submit --addr HOST:PORT --kind sort|wordcount|grep
@@ -351,7 +353,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     let port: u16 = opt(opts, "port", 7117)?;
     let max_concurrent: usize = opt(opts, "max-concurrent", 4)?;
     let queue: usize = opt(opts, "queue", 16)?;
-    let threads: usize = opt(opts, "threads", 0)?;
+    let threads: usize = opt(opts, "threads", 1)?;
     let tcp = opts.contains_key("tcp");
 
     let template = if tcp {
@@ -359,16 +361,19 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     } else {
         EngineConfig::local(k, r)
     };
-    let cfg = RuntimeConfig::new(template)
+    let cfg = RuntimeConfig::new(template.with_threads(threads))
         .with_max_concurrent(max_concurrent)
-        .with_queue_capacity(queue)
-        .with_pool_threads(threads);
+        .with_queue_capacity(queue);
     let mut service = SortService::bind(("127.0.0.1", port), cfg).map_err(|e| e.to_string())?;
     let addr = service.local_addr().map_err(|e| e.to_string())?;
     println!(
         "cts serve listening on {addr} (K = {k}, default r = {r}, {} fabric, \
-         {max_concurrent} concurrent jobs, queue depth {queue})",
+         {max_concurrent} concurrent jobs, queue depth {queue}, {} per node)",
         if tcp { "TCP" } else { "in-memory" },
+        match threads {
+            0 => "all cores".to_string(),
+            t => format!("{t} worker threads"),
+        },
     );
     if let Some(mp) = opts.get("metrics-port") {
         let mport: u16 = mp

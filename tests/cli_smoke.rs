@@ -91,3 +91,41 @@ fn gen_then_sort_roundtrip() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `cts serve --threads T` means what `cts sort --threads T` means — the
+/// intra-node workers of every job — and the banner says so.
+#[test]
+fn serve_banner_reports_the_job_thread_count() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut daemon = cts()
+        .args(["serve", "--k", "3", "--port", "0", "--threads", "2"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("run cts serve");
+    // Kept open until the daemon exits: it prints more lines after the
+    // banner, and a closed pipe would fail them.
+    let mut stdout = BufReader::new(daemon.stdout.take().expect("piped stdout"));
+    let mut banner = String::new();
+    stdout
+        .read_line(&mut banner)
+        .expect("read the serve banner");
+    let Some(addr) = banner
+        .split_whitespace()
+        .find(|word| word.starts_with("127.0.0.1:"))
+    else {
+        let _ = daemon.kill();
+        panic!("banner names no address: {banner:?}");
+    };
+    let shutdown = cts()
+        .args(["submit", "--shutdown", "--addr", addr])
+        .output();
+    let exit = daemon.wait().expect("daemon exits");
+    assert!(
+        banner.contains("2 worker threads per node"),
+        "banner must report --threads: {banner:?}"
+    );
+    assert!(shutdown.is_ok(), "cts submit --shutdown ran");
+    assert!(exit.success(), "daemon must exit 0 after --shutdown");
+}

@@ -96,20 +96,28 @@ fn pods_threads_and_the_resident_runtime_are_byte_identical() {
             assert_eq!(pods.outputs, reference, "pods {kernel} threads={threads}");
         }
     }
-    // The same layout as a job of a resident runtime, on a leased slot.
+    // The same layout as two jobs of a resident runtime running at once,
+    // each on a leased slot: their `threads = 2` pools compete for the one
+    // process-wide budget, and whatever each is granted, both outputs
+    // equal the one-shot's.
     let template = EngineConfig::local(k, r).with_threads(2);
     let runtime = JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();
-    let job_input = input.clone();
-    let resident = runtime
-        .submit(move |ctx| {
-            let w = workload(SortKernel::KeyIndex);
-            run_coded_pods_on(ctx.fabric, ctx.binding, &w, job_input, &ctx.cfg, g)
+    let handles: Vec<_> = (0..2)
+        .map(|_| {
+            let job_input = input.clone();
+            runtime
+                .submit(move |ctx| {
+                    let w = workload(SortKernel::KeyIndex);
+                    run_coded_pods_on(ctx.fabric, ctx.binding, &w, job_input, &ctx.cfg, g)
+                })
+                .unwrap()
         })
-        .unwrap()
-        .wait()
-        .expect("pods job");
-    assert_eq!(resident.outputs, reference);
-    assert_eq!(resident.stats.num_groups, 2); // 2 pods × C(3,3)
+        .collect();
+    for (i, handle) in handles.into_iter().enumerate() {
+        let resident = handle.wait().expect("pods job");
+        assert_eq!(resident.outputs, reference, "resident job {i}");
+        assert_eq!(resident.stats.num_groups, 2); // 2 pods × C(3,3)
+    }
     runtime.shutdown();
 }
 
