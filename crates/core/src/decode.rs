@@ -20,7 +20,7 @@ use crate::gf256;
 use crate::groups::MulticastGroups;
 use crate::intermediate::IntermediateSource;
 use crate::packet::CodedPacket;
-use crate::pool::{BufPool, BufPoolShard};
+use crate::pool::BufPool;
 use crate::segment::{max_segment_len, segment_slice, segment_span};
 use crate::solve::{mds_parts, mds_point, mds_row, GroupSolver};
 use crate::subset::{NodeId, NodeSet};
@@ -474,20 +474,6 @@ impl DecodePipeline {
         self.add_segment_buf(info, acc)
     }
 
-    /// Feeds an already-decoded segment (e.g. produced by a parallel
-    /// [`Decoder::decode_packet`] fan-out) into the assembly state,
-    /// returning the completed `(file, value)` if it was the last one of
-    /// its group. The segment's buffer is absorbed into the pipeline's
-    /// pool.
-    pub fn accept_segment(&mut self, seg: DecodedSegment) -> Result<Option<(NodeSet, Vec<u8>)>> {
-        let info = SegmentInfo {
-            file: seg.file,
-            sender: seg.sender,
-            position: seg.position,
-        };
-        self.add_segment_buf(info, seg.data)
-    }
-
     fn add_segment_buf(
         &mut self,
         info: SegmentInfo,
@@ -666,25 +652,6 @@ impl DecodePipeline {
     pub fn in_flight(&self) -> usize {
         self.slots.len() + self.quorum_slots.len()
     }
-
-    /// Checks out up to `n` segment accumulators as a per-worker
-    /// [`BufPoolShard`]: the parallel decode fan-out takes one shard per
-    /// worker per wave, so its per-packet path never contends on the
-    /// pool's lock and — once the pool is warm from completed groups —
-    /// never allocates. Buffers fed back through
-    /// [`accept_segment`](DecodePipeline::accept_segment) return to the
-    /// same pool at group completion, closing the loop.
-    pub fn segment_shard(&self, n: usize) -> BufPoolShard<'_> {
-        self.pool.checkout(n)
-    }
-
-    /// The pipeline's decoder — lets callers fan
-    /// [`Decoder::decode_packet_into`] out over worker threads without
-    /// re-enumerating the `C(K-1, r)` multicast groups a fresh
-    /// [`Decoder::new`] would build.
-    pub fn decoder(&self) -> &Decoder {
-        &self.decoder
-    }
 }
 
 #[cfg(test)]
@@ -772,7 +739,7 @@ mod tests {
             // not map: C(K-1, r) of them.
             assert_eq!(
                 recovered[node].len() as u64,
-                pipelines[node].decoder().groups().groups_per_node(),
+                pipelines[node].decoder.groups().groups_per_node(),
                 "node {node} at (k={k}, r={r})"
             );
             assert_eq!(pipelines[node].in_flight(), 0);
@@ -856,46 +823,16 @@ mod tests {
                 }
             }
         }
-        assert_eq!(done, pipeline.decoder().groups().groups_per_node());
+        assert_eq!(done, pipeline.decoder.groups().groups_per_node());
         assert_eq!(pipeline.in_flight(), 0);
         // Each completed group returned its r buffers to the pool, and
         // later packets drew from it instead of allocating: the pool ends
         // up holding fewer buffers than packets were accepted.
-        let pooled = pipeline.segment_shard(accepted).pooled();
+        let warm = || Some(pipeline.pool.get()).filter(|buf| buf.capacity() > 0);
+        let pooled = std::iter::from_fn(warm).count();
         assert!(
             (1..accepted).contains(&pooled),
             "{pooled} buffers pooled after {accepted} packets"
-        );
-    }
-
-    #[test]
-    fn accept_segment_matches_accept() {
-        let (k, r) = (4, 2);
-        let stores = stores(k, r, 5);
-        let dec = Decoder::new(k, r, 0).unwrap();
-        let mut via_accept = DecodePipeline::new(k, r, 0).unwrap();
-        let mut via_segments = DecodePipeline::new(k, r, 0).unwrap();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for sender in 1..k {
-            let enc = Encoder::new(k, r, sender).unwrap();
-            for pkt in enc.encode_all(&stores[sender]).unwrap() {
-                if !pkt.group.contains(0) {
-                    continue;
-                }
-                if let Some(done) = via_accept.accept(&pkt, &stores[0]).unwrap() {
-                    a.push(done);
-                }
-                let seg = dec.decode_packet(&pkt, &stores[0]).unwrap();
-                if let Some(done) = via_segments.accept_segment(seg).unwrap() {
-                    b.push(done);
-                }
-            }
-        }
-        assert_eq!(a, b);
-        assert_eq!(
-            a.len() as u64,
-            via_accept.decoder().groups().groups_per_node()
         );
     }
 
@@ -1047,7 +984,7 @@ mod tests {
         for node in 0..k {
             assert_eq!(
                 recovered[node].len() as u64,
-                pipelines[node].decoder().groups().groups_per_node(),
+                pipelines[node].decoder.groups().groups_per_node(),
                 "node {node} at (k={k}, r={r}, skip={skip})"
             );
             assert_eq!(pipelines[node].in_flight(), 0);

@@ -68,80 +68,6 @@ impl BufPool {
         buf.clear();
         self.free.lock().expect("BufPool lock").push(buf);
     }
-
-    /// Checks out a *shard*: up to `n` pooled buffers moved out under a
-    /// single lock acquisition, for a worker that will `get`/`put` many
-    /// times without touching the shared free list. Parallel decode
-    /// fan-outs draw one shard per worker per wave, so the per-packet hot
-    /// path is lock-free and — once the pool is warm — allocation-free.
-    /// Dropping the shard returns its unused buffers.
-    pub fn checkout(&self, n: usize) -> BufPoolShard<'_> {
-        let mut shard = BufPoolShard {
-            parent: self,
-            local: Vec::with_capacity(n),
-        };
-        shard.refill(n);
-        shard
-    }
-
-    /// Returns a batch of buffers under one lock (cleared by the caller).
-    fn put_many(&self, bufs: &mut Vec<Vec<u8>>) {
-        if bufs.is_empty() {
-            return;
-        }
-        self.free.lock().expect("BufPool lock").append(bufs);
-    }
-}
-
-/// A per-worker slice of a [`BufPool`]: locally pooled buffers with
-/// lock-free `get`/`put`, falling back to (and eventually returning to)
-/// the parent pool. See [`BufPool::checkout`].
-#[derive(Debug)]
-pub struct BufPoolShard<'a> {
-    parent: &'a BufPool,
-    local: Vec<Vec<u8>>,
-}
-
-impl BufPoolShard<'_> {
-    /// Takes a cleared buffer from the shard; falls back to the parent
-    /// pool (one lock, then an allocation only if that is empty too).
-    pub fn get(&mut self) -> Vec<u8> {
-        self.local.pop().unwrap_or_else(|| self.parent.get())
-    }
-
-    /// Returns `buf` to the shard, cleared, capacity preserved (lock-free).
-    pub fn put(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
-        self.local.push(buf);
-    }
-
-    /// Tops the shard back up to `n` buffers from the parent pool (one
-    /// lock; takes fewer when the parent has fewer pooled). A warm wave
-    /// loop reuses one shard via `refill` instead of re-checking out, so
-    /// its steady state performs zero heap allocations.
-    pub fn refill(&mut self, n: usize) {
-        if self.local.len() >= n {
-            return;
-        }
-        let mut free = self.parent.free.lock().expect("BufPool lock");
-        while self.local.len() < n {
-            match free.pop() {
-                Some(buf) => self.local.push(buf),
-                None => break,
-            }
-        }
-    }
-
-    /// Buffers currently held locally.
-    pub fn pooled(&self) -> usize {
-        self.local.len()
-    }
-}
-
-impl Drop for BufPoolShard<'_> {
-    fn drop(&mut self) {
-        self.parent.put_many(&mut self.local);
-    }
 }
 
 /// A single-owner, grow-only scratch buffer of `T`s.
@@ -262,54 +188,6 @@ mod tests {
         s.zeroed(8).copy_from_slice(&[9; 8]);
         assert!(s.zeroed(8).iter().all(|&x| x == 0));
         assert_eq!(s.zeroed(3).len(), 3);
-    }
-
-    #[test]
-    fn shard_checkout_get_put_and_drop_return() {
-        let pool = BufPool::new();
-        // Seed the pool with three distinct warm buffers.
-        let seeds: Vec<Vec<u8>> = (0..3).map(|_| Vec::with_capacity(1024)).collect();
-        for b in seeds {
-            pool.put(b);
-        }
-        let mut shard = pool.checkout(2);
-        assert_eq!(shard.pooled(), 2);
-        assert_eq!(pooled(&pool), 1);
-        let a = shard.get();
-        assert!(a.capacity() >= 1024, "shard serves warm buffers");
-        // Local get/put round trip keeps the buffer in the shard.
-        shard.put(a);
-        assert_eq!(shard.pooled(), 2);
-        // Exhausting the shard falls back to the parent, then allocates.
-        let _x = shard.get();
-        let _y = shard.get();
-        let w = shard.get(); // shard empty → parent's last warm buffer
-        assert!(w.capacity() >= 1024);
-        assert_eq!(pooled(&pool), 0);
-        let z = shard.get(); // parent empty too → fresh allocation
-        assert_eq!(z.capacity(), 0);
-        shard.put(w);
-        shard.put(z);
-        drop(shard);
-        // The shard's remaining buffers went back to the parent.
-        assert_eq!(pooled(&pool), 2);
-    }
-
-    #[test]
-    fn shard_refill_tops_up_without_overdraw() {
-        let pool = BufPool::new();
-        for _ in 0..4 {
-            pool.put(Vec::with_capacity(64));
-        }
-        let mut shard = pool.checkout(0);
-        assert_eq!(shard.pooled(), 0);
-        shard.refill(3);
-        assert_eq!(shard.pooled(), 3);
-        assert_eq!(pooled(&pool), 1);
-        // Asking for more than the parent holds takes what exists.
-        shard.refill(10);
-        assert_eq!(shard.pooled(), 4);
-        assert_eq!(pooled(&pool), 0);
     }
 
     #[test]

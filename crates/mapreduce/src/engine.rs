@@ -1,17 +1,22 @@
-//! The engine: one staged pipeline for every scheme in the paper —
-//! placement → \[CodeGen\] → Map → Pack/Encode → Shuffle → Unpack/Decode
-//! → Reduce, each stage one `set_stage` bracket closed by one
-//! synchronization (the stages are described in the crate docs). What
-//! differs between conventional TeraSort (§III), CodedTeraSort (§IV) and
-//! the pod-partitioned scheme (§VI) is only the [`Layout`]: which files a
-//! node maps, which multicast groups it codes in, and which intermediates
-//! carry no side information and therefore travel as plain unicasts.
+//! The engine: one pipeline for every scheme in the paper — placement →
+//! \[CodeGen\] → Map → Pack/Encode → Shuffle → Unpack/Decode → Reduce (the
+//! stages are described in the crate docs). After CodeGen a rank walks it
+//! in **one pass**: map a file, encode and post every packet that file
+//! completes, map the next; then take what the peers sent, decoding each
+//! packet as it arrives; drain the NIC, synchronize, reduce. The CPU stages
+//! run while the rank's NIC works through its queue, so a job costs about
+//! max(NIC, CPU) rather than their sum. Three synchronizations remain —
+//! after CodeGen, at the end of the Shuffle, after Reduce. What differs
+//! between conventional TeraSort (§III), CodedTeraSort (§IV) and the
+//! pod-partitioned scheme (§VI) is only the [`Layout`]: which files a node
+//! maps, which multicast groups it codes in, and which intermediates carry
+//! no side information and therefore travel as plain unicasts.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use bytes::Bytes;
-use cts_core::decode::{DecodeMode, DecodePipeline, DecodedSegment};
+use cts_core::decode::{DecodeMode, DecodePipeline};
 use cts_core::encode::{EncodeScratch, Encoder};
 use cts_core::exec::WorkerPool;
 use cts_core::groups::{MulticastGroups, PodGroups};
@@ -330,16 +335,17 @@ struct Rank<'a> {
     cfg: &'a EngineConfig,
     me: usize,
     stats: NodeStats,
-    /// `None`: stages close on plain barriers. `Some`: the health layer is
-    /// running and every barrier is the alive-aware dead-mask exchange, so
-    /// a dead rank can never strand a stage transition.
+    /// `None`: sync points are plain barriers. `Some`: the health layer is
+    /// running and every sync point is the alive-aware dead-mask exchange,
+    /// so a dead rank can never strand one.
     recovery: Option<Box<Recovery>>,
 }
 
 impl Rank<'_> {
-    /// Closes a stage. Every rank walks the same sequence of sync points,
-    /// so the recovery epochs line up by construction. Returns the agreed
-    /// dead mask (0 without the health layer).
+    /// A sync point. Every rank walks the same sequence of them — after
+    /// CodeGen, at the end of the Shuffle, \[Recover,\] after Reduce — so
+    /// the recovery epochs line up by construction. Returns the agreed dead
+    /// mask (0 without the health layer).
     fn sync(&mut self) -> Result<u128> {
         match &mut self.recovery {
             None => Ok(self.comm.barrier().map(|()| 0)?),
@@ -370,53 +376,64 @@ impl Rank<'_> {
     }
 
     /// The crash check of the coded exchange, before this rank's group
-    /// send number `sent` (`last`: after its final one, where a budget at
-    /// or past the total dies having sent everything).
+    /// post number `sent` (`last`: after its final one, where a budget at
+    /// or past the total dies having sent everything). The victim's NIC
+    /// drains first: it dies with exactly `sent` packets out, none queued.
     fn crashed_after_sends(&mut self, sent: u64, last: bool) -> Result<bool> {
         match self.cfg.crash_point_of(self.me) {
             Some(point @ CrashPoint::AfterSends(n)) if n == sent || (last && n > sent) => {
+                self.comm.drain()?;
                 self.crashed_at(point)
             }
             _ => Ok(false),
         }
     }
+}
 
-    /// The send half of the Shuffle, the same for every layout and decode
-    /// discipline: this rank's packet for each group it owns, in schedule
-    /// order over the configured
-    /// [`ShuffleFabric`](cts_net::fabric::ShuffleFabric), then its unicast
-    /// outbox, all posted back to back before it receives anything. A send
-    /// returns when the rank's NIC has drained it, not when a peer took it,
-    /// so the NIC is busy from the stage's first microsecond to the rank's
-    /// last byte and no rank waits on another to start. Returns true if
-    /// this rank crash-stopped.
-    fn post_sends(
-        &mut self,
-        groups: &[&Group],
-        packets: Vec<(Bytes, u64)>,
-        outbox: Vec<(usize, FileId, Bytes)>,
-    ) -> Result<bool> {
-        for (sent, (group, (packet, header))) in groups.iter().zip(packets).enumerate() {
-            if self.crashed_after_sends(sent as u64, false)? {
-                return Ok(true);
-            }
-            self.stats.sent_bytes += packet.len() as u64;
-            self.comm.multicast_with_overhead(
-                self.me,
-                &group.ranks,
-                group.tag,
-                Some(packet),
-                header,
-            )?;
-        }
-        if self.crashed_after_sends(groups.len() as u64, true)? {
-            return Ok(true);
-        }
-        for (target, fid, piece) in outbox {
-            self.stats.sent_bytes += piece.len() as u64;
-            self.comm.send(target, Tag::app(fid.0 as u32), piece)?;
-        }
-        Ok(false)
+/// Algorithm 1 for one rank: one coded packet per group it is in.
+struct Encode {
+    encoder: Encoder,
+    /// Quorum decode needs MDS-mixed packets, which only GF(256) supports
+    /// (there is no nontrivial binary MDS code): over GF(2) the quorum
+    /// shuffle still takes packets as they come instead of sender by
+    /// sender, but sends the classic packets and needs all of them.
+    mds: bool,
+    r: usize,
+    local: usize,
+}
+
+impl Encode {
+    /// Encodes `group`'s packet into a wire frame written once, at its
+    /// final size, into the buffer that travels (`scratch` keeps the loop
+    /// otherwise allocation-free). The wire bytes split into a *scalable*
+    /// part (the mean segment length — the quantity that grows linearly
+    /// with input size) and an *overhead* part (the fixed header plus
+    /// zero-padding, a small-scale artifact: at paper scale segments are
+    /// megabytes and max ≈ mean), which is returned with the frame. The
+    /// model scales only the scalable part.
+    fn packet(
+        &self,
+        group: &Group,
+        store: &MapOutputStore,
+        scratch: &mut EncodeScratch,
+    ) -> Result<(Bytes, u64)> {
+        let (m, r) = (group.members, self.r as u64);
+        let mut frame = Vec::new();
+        let scalable = if self.mds {
+            self.encoder.encode_group_mds_into(m, store, scratch)?;
+            let (lens, payload) = (&scratch.seg_lens, &scratch.payload);
+            CodedPacket::write_wire_mds(m, self.local, lens, payload, &mut frame);
+            // MDS payloads are ≈ total/s (seg_lens carry the r whole
+            // reconstruction lengths, each split into s parts).
+            scratch.seg_len_sum() / (r * mds_parts(self.r + 1) as u64)
+        } else {
+            self.encoder.encode_group_into(m, store, scratch)?;
+            let (lens, payload) = (&scratch.seg_lens, &scratch.payload);
+            CodedPacket::write_wire(m, self.local, lens, payload, &mut frame);
+            scratch.seg_len_sum() / r
+        };
+        let overhead = frame.len() as u64 - scalable.min(frame.len() as u64);
+        Ok((Bytes::from(frame), overhead))
     }
 }
 
@@ -424,6 +441,7 @@ impl Rank<'_> {
 /// (zero-copy, reusing one shell), cancels it against the local Map
 /// outputs and collects the intermediates that complete.
 struct Decode<'a> {
+    comm: &'a Communicator,
     pipeline: DecodePipeline,
     shell: CodedPacket,
     store: &'a MapOutputStore,
@@ -435,29 +453,21 @@ struct Decode<'a> {
 }
 
 impl Decode<'_> {
-    /// Decodes one packet; true if it completed its group.
+    /// Decodes one packet the moment it is taken — a slice of Decode inside
+    /// the Shuffle; true if it completed its group.
     fn packet(&mut self, raw: &Bytes, stats: &mut NodeStats) -> Result<bool> {
+        self.comm.set_stage(stages::UNPACK_DECODE);
+        stats.recv_bytes += raw.len() as u64;
         self.shell.read_wire(raw)?;
-        let work = decode_work(&self.shell);
+        stats.decode_work_bytes += decode_work(&self.shell);
         let done = self.pipeline.accept(&self.shell, self.store)?;
-        Ok(self.collect(work, done, stats))
-    }
-
-    /// Accounts one decoded packet and keeps the intermediate it completed,
-    /// if any.
-    fn collect(
-        &mut self,
-        work: u64,
-        done: Option<(NodeSet, Vec<u8>)>,
-        stats: &mut NodeStats,
-    ) -> bool {
-        stats.decode_work_bytes += work;
         if let Some(c) = &self.progress {
             c.inc();
         }
         let completed = done.is_some();
         self.recovered.extend(done);
-        completed
+        self.comm.set_stage(stages::SHUFFLE);
+        Ok(completed)
     }
 }
 
@@ -509,57 +519,110 @@ fn node_main<W: Workload>(
             .collect();
         rank.sync()?;
     }
+    // Ascending group id is colex order, like a rank's files: sorted by
+    // largest member, so the packets a mapped file completes are the next
+    // ones in line.
     let my_groups: Vec<&Group> = schedule
         .iter()
         .filter(|group| group.members.contains(local))
         .collect();
 
-    // ---- Map -----------------------------------------------------------
-    comm.set_stage(stages::MAP);
-    // Files hash independently: fan the per-file Map out over the worker
-    // pool (results come back in file order, so the outcome is identical
-    // for any thread count). A single file is chunked instead.
-    let mapped: Vec<Vec<Vec<u8>>> = match &my_files[..] {
-        [(_, file)] => vec![workload.map_file_par(file, k, &pool)],
-        files => pool.map(files.len(), |i| {
-            let file = layout.globalize(plan.nodes_of_file(files[i].0), me);
-            let mut parts = workload.map_file(&files[i].1, k);
-            // Free what `route` drops before the next file allocates: a rank's
-            // heap then peaks lower, and its Reduce output still fits its arena.
-            for t in (0..k).filter(|&t| layout.route(me, file, t) == Route::Drop) {
-                parts[t] = Vec::new();
-            }
-            parts
-        }),
-    };
+    // ---- Map → Pack/Encode (Algorithm 1) → post, group by group ----------
     // What the coder reads, in pod-local ids.
     let mut store = MapOutputStore::new();
     // This rank's reduce input, keyed by global file.
     let mut pieces: Vec<(u64, Bytes)> = Vec::new();
     // Plain unicasts: (target, file, piece).
     let mut outbox: Vec<(usize, FileId, Bytes)> = Vec::new();
-    for ((fid, data), intermediates) in my_files.iter().zip(mapped) {
-        let file_local = plan.nodes_of_file(*fid);
-        let file = layout.globalize(file_local, me);
-        rank.stats.map_input_bytes += data.len() as u64;
-        rank.stats.files_mapped += 1;
-        for (t, value) in intermediates.into_iter().enumerate() {
-            match layout.route(me, file, t) {
-                Route::Keep => pieces.push((file.bits(), Bytes::from(value))),
-                Route::Code => {
-                    store.insert(t - base, file_local, Bytes::from(value));
+    let encode = Encode {
+        encoder: Encoder::with_field(g, r, local, cfg.field).expect("validated by driver"),
+        mds: cfg.decode == DecodeMode::Quorum && cfg.field.supports_quorum(),
+        r,
+        local,
+    };
+    let mut scratch = EncodeScratch::new();
+    // Group packets posted so far: `my_groups[..sent]`.
+    let mut sent = 0;
+    // Files hash independently: each step fans `threads` of them out over
+    // the worker pool (results come back in file order, so the outcome is
+    // identical for any thread count). A rank's only file is chunked
+    // instead.
+    for step in my_files.chunks(pool.threads()) {
+        comm.set_stage(stages::MAP);
+        let mapped: Vec<Vec<Vec<u8>>> = match step {
+            [(_, file)] if my_files.len() == 1 => vec![workload.map_file_par(file, k, &pool)],
+            files => pool.map(files.len(), |i| {
+                let file = layout.globalize(plan.nodes_of_file(files[i].0), me);
+                let mut parts = workload.map_file(&files[i].1, k);
+                // Free what `route` drops before the next file allocates: a rank's
+                // heap then peaks lower, and its Reduce output still fits its arena.
+                for t in (0..k).filter(|&t| layout.route(me, file, t) == Route::Drop) {
+                    parts[t] = Vec::new();
                 }
-                Route::Unicast => outbox.push((t, *fid, Bytes::from(value))),
-                Route::Drop => {}
+                parts
+            }),
+        };
+        for ((fid, data), intermediates) in step.iter().zip(mapped) {
+            let file_local = plan.nodes_of_file(*fid);
+            let file = layout.globalize(file_local, me);
+            rank.stats.map_input_bytes += data.len() as u64;
+            rank.stats.files_mapped += 1;
+            for (t, value) in intermediates.into_iter().enumerate() {
+                match layout.route(me, file, t) {
+                    Route::Keep => pieces.push((file.bits(), Bytes::from(value))),
+                    Route::Code => {
+                        store.insert(t - base, file_local, Bytes::from(value));
+                    }
+                    Route::Unicast => outbox.push((t, *fid, Bytes::from(value))),
+                    Route::Drop => {}
+                }
             }
         }
+        if rank.crashed_at(CrashPoint::MidMap)? {
+            return Ok(None);
+        }
+        // A group's packet XORs one piece of each of its r files this rank
+        // holds; the last of them to be mapped is the group less its
+        // smallest other member.
+        let mapped_through = plan.nodes_of_file(step[step.len() - 1].0).bits();
+        let ready = my_groups[sent..]
+            .iter()
+            .take_while(|group| {
+                let other = group.members.without(local).min().expect("r ≥ 1 others");
+                group.members.without(other).bits() <= mapped_through
+            })
+            .count();
+        if ready == 0 {
+            continue;
+        }
+        comm.set_stage(stages::PACK_ENCODE);
+        let ready = &my_groups[sent..sent + ready];
+        // Groups encode independently: several at once fan out over the
+        // pool, one warm scratch per worker.
+        let packets: Vec<Result<(Bytes, u64)>> = if pool.threads() > 1 && ready.len() > 1 {
+            pool.map_with(ready.len(), EncodeScratch::new, |scratch, i| {
+                encode.packet(ready[i], &store, scratch)
+            })
+        } else {
+            let mut one = |group: &&Group| encode.packet(group, &store, &mut scratch);
+            ready.iter().map(&mut one).collect()
+        };
+        if rank.crashed_at(CrashPoint::MidEncode)? {
+            return Ok(None);
+        }
+        // Over the configured [`ShuffleFabric`](cts_net::fabric::ShuffleFabric),
+        // behind whatever the NIC still has queued: a post does not wait.
+        comm.set_stage(stages::SHUFFLE);
+        for (group, packet) in ready.iter().zip(packets) {
+            let (packet, header) = packet?;
+            if rank.crashed_after_sends(sent as u64, false)? {
+                return Ok(None);
+            }
+            rank.stats.sent_bytes += packet.len() as u64;
+            comm.post_multicast(&group.ranks, group.tag, packet, header)?;
+            sent += 1;
+        }
     }
-    if rank.crashed_at(CrashPoint::MidMap)? {
-        return Ok(None);
-    }
-    rank.sync()?;
-
-    // ---- Pack / Encode (Algorithm 1) -------------------------------------
     comm.set_stage(stages::PACK_ENCODE);
     // Staggered destination order (me+1, me+2, …): every rank sends at the
     // same time, so at any instant each receiver is fed by one peer, not all.
@@ -572,50 +635,20 @@ fn node_main<W: Workload>(
         rank.stats.pack_bytes +=
             store.total_bytes() + pieces.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
     }
-    let encoder = Encoder::with_field(g, r, local, cfg.field).expect("validated by driver");
-    // Quorum decode needs MDS-mixed packets, which only GF(256) supports
-    // (there is no nontrivial binary MDS code): over GF(2) the quorum
-    // shuffle still takes packets as they come instead of sender by
-    // sender, but sends the classic packets and needs all of them.
-    let mds = cfg.decode == DecodeMode::Quorum && cfg.field.supports_quorum();
-    // Groups encode independently: fan Algorithm 1 out over the pool, one
-    // warm scratch per worker so the per-group loop is allocation-free
-    // apart from the wire frame, which is written once, at its final size,
-    // into the buffer that travels. Each packet's wire bytes split into a
-    // *scalable* part (the mean segment length — the quantity that grows
-    // linearly with input size) and an *overhead* part (the fixed header
-    // plus zero-padding, which is a small-scale artifact: at paper scale
-    // segments are megabytes and max ≈ mean). The model scales only the
-    // scalable part.
-    let encoded: Vec<Result<(Bytes, u64)>> =
-        pool.map_with(my_groups.len(), EncodeScratch::new, |scratch, i| {
-            let m = my_groups[i].members;
-            let mut frame = Vec::new();
-            let wire = &mut frame;
-            let scalable = if mds {
-                encoder.encode_group_mds_into(m, &store, scratch)?;
-                CodedPacket::write_wire_mds(m, local, &scratch.seg_lens, &scratch.payload, wire);
-                // MDS payloads are ≈ total/s (seg_lens carry the r whole
-                // reconstruction lengths, each split into s parts).
-                scratch.seg_len_sum() / (r as u64 * mds_parts(r + 1) as u64)
-            } else {
-                encoder.encode_group_into(m, &store, scratch)?;
-                CodedPacket::write_wire(m, local, &scratch.seg_lens, &scratch.payload, wire);
-                scratch.seg_len_sum() / r as u64
-            };
-            let overhead = wire.len() as u64 - scalable.min(wire.len() as u64);
-            Ok((Bytes::from(frame), overhead))
-        });
-    // One packet per owned group, in schedule order.
-    let packets = encoded.into_iter().collect::<Result<Vec<_>>>()?;
-    if rank.crashed_at(CrashPoint::MidEncode)? {
+    // A rank in no group has encoded nothing yet: its MidEncode is here.
+    if rank.crashed_at(CrashPoint::MidEncode)? || rank.crashed_after_sends(sent as u64, true)? {
         return Ok(None);
     }
-    rank.sync()?;
 
-    // ---- Shuffle ---------------------------------------------------------
+    // ---- Shuffle: the rest of the sends, then receive ----------------------
     comm.set_stage(stages::SHUFFLE);
+    // Whatever travels uncoded (paper §V-A: one flow per intermediate).
+    for (target, fid, piece) in outbox {
+        rank.stats.sent_bytes += piece.len() as u64;
+        comm.post(target, Tag::app(fid.0 as u32), piece)?;
+    }
     let mut decode = Decode {
+        comm,
         pipeline: DecodePipeline::with_field(g, r, local, cfg.field)
             .expect("validated by driver")
             .with_decode(cfg.decode),
@@ -626,27 +659,23 @@ fn node_main<W: Workload>(
             .metrics()
             .map(|h| h.counter("cts_decode_packets_total")),
     };
-    // Post every send, then drain: what a rank receives is queued by the
-    // time it asks, unless its sender is slower than it is.
-    if rank.post_sends(&my_groups, packets, outbox)? {
-        return Ok(None);
-    }
-    // All mode buffers packets for the Decode stage, as the paper executes;
-    // quorum mode decodes inline and may leave late packets behind.
-    let (received, late) = match cfg.decode {
-        DecodeMode::All => (shuffle_all(&mut rank, &my_groups)?, Vec::new()),
-        DecodeMode::Quorum => {
-            let late = shuffle_quorum(&mut rank, &my_groups, r, &mut decode)?;
-            (Vec::new(), late)
-        }
-    };
-    // Whatever travels uncoded (paper §V-A: one flow per intermediate).
+    // Everything is posted: what a rank receives is queued by the time it
+    // asks, unless its sender's NIC has not reached it yet. Either way the
+    // packet is decoded as it is taken (Algorithm 2); quorum mode may leave
+    // late packets behind.
+    let late = match cfg.decode {
+        DecodeMode::All => shuffle_all(&mut rank, &my_groups, &mut decode).map(|()| Vec::new()),
+        DecodeMode::Quorum => shuffle_quorum(&mut rank, &my_groups, r, &mut decode),
+    }?;
     for (sender, fid, file) in layout.unicasts_to(me) {
         let piece = comm.recv(sender, Tag::app(fid.0 as u32))?;
         rank.stats.recv_bytes += piece.len() as u64;
         rank.stats.unpack_bytes += piece.len() as u64;
         pieces.push((file.bits(), piece));
     }
+    // The stage ends when this rank's NIC has drained, its last expected
+    // packet is in, and every peer can say the same.
+    comm.drain()?;
     rank.sync()?;
     // Every sender has issued all its sends by now, so on the in-memory
     // fabric whatever the quorum did not wait for sits in the mailbox:
@@ -656,66 +685,8 @@ fn node_main<W: Workload>(
         let _ = comm.transport().try_recv(sender, tag);
     }
 
-    // ---- Unpack / Decode (Algorithm 2) ------------------------------------
+    // ---- Unpack / Decode: what is left of it -------------------------------
     comm.set_stage(stages::UNPACK_DECODE);
-    if pool.threads() > 1 && received.len() > 1 {
-        // Packets decode independently (Algorithm 2 is per-packet XOR
-        // cancellation); only the final segment assembly is sequential.
-        // The fan-out runs in *waves*: each wave decodes a bounded batch
-        // (packets parse zero-copy into per-worker shells, accumulators
-        // come from a per-worker sharded checkout of the pipeline's pool),
-        // then assembles it, returning the completed groups' buffers to
-        // the pool before the next wave draws from it. Receive order is
-        // group-major, so a wave's completions refill the pool for the
-        // next one — steady-state waves reuse buffers instead of
-        // allocating one segment per packet — and results return in
-        // receive order, so the outcome matches the serial path byte for
-        // byte.
-        let decoder = decode.pipeline.decoder().clone();
-        let wave = (pool.threads() * 16).max(64);
-        for batch in received.chunks(wave) {
-            let per_worker = batch.len().div_ceil(pool.threads());
-            let segments: Vec<Result<(u64, DecodedSegment)>> = pool.map_with(
-                batch.len(),
-                || {
-                    (
-                        CodedPacket::empty(),
-                        decode.pipeline.segment_shard(per_worker),
-                    )
-                },
-                |(shell, shard), i| {
-                    shell.read_wire(&batch[i])?;
-                    // Under process-wide lease contention a worker may
-                    // cover more than `per_worker` packets: top the
-                    // shard back up (one lock per refill) instead of
-                    // falling through to the pool on every packet.
-                    if shard.pooled() == 0 {
-                        shard.refill(per_worker);
-                    }
-                    let mut acc = shard.get();
-                    let info = decoder.decode_packet_into(shell, &store, &mut acc)?;
-                    Ok((
-                        decode_work(shell),
-                        DecodedSegment {
-                            file: info.file,
-                            sender: info.sender,
-                            position: info.position,
-                            data: acc,
-                        },
-                    ))
-                },
-            );
-            for item in segments {
-                let (work, seg) = item?;
-                let done = decode.pipeline.accept_segment(seg)?;
-                decode.collect(work, done, &mut rank.stats);
-            }
-        }
-    } else {
-        for raw in &received {
-            decode.packet(raw, &mut rank.stats)?;
-        }
-    }
     if decode.pipeline.in_flight() != 0 || decode.recovered.len() != my_groups.len() {
         return Err(EngineError::Protocol {
             what: format!(
@@ -734,7 +705,6 @@ fn node_main<W: Workload>(
             .into_iter()
             .map(|(file, v)| (layout.globalize(file, me).bits(), Bytes::from(v))),
     );
-    rank.sync()?;
     if rank.crashed_at(CrashPoint::PreReduce)? {
         return Ok(None);
     }
@@ -772,18 +742,39 @@ fn node_main<W: Workload>(
 }
 
 /// The paper's barrier-on-all receive: every packet of every owned group,
-/// groups in schedule order and senders in rank order within a group —
-/// the order the Decode stage consumes them in.
-fn shuffle_all(rank: &mut Rank<'_>, groups: &[&Group]) -> Result<Vec<Bytes>> {
-    let mut received = Vec::new();
-    for group in groups {
-        for &sender in group.ranks.iter().filter(|&&sender| sender != rank.me) {
-            let packet = rank.comm.recv(sender, group.tag)?;
-            rank.stats.recv_bytes += packet.len() as u64;
-            received.push(packet);
-        }
+/// each decoded as it is taken. One probe over every expected key takes
+/// whatever has arrived, lowest tag first; when that is nothing the rank
+/// blocks on the first key still missing — with the single-key wait,
+/// because only that one runs NACK repair on `udp-multicast` (ROADMAP 5(b)).
+fn shuffle_all(rank: &mut Rank<'_>, groups: &[&Group], decode: &mut Decode<'_>) -> Result<()> {
+    let (comm, me) = (rank.comm, rank.me);
+    let transport = comm.transport().as_ref();
+    let mut keys: Vec<Key> = (groups.iter())
+        .flat_map(|group| {
+            let senders = group.ranks.iter().filter(move |&&sender| sender != me);
+            senders.map(|&sender| (comm.scope(group.tag), sender))
+        })
+        .collect();
+    keys.sort_unstable();
+    // A key yields one packet, so a taken one can stay listed.
+    let mut taken = vec![false; keys.len()];
+    let mut first_missing = 0;
+    for _ in 0..keys.len() {
+        let (hit, packet) = match transport.recv_any(&keys, Some(Instant::now())) {
+            Ok(hit) => hit,
+            Err(NetError::Timeout { .. }) => {
+                while taken[first_missing] {
+                    first_missing += 1;
+                }
+                let (tag, sender) = keys[first_missing];
+                (first_missing, transport.recv(sender, tag)?)
+            }
+            Err(e) => return Err(e.into()),
+        };
+        taken[hit] = true;
+        decode.packet(&packet, &mut rank.stats)?;
     }
-    Ok(received)
+    Ok(())
 }
 
 /// The quorum receive: block for whichever expected packet arrives next,
@@ -892,7 +883,6 @@ fn shuffle_quorum(
         if done[g] {
             continue;
         }
-        rank.stats.recv_bytes += packet.len() as u64;
         if decode.packet(&packet, &mut rank.stats)? {
             done[g] = true;
             open -= 1;

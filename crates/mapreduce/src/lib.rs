@@ -1,7 +1,11 @@
 //! # cts-mapreduce — the uncoded/coded MapReduce engine
 //!
 //! This crate runs real MapReduce jobs over the `cts-net` substrate. One
-//! barrier-synchronized pipeline executes every scheme:
+//! pipeline executes every scheme. The paper times its stages laid end to
+//! end; here only CodeGen, the end of the Shuffle and Reduce close on a
+//! synchronization, and in between each node walks the stages in one pass,
+//! so its CPU work runs while its NIC drains (paper §VI, "asynchronous
+//! execution"):
 //!
 //! 1. **Placement** (untimed, the coordinator's job): the input splits
 //!    into `C(K, r)` files, file `F_S` staged on every node of `S`.
@@ -10,18 +14,21 @@
 //!    group communicators are member lists, so the real cost is
 //!    enumeration — the EC2 cost is modeled).
 //! 3. **Map**: each node hashes each of its files into `K` intermediates
-//!    and keeps them per the §IV-B rule.
+//!    and keeps them per the §IV-B rule — file by file, in the order that
+//!    completes a group soonest.
 //! 4. **Pack/Encode**: Algorithm 1 — one coded packet per group
-//!    membership. Uncoded pieces are already the buffers Map produced.
-//! 5. **Shuffle**: every node posts all of its sends back to back — its
-//!    packet for each group it is in, over the configured
-//!    [`ShuffleFabric`](cts_net::fabric::ShuffleFabric), then whatever
-//!    travels uncoded — and only then receives: every packet in group
-//!    order, or, in quorum mode, whichever comes next until each group
-//!    decodes. The paper sends one node at a time (Fig. 9); behind a NIC
-//!    that shapes egress this stage takes the busiest sender's egress time.
-//! 6. **Unpack/Decode**: Algorithm 2 cancels received packets against
-//!    local intermediates.
+//!    membership, encoded the moment the last of the group's `r` files is
+//!    mapped. Uncoded pieces are already the buffers Map produced.
+//! 5. **Shuffle**: a node posts each packet as it is encoded, over the
+//!    configured [`ShuffleFabric`](cts_net::fabric::ShuffleFabric), then
+//!    whatever travels uncoded — a post queues behind the node's NIC and
+//!    does not wait for it — and then receives whatever comes next until
+//!    every packet is in or, in quorum mode, each group decodes. The stage
+//!    ends when its NIC has drained too. The paper sends one node at a
+//!    time (Fig. 9); behind a NIC that shapes egress this stage takes the
+//!    busiest sender's egress time, and Map, Encode and Decode hide in it.
+//! 6. **Unpack/Decode**: Algorithm 2 cancels each received packet against
+//!    local intermediates as it arrives.
 //! 7. **Reduce**: everything a node reduces — kept, unicast and decoded
 //!    pieces — goes to the workload in input order, unconcatenated.
 //!

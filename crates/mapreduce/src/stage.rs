@@ -60,9 +60,13 @@ impl std::str::FromStr for RecoveryMode {
     }
 }
 
-/// Wall-clock stage durations for one node, each stage bracketed from its
-/// `set_stage` to the next (so a stage includes the wait at its closing
-/// synchronization).
+/// Wall-clock stage durations for one node. A CPU stage's wall is the time
+/// the node's thread spent in that work, its interleaved slices summed
+/// (CodeGen and Reduce include the wait at their closing synchronization);
+/// the Shuffle's runs from the node's first post to "its NIC drained and
+/// its last expected packet in", plus the closing synchronization — Map,
+/// Encode and Decode slices that ran meanwhile included, so the six can sum
+/// to more than the node's job took.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeWall {
     /// CodeGen duration.
@@ -80,28 +84,37 @@ pub struct NodeWall {
 }
 
 impl NodeWall {
-    /// Sum of all stages.
+    /// Sum of all stages — the job laid end to end, as the paper times it.
     pub fn total(&self) -> Duration {
         self.codegen + self.map + self.pack_encode + self.shuffle + self.unpack_decode + self.reduce
     }
 }
 
-/// Cluster-wide wall times: the per-stage maximum over nodes (stages are
-/// barrier-synchronized, so the slowest node defines the stage).
+/// Cluster-wide wall times: the per-stage maximum over nodes, and the job's
+/// own wall beside them. Only CodeGen, the end of the Shuffle and Reduce
+/// close on a synchronization; in between a node's stages overlap each
+/// other, so `max.total()` exceeds `job` by what ran hidden behind the NIC.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WallTimes {
     /// Slowest node per stage.
     pub max: NodeWall,
+    /// The job's wall: the first stage's start on any node to the last
+    /// stage's end on any node.
+    pub job: Duration,
 }
 
 impl WallTimes {
     /// The walls of one job's span log — the only clock the engine keeps.
-    /// Each rank's spans are summed per stage (Recover counts as Reduce:
-    /// rebuilding a dead rank's partition is reduce work done elsewhere),
-    /// then aggregated. All-zero when spans were disabled.
+    /// Each rank's stage walls ([`wall_ns`](cts_net::span::StageSpan::wall_ns);
+    /// Recover counts as Reduce: rebuilding a dead rank's partition is
+    /// reduce work done elsewhere) are aggregated, and the job's wall is
+    /// the extent of all spans. All-zero when spans were disabled.
     pub fn from_spans(log: &SpanLog) -> Self {
         let mut nodes: Vec<NodeWall> = Vec::new();
+        let (mut start, mut end) = (u64::MAX, 0);
         for span in &log.spans {
+            start = start.min(span.start_ns);
+            end = end.max(span.end_ns);
             let rank = usize::from(span.rank);
             if nodes.len() <= rank {
                 nodes.resize(rank + 1, NodeWall::default());
@@ -116,23 +129,27 @@ impl WallTimes {
                 stages::REDUCE | stages::RECOVER => &mut node.reduce,
                 _ => continue,
             };
-            *slot += Duration::from_nanos(span.dur_ns());
+            *slot += Duration::from_nanos(span.wall_ns);
         }
-        WallTimes::aggregate(&nodes)
+        let slowest = |field: fn(&NodeWall) -> Duration| nodes.iter().map(field).max();
+        let slowest = |field| slowest(field).unwrap_or_default();
+        WallTimes {
+            job: Duration::from_nanos(end.saturating_sub(start)),
+            max: NodeWall {
+                codegen: slowest(|n| n.codegen),
+                map: slowest(|n| n.map),
+                pack_encode: slowest(|n| n.pack_encode),
+                shuffle: slowest(|n| n.shuffle),
+                unpack_decode: slowest(|n| n.unpack_decode),
+                reduce: slowest(|n| n.reduce),
+            },
+        }
     }
 
-    /// Aggregates per-node measurements.
-    pub fn aggregate(nodes: &[NodeWall]) -> Self {
-        let mut max = NodeWall::default();
-        for n in nodes {
-            max.codegen = max.codegen.max(n.codegen);
-            max.map = max.map.max(n.map);
-            max.pack_encode = max.pack_encode.max(n.pack_encode);
-            max.shuffle = max.shuffle.max(n.shuffle);
-            max.unpack_decode = max.unpack_decode.max(n.unpack_decode);
-            max.reduce = max.reduce.max(n.reduce);
-        }
-        WallTimes { max }
+    /// What ran behind the NIC: how much longer the job would have taken
+    /// with its slowest stages laid end to end.
+    pub fn hidden(&self) -> Duration {
+        self.max.total().saturating_sub(self.job)
     }
 }
 
@@ -146,7 +163,7 @@ pub struct EngineConfig {
     /// Cluster fabric configuration.
     pub cluster: ClusterConfig,
     /// Intra-node worker threads for the CPU-bound stages (Map hashing,
-    /// per-group encode, per-packet decode, the Reduce sort). `1` (the
+    /// per-group encode, the Reduce sort). `1` (the
     /// default) runs every stage inline; higher values lease workers from
     /// the process-wide [`cts_core::exec`] budget, so K-node single-host
     /// emulation never oversubscribes the machine. Outputs are
@@ -286,23 +303,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wall_aggregate_takes_maxima() {
-        let a = NodeWall {
-            map: Duration::from_millis(10),
-            reduce: Duration::from_millis(5),
-            ..Default::default()
-        };
-        let b = NodeWall {
-            map: Duration::from_millis(3),
-            reduce: Duration::from_millis(9),
-            ..Default::default()
-        };
-        let w = WallTimes::aggregate(&[a, b]);
-        assert_eq!(w.max.map, Duration::from_millis(10));
-        assert_eq!(w.max.reduce, Duration::from_millis(9));
-    }
-
-    #[test]
     fn node_wall_total_sums() {
         let n = NodeWall {
             codegen: Duration::from_millis(1),
@@ -348,6 +348,7 @@ mod tests {
             stage: stage as u16,
             start_ns: start_ms * 1_000_000,
             end_ns: end_ms * 1_000_000,
+            wall_ns: (end_ms - start_ms) * 1_000_000,
         };
         let log = SpanLog {
             names: names.iter().map(|n| n.to_string()).collect(),
@@ -362,14 +363,65 @@ mod tests {
                 span(1, 3, 10, 99),
             ],
         };
-        let w = WallTimes::from_spans(&log).max;
-        assert_eq!(w.map, Duration::from_millis(10));
-        assert_eq!(w.reduce, Duration::from_millis(8));
-        assert_eq!(w.total(), Duration::from_millis(18));
+        let w = WallTimes::from_spans(&log);
+        assert_eq!(w.max.map, Duration::from_millis(10));
+        assert_eq!(w.max.reduce, Duration::from_millis(8));
+        assert_eq!(w.max.total(), Duration::from_millis(18));
+        // Nothing overlapped; the job ran to the end of the unknown stage.
+        assert_eq!(
+            (w.job, w.hidden()),
+            (Duration::from_millis(99), Duration::ZERO)
+        );
         // Spans disabled: the log is empty and so are the walls.
         assert_eq!(
             WallTimes::from_spans(&SpanLog::default()),
             WallTimes::default()
         );
+    }
+
+    #[test]
+    fn overlapping_spans_report_what_ran_behind_the_nic() {
+        use cts_net::span::StageSpan;
+        let names = [
+            stages::MAP,
+            stages::SHUFFLE,
+            stages::UNPACK_DECODE,
+            stages::REDUCE,
+        ];
+        let ms = |ms: u64| ms * 1_000_000;
+        let span = |rank: u16, stage: u16, start_ms, end_ms, wall_ms| StageSpan {
+            job: 0,
+            rank,
+            stage,
+            start_ns: ms(start_ms),
+            end_ns: ms(end_ms),
+            wall_ns: ms(wall_ms),
+        };
+        // Rank 0 maps 30 ms in slices up to t = 40, posts from t = 5, decodes
+        // 20 ms between packets, and the Shuffle closes at 100; rank 1 maps
+        // a little longer and shuffles a little shorter. Both reduce to 130.
+        let log = SpanLog {
+            names: names.iter().map(|n| n.to_string()).collect(),
+            spans: vec![
+                span(0, 0, 0, 40, 30),
+                span(0, 1, 5, 100, 95),
+                span(0, 2, 45, 98, 20),
+                span(0, 3, 100, 130, 30),
+                span(1, 0, 0, 44, 34),
+                span(1, 1, 8, 100, 92),
+                span(1, 2, 50, 99, 18),
+                span(1, 3, 100, 130, 30),
+            ],
+        };
+        let w = WallTimes::from_spans(&log);
+        // CPU stages report the time in them, the Shuffle its extent.
+        assert_eq!(w.max.map, Duration::from_millis(34));
+        assert_eq!(w.max.shuffle, Duration::from_millis(95));
+        assert_eq!(w.max.unpack_decode, Duration::from_millis(20));
+        assert_eq!(w.max.reduce, Duration::from_millis(30));
+        // 179 ms of stages in a 130 ms job: 49 ms ran behind the NIC.
+        assert_eq!(w.job, Duration::from_millis(130));
+        assert_eq!(w.max.total(), Duration::from_millis(179));
+        assert_eq!(w.hidden(), Duration::from_millis(49));
     }
 }

@@ -6,7 +6,11 @@
 //! (`"ph": "X"`) event per rank per stage, `pid` = job id, `tid` = rank.
 //! Loading the file reproduces the paper's Fig. 9 stage breakdown for
 //! that job — each rank's Map / Encode / Shuffle / Decode / Reduce
-//! bracket laid out on a common timebase.
+//! bracket laid out on a common timebase. Unlike Fig. 9, one rank's events
+//! overlap in time: an event runs from its stage's first slice to its
+//! last, a rank's Shuffle opens with its first post — while it is still
+//! mapping — and its Decode runs inside it; `args.wall_us` is the time the
+//! rank actually spent in the stage.
 //!
 //! Timestamps are microseconds (the format's unit) on the span
 //! collector's clock; durations under 1 µs round up to 1 so hairline
@@ -44,6 +48,10 @@ pub fn chrome_trace(outcome: &JobOutcome, job_id: u32) -> String {
                 ("dur", Value::UInt(us(s.dur_ns()))),
                 ("pid", Value::UInt(u64::from(s.job))),
                 ("tid", Value::UInt(u64::from(s.rank))),
+                (
+                    "args",
+                    Value::object([("wall_us", Value::UInt(us(s.wall_ns)))]),
+                ),
             ])
         })
         .collect();
@@ -88,8 +96,22 @@ mod tests {
         ] {
             assert!(json.contains(&format!("\"name\":\"{stage}\"")), "{stage}");
         }
-        // Three ranks → each stage occurs three times.
+        // Three ranks → each stage occurs three times, however many slices
+        // a rank spent in it.
         assert_eq!(json.matches("\"name\":\"Map\"").count(), 3);
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 15);
+        // A rank's Shuffle opens with its first post and contains its
+        // Decode: the two events overlap.
+        let log = &outcome.spans;
+        let of = |stage| {
+            let idx = log.stage_index(stage).unwrap();
+            *log.spans
+                .iter()
+                .find(|s| s.rank == 0 && s.stage == idx)
+                .unwrap()
+        };
+        let (shuffle, decode) = (of(stages::SHUFFLE), of(stages::UNPACK_DECODE));
+        assert!(shuffle.start_ns <= decode.start_ns && decode.start_ns <= shuffle.end_ns);
         // Totals line up with the span log's own accounting.
         let totals = stage_totals_ns(&outcome, 0);
         assert_eq!(totals.len(), 5);

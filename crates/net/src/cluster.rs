@@ -26,13 +26,13 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use cts_core::metrics::{Histogram, MetricsHub};
 use parking_lot::Mutex;
 
 use crate::comm::Communicator;
-use crate::error::Result;
+use crate::error::{NetError, Result};
 use crate::fabric::ShuffleFabric;
 use crate::fault::{FaultRule, FaultyTransport};
 use crate::local::LocalFabric;
@@ -212,6 +212,9 @@ impl JobBinding {
 pub(crate) struct Endpoints {
     transports: Vec<Arc<dyn Transport>>,
     down: AtomicBool,
+    /// The emulated NICs of the jobs in flight, by rank: a teardown fails
+    /// them too, so no rank sits out a queue that will never drain.
+    nics: Mutex<Vec<(usize, Weak<Nic>)>>,
 }
 
 impl Endpoints {
@@ -251,14 +254,21 @@ impl Endpoints {
         Ok(Endpoints {
             transports,
             down: AtomicBool::new(false),
+            nics: Mutex::new(Vec::new()),
         })
     }
 
-    /// Shuts down every transport, waking any blocked receiver.
+    /// Shuts down every transport, waking any blocked receiver, and fails
+    /// every NIC a job runs on them, waking any blocked drain.
     pub(crate) fn shutdown(&self) {
         self.down.store(true, Ordering::Release);
         for t in &self.transports {
             t.shutdown();
+        }
+        for (rank, nic) in self.nics.lock().drain(..) {
+            if let Some(nic) = nic.upgrade() {
+                nic.abort(NetError::Disconnected { rank });
+            }
         }
     }
 }
@@ -450,17 +460,25 @@ impl SharedFabric {
             Arc::clone(&live)
         };
 
+        let nics: Vec<Option<Arc<Nic>>> = match profile {
+            None => vec![None; k],
+            Some(p) => {
+                let (meter, hist) = (self.job_meter(binding.id), &self.nic_wait_hist);
+                let nic = || Nic::new(p).with_meter(Arc::clone(&meter), Some(Arc::clone(hist)));
+                let nics: Vec<Option<Arc<Nic>>> = (0..k).map(|_| Some(Arc::new(nic()))).collect();
+                let mut live = endpoints.nics.lock();
+                live.retain(|(_, nic)| nic.strong_count() > 0);
+                live.extend(nics.iter().flatten().map(Arc::downgrade).enumerate());
+                nics
+            }
+        };
+
         std::thread::scope(|scope| {
-            let meter = profile.map(|_| self.job_meter(binding.id));
-            for rank in 0..k {
+            for (rank, nic) in nics.into_iter().enumerate() {
                 let transport = Arc::clone(&endpoints.transports[rank]);
                 let trace = Arc::clone(&self.trace);
                 let spans = Arc::clone(&self.spans);
                 let metrics = Arc::clone(&self.metrics);
-                let nic = profile.map(|p| {
-                    let meter = Arc::clone(meter.as_ref().expect("meter exists when shaped"));
-                    Arc::new(Nic::new(p).with_meter(meter, Some(Arc::clone(&self.nic_wait_hist))))
-                });
                 let endpoints = Arc::clone(&endpoints);
                 let fabric = self.config.fabric;
                 let slots = &slots;
@@ -546,7 +564,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::NetError;
     use crate::message::Tag;
     use bytes::Bytes;
 
@@ -733,14 +750,28 @@ mod tests {
 
     #[test]
     fn abort_fails_the_job_and_the_next_one_gets_fresh_endpoints() {
-        for cfg in [ClusterConfig::local(3), ClusterConfig::tcp(3)] {
+        // The third leg sits behind a NIC so slow that rank 0's second post
+        // stays queued for minutes: the abort must release its drain too.
+        let crawl = NicProfile::rate_limited(1_000.0);
+        for cfg in [
+            ClusterConfig::local(3),
+            ClusterConfig::tcp(3),
+            ClusterConfig::local(3).with_nic(crawl),
+        ] {
             let fabric = SharedFabric::build(&cfg).unwrap();
+            let started = std::time::Instant::now();
             let run = fabric
                 .run_job(JobBinding::ROOT, None, vec![(); 3], |comm, ()| {
                     match comm.rank() {
-                        // Left behind in rank 2's mailbox.
-                        0 => comm.send(2, Tag::app(0), Bytes::from_static(b"stale"))?,
+                        // Left behind in rank 2's mailbox, and in the queue.
+                        0 => {
+                            comm.post(2, Tag::app(0), Bytes::from_static(b"stale"))?;
+                            comm.post(2, Tag::app(0), Bytes::from(vec![0u8; 200_000]))?;
+                            comm.drain()?;
+                        }
                         1 => {
+                            // Give rank 0 time to block in its drain.
+                            std::thread::sleep(std::time::Duration::from_millis(30));
                             comm.abort();
                             return Err(NetError::Io {
                                 what: "rank 1 failed".into(),
@@ -753,6 +784,7 @@ mod tests {
                     comm.recv(1, Tag::app(0)).map(|_| ())
                 })
                 .unwrap();
+            assert!(started.elapsed() < std::time::Duration::from_secs(30));
             assert!(matches!(run.results[1], Err(NetError::Io { .. })));
             for rank in [0, 2] {
                 assert!(run.results[rank].is_err(), "{:?}", run.results[rank]);
@@ -791,6 +823,7 @@ mod tests {
             .unwrap();
         // Two stages × three ranks, all stamped with the job id.
         assert_eq!(run.spans.spans.len(), 6);
+        assert!(run.spans.spans.iter().all(|s| s.wall_ns == s.dur_ns()));
         assert!(run.spans.spans.iter().all(|s| s.job == 42));
         assert_eq!(run.spans.stages_in_order(), vec!["Map", "Shuffle"]);
         assert_eq!(run.spans.stage_durations_ns("Map").len(), 3);

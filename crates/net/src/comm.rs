@@ -5,11 +5,14 @@
 //! One `Communicator` is handed to each SPMD node closure by the
 //! [`cluster`](crate::cluster) runner. It mirrors the Open MPI surface the
 //! paper's C++ implementation uses: `MPI_Send`/`MPI_Recv`, `MPI_Bcast`
-//! within a multicast group, and `MPI_Barrier` between stages. The group
-//! cast is [`multicast`](Communicator::multicast): dispatching on the
-//! configured [`ShuffleFabric`], it sends serial unicasts, overlapped
-//! fanout copies, or one native multicast, charges the emulated NIC
-//! accordingly, and records the per-fabric egress count in the trace.
+//! within a multicast group, and `MPI_Barrier` between stages — plus the
+//! non-blocking pair the engine streams its shuffle through,
+//! [`post`](Communicator::post) / [`post_multicast`](Communicator::post_multicast)
+//! (`MPI_Isend`) and [`drain`](Communicator::drain) (`MPI_Waitall`); the
+//! blocking calls are a post followed by a drain. A group cast dispatches
+//! on the configured [`ShuffleFabric`]: serial unicasts, overlapped fanout
+//! copies, or one native multicast, each charged to the emulated NIC
+//! accordingly and traced with the per-fabric egress count.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -29,10 +32,11 @@
 //! assert_eq!(run.trace.stage_wire_sends("Shuffle"), 1);
 //! ```
 
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use cts_core::metrics::MetricsHub;
 
@@ -41,7 +45,7 @@ use crate::error::{NetError, Result};
 use crate::fabric::ShuffleFabric;
 use crate::message::Tag;
 use crate::rate::Nic;
-use crate::span::SpanCollector;
+use crate::span::{SpanCollector, StageSpan};
 use crate::trace::{EventKind, TraceCollector};
 use crate::transport::Transport;
 
@@ -51,6 +55,29 @@ fn group_mask(members: &[usize], root: usize) -> u128 {
         .iter()
         .filter(|&&n| n != root)
         .fold(0u128, |acc, &n| acc | (1u128 << n))
+}
+
+/// A rank's stage clock: which stage its thread is in, and one span per
+/// stage entered so far, each growing by a slice whenever the thread leaves
+/// the stage again.
+#[derive(Default)]
+struct StageClock {
+    /// Index into `spans` of the stage the thread is in, and since when
+    /// (ns on the collector's clock).
+    open: Option<(usize, u64)>,
+    /// First-entry order. The flag: the rank posted to its NIC in the stage.
+    spans: Vec<(StageSpan, bool)>,
+}
+
+impl StageClock {
+    /// Books the open slice, if any, to its stage.
+    fn close(&mut self, now: u64) {
+        if let Some((at, since)) = self.open.take() {
+            let span = &mut self.spans[at].0;
+            span.end_ns = now;
+            span.wall_ns += now.saturating_sub(since);
+        }
+    }
 }
 
 /// Per-node handle for all communication.
@@ -65,13 +92,10 @@ pub struct Communicator {
     job_slot: u8,
     /// Job id stamped on every trace event.
     job_id: u32,
-    /// Stage-span sink, attached by the shared fabric. Each `set_stage`
-    /// closes the rank's open span and opens the next.
+    /// Stage-span sink, attached by the shared fabric: `set_stage` moves
+    /// `clock`, `finish_spans` hands its spans over.
     spans: Option<Arc<SpanCollector>>,
-    /// The open span's interned stage (`u16::MAX` = none open).
-    span_stage: AtomicU16,
-    /// The open span's start, ns on the collector's clock.
-    span_start: AtomicU64,
+    clock: Mutex<StageClock>,
     /// The owning runtime's metric registry, attached by the shared
     /// fabric so engines can register job-level instruments (heartbeat
     /// transitions, decode progress) without new plumbing.
@@ -102,16 +126,15 @@ impl Communicator {
             job_slot: 0,
             job_id: 0,
             spans: None,
-            span_stage: AtomicU16::new(u16::MAX),
-            span_start: AtomicU64::new(0),
+            clock: Mutex::new(StageClock::default()),
             metrics: None,
             endpoints: None,
         }
     }
 
     /// Attaches a stage-span collector: from now on every
-    /// [`set_stage`](Self::set_stage) brackets wall-clock time per stage
-    /// (closed by the next `set_stage` or [`finish_spans`](Self::finish_spans)).
+    /// [`set_stage`](Self::set_stage) books wall-clock time per stage
+    /// (recorded by [`finish_spans`](Self::finish_spans)).
     pub fn with_spans(mut self, spans: Arc<SpanCollector>) -> Self {
         self.spans = Some(spans);
         self
@@ -138,9 +161,9 @@ impl Communicator {
 
     /// Called by a rank that is about to return an error its peers cannot
     /// see: shuts down the endpoints its job runs on, so every peer blocked
-    /// in a receive or barrier on this rank fails with `Disconnected`
-    /// instead of waiting forever — the teardown a panicking rank gets from
-    /// the cluster runner. Jobs sharing those endpoints fail with it; the
+    /// in a receive, a barrier or a [`drain`](Self::drain) fails with
+    /// `Disconnected` instead of waiting forever — the teardown a panicking
+    /// rank gets from the cluster runner. Jobs sharing those endpoints fail with it; the
     /// fabric hands the next job fresh ones. A no-op on a communicator no
     /// fabric built.
     pub fn abort(&self) {
@@ -212,44 +235,53 @@ impl Communicator {
 
     /// Labels subsequent traffic with a stage name ("Map", "Shuffle", …).
     ///
-    /// When a span collector is attached this also closes the rank's open
-    /// stage span and opens one for `name` — the engines' existing stage
-    /// annotations double as the timing brackets behind `cts stats` and
-    /// `--timeline`, with no extra calls in the engine.
+    /// When a span collector is attached this also moves the rank's stage
+    /// clock: the time up to now is booked to the stage the thread was in,
+    /// the time from now to `name`. A stage may be entered any number of
+    /// times; its slices coalesce into one [`StageSpan`] — the engine's
+    /// stage annotations double as the timing brackets behind `cts stats`
+    /// and `--timeline`.
     pub fn set_stage(&self, name: &str) {
         self.stage.store(self.trace.intern(name), Ordering::Relaxed);
-        if let Some(spans) = &self.spans {
-            if spans.enabled() {
-                let now = spans.now_ns();
-                self.close_open_span(spans, now);
-                self.span_stage.store(spans.intern(name), Ordering::Relaxed);
-                self.span_start.store(now, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Closes the open stage span, if any (idempotent). The shared fabric
-    /// calls this when the rank's job closure returns, so the final stage
-    /// is bracketed too.
-    pub fn finish_spans(&self) {
-        if let Some(spans) = &self.spans {
-            if spans.enabled() {
-                let now = spans.now_ns();
-                self.close_open_span(spans, now);
-            }
-        }
-    }
-
-    fn close_open_span(&self, spans: &Arc<SpanCollector>, now: u64) {
-        let stage = self.span_stage.swap(u16::MAX, Ordering::Relaxed);
-        if stage != u16::MAX {
-            spans.record(crate::span::StageSpan {
-                job: self.job_id,
-                rank: self.transport.rank() as u16,
-                stage,
-                start_ns: self.span_start.load(Ordering::Relaxed),
-                end_ns: now,
+        let Some(spans) = self.spans.as_ref().filter(|s| s.enabled()) else {
+            return;
+        };
+        let (stage, now) = (spans.intern(name), spans.now_ns());
+        let mut clock = self.clock.lock();
+        clock.close(now);
+        let at = clock
+            .spans
+            .iter()
+            .position(|(span, _)| span.stage == stage)
+            .unwrap_or_else(|| {
+                let span = StageSpan {
+                    job: self.job_id,
+                    rank: self.transport.rank() as u16,
+                    stage,
+                    start_ns: now,
+                    end_ns: now,
+                    wall_ns: 0,
+                };
+                clock.spans.push((span, false));
+                clock.spans.len() - 1
             });
+        clock.open = Some((at, now));
+    }
+
+    /// Closes the open stage and records the rank's spans, one per stage it
+    /// entered (idempotent). The shared fabric calls this when the rank's
+    /// job closure returns.
+    pub fn finish_spans(&self) {
+        let Some(spans) = self.spans.as_ref().filter(|s| s.enabled()) else {
+            return;
+        };
+        let mut clock = self.clock.lock();
+        clock.close(spans.now_ns());
+        for (mut span, posted) in clock.spans.drain(..) {
+            if posted {
+                span.wall_ns = span.dur_ns();
+            }
+            spans.record(span);
         }
     }
 
@@ -258,14 +290,50 @@ impl Communicator {
         &self.transport
     }
 
-    /// Application point-to-point send (recorded as shuffle traffic).
-    ///
-    /// NIC emulation is *asynchronous with backpressure*: the payload is
-    /// handed to the fabric immediately and the sender then blocks for the
-    /// transfer's setup latency plus the payload's egress drain time, so a
-    /// node's shuffle wall-clock reflects exactly how long its emulated NIC
-    /// was occupied — the quantity the shuffle fabrics differ in.
-    pub fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
+    /// Hands one transfer of `cost` charged bytes to the egress: through the
+    /// NIC's queue when there is one, straight to `deliver` otherwise. The
+    /// open stage becomes one whose wall is its extent (see
+    /// [`StageSpan::wall_ns`]).
+    fn egress<F>(&self, cost: u64, deliver: F) -> Result<()>
+    where
+        F: FnOnce() -> Result<()> + Send + 'static,
+    {
+        let mut clock = self.clock.lock();
+        if let Some((at, _)) = clock.open {
+            clock.spans[at].1 = true;
+        }
+        drop(clock);
+        match &self.nic {
+            Some(nic) => nic.post(cost, deliver),
+            None => deliver(),
+        }
+    }
+
+    /// What a transfer's hand-over runs once the fabric accepted every copy:
+    /// the trace event, under the stage the transfer was *posted* in (a
+    /// refused one leaves no phantom traffic for the netsim oracle).
+    fn recorder(
+        &self,
+        dsts: u128,
+        bytes: u64,
+        overhead: u64,
+        copies: u16,
+        kind: EventKind,
+    ) -> impl FnOnce() + Send + 'static {
+        let trace = Arc::clone(&self.trace);
+        let (job, stage, src) = (self.job_id, self.stage.load(Ordering::Relaxed), self.rank());
+        move || trace.record_transfer_for(job, stage, src, dsts, bytes, overhead, copies, kind)
+    }
+
+    /// Non-blocking point-to-point send (recorded as shuffle traffic):
+    /// returns once the payload is with the fabric or in this rank's NIC
+    /// queue, whichever the emulated NIC says. A transfer occupies the NIC
+    /// for its setup latency plus its payload's egress drain time, the
+    /// payload goes to the fabric at the start of that, and nothing waits
+    /// for the end of it but [`drain`](Self::drain): the rank computes
+    /// while its NIC is occupied for exactly as long as a blocking sender's
+    /// would be — the quantity the shuffle fabrics differ in.
+    pub fn post(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
         // Bound-check before the trace mask shift (`1u128 << dst`) so an
         // out-of-range destination errors instead of overflowing.
         if dst >= self.world_size() {
@@ -275,25 +343,33 @@ impl Communicator {
             });
         }
         let bytes = payload.len() as u64;
-        self.transport.send(dst, self.scope(tag), payload)?;
-        // Recorded only after the fabric accepted the payload, so a failed
-        // send leaves no phantom traffic in the trace (the multicast path
-        // keeps the same invariant).
-        self.trace.record_transfer_for(
-            self.job_id,
-            self.stage.load(Ordering::Relaxed),
-            self.rank(),
-            1u128 << dst,
-            bytes,
-            0,
-            1,
-            EventKind::AppUnicast,
-        );
-        if let Some(nic) = &self.nic {
-            nic.pace_transfer();
-            nic.charge(bytes);
+        let record = self.recorder(1u128 << dst, bytes, 0, 1, EventKind::AppUnicast);
+        let (transport, tag) = (Arc::clone(&self.transport), self.scope(tag));
+        self.egress(bytes, move || {
+            transport.send(dst, tag, payload)?;
+            record();
+            Ok(())
+        })
+    }
+
+    /// Blocks until everything this rank posted has left its emulated NIC
+    /// (at once, without one). A queued transfer the fabric refused fails
+    /// this — or the next post — with the fabric's error, and
+    /// [`abort`](Self::abort) on any rank of the fabric fails it with
+    /// `Disconnected`.
+    pub fn drain(&self) -> Result<()> {
+        match &self.nic {
+            Some(nic) => nic.drain(),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Blocking point-to-point send: [`post`](Self::post), then
+    /// [`drain`](Self::drain) — returns when the NIC has drained the
+    /// payload, not when the peer took it.
+    pub fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
+        self.post(dst, tag, payload)?;
+        self.drain()
     }
 
     /// Barrier control send — an empty frame, excluded from
@@ -301,16 +377,7 @@ impl Communicator {
     /// latency would charge every stage transition a shuffle's worth of
     /// setup time). `tag` is already scoped.
     fn send_internal(&self, dst: usize, tag: Tag) -> Result<()> {
-        self.trace.record_transfer_for(
-            self.job_id,
-            self.stage.load(Ordering::Relaxed),
-            self.rank(),
-            1u128 << dst,
-            0,
-            0,
-            1,
-            EventKind::Internal,
-        );
+        self.recorder(1u128 << dst, 0, 0, 1, EventKind::Internal)();
         self.transport.send(dst, tag, Bytes::new())
     }
 
@@ -342,9 +409,9 @@ impl Communicator {
         Ok(())
     }
 
-    /// SPMD group validation: members sorted/unique and in range, caller
-    /// and root both present, root supplies the payload.
-    fn validate_group(&self, root: usize, members: &[usize], data: &Option<Bytes>) -> Result<()> {
+    /// Group validation: members sorted/unique and in range, caller and
+    /// root both present.
+    fn validate_group(&self, root: usize, members: &[usize]) -> Result<()> {
         if members.is_empty() || members.windows(2).any(|w| w[0] >= w[1]) {
             return Err(NetError::CollectiveMisuse {
                 what: "members must be non-empty, sorted, unique".into(),
@@ -363,32 +430,31 @@ impl Communicator {
             format!("caller {} not in group", self.rank())
         } else if members.binary_search(&root).is_err() {
             format!("root {root} not in group")
-        } else if self.rank() == root && data.is_none() {
-            "root must supply the payload".into()
         } else {
             return Ok(());
         };
         Err(NetError::CollectiveMisuse { what: misuse })
     }
 
-    /// Multicast within a member group over the configured
-    /// [`ShuffleFabric`] — the path the coded shuffle takes.
+    /// Non-blocking multicast from this rank to the other `members` over
+    /// the configured [`ShuffleFabric`] — the path the coded shuffle takes.
+    /// `overhead` is the protocol-overhead byte count recorded on the trace
+    /// event (coded-packet headers).
     ///
-    /// `members` must be sorted ascending and contain both `root` and the
-    /// caller, and every member must call with the same arguments (SPMD).
-    /// The root passes `Some(payload)`, others `None`; everyone returns the
-    /// payload.
-    /// All receivers get the payload directly from the root (no relaying),
-    /// so the receive path is fabric-independent; what changes per fabric
-    /// is how the root's copies leave the machine:
+    /// `members` must be sorted ascending and contain the caller; each
+    /// receiver takes the payload with a plain [`recv`](Self::recv) from
+    /// this rank (no relaying), so the receive path is fabric-independent.
+    /// What changes per fabric is how the copies leave the machine and how
+    /// long they occupy the emulated NIC — mirroring `cts-netsim`'s
+    /// per-fabric model term for term:
     ///
-    /// * `SerialUnicast` — one blocking unicast per receiver, each paying
-    ///   its own NIC latency and egress bytes;
-    /// * `Fanout` — one paced transfer whose `m` copies stream through
+    /// * `SerialUnicast` — one transfer per receiver, each paying its own
+    ///   NIC latency and egress bytes: `m·(L + B/rate)`;
+    /// * `Fanout` — one transfer whose `m` copies stream through
     ///   [`Transport::multicast`] concurrently (egress still moves
-    ///   `m × bytes`);
-    /// * `Multicast` — one paced transfer charged `bytes × (1 + α·log2 m)`
-    ///   once: genuine one-to-many;
+    ///   `m × bytes`): `L + m·B/rate`;
+    /// * `Multicast` — one transfer charged `bytes × (1 + α·log2 m)` once,
+    ///   genuine one-to-many: `L + B·(1 + α·log2 m)/rate`;
     /// * `UdpMulticast` — identical accounting to `Multicast`, but the
     ///   transport underneath sends one physical IP-multicast datagram
     ///   stream per packet ([`udp`](crate::udp)) instead of emulating the
@@ -398,6 +464,71 @@ impl Communicator {
     /// the paper's communication-load convention) whose
     /// [`wire_copies`](crate::trace::TraceEvent::wire_copies) is the
     /// fabric's egress frame count.
+    pub fn post_multicast(
+        &self,
+        members: &[usize],
+        tag: Tag,
+        payload: Bytes,
+        overhead: u64,
+    ) -> Result<()> {
+        let root = self.rank();
+        self.validate_group(root, members)?;
+        let tag = self.scope(tag);
+        let dsts: Vec<usize> = members.iter().copied().filter(|&n| n != root).collect();
+        let fanout = dsts.len();
+        let bytes = payload.len() as u64;
+        let record = self.recorder(
+            group_mask(members, root),
+            bytes,
+            overhead,
+            self.fabric.wire_copies(fanout) as u16,
+            EventKind::Multicast,
+        );
+        let Some((&last, rest)) = dsts.split_last() else {
+            record();
+            return Ok(());
+        };
+        let transport = Arc::clone(&self.transport);
+        let cost = match self.fabric {
+            ShuffleFabric::SerialUnicast => {
+                for &dst in rest {
+                    let (transport, payload) = (Arc::clone(&transport), payload.clone());
+                    self.egress(bytes, move || transport.send(dst, tag, payload))?;
+                }
+                // The event goes in with the last copy.
+                return self.egress(bytes, move || {
+                    transport.send(last, tag, payload)?;
+                    record();
+                    Ok(())
+                });
+            }
+            ShuffleFabric::Fanout => bytes.saturating_mul(fanout as u64),
+            // The native and physical multicast fabrics share one
+            // accounting: the payload is charged once (with the α-penalty)
+            // and traced with `wire_copies == 1` — for `UdpMulticast` the
+            // single egress crossing is what the socket actually does
+            // rather than an emulation convention; only the substrate
+            // underneath differs.
+            ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => {
+                let penalty = self
+                    .nic
+                    .as_ref()
+                    .map_or(1.0, |nic| nic.profile().multicast_penalty(fanout as u32));
+                (bytes as f64 * penalty).round() as u64
+            }
+        };
+        self.egress(cost, move || {
+            transport.multicast(&dsts, tag, payload)?;
+            record();
+            Ok(())
+        })
+    }
+
+    /// Blocking SPMD multicast within a member group: every member calls
+    /// with the same arguments, the root passing `Some(payload)` — which it
+    /// [`post_multicast`](Self::post_multicast)s and
+    /// [`drain`](Self::drain)s — and the others `None`; everyone returns
+    /// the payload.
     pub fn multicast(
         &self,
         root: usize,
@@ -405,85 +536,15 @@ impl Communicator {
         tag: Tag,
         data: Option<Bytes>,
     ) -> Result<Bytes> {
-        self.multicast_with_overhead(root, members, tag, data, 0)
-    }
-
-    /// [`multicast`](Self::multicast) with an explicit protocol-overhead
-    /// byte count recorded on the trace event (coded-packet headers).
-    pub fn multicast_with_overhead(
-        &self,
-        root: usize,
-        members: &[usize],
-        tag: Tag,
-        data: Option<Bytes>,
-        overhead: u64,
-    ) -> Result<Bytes> {
-        let tag = self.scope(tag);
-        self.validate_group(root, members, &data)?;
+        self.validate_group(root, members)?;
         if self.rank() != root {
-            return self.transport.recv(root, tag);
+            return self.recv(root, tag);
         }
-        let payload = data.expect("validated: root supplies payload");
-        let dsts: Vec<usize> = members.iter().copied().filter(|&n| n != root).collect();
-        let fanout = dsts.len();
-        // The trace event is recorded only after the fabric accepted every
-        // copy, so a failed dispatch leaves no phantom traffic behind for
-        // the accounting and the netsim oracle.
-        let record = |comm: &Self| {
-            comm.trace.record_transfer_for(
-                comm.job_id,
-                comm.stage.load(Ordering::Relaxed),
-                comm.rank(),
-                group_mask(members, root),
-                payload.len() as u64,
-                overhead,
-                comm.fabric.wire_copies(fanout) as u16,
-                EventKind::Multicast,
-            );
-        };
-        if fanout == 0 {
-            record(self);
-            return Ok(payload);
-        }
-        // NIC pacing is asynchronous-with-backpressure (see `send`): copies
-        // reach the fabric first, then the sender blocks for as long as its
-        // emulated NIC stays occupied under this fabric —
-        // `m·(L + B/rate)` serial, `L + m·B/rate` fanout,
-        // `L + B·(1 + α·log2 m)/rate` native multicast — mirroring
-        // `cts-netsim`'s per-fabric model term for term.
-        let bytes = payload.len() as u64;
-        match self.fabric {
-            ShuffleFabric::SerialUnicast => {
-                for &dst in &dsts {
-                    self.transport.send(dst, tag, payload.clone())?;
-                    if let Some(nic) = &self.nic {
-                        nic.pace_transfer();
-                        nic.charge(bytes);
-                    }
-                }
-            }
-            ShuffleFabric::Fanout => {
-                self.transport.multicast(&dsts, tag, payload.clone())?;
-                if let Some(nic) = &self.nic {
-                    nic.pace_transfer();
-                    nic.charge(bytes.saturating_mul(fanout as u64));
-                }
-            }
-            // The native and physical multicast fabrics share one
-            // accounting arm: the payload is charged once (with the
-            // α-penalty) and traced with `wire_copies == 1` — for
-            // `UdpMulticast` the single egress crossing is what the
-            // socket actually does rather than an emulation convention;
-            // only the substrate underneath differs.
-            ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => {
-                self.transport.multicast(&dsts, tag, payload.clone())?;
-                if let Some(nic) = &self.nic {
-                    nic.pace_transfer();
-                    nic.charge_scaled(bytes, nic.profile().multicast_penalty(fanout as u32));
-                }
-            }
-        }
-        record(self);
+        let payload = data.ok_or_else(|| NetError::CollectiveMisuse {
+            what: "root must supply the payload".into(),
+        })?;
+        self.post_multicast(members, tag, payload.clone(), 0)?;
+        self.drain()?;
         Ok(payload)
     }
 }
@@ -492,6 +553,7 @@ impl Communicator {
 mod tests {
     use super::*;
     use crate::local::LocalFabric;
+    use crate::rate::NicProfile;
 
     fn comms(k: usize) -> Vec<Communicator> {
         fabric_comms(k, ShuffleFabric::default()).0
@@ -713,5 +775,134 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Two ranks on the in-memory fabric, rank 0 behind `profile`, with a
+    /// span collector attached.
+    fn shaped_pair(
+        profile: NicProfile,
+        fabric: ShuffleFabric,
+    ) -> (Communicator, Communicator, Arc<TraceCollector>) {
+        let fab = LocalFabric::new(2);
+        let trace = Arc::new(TraceCollector::new(true));
+        let nic = Arc::new(Nic::new(profile));
+        let tx = Communicator::new(Arc::new(fab.endpoint(0)), Arc::clone(&trace), Some(nic))
+            .with_fabric(fabric)
+            .with_spans(Arc::new(SpanCollector::new(true)));
+        let rx = Communicator::new(Arc::new(fab.endpoint(1)), Arc::clone(&trace), None);
+        (tx, rx, trace)
+    }
+
+    #[test]
+    fn posts_behind_a_busy_nic_return_at_once_and_arrive_in_order_as_it_drains() {
+        use std::time::{Duration, Instant};
+        // 1 MB/s, 1 KB burst: each 20 KB payload occupies the NIC 20 ms.
+        let mut profile = NicProfile::rate_limited(1_000_000.0);
+        profile.burst_bytes = 1_000.0;
+        let (tx, rx, _) = shaped_pair(profile, ShuffleFabric::default());
+        let start = Instant::now();
+        for i in 0..5u8 {
+            let posted = Instant::now();
+            tx.post(1, Tag::app(0), Bytes::from(vec![i; 20_000]))
+                .unwrap();
+            assert!(posted.elapsed() < Duration::from_millis(1), "post {i}");
+        }
+        for i in 0..5u8 {
+            // Handed over at the start of its drain: payload i once the i
+            // before it have left, (20 i − 1) ms in.
+            assert_eq!(rx.recv(0, Tag::app(0)).unwrap()[0], i);
+            let at = start.elapsed();
+            let due = Duration::from_millis((20 * u64::from(i)).saturating_sub(3));
+            assert!(
+                at >= due && at < due + Duration::from_millis(40),
+                "{i}: {at:?}"
+            );
+        }
+        tx.drain().unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed >= Duration::from_millis(95), "{elapsed:?}");
+    }
+
+    #[test]
+    fn the_multicast_penalty_is_charged_to_the_queue() {
+        use std::time::{Duration, Instant};
+        // α = 1 and two receivers double the egress time: 50 KB at 1 MB/s
+        // keeps the NIC busy ~100 ms, and `multicast` is post + drain.
+        let mut profile = NicProfile::rate_limited(1_000_000.0).with_multicast_alpha(1.0);
+        profile.burst_bytes = 1_000.0;
+        let fab = LocalFabric::new(3);
+        let trace = Arc::new(TraceCollector::new(true));
+        let nic = Arc::new(Nic::new(profile));
+        let root = Communicator::new(Arc::new(fab.endpoint(0)), trace, Some(nic));
+        let start = Instant::now();
+        root.multicast(
+            0,
+            &[0, 1, 2],
+            Tag::new(Tag::BCAST, 0),
+            Some(Bytes::from(vec![9u8; 50_000])),
+        )
+        .unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed >= Duration::from_millis(95), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(300), "{elapsed:?}");
+    }
+
+    #[test]
+    fn a_queued_posts_transport_error_comes_out_of_drain_and_leaves_no_trace_event() {
+        use crate::fault::{FaultAction, FaultyTransport};
+        let fab = LocalFabric::new(2);
+        let trace = Arc::new(TraceCollector::new(true));
+        // The second message to leave fails in the transport.
+        let faulty = FaultyTransport::new(
+            Arc::new(fab.endpoint(0)),
+            Box::new(|_, _, _, idx| match idx {
+                1 => FaultAction::FailSend,
+                _ => FaultAction::Deliver,
+            }),
+        );
+        let mut profile = NicProfile::rate_limited(1_000_000.0);
+        profile.burst_bytes = 1_000.0;
+        let nic = Arc::new(Nic::new(profile));
+        let tx = Communicator::new(Arc::new(faulty), Arc::clone(&trace), Some(nic));
+        tx.set_stage("Shuffle");
+        for _ in 0..3 {
+            tx.post(1, Tag::app(0), Bytes::from(vec![0u8; 10_000]))
+                .unwrap();
+        }
+        assert!(matches!(tx.drain(), Err(NetError::InjectedFault { .. })));
+        assert!(matches!(
+            tx.post(1, Tag::app(0), Bytes::new()),
+            Err(NetError::InjectedFault { .. })
+        ));
+        // Only what the fabric accepted was traced.
+        assert_eq!(trace.snapshot().stage_bytes("Shuffle"), 10_000);
+    }
+
+    #[test]
+    fn stage_slices_coalesce_into_one_span_and_a_posting_stage_spans_its_extent() {
+        use std::time::Duration;
+        let (tx, _rx, trace) = shaped_pair(NicProfile::unlimited(), ShuffleFabric::default());
+        let spans = Arc::clone(tx.spans.as_ref().unwrap());
+        for _ in 0..3 {
+            tx.set_stage("Map");
+            std::thread::sleep(Duration::from_millis(4));
+            tx.set_stage("Shuffle");
+            tx.post(1, Tag::app(0), Bytes::from_static(b"piece"))
+                .unwrap();
+        }
+        tx.set_stage("Reduce");
+        tx.finish_spans();
+        tx.finish_spans();
+        let log = spans.snapshot();
+        assert_eq!(log.stages_in_order(), vec!["Map", "Shuffle", "Reduce"]);
+        assert_eq!(log.spans.len(), 3, "one span per stage");
+        let (map, shuffle) = (log.spans[0], log.spans[1]);
+        // Map: three 4 ms slices inside a longer extent. Shuffle: it posted,
+        // so its wall is its extent, which starts before Map's ends.
+        assert!(map.wall_ns >= 12_000_000 && map.wall_ns <= map.dur_ns());
+        assert_eq!(shuffle.wall_ns, shuffle.dur_ns());
+        assert!(shuffle.start_ns < map.end_ns && shuffle.dur_ns() >= 8_000_000);
+        // Every post was traced under the stage it was posted in.
+        assert_eq!(trace.snapshot().stage_wire_sends("Shuffle"), 3);
     }
 }

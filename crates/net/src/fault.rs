@@ -139,13 +139,15 @@ pub fn straggler_blackhole_rule() -> Arc<FaultRule> {
 /// one and dies there — fail-stop, never Byzantine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// After computing map outputs, before the post-Map synchronization —
-    /// the rank's replicated inputs are mapped but nothing was shared.
+    /// In Map, after the rank's first files are mapped and before its
+    /// first packet is encoded — nothing was shared.
     MidMap,
-    /// After encoding coded packets, before any of them is multicast.
+    /// After the rank's first coded packets are encoded, before any of
+    /// them is posted — nothing was shared.
     MidEncode,
-    /// During the shuffle, after the rank's first `n` group multicasts —
-    /// peers hold a partial view of its traffic.
+    /// During the shuffle, when the rank's first `n` group multicasts have
+    /// left its NIC and no other — peers hold a partial view of its
+    /// traffic.
     AfterSends(u64),
     /// After the shuffle completes, before the rank reduces its partition.
     PreReduce,

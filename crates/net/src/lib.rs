@@ -21,11 +21,13 @@
 //! * [`fabric`] — the [`ShuffleFabric`] selector: serial-unicast vs fanout
 //!   vs native multicast realizations of a group send;
 //! * [`comm`] — the per-node [`Communicator`]:
-//!   send/recv, barrier, and the fabric-aware
+//!   send/recv, barrier, the fabric-aware
 //!   [`Communicator::multicast`] (the `MPI_Bcast` of the paper's Multicast
-//!   Shuffling);
-//! * [`rate`] — emulated-NIC pacing: token-bucket egress shaping (the
-//!   paper's 100 Mbps `tc` cap), per-transfer latency, multicast `α`;
+//!   Shuffling), and their non-blocking forms, `post` / `post_multicast` +
+//!   `drain`;
+//! * [`rate`] — the emulated NIC: a token-bucket egress queue that drains
+//!   by itself (the paper's 100 Mbps `tc` cap), per-transfer latency,
+//!   multicast `α`;
 //! * [`trace`] — transfer tracing: every unicast and multicast with stage
 //!   labels, byte counts, and per-fabric egress frame counts, consumed by
 //!   `cts-netsim`'s calibrated network model;

@@ -4,10 +4,14 @@
 //! Where [`trace`](crate::trace) records *what moved* (bytes, receiver
 //! sets, egress frames), the span layer records *where time went*: each
 //! [`Communicator::set_stage`](crate::comm::Communicator::set_stage) call
-//! closes the rank's open span and opens the next, so the existing
-//! per-stage engine annotations double as timing brackets with no engine
-//! changes. The result is the live per-job Fig. 9 breakdown a resident
-//! daemon can answer `cts stats` and `--timeline` queries from.
+//! moves the rank's clock to the named stage, so the engine's stage
+//! annotations double as timing brackets. A rank may enter a stage many
+//! times — it maps a file, encodes a packet, posts it, maps the next — and
+//! its slices coalesce into **one span per stage per job**: from the first
+//! slice's start to the last one's end, carrying the stage's wall
+//! ([`StageSpan::wall_ns`]). One rank's spans may therefore overlap in
+//! time. The result is the live per-job Fig. 9 breakdown a resident daemon
+//! can answer `cts stats` and `--timeline` queries from.
 //!
 //! Recording goes into a **fixed-capacity ring** sized at construction:
 //! a resident service's memory stays bounded however many jobs pass
@@ -15,7 +19,7 @@
 //! recording performs zero heap allocations. Old spans are overwritten
 //! oldest-first; a job's timeline is complete as long as it is queried
 //! within the last `capacity` spans ([`SpanCollector::with_capacity`]),
-//! which at seven stages × K ranks per job holds thousands of recent jobs.
+//! which at seven spans × K ranks per job holds thousands of recent jobs.
 //!
 //! ```
 //! use cts_net::span::{SpanCollector, StageSpan};
@@ -23,7 +27,14 @@
 //! let spans = SpanCollector::new(true);
 //! let map = spans.intern("Map");
 //! let t0 = spans.now_ns();
-//! let span = StageSpan { job: 1, rank: 0, stage: map, start_ns: t0, end_ns: t0 + 1_000 };
+//! let span = StageSpan {
+//!     job: 1,
+//!     rank: 0,
+//!     stage: map,
+//!     start_ns: t0,
+//!     end_ns: t0 + 1_000,
+//!     wall_ns: 1_000,
+//! };
 //! spans.record(span);
 //! let log = spans.snapshot().for_job(1);
 //! assert_eq!(log.spans.len(), 1);
@@ -35,8 +46,9 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-/// One closed stage bracket on one rank of one job. Times are nanoseconds
-/// since the owning collector's origin.
+/// One stage of one rank of one job: every slice of time the rank spent in
+/// it, coalesced. Times are nanoseconds since the owning collector's
+/// origin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageSpan {
     /// The job this span belongs to (0 for exclusive/one-shot runs).
@@ -45,14 +57,20 @@ pub struct StageSpan {
     pub rank: u16,
     /// Index into the collector's interned stage names.
     pub stage: u16,
-    /// Span open time (ns since collector origin).
+    /// Start of the stage's first slice (ns since collector origin).
     pub start_ns: u64,
-    /// Span close time (ns since collector origin).
+    /// End of the stage's last slice (ns since collector origin).
     pub end_ns: u64,
+    /// The rank's wall for the stage, ns: the summed slices its thread
+    /// spent in it — or, for a stage the rank posted to its NIC in, the
+    /// whole extent, because the NIC works through the slices the thread
+    /// spends elsewhere. A rank's walls can sum to more than its job took;
+    /// the excess is work that ran behind the NIC.
+    pub wall_ns: u64,
 }
 
 impl StageSpan {
-    /// The span's duration in nanoseconds.
+    /// The span's extent in nanoseconds, first start to last end.
     pub fn dur_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
@@ -220,8 +238,8 @@ impl SpanLog {
         ids
     }
 
-    /// Per-rank durations (ns) of the named stage, one sample per span —
-    /// the sample set `cts stats` feeds into a latency histogram.
+    /// Per-rank walls (ns) of the named stage, one sample per span — the
+    /// sample set `cts stats` feeds into a latency histogram.
     pub fn stage_durations_ns(&self, name: &str) -> Vec<u64> {
         let Some(idx) = self.stage_index(name) else {
             return Vec::new();
@@ -229,7 +247,7 @@ impl SpanLog {
         self.spans
             .iter()
             .filter(|s| s.stage == idx)
-            .map(|s| s.dur_ns())
+            .map(|s| s.wall_ns)
             .collect()
     }
 
@@ -272,6 +290,7 @@ mod tests {
             stage,
             start_ns: start,
             end_ns: end,
+            wall_ns: end - start,
         }
     }
 

@@ -6,7 +6,7 @@
 //!            [--tcp] [--sort-kernel key-index] [--threads 4]
 //!            [--fabric udp-multicast] [--field gf256] [--decode quorum]
 //!            [--recovery speculative] [--heartbeat-ms 25]
-//!            [--idle-timeout-ms 10000] [--paper-nic]
+//!            [--idle-timeout-ms 10000] [--paper-nic] [--timeline trace.json]
 //! cts serve  --k 4 --r 2 --port 0 [--tcp] [--max-concurrent 4] [--queue 16]
 //!            [--metrics-port 9100]
 //! cts submit --addr 127.0.0.1:7117 --kind sort --records 10000 [--r 2]
@@ -73,6 +73,7 @@ USAGE:
                [--sort-kernel comparison|key-index] [--threads T]
                [--fabric serial-unicast|fanout|multicast|udp-multicast]
                [--field gf2|gf256] [--decode all|quorum] [--paper-nic]
+               [--timeline FILE]
                sort a file on the one engine: r=1 → TeraSort, r>1 →
                CodedTeraSort, --pods G → coding inside pods of G nodes,
                --sort-kernel → Reduce sort algorithm,
@@ -96,7 +97,9 @@ USAGE:
                  after ~36 silent intervals; default 25),
                --idle-timeout-ms N → quorum shuffle zero-progress
                  deadline (default 10000),
-               --paper-nic → emulate the paper's 100 Mbps NIC in real time
+               --paper-nic → emulate the paper's 100 Mbps NIC in real time,
+               --timeline → write the run's per-rank stage timeline as
+                 Chrome trace-event JSON (open in chrome://tracing)
   cts serve  --k K [--r R] [--port P] [--tcp] [--max-concurrent N]
                [--queue N] [--threads T] [--metrics-port P]
                run the multi-tenant sort service: a resident job runtime
@@ -326,11 +329,25 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     println!("wall-clock: {elapsed:.2?}");
     let wall = outcome.wall.max;
     println!("stage walls, slowest rank each: {wall:.1?}");
+    // The stages overlap: a rank maps, encodes and decodes while its NIC drains.
+    let (job_s, stages_s) = (outcome.wall.job.as_secs_f64(), wall.total().as_secs_f64());
+    let hidden_s = outcome.wall.hidden().as_secs_f64();
+    println!("job {job_s:.3} s; stages Σ {stages_s:.3} s; {hidden_s:.3} s hidden behind the NIC");
+    if let Some(path) = opts.get("timeline") {
+        std::fs::write(path, coded_terasort::mapreduce::chrome_trace(&outcome, 0))
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        println!("stage timeline written to {path}");
+    }
     if paper_nic {
         // The emulated NIC shapes egress only; the fluid model caps ingress too.
         let net = NetModelConfig::of_nic(&nic);
         let shuffle_s = wall.shuffle.as_secs_f64();
         let floor_s = egress_floor_s(&outcome.trace, SHUFFLE_STAGE, fabric, &net);
+        let cpu_s = stages_s - shuffle_s;
+        println!(
+            "job = {:.2}× max(egress floor {floor_s:.3} s, Σ CPU stages {cpu_s:.3} s)",
+            job_s / floor_s.max(cpu_s)
+        );
         let fluid_s = predict_fabric_shuffle_s(&outcome.trace, SHUFFLE_STAGE, fabric, &net, 1.0);
         println!(
             "shuffle: {shuffle_s:.3} s = {:.2}× the egress floor {floor_s:.3} s \

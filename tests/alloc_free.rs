@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
-use cts_core::decode::{DecodePipeline, Decoder};
+use cts_core::decode::Decoder;
 use cts_core::encode::{EncodeScratch, Encoder};
 use cts_core::intermediate::MapOutputStore;
 use cts_core::packet::CodedPacket;
@@ -27,7 +27,7 @@ use cts_core::subset::NodeSet;
 struct CountingAlloc;
 
 thread_local! {
-    /// Allocations made by *this* thread. The test runner runs the four
+    /// Allocations made by *this* thread. The test runner runs the three
     /// tests on parallel threads, so a process-wide counter would charge
     /// each measured window with its neighbours' warm-ups. Const-initialized
     /// and without a destructor: touching it never allocates.
@@ -232,78 +232,6 @@ fn warm_gf256_round_trip_allocates_nothing() {
     assert_eq!(acc, warm_segment);
 }
 
-/// The *parallel* decode fan-out path: each worker draws segment
-/// accumulators from a sharded checkout of the pipeline's pool
-/// ([`DecodePipeline::segment_shard`]) instead of allocating one segment
-/// per packet. A warm wave loop — refill the shard, then per packet
-/// get → parse → decode → put — must perform zero heap allocations.
-#[test]
-fn warm_parallel_decode_shard_path_allocates_nothing() {
-    let (k, r, value_len) = (6usize, 3usize, 4096usize);
-    let sender = 0usize;
-    let receiver = 1usize;
-    let tx_store = store_for(k, r, sender, value_len);
-    let rx_store = store_for(k, r, receiver, value_len);
-    let encoder = Encoder::new(k, r, sender).unwrap();
-    let pipeline = DecodePipeline::new(k, r, receiver).unwrap();
-    let m: NodeSet = encoder
-        .groups()
-        .groups_of_node(sender)
-        .map(|(_, m)| m)
-        .find(|m| m.contains(receiver))
-        .expect("shared group");
-
-    // One frozen wire frame, as a fabric would hand to every worker.
-    let mut scratch = EncodeScratch::new();
-    encoder
-        .encode_group_into(m, &tx_store, &mut scratch)
-        .unwrap();
-    let mut wire = Vec::new();
-    CodedPacket::write_wire(m, sender, &scratch.seg_lens, &scratch.payload, &mut wire);
-    let frame = Bytes::from(wire);
-
-    const WAVE: usize = 4;
-    let mut shard = pipeline.segment_shard(WAVE);
-    let mut shell = CodedPacket::empty();
-    let mut reference = Vec::new();
-    // Warm-up wave: sizes the accumulators (pool is cold, so these get()s
-    // allocate) and every grow-only parse buffer.
-    for _ in 0..WAVE {
-        let mut acc = shard.get();
-        shell.read_wire(&frame).unwrap();
-        pipeline
-            .decoder()
-            .decode_packet_into(&shell, &rx_store, &mut acc)
-            .unwrap();
-        reference.clone_from(&acc);
-        shard.put(acc);
-    }
-    assert!(!reference.is_empty(), "decode must recover bytes");
-
-    // Measured steady state: fifty waves of the per-packet worker path.
-    let before = allocs();
-    let mut last_len = 0usize;
-    for _ in 0..50 {
-        shard.refill(WAVE);
-        for _ in 0..WAVE {
-            let mut acc = shard.get();
-            shell.read_wire(&frame).unwrap();
-            pipeline
-                .decoder()
-                .decode_packet_into(&shell, &rx_store, &mut acc)
-                .unwrap();
-            last_len = acc.len();
-            shard.put(acc);
-        }
-    }
-    let allocs = allocs() - before;
-    assert_eq!(
-        allocs, 0,
-        "warm sharded parallel-decode path performed {allocs} heap allocations"
-    );
-    assert_eq!(last_len, reference.len());
-}
-
 /// The observability plane on the same warm round trip: metric
 /// instruments tick every iteration the way the engines tick them, a
 /// stage span closes into a warm ring, and the **disabled** trace and
@@ -369,6 +297,7 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
             stage: shuffle,
             start_ns: i,
             end_ns: i + 1,
+            wall_ns: 1,
         });
     }
     let warm_segment = acc.clone();
@@ -396,6 +325,7 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
             stage: shuffle,
             start_ns: start,
             end_ns: spans.now_ns(),
+            wall_ns: 0,
         });
         // Disabled collectors: interning and recording are no-ops.
         let s = trace_off.intern("Shuffle");
@@ -413,6 +343,7 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
             stage: s2,
             start_ns: 0,
             end_ns: 1,
+            wall_ns: 1,
         });
     }
     let allocs = allocs() - before;

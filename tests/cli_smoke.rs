@@ -129,3 +129,100 @@ fn serve_banner_reports_the_job_thread_count() {
     assert!(shutdown.is_ok(), "cts submit --shutdown ran");
     assert!(exit.success(), "daemon must exit 0 after --shutdown");
 }
+
+/// The `u64` after `"key":` in one serialized trace event.
+fn field(event: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let at = event
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {event}"))
+        + pat.len();
+    let digits: String = event[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{key} in {event}"))
+}
+
+/// `cts sort --timeline FILE` writes the one-shot run's stage timeline: a
+/// trace-event document with one event per rank per stage, in which — the
+/// engine being one pass, not five barrier-separated stages — a rank's
+/// Shuffle opens before its Map has ended. The run says how much of the
+/// stage time that overlap hid.
+#[test]
+fn sort_timeline_shows_the_shuffle_opening_inside_the_map() {
+    let dir = std::env::temp_dir().join(format!("cts-cli-timeline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk tmp dir");
+    let (input, timeline) = (dir.join("input.bin"), dir.join("timeline.json"));
+    let gen = cts()
+        .args(["gen", "--records", "20000", "--seed", "3", "--out"])
+        .arg(&input)
+        .output()
+        .expect("run cts gen");
+    assert!(gen.status.success());
+    let sort = cts()
+        .args(["sort", "--k", "4", "--r", "2", "--paper-nic", "--input"])
+        .arg(&input)
+        .arg("--timeline")
+        .arg(&timeline)
+        .output()
+        .expect("run cts sort");
+    let stdout = String::from_utf8_lossy(&sort.stdout);
+    assert!(
+        sort.status.success(),
+        "sort failed: {}",
+        String::from_utf8_lossy(&sort.stderr)
+    );
+    assert!(stdout.contains("TeraValidate passed"), "stdout:\n{stdout}");
+    let hidden = stdout
+        .lines()
+        .find(|l| l.ends_with("hidden behind the NIC"));
+    assert!(
+        hidden.is_some_and(|l| l.starts_with("job ") && l.contains("; stages Σ ")),
+        "stdout:\n{stdout}"
+    );
+
+    // The document parses: one object holding one array of flat events
+    // (each closed by its `args` object), nothing else.
+    let json = std::fs::read_to_string(&timeline).expect("timeline written");
+    let body = json
+        .strip_prefix("{\"traceEvents\":[")
+        .and_then(|rest| rest.strip_suffix("],\"displayTimeUnit\":\"ms\"}"))
+        .unwrap_or_else(|| panic!("not a trace document: {json}"));
+    let events: Vec<&str> = body.split_inclusive("}}").collect();
+    // K = 4 ranks × the six coded stages.
+    assert_eq!(events.len(), 24, "{json}");
+    for event in &events {
+        let event = event.trim_start_matches(',');
+        assert!(
+            event.starts_with("{\"name\":\"") && event.ends_with("}}"),
+            "{event}"
+        );
+        assert_eq!(event.matches('{').count(), 2, "{event}");
+        assert!(
+            field(event, "wall_us") <= field(event, "dur").max(1),
+            "{event}"
+        );
+    }
+    let of = |stage: &str, rank: u64| {
+        let name = format!("\"name\":\"{stage}\"");
+        let mut hits = events
+            .iter()
+            .filter(|e| e.contains(&name) && field(e, "tid") == rank);
+        let event = hits
+            .next()
+            .unwrap_or_else(|| panic!("no {stage} on {rank}"));
+        assert!(hits.next().is_none(), "two {stage} events on rank {rank}");
+        (field(event, "ts"), field(event, "ts") + field(event, "dur"))
+    };
+    for rank in 0..4 {
+        let ((_, map_end), (shuffle_start, shuffle_end)) = (of("Map", rank), of("Shuffle", rank));
+        assert!(
+            shuffle_start < map_end && map_end < shuffle_end,
+            "rank {rank}: Map ends at {map_end}, Shuffle runs {shuffle_start}..{shuffle_end}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -130,4 +130,11 @@ fn tcp_fabric_with_threads_matches() {
         .with_threads(2);
     job.engine = EngineConfig::tcp(4, 2).with_threads(2);
     assert_eq!(outputs(&job, &input, true), reference);
+    // Behind a NIC slow enough (~0.1 s of egress per rank) that every rank's
+    // pacer is writing to sockets while the rank threads map, post and
+    // receive: a queued post must never wait on anything a receive waits on.
+    let mut nic = coded_terasort::net::NicProfile::rate_limited(50e3).with_latency_s(1e-4);
+    nic.burst_bytes = 256.0;
+    job.engine = job.engine.with_nic(nic);
+    assert_eq!(outputs(&job, &input, true), reference);
 }

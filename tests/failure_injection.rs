@@ -163,7 +163,11 @@ fn one_ranks_decode_error_fails_the_job_with_that_error() {
     // is always decoded. (The MDS quorum over GF(256) completes a group on
     // any r − 1 of its r packets and would discard the bad one unread
     // whenever it lost that race.)
-    for tcp in [false, true] {
+    // The third leg runs behind a NIC that takes ~0.4 s per rank: the error
+    // strikes with every rank's later packets still queued, and the teardown
+    // must release those queues too.
+    let crawl = coded_terasort::net::NicProfile::rate_limited(20e3);
+    for (tcp, nic) in [(false, None), (true, None), (false, Some(crawl))] {
         for decode in [DecodeMode::All, DecodeMode::Quorum] {
             // Truncates the first coded packet rank 0 sends rank 2, ever.
             let fired = AtomicBool::new(false);
@@ -182,6 +186,7 @@ fn one_ranks_decode_error_fails_the_job_with_that_error() {
                 EngineConfig::local(4, 2)
             };
             template = template.with_decode(decode);
+            template.cluster.nic = nic;
             template.cluster = template.cluster.with_fault(0, rule);
             let runtime =
                 JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();
@@ -197,15 +202,19 @@ fn one_ranks_decode_error_fails_the_job_with_that_error() {
             let err = sort(1).0.unwrap_err();
             assert!(
                 started.elapsed() < Duration::from_secs(5),
-                "tcp={tcp} {decode}: took {:?}",
+                "tcp={tcp} nic={nic:?} {decode}: took {:?}",
                 started.elapsed()
             );
             assert!(
                 matches!(err, EngineError::Coded(CodedError::MalformedPacket { .. })),
-                "tcp={tcp} {decode}: {err}"
+                "tcp={tcp} nic={nic:?} {decode}: {err}"
             );
             let (outputs, reference) = sort(2);
-            assert_eq!(outputs.unwrap(), reference, "tcp={tcp} {decode}");
+            assert_eq!(
+                outputs.unwrap(),
+                reference,
+                "tcp={tcp} nic={nic:?} {decode}"
+            );
             runtime.shutdown();
         }
     }

@@ -1,13 +1,16 @@
-//! The Shuffle schedule: every rank posts all of its sends, then drains.
-//! Behind a shaped NIC the stage must therefore sit on the egress floor —
-//! the busiest sender's own NIC time — for every layout and both decode
-//! disciplines; and nothing but *when* the NIC is busy may differ from the
-//! turn-taking schedule this replaced: the traced transfers are pinned to
-//! the multisets that schedule produced, and `AfterSends(n)` still dies with
-//! exactly `n` group sends out.
+//! The Shuffle schedule: every rank posts each send the moment it has it,
+//! and waits for none. Behind a shaped NIC the stage must therefore sit on
+//! the egress floor — the busiest sender's own NIC time — for every layout
+//! and both decode disciplines, and the CPU stages must hide behind it;
+//! and nothing but *when* the NIC is busy may differ from the turn-taking
+//! schedule this replaced: the traced transfers are pinned to the multisets
+//! that schedule produced, `AfterSends(n)` still dies with exactly `n`
+//! group sends out, and a rank that dies before its first post has sent
+//! nothing.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use coded_terasort::mapreduce::{EngineError, JobOutcome};
@@ -16,6 +19,14 @@ use coded_terasort::netsim::{egress_floor_s, NetModelConfig, SHUFFLE_STAGE};
 use coded_terasort::prelude::*;
 
 const K: usize = 8;
+
+/// Two of these tests hold a job's wall-clock to a few milliseconds, the
+/// others burn CPU in K = 8 jobs: they run one at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn alone() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The four ways a job's pieces travel: conventional, coded with either
 /// decode discipline, and pods (in-pod groups *and* cross-pod unicasts).
@@ -54,6 +65,7 @@ fn redundancy(leg: Leg) -> usize {
 
 #[test]
 fn shuffle_sits_on_the_egress_floor_in_every_layout() {
+    let _alone = alone();
     let input = teragen::generate(5_000, 2017);
     // Egress rates that put each leg's busiest sender at 150–300 ms.
     for (leg, rate) in [
@@ -108,6 +120,7 @@ fn shuffle_events(outcome: &JobOutcome) -> (usize, u64) {
 /// turn-taking schedule of the commit before this file existed.
 #[test]
 fn shuffle_event_multisets_are_the_turn_taking_schedules() {
+    let _alone = alone();
     let input = teragen::generate(4_000, 99);
     for (leg, tcp, pinned) in [
         (Leg::Uncoded, false, PINNED_UNCODED),
@@ -136,6 +149,7 @@ const PINNED_PODS: (usize, u64) = (86, 0x5bfc_e5a4_3594_56d5);
 /// for a budget at or past the total).
 #[test]
 fn after_sends_dies_with_exactly_n_group_sends_posted() {
+    let _alone = alone();
     let (k, r, victim) = (4usize, 2usize, 1usize);
     let owned = 3; // C(k − 1, r) groups per rank
     let input = teragen::generate(1_200, 7);
@@ -165,5 +179,116 @@ fn after_sends_dies_with_exactly_n_group_sends_posted() {
             n.min(owned),
             "AfterSends({n})"
         );
+    }
+}
+
+/// TeraSort whose Map *blocks* for a fixed time per file — a disk read, not
+/// CPU, so eight ranks on any number of cores each take the same Map wall.
+struct SlowMap {
+    inner: TeraSortWorkload,
+    per_file: Duration,
+}
+
+impl Workload for SlowMap {
+    fn name(&self) -> &str {
+        "slow-map terasort"
+    }
+    fn format(&self) -> InputFormat {
+        self.inner.format()
+    }
+    fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
+        std::thread::sleep(self.per_file);
+        self.inner.map_file(file, num_partitions)
+    }
+    fn reduce(&self, partition: usize, data: &[u8]) -> Vec<u8> {
+        self.inner.reduce(partition, data)
+    }
+}
+
+/// A rank maps, encodes and decodes while its NIC drains: with 105 ms of
+/// Map per rank (21 files × 5 ms) in front of a 150–300 ms Shuffle, the job
+/// takes the floor plus what cannot overlap — the three files before the
+/// first packet exists, the last packet's decode, the Reduce — not the
+/// floor plus the Map. (Barrier-separated stages took floor + 1.0 × Map.)
+#[test]
+fn cpu_stages_hide_behind_the_nic() {
+    let _alone = alone();
+    let input = teragen::generate(5_000, 2017);
+    let workload = SlowMap {
+        inner: TeraSortWorkload::range(K),
+        per_file: Duration::from_millis(5),
+    };
+    let map_s = 21.0 * workload.per_file.as_secs_f64();
+    for (leg, rate) in [(Leg::CodedAll, 100e3), (Leg::CodedQuorum, 150e3)] {
+        let mut nic = NicProfile::rate_limited(rate)
+            .with_latency_s(1e-4)
+            .with_multicast_alpha(0.30);
+        nic.burst_bytes = 256.0;
+        let mut engine = EngineConfig::local(K, 3).with_nic(nic);
+        if let Leg::CodedQuorum = leg {
+            engine = engine
+                .with_field(FieldKind::Gf256)
+                .with_decode(DecodeMode::Quorum);
+        }
+        let started = Instant::now();
+        let outcome = run_coded(&workload, input.clone(), &engine).unwrap();
+        let job_s = started.elapsed().as_secs_f64();
+        cts_terasort::validate(&input, &outcome.outputs).unwrap();
+        let net = NetModelConfig::of_nic(&nic);
+        let floor_s = egress_floor_s(
+            &outcome.trace,
+            SHUFFLE_STAGE,
+            ShuffleFabric::default(),
+            &net,
+        );
+        assert!(
+            (0.15..=0.30).contains(&floor_s),
+            "{leg:?}: floor {floor_s:.3} s"
+        );
+        let wall = outcome.wall.max;
+        println!("{leg:?}: job {job_s:.3} s over a floor of {floor_s:.3} s; {wall:.1?}");
+        assert!(
+            wall.map.as_secs_f64() >= map_s,
+            "{leg:?}: the injected Map time is missing from {wall:.1?}"
+        );
+        assert!(
+            job_s <= floor_s + 0.35 * map_s,
+            "{leg:?}: job {job_s:.3} s; floor {floor_s:.3} s + 0.35 × Map {map_s:.3} s"
+        );
+        let ratio = wall.shuffle.as_secs_f64() / floor_s;
+        assert!(
+            (0.9..=1.25).contains(&ratio),
+            "{leg:?}: shuffle ÷ floor {ratio:.2}"
+        );
+    }
+}
+
+/// A rank that dies in Map or Encode has posted nothing, although its first
+/// packet exists long before its last file is mapped: its peers see no
+/// coded packet from it.
+#[test]
+fn a_rank_that_dies_before_its_first_post_has_sent_nothing() {
+    let _alone = alone();
+    let (k, r, victim) = (4usize, 2usize, 1usize);
+    let input = teragen::generate(1_200, 7);
+    for point in [CrashPoint::MidMap, CrashPoint::MidEncode] {
+        let posted = Arc::new(Mutex::new(0usize));
+        let seen = Arc::clone(&posted);
+        let rule: Arc<FaultRule> = Arc::new(move |_dst, tag: Tag, _payload: &Bytes, _idx| {
+            if tag.purpose() == Tag::BCAST {
+                *seen.lock().unwrap() += 1;
+            }
+            FaultAction::Deliver
+        });
+        let mut engine = EngineConfig::local(k, r).with_crash(CrashSpec {
+            rank: victim,
+            point,
+        });
+        engine.cluster = engine.cluster.with_fault(victim, rule);
+        match run_coded(&TeraSortWorkload::range(k), input.clone(), &engine) {
+            Err(EngineError::RankDied { rank, point: p }) => assert_eq!((rank, p), (victim, point)),
+            other => panic!("{point}: expected RankDied, got {other:?}"),
+        }
+        assert_eq!(*posted.lock().unwrap(), 0, "{point}");
     }
 }
