@@ -36,8 +36,7 @@ pub enum DecodeMode {
     /// soon as the per-group solver reaches full rank — any
     /// `s = r − 1` of the `r` packets suffice, so one straggling or dead
     /// sender per group is tolerated. Over GF(2) (no binary MDS code)
-    /// the engine still polls instead of blocking per sender, but every
-    /// packet is needed.
+    /// every packet is needed, as under [`All`](DecodeMode::All).
     Quorum,
 }
 

@@ -2,17 +2,17 @@
 //! \[CodeGen\] → Map → Pack/Encode → Shuffle → Unpack/Decode → Reduce (the
 //! stages are described in the crate docs). After CodeGen a rank walks it
 //! in **one pass**: map a file, encode and post every packet that file
-//! completes, map the next; then take what the peers sent, decoding each
-//! packet as it arrives; drain the NIC, synchronize, reduce. The CPU stages
-//! run while the rank's NIC works through its queue, so a job costs about
-//! max(NIC, CPU) rather than their sum. Three synchronizations remain —
-//! after CodeGen, at the end of the Shuffle, after Reduce. What differs
+//! completes, map the next; then take what the peers sent in whatever order
+//! it arrives — one receive loop for both decode disciplines, the decoder
+//! saying when a group is complete; drain the NIC, synchronize, reduce. The
+//! CPU stages run while the rank's NIC works through its queue, so a job
+//! costs about max(NIC, CPU) rather than their sum. Three synchronizations
+//! remain — after CodeGen, at the end of the Shuffle, after Reduce. What differs
 //! between conventional TeraSort (§III), CodedTeraSort (§IV) and the
 //! pod-partitioned scheme (§VI) is only the [`Layout`]: which files a node
 //! maps, which multicast groups it codes in, and which intermediates carry
 //! no side information and therefore travel as plain unicasts.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -394,9 +394,8 @@ impl Rank<'_> {
 struct Encode {
     encoder: Encoder,
     /// Quorum decode needs MDS-mixed packets, which only GF(256) supports
-    /// (there is no nontrivial binary MDS code): over GF(2) the quorum
-    /// shuffle still takes packets as they come instead of sender by
-    /// sender, but sends the classic packets and needs all of them.
+    /// (there is no nontrivial binary MDS code): over GF(2) a quorum job
+    /// sends the classic packets and needs all of them.
     mds: bool,
     r: usize,
     local: usize,
@@ -660,13 +659,8 @@ fn node_main<W: Workload>(
             .map(|h| h.counter("cts_decode_packets_total")),
     };
     // Everything is posted: what a rank receives is queued by the time it
-    // asks, unless its sender's NIC has not reached it yet. Either way the
-    // packet is decoded as it is taken (Algorithm 2); quorum mode may leave
-    // late packets behind.
-    let late = match cfg.decode {
-        DecodeMode::All => shuffle_all(&mut rank, &my_groups, &mut decode).map(|()| Vec::new()),
-        DecodeMode::Quorum => shuffle_quorum(&mut rank, &my_groups, r, &mut decode),
-    }?;
+    // asks, unless its sender's NIC has not reached it yet.
+    let late = shuffle_receive(&mut rank, &my_groups, &mut decode)?;
     for (sender, fid, file) in layout.unicasts_to(me) {
         let piece = comm.recv(sender, Tag::app(fid.0 as u32))?;
         rank.stats.recv_bytes += piece.len() as u64;
@@ -741,74 +735,38 @@ fn node_main<W: Workload>(
     }))
 }
 
-/// The paper's barrier-on-all receive: every packet of every owned group,
-/// each decoded as it is taken. One probe over every expected key takes
-/// whatever has arrived, lowest tag first; when that is nothing the rank
-/// blocks on the first key still missing — with the single-key wait,
-/// because only that one runs NACK repair on `udp-multicast` (ROADMAP 5(b)).
-fn shuffle_all(rank: &mut Rank<'_>, groups: &[&Group], decode: &mut Decode<'_>) -> Result<()> {
-    let (comm, me) = (rank.comm, rank.me);
-    let transport = comm.transport().as_ref();
-    let mut keys: Vec<Key> = (groups.iter())
-        .flat_map(|group| {
-            let senders = group.ranks.iter().filter(move |&&sender| sender != me);
-            senders.map(|&sender| (comm.scope(group.tag), sender))
-        })
-        .collect();
-    keys.sort_unstable();
-    // A key yields one packet, so a taken one can stay listed.
-    let mut taken = vec![false; keys.len()];
-    let mut first_missing = 0;
-    for _ in 0..keys.len() {
-        let (hit, packet) = match transport.recv_any(&keys, Some(Instant::now())) {
-            Ok(hit) => hit,
-            Err(NetError::Timeout { .. }) => {
-                while taken[first_missing] {
-                    first_missing += 1;
-                }
-                let (tag, sender) = keys[first_missing];
-                (first_missing, transport.recv(sender, tag)?)
-            }
-            Err(e) => return Err(e.into()),
-        };
-        taken[hit] = true;
-        decode.packet(&packet, &mut rank.stats)?;
-    }
-    Ok(())
-}
-
-/// The quorum receive: block for whichever expected packet arrives next,
-/// decoding inline. Each group releases the moment its decode completes —
-/// with MDS packets, after any `r − 1` of its `r` sends — so a straggling
-/// or dead sender delays nothing but its own groups' last equation.
+/// The group receive, for both decode disciplines: block for whichever
+/// expected packet arrives next and decode it as it is taken (Algorithm 2
+/// takes a group's packets in any order). The decoder says when a group is
+/// complete — with its `r`-th packet under barrier-on-all, at full rank under
+/// quorum: with MDS packets after any `r − 1` of the `r` sends, so that a
+/// straggling or dead sender delays nothing but its own groups' last equation.
 ///
 /// The wait is one [`Transport::recv_any`](cts_net::Transport::recv_any)
-/// over every `(sender, tag)` still expected: only such a packet ends it,
-/// and `idle_timeout` without one fails the job. With recovery
-/// on it also returns once per heartbeat interval, because the health board
-/// only advances when ticked.
+/// over the `(tag, sender)` keys of the groups still open: only such a packet
+/// ends it, and those are the messages a lossy fabric repairs. A quorum
+/// receive fails the job after `idle_timeout` without a packet; barrier-on-all
+/// waits for as long as its senders live (a failing rank aborts the endpoints,
+/// a fabric that gives up repairing times the wait out). With recovery on the
+/// wait also returns once per heartbeat: the health board advances when ticked.
 ///
-/// Returns the keys whose packet never came (their group released without
-/// it), as the transport sees them, for the caller to discard once the
-/// stage has synchronized. That empties the mailbox on
-/// the in-memory fabric, where a send is delivered before it returns; a
-/// straggler still in flight on TCP/UDP at that point is not caught
-/// (ROADMAP direction 4).
-fn shuffle_quorum(
+/// Returns the keys whose packet never came (their group released without it
+/// — none under barrier-on-all), as the transport sees them, for the caller
+/// to discard once the stage has synchronized; a straggler still in flight on
+/// TCP/UDP then is not caught (ROADMAP 5(c)).
+fn shuffle_receive(
     rank: &mut Rank<'_>,
     groups: &[&Group],
-    r: usize,
     decode: &mut Decode<'_>,
 ) -> Result<Vec<Key>> {
     let (comm, me) = (rank.comm, rank.me);
     let transport = comm.transport().as_ref();
     // Every key a packet is expected under, sorted: `recv_any` hands packets
     // out lowest tag first, so a group's packets come together and the group
-    // releases (and frees its decode state) before the next one starts. A
-    // key stays listed after its group released, so a late packet is taken
-    // and dropped here rather than left for the next job.
+    // releases (and frees its decode state) before the next one starts.
+    // Groups ascend by tag, so a tag's place among them names its group.
     let tags: Vec<Tag> = groups.iter().map(|group| comm.scope(group.tag)).collect();
-    let group_of: HashMap<Tag, usize> = tags.iter().enumerate().map(|(g, &t)| (t, g)).collect();
+    let group_of = |tag: Tag| tags.binary_search(&tag).expect("a listed tag");
     let mut keys: Vec<Key> = (groups.iter().zip(&tags))
         .flat_map(|(group, &tag)| {
             let senders = group.ranks.iter().filter(|&&sender| sender != me);
@@ -820,28 +778,33 @@ fn shuffle_quorum(
     let mut heard = vec![0u128; groups.len()];
     let mut done = vec![false; groups.len()];
     let mut open = groups.len();
-    let mut stalled_at = Instant::now() + rank.cfg.idle_timeout;
+    // Groups release roughly in key order, so the keys nobody waits for any
+    // more are a prefix: `keys[first_open..]` is the wait. (A released group
+    // behind an open one stays listed; its late packet is taken and dropped.)
+    let mut first_open = 0;
+    let idle = (rank.cfg.decode == DecodeMode::Quorum).then_some(rank.cfg.idle_timeout);
+    let mut stalled_at = idle.map(|idle| Instant::now() + idle);
     let mut next_tick = Instant::now();
     while open > 0 {
         let tick_due = Instant::now() >= next_tick;
         if let Some(rec) = rank.recovery.as_mut().filter(|_| tick_due) {
             // Drain heartbeats and stop expecting packets from ranks
-            // declared dead: the quorum needs only r − 1 of each group's r
-            // senders, so a single death costs nothing. If any unfinished
-            // group no longer has enough live senders left, the job is
-            // unrecoverable — fail it with a structured report rather
-            // than stall.
+            // declared dead: the quorum needs only r − 1 of the r senders a
+            // group of r + 1 has, so a single death costs nothing. A group
+            // left with fewer live senders than that makes the job
+            // unrecoverable: fail it with a structured report, do not stall.
             rec.board.tick(transport);
             let listed = keys.len();
             keys.retain(|&(_, sender)| rec.board.is_alive(sender));
             if keys.len() < listed {
+                first_open = 0;
                 let mut reachable: Vec<u32> = heard.iter().map(|h| h.count_ones()).collect();
                 for &(tag, sender) in &keys {
-                    let g = group_of[&tag];
+                    let g = group_of(tag);
                     reachable[g] += u32::from(heard[g] & (1 << sender) == 0);
                 }
                 let bad: Vec<u64> = (0..groups.len())
-                    .filter(|&g| !done[g] && (reachable[g] as usize) < r - 1)
+                    .filter(|&g| !done[g] && reachable[g] as usize + 2 < groups[g].ranks.len())
                     .map(|g| groups[g].id)
                     .collect();
                 if !bad.is_empty() {
@@ -859,35 +822,39 @@ fn shuffle_quorum(
             }
             next_tick = Instant::now() + rank.cfg.heartbeat;
         }
-        let deadline = match rank.recovery {
-            Some(_) => stalled_at.min(next_tick),
-            None => stalled_at,
-        };
-        let (hit, packet) = match transport.recv_any(&keys, Some(deadline)) {
+        let released = first_open;
+        while first_open < keys.len() && done[group_of(keys[first_open].0)] {
+            first_open += 1;
+        }
+        // When the prefix grows, a probe (which repairs nothing) drops the late packets
+        // under it: held to the end of the stage they are 12 MB of a 100 MB quorum job's peak.
+        let late = &keys[..first_open];
+        while first_open > released && transport.recv_any(late, Some(Instant::now())).is_ok() {}
+        // Recovery rides the quorum receive only, so a tick has a stall to cap.
+        let ticking = rank.recovery.is_some();
+        let deadline = stalled_at.map(|at| if ticking { at.min(next_tick) } else { at });
+        let (hit, packet) = match transport.recv_any(&keys[first_open..], deadline) {
             Ok(hit) => hit,
-            Err(NetError::Timeout { .. }) if Instant::now() < stalled_at => continue,
-            Err(NetError::Timeout { .. }) => {
+            Err(NetError::Timeout { .. }) if stalled_at.is_none_or(|at| Instant::now() >= at) => {
                 return Err(EngineError::Protocol {
                     what: format!(
-                        "node {me}: quorum shuffle stalled with {open}/{} groups incomplete",
+                        "node {me}: shuffle stalled with {open}/{} groups incomplete",
                         groups.len()
                     ),
                 })
             }
+            Err(NetError::Timeout { .. }) => continue,
             Err(e) => return Err(e.into()),
         };
-        stalled_at = Instant::now() + rank.cfg.idle_timeout;
-        let (tag, sender) = keys[hit];
-        let g = group_of[&tag];
+        stalled_at = idle.map(|idle| Instant::now() + idle);
+        let (tag, sender) = keys[first_open + hit];
+        let g = group_of(tag);
         heard[g] |= 1 << sender;
-        if done[g] {
-            continue;
-        }
-        if decode.packet(&packet, &mut rank.stats)? {
+        if !done[g] && decode.packet(&packet, &mut rank.stats)? {
             done[g] = true;
             open -= 1;
         }
     }
-    keys.retain(|&(tag, sender)| heard[group_of[&tag]] & (1 << sender) == 0);
+    keys.retain(|&(tag, sender)| heard[group_of(tag)] & (1 << sender) == 0);
     Ok(keys)
 }

@@ -24,6 +24,7 @@
 //! assert_eq!(run.results, vec![2, 0, 1]);
 //! ```
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -305,10 +306,17 @@ pub struct SharedFabric {
     /// Distribution of individual NIC token-bucket stalls (ns), shared by
     /// every job's NICs.
     nic_wait_hist: Arc<Histogram>,
-    /// Per-job NIC meters, created lazily on the job's first shaped run.
-    meters: Mutex<Vec<(u32, Arc<NicMeter>)>>,
+    /// Per-job NIC meters, created lazily on the job's first shaped run;
+    /// the most recent [`JOB_METERS_KEPT`] jobs, oldest first.
+    meters: Mutex<VecDeque<(u32, Arc<NicMeter>)>>,
     config: ClusterConfig,
 }
+
+/// How many shaped jobs a fabric remembers the NIC meters of — one more than
+/// there are job slots, so every job in flight is among them: a resident
+/// fabric serves jobs without end, and `cts stats` shows the NIC column of
+/// the recent ones.
+const JOB_METERS_KEPT: usize = 64;
 
 impl std::fmt::Debug for SharedFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -339,7 +347,7 @@ impl SharedFabric {
             spans,
             metrics,
             nic_wait_hist,
-            meters: Mutex::new(Vec::new()),
+            meters: Mutex::new(VecDeque::new()),
             config: config.clone(),
         })
     }
@@ -361,18 +369,23 @@ impl SharedFabric {
         &self.metrics
     }
 
-    /// The per-job NIC meter for `job`, created on first use.
+    /// The per-job NIC meter for `job`, created on first use — in place of
+    /// the oldest job's once 64 are held.
     pub fn job_meter(&self, job: u32) -> Arc<NicMeter> {
         let mut meters = self.meters.lock();
-        if let Some((_, m)) = meters.iter().find(|(id, _)| *id == job) {
+        if let Some((_, m)) = meters.iter().rev().find(|(id, _)| *id == job) {
             return Arc::clone(m);
         }
         let m = Arc::new(NicMeter::new());
-        meters.push((job, Arc::clone(&m)));
+        if meters.len() == JOB_METERS_KEPT {
+            meters.pop_front();
+        }
+        meters.push_back((job, Arc::clone(&m)));
         m
     }
 
-    /// All per-job NIC meters created so far, in creation order.
+    /// The per-job NIC meters still held (the most recent shaped jobs'), in
+    /// creation order.
     pub fn job_meters(&self) -> Vec<(u32, Arc<NicMeter>)> {
         self.meters
             .lock()
@@ -878,6 +891,43 @@ mod tests {
         // The fabric-wide histogram saw the same stalls.
         let text = fabric.render_prometheus();
         assert!(text.contains("cts_nic_wait_seconds_count"));
+    }
+
+    #[test]
+    fn job_meters_are_kept_for_the_most_recent_jobs_only() {
+        // A resident fabric with per-tenant NICs: its meter list must stop
+        // growing, and the job running now must still be metered.
+        let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
+        let slow = NicProfile::rate_limited(1_000_000.0);
+        let jobs = 2 * JOB_METERS_KEPT as u32;
+        for id in 1..=jobs {
+            fabric
+                .run_job(
+                    JobBinding { slot: 1, id },
+                    Some(slow),
+                    vec![(); 2],
+                    |comm, ()| {
+                        let peer = 1 - comm.rank();
+                        // Past the bucket's burst on the last job, so its meter counts.
+                        let len = if id == jobs { 300_000 } else { 1 };
+                        comm.send(peer, Tag::app(0), Bytes::from(vec![0u8; len]))
+                            .unwrap();
+                        comm.send(peer, Tag::app(0), Bytes::from_static(b"x"))
+                            .unwrap();
+                        comm.recv(peer, Tag::app(0)).unwrap();
+                        comm.recv(peer, Tag::app(0)).unwrap();
+                    },
+                )
+                .unwrap();
+        }
+        let meters = fabric.job_meters();
+        assert!(meters.len() <= JOB_METERS_KEPT, "{} meters", meters.len());
+        let (newest, meter) = meters.last().unwrap();
+        assert_eq!(*newest, jobs);
+        assert!(meter.waits.get() >= 1 && meter.wait_ns.get() > 0);
+        assert!(meters
+            .iter()
+            .all(|(id, _)| *id > jobs - JOB_METERS_KEPT as u32));
     }
 
     #[test]

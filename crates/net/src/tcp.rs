@@ -192,6 +192,13 @@ impl TcpEndpoint {
         Ok(link)
     }
 
+    /// This rank's mailbox. The UDP fabric layered over this mesh delivers
+    /// its reassembled datagrams into it and waits on it directly, so a
+    /// rank has one queue whatever path a message took.
+    pub(crate) fn mailbox(&self) -> &Arc<Mailbox> {
+        &self.mailbox
+    }
+
     /// Joins the reactor after shutting the sockets down.
     fn teardown(&self) {
         self.shutdown();

@@ -27,8 +27,10 @@ use crate::message::{Key, Tag};
 ///
 /// Implementations: [`local::LocalEndpoint`](crate::local::LocalEndpoint)
 /// (in-process, channel-backed), [`tcp::TcpEndpoint`](crate::tcp::TcpEndpoint)
-/// (real sockets), and [`fault::FaultyTransport`](crate::fault::FaultyTransport)
-/// (failure injection for tests).
+/// (real sockets), [`udp::UdpEndpoint`](crate::udp::UdpEndpoint) (physical
+/// IP multicast over that TCP mesh, sharing its mailbox) and
+/// [`fault::FaultyTransport`](crate::fault::FaultyTransport) (failure
+/// injection for tests).
 ///
 /// Semantics mirror MPI's point-to-point layer:
 /// * `send` is asynchronous and never blocks on the receiver (buffered);

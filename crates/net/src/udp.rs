@@ -23,20 +23,24 @@
 //!   `(sender, seq, tag, chunk index/count, receiver mask)`.
 //! * **Reassembly** — one fabric-wide dispatcher thread reads the shared
 //!   receive socket and feeds each rank's reassembly table; a completed
-//!   message is delivered exactly once into that rank's mailbox. (On a
+//!   message is delivered exactly once into that rank's mailbox — the one
+//!   its [`tcp`](crate::tcp) endpoint owns, so a rank has a single queue
+//!   and a single blocking wait whichever path a message took. (On a
 //!   real LAN each host would own its socket; the shared receive socket is
 //!   purely a single-host-emulation artifact, mirroring how
 //!   [`local`](crate::local) shares memory.)
-//! * **Loss recovery** — receivers detect stalls while blocked in `recv`:
-//!   after [`UdpConfig::nack_interval`] of silence they run a bounded
-//!   *recovery round* over the **TCP control channel** (the lazy
-//!   [`tcp`](crate::tcp) mesh underneath): a status request returns the
-//!   sender's retained `(seq, tag, chunk count)` manifest for this
-//!   receiver, and a NACK with a missing-chunk bitmap triggers
-//!   retransmission. The first [`UdpConfig::max_multicast_repairs`] NACKs
-//!   of a message are served by re-multicasting the missing chunks (they
-//!   may help other receivers too); after that the sender falls back to
-//!   lossless TCP unicast repair, so recovery always terminates.
+//! * **Loss recovery** — a receiver detects a stall while blocked in a
+//!   wait, on one key or on thousands: after [`UdpConfig::nack_interval`]
+//!   without a message it runs a bounded *recovery round* over the **TCP
+//!   control channel** (the lazy [`tcp`](crate::tcp) mesh underneath)
+//!   against every source it awaits: a status request returns the sender's
+//!   retained `(seq, tag, chunk count)` manifest for this receiver, and a
+//!   NACK with a missing-chunk bitmap — sent only for a message under an
+//!   awaited key — triggers retransmission. The first
+//!   [`UdpConfig::max_multicast_repairs`] NACKs of a message are served by
+//!   re-multicasting the missing chunks (they may help other receivers
+//!   too); after that the sender falls back to lossless TCP unicast
+//!   repair, so recovery always terminates.
 //! * **Unicast and collectives** — [`Transport::send`] (barriers, gathers,
 //!   TeraSort's unicast shuffle) rides the TCP mesh unchanged; only
 //!   [`Transport::multicast`] takes the physical path.
@@ -82,7 +86,6 @@ use crate::error::{NetError, Result};
 use crate::fault::{DatagramAction, DatagramRule};
 use crate::mailbox::Mailbox;
 use crate::message::{Key, Message, Tag};
-use crate::nio::Backoff;
 use crate::registry::UdpGroupPlan;
 use crate::tcp::{build_tcp_fabric, TcpEndpoint};
 use crate::transport::Transport;
@@ -99,10 +102,7 @@ const HEADER_LEN: usize = 40;
 const CTRL_TAG: Tag = Tag((Tag::UDP_CTRL as u32) << 24);
 const REPLY_TAG: Tag = Tag((Tag::UDP_REPLY as u32) << 24);
 const REPAIR_TAG: Tag = Tag((Tag::UDP_REPAIR as u32) << 24);
-/// How long the polling `recv` loop blocks on the TCP mailbox per
-/// iteration (also bounds udp-mailbox wake-up latency).
-const POLL_SLICE: Duration = Duration::from_millis(1);
-/// How long a recovery round waits for the sender's status reply.
+/// How long a recovery round waits for its status replies, all of them.
 const STATUS_REPLY_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Counters describing the UDP fabric's datagram-level behaviour, shared
@@ -162,7 +162,7 @@ pub struct UdpConfig {
     /// Multicast group-address pool size (see [`UdpGroupPlan`]).
     pub pool_size: u8,
     /// How long a blocked receive stays quiet before running a NACK /
-    /// status recovery round against the awaited sender.
+    /// status recovery round against the awaited senders.
     pub nack_interval: Duration,
     /// How many NACKs of one message are served by *re-multicasting* the
     /// missing chunks before the sender falls back to TCP unicast repair.
@@ -303,9 +303,9 @@ impl Reassembly {
 }
 
 /// Per-rank receive state: reassembly table plus the mailbox completed
-/// messages are delivered into.
+/// messages are delivered into (the rank's TCP endpoint's).
 struct RankRx {
-    mailbox: Mailbox,
+    mailbox: Arc<Mailbox>,
     state: Mutex<RxState>,
     /// Dedup horizon, mirroring the sender's [`UdpConfig::history`] ring:
     /// duplicates of a message can only originate from repairs, and a
@@ -327,9 +327,9 @@ struct RxState {
 }
 
 impl RankRx {
-    fn new(rank: usize, dedup_horizon: usize) -> RankRx {
+    fn new(mailbox: Arc<Mailbox>, dedup_horizon: usize) -> RankRx {
         RankRx {
-            mailbox: Mailbox::new(rank),
+            mailbox,
             state: Mutex::new(RxState::default()),
             dedup_horizon: u32::try_from(dedup_horizon).unwrap_or(u32::MAX),
         }
@@ -449,7 +449,6 @@ struct Shared {
     tx: UdpSocket,
     history: Mutex<SendHistory>,
     dg_index: AtomicU64,
-    stop: AtomicBool,
 }
 
 impl Shared {
@@ -500,63 +499,74 @@ impl Shared {
         Ok(())
     }
 
-    /// One blocked-receive recovery round against `src`: ask for the
-    /// sender's manifest of messages addressed to us, then NACK everything
-    /// incomplete. Returns whether anything was actually outstanding
-    /// (NACKs sent, or the reply timed out with partials in flight) — an
-    /// idle round means the peer simply has not sent yet, which must not
-    /// count against the caller's recovery budget. The reply timing out is
-    /// also reported `Ok` — persistence is bounded by the caller.
-    fn recovery_round(&self, src: usize) -> Result<bool> {
-        self.core
-            .stats
-            .status_rounds
-            .fetch_add(1, Ordering::Relaxed);
-        self.tcp
-            .send(src, CTRL_TAG, Bytes::from_static(&[CTRL_STATUS_REQ]))?;
+    /// One recovery round for a wait on `keys` that has gone quiet: ask every
+    /// source among them for its manifest of messages addressed to us — all
+    /// requests first, then the replies as they come, under one
+    /// [`STATUS_REPLY_TIMEOUT`] cut short at the wait's `deadline` — and NACK
+    /// what is incomplete of the messages the wait is for. A message under a
+    /// key nobody lists is left alone: to stop awaiting is to stop repairing.
+    /// Returns whether anything was outstanding (a NACK sent, or a source
+    /// that did not reply while an awaited message from it sits partial) — an
+    /// idle round means the peers simply have not sent yet, which must not
+    /// count against the caller's recovery budget.
+    fn recovery_round(&self, keys: &[Key], deadline: Option<Instant>) -> Result<bool> {
+        let stats = &self.core.stats;
+        stats.status_rounds.fetch_add(1, Ordering::Relaxed);
+        let world = self.tcp.world_size();
+        let mut asked = vec![false; world];
+        for &(_, src) in keys {
+            if src < world && src != self.rank && !std::mem::replace(&mut asked[src], true) {
+                self.tcp
+                    .send(src, CTRL_TAG, Bytes::from_static(&[CTRL_STATUS_REQ]))?;
+            }
+        }
+        // Ascending by source under one tag: sorted, as `recv_any` wants.
+        let mut replies: Vec<Key> = (0..world)
+            .filter(|&src| asked[src])
+            .map(|src| (REPLY_TAG, src))
+            .collect();
+        let reply_by = Instant::now() + STATUS_REPLY_TIMEOUT;
+        let reply_by = deadline.map_or(reply_by, |d| d.min(reply_by));
+        let awaited = |tag: u32, src: usize| keys.binary_search(&(Tag(tag), src)).is_ok();
         let rx = &self.core.rx[self.rank];
-        let partials_from_src = |rx: &RankRx| {
-            rx.state
-                .lock()
-                .partial
-                .keys()
-                .any(|(sender, _)| *sender as usize == src)
-        };
-        let reply = match self.tcp.recv_timeout(src, REPLY_TAG, STATUS_REPLY_TIMEOUT) {
-            Ok(reply) => reply,
-            // An unresponsive sender only counts against the recovery
-            // budget while we hold incomplete reassemblies from it.
-            Err(NetError::Timeout { .. }) => return Ok(partials_from_src(rx)),
-            Err(e) => return Err(e),
-        };
         let mut outstanding = false;
-        for entry in parse_status_reply(&reply) {
-            let (seq, tag, chunk_count, total_len, nominal) = entry;
-            let key = (src as u16, seq);
-            let bitmap = {
-                let mut state = rx.state.lock();
-                if state.done.contains(&key) {
+        while !replies.is_empty() {
+            let (at, reply) = match self.tcp.recv_any(&replies, Some(reply_by)) {
+                Ok(hit) => hit,
+                Err(NetError::Timeout { .. }) => {
+                    let silent = |src: usize| replies.contains(&(REPLY_TAG, src));
+                    let state = rx.state.lock();
+                    let mut partial = state.partial.iter().map(|(&(s, _), p)| (s as usize, p.tag));
+                    return Ok(outstanding || partial.any(|(s, tag)| silent(s) && awaited(tag, s)));
+                }
+                Err(e) => return Err(e),
+            };
+            let (_, src) = replies.remove(at);
+            for (seq, tag, chunk_count, total_len, nominal) in parse_status_reply(&reply) {
+                if !awaited(tag, src) {
                     continue;
                 }
-                state
-                    .partial
-                    .entry(key)
-                    .or_insert_with(|| {
-                        Reassembly::new(tag, total_len as usize, chunk_count, nominal as usize)
-                    })
-                    .missing_bitmap()
-            };
-            if bitmap.iter().all(|b| *b == 0) {
-                continue;
+                let mut state = rx.state.lock();
+                if state.done.contains(&(src as u16, seq)) {
+                    continue;
+                }
+                let entry = state.partial.entry((src as u16, seq)).or_insert_with(|| {
+                    Reassembly::new(tag, total_len as usize, chunk_count, nominal as usize)
+                });
+                let bitmap = entry.missing_bitmap();
+                drop(state);
+                if bitmap.iter().all(|b| *b == 0) {
+                    continue;
+                }
+                outstanding = true;
+                let mut nack = Vec::with_capacity(7 + bitmap.len());
+                nack.push(CTRL_NACK);
+                nack.extend_from_slice(&seq.to_le_bytes());
+                nack.extend_from_slice(&chunk_count.to_le_bytes());
+                nack.extend_from_slice(&bitmap);
+                self.tcp.send(src, CTRL_TAG, Bytes::from(nack))?;
+                stats.nacks_sent.fetch_add(1, Ordering::Relaxed);
             }
-            outstanding = true;
-            let mut nack = Vec::with_capacity(7 + bitmap.len());
-            nack.push(CTRL_NACK);
-            nack.extend_from_slice(&seq.to_le_bytes());
-            nack.extend_from_slice(&chunk_count.to_le_bytes());
-            nack.extend_from_slice(&bitmap);
-            self.tcp.send(src, CTRL_TAG, Bytes::from(nack))?;
-            self.core.stats.nacks_sent.fetch_add(1, Ordering::Relaxed);
         }
         Ok(outstanding)
     }
@@ -660,26 +670,24 @@ fn dispatcher_loop(sock: UdpSocket, core: &FabricCore) {
 /// The per-endpoint control servicer: answers status requests with the
 /// send-history manifest, and serves NACKs by re-multicasting missing
 /// chunks (within budget) or repairing over TCP; inbound TCP repair
-/// chunks are fed into this rank's own reassembly.
+/// chunks are fed into this rank's own reassembly. It blocks in one wait
+/// over every peer's control and repair keys until the endpoint shuts down
+/// (which closes the mailbox) or the fabric goes down around it.
 fn servicer_loop(shared: &Shared) {
-    let world = shared.tcp.world_size();
-    let mut backoff = Backoff::with_max_park_us(1_000);
-    while !shared.stop.load(Ordering::Acquire) {
-        let mut progressed = false;
-        for src in (0..world).filter(|&s| s != shared.rank) {
-            while let Ok(Some(msg)) = shared.tcp.try_recv(src, CTRL_TAG) {
-                progressed = true;
-                let _ = handle_ctrl(shared, src, &msg);
+    let peers = (0..shared.tcp.world_size()).filter(|&src| src != shared.rank);
+    let mut keys: Vec<Key> = peers
+        .flat_map(|src| [(CTRL_TAG, src), (REPAIR_TAG, src)])
+        .collect();
+    keys.sort_unstable();
+    while !keys.is_empty() {
+        match shared.tcp.recv_any(&keys, None) {
+            Ok((at, msg)) if keys[at].0 == CTRL_TAG => {
+                let _ = handle_ctrl(shared, keys[at].1, &msg);
             }
-            while let Ok(Some(msg)) = shared.tcp.try_recv(src, REPAIR_TAG) {
-                progressed = true;
-                handle_repair(shared, src, &msg);
-            }
-        }
-        if progressed {
-            backoff.reset();
-        } else {
-            backoff.wait();
+            Ok((at, msg)) => handle_repair(shared, keys[at].1, &msg),
+            // A peer the health layer declared dead asks for nothing more.
+            Err(NetError::PeerDead { peer, .. }) => keys.retain(|&(_, src)| src != peer),
+            Err(_) => break,
         }
     }
 }
@@ -802,7 +810,6 @@ impl UdpEndpoint {
     fn teardown(&self) {
         self.shutdown();
         if let Some(handle) = self.servicer.lock().take() {
-            handle.thread().unpark();
             let _ = handle.join();
         }
         let core = &self.shared.core;
@@ -848,11 +855,7 @@ impl Transport for UdpEndpoint {
             }
         }
         if to_self {
-            shared.core.rx[shared.rank].mailbox.deliver(Message {
-                src: shared.rank,
-                tag,
-                payload: payload.clone(),
-            });
+            shared.tcp.send(shared.rank, tag, payload.clone())?;
         }
         if mask == 0 {
             return Ok(());
@@ -881,28 +884,24 @@ impl Transport for UdpEndpoint {
         shared.send_chunks(mask, seq, tag.0, &payload, None)
     }
 
-    /// Drains the UDP mailbox (hot path for multicast payloads), then waits
-    /// on the TCP mailbox in short slices — which also reports a dead or
-    /// disconnected peer and shutdown, once both mailboxes have drained. A wait for one sender runs recovery rounds against it
-    /// while stalled; only rounds that found something outstanding to
-    /// repair count against the bounded recovery budget, so a peer that
-    /// simply has not sent yet keeps the wait blocking like on every other
-    /// transport, while the idle status polls back off exponentially. A
-    /// wait on several keys awaits no sender in particular and runs none:
-    /// its caller is the quorum shuffle, which rides a lost packet out
-    /// instead of repairing it.
+    /// One blocking wait on the rank's mailbox, whatever path the message
+    /// takes and however many keys are listed; a dead or disconnected
+    /// source and shutdown end it as on every other transport. Each time
+    /// the wait has been quiet for [`UdpConfig::nack_interval`] it runs a
+    /// recovery round against every source it awaits. Only rounds that
+    /// found something outstanding to repair count against the bounded
+    /// recovery budget, so peers that simply have not sent yet keep the
+    /// wait blocking like on every other transport, while each idle round
+    /// doubles the quiet interval (up to 32×) so that a long compute-stage
+    /// wait does not spam them. A message taken ends the call, and the next
+    /// one starts the clock afresh.
     fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
         let shared = &self.shared;
-        let rx = &shared.core.rx[shared.rank];
-        let mut quiet_since = Instant::now();
         let mut repair_rounds = 0u32;
         let mut idle_rounds = 0u32;
         loop {
-            if let Ok(hit) = rx.mailbox.recv_any(keys, Some(Instant::now())) {
-                return Ok(hit);
-            }
-            let slice = Instant::now() + POLL_SLICE;
-            let until = deadline.map_or(slice, |d| d.min(slice));
+            let repair_at = Instant::now() + shared.cfg.nack_interval * (1 << idle_rounds.min(5));
+            let until = deadline.map_or(repair_at, |d| d.min(repair_at));
             let timeout = match shared.tcp.recv_any(keys, Some(until)) {
                 Err(e @ NetError::Timeout { .. }) => e,
                 other => return other,
@@ -910,36 +909,24 @@ impl Transport for UdpEndpoint {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(timeout);
             }
-            let &[(_, src)] = keys else { continue };
-            // Idle rounds double the next status-poll interval (capped at
-            // 32×) so a long compute-stage wait does not spam the peer.
-            let interval = shared.cfg.nack_interval * (1u32 << idle_rounds.min(5));
-            if quiet_since.elapsed() >= interval {
-                if shared.recovery_round(src)? {
-                    idle_rounds = 0;
-                    repair_rounds += 1;
-                    if repair_rounds > shared.cfg.max_recovery_rounds {
-                        return Err(timeout);
-                    }
-                } else {
-                    idle_rounds = idle_rounds.saturating_add(1);
+            if shared.recovery_round(keys, deadline)? {
+                idle_rounds = 0;
+                repair_rounds += 1;
+                if repair_rounds > shared.cfg.max_recovery_rounds {
+                    return Err(timeout);
                 }
-                quiet_since = Instant::now();
+            } else {
+                idle_rounds = idle_rounds.saturating_add(1);
             }
         }
     }
 
     fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // Closes the mailbox, which ends every wait on it — the servicer's too.
         self.shared.tcp.shutdown();
-        self.shared.core.rx[self.shared.rank].mailbox.close();
-        if let Some(handle) = self.servicer.lock().as_ref() {
-            handle.thread().unpark();
-        }
     }
 
     fn mark_peer_dead(&self, peer: usize) {
-        // The TCP mailbox is the one that reports terminal states.
         self.shared.tcp.mark_peer_dead(peer);
     }
 }
@@ -1064,8 +1051,8 @@ pub fn build_udp_fabric_with(k: usize, cfg: UdpConfig) -> Result<Vec<UdpEndpoint
     let plan = UdpGroupPlan::new(port, cfg.pool_size);
     let core = Arc::new(FabricCore {
         plan,
-        rx: (0..k)
-            .map(|r| Arc::new(RankRx::new(r, cfg.history)))
+        rx: (tcp.iter())
+            .map(|ep| Arc::new(RankRx::new(Arc::clone(ep.mailbox()), cfg.history)))
             .collect(),
         stats: Arc::clone(&cfg.stats),
         stop: AtomicBool::new(false),
@@ -1090,7 +1077,6 @@ pub fn build_udp_fabric_with(k: usize, cfg: UdpConfig) -> Result<Vec<UdpEndpoint
             tx: open_tx()?,
             history: Mutex::new(SendHistory::default()),
             dg_index: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
         });
         let servicer = {
             let shared = Arc::clone(&shared);
@@ -1156,7 +1142,7 @@ mod tests {
 
     #[test]
     fn forged_chunk_headers_are_dropped_not_panicked() {
-        let rx = RankRx::new(1, 4096);
+        let rx = RankRx::new(Arc::new(Mailbox::new(1)), 4096);
         let stats = UdpFabricStats::default();
         // chunk_idx × nominal far past total_len, with an empty body whose
         // length happens to match the expected tail: must be rejected by
@@ -1370,6 +1356,128 @@ mod tests {
             assert_eq!(endpoints[1].recv(0, Tag::app(t)).unwrap(), "once");
             assert!(endpoints[1].try_recv(0, Tag::app(t)).unwrap().is_none());
         }
+    }
+
+    /// Drops chunk 0 of each endpoint's first `messages` three-chunk
+    /// sends; repairs (later datagram indices) pass.
+    fn first_chunks_lost(messages: u64) -> UdpConfig {
+        UdpConfig {
+            fault: Some(Arc::new(move |_, _, _, chunk, idx| {
+                if chunk == 0 && idx < 3 * messages {
+                    DatagramAction::Drop
+                } else {
+                    DatagramAction::Deliver
+                }
+            })),
+            nack_interval: Duration::from_millis(10),
+            ..UdpConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_wait_on_several_keys_repairs_every_sender_it_awaits() {
+        if skip_without_multicast() {
+            return;
+        }
+        let cfg = first_chunks_lost(1);
+        let stats = Arc::clone(&cfg.stats);
+        let endpoints = build_udp_fabric_with(3, cfg).unwrap();
+        let payload = |sender: usize| Bytes::from(vec![sender as u8 + 1; 4000]);
+        for sender in [0, 1] {
+            let tag = Tag::app(sender as u32);
+            endpoints[sender]
+                .multicast(&[2], tag, payload(sender))
+                .unwrap();
+        }
+        let keys = [(Tag::app(0), 0), (Tag::app(1), 1)];
+        let deadline = Some(Instant::now() + Duration::from_secs(5));
+        let mut got = [false; 2];
+        for _ in 0..2 {
+            let (key, message) = endpoints[2].recv_any(&keys, deadline).unwrap();
+            assert_eq!(message, payload(key));
+            got[key] = true;
+        }
+        assert_eq!(got, [true; 2]);
+        assert_eq!(stats.dropped_by_fault(), 2);
+        assert!(stats.nacks_sent() >= 2, "one NACK per short message");
+    }
+
+    #[test]
+    fn only_an_awaited_message_is_repaired() {
+        if skip_without_multicast() {
+            return;
+        }
+        let cfg = first_chunks_lost(2);
+        let stats = Arc::clone(&cfg.stats);
+        let endpoints = build_udp_fabric_with(2, cfg).unwrap();
+        let (unlisted, listed) = (Tag::app(0), Tag::app(1));
+        for tag in [unlisted, listed] {
+            endpoints[0]
+                .multicast(&[1], tag, Bytes::from(vec![7u8; 4000]))
+                .unwrap();
+        }
+        // Both messages sit short of a chunk; the wait is for one of them.
+        assert_eq!(endpoints[1].recv(0, listed).unwrap().len(), 4000);
+        assert_eq!(stats.dropped_by_fault(), 2);
+        assert_eq!(stats.messages_completed(), 1, "nobody awaited the other");
+        assert!(stats.nacks_sent() >= 1);
+        assert!(endpoints[1].try_recv(0, unlisted).unwrap().is_none());
+        // Awaited in its turn, it is repaired in its turn.
+        assert_eq!(endpoints[1].recv(0, unlisted).unwrap().len(), 4000);
+    }
+
+    #[test]
+    fn an_unanswered_wait_backs_off_and_times_out_on_its_deadline() {
+        if skip_without_multicast() {
+            return;
+        }
+        let cfg = UdpConfig::default();
+        let stats = Arc::clone(&cfg.stats);
+        let endpoints = build_udp_fabric_with(2, cfg).unwrap();
+        let keys = [(Tag::app(0), 0), (Tag::app(1), 0)];
+        let started = Instant::now();
+        let result = endpoints[1].recv_any(&keys, Some(started + Duration::from_secs(2)));
+        let waited = started.elapsed();
+        assert!(
+            matches!(result, Err(NetError::Timeout { src: 0, .. })),
+            "{result:?}"
+        );
+        // Quiet intervals of 20, 40, 80 … 640 ms: seven rounds fit in 2 s.
+        assert!((1..=8).contains(&stats.status_rounds()), "{stats:?}");
+        assert_eq!(stats.nacks_sent(), 0);
+        assert!(
+            waited >= Duration::from_secs(2) && waited < Duration::from_millis(2_100),
+            "waited {waited:?}"
+        );
+    }
+
+    #[test]
+    fn shutdown_ends_a_blocked_multi_key_wait_and_the_servicer() {
+        if skip_without_multicast() {
+            return;
+        }
+        let endpoints = build_udp_fabric(2).unwrap();
+        let keys = [(Tag::app(0), 0), (Tag::app(1), 0)];
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| endpoints[1].recv_any(&keys, None));
+            std::thread::sleep(Duration::from_millis(30));
+            endpoints[1].shutdown();
+            let result = waiter.join().unwrap();
+            assert!(
+                matches!(result, Err(NetError::Disconnected { rank: 1 })),
+                "{result:?}"
+            );
+        });
+        // Dropping an endpoint joins its servicer, which blocks in a wait
+        // of its own: it must have ended with the mailbox.
+        let (dropped_tx, dropped_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(endpoints);
+            dropped_tx.send(()).unwrap();
+        });
+        dropped_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("teardown joins every servicer");
     }
 
     #[test]

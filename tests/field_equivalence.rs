@@ -8,8 +8,8 @@
 //! The decode discipline is the same kind of knob: `--decode quorum`
 //! (MDS, any `r−1` of `r`) must match `--decode all` byte-for-byte over
 //! every field × fabric × thread-count combination, with the field's
-//! degenerate cases (GF(2) has no nontrivial MDS code → quorum falls back
-//! to polling the classic code) covered too.
+//! degenerate cases (GF(2) has no nontrivial MDS code → quorum runs the
+//! classic code and needs every packet) covered too.
 
 use coded_terasort::mapreduce::run_coded_pods;
 use coded_terasort::prelude::*;
@@ -77,13 +77,18 @@ fn gf256_pods_engine_matches_gf2() {
 #[test]
 fn quorum_decode_matches_all_decode_across_fields_and_fabrics() {
     let (k, r) = (5, 3);
-    let input = teragen::generate(1_800, 333);
-    let mut fabrics: Vec<ShuffleFabric> = ShuffleFabric::ALL.to_vec();
+    // Every fabric on an input that loses no datagram; the UDP fabric also
+    // on one that overflows its receive socket, where a group short of its
+    // quorum has to be repaired.
+    let mut legs: Vec<(ShuffleFabric, usize)> =
+        ShuffleFabric::ALL.iter().map(|&f| (f, 1_800)).collect();
     if multicast_available() {
-        fabrics.push(ShuffleFabric::UdpMulticast);
+        legs.push((ShuffleFabric::UdpMulticast, 1_800));
+        legs.push((ShuffleFabric::UdpMulticast, 20_000));
     }
-    let reference = sorted_outputs(&SortJob::local(k, r), &input);
-    for &fabric in &fabrics {
+    for (fabric, records) in legs {
+        let input = teragen::generate(records, 333);
+        let reference = sorted_outputs(&SortJob::local(k, r), &input);
         for field in FieldKind::ALL {
             let job = SortJob::local(k, r)
                 .with_fabric(fabric)
@@ -92,7 +97,7 @@ fn quorum_decode_matches_all_decode_across_fields_and_fabrics() {
             assert_eq!(
                 sorted_outputs(&job, &input),
                 reference,
-                "quorum {field} over {fabric} vs all-mode reference"
+                "quorum {field} over {fabric}, {records} records, vs all-mode reference"
             );
         }
     }

@@ -95,6 +95,55 @@ fn loss_sweep_recovers_byte_identical_output_within_budget() {
 }
 
 #[test]
+fn quorum_on_udp_multicast_repairs_the_groups_short_of_quorum() {
+    // A quorum receive waits on many keys at once. A datagram lost from a
+    // group that still has a quorum coming costs nothing; one lost from a
+    // group short of it has to be repaired like under barrier-on-all, or
+    // the job stalls. Two ways to lose datagrams: 2 MB posted at once
+    // overflow the shared receive socket (nothing injected), and the 20 %
+    // rule on an input small enough to lose nothing by itself.
+    if skip_without_multicast() {
+        return;
+    }
+    let k = 5usize;
+    let legs = [
+        (20_000, 0u32, FieldKind::Gf256),
+        (2_000, 20, FieldKind::Gf256),
+        // No binary MDS code: a GF(2) quorum needs all r packets of a group.
+        (2_000, 20, FieldKind::Gf2),
+    ];
+    for r in [2usize, 3] {
+        for (records, loss_percent, field) in legs {
+            let leg = format!("r = {r}, {records} records, {loss_percent}% loss, {field}");
+            let input = teragen::generate(records, 2017);
+            let reference = run_coded_terasort(
+                input.clone(),
+                &SortJob::local(k, r).with_fabric(ShuffleFabric::SerialUnicast),
+            )
+            .expect("lossless reference run");
+            let mut udp = UdpConfig::default();
+            if loss_percent > 0 {
+                udp.fault = Some(datagram_loss_rule(loss_percent, u64::from(loss_percent)));
+                udp.nack_interval = std::time::Duration::from_millis(10);
+            }
+            let stats = Arc::clone(&udp.stats);
+            let mut job = SortJob::local(k, r)
+                .with_fabric(ShuffleFabric::UdpMulticast)
+                .with_field(field)
+                .with_decode(DecodeMode::Quorum);
+            job.engine.cluster.udp = udp;
+            let run = run_coded_terasort(input, &job).unwrap_or_else(|e| panic!("{leg}: {e}"));
+            run.validate().unwrap_or_else(|e| panic!("{leg}: {e}"));
+            assert_eq!(run.outcome.outputs, reference.outcome.outputs, "{leg}");
+            if loss_percent > 0 {
+                assert!(stats.dropped_by_fault() > 0, "{leg}: the rule must bite");
+                assert!(stats.nacks_sent() > 0, "{leg}: repaired without a NACK?");
+            }
+        }
+    }
+}
+
+#[test]
 fn whole_sender_blackout_needs_no_nacks_under_quorum_decode() {
     // The hardest loss pattern the NACK layer faces: one rank's datagrams
     // *never* arrive, so loss recovery could only retransmit forever. The
