@@ -96,7 +96,7 @@ fn main() {
     {
         use cts_mapreduce::pods::run_coded_pods;
         use cts_mapreduce::stage::EngineConfig;
-        use cts_mapreduce::workload::{InputFormat, Workload};
+        use cts_mapreduce::workload::{InputFormat, NodeSet, Workload};
 
         struct ByteSort;
         impl Workload for ByteSort {
@@ -106,7 +106,7 @@ fn main() {
             fn format(&self) -> InputFormat {
                 InputFormat::FixedWidth(1)
             }
-            fn map_file(&self, file: &[u8], parts: usize) -> Vec<Vec<u8>> {
+            fn map_file(&self, file: &[u8], parts: usize, _: NodeSet) -> Vec<Vec<u8>> {
                 let mut out = vec![Vec::new(); parts];
                 for &b in file {
                     out[b as usize % parts].push(b);

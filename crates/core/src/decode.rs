@@ -20,7 +20,7 @@ use crate::gf256;
 use crate::groups::MulticastGroups;
 use crate::intermediate::IntermediateSource;
 use crate::packet::CodedPacket;
-use crate::pool::BufPool;
+use crate::pool::{self, BufPool};
 use crate::segment::{max_segment_len, segment_slice, segment_span};
 use crate::solve::{mds_parts, mds_point, mds_row, GroupSolver};
 use crate::subset::{NodeId, NodeSet};
@@ -382,10 +382,10 @@ impl SegmentAssembler {
 /// and finishes with `C(K-1, r)` recovered intermediates — exactly the
 /// `{I^k_S : k ∉ S}` set of paper §IV-E.
 ///
-/// Segment accumulators are drawn from an internal [`BufPool`] and merged
-/// in place into each completed value, so a warm pipeline's per-packet work
-/// allocates only when an intermediate completes (the returned value is
-/// owned by the caller).
+/// Segment accumulators and completed values are leased from the shared
+/// [`pool::global`]: an accumulator goes back when its group completes, a
+/// value when the caller lets go of it ([`BufPool::freeze`]), so a warm
+/// process decodes into pages it already holds.
 #[derive(Debug)]
 pub struct DecodePipeline {
     decoder: Decoder,
@@ -397,7 +397,6 @@ pub struct DecodePipeline {
     /// Groups already released by an early quorum: late packets for these
     /// are benign and ignored.
     released: HashSet<u64>,
-    pool: BufPool,
 }
 
 /// In-flight MDS decode state for one group.
@@ -427,7 +426,6 @@ impl DecodePipeline {
             slots: HashMap::new(),
             quorum_slots: HashMap::new(),
             released: HashSet::new(),
-            pool: BufPool::new(),
         })
     }
 
@@ -462,14 +460,9 @@ impl DecodePipeline {
             }
             return self.accept_mds(packet, source);
         }
-        let mut acc = self.pool.get();
-        let info = match self.decoder.decode_packet_into(packet, source, &mut acc) {
-            Ok(info) => info,
-            Err(e) => {
-                self.pool.put(acc);
-                return Err(e);
-            }
-        };
+        // (An error fails the job: its accumulator is dropped, not returned.)
+        let mut acc = pool::global().get(packet.payload.len());
+        let info = self.decoder.decode_packet_into(packet, source, &mut acc)?;
         self.add_segment_buf(info, acc)
     }
 
@@ -484,18 +477,17 @@ impl DecodePipeline {
             .entry(key)
             .or_insert_with(|| SegmentAssembler::new(info.file));
         if let Some(duplicate) = assembler.add_owned(info, buf)? {
-            self.pool.put(duplicate);
+            pool::global().put(duplicate);
             return Ok(None);
         }
         if !assembler.is_complete() {
             return Ok(None);
         }
-        // Complete: merge the pooled pieces in place into the output value
-        // (the assembler validates each length against the split rule and
-        // recycles the piece buffers into our pool).
+        // Complete: merge the pieces into the output value (the assembler
+        // checks each length against the split rule and returns its buffer).
         let mut assembler = self.slots.remove(&key).expect("slot just inserted");
-        let mut out = Vec::with_capacity(assembler.total_len());
-        assembler.assemble_into(&mut out, &self.pool)?;
+        let mut out = pool::global().get(assembler.total_len());
+        assembler.assemble_into(&mut out, pool::global())?;
         Ok(Some((info.file, out)))
     }
 
@@ -559,11 +551,8 @@ impl DecodePipeline {
 
         // Cancel t ∈ M \ {u, k} by re-applying the sender's MDS mix of the
         // locally held intermediates (characteristic 2: add = subtract).
-        let mut acc = self.pool.get();
-        if let Err(e) = Self::cancel_mds(field, packet, node, source, s, &mut acc) {
-            self.pool.put(acc);
-            return Err(e);
-        }
+        let mut acc = pool::global().get(packet.payload.len());
+        Self::cancel_mds(field, packet, node, source, s, &mut acc)?;
         acc.truncate(l0);
         let row = mds_row(field, packet.sender, node, s);
         let slot = self.quorum_slots.entry(key).or_insert_with(|| QuorumSlot {
@@ -571,7 +560,6 @@ impl DecodePipeline {
             total: my_total,
         });
         if slot.total != my_total {
-            self.pool.put(acc);
             return Err(CodedError::MalformedPacket {
                 what: format!(
                     "packet declares reconstruction length {my_total}, earlier packets said {}",
@@ -580,14 +568,14 @@ impl DecodePipeline {
             });
         }
         let added = slot.solver.add_equation(&row, &acc);
-        self.pool.put(acc);
+        pool::global().put(acc);
         added?;
         if !slot.solver.is_complete() {
             return Ok(None);
         }
         let slot = self.quorum_slots.remove(&key).expect("slot just touched");
         let parts = slot.solver.solve()?;
-        let mut out = Vec::with_capacity(my_total);
+        let mut out = pool::global().get(my_total);
         for (j, part) in parts.iter().enumerate() {
             let len = segment_span(my_total, s, j).len;
             out.extend_from_slice(&part[..len]);
@@ -806,10 +794,12 @@ mod tests {
 
     #[test]
     fn pipeline_recycles_segment_buffers() {
+        // Values of 20–100 KB: segments the shared pool keeps.
         let (k, r) = (5, 2);
-        let stores = stores(k, r, 6);
+        let stores = stores(k, r, 20_000);
         let mut pipeline = DecodePipeline::new(k, r, 0).unwrap();
-        let (mut accepted, mut done) = (0usize, 0u64);
+        let before = pool::global().stats();
+        let (mut accepted, mut done) = (0u64, Vec::new());
         for sender in 1..k {
             let enc = Encoder::new(k, r, sender).unwrap();
             for pkt in enc.encode_all(&stores[sender]).unwrap() {
@@ -817,22 +807,27 @@ mod tests {
                     continue;
                 }
                 accepted += 1;
-                if pipeline.accept(&pkt, &stores[0]).unwrap().is_some() {
-                    done += 1;
-                }
+                done.extend(pipeline.accept(&pkt, &stores[0]).unwrap());
             }
         }
-        assert_eq!(done, pipeline.decoder.groups().groups_per_node());
-        assert_eq!(pipeline.in_flight(), 0);
-        // Each completed group returned its r buffers to the pool, and
-        // later packets drew from it instead of allocating: the pool ends
-        // up holding fewer buffers than packets were accepted.
-        let warm = || Some(pipeline.pool.get()).filter(|buf| buf.capacity() > 0);
-        let pooled = std::iter::from_fn(warm).count();
-        assert!(
-            (1..accepted).contains(&pooled),
-            "{pooled} buffers pooled after {accepted} packets"
+        assert_eq!(
+            done.len() as u64,
+            pipeline.decoder.groups().groups_per_node()
         );
+        assert_eq!(pipeline.in_flight(), 0);
+        // Each completed group returned its r accumulators to the pool and
+        // later packets drew from it instead of allocating. (The pool is the
+        // process's: other tests can only add to either count.)
+        let after = pool::global().stats();
+        assert!(after.hits > before.hits, "{before:?} -> {after:?}");
+        let leases = (after.hits - before.hits) + (after.misses - before.misses);
+        assert!(leases >= accepted + done.len() as u64, "{leases} leases");
+        // A completed value goes back when its holder lets go of it.
+        let (_, value) = done.pop().unwrap();
+        let cap = value.capacity();
+        drop(pool::global().freeze(value));
+        assert_eq!(pool::global().get(cap).capacity(), cap);
+        assert!(pool::global().stats().hits > after.hits);
     }
 
     #[test]

@@ -255,7 +255,7 @@ fn write_wire_versioned(
 
 /// Serialized size of a packet with `nseg` segment entries and a
 /// `payload_len`-byte payload.
-fn wire_len_for(nseg: usize, payload_len: usize) -> usize {
+pub fn wire_len_for(nseg: usize, payload_len: usize) -> usize {
     2 + 1 + 2 + 8 + 2 + nseg * 6 + 4 + payload_len
 }
 

@@ -1,51 +1,122 @@
-//! Reusable buffer pooling — the allocation story of the compute plane.
+//! Reusable buffers — the allocation story of the compute plane.
 //!
-//! The per-group/per-packet loops of the coded shuffle (encode → pack →
-//! unpack → decode) are executed `C(K-1, r)` times per node per job; at the
-//! paper's K = 16, r = 5 that is 3 003 iterations each touching multi-KB
-//! buffers. Allocating fresh `Vec`s inside those loops puts the allocator on
-//! the critical path and defeats the CDC premise that the coding compute
-//! must stay cheap (arXiv:1604.07086). This module provides the two reuse
-//! primitives the hot loops are built on:
+//! The paper buys its 1/r shuffle with an r-fold Map, a trade that holds only
+//! while the extra compute stays cheap (arXiv:1604.07086). It does not while a
+//! job takes its record buffers from the allocator: glibc gives a finished
+//! job's pages back and the next job faults them in again — 3.5× its input per
+//! coded job, `sys` 43 % of its CPU. Two primitives keep memory where its next
+//! user finds it:
 //!
-//! * [`BufPool`] — a thread-safe free list of byte buffers for state that
-//!   crosses ownership boundaries (e.g. the [`DecodePipeline`]'s segment
-//!   accumulators, which live from packet arrival until group completion);
+//! * [`BufPool`] — a thread-safe pool for buffers that cross ownership
+//!   boundaries. The record path leases from one process-wide instance,
+//!   [`global`]: Map's partition buffers, the coded wire frames, the
+//!   [`DecodePipeline`](crate::decode::DecodePipeline)'s accumulators and
+//!   completed intermediates; [`BufPool::freeze`] makes a filled buffer a
+//!   `Bytes` that brings it back when its last view drops, on whichever
+//!   thread, in whichever job.
 //! * [`Scratch`] — a single-owner, grow-only workspace for state confined
 //!   to one loop (encode payloads, radix count/offset tables, key-index
 //!   entry arrays).
-//!
-//! Both are *grow-only in steady state*: after a warm-up pass at the
-//! largest working-set size, subsequent iterations perform zero heap
-//! allocations (asserted by the `alloc_free` integration test).
-//!
-//! [`DecodePipeline`]: crate::decode::DecodePipeline
 
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, OnceLock};
 
-/// A thread-safe free list of reusable byte buffers.
+use bytes::Bytes;
+
+/// Requests under a page bypass the pool, both ways: glibc serves them from
+/// bins inside pages it already holds, so pooling would buy a lock and nothing
+/// else. (At 16 KiB an 80 000-record job's 5.9 KB segment accumulators, until
+/// now recycled by the decoder itself, cost 0.63× the input afresh per job.)
+const MIN_POOLED: usize = 4 << 10;
+
+/// A pooled buffer serves requests down to two thirds of its capacity: enough
+/// for what same-shaped jobs on different inputs differ by (a few per cent),
+/// and under the 2× that separates a job's buffer classes (a segment, frame or
+/// MDS part is a piece over r or r − 1) — at a slack of 2 an r = 2 job's frames
+/// took its piece buffers and every such piece then missed.
+const fn max_capacity(request: usize) -> usize {
+    request.saturating_add(request / 2)
+}
+
+/// A buffer nobody has taken for this many finished jobs is freed. A caller
+/// alternating uncoded, coded and quorum jobs comes back to a buffer every
+/// third job (measured hit rate 0 / 34 / 87 % at 2, 100 % from 4 on), two
+/// service tenants rotating three variants over two daemons every sixth.
+const KEEP_JOBS: u64 = 8;
+
+/// The process-wide pool, beside [`exec`](crate::exec)'s thread budget and for
+/// the same reason: a pool that died with its job would recycle nothing.
+pub fn global() -> &'static BufPool {
+    static POOL: OnceLock<BufPool> = OnceLock::new();
+    POOL.get_or_init(BufPool::new)
+}
+
+/// A thread-safe pool of reusable byte buffers.
 ///
-/// `get` hands out a cleared buffer (recycled when one is pooled, freshly
-/// allocated otherwise); `put` returns a buffer to the pool, keeping its
-/// capacity. Buffers are plain `Vec<u8>`s, so forgetting to `put` one back
-/// is a leak of *reuse*, never of memory.
+/// [`get`](BufPool::get) leases an empty buffer — the best-fitting pooled
+/// one, else a fresh one of exactly the asked size; [`put`](BufPool::put), or
+/// the last drop of a [`freeze`](BufPool::freeze)d view, returns it. Buffers
+/// are plain `Vec<u8>`s: one that never comes back (a caller keeps it, a
+/// quorum straggler pins it) is a leak of *reuse*, never of memory, and the
+/// pool holds only what was leased from it in the last `KEEP_JOBS` jobs.
 ///
 /// ```
 /// use cts_core::pool::BufPool;
 ///
 /// let pool = BufPool::new();
-/// let mut buf = pool.get();
+/// let mut buf = pool.get(64 << 10);
 /// buf.extend_from_slice(b"warm");
-/// let cap = buf.capacity();
+/// let at = buf.as_ptr();
 /// pool.put(buf);
-/// // The next get reuses the same allocation, cleared.
-/// let buf = pool.get();
-/// assert!(buf.is_empty());
-/// assert_eq!(buf.capacity(), cap);
+/// // A request the buffer fits gets the same allocation back, cleared.
+/// let buf = pool.get(48 << 10);
+/// assert_eq!((buf.len(), buf.as_ptr(), buf.capacity()), (0, at, 64 << 10));
 /// ```
 #[derive(Debug, Default)]
 pub struct BufPool {
-    free: Mutex<Vec<Vec<u8>>>,
+    /// Free buffers by `(capacity, generation they came back in, address)`.
+    free: Mutex<BTreeMap<(usize, u64, usize), Vec<u8>>>,
+    generation: AtomicU64,
+    retained: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    freed: AtomicU64,
+}
+
+/// A pool's counters; prints as the line `cts sort` and `cts stats` show.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Bytes of capacity sitting in the pool.
+    pub retained_bytes: u64,
+    /// Leases served from the pool.
+    pub hits: u64,
+    /// Leases of pooled size served by the allocator.
+    pub misses: u64,
+    /// Bytes of capacity freed after going untaken.
+    pub freed_bytes: u64,
+}
+
+impl std::fmt::Display for PoolStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (hits, misses, mb) = (self.hits, self.misses, self.retained_bytes as f64 / 1e6);
+        write!(f, "pool: {hits} hits, {misses} misses, {mb:.1} MB retained")
+    }
+}
+
+/// A leased buffer behind a `Bytes`: back to its pool when dropped.
+struct Leased(Vec<u8>, &'static BufPool);
+
+impl AsRef<[u8]> for Leased {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Drop for Leased {
+    fn drop(&mut self) {
+        self.1.put(std::mem::take(&mut self.0));
+    }
 }
 
 impl BufPool {
@@ -54,19 +125,72 @@ impl BufPool {
         Self::default()
     }
 
-    /// Takes a cleared buffer from the pool, or allocates an empty one.
-    pub fn get(&self) -> Vec<u8> {
-        self.free
-            .lock()
-            .expect("BufPool lock")
-            .pop()
-            .unwrap_or_default()
+    /// Leases an empty buffer of capacity ≥ `min_capacity`: the smallest
+    /// pooled one within `max_capacity`, else a fresh one of exactly that size.
+    pub fn get(&self, min_capacity: usize) -> Vec<u8> {
+        if min_capacity >= MIN_POOLED {
+            let mut free = self.free.lock().expect("BufPool lock");
+            let fits = (min_capacity, 0, 0)..=(max_capacity(min_capacity), u64::MAX, usize::MAX);
+            let best = free.range(fits).next().map(|(&key, _)| key);
+            if let Some(buf) = best.and_then(|key| free.remove(&key)) {
+                self.retained.fetch_sub(buf.capacity() as u64, Relaxed);
+                self.hits.fetch_add(1, Relaxed);
+                return buf;
+            }
+            self.misses.fetch_add(1, Relaxed);
+        }
+        Vec::with_capacity(min_capacity)
     }
 
-    /// Returns `buf` to the pool, cleared, capacity preserved.
+    /// Returns a leased buffer, cleared (one below the pooled size is dropped).
     pub fn put(&self, mut buf: Vec<u8>) {
+        if buf.capacity() < MIN_POOLED {
+            return;
+        }
         buf.clear();
-        self.free.lock().expect("BufPool lock").push(buf);
+        let key = (
+            buf.capacity(),
+            self.generation.load(Relaxed),
+            buf.as_ptr() as usize,
+        );
+        // May run in a drop while a panic unwinds: never panic here.
+        if let Ok(mut free) = self.free.lock() {
+            self.retained.fetch_add(key.0 as u64, Relaxed);
+            free.insert(key, buf);
+        }
+    }
+
+    /// Freezes a leased buffer, uncopied; it comes back with its last view.
+    pub fn freeze(&'static self, buf: Vec<u8>) -> Bytes {
+        if buf.capacity() < MIN_POOLED {
+            return Bytes::from(buf);
+        }
+        Bytes::from_owner(Leased(buf, self))
+    }
+
+    /// One job has finished: frees every buffer that has sat here untaken
+    /// for `KEEP_JOBS` of them (the one that returned it included).
+    pub fn tick(&self) {
+        let now = self.generation.fetch_add(1, Relaxed) + 1;
+        let mut freed = 0;
+        let mut free = self.free.lock().expect("BufPool lock");
+        free.retain(|&(capacity, returned, _), _| {
+            let keep = now.saturating_sub(returned) < KEEP_JOBS;
+            freed += if keep { 0 } else { capacity as u64 };
+            keep
+        });
+        self.retained.fetch_sub(freed, Relaxed);
+        self.freed.fetch_add(freed, Relaxed);
+    }
+
+    /// The pool's counters, now.
+    pub fn stats(&self) -> PoolStats {
+        PoolStats {
+            retained_bytes: self.retained.load(Relaxed),
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            freed_bytes: self.freed.load(Relaxed),
+        }
     }
 }
 
@@ -130,35 +254,120 @@ impl<T: Copy + Default> Scratch<T> {
 mod tests {
     use super::*;
 
-    /// Number of buffers currently in `pool`'s free list.
-    fn pooled(pool: &BufPool) -> usize {
-        pool.free.lock().unwrap().len()
+    /// A pool of the test's own (the global one is every test's), leaked so
+    /// that it can `freeze`.
+    fn private() -> &'static BufPool {
+        Box::leak(Box::new(BufPool::new()))
+    }
+
+    /// A leased buffer filled to `len` bytes.
+    fn filled(pool: &BufPool, len: usize) -> Vec<u8> {
+        let mut buf = pool.get(len);
+        buf.resize(len, 7);
+        buf
     }
 
     #[test]
-    fn pool_recycles_capacity() {
+    fn best_fit_takes_the_smallest_buffer_that_holds_the_request() {
         let pool = BufPool::new();
-        let mut a = pool.get();
-        a.resize(4096, 7);
-        pool.put(a);
-        assert_eq!(pooled(&pool), 1);
-        let b = pool.get();
-        assert!(b.is_empty());
-        assert!(b.capacity() >= 4096);
-        assert_eq!(pooled(&pool), 0);
+        let sizes = [200_000usize, 50_000, 80_000, 60_000];
+        let leased: Vec<Vec<u8>> = sizes.iter().map(|&n| pool.get(n)).collect();
+        assert!(leased.iter().zip(sizes).all(|(b, n)| b.capacity() == n));
+        leased.into_iter().for_each(|buf| pool.put(buf));
+        assert_eq!(pool.stats().retained_bytes, 390_000);
+        // 55 000 fits in 60 000, 80 000 and 200 000: the smallest wins.
+        assert_eq!(pool.get(55_000).capacity(), 60_000);
+        assert_eq!(pool.get(55_000).capacity(), 80_000);
+        // What is left is over 1.5× the request — refused, for a fresh one.
+        assert_eq!(pool.get(55_000).capacity(), 55_000);
+        assert_eq!(pool.get(33_333).capacity(), 33_333);
+        // At exactly 1.5× the request a buffer still serves.
+        assert_eq!(pool.get(33_334).capacity(), 50_000);
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses), (3, 4 + 2));
+        assert_eq!(stats.retained_bytes, 200_000);
     }
 
     #[test]
-    fn pool_is_lifo() {
+    fn a_frozen_buffer_returns_once_after_its_last_view() {
+        let pool = private();
+        let buf = filled(pool, 100_000);
+        let (at, cap) = (buf.as_ptr(), buf.capacity());
+        let whole = pool.freeze(buf);
+        assert_eq!(whole.as_ptr(), at, "freeze must not copy");
+        let tail = whole.slice(40_000..);
+        let views: Vec<Bytes> = (0..4).map(|i| whole.slice(i * 10..50_000)).collect();
+        drop(whole);
+        // The last view is dropped on another thread, whichever that is.
+        let threads: Vec<_> = views
+            .into_iter()
+            .map(|view| std::thread::spawn(move || assert_eq!(view[0], 7)))
+            .collect();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!(pool.stats().retained_bytes, 0, "a view is still alive");
+        assert_eq!(tail.len(), 60_000);
+        drop(tail);
+        assert_eq!(pool.stats().retained_bytes, cap as u64);
+        let again = pool.get(cap);
+        assert!(again.is_empty(), "handed out cleared");
+        assert_eq!((again.as_ptr(), again.capacity()), (at, cap));
+        assert_eq!(pool.stats().retained_bytes, 0, "returned once");
+    }
+
+    #[test]
+    fn what_was_not_leased_never_enters_the_pool() {
+        let pool = private();
+        drop(Bytes::from(vec![1u8; 100_000]));
+        drop(Bytes::from(filled(pool, 100_000)));
+        assert_eq!(pool.stats().retained_bytes, 0);
+        // Under the size floor nothing is pooled, whichever way it came.
+        let small = filled(pool, MIN_POOLED - 1);
+        assert_eq!(small.capacity(), MIN_POOLED - 1);
+        drop(pool.freeze(small));
+        pool.put(Vec::with_capacity(MIN_POOLED - 1));
+        let stats = pool.stats();
+        assert_eq!((stats.retained_bytes, stats.hits, stats.misses), (0, 0, 1));
+        // At the floor it is.
+        drop(pool.freeze(filled(pool, MIN_POOLED)));
+        assert_eq!(pool.stats().retained_bytes, MIN_POOLED as u64);
+    }
+
+    /// Leases and returns what one K = 8, r = 1 job of `records` records
+    /// does: 64 Map pieces, then ticks the job over.
+    fn job(pool: &BufPool, records: usize) -> u64 {
+        let piece = records * 100 / 64;
+        let leased: Vec<Vec<u8>> = (0..64).map(|i| pool.get(piece + i)).collect();
+        let bytes = leased.iter().map(|buf| buf.capacity() as u64).sum();
+        leased.into_iter().for_each(|buf| pool.put(buf));
+        pool.tick();
+        bytes
+    }
+
+    #[test]
+    fn buffers_nobody_takes_are_freed_after_keep_jobs() {
         let pool = BufPool::new();
-        let mut a = pool.get();
-        a.reserve(10);
-        let mut b = pool.get();
-        b.reserve(20);
-        pool.put(a);
-        pool.put(b);
-        // Last in, first out: the 20-capacity buffer comes back first.
-        assert!(pool.get().capacity() >= 20);
+        let large = job(&pool, 80_000);
+        assert_eq!(pool.stats().retained_bytes, large);
+        // A smaller shape comes and goes: the large buffers do not fit it
+        // (over the slack) and are freed at the KEEP_JOBS-th tick since they
+        // came back, their own job's included.
+        let mut small = 0;
+        for _ in 2..KEEP_JOBS {
+            small = job(&pool, 8_000);
+            assert_eq!(pool.stats().retained_bytes, large + small);
+        }
+        job(&pool, 8_000);
+        let stats = pool.stats();
+        assert_eq!((stats.retained_bytes, stats.freed_bytes), (small, large));
+        // The small shape hit on every lease after its first job.
+        assert_eq!((stats.misses, stats.hits), (2 * 64, (KEEP_JOBS - 2) * 64));
+        // And a shape that alternates with another keeps its buffers.
+        for _ in 0..2 * KEEP_JOBS {
+            job(&pool, 80_000);
+            job(&pool, 8_000);
+        }
+        assert_eq!(pool.stats().misses, 3 * 64);
+        assert_eq!(pool.stats().retained_bytes, large + small);
     }
 
     #[test]
@@ -192,16 +401,12 @@ mod tests {
 
     #[test]
     fn pool_shared_across_threads() {
-        use std::sync::Arc;
-        let pool = Arc::new(BufPool::new());
+        let pool = private();
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        let mut b = pool.get();
-                        b.push(1);
-                        pool.put(b);
+                        drop(pool.freeze(filled(pool, 64 << 10)));
                     }
                 })
             })
@@ -210,6 +415,9 @@ mod tests {
             h.join().unwrap();
         }
         // Every buffer came back, and no thread ever held more than one.
-        assert!((1..=4).contains(&pooled(&pool)), "{}", pooled(&pool));
+        let stats = pool.stats();
+        assert_eq!(stats.hits + stats.misses, 400);
+        assert!((1..=4).contains(&stats.misses), "{stats:?}");
+        assert_eq!(stats.retained_bytes, stats.misses * (64 << 10));
     }
 }

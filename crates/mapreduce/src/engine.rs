@@ -11,7 +11,10 @@
 //! between conventional TeraSort (§III), CodedTeraSort (§IV) and the
 //! pod-partitioned scheme (§VI) is only the [`Layout`]: which files a node
 //! maps, which multicast groups it codes in, and which intermediates carry
-//! no side information and therefore travel as plain unicasts.
+//! no side information and therefore travel as plain unicasts. Record
+//! buffers — Map pieces, wire frames, decoded intermediates — are leased from
+//! [`cts_core::pool::global`] and frozen through it, so a job's pages outlive
+//! it for the next one; only the Reduce output is fresh, and the caller's.
 
 use std::time::Instant;
 
@@ -22,8 +25,9 @@ use cts_core::exec::WorkerPool;
 use cts_core::groups::{MulticastGroups, PodGroups};
 use cts_core::intermediate::MapOutputStore;
 use cts_core::metrics::Counter;
-use cts_core::packet::CodedPacket;
+use cts_core::packet::{wire_len_for, CodedPacket};
 use cts_core::placement::{FileId, PlacementPlan};
+use cts_core::pool;
 use cts_core::solve::mds_parts;
 use cts_core::subset::NodeSet;
 use cts_net::cluster::{JobBinding, SharedFabric};
@@ -270,7 +274,10 @@ pub(crate) fn run_on<W: Workload>(
             comm.abort();
         }
         outcome
-    })?;
+    });
+    // One more job the pool's idle buffers have sat out, finished or failed.
+    pool::global().tick();
+    let run = run?;
     if let Some(e) = first_failure.into_inner() {
         return Err(e);
     }
@@ -403,8 +410,8 @@ struct Encode {
 
 impl Encode {
     /// Encodes `group`'s packet into a wire frame written once, at its
-    /// final size, into the buffer that travels (`scratch` keeps the loop
-    /// otherwise allocation-free). The wire bytes split into a *scalable*
+    /// final size, into the leased buffer that travels (`scratch` keeps the
+    /// loop otherwise allocation-free). The wire bytes split into a *scalable*
     /// part (the mean segment length — the quantity that grows linearly
     /// with input size) and an *overhead* part (the fixed header plus
     /// zero-padding, a small-scale artifact: at paper scale segments are
@@ -417,22 +424,24 @@ impl Encode {
         scratch: &mut EncodeScratch,
     ) -> Result<(Bytes, u64)> {
         let (m, r) = (group.members, self.r as u64);
-        let mut frame = Vec::new();
         let scalable = if self.mds {
             self.encoder.encode_group_mds_into(m, store, scratch)?;
-            let (lens, payload) = (&scratch.seg_lens, &scratch.payload);
-            CodedPacket::write_wire_mds(m, self.local, lens, payload, &mut frame);
             // MDS payloads are ≈ total/s (seg_lens carry the r whole
             // reconstruction lengths, each split into s parts).
             scratch.seg_len_sum() / (r * mds_parts(self.r + 1) as u64)
         } else {
             self.encoder.encode_group_into(m, store, scratch)?;
-            let (lens, payload) = (&scratch.seg_lens, &scratch.payload);
-            CodedPacket::write_wire(m, self.local, lens, payload, &mut frame);
             scratch.seg_len_sum() / r
         };
+        let (lens, payload) = (&scratch.seg_lens, &scratch.payload);
+        let mut frame = pool::global().get(wire_len_for(lens.len(), payload.len()));
+        if self.mds {
+            CodedPacket::write_wire_mds(m, self.local, lens, payload, &mut frame);
+        } else {
+            CodedPacket::write_wire(m, self.local, lens, payload, &mut frame);
+        }
         let overhead = frame.len() as u64 - scalable.min(frame.len() as u64);
-        Ok((Bytes::from(frame), overhead))
+        Ok((pool::global().freeze(frame), overhead))
     }
 }
 
@@ -552,13 +561,9 @@ fn node_main<W: Workload>(
             [(_, file)] if my_files.len() == 1 => vec![workload.map_file_par(file, k, &pool)],
             files => pool.map(files.len(), |i| {
                 let file = layout.globalize(plan.nodes_of_file(files[i].0), me);
-                let mut parts = workload.map_file(&files[i].1, k);
-                // Free what `route` drops before the next file allocates: a rank's
-                // heap then peaks lower, and its Reduce output still fits its arena.
-                for t in (0..k).filter(|&t| layout.route(me, file, t) == Route::Drop) {
-                    parts[t] = Vec::new();
-                }
-                parts
+                // What `route` drops is never written.
+                let kept = (0..k).filter(|&t| layout.route(me, file, t) != Route::Drop);
+                workload.map_file(&files[i].1, k, kept.collect())
             }),
         };
         for ((fid, data), intermediates) in step.iter().zip(mapped) {
@@ -567,12 +572,14 @@ fn node_main<W: Workload>(
             rank.stats.map_input_bytes += data.len() as u64;
             rank.stats.files_mapped += 1;
             for (t, value) in intermediates.into_iter().enumerate() {
+                // Frozen through the pool it was leased from: back on the last drop.
+                let piece = || pool::global().freeze(value);
                 match layout.route(me, file, t) {
-                    Route::Keep => pieces.push((file.bits(), Bytes::from(value))),
+                    Route::Keep => pieces.push((file.bits(), piece())),
                     Route::Code => {
-                        store.insert(t - base, file_local, Bytes::from(value));
+                        store.insert(t - base, file_local, piece());
                     }
-                    Route::Unicast => outbox.push((t, *fid, Bytes::from(value))),
+                    Route::Unicast => outbox.push((t, *fid, piece())),
                     Route::Drop => {}
                 }
             }
@@ -697,7 +704,7 @@ fn node_main<W: Workload>(
         decode
             .recovered
             .into_iter()
-            .map(|(file, v)| (layout.globalize(file, me).bits(), Bytes::from(v))),
+            .map(|(file, v)| (layout.globalize(file, me).bits(), pool::global().freeze(v))),
     );
     if rank.crashed_at(CrashPoint::PreReduce)? {
         return Ok(None);

@@ -6,7 +6,7 @@
 //! matching lines themselves (newline-terminated); reduce sorts them for a
 //! deterministic, order-insensitive result.
 
-use crate::workload::{InputFormat, Workload};
+use crate::workload::{InputFormat, NodeSet, Workload};
 
 /// The Grep workload: distributed substring search.
 #[derive(Clone, Debug)]
@@ -54,11 +54,11 @@ impl Workload for Grep {
         InputFormat::Lines
     }
 
-    fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
+    fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>> {
         let mut out = vec![Vec::new(); num_partitions];
         for line in file.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
-            if self.matches(line) {
-                let p = (fnv1a(line) % num_partitions as u64) as usize;
+            let p = (fnv1a(line) % num_partitions as u64) as usize;
+            if keep.contains(p) && self.matches(line) {
                 out[p].extend_from_slice(line);
                 out[p].push(b'\n');
             }

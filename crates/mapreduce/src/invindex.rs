@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::workload::{InputFormat, Workload};
+use crate::workload::{InputFormat, NodeSet, Workload};
 
 /// The inverted-index workload.
 #[derive(Clone, Copy, Debug, Default)]
@@ -61,7 +61,7 @@ impl Workload for InvertedIndex {
         InputFormat::Lines
     }
 
-    fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
+    fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>> {
         let mut out = vec![Vec::new(); num_partitions];
         for line in file.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
             let Some(tab) = line.iter().position(|&b| b == b'\t') else {
@@ -77,7 +77,9 @@ impl Workload for InvertedIndex {
             words.dedup();
             for word in words {
                 let p = (fnv1a(word) % num_partitions as u64) as usize;
-                push_entry(&mut out[p], word, doc);
+                if keep.contains(p) {
+                    push_entry(&mut out[p], word, doc);
+                }
             }
         }
         out

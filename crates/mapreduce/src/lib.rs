@@ -99,7 +99,7 @@ pub(crate) mod testutil {
 
     use bytes::Bytes;
 
-    use crate::workload::{InputFormat, Workload};
+    use crate::workload::{InputFormat, NodeSet, Workload};
 
     /// Trivial workload: records are single bytes, partition = value % K,
     /// reduce sorts.
@@ -112,7 +112,7 @@ pub(crate) mod testutil {
         fn format(&self) -> InputFormat {
             InputFormat::FixedWidth(1)
         }
-        fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
+        fn map_file(&self, file: &[u8], num_partitions: usize, _: NodeSet) -> Vec<Vec<u8>> {
             let mut out = vec![Vec::new(); num_partitions];
             for &b in file {
                 out[b as usize % num_partitions].push(b);

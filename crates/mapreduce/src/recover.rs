@@ -19,6 +19,7 @@ use bytes::Bytes;
 use cts_core::exec::WorkerPool;
 use cts_core::intermediate::MapOutputStore;
 use cts_core::placement::{FileId, PlacementPlan};
+use cts_core::pool;
 use cts_net::health::{HealthBoard, HealthConfig, Heartbeat};
 use cts_net::message::Tag;
 use cts_net::registry::MembershipView;
@@ -26,7 +27,7 @@ use cts_net::{Communicator, Key, NetError};
 use cts_netsim::stats::NodeStats;
 
 use crate::error::{EngineError, JobReport, Result};
-use crate::workload::Workload;
+use crate::workload::{NodeSet, Workload};
 
 /// Health-layer state carried by a recovery-mode rank: its view of who is
 /// alive, its own heartbeat beacon, and the epoch of its next
@@ -210,13 +211,9 @@ pub fn adopt_dead_partitions<W: Workload>(
                         .find(|(f, _)| *f == file)
                         .expect("placement puts every file of S on all of S")
                         .1;
-                    let piece = Bytes::from(
-                        workload
-                            .map_file(data, k)
-                            .into_iter()
-                            .nth(d)
-                            .expect("map_file yields one piece per partition"),
-                    );
+                    // Of the file's K pieces only the dead rank's is built.
+                    let mut mapped = workload.map_file(data, k, NodeSet::singleton(d));
+                    let piece = pool::global().freeze(mapped.swap_remove(d));
                     if successor == me {
                         pieces.push((file_nodes.bits(), piece));
                     } else {
@@ -298,6 +295,7 @@ fn unrecoverable_file(membership: &MembershipView, d: usize, fid: u64) -> Engine
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wordcount::WordCount;
     use cts_net::cluster::{run_spmd, ClusterConfig};
     use cts_net::health::HealthConfig;
 
@@ -306,6 +304,89 @@ mod tests {
         let mask = 0b1010_0110u128 | (1u128 << 100);
         assert_eq!(le_mask(&Bytes::copy_from_slice(&mask.to_le_bytes())), mask);
         assert_eq!(le_mask(&Bytes::new()), 0);
+    }
+
+    /// WordCount that logs, per `map_file` call, the mask it was given, the
+    /// bytes it materialised and how many of them the mask asked for.
+    struct CountingMap(parking_lot::Mutex<Vec<(NodeSet, usize, usize)>>);
+
+    impl Workload for CountingMap {
+        fn name(&self) -> &str {
+            "counting wordcount"
+        }
+        fn format(&self) -> crate::workload::InputFormat {
+            WordCount.format()
+        }
+        fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>> {
+            let parts = WordCount.map_file(file, num_partitions, keep);
+            let built = parts.iter().map(Vec::len).sum();
+            let kept = keep.iter().map(|p| parts[p].len()).sum();
+            self.0.lock().push((keep, built, kept));
+            parts
+        }
+        fn reduce(&self, partition: usize, data: &[u8]) -> Vec<u8> {
+            WordCount.reduce(partition, data)
+        }
+    }
+
+    #[test]
+    fn adoption_re_maps_only_the_dead_ranks_piece() {
+        // K = 3, r = 2, rank 2 dead: its successor, rank 0, rebuilds its
+        // partition. Files {0,2} and {1,2} are re-mapped, by ranks 0 and 1.
+        let (k, r, dead) = (3, 2, 2usize);
+        let text: String = (0..6_000).map(|i| format!("w{}\n", i % 997)).collect();
+        let input = Bytes::from(text.into_bytes());
+        let plan = PlacementPlan::new(k, r).unwrap();
+        let files = WordCount.format().split(&input, plan.num_files() as usize);
+        let workload = CountingMap(Default::default());
+        let run = run_spmd(&ClusterConfig::local(k), |comm| {
+            let me = comm.rank();
+            if me == dead {
+                return Vec::new();
+            }
+            // This rank's Map stage, as the engine leaves it.
+            let my_files: Vec<(FileId, Bytes)> = plan
+                .files_of_node(me)
+                .map(|fid| (fid, files[fid.0 as usize].clone()))
+                .collect();
+            let mut store = MapOutputStore::new();
+            for (fid, data) in &my_files {
+                let nodes = plan.nodes_of_file(*fid);
+                let parts = WordCount.map_file(data, k, NodeSet::full(k));
+                for (t, part) in parts.into_iter().enumerate() {
+                    if plan.keeps_intermediate(me, nodes, t) {
+                        store.insert(t, nodes, Bytes::from(part));
+                    }
+                }
+            }
+            adopt_dead_partitions(
+                &workload,
+                comm,
+                &plan,
+                &MembershipView::new(k, 1 << dead),
+                &my_files,
+                &store,
+                &WorkerPool::serial(),
+                &mut NodeStats::default(),
+            )
+            .unwrap()
+        })
+        .unwrap();
+        let expected = crate::run_sequential(&WordCount, &input, k);
+        assert_eq!(run.results[0], vec![(dead, expected[dead].clone())]);
+        assert!(run.results[1].is_empty());
+        // Each re-map was asked for the one piece and built no more than it:
+        // ≤ 1.5 × that piece, where mapping all K pieces builds the file.
+        let calls = workload.0.into_inner();
+        assert_eq!(calls.len(), 2, "{calls:?}");
+        for (keep, built, piece) in calls {
+            assert_eq!(keep, NodeSet::singleton(dead));
+            assert!(piece > 1_000, "a {piece} B piece pins nothing");
+            assert!(
+                built * 2 <= piece * 3,
+                "built {built} B for a {piece} B piece"
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::workload::{InputFormat, Workload};
+use crate::workload::{InputFormat, NodeSet, Workload};
 
 /// The SelfJoin workload.
 #[derive(Clone, Copy, Debug, Default)]
@@ -63,7 +63,7 @@ impl Workload for SelfJoin {
         InputFormat::Lines
     }
 
-    fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
+    fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>> {
         let mut out = vec![Vec::new(); num_partitions];
         for line in file.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
             let Some(tab) = line.iter().position(|&b| b == b'\t') else {
@@ -71,7 +71,9 @@ impl Workload for SelfJoin {
             };
             let (key, value) = (&line[..tab], &line[tab + 1..]);
             let p = (fnv1a(key) % num_partitions as u64) as usize;
-            push_entry(&mut out[p], key, value);
+            if keep.contains(p) {
+                push_entry(&mut out[p], key, value);
+            }
         }
         out
     }
@@ -141,7 +143,7 @@ mod tests {
     #[test]
     fn keys_route_to_one_partition() {
         let input = Bytes::from_static(b"alpha\t1\nalpha\t2\nbeta\t3\nbeta\t4\n");
-        let parts = SelfJoin.map_file(&input, 4);
+        let parts = SelfJoin.map_file(&input, 4, NodeSet::full(4));
         let non_empty = parts.iter().filter(|p| !p.is_empty()).count();
         assert!(non_empty <= 2);
         // All alpha entries share a partition.

@@ -2,14 +2,14 @@
 
 use bytes::Bytes;
 
-use crate::workload::Workload;
+use crate::workload::{NodeSet, Workload};
 
 /// Runs `workload` sequentially on one machine: the whole input is mapped
 /// as a single file and each partition is reduced directly. This is the
 /// ground truth both engines must match (their intermediates arrive in
 /// different concatenation orders, which order-insensitive reduces absorb).
 pub fn run_sequential<W: Workload>(workload: &W, input: &Bytes, k: usize) -> Vec<Vec<u8>> {
-    let intermediates = workload.map_file(input, k);
+    let intermediates = workload.map_file(input, k, NodeSet::full(k));
     intermediates
         .into_iter()
         .enumerate()
@@ -41,7 +41,7 @@ mod tests {
         fn format(&self) -> InputFormat {
             InputFormat::FixedWidth(1)
         }
-        fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
+        fn map_file(&self, file: &[u8], num_partitions: usize, _: NodeSet) -> Vec<Vec<u8>> {
             let mut out = vec![Vec::new(); num_partitions];
             for &b in file {
                 out[b as usize % num_partitions].push(b);

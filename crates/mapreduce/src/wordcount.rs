@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use crate::workload::{InputFormat, Workload};
+use crate::workload::{InputFormat, NodeSet, Workload};
 
 /// The WordCount workload: counts whitespace-separated words.
 #[derive(Clone, Copy, Debug, Default)]
@@ -58,7 +58,7 @@ impl Workload for WordCount {
         InputFormat::Lines
     }
 
-    fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
+    fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>> {
         // Pre-aggregate within the file (a combiner) before partitioning.
         let mut counts: HashMap<&[u8], u32> = HashMap::new();
         for word in file
@@ -72,7 +72,9 @@ impl Workload for WordCount {
         sorted.sort_unstable(); // deterministic intermediate bytes
         for (word, count) in sorted {
             let p = (fnv1a(word) % num_partitions as u64) as usize;
-            push_entry(&mut out[p], word, count);
+            if keep.contains(p) {
+                push_entry(&mut out[p], word, count);
+            }
         }
         out
     }
@@ -114,7 +116,7 @@ mod tests {
     #[test]
     fn partitioning_is_by_word_hash() {
         let input = Bytes::from_static(b"alpha beta alpha gamma\n");
-        let parts = WordCount.map_file(&input, 4);
+        let parts = WordCount.map_file(&input, 4, NodeSet::full(4));
         // Every word's entries land in exactly one partition.
         for word in ["alpha", "beta", "gamma"] {
             let p = (fnv1a(word.as_bytes()) % 4) as usize;
@@ -126,15 +128,15 @@ mod tests {
     #[test]
     fn combiner_preaggregates() {
         let input = Bytes::from_static(b"x x x x x\n");
-        let parts = WordCount.map_file(&input, 1);
+        let parts = WordCount.map_file(&input, 1, NodeSet::full(1));
         let entries: Vec<(&[u8], u32)> = parse_entries(&parts[0]).collect();
         assert_eq!(entries, vec![(b"x".as_ref(), 5)]);
     }
 
     #[test]
     fn reduce_merges_across_files() {
-        let a = WordCount.map_file(b"dog dog", 1);
-        let b = WordCount.map_file(b"dog cat", 1);
+        let a = WordCount.map_file(b"dog dog", 1, NodeSet::full(1));
+        let b = WordCount.map_file(b"dog cat", 1, NodeSet::full(1));
         let mut merged = a[0].clone();
         merged.extend_from_slice(&b[0]);
         let out = WordCount.reduce(0, &merged);
@@ -145,7 +147,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_output() {
-        let parts = WordCount.map_file(b"", 3);
+        let parts = WordCount.map_file(b"", 3, NodeSet::full(3));
         assert!(parts.iter().all(|p| p.is_empty()));
         assert!(WordCount.reduce(0, &[]).is_empty());
     }

@@ -7,7 +7,9 @@
 //!
 //! * [`Workload::map_file`] hashes one input file into `K` per-partition
 //!   serialized intermediates (the paper's `Hash(F)` producing
-//!   `{I¹_F, …, I^K_F}`);
+//!   `{I¹_F, …, I^K_F}`), less those outside the keep-mask: the engine
+//!   passes the partitions its layout routes somewhere, so the (r − 1)/K
+//!   share nobody reads is never written;
 //! * [`Workload::reduce`] turns the *concatenation* of a partition's
 //!   intermediates into final output (the paper's `Sort`); the engine
 //!   calls it through [`Workload::reduce_pieces`], unconcatenated.
@@ -19,6 +21,7 @@
 //!    uncoded and coded executions produce identical output.
 
 use bytes::Bytes;
+pub use cts_core::subset::NodeSet;
 
 /// How raw input bytes split into files without breaking records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,18 +95,20 @@ pub trait Workload: Send + Sync {
     fn format(&self) -> InputFormat;
 
     /// Hashes one file into `num_partitions` serialized intermediates
-    /// (`out[p]` holds the KV pairs of partition `p`).
-    fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>>;
+    /// (`out[p]` holds the KV pairs of partition `p`). Only the partitions
+    /// in `keep` are read: a workload leaves the others empty.
+    fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>>;
 
     /// Produces the final output of `partition` from the concatenation of
     /// all its intermediates. Must be insensitive to concatenation order.
     fn reduce(&self, partition: usize, data: &[u8]) -> Vec<u8>;
 
-    /// Parallel variant of [`map_file`](Workload::map_file), driven by the
-    /// engine's [`WorkerPool`](cts_core::exec::WorkerPool). The default
-    /// ignores the pool; workloads that can chunk their input (TeraSort's
-    /// fixed-width records) override this. **Must** produce output
-    /// byte-identical to `map_file` for every thread count.
+    /// Parallel variant of [`map_file`](Workload::map_file) keeping every
+    /// partition, driven by the engine's
+    /// [`WorkerPool`](cts_core::exec::WorkerPool). The default ignores the
+    /// pool; workloads that can chunk their input (TeraSort's fixed-width
+    /// records) override this. **Must** produce output byte-identical to
+    /// `map_file` for every thread count.
     fn map_file_par(
         &self,
         file: &[u8],
@@ -111,7 +116,7 @@ pub trait Workload: Send + Sync {
         pool: &cts_core::exec::WorkerPool,
     ) -> Vec<Vec<u8>> {
         let _ = pool;
-        self.map_file(file, num_partitions)
+        self.map_file(file, num_partitions, NodeSet::full(num_partitions))
     }
 
     /// The engine's Reduce entry: the partition as its `pieces` (one

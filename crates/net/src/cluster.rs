@@ -395,13 +395,22 @@ impl SharedFabric {
     }
 
     /// Renders the fabric's full metric inventory as Prometheus text:
-    /// everything registered on the hub, plus the UDP fabric's datagram
-    /// counters when the physical multicast transport is in use.
+    /// everything registered on the hub, the process-wide buffer pool's, plus
+    /// the UDP fabric's datagram counters when that transport is in use.
     pub fn render_prometheus(&self) -> String {
         let mut out = self.metrics.render_prometheus();
+        let pool = cts_core::pool::global().stats();
+        let retained = pool.retained_bytes;
+        out.push_str("# TYPE cts_pool_retained_bytes gauge\n");
+        out.push_str(&format!("cts_pool_retained_bytes {retained}\n"));
+        let mut counters = vec![
+            ("cts_pool_hits_total", pool.hits),
+            ("cts_pool_misses_total", pool.misses),
+            ("cts_pool_freed_bytes_total", pool.freed_bytes),
+        ];
         if self.config.resolved_transport() == TransportKind::Udp {
             let st = &self.config.udp.stats;
-            for (name, v) in [
+            counters.extend([
                 ("cts_udp_datagrams_sent_total", st.datagrams_sent()),
                 ("cts_udp_datagrams_received_total", st.datagrams_received()),
                 ("cts_udp_dropped_by_fault_total", st.dropped_by_fault()),
@@ -413,9 +422,10 @@ impl SharedFabric {
                     st.mcast_repair_chunks(),
                 ),
                 ("cts_udp_tcp_repair_chunks_total", st.tcp_repair_chunks()),
-            ] {
-                out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-            }
+            ]);
+        }
+        for (name, v) in counters {
+            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
         }
         out
     }

@@ -329,6 +329,7 @@ impl Inner {
             hub.counter("cts_jobs_refused_total").get(),
             hub.gauge("cts_slots_in_use").get(),
         );
+        let _ = writeln!(out, "{}", cts_core::pool::global().stats());
 
         let _ = writeln!(out);
         let _ = writeln!(out, "stage latency across finished jobs (ms):");

@@ -1,7 +1,11 @@
-//! The TeraSort workload plugged into the generic engines.
+//! The TeraSort workload plugged into the generic engine. Map output is the
+//! bulk of a job's memory (r× the input): its buffers are leased from the
+//! process-wide [`cts_core::pool`], for the kept partitions only, and come
+//! back when the job lets go of what the engine froze them into.
 
 use cts_core::exec::WorkerPool;
-use cts_mapreduce::workload::{InputFormat, Workload};
+use cts_core::pool;
+use cts_mapreduce::workload::{InputFormat, NodeSet, Workload};
 
 use crate::partition::{KeyPartitioner, RangePartitioner, SampledPartitioner};
 use crate::record::{key_of, record_count, records, RECORD_LEN};
@@ -64,20 +68,22 @@ impl Workload for TeraSortWorkload {
         InputFormat::FixedWidth(RECORD_LEN)
     }
 
-    fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
-        // Count, then scatter: every partition buffer is allocated once at
-        // its final size instead of growing by doubling.
+    fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>> {
+        // Count, then scatter: a kept partition's buffer is leased once, at its
+        // final size; any other partition's records are not counted or copied.
         let mut sizes = vec![0usize; num_partitions];
-        let ids: Vec<u32> = records(file)
+        let ids: Vec<u8> = records(file)
             .map(|rec| {
                 let p = self.partitioner.partition(key_of(rec));
-                sizes[p] += RECORD_LEN;
-                p as u32
+                sizes[p] += if keep.contains(p) { RECORD_LEN } else { 0 };
+                p as u8 // a `NodeSet` member: < 64
             })
             .collect();
-        let mut out: Vec<Vec<u8>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        let mut out: Vec<Vec<u8>> = sizes.iter().map(|&size| pool::global().get(size)).collect();
         for (rec, p) in records(file).zip(ids) {
-            out[p as usize].extend_from_slice(rec);
+            if sizes[p as usize] > 0 {
+                out[p as usize].extend_from_slice(rec);
+            }
         }
         out
     }
@@ -88,22 +94,27 @@ impl Workload for TeraSortWorkload {
 
     fn map_file_par(&self, file: &[u8], num_partitions: usize, pool: &WorkerPool) -> Vec<Vec<u8>> {
         let ranges = pool.chunk_ranges(record_count(file), crate::sort::PAR_MIN_RECORDS_PER_CHUNK);
+        let all = NodeSet::full(num_partitions);
         if ranges.len() <= 1 {
-            return self.map_file(file, num_partitions);
+            return self.map_file(file, num_partitions, all);
         }
         // Hash contiguous record chunks independently, then concatenate
         // each partition's pieces in chunk order — identical bytes to the
         // serial scan for any thread count.
-        let parts: Vec<Vec<Vec<u8>>> = pool.map(ranges.len(), |c| {
+        let mut parts: Vec<Vec<Vec<u8>>> = pool.map(ranges.len(), |c| {
             let r = &ranges[c];
-            self.map_file(
-                &file[r.start * RECORD_LEN..r.end * RECORD_LEN],
-                num_partitions,
-            )
+            let chunk = &file[r.start * RECORD_LEN..r.end * RECORD_LEN];
+            self.map_file(chunk, num_partitions, all)
         });
-        let pieces_of =
-            |p: usize| -> Vec<&[u8]> { parts.iter().map(|chunk| &chunk[p][..]).collect() };
-        (0..num_partitions).map(|p| pieces_of(p).concat()).collect()
+        let whole = |p: usize| {
+            let mut whole = pool::global().get(parts.iter().map(|chunk| chunk[p].len()).sum());
+            for chunk in &mut parts {
+                whole.extend_from_slice(&chunk[p]);
+                pool::global().put(std::mem::take(&mut chunk[p]));
+            }
+            whole
+        };
+        (0..num_partitions).map(whole).collect()
     }
 
     fn reduce_pieces(&self, _partition: usize, pieces: &[&[u8]], pool: &WorkerPool) -> Vec<u8> {
@@ -123,7 +134,7 @@ mod tests {
     fn map_partitions_by_key_range() {
         let w = TeraSortWorkload::range(4);
         let data = generate(400, 8);
-        let parts = w.map_file(&data, 4);
+        let parts = w.map_file(&data, 4, NodeSet::full(4));
         // Each partition's keys stay inside its range.
         for (p, buf) in parts.iter().enumerate() {
             for rec in records(buf) {
@@ -137,17 +148,39 @@ mod tests {
     #[test]
     fn map_scatters_into_exactly_sized_buffers() {
         // 3 records over 8 partitions leaves most of them empty.
-        for (n, k) in [(5_000, 7), (3, 8), (0, 2)] {
+        for (n, k) in [(5_000, 7), (200, 7), (3, 8), (0, 2)] {
             let data = generate(n, 8);
             // The oracle: append each record to its partition as it comes.
             let mut expected = vec![Vec::new(); k];
             for rec in records(&data) {
                 expected[RangePartitioner::new(k).partition(key_of(rec))].extend_from_slice(rec);
             }
-            let parts = TeraSortWorkload::range(k).map_file(&data, k);
+            let parts = TeraSortWorkload::range(k).map_file(&data, k, NodeSet::full(k));
             assert_eq!(parts, expected);
+            // Filled without growing: a buffer comes back with the capacity
+            // it was leased with — its exact size when fresh (always, under
+            // the pool's one-page floor), a pooled one within the pool's 1.5× slack.
             for part in &parts {
-                assert_eq!(part.capacity(), part.len(), "{n} records, K = {k}");
+                let (len, cap) = (part.len(), part.capacity());
+                let leased = if len < 4 << 10 {
+                    len..=len
+                } else {
+                    len..=len + len / 2
+                };
+                assert!(
+                    leased.contains(&cap),
+                    "{n} records, K = {k}: {len} in {cap}"
+                );
+            }
+            // Outside the keep-mask nothing is counted, leased or copied.
+            let keep: NodeSet = [1usize, k - 1].into_iter().collect();
+            let parts = TeraSortWorkload::range(k).map_file(&data, k, keep);
+            for (p, part) in parts.iter().enumerate() {
+                if keep.contains(p) {
+                    assert_eq!(part, &expected[p], "{n} records, K = {k}, partition {p}");
+                } else {
+                    assert_eq!((part.len(), part.capacity()), (0, 0));
+                }
             }
         }
     }
@@ -182,7 +215,7 @@ mod tests {
     fn parallel_map_and_reduce_match_serial() {
         let data = generate(9_000, 77);
         let w = TeraSortWorkload::range(5);
-        let serial_map = w.map_file(&data, 5);
+        let serial_map = w.map_file(&data, 5, NodeSet::full(5));
         let serial_reduce: Vec<Vec<u8>> = (0..5).map(|p| w.reduce(p, &serial_map[p])).collect();
         for threads in [1usize, 2, 4] {
             let pool = WorkerPool::new(threads);

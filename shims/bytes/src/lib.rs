@@ -7,9 +7,12 @@
 //! for little-endian wire formats.
 //!
 //! As in the real crate, `Bytes::from(Vec<u8>)` and `BytesMut::freeze`
-//! take ownership of the buffer: a `Bytes` is a view into a shared
-//! `Arc<Vec<u8>>`, so freezing costs one `Arc` header and no copy of the
-//! bytes. The empty buffer holds no `Arc`, so `Bytes::new()` never allocates.
+//! take ownership of the buffer: a `Bytes` is a view into a shared,
+//! reference-counted buffer, so freezing costs one `Arc` header and no copy
+//! of the bytes. The empty buffer holds no `Arc`, so `Bytes::new()` never
+//! allocates. [`Bytes::from_owner`] (bytes 1.9) shares a buffer its owner
+//! keeps: the owner is dropped with the last view, on whichever thread that
+//! is — how a leased buffer finds its way back to its pool.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -21,10 +24,26 @@ use std::sync::Arc;
 #[derive(Clone, Default)]
 pub struct Bytes {
     /// The shared buffer; `None` for an empty view that owns nothing.
-    data: Option<Arc<Vec<u8>>>,
+    data: Option<Arc<Shared>>,
     start: usize,
     end: usize,
 }
+
+/// What the views of one buffer share.
+enum Shared {
+    /// A buffer taken over by `From<Vec<u8>>`.
+    Vec(Vec<u8>),
+    /// [`Bytes::from_owner`]: the slice `owner.as_ref()` returned, read once,
+    /// and the boxed owner, kept for its `Drop` alone.
+    Owner(*const u8, usize, #[allow(dead_code)] Box<dyn Send>),
+}
+
+// SAFETY: the pointer and length are a `&[u8]` borrowed from the owner, which
+// this value owns, never touches again and drops last — the bytes are
+// immutable and outlive every view. Views on other threads only read them
+// (`[u8]: Sync`); the owner crosses threads once, to be dropped (`Send`).
+unsafe impl Send for Shared {}
+unsafe impl Sync for Shared {}
 
 impl Bytes {
     /// An empty buffer.
@@ -40,6 +59,24 @@ impl Bytes {
     /// Copies `data` into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes::from(data.to_vec())
+    }
+
+    /// A view of `owner.as_ref()` that keeps `owner` alive: it is dropped,
+    /// once, when the last view of the buffer is.
+    pub fn from_owner<T>(owner: T) -> Self
+    where
+        T: AsRef<[u8]> + Send + 'static,
+    {
+        // Boxed before it is read, so the slice stays put when the box moves.
+        let owner = Box::new(owner);
+        let bytes: &[u8] = (*owner).as_ref();
+        let (ptr, end) = (bytes.as_ptr(), bytes.len());
+        let data = Some(Arc::new(Shared::Owner(ptr, end, owner)));
+        Bytes {
+            data,
+            start: 0,
+            end,
+        }
     }
 
     /// Length of the view.
@@ -94,10 +131,14 @@ impl Bytes {
     }
 
     fn as_slice(&self) -> &[u8] {
-        match &self.data {
-            Some(data) => &data[self.start..self.end],
+        let whole = match self.data.as_deref() {
+            Some(Shared::Vec(v)) => &v[..],
+            // SAFETY: see `Shared` — the slice the owner lent out is valid and
+            // unchanged until the owner drops, which `self.data` prevents.
+            Some(Shared::Owner(ptr, len, _)) => unsafe { std::slice::from_raw_parts(*ptr, *len) },
             None => &[],
-        }
+        };
+        &whole[self.start..self.end]
     }
 }
 
@@ -125,7 +166,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: (end > 0).then(|| Arc::new(v)),
+            data: (end > 0).then(|| Arc::new(Shared::Vec(v))),
             start: 0,
             end,
         }
@@ -455,6 +496,50 @@ mod tests {
         m.put_slice(b"frozen");
         let ptr = m.as_ptr();
         assert_eq!(m.freeze().as_ptr(), ptr, "freeze must not copy");
+    }
+
+    #[test]
+    fn from_owner_drops_its_owner_once_with_the_last_view() {
+        use std::sync::mpsc;
+        use std::thread::{self, ThreadId};
+
+        /// Reports the thread it is dropped on.
+        struct Owner(Vec<u8>, mpsc::Sender<ThreadId>);
+        impl AsRef<[u8]> for Owner {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        impl Drop for Owner {
+            fn drop(&mut self) {
+                self.1.send(thread::current().id()).unwrap();
+            }
+        }
+
+        let (dropped_on, drops) = mpsc::channel();
+        let buf = vec![9u8; 4096];
+        let ptr = buf.as_ptr();
+        let whole = Bytes::from_owner(Owner(buf, dropped_on));
+        assert_eq!((whole.as_ptr(), whole.len()), (ptr, 4096), "no copy");
+        let tail = whole.slice(4000..);
+        let copy = whole.clone();
+        drop(whole);
+        drop(copy);
+        assert!(drops.try_recv().is_err(), "a view is still alive");
+        // The last view goes on another thread: the owner goes with it, there.
+        let last = thread::spawn(move || {
+            assert_eq!(tail, vec![9u8; 96]);
+            drop(tail);
+            thread::current().id()
+        });
+        let last = last.join().unwrap();
+        assert_eq!(drops.try_iter().collect::<Vec<_>>(), vec![last]);
+        // An owner of nothing is still kept, and still dropped.
+        let (dropped_on, drops) = mpsc::channel();
+        let empty = Bytes::from_owner(Owner(Vec::new(), dropped_on));
+        assert!(empty.is_empty() && drops.try_recv().is_err());
+        drop(empty);
+        assert_eq!(drops.try_iter().count(), 1);
     }
 
     #[test]

@@ -355,6 +355,7 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
             shuffle_s / floor_s
         );
     }
+    println!("{}", cts_core::pool::global().stats());
     println!(
         "shuffle: {} bytes across the wire (load {:.4}; TeraSort baseline {:.4})",
         outcome.stats.shuffle_bytes(),

@@ -70,17 +70,26 @@ fn cost_of(r: usize, input: &bytes::Bytes) -> (f64, u64) {
 #[test]
 fn a_sort_job_allocates_a_bounded_multiple_of_its_input() {
     let input = teragen::generate(80_000, 2017);
-    // Budgets: bytes allocated ÷ input bytes, under 10 % over the measured
-    // 2.21 (r = 1: Map 1 + Reduce 1 + sort entries 0.16) and 5.24 (r = 3:
-    // Map 3 + packets 0.2 + decoded intermediates 0.6 + Reduce 1.16, the
-    // rest partition ids and pooled segments). Before the record path was
-    // made copy-free this job measured 4.89 and 10.61.
-    for (r, budget) in [(1usize, 2.4f64), (3, 5.5)] {
-        let (ratio, calls) = cost_of(r, &input);
-        println!("r = {r}: {ratio:.2}x input in {calls} allocator calls");
-        assert!(
-            ratio <= budget,
-            "r = {r}: the job allocated {ratio:.2}x its input, over the {budget}x budget"
-        );
+    // Budgets: bytes allocated ÷ input bytes. Cold — the first job of its
+    // shape in the process, every record buffer a pool miss — under 10 % over
+    // the measured 2.18 (r = 1: Map 1 + Reduce 1 + sort entries 0.16 +
+    // partition ids 0.01) and 4.42 (r = 3: Map 2.25 — the (r − 1)/K = 25 %
+    // the layout drops is never written — + ids 0.03 + packets 0.21 + decoded
+    // intermediates 0.63 + Reduce 1.16, the rest segment accumulators still
+    // out when the next is leased). Warm — the same job again, measured 1.18
+    // and 1.30 — what is
+    // left is what the caller keeps or the pool does not hold: the output,
+    // the sort entries and the ids. Before the record path was made
+    // copy-free this job measured 4.89 and 10.61, before it kept its pages
+    // 2.21 and 5.24 on every job.
+    for (r, cold, warm) in [(1usize, 2.4f64, 1.5f64), (3, 4.6, 1.5)] {
+        for (leg, budget) in [("cold", cold), ("warm", warm)] {
+            let (ratio, calls) = cost_of(r, &input);
+            println!("r = {r} {leg}: {ratio:.2}x input in {calls} allocator calls");
+            assert!(
+                ratio <= budget,
+                "r = {r} {leg}: the job allocated {ratio:.2}x its input, over the {budget}x budget"
+            );
+        }
     }
 }

@@ -124,3 +124,101 @@ fn paper_scale_k16_r3_smoke() {
         assert_eq!(n.files_mapped, 105); // C(15,2)
     }
 }
+
+/// The record path's buffers outlive the job (ARCHITECTURE "Pool ownership
+/// rules"): the next job — whatever its size, code, fabric or fate — leases
+/// what this one returned. Twelve different jobs back to back in one
+/// process, one aborted mid-shuffle and one that loses a rank mid-Map, must
+/// each sort their own input: a recycled buffer is handed out cleared, and a
+/// job that dies holding leases costs the pool reuse, never the next job its
+/// bytes.
+#[test]
+fn back_to_back_jobs_of_every_kind_keep_their_bytes_apart() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    use coded_terasort::coding::CodedError;
+    use coded_terasort::mapreduce::{EngineError, RecoveryMode};
+    use coded_terasort::net::fault::{CrashPoint, CrashSpec, FaultAction, FaultRule};
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fate {
+        Finishes,
+        /// A coded packet arrives truncated: the job fails with that error.
+        AbortedMidShuffle,
+        /// Rank 3 dies after its first Map step; its successor adopts.
+        LosesARankMidMap,
+    }
+    use Fate::*;
+    const K: usize = 6;
+    // (records, r, MDS quorum plane, tcp, fate)
+    let jobs = [
+        (2_000, 1, false, false, Finishes),
+        (120_000, 3, false, false, Finishes),
+        (30_000, 2, true, false, Finishes),
+        (60_000, 3, false, true, Finishes),
+        (8_000, 2, false, false, AbortedMidShuffle),
+        (8_000, 2, false, false, Finishes),
+        (45_000, 3, true, false, LosesARankMidMap),
+        (120_000, 1, false, false, Finishes),
+        (20_000, 2, true, true, Finishes),
+        (90_000, 3, false, false, Finishes),
+        (5_000, 3, true, false, Finishes),
+        (120_000, 2, false, false, Finishes),
+    ];
+    let before = cts_core::pool::global().stats();
+    for (i, (records, r, mds, tcp, fate)) in jobs.into_iter().enumerate() {
+        let what = format!("job {i}: {records} records, r = {r}, mds {mds}, tcp {tcp}");
+        let input = teragen::generate(records, 7_000 + i as u64);
+        let mut job = SortJob::local(K, r);
+        if tcp {
+            job.engine = EngineConfig::tcp(K, r);
+        }
+        if mds {
+            job = job
+                .with_field(FieldKind::Gf256)
+                .with_decode(DecodeMode::Quorum);
+        }
+        match fate {
+            Finishes => {}
+            AbortedMidShuffle => {
+                let fired = AtomicBool::new(false);
+                let rule: std::sync::Arc<FaultRule> =
+                    std::sync::Arc::new(move |dst, tag: Tag, payload: &bytes::Bytes, _| {
+                        let hit = tag.purpose() == Tag::BCAST && dst == 2;
+                        if hit && !fired.swap(true, Ordering::SeqCst) {
+                            FaultAction::Corrupt(payload.slice(..payload.len() / 2))
+                        } else {
+                            FaultAction::Deliver
+                        }
+                    });
+                job.engine.cluster = job.engine.cluster.with_fault(0, rule);
+            }
+            LosesARankMidMap => {
+                job = job
+                    .with_recovery(RecoveryMode::Speculative)
+                    .with_heartbeat(Duration::from_millis(10));
+                job.engine = job.engine.with_crash(CrashSpec {
+                    rank: 3,
+                    point: CrashPoint::MidMap,
+                });
+            }
+        }
+        let run = if r == 1 {
+            run_terasort(input.clone(), &job)
+        } else {
+            run_coded_terasort(input.clone(), &job)
+        };
+        if fate == AbortedMidShuffle {
+            let err = run.expect_err(&what);
+            let typed = matches!(err, EngineError::Coded(CodedError::MalformedPacket { .. }));
+            assert!(typed, "{what}: {err}");
+            continue;
+        }
+        let reference = run_sequential(&TeraSortWorkload::range(K), &input, K);
+        assert!(run.expect(&what).outcome.outputs == reference, "{what}");
+    }
+    // They did share: later jobs were served buffers earlier ones returned.
+    let after = cts_core::pool::global().stats();
+    assert!(after.hits > before.hits, "{before:?} -> {after:?}");
+}

@@ -202,6 +202,10 @@ fn stats_frame_and_metrics_endpoint_report_live_counters() {
         "gauges missing:\n{stats}"
     );
     assert!(
+        stats.contains("\npool: ") && stats.contains(" MB retained"),
+        "buffer pool line missing:\n{stats}"
+    );
+    assert!(
         stats.contains("p50") && stats.contains("p99"),
         "quantile columns missing:\n{stats}"
     );
@@ -259,4 +263,58 @@ fn run_until_drains_and_exits_on_stop_flag() {
         },
         "daemon still serving after drain"
     );
+}
+
+/// The buffer pool explains itself: after two identical jobs on one runtime
+/// the fabric's metric dump shows that the second leased what the first
+/// returned instead of asking the allocator, and that what the pool holds is
+/// what one job leases — a small multiple of its input, not a leak. The
+/// `cts stats` table carries the same line.
+#[test]
+fn pool_counters_show_the_second_job_reusing_the_first_jobs_buffers() {
+    let (k, r) = (4, 2);
+    // Pieces of ~167 KB and frames of ~83 KB: sizes no other test of this
+    // binary leases within the pool's 1.5× slack, so the (process-wide)
+    // counters move for this test's jobs alone.
+    let input = teragen::generate(40_000, 77);
+    let runtime = JobRuntime::start(RuntimeConfig::new(EngineConfig::local(k, r))).unwrap();
+    let pool = |name: &str| {
+        let body = runtime.fabric().render_prometheus();
+        sample(&body, name).unwrap_or_else(|| panic!("{name} missing:\n{body}")) as u64
+    };
+    let mut leased = Vec::new();
+    for _ in 0..2 {
+        let (hits, misses) = (pool("cts_pool_hits_total"), pool("cts_pool_misses_total"));
+        let job_input = input.clone();
+        let outcome = runtime
+            .submit(move |ctx| ctx.run_coded(&TeraSortWorkload::range(ctx.cfg.k), job_input))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(outcome.outputs.concat().len(), input.len());
+        leased.push((
+            pool("cts_pool_hits_total") - hits,
+            pool("cts_pool_misses_total") - misses,
+        ));
+    }
+    let [(_, cold_misses), (warm_hits, warm_misses)] = leased[..] else {
+        unreachable!()
+    };
+    // 84 leases: 36 Map pieces (6 files × 2 replicas × 3 of 4 partitions
+    // kept) and 12 decoded intermediates, held to the end of the job — the
+    // second job finds every one of them — plus 12 frames and 24 segment
+    // accumulators, which circulate within a job: how many are out at once
+    // differs a little from run to run (0 in half the runs, 1–4 otherwise).
+    // (The counters are the process's: the other tests of this binary can
+    // add a few small leases to either job.)
+    assert!(cold_misses >= 36 + 12 + 4 + 4, "{leased:?}");
+    assert!(warm_hits >= 36 + 12, "{leased:?}");
+    assert!(warm_misses * 4 <= cold_misses, "{leased:?}");
+    let retained = pool("cts_pool_retained_bytes");
+    assert!(
+        retained > 0 && retained <= 4 * input.len() as u64,
+        "{retained} B retained for a {} B job",
+        input.len()
+    );
+    runtime.shutdown();
 }

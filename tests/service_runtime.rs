@@ -12,6 +12,7 @@ use coded_terasort::mapreduce::grep::Grep;
 use coded_terasort::mapreduce::wordcount::WordCount;
 use coded_terasort::mapreduce::EngineError;
 use coded_terasort::prelude::*;
+use coded_terasort::terasort::service::ResultDigest;
 
 /// Submits a mixed batch of sort + wordcount + grep jobs concurrently and
 /// checks every output against its serial one-shot reference.
@@ -278,4 +279,50 @@ fn consecutive_quorum_jobs_on_one_slot_do_not_see_each_others_packets() {
         }
         runtime.shutdown();
     }
+}
+
+/// Two tenants of one daemon, submitting different inputs of different sizes
+/// turn and turn about, each get the digest (and the bytes) of their own
+/// sort: the record buffers a job leases were the previous tenant's a moment
+/// ago, and are handed out cleared. (The crates have no `set_len` and no
+/// `MaybeUninit`; this is the guard that stays true if one ever does.)
+#[test]
+fn alternating_tenants_get_their_own_results_from_recycled_buffers() {
+    let k = 4;
+    let svc = SortService::bind(
+        "127.0.0.1:0",
+        RuntimeConfig::new(EngineConfig::local(k, 2)).with_max_concurrent(2),
+    )
+    .unwrap();
+    let addr = svc.local_addr().unwrap();
+    let server = std::thread::spawn(move || svc.run().unwrap());
+
+    // Same shapes on purpose: tenant b's pieces fit the buffers tenant a
+    // just returned, and the other way round.
+    let tenants: Vec<(Bytes, ResultDigest)> = [(30_000usize, 41u64), (29_000, 42)]
+        .into_iter()
+        .map(|(records, seed)| {
+            let input = teragen::generate(records, seed);
+            let reference = run_sequential(&TeraSortWorkload::range(k), &input, k);
+            (input, ResultDigest::of(&reference))
+        })
+        .collect();
+    let mut clients: Vec<ServiceClient> = (0..2)
+        .map(|_| ServiceClient::connect(addr).unwrap())
+        .collect();
+    let hits = cts_core::pool::global().stats().hits;
+    for round in 0..6 {
+        for (t, (input, digest)) in tenants.iter().enumerate() {
+            let r = 1 + (round + t) % 2;
+            let id = clients[t].submit(&JobKind::Sort, r, input).unwrap();
+            assert_eq!(
+                clients[t].digest(id).unwrap(),
+                *digest,
+                "round {round}, tenant {t}, r = {r}"
+            );
+        }
+    }
+    assert!(cts_core::pool::global().stats().hits > hits);
+    clients[0].shutdown().unwrap();
+    server.join().unwrap();
 }

@@ -196,9 +196,9 @@ impl Workload for SlowMap {
     fn format(&self) -> InputFormat {
         self.inner.format()
     }
-    fn map_file(&self, file: &[u8], num_partitions: usize) -> Vec<Vec<u8>> {
+    fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>> {
         std::thread::sleep(self.per_file);
-        self.inner.map_file(file, num_partitions)
+        self.inner.map_file(file, num_partitions, keep)
     }
     fn reduce(&self, partition: usize, data: &[u8]) -> Vec<u8> {
         self.inner.reduce(partition, data)
