@@ -316,16 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn walls_are_the_span_logs_and_zero_without_one() {
+    fn walls_are_the_span_logs() {
         use crate::stage::WallTimes;
-        let input = sample_input(600);
-        let mut cfg = EngineConfig::local(4, 2);
-        let on = run_coded(&ByteSort, input.clone(), &cfg).unwrap();
-        assert_eq!(on.wall, WallTimes::from_spans(&on.spans));
-        assert!(on.wall.max.total() > std::time::Duration::ZERO);
-        cfg.cluster = cfg.cluster.with_spans(false);
-        let off = run_coded(&ByteSort, input, &cfg).unwrap();
-        assert_eq!(off.wall, WallTimes::default());
+        let cfg = EngineConfig::local(4, 2);
+        let run = run_coded(&ByteSort, sample_input(600), &cfg).unwrap();
+        assert_eq!(run.wall, WallTimes::from_spans(&run.spans));
+        assert!(run.wall.max.total() > std::time::Duration::ZERO);
     }
 
     #[test]

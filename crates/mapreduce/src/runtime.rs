@@ -3,10 +3,10 @@
 //! The one-shot entry points ([`run_uncoded`](crate::run_uncoded),
 //! [`run_coded`](crate::run_coded)) let each job build and tear down its
 //! own cluster, fabric, and thread pool. A [`JobRuntime`] turns that
-//! inside out: *it* owns the [`SharedFabric`] (transports + trace
-//! collector), the bounded admission queue, and the pool of job
-//! tag-namespace slots — and jobs are **submitted into it** (their worker
-//! pools lease extra threads from the one process-wide
+//! inside out: *it* owns the [`SharedFabric`] (transports, one clock, the
+//! span logs of the last 64 jobs), the bounded admission queue, and the
+//! pool of job tag-namespace slots — and jobs are **submitted into it**
+//! (their worker pools lease extra threads from the one process-wide
 //! [`cts_core::exec`] budget, like a one-shot run's):
 //!
 //! ```text
@@ -19,7 +19,7 @@
 //!                 │   │ lease slot 1..=63 (SlotPool)      │
 //!                 │   ▼                                   │
 //!                 │ SharedFabric::run_job(binding, …)     │
-//!                 │   tags/trace/NIC scoped per job       │
+//!                 │   tags/journal/NIC of the job's own   │
 //!                 └───────────────────────────────────────┘
 //! ```
 //!
@@ -474,7 +474,7 @@ impl JobRuntime {
         rows
     }
 
-    /// The resident fabric (e.g. for all-jobs trace snapshots).
+    /// The resident fabric (its metric registry, the recent jobs' spans).
     pub fn fabric(&self) -> &SharedFabric {
         &self.fabric
     }

@@ -19,8 +19,8 @@ pub mod stages {
     /// Serialization: Pack (uncoded) / Encode incl. XOR (coded).
     pub const PACK_ENCODE: &str = "PackEncode";
     /// The data shuffle — the only stage whose trace events the network
-    /// model charges.
-    pub const SHUFFLE: &str = "Shuffle";
+    /// model charges, so the model's spelling is the engine's.
+    pub const SHUFFLE: &str = cts_netsim::SHUFFLE_STAGE;
     /// Deserialization: Unpack (uncoded) / Decode incl. XOR (coded).
     pub const UNPACK_DECODE: &str = "UnpackDecode";
     /// Local per-partition reduction.
@@ -108,7 +108,7 @@ impl WallTimes {
     /// Each rank's stage walls ([`wall_ns`](cts_net::span::StageSpan::wall_ns);
     /// Recover counts as Reduce: rebuilding a dead rank's partition is
     /// reduce work done elsewhere) are aggregated, and the job's wall is
-    /// the extent of all spans. All-zero when spans were disabled.
+    /// the extent of all spans.
     pub fn from_spans(log: &SpanLog) -> Self {
         let mut nodes: Vec<NodeWall> = Vec::new();
         let (mut start, mut end) = (u64::MAX, 0);
@@ -372,7 +372,7 @@ mod tests {
             (w.job, w.hidden()),
             (Duration::from_millis(99), Duration::ZERO)
         );
-        // Spans disabled: the log is empty and so are the walls.
+        // An empty log has no walls.
         assert_eq!(
             WallTimes::from_spans(&SpanLog::default()),
             WallTimes::default()

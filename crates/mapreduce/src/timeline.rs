@@ -12,8 +12,8 @@
 //! mapping — and its Decode runs inside it; `args.wall_us` is the time the
 //! rank actually spent in the stage.
 //!
-//! Timestamps are microseconds (the format's unit) on the span
-//! collector's clock; durations under 1 µs round up to 1 so hairline
+//! Timestamps are microseconds (the format's unit) on the fabric's clock
+//! — a daemon's jobs share one timebase; durations under 1 µs round up to 1 so hairline
 //! stages stay visible.
 
 use serde::json::Value;
@@ -29,13 +29,13 @@ fn us(ns: u64) -> u64 {
     }
 }
 
-/// Renders `outcome`'s spans as Chrome trace-event JSON for `job_id`.
+/// Renders `outcome`'s spans as Chrome trace-event JSON, under `pid`
+/// `job_id`.
 ///
 /// The output is a complete JSON document (`{"traceEvents": [...]}`)
-/// ready to write to disk and load into a trace viewer. Spans from other
-/// jobs that may share the log are filtered out.
+/// ready to write to disk and load into a trace viewer.
 pub fn chrome_trace(outcome: &JobOutcome, job_id: u32) -> String {
-    let log = outcome.spans.for_job(job_id);
+    let log = &outcome.spans;
     let events: Vec<Value> = log
         .spans
         .iter()
@@ -46,7 +46,7 @@ pub fn chrome_trace(outcome: &JobOutcome, job_id: u32) -> String {
                 ("ph", Value::Str("X".to_string())),
                 ("ts", Value::UInt(us(s.start_ns))),
                 ("dur", Value::UInt(us(s.dur_ns()))),
-                ("pid", Value::UInt(u64::from(s.job))),
+                ("pid", Value::UInt(u64::from(job_id))),
                 ("tid", Value::UInt(u64::from(s.rank))),
                 (
                     "args",
@@ -64,9 +64,11 @@ pub fn chrome_trace(outcome: &JobOutcome, job_id: u32) -> String {
 
 /// Per-stage wall totals (ns) of the spans behind [`chrome_trace`], in
 /// first-appearance order — the cross-check that the exported timeline
-/// and the engine's own stage accounting agree.
-pub fn stage_totals_ns(outcome: &JobOutcome, job_id: u32) -> Vec<(String, u64)> {
-    let log = outcome.spans.for_job(job_id);
+/// and the engine's own stage accounting agree. Takes the job id
+/// [`chrome_trace`] takes, so the two are called alike; the log is the
+/// job's already.
+pub fn stage_totals_ns(outcome: &JobOutcome, _job_id: u32) -> Vec<(String, u64)> {
+    let log = &outcome.spans;
     log.stages_in_order()
         .iter()
         .map(|name| ((*name).to_string(), log.stage_wall_ns(name)))

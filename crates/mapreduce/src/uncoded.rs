@@ -1,7 +1,8 @@
 //! Conventional TeraSort-style execution (paper §III): the engine at
 //! `r = 1` — file `k` on node `k`, no multicast groups, and every
-//! intermediate `I^j_{k}` a plain unicast to node `j` in the serial
-//! schedule of Fig. 9(a) (one flow per intermediate — paper §V-A).
+//! intermediate `I^j_{k}` a plain unicast to node `j` (one flow per
+//! intermediate — paper §V-A), posted as soon as it is mapped: every rank
+//! sends at once, not in the turns of Fig. 9(a).
 
 use bytes::Bytes;
 use cts_net::cluster::{JobBinding, SharedFabric};

@@ -3,7 +3,9 @@
 //! transfer tracing and optional NIC emulation.
 //!
 //! One `Communicator` is handed to each SPMD node closure by the
-//! [`cluster`](crate::cluster) runner. It mirrors the Open MPI surface the
+//! [`cluster`](crate::cluster) runner; the K of one job share a scope —
+//! the job's tag slot, its shuffle fabric and the journal their transfers
+//! and stage spans are written into. It mirrors the Open MPI surface the
 //! paper's C++ implementation uses: `MPI_Send`/`MPI_Recv`, `MPI_Bcast`
 //! within a multicast group, and `MPI_Barrier` between stages — plus the
 //! non-blocking pair the engine streams its shuffle through,
@@ -43,10 +45,11 @@ use cts_core::metrics::MetricsHub;
 use crate::cluster::Endpoints;
 use crate::error::{NetError, Result};
 use crate::fabric::ShuffleFabric;
+use crate::journal::Journal;
 use crate::message::Tag;
-use crate::rate::Nic;
-use crate::span::{SpanCollector, StageSpan};
-use crate::trace::{EventKind, TraceCollector};
+use crate::rate::{Nic, NicMeter};
+use crate::span::StageSpan;
+use crate::trace::{EventKind, TraceEvent};
 use crate::transport::Transport;
 
 /// The receiver bitmask of a group cast: every member except the root.
@@ -63,7 +66,7 @@ fn group_mask(members: &[usize], root: usize) -> u128 {
 #[derive(Default)]
 struct StageClock {
     /// Index into `spans` of the stage the thread is in, and since when
-    /// (ns on the collector's clock).
+    /// (ns on the fabric's clock).
     open: Option<(usize, u64)>,
     /// First-entry order. The flag: the rank posted to its NIC in the stage.
     spans: Vec<(StageSpan, bool)>,
@@ -80,83 +83,65 @@ impl StageClock {
     }
 }
 
+/// What the K communicators of one job share. Every tag passing through a
+/// public [`Communicator`] method is rewritten into `slot`'s namespace (see
+/// [`Tag::scoped`]) and every record goes to `journal`, so concurrent jobs
+/// on one shared fabric neither cross-match messages nor see each other's
+/// traces. Slot 0 leaves tags byte-identical to unscoped ones — the
+/// exclusive one-shot path. Scoping is applied exactly once, at the API
+/// boundary; raw [`transport`](Communicator::transport) users (the
+/// health/recovery layer) bypass it and therefore require an exclusive
+/// fabric.
+pub(crate) struct JobScope {
+    pub(crate) slot: u8,
+    /// How [`Communicator::post_multicast`] realizes group sends.
+    pub(crate) fabric: ShuffleFabric,
+    pub(crate) journal: Journal,
+    /// What the job's NICs count their stalls on; `None` when it runs
+    /// unshaped.
+    pub(crate) meter: Option<Arc<NicMeter>>,
+    /// The owning fabric's metric registry, so engines can register
+    /// job-level instruments (heartbeat transitions, decode progress)
+    /// without new plumbing.
+    pub(crate) metrics: Arc<MetricsHub>,
+    /// The endpoints the job runs on (see [`Communicator::abort`]).
+    pub(crate) endpoints: Arc<Endpoints>,
+}
+
 /// Per-node handle for all communication.
 pub struct Communicator {
     transport: Arc<dyn Transport>,
-    trace: Arc<TraceCollector>,
     nic: Option<Arc<Nic>>,
-    fabric: ShuffleFabric,
+    scope: Arc<JobScope>,
+    /// The journal's index of the stage set last.
     stage: AtomicU16,
     barrier_epoch: AtomicU32,
-    /// Job slot scoped into every tag (0 = exclusive, tags unchanged).
-    job_slot: u8,
-    /// Job id stamped on every trace event.
-    job_id: u32,
-    /// Stage-span sink, attached by the shared fabric: `set_stage` moves
-    /// `clock`, `finish_spans` hands its spans over.
-    spans: Option<Arc<SpanCollector>>,
+    /// `set_stage` moves it, `finish` hands its spans to the journal.
     clock: Mutex<StageClock>,
-    /// The owning runtime's metric registry, attached by the shared
-    /// fabric so engines can register job-level instruments (heartbeat
-    /// transitions, decode progress) without new plumbing.
-    metrics: Option<Arc<MetricsHub>>,
-    /// The endpoints this rank's job runs on, attached by the shared fabric
-    /// (see [`Self::abort`]).
-    endpoints: Option<Arc<Endpoints>>,
 }
 
 impl Communicator {
-    /// Wires a communicator over `transport`, recording into `trace`,
-    /// optionally pacing egress through an emulated `nic`. The shuffle
-    /// fabric defaults to [`ShuffleFabric::Multicast`]; override it with
-    /// [`with_fabric`](Self::with_fabric).
-    pub fn new(
+    /// Wires rank `transport.rank()` of the job `scope` describes,
+    /// optionally pacing its egress through an emulated `nic`.
+    pub(crate) fn new(
         transport: Arc<dyn Transport>,
-        trace: Arc<TraceCollector>,
         nic: Option<Arc<Nic>>,
+        scope: Arc<JobScope>,
     ) -> Self {
-        let stage = trace.intern("init");
         Communicator {
             transport,
-            trace,
             nic,
-            fabric: ShuffleFabric::default(),
-            stage: AtomicU16::new(stage),
+            scope,
+            stage: AtomicU16::new(Journal::INIT_STAGE),
             barrier_epoch: AtomicU32::new(0),
-            job_slot: 0,
-            job_id: 0,
-            spans: None,
             clock: Mutex::new(StageClock::default()),
-            metrics: None,
-            endpoints: None,
         }
     }
 
-    /// Attaches a stage-span collector: from now on every
-    /// [`set_stage`](Self::set_stage) books wall-clock time per stage
-    /// (recorded by [`finish_spans`](Self::finish_spans)).
-    pub fn with_spans(mut self, spans: Arc<SpanCollector>) -> Self {
-        self.spans = Some(spans);
-        self
-    }
-
-    /// Attaches the runtime's metric registry (builder-style).
-    pub fn with_metrics(mut self, metrics: Arc<MetricsHub>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The runtime's metric registry, when this communicator belongs to a
-    /// metrics-bearing fabric. Engines use this to register job-level
-    /// instruments lazily; standalone communicators return `None`.
+    /// The owning fabric's metric registry. Engines use this to register
+    /// job-level instruments lazily.
     pub fn metrics(&self) -> Option<&Arc<MetricsHub>> {
-        self.metrics.as_ref()
-    }
-
-    /// Attaches the endpoints [`abort`](Self::abort) shuts down.
-    pub(crate) fn with_endpoints(mut self, endpoints: Arc<Endpoints>) -> Self {
-        self.endpoints = Some(endpoints);
-        self
+        Some(&self.scope.metrics)
     }
 
     /// Called by a rank that is about to return an error its peers cannot
@@ -164,43 +149,9 @@ impl Communicator {
     /// in a receive, a barrier or a [`drain`](Self::drain) fails with
     /// `Disconnected` instead of waiting forever — the teardown a panicking
     /// rank gets from the cluster runner. Jobs sharing those endpoints fail with it; the
-    /// fabric hands the next job fresh ones. A no-op on a communicator no
-    /// fabric built.
+    /// fabric hands the next job fresh ones.
     pub fn abort(&self) {
-        if let Some(endpoints) = &self.endpoints {
-            endpoints.shutdown();
-        }
-    }
-
-    /// Selects how [`multicast`](Self::multicast) realizes group sends.
-    pub fn with_fabric(mut self, fabric: ShuffleFabric) -> Self {
-        self.fabric = fabric;
-        self
-    }
-
-    /// Scopes this communicator to a job: every tag passing through any
-    /// public method is rewritten into `slot`'s namespace (see
-    /// [`Tag::scoped`]) and every trace event is stamped with `id`, so
-    /// concurrent jobs on one shared fabric neither cross-match messages
-    /// nor blur each other's traces. Slot 0 (the default) leaves tags
-    /// byte-identical to an unscoped communicator — the exclusive one-shot
-    /// path. Scoping is applied exactly once, here at the API boundary;
-    /// raw [`transport`](Self::transport) users (the health/recovery
-    /// layer) bypass it and therefore require an exclusive fabric.
-    pub fn with_job(mut self, slot: u8, id: u32) -> Self {
-        assert!(
-            slot <= Tag::MAX_JOB_SLOT,
-            "job slot {slot} exceeds {}",
-            Tag::MAX_JOB_SLOT
-        );
-        self.job_slot = slot;
-        self.job_id = id;
-        self
-    }
-
-    /// The `(slot, id)` of the job this communicator is scoped to.
-    pub fn job(&self) -> (u8, u32) {
-        (self.job_slot, self.job_id)
+        self.scope.endpoints.shutdown();
     }
 
     /// `tag` as it travels on the transport, in this job's slot namespace.
@@ -209,14 +160,14 @@ impl Communicator {
     /// raw [`transport`](Self::transport).
     #[inline]
     pub fn scope(&self, tag: Tag) -> Tag {
-        tag.scoped(self.job_slot)
+        tag.scoped(self.scope.slot)
     }
 
     /// The epoch mask for internally generated tags: job-scoped
     /// communicators must leave room for the slot bits.
     #[inline]
     fn epoch_mask(&self) -> u32 {
-        if self.job_slot == 0 {
+        if self.scope.slot == 0 {
             0x00FF_FFFF
         } else {
             (1 << Tag::JOB_SEQ_BITS) - 1
@@ -233,20 +184,17 @@ impl Communicator {
         self.transport.world_size()
     }
 
-    /// Labels subsequent traffic with a stage name ("Map", "Shuffle", …).
-    ///
-    /// When a span collector is attached this also moves the rank's stage
-    /// clock: the time up to now is booked to the stage the thread was in,
-    /// the time from now to `name`. A stage may be entered any number of
-    /// times; its slices coalesce into one [`StageSpan`] — the engine's
-    /// stage annotations double as the timing brackets behind `cts stats`
-    /// and `--timeline`.
+    /// Labels subsequent traffic with a stage name ("Map", "Shuffle", …)
+    /// and moves the rank's stage clock: the time up to now is booked to
+    /// the stage the thread was in, the time from now to `name`. A stage
+    /// may be entered any number of times; its slices coalesce into one
+    /// [`StageSpan`] — the engine's stage annotations double as the timing
+    /// brackets behind `cts stats` and `--timeline`. Takes no lock a rank
+    /// of another job can hold.
     pub fn set_stage(&self, name: &str) {
-        self.stage.store(self.trace.intern(name), Ordering::Relaxed);
-        let Some(spans) = self.spans.as_ref().filter(|s| s.enabled()) else {
-            return;
-        };
-        let (stage, now) = (spans.intern(name), spans.now_ns());
+        let journal = &self.scope.journal;
+        let (stage, now) = (journal.stage(name), journal.now_ns());
+        self.stage.store(stage, Ordering::Relaxed);
         let mut clock = self.clock.lock();
         clock.close(now);
         let at = clock
@@ -255,7 +203,7 @@ impl Communicator {
             .position(|(span, _)| span.stage == stage)
             .unwrap_or_else(|| {
                 let span = StageSpan {
-                    job: self.job_id,
+                    job: journal.job(),
                     rank: self.transport.rank() as u16,
                     stage,
                     start_ns: now,
@@ -268,21 +216,19 @@ impl Communicator {
         clock.open = Some((at, now));
     }
 
-    /// Closes the open stage and records the rank's spans, one per stage it
-    /// entered (idempotent). The shared fabric calls this when the rank's
+    /// Closes the open stage and hands the journal the rank's spans, one
+    /// per stage it entered. The cluster runner calls this when the rank's
     /// job closure returns.
-    pub fn finish_spans(&self) {
-        let Some(spans) = self.spans.as_ref().filter(|s| s.enabled()) else {
-            return;
-        };
+    pub(crate) fn finish(&self) {
+        let journal = &self.scope.journal;
         let mut clock = self.clock.lock();
-        clock.close(spans.now_ns());
-        for (mut span, posted) in clock.spans.drain(..) {
+        clock.close(journal.now_ns());
+        journal.record_spans(clock.spans.drain(..).map(|(mut span, posted)| {
             if posted {
                 span.wall_ns = span.dur_ns();
             }
-            spans.record(span);
-        }
+            span
+        }));
     }
 
     /// The underlying transport (for tests and wrappers).
@@ -317,12 +263,23 @@ impl Communicator {
         dsts: u128,
         bytes: u64,
         overhead: u64,
-        copies: u16,
+        wire_copies: u16,
         kind: EventKind,
     ) -> impl FnOnce() + Send + 'static {
-        let trace = Arc::clone(&self.trace);
-        let (job, stage, src) = (self.job_id, self.stage.load(Ordering::Relaxed), self.rank());
-        move || trace.record_transfer_for(job, stage, src, dsts, bytes, overhead, copies, kind)
+        let scope = Arc::clone(&self.scope);
+        let event = TraceEvent {
+            // The journal numbers the event and stamps its job.
+            seq: 0,
+            job: 0,
+            stage: self.stage.load(Ordering::Relaxed),
+            src: self.rank() as u16,
+            dsts,
+            bytes,
+            overhead,
+            wire_copies,
+            kind,
+        };
+        move || scope.journal.record(event)
     }
 
     /// Non-blocking point-to-point send (recorded as shuffle traffic):
@@ -445,20 +402,21 @@ impl Communicator {
     /// receiver takes the payload with a plain [`recv`](Self::recv) from
     /// this rank (no relaying), so the receive path is fabric-independent.
     /// What changes per fabric is how the copies leave the machine and how
-    /// long they occupy the emulated NIC — mirroring `cts-netsim`'s
-    /// per-fabric model term for term:
+    /// long they occupy the emulated NIC — [`ShuffleFabric::egress`], the
+    /// rule `cts-netsim` predicts from:
     ///
     /// * `SerialUnicast` — one transfer per receiver, each paying its own
-    ///   NIC latency and egress bytes: `m·(L + B/rate)`;
+    ///   NIC latency and egress bytes;
     /// * `Fanout` — one transfer whose `m` copies stream through
     ///   [`Transport::multicast`] concurrently (egress still moves
-    ///   `m × bytes`): `L + m·B/rate`;
+    ///   `m × bytes`);
     /// * `Multicast` — one transfer charged `bytes × (1 + α·log2 m)` once,
-    ///   genuine one-to-many: `L + B·(1 + α·log2 m)/rate`;
-    /// * `UdpMulticast` — identical accounting to `Multicast`, but the
-    ///   transport underneath sends one physical IP-multicast datagram
-    ///   stream per packet ([`udp`](crate::udp)) instead of emulating the
-    ///   single egress crossing.
+    ///   genuine one-to-many;
+    /// * `UdpMulticast` — identical accounting to `Multicast` (there the
+    ///   single egress crossing is what the socket actually does rather
+    ///   than an emulation convention), but the transport underneath sends
+    ///   one physical IP-multicast datagram stream per packet
+    ///   ([`udp`](crate::udp)).
     ///
     /// The trace records **one** `Multicast` event (bytes counted once —
     /// the paper's communication-load convention) whose
@@ -481,7 +439,7 @@ impl Communicator {
             group_mask(members, root),
             bytes,
             overhead,
-            self.fabric.wire_copies(fanout) as u16,
+            self.scope.fabric.wire_copies(fanout) as u16,
             EventKind::Multicast,
         );
         let Some((&last, rest)) = dsts.split_last() else {
@@ -489,34 +447,21 @@ impl Communicator {
             return Ok(());
         };
         let transport = Arc::clone(&self.transport);
-        let cost = match self.fabric {
-            ShuffleFabric::SerialUnicast => {
-                for &dst in rest {
-                    let (transport, payload) = (Arc::clone(&transport), payload.clone());
-                    self.egress(bytes, move || transport.send(dst, tag, payload))?;
-                }
-                // The event goes in with the last copy.
-                return self.egress(bytes, move || {
-                    transport.send(last, tag, payload)?;
-                    record();
-                    Ok(())
-                });
+        let alpha = (self.nic.as_ref()).map_or(0.0, |nic| nic.profile().multicast_alpha);
+        let (_, bytes_each) = self.scope.fabric.egress(bytes as f64, fanout, alpha);
+        let cost = bytes_each.round() as u64;
+        if self.scope.fabric == ShuffleFabric::SerialUnicast {
+            for &dst in rest {
+                let (transport, payload) = (Arc::clone(&transport), payload.clone());
+                self.egress(cost, move || transport.send(dst, tag, payload))?;
             }
-            ShuffleFabric::Fanout => bytes.saturating_mul(fanout as u64),
-            // The native and physical multicast fabrics share one
-            // accounting: the payload is charged once (with the α-penalty)
-            // and traced with `wire_copies == 1` — for `UdpMulticast` the
-            // single egress crossing is what the socket actually does
-            // rather than an emulation convention; only the substrate
-            // underneath differs.
-            ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => {
-                let penalty = self
-                    .nic
-                    .as_ref()
-                    .map_or(1.0, |nic| nic.profile().multicast_penalty(fanout as u32));
-                (bytes as f64 * penalty).round() as u64
-            }
-        };
+            // The event goes in with the last copy.
+            return self.egress(cost, move || {
+                transport.send(last, tag, payload)?;
+                record();
+                Ok(())
+            });
+        }
         self.egress(cost, move || {
             transport.multicast(&dsts, tag, payload)?;
             record();
@@ -552,11 +497,24 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local::LocalFabric;
+    use crate::cluster::{ClusterConfig, JobBinding, SharedFabric};
     use crate::rate::NicProfile;
+    use crate::trace::Trace;
 
-    fn comms(k: usize) -> Vec<Communicator> {
-        fabric_comms(k, ShuffleFabric::default()).0
+    /// One job's communicators on a fresh fabric, opened the way
+    /// `run_job` opens them, and its scope.
+    fn job(cfg: &ClusterConfig) -> (Vec<Communicator>, Arc<JobScope>) {
+        let fabric = SharedFabric::build(cfg).unwrap();
+        let (scope, comms) = fabric.open_job(JobBinding::ROOT, None).unwrap();
+        (comms, scope)
+    }
+
+    fn comms(k: usize, fabric: ShuffleFabric) -> Vec<Communicator> {
+        job(&ClusterConfig::local(k).with_fabric(fabric)).0
+    }
+
+    fn trace_of(scope: &JobScope) -> Trace {
+        scope.journal.take().0
     }
 
     fn run_spmd<R: Send>(comms: &[Communicator], f: impl Fn(&Communicator) -> R + Sync) -> Vec<R> {
@@ -569,7 +527,7 @@ mod tests {
     #[test]
     fn barrier_synchronizes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let comms = comms(4);
+        let comms = comms(4, ShuffleFabric::default());
         let counter = AtomicUsize::new(0);
         run_spmd(&comms, |c| {
             counter.fetch_add(1, Ordering::SeqCst);
@@ -580,22 +538,10 @@ mod tests {
         });
     }
 
-    fn fabric_comms(k: usize, fabric: ShuffleFabric) -> (Vec<Communicator>, Arc<TraceCollector>) {
-        let fab = LocalFabric::new(k);
-        let trace = Arc::new(TraceCollector::new(true));
-        let comms = (0..k)
-            .map(|r| {
-                Communicator::new(Arc::new(fab.endpoint(r)), Arc::clone(&trace), None)
-                    .with_fabric(fabric)
-            })
-            .collect();
-        (comms, trace)
-    }
-
     #[test]
     fn multicast_delivers_on_every_fabric() {
         for fabric in ShuffleFabric::ALL {
-            let (comms, _) = fabric_comms(5, fabric);
+            let comms = comms(5, fabric);
             let members = [0usize, 2, 3, 4];
             let results = run_spmd(&comms, |c| {
                 if !members.contains(&c.rank()) {
@@ -623,19 +569,15 @@ mod tests {
             (ShuffleFabric::SerialUnicast, 3u64),
             (ShuffleFabric::Fanout, 3),
             (ShuffleFabric::Multicast, 1),
-            // The accounting arm of the physical fabric is exercised here
-            // over the in-memory transport: the trace must charge exactly
-            // one egress crossing whatever substrate realizes it.
-            (ShuffleFabric::UdpMulticast, 1),
         ] {
-            let (comms, trace) = fabric_comms(4, fabric);
+            let (comms, scope) = job(&ClusterConfig::local(4).with_fabric(fabric));
             run_spmd(&comms, |c| {
                 c.set_stage("Shuffle");
                 let data = (c.rank() == 0).then(|| Bytes::from(vec![1u8; 200]));
                 c.multicast(0, &[0, 1, 2, 3], Tag::new(Tag::BCAST, 0), data)
                     .unwrap();
             });
-            let t = trace.snapshot();
+            let t = trace_of(&scope);
             let events: Vec<_> = t
                 .events
                 .iter()
@@ -658,7 +600,7 @@ mod tests {
 
     #[test]
     fn multicast_rejects_outsider_and_bad_members() {
-        let (comms, _) = fabric_comms(3, ShuffleFabric::Multicast);
+        let comms = comms(3, ShuffleFabric::Multicast);
         let tag = Tag::new(Tag::BCAST, 0);
         // Caller not in group.
         assert!(matches!(
@@ -686,7 +628,7 @@ mod tests {
     fn out_of_range_ranks_error_instead_of_overflowing_masks() {
         // Ranks ≥ world (even ≥ 128, past the u128 trace-mask width) must
         // surface InvalidRank, not a shift overflow.
-        let (comms, _) = fabric_comms(3, ShuffleFabric::Multicast);
+        let comms = comms(3, ShuffleFabric::Multicast);
         assert!(matches!(
             comms[0].send(200, Tag::app(0), Bytes::new()),
             Err(NetError::InvalidRank { rank: 200, .. })
@@ -704,7 +646,7 @@ mod tests {
 
     #[test]
     fn single_member_multicast_is_identity() {
-        let (comms, _) = fabric_comms(2, ShuffleFabric::Multicast);
+        let comms = comms(2, ShuffleFabric::Multicast);
         let out = comms[0]
             .multicast(
                 0,
@@ -721,55 +663,44 @@ mod tests {
         // Two "jobs" share one fabric and both use Tag::app(7). Without
         // scoping the receives could match either sender's payload; with
         // per-job slots each job sees exactly its own bytes.
-        let fabric = LocalFabric::new(2);
-        let trace = Arc::new(TraceCollector::new(true));
-        let comm_for = |rank: usize, slot: u8, id: u32| {
-            Communicator::new(Arc::new(fabric.endpoint(rank)), Arc::clone(&trace), None)
-                .with_job(slot, id)
-        };
-        let (a0, a1) = (comm_for(0, 1, 101), comm_for(1, 1, 101));
-        let (b0, b1) = (comm_for(0, 2, 202), comm_for(1, 2, 202));
+        let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
+        let open = |slot: u8, id: u32| fabric.open_job(JobBinding { slot, id }, None).unwrap();
+        let ((scope_a, a), (scope_b, b)) = (open(1, 101), open(2, 202));
         // Job B's payload is already queued when job A sends on the same
         // logical (src, tag); A must still receive A's payload.
-        b0.send(1, Tag::app(7), Bytes::from_static(b"job-b"))
+        b[0].send(1, Tag::app(7), Bytes::from_static(b"job-b"))
             .unwrap();
-        a0.send(1, Tag::app(7), Bytes::from_static(b"job-a"))
+        a[0].send(1, Tag::app(7), Bytes::from_static(b"job-a"))
             .unwrap();
-        assert_eq!(a1.recv(0, Tag::app(7)).unwrap(), "job-a");
-        assert_eq!(b1.recv(0, Tag::app(7)).unwrap(), "job-b");
-        // The shared trace separates per job id.
-        let t = trace.snapshot();
-        assert_eq!(t.jobs(), vec![101, 202]);
-        assert_eq!(t.for_job(101).total_bytes(), 5);
-        assert_eq!(t.for_job(202).total_bytes(), 5);
+        assert_eq!(a[1].recv(0, Tag::app(7)).unwrap(), "job-a");
+        assert_eq!(b[1].recv(0, Tag::app(7)).unwrap(), "job-b");
+        // Each job's journal holds its own transfer and nothing else.
+        for (scope, id) in [(scope_a, 101), (scope_b, 202)] {
+            let t = trace_of(&scope);
+            assert_eq!(t.jobs(), vec![id]);
+            assert_eq!(t.total_bytes(), 5);
+        }
     }
 
     #[test]
     fn job_scoped_collectives_do_not_cross_jobs() {
-        let fabric = LocalFabric::new(3);
-        let trace = Arc::new(TraceCollector::new(false));
-        let job_comms = |slot: u8| -> Vec<Communicator> {
-            (0..3)
-                .map(|r| {
-                    Communicator::new(Arc::new(fabric.endpoint(r)), Arc::clone(&trace), None)
-                        .with_job(slot, slot as u32)
-                })
-                .collect()
+        let fabric = SharedFabric::build(&ClusterConfig::local(3)).unwrap();
+        let open = |slot: u8| {
+            let id = u32::from(slot);
+            fabric.open_job(JobBinding { slot, id }, None).unwrap().1
         };
-        let a = job_comms(1);
-        let b = job_comms(2);
+        let (a, b) = (open(1), open(2));
         // Run both jobs' multicasts concurrently over the same endpoints
         // with the same tag; payloads must stay within their job.
         std::thread::scope(|s| {
-            for comms in [&a, &b] {
+            for (id, comms) in [(1u8, &a), (2, &b)] {
                 for c in comms.iter() {
                     s.spawn(move || {
-                        let (_, id) = c.job();
-                        let data = (c.rank() == 0).then(|| Bytes::from(vec![id as u8; 8]));
+                        let data = (c.rank() == 0).then(|| Bytes::from(vec![id; 8]));
                         let got = c
                             .multicast(0, &[0, 1, 2], Tag::new(Tag::BCAST, 3), data)
                             .unwrap();
-                        assert_eq!(got, Bytes::from(vec![id as u8; 8]), "job {id}");
+                        assert_eq!(got, Bytes::from(vec![id; 8]), "job {id}");
                         c.barrier().unwrap();
                     });
                 }
@@ -777,29 +708,20 @@ mod tests {
         });
     }
 
-    /// Two ranks on the in-memory fabric, rank 0 behind `profile`, with a
-    /// span collector attached.
-    fn shaped_pair(
-        profile: NicProfile,
-        fabric: ShuffleFabric,
-    ) -> (Communicator, Communicator, Arc<TraceCollector>) {
-        let fab = LocalFabric::new(2);
-        let trace = Arc::new(TraceCollector::new(true));
-        let nic = Arc::new(Nic::new(profile));
-        let tx = Communicator::new(Arc::new(fab.endpoint(0)), Arc::clone(&trace), Some(nic))
-            .with_fabric(fabric)
-            .with_spans(Arc::new(SpanCollector::new(true)));
-        let rx = Communicator::new(Arc::new(fab.endpoint(1)), Arc::clone(&trace), None);
-        (tx, rx, trace)
+    /// Ranks on the in-memory fabric, each behind `rate` bytes/s with a
+    /// 1 KB burst.
+    fn shaped(k: usize, rate: f64, alpha: f64) -> ClusterConfig {
+        let mut profile = NicProfile::rate_limited(rate).with_multicast_alpha(alpha);
+        profile.burst_bytes = 1_000.0;
+        ClusterConfig::local(k).with_nic(profile)
     }
 
     #[test]
     fn posts_behind_a_busy_nic_return_at_once_and_arrive_in_order_as_it_drains() {
         use std::time::{Duration, Instant};
         // 1 MB/s, 1 KB burst: each 20 KB payload occupies the NIC 20 ms.
-        let mut profile = NicProfile::rate_limited(1_000_000.0);
-        profile.burst_bytes = 1_000.0;
-        let (tx, rx, _) = shaped_pair(profile, ShuffleFabric::default());
+        let (comms, _) = job(&shaped(2, 1_000_000.0, 0.0));
+        let (tx, rx) = (&comms[0], &comms[1]);
         let start = Instant::now();
         for i in 0..5u8 {
             let posted = Instant::now();
@@ -828,20 +750,16 @@ mod tests {
         use std::time::{Duration, Instant};
         // α = 1 and two receivers double the egress time: 50 KB at 1 MB/s
         // keeps the NIC busy ~100 ms, and `multicast` is post + drain.
-        let mut profile = NicProfile::rate_limited(1_000_000.0).with_multicast_alpha(1.0);
-        profile.burst_bytes = 1_000.0;
-        let fab = LocalFabric::new(3);
-        let trace = Arc::new(TraceCollector::new(true));
-        let nic = Arc::new(Nic::new(profile));
-        let root = Communicator::new(Arc::new(fab.endpoint(0)), trace, Some(nic));
+        let (comms, _) = job(&shaped(3, 1_000_000.0, 1.0));
         let start = Instant::now();
-        root.multicast(
-            0,
-            &[0, 1, 2],
-            Tag::new(Tag::BCAST, 0),
-            Some(Bytes::from(vec![9u8; 50_000])),
-        )
-        .unwrap();
+        comms[0]
+            .multicast(
+                0,
+                &[0, 1, 2],
+                Tag::new(Tag::BCAST, 0),
+                Some(Bytes::from(vec![9u8; 50_000])),
+            )
+            .unwrap();
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_millis(95), "{elapsed:?}");
         assert!(elapsed < Duration::from_millis(300), "{elapsed:?}");
@@ -849,21 +767,17 @@ mod tests {
 
     #[test]
     fn a_queued_posts_transport_error_comes_out_of_drain_and_leaves_no_trace_event() {
-        use crate::fault::{FaultAction, FaultyTransport};
-        let fab = LocalFabric::new(2);
-        let trace = Arc::new(TraceCollector::new(true));
-        // The second message to leave fails in the transport.
-        let faulty = FaultyTransport::new(
-            Arc::new(fab.endpoint(0)),
-            Box::new(|_, _, _, idx| match idx {
+        use crate::fault::FaultAction;
+        // The second message to leave rank 0 fails in the transport.
+        let cfg = shaped(2, 1_000_000.0, 0.0).with_fault(
+            0,
+            Arc::new(|_, _, _: &Bytes, idx| match idx {
                 1 => FaultAction::FailSend,
                 _ => FaultAction::Deliver,
             }),
         );
-        let mut profile = NicProfile::rate_limited(1_000_000.0);
-        profile.burst_bytes = 1_000.0;
-        let nic = Arc::new(Nic::new(profile));
-        let tx = Communicator::new(Arc::new(faulty), Arc::clone(&trace), Some(nic));
+        let (comms, scope) = job(&cfg);
+        let tx = &comms[0];
         tx.set_stage("Shuffle");
         for _ in 0..3 {
             tx.post(1, Tag::app(0), Bytes::from(vec![0u8; 10_000]))
@@ -875,14 +789,14 @@ mod tests {
             Err(NetError::InjectedFault { .. })
         ));
         // Only what the fabric accepted was traced.
-        assert_eq!(trace.snapshot().stage_bytes("Shuffle"), 10_000);
+        assert_eq!(trace_of(&scope).stage_bytes("Shuffle"), 10_000);
     }
 
     #[test]
     fn stage_slices_coalesce_into_one_span_and_a_posting_stage_spans_its_extent() {
         use std::time::Duration;
-        let (tx, _rx, trace) = shaped_pair(NicProfile::unlimited(), ShuffleFabric::default());
-        let spans = Arc::clone(tx.spans.as_ref().unwrap());
+        let (comms, scope) = job(&ClusterConfig::local(2));
+        let tx = &comms[0];
         for _ in 0..3 {
             tx.set_stage("Map");
             std::thread::sleep(Duration::from_millis(4));
@@ -891,9 +805,8 @@ mod tests {
                 .unwrap();
         }
         tx.set_stage("Reduce");
-        tx.finish_spans();
-        tx.finish_spans();
-        let log = spans.snapshot();
+        tx.finish();
+        let (trace, log) = scope.journal.take();
         assert_eq!(log.stages_in_order(), vec!["Map", "Shuffle", "Reduce"]);
         assert_eq!(log.spans.len(), 3, "one span per stage");
         let (map, shuffle) = (log.spans[0], log.spans[1]);
@@ -903,6 +816,6 @@ mod tests {
         assert_eq!(shuffle.wall_ns, shuffle.dur_ns());
         assert!(shuffle.start_ns < map.end_ns && shuffle.dur_ns() >= 8_000_000);
         // Every post was traced under the stage it was posted in.
-        assert_eq!(trace.snapshot().stage_wire_sends("Shuffle"), 3);
+        assert_eq!(trace.stage_wire_sends("Shuffle"), 3);
     }
 }

@@ -14,10 +14,12 @@
 //! | [`UdpMulticast`](ShuffleFabric::UdpMulticast) | 1 | n/a — one **physical** IP-multicast datagram stream | nothing: it *is* network-layer multicast ([`udp`](crate::udp)) |
 //!
 //! [`ShuffleFabric::wire_copies`] is the per-fabric egress frame count the
-//! trace records and the rate emulation charges; the netsim oracle
-//! (`cts-netsim::serial::serial_fabric_makespan` and
-//! `cts-netsim::fluid::predict_fabric_shuffle_s`) predicts shuffle time
-//! from exactly the same quantity.
+//! trace records, and [`ShuffleFabric::egress`] the one rule for what a
+//! group send costs its sender's NIC: the emulated NIC
+//! ([`Communicator::post_multicast`](crate::comm::Communicator::post_multicast))
+//! charges it and the netsim oracle (`cts-netsim::serial`'s
+//! `serial_fabric_makespan` and `egress_floor_s`) predicts shuffle time
+//! from it.
 //!
 //! ```
 //! use cts_net::fabric::ShuffleFabric;
@@ -94,6 +96,26 @@ impl ShuffleFabric {
         }
     }
 
+    /// What sending `bytes` to `fanout` receivers costs the sender's NIC:
+    /// `(transfers, bytes_each)`, a transfer occupying the NIC for its
+    /// setup latency `L` plus `bytes_each / rate`. With `m` = `fanout`:
+    ///
+    /// * `SerialUnicast` — one transfer per receiver: `m·(L + B/rate)`;
+    /// * `Fanout` — one setup, `m` copies sharing the egress:
+    ///   `L + m·B/rate`;
+    /// * `Multicast`, `UdpMulticast` — one transmission with the software
+    ///   multicast penalty ([`multicast_penalty`]): `L + B·(1 + α·log2 m)/rate`
+    ///   (for physical IP multicast a conservative bound).
+    pub fn egress(self, bytes: f64, fanout: usize, alpha: f64) -> (usize, f64) {
+        match self {
+            ShuffleFabric::SerialUnicast => (fanout, bytes),
+            ShuffleFabric::Fanout => (1.min(fanout), bytes * fanout as f64),
+            ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => {
+                (1.min(fanout), bytes * multicast_penalty(alpha, fanout))
+            }
+        }
+    }
+
     /// The canonical CLI / display spelling.
     pub fn label(self) -> &'static str {
         match self {
@@ -102,6 +124,17 @@ impl ShuffleFabric {
             ShuffleFabric::Multicast => "multicast",
             ShuffleFabric::UdpMulticast => "udp-multicast",
         }
+    }
+}
+
+/// The slowdown of one multicast to `fanout` receivers over a unicast of the
+/// same bytes: `1 + α·log2(fanout)` — the paper's observation that
+/// `MPI_Bcast` "increases logarithmically with r" (§V-C).
+pub fn multicast_penalty(alpha: f64, fanout: usize) -> f64 {
+    if fanout <= 1 {
+        1.0
+    } else {
+        1.0 + alpha * (fanout as f64).log2()
     }
 }
 
@@ -140,7 +173,33 @@ mod tests {
         // Degenerate empty group costs nothing anywhere.
         for f in ShuffleFabric::ALL_WITH_UDP {
             assert_eq!(f.wire_copies(0), 0);
+            assert_eq!(f.egress(1e6, 0, 0.3).0, 0);
         }
+        // The three closed forms, as seconds on a NIC with latency L and
+        // rate R: transfers · (L + bytes_each / R).
+        let (l, rate, b, alpha) = (1e-4, 12.5e6, 1e6, 0.3);
+        let cost = |f: ShuffleFabric, m: usize| {
+            let (transfers, each) = f.egress(b, m, alpha);
+            transfers as f64 * (l + each / rate)
+        };
+        for m in [1usize, 2, 5] {
+            let mf = m as f64;
+            let close = |got: f64, want: f64| assert!((got - want).abs() < 1e-12, "m = {m}");
+            close(cost(ShuffleFabric::SerialUnicast, m), mf * (l + b / rate));
+            close(cost(ShuffleFabric::Fanout, m), l + mf * b / rate);
+            let mcast = l + b * (1.0 + alpha * mf.log2()) / rate;
+            close(cost(ShuffleFabric::Multicast, m), mcast);
+            close(cost(ShuffleFabric::UdpMulticast, m), mcast);
+            // Frames on the wire and transfers through the NIC differ only
+            // for `Fanout`: m frames, one setup.
+            assert_eq!(ShuffleFabric::Fanout.egress(b, m, alpha).0, 1);
+        }
+        // One receiver costs the same on every fabric.
+        for f in ShuffleFabric::ALL_WITH_UDP {
+            assert_eq!(cost(f, 1), l + b / rate);
+        }
+        assert_eq!(multicast_penalty(0.5, 4), 2.0);
+        assert_eq!(multicast_penalty(0.0, 8), 1.0);
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!   labels, byte counts, and per-fabric egress frame counts, consumed by
 //!   `cts-netsim`'s calibrated network model;
 //! * [`span`] — stage spans: wall-clock brackets per job and rank driven
-//!   by the engines' `set_stage` annotations, recorded into a bounded
-//!   ring for live daemon introspection (`cts stats`, `--timeline`);
+//!   by the engines' `set_stage` annotations (`WallTimes`, `cts stats`,
+//!   `--timeline`); a job writes both into a journal of its own and gets
+//!   them back with its results;
 //! * [`cluster`] — SPMD runners ([`run_spmd`]) spawning
 //!   one thread per rank over either fabric, with panic- and abort-safe
 //!   teardown, plus the resident [`SharedFabric`] that runs many
@@ -76,6 +77,7 @@ pub mod error;
 pub mod fabric;
 pub mod fault;
 pub mod health;
+mod journal;
 pub mod local;
 pub mod mailbox;
 pub mod message;
@@ -100,7 +102,7 @@ pub use health::{HealthBoard, HealthConfig, Heartbeat, Liveness};
 pub use message::{Key, Message, Tag};
 pub use rate::{Nic, NicMeter, NicProfile};
 pub use registry::{MembershipView, RankRegistry};
-pub use span::{SpanCollector, SpanLog, StageSpan};
-pub use trace::{EventKind, Trace, TraceCollector, TraceEvent};
+pub use span::{SpanLog, StageSpan};
+pub use trace::{EventKind, Trace, TraceEvent};
 pub use transport::Transport;
 pub use udp::{build_udp_fabric, UdpConfig, UdpEndpoint, UdpFabricStats};

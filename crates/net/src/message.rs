@@ -110,12 +110,6 @@ impl Tag {
         );
         Tag(((self.purpose() as u32) << 24) | ((slot as u32) << Tag::JOB_SEQ_BITS) | seq)
     }
-
-    /// The job slot a tag is scoped to (0 = unscoped/exclusive).
-    #[inline]
-    pub fn job_slot(self) -> u8 {
-        ((self.seq() >> Tag::JOB_SEQ_BITS) & 0x3F) as u8
-    }
 }
 
 impl std::fmt::Display for Tag {
@@ -174,7 +168,8 @@ mod tests {
     fn job_scoping_slot_zero_is_identity() {
         let t = Tag::new(Tag::BCAST, (1 << 24) - 1);
         assert_eq!(t.scoped(0), t);
-        assert_eq!(t.job_slot(), 63, "slot bits overlap the high seq bits");
+        let slot_bits = t.seq() >> Tag::JOB_SEQ_BITS;
+        assert_eq!(slot_bits, 63, "slot bits overlap the high seq bits");
     }
 
     #[test]
@@ -185,8 +180,8 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, t);
         assert_eq!(a.purpose(), Tag::APP);
-        assert_eq!(a.job_slot(), 1);
-        assert_eq!(b.job_slot(), 2);
+        assert_eq!(a.seq() >> Tag::JOB_SEQ_BITS, 1);
+        assert_eq!(b.seq() >> Tag::JOB_SEQ_BITS, 2);
         // The job-local sequence survives underneath the slot bits.
         assert_eq!(a.seq() & ((1 << Tag::JOB_SEQ_BITS) - 1), 1234);
     }

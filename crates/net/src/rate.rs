@@ -33,7 +33,7 @@
 //! // One 512-byte transfer: handed over at once, the NIC busy ~0.1 ms.
 //! nic.post(512, || Ok(())).unwrap();
 //! nic.drain().unwrap();
-//! assert!(profile.multicast_penalty(4) > 1.0);
+//! assert!(cts_net::fabric::multicast_penalty(profile.multicast_alpha, 4) > 1.0);
 //! ```
 
 use std::collections::VecDeque;
@@ -129,16 +129,6 @@ impl NicProfile {
     pub fn with_multicast_alpha(mut self, alpha: f64) -> Self {
         self.multicast_alpha = alpha;
         self
-    }
-
-    /// The multicast slowdown factor for `fanout` receivers
-    /// (`1 + α·log2(fanout)`), matching the netsim model's formula.
-    pub fn multicast_penalty(&self, fanout: u32) -> f64 {
-        if fanout <= 1 {
-            1.0
-        } else {
-            1.0 + self.multicast_alpha * (fanout as f64).log2()
-        }
     }
 }
 
@@ -481,14 +471,6 @@ mod tests {
             (0.1626 * 0.95..0.1626 * 1.05).contains(&elapsed),
             "{elapsed}"
         );
-    }
-
-    #[test]
-    fn multicast_penalty_formula_matches_model() {
-        let p = NicProfile::unlimited().with_multicast_alpha(0.5);
-        assert_eq!(p.multicast_penalty(1), 1.0);
-        assert!((p.multicast_penalty(4) - 2.0).abs() < 1e-12);
-        assert_eq!(NicProfile::unlimited().multicast_penalty(8), 1.0);
     }
 
     #[test]

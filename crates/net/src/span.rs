@@ -10,56 +10,38 @@
 //! its slices coalesce into **one span per stage per job**: from the first
 //! slice's start to the last one's end, carrying the stage's wall
 //! ([`StageSpan::wall_ns`]). One rank's spans may therefore overlap in
-//! time. The result is the live per-job Fig. 9 breakdown a resident daemon
-//! can answer `cts stats` and `--timeline` queries from.
-//!
-//! Recording goes into a **fixed-capacity ring** sized at construction:
-//! a resident service's memory stays bounded however many jobs pass
-//! through, and — the property `tests/alloc_free.rs` pins — steady-state
-//! recording performs zero heap allocations. Old spans are overwritten
-//! oldest-first; a job's timeline is complete as long as it is queried
-//! within the last `capacity` spans ([`SpanCollector::with_capacity`]),
-//! which at seven spans × K ranks per job holds thousands of recent jobs.
+//! time. A rank hands its spans to its job's journal when its closure
+//! returns, and the job returns them as a [`SpanLog`] — K × stages spans,
+//! the live per-job Fig. 9 breakdown behind `WallTimes`, `--timeline` and
+//! `cts stats`.
 //!
 //! ```
-//! use cts_net::span::{SpanCollector, StageSpan};
+//! use cts_net::cluster::{run_spmd, ClusterConfig};
 //!
-//! let spans = SpanCollector::new(true);
-//! let map = spans.intern("Map");
-//! let t0 = spans.now_ns();
-//! let span = StageSpan {
-//!     job: 1,
-//!     rank: 0,
-//!     stage: map,
-//!     start_ns: t0,
-//!     end_ns: t0 + 1_000,
-//!     wall_ns: 1_000,
-//! };
-//! spans.record(span);
-//! let log = spans.snapshot().for_job(1);
-//! assert_eq!(log.spans.len(), 1);
-//! assert_eq!(log.stage_name(map), "Map");
+//! let run = run_spmd(&ClusterConfig::local(2), |comm| {
+//!     comm.set_stage("Map");
+//!     comm.set_stage("Reduce");
+//! })
+//! .unwrap();
+//! assert_eq!(run.spans.spans.len(), 4);
+//! assert_eq!(run.spans.stages_in_order(), vec!["Map", "Reduce"]);
+//! assert_eq!(run.spans.stage_durations_ns("Map").len(), 2);
 //! ```
-
-use std::collections::HashMap;
-use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// One stage of one rank of one job: every slice of time the rank spent in
-/// it, coalesced. Times are nanoseconds since the owning collector's
-/// origin.
+/// it, coalesced. Times are nanoseconds since the fabric was built, so the
+/// jobs of one resident fabric share a timebase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageSpan {
     /// The job this span belongs to (0 for exclusive/one-shot runs).
     pub job: u32,
     /// The rank whose stage this is.
     pub rank: u16,
-    /// Index into the collector's interned stage names.
+    /// Index into [`SpanLog::names`].
     pub stage: u16,
-    /// Start of the stage's first slice (ns since collector origin).
+    /// Start of the stage's first slice (ns on the fabric's clock).
     pub start_ns: u64,
-    /// End of the stage's last slice (ns since collector origin).
+    /// End of the stage's last slice (ns on the fabric's clock).
     pub end_ns: u64,
     /// The rank's wall for the stage, ns: the summed slices its thread
     /// spent in it — or, for a stage the rank posted to its NIC in, the
@@ -76,133 +58,14 @@ impl StageSpan {
     }
 }
 
-/// Default ring capacity: at ~7 stages × K ranks per job this retains the
-/// full timelines of the last few hundred jobs even at K = 64.
-const DEFAULT_CAPACITY: usize = 1 << 16;
-
-struct SpanInner {
-    names: Vec<String>,
-    index: HashMap<String, u16>,
-    /// Ring storage; grows (and allocates) only until `capacity` spans
-    /// have been recorded, then overwrites oldest-first.
-    ring: Vec<StageSpan>,
-    /// Next write position once the ring is full.
-    head: usize,
-    /// Total spans ever recorded (≥ `ring.len()`).
-    recorded: u64,
-}
-
-/// Thread-safe span accumulator shared by all communicators of a fabric.
-pub struct SpanCollector {
-    enabled: bool,
-    capacity: usize,
-    origin: Instant,
-    inner: Mutex<SpanInner>,
-}
-
-impl SpanCollector {
-    /// Creates a collector with the default ring capacity. A disabled
-    /// collector records nothing and its hot path neither locks nor
-    /// allocates.
-    pub fn new(enabled: bool) -> SpanCollector {
-        SpanCollector::with_capacity(enabled, DEFAULT_CAPACITY)
-    }
-
-    /// Creates a collector retaining at most `capacity` recent spans.
-    pub fn with_capacity(enabled: bool, capacity: usize) -> SpanCollector {
-        SpanCollector {
-            enabled,
-            capacity: capacity.max(1),
-            origin: Instant::now(),
-            inner: Mutex::new(SpanInner {
-                names: Vec::new(),
-                index: HashMap::new(),
-                ring: Vec::new(),
-                head: 0,
-                recorded: 0,
-            }),
-        }
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Nanoseconds since this collector was created — the clock every
-    /// span's `start_ns`/`end_ns` is expressed in.
-    pub fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-
-    /// Interns a stage name, returning its index. Disabled collectors
-    /// return 0 without locking or allocating.
-    pub fn intern(&self, name: &str) -> u16 {
-        if !self.enabled {
-            return 0;
-        }
-        let mut inner = self.inner.lock();
-        if let Some(&idx) = inner.index.get(name) {
-            return idx;
-        }
-        let idx = inner.names.len() as u16;
-        inner.names.push(name.to_string());
-        inner.index.insert(name.to_string(), idx);
-        idx
-    }
-
-    /// Records one closed span (no-op when disabled). Allocation-free once
-    /// the ring has filled.
-    pub fn record(&self, span: StageSpan) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.recorded += 1;
-        if inner.ring.len() < self.capacity {
-            inner.ring.push(span);
-        } else {
-            let head = inner.head;
-            inner.ring[head] = span;
-            inner.head = (head + 1) % self.capacity;
-        }
-    }
-
-    /// Total spans ever recorded (including any the ring has dropped).
-    pub fn recorded(&self) -> u64 {
-        self.inner.lock().recorded
-    }
-
-    /// Snapshot of the retained spans, oldest first.
-    pub fn snapshot(&self) -> SpanLog {
-        let inner = self.inner.lock();
-        // `head` stays 0 until the ring is full, then marks its oldest span.
-        let (newer, older) = inner.ring.split_at(inner.head);
-        SpanLog {
-            names: inner.names.clone(),
-            spans: [older, newer].concat(),
-        }
-    }
-
-    /// `snapshot().for_job(job)` without copying the rest of the ring out
-    /// from under the lock — what a resident fabric asks after every job.
-    pub fn job_log(&self, job: u32) -> SpanLog {
-        let inner = self.inner.lock();
-        let (newer, older) = inner.ring.split_at(inner.head);
-        let of_job = older.iter().chain(newer).filter(|s| s.job == job);
-        SpanLog {
-            names: inner.names.clone(),
-            spans: of_job.copied().collect(),
-        }
-    }
-}
-
-/// A snapshot of recorded spans plus the stage-name table.
+/// Recorded spans plus the stage-name table they index: one job's, or the
+/// recent jobs' of a resident fabric
+/// ([`SharedFabric::spans_snapshot`](crate::cluster::SharedFabric::spans_snapshot)).
 #[derive(Clone, Debug, Default)]
 pub struct SpanLog {
     /// Stage names, indexed by [`StageSpan::stage`].
     pub names: Vec<String>,
-    /// Retained spans, oldest first.
+    /// The spans, each rank's in first-entry order; oldest job first.
     pub spans: Vec<StageSpan>,
 }
 
@@ -217,17 +80,15 @@ impl SpanLog {
         self.names.iter().position(|s| s == name).map(|i| i as u16)
     }
 
-    /// The log restricted to one job's spans (name table shared).
-    pub fn for_job(&self, job: u32) -> SpanLog {
-        SpanLog {
-            names: self.names.clone(),
-            spans: self
-                .spans
-                .iter()
-                .filter(|s| s.job == job)
-                .copied()
-                .collect(),
-        }
+    /// Appends `other`'s spans, re-indexed into this log's name table.
+    pub(crate) fn append(&mut self, other: &SpanLog) {
+        let index: Vec<u16> = (other.names.iter())
+            .map(|name| crate::trace::intern(&mut self.names, name))
+            .collect();
+        self.spans.extend(other.spans.iter().map(|span| StageSpan {
+            stage: index[usize::from(span.stage)],
+            ..*span
+        }));
     }
 
     /// Distinct job ids present, ascending.
@@ -295,71 +156,33 @@ mod tests {
     }
 
     #[test]
-    fn intern_is_stable_and_disabled_is_inert() {
-        let c = SpanCollector::new(true);
-        let a = c.intern("Map");
-        let b = c.intern("Shuffle");
-        assert_ne!(a, b);
-        assert_eq!(c.intern("Map"), a);
-
-        let off = SpanCollector::new(false);
-        assert_eq!(off.intern("Map"), 0);
-        off.record(span(1, 0, 0, 0, 5));
-        assert!(off.snapshot().spans.is_empty());
-        assert!(off.snapshot().names.is_empty());
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_first() {
-        let c = SpanCollector::with_capacity(true, 4);
-        let st = c.intern("Map");
-        for i in 0..6u64 {
-            c.record(span(1, 0, st, i, i + 1));
-        }
-        assert_eq!(c.recorded(), 6);
-        let log = c.snapshot();
-        assert_eq!(log.spans.len(), 4);
-        // Oldest retained first: spans 2..6.
-        let starts: Vec<u64> = log.spans.iter().map(|s| s.start_ns).collect();
-        assert_eq!(starts, vec![2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn job_filter_and_stage_queries() {
-        let c = SpanCollector::new(true);
-        let map = c.intern("Map");
-        let shuffle = c.intern("Shuffle");
-        c.record(span(1, 0, map, 0, 100));
-        c.record(span(2, 0, map, 10, 40));
-        c.record(span(1, 1, map, 5, 120));
-        c.record(span(1, 0, shuffle, 120, 200));
-        let log = c.snapshot();
-        assert_eq!(log.jobs(), vec![1, 2]);
-        let j1 = log.for_job(1);
-        assert_eq!(j1.spans.len(), 3);
+    fn stage_queries_and_a_merge_of_two_jobs_logs() {
+        let j1 = SpanLog {
+            names: vec!["Map".into(), "Shuffle".into()],
+            spans: vec![
+                span(1, 0, 0, 0, 100),
+                span(1, 1, 0, 5, 120),
+                span(1, 0, 1, 120, 200),
+            ],
+        };
         assert_eq!(j1.stage_durations_ns("Map"), vec![100, 115]);
         // Wall extent: earliest Map start 0, latest Map end 120.
         assert_eq!(j1.stage_wall_ns("Map"), 120);
         assert_eq!(j1.stages_in_order(), vec!["Map", "Shuffle"]);
-        assert_eq!(log.for_job(2).stage_durations_ns("Map"), vec![30]);
-        assert!(log.for_job(9).spans.is_empty());
-    }
-
-    #[test]
-    fn job_log_equals_the_filtered_snapshot_on_a_wrapped_ring() {
-        let c = SpanCollector::with_capacity(true, 8);
-        let map = c.intern("Map");
-        // 21 spans of three interleaved jobs through an 8-slot ring: the
-        // ring has wrapped twice and its oldest span sits mid-buffer.
-        for i in 0..21u64 {
-            c.record(span((i % 3) as u32, i as u16, map, i, i + 1));
-            for job in 0..4 {
-                assert_eq!(c.job_log(job).spans, c.snapshot().for_job(job).spans);
-                assert_eq!(c.job_log(job).names, vec!["Map"]);
-            }
-        }
-        let ranks: Vec<u16> = c.job_log(1).spans.iter().map(|s| s.rank).collect();
-        assert_eq!(ranks, vec![13, 16, 19], "oldest first");
+        // A second job that met the stages in another order keeps its names
+        // when the two logs become one.
+        let j2 = SpanLog {
+            names: vec!["Shuffle".into(), "Reduce".into(), "Map".into()],
+            spans: vec![span(2, 0, 2, 10, 40), span(2, 0, 1, 40, 50)],
+        };
+        let mut all = SpanLog::default();
+        all.append(&j1);
+        all.append(&j2);
+        assert_eq!(all.jobs(), vec![1, 2]);
+        assert_eq!(all.names, vec!["Map", "Shuffle", "Reduce"]);
+        assert_eq!(all.stage_durations_ns("Map"), vec![100, 115, 30]);
+        assert_eq!(all.stage_durations_ns("Reduce"), vec![10]);
+        assert_eq!(all.spans[..3], j1.spans[..]);
     }
 
     #[test]
@@ -368,13 +191,5 @@ mod tests {
         assert_eq!(log.stage_wall_ns("Nope"), 0);
         assert!(log.stage_durations_ns("Nope").is_empty());
         assert_eq!(log.stage_name(7), "?");
-    }
-
-    #[test]
-    fn now_ns_is_monotone() {
-        let c = SpanCollector::new(true);
-        let a = c.now_ns();
-        let b = c.now_ns();
-        assert!(b >= a);
     }
 }

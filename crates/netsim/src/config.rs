@@ -76,11 +76,7 @@ impl NetModelConfig {
 
     /// The multicast slowdown factor for `fanout` receivers.
     pub fn multicast_penalty(&self, fanout: u32) -> f64 {
-        if fanout <= 1 {
-            1.0
-        } else {
-            1.0 + self.multicast_alpha * (fanout as f64).log2()
-        }
+        cts_net::fabric::multicast_penalty(self.multicast_alpha, fanout as usize)
     }
 
     /// Time to push `bytes` to `fanout` receivers, excluding latency.
@@ -170,7 +166,7 @@ mod tests {
         let net = NetModelConfig::of_nic(&nic);
         assert_eq!(net.effective_bytes_per_sec(), 12.5e6);
         assert_eq!(net.per_transfer_latency_s, nic.latency_s);
-        assert_eq!(net.multicast_penalty(3), nic.multicast_penalty(3));
+        assert_eq!(net.multicast_alpha, nic.multicast_alpha);
         assert_eq!(
             NetModelConfig::of_nic(&NicProfile::unlimited()).transfer_seconds(1e9, 3),
             0.0

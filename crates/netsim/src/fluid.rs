@@ -27,15 +27,13 @@
 //!
 //! ```
 //! use cts_net::fabric::ShuffleFabric;
-//! use cts_net::trace::{EventKind, TraceCollector};
+//! use cts_net::trace::{EventKind, Trace};
 //! use cts_netsim::config::NetModelConfig;
 //! use cts_netsim::fluid::predict_fabric_shuffle_s;
 //!
-//! let c = TraceCollector::new(true);
-//! let stage = c.intern("Shuffle");
-//! c.record_transfer(stage, 0, 0b0110, 1_000_000, 0, 1, EventKind::Multicast);
-//! c.record_transfer(stage, 3, 0b11000, 1_000_000, 0, 1, EventKind::Multicast);
-//! let trace = c.snapshot();
+//! let mut trace = Trace::default();
+//! trace.push("Shuffle", 0, 0b0110, 1_000_000, 0, 1, EventKind::Multicast);
+//! trace.push("Shuffle", 3, 0b11000, 1_000_000, 0, 1, EventKind::Multicast);
 //!
 //! let net = NetModelConfig::ec2_100mbps();
 //! let fanout = predict_fabric_shuffle_s(&trace, "Shuffle", ShuffleFabric::Fanout, &net, 1.0);
@@ -500,13 +498,11 @@ mod tests {
     }
 
     fn multicast_trace() -> Trace {
-        use cts_net::trace::TraceCollector;
-        let c = TraceCollector::new(true);
-        let s = c.intern("Shuffle");
+        let mut t = Trace::default();
         // Two senders, each multicasting 10 MB to the two other ranks.
-        c.record_transfer(s, 0, 0b0110, 10_000_000, 0, 1, EventKind::Multicast);
-        c.record_transfer(s, 3, 0b0011, 10_000_000, 0, 1, EventKind::Multicast);
-        c.snapshot()
+        t.push("Shuffle", 0, 0b0110, 10_000_000, 0, 1, EventKind::Multicast);
+        t.push("Shuffle", 3, 0b0011, 10_000_000, 0, 1, EventKind::Multicast);
+        t
     }
 
     #[test]
@@ -531,13 +527,26 @@ mod tests {
 
     #[test]
     fn fabric_predictions_order_on_disjoint_receivers() {
-        use cts_net::trace::TraceCollector;
         // Receiver-disjoint groups so sender egress is the only bottleneck.
-        let c = TraceCollector::new(true);
-        let s = c.intern("Shuffle");
-        c.record_transfer(s, 0, 0b0000110, 10_000_000, 0, 1, EventKind::Multicast);
-        c.record_transfer(s, 3, 0b0110000, 10_000_000, 0, 1, EventKind::Multicast);
-        let t = c.snapshot();
+        let mut t = Trace::default();
+        t.push(
+            "Shuffle",
+            0,
+            0b0000110,
+            10_000_000,
+            0,
+            1,
+            EventKind::Multicast,
+        );
+        t.push(
+            "Shuffle",
+            3,
+            0b0110000,
+            10_000_000,
+            0,
+            1,
+            EventKind::Multicast,
+        );
         let net = NetModelConfig {
             per_transfer_latency_s: 0.05,
             multicast_alpha: 0.3,

@@ -109,7 +109,7 @@ impl PerfModel {
 mod tests {
     use super::*;
     use crate::stats::NodeStats;
-    use cts_net::trace::{EventKind, TraceCollector};
+    use cts_net::trace::{EventKind, Trace};
 
     /// Hand-built stats mimicking TeraSort at K=16 over 12 GB.
     fn terasort_k16_stats() -> RunStats {
@@ -133,18 +133,27 @@ mod tests {
         stats
     }
 
-    fn terasort_k16_trace() -> cts_net::trace::Trace {
-        let c = TraceCollector::new(true);
-        let s = c.intern(SHUFFLE_STAGE);
-        let d: u64 = 12_000_000_000;
-        let per_transfer = d / 16 / 16; // 46.875 MB
+    /// TeraSort's K = 16 all-to-all, `per_transfer` bytes a unicast.
+    fn terasort_k16_trace(per_transfer: u64) -> Trace {
+        let mut t = Trace::default();
         for src in 0..16usize {
             for dst in (0..16usize).filter(|&d2| d2 != src) {
-                c.record(s, src, 1 << dst, per_transfer, EventKind::AppUnicast);
+                t.push(
+                    SHUFFLE_STAGE,
+                    src,
+                    1 << dst,
+                    per_transfer,
+                    0,
+                    1,
+                    EventKind::AppUnicast,
+                );
             }
         }
-        c.snapshot()
+        t
     }
+
+    /// 12 GB over 16 × 16 transfers: 46.875 MB each.
+    const PER_TRANSFER: u64 = 12_000_000_000 / 16 / 16;
 
     #[test]
     fn table1_reproduced_within_tolerance() {
@@ -152,7 +161,7 @@ mod tests {
         // Map 1.86, Pack 2.35, Shuffle 945.72, Unpack 0.85, Reduce 10.47.
         let model = PerfModel::ec2_paper();
         let stats = terasort_k16_stats();
-        let trace = terasort_k16_trace();
+        let trace = terasort_k16_trace(PER_TRANSFER);
         let b = model.evaluate(&stats, &trace);
         assert!((b.map_s - 1.86).abs() < 0.1, "map {}", b.map_s);
         assert!(
@@ -193,22 +202,9 @@ mod tests {
             n.reduce_input_bytes /= 100;
         }
         stats.scale = 100.0;
-        let full = model.evaluate(&terasort_k16_stats(), &terasort_k16_trace());
+        let full = model.evaluate(&terasort_k16_stats(), &terasort_k16_trace(PER_TRANSFER));
         // Trace bytes also divided by 100 but scaled back by `scale`.
-        let c = TraceCollector::new(true);
-        let s = c.intern(SHUFFLE_STAGE);
-        for src in 0..16usize {
-            for dst in (0..16usize).filter(|&d2| d2 != src) {
-                c.record(
-                    s,
-                    src,
-                    1 << dst,
-                    12_000_000_000 / 16 / 16 / 100,
-                    EventKind::AppUnicast,
-                );
-            }
-        }
-        let scaled = model.evaluate(&stats, &c.snapshot());
+        let scaled = model.evaluate(&stats, &terasort_k16_trace(PER_TRANSFER / 100));
         // Compute stages match exactly; shuffle differs only by the
         // latency term (identical) — totals agree within 0.1%.
         assert!((scaled.total_s() - full.total_s()).abs() / full.total_s() < 1e-3);
@@ -242,7 +238,7 @@ mod tests {
     fn evaluate_with_shuffle_overrides_only_shuffle() {
         let model = PerfModel::ec2_paper();
         let stats = terasort_k16_stats();
-        let trace = terasort_k16_trace();
+        let trace = terasort_k16_trace(PER_TRANSFER);
         let a = model.evaluate(&stats, &trace);
         let b = model.evaluate_with_shuffle(&stats, 1.0);
         assert_eq!(a.map_s, b.map_s);

@@ -13,15 +13,13 @@
 //!
 //! ```
 //! use cts_net::fabric::ShuffleFabric;
-//! use cts_net::trace::{EventKind, TraceCollector};
+//! use cts_net::trace::{EventKind, Trace};
 //! use cts_netsim::config::NetModelConfig;
 //! use cts_netsim::serial::serial_fabric_makespan;
 //!
 //! // One traced multicast: 1 MB to 3 receivers.
-//! let c = TraceCollector::new(true);
-//! let stage = c.intern("Shuffle");
-//! c.record_transfer(stage, 0, 0b1110, 1_000_000, 0, 1, EventKind::Multicast);
-//! let trace = c.snapshot();
+//! let mut trace = Trace::default();
+//! trace.push("Shuffle", 0, 0b1110, 1_000_000, 0, 1, EventKind::Multicast);
 //!
 //! let net = NetModelConfig::ec2_100mbps();
 //! let serial = serial_fabric_makespan(&trace, "Shuffle", ShuffleFabric::SerialUnicast, &net, 1.0);
@@ -124,18 +122,11 @@ pub fn serial_makespan(trace: &Trace, stage: &str, net: &NetModelConfig, scale: 
 /// [`ShuffleFabric`] — the closed-form upper-bound half of the
 /// measured-vs-modeled validation oracle (the fluid simulator's
 /// [`predict_fabric_shuffle_s`](crate::fluid::predict_fabric_shuffle_s)
-/// is the projection for a cluster that caps ingress too). Per non-internal
-/// event with fanout `m` and scaled bytes `B`:
-///
-/// * `SerialUnicast` — `m` back-to-back unicasts: `m·(L + B/rate)`;
-/// * `Fanout` — one setup, copies overlap but share egress:
-///   `L + m·B/rate`;
-/// * `Multicast` — one transmission with the software-multicast penalty:
-///   `L + B·(1 + α·log2 m)/rate`.
-///
-/// This mirrors, term for term, what the real-time NIC emulation in
-/// `cts-net::rate` charges, so a rate-limited run's measured shuffle
-/// wall-clock lands between [`egress_floor_s`] and this bound.
+/// is the projection for a cluster that caps ingress too). Each
+/// non-internal event costs what [`ShuffleFabric::egress`] says a send of
+/// its scaled bytes to its fanout costs — the rule the real-time NIC
+/// emulation in `cts-net` charges by, so a rate-limited run's measured
+/// shuffle wall-clock lands between [`egress_floor_s`] and this bound.
 pub fn serial_fabric_makespan(
     trace: &Trace,
     stage: &str,
@@ -150,7 +141,8 @@ pub fn serial_fabric_makespan(
         .sum()
 }
 
-/// How long one traced transfer occupies its sender's egress under `fabric`.
+/// How long one traced transfer occupies its sender's egress under `fabric`:
+/// [`ShuffleFabric::egress`], the rule the emulated NIC charges by.
 fn fabric_transfer_s(
     e: &TraceEvent,
     fabric: ShuffleFabric,
@@ -158,18 +150,9 @@ fn fabric_transfer_s(
     scale: f64,
 ) -> f64 {
     let bytes = scaled_wire_bytes(e, scale);
-    let m = e.fanout().max(1);
-    let latency = net.per_transfer_latency_s;
-    match fabric {
-        ShuffleFabric::SerialUnicast => m as f64 * (latency + net.transfer_seconds(bytes, 1)),
-        ShuffleFabric::Fanout => latency + m as f64 * net.transfer_seconds(bytes, 1),
-        // Physical UDP multicast costs what the emulated native
-        // multicast is charged: one transmission with the software
-        // α-penalty (a conservative bound for real IGMP snooping).
-        ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => {
-            latency + net.transfer_seconds(bytes, m)
-        }
-    }
+    let m = e.fanout().max(1) as usize;
+    let (transfers, bytes_each) = fabric.egress(bytes, m, net.multicast_alpha);
+    transfers as f64 * (net.per_transfer_latency_s + net.transfer_seconds(bytes_each, 1))
 }
 
 /// The floor of a stage behind the *emulated* NIC, which shapes egress
@@ -248,15 +231,13 @@ pub fn transfers_by_sender(trace: &Trace, stage: &str, scale: f64) -> Vec<Vec<Tr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cts_net::trace::TraceCollector;
 
     fn trace_with(events: &[(usize, u128, u64, EventKind)]) -> Trace {
-        let c = TraceCollector::new(true);
-        let s = c.intern("Shuffle");
+        let mut t = Trace::default();
         for &(src, dsts, bytes, kind) in events {
-            c.record(s, src, dsts, bytes, kind);
+            t.push("Shuffle", src, dsts, bytes, 0, 1, kind);
         }
-        c.snapshot()
+        t
     }
 
     fn net() -> NetModelConfig {

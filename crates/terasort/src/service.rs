@@ -64,7 +64,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, ThreadId};
 
 use bytes::Bytes;
@@ -232,10 +232,11 @@ type CachedRecord = Result<JobRecord, String>;
 
 struct Inner {
     runtime: JobRuntime,
-    // Outcomes move from the runtime into this cache on first wait, so
-    // STATUS/DIGEST/FETCH/TIMELINE can be asked any number of times by
-    // any client.
-    results: parking_lot::Mutex<HashMap<u32, CachedRecord>>,
+    // A job's outcome moves from the runtime into its cell on the first
+    // wait, so STATUS/DIGEST/FETCH/TIMELINE can be asked any number of
+    // times by any client. One cell per id the runtime issued, never one
+    // for an id a client made up.
+    results: parking_lot::Mutex<HashMap<u32, Arc<OnceLock<CachedRecord>>>>,
     stop: StopHandle,
 }
 
@@ -270,28 +271,20 @@ impl StopHandle {
 
 impl Inner {
     fn record_of(&self, id: u32) -> CachedRecord {
-        if let Some(cached) = self.results.lock().get(&id) {
-            return cached.clone();
+        if self.runtime.status(id).is_none() {
+            return Err(format!("unknown job id {id}"));
         }
-        let outcome = self
-            .runtime
-            .wait(id)
-            .map(|o| JobRecord {
-                timeline: Arc::new(cts_mapreduce::timeline::chrome_trace(&o, id)),
-                outputs: Arc::new(o.outputs),
+        let cell = Arc::clone(self.results.lock().entry(id).or_default());
+        // The runtime gives a job's outcome away once: the first client to
+        // ask waits for it, whoever asks meanwhile waits for that client.
+        let wait = || {
+            let outcome = self.runtime.wait(id).map_err(|e| e.to_string())?;
+            Ok(JobRecord {
+                timeline: Arc::new(cts_mapreduce::timeline::chrome_trace(&outcome, id)),
+                outputs: Arc::new(outcome.outputs),
             })
-            .map_err(|e| e.to_string());
-        // Two clients can race into wait(); only one takes the outcome.
-        // The holder of the real result (or real failure) wins the cache;
-        // the loser's "already taken" error defers to whatever the winner
-        // stored.
-        let mut results = self.results.lock();
-        if outcome.is_ok() {
-            results.insert(id, outcome.clone());
-            outcome
-        } else {
-            results.entry(id).or_insert(outcome).clone()
-        }
+        };
+        cell.get_or_init(wait).clone()
     }
 
     fn outputs_of(&self, id: u32) -> Result<Arc<Vec<Vec<u8>>>, String> {
@@ -300,8 +293,8 @@ impl Inner {
 
     /// The live-stats table STATS answers with: job lifecycle counts,
     /// admission/slot gauges, the cross-job stage-latency summary from
-    /// the metric registry, and a per-job stage/NIC breakdown from the
-    /// span ring.
+    /// the metric registry, and a stage/NIC breakdown of each recent job
+    /// (those the fabric still holds the spans of).
     fn render_stats(&self) -> String {
         use std::fmt::Write as _;
         let hub = self.runtime.fabric().metrics();
@@ -361,26 +354,35 @@ impl Inner {
             out,
             "per-job stage walls (ms; slowest rank) and NIC stalls:"
         );
-        for (id, st) in &statuses {
-            let state = match st {
-                JobStatus::Queued => "queued",
-                JobStatus::Running => "running",
-                JobStatus::Done => "done",
-                JobStatus::Failed(_) => "failed",
+        // A job's spans sit together in the snapshot, oldest job first.
+        for of_job in spans.spans.chunk_by(|a, b| a.job == b.job) {
+            let id = of_job[0].job;
+            let state = match self.runtime.status(id) {
+                Some(JobStatus::Queued) => "queued",
+                Some(JobStatus::Running) => "running",
+                Some(JobStatus::Failed(_)) => "failed",
+                Some(JobStatus::Done) | None => "done",
             };
             let _ = write!(out, "  job {id:<5} {state:<8}");
-            let log = spans.for_job(*id);
-            for stage in log.stages_in_order() {
-                let mut durs = log.stage_durations_ns(stage);
+            let mut stages: Vec<u16> = Vec::new();
+            for span in of_job {
+                if !stages.contains(&span.stage) {
+                    stages.push(span.stage);
+                }
+            }
+            for stage in stages {
+                let of_stage = of_job.iter().filter(|s| s.stage == stage);
+                let mut durs: Vec<u64> = of_stage.map(|s| s.wall_ns).collect();
                 durs.sort_unstable();
                 let _ = write!(
                     out,
-                    " {stage}={:.2}/p99 {:.2}",
+                    " {}={:.2}/p99 {:.2}",
+                    spans.stage_name(stage),
                     pct(&durs, 0.50) as f64 / 1e6,
                     pct(&durs, 0.99) as f64 / 1e6,
                 );
             }
-            if let Some(m) = meters.get(id) {
+            if let Some(m) = meters.get(&id) {
                 let _ = write!(
                     out,
                     "  nic_waits={} stall_ms={:.2}",
@@ -925,6 +927,82 @@ mod tests {
         let mut client = ServiceClient::connect(addr).unwrap();
         client.shutdown().unwrap();
         server.join().unwrap();
+    }
+
+    #[test]
+    fn three_clients_digest_one_running_job() {
+        // 6 MB through K = 3: the job is still running when the three
+        // DIGESTs arrive, and the runtime hands its outcome out once.
+        let (addr, server) = service(3, 2, 2);
+        let input = generate(60_000, 5);
+        let local =
+            crate::driver::run_terasort(input.clone(), &crate::driver::SortJob::local(3, 1))
+                .unwrap();
+        let reference = ResultDigest::of(&local.outcome.outputs);
+        let mut clients: Vec<ServiceClient> = (0..3)
+            .map(|_| ServiceClient::connect(addr).unwrap())
+            .collect();
+        for round in 0..20 {
+            let id = clients[0].submit(&JobKind::Sort, 2, &input).unwrap();
+            let gate = std::sync::Barrier::new(3);
+            std::thread::scope(|s| {
+                for client in &mut clients {
+                    let (gate, reference) = (&gate, &reference);
+                    s.spawn(move || {
+                        gate.wait();
+                        assert_eq!(client.digest(id).as_ref(), Ok(reference), "round {round}");
+                    });
+                }
+            });
+        }
+        clients[0].shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn an_early_digest_does_not_poison_the_id() {
+        let (addr, server) = service(2, 1, 1);
+        let mut client = ServiceClient::connect(addr).unwrap();
+        // Ids count up from 1: ask for the first before it exists.
+        assert!(client.digest(1).unwrap_err().contains("unknown job id 1"));
+        let input = generate(200, 1);
+        assert_eq!(client.submit(&JobKind::Sort, 1, &input).unwrap(), 1);
+        let local =
+            crate::driver::run_terasort(input, &crate::driver::SortJob::local(2, 1)).unwrap();
+        assert_eq!(
+            client.digest(1),
+            Ok(ResultDigest::of(&local.outcome.outputs))
+        );
+        client.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn stats_has_rows_for_the_recent_jobs_only() {
+        // Straight into the daemon's core: over the wire each of the 100
+        // round trips would wait out a delayed ACK.
+        let cfg = RuntimeConfig::new(EngineConfig::local(2, 1)).with_max_concurrent(1);
+        let daemon = SortService::bind("127.0.0.1:0", cfg).unwrap().inner;
+        let input = generate(20, 3);
+        let mut newest = 0;
+        for _ in 0..100 {
+            newest = daemon.submit(JobKind::Sort, 1, input.clone()).unwrap();
+            daemon.record_of(newest).unwrap();
+        }
+        let stats = daemon.render_stats();
+        // The counts cover every job since boot, the table the last 64.
+        assert!(stats.contains("100 known") && stats.contains("100 done"));
+        let rows: Vec<&str> = stats.lines().filter(|l| l.starts_with("  job ")).collect();
+        assert!(!rows.is_empty() && rows.len() <= 64, "{} rows", rows.len());
+        let last = rows.last().unwrap();
+        assert!(
+            last.starts_with(&format!("  job {newest:<5} done")),
+            "{last}"
+        );
+        assert!(
+            last.contains(" Map=") && last.contains(" Reduce="),
+            "{last}"
+        );
     }
 
     /// Polls `cond` (the daemon's own state, which no event reports to a
