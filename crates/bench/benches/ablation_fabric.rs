@@ -35,6 +35,7 @@
 //! ```
 
 use cts_bench::env_usize;
+use cts_mapreduce::EngineConfig;
 use cts_net::fabric::ShuffleFabric;
 use cts_net::rate::NicProfile;
 use cts_netsim::config::NetModelConfig;
@@ -81,7 +82,11 @@ fn main() {
         let mut walls = Vec::new();
         let mut outputs: Vec<Vec<Vec<u8>>> = Vec::new();
         for fabric in ShuffleFabric::ALL {
-            let job = SortJob::local(k, r).with_fabric(fabric).with_nic(nic());
+            let job = SortJob::new(
+                EngineConfig::local(k, r)
+                    .with_fabric(fabric)
+                    .with_nic(nic()),
+            );
             let run = run_coded_terasort(input.clone(), &job).expect("coded run");
             run.validate().expect("TeraValidate");
             let measured = run.outcome.wall.max.shuffle.as_secs_f64();

@@ -25,8 +25,8 @@ fn main() {
             records: env_usize("CTS_RECORDS", 60_000),
             ..Experiment::paper(k)
         };
-        let base = exp.run_uncoded();
-        let coded = exp.run_coded(r);
+        let base = exp.run(1);
+        let coded = exp.run(r);
         let speedup = base.breakdown.total_s() / coded.breakdown.total_s();
         speedups.push((k, speedup));
         println!(

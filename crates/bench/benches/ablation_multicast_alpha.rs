@@ -19,12 +19,12 @@ use cts_netsim::SHUFFLE_STAGE;
 fn main() {
     let k = 16;
     let exp = Experiment::paper(k);
-    let base = exp.run_uncoded();
+    let base = exp.run(1);
     let base_shuffle = base.breakdown.shuffle_s;
     println!("uncoded shuffle (reference): {base_shuffle:.1} s\n");
 
     for r in [3usize, 5] {
-        let coded = exp.run_coded(r);
+        let coded = exp.run(r);
         println!("CodedTeraSort r = {r}: shuffle under varying multicast penalty α");
         println!(
             "{:>8} {:>12} {:>12} {:>10}",

@@ -28,7 +28,7 @@ fn main() {
     let exp = Experiment::paper(k);
     let net = NetModelConfig::ec2_100mbps();
 
-    let base = exp.run_uncoded();
+    let base = exp.run(1);
     let base_serial = base.breakdown.shuffle_s;
     let base_parallel = simulate_parallel(
         &transfers_by_sender(&base.trace, SHUFFLE_STAGE, base.stats.scale),
@@ -51,7 +51,7 @@ fn main() {
 
     let mut coded_parallel = Vec::new();
     for r in [3usize, 5] {
-        let coded = exp.run_coded(r);
+        let coded = exp.run(r);
         let serial = coded.breakdown.shuffle_s;
         let parallel = simulate_parallel(
             &transfers_by_sender(&coded.trace, SHUFFLE_STAGE, coded.stats.scale),
@@ -70,7 +70,7 @@ fn main() {
 
     println!("\ncoding gain in each regime:");
     for (r, parallel) in &coded_parallel {
-        let serial_gain = base_serial / exp.run_coded(*r).breakdown.shuffle_s;
+        let serial_gain = base_serial / exp.run(*r).breakdown.shuffle_s;
         let parallel_gain = base_parallel / parallel;
         println!(
             "  r = {r}: serial-shuffle gain {serial_gain:.2}× → parallel-shuffle gain {parallel_gain:.2}×"

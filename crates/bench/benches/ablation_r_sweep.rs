@@ -19,7 +19,7 @@ fn main() {
         records: cts_bench::env_usize("CTS_RECORDS", 60_000),
         ..Experiment::paper(k)
     };
-    let base = exp.run_uncoded();
+    let base = exp.run(1);
     let (tm, ts, tr) = (
         base.breakdown.map_s,
         base.breakdown.shuffle_s,
@@ -45,7 +45,7 @@ fn main() {
 
     let mut speedups = vec![1.0f64];
     for r in 2..=8usize {
-        let res = exp.run_coded(r);
+        let res = exp.run(r);
         let total = res.breakdown.total_s();
         let speedup = base.breakdown.total_s() / total;
         speedups.push(speedup);

@@ -22,7 +22,7 @@ use cts_bench::results::BenchDoc;
 use cts_core::decode::DecodeMode;
 use cts_core::field::FieldKind;
 use cts_mapreduce::error::EngineError;
-use cts_mapreduce::stage::RecoveryMode;
+use cts_mapreduce::stage::{EngineConfig, RecoveryMode};
 use cts_net::fault::{CrashPoint, CrashSpec};
 use cts_net::health::HealthConfig;
 use cts_netsim::recovery::RecoveryModel;
@@ -47,11 +47,13 @@ fn timed(
     recovery: RecoveryMode,
     crash: Option<CrashSpec>,
 ) -> (cts_mapreduce::Result<SortRun>, f64) {
-    let mut job = SortJob::local(k, r)
-        .with_field(FieldKind::Gf256)
-        .with_decode(DecodeMode::Quorum)
-        .with_recovery(recovery)
-        .with_heartbeat(HEARTBEAT);
+    let mut job = SortJob::new(
+        EngineConfig::local(k, r)
+            .with_field(FieldKind::Gf256)
+            .with_decode(DecodeMode::Quorum)
+            .with_recovery(recovery)
+            .with_heartbeat(HEARTBEAT),
+    );
     if let Some(spec) = crash {
         job.engine = job.engine.with_crash(spec);
     }

@@ -94,9 +94,8 @@ fn main() {
     // Cross-check the closed forms against the *real* pod engine at a
     // small configuration: measured wire load must match pod_comm_load.
     {
-        use cts_mapreduce::pods::run_coded_pods;
-        use cts_mapreduce::stage::EngineConfig;
         use cts_mapreduce::workload::{InputFormat, NodeSet, Workload};
+        use cts_mapreduce::{run, EngineConfig};
 
         struct ByteSort;
         impl Workload for ByteSort {
@@ -123,8 +122,12 @@ fn main() {
         let (ek, er, eg) = (8usize, 2usize, 4usize);
         let bytes: Vec<u8> = (0..200_000usize).map(|i| (i % 251) as u8).collect();
         let input = bytes::Bytes::from(bytes);
-        let run = run_coded_pods(&ByteSort, input.clone(), &EngineConfig::local(ek, er), eg)
-            .expect("pod engine");
+        let run = run(
+            &ByteSort,
+            input.clone(),
+            &EngineConfig::local(ek, er).with_pods(eg),
+        )
+        .expect("pod engine");
         let measured = run.stats.comm_load(input.len() as u64);
         let predicted = theory::pod_comm_load(er, ek, eg);
         println!(

@@ -20,6 +20,7 @@ use cts_bench::env_usize;
 use cts_bench::results::BenchDoc;
 use cts_core::decode::DecodeMode;
 use cts_core::field::FieldKind;
+use cts_mapreduce::EngineConfig;
 use cts_net::fault::{straggler_blackhole_rule, straggler_delay_rule, FaultRule};
 use cts_netsim::straggler::{Slowdown, StragglerModel};
 use cts_terasort::driver::{run_coded_terasort, SortJob};
@@ -42,9 +43,11 @@ fn timed(
     decode: DecodeMode,
     fault: Option<(usize, Arc<FaultRule>)>,
 ) -> f64 {
-    let mut job = SortJob::local(k, r)
-        .with_field(FieldKind::Gf256)
-        .with_decode(decode);
+    let mut job = SortJob::new(
+        EngineConfig::local(k, r)
+            .with_field(FieldKind::Gf256)
+            .with_decode(decode),
+    );
     if let Some((victim, rule)) = fault {
         job.engine.cluster = job.engine.cluster.with_fault(victim, rule);
     }

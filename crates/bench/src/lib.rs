@@ -5,7 +5,7 @@
 //!
 //! 1. generate TeraGen input at a laptop-scale record count
 //!    (`CTS_RECORDS`, default 120 000 records = 12 MB);
-//! 2. run the *real* algorithm (uncoded §III or coded §IV) over the
+//! 2. run the *real* algorithm (`r = 1`: uncoded §III; above: coded §IV) over the
 //!    in-memory cluster, recording every transfer;
 //! 3. validate the sorted output (TeraValidate);
 //! 4. project the measured byte counts onto the paper's 12 GB
@@ -26,7 +26,7 @@ use cts_net::trace::Trace;
 use cts_netsim::breakdown::{StageBreakdown, TableRow};
 use cts_netsim::model::PerfModel;
 use cts_netsim::stats::RunStats;
-use cts_terasort::driver::{run_coded_terasort, run_terasort, SortJob};
+use cts_terasort::driver::{run_coded_terasort, SortJob};
 use cts_terasort::record::RECORD_LEN;
 use cts_terasort::teragen;
 
@@ -70,29 +70,16 @@ impl Experiment {
         teragen::generate(self.records, self.seed)
     }
 
-    /// Runs conventional TeraSort and models the paper-scale breakdown.
-    pub fn run_uncoded(&self) -> ExperimentResult {
-        let input = self.input();
-        let run = run_terasort(input, &SortJob::local(self.k, 1)).expect("terasort run");
-        run.validate().expect("TeraValidate (uncoded)");
-        self.finish(
-            run.outcome.stats,
-            run.outcome.trace,
-            "TeraSort:".to_string(),
-        )
-    }
-
-    /// Runs CodedTeraSort at redundancy `r` and models the breakdown.
-    pub fn run_coded(&self, r: usize) -> ExperimentResult {
-        let input = self.input();
-        let run =
-            run_coded_terasort(input, &SortJob::local(self.k, r)).expect("coded terasort run");
-        run.validate().expect("TeraValidate (coded)");
-        self.finish(
-            run.outcome.stats,
-            run.outcome.trace,
-            format!("CodedTeraSort: r = {r}"),
-        )
+    /// Runs the sort at redundancy `r` — `1` is conventional TeraSort,
+    /// above it CodedTeraSort — and models the paper-scale breakdown.
+    pub fn run(&self, r: usize) -> ExperimentResult {
+        let run = run_coded_terasort(self.input(), &SortJob::local(self.k, r)).expect("sort run");
+        run.validate().expect("TeraValidate");
+        let label = match r {
+            1 => "TeraSort:".to_string(),
+            r => format!("CodedTeraSort: r = {r}"),
+        };
+        self.finish(run.outcome.stats, run.outcome.trace, label)
     }
 
     fn finish(&self, mut stats: RunStats, trace: Trace, label: String) -> ExperimentResult {
@@ -137,10 +124,10 @@ impl ExperimentResult {
 /// plus CodedTeraSort at each `r`, all at `K = k`.
 pub fn paper_comparison(k: usize, rs: &[usize]) -> Vec<TableRow> {
     let exp = Experiment::paper(k);
-    let base = exp.run_uncoded();
+    let base = exp.run(1);
     let mut rows = vec![base.row(None)];
     for &r in rs {
-        let coded = exp.run_coded(r);
+        let coded = exp.run(r);
         rows.push(coded.row(Some(&base.breakdown)));
     }
     rows
@@ -437,7 +424,7 @@ mod tests {
 
     #[test]
     fn uncoded_experiment_produces_breakdown() {
-        let r = small().run_uncoded();
+        let r = small().run(1);
         assert!(r.breakdown.shuffle_s > 0.0);
         assert_eq!(r.breakdown.codegen_s, 0.0);
         assert_eq!(r.stats.k, 4);
@@ -446,8 +433,8 @@ mod tests {
     #[test]
     fn coded_beats_uncoded_at_small_scale() {
         let e = small();
-        let base = e.run_uncoded();
-        let coded = e.run_coded(2);
+        let base = e.run(1);
+        let coded = e.run(2);
         assert!(coded.breakdown.shuffle_s < base.breakdown.shuffle_s);
         let row = coded.row(Some(&base.breakdown));
         assert!(row.speedup.unwrap() > 1.0);

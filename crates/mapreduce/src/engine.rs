@@ -63,7 +63,7 @@ pub struct JobOutcome {
 
 /// Where one intermediate `I^t_S` goes after its holder mapped file `F_S`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Route {
+enum Route {
     /// `t` is the holder itself: input to its own Reduce.
     Keep,
     /// Side information for a multicast group (`S ∪ {t}`): XORed into the
@@ -80,7 +80,7 @@ pub(crate) enum Route {
 /// nodes in pods of `g` (one pod of `K` for the flat schemes), each pod
 /// owning an equal slice of the input placed `r`-fold inside the pod.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Layout {
+struct Layout {
     k: usize,
     g: usize,
     r: usize,
@@ -93,16 +93,18 @@ fn bad_config(e: cts_core::CodedError) -> EngineError {
 }
 
 impl Layout {
-    /// The paper's schemes: `r = 1` is conventional TeraSort, `r > 1`
-    /// CodedTeraSort.
-    pub(crate) fn flat(k: usize, r: usize) -> Result<Layout> {
-        PlacementPlan::new(k, r).map_err(bad_config)?;
-        Ok(Layout { k, g: k, r })
-    }
-
-    /// Pods of `g` nodes (`g` divides `K`), redundancy `r < g` within each.
-    pub(crate) fn pods(k: usize, g: usize, r: usize) -> Result<Layout> {
-        PodGroups::new(k, r, g).map_err(bad_config)?;
+    /// The layout `cfg` asks for: one pod of `K` (`pods` 0 or `K`) is the
+    /// paper's flat schemes — `r = 1` conventional TeraSort, `r > 1`
+    /// CodedTeraSort; otherwise pods of `g` nodes (`g` divides `K`) with
+    /// redundancy `r < g` within each.
+    fn of(cfg: &EngineConfig) -> Result<Layout> {
+        let (k, r) = (cfg.k, cfg.r);
+        let g = if cfg.pods == 0 { k } else { cfg.pods };
+        if g == k {
+            PlacementPlan::new(k, r).map_err(bad_config)?;
+        } else {
+            PodGroups::new(k, r, g).map_err(bad_config)?;
+        }
         Ok(Layout { k, g, r })
     }
 
@@ -138,7 +140,7 @@ impl Layout {
     }
 
     /// Routes `I^target_file` at `holder` (`file` in global ranks).
-    pub(crate) fn route(&self, holder: usize, file: NodeSet, target: usize) -> Route {
+    fn route(&self, holder: usize, file: NodeSet, target: usize) -> Route {
         if target == holder {
             Route::Keep
         } else if file.contains(target) {
@@ -190,28 +192,46 @@ impl Layout {
     }
 }
 
-/// Runs one job on an ephemeral fabric at [`JobBinding::ROOT`] — the
-/// one-shot path and the resident runtime's per-job path are the same
-/// code.
-pub(crate) fn run<W: Workload>(
-    workload: &W,
-    input: Bytes,
-    cfg: &EngineConfig,
-    layout: Layout,
-) -> Result<JobOutcome> {
+/// Runs `workload` over `input` as `cfg` lays it out, on an ephemeral
+/// [`SharedFabric`] at [`JobBinding::ROOT`] — the one-shot path and the
+/// resident runtime's per-job path are the same code.
+///
+/// # Errors
+/// `BadConfig` for an invalid `(K, r, pods)` or a recovery mode the layout
+/// cannot carry; a rank's failure — transport, protocol, an injected crash
+/// with recovery off ([`RankDied`](crate::EngineError::RankDied)), an
+/// exhausted recovery margin
+/// ([`Unrecoverable`](crate::EngineError::Unrecoverable)) — fails the job
+/// with that rank's error.
+pub fn run<W: Workload>(workload: &W, input: Bytes, cfg: &EngineConfig) -> Result<JobOutcome> {
+    // Checked before a fabric is built for it: K = 0 has no fabric to refuse it.
+    Layout::of(cfg)?;
     let fabric = SharedFabric::build(&cfg.cluster)?;
-    run_on(&fabric, JobBinding::ROOT, workload, input, cfg, layout)
+    run_on(&fabric, JobBinding::ROOT, workload, input, cfg)
 }
 
-/// Runs one job on an existing [`SharedFabric`], isolated under `binding`.
-pub(crate) fn run_on<W: Workload>(
+/// Runs [`run`]'s job on an existing [`SharedFabric`], isolated under
+/// `binding` (tags, the emulated NIC of `cfg.cluster.nic` and the returned
+/// trace are the job's own).
+///
+/// Jobs on nonzero slots live in an 18-bit tag-sequence space
+/// ([`Tag::JOB_SEQ_BITS`]), which bounds `C(K, r+1)`; and they cannot use
+/// [`RecoveryMode::Speculative`] — the health layer's heartbeats and repair
+/// traffic run on raw, unscoped transports and declaring a peer dead would
+/// poison every cohabiting job, so recovery is reserved for exclusive
+/// (slot-0) fabrics.
+///
+/// # Errors
+/// As [`run`]; also `BadConfig` if `cfg.k` is not the fabric's world size
+/// or for the shared-fabric restrictions above.
+pub fn run_on<W: Workload>(
     fabric: &SharedFabric,
     binding: JobBinding,
     workload: &W,
     input: Bytes,
     cfg: &EngineConfig,
-    layout: Layout,
 ) -> Result<JobOutcome> {
+    let layout = Layout::of(cfg)?;
     let k = layout.k;
     if k != fabric.k() {
         return Err(EngineError::BadConfig {
@@ -457,7 +477,7 @@ struct Decode<'a> {
     recovered: Vec<(NodeSet, Vec<u8>)>,
     /// Live decode progress: one tick per decoded packet, readable mid-job
     /// through the daemon's metric registry (`cts stats`, `/metrics`).
-    progress: Option<std::sync::Arc<Counter>>,
+    progress: std::sync::Arc<Counter>,
 }
 
 impl Decode<'_> {
@@ -469,9 +489,7 @@ impl Decode<'_> {
         self.shell.read_wire(raw)?;
         stats.decode_work_bytes += decode_work(&self.shell);
         let done = self.pipeline.accept(&self.shell, self.store)?;
-        if let Some(c) = &self.progress {
-            c.inc();
-        }
+        self.progress.inc();
         let completed = done.is_some();
         self.recovered.extend(done);
         self.comm.set_stage(stages::SHUFFLE);
@@ -661,9 +679,7 @@ fn node_main<W: Workload>(
         shell: CodedPacket::empty(),
         store: &store,
         recovered: Vec::new(),
-        progress: comm
-            .metrics()
-            .map(|h| h.counter("cts_decode_packets_total")),
+        progress: comm.metrics().counter("cts_decode_packets_total"),
     };
     // Everything is posted: what a rank receives is queued by the time it
     // asks, unless its sender's NIC has not reached it yet.
@@ -864,4 +880,456 @@ fn shuffle_receive(
     }
     keys.retain(|&(tag, sender)| heard[group_of(tag)] & (1 << sender) == 0);
     Ok(keys)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{sample_input, ByteSort};
+    use crate::verify::run_sequential;
+    use cts_core::field::FieldKind;
+    use cts_net::fault::CrashSpec;
+    use cts_net::trace::EventKind;
+
+    // ---- r = 1: conventional TeraSort (paper §III) ---------------------------
+
+    #[test]
+    fn matches_sequential_reference() {
+        let input = sample_input(1000);
+        let cfg = EngineConfig::local(4, 1);
+        let outcome = run(&ByteSort, input.clone(), &cfg).unwrap();
+        let reference = run_sequential(&ByteSort, &input, 4);
+        assert_eq!(outcome.outputs, reference);
+    }
+
+    #[test]
+    fn every_input_byte_lands_somewhere() {
+        let input = sample_input(777);
+        let outcome = run(&ByteSort, input.clone(), &EngineConfig::local(3, 1)).unwrap();
+        let total: usize = outcome.outputs.iter().map(|o| o.len()).sum();
+        assert_eq!(total, input.len());
+    }
+
+    #[test]
+    fn stats_account_for_shuffle_bytes() {
+        let input = sample_input(1200);
+        let outcome = run(&ByteSort, input.clone(), &EngineConfig::local(4, 1)).unwrap();
+        // Sent == received globally.
+        assert_eq!(
+            outcome.stats.total(|n| n.sent_bytes),
+            outcome.stats.total(|n| n.recv_bytes)
+        );
+        // Trace shuffle bytes match node-side accounting.
+        assert_eq!(
+            outcome.trace.stage_bytes(stages::SHUFFLE),
+            outcome.stats.shuffle_bytes()
+        );
+        // Communication load ≈ 1 - 1/K (uniform bytes).
+        let load = outcome.stats.comm_load(input.len() as u64);
+        assert!((load - 0.75).abs() < 0.05, "load {load}");
+    }
+
+    #[test]
+    fn single_node_shuffles_nothing() {
+        let input = sample_input(500);
+        let outcome = run(&ByteSort, input.clone(), &EngineConfig::local(1, 1)).unwrap();
+        assert_eq!(outcome.stats.shuffle_bytes(), 0);
+        let mut expect = input.to_vec();
+        expect.sort_unstable();
+        assert_eq!(outcome.outputs[0], expect);
+    }
+
+    #[test]
+    fn works_over_tcp() {
+        let input = sample_input(600);
+        let outcome = run(&ByteSort, input.clone(), &EngineConfig::tcp(3, 1)).unwrap();
+        let reference = run_sequential(&ByteSort, &input, 3);
+        assert_eq!(outcome.outputs, reference);
+    }
+
+    #[test]
+    fn rejects_bad_k() {
+        let err = run(&ByteSort, Bytes::new(), &EngineConfig::local(0, 1)).unwrap_err();
+        assert!(matches!(err, EngineError::BadConfig { .. }));
+    }
+
+    // ---- 1 < r: CodedTeraSort on the flat layout (paper §IV) -----------------
+
+    #[test]
+    fn coded_matches_sequential_k4_r2() {
+        let input = sample_input(1200);
+        let outcome = run(&ByteSort, input.clone(), &EngineConfig::local(4, 2)).unwrap();
+        assert_eq!(outcome.outputs, run_sequential(&ByteSort, &input, 4));
+    }
+
+    #[test]
+    fn coded_matches_uncoded_across_k_r() {
+        let input = sample_input(2000);
+        for (k, r) in [(3, 2), (4, 1), (4, 3), (5, 2), (5, 4), (6, 3)] {
+            let coded = run(&ByteSort, input.clone(), &EngineConfig::local(k, r)).unwrap();
+            let uncoded = run(&ByteSort, input.clone(), &EngineConfig::local(k, 1)).unwrap();
+            assert_eq!(coded.outputs, uncoded.outputs, "k={k} r={r}");
+        }
+    }
+
+    #[test]
+    fn r_one_is_the_uncoded_run() {
+        let input = sample_input(3000);
+        let outcome = run(&ByteSort, input.clone(), &EngineConfig::local(5, 1)).unwrap();
+        assert_eq!(outcome.outputs, run_sequential(&ByteSort, &input, 5));
+        assert_eq!(outcome.stats.num_groups, 0);
+        // File k sits on node k alone: every byte of another partition
+        // crosses the wire once, and nothing else does.
+        let files = InputFormat::FixedWidth(1).split(&input, 5);
+        let foreign = |(node, file): (usize, &Bytes)| {
+            file.iter().filter(|&&b| b as usize % 5 != node).count() as u64
+        };
+        let expected: u64 = files.iter().enumerate().map(foreign).sum();
+        assert_eq!(outcome.stats.shuffle_bytes(), expected);
+        // 5 × 4 plain unicasts, no coded packet and no CodeGen stage.
+        assert_eq!(outcome.trace.stage_wire_sends(stages::SHUFFLE), 20);
+        assert_eq!(outcome.trace.stage_bytes(stages::SHUFFLE), expected);
+        assert!(outcome.spans.stage_index(stages::CODEGEN).is_none());
+    }
+
+    #[test]
+    fn r_equals_k_needs_no_shuffle() {
+        let input = sample_input(800);
+        let outcome = run(&ByteSort, input.clone(), &EngineConfig::local(4, 4)).unwrap();
+        assert_eq!(outcome.stats.shuffle_bytes(), 0);
+        assert_eq!(outcome.stats.num_groups, 0);
+        assert_eq!(outcome.outputs, run_sequential(&ByteSort, &input, 4));
+    }
+
+    #[test]
+    fn comm_load_drops_r_times() {
+        // Large enough that the 31-byte packet headers are noise next to
+        // the payloads.
+        let input = sample_input(120_000);
+        let k = 6;
+        let uncoded = run(&ByteSort, input.clone(), &EngineConfig::local(k, 1)).unwrap();
+        let base_load = uncoded.stats.comm_load(input.len() as u64);
+        for r in [2usize, 3] {
+            let coded = run(&ByteSort, input.clone(), &EngineConfig::local(k, r)).unwrap();
+            let load = coded.stats.comm_load(input.len() as u64);
+            let expected = cts_core::theory::coded_comm_load(r, k);
+            // Real data: small deviations from the uniform-hash ideal plus
+            // packet headers.
+            assert!(
+                (load - expected).abs() / expected < 0.25,
+                "k={k} r={r}: load {load} vs theory {expected}"
+            );
+            // And the r× reduction vs. the uncoded baseline holds.
+            let gain = base_load / load;
+            assert!(gain > 0.7 * r as f64, "gain {gain} at r={r}");
+        }
+    }
+
+    #[test]
+    fn stats_count_groups_and_files() {
+        let input = sample_input(1500);
+        let outcome = run(&ByteSort, input.clone(), &EngineConfig::local(5, 2)).unwrap();
+        assert_eq!(outcome.stats.num_groups, 10); // C(5,3)
+        for n in &outcome.stats.per_node {
+            assert_eq!(n.files_mapped, 4); // C(4,1)
+        }
+        // Map input is r× the uncoded share in total.
+        let total_mapped = outcome.stats.total(|n| n.map_input_bytes);
+        assert_eq!(total_mapped, 2 * input.len() as u64);
+    }
+
+    #[test]
+    fn coded_works_over_tcp() {
+        let input = sample_input(900);
+        let outcome = run(&ByteSort, input.clone(), &EngineConfig::tcp(4, 2)).unwrap();
+        assert_eq!(outcome.outputs, run_sequential(&ByteSort, &input, 4));
+    }
+
+    #[test]
+    fn rejects_invalid_r() {
+        let err = run(&ByteSort, Bytes::new(), &EngineConfig::local(4, 5)).unwrap_err();
+        assert!(matches!(err, EngineError::BadConfig { .. }));
+    }
+
+    #[test]
+    fn quorum_decode_matches_all_decode() {
+        let input = sample_input(2200);
+        for field in FieldKind::ALL {
+            for (k, r) in [(4, 2), (5, 3), (4, 1), (5, 4)] {
+                let cfg = EngineConfig::local(k, r).with_field(field);
+                let all = run(&ByteSort, input.clone(), &cfg).unwrap();
+                let quorum = run(
+                    &ByteSort,
+                    input.clone(),
+                    &cfg.clone().with_decode(DecodeMode::Quorum),
+                )
+                .unwrap();
+                assert_eq!(all.outputs, quorum.outputs, "k={k} r={r} field={field}");
+                // Traffic accounting stays sane: one multicast per group
+                // membership either way.
+                assert_eq!(all.stats.num_groups, quorum.stats.num_groups);
+            }
+        }
+    }
+
+    #[test]
+    fn quorum_decode_works_over_tcp_and_threads() {
+        let input = sample_input(1500);
+        let reference = run_sequential(&ByteSort, &input, 4);
+        let tcp = run(
+            &ByteSort,
+            input.clone(),
+            &EngineConfig::tcp(4, 3)
+                .with_field(FieldKind::Gf256)
+                .with_decode(DecodeMode::Quorum),
+        )
+        .unwrap();
+        assert_eq!(tcp.outputs, reference);
+        let threaded = run(
+            &ByteSort,
+            input,
+            &EngineConfig::local(4, 3)
+                .with_field(FieldKind::Gf256)
+                .with_decode(DecodeMode::Quorum)
+                .with_threads(4),
+        )
+        .unwrap();
+        assert_eq!(threaded.outputs, reference);
+    }
+
+    #[test]
+    fn speculative_recovery_matches_the_healthy_run() {
+        let input = sample_input(3000);
+        let healthy_cfg = EngineConfig::local(6, 3)
+            .with_field(FieldKind::Gf256)
+            .with_decode(DecodeMode::Quorum);
+        let healthy = run(&ByteSort, input.clone(), &healthy_cfg).unwrap();
+        for point in [
+            CrashPoint::MidMap,
+            CrashPoint::MidEncode,
+            CrashPoint::AfterSends(2),
+            CrashPoint::PreReduce,
+        ] {
+            let cfg = healthy_cfg
+                .clone()
+                .with_recovery(RecoveryMode::Speculative)
+                .with_heartbeat(std::time::Duration::from_millis(5))
+                .with_crash(CrashSpec { rank: 2, point });
+            let wounded = run(&ByteSort, input.clone(), &cfg).unwrap();
+            assert_eq!(wounded.outputs, healthy.outputs, "crash at {point}");
+        }
+    }
+
+    #[test]
+    fn recovery_off_fails_fast_with_the_crash_identity() {
+        let input = sample_input(1500);
+        let cfg = EngineConfig::local(5, 2)
+            .with_field(FieldKind::Gf256)
+            .with_decode(DecodeMode::Quorum)
+            .with_idle_timeout(std::time::Duration::from_secs(2))
+            .with_crash(CrashSpec {
+                rank: 3,
+                point: CrashPoint::MidMap,
+            });
+        let err = run(&ByteSort, input, &cfg).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::RankDied {
+                rank: 3,
+                point: CrashPoint::MidMap
+            }
+        );
+    }
+
+    #[test]
+    fn two_deaths_exhaust_recovery_with_a_structured_report() {
+        let input = sample_input(1500);
+        let cfg = EngineConfig::local(5, 2)
+            .with_field(FieldKind::Gf256)
+            .with_decode(DecodeMode::Quorum)
+            .with_recovery(RecoveryMode::Speculative)
+            .with_heartbeat(std::time::Duration::from_millis(5))
+            .with_crash(CrashSpec {
+                rank: 1,
+                point: CrashPoint::MidMap,
+            })
+            .with_crash(CrashSpec {
+                rank: 4,
+                point: CrashPoint::MidMap,
+            });
+        let err = run(&ByteSort, input, &cfg).unwrap_err();
+        match err {
+            EngineError::Unrecoverable(report) => {
+                assert_eq!(report.dead, vec![1, 4]);
+                assert!(!report.unrecoverable_groups.is_empty());
+            }
+            other => panic!("expected Unrecoverable, got {other}"),
+        }
+    }
+
+    #[test]
+    fn speculative_recovery_requires_quorum_gf256_and_redundancy() {
+        let input = sample_input(500);
+        for cfg in [
+            EngineConfig::local(4, 2).with_recovery(RecoveryMode::Speculative),
+            EngineConfig::local(4, 2)
+                .with_field(FieldKind::Gf256)
+                .with_recovery(RecoveryMode::Speculative),
+            EngineConfig::local(4, 1)
+                .with_field(FieldKind::Gf256)
+                .with_decode(DecodeMode::Quorum)
+                .with_recovery(RecoveryMode::Speculative),
+        ] {
+            let err = run(&ByteSort, input.clone(), &cfg).unwrap_err();
+            assert!(matches!(err, EngineError::BadConfig { .. }), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn walls_are_the_span_logs() {
+        let cfg = EngineConfig::local(4, 2);
+        let outcome = run(&ByteSort, sample_input(600), &cfg).unwrap();
+        assert_eq!(outcome.wall, WallTimes::from_spans(&outcome.spans));
+        assert!(outcome.wall.max.total() > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn trace_records_multicasts_once() {
+        let input = sample_input(1200);
+        let outcome = run(&ByteSort, input, &EngineConfig::local(4, 2)).unwrap();
+        let multicasts = outcome
+            .trace
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Multicast)
+            .count();
+        // C(4,3) groups × 3 senders each.
+        assert_eq!(multicasts, 12);
+        // Every multicast reaches exactly r = 2 receivers.
+        assert!(outcome
+            .trace
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Multicast)
+            .all(|e| e.fanout() == 2));
+    }
+
+    // ---- pods of g < K: coded inside, unicast across (paper §VI) -------------
+
+    #[test]
+    fn pods_match_uncoded_output() {
+        let input = sample_input(4_000);
+        for (k, r, g) in [
+            (4usize, 1usize, 2usize),
+            (6, 2, 3),
+            (8, 1, 4),
+            (8, 3, 4),
+            (9, 2, 3),
+        ] {
+            let pods = run(
+                &ByteSort,
+                input.clone(),
+                &EngineConfig::local(k, r).with_pods(g),
+            )
+            .unwrap();
+            let unc = run(&ByteSort, input.clone(), &EngineConfig::local(k, 1)).unwrap();
+            assert_eq!(pods.outputs, unc.outputs, "k={k} r={r} g={g}");
+        }
+    }
+
+    #[test]
+    fn pods_decode_in_quorum_mode_too() {
+        let input = sample_input(4_000);
+        let cfg = EngineConfig::local(8, 3)
+            .with_field(FieldKind::Gf256)
+            .with_decode(DecodeMode::Quorum);
+        let pods = run(&ByteSort, input.clone(), &cfg.with_pods(4)).unwrap();
+        let unc = run(&ByteSort, input, &EngineConfig::local(8, 1)).unwrap();
+        assert_eq!(pods.outputs, unc.outputs);
+    }
+
+    #[test]
+    fn single_pod_equals_flat_coded() {
+        // With one pod the cross-pod phase is empty: identical to flat
+        // coded output.
+        let input = sample_input(2_000);
+        let pods = run(
+            &ByteSort,
+            input.clone(),
+            &EngineConfig::local(5, 2).with_pods(5),
+        )
+        .unwrap();
+        let flat = run(&ByteSort, input, &EngineConfig::local(5, 2)).unwrap();
+        assert_eq!(pods.outputs, flat.outputs);
+        assert_eq!(pods.stats.num_groups, flat.stats.num_groups);
+    }
+
+    #[test]
+    fn pods_of_k_and_pods_zero_are_the_flat_layout() {
+        let input = sample_input(2_000);
+        for r in [1, 2, 5] {
+            let flat = run(&ByteSort, input.clone(), &EngineConfig::local(5, r)).unwrap();
+            let one_pod = EngineConfig::local(5, r).with_pods(5);
+            let one_pod = run(&ByteSort, input.clone(), &one_pod).unwrap();
+            assert_eq!(one_pod.outputs, flat.outputs, "r={r}");
+            assert_eq!(one_pod.stats, flat.stats, "r={r}");
+            assert_eq!(one_pod.stats.num_groups, flat.stats.num_groups, "r={r}");
+            assert_eq!(
+                one_pod.trace.stage_bytes(stages::SHUFFLE),
+                flat.trace.stage_bytes(stages::SHUFFLE),
+                "r={r}"
+            );
+        }
+    }
+
+    #[test]
+    fn group_count_shrinks() {
+        let input = sample_input(3_000);
+        let pods = run(
+            &ByteSort,
+            input.clone(),
+            &EngineConfig::local(8, 2).with_pods(4),
+        )
+        .unwrap();
+        // 2 pods × C(4,3) = 8 groups, vs flat C(8,3) = 56.
+        assert_eq!(pods.stats.num_groups, 8);
+        let flat = run(&ByteSort, input, &EngineConfig::local(8, 2)).unwrap();
+        assert_eq!(flat.stats.num_groups, 56);
+    }
+
+    #[test]
+    fn comm_load_matches_pod_theory() {
+        let input = sample_input(120_000);
+        let (k, r, g) = (8usize, 2usize, 4usize);
+        let pods = run(
+            &ByteSort,
+            input.clone(),
+            &EngineConfig::local(k, r).with_pods(g),
+        )
+        .unwrap();
+        let load = pods.stats.comm_load(input.len() as u64);
+        let expected = cts_core::theory::pod_comm_load(r, k, g);
+        assert!(
+            (load - expected).abs() / expected < 0.15,
+            "measured {load} vs theory {expected}"
+        );
+    }
+
+    #[test]
+    fn rejects_bad_pod_parameters() {
+        let input = sample_input(100);
+        assert!(run(
+            &ByteSort,
+            input.clone(),
+            &EngineConfig::local(6, 2).with_pods(4)
+        )
+        .is_err());
+        assert!(run(
+            &ByteSort,
+            input.clone(),
+            &EngineConfig::local(6, 3).with_pods(3)
+        )
+        .is_err());
+        assert!(run(&ByteSort, input, &EngineConfig::local(6, 0).with_pods(3)).is_err());
+    }
 }

@@ -32,20 +32,20 @@
 //! 7. **Reduce**: everything a node reduces — kept, unicast and decoded
 //!    pieces — goes to the workload in input order, unconcatenated.
 //!
-//! The entry points differ only in the layout they hand the pipeline:
+//! There is one entry point, [`run`] ([`run_on`] for a fabric that already
+//! exists), and the layout is a function of the [`EngineConfig`]:
 //!
-//! * [`uncoded::run_uncoded`] — conventional TeraSort (paper §III):
-//!   `r = 1`, one file per node, every intermediate a unicast;
-//! * [`coded::run_coded`] — CodedTeraSort (paper §IV) at redundancy `r`,
-//!   built on the `cts-core` coding layer (`r = 1` is `run_uncoded`);
-//! * [`pods::run_coded_pods`] — the coded exchange inside disjoint pods,
-//!   unicasts across them (paper §VI).
+//! * `r = 1` — no groups: conventional TeraSort (paper §III), one file per
+//!   node, every intermediate a unicast;
+//! * `1 < r < g` — coded groups inside pods of `g` nodes: CodedTeraSort
+//!   (paper §IV) when the one pod is all `K` (`pods` 0 or `K`);
+//! * pieces that cross pods travel as unicasts (paper §VI, `pods = g < K`).
 //!
 //! The engine is generic over a byte-oriented [`workload::Workload`] —
 //! TeraSort lives in `cts-terasort`; [`wordcount::WordCount`],
 //! [`grep::Grep`] and [`invindex::InvertedIndex`] here realize the paper's
 //! §VI "beyond sorting" direction. A run returns a
-//! [`uncoded::JobOutcome`]: per-partition outputs, a transfer trace, the
+//! [`JobOutcome`]: per-partition outputs, a transfer trace, the
 //! stage spans with the wall times derived from them, and the
 //! [`cts_netsim::RunStats`] the performance model consumes. A rank that
 //! fails shuts the job's endpoints down and the run returns that rank's
@@ -55,11 +55,11 @@
 //! use bytes::Bytes;
 //! use cts_mapreduce::stage::EngineConfig;
 //! use cts_mapreduce::wordcount::WordCount;
-//! use cts_mapreduce::{run_coded, run_uncoded};
+//! use cts_mapreduce::run;
 //!
 //! let input = Bytes::from_static(b"to be or not to be\nthat is the question\n");
-//! let uncoded = run_uncoded(&WordCount, input.clone(), &EngineConfig::local(3, 1)).unwrap();
-//! let coded = run_coded(&WordCount, input, &EngineConfig::local(3, 2)).unwrap();
+//! let uncoded = run(&WordCount, input.clone(), &EngineConfig::local(3, 1)).unwrap();
+//! let coded = run(&WordCount, input, &EngineConfig::local(3, 2)).unwrap();
 //! assert_eq!(uncoded.outputs, coded.outputs);
 //! ```
 
@@ -67,31 +67,31 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-pub mod coded;
 mod engine;
 pub mod error;
 pub mod grep;
 pub mod invindex;
-pub mod pods;
 pub mod recover;
 pub mod runtime;
 pub mod selfjoin;
 pub mod stage;
 pub mod timeline;
-pub mod uncoded;
 pub mod verify;
 pub mod wordcount;
 pub mod workload;
 
-pub use coded::{run_coded, run_coded_on};
+pub use engine::{run, run_on, JobOutcome};
 pub use error::{EngineError, JobReport, Result};
-pub use pods::{run_coded_pods, run_coded_pods_on};
 pub use runtime::{JobContext, JobHandle, JobRuntime, JobStatus, RuntimeConfig};
 pub use stage::{EngineConfig, NodeWall, RecoveryMode, WallTimes};
 pub use timeline::{chrome_trace, stage_totals_ns};
-pub use uncoded::{run_uncoded, run_uncoded_on, JobOutcome};
 pub use verify::{diff_outputs, run_sequential};
 pub use workload::{InputFormat, Workload};
+
+/// `uncoded::JobOutcome`: kept for `benchmark/`; goes with ROADMAP 1(a).
+pub mod uncoded {
+    pub use crate::JobOutcome;
+}
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -41,19 +41,17 @@ pub(crate) struct Recovery {
 impl Recovery {
     /// Starts beaconing every `heartbeat` and watching the peers.
     pub(crate) fn start(comm: &Communicator, heartbeat: Duration) -> Recovery {
-        let mut board = HealthBoard::new(
+        // Liveness transitions feed the fabric's metric registry.
+        let hub = comm.metrics();
+        let board = HealthBoard::new(
             comm.rank(),
             comm.world_size(),
             HealthConfig::from_heartbeat(heartbeat),
+        )
+        .with_transition_counters(
+            hub.counter("cts_heartbeat_suspect_total"),
+            hub.counter("cts_heartbeat_dead_total"),
         );
-        // Liveness transitions feed the runtime's metric registry when one
-        // is attached (resident service); standalone runs skip this.
-        if let Some(hub) = comm.metrics() {
-            board = board.with_transition_counters(
-                hub.counter("cts_heartbeat_suspect_total"),
-                hub.counter("cts_heartbeat_dead_total"),
-            );
-        }
         Recovery {
             board,
             beat: Heartbeat::spawn(comm.transport().clone(), heartbeat),

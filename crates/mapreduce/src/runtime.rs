@@ -1,10 +1,9 @@
 //! The resident job runtime: ownership inverted.
 //!
-//! The one-shot entry points ([`run_uncoded`](crate::run_uncoded),
-//! [`run_coded`](crate::run_coded)) let each job build and tear down its
-//! own cluster, fabric, and thread pool. A [`JobRuntime`] turns that
-//! inside out: *it* owns the [`SharedFabric`] (transports, one clock, the
-//! span logs of the last 64 jobs), the bounded admission queue, and the
+//! The one-shot entry point ([`run`](crate::run)) lets each job build and
+//! tear down its own cluster, fabric, and thread pool. A [`JobRuntime`]
+//! turns that inside out: *it* owns the [`SharedFabric`] (transports, one
+//! clock, the span logs of the last 64 jobs), the bounded admission queue, and the
 //! pool of job tag-namespace slots — and jobs are **submitted into it**
 //! (their worker pools lease extra threads from the one process-wide
 //! [`cts_core::exec`] budget, like a one-shot run's):
@@ -41,10 +40,9 @@ use cts_net::admission::{AdmissionQueue, SlotPool};
 use cts_net::cluster::{JobBinding, SharedFabric};
 use parking_lot::{Condvar, Mutex};
 
-use crate::coded::run_coded_on;
+use crate::engine::{run_on, JobOutcome};
 use crate::error::{EngineError, Result};
 use crate::stage::EngineConfig;
-use crate::uncoded::{run_uncoded_on, JobOutcome};
 use crate::workload::Workload;
 
 /// Construction parameters for a [`JobRuntime`].
@@ -116,41 +114,31 @@ pub struct JobContext<'a> {
     /// This job's slot + trace id.
     pub binding: JobBinding,
     /// Per-job engine configuration. Jobs may clone and refine it (e.g.
-    /// installing a per-tenant NIC profile) before calling the `_with`
-    /// runners.
+    /// its redundancy, or a per-tenant NIC profile) before calling
+    /// [`run`](Self::run); `k` and the cluster world stay the fabric's.
     pub cfg: EngineConfig,
 }
 
 impl JobContext<'_> {
-    /// Runs `workload` uncoded on this job's binding with [`Self::cfg`].
-    pub fn run_uncoded<W: Workload>(&self, workload: &W, input: Bytes) -> Result<JobOutcome> {
-        run_uncoded_on(self.fabric, self.binding, workload, input, &self.cfg)
-    }
-
-    /// Runs `workload` coded on this job's binding with [`Self::cfg`].
-    pub fn run_coded<W: Workload>(&self, workload: &W, input: Bytes) -> Result<JobOutcome> {
-        run_coded_on(self.fabric, self.binding, workload, input, &self.cfg)
-    }
-
-    /// Like [`Self::run_uncoded`] but with a caller-refined configuration
-    /// (keep `k` and the cluster world unchanged).
-    pub fn run_uncoded_with<W: Workload>(
+    /// Runs `workload` on this job's binding as `cfg` lays it out
+    /// ([`run_on`]).
+    pub fn run<W: Workload>(
         &self,
         workload: &W,
         input: Bytes,
         cfg: &EngineConfig,
     ) -> Result<JobOutcome> {
-        run_uncoded_on(self.fabric, self.binding, workload, input, cfg)
+        run_on(self.fabric, self.binding, workload, input, cfg)
     }
 
-    /// Like [`Self::run_coded`] but with a caller-refined configuration.
+    /// [`run`](Self::run). Kept for `benchmark/`; goes with ROADMAP 1(a).
     pub fn run_coded_with<W: Workload>(
         &self,
         workload: &W,
         input: Bytes,
         cfg: &EngineConfig,
     ) -> Result<JobOutcome> {
-        run_coded_on(self.fabric, self.binding, workload, input, cfg)
+        self.run(workload, input, cfg)
     }
 }
 
@@ -518,11 +506,15 @@ mod tests {
                 let input = input.clone();
                 runtime
                     .submit(move |ctx| {
-                        if i % 2 == 0 {
-                            ctx.run_coded(&ByteSort, input)
-                        } else {
-                            ctx.run_uncoded(&ByteSort, input)
-                        }
+                        let r = if i % 2 == 0 { ctx.cfg.r } else { 1 };
+                        ctx.run(
+                            &ByteSort,
+                            input,
+                            &EngineConfig {
+                                r,
+                                ..ctx.cfg.clone()
+                            },
+                        )
                     })
                     .unwrap()
             })
@@ -558,7 +550,7 @@ mod tests {
                     cv.wait(&mut open);
                 }
                 drop(open);
-                ctx.run_uncoded(&ByteSort, sample_input(64))
+                ctx.run(&ByteSort, sample_input(64), &ctx.cfg)
             })
             .unwrap();
         // Wait until the first job actually holds the dispatcher.
@@ -566,9 +558,9 @@ mod tests {
             std::thread::yield_now();
         }
         let second = runtime
-            .submit(|ctx| ctx.run_uncoded(&ByteSort, sample_input(64)))
+            .submit(|ctx| ctx.run(&ByteSort, sample_input(64), &ctx.cfg))
             .unwrap();
-        let refused = runtime.submit(|ctx| ctx.run_uncoded(&ByteSort, sample_input(64)));
+        let refused = runtime.submit(|ctx| ctx.run(&ByteSort, sample_input(64), &ctx.cfg));
         assert!(
             matches!(refused, Err(EngineError::Busy { .. })),
             "{refused:?}"
@@ -591,13 +583,22 @@ mod tests {
         let wc = {
             let text = text.clone();
             runtime
-                .submit(move |ctx| ctx.run_coded(&WordCount, text))
+                .submit(move |ctx| ctx.run(&WordCount, text, &ctx.cfg))
                 .unwrap()
         };
         let sort = {
             let bytes = bytes.clone();
             runtime
-                .submit(move |ctx| ctx.run_uncoded(&ByteSort, bytes))
+                .submit(move |ctx| {
+                    ctx.run(
+                        &ByteSort,
+                        bytes,
+                        &EngineConfig {
+                            r: 1,
+                            ..ctx.cfg.clone()
+                        },
+                    )
+                })
                 .unwrap()
         };
         let wc_out = wc.wait().unwrap();
@@ -633,7 +634,7 @@ mod tests {
         let runtime =
             JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();
         let err = runtime
-            .submit(|ctx| ctx.run_coded(&ByteSort, sample_input(200)))
+            .submit(|ctx| ctx.run(&ByteSort, sample_input(200), &ctx.cfg))
             .unwrap()
             .wait()
             .unwrap_err();

@@ -158,8 +158,14 @@ impl WallTimes {
 pub struct EngineConfig {
     /// Worker count `K`.
     pub k: usize,
-    /// Redundancy `r` (`run_uncoded` runs at `r = 1` whatever this says).
+    /// Redundancy `r`: every file is mapped on `r` nodes. `1` is
+    /// conventional TeraSort.
     pub r: usize,
+    /// Pod size `g`: coding stays inside disjoint pods of `g` nodes and
+    /// cross-pod pieces travel as unicasts (paper §VI). `0` (the default) or
+    /// `K` is one pod — the flat layout; otherwise `g` divides `K` and
+    /// `r < g`.
+    pub pods: usize,
     /// Cluster fabric configuration.
     pub cluster: ClusterConfig,
     /// Intra-node worker threads for the CPU-bound stages (Map hashing,
@@ -201,6 +207,7 @@ impl EngineConfig {
         EngineConfig {
             k,
             r,
+            pods: 0,
             cluster: ClusterConfig::local(k),
             threads: 1,
             field: FieldKind::Gf2,
@@ -218,6 +225,12 @@ impl EngineConfig {
             cluster: ClusterConfig::tcp(k),
             ..EngineConfig::local(k, r)
         }
+    }
+
+    /// Codes inside pods of `g` nodes (see [`EngineConfig::pods`]).
+    pub fn with_pods(mut self, g: usize) -> Self {
+        self.pods = g;
+        self
     }
 
     /// Sets the intra-node worker-thread count for the CPU-bound stages

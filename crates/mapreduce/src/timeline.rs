@@ -78,14 +78,13 @@ pub fn stage_totals_ns(outcome: &JobOutcome, _job_id: u32) -> Vec<(String, u64)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
     use crate::stage::{stages, EngineConfig};
     use crate::testutil::{sample_input, ByteSort};
-    use crate::uncoded::run_uncoded;
 
     #[test]
     fn chrome_trace_covers_every_rank_and_stage() {
-        let outcome =
-            run_uncoded(&ByteSort, sample_input(500), &EngineConfig::local(3, 1)).unwrap();
+        let outcome = run(&ByteSort, sample_input(500), &EngineConfig::local(3, 1)).unwrap();
         let json = chrome_trace(&outcome, 0);
         assert!(json.starts_with("{\"traceEvents\":["));
         // Every uncoded stage appears as an event name.

@@ -6,7 +6,7 @@ use crate::workload::{NodeSet, Workload};
 
 /// Runs `workload` sequentially on one machine: the whole input is mapped
 /// as a single file and each partition is reduced directly. This is the
-/// ground truth both engines must match (their intermediates arrive in
+/// ground truth every layout must match (their intermediates arrive in
 /// different concatenation orders, which order-insensitive reduces absorb).
 pub fn run_sequential<W: Workload>(workload: &W, input: &Bytes, k: usize) -> Vec<Vec<u8>> {
     let intermediates = workload.map_file(input, k, NodeSet::full(k));

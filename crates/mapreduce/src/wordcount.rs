@@ -6,7 +6,7 @@
 //! `[len: u16 LE][word bytes][count: u32 LE]`. Entries from different files
 //! concatenate freely; the reducer aggregates counts per word and emits
 //! `word<TAB>count\n` lines sorted by word — order-insensitive as the
-//! engines require.
+//! engine requires.
 
 use std::collections::HashMap;
 

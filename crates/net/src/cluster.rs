@@ -126,12 +126,6 @@ impl ClusterConfig {
         }
     }
 
-    /// A physical UDP-multicast cluster of `k` nodes
-    /// (equivalent to `local(k).with_fabric(ShuffleFabric::UdpMulticast)`).
-    pub fn udp(k: usize) -> Self {
-        ClusterConfig::local(k).with_fabric(ShuffleFabric::UdpMulticast)
-    }
-
     /// Installs a full emulated-NIC profile on every node.
     pub fn with_nic(mut self, nic: NicProfile) -> Self {
         self.nic = Some(nic);
@@ -688,7 +682,8 @@ mod tests {
         if crate::udp::skip_without_multicast() {
             return;
         }
-        let run = run_spmd(&ClusterConfig::udp(3), |comm| {
+        let udp = ClusterConfig::local(3).with_fabric(ShuffleFabric::UdpMulticast);
+        let run = run_spmd(&udp, |comm| {
             comm.set_stage("Shuffle");
             let data = (comm.rank() == 1).then(|| Bytes::from(vec![7u8; 3000]));
             comm.multicast(1, &[0, 1, 2], Tag::new(Tag::BCAST, 0), data)

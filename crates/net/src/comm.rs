@@ -140,8 +140,8 @@ impl Communicator {
 
     /// The owning fabric's metric registry. Engines use this to register
     /// job-level instruments lazily.
-    pub fn metrics(&self) -> Option<&Arc<MetricsHub>> {
-        Some(&self.scope.metrics)
+    pub fn metrics(&self) -> &Arc<MetricsHub> {
+        &self.scope.metrics
     }
 
     /// Called by a rank that is about to return an error its peers cannot

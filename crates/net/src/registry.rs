@@ -11,7 +11,7 @@
 //! [`UdpGroupPlan`] extends the registry to the [`udp`](crate::udp)
 //! fabric: it deterministically allocates a multicast group address for
 //! every multicast *set* (receiver bitmask) from a small address pool, so
-//! each endpoint joins `pool_size` groups once at bring-up — Linux caps
+//! each endpoint joins the pool's groups once at bring-up — Linux caps
 //! IGMP memberships per socket (`igmp_max_memberships`, default 20), which
 //! rules out one membership per `C(K, r+1)` group at paper scale.
 //!
@@ -164,7 +164,7 @@ impl MembershipView {
 ///
 /// Every multicast *set* (a receiver bitmask over ranks) maps to one
 /// administratively scoped group address (`239.195.77.x`, RFC 2365) drawn
-/// from a pool of `pool_size` addresses, all sharing one UDP `port`. The
+/// from a pool of [`POOL`](Self::POOL) addresses, all sharing one UDP `port`. The
 /// mapping is a pure hash of the mask, so every rank computes the same
 /// address for the same set without coordination, and receivers join the
 /// whole (small) pool once at bring-up — receiver-mask filtering in the
@@ -174,7 +174,7 @@ impl MembershipView {
 /// ```
 /// use cts_net::registry::UdpGroupPlan;
 ///
-/// let plan = UdpGroupPlan::new(4000, 8);
+/// let plan = UdpGroupPlan::new(4000);
 /// // Same set → same group address, on every rank.
 /// assert_eq!(plan.addr_for(0b0110), plan.addr_for(0b0110));
 /// assert_eq!(plan.pool().len(), 8);
@@ -183,21 +183,16 @@ impl MembershipView {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UdpGroupPlan {
     port: u16,
-    pool_size: u8,
 }
 
 impl UdpGroupPlan {
-    /// Default pool size: well under Linux's per-socket IGMP membership
-    /// cap (`igmp_max_memberships`, typically 20).
-    pub const DEFAULT_POOL: u8 = 8;
+    /// Pool size: well under Linux's per-socket IGMP membership cap
+    /// (`igmp_max_memberships`, typically 20).
+    pub const POOL: u8 = 8;
 
-    /// A plan over `pool_size` group addresses (clamped to at least 1) on
-    /// the given UDP port.
-    pub fn new(port: u16, pool_size: u8) -> Self {
-        UdpGroupPlan {
-            port,
-            pool_size: pool_size.max(1),
-        }
+    /// A plan over the pool's group addresses on the given UDP port.
+    pub fn new(port: u16) -> Self {
+        UdpGroupPlan { port }
     }
 
     /// The shared UDP port every group of this plan uses.
@@ -207,7 +202,7 @@ impl UdpGroupPlan {
 
     /// All group addresses of the pool, in join order.
     pub fn pool(&self) -> Vec<Ipv4Addr> {
-        (0..self.pool_size)
+        (0..Self::POOL)
             .map(|i| Ipv4Addr::new(239, 195, 77, i + 1))
             .collect()
     }
@@ -218,7 +213,7 @@ impl UdpGroupPlan {
         // over the pool instead of clustering on one address.
         let folded = (mask as u64) ^ ((mask >> 64) as u64);
         let h = folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let slot = (h % self.pool_size as u64) as u8;
+        let slot = (h % Self::POOL as u64) as u8;
         SocketAddrV4::new(Ipv4Addr::new(239, 195, 77, slot + 1), self.port)
     }
 }
@@ -241,9 +236,9 @@ mod tests {
 
     #[test]
     fn group_plan_is_deterministic_and_pool_bounded() {
-        let plan = UdpGroupPlan::new(4100, 4);
+        let plan = UdpGroupPlan::new(4100);
         let pool = plan.pool();
-        assert_eq!(pool.len(), 4);
+        assert_eq!(pool.len(), 8);
         let mut seen = std::collections::HashSet::new();
         for mask in [0b11u128, 0b101, 0b1110, 1u128 << 127 | 1, u128::MAX] {
             let addr = plan.addr_for(mask);
@@ -254,8 +249,6 @@ mod tests {
         }
         // The hash actually spreads sets over more than one address.
         assert!(seen.len() > 1, "all masks collapsed onto one group");
-        // Degenerate pool of one still works.
-        assert_eq!(UdpGroupPlan::new(1, 0).pool().len(), 1);
     }
 
     #[test]

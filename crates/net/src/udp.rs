@@ -18,7 +18,7 @@
 //!   receiver-mask filtering in the chunk header resolves pool collisions,
 //!   like coarse IGMP snooping on a real switch.
 //! * **Chunking** — a payload is split into datagrams of
-//!   [`UdpConfig::chunk_bytes`] (default 1400 B, conservatively under an
+//!   `CHUNK_BYTES` (1400 B, conservatively under an
 //!   Ethernet MTU with the 40-byte chunk header), each carrying
 //!   `(sender, seq, tag, chunk index/count, receiver mask)`.
 //! * **Reassembly** — one fabric-wide dispatcher thread reads the shared
@@ -152,32 +152,35 @@ impl UdpFabricStats {
     }
 }
 
-/// Tuning knobs of the UDP fabric.
+/// Payload bytes per datagram (the MTU budget minus the 40-byte chunk
+/// header): under a 1500-byte Ethernet MTU, so chunks never rely on IP
+/// fragmentation on a real LAN.
+const CHUNK_BYTES: usize = 1400;
+// A chunk plus its header must fit one legal IPv4 UDP datagram (65 507
+// payload bytes) and the dispatcher's receive buffer, and its size the
+// header's 16-bit `nominal`.
+const _: () = assert!(CHUNK_BYTES > 0 && CHUNK_BYTES + HEADER_LEN <= 65_507);
+/// Recovery rounds *with something outstanding to repair* a single
+/// receive attempts before giving up with `Timeout` (bounding a loss
+/// stall at roughly `MAX_RECOVERY_ROUNDS × nack_interval`). Rounds
+/// where the awaited sender simply has not sent yet do not count —
+/// `recv` blocks indefinitely on healthy silence like every other
+/// transport.
+const MAX_RECOVERY_ROUNDS: u32 = 400;
+/// Sent messages retained per endpoint for repair (ring buffer; a NACK
+/// for an evicted message cannot be served).
+const HISTORY: u32 = 4096;
+
+/// Tuning knobs of the UDP fabric (the multicast group-address pool is
+/// [`UdpGroupPlan::POOL`]).
 #[derive(Clone)]
 pub struct UdpConfig {
-    /// Payload bytes per datagram (the MTU budget minus the 40-byte chunk
-    /// header). Default 1400: under a 1500-byte Ethernet MTU, so chunks
-    /// never rely on IP fragmentation on a real LAN.
-    pub chunk_bytes: usize,
-    /// Multicast group-address pool size (see [`UdpGroupPlan`]).
-    pub pool_size: u8,
     /// How long a blocked receive stays quiet before running a NACK /
     /// status recovery round against the awaited senders.
     pub nack_interval: Duration,
     /// How many NACKs of one message are served by *re-multicasting* the
     /// missing chunks before the sender falls back to TCP unicast repair.
     pub max_multicast_repairs: u32,
-    /// Recovery rounds *with something outstanding to repair* a single
-    /// receive attempts before giving up with `Timeout` (bounding a loss
-    /// stall at roughly `max_recovery_rounds × nack_interval`). Rounds
-    /// where the awaited sender simply has not sent yet do not count —
-    /// `recv` blocks indefinitely on healthy silence like every other
-    /// transport.
-    pub max_recovery_rounds: u32,
-    /// Sent messages retained per endpoint for repair (ring buffer; a NACK
-    /// for an evicted message cannot be served, so receivers of very deep
-    /// backlogs should raise this).
-    pub history: usize,
     /// Injected datagram loss for tests (see
     /// [`fault::datagram_loss_rule`](crate::fault::datagram_loss_rule)).
     pub fault: Option<Arc<DatagramRule>>,
@@ -189,12 +192,8 @@ pub struct UdpConfig {
 impl Default for UdpConfig {
     fn default() -> Self {
         UdpConfig {
-            chunk_bytes: 1400,
-            pool_size: UdpGroupPlan::DEFAULT_POOL,
             nack_interval: Duration::from_millis(20),
             max_multicast_repairs: 2,
-            max_recovery_rounds: 400,
-            history: 4096,
             fault: None,
             stats: Arc::new(UdpFabricStats::default()),
         }
@@ -204,12 +203,8 @@ impl Default for UdpConfig {
 impl std::fmt::Debug for UdpConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UdpConfig")
-            .field("chunk_bytes", &self.chunk_bytes)
-            .field("pool_size", &self.pool_size)
             .field("nack_interval", &self.nack_interval)
             .field("max_multicast_repairs", &self.max_multicast_repairs)
-            .field("max_recovery_rounds", &self.max_recovery_rounds)
-            .field("history", &self.history)
             .field("fault", &self.fault.as_ref().map(|_| "<rule>"))
             .finish_non_exhaustive()
     }
@@ -307,13 +302,6 @@ impl Reassembly {
 struct RankRx {
     mailbox: Arc<Mailbox>,
     state: Mutex<RxState>,
-    /// Dedup horizon, mirroring the sender's [`UdpConfig::history`] ring:
-    /// duplicates of a message can only originate from repairs, and a
-    /// sender can only repair what its ring still retains, so `done`
-    /// entries older than the horizon below the highest seq seen per
-    /// sender are safe to forget — this bounds receiver state for
-    /// long-lived fabrics instead of leaking one entry per message.
-    dedup_horizon: u32,
 }
 
 #[derive(Default)]
@@ -327,11 +315,10 @@ struct RxState {
 }
 
 impl RankRx {
-    fn new(mailbox: Arc<Mailbox>, dedup_horizon: usize) -> RankRx {
+    fn new(mailbox: Arc<Mailbox>) -> RankRx {
         RankRx {
             mailbox,
             state: Mutex::new(RxState::default()),
-            dedup_horizon: u32::try_from(dedup_horizon).unwrap_or(u32::MAX),
         }
     }
 
@@ -392,14 +379,18 @@ impl RankRx {
                 *max = h.seq;
             }
             // Amortized prune: once the dedup set outgrows a few horizons,
-            // drop entries no sender's repair ring can re-send.
-            if state.done.len() > (self.dedup_horizon as usize).saturating_mul(4).max(1024) {
-                let horizon = self.dedup_horizon;
+            // drop entries no sender's repair ring can re-send. The horizon
+            // mirrors the sender's `HISTORY` ring: duplicates of a message can
+            // only originate from repairs, and a sender can only repair what
+            // its ring still retains, so `done` entries older than that below
+            // the highest seq seen per sender are safe to forget — this bounds
+            // receiver state for long-lived fabrics.
+            if state.done.len() > HISTORY as usize * 4 {
                 let RxState { done, max_seq, .. } = &mut *state;
                 done.retain(|(s, q)| {
                     max_seq
                         .get(s)
-                        .is_none_or(|m| *q >= m.saturating_sub(horizon))
+                        .is_none_or(|m| *q >= m.saturating_sub(HISTORY))
                 });
             }
             drop(state);
@@ -462,7 +453,7 @@ impl Shared {
         payload: &[u8],
         only_missing: Option<&[u8]>,
     ) -> Result<()> {
-        let nominal = self.cfg.chunk_bytes;
+        let nominal = CHUNK_BYTES;
         let chunk_count = chunk_count_for(payload.len(), nominal)?;
         let addr = self.core.plan.addr_for(mask);
         let mut frame = Vec::with_capacity(HEADER_LEN + nominal);
@@ -705,19 +696,18 @@ fn handle_ctrl(shared: &Shared, src: usize, msg: &[u8]) -> Result<()> {
                 .ring
                 .iter()
                 .filter(|m| {
-                    m.mask & bit != 0
-                        && chunk_count_for(m.payload.len(), shared.cfg.chunk_bytes).is_ok()
+                    m.mask & bit != 0 && chunk_count_for(m.payload.len(), CHUNK_BYTES).is_ok()
                 })
                 .collect();
             let mut reply = Vec::with_capacity(4 + mine.len() * 16);
             reply.extend_from_slice(&(mine.len() as u32).to_le_bytes());
             for m in &mine {
-                let chunk_count = chunk_count_for(m.payload.len(), shared.cfg.chunk_bytes)
-                    .expect("filtered above");
+                let chunk_count =
+                    chunk_count_for(m.payload.len(), CHUNK_BYTES).expect("filtered above");
                 reply.extend_from_slice(&m.seq.to_le_bytes());
                 reply.extend_from_slice(&m.tag.to_le_bytes());
                 reply.extend_from_slice(&chunk_count.to_le_bytes());
-                reply.extend_from_slice(&(shared.cfg.chunk_bytes as u16).to_le_bytes());
+                reply.extend_from_slice(&(CHUNK_BYTES as u16).to_le_bytes());
                 reply.extend_from_slice(&(m.payload.len() as u32).to_le_bytes());
             }
             drop(history);
@@ -761,7 +751,7 @@ fn repair_over_tcp(
     payload: &[u8],
     bitmap: &[u8],
 ) -> Result<()> {
-    let nominal = shared.cfg.chunk_bytes;
+    let nominal = CHUNK_BYTES;
     let chunk_count = chunk_count_for(payload.len(), nominal)?;
     for (idx, span) in chunk_spans(payload.len(), nominal, chunk_count, Some(bitmap)) {
         let mut frame = Vec::with_capacity(18 + span.len());
@@ -864,7 +854,7 @@ impl Transport for UdpEndpoint {
         // that can never be chunked must not be advertised to receivers
         // (the servicer builds status replies from the ring and relies on
         // every retained message chunking cleanly).
-        chunk_count_for(payload.len(), shared.cfg.chunk_bytes)?;
+        chunk_count_for(payload.len(), CHUNK_BYTES)?;
         let seq = {
             let mut history = shared.history.lock();
             let seq = history.next_seq;
@@ -876,7 +866,7 @@ impl Transport for UdpEndpoint {
                 payload: payload.clone(),
                 repair_rounds: 0,
             });
-            while history.ring.len() > shared.cfg.history {
+            while history.ring.len() > HISTORY as usize {
                 history.ring.pop_front();
             }
             seq
@@ -912,7 +902,7 @@ impl Transport for UdpEndpoint {
             if shared.recovery_round(keys, deadline)? {
                 idle_rounds = 0;
                 repair_rounds += 1;
-                if repair_rounds > shared.cfg.max_recovery_rounds {
+                if repair_rounds > MAX_RECOVERY_ROUNDS {
                     return Err(timeout);
                 }
             } else {
@@ -1008,7 +998,7 @@ fn open_rx(pool: &[Ipv4Addr]) -> Result<UdpSocket> {
 /// smoke job consult this to skip gracefully.
 pub fn multicast_available() -> bool {
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| open_rx(&UdpGroupPlan::new(0, 1).pool()).is_ok())
+    *AVAILABLE.get_or_init(|| open_rx(&UdpGroupPlan::new(0).pool()[..1]).is_ok())
 }
 
 /// The canonical skip guard for tests and smoke jobs that need the UDP
@@ -1035,24 +1025,16 @@ pub fn build_udp_fabric(k: usize) -> Result<Vec<UdpEndpoint>> {
 
 /// [`build_udp_fabric`] with explicit [`UdpConfig`] tuning.
 pub fn build_udp_fabric_with(k: usize, cfg: UdpConfig) -> Result<Vec<UdpEndpoint>> {
-    // A chunk plus its 40-byte header must fit one legal IPv4 UDP datagram
-    // (65 507 payload bytes) and the dispatcher's receive buffer.
-    const MAX_CHUNK: usize = 65_507 - HEADER_LEN;
-    if cfg.chunk_bytes == 0 || cfg.chunk_bytes > MAX_CHUNK {
-        return Err(NetError::Io {
-            what: format!("chunk_bytes {} outside 1..={MAX_CHUNK}", cfg.chunk_bytes),
-        });
-    }
     let tcp = build_tcp_fabric(k)?;
-    let pool = UdpGroupPlan::new(0, cfg.pool_size).pool();
+    let pool = UdpGroupPlan::new(0).pool();
     let rx_sock = open_rx(&pool)?;
     let port = rx_sock.local_addr()?.port();
     rx_sock.set_read_timeout(Some(Duration::from_millis(25)))?;
-    let plan = UdpGroupPlan::new(port, cfg.pool_size);
+    let plan = UdpGroupPlan::new(port);
     let core = Arc::new(FabricCore {
         plan,
         rx: (tcp.iter())
-            .map(|ep| Arc::new(RankRx::new(Arc::clone(ep.mailbox()), cfg.history)))
+            .map(|ep| Arc::new(RankRx::new(Arc::clone(ep.mailbox()))))
             .collect(),
         stats: Arc::clone(&cfg.stats),
         stop: AtomicBool::new(false),
@@ -1142,7 +1124,7 @@ mod tests {
 
     #[test]
     fn forged_chunk_headers_are_dropped_not_panicked() {
-        let rx = RankRx::new(Arc::new(Mailbox::new(1)), 4096);
+        let rx = RankRx::new(Arc::new(Mailbox::new(1)));
         let stats = UdpFabricStats::default();
         // chunk_idx × nominal far past total_len, with an empty body whose
         // length happens to match the expected tail: must be rejected by

@@ -1,10 +1,7 @@
 //! High-level drivers: generate → sort → validate in one call.
 
 use bytes::Bytes;
-use cts_mapreduce::coded::run_coded;
-use cts_mapreduce::stage::EngineConfig;
-use cts_mapreduce::uncoded::{run_uncoded, JobOutcome};
-use cts_mapreduce::Result;
+use cts_mapreduce::{run, EngineConfig, JobOutcome, Result};
 
 use crate::partition::SampledPartitioner;
 use crate::record::{key_of, records, KEY_LEN};
@@ -28,13 +25,11 @@ pub enum PartitionerKind {
     },
 }
 
-/// Configuration of one TeraSort / CodedTeraSort run.
+/// Configuration of one TeraSort / CodedTeraSort run: what the sort adds
+/// to the engine's own configuration. Everything else — `K`, `r`, pods,
+/// fabric, NIC, field, decode, threads, recovery — is set on `engine`.
 #[derive(Clone, Debug)]
 pub struct SortJob {
-    /// Worker count `K`.
-    pub k: usize,
-    /// Redundancy `r` (used by the coded driver; 1 means conventional).
-    pub r: usize,
     /// Reduce-stage sort kernel.
     pub kernel: SortKernel,
     /// Key-domain partitioning strategy.
@@ -44,47 +39,23 @@ pub struct SortJob {
 }
 
 impl SortJob {
-    /// A local in-memory job.
-    pub fn local(k: usize, r: usize) -> Self {
+    /// A sort over `engine`'s cluster and layout.
+    pub fn new(engine: EngineConfig) -> Self {
         SortJob {
-            k,
-            r,
             kernel: SortKernel::default(),
             partitioner: PartitionerKind::default(),
-            engine: EngineConfig::local(k, r),
+            engine,
         }
+    }
+
+    /// A local in-memory job.
+    pub fn local(k: usize, r: usize) -> Self {
+        SortJob::new(EngineConfig::local(k, r))
     }
 
     /// Overrides the sort kernel.
     pub fn with_kernel(mut self, kernel: SortKernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Sets the intra-node worker-thread count for the CPU-bound stages
-    /// (Map hashing, encode, decode, Reduce sort); `0` = machine
-    /// parallelism. Outputs are byte-identical for any value.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.engine = self.engine.with_threads(threads);
-        self
-    }
-
-    /// Selects the coding field for the coded driver's packets: `gf2`
-    /// (the paper's XOR code, the default) or `gf256` (q-ary combinations
-    /// over runtime-dispatched SIMD kernels). Sorted output is
-    /// byte-identical either way.
-    pub fn with_field(mut self, field: cts_core::field::FieldKind) -> Self {
-        self.engine = self.engine.with_field(field);
-        self
-    }
-
-    /// Selects the coded driver's decode discipline: `all` (the paper's
-    /// barrier-on-all default) or `quorum` (release each group once any
-    /// `r-1` of its `r` coded packets arrive, via the GF(256) MDS code; the
-    /// shuffle then proceeds without the slowest senders). Sorted output
-    /// is byte-identical either way.
-    pub fn with_decode(mut self, decode: cts_core::decode::DecodeMode) -> Self {
-        self.engine = self.engine.with_decode(decode);
         self
     }
 
@@ -95,52 +66,11 @@ impl SortJob {
         self
     }
 
-    /// Selects the shuffle fabric for the coded driver:
-    /// `serial-unicast` (the pre-async baseline), `fanout` (overlapped
-    /// copies), `multicast` (emulated one-to-many, the default), or
-    /// `udp-multicast` (physical IP multicast with NACK loss recovery;
-    /// requires kernel multicast support).
-    pub fn with_fabric(mut self, fabric: cts_net::fabric::ShuffleFabric) -> Self {
-        self.engine = self.engine.with_fabric(fabric);
-        self
-    }
-
-    /// Installs an emulated NIC (rate cap + per-transfer latency +
-    /// multicast `α`) on every node, so fabric choices show up in measured
-    /// shuffle wall-clock.
-    pub fn with_nic(mut self, nic: cts_net::rate::NicProfile) -> Self {
-        self.engine = self.engine.with_nic(nic);
-        self
-    }
-
-    /// Selects rank-death handling for the coded driver: `off` (a death
-    /// fails the job fast with a typed error, the default) or
-    /// `speculative` (heartbeat detection plus re-execution of the dead
-    /// rank's work on survivors; requires `gf256`, `quorum`, and
-    /// `r >= 2`). The recovered sort output is byte-identical to a
-    /// healthy run's.
-    pub fn with_recovery(mut self, recovery: cts_mapreduce::stage::RecoveryMode) -> Self {
-        self.engine = self.engine.with_recovery(recovery);
-        self
-    }
-
-    /// Sets the health layer's heartbeat interval (recovery mode only);
-    /// death is declared after ~36 silent intervals.
-    pub fn with_heartbeat(mut self, heartbeat: std::time::Duration) -> Self {
-        self.engine = self.engine.with_heartbeat(heartbeat);
-        self
-    }
-
-    /// Sets the quorum shuffle's receive-idle deadline (zero-progress
-    /// tolerance before the run is declared stalled).
-    pub fn with_idle_timeout(mut self, idle_timeout: std::time::Duration) -> Self {
-        self.engine = self.engine.with_idle_timeout(idle_timeout);
-        self
-    }
-
+    /// The job's workload: the partitioner it names, built over `input`,
+    /// and its sort kernel.
     fn workload(&self, input: &Bytes) -> TeraSortWorkload {
         let w = match self.partitioner {
-            PartitionerKind::Range => TeraSortWorkload::range(self.k),
+            PartitionerKind::Range => TeraSortWorkload::range(self.engine.k),
             PartitionerKind::Sampled { sample_every } => {
                 // The paper's coordinator creates the key partitions
                 // (§V-A); here it samples the input before the timed run.
@@ -153,7 +83,7 @@ impl SortJob {
                 } else {
                     samples
                 };
-                TeraSortWorkload::sampled(SampledPartitioner::from_samples(samples, self.k))
+                TeraSortWorkload::sampled(SampledPartitioner::from_samples(samples, self.engine.k))
             }
         };
         w.with_kernel(self.kernel)
@@ -176,17 +106,18 @@ impl SortRun {
     }
 }
 
-/// Runs conventional TeraSort (paper §III) on `input`.
+/// Runs conventional TeraSort (paper §III) on `input`: `job` at `r = 1`
+/// on the flat layout, whatever its engine configuration says.
 pub fn run_terasort(input: Bytes, job: &SortJob) -> Result<SortRun> {
-    let workload = job.workload(&input);
-    let outcome = run_uncoded(&workload, input.clone(), &job.engine)?;
-    Ok(SortRun { outcome, input })
+    let mut job = job.clone();
+    (job.engine.r, job.engine.pods) = (1, 0);
+    run_coded_terasort(input, &job)
 }
 
-/// Runs CodedTeraSort (paper §IV) on `input` at redundancy `job.r`.
+/// Runs `job` on `input` as its engine configuration lays it out —
+/// CodedTeraSort (paper §IV) at redundancy `job.engine.r`.
 pub fn run_coded_terasort(input: Bytes, job: &SortJob) -> Result<SortRun> {
-    let workload = job.workload(&input);
-    let outcome = run_coded(&workload, input.clone(), &job.engine)?;
+    let outcome = run(&job.workload(&input), input.clone(), &job.engine)?;
     Ok(SortRun { outcome, input })
 }
 
@@ -200,6 +131,16 @@ mod tests {
         let input = generate(600, 71);
         let run = run_terasort(input, &SortJob::local(4, 1)).unwrap();
         run.validate().unwrap();
+    }
+
+    #[test]
+    fn run_terasort_runs_at_r_one_whatever_the_job_says() {
+        let input = generate(600, 71);
+        let run = run_terasort(input, &SortJob::local(4, 3)).unwrap();
+        run.validate().unwrap();
+        assert_eq!(run.outcome.stats.num_groups, 0);
+        use cts_mapreduce::stage::stages::SHUFFLE;
+        assert_eq!(run.outcome.trace.stage_wire_sends(SHUFFLE), 12);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # cts-terasort — TeraSort and CodedTeraSort
 //!
-//! The sorting application of the paper, built on the generic engines of
+//! The sorting application of the paper, built on the generic engine of
 //! `cts-mapreduce`:
 //!
 //! * [`record`] — the 100-byte TeraGen record (10-byte key + 90-byte
@@ -11,8 +11,9 @@
 //! * [`sort`] — Reduce kernels: `std::sort` equivalent and an LSD radix
 //!   sort ablation;
 //! * [`workload`] — TeraSort as a `cts-mapreduce` workload;
-//! * [`driver`] — one-call runs of TeraSort (§III) and CodedTeraSort
-//!   (§IV);
+//! * [`driver`] — one-call runs: a [`SortJob`] is a kernel, a partitioner
+//!   and the engine's own configuration (`K`, `r`, pods, fabric, …);
+//!   TeraSort (§III) is the job at `r = 1`, CodedTeraSort (§IV) above it;
 //! * [`service`] — the `cts serve` daemon: a multi-tenant sort service
 //!   over a resident `cts_mapreduce::JobRuntime`, plus the wire client;
 //! * [`validate`](mod@validate) — TeraValidate (order, boundaries, conservation).
@@ -45,7 +46,7 @@ pub mod validate;
 pub mod workload;
 
 pub use driver::{run_coded_terasort, run_terasort, PartitionerKind, SortJob, SortRun};
-pub use partition::{KeyPartitioner, RangePartitioner, SampledPartitioner};
+pub use partition::{RangePartitioner, SampledPartitioner};
 pub use record::{KEY_LEN, RECORD_LEN, VALUE_LEN};
 pub use service::{JobKind, RemoteStatus, ResultDigest, ServiceClient, SortService};
 pub use sort::SortKernel;

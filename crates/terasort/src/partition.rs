@@ -9,15 +9,6 @@
 
 use crate::record::{key_to_u128, KEY_LEN};
 
-/// Maps keys to ordered partitions.
-pub trait KeyPartitioner: Send + Sync {
-    /// Number of partitions `K`.
-    fn num_partitions(&self) -> usize;
-
-    /// The partition of `key` (a [`KEY_LEN`]-byte slice).
-    fn partition(&self, key: &[u8]) -> usize;
-}
-
 /// Equal-width ranges over the 80-bit key space:
 /// `partition = ⌊key · K / 2^80⌋`.
 #[derive(Clone, Copy, Debug)]
@@ -34,15 +25,10 @@ impl RangePartitioner {
         assert!(k > 0, "need at least one partition");
         RangePartitioner { k }
     }
-}
 
-impl KeyPartitioner for RangePartitioner {
-    fn num_partitions(&self) -> usize {
-        self.k
-    }
-
+    /// The partition of `key` (a [`KEY_LEN`]-byte slice).
     #[inline]
-    fn partition(&self, key: &[u8]) -> usize {
+    pub fn partition(&self, key: &[u8]) -> usize {
         // Exact: key < 2^80 and K ≤ 2^16, so key·K < 2^96 fits u128.
         ((key_to_u128(key) * self.k as u128) >> 80) as usize
     }
@@ -75,15 +61,10 @@ impl SampledPartitioner {
     pub fn boundaries(&self) -> &[[u8; KEY_LEN]] {
         &self.boundaries
     }
-}
 
-impl KeyPartitioner for SampledPartitioner {
-    fn num_partitions(&self) -> usize {
-        self.boundaries.len() + 1
-    }
-
+    /// The partition of `key` (a [`KEY_LEN`]-byte slice).
     #[inline]
-    fn partition(&self, key: &[u8]) -> usize {
+    pub fn partition(&self, key: &[u8]) -> usize {
         debug_assert_eq!(key.len(), KEY_LEN);
         // First partition whose boundary exceeds the key.
         self.boundaries.partition_point(|b| &b[..] <= key)
@@ -170,7 +151,6 @@ mod tests {
     fn sampled_is_monotone_and_total() {
         let samples: Vec<[u8; KEY_LEN]> = (0..100u8).map(|i| key(&[i.wrapping_mul(37)])).collect();
         let p = SampledPartitioner::from_samples(samples, 5);
-        assert_eq!(p.num_partitions(), 5);
         assert_eq!(p.boundaries().len(), 4);
         let data = generate(1000, 29);
         let mut keyed: Vec<&[u8]> = records(&data).map(key_of).collect();

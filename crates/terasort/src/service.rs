@@ -403,13 +403,9 @@ impl Inner {
                 // The protocol lets `r = 0` stand for conventional too.
                 cfg.r = r.max(1);
                 match &kind {
-                    JobKind::Sort => {
-                        ctx.run_coded_with(&TeraSortWorkload::range(cfg.k), input, &cfg)
-                    }
-                    JobKind::WordCount => ctx.run_coded_with(&WordCount, input, &cfg),
-                    JobKind::Grep(pattern) => {
-                        ctx.run_coded_with(&Grep::new(pattern.clone()), input, &cfg)
-                    }
+                    JobKind::Sort => ctx.run(&TeraSortWorkload::range(cfg.k), input, &cfg),
+                    JobKind::WordCount => ctx.run(&WordCount, input, &cfg),
+                    JobKind::Grep(pattern) => ctx.run(&Grep::new(pattern.clone()), input, &cfg),
                 }
             })
             .map_err(|e| e.to_string())?;

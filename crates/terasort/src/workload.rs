@@ -7,7 +7,7 @@ use cts_core::exec::WorkerPool;
 use cts_core::pool;
 use cts_mapreduce::workload::{InputFormat, NodeSet, Workload};
 
-use crate::partition::{KeyPartitioner, RangePartitioner, SampledPartitioner};
+use crate::partition::{RangePartitioner, SampledPartitioner};
 use crate::record::{key_of, record_count, records, RECORD_LEN};
 use crate::sort::{sort_pieces, SortKernel};
 
@@ -23,15 +23,6 @@ pub struct TeraSortWorkload {
 enum Partitioner {
     Range(RangePartitioner),
     Sampled(SampledPartitioner),
-}
-
-impl Partitioner {
-    fn partition(&self, key: &[u8]) -> usize {
-        match self {
-            Partitioner::Range(p) => p.partition(key),
-            Partitioner::Sampled(p) => p.partition(key),
-        }
-    }
 }
 
 impl TeraSortWorkload {
@@ -74,7 +65,10 @@ impl Workload for TeraSortWorkload {
         let mut sizes = vec![0usize; num_partitions];
         let ids: Vec<u8> = records(file)
             .map(|rec| {
-                let p = self.partitioner.partition(key_of(rec));
+                let p = match &self.partitioner {
+                    Partitioner::Range(p) => p.partition(key_of(rec)),
+                    Partitioner::Sampled(p) => p.partition(key_of(rec)),
+                };
                 sizes[p] += if keep.contains(p) { RECORD_LEN } else { 0 };
                 p as u8 // a `NodeSet` member: < 64
             })

@@ -21,16 +21,10 @@ fn main() {
     println!("Building a {k}-node TCP mesh on loopback…");
     let input = teragen::generate(records, 99);
 
-    let mut job = SortJob {
-        k,
-        r,
-        kernel: SortKernel::Comparison,
-        partitioner: PartitionerKind::Range,
-        engine: EngineConfig::tcp(k, r),
-    };
+    let mut job = SortJob::new(EngineConfig::tcp(k, r));
     if rate_limited {
         println!("Rate-limiting every node's egress to 100 Mbps (tc-style)…");
-        job = job.with_nic(NicProfile::rate_limited(100e6 / 8.0));
+        job.engine = job.engine.with_nic(NicProfile::rate_limited(100e6 / 8.0));
     }
 
     let started = std::time::Instant::now();
@@ -62,16 +56,12 @@ fn main() {
         w.shuffle, w.unpack_decode, w.reduce
     );
 
-    // Compare against the uncoded engine over the same fabric.
-    let mut plain_job = SortJob {
-        k,
-        r: 1,
-        kernel: SortKernel::Comparison,
-        partitioner: PartitionerKind::Range,
-        engine: EngineConfig::tcp(k, 1),
-    };
+    // Compare against r = 1 over the same fabric.
+    let mut plain_job = SortJob::new(EngineConfig::tcp(k, 1));
     if rate_limited {
-        plain_job = plain_job.with_nic(NicProfile::rate_limited(100e6 / 8.0));
+        plain_job.engine = plain_job
+            .engine
+            .with_nic(NicProfile::rate_limited(100e6 / 8.0));
     }
     let started = std::time::Instant::now();
     let plain = run_terasort(input, &plain_job).expect("terasort over tcp");

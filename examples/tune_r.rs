@@ -46,10 +46,10 @@ fn main() {
     let k = 16;
     println!("\nFull model at K = {k} (12 GB, 100 Mbps), including CodeGen:");
     let exp = Experiment::paper(k);
-    let base = exp.run_uncoded();
+    let base = exp.run(1);
     let mut best = (1usize, base.breakdown.total_s());
     for r in 2..=8 {
-        let res = exp.run_coded(r);
+        let res = exp.run(r);
         let total = res.breakdown.total_s();
         println!(
             "  r = {r}: total {total:>7.1} s  (CodeGen {:>6.1} s, Shuffle {:>6.1} s)  speedup {:.2}×",

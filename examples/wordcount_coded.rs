@@ -46,16 +46,16 @@ fn main() {
         input.len() as f64 / 1e6
     );
 
-    let uncoded = run_uncoded(&WordCount, input.clone(), &EngineConfig::local(k, 1))
-        .expect("uncoded wordcount");
+    let uncoded =
+        run(&WordCount, input.clone(), &EngineConfig::local(k, 1)).expect("uncoded wordcount");
     let coded =
-        run_coded(&WordCount, input.clone(), &EngineConfig::local(k, r)).expect("coded wordcount");
+        run(&WordCount, input.clone(), &EngineConfig::local(k, r)).expect("coded wordcount");
 
     assert_eq!(
         uncoded.outputs, coded.outputs,
         "coded and uncoded WordCount must agree"
     );
-    println!("Outputs identical across engines. ✓");
+    println!("Outputs identical at r = 1 and r = {r}. ✓");
 
     // Show the top words from partition outputs.
     let mut lines: Vec<String> = coded
@@ -92,16 +92,15 @@ fn main() {
 
     // Grep too (the paper names it explicitly).
     let grep = Grep::new(&b"code"[..]);
-    let g_uncoded =
-        run_uncoded(&grep, input.clone(), &EngineConfig::local(k, 1)).expect("uncoded grep");
-    let g_coded = run_coded(&grep, input, &EngineConfig::local(k, r)).expect("coded grep");
+    let g_uncoded = run(&grep, input.clone(), &EngineConfig::local(k, 1)).expect("uncoded grep");
+    let g_coded = run(&grep, input, &EngineConfig::local(k, r)).expect("coded grep");
     assert_eq!(g_uncoded.outputs, g_coded.outputs);
     let matches: usize = g_coded
         .outputs
         .iter()
         .map(|o| o.iter().filter(|&&b| b == b'\n').count())
         .sum();
-    println!("\nGrep \"code\": {matches} matching lines; engines agree. ✓");
+    println!("\nGrep \"code\": {matches} matching lines; both runs agree. ✓");
     println!(
         "  uncoded shuffle {} B  vs coded {} B",
         g_uncoded.stats.shuffle_bytes(),

@@ -21,10 +21,8 @@ use std::process::ExitCode;
 
 use bytes::Bytes;
 use coded_terasort::bench::Experiment;
-use coded_terasort::mapreduce::run_coded_pods;
 use coded_terasort::prelude::*;
 use cts_netsim::{egress_floor_s, predict_fabric_shuffle_s, NetModelConfig, SHUFFLE_STAGE};
-use cts_terasort::workload::TeraSortWorkload;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -174,6 +172,16 @@ fn opt<T: std::str::FromStr>(opts: &Flags, name: &str, default: T) -> Result<T, 
     }
 }
 
+/// A named choice (`--fabric fanout`): the option type's own parser and
+/// error text, its own default when the flag is absent.
+fn choice<T>(opts: &Flags, name: &str) -> Result<T, String>
+where
+    T: std::str::FromStr<Err = String> + Default,
+{
+    opts.get(name)
+        .map_or_else(|| Ok(T::default()), |v| v.parse())
+}
+
 fn cmd_gen(opts: &Flags) -> Result<(), String> {
     let records: usize = req(opts, "records")?;
     let out: String = req(opts, "out")?;
@@ -203,47 +211,16 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     let validate = !opts.contains_key("no-validate");
     let paper_nic = opts.contains_key("paper-nic");
     let threads: usize = opt(opts, "threads", 1)?;
-    let kernel: SortKernel = match opts.get("sort-kernel") {
-        Some(v) => v.parse()?,
-        None => SortKernel::Comparison,
-    };
-    let fabric: cts_net::ShuffleFabric = match opts.get("fabric") {
-        None => cts_net::ShuffleFabric::default(),
-        Some(v) => v.parse()?,
-    };
-    let field: cts_core::FieldKind = match opts.get("field") {
-        None => cts_core::FieldKind::default(),
-        Some(v) => v.parse()?,
-    };
-    let decode: cts_core::decode::DecodeMode = match opts.get("decode") {
-        None => cts_core::decode::DecodeMode::default(),
-        Some(v) => v.parse()?,
-    };
+    let kernel: SortKernel = choice(opts, "sort-kernel")?;
+    let fabric: cts_net::ShuffleFabric = choice(opts, "fabric")?;
+    let field: cts_core::FieldKind = choice(opts, "field")?;
+    let decode: cts_core::decode::DecodeMode = choice(opts, "decode")?;
     if decode == cts_core::decode::DecodeMode::Quorum && r <= 1 {
         return Err("--decode quorum needs --r 2 or more (no coded groups at r = 1)".to_string());
     }
-    let recovery: coded_terasort::mapreduce::RecoveryMode = opt(
-        opts,
-        "recovery",
-        coded_terasort::mapreduce::RecoveryMode::Off,
-    )
-    .map_err(|e| format!("{e} (expected `speculative` or `off`)"))?;
+    let recovery: coded_terasort::mapreduce::RecoveryMode = choice(opts, "recovery")?;
     let heartbeat_ms: u64 = opt(opts, "heartbeat-ms", 25)?;
     let idle_timeout_ms: u64 = opt(opts, "idle-timeout-ms", 10_000)?;
-    if recovery == coded_terasort::mapreduce::RecoveryMode::Speculative
-        && (field != cts_core::FieldKind::Gf256
-            || decode != cts_core::decode::DecodeMode::Quorum
-            || r < 2)
-    {
-        return Err(
-            "--recovery speculative needs --field gf256, --decode quorum, and --r 2 or more \
-             (the MDS quorum absorbs one dead sender per group)"
-                .to_string(),
-        );
-    }
-    if recovery != coded_terasort::mapreduce::RecoveryMode::Off && pods > 0 {
-        return Err("--recovery is not supported with --pods".to_string());
-    }
 
     let raw = std::fs::read(&input_path).map_err(|e| format!("reading {input_path}: {e}"))?;
     let input = Bytes::from(raw);
@@ -265,22 +242,16 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
         },
     );
 
-    let mut job = if tcp {
-        SortJob {
-            k,
-            r,
-            kernel: SortKernel::Comparison,
-            partitioner: PartitionerKind::Range,
-            engine: EngineConfig::tcp(k, r),
-        }
+    // One engine configuration, one job, one call: the layout (r = 1, coded,
+    // pods) is the engine's reading of it.
+    let engine = if tcp {
+        EngineConfig::tcp(k, r)
     } else {
-        SortJob::local(k, r)
+        EngineConfig::local(k, r)
     };
-    job = job.with_kernel(kernel).with_threads(threads);
-    if sampled > 0 {
-        job = job.with_sampling(sampled);
-    }
-    job = job
+    let mut engine = engine
+        .with_pods(pods)
+        .with_threads(threads)
         .with_fabric(fabric)
         .with_field(field)
         .with_decode(decode)
@@ -307,18 +278,18 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     }
     let nic = cts_net::NicProfile::paper_100mbps();
     if paper_nic {
-        job = job.with_nic(nic);
+        engine = engine.with_nic(nic);
         println!("emulating the paper's NIC: 100 Mbps egress, 0.1 ms/transfer, α = 0.30");
+    }
+    let mut job = SortJob::new(engine).with_kernel(kernel);
+    if sampled > 0 {
+        job = job.with_sampling(sampled);
     }
 
     let started = std::time::Instant::now();
-    let outcome = if pods > 0 {
-        let workload = TeraSortWorkload::range(k);
-        run_coded_pods(&workload, input.clone(), &job.engine, pods)
-    } else {
-        run_coded_terasort(input.clone(), &job).map(|run| run.outcome)
-    }
-    .map_err(|e| e.to_string())?;
+    let outcome = run_coded_terasort(input.clone(), &job)
+        .map_err(|e| e.to_string())?
+        .outcome;
     let elapsed = started.elapsed();
 
     if validate {
@@ -361,6 +332,11 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
         outcome.stats.shuffle_bytes(),
         outcome.stats.comm_load(input.len() as u64),
         theory::uncoded_comm_load(1, k),
+    );
+    let largest = outcome.outputs.iter().map(Vec::len).max().unwrap_or(0);
+    println!(
+        "largest partition: {:.3} of the records",
+        largest as f64 / input.len().max(1) as f64
     );
     Ok(())
 }
@@ -540,9 +516,9 @@ fn cmd_model(opts: &Flags) -> Result<(), String> {
         target_bytes: (target_gb * 1e9) as u64,
         seed: 2017,
     };
-    let base = exp.run_uncoded();
+    let base = exp.run(1);
     let rows = if r > 1 {
-        let coded = exp.run_coded(r);
+        let coded = exp.run(r);
         vec![base.row(None), coded.row(Some(&base.breakdown))]
     } else {
         vec![base.row(None)]

@@ -16,7 +16,7 @@
 //! | [`coding`] | the coding layer: placement, groups, Algorithm 1 (encode), Algorithm 2 (decode), CMR theory |
 //! | [`net`] | MPI-like substrate: mailboxes, in-memory + TCP fabrics, collectives, tracing, rate limiting |
 //! | [`netsim`] | the EC2 stand-in: calibrated performance model, serial schedule, parallel-shuffle simulator |
-//! | [`mapreduce`] | the engine: uncoded (§III), coded (§IV) and pod (§VI) layouts of one pipeline; WordCount/Grep/inverted-index workloads |
+//! | [`mapreduce`] | the engine: one `run`, whose `EngineConfig` lays out the uncoded (§III), coded (§IV) and pod (§VI) schemes of one pipeline; WordCount/Grep/inverted-index workloads |
 //! | [`terasort`] | TeraGen, partitioners, sort kernels, TeraSort/CodedTeraSort drivers, TeraValidate |
 //! | [`bench`](mod@bench) | the experiment harness regenerating every table and figure |
 //!
@@ -63,8 +63,8 @@ pub mod prelude {
         MapOutputStore, MulticastGroups, NodeSet, PlacementPlan, WorkerPool,
     };
     pub use cts_mapreduce::{
-        run_coded, run_coded_pods, run_sequential, run_uncoded, EngineConfig, InputFormat,
-        JobRuntime, JobStatus, RuntimeConfig, Workload,
+        run, run_sequential, EngineConfig, InputFormat, JobRuntime, JobStatus, RuntimeConfig,
+        Workload,
     };
     pub use cts_net::{run_spmd, ClusterConfig, Communicator, NicProfile, ShuffleFabric, Tag};
     pub use cts_netsim::{render_table, PerfModel, PerfModelConfig, RunStats, StageBreakdown};

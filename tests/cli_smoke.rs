@@ -92,6 +92,107 @@ fn gen_then_sort_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--pods G` is a layout of the one job `cts sort` builds, not a second
+/// program: the run uses the partitioner `--sampled` names (and the kernel
+/// `--sort-kernel` names) whatever the layout. On a 90 %-hot input the
+/// sampled boundaries keep the largest partition under twice the mean; range
+/// partitioning puts the hot prefix — over four times the mean — in one.
+#[test]
+fn sort_with_pods_still_uses_the_sampled_boundaries() {
+    let dir = std::env::temp_dir().join(format!("cts-cli-pods-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk tmp dir");
+    let input = dir.join("skewed.bin");
+    let gen = cts()
+        .args(["gen", "--records", "4000", "--seed", "5", "--skew", "0.9"])
+        .arg("--out")
+        .arg(&input)
+        .output()
+        .expect("run cts gen");
+    assert!(gen.status.success());
+    let largest_share = |sampled: &[&str]| -> f64 {
+        let sort = cts()
+            .args(["sort", "--k", "8", "--r", "2", "--pods", "4"])
+            .args(["--sort-kernel", "key-index"])
+            .args(sampled)
+            .arg("--input")
+            .arg(&input)
+            .output()
+            .expect("run cts sort");
+        let stdout = String::from_utf8_lossy(&sort.stdout);
+        assert!(
+            sort.status.success() && stdout.contains("TeraValidate passed"),
+            "sort {sampled:?} failed: {stdout}\n{}",
+            String::from_utf8_lossy(&sort.stderr)
+        );
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("largest partition: "))
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|share| share.parse().ok())
+            .unwrap_or_else(|| panic!("no `largest partition:` line in:\n{stdout}"))
+    };
+    let mean = 1.0 / 8.0;
+    let (sampled, ranged) = (largest_share(&["--sampled", "16"]), largest_share(&[]));
+    assert!(sampled < 2.0 * mean, "--sampled 16: largest = {sampled}");
+    assert!(
+        ranged > 4.0 * mean,
+        "range partitioning: largest = {ranged}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The CLI has no copy of the engine's rules about which modes and layouts
+/// go together: a combination only the engine can refuse reaches the user in
+/// the engine's words, exit 1.
+#[test]
+fn what_the_engine_refuses_reaches_the_user_in_its_words() {
+    let dir = std::env::temp_dir().join(format!("cts-cli-refusal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk tmp dir");
+    let input = dir.join("input.bin");
+    let gen = cts()
+        .args(["gen", "--records", "600", "--out"])
+        .arg(&input)
+        .output()
+        .expect("run cts gen");
+    assert!(gen.status.success());
+    let speculative = ["--field", "gf256", "--decode", "quorum"];
+    for (flags, refusal) in [
+        (
+            [
+                &speculative[..],
+                &["--recovery", "speculative", "--pods", "3"],
+            ]
+            .concat(),
+            "pod layouts do not support failure recovery; use the flat layout",
+        ),
+        (
+            vec!["--field", "gf256", "--recovery", "speculative"],
+            "speculative recovery requires GF(256), quorum decode, and r >= 2 \
+             (the MDS quorum absorbs one dead sender per group)",
+        ),
+        (
+            vec!["--pods", "4"],
+            "invalid parameters: pod size 4 must divide K = 6",
+        ),
+    ] {
+        let sort = cts()
+            .args(["sort", "--k", "6", "--r", "2"])
+            .args(&flags)
+            .arg("--input")
+            .arg(&input)
+            .output()
+            .expect("run cts sort");
+        assert!(!sort.status.success(), "{flags:?} must exit nonzero");
+        let stderr = String::from_utf8_lossy(&sort.stderr);
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: bad engine config: {refusal}"),
+            "{flags:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `cts serve --threads T` means what `cts sort --threads T` means — the
 /// intra-node workers of every job — and the banner says so.
 #[test]

@@ -23,17 +23,13 @@ fn kernels_and_threads_are_byte_identical() {
     for kernel in SortKernel::ALL {
         for threads in [1usize, 4] {
             let coded = outputs(
-                &SortJob::local(5, 2)
-                    .with_kernel(kernel)
-                    .with_threads(threads),
+                &SortJob::new(EngineConfig::local(5, 2).with_threads(threads)).with_kernel(kernel),
                 &input,
                 true,
             );
             assert_eq!(coded, reference, "coded {kernel} threads={threads}");
             let uncoded = outputs(
-                &SortJob::local(5, 1)
-                    .with_kernel(kernel)
-                    .with_threads(threads),
+                &SortJob::new(EngineConfig::local(5, 1).with_threads(threads)).with_kernel(kernel),
                 &input,
                 false,
             );
@@ -57,9 +53,7 @@ fn duplicate_keys_stay_identical_across_kernels_and_threads() {
     for kernel in SortKernel::ALL {
         for threads in [1usize, 4] {
             let got = outputs(
-                &SortJob::local(4, 2)
-                    .with_kernel(kernel)
-                    .with_threads(threads),
+                &SortJob::new(EngineConfig::local(4, 2).with_threads(threads)).with_kernel(kernel),
                 &input,
                 true,
             );
@@ -73,9 +67,7 @@ fn threads_zero_uses_machine_parallelism_and_matches() {
     let input = teragen::generate(1_500, 99);
     let reference = outputs(&SortJob::local(4, 2), &input, true);
     let auto = outputs(
-        &SortJob::local(4, 2)
-            .with_kernel(SortKernel::KeyIndex)
-            .with_threads(0),
+        &SortJob::new(EngineConfig::local(4, 2).with_threads(0)).with_kernel(SortKernel::KeyIndex),
         &input,
         true,
     );
@@ -84,15 +76,14 @@ fn threads_zero_uses_machine_parallelism_and_matches() {
 
 #[test]
 fn pods_threads_and_the_resident_runtime_are_byte_identical() {
-    use coded_terasort::mapreduce::run_coded_pods_on;
     let (k, r, g) = (6, 2, 3);
     let input = teragen::generate(3_000, 63);
     let reference = outputs(&SortJob::local(k, 1), &input, false);
     let workload = move |kernel| TeraSortWorkload::range(k).with_kernel(kernel);
     for kernel in SortKernel::ALL {
         for threads in [1usize, 4] {
-            let cfg = EngineConfig::local(k, r).with_threads(threads);
-            let pods = run_coded_pods(&workload(kernel), input.clone(), &cfg, g).expect("pods run");
+            let cfg = EngineConfig::local(k, r).with_pods(g).with_threads(threads);
+            let pods = run(&workload(kernel), input.clone(), &cfg).expect("pods run");
             assert_eq!(pods.outputs, reference, "pods {kernel} threads={threads}");
         }
     }
@@ -100,7 +91,7 @@ fn pods_threads_and_the_resident_runtime_are_byte_identical() {
     // each on a leased slot: their `threads = 2` pools compete for the one
     // process-wide budget, and whatever each is granted, both outputs
     // equal the one-shot's.
-    let template = EngineConfig::local(k, r).with_threads(2);
+    let template = EngineConfig::local(k, r).with_pods(g).with_threads(2);
     let runtime = JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();
     let handles: Vec<_> = (0..2)
         .map(|_| {
@@ -108,7 +99,7 @@ fn pods_threads_and_the_resident_runtime_are_byte_identical() {
             runtime
                 .submit(move |ctx| {
                     let w = workload(SortKernel::KeyIndex);
-                    run_coded_pods_on(ctx.fabric, ctx.binding, &w, job_input, &ctx.cfg, g)
+                    ctx.run(&w, job_input, &ctx.cfg)
                 })
                 .unwrap()
         })
@@ -125,10 +116,8 @@ fn pods_threads_and_the_resident_runtime_are_byte_identical() {
 fn tcp_fabric_with_threads_matches() {
     let input = teragen::generate(900, 55);
     let reference = outputs(&SortJob::local(4, 2), &input, true);
-    let mut job = SortJob::local(4, 2)
-        .with_kernel(SortKernel::KeyIndex)
-        .with_threads(2);
-    job.engine = EngineConfig::tcp(4, 2).with_threads(2);
+    let mut job =
+        SortJob::new(EngineConfig::tcp(4, 2).with_threads(2)).with_kernel(SortKernel::KeyIndex);
     assert_eq!(outputs(&job, &input, true), reference);
     // Behind a NIC slow enough (~0.1 s of egress per rank) that every rank's
     // pacer is writing to sockets while the rank threads map, post and

@@ -19,9 +19,9 @@ fn selfjoin_corpus() -> Bytes {
 fn selfjoin_all_engines_agree() {
     let input = selfjoin_corpus();
     let seq = run_sequential(&SelfJoin, &input, 4);
-    let unc = run_uncoded(&SelfJoin, input.clone(), &EngineConfig::local(4, 1)).unwrap();
-    let coded = run_coded(&SelfJoin, input.clone(), &EngineConfig::local(4, 2)).unwrap();
-    let pods = run_coded_pods(&SelfJoin, input, &EngineConfig::local(4, 1), 2).unwrap();
+    let unc = run(&SelfJoin, input.clone(), &EngineConfig::local(4, 1)).unwrap();
+    let coded = run(&SelfJoin, input.clone(), &EngineConfig::local(4, 2)).unwrap();
+    let pods = run(&SelfJoin, input, &EngineConfig::local(4, 1).with_pods(2)).unwrap();
     assert_eq!(seq, unc.outputs);
     assert_eq!(seq, coded.outputs);
     assert_eq!(seq, pods.outputs);
@@ -52,8 +52,13 @@ fn selfjoin_emits_all_pairs_for_a_key() {
 #[test]
 fn pods_work_over_tcp() {
     let input = selfjoin_corpus();
-    let tcp = run_coded_pods(&SelfJoin, input.clone(), &EngineConfig::tcp(6, 2), 3).unwrap();
-    let local = run_coded_pods(&SelfJoin, input, &EngineConfig::local(6, 2), 3).unwrap();
+    let tcp = run(
+        &SelfJoin,
+        input.clone(),
+        &EngineConfig::tcp(6, 2).with_pods(3),
+    )
+    .unwrap();
+    let local = run(&SelfJoin, input, &EngineConfig::local(6, 2).with_pods(3)).unwrap();
     assert_eq!(tcp.outputs, local.outputs);
 }
 
@@ -62,8 +67,13 @@ fn pods_sort_terasort_data() {
     use cts_terasort::workload::TeraSortWorkload;
     let input = teragen::generate(4_000, 81);
     let workload = TeraSortWorkload::range(6);
-    let pods = run_coded_pods(&workload, input.clone(), &EngineConfig::local(6, 2), 3).unwrap();
-    let unc = run_uncoded(&workload, input.clone(), &EngineConfig::local(6, 1)).unwrap();
+    let pods = run(
+        &workload,
+        input.clone(),
+        &EngineConfig::local(6, 2).with_pods(3),
+    )
+    .unwrap();
+    let unc = run(&workload, input.clone(), &EngineConfig::local(6, 1)).unwrap();
     assert_eq!(pods.outputs, unc.outputs);
     cts_terasort::validate(&input, &pods.outputs).unwrap();
     // Pod group count: 2 pods × C(3,3) = 2 vs flat C(6,3) = 20.
@@ -75,9 +85,9 @@ fn pod_load_sits_between_flat_coded_and_uncoded() {
     let input = teragen::generate(20_000, 82);
     let d = input.len() as u64;
     let workload = cts_terasort::workload::TeraSortWorkload::range(8);
-    let unc = run_uncoded(&workload, input.clone(), &EngineConfig::local(8, 1)).unwrap();
-    let flat = run_coded(&workload, input.clone(), &EngineConfig::local(8, 2)).unwrap();
-    let pods = run_coded_pods(&workload, input, &EngineConfig::local(8, 2), 4).unwrap();
+    let unc = run(&workload, input.clone(), &EngineConfig::local(8, 1)).unwrap();
+    let flat = run(&workload, input.clone(), &EngineConfig::local(8, 2)).unwrap();
+    let pods = run(&workload, input, &EngineConfig::local(8, 2).with_pods(4)).unwrap();
     let (lu, lf, lp) = (
         unc.stats.comm_load(d),
         flat.stats.comm_load(d),
@@ -105,6 +115,6 @@ fn wordcount_through_pod_engine() {
             .collect::<String>(),
     );
     let seq = run_sequential(&WordCount, &input, 6);
-    let pods = run_coded_pods(&WordCount, input, &EngineConfig::local(6, 2), 3).unwrap();
+    let pods = run(&WordCount, input, &EngineConfig::local(6, 2).with_pods(3)).unwrap();
     assert_eq!(seq, pods.outputs);
 }

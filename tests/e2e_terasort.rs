@@ -175,7 +175,8 @@ fn back_to_back_jobs_of_every_kind_keep_their_bytes_apart() {
             job.engine = EngineConfig::tcp(K, r);
         }
         if mds {
-            job = job
+            job.engine = job
+                .engine
                 .with_field(FieldKind::Gf256)
                 .with_decode(DecodeMode::Quorum);
         }
@@ -195,7 +196,8 @@ fn back_to_back_jobs_of_every_kind_keep_their_bytes_apart() {
                 job.engine.cluster = job.engine.cluster.with_fault(0, rule);
             }
             LosesARankMidMap => {
-                job = job
+                job.engine = job
+                    .engine
                     .with_recovery(RecoveryMode::Speculative)
                     .with_heartbeat(Duration::from_millis(10));
                 job.engine = job.engine.with_crash(CrashSpec {

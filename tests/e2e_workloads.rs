@@ -37,10 +37,10 @@ fn docs_corpus() -> Bytes {
 fn wordcount_all_engines_agree() {
     let input = text_corpus();
     let seq = run_sequential(&WordCount, &input, 4);
-    let unc = run_uncoded(&WordCount, input.clone(), &EngineConfig::local(4, 1)).unwrap();
+    let unc = run(&WordCount, input.clone(), &EngineConfig::local(4, 1)).unwrap();
     assert_eq!(seq, unc.outputs);
     for r in [2usize, 3, 4] {
-        let coded = run_coded(&WordCount, input.clone(), &EngineConfig::local(4, r)).unwrap();
+        let coded = run(&WordCount, input.clone(), &EngineConfig::local(4, r)).unwrap();
         assert_eq!(seq, coded.outputs, "r={r}");
     }
 }
@@ -48,7 +48,7 @@ fn wordcount_all_engines_agree() {
 #[test]
 fn wordcount_totals_conserved() {
     let input = text_corpus();
-    let coded = run_coded(&WordCount, input.clone(), &EngineConfig::local(5, 2)).unwrap();
+    let coded = run(&WordCount, input.clone(), &EngineConfig::local(5, 2)).unwrap();
     let total: u64 = coded
         .outputs
         .iter()
@@ -72,8 +72,8 @@ fn grep_all_engines_agree() {
     let input = text_corpus();
     let grep = Grep::new(&b"node 7"[..]);
     let seq = run_sequential(&grep, &input, 3);
-    let unc = run_uncoded(&grep, input.clone(), &EngineConfig::local(3, 1)).unwrap();
-    let coded = run_coded(&grep, input.clone(), &EngineConfig::local(3, 2)).unwrap();
+    let unc = run(&grep, input.clone(), &EngineConfig::local(3, 1)).unwrap();
+    let coded = run(&grep, input.clone(), &EngineConfig::local(3, 2)).unwrap();
     assert_eq!(seq, unc.outputs);
     assert_eq!(seq, coded.outputs);
     // Every emitted line really matches.
@@ -88,8 +88,8 @@ fn grep_all_engines_agree() {
 fn inverted_index_all_engines_agree() {
     let input = docs_corpus();
     let seq = run_sequential(&InvertedIndex, &input, 4);
-    let unc = run_uncoded(&InvertedIndex, input.clone(), &EngineConfig::local(4, 1)).unwrap();
-    let coded = run_coded(&InvertedIndex, input.clone(), &EngineConfig::local(4, 3)).unwrap();
+    let unc = run(&InvertedIndex, input.clone(), &EngineConfig::local(4, 1)).unwrap();
+    let coded = run(&InvertedIndex, input.clone(), &EngineConfig::local(4, 3)).unwrap();
     assert_eq!(seq, unc.outputs);
     assert_eq!(seq, coded.outputs);
     // "shared0" must list many documents, comma separated and sorted.
@@ -114,18 +114,18 @@ fn coded_shuffle_saves_bytes_on_every_workload() {
     let input = text_corpus();
     let configs = (EngineConfig::local(5, 1), EngineConfig::local(5, 2));
     // WordCount.
-    let u = run_uncoded(&WordCount, input.clone(), &configs.0).unwrap();
-    let c = run_coded(&WordCount, input.clone(), &configs.1).unwrap();
+    let u = run(&WordCount, input.clone(), &configs.0).unwrap();
+    let c = run(&WordCount, input.clone(), &configs.1).unwrap();
     assert!(c.stats.shuffle_bytes() < u.stats.shuffle_bytes());
     // Grep.
     let grep = Grep::new(&b"coded"[..]);
-    let u = run_uncoded(&grep, input.clone(), &configs.0).unwrap();
-    let c = run_coded(&grep, input.clone(), &configs.1).unwrap();
+    let u = run(&grep, input.clone(), &configs.0).unwrap();
+    let c = run(&grep, input.clone(), &configs.1).unwrap();
     assert!(c.stats.shuffle_bytes() < u.stats.shuffle_bytes());
     // Inverted index.
     let input = docs_corpus();
-    let u = run_uncoded(&InvertedIndex, input.clone(), &configs.0).unwrap();
-    let c = run_coded(&InvertedIndex, input, &configs.1).unwrap();
+    let u = run(&InvertedIndex, input.clone(), &configs.0).unwrap();
+    let c = run(&InvertedIndex, input, &configs.1).unwrap();
     assert!(c.stats.shuffle_bytes() < u.stats.shuffle_bytes());
 }
 
@@ -141,7 +141,7 @@ fn lopsided_text_still_correct() {
     s.push_str("tail line\n");
     let input = Bytes::from(s);
     let seq = run_sequential(&WordCount, &input, 3);
-    let coded = run_coded(&WordCount, input, &EngineConfig::local(3, 2)).unwrap();
+    let coded = run(&WordCount, input, &EngineConfig::local(3, 2)).unwrap();
     assert_eq!(seq, coded.outputs);
     let joined: String = coded
         .outputs

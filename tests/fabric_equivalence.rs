@@ -17,8 +17,11 @@ fn run_all_fabrics(k: usize, r: usize, records: usize) -> Vec<(Vec<Vec<u8>>, u64
     ShuffleFabric::ALL
         .iter()
         .map(|&fabric| {
-            let run = run_coded_terasort(input.clone(), &SortJob::local(k, r).with_fabric(fabric))
-                .expect("coded run");
+            let run = run_coded_terasort(
+                input.clone(),
+                &SortJob::new(EngineConfig::local(k, r).with_fabric(fabric)),
+            )
+            .expect("coded run");
             run.validate().expect("TeraValidate");
             let trace = &run.outcome.trace;
             let wire = trace.stage_wire_sends("Shuffle");
@@ -74,13 +77,13 @@ fn udp_multicast_sorts_identically_with_physical_single_sends() {
     let input = teragen::generate(1_800, 99);
     let serial = run_coded_terasort(
         input.clone(),
-        &SortJob::local(6, r).with_fabric(ShuffleFabric::SerialUnicast),
+        &SortJob::new(EngineConfig::local(6, r).with_fabric(ShuffleFabric::SerialUnicast)),
     )
     .expect("serial run");
     serial.validate().expect("TeraValidate serial");
     let udp = run_coded_terasort(
         input,
-        &SortJob::local(6, r).with_fabric(ShuffleFabric::UdpMulticast),
+        &SortJob::new(EngineConfig::local(6, r).with_fabric(ShuffleFabric::UdpMulticast)),
     )
     .expect("udp run");
     udp.validate().expect("TeraValidate udp");
@@ -121,7 +124,7 @@ fn udp_trace_is_bracketed_by_the_netsim_oracle() {
     let input = teragen::generate(2_400, 17);
     let run = run_coded_terasort(
         input,
-        &SortJob::local(6, 3).with_fabric(ShuffleFabric::UdpMulticast),
+        &SortJob::new(EngineConfig::local(6, 3).with_fabric(ShuffleFabric::UdpMulticast)),
     )
     .unwrap();
     run.validate().unwrap();
@@ -166,8 +169,11 @@ fn wire_copy_and_mask_accounting_is_consistent_across_fabrics() {
     let mut wire_sends = Vec::new();
     let mut event_counts = Vec::new();
     for &fabric in &fabrics {
-        let run =
-            run_coded_terasort(input.clone(), &SortJob::local(6, r).with_fabric(fabric)).unwrap();
+        let run = run_coded_terasort(
+            input.clone(),
+            &SortJob::new(EngineConfig::local(6, r).with_fabric(fabric)),
+        )
+        .unwrap();
         let trace = &run.outcome.trace;
         // Event interleaving across sender threads is nondeterministic, so
         // compare the multiset (sorted) of logical transfers.
@@ -204,12 +210,11 @@ fn fabrics_agree_over_real_tcp() {
     let input = teragen::generate(900, 41);
     let local = run_coded_terasort(
         input.clone(),
-        &SortJob::local(4, 2).with_fabric(ShuffleFabric::Multicast),
+        &SortJob::new(EngineConfig::local(4, 2).with_fabric(ShuffleFabric::Multicast)),
     )
     .unwrap();
     for fabric in ShuffleFabric::ALL {
-        let mut job = SortJob::local(4, 2).with_fabric(fabric);
-        job.engine = EngineConfig::tcp(4, 2).with_fabric(fabric);
+        let job = SortJob::new(EngineConfig::tcp(4, 2).with_fabric(fabric));
         let tcp = run_coded_terasort(input.clone(), &job).unwrap();
         tcp.validate().unwrap();
         assert_eq!(
@@ -239,7 +244,7 @@ fn emulated_nic_orders_fabric_wall_clock() {
     let mut walls = Vec::new();
     let mut outputs = Vec::new();
     for fabric in ShuffleFabric::ALL {
-        let job = SortJob::local(5, 3).with_fabric(fabric).with_nic(nic);
+        let job = SortJob::new(EngineConfig::local(5, 3).with_fabric(fabric).with_nic(nic));
         let run = run_coded_terasort(input.clone(), &job).unwrap();
         run.validate().unwrap();
         walls.push(run.outcome.wall.max.shuffle);

@@ -194,7 +194,7 @@ fn one_ranks_decode_error_fails_the_job_with_that_error() {
                 let input = teragen::generate(1_200, seed);
                 let reference = run_sequential(&TeraSortWorkload::range(4), &input, 4);
                 let job = runtime
-                    .submit(move |ctx| ctx.run_coded(&TeraSortWorkload::range(4), input))
+                    .submit(move |ctx| ctx.run(&TeraSortWorkload::range(4), input, &ctx.cfg))
                     .unwrap();
                 (job.wait().map(|outcome| outcome.outputs), reference)
             };
@@ -228,9 +228,11 @@ fn timed_run(
     decode: DecodeMode,
     fault: Option<(usize, Arc<coded_terasort::net::fault::FaultRule>)>,
 ) -> (Vec<Vec<u8>>, f64) {
-    let mut job = SortJob::local(k, r)
-        .with_field(FieldKind::Gf256)
-        .with_decode(decode);
+    let mut job = SortJob::new(
+        EngineConfig::local(k, r)
+            .with_field(FieldKind::Gf256)
+            .with_decode(decode),
+    );
     if let Some((victim, rule)) = fault {
         job.engine.cluster = job.engine.cluster.with_fault(victim, rule);
     }
@@ -334,15 +336,18 @@ fn crash_run(
     heartbeat: Duration,
     crashes: &[CrashSpec],
 ) -> (coded_terasort::mapreduce::Result<SortRun>, f64) {
-    let mut job = SortJob::local(k, r);
-    if tcp {
-        job.engine = coded_terasort::mapreduce::EngineConfig::tcp(k, r);
-    }
-    let mut job = job
-        .with_field(FieldKind::Gf256)
-        .with_decode(DecodeMode::Quorum)
-        .with_recovery(recovery)
-        .with_heartbeat(heartbeat);
+    let engine = if tcp {
+        EngineConfig::tcp(k, r)
+    } else {
+        EngineConfig::local(k, r)
+    };
+    let mut job = SortJob::new(
+        engine
+            .with_field(FieldKind::Gf256)
+            .with_decode(DecodeMode::Quorum)
+            .with_recovery(recovery)
+            .with_heartbeat(heartbeat),
+    );
     for spec in crashes {
         job.engine = job.engine.with_crash(*spec);
     }

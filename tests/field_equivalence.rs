@@ -11,7 +11,6 @@
 //! degenerate cases (GF(2) has no nontrivial MDS code → quorum runs the
 //! classic code and needs every packet) covered too.
 
-use coded_terasort::mapreduce::run_coded_pods;
 use coded_terasort::prelude::*;
 use cts_net::udp::multicast_available;
 use cts_terasort::workload::TeraSortWorkload;
@@ -32,9 +31,11 @@ fn gf2_and_gf256_sort_identically_across_fabrics() {
     }
     let reference = sorted_outputs(&SortJob::local(k, r), &input);
     for &fabric in &fabrics {
-        let job = SortJob::local(k, r)
-            .with_fabric(fabric)
-            .with_field(FieldKind::Gf256);
+        let job = SortJob::new(
+            EngineConfig::local(k, r)
+                .with_fabric(fabric)
+                .with_field(FieldKind::Gf256),
+        );
         assert_eq!(
             sorted_outputs(&job, &input),
             reference,
@@ -50,7 +51,11 @@ fn gf2_and_gf256_sort_identically_across_thread_counts() {
     let reference = sorted_outputs(&SortJob::local(k, r), &input);
     for threads in [1usize, 2, 4] {
         for field in FieldKind::ALL {
-            let job = SortJob::local(k, r).with_threads(threads).with_field(field);
+            let job = SortJob::new(
+                EngineConfig::local(k, r)
+                    .with_threads(threads)
+                    .with_field(field),
+            );
             assert_eq!(
                 sorted_outputs(&job, &input),
                 reference,
@@ -67,8 +72,8 @@ fn gf256_pods_engine_matches_gf2() {
     let workload = TeraSortWorkload::range(k);
     let mut outputs = Vec::new();
     for field in FieldKind::ALL {
-        let cfg = EngineConfig::local(k, r).with_field(field);
-        let outcome = run_coded_pods(&workload, input.clone(), &cfg, pods).expect("pods run");
+        let cfg = EngineConfig::local(k, r).with_pods(pods).with_field(field);
+        let outcome = run(&workload, input.clone(), &cfg).expect("pods run");
         outputs.push(outcome.outputs);
     }
     assert_eq!(outputs[0], outputs[1], "pods gf2 vs gf256");
@@ -90,10 +95,12 @@ fn quorum_decode_matches_all_decode_across_fields_and_fabrics() {
         let input = teragen::generate(records, 333);
         let reference = sorted_outputs(&SortJob::local(k, r), &input);
         for field in FieldKind::ALL {
-            let job = SortJob::local(k, r)
-                .with_fabric(fabric)
-                .with_field(field)
-                .with_decode(DecodeMode::Quorum);
+            let job = SortJob::new(
+                EngineConfig::local(k, r)
+                    .with_fabric(fabric)
+                    .with_field(field)
+                    .with_decode(DecodeMode::Quorum),
+            );
             assert_eq!(
                 sorted_outputs(&job, &input),
                 reference,
@@ -110,10 +117,12 @@ fn quorum_decode_matches_all_decode_across_thread_counts() {
     let reference = sorted_outputs(&SortJob::local(k, r), &input);
     for threads in [1usize, 2, 4] {
         for field in FieldKind::ALL {
-            let job = SortJob::local(k, r)
-                .with_threads(threads)
-                .with_field(field)
-                .with_decode(DecodeMode::Quorum);
+            let job = SortJob::new(
+                EngineConfig::local(k, r)
+                    .with_threads(threads)
+                    .with_field(field)
+                    .with_decode(DecodeMode::Quorum),
+            );
             assert_eq!(
                 sorted_outputs(&job, &input),
                 reference,

@@ -44,9 +44,9 @@ fn breakdown(k: usize, r: usize) -> StageBreakdown {
     *cell.get_or_init(|| {
         let exp = experiment(k);
         if r == 0 {
-            exp.run_uncoded().breakdown
+            exp.run(1).breakdown
         } else {
-            exp.run_coded(r).breakdown
+            exp.run(r).breakdown
         }
     })
 }
@@ -138,8 +138,8 @@ fn scaled_runs_are_scale_invariant() {
         records: 48_000,
         ..experiment(8)
     };
-    let a = small.run_coded(3).breakdown;
-    let b = large.run_coded(3).breakdown;
+    let a = small.run(3).breakdown;
+    let b = large.run(3).breakdown;
     let rel = |x: f64, y: f64| (x - y).abs() / y.max(1e-9);
     assert!(
         rel(a.total_s(), b.total_s()) < 0.05,

@@ -19,7 +19,7 @@ fn solo_shuffle_accounting(k: usize, r: usize, input: &Bytes) -> (u64, u64) {
     let runtime = JobRuntime::start(RuntimeConfig::new(EngineConfig::local(k, r))).unwrap();
     let input = input.clone();
     let out = runtime
-        .submit(move |ctx| ctx.run_coded(&TeraSortWorkload::range(ctx.cfg.k), input))
+        .submit(move |ctx| ctx.run(&TeraSortWorkload::range(ctx.cfg.k), input, &ctx.cfg))
         .unwrap()
         .wait()
         .unwrap();
@@ -58,7 +58,7 @@ fn concurrent_job_traces_and_spans_separate_cleanly() {
         .map(|input| {
             let input = input.clone();
             runtime
-                .submit(move |ctx| ctx.run_coded(&TeraSortWorkload::range(ctx.cfg.k), input))
+                .submit(move |ctx| ctx.run(&TeraSortWorkload::range(ctx.cfg.k), input, &ctx.cfg))
                 .unwrap()
         })
         .collect();
@@ -120,7 +120,7 @@ fn field(event: &str, key: &str) -> u64 {
 #[test]
 fn chrome_trace_totals_match_span_accounting() {
     let input = teragen::generate(2_000, 42);
-    let outcome = run_coded(
+    let outcome = run(
         &TeraSortWorkload::range(4),
         input,
         &EngineConfig::local(4, 2),
@@ -287,7 +287,7 @@ fn pool_counters_show_the_second_job_reusing_the_first_jobs_buffers() {
         let (hits, misses) = (pool("cts_pool_hits_total"), pool("cts_pool_misses_total"));
         let job_input = input.clone();
         let outcome = runtime
-            .submit(move |ctx| ctx.run_coded(&TeraSortWorkload::range(ctx.cfg.k), job_input))
+            .submit(move |ctx| ctx.run(&TeraSortWorkload::range(ctx.cfg.k), job_input, &ctx.cfg))
             .unwrap()
             .wait()
             .unwrap();

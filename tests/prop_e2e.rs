@@ -40,7 +40,7 @@ proptest! {
         let input = Bytes::from(text.concat());
         let workload = coded_terasort::mapreduce::wordcount::WordCount;
         let seq = run_sequential(&workload, &input, k);
-        let coded = run_coded(&workload, input, &EngineConfig::local(k, 2.min(k))).unwrap();
+        let coded = run(&workload, input, &EngineConfig::local(k, 2.min(k))).unwrap();
         prop_assert_eq!(seq, coded.outputs);
     }
 
@@ -80,13 +80,7 @@ proptest! {
         prop_assume!(r < g);
         let input = teragen::generate(records, seed);
         let workload = cts_terasort::workload::TeraSortWorkload::range(k);
-        let out = coded_terasort::mapreduce::run_coded_pods(
-            &workload,
-            input.clone(),
-            &EngineConfig::local(k, r),
-            g,
-        )
-        .unwrap();
+        let out = run(&workload, input.clone(), &EngineConfig::local(k, r).with_pods(g)).unwrap();
         cts_terasort::validate(&input, &out.outputs).unwrap();
 
         let mut reference: Vec<&[u8]> = input.chunks_exact(RECORD_LEN).collect();

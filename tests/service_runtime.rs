@@ -56,11 +56,15 @@ fn mixed_batch_matches_one_shot(template: EngineConfig) {
             runtime
                 .submit(move |ctx| {
                     let workload = TeraSortWorkload::range(ctx.cfg.k);
-                    if i % 2 == 0 {
-                        ctx.run_coded(&workload, input)
-                    } else {
-                        ctx.run_uncoded(&workload, input)
-                    }
+                    let r = if i % 2 == 0 { ctx.cfg.r } else { 1 };
+                    ctx.run(
+                        &workload,
+                        input,
+                        &EngineConfig {
+                            r,
+                            ..ctx.cfg.clone()
+                        },
+                    )
                 })
                 .unwrap(),
         );
@@ -68,13 +72,19 @@ fn mixed_batch_matches_one_shot(template: EngineConfig) {
     let text_wc = text.clone();
     handles.push(
         runtime
-            .submit(move |ctx| ctx.run_coded(&WordCount, text_wc))
+            .submit(move |ctx| ctx.run(&WordCount, text_wc, &ctx.cfg))
             .unwrap(),
     );
     let text_grep = text.clone();
     handles.push(
         runtime
-            .submit(move |ctx| ctx.run_uncoded(&Grep::new(&b"corpus"[..]), text_grep))
+            .submit(move |ctx| {
+                let uncoded = EngineConfig {
+                    r: 1,
+                    ..ctx.cfg.clone()
+                };
+                ctx.run(&Grep::new(&b"corpus"[..]), text_grep, &uncoded)
+            })
             .unwrap(),
     );
 
@@ -118,7 +128,7 @@ fn admission_refuses_with_a_typed_error_when_saturated() {
             while !gate_job.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            ctx.run_uncoded(&TeraSortWorkload::range(ctx.cfg.k), input)
+            ctx.run(&TeraSortWorkload::range(ctx.cfg.k), input, &ctx.cfg)
         })
         .unwrap();
 
@@ -129,11 +139,11 @@ fn admission_refuses_with_a_typed_error_when_saturated() {
     }
     let queued_input = teragen::generate(200, 2);
     let queued = runtime
-        .submit(move |ctx| ctx.run_uncoded(&TeraSortWorkload::range(ctx.cfg.k), queued_input))
+        .submit(move |ctx| ctx.run(&TeraSortWorkload::range(ctx.cfg.k), queued_input, &ctx.cfg))
         .unwrap();
     let refused_input = teragen::generate(200, 3);
     let refused = runtime
-        .submit(move |ctx| ctx.run_uncoded(&TeraSortWorkload::range(ctx.cfg.k), refused_input));
+        .submit(move |ctx| ctx.run(&TeraSortWorkload::range(ctx.cfg.k), refused_input, &ctx.cfg));
     match refused {
         Err(EngineError::Busy { .. }) => {}
         other => panic!("expected Busy, got {other:?}"),
@@ -153,7 +163,7 @@ fn drive_unshaped(runtime: &JobRuntime, jobs: usize, input: &Bytes) -> Vec<f64> 
             let input = input.clone();
             let started = Instant::now();
             runtime
-                .submit(move |ctx| ctx.run_uncoded(&TeraSortWorkload::range(ctx.cfg.k), input))
+                .submit(move |ctx| ctx.run(&TeraSortWorkload::range(ctx.cfg.k), input, &ctx.cfg))
                 .unwrap()
                 .wait()
                 .unwrap();
@@ -211,7 +221,7 @@ fn throttled_tenant_does_not_inflate_unshaped_p99() {
                     .submit(move |ctx| {
                         let mut cfg = ctx.cfg.clone();
                         cfg.cluster.nic = Some(nic);
-                        ctx.run_uncoded_with(&TeraSortWorkload::range(cfg.k), input, &cfg)
+                        ctx.run(&TeraSortWorkload::range(cfg.k), input, &cfg)
                     })
                     .unwrap()
                     .wait()
@@ -268,7 +278,7 @@ fn consecutive_quorum_jobs_on_one_slot_do_not_see_each_others_packets() {
             let input = teragen::generate(700 + 150 * seed as usize, seed);
             let reference = run_sequential(&TeraSortWorkload::range(5), &input, 5);
             let outcome = runtime
-                .submit(move |ctx| ctx.run_coded(&TeraSortWorkload::range(5), input))
+                .submit(move |ctx| ctx.run(&TeraSortWorkload::range(5), input, &ctx.cfg))
                 .unwrap()
                 .wait()
                 .unwrap_or_else(|e| panic!("job {seed}, {max_concurrent} concurrent: {e}"));

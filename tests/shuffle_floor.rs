@@ -38,19 +38,16 @@ enum Leg {
     Pods,
 }
 
-fn run(leg: Leg, engine: EngineConfig, input: &Bytes) -> JobOutcome {
+fn run_leg(leg: Leg, engine: EngineConfig, input: &Bytes) -> JobOutcome {
     let workload = TeraSortWorkload::range(K);
     let engine = match leg {
         Leg::CodedQuorum => engine
             .with_field(FieldKind::Gf256)
             .with_decode(DecodeMode::Quorum),
+        Leg::Pods => engine.with_pods(4),
         _ => engine,
     };
-    let outcome = match leg {
-        Leg::Pods => run_coded_pods(&workload, input.clone(), &engine, 4),
-        _ => run_coded(&workload, input.clone(), &engine),
-    }
-    .unwrap_or_else(|e| panic!("{leg:?}: {e}"));
+    let outcome = run(&workload, input.clone(), &engine).unwrap_or_else(|e| panic!("{leg:?}: {e}"));
     cts_terasort::validate(input, &outcome.outputs).unwrap_or_else(|e| panic!("{leg:?}: {e}"));
     outcome
 }
@@ -79,7 +76,7 @@ fn shuffle_sits_on_the_egress_floor_in_every_layout() {
             .with_multicast_alpha(0.30);
         nic.burst_bytes = 256.0; // the free first bytes: under 1 % of any sender's egress
         let engine = EngineConfig::local(K, redundancy(leg)).with_nic(nic);
-        let outcome = run(leg, engine, &input);
+        let outcome = run_leg(leg, engine, &input);
         let floor_s = egress_floor_s(
             &outcome.trace,
             SHUFFLE_STAGE,
@@ -134,7 +131,7 @@ fn shuffle_event_multisets_are_the_turn_taking_schedules() {
         } else {
             EngineConfig::local(K, r)
         };
-        let got = shuffle_events(&run(leg, engine, &input));
+        let got = shuffle_events(&run_leg(leg, engine, &input));
         assert_eq!(got, pinned, "{leg:?}, tcp = {tcp}: {got:#x?}");
     }
 }
@@ -168,7 +165,7 @@ fn after_sends_dies_with_exactly_n_group_sends_posted() {
             point,
         });
         engine.cluster = engine.cluster.with_fault(victim, rule);
-        match run_coded(&TeraSortWorkload::range(k), input.clone(), &engine) {
+        match run(&TeraSortWorkload::range(k), input.clone(), &engine) {
             Err(EngineError::RankDied { rank, point: p }) => {
                 assert_eq!((rank, p), (victim, point));
             }
@@ -231,7 +228,7 @@ fn cpu_stages_hide_behind_the_nic() {
                 .with_decode(DecodeMode::Quorum);
         }
         let started = Instant::now();
-        let outcome = run_coded(&workload, input.clone(), &engine).unwrap();
+        let outcome = run(&workload, input.clone(), &engine).unwrap();
         let job_s = started.elapsed().as_secs_f64();
         cts_terasort::validate(&input, &outcome.outputs).unwrap();
         let net = NetModelConfig::of_nic(&nic);
@@ -285,7 +282,7 @@ fn a_rank_that_dies_before_its_first_post_has_sent_nothing() {
             point,
         });
         engine.cluster = engine.cluster.with_fault(victim, rule);
-        match run_coded(&TeraSortWorkload::range(k), input.clone(), &engine) {
+        match run(&TeraSortWorkload::range(k), input.clone(), &engine) {
             Err(EngineError::RankDied { rank, point: p }) => assert_eq!((rank, p), (victim, point)),
             other => panic!("{point}: expected RankDied, got {other:?}"),
         }

@@ -6,13 +6,7 @@ use coded_terasort::prelude::*;
 #[test]
 fn coded_terasort_over_tcp_validates() {
     let input = teragen::generate(2_000, 31);
-    let job = SortJob {
-        k: 5,
-        r: 2,
-        kernel: SortKernel::Comparison,
-        partitioner: PartitionerKind::Range,
-        engine: EngineConfig::tcp(5, 2),
-    };
+    let job = SortJob::new(EngineConfig::tcp(5, 2));
     let run = run_coded_terasort(input.clone(), &job).unwrap();
     run.validate().unwrap();
     let local = run_coded_terasort(input, &SortJob::local(5, 2)).unwrap();
@@ -22,13 +16,7 @@ fn coded_terasort_over_tcp_validates() {
 #[test]
 fn terasort_over_tcp_validates() {
     let input = teragen::generate(2_000, 32);
-    let job = SortJob {
-        k: 4,
-        r: 1,
-        kernel: SortKernel::Comparison,
-        partitioner: PartitionerKind::Range,
-        engine: EngineConfig::tcp(4, 1),
-    };
+    let job = SortJob::new(EngineConfig::tcp(4, 1));
     let run = run_terasort(input, &job).unwrap();
     run.validate().unwrap();
 }
@@ -40,8 +28,8 @@ fn wordcount_over_tcp_matches_local() {
             .map(|i| format!("alpha beta w{} gamma\n", i % 37))
             .collect::<String>(),
     );
-    let over_tcp = run_coded(&WordCount, input.clone(), &EngineConfig::tcp(4, 2)).unwrap();
-    let local = run_coded(&WordCount, input, &EngineConfig::local(4, 2)).unwrap();
+    let over_tcp = run(&WordCount, input.clone(), &EngineConfig::tcp(4, 2)).unwrap();
+    let local = run(&WordCount, input, &EngineConfig::local(4, 2)).unwrap();
     assert_eq!(over_tcp.outputs, local.outputs);
 }
 
@@ -50,17 +38,7 @@ fn tcp_trace_matches_local_trace_bytes() {
     // The same algorithm over either fabric must shuffle identical bytes —
     // the trace is transport-independent.
     let input = teragen::generate(1_500, 33);
-    let tcp = run_coded_terasort(
-        input.clone(),
-        &SortJob {
-            k: 4,
-            r: 2,
-            kernel: SortKernel::Comparison,
-            partitioner: PartitionerKind::Range,
-            engine: EngineConfig::tcp(4, 2),
-        },
-    )
-    .unwrap();
+    let tcp = run_coded_terasort(input.clone(), &SortJob::new(EngineConfig::tcp(4, 2))).unwrap();
     let local = run_coded_terasort(input, &SortJob::local(4, 2)).unwrap();
     assert_eq!(
         tcp.outcome.trace.stage_bytes(cts_netsim::SHUFFLE_STAGE),

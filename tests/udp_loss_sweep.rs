@@ -23,7 +23,7 @@ fn loss_sweep_recovers_byte_identical_output_within_budget() {
     let input = teragen::generate(2_000, 2017);
     let reference = run_coded_terasort(
         input.clone(),
-        &SortJob::local(k, r).with_fabric(ShuffleFabric::SerialUnicast),
+        &SortJob::new(EngineConfig::local(k, r).with_fabric(ShuffleFabric::SerialUnicast)),
     )
     .expect("lossless reference run");
     reference.validate().expect("TeraValidate reference");
@@ -36,7 +36,8 @@ fn loss_sweep_recovers_byte_identical_output_within_budget() {
             udp.nack_interval = std::time::Duration::from_millis(10);
         }
         let stats = Arc::clone(&udp.stats);
-        let mut job = SortJob::local(k, r).with_fabric(ShuffleFabric::UdpMulticast);
+        let mut job =
+            SortJob::new(EngineConfig::local(k, r).with_fabric(ShuffleFabric::UdpMulticast));
         job.engine.cluster.udp = udp;
         let run = run_coded_terasort(input.clone(), &job)
             .unwrap_or_else(|e| panic!("udp run at {loss_percent}% loss: {e}"));
@@ -118,7 +119,7 @@ fn quorum_on_udp_multicast_repairs_the_groups_short_of_quorum() {
             let input = teragen::generate(records, 2017);
             let reference = run_coded_terasort(
                 input.clone(),
-                &SortJob::local(k, r).with_fabric(ShuffleFabric::SerialUnicast),
+                &SortJob::new(EngineConfig::local(k, r).with_fabric(ShuffleFabric::SerialUnicast)),
             )
             .expect("lossless reference run");
             let mut udp = UdpConfig::default();
@@ -127,10 +128,12 @@ fn quorum_on_udp_multicast_repairs_the_groups_short_of_quorum() {
                 udp.nack_interval = std::time::Duration::from_millis(10);
             }
             let stats = Arc::clone(&udp.stats);
-            let mut job = SortJob::local(k, r)
-                .with_fabric(ShuffleFabric::UdpMulticast)
-                .with_field(field)
-                .with_decode(DecodeMode::Quorum);
+            let mut job = SortJob::new(
+                EngineConfig::local(k, r)
+                    .with_fabric(ShuffleFabric::UdpMulticast)
+                    .with_field(field)
+                    .with_decode(DecodeMode::Quorum),
+            );
             job.engine.cluster.udp = udp;
             let run = run_coded_terasort(input, &job).unwrap_or_else(|e| panic!("{leg}: {e}"));
             run.validate().unwrap_or_else(|e| panic!("{leg}: {e}"));
@@ -158,7 +161,7 @@ fn whole_sender_blackout_needs_no_nacks_under_quorum_decode() {
     let input = teragen::generate(2_000, 2017);
     let reference = run_coded_terasort(
         input.clone(),
-        &SortJob::local(k, r).with_field(FieldKind::Gf256),
+        &SortJob::new(EngineConfig::local(k, r).with_field(FieldKind::Gf256)),
     )
     .expect("lossless reference run");
     reference.validate().expect("TeraValidate reference");
@@ -168,10 +171,12 @@ fn whole_sender_blackout_needs_no_nacks_under_quorum_decode() {
         ..Default::default()
     };
     let stats = Arc::clone(&udp.stats);
-    let mut job = SortJob::local(k, r)
-        .with_fabric(ShuffleFabric::UdpMulticast)
-        .with_field(FieldKind::Gf256)
-        .with_decode(DecodeMode::Quorum);
+    let mut job = SortJob::new(
+        EngineConfig::local(k, r)
+            .with_fabric(ShuffleFabric::UdpMulticast)
+            .with_field(FieldKind::Gf256)
+            .with_decode(DecodeMode::Quorum),
+    );
     job.engine.cluster.udp = udp;
     let run = run_coded_terasort(input.clone(), &job).expect("quorum run under blackout");
     run.validate().expect("TeraValidate under blackout");
