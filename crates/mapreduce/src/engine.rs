@@ -16,6 +16,7 @@
 //! [`cts_core::pool::global`] and frozen through it, so a job's pages outlive
 //! it for the next one; only the Reduce output is fresh, and the caller's.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -36,7 +37,7 @@ use cts_net::message::Tag;
 use cts_net::registry::MembershipView;
 use cts_net::span::SpanLog;
 use cts_net::trace::Trace;
-use cts_net::{Communicator, Key, NetError};
+use cts_net::{Communicator, Key, NetError, NicMeter};
 use cts_netsim::stats::{NodeStats, RunStats};
 use parking_lot::Mutex;
 
@@ -59,6 +60,9 @@ pub struct JobOutcome {
     /// Wall-clock stage times (slowest node per stage), derived from
     /// `spans`.
     pub wall: WallTimes,
+    /// The token-bucket stalls of the job's emulated NICs; `None` for a job
+    /// that ran unshaped.
+    pub nic: Option<Arc<NicMeter>>,
 }
 
 /// Where one intermediate `I^t_S` goes after its holder mapped file `F_S`.
@@ -332,6 +336,7 @@ pub fn run_on<W: Workload>(
         trace: run.trace,
         wall: WallTimes::from_spans(&run.spans),
         spans: run.spans,
+        nic: run.nic,
     })
 }
 

@@ -115,14 +115,6 @@ impl From<CodedError> for EngineError {
     }
 }
 
-impl From<cts_net::admission::AdmissionError> for EngineError {
-    fn from(e: cts_net::admission::AdmissionError) -> Self {
-        EngineError::Busy {
-            what: e.to_string(),
-        }
-    }
-}
-
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, EngineError>;
 

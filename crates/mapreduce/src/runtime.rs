@@ -3,40 +3,45 @@
 //! The one-shot entry point ([`run`](crate::run)) lets each job build and
 //! tear down its own cluster, fabric, and thread pool. A [`JobRuntime`]
 //! turns that inside out: *it* owns the [`SharedFabric`] (transports, one
-//! clock, the span logs of the last 64 jobs), the bounded admission queue, and the
-//! pool of job tag-namespace slots — and jobs are **submitted into it**
-//! (their worker pools lease extra threads from the one process-wide
-//! [`cts_core::exec`] budget, like a one-shot run's):
+//! clock, the metric registry), the bounded admission queue and the
+//! dispatchers — and jobs are **submitted into it** (their worker pools
+//! lease extra threads from the one process-wide [`cts_core::exec`] budget,
+//! like a one-shot run's):
 //!
 //! ```text
 //!                 ┌────────────────────────── JobRuntime ─┐
-//!  submit ──────▶ │ AdmissionQueue (bounded, refuses when │
-//!  (JobHandle)    │   full → EngineError::Busy)           │
+//!  submit ──────▶ │ queue (bounded, refuses when full →   │
+//!  (JobHandle)    │   EngineError::Busy)                  │
 //!                 │   │ dequeue                           │
 //!                 │   ▼                                   │
-//!                 │ dispatchers (max_concurrent threads)  │
-//!                 │   │ lease slot 1..=63 (SlotPool)      │
+//!                 │ dispatcher i of max_concurrent        │
+//!                 │   = tag slot i + 1, for its lifetime  │
 //!                 │   ▼                                   │
 //!                 │ SharedFabric::run_job(binding, …)     │
 //!                 │   tags/journal/NIC of the job's own   │
 //!                 └───────────────────────────────────────┘
 //! ```
 //!
+//! The runtime keeps nothing of a job but its place in the queue: a
+//! [`JobHandle`] *is* the job's cell — status, outcome, one condvar — shared
+//! with the dispatcher that fills it, and gone with whichever of the two
+//! lets go last. Looking a job up by id is the business of whoever hands ids
+//! out (the service's job table).
+//!
 //! **Exclusive mode** (`max_concurrent == 1`) runs every job at slot 0:
 //! the full 24-bit tag space and speculative recovery stay available,
-//! exactly like a one-shot run, just resident. **Multi mode** leases
-//! nonzero slots, giving up recovery (unscoped heartbeats would poison
-//! neighbors) and 6 tag-sequence bits in exchange for true concurrency.
+//! exactly like a one-shot run, just resident. **Multi mode** runs
+//! dispatcher `i`'s jobs at slot `i + 1`, giving up recovery (unscoped
+//! heartbeats would poison neighbors) and 6 tag-sequence bits in exchange
+//! for true concurrency.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use cts_core::metrics::{Counter, Gauge, Histogram};
-use cts_net::admission::{AdmissionQueue, SlotPool};
 use cts_net::cluster::{JobBinding, SharedFabric};
 use parking_lot::{Condvar, Mutex};
 
@@ -57,7 +62,7 @@ pub struct RuntimeConfig {
     pub queue_capacity: usize,
     /// Dispatcher threads = jobs actually running at once, `1..=63`.
     /// `1` selects exclusive mode (slot 0: full tag space, recovery
-    /// allowed); `> 1` leases nonzero job slots.
+    /// allowed); `> 1` gives each dispatcher a nonzero job slot.
     pub max_concurrent: usize,
 }
 
@@ -202,47 +207,30 @@ impl RuntimeMetrics {
 struct Submission {
     id: u32,
     run: BoxedJob,
+    cell: Arc<Cell>,
 }
 
-struct JobEntry {
-    status: JobStatus,
-    outcome: Option<Result<JobOutcome>>,
-}
-
-struct Shared {
-    jobs: Mutex<HashMap<u32, JobEntry>>,
+/// A job's status and, once it has ended, its outcome: what its
+/// [`JobHandle`] and the dispatcher running it share, and everything the
+/// runtime holds of it.
+struct Cell {
+    state: Mutex<(JobStatus, Option<Result<JobOutcome>>)>,
     cv: Condvar,
 }
 
-impl Shared {
-    fn set_status(&self, id: u32, status: JobStatus) {
-        if let Some(entry) = self.jobs.lock().get_mut(&id) {
-            entry.status = status;
-        }
-        self.cv.notify_all();
-    }
-
-    fn finish(&self, id: u32, outcome: Result<JobOutcome>) {
-        let mut jobs = self.jobs.lock();
-        if let Some(entry) = jobs.get_mut(&id) {
-            entry.status = match &outcome {
-                Ok(_) => JobStatus::Done,
-                Err(e) => JobStatus::Failed(e.to_string()),
-            };
-            entry.outcome = Some(outcome);
-        }
-        drop(jobs);
+impl Cell {
+    fn set(&self, status: JobStatus, outcome: Option<Result<JobOutcome>>) {
+        *self.state.lock() = (status, outcome);
         self.cv.notify_all();
     }
 }
 
-/// A submitted job's ticket: poll [`JobRuntime::status`] with its
-/// [`id`](JobHandle::id) or block in [`wait`](JobHandle::wait) for the
-/// outcome. Dropping the
-/// handle does not cancel the job.
+/// A submitted job: ask its [`status`](JobHandle::status) or block in
+/// [`wait`](JobHandle::wait) for the outcome. Dropping the handle does not
+/// cancel the job; the job then ends leaving nothing behind.
 pub struct JobHandle {
     id: u32,
-    shared: Arc<Shared>,
+    cell: Arc<Cell>,
 }
 
 impl std::fmt::Debug for JobHandle {
@@ -252,35 +240,100 @@ impl std::fmt::Debug for JobHandle {
 }
 
 impl JobHandle {
-    /// The job's runtime-unique id (also its trace id).
+    /// The job's runtime-unique id (also its trace id): ids count up from 1
+    /// in admission order, and a refused submission uses none.
     pub fn id(&self) -> u32 {
         self.id
     }
 
+    /// Where the job is in its lifecycle right now.
+    pub fn status(&self) -> JobStatus {
+        self.cell.state.lock().0.clone()
+    }
+
     /// Blocks until the job finishes and returns its outcome.
     pub fn wait(self) -> Result<JobOutcome> {
-        let mut jobs = self.shared.jobs.lock();
+        let mut state = self.cell.state.lock();
         loop {
-            if let Some(outcome) = jobs
-                .get_mut(&self.id)
-                .expect("submitted job has an entry")
-                .outcome
-                .take()
-            {
+            if let Some(outcome) = state.1.take() {
                 return outcome;
             }
-            self.shared.cv.wait(&mut jobs);
+            self.cell.cv.wait(&mut state);
         }
+    }
+}
+
+struct QueueState {
+    /// Admitted and not yet dispatched, oldest first.
+    jobs: VecDeque<Submission>,
+    closed: bool,
+    /// The last job id handed out.
+    issued: u32,
+}
+
+/// The bounded queue between [`JobRuntime::submit`] and the dispatchers. A
+/// submitter never blocks — a full queue refuses, so backpressure surfaces
+/// at the client instead of as a stall inside the runtime; a dispatcher
+/// blocks until a job arrives or the queue is closed *and* drained.
+struct Queue {
+    capacity: usize,
+    state: Mutex<QueueState>,
+    cv: Condvar,
+    /// The live depth, mirrored on every enqueue and dequeue.
+    depth: Arc<Gauge>,
+    /// Submissions refused because the queue was full.
+    refused: Arc<Counter>,
+}
+
+impl Queue {
+    /// Admits the job under the next id if there is room.
+    fn try_enqueue(&self, run: BoxedJob, cell: Arc<Cell>) -> Result<u32> {
+        let mut st = self.state.lock();
+        if st.closed {
+            return Err(EngineError::Busy {
+                what: "runtime closed to new jobs".into(),
+            });
+        }
+        if st.jobs.len() >= self.capacity {
+            self.refused.inc();
+            return Err(EngineError::Busy {
+                what: format!("admission queue full ({} jobs queued)", self.capacity),
+            });
+        }
+        st.issued += 1;
+        let id = st.issued;
+        st.jobs.push_back(Submission { id, run, cell });
+        self.depth.set(st.jobs.len() as i64);
+        drop(st);
+        self.cv.notify_one();
+        Ok(id)
+    }
+
+    fn dequeue(&self) -> Option<Submission> {
+        let mut st = self.state.lock();
+        loop {
+            if let Some(sub) = st.jobs.pop_front() {
+                self.depth.set(st.jobs.len() as i64);
+                return Some(sub);
+            }
+            if st.closed {
+                return None;
+            }
+            self.cv.wait(&mut st);
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.cv.notify_all();
     }
 }
 
 /// The resident multi-tenant runtime (see the module docs).
 pub struct JobRuntime {
     fabric: Arc<SharedFabric>,
-    queue: Arc<AdmissionQueue<Submission>>,
-    shared: Arc<Shared>,
+    queue: Arc<Queue>,
     metrics: Arc<RuntimeMetrics>,
-    next_id: AtomicU32,
     dispatchers: Vec<JoinHandle<()>>,
 }
 
@@ -313,46 +366,48 @@ impl JobRuntime {
         let metrics = Arc::new(RuntimeMetrics::register(&hub));
         hub.gauge("cts_admission_queue_capacity")
             .set(cfg.queue_capacity as i64);
-        let queue: Arc<AdmissionQueue<Submission>> =
-            Arc::new(AdmissionQueue::new(cfg.queue_capacity).with_metrics(
-                hub.gauge("cts_admission_queue_depth"),
-                hub.counter("cts_jobs_refused_total"),
-            ));
-        let shared = Arc::new(Shared {
-            jobs: Mutex::new(HashMap::new()),
+        let queue = Arc::new(Queue {
+            capacity: cfg.queue_capacity,
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::with_capacity(cfg.queue_capacity),
+                closed: false,
+                issued: 0,
+            }),
             cv: Condvar::new(),
+            depth: hub.gauge("cts_admission_queue_depth"),
+            refused: hub.counter("cts_jobs_refused_total"),
         });
-        // Exclusive mode: the single dispatcher keeps slot 0, so one-shot
-        // semantics (full tag space, recovery) survive residency.
-        let exclusive = cfg.max_concurrent == 1;
-        let slots = Arc::new(
-            SlotPool::new(cfg.max_concurrent.max(1) as u8)
-                .with_gauge(hub.gauge("cts_slots_in_use")),
-        );
 
         let dispatchers = (0..cfg.max_concurrent)
-            .map(|_| {
+            .map(|i| {
+                // A dispatcher runs one job at a time, so a tag slot is its
+                // own for life: nothing to lease, and a slot is busy exactly
+                // when its dispatcher is (`cts_jobs_running`). An only
+                // dispatcher keeps slot 0, so one-shot semantics (full tag
+                // space, recovery) survive residency.
+                let slot = if cfg.max_concurrent == 1 {
+                    0
+                } else {
+                    i as u8 + 1
+                };
                 let fabric = Arc::clone(&fabric);
                 let queue = Arc::clone(&queue);
-                let shared = Arc::clone(&shared);
-                let slots = Arc::clone(&slots);
                 let metrics = Arc::clone(&metrics);
                 let template = cfg.template.clone();
                 std::thread::spawn(move || {
-                    while let Some(sub) = queue.dequeue() {
-                        shared.set_status(sub.id, JobStatus::Running);
+                    while let Some(Submission { id, run, cell }) = queue.dequeue() {
+                        cell.set(JobStatus::Running, None);
                         metrics.running.add(1);
-                        let slot = if exclusive { 0 } else { slots.acquire() };
                         let ctx = JobContext {
                             fabric: &fabric,
-                            binding: JobBinding { slot, id: sub.id },
+                            binding: JobBinding { slot, id },
                             cfg: template.clone(),
                         };
                         // A panicking job takes the fabric's endpoints
                         // down with it (SharedFabric policy); keep the
                         // dispatcher alive for the jobs behind it.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| (sub.run)(&ctx)))
-                            .unwrap_or_else(|payload| {
+                        let outcome = catch_unwind(AssertUnwindSafe(|| run(&ctx))).unwrap_or_else(
+                            |payload| {
                                 let what = payload
                                     .downcast_ref::<&str>()
                                     .map(|s| (*s).to_string())
@@ -361,13 +416,15 @@ impl JobRuntime {
                                 Err(EngineError::Protocol {
                                     what: format!("job panicked: {what}"),
                                 })
-                            });
-                        if !exclusive {
-                            slots.release(slot);
-                        }
+                            },
+                        );
                         metrics.running.add(-1);
                         metrics.record_finish(&outcome);
-                        shared.finish(sub.id, outcome);
+                        let status = match &outcome {
+                            Ok(_) => JobStatus::Done,
+                            Err(e) => JobStatus::Failed(e.to_string()),
+                        };
+                        cell.set(status, Some(outcome));
                     }
                 })
             })
@@ -376,9 +433,7 @@ impl JobRuntime {
         Ok(JobRuntime {
             fabric,
             queue,
-            shared,
             metrics,
-            next_id: AtomicU32::new(1),
             dispatchers,
         })
     }
@@ -393,76 +448,16 @@ impl JobRuntime {
     where
         F: FnOnce(&JobContext<'_>) -> Result<JobOutcome> + Send + 'static,
     {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.shared.jobs.lock().insert(
-            id,
-            JobEntry {
-                status: JobStatus::Queued,
-                outcome: None,
-            },
-        );
-        let sub = Submission {
-            id,
-            run: Box::new(f),
-        };
-        if let Err(e) = self.queue.try_enqueue(sub) {
-            self.shared.jobs.lock().remove(&id);
-            return Err(e.into());
-        }
+        let cell = Arc::new(Cell {
+            state: Mutex::new((JobStatus::Queued, None)),
+            cv: Condvar::new(),
+        });
+        let id = self.queue.try_enqueue(Box::new(f), Arc::clone(&cell))?;
         self.metrics.submitted.inc();
-        Ok(JobHandle {
-            id,
-            shared: Arc::clone(&self.shared),
-        })
+        Ok(JobHandle { id, cell })
     }
 
-    /// The job's current status, if the id is known.
-    pub fn status(&self, id: u32) -> Option<JobStatus> {
-        self.shared.jobs.lock().get(&id).map(|e| e.status.clone())
-    }
-
-    /// Blocks until job `id` finishes and returns its outcome.
-    ///
-    /// # Errors
-    /// `Protocol` for an unknown id (or an outcome already taken).
-    pub fn wait(&self, id: u32) -> Result<JobOutcome> {
-        let mut jobs = self.shared.jobs.lock();
-        loop {
-            let entry = jobs.get_mut(&id).ok_or_else(|| EngineError::Protocol {
-                what: format!("unknown job id {id}"),
-            })?;
-            if let Some(outcome) = entry.outcome.take() {
-                return outcome;
-            }
-            if entry.status.is_terminal() {
-                return Err(EngineError::Protocol {
-                    what: format!("job {id}'s outcome was already taken"),
-                });
-            }
-            self.shared.cv.wait(&mut jobs);
-        }
-    }
-
-    /// Current admission-queue depth (jobs admitted, not yet dispatched).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
-    }
-
-    /// Every known job with its current status, ascending by id (the
-    /// `cts stats` table's row source).
-    pub fn job_statuses(&self) -> Vec<(u32, JobStatus)> {
-        let mut rows: Vec<(u32, JobStatus)> = self
-            .shared
-            .jobs
-            .lock()
-            .iter()
-            .map(|(id, e)| (*id, e.status.clone()))
-            .collect();
-        rows.sort_unstable_by_key(|(id, _)| *id);
-        rows
-    }
-
-    /// The resident fabric (its metric registry, the recent jobs' spans).
+    /// The resident fabric (its metric registry, its clock).
     pub fn fabric(&self) -> &SharedFabric {
         &self.fabric
     }
@@ -554,7 +549,7 @@ mod tests {
             })
             .unwrap();
         // Wait until the first job actually holds the dispatcher.
-        while runtime.status(first.id()) != Some(JobStatus::Running) {
+        while first.status() != JobStatus::Running {
             std::thread::yield_now();
         }
         let second = runtime
@@ -571,6 +566,179 @@ mod tests {
         first.wait().unwrap();
         second.wait().unwrap();
         runtime.shutdown();
+    }
+
+    #[test]
+    fn a_handle_is_the_jobs_cell_and_a_dropped_one_leaves_nothing_behind() {
+        let runtime =
+            JobRuntime::start(RuntimeConfig::new(EngineConfig::local(2, 1)).with_max_concurrent(1))
+                .unwrap();
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let held = {
+            let gate = Arc::clone(&gate);
+            runtime.submit(move |ctx| {
+                gate.wait();
+                ctx.run(&ByteSort, sample_input(64), &ctx.cfg)
+            })
+        }
+        .unwrap();
+        let behind = runtime
+            .submit(|ctx| ctx.run(&ByteSort, sample_input(64), &ctx.cfg))
+            .unwrap();
+        while held.status() != JobStatus::Running {
+            std::thread::yield_now();
+        }
+        // The only dispatcher is held at the gate: the second job waits.
+        assert_eq!(behind.status(), JobStatus::Queued);
+        let cells = [Arc::downgrade(&held.cell), Arc::downgrade(&behind.cell)];
+        drop(held);
+        gate.wait();
+        while !behind.status().is_terminal() {
+            std::thread::yield_now();
+        }
+        assert_eq!(behind.status(), JobStatus::Done);
+        assert_eq!(behind.wait().unwrap().outputs.len(), 2);
+        // Once the dispatchers are gone nothing holds a cell: not of the job
+        // whose handle was dropped while it ran, not of the one waited for.
+        runtime.shutdown();
+        assert!(cells.iter().all(|cell| cell.upgrade().is_none()));
+    }
+
+    #[test]
+    fn a_dispatcher_runs_every_job_of_its_own_at_its_own_slot() {
+        for (max_concurrent, slots) in [(3usize, vec![1u8, 2, 3]), (1, vec![0])] {
+            let runtime = JobRuntime::start(
+                RuntimeConfig::new(EngineConfig::local(2, 1)).with_max_concurrent(max_concurrent),
+            )
+            .unwrap();
+            // The first `max_concurrent` jobs meet at a barrier, so every
+            // dispatcher holds a job at once.
+            let together = Arc::new(std::sync::Barrier::new(max_concurrent));
+            let live = Arc::new(Mutex::new(Vec::<u8>::new()));
+            let seen = Arc::new(Mutex::new(Vec::<u8>::new()));
+            let clashed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let handles: Vec<JobHandle> = (0..12)
+                .map(|i| {
+                    let (together, live, seen, clashed) = (
+                        Arc::clone(&together),
+                        Arc::clone(&live),
+                        Arc::clone(&seen),
+                        Arc::clone(&clashed),
+                    );
+                    runtime
+                        .submit(move |ctx| {
+                            let slot = ctx.binding.slot;
+                            {
+                                // Noted, not asserted: a panic here would
+                                // leave the others at the barrier.
+                                let mut live = live.lock();
+                                if live.contains(&slot) {
+                                    clashed.store(true, std::sync::atomic::Ordering::SeqCst);
+                                }
+                                live.push(slot);
+                            }
+                            seen.lock().push(slot);
+                            if i < max_concurrent {
+                                together.wait();
+                            }
+                            let outcome = ctx.run(&ByteSort, sample_input(300), &ctx.cfg);
+                            live.lock().retain(|s| *s != slot);
+                            outcome
+                        })
+                        .unwrap()
+                })
+                .collect();
+            for handle in handles {
+                handle.wait().unwrap();
+            }
+            runtime.shutdown();
+            assert!(
+                !clashed.load(std::sync::atomic::Ordering::SeqCst),
+                "two live jobs on one slot"
+            );
+            let mut seen = seen.lock().clone();
+            assert_eq!(seen.len(), 12);
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen, slots, "max_concurrent = {max_concurrent}");
+        }
+    }
+
+    /// A queue of `capacity` with instruments of its own.
+    fn queue(capacity: usize) -> Queue {
+        Queue {
+            capacity,
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                closed: false,
+                issued: 0,
+            }),
+            cv: Condvar::new(),
+            depth: Arc::new(Gauge::new()),
+            refused: Arc::new(Counter::new()),
+        }
+    }
+
+    /// Enqueues a job nobody will run; its id, or the refusal's text.
+    fn enqueue(q: &Queue) -> std::result::Result<u32, String> {
+        let cell = Arc::new(Cell {
+            state: Mutex::new((JobStatus::Queued, None)),
+            cv: Condvar::new(),
+        });
+        q.try_enqueue(Box::new(|_| unreachable!("never dispatched")), cell)
+            .map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn queue_bounds_and_fifo_order() {
+        let q = queue(3);
+        assert_eq!(
+            [enqueue(&q), enqueue(&q), enqueue(&q)],
+            [Ok(1), Ok(2), Ok(3)]
+        );
+        let refused = enqueue(&q).unwrap_err();
+        assert!(
+            refused.ends_with("admission queue full (3 jobs queued)"),
+            "{refused}"
+        );
+        assert_eq!(q.dequeue().unwrap().id, 1);
+        // A refused submission used no id.
+        assert_eq!(enqueue(&q), Ok(4));
+        let rest: Vec<u32> = (0..3).map(|_| q.dequeue().unwrap().id).collect();
+        assert_eq!(rest, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn close_drains_then_wakes_blocked_consumers() {
+        let q = Arc::new(queue(2));
+        enqueue(&q).unwrap();
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut seen = Vec::new();
+                while let Some(sub) = q.dequeue() {
+                    seen.push(sub.id);
+                }
+                seen
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        q.close();
+        let refused = enqueue(&q).unwrap_err();
+        assert!(refused.ends_with("runtime closed to new jobs"), "{refused}");
+        assert_eq!(worker.join().unwrap(), vec![1]);
+    }
+
+    #[test]
+    fn gauges_mirror_depth_and_refusals() {
+        let q = queue(2);
+        enqueue(&q).unwrap();
+        enqueue(&q).unwrap();
+        assert_eq!(q.depth.get(), 2);
+        assert!(enqueue(&q).is_err());
+        assert_eq!(q.refused.get(), 1);
+        q.dequeue();
+        assert_eq!(q.depth.get(), 1);
     }
 
     #[test]

@@ -64,10 +64,8 @@ pub fn chrome_trace(outcome: &JobOutcome, job_id: u32) -> String {
 
 /// Per-stage wall totals (ns) of the spans behind [`chrome_trace`], in
 /// first-appearance order — the cross-check that the exported timeline
-/// and the engine's own stage accounting agree. Takes the job id
-/// [`chrome_trace`] takes, so the two are called alike; the log is the
-/// job's already.
-pub fn stage_totals_ns(outcome: &JobOutcome, _job_id: u32) -> Vec<(String, u64)> {
+/// and the engine's own stage accounting agree.
+pub fn stage_totals_ns(outcome: &JobOutcome) -> Vec<(String, u64)> {
     let log = &outcome.spans;
     log.stages_in_order()
         .iter()
@@ -114,7 +112,7 @@ mod tests {
         let (shuffle, decode) = (of(stages::SHUFFLE), of(stages::UNPACK_DECODE));
         assert!(shuffle.start_ns <= decode.start_ns && decode.start_ns <= shuffle.end_ns);
         // Totals line up with the span log's own accounting.
-        let totals = stage_totals_ns(&outcome, 0);
+        let totals = stage_totals_ns(&outcome);
         assert_eq!(totals.len(), 5);
         assert!(totals.iter().all(|(_, ns)| *ns > 0));
     }

@@ -24,7 +24,6 @@
 //! assert_eq!(run.results, vec![2, 0, 1]);
 //! ```
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -163,8 +162,8 @@ impl ClusterConfig {
     }
 }
 
-/// The outcome of an SPMD run: one result per rank plus what the job's
-/// journal recorded — its own transfers and spans, nobody else's.
+/// The outcome of an SPMD run: one result per rank plus what the job
+/// recorded — its own transfers, spans and NIC stalls, nobody else's.
 #[derive(Debug)]
 pub struct ClusterRun<R> {
     /// Per-rank return values, rank order.
@@ -173,6 +172,9 @@ pub struct ClusterRun<R> {
     pub trace: Trace,
     /// The job's stage spans: one per rank per stage entered.
     pub spans: SpanLog,
+    /// What the job's emulated NICs counted their stalls on; `None` for a
+    /// job that ran unshaped.
+    pub nic: Option<Arc<NicMeter>>,
 }
 
 /// A job's identity on a [`SharedFabric`]: the tag-namespace `slot`
@@ -272,8 +274,8 @@ impl Endpoints {
 ///   mailbox never cross-match;
 /// - **records**: each job writes its transfers and stage spans into a
 ///   journal of its own and gets them back as [`ClusterRun::trace`] and
-///   [`ClusterRun::spans`]; the fabric keeps only the spans and NIC meter
-///   of the last 64 finished jobs, for `cts stats`;
+///   [`ClusterRun::spans`], with its NIC meter beside them; the fabric
+///   keeps nothing of a finished job;
 /// - **pacing**: each job gets its own emulated [`Nic`] token buckets
 ///   (from `nic_override` or the cluster default), so one tenant
 ///   saturating its egress budget stalls only its own sends.
@@ -293,23 +295,8 @@ pub struct SharedFabric {
     /// Distribution of individual NIC token-bucket stalls (ns), shared by
     /// every job's NICs.
     nic_wait_hist: Arc<Histogram>,
-    /// The most recent [`JOB_METERS_KEPT`] finished jobs, oldest first.
-    finished: Mutex<VecDeque<FinishedJob>>,
     config: ClusterConfig,
 }
-
-/// What the fabric remembers of a job once it has returned.
-struct FinishedJob {
-    id: u32,
-    spans: SpanLog,
-    /// `None` for a job that ran unshaped.
-    meter: Option<Arc<NicMeter>>,
-}
-
-/// How many finished jobs a fabric remembers the stage spans and NIC meters
-/// of: a resident fabric serves jobs without end, and `cts stats` shows the
-/// recent ones.
-const JOB_METERS_KEPT: usize = 64;
 
 impl std::fmt::Debug for SharedFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -337,7 +324,6 @@ impl SharedFabric {
             origin: Instant::now(),
             metrics,
             nic_wait_hist,
-            finished: Mutex::new(VecDeque::new()),
             config: config.clone(),
         })
     }
@@ -347,31 +333,11 @@ impl SharedFabric {
         self.config.k
     }
 
-    /// The stage spans of the finished jobs still remembered (at most 64),
-    /// oldest job first.
-    pub fn spans_snapshot(&self) -> SpanLog {
-        let mut all = SpanLog::default();
-        for job in self.finished.lock().iter() {
-            all.append(&job.spans);
-        }
-        all
-    }
-
     /// The fabric's metric registry. Subsystems riding this fabric (the
     /// job runtime, the sort service) register their instruments here so
     /// one render call exposes the whole plane.
     pub fn metrics(&self) -> &Arc<MetricsHub> {
         &self.metrics
-    }
-
-    /// The NIC meters of the shaped jobs among those still remembered,
-    /// oldest first.
-    pub fn job_meters(&self) -> Vec<(u32, Arc<NicMeter>)> {
-        let finished = self.finished.lock();
-        let shaped = finished
-            .iter()
-            .filter_map(|job| Some((job.id, job.meter.clone()?)));
-        shaped.collect()
     }
 
     /// Renders the fabric's full metric inventory as Prometheus text:
@@ -475,8 +441,7 @@ impl SharedFabric {
     /// shuts them down the same way and the run returns normally. The
     /// first job to start after a teardown builds fresh endpoints (and
     /// fails if that fails). What the job recorded leaves with the returned
-    /// [`ClusterRun`]; the fabric keeps a copy of its spans, and its NIC
-    /// meter, while it is among the last 64 to finish.
+    /// [`ClusterRun`]: the fabric keeps nothing of a finished job.
     ///
     /// # Panics
     /// Panics if `inputs.len() != k`.
@@ -532,19 +497,11 @@ impl SharedFabric {
         }
 
         let (trace, spans) = scope.journal.take();
-        let mut finished = self.finished.lock();
-        if finished.len() == JOB_METERS_KEPT {
-            finished.pop_front();
-        }
-        finished.push_back(FinishedJob {
-            id: binding.id,
-            spans: spans.clone(),
-            meter: scope.meter.clone(),
-        });
         Ok(ClusterRun {
             results: results.into_iter().flatten().collect(),
             trace,
             spans,
+            nic: scope.meter.clone(),
         })
     }
 }
@@ -896,7 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn every_job_returns_its_own_journal_and_the_fabric_remembers_the_last_64() {
+    fn every_job_returns_its_own_journal_on_the_fabrics_one_clock() {
         let fabric = SharedFabric::build(&ClusterConfig::local(3)).unwrap();
         let mut last_end = 0;
         for id in 1..=200u32 {
@@ -907,9 +864,6 @@ mod tests {
             let start = run.spans.spans.iter().map(|s| s.start_ns).min().unwrap();
             assert!(start >= last_end, "job {id}");
             last_end = run.spans.spans.iter().map(|s| s.end_ns).max().unwrap();
-            let kept = fabric.spans_snapshot().jobs();
-            let oldest = id.saturating_sub(JOB_METERS_KEPT as u32) + 1;
-            assert_eq!(kept, (oldest..=id).collect::<Vec<_>>());
         }
         // Concurrent tenants: the same, with the three journals open at once.
         let runs: Vec<ClusterRun<()>> = std::thread::scope(|s| {
@@ -924,10 +878,6 @@ mod tests {
         for (run, id) in runs.iter().zip(1_001..) {
             assert_own_records_only(run, id, 3);
         }
-        let log = fabric.spans_snapshot();
-        assert_eq!(log.jobs().len(), JOB_METERS_KEPT);
-        assert_eq!(log.spans.len(), JOB_METERS_KEPT * 9);
-        assert_eq!(log.stage_durations_ns("Reduce").len(), JOB_METERS_KEPT * 3);
     }
 
     #[test]
@@ -964,86 +914,48 @@ mod tests {
             "one post is queued"
         );
         // The next tenant runs while the pacer is still holding job 7's
-        // last payload, and after it let go: neither its log nor the
-        // fabric's ever sees job 7's late event.
+        // last payload, and after it let go: its log never sees job 7's
+        // late event.
         let next = ring_job(&fabric, 2, 8);
         assert_own_records_only(&next, 8, 2);
         std::thread::sleep(std::time::Duration::from_millis(150));
         let after = ring_job(&fabric, 2, 9);
         assert_own_records_only(&after, 9, 2);
-        assert_eq!(fabric.spans_snapshot().jobs(), vec![7, 8, 9]);
     }
 
     #[test]
-    fn job_meters_attribute_nic_waits_per_tenant() {
-        // Job A is rate-limited hard, job B runs unshaped: only A's meter
-        // may record token-bucket stalls.
+    fn a_jobs_nic_meter_leaves_with_its_run() {
+        // Job 1 is rate-limited hard, job 2 runs unshaped: only a shaped
+        // job has a meter, and it holds that job's token-bucket stalls.
         let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
         let slow = NicProfile::rate_limited(1_000_000.0);
-        fabric
-            .run_job(
-                JobBinding { slot: 1, id: 1 },
-                Some(slow),
-                vec![(); 2],
-                |comm: &Communicator, ()| {
-                    if comm.rank() == 0 {
-                        comm.send(1, Tag::app(0), Bytes::from(vec![0u8; 300_000]))
-                            .unwrap();
-                        comm.send(1, Tag::app(0), Bytes::from(vec![0u8; 1]))
-                            .unwrap();
-                    } else {
-                        comm.recv(0, Tag::app(0)).unwrap();
-                        comm.recv(0, Tag::app(0)).unwrap();
-                    }
-                },
-            )
-            .unwrap();
-        let meters = fabric.job_meters();
-        assert_eq!(meters.len(), 1, "unshaped jobs create no meter");
-        let (id, meter) = &meters[0];
-        assert_eq!(*id, 1);
-        assert!(meter.waits.get() >= 1);
-        assert!(meter.wait_ns.get() > 0);
-        // The fabric-wide histogram saw the same stalls.
-        let text = fabric.render_prometheus();
-        assert!(text.contains("cts_nic_wait_seconds_count"));
-    }
-
-    #[test]
-    fn job_meters_are_kept_for_the_most_recent_jobs_only() {
-        // A resident fabric with per-tenant NICs: its meter list must stop
-        // growing, and the job running now must still be metered.
-        let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
-        let slow = NicProfile::rate_limited(1_000_000.0);
-        let jobs = 2 * JOB_METERS_KEPT as u32;
-        for id in 1..=jobs {
+        let run = |id: u32, nic: Option<NicProfile>| {
             fabric
                 .run_job(
                     JobBinding { slot: 1, id },
-                    Some(slow),
+                    nic,
                     vec![(); 2],
-                    |comm, ()| {
-                        let peer = 1 - comm.rank();
-                        // Past the bucket's burst on the last job, so its meter counts.
-                        let len = if id == jobs { 300_000 } else { 1 };
-                        comm.send(peer, Tag::app(0), Bytes::from(vec![0u8; len]))
-                            .unwrap();
-                        comm.send(peer, Tag::app(0), Bytes::from_static(b"x"))
-                            .unwrap();
-                        comm.recv(peer, Tag::app(0)).unwrap();
-                        comm.recv(peer, Tag::app(0)).unwrap();
+                    |comm: &Communicator, ()| {
+                        if comm.rank() == 0 {
+                            comm.send(1, Tag::app(0), Bytes::from(vec![0u8; 300_000]))
+                                .unwrap();
+                            comm.send(1, Tag::app(0), Bytes::from(vec![0u8; 1]))
+                                .unwrap();
+                        } else {
+                            comm.recv(0, Tag::app(0)).unwrap();
+                            comm.recv(0, Tag::app(0)).unwrap();
+                        }
                     },
                 )
-                .unwrap();
-        }
-        let meters = fabric.job_meters();
-        assert!(meters.len() <= JOB_METERS_KEPT, "{} meters", meters.len());
-        let (newest, meter) = meters.last().unwrap();
-        assert_eq!(*newest, jobs);
-        assert!(meter.waits.get() >= 1 && meter.wait_ns.get() > 0);
-        assert!(meters
-            .iter()
-            .all(|(id, _)| *id > jobs - JOB_METERS_KEPT as u32));
+                .unwrap()
+        };
+        let meter = run(1, Some(slow)).nic.expect("a shaped job is metered");
+        assert!(meter.waits.get() >= 1);
+        assert!(meter.wait_ns.get() > 0);
+        assert!(run(2, None).nic.is_none(), "unshaped jobs create no meter");
+        // The fabric-wide histogram saw the same stalls.
+        let text = fabric.render_prometheus();
+        assert!(text.contains("cts_nic_wait_seconds_count"));
     }
 
     #[test]

@@ -39,9 +39,6 @@
 //!   one thread per rank over either fabric, with panic- and abort-safe
 //!   teardown, plus the resident [`SharedFabric`] that runs many
 //!   concurrent job-scoped SPMD programs over one set of transports;
-//! * [`admission`] — admission control for the resident runtime: a
-//!   bounded job queue that refuses (rather than stalls) when full, and
-//!   the pool of per-job tag-namespace slots;
 //! * [`fault`] — transport-level fault injection for failure testing,
 //!   including crash-at-point specs ([`fault::CrashSpec`]);
 //! * [`health`] — per-rank liveness (Alive/Suspect/Dead) driven by
@@ -70,7 +67,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-pub mod admission;
 pub mod cluster;
 pub mod comm;
 pub mod error;
@@ -90,7 +86,6 @@ pub mod trace;
 pub mod transport;
 pub mod udp;
 
-pub use admission::{AdmissionError, AdmissionQueue, SlotPool};
 pub use cluster::{
     run_spmd, run_spmd_with_inputs, ClusterConfig, ClusterRun, JobBinding, SharedFabric,
     TransportKind,

@@ -278,15 +278,17 @@ mod tests {
             drop(listeners);
         }
         // Concurrent bring-up: several clusters binding simultaneously in
-        // one process must each get disjoint address sets.
-        let registries: Vec<RankRegistry> = std::thread::scope(|s| {
+        // one process must each get disjoint address sets. The listeners
+        // live until the comparison: a port whose listener is gone is the
+        // kernel's to hand out again.
+        let worlds: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..6)
-                .map(|_| s.spawn(|| RankRegistry::bind_loopback(6).unwrap().0))
+                .map(|_| s.spawn(|| RankRegistry::bind_loopback(6).unwrap()))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         let mut all_addrs = std::collections::HashSet::new();
-        for registry in &registries {
+        for (registry, _listeners) in &worlds {
             for addr in (0..6).map(|rank| registry.addr(rank).unwrap()) {
                 assert!(all_addrs.insert(addr), "duplicate bound addr {addr}");
             }

@@ -58,14 +58,12 @@ impl StageSpan {
     }
 }
 
-/// Recorded spans plus the stage-name table they index: one job's, or the
-/// recent jobs' of a resident fabric
-/// ([`SharedFabric::spans_snapshot`](crate::cluster::SharedFabric::spans_snapshot)).
+/// One job's recorded spans plus the stage-name table they index.
 #[derive(Clone, Debug, Default)]
 pub struct SpanLog {
     /// Stage names, indexed by [`StageSpan::stage`].
     pub names: Vec<String>,
-    /// The spans, each rank's in first-entry order; oldest job first.
+    /// The spans, each rank's in first-entry order.
     pub spans: Vec<StageSpan>,
 }
 
@@ -78,17 +76,6 @@ impl SpanLog {
     /// The stage index for `name`, if any span used it.
     pub fn stage_index(&self, name: &str) -> Option<u16> {
         self.names.iter().position(|s| s == name).map(|i| i as u16)
-    }
-
-    /// Appends `other`'s spans, re-indexed into this log's name table.
-    pub(crate) fn append(&mut self, other: &SpanLog) {
-        let index: Vec<u16> = (other.names.iter())
-            .map(|name| crate::trace::intern(&mut self.names, name))
-            .collect();
-        self.spans.extend(other.spans.iter().map(|span| StageSpan {
-            stage: index[usize::from(span.stage)],
-            ..*span
-        }));
     }
 
     /// Distinct job ids present, ascending.
@@ -156,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_queries_and_a_merge_of_two_jobs_logs() {
+    fn stage_queries_over_one_jobs_log() {
         let j1 = SpanLog {
             names: vec!["Map".into(), "Shuffle".into()],
             spans: vec![
@@ -169,20 +156,7 @@ mod tests {
         // Wall extent: earliest Map start 0, latest Map end 120.
         assert_eq!(j1.stage_wall_ns("Map"), 120);
         assert_eq!(j1.stages_in_order(), vec!["Map", "Shuffle"]);
-        // A second job that met the stages in another order keeps its names
-        // when the two logs become one.
-        let j2 = SpanLog {
-            names: vec!["Shuffle".into(), "Reduce".into(), "Map".into()],
-            spans: vec![span(2, 0, 2, 10, 40), span(2, 0, 1, 40, 50)],
-        };
-        let mut all = SpanLog::default();
-        all.append(&j1);
-        all.append(&j2);
-        assert_eq!(all.jobs(), vec![1, 2]);
-        assert_eq!(all.names, vec!["Map", "Shuffle", "Reduce"]);
-        assert_eq!(all.stage_durations_ns("Map"), vec![100, 115, 30]);
-        assert_eq!(all.stage_durations_ns("Reduce"), vec![10]);
-        assert_eq!(all.spans[..3], j1.spans[..]);
+        assert_eq!(j1.jobs(), vec![1]);
     }
 
     #[test]

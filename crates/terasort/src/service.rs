@@ -29,6 +29,17 @@
 //! message follows). A connection may issue any number of requests;
 //! closing it does not cancel submitted jobs.
 //!
+//! ## The job table
+//!
+//! A job id is a wire concept, so the one table from ids to jobs is here
+//! (the runtime and the fabric keep nothing of a job that has returned), and
+//! STATUS, DIGEST, FETCH, TIMELINE and the per-job rows of STATS are all
+//! answered from it. Queued and running jobs stay in it — admission bounds
+//! them; of the finished ones it keeps the newest 64 and at most 256 MiB of
+//! output, the newest always. The rest are evicted, asked for or not, and
+//! counted (`cts_results_evicted_total`); their ids answer `job N: result
+//! evicted (…)`, not `unknown job id N`.
+//!
 //! ## Introspection
 //!
 //! Besides the binary STATS frame, [`SortService::serve_metrics`] binds a
@@ -60,7 +71,7 @@
 //! A request whose first bytes race the stop may find its connection
 //! closed instead of answered, never answered wrongly.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,9 +79,11 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, ThreadId};
 
 use bytes::Bytes;
+use cts_core::metrics::Counter;
 use cts_mapreduce::grep::Grep;
-use cts_mapreduce::runtime::{JobRuntime, JobStatus, RuntimeConfig};
+use cts_mapreduce::runtime::{JobHandle, JobRuntime, JobStatus, RuntimeConfig};
 use cts_mapreduce::wordcount::WordCount;
+use cts_mapreduce::JobOutcome;
 
 use crate::workload::TeraSortWorkload;
 
@@ -220,23 +233,55 @@ fn take<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], String> {
 
 // ---- server -------------------------------------------------------------
 
-/// A finished job's cached artifacts: its partitions and the rendered
-/// Chrome-trace timeline, shared across however many clients ask.
-#[derive(Clone)]
-struct JobRecord {
-    outputs: Arc<Vec<Vec<u8>>>,
-    timeline: Arc<String>,
+/// Finished jobs the table keeps: what `cts stats` has rows for, and as
+/// many results as a client may come back for late.
+const FINISHED_JOBS_KEPT: usize = 64;
+/// MiB of finished jobs' outputs the table keeps: a daemon that sorts
+/// 100 MB inputs must not hold 64 of them.
+const FINISHED_MIB_KEPT: usize = 256;
+
+type Settled = Result<Arc<JobOutcome>, String>;
+
+/// One resident job: the runtime's handle until a client first asks for the
+/// outcome (or the table's sweep finds the job ended), the outcome after.
+/// Whoever asks first waits on the handle, everybody else on `outcome`.
+struct Entry {
+    handle: parking_lot::Mutex<Option<JobHandle>>,
+    outcome: OnceLock<Settled>,
 }
 
-type CachedRecord = Result<JobRecord, String>;
+impl Entry {
+    fn new(handle: JobHandle) -> Arc<Entry> {
+        Arc::new(Entry {
+            handle: parking_lot::Mutex::new(Some(handle)),
+            outcome: OnceLock::new(),
+        })
+    }
+
+    fn status(&self) -> JobStatus {
+        match self.outcome.get() {
+            Some(Ok(_)) => JobStatus::Done,
+            Some(Err(msg)) => JobStatus::Failed(msg.clone()),
+            // No handle either: a client is blocked on it, the job running or about to.
+            None => (self.handle.lock().as_ref()).map_or(JobStatus::Running, JobHandle::status),
+        }
+    }
+
+    /// The outcome, waited for if the job has not ended.
+    fn settle(&self) -> Settled {
+        let wait = || {
+            let handle = self.handle.lock().take().expect("taken once, here");
+            handle.wait().map(Arc::new).map_err(|e| e.to_string())
+        };
+        self.outcome.get_or_init(wait).clone()
+    }
+}
 
 struct Inner {
     runtime: JobRuntime,
-    // A job's outcome moves from the runtime into its cell on the first
-    // wait, so STATUS/DIGEST/FETCH/TIMELINE can be asked any number of
-    // times by any client. One cell per id the runtime issued, never one
-    // for an id a client made up.
-    results: parking_lot::Mutex<HashMap<u32, Arc<OnceLock<CachedRecord>>>>,
+    /// The one place a resident job is kept, by id (see the module docs).
+    jobs: parking_lot::Mutex<BTreeMap<u32, Arc<Entry>>>,
+    evicted: Arc<Counter>,
     stop: StopHandle,
 }
 
@@ -270,57 +315,77 @@ impl StopHandle {
 }
 
 impl Inner {
-    fn record_of(&self, id: u32) -> CachedRecord {
-        if self.runtime.status(id).is_none() {
-            return Err(format!("unknown job id {id}"));
+    /// The table's entry for `id`, or why it has none.
+    fn entry(&self, id: u32) -> Result<Arc<Entry>, String> {
+        let jobs = self.jobs.lock();
+        // Ids count up from 1 and the newest entry is never evicted.
+        let newest = jobs.last_key_value().map_or(0, |(id, _)| *id);
+        jobs.get(&id).cloned().ok_or_else(|| {
+            if !(1..newest).contains(&id) {
+                return format!("unknown job id {id}");
+            }
+            format!(
+                "job {id}: result evicted (the daemon keeps the last \
+                 {FINISHED_JOBS_KEPT} finished jobs / {FINISHED_MIB_KEPT} MiB)"
+            )
+        })
+    }
+
+    /// The job's outcome, waited for if need be; its bytes count from here on.
+    fn outcome_of(&self, id: u32) -> Settled {
+        let settled = self.entry(id)?.settle();
+        self.sweep(&mut self.jobs.lock());
+        settled
+    }
+
+    /// Settles the entries whose job ended unasked, then evicts the oldest
+    /// finished entries while the table is over either bound; the newest
+    /// finished one stays whatever its size.
+    fn sweep(&self, jobs: &mut BTreeMap<u32, Arc<Entry>>) {
+        let bytes = |o: Arc<JobOutcome>| o.outputs.iter().map(Vec::len).sum();
+        let mut finished: Vec<(u32, usize)> = Vec::new();
+        for (id, entry) in jobs.iter() {
+            if entry.status().is_terminal() {
+                finished.push((*id, entry.settle().map_or(0, bytes)));
+            }
         }
-        let cell = Arc::clone(self.results.lock().entry(id).or_default());
-        // The runtime gives a job's outcome away once: the first client to
-        // ask waits for it, whoever asks meanwhile waits for that client.
-        let wait = || {
-            let outcome = self.runtime.wait(id).map_err(|e| e.to_string())?;
-            Ok(JobRecord {
-                timeline: Arc::new(cts_mapreduce::timeline::chrome_trace(&outcome, id)),
-                outputs: Arc::new(outcome.outputs),
-            })
-        };
-        cell.get_or_init(wait).clone()
+        let mut kept = finished.len();
+        let mut bytes: usize = finished.iter().map(|(_, bytes)| bytes).sum();
+        for (id, size) in finished {
+            if kept == 1 || (kept <= FINISHED_JOBS_KEPT && bytes <= FINISHED_MIB_KEPT << 20) {
+                break;
+            }
+            jobs.remove(&id);
+            kept -= 1;
+            bytes -= size;
+            self.evicted.inc();
+        }
     }
 
-    fn outputs_of(&self, id: u32) -> Result<Arc<Vec<Vec<u8>>>, String> {
-        self.record_of(id).map(|r| r.outputs)
-    }
-
-    /// The live-stats table STATS answers with: job lifecycle counts,
-    /// admission/slot gauges, the cross-job stage-latency summary from
-    /// the metric registry, and a stage/NIC breakdown of each recent job
-    /// (those the fabric still holds the spans of).
+    /// The live-stats table STATS answers with: job lifecycle counts and
+    /// admission gauges from the metric registry, its cross-job
+    /// stage-latency summary, and a stage/NIC breakdown of each job in the
+    /// table.
     fn render_stats(&self) -> String {
         use std::fmt::Write as _;
         let hub = self.runtime.fabric().metrics();
-        let statuses = self.runtime.job_statuses();
-        let (mut queued, mut running, mut done, mut failed) = (0u32, 0u32, 0u32, 0u32);
-        for (_, st) in &statuses {
-            match st {
-                JobStatus::Queued => queued += 1,
-                JobStatus::Running => running += 1,
-                JobStatus::Done => done += 1,
-                JobStatus::Failed(_) => failed += 1,
-            }
-        }
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "jobs: {} known — {queued} queued, {running} running, {done} done, {failed} failed",
-            statuses.len()
+            "jobs: {} known — {} queued, {} running, {} done, {} failed",
+            hub.counter("cts_jobs_submitted_total").get(),
+            hub.gauge("cts_admission_queue_depth").get(),
+            hub.gauge("cts_jobs_running").get(),
+            hub.counter("cts_jobs_completed_total").get(),
+            hub.counter("cts_jobs_failed_total").get(),
         );
         let _ = writeln!(
             out,
-            "admission: queue {}/{}  refused {}  slots in use {}",
-            self.runtime.queue_depth(),
+            "admission: queue {}/{}  refused {}  results evicted {}",
+            hub.gauge("cts_admission_queue_depth").get(),
             hub.gauge("cts_admission_queue_capacity").get(),
             hub.counter("cts_jobs_refused_total").get(),
-            hub.gauge("cts_slots_in_use").get(),
+            self.evicted.get(),
         );
         let _ = writeln!(out, "{}", cts_core::pool::global().stats());
 
@@ -347,48 +412,43 @@ impl Inner {
             );
         }
 
-        let spans = self.runtime.fabric().spans_snapshot();
-        let meters: HashMap<u32, _> = self.runtime.fabric().job_meters().into_iter().collect();
         let _ = writeln!(out);
         let _ = writeln!(
             out,
             "per-job stage walls (ms; slowest rank) and NIC stalls:"
         );
-        // A job's spans sit together in the snapshot, oldest job first.
-        for of_job in spans.spans.chunk_by(|a, b| a.job == b.job) {
-            let id = of_job[0].job;
-            let state = match self.runtime.status(id) {
-                Some(JobStatus::Queued) => "queued",
-                Some(JobStatus::Running) => "running",
-                Some(JobStatus::Failed(_)) => "failed",
-                Some(JobStatus::Done) | None => "done",
+        let jobs: Vec<(u32, Arc<Entry>)> = {
+            let mut jobs = self.jobs.lock();
+            self.sweep(&mut jobs);
+            jobs.iter().map(|(id, e)| (*id, Arc::clone(e))).collect()
+        };
+        for (id, entry) in jobs {
+            let state = match entry.status() {
+                JobStatus::Queued => "queued",
+                JobStatus::Running => "running",
+                JobStatus::Done => "done",
+                JobStatus::Failed(_) => "failed",
             };
             let _ = write!(out, "  job {id:<5} {state:<8}");
-            let mut stages: Vec<u16> = Vec::new();
-            for span in of_job {
-                if !stages.contains(&span.stage) {
-                    stages.push(span.stage);
+            if let Some(Ok(outcome)) = entry.outcome.get() {
+                for stage in outcome.spans.stages_in_order() {
+                    let mut durs = outcome.spans.stage_durations_ns(stage);
+                    durs.sort_unstable();
+                    let _ = write!(
+                        out,
+                        " {stage}={:.2}/p99 {:.2}",
+                        pct(&durs, 0.50) as f64 / 1e6,
+                        pct(&durs, 0.99) as f64 / 1e6,
+                    );
                 }
-            }
-            for stage in stages {
-                let of_stage = of_job.iter().filter(|s| s.stage == stage);
-                let mut durs: Vec<u64> = of_stage.map(|s| s.wall_ns).collect();
-                durs.sort_unstable();
-                let _ = write!(
-                    out,
-                    " {}={:.2}/p99 {:.2}",
-                    spans.stage_name(stage),
-                    pct(&durs, 0.50) as f64 / 1e6,
-                    pct(&durs, 0.99) as f64 / 1e6,
-                );
-            }
-            if let Some(m) = meters.get(&id) {
-                let _ = write!(
-                    out,
-                    "  nic_waits={} stall_ms={:.2}",
-                    m.waits.get(),
-                    m.wait_ns.get() as f64 / 1e6
-                );
+                if let Some(m) = &outcome.nic {
+                    let _ = write!(
+                        out,
+                        "  nic_waits={} stall_ms={:.2}",
+                        m.waits.get(),
+                        m.wait_ns.get() as f64 / 1e6
+                    );
+                }
             }
             let _ = writeln!(out);
         }
@@ -396,6 +456,9 @@ impl Inner {
     }
 
     fn submit(&self, kind: JobKind, r: usize, input: Bytes) -> Result<u32, String> {
+        // Admitted under the table's lock: entries go in in id order, so
+        // `entry` can tell an issued id from a made-up one by comparison.
+        let mut jobs = self.jobs.lock();
         let handle = self
             .runtime
             .submit(move |ctx| {
@@ -409,7 +472,10 @@ impl Inner {
                 }
             })
             .map_err(|e| e.to_string())?;
-        Ok(handle.id())
+        let id = handle.id();
+        jobs.insert(id, Entry::new(handle));
+        self.sweep(&mut jobs);
+        Ok(id)
     }
 
     /// Serves one request, appending the OK payload to `out` (the reply
@@ -439,11 +505,7 @@ impl Inner {
             }
             OP_STATUS => {
                 let id = u32::from_le_bytes(take::<4>(&req, 1)?);
-                let status = self
-                    .runtime
-                    .status(id)
-                    .ok_or_else(|| format!("unknown job id {id}"))?;
-                match status {
+                match self.entry(id)?.status() {
                     JobStatus::Queued => out.push(0),
                     JobStatus::Running => out.push(1),
                     JobStatus::Done => out.push(2),
@@ -455,8 +517,7 @@ impl Inner {
             }
             OP_DIGEST => {
                 let id = u32::from_le_bytes(take::<4>(&req, 1)?);
-                let outputs = self.outputs_of(id)?;
-                let digest = ResultDigest::of(&outputs);
+                let digest = ResultDigest::of(&self.outcome_of(id)?.outputs);
                 out.extend_from_slice(&(digest.partitions.len() as u32).to_le_bytes());
                 for (len, fnv) in &digest.partitions {
                     out.extend_from_slice(&len.to_le_bytes());
@@ -466,10 +527,10 @@ impl Inner {
             }
             OP_FETCH => {
                 let id = u32::from_le_bytes(take::<4>(&req, 1)?);
-                let outputs = self.outputs_of(id)?;
+                let outputs = &self.outcome_of(id)?.outputs;
                 out.reserve(4 + outputs.iter().map(|o| o.len() + 8).sum::<usize>());
                 out.extend_from_slice(&(outputs.len() as u32).to_le_bytes());
-                for o in outputs.iter() {
+                for o in outputs {
                     out.extend_from_slice(&(o.len() as u64).to_le_bytes());
                     out.extend_from_slice(o);
                 }
@@ -477,7 +538,9 @@ impl Inner {
             OP_STATS => out.extend_from_slice(self.render_stats().as_bytes()),
             OP_TIMELINE => {
                 let id = u32::from_le_bytes(take::<4>(&req, 1)?);
-                out.extend_from_slice(self.record_of(id)?.timeline.as_bytes());
+                let outcome = self.outcome_of(id)?;
+                let timeline = cts_mapreduce::timeline::chrome_trace(&outcome, id);
+                out.extend_from_slice(timeline.as_bytes());
             }
             OP_SHUTDOWN => self.stop.stop(),
             other => return Err(format!("unknown opcode {other:#04x}")),
@@ -554,6 +617,10 @@ impl SortService {
     /// [`local_addr`](Self::local_addr)).
     pub fn bind(addr: impl ToSocketAddrs, cfg: RuntimeConfig) -> Result<SortService, String> {
         let runtime = JobRuntime::start(cfg).map_err(|e| e.to_string())?;
+        let evicted = runtime
+            .fabric()
+            .metrics()
+            .counter("cts_results_evicted_total");
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind: {e}"))?;
         let stop = StopHandle::default();
         let bound = listener.local_addr().map_err(|e| e.to_string())?;
@@ -562,7 +629,8 @@ impl SortService {
             listener,
             inner: Arc::new(Inner {
                 runtime,
-                results: parking_lot::Mutex::new(HashMap::new()),
+                jobs: parking_lot::Mutex::new(BTreeMap::new()),
+                evicted,
                 stop,
             }),
             conns: Registry::default(),
@@ -983,11 +1051,13 @@ mod tests {
         let mut newest = 0;
         for _ in 0..100 {
             newest = daemon.submit(JobKind::Sort, 1, input.clone()).unwrap();
-            daemon.record_of(newest).unwrap();
+            daemon.outcome_of(newest).unwrap();
+            assert!(daemon.jobs.lock().len() <= FINISHED_JOBS_KEPT);
         }
         let stats = daemon.render_stats();
         // The counts cover every job since boot, the table the last 64.
         assert!(stats.contains("100 known") && stats.contains("100 done"));
+        assert!(stats.contains("results evicted 36"), "{stats}");
         let rows: Vec<&str> = stats.lines().filter(|l| l.starts_with("  job ")).collect();
         assert!(!rows.is_empty() && rows.len() <= 64, "{} rows", rows.len());
         let last = rows.last().unwrap();
@@ -999,6 +1069,77 @@ mod tests {
             last.contains(" Map=") && last.contains(" Reduce="),
             "{last}"
         );
+    }
+
+    #[test]
+    fn a_client_that_never_asks_leaves_a_bounded_table_and_an_aged_out_id_says_so() {
+        // One dispatcher: jobs end in id order, so once the newest has ended
+        // all have.
+        let cfg = RuntimeConfig::new(EngineConfig::local(2, 1)).with_max_concurrent(1);
+        let in_flight = cfg.queue_capacity + cfg.max_concurrent;
+        let daemon = SortService::bind("127.0.0.1:0", cfg).unwrap().inner;
+        let input = generate(20, 3);
+        let mut newest = 0;
+        while newest < 500 {
+            // Refused while the queue is full: a sloppy client just retries.
+            match daemon.submit(JobKind::Sort, 1, input.clone()) {
+                Ok(id) => newest = id,
+                Err(busy) => assert!(busy.contains("admission queue full"), "{busy}"),
+            }
+            assert!(daemon.jobs.lock().len() <= FINISHED_JOBS_KEPT + in_flight);
+        }
+        let reference = ResultDigest::of(&daemon.outcome_of(newest).unwrap().outputs);
+        // All but the last 64 were evicted unasked, and each of those ids
+        // knows what became of it.
+        let mut reply = vec![];
+        let request = |op: u8, id: u32| Bytes::copy_from_slice(&ServiceClient::job_request(op, id));
+        for op in [OP_STATUS, OP_DIGEST, OP_FETCH, OP_TIMELINE] {
+            let aged_out = daemon
+                .handle_request(request(op, 1), &mut reply)
+                .unwrap_err();
+            assert!(aged_out.starts_with("job 1: result evicted"), "{aged_out}");
+        }
+        let never_issued = daemon.handle_request(request(OP_DIGEST, 501), &mut reply);
+        assert_eq!(never_issued.unwrap_err(), "unknown job id 501");
+        daemon.render_stats();
+        let kept: Vec<u32> = daemon.jobs.lock().keys().copied().collect();
+        assert_eq!(kept, (437..=500).collect::<Vec<u32>>());
+        assert_eq!(daemon.evicted.get(), 436);
+        let oldest = daemon.outcome_of(437).unwrap();
+        assert_eq!(ResultDigest::of(&oldest.outputs), reference);
+    }
+
+    #[test]
+    fn the_table_keeps_256_mib_of_results_and_always_the_newest() {
+        let cfg = RuntimeConfig::new(EngineConfig::local(2, 1)).with_max_concurrent(1);
+        let daemon = SortService::bind("127.0.0.1:0", cfg).unwrap().inner;
+        // A job that claims `mib` MiB of output: zeroed pages nobody touches,
+        // so address space, not memory. Entered the way `submit` enters one.
+        let finish = |mib: usize| {
+            let claim = move |ctx: &cts_mapreduce::JobContext<'_>| {
+                let sort = TeraSortWorkload::range(ctx.cfg.k);
+                let mut outcome = ctx.run(&sort, generate(20, 1), &ctx.cfg)?;
+                outcome.outputs = vec![vec![0u8; mib << 20]];
+                Ok(outcome)
+            };
+            let handle = daemon.runtime.submit(claim).unwrap();
+            let id = handle.id();
+            daemon.jobs.lock().insert(id, Entry::new(handle));
+            daemon.outcome_of(id).unwrap();
+            daemon.jobs.lock().keys().copied().collect::<Vec<u32>>()
+        };
+        assert_eq!(finish(100), vec![1]);
+        assert_eq!(finish(100), vec![1, 2]);
+        // 300 MiB is over: the oldest goes, and 200 MiB fit.
+        assert_eq!(finish(100), vec![2, 3]);
+        assert_eq!(finish(56), vec![2, 3, 4]);
+        assert_eq!(finish(1), vec![3, 4, 5]);
+        // Over the bound all by itself, and kept while it is the newest.
+        assert_eq!(finish(300), vec![6]);
+        assert_eq!(finish(1), vec![7]);
+        assert_eq!(daemon.evicted.get(), 6);
+        let aged_out = daemon.outcome_of(6).unwrap_err();
+        assert!(aged_out.starts_with("job 6: result evicted"), "{aged_out}");
     }
 
     /// Polls `cond` (the daemon's own state, which no event reports to a

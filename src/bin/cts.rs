@@ -124,8 +124,10 @@ USAGE:
                --shutdown (alone) stops the service
   cts stats  --addr HOST:PORT
                print a running service's live stats: job lifecycle
-               counts, admission queue / slot occupancy, stage-latency
-               summary (p50/p99/max), per-job stage walls and NIC stalls
+               counts, admission queue, results evicted, stage-latency
+               summary (p50/p99/max), and a row per job the daemon still
+               holds (the last 64 finished / 256 MiB, plus those in
+               flight) with its stage walls and NIC stalls
   cts model  --k K --r R [--records N] [--target-gb G]
                modeled paper-scale stage breakdown (EC2 calibration)
   cts theory --k K [--tmap S --tshuffle S --treduce S]

@@ -93,11 +93,9 @@ fn concurrent_job_traces_and_spans_separate_cleanly() {
             );
         }
     }
-    // The fabric-wide log saw all three tenants.
-    let all = runtime.fabric().spans_snapshot();
-    for id in &ids {
-        assert!(all.jobs().contains(id), "job {id} missing from shared log");
-    }
+    // Between them the three logs saw all three tenants, each once.
+    let all: Vec<u32> = outcomes.iter().flat_map(|o| o.spans.jobs()).collect();
+    assert_eq!(all, ids);
     runtime.shutdown();
 }
 
@@ -136,7 +134,7 @@ fn chrome_trace_totals_match_span_accounting() {
         .collect();
     assert!(!events.is_empty());
 
-    for (stage, wall_ns) in stage_totals_ns(&outcome, 0) {
+    for (stage, wall_ns) in stage_totals_ns(&outcome) {
         let needle = format!("\"{stage}\"");
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         let mut count = 0usize;

@@ -134,7 +134,7 @@ fn admission_refuses_with_a_typed_error_when_saturated() {
 
     // Wait until the dispatcher has picked the blocker up, then fill the
     // one queue slot; the next submit must refuse, not block or panic.
-    while runtime.status(blocker.id()) == Some(JobStatus::Queued) {
+    while blocker.status() == JobStatus::Queued {
         std::thread::sleep(Duration::from_millis(1));
     }
     let queued_input = teragen::generate(200, 2);
@@ -267,8 +267,8 @@ fn consecutive_quorum_jobs_on_one_slot_do_not_see_each_others_packets() {
         .with_field(FieldKind::Gf256)
         .with_decode(DecodeMode::Quorum)
         .with_idle_timeout(Duration::from_secs(5));
-    // Exclusive mode reuses slot 0; in multi mode two jobs run back to back
-    // both lease the lowest free slot.
+    // Exclusive mode reuses slot 0; in multi mode a dispatcher's slot is its
+    // own, so four jobs on two dispatchers must reuse one (pigeonhole).
     for max_concurrent in [1, 2] {
         let runtime = JobRuntime::start(
             RuntimeConfig::new(template.clone()).with_max_concurrent(max_concurrent),
