@@ -3,11 +3,16 @@
 //! stages are described in the crate docs). After CodeGen a rank walks it
 //! in **one pass**: map a file, encode and post every packet that file
 //! completes, map the next; then take what the peers sent in whatever order
-//! it arrives — one receive loop for both decode disciplines, the decoder
-//! saying when a group is complete; drain the NIC, synchronize, reduce. The
-//! CPU stages run while the rank's NIC works through its queue, so a job
-//! costs about max(NIC, CPU) rather than their sum. Three synchronizations
-//! remain — after CodeGen, at the end of the Shuffle, after Reduce. What differs
+//! it arrives — one receive loop for coded packets of both decode disciplines
+//! and for plain pieces, the decoder saying when a group is complete. Every
+//! piece of the rank's own partition goes to the partition's
+//! [`Reducer`](crate::workload::Reducer) the moment the rank holds it whole,
+//! and the moment the last one is in the rank reduces what could not start
+//! without it; then it drains its NIC and synchronizes. The CPU stages run
+//! while the rank's NIC works through its queue, so a job costs about
+//! max(NIC, CPU) rather than their sum. Two synchronizations remain — after
+//! CodeGen and at the end of the Shuffle, which is the end of the job: a
+//! partition needs nothing from a peer but its pieces. What differs
 //! between conventional TeraSort (§III), CodedTeraSort (§IV) and the
 //! pod-partitioned scheme (§VI) is only the [`Layout`]: which files a node
 //! maps, which multicast groups it codes in, and which intermediates carry
@@ -42,9 +47,9 @@ use cts_netsim::stats::{NodeStats, RunStats};
 use parking_lot::Mutex;
 
 use crate::error::{EngineError, JobReport, Result};
-use crate::recover::{adopt_dead_partitions, reduce_in_file_order, Recovery};
+use crate::recover::{adopt_dead_partitions, Recovery};
 use crate::stage::{stages, EngineConfig, RecoveryMode, WallTimes};
-use crate::workload::{InputFormat, Workload};
+use crate::workload::{InputFormat, PartitionShape, Reducer, Workload};
 
 /// The result of an engine run.
 #[derive(Debug)]
@@ -365,6 +370,7 @@ struct Group {
 struct Rank<'a> {
     comm: &'a Communicator,
     cfg: &'a EngineConfig,
+    layout: Layout,
     me: usize,
     stats: NodeStats,
     /// `None`: sync points are plain barriers. `Some`: the health layer is
@@ -375,9 +381,9 @@ struct Rank<'a> {
 
 impl Rank<'_> {
     /// A sync point. Every rank walks the same sequence of them — after
-    /// CodeGen, at the end of the Shuffle, \[Recover,\] after Reduce — so
-    /// the recovery epochs line up by construction. Returns the agreed dead
-    /// mask (0 without the health layer).
+    /// CodeGen, at the end of the Shuffle\[, Recover\] — so the recovery
+    /// epochs line up by construction. Returns the agreed dead mask (0
+    /// without the health layer).
     fn sync(&mut self) -> Result<u128> {
         match &mut self.recovery {
             None => Ok(self.comm.barrier().map(|()| 0)?),
@@ -385,16 +391,18 @@ impl Rank<'_> {
         }
     }
 
-    /// Fires the configured crash injection if this is its point. With
-    /// recovery off the rank fails the job with the crash's identity; with
-    /// recovery on it silences its heartbeat — the only externally
-    /// observable signal — and returns `true` so the caller exits empty
-    /// handed, leaving its transport reachable (a fail-stop process, not a
-    /// severed network).
+    /// Fires the configured crash injection if this is its point. The
+    /// victim's NIC drains first: it dies with what it posted out and nothing
+    /// queued. With recovery off the rank fails the job with the crash's
+    /// identity; with recovery on it silences its heartbeat — the only
+    /// externally observable signal — and returns `true` so the caller exits
+    /// empty handed, leaving its transport reachable (a fail-stop process,
+    /// not a severed network).
     fn crashed_at(&mut self, point: CrashPoint) -> Result<bool> {
         if self.cfg.crash_point_of(self.me) != Some(point) {
             return Ok(false);
         }
+        self.comm.drain()?;
         match &mut self.recovery {
             None => Err(EngineError::RankDied {
                 rank: self.me,
@@ -409,12 +417,11 @@ impl Rank<'_> {
 
     /// The crash check of the coded exchange, before this rank's group
     /// post number `sent` (`last`: after its final one, where a budget at
-    /// or past the total dies having sent everything). The victim's NIC
-    /// drains first: it dies with exactly `sent` packets out, none queued.
+    /// or past the total dies having sent everything): it dies with exactly
+    /// `sent` packets out.
     fn crashed_after_sends(&mut self, sent: u64, last: bool) -> Result<bool> {
         match self.cfg.crash_point_of(self.me) {
             Some(point @ CrashPoint::AfterSends(n)) if n == sent || (last && n > sent) => {
-                self.comm.drain()?;
                 self.crashed_at(point)
             }
             _ => Ok(false),
@@ -472,14 +479,14 @@ impl Encode {
 
 /// Algorithm 2 with its working state: parses each received packet
 /// (zero-copy, reusing one shell), cancels it against the local Map
-/// outputs and collects the intermediates that complete.
+/// outputs and hands back the intermediate a packet completes.
 struct Decode<'a> {
     comm: &'a Communicator,
     pipeline: DecodePipeline,
     shell: CodedPacket,
     store: &'a MapOutputStore,
-    /// Completed intermediates, keyed by pod-local file.
-    recovered: Vec<(NodeSet, Vec<u8>)>,
+    /// Intermediates completed so far.
+    recovered: usize,
     /// Live decode progress: one tick per decoded packet, readable mid-job
     /// through the daemon's metric registry (`cts stats`, `/metrics`).
     progress: std::sync::Arc<Counter>,
@@ -487,18 +494,38 @@ struct Decode<'a> {
 
 impl Decode<'_> {
     /// Decodes one packet the moment it is taken — a slice of Decode inside
-    /// the Shuffle; true if it completed its group.
-    fn packet(&mut self, raw: &Bytes, stats: &mut NodeStats) -> Result<bool> {
+    /// the Shuffle. A packet that completes its group yields the group's
+    /// intermediate, keyed by pod-local file.
+    fn packet(&mut self, raw: &Bytes, stats: &mut NodeStats) -> Result<Option<(NodeSet, Vec<u8>)>> {
         self.comm.set_stage(stages::UNPACK_DECODE);
         stats.recv_bytes += raw.len() as u64;
         self.shell.read_wire(raw)?;
         stats.decode_work_bytes += decode_work(&self.shell);
         let done = self.pipeline.accept(&self.shell, self.store)?;
         self.progress.inc();
-        let completed = done.is_some();
-        self.recovered.extend(done);
+        self.recovered += usize::from(done.is_some());
         self.comm.set_stage(stages::SHUFFLE);
-        Ok(completed)
+        Ok(done)
+    }
+}
+
+/// The rank's own partition on its way through Reduce: handed each piece the
+/// moment the rank holds it whole — kept from its own Map, received plain, or
+/// decoded — so only what needs the last piece is left for when it lands.
+struct Reduce<'a> {
+    comm: &'a Communicator,
+    reducer: Box<dyn Reducer + 'a>,
+}
+
+impl Reduce<'_> {
+    /// Gives the reducer the piece mapped from `file` (global ranks) — a slice
+    /// of Reduce inside the Shuffle, the stage a rank with a whole piece in
+    /// hand is in.
+    fn absorb(&mut self, file: NodeSet, piece: Bytes, stats: &mut NodeStats) {
+        self.comm.set_stage(stages::REDUCE);
+        stats.reduce_input_bytes += piece.len() as u64;
+        self.reducer.absorb(file.bits(), piece);
+        self.comm.set_stage(stages::SHUFFLE);
     }
 }
 
@@ -525,6 +552,7 @@ fn node_main<W: Workload>(
     let mut rank = Rank {
         comm,
         cfg,
+        layout,
         me,
         stats: NodeStats::default(),
         recovery: (cfg.recovery == RecoveryMode::Speculative)
@@ -561,8 +589,19 @@ fn node_main<W: Workload>(
     // ---- Map → Pack/Encode (Algorithm 1) → post, group by group ----------
     // What the coder reads, in pod-local ids.
     let mut store = MapOutputStore::new();
-    // This rank's reduce input, keyed by global file.
-    let mut pieces: Vec<(u64, Bytes)> = Vec::new();
+    let shape = PartitionShape {
+        pieces: plan.num_files() as usize * (k / g),
+        // A rank maps r/K of the input.
+        expected_bytes: my_files.iter().map(|(_, file)| file.len()).sum::<usize>() / r,
+    };
+    let mut reduce = Reduce {
+        comm,
+        reducer: workload.reducer(me, shape),
+    };
+    // This rank's own share of the files mapped since its last post, by
+    // global file: absorbed behind the posts, never ahead of them.
+    let mut own: Vec<(NodeSet, Bytes)> = Vec::new();
+    let mut own_bytes = 0;
     // Plain unicasts: (target, file, piece).
     let mut outbox: Vec<(usize, FileId, Bytes)> = Vec::new();
     let encode = Encode {
@@ -598,7 +637,11 @@ fn node_main<W: Workload>(
                 // Frozen through the pool it was leased from: back on the last drop.
                 let piece = || pool::global().freeze(value);
                 match layout.route(me, file, t) {
-                    Route::Keep => pieces.push((file.bits(), piece())),
+                    Route::Keep => {
+                        let piece = piece();
+                        own_bytes += piece.len() as u64;
+                        own.push((file, piece));
+                    }
                     Route::Code => {
                         store.insert(t - base, file_local, piece());
                     }
@@ -651,6 +694,10 @@ fn node_main<W: Workload>(
             comm.post_multicast(&group.ranks, group.tag, packet, header)?;
             sent += 1;
         }
+        // The NIC has its next packets: now the rank's own pieces.
+        for (file, piece) in own.drain(..) {
+            reduce.absorb(file, piece, &mut rank.stats);
+        }
     }
     comm.set_stage(stages::PACK_ENCODE);
     // Staggered destination order (me+1, me+2, …): every rank sends at the
@@ -661,8 +708,7 @@ fn node_main<W: Workload>(
         // Calibration convention: Encode cost covers serializing/splitting
         // all kept intermediates (the XOR is folded into the calibrated
         // rate).
-        rank.stats.pack_bytes +=
-            store.total_bytes() + pieces.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
+        rank.stats.pack_bytes += store.total_bytes() + own_bytes;
     }
     // A rank in no group has encoded nothing yet: its MidEncode is here.
     if rank.crashed_at(CrashPoint::MidEncode)? || rank.crashed_after_sends(sent as u64, true)? {
@@ -676,6 +722,9 @@ fn node_main<W: Workload>(
         rank.stats.sent_bytes += piece.len() as u64;
         comm.post(target, Tag::app(fid.0 as u32), piece)?;
     }
+    for (file, piece) in own.drain(..) {
+        reduce.absorb(file, piece, &mut rank.stats);
+    }
     let mut decode = Decode {
         comm,
         pipeline: DecodePipeline::with_field(g, r, local, cfg.field)
@@ -683,20 +732,43 @@ fn node_main<W: Workload>(
             .with_decode(cfg.decode),
         shell: CodedPacket::empty(),
         store: &store,
-        recovered: Vec::new(),
+        recovered: 0,
         progress: comm.metrics().counter("cts_decode_packets_total"),
     };
     // Everything is posted: what a rank receives is queued by the time it
     // asks, unless its sender's NIC has not reached it yet.
-    let late = shuffle_receive(&mut rank, &my_groups, &mut decode)?;
-    for (sender, fid, file) in layout.unicasts_to(me) {
-        let piece = comm.recv(sender, Tag::app(fid.0 as u32))?;
-        rank.stats.recv_bytes += piece.len() as u64;
-        rank.stats.unpack_bytes += piece.len() as u64;
-        pieces.push((file.bits(), piece));
+    let mut plain: Vec<(Key, NodeSet)> = (layout.unicasts_to(me).into_iter())
+        .map(|(sender, fid, file)| ((comm.scope(Tag::app(fid.0 as u32)), sender), file))
+        .collect();
+    plain.sort_unstable_by_key(|&(key, _)| key);
+    let late = shuffle_receive(&mut rank, &my_groups, &plain, &mut decode, &mut reduce)?;
+
+    // ---- Unpack / Decode: what is left of it -------------------------------
+    comm.set_stage(stages::UNPACK_DECODE);
+    if decode.pipeline.in_flight() != 0 || decode.recovered != my_groups.len() {
+        return Err(EngineError::Protocol {
+            what: format!(
+                "node {me}: recovered {}/{} intermediates with {} incomplete",
+                decode.recovered,
+                my_groups.len(),
+                decode.pipeline.in_flight()
+            ),
+        });
     }
+    if rank.crashed_at(CrashPoint::PreReduce)? {
+        return Ok(None);
+    }
+
+    // ---- Reduce: what could not start before the last piece ------------------
+    // The partition is whole: nothing it needs is behind the synchronization
+    // below, so the rank reduces while its NIC drains and its peers receive.
+    comm.set_stage(stages::REDUCE);
+    let output = reduce.reducer.finish(&pool);
+
+    // ---- Shuffle: the close ---------------------------------------------------
     // The stage ends when this rank's NIC has drained, its last expected
-    // packet is in, and every peer can say the same.
+    // message is in, and every peer can say the same.
+    comm.set_stage(stages::SHUFFLE);
     comm.drain()?;
     rank.sync()?;
     // Every sender has issued all its sends by now, so on the in-memory
@@ -705,30 +777,6 @@ fn node_main<W: Workload>(
     // receive it as its own. Best effort — a dead sender's entry errors.
     for (tag, sender) in late {
         let _ = comm.transport().try_recv(sender, tag);
-    }
-
-    // ---- Unpack / Decode: what is left of it -------------------------------
-    comm.set_stage(stages::UNPACK_DECODE);
-    if decode.pipeline.in_flight() != 0 || decode.recovered.len() != my_groups.len() {
-        return Err(EngineError::Protocol {
-            what: format!(
-                "node {me}: recovered {}/{} intermediates with {} incomplete",
-                decode.recovered.len(),
-                my_groups.len(),
-                decode.pipeline.in_flight()
-            ),
-        });
-    }
-    // Everything this node reduces: locally mapped, unicast and decoded
-    // pieces, read by Reduce where they lie.
-    pieces.extend(
-        decode
-            .recovered
-            .into_iter()
-            .map(|(file, v)| (layout.globalize(file, me).bits(), pool::global().freeze(v))),
-    );
-    if rank.crashed_at(CrashPoint::PreReduce)? {
-        return Ok(None);
     }
 
     // ---- Recover: speculative re-execution --------------------------------
@@ -746,16 +794,12 @@ fn node_main<W: Workload>(
                 &MembershipView::new(k, dead),
                 &my_files,
                 &store,
+                shape,
                 &pool,
                 &mut rank.stats,
             )?;
         }
     }
-
-    // ---- Reduce ------------------------------------------------------------
-    comm.set_stage(stages::REDUCE);
-    let output = reduce_in_file_order(workload, me, &mut pieces, &pool, &mut rank.stats);
-    rank.sync()?;
     Ok(Some(Finished {
         output,
         adopted,
@@ -763,20 +807,25 @@ fn node_main<W: Workload>(
     }))
 }
 
-/// The group receive, for both decode disciplines: block for whichever
-/// expected packet arrives next and decode it as it is taken (Algorithm 2
-/// takes a group's packets in any order). The decoder says when a group is
-/// complete — with its `r`-th packet under barrier-on-all, at full rank under
-/// quorum: with MDS packets after any `r − 1` of the `r` sends, so that a
-/// straggling or dead sender delays nothing but its own groups' last equation.
+/// The receive, for plain pieces and for the packets of both decode
+/// disciplines: block for whichever expected message arrives next and put it
+/// to use as it is taken — a plain piece goes to the reducer, a packet to the
+/// decoder (Algorithm 2 takes a group's packets in any order) and, if it
+/// completes its group, the decoded piece to the reducer. The decoder says
+/// when a group is complete — with its `r`-th packet under barrier-on-all, at
+/// full rank under quorum: with MDS packets after any `r − 1` of the `r`
+/// sends, so that a straggling or dead sender delays nothing but its own
+/// groups' last equation.
 ///
 /// The wait is one [`Transport::recv_any`](cts_net::Transport::recv_any)
-/// over the `(tag, sender)` keys of the groups still open: only such a packet
-/// ends it, and those are the messages a lossy fabric repairs. A quorum
-/// receive fails the job after `idle_timeout` without a packet; barrier-on-all
-/// waits for as long as its senders live (a failing rank aborts the endpoints,
-/// a fabric that gives up repairing times the wait out). With recovery on the
-/// wait also returns once per heartbeat: the health board advances when ticked.
+/// over the `(tag, sender)` keys still awaited — `plain`'s, each with the
+/// global file its piece was mapped from, and those of the groups still open:
+/// only such a message ends it, and those are the messages a lossy fabric
+/// repairs. A quorum receive fails the job after `idle_timeout` without a
+/// message; barrier-on-all waits for as long as its senders live (a failing
+/// rank aborts the endpoints, a fabric that gives up repairing times the wait
+/// out). With recovery on the wait also returns once per heartbeat: the health
+/// board advances when ticked.
 ///
 /// Returns the keys whose packet never came (their group released without it
 /// — none under barrier-on-all), as the transport sees them, for the caller
@@ -785,28 +834,34 @@ fn node_main<W: Workload>(
 fn shuffle_receive(
     rank: &mut Rank<'_>,
     groups: &[&Group],
+    plain: &[(Key, NodeSet)],
     decode: &mut Decode<'_>,
+    reduce: &mut Reduce<'_>,
 ) -> Result<Vec<Key>> {
     let (comm, me) = (rank.comm, rank.me);
     let transport = comm.transport().as_ref();
-    // Every key a packet is expected under, sorted: `recv_any` hands packets
-    // out lowest tag first, so a group's packets come together and the group
-    // releases (and frees its decode state) before the next one starts.
-    // Groups ascend by tag, so a tag's place among them names its group.
+    // Every key a message is expected under, sorted: `recv_any` hands messages
+    // out lowest tag first, so the plain pieces come ahead of the packets, a
+    // group's packets come together and the group releases (and frees its
+    // decode state) before the next one starts. Groups ascend by tag, so a
+    // tag's place among them names its group; a plain key is its own.
     let tags: Vec<Tag> = groups.iter().map(|group| comm.scope(group.tag)).collect();
     let group_of = |tag: Tag| tags.binary_search(&tag).expect("a listed tag");
+    let piece_of = |key: Key| plain.binary_search_by_key(&key, |&(key, _)| key);
     let mut keys: Vec<Key> = (groups.iter().zip(&tags))
         .flat_map(|(group, &tag)| {
             let senders = group.ranks.iter().filter(|&&sender| sender != me);
             senders.map(move |&sender| (tag, sender))
         })
+        .chain(plain.iter().map(|&(key, _)| key))
         .collect();
     keys.sort_unstable();
     // Per group: the senders heard from, one bit per rank.
     let mut heard = vec![0u128; groups.len()];
     let mut done = vec![false; groups.len()];
-    let mut open = groups.len();
-    // Groups release roughly in key order, so the keys nobody waits for any
+    let mut landed = vec![false; plain.len()];
+    let mut open = groups.len() + plain.len();
+    // Messages come roughly in key order, so the keys nobody waits for any
     // more are a prefix: `keys[first_open..]` is the wait. (A released group
     // behind an open one stays listed; its late packet is taken and dropped.)
     let mut first_open = 0;
@@ -821,6 +876,7 @@ fn shuffle_receive(
             // group of r + 1 has, so a single death costs nothing. A group
             // left with fewer live senders than that makes the job
             // unrecoverable: fail it with a structured report, do not stall.
+            // (The layouts recovery runs on send nothing plain.)
             rec.board.tick(transport);
             let listed = keys.len();
             keys.retain(|&(_, sender)| rec.board.is_alive(sender));
@@ -851,7 +907,11 @@ fn shuffle_receive(
             next_tick = Instant::now() + rank.cfg.heartbeat;
         }
         let released = first_open;
-        while first_open < keys.len() && done[group_of(keys[first_open].0)] {
+        let settled = |key: Key| match piece_of(key) {
+            Ok(p) => landed[p],
+            Err(_) => done[group_of(key.0)],
+        };
+        while first_open < keys.len() && settled(keys[first_open]) {
             first_open += 1;
         }
         // When the prefix grows, a probe (which repairs nothing) drops the late packets
@@ -861,13 +921,13 @@ fn shuffle_receive(
         // Recovery rides the quorum receive only, so a tick has a stall to cap.
         let ticking = rank.recovery.is_some();
         let deadline = stalled_at.map(|at| if ticking { at.min(next_tick) } else { at });
-        let (hit, packet) = match transport.recv_any(&keys[first_open..], deadline) {
+        let (hit, message) = match transport.recv_any(&keys[first_open..], deadline) {
             Ok(hit) => hit,
             Err(NetError::Timeout { .. }) if stalled_at.is_none_or(|at| Instant::now() >= at) => {
                 return Err(EngineError::Protocol {
                     what: format!(
-                        "node {me}: shuffle stalled with {open}/{} groups incomplete",
-                        groups.len()
+                        "node {me}: shuffle stalled with {open}/{} groups and pieces incomplete",
+                        groups.len() + plain.len()
                     ),
                 })
             }
@@ -875,15 +935,28 @@ fn shuffle_receive(
             Err(e) => return Err(e.into()),
         };
         stalled_at = idle.map(|idle| Instant::now() + idle);
-        let (tag, sender) = keys[first_open + hit];
+        let key @ (tag, sender) = keys[first_open + hit];
+        if let Ok(p) = piece_of(key) {
+            rank.stats.recv_bytes += message.len() as u64;
+            rank.stats.unpack_bytes += message.len() as u64;
+            reduce.absorb(plain[p].1, message, &mut rank.stats);
+            landed[p] = true;
+            open -= 1;
+            continue;
+        }
         let g = group_of(tag);
         heard[g] |= 1 << sender;
-        if !done[g] && decode.packet(&packet, &mut rank.stats)? {
+        if done[g] {
+            continue;
+        }
+        if let Some((file, piece)) = decode.packet(&message, &mut rank.stats)? {
+            let file = rank.layout.globalize(file, me);
+            reduce.absorb(file, pool::global().freeze(piece), &mut rank.stats);
             done[g] = true;
             open -= 1;
         }
     }
-    keys.retain(|&(tag, sender)| heard[group_of(tag)] & (1 << sender) == 0);
+    keys.retain(|&key| piece_of(key).is_err() && heard[group_of(key.0)] & (1 << key.1) == 0);
     Ok(keys)
 }
 

@@ -2,10 +2,9 @@
 //!
 //! This crate runs real MapReduce jobs over the `cts-net` substrate. One
 //! pipeline executes every scheme. The paper times its stages laid end to
-//! end; here only CodeGen, the end of the Shuffle and Reduce close on a
-//! synchronization, and in between each node walks the stages in one pass,
-//! so its CPU work runs while its NIC drains (paper §VI, "asynchronous
-//! execution"):
+//! end; here only CodeGen and the Shuffle close on a synchronization, and in
+//! between each node walks the stages in one pass, so its CPU work runs
+//! while its NIC drains (paper §VI, "asynchronous execution"):
 //!
 //! 1. **Placement** (untimed, the coordinator's job): the input splits
 //!    into `C(K, r)` files, file `F_S` staged on every node of `S`.
@@ -24,13 +23,17 @@
 //!    whatever travels uncoded — a post queues behind the node's NIC and
 //!    does not wait for it — and then receives whatever comes next until
 //!    every packet is in or, in quorum mode, each group decodes. The stage
-//!    ends when its NIC has drained too. The paper sends one node at a
-//!    time (Fig. 9); behind a NIC that shapes egress this stage takes the
-//!    busiest sender's egress time, and Map, Encode and Decode hide in it.
+//!    ends when its NIC has drained too and every peer can say the same. The
+//!    paper sends one node at a time (Fig. 9); behind a NIC that shapes
+//!    egress this stage takes the busiest sender's egress time, and Map,
+//!    Encode, Decode and Reduce hide in it.
 //! 6. **Unpack/Decode**: Algorithm 2 cancels each received packet against
 //!    local intermediates as it arrives.
 //! 7. **Reduce**: everything a node reduces — kept, unicast and decoded
-//!    pieces — goes to the workload in input order, unconcatenated.
+//!    pieces — goes to the partition's [`workload::Reducer`] the moment the
+//!    node holds it, in whatever order that is; what the reducer can only do
+//!    with every piece in hand runs when the last one lands, before the
+//!    Shuffle's closing synchronization.
 //!
 //! There is one entry point, [`run`] ([`run_on`] for a fabric that already
 //! exists), and the layout is a function of the [`EngineConfig`]:
@@ -83,10 +86,10 @@ pub mod workload;
 pub use engine::{run, run_on, JobOutcome};
 pub use error::{EngineError, JobReport, Result};
 pub use runtime::{JobContext, JobHandle, JobRuntime, JobStatus, RuntimeConfig};
-pub use stage::{EngineConfig, NodeWall, RecoveryMode, WallTimes};
+pub use stage::{EngineConfig, NodeWall, RecoveryMode, ReduceOverlap, WallTimes};
 pub use timeline::{chrome_trace, stage_totals_ns};
 pub use verify::{diff_outputs, run_sequential};
-pub use workload::{InputFormat, Workload};
+pub use workload::{InputFormat, PartitionShape, Reducer, Workload};
 
 /// `uncoded::JobOutcome`: kept for `benchmark/`; goes with ROADMAP 1(a).
 pub mod uncoded {

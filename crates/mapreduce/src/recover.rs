@@ -27,7 +27,7 @@ use cts_net::{Communicator, Key, NetError};
 use cts_netsim::stats::NodeStats;
 
 use crate::error::{EngineError, JobReport, Result};
-use crate::workload::{NodeSet, Workload};
+use crate::workload::{NodeSet, PartitionShape, Workload};
 
 /// Health-layer state carried by a recovery-mode rank: its view of who is
 /// alive, its own heartbeat beacon, and the epoch of its next
@@ -169,8 +169,11 @@ pub fn alive_sync(comm: &Communicator, board: &mut HealthBoard, epoch: u32) -> R
 ///   such a survivor exists for any single failure at `r ≥ 2`).
 ///
 /// Pieces arrive tagged `Tag::RECOVER` with `(dead index << 16) | file`,
-/// so the engine caps recovery jobs at 65 536 files. Returns the
-/// `(dead rank, reduced output)` pairs this rank adopted.
+/// so the engine caps recovery jobs at 65 536 files. The successor feeds a
+/// reducer of `shape` — the engine's own Reduce entry, so the adopted output
+/// is byte-identical to what the dead rank would have produced — with the
+/// pieces it holds itself, then with the others in whatever order the helpers
+/// answer. Returns the `(dead rank, reduced output)` pairs this rank adopted.
 #[allow(clippy::too_many_arguments)] // one borrow per piece of rank state
 pub fn adopt_dead_partitions<W: Workload>(
     workload: &W,
@@ -179,6 +182,7 @@ pub fn adopt_dead_partitions<W: Workload>(
     membership: &MembershipView,
     my_files: &[(FileId, Bytes)],
     store: &MapOutputStore,
+    shape: PartitionShape,
     pool: &WorkerPool,
     stats: &mut NodeStats,
 ) -> Result<Vec<(usize, Vec<u8>)>> {
@@ -190,20 +194,32 @@ pub fn adopt_dead_partitions<W: Workload>(
         let successor = membership
             .successor_of(d)
             .expect("at least one rank survives");
-        let mut pieces: Vec<(u64, Bytes)> = Vec::new();
+        let mut reducer = (successor == me).then(|| workload.reducer(d, shape));
+        // What the helpers send this rank, by transport key (ascending, like
+        // the files), and the file each piece was mapped from.
+        let mut awaited: Vec<Key> = Vec::new();
+        let mut awaited_files: Vec<NodeSet> = Vec::new();
         for fid in 0..plan.num_files() {
             let file = FileId(fid);
             let file_nodes = plan.nodes_of_file(file);
             let tag = Tag::new(Tag::RECOVER, ((dead_idx as u32) << 16) | fid as u32);
-            if file_nodes.contains(d) {
+            // Who holds I^d_S, or can rebuild it, and how.
+            let (helper, rebuilt) = if file_nodes.contains(d) {
                 // Only `d` kept I^d_S: re-execute Map on a replica.
-                let Some(helper) = file_nodes
-                    .iter()
-                    .find(|&u| u != d && membership.is_alive(u))
-                else {
-                    return Err(unrecoverable_file(membership, d, fid));
-                };
-                if helper == me {
+                let mut replicas = file_nodes.iter().filter(|&u| u != d);
+                (replicas.find(|&u| membership.is_alive(u)), true)
+            } else if file_nodes.contains(successor) {
+                // The successor kept I^d_S in its own Map output.
+                (Some(successor), false)
+            } else {
+                // Some member of S forwards its kept copy.
+                (file_nodes.iter().find(|&u| membership.is_alive(u)), false)
+            };
+            let Some(helper) = helper else {
+                return Err(unrecoverable_file(membership, d, fid));
+            };
+            if helper == me {
+                let piece = if rebuilt {
                     let data = &my_files
                         .iter()
                         .find(|(f, _)| *f == file)
@@ -211,70 +227,40 @@ pub fn adopt_dead_partitions<W: Workload>(
                         .1;
                     // Of the file's K pieces only the dead rank's is built.
                     let mut mapped = workload.map_file(data, k, NodeSet::singleton(d));
-                    let piece = pool::global().freeze(mapped.swap_remove(d));
-                    if successor == me {
-                        pieces.push((file_nodes.bits(), piece));
-                    } else {
+                    pool::global().freeze(mapped.swap_remove(d))
+                } else {
+                    store
+                        .get(d, file_nodes)
+                        .expect("keep rule: members of S hold I^d_S when d is outside S")
+                        .clone()
+                };
+                match &mut reducer {
+                    Some(reducer) => {
+                        stats.reduce_input_bytes += piece.len() as u64;
+                        reducer.absorb(file_nodes.bits(), piece);
+                    }
+                    None => {
                         stats.sent_bytes += piece.len() as u64;
                         comm.send(successor, tag, piece)?;
                     }
-                } else if successor == me {
-                    let piece = comm.recv(helper, tag)?;
-                    stats.recv_bytes += piece.len() as u64;
-                    pieces.push((file_nodes.bits(), piece));
                 }
-            } else if file_nodes.contains(successor) {
-                // The successor kept I^d_S in its own Map output.
-                if successor == me {
-                    let piece = store
-                        .get(d, file_nodes)
-                        .expect("keep rule: members of S hold I^d_S when d is outside S")
-                        .clone();
-                    pieces.push((file_nodes.bits(), piece));
-                }
-            } else {
-                // Some member of S forwards its kept copy.
-                let Some(helper) = file_nodes.iter().find(|&u| membership.is_alive(u)) else {
-                    return Err(unrecoverable_file(membership, d, fid));
-                };
-                if helper == me {
-                    let piece = store
-                        .get(d, file_nodes)
-                        .expect("keep rule: members of S hold I^d_S when d is outside S")
-                        .clone();
-                    stats.sent_bytes += piece.len() as u64;
-                    comm.send(successor, tag, piece)?;
-                } else if successor == me {
-                    let piece = comm.recv(helper, tag)?;
-                    stats.recv_bytes += piece.len() as u64;
-                    pieces.push((file_nodes.bits(), piece));
-                }
+            } else if successor == me {
+                awaited.push((comm.scope(tag), helper));
+                awaited_files.push(file_nodes);
             }
         }
-        if successor == me {
-            // The engine's own Reduce entry, so the adopted output is
-            // byte-identical to what the dead rank would have produced.
-            let output = reduce_in_file_order(workload, d, &mut pieces, pool, stats);
-            adopted.push((d, output));
+        if let Some(mut reducer) = reducer {
+            // A key is good for one piece, so the taken ones can stay listed.
+            for _ in 0..awaited.len() {
+                let (at, piece) = comm.transport().recv_any(&awaited, None)?;
+                stats.recv_bytes += piece.len() as u64;
+                stats.reduce_input_bytes += piece.len() as u64;
+                reducer.absorb(awaited_files[at].bits(), piece);
+            }
+            adopted.push((d, reducer.finish(pool)));
         }
     }
     Ok(adopted)
-}
-
-/// Reduces `partition` from its pieces in ascending file order (each piece
-/// keyed by its file's node-set bits) — input order, so a stable reduce
-/// is deterministic whichever way the pieces travelled.
-pub(crate) fn reduce_in_file_order<W: Workload>(
-    workload: &W,
-    partition: usize,
-    pieces: &mut [(u64, Bytes)],
-    pool: &WorkerPool,
-    stats: &mut NodeStats,
-) -> Vec<u8> {
-    pieces.sort_unstable_by_key(|(bits, _)| *bits);
-    let in_order: Vec<&[u8]> = pieces.iter().map(|(_, b)| &b[..]).collect();
-    stats.reduce_input_bytes += in_order.iter().map(|b| b.len() as u64).sum::<u64>();
-    workload.reduce_pieces(partition, &in_order, pool)
 }
 
 /// Every survivor computes this identically from the agreed membership,
@@ -364,6 +350,10 @@ mod tests {
                 &MembershipView::new(k, 1 << dead),
                 &my_files,
                 &store,
+                PartitionShape {
+                    pieces: plan.num_files() as usize,
+                    expected_bytes: input.len() / k,
+                },
                 &WorkerPool::serial(),
                 &mut NodeStats::default(),
             )

@@ -62,11 +62,11 @@ impl std::str::FromStr for RecoveryMode {
 
 /// Wall-clock stage durations for one node. A CPU stage's wall is the time
 /// the node's thread spent in that work, its interleaved slices summed
-/// (CodeGen and Reduce include the wait at their closing synchronization);
-/// the Shuffle's runs from the node's first post to "its NIC drained and
-/// its last expected packet in", plus the closing synchronization — Map,
-/// Encode and Decode slices that ran meanwhile included, so the six can sum
-/// to more than the node's job took.
+/// (CodeGen includes the wait at its closing synchronization); the Shuffle's
+/// runs from the node's first post to "its NIC drained and its last expected
+/// message in", plus the closing synchronization — Map, Encode, Decode and
+/// Reduce slices that ran meanwhile included, so the six can sum to more
+/// than the node's job took.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeWall {
     /// CodeGen duration.
@@ -91,9 +91,9 @@ impl NodeWall {
 }
 
 /// Cluster-wide wall times: the per-stage maximum over nodes, and the job's
-/// own wall beside them. Only CodeGen, the end of the Shuffle and Reduce
-/// close on a synchronization; in between a node's stages overlap each
-/// other, so `max.total()` exceeds `job` by what ran hidden behind the NIC.
+/// own wall beside them. Only CodeGen and the Shuffle close on a
+/// synchronization; in between a node's stages overlap each other, so
+/// `max.total()` exceeds `job` by what ran hidden behind the NIC.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WallTimes {
     /// Slowest node per stage.
@@ -150,6 +150,48 @@ impl WallTimes {
     /// with its slowest stages laid end to end.
     pub fn hidden(&self) -> Duration {
         self.max.total().saturating_sub(self.job)
+    }
+}
+
+/// One rank's Reduce against its Shuffle, read off the job's span log.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReduceOverlap {
+    /// Time the rank's thread spent reducing, every slice (Recover counts
+    /// as Reduce, as in [`WallTimes`]).
+    pub busy: Duration,
+    /// The part of `busy` that ran after the rank's Shuffle had closed.
+    pub after_shuffle: Duration,
+    /// From the rank's Shuffle closing to the job's last span ending.
+    pub tail: Duration,
+}
+
+impl ReduceOverlap {
+    /// One entry per rank that shuffled, in rank order. A span's slices after
+    /// the Shuffle closed are contiguous (nothing interleaves with them any
+    /// more), so what lies past the close is what was busy past it.
+    pub fn of(log: &SpanLog) -> Vec<ReduceOverlap> {
+        let job_end = log.spans.iter().map(|s| s.end_ns).max().unwrap_or(0);
+        let stage = |s: &cts_net::span::StageSpan| log.stage_name(s.stage);
+        let shuffles = log.spans.iter().filter(|s| stage(s) == stages::SHUFFLE);
+        let mut closes: Vec<(u16, u64)> = shuffles.map(|s| (s.rank, s.end_ns)).collect();
+        closes.sort_unstable();
+        let overlap = |&(rank, close): &(u16, u64)| {
+            let reduces = log
+                .spans
+                .iter()
+                .filter(|s| s.rank == rank && matches!(stage(s), stages::REDUCE | stages::RECOVER));
+            let (mut busy, mut after) = (0, 0);
+            for s in reduces {
+                busy += s.wall_ns;
+                after += (s.end_ns.saturating_sub(close.max(s.start_ns))).min(s.wall_ns);
+            }
+            ReduceOverlap {
+                busy: Duration::from_nanos(busy),
+                after_shuffle: Duration::from_nanos(after),
+                tail: Duration::from_nanos(job_end - close),
+            }
+        };
+        closes.iter().map(overlap).collect()
     }
 }
 
@@ -411,19 +453,21 @@ mod tests {
             wall_ns: ms(wall_ms),
         };
         // Rank 0 maps 30 ms in slices up to t = 40, posts from t = 5, decodes
-        // 20 ms between packets, and the Shuffle closes at 100; rank 1 maps
-        // a little longer and shuffles a little shorter. Both reduce to 130.
+        // 20 ms between packets, reduces 12 ms in slices from t = 41 — the last
+        // of them its final pass, over at 97 — and the Shuffle closes at 100;
+        // rank 1 maps a little longer, shuffles a little shorter, and 4 of
+        // its 16 ms of Reduce are left for after the close.
         let log = SpanLog {
             names: names.iter().map(|n| n.to_string()).collect(),
             spans: vec![
                 span(0, 0, 0, 40, 30),
                 span(0, 1, 5, 100, 95),
                 span(0, 2, 45, 98, 20),
-                span(0, 3, 100, 130, 30),
+                span(0, 3, 41, 97, 12),
                 span(1, 0, 0, 44, 34),
                 span(1, 1, 8, 100, 92),
                 span(1, 2, 50, 99, 18),
-                span(1, 3, 100, 130, 30),
+                span(1, 3, 46, 104, 16),
             ],
         };
         let w = WallTimes::from_spans(&log);
@@ -431,10 +475,20 @@ mod tests {
         assert_eq!(w.max.map, Duration::from_millis(34));
         assert_eq!(w.max.shuffle, Duration::from_millis(95));
         assert_eq!(w.max.unpack_decode, Duration::from_millis(20));
-        assert_eq!(w.max.reduce, Duration::from_millis(30));
-        // 179 ms of stages in a 130 ms job: 49 ms ran behind the NIC.
-        assert_eq!(w.job, Duration::from_millis(130));
-        assert_eq!(w.max.total(), Duration::from_millis(179));
-        assert_eq!(w.hidden(), Duration::from_millis(49));
+        assert_eq!(w.max.reduce, Duration::from_millis(16));
+        // 165 ms of stages in a 104 ms job: 61 ms ran behind the NIC.
+        assert_eq!(w.job, Duration::from_millis(104));
+        assert_eq!(w.max.total(), Duration::from_millis(165));
+        assert_eq!(w.hidden(), Duration::from_millis(61));
+        let ms = Duration::from_millis;
+        let overlap = |busy, after_shuffle, tail| ReduceOverlap {
+            busy: ms(busy),
+            after_shuffle: ms(after_shuffle),
+            tail: ms(tail),
+        };
+        assert_eq!(
+            ReduceOverlap::of(&log),
+            vec![overlap(12, 0, 4), overlap(16, 4, 4)]
+        );
     }
 }

@@ -12,13 +12,16 @@
 //!   share nobody reads is never written;
 //! * [`Workload::reduce`] turns the *concatenation* of a partition's
 //!   intermediates into final output (the paper's `Sort`); the engine
-//!   calls it through [`Workload::reduce_pieces`], unconcatenated.
+//!   reaches it through the partition's [`Reducer`], which it feeds one
+//!   piece at a time, the moment the Shuffle completes it.
 //!
 //! Two contracts make a workload coding-compatible:
 //! 1. intermediates must be concatenation-mergeable — `reduce` sees the
-//!    pieces in an arbitrary (but deterministic) file order;
-//! 2. `reduce` must be insensitive to that order (sort, aggregate, …) so
-//!    uncoded and coded executions produce identical output.
+//!    pieces in file order;
+//! 2. the order pieces are *absorbed* in must not matter: they land as the
+//!    Shuffle delivers them, which differs from scheme to scheme and from
+//!    run to run, and uncoded and coded executions must produce identical
+//!    output.
 
 use bytes::Bytes;
 pub use cts_core::subset::NodeSet;
@@ -119,20 +122,63 @@ pub trait Workload: Send + Sync {
         self.map_file(file, num_partitions, NodeSet::full(num_partitions))
     }
 
-    /// The engine's Reduce entry: the partition as its `pieces` (one
-    /// intermediate per input file, in input order) and the engine's
-    /// [`WorkerPool`](cts_core::exec::WorkerPool). **Must** produce output
-    /// byte-identical to [`reduce`](Workload::reduce) of the concatenated
-    /// pieces for every thread count, as the default does; a workload that
-    /// can read the pieces where they lie (TeraSort) saves the copy.
-    fn reduce_pieces(
-        &self,
-        partition: usize,
-        pieces: &[&[u8]],
-        pool: &cts_core::exec::WorkerPool,
-    ) -> Vec<u8> {
-        let _ = pool;
-        self.reduce(partition, &pieces.concat())
+    /// The engine's Reduce entry: a [`Reducer`] for `partition`, which is
+    /// about to receive `shape.pieces` pieces. **Must** produce output
+    /// byte-identical to [`reduce`](Workload::reduce) of the pieces
+    /// concatenated in file order, whatever order they are absorbed in and
+    /// for every thread count — as the default does, which collects them and
+    /// calls `reduce`; a workload that can start on a piece before the last
+    /// one is in (TeraSort) moves that work inside the Shuffle.
+    fn reducer(&self, partition: usize, shape: PartitionShape) -> Box<dyn Reducer + '_> {
+        Box::new(Collect {
+            workload: self,
+            partition,
+            pieces: Vec::with_capacity(shape.pieces),
+        })
+    }
+}
+
+/// What the placement says a partition will look like, before its first
+/// piece exists.
+#[derive(Clone, Copy, Debug)]
+pub struct PartitionShape {
+    /// Pieces the partition arrives in: one per input file.
+    pub pieces: usize,
+    /// Its share of the input if keys spread evenly, in bytes.
+    pub expected_bytes: usize,
+}
+
+/// One partition being reduced. The engine hands it each of the partition's
+/// pieces as the rank comes to hold it — kept from its own Map, received
+/// plain, or decoded — and asks for the output when the last one is in.
+pub trait Reducer {
+    /// Takes the piece mapped from the file `file_rank`: a number ascending
+    /// in input order (not dense — the engine passes the file's node set).
+    /// Each file's piece comes once, in no particular order.
+    fn absorb(&mut self, file_rank: u64, piece: Bytes);
+
+    /// Every piece is in: the partition's output.
+    fn finish(self: Box<Self>, pool: &cts_core::exec::WorkerPool) -> Vec<u8>;
+}
+
+/// The default [`Reducer`]: holds the pieces, then reduces their
+/// concatenation in file order.
+struct Collect<'a, W: ?Sized> {
+    workload: &'a W,
+    partition: usize,
+    pieces: Vec<(u64, Bytes)>,
+}
+
+impl<W: Workload + ?Sized> Reducer for Collect<'_, W> {
+    fn absorb(&mut self, file_rank: u64, piece: Bytes) {
+        self.pieces.push((file_rank, piece));
+    }
+
+    fn finish(mut self: Box<Self>, _: &cts_core::exec::WorkerPool) -> Vec<u8> {
+        self.pieces
+            .sort_unstable_by_key(|(file_rank, _)| *file_rank);
+        let in_order: Vec<&[u8]> = self.pieces.iter().map(|(_, piece)| &piece[..]).collect();
+        self.workload.reduce(self.partition, &in_order.concat())
     }
 }
 

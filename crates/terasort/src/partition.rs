@@ -32,6 +32,13 @@ impl RangePartitioner {
         // Exact: key < 2^80 and K ≤ 2^16, so key·K < 2^96 fits u128.
         ((key_to_u128(key) * self.k as u128) >> 80) as usize
     }
+
+    /// The keys of partition `p`: the first, and one past the last.
+    pub fn keys_of(&self, p: usize) -> std::ops::Range<u128> {
+        // The smallest key whose product with K reaches p · 2^80.
+        let first = |p: usize| ((p as u128) << 80).div_ceil(self.k as u128);
+        first(p)..first(p + 1)
+    }
 }
 
 /// Quantile boundaries learned from a key sample — balances skewed key
@@ -68,6 +75,13 @@ impl SampledPartitioner {
         debug_assert_eq!(key.len(), KEY_LEN);
         // First partition whose boundary exceeds the key.
         self.boundaries.partition_point(|b| &b[..] <= key)
+    }
+
+    /// The keys of partition `p`: the first, and one past the last (empty
+    /// between two equal boundaries).
+    pub fn keys_of(&self, p: usize) -> std::ops::Range<u128> {
+        let bound = |i: usize| self.boundaries.get(i).map(|b| key_to_u128(b));
+        p.checked_sub(1).and_then(bound).unwrap_or(0)..bound(p).unwrap_or(1 << 80)
     }
 }
 

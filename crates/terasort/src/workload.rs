@@ -5,15 +5,16 @@
 
 use cts_core::exec::WorkerPool;
 use cts_core::pool;
-use cts_mapreduce::workload::{InputFormat, NodeSet, Workload};
+use cts_mapreduce::workload::{InputFormat, NodeSet, PartitionShape, Reducer, Workload};
 
 use crate::partition::{RangePartitioner, SampledPartitioner};
 use crate::record::{key_of, record_count, records, RECORD_LEN};
-use crate::sort::{sort_pieces, SortKernel};
+use crate::sort::{sort_records, SortKernel, SortReducer};
 
 /// TeraSort as a [`Workload`]: Map hashes records into ordered key-range
 /// partitions (paper §III-A3); Reduce sorts the partition locally
-/// (§III-A5). Intermediates are packed record buffers, so concatenation
+/// (§III-A5), scattering each piece over sub-ranges of the partition's keys
+/// as it arrives. Intermediates are packed record buffers, so arrival
 /// order is irrelevant to the sorted result.
 pub struct TeraSortWorkload {
     partitioner: Partitioner,
@@ -82,8 +83,8 @@ impl Workload for TeraSortWorkload {
         out
     }
 
-    fn reduce(&self, partition: usize, data: &[u8]) -> Vec<u8> {
-        self.reduce_pieces(partition, &[data], &WorkerPool::serial())
+    fn reduce(&self, _partition: usize, data: &[u8]) -> Vec<u8> {
+        sort_records(data, self.kernel)
     }
 
     fn map_file_par(&self, file: &[u8], num_partitions: usize, pool: &WorkerPool) -> Vec<Vec<u8>> {
@@ -111,8 +112,13 @@ impl Workload for TeraSortWorkload {
         (0..num_partitions).map(whole).collect()
     }
 
-    fn reduce_pieces(&self, _partition: usize, pieces: &[&[u8]], pool: &WorkerPool) -> Vec<u8> {
-        sort_pieces(pieces, self.kernel, pool)
+    fn reducer(&self, partition: usize, shape: PartitionShape) -> Box<dyn Reducer + '_> {
+        let keys = match &self.partitioner {
+            Partitioner::Range(p) => p.keys_of(partition),
+            Partitioner::Sampled(p) => p.keys_of(partition),
+        };
+        let records = shape.expected_bytes / RECORD_LEN;
+        Box::new(SortReducer::new(self.kernel, keys, shape.pieces, records))
     }
 }
 
@@ -215,8 +221,18 @@ mod tests {
             let pool = WorkerPool::new(threads);
             assert_eq!(w.map_file_par(&data, 5, &pool), serial_map, "{threads}");
             for p in 0..5 {
+                // The partition's own key bounds, in two pieces, last first.
+                let shape = PartitionShape {
+                    pieces: 2,
+                    expected_bytes: serial_map[p].len(),
+                };
+                let mut reducer = w.reducer(p, shape);
+                let cut = record_count(&serial_map[p]) / 2 * RECORD_LEN;
+                let whole = bytes::Bytes::from(serial_map[p].clone());
+                reducer.absorb(1, whole.slice(cut..));
+                reducer.absorb(0, whole.slice(..cut));
                 assert_eq!(
-                    w.reduce_pieces(p, &[&serial_map[p]], &pool),
+                    reducer.finish(&pool),
                     serial_reduce[p],
                     "partition {p} threads {threads}"
                 );

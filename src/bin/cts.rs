@@ -327,6 +327,17 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
              (fluid model with ingress caps: {fluid_s:.3} s)",
             shuffle_s / floor_s
         );
+        // What the Shuffle left over: a rank reduces as its pieces land.
+        let overlaps = coded_terasort::mapreduce::ReduceOverlap::of(&outcome.spans);
+        let tail = overlaps.iter().map(|o| o.tail).max().unwrap_or_default();
+        let slowest = overlaps.iter().max_by_key(|o| o.busy).copied();
+        let (busy, after) = slowest.map_or_else(Default::default, |o| (o.busy, o.after_shuffle));
+        println!(
+            "tail after the Shuffle: {:.1} ms (Reduce {:.1} ms busy, {:.1} ms of it inside the Shuffle)",
+            tail.as_secs_f64() * 1e3,
+            busy.as_secs_f64() * 1e3,
+            (busy - after).as_secs_f64() * 1e3
+        );
     }
     println!("{}", cts_core::pool::global().stats());
     println!(

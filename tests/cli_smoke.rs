@@ -247,14 +247,12 @@ fn field(event: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("{key} in {event}"))
 }
 
-/// `cts sort --timeline FILE` writes the one-shot run's stage timeline: a
-/// trace-event document with one event per rank per stage, in which — the
-/// engine being one pass, not five barrier-separated stages — a rank's
-/// Shuffle opens before its Map has ended. The run says how much of the
-/// stage time that overlap hid.
-#[test]
-fn sort_timeline_shows_the_shuffle_opening_inside_the_map() {
-    let dir = std::env::temp_dir().join(format!("cts-cli-timeline-{}", std::process::id()));
+/// Runs `cts sort --k 4 --r 2 --paper-nic --timeline FILE` on 20 000 records
+/// and returns what it printed and the events of the document it wrote —
+/// which must parse: one object holding one array of flat events (each closed
+/// by its `args` object), K = 4 ranks × the six coded stages, nothing else.
+fn sort_with_timeline(tag: &str) -> (String, Vec<String>) {
+    let dir = std::env::temp_dir().join(format!("cts-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mk tmp dir");
     let (input, timeline) = (dir.join("input.bin"), dir.join("timeline.json"));
     let gen = cts()
@@ -270,30 +268,20 @@ fn sort_timeline_shows_the_shuffle_opening_inside_the_map() {
         .arg(&timeline)
         .output()
         .expect("run cts sort");
-    let stdout = String::from_utf8_lossy(&sort.stdout);
+    let stdout = String::from_utf8_lossy(&sort.stdout).into_owned();
     assert!(
         sort.status.success(),
         "sort failed: {}",
         String::from_utf8_lossy(&sort.stderr)
     );
     assert!(stdout.contains("TeraValidate passed"), "stdout:\n{stdout}");
-    let hidden = stdout
-        .lines()
-        .find(|l| l.ends_with("hidden behind the NIC"));
-    assert!(
-        hidden.is_some_and(|l| l.starts_with("job ") && l.contains("; stages Σ ")),
-        "stdout:\n{stdout}"
-    );
-
-    // The document parses: one object holding one array of flat events
-    // (each closed by its `args` object), nothing else.
     let json = std::fs::read_to_string(&timeline).expect("timeline written");
+    std::fs::remove_dir_all(&dir).ok();
     let body = json
         .strip_prefix("{\"traceEvents\":[")
         .and_then(|rest| rest.strip_suffix("],\"displayTimeUnit\":\"ms\"}"))
         .unwrap_or_else(|| panic!("not a trace document: {json}"));
-    let events: Vec<&str> = body.split_inclusive("}}").collect();
-    // K = 4 ranks × the six coded stages.
+    let events: Vec<String> = body.split_inclusive("}}").map(String::from).collect();
     assert_eq!(events.len(), 24, "{json}");
     for event in &events {
         let event = event.trim_start_matches(',');
@@ -307,23 +295,68 @@ fn sort_timeline_shows_the_shuffle_opening_inside_the_map() {
             "{event}"
         );
     }
-    let of = |stage: &str, rank: u64| {
-        let name = format!("\"name\":\"{stage}\"");
-        let mut hits = events
-            .iter()
-            .filter(|e| e.contains(&name) && field(e, "tid") == rank);
-        let event = hits
-            .next()
-            .unwrap_or_else(|| panic!("no {stage} on {rank}"));
-        assert!(hits.next().is_none(), "two {stage} events on rank {rank}");
-        (field(event, "ts"), field(event, "ts") + field(event, "dur"))
-    };
+    (stdout, events)
+}
+
+/// When `rank`'s one `stage` event starts and ends, in µs.
+fn extent_of(events: &[String], stage: &str, rank: u64) -> (u64, u64) {
+    let name = format!("\"name\":\"{stage}\"");
+    let mut hits = events
+        .iter()
+        .filter(|e| e.contains(&name) && field(e, "tid") == rank);
+    let event = hits
+        .next()
+        .unwrap_or_else(|| panic!("no {stage} on {rank}"));
+    assert!(hits.next().is_none(), "two {stage} events on rank {rank}");
+    (field(event, "ts"), field(event, "ts") + field(event, "dur"))
+}
+
+/// `cts sort --timeline FILE` writes the one-shot run's stage timeline: a
+/// trace-event document with one event per rank per stage, in which — the
+/// engine being one pass, not five barrier-separated stages — a rank's
+/// Shuffle opens before its Map has ended. The run says how much of the
+/// stage time that overlap hid.
+#[test]
+fn sort_timeline_shows_the_shuffle_opening_inside_the_map() {
+    let (stdout, events) = sort_with_timeline("timeline");
+    let hidden = stdout
+        .lines()
+        .find(|l| l.ends_with("hidden behind the NIC"));
+    assert!(
+        hidden.is_some_and(|l| l.starts_with("job ") && l.contains("; stages Σ ")),
+        "stdout:\n{stdout}"
+    );
     for rank in 0..4 {
-        let ((_, map_end), (shuffle_start, shuffle_end)) = (of("Map", rank), of("Shuffle", rank));
+        let (_, map_end) = extent_of(&events, "Map", rank);
+        let (shuffle_start, shuffle_end) = extent_of(&events, "Shuffle", rank);
         assert!(
             shuffle_start < map_end && map_end < shuffle_end,
             "rank {rank}: Map ends at {map_end}, Shuffle runs {shuffle_start}..{shuffle_end}"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A rank reduces as its pieces land: in the same document its Reduce opens
+/// inside its Shuffle — with the first piece of its own it has no post left
+/// to wait for — and the run says what was left for after the Shuffle.
+#[test]
+fn sort_timeline_shows_reduce_opening_inside_the_shuffle() {
+    let (stdout, events) = sort_with_timeline("reduce-timeline");
+    let tail = stdout
+        .lines()
+        .find(|l| l.starts_with("tail after the Shuffle: "));
+    assert!(
+        tail.is_some_and(
+            |l| l.contains(" ms (Reduce ") && l.ends_with(" ms of it inside the Shuffle)")
+        ),
+        "stdout:\n{stdout}"
+    );
+    for rank in 0..4 {
+        let (reduce_start, _) = extent_of(&events, "Reduce", rank);
+        let (shuffle_start, shuffle_end) = extent_of(&events, "Shuffle", rank);
+        assert!(
+            shuffle_start <= reduce_start && reduce_start < shuffle_end,
+            "rank {rank}: Reduce opens at {reduce_start}, Shuffle runs {shuffle_start}..{shuffle_end}"
+        );
+    }
 }

@@ -4,6 +4,12 @@
 //! output (the parallel plan is deterministic chunking + stable merge, and
 //! all kernels are stable), matching the serial Comparison reference.
 
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
+use bytes::Bytes;
+use coded_terasort::mapreduce::workload::{PartitionShape, Reducer};
+use coded_terasort::net::fault::{FaultAction, FaultRule};
 use coded_terasort::prelude::*;
 
 fn outputs(job: &SortJob, input: &bytes::Bytes, coded: bool) -> Vec<Vec<u8>> {
@@ -126,4 +132,102 @@ fn tcp_fabric_with_threads_matches() {
     nic.burst_bytes = 256.0;
     job.engine = job.engine.with_nic(nic);
     assert_eq!(outputs(&job, &input, true), reference);
+}
+
+/// Which file's piece each partition's reducer was handed, in the order it was.
+type AbsorbLog = Arc<(Mutex<Vec<Vec<u64>>>, Condvar)>;
+
+/// TeraSort whose reducers log what they absorb before absorbing it.
+struct Recording {
+    inner: TeraSortWorkload,
+    log: AbsorbLog,
+}
+
+struct Logged<'a> {
+    inner: Box<dyn Reducer + 'a>,
+    partition: usize,
+    log: &'a AbsorbLog,
+}
+
+impl Workload for Recording {
+    fn name(&self) -> &str {
+        "recording terasort"
+    }
+    fn format(&self) -> InputFormat {
+        self.inner.format()
+    }
+    fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>> {
+        self.inner.map_file(file, num_partitions, keep)
+    }
+    fn reduce(&self, partition: usize, data: &[u8]) -> Vec<u8> {
+        self.inner.reduce(partition, data)
+    }
+    fn reducer(&self, partition: usize, shape: PartitionShape) -> Box<dyn Reducer + '_> {
+        Box::new(Logged {
+            inner: self.inner.reducer(partition, shape),
+            partition,
+            log: &self.log,
+        })
+    }
+}
+
+impl Reducer for Logged<'_> {
+    fn absorb(&mut self, file_rank: u64, piece: Bytes) {
+        self.log.0.lock().unwrap()[self.partition].push(file_rank);
+        self.log.1.notify_all();
+        self.inner.absorb(file_rank, piece);
+    }
+    fn finish(self: Box<Self>, pool: &WorkerPool) -> Vec<u8> {
+        self.inner.finish(pool)
+    }
+}
+
+/// Two runs of one job whose reducers are fed in different orders return the
+/// same bytes. The order is forced, not hoped for: rank `slow`'s coded
+/// packets are held back until every other rank has absorbed all it can
+/// without them — its own 3 pieces and the one file `slow` does not map —
+/// so the pieces that need `slow` come last, and with another `slow` those
+/// are other pieces.
+#[test]
+fn a_delayed_sender_changes_the_absorb_order_and_not_a_byte() {
+    let (k, r) = (4, 2);
+    let input = teragen::generate(3_000, 77);
+    let reference = outputs(&SortJob::local(k, r), &input, true);
+    let held_back = |slow: usize| {
+        let log: AbsorbLog = Arc::new((Mutex::new(vec![Vec::new(); k]), Condvar::new()));
+        let watched = Arc::clone(&log);
+        let rule: Arc<FaultRule> = Arc::new(move |_dst, tag: Tag, _payload: &Bytes, _idx| {
+            if tag.purpose() == Tag::BCAST {
+                let behind = |log: &mut Vec<Vec<u64>>| {
+                    let mut others = log.iter().enumerate().filter(|(p, _)| *p != slow);
+                    others.any(|(_, absorbed)| absorbed.len() < 4)
+                };
+                let (lock, absorbed) = &*watched;
+                let waited = absorbed
+                    .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(20), behind)
+                    .unwrap();
+                assert!(!waited.1.timed_out(), "the other ranks never got that far");
+            }
+            FaultAction::Deliver
+        });
+        let workload = Recording {
+            inner: TeraSortWorkload::range(k),
+            log,
+        };
+        let mut cfg = EngineConfig::local(k, r);
+        cfg.cluster = cfg.cluster.with_fault(slow, rule);
+        let outcome = run(&workload, input.clone(), &cfg).expect("coded run");
+        let log = workload.log.0.lock().unwrap().clone();
+        (outcome.outputs, log)
+    };
+    let (first, first_order) = held_back(0);
+    let (second, second_order) = held_back(3);
+    assert_eq!(first, reference);
+    assert_eq!(second, reference);
+    // Partition 1 takes the piece of file {2, 3} before those of {0, 2} and
+    // {0, 3} when rank 0 is slow, and that of {0, 2} first when rank 3 is.
+    assert_ne!(first_order[1], second_order[1]);
+    for order in first_order.iter().chain(&second_order) {
+        assert_eq!(order.len(), 6, "C(4, 2) files, one piece each");
+    }
 }

@@ -444,6 +444,43 @@ fn killed_mid_map_rank_recovers_byte_identically_on_the_tcp_fabric() {
     kill_mid_map_acceptance(true);
 }
 
+/// A rank that dies with its pieces absorbed — what it kept, received and
+/// decoded is in its reducer, which it never finishes — leaves a partition
+/// its successor rebuilds through a reducer of the same shape, fed in whatever
+/// order the helpers answer. Behind a shaped NIC, where pieces really do land
+/// one by one over ~0.1 s, the output is the healthy run's byte for byte.
+#[test]
+fn a_rank_killed_with_its_pieces_absorbed_is_rebuilt_byte_identically_behind_the_nic() {
+    let (k, r, victim) = (6usize, 3usize, 2usize);
+    let input = teragen::generate(3_000, 2424);
+    let mut nic = NicProfile::rate_limited(400e3).with_latency_s(1e-4);
+    nic.burst_bytes = 256.0;
+    let healthy = SortJob::new(
+        EngineConfig::local(k, r)
+            .with_field(FieldKind::Gf256)
+            .with_decode(DecodeMode::Quorum)
+            .with_recovery(RecoveryMode::Speculative)
+            .with_heartbeat(Duration::from_millis(10))
+            .with_nic(nic),
+    );
+    let mut wounded = healthy.clone();
+    wounded.engine = wounded.engine.with_crash(CrashSpec {
+        rank: victim,
+        point: CrashPoint::PreReduce,
+    });
+    let healthy = run_coded_terasort(input.clone(), &healthy).expect("healthy run");
+    let recovered = run_coded_terasort(input, &wounded).expect("one death is recoverable");
+    recovered.validate().expect("TeraValidate recovered");
+    assert_eq!(recovered.outcome.outputs, healthy.outcome.outputs);
+    // The victim took part in the whole Shuffle: every packet went out.
+    let shuffled = |run: &SortRun| {
+        run.outcome
+            .trace
+            .stage_bytes(coded_terasort::netsim::SHUFFLE_STAGE)
+    };
+    assert_eq!(shuffled(&recovered), shuffled(&healthy));
+}
+
 #[test]
 fn more_deaths_than_the_code_tolerates_degrade_gracefully() {
     // Two fail-stop deaths exceed the quorum code's one-dead-sender

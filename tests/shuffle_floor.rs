@@ -2,6 +2,7 @@
 //! and waits for none. Behind a shaped NIC the stage must therefore sit on
 //! the egress floor — the busiest sender's own NIC time — for every layout
 //! and both decode disciplines, and the CPU stages must hide behind it;
+//! a rank reduces while the Shuffle still runs, not after it;
 //! and nothing but *when* the NIC is busy may differ from the turn-taking
 //! schedule this replaced: the traced transfers are pinned to the multisets
 //! that schedule produced, `AfterSends(n)` still dies with exactly `n`
@@ -13,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use coded_terasort::mapreduce::{EngineError, JobOutcome};
+use coded_terasort::mapreduce::{EngineError, JobOutcome, ReduceOverlap};
 use coded_terasort::net::fault::{CrashPoint, CrashSpec, FaultAction, FaultRule};
 use coded_terasort::netsim::{egress_floor_s, NetModelConfig, SHUFFLE_STAGE};
 use coded_terasort::prelude::*;
@@ -50,6 +51,33 @@ fn run_leg(leg: Leg, engine: EngineConfig, input: &Bytes) -> JobOutcome {
     let outcome = run(&workload, input.clone(), &engine).unwrap_or_else(|e| panic!("{leg:?}: {e}"));
     cts_terasort::validate(input, &outcome.outputs).unwrap_or_else(|e| panic!("{leg:?}: {e}"));
     outcome
+}
+
+/// A rank reduces as its pieces land. Read off the job's own span log, in
+/// ratios inside the one run: on every rank Reduce opens inside the
+/// Shuffle's extent, and what it still had to do once the Shuffle had closed
+/// is the lesser part of it.
+fn assert_reduce_ran_inside_the_shuffle(leg: Leg, outcome: &JobOutcome) {
+    let log = &outcome.spans;
+    let overlaps = ReduceOverlap::of(log);
+    assert_eq!(overlaps.len(), K, "{leg:?}");
+    for (rank, overlap) in overlaps.iter().enumerate() {
+        let span = |stage| {
+            let stage = log.stage_index(stage).expect("a stage every rank enters");
+            let mut spans = log.spans.iter();
+            let span = spans.find(|s| s.stage == stage && usize::from(s.rank) == rank);
+            *span.expect("one span per stage")
+        };
+        let (shuffle, reduce) = (span(SHUFFLE_STAGE), span("Reduce"));
+        assert!(
+            shuffle.start_ns <= reduce.start_ns && reduce.start_ns < shuffle.end_ns,
+            "{leg:?}, rank {rank}: Reduce opens outside the Shuffle: {reduce:?} {shuffle:?}"
+        );
+        assert!(
+            overlap.after_shuffle.as_secs_f64() <= 0.6 * overlap.busy.as_secs_f64(),
+            "{leg:?}, rank {rank}: {overlap:?}"
+        );
+    }
 }
 
 fn redundancy(leg: Leg) -> usize {
@@ -94,6 +122,7 @@ fn shuffle_sits_on_the_egress_floor_in_every_layout() {
             (0.9..=1.25).contains(&ratio),
             "{leg:?}: shuffle {shuffle_s:.3} s is {ratio:.2}× the egress floor {floor_s:.3} s"
         );
+        assert_reduce_ran_inside_the_shuffle(leg, &outcome);
     }
 }
 
@@ -205,8 +234,9 @@ impl Workload for SlowMap {
 /// A rank maps, encodes and decodes while its NIC drains: with 105 ms of
 /// Map per rank (21 files × 5 ms) in front of a 150–300 ms Shuffle, the job
 /// takes the floor plus what cannot overlap — the three files before the
-/// first packet exists, the last packet's decode, the Reduce — not the
-/// floor plus the Map. (Barrier-separated stages took floor + 1.0 × Map.)
+/// first packet exists, the last packet's decode and what Reduce has left to
+/// do with the last piece — not the floor plus the Map. (Barrier-separated
+/// stages took floor + 1.0 × Map.)
 #[test]
 fn cpu_stages_hide_behind_the_nic() {
     let _alone = alone();
@@ -257,6 +287,7 @@ fn cpu_stages_hide_behind_the_nic() {
             (0.9..=1.25).contains(&ratio),
             "{leg:?}: shuffle ÷ floor {ratio:.2}"
         );
+        assert_reduce_ran_inside_the_shuffle(leg, &outcome);
     }
 }
 
