@@ -6,7 +6,7 @@
 //! matching lines themselves (newline-terminated); reduce sorts them for a
 //! deterministic, order-insensitive result.
 
-use crate::workload::{InputFormat, NodeSet, Workload};
+use crate::workload::{fnv1a, InputFormat, NodeSet, Workload};
 
 /// The Grep workload: distributed substring search.
 #[derive(Clone, Debug)]
@@ -34,15 +34,6 @@ impl Grep {
         line.windows(self.pattern.len())
             .any(|w| w == &self.pattern[..])
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 impl Workload for Grep {

@@ -12,20 +12,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::workload::{InputFormat, NodeSet, Workload};
+use crate::workload::{fnv1a, InputFormat, NodeSet, Workload};
 
 /// The SelfJoin workload.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SelfJoin;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 fn push_entry(buf: &mut Vec<u8>, key: &[u8], value: &[u8]) {
     buf.extend_from_slice(&(key.len() as u16).to_le_bytes());

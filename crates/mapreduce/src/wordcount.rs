@@ -10,21 +10,11 @@
 
 use std::collections::HashMap;
 
-use crate::workload::{InputFormat, NodeSet, Workload};
+use crate::workload::{fnv1a, InputFormat, NodeSet, Workload};
 
 /// The WordCount workload: counts whitespace-separated words.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WordCount;
-
-/// FNV-1a, the partitioning hash (stable across platforms).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 fn push_entry(buf: &mut Vec<u8>, word: &[u8], count: u32) {
     debug_assert!(word.len() <= u16::MAX as usize);

@@ -138,6 +138,14 @@ pub trait Workload: Send + Sync {
     }
 }
 
+/// FNV-1a 64, the partitioning hash of the keyed workloads here: stable
+/// across platforms and runs, so a key's partition is too.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// What the placement says a partition will look like, before its first
 /// piece exists.
 #[derive(Clone, Copy, Debug)]
@@ -185,6 +193,14 @@ impl<W: Workload + ?Sized> Reducer for Collect<'_, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_gives_the_published_answers() {
+        // The keyed workloads' partitions are these hashes mod K.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn fixed_width_split_even() {

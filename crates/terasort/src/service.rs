@@ -15,7 +15,7 @@
 //! |----|-----------------|---------------------|
 //! | `0x01` SUBMIT | `kind u8, r u8, pat_len u16 LE, pattern, input…` | `job_id u32 LE` |
 //! | `0x02` STATUS | `job_id u32 LE` | `state u8` (+ error text when failed) |
-//! | `0x03` DIGEST | `job_id u32 LE` (blocks until done) | `parts u32`, per part `len u64 + fnv1a u64`, `total fnv1a u64` |
+//! | `0x03` DIGEST | `job_id u32 LE` (blocks until done) | `parts u32`, per part `len u64 + xxh64 u64`, `total u64` (XXH64 of the `(len, xxh64)` list) |
 //! | `0x04` FETCH  | `job_id u32 LE` (blocks until done) | `parts u32`, per part `len u64 + bytes` |
 //! | `0x05` SHUTDOWN | — | — |
 //! | `0x06` STATS | — | UTF-8 live-stats table (see [`ServiceClient::stats`]) |
@@ -122,25 +122,79 @@ impl JobKind {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+// XXH64's five primes.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
 
-/// FNV-1a 64 over `data` — the digest the service streams back in place
-/// of full outputs.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    data.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte slice"))
 }
 
-/// A job's result digest: per-partition lengths and FNV-1a hashes plus
-/// the hash of the concatenation — enough to prove byte-identity against
-/// a local run without shipping the data.
+fn round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// XXH64 with seed 0, the published algorithm: four independent lanes over
+/// 32-byte stripes, then the 8/4/1-byte tail and the avalanche.
+fn xxh64(data: &[u8]) -> u64 {
+    let stripes = data.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if data.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (lane, input) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, word(input));
+            }
+        }
+        let mut h = (v[0].rotate_left(1))
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for lane in v {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    } else {
+        P5
+    };
+    h = h.wrapping_add(data.len() as u64);
+    let mut words = tail.chunks_exact(8);
+    for input in &mut words {
+        h = (h ^ round(0, word(input)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut rest = words.remainder();
+    if let Some((half, bytes)) = rest.split_first_chunk::<4>() {
+        h ^= u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1);
+        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = bytes;
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(P2);
+    h = (h ^ (h >> 29)).wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// A job's result digest: per-partition lengths and XXH64 hashes plus a
+/// hash over that list — enough to prove byte-identity against a local run
+/// without shipping the data.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResultDigest {
-    /// `(output_len, fnv1a)` per partition, rank order.
+    /// `(output_len, xxh64)` per partition, rank order.
     pub partitions: Vec<(u64, u64)>,
-    /// FNV-1a over all partitions concatenated in rank order.
+    /// XXH64 over the partitions' `(len, hash)` pairs, rank order, as
+    /// little-endian `u64`s.
     pub total: u64,
 }
 
@@ -148,20 +202,17 @@ impl ResultDigest {
     /// Digests locally produced outputs (for comparison with a service
     /// job's digest).
     pub fn of(outputs: &[Vec<u8>]) -> ResultDigest {
-        let mut total = FNV_OFFSET;
-        let partitions = outputs
-            .iter()
-            .map(|o| {
-                // One walk over the bytes feeds both hashes.
-                let mut part = FNV_OFFSET;
-                for &b in o {
-                    part = (part ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-                    total = (total ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-                }
-                (o.len() as u64, part)
-            })
+        let partitions: Vec<(u64, u64)> = (outputs.iter())
+            .map(|o| (o.len() as u64, xxh64(o)))
             .collect();
-        ResultDigest { partitions, total }
+        let list: Vec<u8> = (partitions.iter())
+            .flat_map(|&(len, hash)| [len, hash])
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        ResultDigest {
+            total: xxh64(&list),
+            partitions,
+        }
     }
 }
 
@@ -519,9 +570,9 @@ impl Inner {
                 let id = u32::from_le_bytes(take::<4>(&req, 1)?);
                 let digest = ResultDigest::of(&self.outcome_of(id)?.outputs);
                 out.extend_from_slice(&(digest.partitions.len() as u32).to_le_bytes());
-                for (len, fnv) in &digest.partitions {
+                for (len, hash) in &digest.partitions {
                     out.extend_from_slice(&len.to_le_bytes());
-                    out.extend_from_slice(&fnv.to_le_bytes());
+                    out.extend_from_slice(&hash.to_le_bytes());
                 }
                 out.extend_from_slice(&digest.total.to_le_bytes());
             }
@@ -758,17 +809,20 @@ impl ServiceClient {
     }
 
     /// Sends the request payload `req` and returns the OK response's
-    /// payload.
+    /// payload: the buffer it was read into, the status byte read apart.
     fn roundtrip(&mut self, req: &[u8]) -> Result<Vec<u8>, String> {
         write_frame(&mut self.stream, req).map_err(|e| format!("send: {e}"))?;
         let recv = |e: std::io::Error| format!("recv: {e}");
         let len = read_len(&mut self.stream)
             .map_err(recv)?
             .ok_or("service closed the connection")?;
-        let resp = read_payload(&mut self.stream, len).map_err(recv)?;
-        match resp.split_first() {
-            Some((&RESP_OK, payload)) => Ok(payload.to_vec()),
-            Some((&RESP_ERR, msg)) => Err(String::from_utf8_lossy(msg).into_owned()),
+        let len = len.checked_sub(1).ok_or("malformed response")?;
+        let mut status = [0u8; 1];
+        self.stream.read_exact(&mut status).map_err(recv)?;
+        let payload = read_payload(&mut self.stream, len).map_err(recv)?;
+        match status[0] {
+            RESP_OK => Ok(payload),
+            RESP_ERR => Err(String::from_utf8_lossy(&payload).into_owned()),
             _ => Err("malformed response".into()),
         }
     }
@@ -823,8 +877,8 @@ impl ServiceClient {
         let mut at = 4;
         for _ in 0..parts {
             let len = u64::from_le_bytes(take::<8>(&resp, at)?);
-            let fnv = u64::from_le_bytes(take::<8>(&resp, at + 8)?);
-            partitions.push((len, fnv));
+            let hash = u64::from_le_bytes(take::<8>(&resp, at + 8)?);
+            partitions.push((len, hash));
             at += 16;
         }
         let total = u64::from_le_bytes(take::<8>(&resp, at)?);
@@ -841,11 +895,8 @@ impl ServiceClient {
         for _ in 0..parts {
             let len = u64::from_le_bytes(take::<8>(&resp, at)?) as usize;
             at += 8;
-            outputs.push(
-                resp.get(at..at + len)
-                    .ok_or("truncated fetch payload")?
-                    .to_vec(),
-            );
+            let part = (at.checked_add(len)).and_then(|end| resp.get(at..end));
+            outputs.push(part.ok_or("truncated fetch payload")?.to_vec());
             at += len;
         }
         Ok(outputs)
@@ -893,20 +944,61 @@ mod tests {
     }
 
     #[test]
-    fn digest_hashes_each_partition_and_their_concatenation() {
+    fn xxh64_gives_the_published_answers() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one stripe, then an 8-, a 4- and three 1-byte steps.
+        let spam = b"Nobody inspects the spammish repetition";
+        assert_eq!(xxh64(spam), 0xFBCE_A83C_8A37_8BF1);
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_hash() {
+        // 0..=100 bytes: every tail path, with and without the stripe loop.
+        for len in 0..=100usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let hash = xxh64(&data);
+            for at in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = data.clone();
+                    flipped[at] ^= 1 << bit;
+                    assert_ne!(xxh64(&flipped), hash, "len {len}, byte {at}, bit {bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digest_hashes_each_partition_and_the_list_of_their_hashes() {
         let outputs = vec![
             generate(40, 1).to_vec(),
             Vec::new(),
-            b"not a record".to_vec(),
             generate(7, 2).to_vec(),
         ];
         let digest = ResultDigest::of(&outputs);
         let expected: Vec<(u64, u64)> = (outputs.iter())
-            .map(|o| (o.len() as u64, fnv1a(o)))
+            .map(|o| (o.len() as u64, xxh64(o)))
             .collect();
         assert_eq!(digest.partitions, expected);
-        assert_eq!(digest.total, fnv1a(&outputs.concat()));
-        assert_eq!(ResultDigest::of(&[]).total, fnv1a(&[]));
+        assert_eq!(ResultDigest::of(&[]).total, xxh64(&[]));
+
+        // A flipped bit shows in its own partition's hash and the total only.
+        let mut flipped = outputs.clone();
+        flipped[2][123] ^= 0x10;
+        let other = ResultDigest::of(&flipped);
+        assert_ne!(other.total, digest.total);
+        assert_ne!(other.partitions[2], digest.partitions[2]);
+        assert_eq!(other.partitions[..2], digest.partitions[..2]);
+
+        // The same bytes cut or ordered differently are another result.
+        let swapped = vec![outputs[2].clone(), outputs[1].clone(), outputs[0].clone()];
+        let (head, moved) = outputs[0].split_at(outputs[0].len() - 100);
+        let recut = vec![head.to_vec(), moved.to_vec(), outputs[2].clone()];
+        let mut padded = outputs.clone();
+        padded.push(Vec::new());
+        for changed in [swapped, recut, padded] {
+            assert_ne!(ResultDigest::of(&changed).total, digest.total);
+        }
     }
 
     #[test]

@@ -54,16 +54,31 @@ pub fn generate_skewed(count: usize, seed: u64, hot_fraction: f64, hot_prefix_bi
     Bytes::from(buf)
 }
 
+/// `CTS-`, the index as 16 lowercase hex digits, `-`.
+const TAG_LEN: usize = 21;
+
+/// The alphabet five times over: any run of the filler is one slice of it.
+const FILLER: &[u8] = concat!(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+)
+.as_bytes();
+
 /// The value payload: a readable tag plus the record index, padded with a
-/// rotating filler (mirrors TeraGen's rowid + filler layout).
+/// rotating filler (mirrors TeraGen's rowid + filler layout) — byte `j` of
+/// the value is `'A' + (index + j) % 26` past the tag.
 fn fill_value(value: &mut [u8], index: usize) {
-    let tag = format!("CTS-{index:016x}-");
-    let tag = tag.as_bytes();
-    let n = tag.len().min(value.len());
-    value[..n].copy_from_slice(&tag[..n]);
-    for (j, b) in value.iter_mut().enumerate().skip(n) {
-        *b = b'A' + ((index + j) % 26) as u8;
+    let (tag, filler) = value.split_at_mut(TAG_LEN);
+    tag[..4].copy_from_slice(b"CTS-");
+    for (i, digit) in tag[4..20].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(index as u64 >> (60 - 4 * i)) as usize & 0xf];
     }
+    tag[20] = b'-';
+    let start = (index % 26 + TAG_LEN) % 26;
+    filler.copy_from_slice(&FILLER[start..start + filler.len()]);
 }
 
 #[cfg(test)]
@@ -128,6 +143,36 @@ mod tests {
             top[(rec[0] >> 6) as usize] += 1;
         }
         assert!(top.iter().all(|&c| c > 5), "{top:?}");
+    }
+
+    /// The per-record implementation `fill_value` replaced: the oracle.
+    fn fill_value_formatted(value: &mut [u8], index: usize) {
+        let tag = format!("CTS-{index:016x}-");
+        let tag = tag.as_bytes();
+        let n = tag.len().min(value.len());
+        value[..n].copy_from_slice(&tag[..n]);
+        for (j, b) in value.iter_mut().enumerate().skip(n) {
+            *b = b'A' + ((index + j) % 26) as u8;
+        }
+    }
+
+    #[test]
+    fn values_are_the_formatted_ones_byte_for_byte() {
+        for (count, seed) in [(0, 1), (1, 7), (7, 3), (1_000, 11), (123_457, 2017)] {
+            for data in [generate(count, seed), generate_skewed(count, seed, 0.5, 16)] {
+                let mut expected = data.to_vec();
+                for (i, rec) in expected.chunks_exact_mut(RECORD_LEN).enumerate() {
+                    fill_value_formatted(&mut rec[KEY_LEN..], i);
+                }
+                assert!(data[..] == expected[..], "count {count}, seed {seed}");
+            }
+        }
+        for index in [25, 26, 0xfedc_ba98_7654_3210, usize::MAX / 2] {
+            let (mut got, mut want) = ([0u8; RECORD_LEN - KEY_LEN], [0u8; RECORD_LEN - KEY_LEN]);
+            fill_value(&mut got, index);
+            fill_value_formatted(&mut want, index);
+            assert_eq!(got, want, "index {index:#x}");
+        }
     }
 
     #[test]

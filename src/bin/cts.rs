@@ -495,8 +495,8 @@ fn cmd_submit(opts: &Flags) -> Result<(), String> {
         digest.partitions.len(),
         digest.total
     );
-    for (p, (len, fnv)) in digest.partitions.iter().enumerate() {
-        println!("  partition {p}: {len:>10} bytes  fnv1a {fnv:016x}");
+    for (p, (len, hash)) in digest.partitions.iter().enumerate() {
+        println!("  partition {p}: {len:>10} bytes  xxh64 {hash:016x}");
     }
     if let Some(out) = opts.get("out") {
         let outputs = client.fetch(id)?;

@@ -231,6 +231,92 @@ fn serve_banner_reports_the_job_thread_count() {
     assert!(exit.success(), "daemon must exit 0 after --shutdown");
 }
 
+/// The digest `cts submit` prints is the digest of the bytes it fetches:
+/// each partition's `xxh64` and the total equal `ResultDigest::of` over the
+/// `--out` file cut at the printed lengths.
+#[test]
+fn submit_digest_matches_the_bytes_it_fetches() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join(format!("cts-cli-submit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk tmp dir");
+    let out = dir.join("sorted.bin");
+    let mut daemon = cts()
+        .args(["serve", "--k", "3", "--port", "0"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("run cts serve");
+    let mut stdout = BufReader::new(daemon.stdout.take().expect("piped stdout"));
+    let mut banner = String::new();
+    stdout
+        .read_line(&mut banner)
+        .expect("read the serve banner");
+    let Some(addr) = banner
+        .split_whitespace()
+        .find(|word| word.starts_with("127.0.0.1:"))
+    else {
+        let _ = daemon.kill();
+        panic!("banner names no address: {banner:?}");
+    };
+    let submit = cts()
+        .args(["submit", "--kind", "sort", "--records", "5000"])
+        .args(["--addr", addr, "--out"])
+        .arg(&out)
+        .output()
+        .expect("run cts submit");
+    let shutdown = cts()
+        .args(["submit", "--shutdown", "--addr", addr])
+        .output();
+    let exit = daemon.wait().expect("daemon exits");
+    let printed = String::from_utf8_lossy(&submit.stdout);
+    assert!(
+        submit.status.success(),
+        "submit failed: {printed}\n{}",
+        String::from_utf8_lossy(&submit.stderr)
+    );
+    assert!(
+        shutdown.is_ok() && exit.success(),
+        "daemon must exit 0 after --shutdown"
+    );
+
+    let hex = |word: Option<&str>| {
+        let word = word.unwrap_or_else(|| panic!("a digest is missing in:\n{printed}"));
+        u64::from_str_radix(word, 16).unwrap_or_else(|_| panic!("{word} in:\n{printed}"))
+    };
+    let total = hex(printed
+        .lines()
+        .find(|l| l.contains(" done: "))
+        .and_then(|l| l.rsplit("digest ").next()));
+    let partitions: Vec<(u64, u64)> = (printed.lines())
+        .filter_map(|l| l.trim_start().strip_prefix("partition "))
+        .map(|row| {
+            let words: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(words.get(3), Some(&"xxh64"), "{row}");
+            (
+                words[1].parse().expect("a length"),
+                hex(words.get(4).copied()),
+            )
+        })
+        .collect();
+    assert_eq!(partitions.len(), 3, "{printed}");
+
+    let bytes = std::fs::read(&out).expect("the --out file");
+    assert_eq!(bytes.len(), 5000 * 100);
+    let mut rest = &bytes[..];
+    let cut: Vec<Vec<u8>> = (partitions.iter())
+        .map(|&(len, _)| {
+            let (part, tail) = rest.split_at(len as usize);
+            rest = tail;
+            part.to_vec()
+        })
+        .collect();
+    let digest = cts_terasort::service::ResultDigest::of(&cut);
+    assert_eq!(digest.partitions, partitions);
+    assert_eq!(digest.total, total);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `u64` after `"key":` in one serialized trace event.
 fn field(event: &str, key: &str) -> u64 {
     let pat = format!("\"{key}\":");

@@ -139,7 +139,14 @@ fn shuffle_events(outcome: &JobOutcome) -> (usize, u64) {
         [src.into(), dsts, bytes.into(), copies.into(), kind.into()]
     });
     let wire: Vec<u8> = fields.flat_map(u128::to_le_bytes).collect();
-    (events.len(), cts_terasort::service::fnv1a(&wire))
+    (events.len(), fnv1a(&wire))
+}
+
+/// FNV-1a 64: the hash the pinned values below were taken with.
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// What the Shuffle stage puts on the wire, pinned to values taken from the
