@@ -5,8 +5,10 @@
 //! the user's closure against its own [`Communicator`]; the harness thread
 //! plays the coordinator (it stages per-node inputs before the run and
 //! collects results and the transfer trace after). Workers communicate only
-//! through the fabric — in-memory channels or real TCP sockets — and
-//! worlds of up to `K = 128` ranks are supported on one host.
+//! through the fabric — in-memory channels or real TCP sockets. The
+//! in-memory fabric takes worlds of up to `K = 128` ranks on one host; TCP
+//! costs one reader thread per used link and is tested to a `K = 32` full
+//! mesh.
 //!
 //! ```
 //! use bytes::Bytes;

@@ -12,8 +12,8 @@
 //! [`post`](Communicator::post) / [`post_multicast`](Communicator::post_multicast)
 //! (`MPI_Isend`) and [`drain`](Communicator::drain) (`MPI_Waitall`); the
 //! blocking calls are a post followed by a drain. A group cast dispatches
-//! on the configured [`ShuffleFabric`]: serial unicasts, overlapped fanout
-//! copies, or one native multicast, each charged to the emulated NIC
+//! on the configured [`ShuffleFabric`]: serial unicasts, fanout copies
+//! in one transfer, or one native multicast, each charged to the emulated NIC
 //! accordingly and traced with the per-fabric egress count.
 //!
 //! ```
@@ -407,9 +407,10 @@ impl Communicator {
     ///
     /// * `SerialUnicast` — one transfer per receiver, each paying its own
     ///   NIC latency and egress bytes;
-    /// * `Fanout` — one transfer whose `m` copies stream through
-    ///   [`Transport::multicast`] concurrently (egress still moves
-    ///   `m × bytes`);
+    /// * `Fanout` — one transfer whose `m` copies leave through one
+    ///   [`Transport::multicast`] (on TCP, back to back into kernel buffers
+    ///   that the receivers' link readers drain concurrently): the NIC pays
+    ///   one latency, and egress still moves `m × bytes`;
     /// * `Multicast` — one transfer charged `bytes × (1 + α·log2 m)` once,
     ///   genuine one-to-many;
     /// * `UdpMulticast` — identical accounting to `Multicast` (there the

@@ -9,8 +9,8 @@
 //! | fabric | egress frames per group send | copies overlap? | emulates |
 //! |---|---|---|---|
 //! | [`SerialUnicast`](ShuffleFabric::SerialUnicast) | `m` (receiver count) | no — back-to-back blocking sends | the pre-async `tcp.rs` behavior; worst case |
-//! | [`Fanout`](ShuffleFabric::Fanout) | `m` | yes — non-blocking writes interleave across sockets | `MPI_Bcast` over unicast links (what the paper ran) |
-//! | [`Multicast`](ShuffleFabric::Multicast) | 1 | n/a — one transmission serves all receivers | network-layer multicast (zero-copy shared buffer / overlapped TCP writes charged once) |
+//! | [`Fanout`](ShuffleFabric::Fanout) | `m` | yes — the emulated NIC charges the copies as one transfer; on TCP they are written back to back into kernel buffers that the per-link readers drain concurrently | `MPI_Bcast` over unicast links (what the paper ran) |
+//! | [`Multicast`](ShuffleFabric::Multicast) | 1 | n/a — one transmission serves all receivers | network-layer multicast (zero-copy shared buffer / TCP copies charged once) |
 //! | [`UdpMulticast`](ShuffleFabric::UdpMulticast) | 1 | n/a — one **physical** IP-multicast datagram stream | nothing: it *is* network-layer multicast ([`udp`](crate::udp)) |
 //!
 //! [`ShuffleFabric::wire_copies`] is the per-fabric egress frame count the
@@ -43,16 +43,17 @@ pub enum ShuffleFabric {
     /// the sender's egress `m` times and nothing overlaps — the behavior of
     /// the original thread-per-rank fabric, kept as the ablation baseline.
     SerialUnicast,
-    /// One copy per receiver, but the copies are written concurrently:
-    /// non-blocking sends interleave chunks across destination sockets, so
-    /// per-transfer setup overheads and receiver-side drains overlap. Still
-    /// `m` egress crossings.
+    /// One copy per receiver, sent as one transfer: the emulated NIC pays
+    /// the per-transfer latency once, and on TCP the copies go back to
+    /// back into kernel buffers that each receiver's link reader drains
+    /// concurrently, so receiver-side drains overlap. Still `m` egress
+    /// crossings.
     Fanout,
     /// A genuine one-to-many primitive: the payload leaves the sender once
     /// and every receiver gets it. The in-memory fabric delivers one shared
-    /// buffer (zero-copy); the TCP fabric approximates it with overlapped
-    /// writes while the trace and the NIC emulation charge the single
-    /// crossing that a network-layer multicast would cost.
+    /// buffer (zero-copy); the TCP fabric writes one copy per receiver
+    /// while the trace and the NIC emulation charge the single crossing
+    /// that a network-layer multicast would cost.
     #[default]
     Multicast,
     /// Physical IP multicast: every coded packet becomes one stream of UDP

@@ -8,13 +8,12 @@
 //!   MPI receive semantics;
 //! * [`local`] — an in-process fabric (threads + shared mailboxes) that
 //!   moves real bytes at memory speed, with zero-copy native multicast;
-//! * [`nio`] — the non-blocking I/O core: incremental framed reads/writes,
-//!   the round-robin write executor, adaptive backoff;
 //! * [`registry`] — the rank → address registry and deterministic mesh
-//!   bring-up, scaling single-host emulation to `K = 128`;
+//!   bring-up;
 //! * [`tcp`] — a real-socket fabric (lazily connected TCP mesh over
-//!   loopback, length-prefixed frames, one event-driven reactor thread per
-//!   endpoint, overlapped multicast writes);
+//!   loopback, length-prefixed frames, blocking sockets: one acceptor per
+//!   endpoint and one reader thread per used link; tested to a `K = 32`
+//!   full mesh);
 //! * [`udp`] — physical UDP/IP-multicast transport: one datagram stream
 //!   per coded packet to a per-group multicast address, with MTU chunking
 //!   and NACK-based loss recovery over the TCP control channel;
@@ -77,7 +76,6 @@ mod journal;
 pub mod local;
 pub mod mailbox;
 pub mod message;
-pub mod nio;
 pub mod rate;
 pub mod registry;
 pub mod span;

@@ -51,7 +51,7 @@ impl RankRegistry {
 
     /// Binds `k` loopback listeners and records their addresses. Returns
     /// the registry plus the listeners (in rank order), one per endpoint's
-    /// reactor.
+    /// acceptor.
     ///
     /// Ports are always kernel-assigned ephemerals (never fixed offsets),
     /// so any number of clusters can come up concurrently in one process

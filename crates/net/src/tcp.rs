@@ -1,38 +1,23 @@
-//! Real-socket transport: an event-driven TCP mesh over localhost.
+//! Real-socket transport: a blocking TCP mesh over localhost, the stand-in
+//! for the paper's Open MPI deployment. Every byte the algorithms shuffle
+//! crosses the kernel's TCP stack, as it would on EC2.
 //!
-//! This is the "custom networking" substrate replacing the paper's Open MPI
-//! deployment. The original design ran one blocking reader thread per peer
-//! (`K−1` threads per endpoint, `O(K²)` for the fabric), which capped
-//! emulation around `K ≈ 20`. It is now event-driven: every socket is
-//! non-blocking, each endpoint runs a **single reactor thread** that polls
-//! all of its peer sockets through [`nio::FrameReader`](crate::nio), and
-//! sends go through resumable [`nio::FrameWrite`](crate::nio) state
-//! machines. Thread count is `O(K)` and single-host emulation scales to
-//! `K = 128`.
+//! Every socket blocks, so every wait is the kernel's: each endpoint runs
+//! an **acceptor thread** blocked in `accept` on its listener and **one
+//! reader thread per accepted link**, blocked reading that link's frames,
+//! `[tag: u32 LE][len: u32 LE][payload]`, into the endpoint's [`Mailbox`].
+//! A frame leaves in one vectored write under its link's lock;
+//! [`Transport::multicast`] writes its copies back to back into kernel
+//! buffers that the receivers' readers drain concurrently — the
+//! fanout/multicast fabrics of [`fabric`](crate::fabric). (For *physical*
+//! one-to-many frames, see [`udp`](crate::udp).)
 //!
-//! Mesh bring-up is **lazy** (connect-on-first-send): binding the
-//! [`registry`](crate::registry) costs `K` listeners, and a directed link
-//! `i → j` is dialed only when `i` first sends to `j`, introducing itself
-//! with a 4-byte little-endian rank hello that keeps rank identification
-//! deterministic. A fully used mesh still tops out at `K(K−1)` simplex
-//! links, but sparse communication patterns — pod-partitioned engines,
-//! coordinator-only barriers — open only the file descriptors they touch
-//! instead of the eager `K(K−1)/2` duplex mesh that risked fd exhaustion
-//! at `K = 128`.
-//!
-//! The endpoint also implements a real one-to-many primitive:
-//! [`Transport::multicast`] interleaves chunked non-blocking writes across
-//! all destination sockets ([`nio::drive_writes`]), so the copies of one
-//! coded packet overlap on the wire instead of queueing behind each other —
-//! the fanout/multicast fabrics of [`fabric`](crate::fabric). (For
-//! *physical* one-to-many frames, see [`udp`](crate::udp), which layers
-//! IP multicast over this mesh as its control channel.)
-//!
-//! Every byte the algorithms shuffle really crosses the kernel's TCP stack,
-//! so the TCP examples and tests exercise exactly the code path an EC2
-//! deployment would. Frame format per message:
-//! `[tag: u32 LE][len: u32 LE][payload]`. The peer's rank is announced by
-//! the dialer's hello and implicit in the connection thereafter.
+//! Bring-up is **lazy**: the [`registry`](crate::registry) binds `K`
+//! listeners, and a directed link `i → j` is dialed when `i` first sends to
+//! `j`, which introduces itself with a 4-byte little-endian rank hello.
+//! Sparse patterns — pod-partitioned engines, coordinator-only barriers —
+//! open only the descriptors and reader threads they touch; a full mesh
+//! costs `K(K−1)` reader threads, and is tested to `K = 32`.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -41,7 +26,7 @@
 //! use cts_net::transport::Transport;
 //!
 //! let endpoints = build_tcp_fabric(3).unwrap();
-//! // One native multicast: rank 0 → ranks 1 and 2, overlapped writes.
+//! // One native multicast: rank 0 → ranks 1 and 2, written back to back.
 //! endpoints[0]
 //!     .multicast(&[1, 2], Tag::app(0), Bytes::from_static(b"coded"))
 //!     .unwrap();
@@ -50,11 +35,11 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind, IoSlice, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -63,12 +48,19 @@ use parking_lot::Mutex;
 use crate::error::{NetError, Result};
 use crate::mailbox::Mailbox;
 use crate::message::{Key, Message, Tag};
-use crate::nio::{self, Backoff, FrameReader, FrameWrite, ReadStatus};
 use crate::registry::RankRegistry;
 use crate::transport::Transport;
 
+/// Upper bound on a single frame's payload (1 GiB) — a sanity check against
+/// corrupted length headers.
+const MAX_FRAME: u32 = 1 << 30;
+
+/// The most a reader allocates for a payload before any of its bytes have
+/// arrived.
+const PAYLOAD_PREALLOC: usize = 1 << 20;
+
 /// Builds a fully connected *capable* TCP fabric of `k` endpoints on
-/// loopback: binds a [`RankRegistry`] and starts one reactor per endpoint.
+/// loopback: binds a [`RankRegistry`] and starts one acceptor per endpoint.
 /// No data links exist yet — each directed link is dialed lazily on the
 /// first send crossing it. Returns the endpoints in rank order.
 pub fn build_tcp_fabric(k: usize) -> Result<Vec<TcpEndpoint>> {
@@ -81,45 +73,51 @@ pub fn build_tcp_fabric(k: usize) -> Result<Vec<TcpEndpoint>> {
 }
 
 /// Rejects payloads the `u32` frame-length field (and the reader's
-/// [`nio::MAX_FRAME`] guard) cannot represent, before any byte is written.
+/// [`MAX_FRAME`] guard) cannot represent, before any byte is written.
 fn check_frame_size(payload: &Bytes) -> Result<()> {
-    if payload.len() > nio::MAX_FRAME as usize {
+    if payload.len() > MAX_FRAME as usize {
         return Err(NetError::Io {
             what: format!(
                 "payload of {} bytes exceeds the {} byte frame limit",
                 payload.len(),
-                nio::MAX_FRAME
+                MAX_FRAME
             ),
         });
     }
     Ok(())
 }
 
+/// An outbound simplex link. The lock serializes this endpoint's frame
+/// writes on it; `shutdown()` closes the stream without taking the lock,
+/// which wakes a writer blocked in the kernel.
 struct PeerLink {
-    /// Write half: a lock serializes frame writes from this endpoint's
-    /// threads; the stream itself is non-blocking, so writers resume
-    /// through `nio` instead of blocking in the kernel.
-    writer: Mutex<TcpStream>,
-    /// Kept so `shutdown()` can close the link and wake the peer's reactor
-    /// with an EOF.
-    raw: TcpStream,
+    stream: TcpStream,
+    writing: Mutex<()>,
 }
 
-/// Raw handles of reactor-owned inbound streams, shared so `shutdown()`
-/// can close them from outside the reactor thread.
-type InboundRaw = Arc<Mutex<Vec<TcpStream>>>;
+/// A live link reader: its stream, for `shutdown()` to close, and its
+/// thread, for the teardown to join.
+struct Reader {
+    stream: Arc<TcpStream>,
+    thread: JoinHandle<()>,
+}
 
-/// One endpoint of a TCP fabric.
-///
-/// A single reactor thread accepts inbound connections on this rank's
-/// listener and polls the accepted peer sockets, parsing frames into the
-/// endpoint's [`Mailbox`]; `send` and `multicast` dial missing outbound
-/// links on demand and drive non-blocking writes under a per-peer lock.
-/// Dropping the endpoint shuts the sockets down and joins the reactor.
+/// What an endpoint shares with its acceptor and link readers.
+struct Inbound {
+    rank: usize,
+    world: usize,
+    mailbox: Arc<Mailbox>,
+    stop: AtomicBool,
+    /// The live readers by thread. A reader removes its own entry as it
+    /// exits, so accept churn keeps nothing of a closed link.
+    readers: Mutex<HashMap<ThreadId, Reader>>,
+}
+
+/// One endpoint of a TCP fabric (see the module docs). Dropping it shuts
+/// the sockets down and joins every thread it started.
 pub struct TcpEndpoint {
     rank: usize,
     registry: RankRegistry,
-    mailbox: Arc<Mailbox>,
     /// Outbound simplex links, dialed on first send (peer rank → link).
     /// The map lock is held only for lookups/inserts — never across a
     /// dial — so sends to established peers don't queue behind a slow
@@ -128,43 +126,39 @@ pub struct TcpEndpoint {
     /// Per-destination dial serialization: racing first-senders to one
     /// peer agree on a single link without blocking traffic to others.
     dial_locks: Vec<Mutex<()>>,
-    inbound_raw: InboundRaw,
-    stop: Arc<AtomicBool>,
-    reactor: Mutex<Option<JoinHandle<()>>>,
+    inbound: Arc<Inbound>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl TcpEndpoint {
     fn start(rank: usize, registry: RankRegistry, listener: TcpListener) -> Result<TcpEndpoint> {
-        listener.set_nonblocking(true)?;
-        let mailbox = Arc::new(Mailbox::new(rank));
-        let stop = Arc::new(AtomicBool::new(false));
-        let inbound_raw: InboundRaw = Arc::new(Mutex::new(Vec::new()));
         let world = registry.world_size();
-        let reactor = {
-            let mailbox = Arc::clone(&mailbox);
-            let stop = Arc::clone(&stop);
-            let inbound_raw = Arc::clone(&inbound_raw);
+        let inbound = Arc::new(Inbound {
+            rank,
+            world,
+            mailbox: Arc::new(Mailbox::new(rank)),
+            stop: AtomicBool::new(false),
+            readers: Mutex::new(HashMap::new()),
+        });
+        let acceptor = {
+            let inbound = Arc::clone(&inbound);
             std::thread::Builder::new()
-                .name(format!("cts-net-reactor-{rank}"))
-                .spawn(move || reactor_loop(listener, world, rank, &mailbox, &stop, &inbound_raw))
-                .expect("spawn reactor thread")
+                .name(format!("cts-accept-{rank}"))
+                .spawn(move || inbound.accept_loop(&listener))?
         };
         Ok(TcpEndpoint {
             rank,
             registry,
-            mailbox,
             outbound: Mutex::new(HashMap::new()),
             dial_locks: (0..world).map(|_| Mutex::new(())).collect(),
-            inbound_raw,
-            stop,
-            reactor: Mutex::new(Some(reactor)),
+            inbound,
+            acceptor: Mutex::new(Some(acceptor)),
         })
     }
 
     /// Returns the link to `dst`, dialing it first if this is the first
     /// send to that peer. The dial introduces this endpoint with a 4-byte
-    /// little-endian rank hello (written in blocking mode, so it cannot
-    /// interleave with frames) before the socket turns non-blocking.
+    /// little-endian rank hello before any frame.
     fn link_to(&self, dst: usize) -> Result<Arc<PeerLink>> {
         if let Some(link) = self.outbound.lock().get(&dst) {
             return Ok(Arc::clone(link));
@@ -182,11 +176,9 @@ impl TcpEndpoint {
         let mut stream = dial_with_retry(self.rank, dst, addr)?;
         stream.set_nodelay(true)?;
         stream.write_all(&(self.rank as u32).to_le_bytes())?;
-        stream.set_nonblocking(true)?;
-        let raw = stream.try_clone()?;
         let link = Arc::new(PeerLink {
-            writer: Mutex::new(stream),
-            raw,
+            stream,
+            writing: Mutex::new(()),
         });
         self.outbound.lock().insert(dst, Arc::clone(&link));
         Ok(link)
@@ -196,15 +188,19 @@ impl TcpEndpoint {
     /// its reassembled datagrams into it and waits on it directly, so a
     /// rank has one queue whatever path a message took.
     pub(crate) fn mailbox(&self) -> &Arc<Mailbox> {
-        &self.mailbox
+        &self.inbound.mailbox
     }
 
-    /// Joins the reactor after shutting the sockets down.
+    /// Joins the acceptor and every reader after shutting the sockets down.
     fn teardown(&self) {
         self.shutdown();
-        if let Some(handle) = self.reactor.lock().take() {
-            handle.thread().unpark();
-            let _ = handle.join();
+        if let Some(acceptor) = self.acceptor.lock().take() {
+            let _ = acceptor.join();
+        }
+        // Out of the map before joining: a reader's last act takes its lock.
+        let readers = std::mem::take(&mut *self.inbound.readers.lock());
+        for reader in readers.into_values() {
+            let _ = reader.thread.join();
         }
     }
 }
@@ -256,155 +252,103 @@ fn dial_with_retry(me: usize, dst: usize, addr: std::net::SocketAddr) -> Result<
     })
 }
 
-/// The per-endpoint event loop: accepts inbound connections (reading each
-/// dialer's rank hello incrementally), round-robins every established peer
-/// socket, feeds parsed frames into the mailbox, and backs off adaptively
-/// while idle. A peer's EOF marks that source disconnected in the mailbox
-/// (queued messages stay readable; fresh receives from it fail). Exits when
-/// asked to stop.
-fn reactor_loop(
-    listener: TcpListener,
-    world: usize,
-    rank: usize,
-    mailbox: &Mailbox,
-    stop: &AtomicBool,
-    inbound_raw: &InboundRaw,
-) {
-    struct Link {
-        peer: usize,
-        stream: TcpStream,
-        reader: FrameReader,
-        open: bool,
-        /// The connection's peer address, identifying its raw clone in
-        /// `inbound_raw` so the fd can be released when the link closes.
-        id: Option<std::net::SocketAddr>,
-    }
-    /// An accepted stream whose 4-byte rank hello is still arriving.
-    struct PendingHello {
-        stream: TcpStream,
-        hello: [u8; 4],
-        got: usize,
-        open: bool,
-        id: Option<std::net::SocketAddr>,
-    }
-    /// Releases a closed connection's raw clone (and any dead strays):
-    /// without this, accept churn would retain one fd per connection for
-    /// the endpoint's whole lifetime.
-    fn prune_inbound(inbound_raw: &InboundRaw, id: Option<std::net::SocketAddr>) {
-        inbound_raw.lock().retain(|s| match s.peer_addr() {
-            Ok(addr) => Some(addr) != id,
-            Err(_) => false,
-        });
-    }
-    let mut links: Vec<Link> = Vec::new();
-    let mut pending: Vec<PendingHello> = Vec::new();
-    let mut frames: Vec<(u32, Bytes)> = Vec::new();
-    // Reactors may sit idle through whole compute stages; a higher park cap
-    // keeps K idle endpoints from re-polling their sockets every
-    // millisecond.
-    let mut backoff = Backoff::with_max_park_us(5_000);
-    loop {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let mut progressed = false;
-        // Accept every connection waiting in the backlog.
+impl Inbound {
+    /// Accepts inbound links until the stop is raised, starting a reader for
+    /// each. `shutdown()` raises the stop, then wakes the blocked `accept`
+    /// by connecting to the listener itself.
+    fn accept_loop(self: &Arc<Self>, listener: &TcpListener) {
         loop {
-            match listener.accept() {
-                Ok((stream, addr)) => {
-                    progressed = true;
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    if let Ok(raw) = stream.try_clone() {
-                        inbound_raw.lock().push(raw);
-                    }
-                    pending.push(PendingHello {
-                        stream,
-                        hello: [0u8; 4],
-                        got: 0,
-                        open: true,
-                        id: Some(addr),
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // listener closed or fatal: stop accepting
+            let stream = match listener.accept() {
+                Ok((stream, _)) => Arc::new(stream),
+                Err(e) if e.kind() == ErrorKind::ConnectionAborted => continue,
+                Err(_) => return, // the listener is unusable: accept nothing more
+            };
+            // The stop is read, and the reader registered, under the lock the
+            // reader's last act and `shutdown()` take: the entry is there
+            // before the reader can remove it, and a reader started before
+            // the stop is one whose stream `shutdown()` closes.
+            let mut live = self.readers.lock();
+            if self.stop.load(Ordering::SeqCst) {
+                return; // the self-connect that woke us, or a dialer racing the stop
+            }
+            let (inbound, link) = (Arc::clone(self), Arc::clone(&stream));
+            let spawned = std::thread::Builder::new()
+                .name(format!("cts-link-{}", self.rank))
+                .spawn(move || {
+                    inbound.read_link(&link);
+                    inbound.readers.lock().remove(&std::thread::current().id());
+                });
+            if let Ok(thread) = spawned {
+                live.insert(thread.thread().id(), Reader { stream, thread });
             }
         }
-        // Drive partially read hellos forward.
-        for p in pending.iter_mut() {
-            loop {
-                match p.stream.read(&mut p.hello[p.got..]) {
-                    Ok(0) => {
-                        p.open = false;
-                        break;
-                    }
-                    Ok(n) => {
-                        p.got += n;
-                        progressed = true;
-                        if p.got == 4 {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        p.open = false;
-                        break;
-                    }
-                }
-            }
+    }
+
+    /// Serves one accepted link: the dialer's rank hello, then frames into
+    /// the mailbox until EOF, an I/O error or a corrupt header. A hello
+    /// naming no other rank of the fabric drops the link. When a named link
+    /// ends, its source is disconnected — the dialer closes only at
+    /// teardown, so that peer is gone (queued messages stay readable; fresh
+    /// receives fail).
+    fn read_link(&self, stream: &TcpStream) {
+        let mut reader = BufReader::new(stream);
+        let mut hello = [0u8; 4];
+        if reader.read_exact(&mut hello).is_err() {
+            return;
         }
-        for p in pending.extract_if(.., |p| !p.open || p.got == 4) {
-            if !p.open {
-                prune_inbound(inbound_raw, p.id);
-                continue;
-            }
-            let peer = u32::from_le_bytes(p.hello) as usize;
-            if peer >= world || peer == rank {
-                // A hello announcing an impossible rank: drop the link.
-                let _ = p.stream.shutdown(std::net::Shutdown::Both);
-                prune_inbound(inbound_raw, p.id);
-                continue;
-            }
-            links.push(Link {
-                peer,
-                stream: p.stream,
-                reader: FrameReader::new(),
-                open: true,
-                id: p.id,
+        let peer = u32::from_le_bytes(hello) as usize;
+        if peer >= self.world || peer == self.rank {
+            return;
+        }
+        while let Ok((tag, payload)) = read_frame(&mut reader) {
+            self.mailbox.deliver(Message {
+                src: peer,
+                tag,
+                payload,
             });
         }
-        // Poll established links.
-        for link in links.iter_mut().filter(|l| l.open) {
-            match link.reader.poll(&link.stream, &mut frames) {
-                ReadStatus::Progress => progressed = true,
-                ReadStatus::WouldBlock => {}
-                ReadStatus::Closed => {
-                    link.open = false;
-                    // The dialer only closes at teardown: that peer is gone.
-                    mailbox.disconnect_src(link.peer);
-                    prune_inbound(inbound_raw, link.id);
-                }
-            }
-            for (tag, payload) in frames.drain(..) {
-                mailbox.deliver(Message {
-                    src: link.peer,
-                    tag: Tag(tag),
-                    payload,
-                });
-            }
-        }
-        links.retain(|l| l.open);
-        if progressed {
-            backoff.reset();
-        } else {
-            backoff.wait();
+        self.mailbox.disconnect_src(peer);
+    }
+}
+
+/// Reads one frame. The payload buffer starts at no more than
+/// [`PAYLOAD_PREALLOC`] and grows only as bytes arrive, so a forged length
+/// costs at most the larger of that and twice what was really sent.
+fn read_frame(reader: &mut impl Read) -> std::io::Result<(Tag, Bytes)> {
+    let mut header = [0u8; 8];
+    reader.read_exact(&mut header)?;
+    let tag = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    let len = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    if len > MAX_FRAME {
+        return Err(ErrorKind::InvalidData.into());
+    }
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_PREALLOC));
+    reader.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(ErrorKind::UnexpectedEof.into());
+    }
+    Ok((Tag(tag), Bytes::from(payload)))
+}
+
+/// Writes one frame with one vectored write of header and payload, looping
+/// over short writes: a small frame leaves in one segment. The caller holds
+/// the link's lock.
+fn write_frame(mut stream: &TcpStream, tag: Tag, payload: &[u8]) -> std::io::Result<()> {
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(&tag.0.to_le_bytes());
+    header[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    // Wake pending receivers: no further messages will arrive.
-    mailbox.close();
+    Ok(())
 }
 
 impl Transport for TcpEndpoint {
@@ -420,7 +364,7 @@ impl Transport for TcpEndpoint {
         check_frame_size(&payload)?;
         if dst == self.rank {
             // Loopback without touching the wire, like MPI self-sends.
-            self.mailbox.deliver(Message {
+            self.inbound.mailbox.deliver(Message {
                 src: self.rank,
                 tag,
                 payload,
@@ -428,8 +372,8 @@ impl Transport for TcpEndpoint {
             return Ok(());
         }
         let link = self.link_to(dst)?;
-        let writer = link.writer.lock();
-        nio::write_frame(&*writer, tag.0, &payload)?;
+        let _writing = link.writing.lock();
+        write_frame(&link.stream, tag, &payload)?;
         Ok(())
     }
 
@@ -450,43 +394,45 @@ impl Transport for TcpEndpoint {
             }
         }
         if distinct.contains(&self.rank) {
-            self.mailbox.deliver(Message {
+            self.inbound.mailbox.deliver(Message {
                 src: self.rank,
                 tag,
                 payload: payload.clone(),
             });
         }
-        let guards: Vec<_> = links.iter().map(|link| link.writer.lock()).collect();
-        // One resumable frame writer per destination, driven round-robin so
-        // the copies overlap on the wire.
-        let mut ops: Vec<FrameWrite<'_, &TcpStream>> = guards
-            .iter()
-            .map(|guard| FrameWrite::new(&**guard, tag.0, &payload))
-            .collect();
-        nio::drive_writes(&mut ops)?;
-        Ok(())
+        let _writing: Vec<_> = links.iter().map(|link| link.writing.lock()).collect();
+        // A failed copy does not cut the others short: every healthy link
+        // gets a whole frame, and the first error is reported after.
+        let mut first_err = None;
+        for link in &links {
+            if let Err(e) = write_frame(&link.stream, tag, &payload) {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(()), |e| Err(e.into()))
     }
 
     fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
-        self.mailbox.recv_any(keys, deadline)
+        self.inbound.mailbox.recv_any(keys, deadline)
     }
 
     fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        if !self.inbound.stop.swap(true, Ordering::SeqCst) {
+            if let Some(addr) = self.registry.addr(self.rank) {
+                let _ = TcpStream::connect(addr); // wakes the acceptor
+            }
+        }
         for link in self.outbound.lock().values() {
-            let _ = link.raw.shutdown(std::net::Shutdown::Both);
+            let _ = link.stream.shutdown(Shutdown::Both);
         }
-        for raw in self.inbound_raw.lock().iter() {
-            let _ = raw.shutdown(std::net::Shutdown::Both);
+        for reader in self.inbound.readers.lock().values() {
+            let _ = reader.stream.shutdown(Shutdown::Both);
         }
-        if let Some(handle) = self.reactor.lock().as_ref() {
-            handle.thread().unpark();
-        }
-        self.mailbox.close();
+        self.inbound.mailbox.close();
     }
 
     fn mark_peer_dead(&self, peer: usize) {
-        self.mailbox.mark_dead(peer);
+        self.inbound.mailbox.mark_dead(peer);
     }
 }
 
@@ -504,6 +450,26 @@ mod tests {
     /// the number of distinct peers it has sent to.
     fn outbound_links(ep: &TcpEndpoint) -> usize {
         ep.outbound.lock().len()
+    }
+
+    /// A raw connection into `ep`'s listener that has sent `hello`.
+    fn raw_link(ep: &TcpEndpoint, hello: u32) -> TcpStream {
+        let mut stream = TcpStream::connect(ep.registry.addr(ep.rank).unwrap()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(&hello.to_le_bytes()).unwrap();
+        stream
+    }
+
+    /// A frame's header: the tag, then the length the payload claims.
+    fn header(tag: Tag, len: u32) -> Vec<u8> {
+        [tag.0.to_le_bytes(), len.to_le_bytes()].concat()
+    }
+
+    /// Blocks until the endpoint closes `stream`: a read finds EOF or a
+    /// reset.
+    fn assert_closed(mut stream: TcpStream) {
+        let mut scratch = [0u8; 16];
+        assert!(matches!(stream.read(&mut scratch), Ok(0) | Err(_)));
     }
 
     #[test]
@@ -538,6 +504,91 @@ mod tests {
         let got = endpoints[1].recv(0, Tag::app(5)).unwrap();
         assert_eq!(got.len(), big.len());
         assert_eq!(&got[..], &big[..]);
+    }
+
+    #[test]
+    fn frames_written_a_byte_at_a_time_arrive_intact() {
+        let endpoints = build_tcp_fabric(2).unwrap();
+        let mut raw = raw_link(&endpoints[1], 0);
+        let mut wire = Vec::new();
+        for i in 0..5u32 {
+            let len = 100 * (i + 1);
+            wire.extend(header(Tag::app(i), len));
+            wire.extend(vec![i as u8; len as usize]);
+        }
+        for byte in &wire {
+            raw.write_all(std::slice::from_ref(byte)).unwrap();
+        }
+        for i in 0..5u32 {
+            let got = endpoints[1].recv(0, Tag::app(i)).unwrap();
+            assert_eq!(got.len(), 100 * (i as usize + 1));
+            assert!(got.iter().all(|&b| b == i as u8), "frame {i}");
+        }
+    }
+
+    #[test]
+    fn an_empty_payload_arrives() {
+        let endpoints = build_tcp_fabric(2).unwrap();
+        endpoints[0].send(1, Tag::app(3), Bytes::new()).unwrap();
+        assert!(endpoints[1].recv(0, Tag::app(3)).unwrap().is_empty());
+        // And from a raw dialer: a bare header is a whole frame.
+        let mut raw = raw_link(&endpoints[0], 1);
+        raw.write_all(&header(Tag::app(4), 0)).unwrap();
+        assert!(endpoints[0].recv(1, Tag::app(4)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_oversized_header_closes_the_link_and_disconnects_its_source() {
+        let endpoints = build_tcp_fabric(2).unwrap();
+        let mut raw = raw_link(&endpoints[1], 0);
+        raw.write_all(&header(Tag::app(0), MAX_FRAME + 1)).unwrap();
+        assert!(matches!(
+            endpoints[1].recv(0, Tag::app(0)),
+            Err(NetError::Disconnected { .. })
+        ));
+        assert_closed(raw);
+        // The endpoint itself carries on.
+        endpoints[0]
+            .send(1, Tag::app(1), Bytes::from_static(b"still here"))
+            .unwrap();
+        endpoints[1]
+            .send(0, Tag::app(1), Bytes::from_static(b"and here"))
+            .unwrap();
+        assert_eq!(endpoints[0].recv(1, Tag::app(1)).unwrap(), "and here");
+    }
+
+    #[test]
+    fn a_length_the_bytes_never_reach_closes_the_link() {
+        // 512 MiB claimed, 10 bytes sent, then EOF.
+        let endpoints = build_tcp_fabric(2).unwrap();
+        let mut raw = raw_link(&endpoints[1], 0);
+        raw.write_all(&header(Tag::app(0), 512 << 20)).unwrap();
+        raw.write_all(&[7u8; 10]).unwrap();
+        raw.shutdown(Shutdown::Write).unwrap();
+        assert!(matches!(
+            endpoints[1].recv(0, Tag::app(0)),
+            Err(NetError::Disconnected { .. })
+        ));
+        assert_closed(raw);
+    }
+
+    #[test]
+    fn a_hello_naming_no_other_rank_is_dropped() {
+        let endpoints = build_tcp_fabric(2).unwrap();
+        for hello in [2u32, 1, u32::MAX] {
+            let mut raw = raw_link(&endpoints[1], hello);
+            // Whatever follows is not read as a frame from anyone.
+            let _ = raw.write_all(&header(Tag::app(0), 1));
+            let _ = raw.write_all(b"x");
+            assert_closed(raw);
+        }
+        assert!(endpoints[1].try_recv(0, Tag::app(0)).unwrap().is_none());
+        assert!(endpoints[1].try_recv(1, Tag::app(0)).unwrap().is_none());
+        // No source was disconnected either: rank 0's real link still works.
+        endpoints[0]
+            .send(1, Tag::app(0), Bytes::from_static(b"real"))
+            .unwrap();
+        assert_eq!(endpoints[1].recv(0, Tag::app(0)).unwrap(), "real");
     }
 
     #[test]
@@ -643,6 +694,28 @@ mod tests {
     }
 
     #[test]
+    fn multicast_finishes_the_healthy_copies_and_reports_the_failed_one() {
+        let mut endpoints = build_tcp_fabric(3).unwrap();
+        endpoints[0]
+            .multicast(&[1, 2], Tag::app(0), Bytes::from_static(b"warm"))
+            .unwrap();
+        assert_eq!(endpoints[2].recv(0, Tag::app(0)).unwrap(), "warm");
+        // Rank 1 goes away; its end of the 0 → 1 link resets the writes.
+        drop(endpoints.remove(1));
+        let payload = Bytes::from(vec![3u8; 1 << 20]);
+        let mut result = Ok(());
+        for round in 1..=8 {
+            result = endpoints[0].multicast(&[1, 2], Tag::app(round), payload.clone());
+            let got = endpoints[1].recv(0, Tag::app(round)).unwrap();
+            assert_eq!(got, payload, "round {round}: rank 2's copy is whole");
+            if result.is_err() {
+                break;
+            }
+        }
+        assert!(result.is_err(), "writes to a closed peer must fail");
+    }
+
+    #[test]
     fn exhausted_dial_budget_is_a_typed_error() {
         // A bound-then-dropped listener leaves a port that refuses every
         // connect: the retry budget must drain with backoff, then surface
@@ -702,7 +775,7 @@ mod tests {
         assert_eq!(b.recv(0, Tag::app(7)).unwrap(), "warm");
         let handle = std::thread::spawn(move || b.recv(0, Tag::app(0)));
         std::thread::sleep(Duration::from_millis(20));
-        drop(endpoints); // drops endpoint 0 → socket shutdown → b's reactor EOFs
+        drop(endpoints); // drops endpoint 0 → socket shutdown → b's reader EOFs
         let result = handle.join().unwrap();
         assert!(matches!(result, Err(NetError::Disconnected { .. })));
     }
@@ -718,9 +791,9 @@ mod tests {
 
     #[test]
     fn bidirectional_bulk_exchange_cannot_deadlock() {
-        // Both sides write 2 MB at each other before either reads: blocking
-        // writes would deadlock once the socket buffers fill; the
-        // non-blocking writers plus the always-draining reactors must not.
+        // Both sides write 2 MB at each other before either reads: the
+        // writes block once the socket buffers fill, and only complete
+        // because every link's reader drains it into the mailbox on its own.
         let endpoints = build_tcp_fabric(2).unwrap();
         let big = vec![0xABu8; 2_000_000];
         std::thread::scope(|scope| {

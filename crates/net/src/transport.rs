@@ -37,8 +37,9 @@ use crate::message::{Key, Tag};
 /// * receives match on exact source *and* tag;
 /// * messages between one `(src, dst, tag)` triple arrive in send order;
 /// * `multicast` delivers one payload to a destination set, overlapping the
-///   copies where the fabric can (shared buffer in memory, interleaved
-///   non-blocking writes on TCP).
+///   copies where the fabric can (shared buffer in memory; on TCP, copies
+///   written back to back into kernel buffers that the receivers drain
+///   concurrently).
 pub trait Transport: Send + Sync {
     /// This endpoint's rank in `0..world_size`.
     fn rank(&self) -> usize;
@@ -57,8 +58,8 @@ pub trait Transport: Send + Sync {
     /// `send` per distinct destination, back to back); fabrics with a
     /// genuine concurrent path override it:
     /// [`LocalEndpoint`](crate::local::LocalEndpoint) delivers one shared
-    /// buffer, [`TcpEndpoint`](crate::tcp::TcpEndpoint) interleaves
-    /// non-blocking writes across the destination sockets.
+    /// buffer, [`TcpEndpoint`](crate::tcp::TcpEndpoint) writes the copies
+    /// back to back under every destination's lock at once.
     fn multicast(&self, dsts: &[usize], tag: Tag, payload: Bytes) -> Result<()> {
         let mut seen = vec![false; self.world_size()];
         for &dst in dsts {

@@ -130,21 +130,35 @@ fn k64_multicast_groups_scale_on_local_fabric() {
     }
 }
 
-/// The registry + single-reactor TCP fabric sustains a K = 32 mesh (496
-/// sockets, 32 reactor threads) through a barrier and a multicast round.
+/// The TCP fabric's tested bound: a K = 32 full mesh. Every rank sends to
+/// every other, opening all K(K−1) = 992 simplex links and so 992 reader
+/// threads beside the 32 acceptors, then meets at a barrier and multicasts
+/// to everyone.
 #[test]
-fn k32_tcp_mesh_barrier_and_multicast() {
+fn k32_tcp_full_mesh_all_to_all() {
     let k = 32usize;
     let cfg = ClusterConfig::tcp(k).with_fabric(ShuffleFabric::Multicast);
     let run = run_spmd(&cfg, move |comm| {
+        let me = comm.rank();
+        for dst in (0..k).filter(|&d| d != me) {
+            comm.send(
+                dst,
+                Tag::app(0),
+                Bytes::copy_from_slice(&[me as u8, dst as u8]),
+            )
+            .unwrap();
+        }
+        for src in (0..k).filter(|&s| s != me) {
+            assert_eq!(
+                &comm.recv(src, Tag::app(0)).unwrap()[..],
+                &[src as u8, me as u8]
+            );
+        }
         comm.barrier().unwrap();
         let members: Vec<usize> = (0..k).collect();
-        let data = (comm.rank() == 5).then(|| Bytes::from_static(b"wide"));
-        let got = comm
-            .multicast(5, &members, Tag::new(Tag::BCAST, 0), data)
-            .unwrap();
-        comm.barrier().unwrap();
-        got
+        let data = (me == 5).then(|| Bytes::from_static(b"wide"));
+        comm.multicast(5, &members, Tag::new(Tag::BCAST, 0), data)
+            .unwrap()
     })
     .unwrap();
     assert!(run.results.iter().all(|r| r == "wide"));

@@ -205,8 +205,8 @@ fn wire_copy_and_mask_accounting_is_consistent_across_fabrics() {
 
 #[test]
 fn fabrics_agree_over_real_tcp() {
-    // Spot-check that the overlapped non-blocking TCP writes of the
-    // fanout/multicast path deliver the same bytes as the in-memory run.
+    // Spot-check that the TCP copies of the fanout/multicast path,
+    // written back to back, deliver the same bytes as the in-memory run.
     let input = teragen::generate(900, 41);
     let local = run_coded_terasort(
         input.clone(),
