@@ -820,17 +820,16 @@ fn node_main<W: Workload>(
 /// The wait is one [`Transport::recv_any`](cts_net::Transport::recv_any)
 /// over the `(tag, sender)` keys still awaited — `plain`'s, each with the
 /// global file its piece was mapped from, and those of the groups still open:
-/// only such a message ends it, and those are the messages a lossy fabric
-/// repairs. A quorum receive fails the job after `idle_timeout` without a
-/// message; barrier-on-all waits for as long as its senders live (a failing
-/// rank aborts the endpoints, a fabric that gives up repairing times the wait
-/// out). With recovery on the wait also returns once per heartbeat: the health
-/// board advances when ticked.
+/// only such a message ends it. A quorum receive fails the job after
+/// `idle_timeout` without a message; barrier-on-all waits for as long as its
+/// senders live (a failing rank aborts the endpoints). With recovery on the
+/// wait also returns once per heartbeat: the health board advances when
+/// ticked.
 ///
 /// Returns the keys whose packet never came (their group released without it
 /// — none under barrier-on-all), as the transport sees them, for the caller
 /// to discard once the stage has synchronized; a straggler still in flight on
-/// TCP/UDP then is not caught (ROADMAP 5(c)).
+/// TCP then is not caught (ROADMAP 5(c)).
 fn shuffle_receive(
     rank: &mut Rank<'_>,
     groups: &[&Group],
@@ -914,8 +913,8 @@ fn shuffle_receive(
         while first_open < keys.len() && settled(keys[first_open]) {
             first_open += 1;
         }
-        // When the prefix grows, a probe (which repairs nothing) drops the late packets
-        // under it: held to the end of the stage they are 12 MB of a 100 MB quorum job's peak.
+        // When the prefix grows, a zero-deadline probe drops the late packets under
+        // it: held to the end of the stage they are 12 MB of a 100 MB quorum job's peak.
         let late = &keys[..first_open];
         while first_open > released && transport.recv_any(late, Some(Instant::now())).is_ok() {}
         // Recovery rides the quorum receive only, so a tick has a stall to cap.

@@ -298,9 +298,7 @@ impl EngineConfig {
     }
 
     /// Selects how the coded shuffle's group sends hit the wire
-    /// (serial-unicast, fanout, native multicast, or physical
-    /// `udp-multicast` — the latter switches the cluster onto the UDP
-    /// transport with its NACK reliability layer).
+    /// (serial-unicast, fanout or emulated multicast).
     pub fn with_fabric(mut self, fabric: ShuffleFabric) -> Self {
         self.cluster = self.cluster.with_fabric(fabric);
         self

@@ -45,7 +45,6 @@ use crate::span::SpanLog;
 use crate::tcp::build_tcp_fabric;
 use crate::trace::Trace;
 use crate::transport::Transport;
-use crate::udp::{build_udp_fabric_with, UdpConfig};
 
 /// Which fabric the cluster runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -55,12 +54,6 @@ pub enum TransportKind {
     Local,
     /// Real TCP sockets over loopback.
     Tcp,
-    /// Physical UDP/IP multicast for group sends, with the TCP mesh as the
-    /// unicast/control channel ([`udp`](crate::udp)). Selecting the
-    /// [`ShuffleFabric::UdpMulticast`] fabric resolves to this transport
-    /// at build time ([`ClusterConfig::resolved_transport`]); requires
-    /// kernel multicast support (bring-up fails descriptively otherwise).
-    Udp,
 }
 
 /// A fault injected on one rank's outgoing traffic: the rank's transport
@@ -97,10 +90,6 @@ pub struct ClusterConfig {
     pub nic: Option<NicProfile>,
     /// How [`Communicator::multicast`] group sends hit the wire.
     pub fabric: ShuffleFabric,
-    /// Tuning (chunk size, NACK cadence, retransmit budgets, fault
-    /// injection, stats sink) for the [`TransportKind::Udp`] fabric;
-    /// ignored by the others.
-    pub udp: UdpConfig,
     /// Optional message-level fault on one rank's sends (straggler
     /// slowdown, blackhole, corruption). Applies on every transport kind.
     pub fault: Option<ClusterFault>,
@@ -114,7 +103,6 @@ impl ClusterConfig {
             transport: TransportKind::Local,
             nic: None,
             fabric: ShuffleFabric::default(),
-            udp: UdpConfig::default(),
             fault: None,
         }
     }
@@ -133,27 +121,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Selects the shuffle fabric. The `transport` field is left untouched
-    /// — [`resolved_transport`](Self::resolved_transport) couples the two
-    /// at build time instead, so choosing `UdpMulticast` and later moving
-    /// back to an emulated fabric never clobbers an explicitly configured
-    /// transport (e.g. `tcp(k)` stays TCP through a fabric sweep).
+    /// Selects the shuffle fabric; every fabric runs on either transport.
     pub fn with_fabric(mut self, fabric: ShuffleFabric) -> Self {
         self.fabric = fabric;
         self
-    }
-
-    /// The transport the cluster will actually build:
-    /// [`ShuffleFabric::UdpMulticast`] requires the UDP fabric — the only
-    /// substrate that can realize it physically — and overrides the
-    /// configured kind; every other fabric runs on whatever `transport`
-    /// says.
-    pub fn resolved_transport(&self) -> TransportKind {
-        if self.fabric == ShuffleFabric::UdpMulticast {
-            TransportKind::Udp
-        } else {
-            self.transport
-        }
     }
 
     /// Injects a message-level fault on `rank`'s outgoing traffic (see
@@ -212,7 +183,7 @@ impl Endpoints {
     /// wrapper.
     fn build(config: &ClusterConfig) -> Result<Endpoints> {
         let k = config.k;
-        let mut transports: Vec<Arc<dyn Transport>> = match config.resolved_transport() {
+        let mut transports: Vec<Arc<dyn Transport>> = match config.transport {
             TransportKind::Local => {
                 let fabric = LocalFabric::new(k);
                 (0..k)
@@ -220,10 +191,6 @@ impl Endpoints {
                     .collect()
             }
             TransportKind::Tcp => build_tcp_fabric(k)?
-                .into_iter()
-                .map(|ep| Arc::new(ep) as Arc<dyn Transport>)
-                .collect(),
-            TransportKind::Udp => build_udp_fabric_with(k, config.udp.clone())?
                 .into_iter()
                 .map(|ep| Arc::new(ep) as Arc<dyn Transport>)
                 .collect(),
@@ -304,7 +271,7 @@ impl std::fmt::Debug for SharedFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedFabric")
             .field("k", &self.config.k)
-            .field("transport", &self.config.resolved_transport())
+            .field("transport", &self.config.transport)
             .finish()
     }
 }
@@ -343,35 +310,18 @@ impl SharedFabric {
     }
 
     /// Renders the fabric's full metric inventory as Prometheus text:
-    /// everything registered on the hub, the process-wide buffer pool's, plus
-    /// the UDP fabric's datagram counters when that transport is in use.
+    /// everything registered on the hub plus the process-wide buffer pool's.
     pub fn render_prometheus(&self) -> String {
         let mut out = self.metrics.render_prometheus();
         let pool = cts_core::pool::global().stats();
         let retained = pool.retained_bytes;
         out.push_str("# TYPE cts_pool_retained_bytes gauge\n");
         out.push_str(&format!("cts_pool_retained_bytes {retained}\n"));
-        let mut counters = vec![
+        let counters = [
             ("cts_pool_hits_total", pool.hits),
             ("cts_pool_misses_total", pool.misses),
             ("cts_pool_freed_bytes_total", pool.freed_bytes),
         ];
-        if self.config.resolved_transport() == TransportKind::Udp {
-            let st = &self.config.udp.stats;
-            counters.extend([
-                ("cts_udp_datagrams_sent_total", st.datagrams_sent()),
-                ("cts_udp_datagrams_received_total", st.datagrams_received()),
-                ("cts_udp_dropped_by_fault_total", st.dropped_by_fault()),
-                ("cts_udp_messages_completed_total", st.messages_completed()),
-                ("cts_udp_nacks_sent_total", st.nacks_sent()),
-                ("cts_udp_status_rounds_total", st.status_rounds()),
-                (
-                    "cts_udp_mcast_repair_chunks_total",
-                    st.mcast_repair_chunks(),
-                ),
-                ("cts_udp_tcp_repair_chunks_total", st.tcp_repair_chunks()),
-            ]);
-        }
         for (name, v) in counters {
             out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
         }
@@ -617,42 +567,6 @@ mod tests {
         let payload = result.unwrap_err();
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert!(msg.contains("exploded"));
-    }
-
-    #[test]
-    fn fabric_selection_resolves_transport_without_clobbering_it() {
-        let cfg = ClusterConfig::local(3).with_fabric(ShuffleFabric::UdpMulticast);
-        assert_eq!(cfg.resolved_transport(), TransportKind::Udp);
-        // Moving off the physical fabric must not leave the UDP transport
-        // (and its kernel multicast requirement) behind …
-        let cfg = cfg.with_fabric(ShuffleFabric::Multicast);
-        assert_eq!(cfg.resolved_transport(), TransportKind::Local);
-        // … and an explicitly chosen transport survives a fabric sweep
-        // through udp-multicast and back.
-        let cfg = ClusterConfig::tcp(3)
-            .with_fabric(ShuffleFabric::UdpMulticast)
-            .with_fabric(ShuffleFabric::Fanout);
-        assert_eq!(cfg.transport, TransportKind::Tcp);
-        assert_eq!(cfg.resolved_transport(), TransportKind::Tcp);
-    }
-
-    #[test]
-    fn spmd_multicast_over_udp() {
-        if crate::udp::skip_without_multicast() {
-            return;
-        }
-        let udp = ClusterConfig::local(3).with_fabric(ShuffleFabric::UdpMulticast);
-        let run = run_spmd(&udp, |comm| {
-            comm.set_stage("Shuffle");
-            let data = (comm.rank() == 1).then(|| Bytes::from(vec![7u8; 3000]));
-            comm.multicast(1, &[0, 1, 2], Tag::new(Tag::BCAST, 0), data)
-                .unwrap()
-                .len()
-        })
-        .unwrap();
-        assert_eq!(run.results, vec![3000, 3000, 3000]);
-        // Physically one egress crossing: the trace records wire_copies = 1.
-        assert_eq!(run.trace.stage_wire_sends("Shuffle"), 1);
     }
 
     #[test]

@@ -412,12 +412,7 @@ impl Communicator {
     ///   that the receivers' link readers drain concurrently): the NIC pays
     ///   one latency, and egress still moves `m × bytes`;
     /// * `Multicast` — one transfer charged `bytes × (1 + α·log2 m)` once,
-    ///   genuine one-to-many;
-    /// * `UdpMulticast` — identical accounting to `Multicast` (there the
-    ///   single egress crossing is what the socket actually does rather
-    ///   than an emulation convention), but the transport underneath sends
-    ///   one physical IP-multicast datagram stream per packet
-    ///   ([`udp`](crate::udp)).
+    ///   genuine one-to-many.
     ///
     /// The trace records **one** `Multicast` event (bytes counted once —
     /// the paper's communication-load convention) whose

@@ -2,16 +2,15 @@
 //!
 //! The paper's `MPI_Bcast` runs on EC2, which offers no network-layer
 //! multicast (§I), so every coded packet is really pushed point-to-point.
-//! This module names the three ways the substrate can realize a
-//! one-to-many transfer, so engines, benches, and the performance model
-//! can compare them under one vocabulary:
+//! This module names the three ways the substrate emulates a one-to-many
+//! transfer, so engines, benches, and the performance model can compare
+//! them under one vocabulary:
 //!
 //! | fabric | egress frames per group send | copies overlap? | emulates |
 //! |---|---|---|---|
 //! | [`SerialUnicast`](ShuffleFabric::SerialUnicast) | `m` (receiver count) | no — back-to-back blocking sends | the pre-async `tcp.rs` behavior; worst case |
 //! | [`Fanout`](ShuffleFabric::Fanout) | `m` | yes — the emulated NIC charges the copies as one transfer; on TCP they are written back to back into kernel buffers that the per-link readers drain concurrently | `MPI_Bcast` over unicast links (what the paper ran) |
 //! | [`Multicast`](ShuffleFabric::Multicast) | 1 | n/a — one transmission serves all receivers | network-layer multicast (zero-copy shared buffer / TCP copies charged once) |
-//! | [`UdpMulticast`](ShuffleFabric::UdpMulticast) | 1 | n/a — one **physical** IP-multicast datagram stream | nothing: it *is* network-layer multicast ([`udp`](crate::udp)) |
 //!
 //! [`ShuffleFabric::wire_copies`] is the per-fabric egress frame count the
 //! trace records, and [`ShuffleFabric::egress`] the one rule for what a
@@ -56,36 +55,15 @@ pub enum ShuffleFabric {
     /// that a network-layer multicast would cost.
     #[default]
     Multicast,
-    /// Physical IP multicast: every coded packet becomes one stream of UDP
-    /// datagrams addressed to a per-group multicast address
-    /// ([`udp`](crate::udp)), so the single-egress-frame semantics of
-    /// [`Multicast`](ShuffleFabric::Multicast) is realized by the kernel's
-    /// network stack instead of being emulated. Selecting this fabric
-    /// switches the cluster onto the UDP transport (TCP remains as the
-    /// control/unicast channel carrying NACK-based loss recovery).
-    UdpMulticast,
 }
 
 impl ShuffleFabric {
-    /// The three *emulated* fabrics, in the fixed comparison order benches
-    /// and tests use. They run on any transport, so sweeps over this set
-    /// never depend on kernel multicast support; add
-    /// [`UdpMulticast`](ShuffleFabric::UdpMulticast) via
-    /// [`ALL_WITH_UDP`](ShuffleFabric::ALL_WITH_UDP) when the caller can
-    /// skip gracefully where IP-multicast membership is denied.
+    /// Every fabric, in the fixed comparison order benches and tests use.
+    /// Each runs on either transport.
     pub const ALL: [ShuffleFabric; 3] = [
         ShuffleFabric::SerialUnicast,
         ShuffleFabric::Fanout,
         ShuffleFabric::Multicast,
-    ];
-
-    /// Every fabric including the physical UDP one (which requires kernel
-    /// multicast support — see [`udp::multicast_available`](crate::udp::multicast_available)).
-    pub const ALL_WITH_UDP: [ShuffleFabric; 4] = [
-        ShuffleFabric::SerialUnicast,
-        ShuffleFabric::Fanout,
-        ShuffleFabric::Multicast,
-        ShuffleFabric::UdpMulticast,
     ];
 
     /// How many times a payload multicast to `fanout` receivers crosses the
@@ -93,7 +71,7 @@ impl ShuffleFabric {
     pub fn wire_copies(self, fanout: usize) -> usize {
         match self {
             ShuffleFabric::SerialUnicast | ShuffleFabric::Fanout => fanout,
-            ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => 1.min(fanout),
+            ShuffleFabric::Multicast => 1.min(fanout),
         }
     }
 
@@ -104,16 +82,13 @@ impl ShuffleFabric {
     /// * `SerialUnicast` — one transfer per receiver: `m·(L + B/rate)`;
     /// * `Fanout` — one setup, `m` copies sharing the egress:
     ///   `L + m·B/rate`;
-    /// * `Multicast`, `UdpMulticast` — one transmission with the software
-    ///   multicast penalty ([`multicast_penalty`]): `L + B·(1 + α·log2 m)/rate`
-    ///   (for physical IP multicast a conservative bound).
+    /// * `Multicast` — one transmission with the software multicast penalty
+    ///   ([`multicast_penalty`]): `L + B·(1 + α·log2 m)/rate`.
     pub fn egress(self, bytes: f64, fanout: usize, alpha: f64) -> (usize, f64) {
         match self {
             ShuffleFabric::SerialUnicast => (fanout, bytes),
             ShuffleFabric::Fanout => (1.min(fanout), bytes * fanout as f64),
-            ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => {
-                (1.min(fanout), bytes * multicast_penalty(alpha, fanout))
-            }
+            ShuffleFabric::Multicast => (1.min(fanout), bytes * multicast_penalty(alpha, fanout)),
         }
     }
 
@@ -123,7 +98,6 @@ impl ShuffleFabric {
             ShuffleFabric::SerialUnicast => "serial-unicast",
             ShuffleFabric::Fanout => "fanout",
             ShuffleFabric::Multicast => "multicast",
-            ShuffleFabric::UdpMulticast => "udp-multicast",
         }
     }
 }
@@ -153,9 +127,8 @@ impl FromStr for ShuffleFabric {
             "serial-unicast" | "serial" | "unicast" => Ok(ShuffleFabric::SerialUnicast),
             "fanout" => Ok(ShuffleFabric::Fanout),
             "multicast" | "mcast" => Ok(ShuffleFabric::Multicast),
-            "udp-multicast" | "udp" => Ok(ShuffleFabric::UdpMulticast),
             other => Err(format!(
-                "unknown fabric {other:?} (expected serial-unicast | fanout | multicast | udp-multicast)"
+                "unknown fabric {other:?} (expected serial-unicast | fanout | multicast)"
             )),
         }
     }
@@ -170,9 +143,8 @@ mod tests {
         assert_eq!(ShuffleFabric::SerialUnicast.wire_copies(5), 5);
         assert_eq!(ShuffleFabric::Fanout.wire_copies(5), 5);
         assert_eq!(ShuffleFabric::Multicast.wire_copies(5), 1);
-        assert_eq!(ShuffleFabric::UdpMulticast.wire_copies(5), 1);
         // Degenerate empty group costs nothing anywhere.
-        for f in ShuffleFabric::ALL_WITH_UDP {
+        for f in ShuffleFabric::ALL {
             assert_eq!(f.wire_copies(0), 0);
             assert_eq!(f.egress(1e6, 0, 0.3).0, 0);
         }
@@ -190,13 +162,12 @@ mod tests {
             close(cost(ShuffleFabric::Fanout, m), l + mf * b / rate);
             let mcast = l + b * (1.0 + alpha * mf.log2()) / rate;
             close(cost(ShuffleFabric::Multicast, m), mcast);
-            close(cost(ShuffleFabric::UdpMulticast, m), mcast);
             // Frames on the wire and transfers through the NIC differ only
             // for `Fanout`: m frames, one setup.
             assert_eq!(ShuffleFabric::Fanout.egress(b, m, alpha).0, 1);
         }
         // One receiver costs the same on every fabric.
-        for f in ShuffleFabric::ALL_WITH_UDP {
+        for f in ShuffleFabric::ALL {
             assert_eq!(cost(f, 1), l + b / rate);
         }
         assert_eq!(multicast_penalty(0.5, 4), 2.0);
@@ -205,11 +176,10 @@ mod tests {
 
     #[test]
     fn parse_round_trips_labels() {
-        for f in ShuffleFabric::ALL_WITH_UDP {
+        for f in ShuffleFabric::ALL {
             assert_eq!(f.label().parse::<ShuffleFabric>(), Ok(f));
             assert_eq!(f.to_string(), f.label());
         }
-        assert_eq!("udp".parse(), Ok(ShuffleFabric::UdpMulticast));
         assert!("tachyon".parse::<ShuffleFabric>().is_err());
     }
 

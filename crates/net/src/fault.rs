@@ -37,55 +37,6 @@ use crate::error::{NetError, Result};
 use crate::message::{Key, Tag};
 use crate::transport::Transport;
 
-/// Decision returned by a datagram-level fault rule for one outgoing UDP
-/// chunk of the [`udp`](crate::udp) fabric. Unlike [`FaultAction`], there
-/// is no corrupt/fail variant: a mangled datagram is indistinguishable
-/// from a lost one at the reliability layer (length/offset validation
-/// rejects it), so `Drop` models the whole class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DatagramAction {
-    /// Send the datagram normally.
-    Deliver,
-    /// Silently drop it before it reaches the socket — a lost frame the
-    /// NACK layer must recover.
-    Drop,
-}
-
-/// Rule signature for datagram fault injection:
-/// `(sender rank, group mask, message seq, chunk index, per-endpoint
-/// datagram index)` → action. Retransmitted chunks pass through the rule
-/// again (with fresh datagram indices), so a probabilistic rule exercises
-/// repeated-loss recovery too; the sender rank lets a rule black out one
-/// node's egress entirely.
-pub type DatagramRule = dyn Fn(usize, u128, u32, u16, u64) -> DatagramAction + Send + Sync;
-
-/// A deterministic ~`percent`% datagram-loss rule: drops when a hash of
-/// the datagram index (mixed with `seed`) lands under the threshold.
-/// Deterministic per `(seed, index)`, so failing runs replay exactly.
-pub fn datagram_loss_rule(percent: u32, seed: u64) -> std::sync::Arc<DatagramRule> {
-    std::sync::Arc::new(move |_sender, _mask, _seq, _chunk, idx| {
-        let h = (idx ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
-        if h % 100 < percent as u64 {
-            DatagramAction::Drop
-        } else {
-            DatagramAction::Deliver
-        }
-    })
-}
-
-/// A whole-sender blackout: every datagram `victim` sends is dropped —
-/// the node is alive (it receives, maps, reduces) but its egress is dead.
-/// The harshest straggler: quorum decode must complete without it.
-pub fn sender_blackout_rule(victim: usize) -> std::sync::Arc<DatagramRule> {
-    std::sync::Arc::new(move |sender, _mask, _seq, _chunk, _idx| {
-        if sender == victim {
-            DatagramAction::Drop
-        } else {
-            DatagramAction::Deliver
-        }
-    })
-}
-
 /// Decision returned by a fault rule for one outgoing message.
 pub enum FaultAction {
     /// Deliver unchanged.
@@ -328,28 +279,6 @@ mod tests {
         let got = fabric.endpoint(1).recv(0, Tag::app(0)).unwrap();
         assert_eq!(got[0], b'a' ^ 0xFF);
         assert_eq!(&got[1..], b"bc");
-    }
-
-    #[test]
-    fn datagram_loss_rule_is_deterministic_and_roughly_calibrated() {
-        let rule = datagram_loss_rule(20, 7);
-        let first: Vec<DatagramAction> = (0..1000).map(|i| rule(0, 0, 0, 0, i)).collect();
-        let second: Vec<DatagramAction> = (0..1000).map(|i| rule(0, 0, 0, 0, i)).collect();
-        assert_eq!(first, second, "rule must replay identically");
-        let drops = first.iter().filter(|a| **a == DatagramAction::Drop).count();
-        assert!((100..400).contains(&drops), "~20% of 1000, got {drops}");
-        // 0% never drops.
-        let never = datagram_loss_rule(0, 7);
-        assert!((0..1000).all(|i| never(0, 0, 0, 0, i) == DatagramAction::Deliver));
-    }
-
-    #[test]
-    fn sender_blackout_drops_only_the_victim() {
-        let rule = sender_blackout_rule(2);
-        assert_eq!(rule(2, 0, 0, 0, 0), DatagramAction::Drop);
-        assert_eq!(rule(2, 5, 9, 1, 77), DatagramAction::Drop);
-        assert_eq!(rule(0, 0, 0, 0, 0), DatagramAction::Deliver);
-        assert_eq!(rule(3, 0, 0, 0, 0), DatagramAction::Deliver);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Detection is heartbeat-only on purpose: the in-memory fabric gives
 //! peers no socket EOF to observe when an endpoint stops (its mailbox
 //! just goes quiet), so deadline expiry is the one signal that works
-//! uniformly across local, TCP, and UDP fabrics.
+//! uniformly across the local and TCP fabrics.
 //!
 //! ```
 //! use std::time::Duration;

@@ -14,11 +14,9 @@
 //!   loopback, length-prefixed frames, blocking sockets: one acceptor per
 //!   endpoint and one reader thread per used link; tested to a `K = 32`
 //!   full mesh);
-//! * [`udp`] — physical UDP/IP-multicast transport: one datagram stream
-//!   per coded packet to a per-group multicast address, with MTU chunking
-//!   and NACK-based loss recovery over the TCP control channel;
 //! * [`fabric`] — the [`ShuffleFabric`] selector: serial-unicast vs fanout
-//!   vs native multicast realizations of a group send;
+//!   vs emulated multicast realizations of a group send (EC2 has no
+//!   network-layer multicast, so one-to-many is always emulated);
 //! * [`comm`] — the per-node [`Communicator`]:
 //!   send/recv, barrier, the fabric-aware
 //!   [`Communicator::multicast`] (the `MPI_Bcast` of the paper's Multicast
@@ -82,7 +80,6 @@ pub mod span;
 pub mod tcp;
 pub mod trace;
 pub mod transport;
-pub mod udp;
 
 pub use cluster::{
     run_spmd, run_spmd_with_inputs, ClusterConfig, ClusterRun, JobBinding, SharedFabric,
@@ -98,4 +95,3 @@ pub use registry::{MembershipView, RankRegistry};
 pub use span::{SpanLog, StageSpan};
 pub use trace::{EventKind, Trace, TraceEvent};
 pub use transport::Transport;
-pub use udp::{build_udp_fabric, UdpConfig, UdpEndpoint, UdpFabricStats};

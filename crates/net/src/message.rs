@@ -26,14 +26,6 @@ impl Tag {
     pub const BARRIER: u8 = 0xB0;
     /// Multicast payloads (one sub-tag per multicast group).
     pub const BCAST: u8 = 0xB1;
-    /// UDP-fabric control requests (status queries, NACKs) carried over the
-    /// TCP control channel and serviced by each endpoint's control thread.
-    pub const UDP_CTRL: u8 = 0xC0;
-    /// UDP-fabric status replies, awaited synchronously by the requester.
-    pub const UDP_REPLY: u8 = 0xC1;
-    /// UDP-fabric repair data: chunks retransmitted over TCP unicast after
-    /// the bounded multicast-retransmit budget is exhausted.
-    pub const UDP_REPAIR: u8 = 0xC2;
     /// Heartbeat beacons from the health layer (one fixed sub-tag; the
     /// monitor drains the whole queue on every tick).
     pub const HEARTBEAT: u8 = 0xC3;

@@ -8,13 +8,6 @@
 //! needs it, the dialer introducing itself with a 4-byte hello — so sparse
 //! communication patterns open only the file descriptors they use.
 //!
-//! [`UdpGroupPlan`] extends the registry to the [`udp`](crate::udp)
-//! fabric: it deterministically allocates a multicast group address for
-//! every multicast *set* (receiver bitmask) from a small address pool, so
-//! each endpoint joins the pool's groups once at bring-up — Linux caps
-//! IGMP memberships per socket (`igmp_max_memberships`, default 20), which
-//! rules out one membership per `C(K, r+1)` group at paper scale.
-//!
 //! ```
 //! use cts_net::registry::RankRegistry;
 //!
@@ -26,7 +19,7 @@
 //! assert!(registry.addr(7).is_none());
 //! ```
 
-use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener};
+use std::net::{SocketAddr, TcpListener};
 
 use crate::error::{NetError, Result};
 
@@ -160,64 +153,6 @@ impl MembershipView {
     }
 }
 
-/// Deterministic multicast-group addressing for the UDP fabric.
-///
-/// Every multicast *set* (a receiver bitmask over ranks) maps to one
-/// administratively scoped group address (`239.195.77.x`, RFC 2365) drawn
-/// from a pool of [`POOL`](Self::POOL) addresses, all sharing one UDP `port`. The
-/// mapping is a pure hash of the mask, so every rank computes the same
-/// address for the same set without coordination, and receivers join the
-/// whole (small) pool once at bring-up — receiver-mask filtering in the
-/// datagram header handles pool collisions and over-delivery, exactly like
-/// coarse IGMP snooping on a real switch.
-///
-/// ```
-/// use cts_net::registry::UdpGroupPlan;
-///
-/// let plan = UdpGroupPlan::new(4000);
-/// // Same set → same group address, on every rank.
-/// assert_eq!(plan.addr_for(0b0110), plan.addr_for(0b0110));
-/// assert_eq!(plan.pool().len(), 8);
-/// assert!(plan.pool().contains(plan.addr_for(0b0110).ip()));
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UdpGroupPlan {
-    port: u16,
-}
-
-impl UdpGroupPlan {
-    /// Pool size: well under Linux's per-socket IGMP membership cap
-    /// (`igmp_max_memberships`, typically 20).
-    pub const POOL: u8 = 8;
-
-    /// A plan over the pool's group addresses on the given UDP port.
-    pub fn new(port: u16) -> Self {
-        UdpGroupPlan { port }
-    }
-
-    /// The shared UDP port every group of this plan uses.
-    pub fn port(&self) -> u16 {
-        self.port
-    }
-
-    /// All group addresses of the pool, in join order.
-    pub fn pool(&self) -> Vec<Ipv4Addr> {
-        (0..Self::POOL)
-            .map(|i| Ipv4Addr::new(239, 195, 77, i + 1))
-            .collect()
-    }
-
-    /// The group socket address allocated to the multicast set `mask`.
-    pub fn addr_for(&self, mask: u128) -> SocketAddrV4 {
-        // Fibonacci-hash the folded mask so adjacent receiver sets spread
-        // over the pool instead of clustering on one address.
-        let folded = (mask as u64) ^ ((mask >> 64) as u64);
-        let h = folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let slot = (h % Self::POOL as u64) as u8;
-        SocketAddrV4::new(Ipv4Addr::new(239, 195, 77, slot + 1), self.port)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,23 +167,6 @@ mod tests {
             RankRegistry::bind_loopback(MAX_WORLD + 1),
             Err(NetError::InvalidRank { .. })
         ));
-    }
-
-    #[test]
-    fn group_plan_is_deterministic_and_pool_bounded() {
-        let plan = UdpGroupPlan::new(4100);
-        let pool = plan.pool();
-        assert_eq!(pool.len(), 8);
-        let mut seen = std::collections::HashSet::new();
-        for mask in [0b11u128, 0b101, 0b1110, 1u128 << 127 | 1, u128::MAX] {
-            let addr = plan.addr_for(mask);
-            assert_eq!(addr, plan.addr_for(mask), "stable for {mask:#x}");
-            assert_eq!(addr.port(), 4100);
-            assert!(pool.contains(addr.ip()), "in pool for {mask:#x}");
-            seen.insert(*addr.ip());
-        }
-        // The hash actually spreads sets over more than one address.
-        assert!(seen.len() > 1, "all masks collapsed onto one group");
     }
 
     #[test]

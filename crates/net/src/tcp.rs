@@ -9,8 +9,7 @@
 //! A frame leaves in one vectored write under its link's lock;
 //! [`Transport::multicast`] writes its copies back to back into kernel
 //! buffers that the receivers' readers drain concurrently — the
-//! fanout/multicast fabrics of [`fabric`](crate::fabric). (For *physical*
-//! one-to-many frames, see [`udp`](crate::udp).)
+//! fanout/multicast fabrics of [`fabric`](crate::fabric).
 //!
 //! Bring-up is **lazy**: the [`registry`](crate::registry) binds `K`
 //! listeners, and a directed link `i → j` is dialed when `i` first sends to
@@ -182,13 +181,6 @@ impl TcpEndpoint {
         });
         self.outbound.lock().insert(dst, Arc::clone(&link));
         Ok(link)
-    }
-
-    /// This rank's mailbox. The UDP fabric layered over this mesh delivers
-    /// its reassembled datagrams into it and waits on it directly, so a
-    /// rank has one queue whatever path a message took.
-    pub(crate) fn mailbox(&self) -> &Arc<Mailbox> {
-        &self.inbound.mailbox
     }
 
     /// Joins the acceptor and every reader after shutting the sockets down.

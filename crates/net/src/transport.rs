@@ -27,9 +27,7 @@ use crate::message::{Key, Tag};
 ///
 /// Implementations: [`local::LocalEndpoint`](crate::local::LocalEndpoint)
 /// (in-process, channel-backed), [`tcp::TcpEndpoint`](crate::tcp::TcpEndpoint)
-/// (real sockets), [`udp::UdpEndpoint`](crate::udp::UdpEndpoint) (physical
-/// IP multicast over that TCP mesh, sharing its mailbox) and
-/// [`fault::FaultyTransport`](crate::fault::FaultyTransport) (failure
+/// (real sockets) and [`fault::FaultyTransport`](crate::fault::FaultyTransport) (failure
 /// injection for tests).
 ///
 /// Semantics mirror MPI's point-to-point layer:

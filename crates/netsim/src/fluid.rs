@@ -214,9 +214,7 @@ pub fn fabric_queues(
 ) -> Vec<Vec<TraceEvent>> {
     let base = transfers_by_sender(trace, stage, scale);
     match fabric {
-        // Physical UDP multicast flows exactly like the emulated native
-        // multicast: one egress crossing per group send.
-        ShuffleFabric::Multicast | ShuffleFabric::UdpMulticast => base,
+        ShuffleFabric::Multicast => base,
         ShuffleFabric::SerialUnicast => base
             .into_iter()
             .map(|queue| {

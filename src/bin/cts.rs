@@ -4,7 +4,7 @@
 //! cts gen    --records 100000 --out data.bin [--seed 7] [--skew 0.6]
 //! cts sort   --input data.bin --k 8 --r 3 [--pods 4] [--sampled 16]
 //!            [--tcp] [--sort-kernel key-index] [--threads 4]
-//!            [--fabric udp-multicast] [--field gf256] [--decode quorum]
+//!            [--fabric fanout] [--field gf256] [--decode quorum]
 //!            [--recovery speculative] [--heartbeat-ms 25]
 //!            [--idle-timeout-ms 10000] [--paper-nic] [--timeline trace.json]
 //! cts serve  --k 4 --r 2 --port 0 [--tcp] [--max-concurrent 4] [--queue 16]
@@ -30,28 +30,35 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_flags(rest) {
-        Ok(o) => o,
+    let (run, known): (Subcommand, &[&str]) = match cmd.as_str() {
+        "gen" => (cmd_gen, GEN_FLAGS),
+        "sort" => (cmd_sort, SORT_FLAGS),
+        "serve" => (cmd_serve, SERVE_FLAGS),
+        "submit" => (cmd_submit, SUBMIT_FLAGS),
+        "stats" => (cmd_stats, STATS_FLAGS),
+        "model" => (cmd_model, MODEL_FLAGS),
+        "theory" => (cmd_theory, THEORY_FLAGS),
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("error: unknown command `{other}`");
+            return ExitCode::FAILURE;
+        }
+    };
+    let opts = match parse_flags(rest, known) {
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "gen" => cmd_gen(&opts),
-        "sort" => cmd_sort(&opts),
-        "serve" => cmd_serve(&opts),
-        "submit" => cmd_submit(&opts),
-        "stats" => cmd_stats(&opts),
-        "model" => cmd_model(&opts),
-        "theory" => cmd_theory(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -69,7 +76,7 @@ USAGE:
   cts sort   --input FILE --k K [--r R] [--pods G] [--sampled STRIDE]
                [--tcp] [--no-validate]
                [--sort-kernel comparison|key-index] [--threads T]
-               [--fabric serial-unicast|fanout|multicast|udp-multicast]
+               [--fabric serial-unicast|fanout|multicast]
                [--field gf2|gf256] [--decode all|quorum] [--paper-nic]
                [--timeline FILE]
                sort a file on the one engine: r=1 → TeraSort, r>1 →
@@ -80,8 +87,9 @@ USAGE:
                --field → finite field for coded packets (gf2 = the
                  paper's XOR code, default; gf256 = q-ary combinations on
                  SIMD kernels — same sorted output, different wire bytes),
-               --fabric → how multicast groups hit the wire (udp-multicast =
-               physical IP multicast; needs kernel multicast support),
+               --fabric → how multicast groups hit the wire (multicast =
+                 one crossing per group send, default; fanout = the
+                 paper's MPI_Bcast, one copy per receiver),
                --decode → coded decode discipline (all = the paper's
                  barrier-on-all, default; quorum = release each group once
                  any r-1 of r coded packets arrive — GF(256) MDS code, the
@@ -135,13 +143,25 @@ USAGE:
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// A subcommand's body: it reads its flags and reports misuse as `Err`.
+type Subcommand = fn(&Flags) -> Result<(), String>;
+
+/// Reads `args` as the flags of a subcommand that knows only `known`:
+/// `None` when they ask for help (`--help` / `-h`), an error naming the
+/// first flag the subcommand would not read.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<Option<Flags>, String> {
     let mut out = HashMap::new();
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        if arg == "--help" || arg == "-h" {
+            return Ok(None);
+        }
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{arg}`"));
         };
+        if !known.contains(&name) {
+            return Err(format!("unknown flag `--{name}`"));
+        }
         // Boolean flags take no value.
         if matches!(
             name,
@@ -155,7 +175,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             .ok_or_else(|| format!("--{name} needs a value"))?;
         out.insert(name.to_string(), value.clone());
     }
-    Ok(out)
+    Ok(Some(out))
 }
 
 fn req<T: std::str::FromStr>(opts: &Flags, name: &str) -> Result<T, String> {
@@ -184,6 +204,8 @@ where
         .map_or_else(|| Ok(T::default()), |v| v.parse())
 }
 
+const GEN_FLAGS: &[&str] = &["records", "out", "seed", "skew"];
+
 fn cmd_gen(opts: &Flags) -> Result<(), String> {
     let records: usize = req(opts, "records")?;
     let out: String = req(opts, "out")?;
@@ -202,6 +224,26 @@ fn cmd_gen(opts: &Flags) -> Result<(), String> {
     );
     Ok(())
 }
+
+const SORT_FLAGS: &[&str] = &[
+    "input",
+    "k",
+    "r",
+    "pods",
+    "sampled",
+    "tcp",
+    "no-validate",
+    "paper-nic",
+    "threads",
+    "sort-kernel",
+    "fabric",
+    "field",
+    "decode",
+    "recovery",
+    "heartbeat-ms",
+    "idle-timeout-ms",
+    "timeline",
+];
 
 fn cmd_sort(opts: &Flags) -> Result<(), String> {
     let input_path: String = req(opts, "input")?;
@@ -235,13 +277,7 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
             String::new()
         },
         if sampled > 0 { ", sampled" } else { "" },
-        if fabric == cts_net::ShuffleFabric::UdpMulticast {
-            "UDP multicast (TCP control channel)"
-        } else if tcp {
-            "TCP"
-        } else {
-            "in-memory channels"
-        },
+        if tcp { "TCP" } else { "in-memory channels" },
     );
 
     // One engine configuration, one job, one call: the layout (r = 1, coded,
@@ -354,6 +390,17 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+const SERVE_FLAGS: &[&str] = &[
+    "k",
+    "r",
+    "port",
+    "max-concurrent",
+    "queue",
+    "threads",
+    "tcp",
+    "metrics-port",
+];
+
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
     let k: usize = req(opts, "k")?;
     let r: usize = opt(opts, "r", 1)?;
@@ -440,12 +487,19 @@ mod signals {
     }
 }
 
+const STATS_FLAGS: &[&str] = &["addr"];
+
 fn cmd_stats(opts: &Flags) -> Result<(), String> {
     let addr: String = req(opts, "addr")?;
     let mut client = ServiceClient::connect(&*addr)?;
     print!("{}", client.stats()?);
     Ok(())
 }
+
+const SUBMIT_FLAGS: &[&str] = &[
+    "addr", "shutdown", "kind", "pattern", "r", "input", "records", "seed", "no-wait", "out",
+    "timeline",
+];
 
 fn cmd_submit(opts: &Flags) -> Result<(), String> {
     let addr: String = req(opts, "addr")?;
@@ -518,6 +572,8 @@ fn cmd_submit(opts: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+const MODEL_FLAGS: &[&str] = &["k", "r", "records", "target-gb"];
+
 fn cmd_model(opts: &Flags) -> Result<(), String> {
     let k: usize = req(opts, "k")?;
     let r: usize = req(opts, "r")?;
@@ -545,6 +601,8 @@ fn cmd_model(opts: &Flags) -> Result<(), String> {
     );
     Ok(())
 }
+
+const THEORY_FLAGS: &[&str] = &["k", "tmap", "tshuffle", "treduce"];
 
 fn cmd_theory(opts: &Flags) -> Result<(), String> {
     let k: usize = req(opts, "k")?;

@@ -2,13 +2,10 @@
 //! schedules* for the same logical exchange, so they must produce
 //! byte-identical sorted output — while their traces record very different
 //! egress send counts (native multicast sends exactly `1/r` of the frames
-//! serial-unicast emulation does). The `udp_` tests extend the bracket to
-//! the physical UDP/IP-multicast fabric and skip gracefully where the
-//! kernel denies multicast membership.
+//! serial-unicast emulation does).
 
 use coded_terasort::prelude::*;
 use cts_net::trace::EventKind;
-use cts_net::udp::{multicast_available, skip_without_multicast};
 
 /// Runs one coded sort per fabric and returns (outputs, wire_sends,
 /// multicast_events) per fabric, in `ShuffleFabric::ALL` order.
@@ -68,103 +65,16 @@ fn trace_send_counts_scale_with_fabric() {
     assert_eq!(multicast.1, multicast.2 as u64);
 }
 
-#[test]
-fn udp_multicast_sorts_identically_with_physical_single_sends() {
-    if skip_without_multicast() {
-        return;
-    }
-    let r = 2;
-    let input = teragen::generate(1_800, 99);
-    let serial = run_coded_terasort(
-        input.clone(),
-        &SortJob::new(EngineConfig::local(6, r).with_fabric(ShuffleFabric::SerialUnicast)),
-    )
-    .expect("serial run");
-    serial.validate().expect("TeraValidate serial");
-    let udp = run_coded_terasort(
-        input,
-        &SortJob::new(EngineConfig::local(6, r).with_fabric(ShuffleFabric::UdpMulticast)),
-    )
-    .expect("udp run");
-    udp.validate().expect("TeraValidate udp");
-
-    // Byte-identical output to the serial-unicast baseline.
-    assert_eq!(udp.outcome.outputs, serial.outcome.outputs);
-
-    // Physically one egress crossing per group send: every multicast event
-    // is traced with wire_copies == 1, so the stage's wire sends equal its
-    // multicast-event count — r× fewer frames than serial-unicast.
-    let trace = &udp.outcome.trace;
-    let multicasts: Vec<_> = trace
-        .stage_events("Shuffle")
-        .filter(|e| e.kind == EventKind::Multicast)
-        .collect();
-    assert!(!multicasts.is_empty());
-    assert!(multicasts.iter().all(|e| e.wire_copies == 1));
-    assert_eq!(
-        trace.stage_wire_sends("Shuffle"),
-        multicasts.len() as u64,
-        "one physical frame per multicast send"
-    );
-    assert_eq!(
-        serial.outcome.trace.stage_wire_sends("Shuffle"),
-        multicasts.len() as u64 * r as u64,
-    );
-}
-
-#[test]
-fn udp_trace_is_bracketed_by_the_netsim_oracle() {
-    if skip_without_multicast() {
-        return;
-    }
-    use cts_netsim::config::NetModelConfig;
-    use cts_netsim::fluid::predict_fabric_shuffle_s;
-    use cts_netsim::serial::serial_fabric_makespan;
-
-    let input = teragen::generate(2_400, 17);
-    let run = run_coded_terasort(
-        input,
-        &SortJob::new(EngineConfig::local(6, 3).with_fabric(ShuffleFabric::UdpMulticast)),
-    )
-    .unwrap();
-    run.validate().unwrap();
-    let trace = &run.outcome.trace;
-    let net = NetModelConfig::ec2_100mbps();
-    for fabric in ShuffleFabric::ALL_WITH_UDP {
-        let serial = serial_fabric_makespan(trace, "Shuffle", fabric, &net, 1.0);
-        let fluid = predict_fabric_shuffle_s(trace, "Shuffle", fabric, &net, 1.0);
-        assert!(serial > 0.0, "{fabric}");
-        // The fluid (concurrent) bound can never exceed the strictly
-        // serial schedule of the same flows.
-        assert!(
-            fluid <= serial * 1.0001,
-            "{fabric}: fluid {fluid} > serial {serial}"
-        );
-    }
-    // The physical fabric models identically to the emulated native
-    // multicast, and strictly below serial-unicast emulation.
-    let udp_model =
-        serial_fabric_makespan(trace, "Shuffle", ShuffleFabric::UdpMulticast, &net, 1.0);
-    let native = serial_fabric_makespan(trace, "Shuffle", ShuffleFabric::Multicast, &net, 1.0);
-    let serial_uni =
-        serial_fabric_makespan(trace, "Shuffle", ShuffleFabric::SerialUnicast, &net, 1.0);
-    assert!((udp_model - native).abs() < 1e-12);
-    assert!(udp_model < serial_uni);
-}
-
 /// Regression for the wire-copy / receiver-mask accounting across the
-/// three emulated fabrics (plus the physical one when available): the
-/// *logical* exchange — multicast events with identical `(src, mask,
-/// bytes)` multisets — must be fabric-invariant, while `stage_wire_sends`
-/// scales exactly with each fabric's `wire_copies` factor.
+/// three fabrics: the *logical* exchange — multicast events with identical
+/// `(src, mask, bytes)` multisets — must be fabric-invariant, while
+/// `stage_wire_sends` scales exactly with each fabric's `wire_copies`
+/// factor.
 #[test]
 fn wire_copy_and_mask_accounting_is_consistent_across_fabrics() {
     let r = 3usize;
     let input = teragen::generate(1_500, 55);
-    let mut fabrics: Vec<ShuffleFabric> = ShuffleFabric::ALL.to_vec();
-    if multicast_available() {
-        fabrics.push(ShuffleFabric::UdpMulticast);
-    }
+    let fabrics = ShuffleFabric::ALL;
     let mut exchanges: Vec<Vec<(u16, u128, u64)>> = Vec::new();
     let mut wire_sends = Vec::new();
     let mut event_counts = Vec::new();
@@ -194,13 +104,10 @@ fn wire_copy_and_mask_accounting_is_consistent_across_fabrics() {
         );
     }
     // serial-unicast and fanout charge fanout(=r) copies per event; the
-    // native and physical multicast fabrics charge one.
+    // multicast fabric charges one.
     assert_eq!(wire_sends[0], event_counts[0] * r as u64);
     assert_eq!(wire_sends[1], wire_sends[0]);
     assert_eq!(wire_sends[2], event_counts[2]);
-    if let Some(udp_sends) = wire_sends.get(3) {
-        assert_eq!(*udp_sends, event_counts[3]);
-    }
 }
 
 #[test]

@@ -12,7 +12,6 @@
 //! classic code and needs every packet) covered too.
 
 use coded_terasort::prelude::*;
-use cts_net::udp::multicast_available;
 use cts_terasort::workload::TeraSortWorkload;
 
 fn sorted_outputs(job: &SortJob, input: &bytes::Bytes) -> Vec<Vec<u8>> {
@@ -25,12 +24,8 @@ fn sorted_outputs(job: &SortJob, input: &bytes::Bytes) -> Vec<Vec<u8>> {
 fn gf2_and_gf256_sort_identically_across_fabrics() {
     let (k, r) = (6, 3);
     let input = teragen::generate(1_800, 99);
-    let mut fabrics: Vec<ShuffleFabric> = ShuffleFabric::ALL.to_vec();
-    if multicast_available() {
-        fabrics.push(ShuffleFabric::UdpMulticast);
-    }
     let reference = sorted_outputs(&SortJob::local(k, r), &input);
-    for &fabric in &fabrics {
+    for fabric in ShuffleFabric::ALL {
         let job = SortJob::new(
             EngineConfig::local(k, r)
                 .with_fabric(fabric)
@@ -82,18 +77,10 @@ fn gf256_pods_engine_matches_gf2() {
 #[test]
 fn quorum_decode_matches_all_decode_across_fields_and_fabrics() {
     let (k, r) = (5, 3);
-    // Every fabric on an input that loses no datagram; the UDP fabric also
-    // on one that overflows its receive socket, where a group short of its
-    // quorum has to be repaired.
-    let mut legs: Vec<(ShuffleFabric, usize)> =
-        ShuffleFabric::ALL.iter().map(|&f| (f, 1_800)).collect();
-    if multicast_available() {
-        legs.push((ShuffleFabric::UdpMulticast, 1_800));
-        legs.push((ShuffleFabric::UdpMulticast, 20_000));
-    }
-    for (fabric, records) in legs {
-        let input = teragen::generate(records, 333);
-        let reference = sorted_outputs(&SortJob::local(k, r), &input);
+    let records = 1_800;
+    let input = teragen::generate(records, 333);
+    let reference = sorted_outputs(&SortJob::local(k, r), &input);
+    for fabric in ShuffleFabric::ALL {
         for field in FieldKind::ALL {
             let job = SortJob::new(
                 EngineConfig::local(k, r)
