@@ -918,6 +918,14 @@ impl ServiceClient {
     pub fn digest(&mut self, id: u32) -> Result<ResultDigest, String> {
         let resp = self.roundtrip(&[&Self::job_request(OP_DIGEST, id)])?;
         let parts = u32::from_le_bytes(take::<4>(&resp, 0)?) as usize;
+        // The count is the service's claim: the reply's length must agree
+        // with it, to the byte, before a list is sized from it.
+        if 4 + 16 * parts as u64 + 8 != resp.len() as u64 {
+            return Err(format!(
+                "malformed DIGEST reply: {parts} parts in {} bytes",
+                resp.len()
+            ));
+        }
         let mut partitions = Vec::with_capacity(parts);
         let mut at = 4;
         for _ in 0..parts {
@@ -1465,9 +1473,9 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// FETCHes job 1 from a fake service that answers with `reply`, a whole
-    /// frame however it lies, and hangs up.
-    fn fetch_from_fake(reply: Vec<u8>) -> Result<Vec<Vec<u8>>, String> {
+    /// Asks `ask` of a fake service that reads one job request (9 bytes),
+    /// answers with `reply`, a whole frame however it lies, and hangs up.
+    fn ask_fake<T>(reply: Vec<u8>, ask: impl FnOnce(&mut ServiceClient) -> T) -> T {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let fake = std::thread::spawn(move || {
@@ -1475,9 +1483,50 @@ mod tests {
             conn.read_exact(&mut [0u8; 9]).unwrap();
             let _ = conn.write_all(&reply);
         });
-        let fetched = ServiceClient::connect(addr).unwrap().fetch(1);
+        let answer = ask(&mut ServiceClient::connect(addr).unwrap());
         fake.join().unwrap();
-        fetched
+        answer
+    }
+
+    /// FETCHes job 1 from a fake service that answers with `reply`.
+    fn fetch_from_fake(reply: Vec<u8>) -> Result<Vec<Vec<u8>>, String> {
+        ask_fake(reply, |client| client.fetch(1))
+    }
+
+    #[test]
+    fn a_digest_reply_that_lies_about_its_part_count_is_an_error() {
+        // A DIGEST reply frame: its honest length, OK, the part count, then
+        // `body` as given.
+        let frame = |parts: u32, body: &[u8]| {
+            let claimed = (5 + body.len() as u32).to_le_bytes();
+            [&claimed[..], &[RESP_OK], &parts.to_le_bytes(), body].concat()
+        };
+        let words =
+            |words: &[u64]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        let digest_from_fake = |reply| ask_fake(reply, |client| client.digest(1));
+        assert_eq!(
+            digest_from_fake(frame(2, &words(&[3, 0xab, 0, 0xcd, 0xef]))),
+            Ok(ResultDigest {
+                partitions: vec![(3, 0xab), (0, 0xcd)],
+                total: 0xef,
+            })
+        );
+        // Taken at its word, the 2^32 − 1 parts would ask for 64 GiB.
+        let lies = [
+            (
+                frame(u32::MAX, &words(&[0xef])),
+                "4294967295 parts in 12 bytes",
+            ),
+            (frame(2, &words(&[3, 0xab, 0xef])), "2 parts in 28 bytes"),
+            (
+                frame(1, &[words(&[3, 0xab, 0xef]), b"xyz".to_vec()].concat()),
+                "1 parts in 31 bytes",
+            ),
+        ];
+        for (reply, why) in lies {
+            let err = digest_from_fake(reply).expect_err(why);
+            assert!(err.contains(why), "{err}, not {why}");
+        }
     }
 
     #[test]

@@ -8,19 +8,25 @@
 //! completes it — a copy of the piece, bucket by bucket, in a buffer leased
 //! from [`cts_core::pool`] while the piece itself goes back to it. What is
 //! left once the last piece is in is one pass over the buckets in key order,
-//! each small enough to stay in cache: read each key once into a packed
-//! `(key, index)` entry (`u128`: 80 key bits above 48 index bits), order the
-//! 16-byte entries, and copy the records **once** into the output.
+//! each small enough to stay in cache: read each key once into an 8-byte
+//! entry, order the entries, and copy the records **once** into the output.
+//!
+//! An entry is a `u64`: the key's offset from its bucket's first key, cut to
+//! the bits the index leaves (a normalized key prefix, the idea behind
+//! offset-value coding), above the index, which counts the bucket's records
+//! in file order, then position. A bucket spans a small slice of the key
+//! space, so the cut drops only low bits: a run of entries with equal
+//! prefixes — rare but for duplicate keys — is re-ordered by the full 10-byte
+//! key, then index.
 //!
 //! * [`SortKernel::Comparison`] — `sort_unstable` over a bucket's entries:
-//!   the paper's `std::sort` (§V-A), comparing two machine words per step
+//!   the paper's `std::sort` (§V-A), comparing one machine word per step
 //!   instead of dereferencing two records.
 //! * [`SortKernel::KeyIndex`] — least-significant-digit radix sort over the
-//!   10-byte key of the same entries: five 16-bit passes over a large bucket,
-//!   ten 8-bit ones over a small one (whose count tables then stay small too).
+//!   prefix of the same entries: 16-bit digits over a large bucket, 8-bit
+//!   ones over a small one (whose count tables then stay small too).
 //!
-//! An entry's index counts a bucket's records in file order, then position,
-//! so the total order is `(key, file order, position)` whichever order the
+//! The total order is `(key, file order, position)` whichever order the
 //! pieces arrived in: both kernels are **stable** (equal keys keep input
 //! order), which makes every kernel — and every [`WorkerPool`] thread count,
 //! workers taking disjoint bucket ranges — produce byte-identical output.
@@ -41,13 +47,13 @@ use crate::record::{key_of, key_to_u128, record_count, records, KEY_LEN, RECORD_
 /// Which sorting algorithm orders a bucket of the Reduce stage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SortKernel {
-    /// Comparison sort (the paper's `std::sort`) of packed `(key, index)`
-    /// entries, then a single copy of the records.
+    /// Comparison sort (the paper's `std::sort`) of packed `(key prefix,
+    /// index)` entries, then a single copy of the records.
     #[default]
     Comparison,
-    /// Key-index LSD radix sort: stable counting-sort passes over the key's
-    /// digits (least significant first) of the same entries, then the same
-    /// copy.
+    /// Key-index LSD radix sort: stable counting-sort passes over the key
+    /// prefix's digits (least significant first) of the same entries, then
+    /// the same copy.
     KeyIndex,
 }
 
@@ -86,8 +92,8 @@ impl std::str::FromStr for SortKernel {
 pub struct SortScratch {
     counts: Scratch<u32>,
     offsets: Scratch<u32>,
-    entries: Scratch<u128>,
-    entries_tmp: Scratch<u128>,
+    entries: Scratch<u64>,
+    entries_tmp: Scratch<u64>,
 }
 
 impl SortScratch {
@@ -97,10 +103,7 @@ impl SortScratch {
     }
 }
 
-/// Width of the index field under the key in a packed entry: the number of
-/// the run (one per piece) above the record number within the run.
-const INDEX_BITS: usize = 48;
-/// Width of the key above it.
+/// Width of a key.
 const KEY_BITS: usize = 8 * KEY_LEN;
 
 /// The smallest bucket the reducer aims for, in records; the largest is four
@@ -287,14 +290,15 @@ impl SortReducer {
             }
             ranges.push((from..b, seen - before));
         }
-        let kernel = self.kernel;
+        let (kernel, first, shift) = (self.kernel, self.first, self.shift);
         let sort = |scratch: &mut SortScratch, (buckets, bytes): &(Range<usize>, usize)| {
             let mut out = Vec::with_capacity(*bytes);
             let mut runs: Vec<&[u8]> = Vec::with_capacity(pieces.len());
             for b in buckets.clone() {
                 runs.clear();
                 runs.extend(pieces.iter().map(|piece| piece.run(b)));
-                sort_runs_into(&runs, kernel, scratch, &mut out);
+                let bucket_first = first + ((b as u128) << shift);
+                sort_runs_into(&runs, bucket_first, shift, kernel, scratch, &mut out);
             }
             out
         };
@@ -331,9 +335,13 @@ impl Reducer for SortReducer {
 
 /// Appends the concatenation of `runs`, sorted by key, to `out` without
 /// building it: entries are packed from, and records copied from, the runs
-/// where they lie.
+/// where they lie. The runs hold one bucket's keys: from `first`, less than
+/// `2^span_bits` above it (a key outside, which no partitioner produces,
+/// still sorts correctly).
 fn sort_runs_into(
     runs: &[&[u8]],
+    first: u128,
+    span_bits: u32,
     kernel: SortKernel,
     scratch: &mut SortScratch,
     out: &mut Vec<u8>,
@@ -343,32 +351,53 @@ fn sort_runs_into(
     // Index = run number above the record number: ascending in input
     // position, and split back with a shift and a mask at copy time.
     let rec_bits = bits_for(longest);
+    let index_bits = bits_for(runs.len()) + rec_bits;
     assert!(
-        bits_for(runs.len()) + rec_bits <= INDEX_BITS as u32,
-        "entry packing supports runs x records-per-run < 2^{INDEX_BITS}"
+        index_bits < u64::BITS,
+        "entry packing supports runs x records-per-run < 2^63"
     );
+    // The prefix above the index: the key's offset in the bucket, in the
+    // span's bits or, where the span is wider than the room left, its top
+    // ones. A key outside the span is held at its edge, where the tie pass
+    // below puts it in order.
+    let prefix_bits = span_bits.min(u64::BITS - index_bits);
+    let cut = span_bits - prefix_bits;
+    let top = (1u128 << prefix_bits) - 1;
+    let prefix = |key: u128| ((key.saturating_sub(first) >> cut).min(top) as u64) << index_bits;
     let mut entries = scratch.entries.take();
     entries.clear();
     entries.reserve(n);
     for (p, run) in runs.iter().enumerate() {
-        let base = (p as u128) << rec_bits;
+        let base = (p as u64) << rec_bits;
         for (i, rec) in records(run).enumerate() {
-            entries.push((key_to_u128(key_of(rec)) << INDEX_BITS) | base | i as u128);
+            entries.push(prefix(key_to_u128(key_of(rec))) | base | i as u64);
         }
     }
     match kernel {
         // Unstable sort — the paper's `std::sort` — made stable by the index
-        // every entry carries below its key, at unstable-sort speed and
+        // every entry carries below its prefix, at unstable-sort speed and
         // without the stable sort's n/2 temp allocation.
         SortKernel::Comparison => entries.sort_unstable(),
-        SortKernel::KeyIndex => radix_sort_by_key(&mut entries, scratch),
+        SortKernel::KeyIndex => {
+            radix_sort_by_prefix(&mut entries, index_bits..index_bits + prefix_bits, scratch)
+        }
+    }
+    let index_mask = (1u64 << index_bits) - 1;
+    let rec_mask = (1u64 << rec_bits) - 1;
+    let record = |e: u64| {
+        let index = e & index_mask;
+        let at = (index & rec_mask) as usize * RECORD_LEN;
+        &runs[(index >> rec_bits) as usize][at..at + RECORD_LEN]
+    };
+    // Equal prefixes came out in index order; the full key decides among them.
+    for ties in entries.chunk_by_mut(|a, b| a >> index_bits == b >> index_bits) {
+        if ties.len() > 1 {
+            ties.sort_unstable_by_key(|&e| (key_of(record(e)), e));
+        }
     }
     // Copy the records once, in final order.
-    let rec_mask = (1u64 << rec_bits) - 1;
     for &e in &entries {
-        let index = e as u64 & ((1 << INDEX_BITS) - 1);
-        let at = (index & rec_mask) as usize * RECORD_LEN;
-        out.extend_from_slice(&runs[(index >> rec_bits) as usize][at..at + RECORD_LEN]);
+        out.extend_from_slice(record(e));
     }
     scratch.entries.restore(entries);
 }
@@ -378,13 +407,13 @@ fn bits_for(n: usize) -> u32 {
     usize::BITS - n.saturating_sub(1).leading_zeros()
 }
 
-/// Orders `entries` by their key bits in stable counting-sort passes, least
-/// significant digit first; stability keeps equal-key entries in input
-/// (index) order. Every pass zeroes and sums a table of one count per digit
-/// value, so the digit is 16 bits wide (five passes) only from 2^15 entries
-/// on, where halving the passes saves what 65 536-slot tables cost, and 8
-/// bits (ten passes) below (256 entries: 7 µs against 151 µs).
-fn radix_sort_by_key(entries: &mut Vec<u128>, scratch: &mut SortScratch) {
+/// Orders `entries` by their bits in `prefix` in stable counting-sort passes,
+/// least significant digit first; stability keeps entries of equal prefix
+/// in input (index) order. Every pass zeroes and sums a table of one
+/// count per digit value, so the digit is 16 bits wide only from 2^15
+/// entries on, where halving the passes saves what 65 536-slot tables cost,
+/// and 8 bits below (256 entries: 7 µs against 151 µs).
+fn radix_sort_by_prefix(entries: &mut Vec<u64>, prefix: Range<u32>, scratch: &mut SortScratch) {
     let n = entries.len();
     if n <= 1 {
         return;
@@ -395,8 +424,7 @@ fn radix_sort_by_key(entries: &mut Vec<u128>, scratch: &mut SortScratch) {
     let mut dst = scratch.entries_tmp.take();
     dst.clear();
     dst.resize(n, 0);
-    for pass in 0..KEY_BITS / digit_bits {
-        let shift = INDEX_BITS + digit_bits * pass;
+    for shift in prefix.step_by(digit_bits) {
         let counts = scratch.counts.zeroed(radix);
         for &e in entries.iter() {
             counts[(e >> shift) as usize & (radix - 1)] += 1;

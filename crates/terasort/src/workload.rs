@@ -1,7 +1,10 @@
 //! The TeraSort workload plugged into the generic engine. Map output is the
-//! bulk of a job's memory (r× the input): its buffers are leased from the
-//! process-wide [`cts_core::pool`], for the kept partitions only, and come
-//! back when the job lets go of what the engine froze them into.
+//! bulk of a job's memory (r× the input): Map reads each file once, copying
+//! every record of a kept partition into a buffer leased from the
+//! process-wide [`cts_core::pool`] at the partition's expected size (and
+//! swapped for a pooled one an eighth larger whenever a record finds it
+//! full), and the buffers come back when the job lets go of what the engine
+//! froze them into.
 
 use cts_core::exec::WorkerPool;
 use cts_core::pool;
@@ -61,23 +64,37 @@ impl Workload for TeraSortWorkload {
     }
 
     fn map_file(&self, file: &[u8], num_partitions: usize, keep: NodeSet) -> Vec<Vec<u8>> {
-        // Count, then scatter: a kept partition's buffer is leased once, at its
-        // final size; any other partition's records are not counted or copied.
-        let mut sizes = vec![0usize; num_partitions];
-        let ids: Vec<u8> = records(file)
-            .map(|rec| {
-                let p = match &self.partitioner {
-                    Partitioner::Range(p) => p.partition(key_of(rec)),
-                    Partitioner::Sampled(p) => p.partition(key_of(rec)),
-                };
-                sizes[p] += if keep.contains(p) { RECORD_LEN } else { 0 };
-                p as u8 // a `NodeSet` member: < 64
+        // One pass: a kept partition's buffer is leased at its expected size
+        // up front; any other partition's records are not copied.
+        let lease = partition_lease(record_count(file), num_partitions);
+        let mut out: Vec<Vec<u8>> = (0..num_partitions)
+            .map(|p| {
+                if keep.contains(p) {
+                    pool::global().get(lease)
+                } else {
+                    Vec::new()
+                }
             })
             .collect();
-        let mut out: Vec<Vec<u8>> = sizes.iter().map(|&size| pool::global().get(size)).collect();
-        for (rec, p) in records(file).zip(ids) {
-            if sizes[p as usize] > 0 {
-                out[p as usize].extend_from_slice(rec);
+        for rec in records(file) {
+            let p = match &self.partitioner {
+                Partitioner::Range(p) => p.partition(key_of(rec)),
+                Partitioner::Sampled(p) => p.partition(key_of(rec)),
+            };
+            if keep.contains(p) {
+                let part = &mut out[p];
+                if part.capacity() - part.len() < RECORD_LEN {
+                    // Full: a small share's near miss, or skew. An eighth
+                    // more, where `Vec` would double, and from the pool, where
+                    // growing in place allocates afresh on every warm job
+                    // too (r = 3 warm in `tests/alloc_budget.rs` then read up
+                    // to 1.52×); the full buffer goes back for the next lease.
+                    let more = (part.capacity() / 8).max(RECORD_LEN);
+                    let mut grown = pool::global().get(part.capacity() + more);
+                    grown.extend_from_slice(part);
+                    pool::global().put(std::mem::replace(part, grown));
+                }
+                part.extend_from_slice(rec);
             }
         }
         out
@@ -122,8 +139,22 @@ impl Workload for TeraSortWorkload {
     }
 }
 
+/// Bytes leased for each kept partition of a file of `records` records: its
+/// share of them plus a 32nd and one record, no more than the whole file. A
+/// uniform count strays from the share by σ < √share, so from 16 384 records
+/// a share the 32nd is over 4σ and the lease is not outgrown. A smaller share
+/// is outgrown by a few records up to half the time and swapped once, where
+/// a slack of 2σ — 16 % of a 178-record share — would be leased on every
+/// file and never written.
+fn partition_lease(records: usize, num_partitions: usize) -> usize {
+    let share = records / num_partitions;
+    ((share + share / 32 + 1) * RECORD_LEN).min(records * RECORD_LEN)
+}
+
 #[cfg(test)]
 mod tests {
+    use std::ops::RangeInclusive;
+
     use super::*;
     use crate::record::KEY_LEN;
     use crate::sort::is_sorted;
@@ -145,34 +176,100 @@ mod tests {
         assert_eq!(total, data.len());
     }
 
+    /// The oracle: each record appended to its range partition as it comes.
+    fn appended_as_they_come(data: &[u8], k: usize) -> Vec<Vec<u8>> {
+        let mut expected = vec![Vec::new(); k];
+        for rec in records(data) {
+            expected[RangePartitioner::new(k).partition(key_of(rec))].extend_from_slice(rec);
+        }
+        expected
+    }
+
+    /// The capacity a kept partition's buffer starts with: the lease when
+    /// fresh (always, under the pool's one-page floor), a pooled one within
+    /// the pool's 1.5× slack.
+    fn leased(lease: usize) -> RangeInclusive<usize> {
+        if lease < 4 << 10 {
+            lease..=lease
+        } else {
+            lease..=lease + lease / 2
+        }
+    }
+
+    /// At most what a buffer swapped in an eighth past `len` bytes asks for.
+    fn grown(len: usize) -> usize {
+        len + len / 8 + 2 * RECORD_LEN
+    }
+
     #[test]
-    fn map_scatters_into_exactly_sized_buffers() {
-        // 3 records over 8 partitions leaves most of them empty.
-        for (n, k) in [(5_000, 7), (200, 7), (3, 8), (0, 2)] {
-            let data = generate(n, 8);
-            // The oracle: append each record to its partition as it comes.
-            let mut expected = vec![Vec::new(); k];
-            for rec in records(&data) {
-                expected[RangePartitioner::new(k).partition(key_of(rec))].extend_from_slice(rec);
-            }
+    fn uniform_keys_never_outgrow_a_large_share_lease() {
+        // 20 000-record shares: the 32nd over them is 625 records, over 5σ.
+        for (k, seed) in [(2, 0), (2, 1), (2, 2), (3, 3)] {
+            let n = 20_000 * k;
+            let data = generate(n, seed);
             let parts = TeraSortWorkload::range(k).map_file(&data, k, NodeSet::full(k));
-            assert_eq!(parts, expected);
-            // Filled without growing: a buffer comes back with the capacity
-            // it was leased with — its exact size when fresh (always, under
-            // the pool's one-page floor), a pooled one within the pool's 1.5× slack.
+            assert_eq!(parts, appended_as_they_come(&data, k));
+            let lease = partition_lease(n, k);
             for part in &parts {
+                // Filled within the lease, so never grown: it keeps the
+                // capacity it was leased with.
                 let (len, cap) = (part.len(), part.capacity());
-                let leased = if len < 4 << 10 {
-                    len..=len
-                } else {
-                    len..=len + len / 2
-                };
                 assert!(
-                    leased.contains(&cap),
-                    "{n} records, K = {k}: {len} in {cap}"
+                    len <= lease && leased(lease).contains(&cap),
+                    "{n} records, K = {k}, seed {seed}: {len} in {cap}, leased {lease}"
                 );
             }
-            // Outside the keep-mask nothing is counted, leased or copied.
+        }
+    }
+
+    #[test]
+    fn small_shares_grow_by_an_eighth_and_keep_the_order() {
+        // 714-record shares with 23 records of slack, under 1σ: some
+        // overflow. Then most partitions empty (3 records over 8) or all.
+        let shapes = (0..8).map(|seed| (5_000, 7, seed));
+        let mut outgrown = 0;
+        for (n, k, seed) in shapes.chain([(200, 7, 8), (3, 8, 8), (0, 2, 8)]) {
+            let data = generate(n, seed);
+            let parts = TeraSortWorkload::range(k).map_file(&data, k, NodeSet::full(k));
+            assert_eq!(parts, appended_as_they_come(&data, k));
+            let lease = partition_lease(n, k);
+            for part in &parts {
+                // Never doubled: a buffer keeps its lease, or was swapped for
+                // one leased an eighth past what it held.
+                let (len, cap) = (part.len(), part.capacity());
+                assert!(
+                    leased(lease).contains(&cap) || cap <= *leased(grown(len)).end(),
+                    "{n} records, K = {k}, seed {seed}: {len} in {cap}, leased {lease}"
+                );
+                outgrown += usize::from(len > lease);
+            }
+        }
+        assert!(outgrown > 0, "no lease was outgrown: nothing grew");
+    }
+
+    #[test]
+    fn skew_into_one_partition_grows_its_lease_and_keeps_the_order() {
+        // Every key shares its top 16 bits: one range partition takes all.
+        for (n, k) in [(20_000, 8), (1_000, 4)] {
+            let data = generate_skewed(n, 31, 1.0, 16);
+            let expected = appended_as_they_come(&data, k);
+            let hot = expected.iter().position(|part| !part.is_empty()).unwrap();
+            assert_eq!(expected[hot].len(), data.len());
+            let parts = TeraSortWorkload::range(k).map_file(&data, k, NodeSet::full(k));
+            assert_eq!(parts, expected);
+            // Grown past any buffer the pool could have leased, by eighths.
+            let cap = parts[hot].capacity();
+            assert!(cap > partition_lease(n, k) * 3 / 2, "{n} records: {cap}");
+            let most = *leased(grown(data.len())).end();
+            assert!(cap <= most, "{n} records: {cap}");
+        }
+    }
+
+    #[test]
+    fn dropped_partitions_are_never_leased() {
+        for (n, k) in [(5_000, 7), (200, 7), (3, 8)] {
+            let data = generate(n, 8);
+            let expected = appended_as_they_come(&data, k);
             let keep: NodeSet = [1usize, k - 1].into_iter().collect();
             let parts = TeraSortWorkload::range(k).map_file(&data, k, keep);
             for (p, part) in parts.iter().enumerate() {

@@ -1,7 +1,8 @@
 //! Allocation budget of one whole sort job: how many bytes the engine asks
 //! the allocator for per byte of input. The record path copies each record
-//! once per stage (ARCHITECTURE "Record path"): Map scatters it into an
-//! exactly-sized partition buffer, the shuffle moves buffers by reference,
+//! once per stage (ARCHITECTURE "Record path"): Map scatters it, in one
+//! pass, into a partition buffer leased at the partition's expected size,
+//! the shuffle moves buffers by reference,
 //! Reduce scatters it by key range as its piece lands (into a buffer the
 //! piece before it gave back) and copies it into the output — and Map runs
 //! r-fold. A stage that starts copying the partition again (a concatenation
@@ -78,16 +79,20 @@ fn a_sort_job_allocates_a_bounded_multiple_of_its_input() {
     // 0.01) and 4.42 (r = 3: Map 2.25 — the (r − 1)/K = 25 % the layout drops
     // is never written — + ids 0.03 + packets 0.21 + decoded intermediates
     // 0.63 + Reduce 1.16, the rest segment accumulators still out when the
-    // next is leased); it measures 2.17 and 3.98–4.18 now: a scattered copy is
-    // leased at its piece's size and the piece goes back at once, so one extra
-    // buffer per rank is in flight, and the entries are a bucket's, not the
-    // partition's. Warm — the same job again — what is left is what the
-    // caller keeps or the pool does not hold: the output and the ids, 1.04 at
-    // r = 1 (was 1.18); at r = 3 1.16–1.34 (was 1.30), because eight ranks'
-    // scatter and Map leases race for one size class and a lost race is a
-    // fresh buffer. Before the record path was made copy-free this job
-    // measured 4.89 and 10.61, before it kept its pages 2.21 and 5.24 on
-    // every job.
+    // next is leased); it measures 2.10–2.18 and 4.09–4.51 (95 % of runs
+    // under 4.44) now: a scattered copy is leased at its piece's size and
+    // the piece goes back at once, so one extra buffer per rank is in
+    // flight, the entries are a bucket's, not the partition's, and Map,
+    // which leases a partition before it has counted it, asks for a 32nd
+    // over its share and swaps the third of this job's 178-record shares
+    // that outgrow that for buffers an eighth larger. Warm — the same job
+    // again — what is left is what the caller keeps or the pool does not
+    // hold: the output, 1.03 at r = 1 (was 1.18); at r = 3 1.12–1.52 (95 %
+    // under 1.38; was 1.30), because eight ranks' scatter and Map leases
+    // race for one size class and a lost race is a fresh buffer — about one
+    // run in 200 loses enough of them to cross 1.5. Before the record path
+    // was made copy-free this job measured 4.89 and 10.61, before it kept
+    // its pages 2.21 and 5.24 on every job.
     for (r, cold, warm) in [(1usize, 2.4f64, 1.15f64), (3, 4.6, 1.5)] {
         for (leg, budget) in [("cold", cold), ("warm", warm)] {
             let (ratio, calls) = cost_of(r, &input);

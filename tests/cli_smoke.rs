@@ -215,6 +215,41 @@ fn sort_with_pods_still_uses_the_sampled_boundaries() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Range partitioning of a 90 %-hot input sends most of every file to one
+/// partition, far past the share Map leases for it up front: the buffer grows
+/// and the sort still passes TeraValidate, uncoded and coded.
+#[test]
+fn a_skewed_input_sorts_without_sampled_boundaries() {
+    let dir = std::env::temp_dir().join(format!("cts-cli-skew-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk tmp dir");
+    let input = dir.join("skewed.bin");
+    let gen = cts()
+        .args(["gen", "--records", "20000", "--seed", "9", "--skew", "0.9"])
+        .arg("--out")
+        .arg(&input)
+        .output()
+        .expect("run cts gen");
+    assert!(gen.status.success());
+    for r in ["1", "3"] {
+        let sort = cts()
+            .args(["sort", "--k", "8", "--r", r, "--input"])
+            .arg(&input)
+            .output()
+            .expect("run cts sort");
+        let stdout = String::from_utf8_lossy(&sort.stdout);
+        assert!(
+            sort.status.success() && stdout.contains("TeraValidate passed"),
+            "r = {r}: {stdout}\n{}",
+            String::from_utf8_lossy(&sort.stderr)
+        );
+        assert!(
+            stdout.contains("largest partition: 0.9"),
+            "r = {r}: {stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The CLI has no copy of the engine's rules about which modes and layouts
 /// go together: a combination only the engine can refuse reaches the user in
 /// the engine's words, exit 1.

@@ -2,7 +2,8 @@
 //! where only the `(key, input position)` order is deterministic, both
 //! kernels equal a stable `sort_by_key` of the records — from one buffer,
 //! from arbitrarily cut pieces, under every thread count, and whatever order
-//! a partition's reducer is handed the pieces in.
+//! a partition's reducer is handed the pieces in — and so they do on keys
+//! whose 8-byte sort entries tie, where only the full key tells them apart.
 
 use bytes::Bytes;
 use coded_terasort::mapreduce::workload::PartitionShape;
@@ -138,6 +139,141 @@ fn partition(kind: usize, seed: u64) -> Partition {
     }
 }
 
+/// A stream of pseudo-random words (SplitMix64).
+fn words(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// A number below `2^bits` (`bits` ≤ 80).
+fn below_bit(next: &mut impl FnMut() -> u64, bits: u64) -> u128 {
+    let word = (u128::from(next()) << 64) | u128::from(next());
+    word & ((1u128 << bits) - 1)
+}
+
+/// Inputs on which an 8-byte entry's key prefix ties, ~10 000 records each:
+/// a prefix is the key's offset in its bucket with its low bits cut, so the
+/// full key must order what the prefix cannot.
+fn tied_partition(kind: usize, seed: u64, kernel: SortKernel) -> Partition {
+    let mut next = words(seed);
+    // Partition 1 of 4 under the range partitioner.
+    let (first, last) = (1u128 << 78, (1u128 << 79) - 1);
+    let range = TeraSortWorkload::range(K).with_kernel(kernel);
+    let mut input = Vec::new();
+    match kind {
+        // Six clusters; within one, keys differ by 0 (exact duplicates) up to
+        // 2^47, on both sides of the cut (a bucket here spans 2^72 keys or
+        // more, so the cut is 8 bits plus the index's, ≈ 20 in all).
+        0 => {
+            let bases: Vec<u128> = (0..6).map(|_| first + below_bit(&mut next, 77)).collect();
+            for i in 0..10_000u32 {
+                let base = bases[next() as usize % bases.len()];
+                let bits = next() % 48;
+                let key = (base + below_bit(&mut next, bits)).min(last);
+                input.extend_from_slice(&keyed(key, i));
+            }
+            partition_of(range, 1, &input)
+        }
+        // On a bucket's last key, whatever the bucket width: one below a
+        // multiple of every power of two from the partition's first key, and
+        // keys a little under it (a tie) or at the next bucket's first.
+        1 => {
+            for i in 0..10_000u32 {
+                let step = next() % 78;
+                let edge = first + ((1 + below_bit(&mut next, 78 - step)) << step);
+                let (pick, bits) = (next() % 3, next() % 40);
+                let under = match pick {
+                    0 => 0,
+                    1 => 1,
+                    _ => 1 + below_bit(&mut next, bits),
+                };
+                let key = (edge - under).clamp(first, last);
+                input.extend_from_slice(&keyed(key, i));
+            }
+            partition_of(range, 1, &input)
+        }
+        // A sampled partition spanning all but the top 256th of the key space,
+        // in one bucket (a few records) or many: a bucket's span is wider
+        // than any prefix, by up to 80 bits against 64 less the index.
+        _ => {
+            let samples = (0..64).map(|_| {
+                let key = (0xFFu128 << 72) | below_bit(&mut next, 72);
+                key.to_be_bytes()[16 - KEY_LEN..].try_into().unwrap()
+            });
+            let sampled = SampledPartitioner::from_samples(samples.collect(), K);
+            let n = if seed.is_multiple_of(2) { 100 } else { 10_000 };
+            let bases: Vec<u128> = (0..4).map(|_| below_bit(&mut next, 80)).collect();
+            for i in 0..n {
+                let base = bases[next() as usize % bases.len()];
+                let bits = next() % 64;
+                let key = (base + below_bit(&mut next, bits)).min((1 << 80) - 1);
+                input.extend_from_slice(&keyed(key, i));
+            }
+            partition_of(
+                TeraSortWorkload::sampled(sampled).with_kernel(kernel),
+                0,
+                &input,
+            )
+        }
+    }
+}
+
+/// Cuts `part` into `pieces` files (an empty one first, in the middle and
+/// last), hands them to the partition's reducer in an order drawn from `seed`
+/// under 1, 2 and 4 threads, and checks each result, and the one-shot
+/// `reduce`, against a stable sort by key of the file-order concatenation.
+fn arrives_in_any_order(part: &Partition, pieces: usize, seed: u64) -> Result<(), TestCaseError> {
+    let n = part.records.len() / RECORD_LEN;
+    let whole = Bytes::from(part.records.clone());
+    // Cut into `pieces` pieces, an empty one first, in the middle and last.
+    let mut cuts: Vec<usize> = (0..=pieces).map(|i| n * i / pieces).collect();
+    cuts.extend([0, cuts[pieces / 2], n]);
+    cuts.sort_unstable();
+    let files: Vec<Bytes> = cuts
+        .windows(2)
+        .map(|w| whole.slice(w[0] * RECORD_LEN..w[1] * RECORD_LEN))
+        .collect();
+    // A permutation of the files: Fisher–Yates on a small LCG.
+    let mut order: Vec<usize> = (0..files.len()).collect();
+    let mut state = seed | 1;
+    for i in (1..order.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        order.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let shape = PartitionShape {
+        pieces: files.len(),
+        expected_bytes: whole.len(),
+    };
+    // The oracle shares no code with the reducer: a stable sort by key.
+    let mut expected: Vec<&[u8]> = whole.chunks_exact(RECORD_LEN).collect();
+    expected.sort_by_key(|rec| &rec[..KEY_LEN]);
+    let expected = expected.concat();
+    prop_assert!(part.workload.reduce(part.index, &whole) == expected);
+    for threads in [1usize, 2, 4] {
+        let mut reducer = part.workload.reducer(part.index, shape);
+        for &file in &order {
+            // Sparse, ascending file ranks, as the engine's node sets are.
+            reducer.absorb(file as u64 * 3 + 1, files[file].clone());
+        }
+        let sorted = reducer.finish(&WorkerPool::new(threads));
+        prop_assert!(
+            sorted == expected,
+            "{} pieces, threads {}, order {:?}",
+            files.len(),
+            threads,
+            order
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -149,40 +285,21 @@ proptest! {
     ) {
         let pieces = [1, 8, 56][pieces];
         let part = partition(kind, seed);
-        let n = part.records.len() / RECORD_LEN;
-        let whole = Bytes::from(part.records.clone());
-        // Cut into `pieces` pieces, an empty one first, in the middle and last.
-        let mut cuts: Vec<usize> = (0..=pieces).map(|i| n * i / pieces).collect();
-        cuts.extend([0, cuts[pieces / 2], n]);
-        cuts.sort_unstable();
-        let files: Vec<Bytes> = cuts
-            .windows(2)
-            .map(|w| whole.slice(w[0] * RECORD_LEN..w[1] * RECORD_LEN))
-            .collect();
-        // A permutation of the files: Fisher–Yates on a small LCG.
-        let mut order: Vec<usize> = (0..files.len()).collect();
-        let mut state = seed | 1;
-        for i in (1..order.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            order.swap(i, (state >> 33) as usize % (i + 1));
-        }
-        let shape = PartitionShape { pieces: files.len(), expected_bytes: whole.len() };
-        // The oracle shares no code with the reducer: a stable sort by key.
-        let mut expected: Vec<&[u8]> = whole.chunks_exact(RECORD_LEN).collect();
-        expected.sort_by_key(|rec| &rec[..KEY_LEN]);
-        let expected = expected.concat();
-        prop_assert!(part.workload.reduce(part.index, &whole) == expected);
-        for threads in [1usize, 2, 4] {
-            let mut reducer = part.workload.reducer(part.index, shape);
-            for &file in &order {
-                // Sparse, ascending file ranks, as the engine's node sets are.
-                reducer.absorb(file as u64 * 3 + 1, files[file].clone());
-            }
-            let sorted = reducer.finish(&WorkerPool::new(threads));
-            prop_assert!(
-                sorted == expected,
-                "kind {} in {} pieces, threads {}, order {:?}", kind, files.len(), threads, order
-            );
+        arrives_in_any_order(&part, pieces, seed)
+            .map_err(|e| TestCaseError::fail(format!("kind {kind}: {e:?}")))?;
+    }
+
+    #[test]
+    fn ties_on_the_key_prefix_order_by_the_full_key(
+        kind in 0usize..3,
+        pieces in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let pieces = [1, 8, 56][pieces];
+        for kernel in SortKernel::ALL {
+            let part = tied_partition(kind, seed, kernel);
+            arrives_in_any_order(&part, pieces, seed)
+                .map_err(|e| TestCaseError::fail(format!("kind {kind}, {kernel}: {e:?}")))?;
         }
     }
 }
