@@ -1,10 +1,14 @@
 //! SPMD cluster execution.
 //!
 //! The paper's deployment (Fig. 8) is a coordinator plus `K` worker
-//! processes running the same program. Here each worker is a thread running
-//! the user's closure against its own [`Communicator`]; the harness thread
-//! plays the coordinator (it stages per-node inputs before the run and
-//! collects results and the transfer trace after). Workers communicate only
+//! processes running the same program, long-lived workers that take one
+//! job after another. Here each worker is a thread running the user's
+//! closure against its own [`Communicator`] — rank 0 on the calling thread,
+//! every other rank on a parked thread that outlives the job
+//! ([`cts_core::exec::run_all`]), so a job spawns no thread once the
+//! process has run one of its size; the calling thread also plays the
+//! coordinator (it stages per-node inputs before the run and collects
+//! results and the transfer trace after). Workers communicate only
 //! through the fabric — in-memory channels or real TCP sockets. The
 //! in-memory fabric takes worlds of up to `K = 128` ranks on one host; TCP
 //! costs one reader thread per used link and is tested to a `K = 32` full
@@ -31,6 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
+use cts_core::exec;
 use cts_core::metrics::{Histogram, MetricsHub};
 use parking_lot::Mutex;
 
@@ -417,32 +422,32 @@ impl SharedFabric {
         let (scope, comms) = self.open_job(binding, nic_override)?;
         let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = Mutex::new(Vec::new());
 
-        let results: Vec<Option<R>> = std::thread::scope(|scope| {
-            let ranks: Vec<_> = comms
-                .iter()
-                .zip(inputs)
-                .map(|(comm, input)| {
-                    let (f, panics) = (&f, &panics);
-                    scope.spawn(move || {
-                        match catch_unwind(AssertUnwindSafe(|| f(comm, input))) {
-                            Ok(r) => {
-                                comm.finish();
-                                Some(r)
-                            }
-                            Err(payload) => {
-                                // Unblock every peer — including other jobs'
-                                // ranks — before propagating.
-                                comm.abort();
-                                panics.lock().push(payload);
-                                None
-                            }
+        let ranks: Vec<_> = comms
+            .iter()
+            .zip(inputs)
+            .map(|(comm, input)| {
+                let (f, panics) = (&f, &panics);
+                move || {
+                    match catch_unwind(AssertUnwindSafe(|| f(comm, input))) {
+                        Ok(r) => {
+                            comm.finish();
+                            Some(r)
                         }
-                    })
-                })
-                .collect();
-            let joined = ranks.into_iter().map(|rank| rank.join());
-            joined.map(|r| r.expect("panics are caught")).collect()
-        });
+                        Err(payload) => {
+                            // Unblock every peer — including other jobs'
+                            // ranks — before propagating.
+                            comm.abort();
+                            panics.lock().push(payload);
+                            None
+                        }
+                    }
+                }
+            })
+            .collect();
+        let results: Vec<Option<R>> = exec::run_all(ranks)
+            .into_iter()
+            .map(|r| r.expect("panics are caught"))
+            .collect();
 
         if let Some(first) = panics.into_inner().into_iter().next() {
             resume_unwind(first);

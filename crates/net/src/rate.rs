@@ -15,8 +15,9 @@
 //! The NIC is a FIFO queue, not a sleep in the sender. A payload is handed
 //! to the transport at the *start* of its drain: inline, on the caller's
 //! thread, by a post on a free NIC, which books how long the NIC stays
-//! busy with it; by a pacer thread — started with the first transfer
-//! queued behind a busy NIC, gone when the queue runs empty — otherwise.
+//! busy with it; by a pacer — a task on a parked thread
+//! ([`cts_core::exec::detach`]), handed over with the first transfer
+//! queued behind a busy NIC and done when the queue runs empty — otherwise.
 //! [`Nic::drain`] is the one wait: until everything posted has left the
 //! NIC. A caller that drains after every post (a blocking send) never
 //! starts a pacer, and an unshaped NIC is never busy.
@@ -41,6 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cts_core::exec;
 use cts_core::metrics::{Counter, Histogram};
 use parking_lot::{Condvar, Mutex};
 
@@ -146,8 +148,8 @@ struct Egress {
     /// Transfers posted while the NIC was busy, in post order, each with
     /// the bytes it is charged.
     queue: VecDeque<(u64, Deliver)>,
-    /// A pacer thread is alive (and will look at `queue` again before it
-    /// exits).
+    /// A pacer is running (and will look at `queue` again before it
+    /// returns).
     pacing: bool,
     /// The first failed queued transfer, or the abort: every later post
     /// and drain returns it.
@@ -162,7 +164,7 @@ pub struct Nic {
     meter: Option<Arc<NicMeter>>,
     wait_hist: Option<Arc<Histogram>>,
     egress: Mutex<Egress>,
-    /// Signalled when the pacer exits and when the NIC fails — what
+    /// Signalled when the pacer returns and when the NIC fails — what
     /// [`drain`](Nic::drain) and a pacer waiting out `busy_until` block on.
     changed: Condvar,
 }
@@ -256,16 +258,13 @@ impl Nic {
         if !egress.pacing {
             egress.pacing = true;
             let nic = Arc::clone(self);
-            std::thread::Builder::new()
-                .name("cts-nic-pacer".into())
-                .spawn(move || nic.pace())
-                .expect("spawn NIC pacer");
+            exec::detach(move || nic.pace());
         }
         Ok(())
     }
 
     /// The pacer: hands each queued transfer over when the one before it
-    /// has drained, and exits when the queue is empty. A backlog drains back
+    /// has drained, and returns when the queue is empty. A backlog drains back
     /// to back in booked time — a transfer starts when its predecessor ends,
     /// not when this thread got to run — so waking late never adds up.
     fn pace(&self) {
@@ -282,7 +281,7 @@ impl Nic {
             };
             self.book(&mut egress, until, bytes);
             drop(egress);
-            // Nobody joins this thread: a hand-over that panics must fail
+            // Nobody waits for this task: a hand-over that panics must fail
             // the NIC like one that errs, not strand whoever drains it.
             let sent = catch_unwind(AssertUnwindSafe(deliver)).unwrap_or_else(|_| {
                 Err(NetError::Io {
