@@ -206,10 +206,10 @@ impl Layout {
 /// resident runtime's per-job path are the same code.
 ///
 /// # Errors
-/// `BadConfig` for an invalid `(K, r, pods)` or a recovery mode the layout
-/// cannot carry; a rank's failure — transport, protocol, an injected crash
-/// with recovery off ([`RankDied`](crate::EngineError::RankDied)), an
-/// exhausted recovery margin
+/// `BadConfig` for an invalid `(K, r, pods)`, a recovery mode the layout
+/// cannot carry or an input the workload's format cannot split; a rank's
+/// failure — transport, protocol, an injected crash with recovery off
+/// ([`RankDied`](crate::EngineError::RankDied)), an exhausted recovery margin
 /// ([`Unrecoverable`](crate::EngineError::Unrecoverable)) — fails the job
 /// with that rank's error.
 pub fn run<W: Workload>(workload: &W, input: Bytes, cfg: &EngineConfig) -> Result<JobOutcome> {
@@ -290,6 +290,8 @@ pub fn run_on<W: Workload>(
         }
     }
 
+    // An input the format cannot split fails here, typed, not in `place`.
+    (workload.format().check(&input)).map_err(|what| EngineError::BadConfig { what })?;
     let inputs = layout.place(workload.format(), &input);
     // A rank that fails shuts the job's endpoints down so its peers fail
     // too instead of waiting on it; the error worth reporting is the one

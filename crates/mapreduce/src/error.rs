@@ -39,7 +39,8 @@ impl std::fmt::Display for JobReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The engine configuration is invalid (K/r out of range, mismatched
-    /// cluster size, too many multicast groups for the tag space, …).
+    /// cluster size, too many multicast groups for the tag space, …), or
+    /// the input is one its workload's format cannot split.
     BadConfig {
         /// Description of the violated constraint.
         what: String,

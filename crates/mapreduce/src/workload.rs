@@ -36,6 +36,18 @@ pub enum InputFormat {
 }
 
 impl InputFormat {
+    /// Why [`split`](Self::split) cannot cut `input` at record boundaries,
+    /// if it cannot: a fixed-width input that is not whole records.
+    pub fn check(&self, input: &[u8]) -> Result<(), String> {
+        match *self {
+            InputFormat::FixedWidth(w) if !input.len().is_multiple_of(w) => Err(format!(
+                "input length {} is not a multiple of record width {w}",
+                input.len()
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Splits `input` into `n` contiguous files at record boundaries, as
     /// evenly as byte counts allow. Zero-copy: files share `input`'s
     /// buffer.
@@ -48,11 +60,7 @@ impl InputFormat {
         match *self {
             InputFormat::FixedWidth(w) => {
                 assert!(w > 0, "record width must be positive");
-                assert!(
-                    input.len().is_multiple_of(w),
-                    "input length {} is not a multiple of record width {w}",
-                    input.len()
-                );
+                self.check(input).unwrap_or_else(|why| panic!("{why}"));
                 let records = input.len() / w;
                 let base = records / n;
                 let extra = records % n;

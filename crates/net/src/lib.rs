@@ -14,6 +14,8 @@
 //!   loopback, length-prefixed frames, blocking sockets: one acceptor per
 //!   endpoint and one reader thread per used link; tested to a `K = 32`
 //!   full mesh);
+//! * [`frame`] — the one frame codec under both TCP sockets (the fabric's
+//!   links and the `cts serve` client wire) and their one cap;
 //! * [`fabric`] — the [`ShuffleFabric`] selector: serial-unicast vs fanout
 //!   vs emulated multicast realizations of a group send (EC2 has no
 //!   network-layer multicast, so one-to-many is always emulated);
@@ -69,6 +71,7 @@ pub mod comm;
 pub mod error;
 pub mod fabric;
 pub mod fault;
+pub mod frame;
 pub mod health;
 mod journal;
 pub mod local;

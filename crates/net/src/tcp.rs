@@ -5,8 +5,9 @@
 //! Every socket blocks, so every wait is the kernel's: each endpoint runs
 //! an **acceptor thread** blocked in `accept` on its listener and **one
 //! reader thread per accepted link**, blocked reading that link's frames,
-//! `[tag: u32 LE][len: u32 LE][payload]`, into the endpoint's [`Mailbox`].
-//! A frame leaves in one vectored write under its link's lock;
+//! `[tag: u32 LE][len: u32 LE][payload]` ([`frame`](crate::frame)'s codec,
+//! the tag its head), into the endpoint's [`Mailbox`]. A frame leaves in
+//! one vectored write under its link's lock;
 //! [`Transport::multicast`] writes its copies back to back into kernel
 //! buffers that the receivers' readers drain concurrently — the
 //! fanout/multicast fabrics of [`fabric`](crate::fabric).
@@ -34,7 +35,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{BufReader, ErrorKind, IoSlice, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,18 +46,11 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::error::{NetError, Result};
+use crate::frame;
 use crate::mailbox::Mailbox;
 use crate::message::{Key, Message, Tag};
 use crate::registry::RankRegistry;
 use crate::transport::Transport;
-
-/// Upper bound on a single frame's payload (1 GiB) — a sanity check against
-/// corrupted length headers.
-const MAX_FRAME: u32 = 1 << 30;
-
-/// The most a reader allocates for a payload before any of its bytes have
-/// arrived.
-const PAYLOAD_PREALLOC: usize = 1 << 20;
 
 /// Builds a fully connected *capable* TCP fabric of `k` endpoints on
 /// loopback: binds a [`RankRegistry`] and starts one acceptor per endpoint.
@@ -69,21 +63,6 @@ pub fn build_tcp_fabric(k: usize) -> Result<Vec<TcpEndpoint>> {
         .enumerate()
         .map(|(rank, listener)| TcpEndpoint::start(rank, registry.clone(), listener))
         .collect()
-}
-
-/// Rejects payloads the `u32` frame-length field (and the reader's
-/// [`MAX_FRAME`] guard) cannot represent, before any byte is written.
-fn check_frame_size(payload: &Bytes) -> Result<()> {
-    if payload.len() > MAX_FRAME as usize {
-        return Err(NetError::Io {
-            what: format!(
-                "payload of {} bytes exceeds the {} byte frame limit",
-                payload.len(),
-                MAX_FRAME
-            ),
-        });
-    }
-    Ok(())
 }
 
 /// An outbound simplex link. The lock serializes this endpoint's frame
@@ -292,55 +271,18 @@ impl Inbound {
         if peer >= self.world || peer == self.rank {
             return;
         }
-        while let Ok((tag, payload)) = read_frame(&mut reader) {
+        while let Ok(Some((tag, len))) = frame::read_head::<4>(&mut reader) {
+            let Ok(payload) = frame::read_body(&mut reader, len) else {
+                break;
+            };
             self.mailbox.deliver(Message {
                 src: peer,
-                tag,
-                payload,
+                tag: Tag(u32::from_le_bytes(tag)),
+                payload: Bytes::from(payload),
             });
         }
         self.mailbox.disconnect_src(peer);
     }
-}
-
-/// Reads one frame. The payload buffer starts at no more than
-/// [`PAYLOAD_PREALLOC`] and grows only as bytes arrive, so a forged length
-/// costs at most the larger of that and twice what was really sent.
-fn read_frame(reader: &mut impl Read) -> std::io::Result<(Tag, Bytes)> {
-    let mut header = [0u8; 8];
-    reader.read_exact(&mut header)?;
-    let tag = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    let len = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    if len > MAX_FRAME {
-        return Err(ErrorKind::InvalidData.into());
-    }
-    let len = len as usize;
-    let mut payload = Vec::with_capacity(len.min(PAYLOAD_PREALLOC));
-    reader.take(len as u64).read_to_end(&mut payload)?;
-    if payload.len() < len {
-        return Err(ErrorKind::UnexpectedEof.into());
-    }
-    Ok((Tag(tag), Bytes::from(payload)))
-}
-
-/// Writes one frame with one vectored write of header and payload, looping
-/// over short writes: a small frame leaves in one segment. The caller holds
-/// the link's lock.
-fn write_frame(mut stream: &TcpStream, tag: Tag, payload: &[u8]) -> std::io::Result<()> {
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&tag.0.to_le_bytes());
-    header[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
-    let mut rest = &mut slices[..];
-    while !rest.is_empty() {
-        match stream.write_vectored(rest) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut rest, n),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 impl Transport for TcpEndpoint {
@@ -353,7 +295,6 @@ impl Transport for TcpEndpoint {
     }
 
     fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
-        check_frame_size(&payload)?;
         if dst == self.rank {
             // Loopback without touching the wire, like MPI self-sends.
             self.inbound.mailbox.deliver(Message {
@@ -365,12 +306,11 @@ impl Transport for TcpEndpoint {
         }
         let link = self.link_to(dst)?;
         let _writing = link.writing.lock();
-        write_frame(&link.stream, tag, &payload)?;
+        frame::write(&link.stream, &tag.0.to_le_bytes(), &[&payload])?;
         Ok(())
     }
 
     fn multicast(&self, dsts: &[usize], tag: Tag, payload: Bytes) -> Result<()> {
-        check_frame_size(&payload)?;
         // Validate + dial first so no copy is sent on a bad destination
         // list. `dsts` is a set (trait contract): dedupe — a duplicate
         // would re-lock a peer's non-reentrant writer mutex — and sort, so
@@ -397,7 +337,7 @@ impl Transport for TcpEndpoint {
         // gets a whole frame, and the first error is reported after.
         let mut first_err = None;
         for link in &links {
-            if let Err(e) = write_frame(&link.stream, tag, &payload) {
+            if let Err(e) = frame::write(&link.stream, &tag.0.to_le_bytes(), &[&payload]) {
                 first_err.get_or_insert(e);
             }
         }
@@ -437,6 +377,7 @@ impl Drop for TcpEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MAX_FRAME;
 
     /// Outbound links `ep` has dialed so far — with the lazy mesh, exactly
     /// the number of distinct peers it has sent to.
@@ -496,37 +437,6 @@ mod tests {
         let got = endpoints[1].recv(0, Tag::app(5)).unwrap();
         assert_eq!(got.len(), big.len());
         assert_eq!(&got[..], &big[..]);
-    }
-
-    #[test]
-    fn frames_written_a_byte_at_a_time_arrive_intact() {
-        let endpoints = build_tcp_fabric(2).unwrap();
-        let mut raw = raw_link(&endpoints[1], 0);
-        let mut wire = Vec::new();
-        for i in 0..5u32 {
-            let len = 100 * (i + 1);
-            wire.extend(header(Tag::app(i), len));
-            wire.extend(vec![i as u8; len as usize]);
-        }
-        for byte in &wire {
-            raw.write_all(std::slice::from_ref(byte)).unwrap();
-        }
-        for i in 0..5u32 {
-            let got = endpoints[1].recv(0, Tag::app(i)).unwrap();
-            assert_eq!(got.len(), 100 * (i as usize + 1));
-            assert!(got.iter().all(|&b| b == i as u8), "frame {i}");
-        }
-    }
-
-    #[test]
-    fn an_empty_payload_arrives() {
-        let endpoints = build_tcp_fabric(2).unwrap();
-        endpoints[0].send(1, Tag::app(3), Bytes::new()).unwrap();
-        assert!(endpoints[1].recv(0, Tag::app(3)).unwrap().is_empty());
-        // And from a raw dialer: a bare header is a whole frame.
-        let mut raw = raw_link(&endpoints[0], 1);
-        raw.write_all(&header(Tag::app(4), 0)).unwrap();
-        assert!(endpoints[0].recv(1, Tag::app(4)).unwrap().is_empty());
     }
 
     #[test]

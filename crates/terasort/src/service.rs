@@ -8,8 +8,9 @@
 //! ## Wire protocol
 //!
 //! Every message (both directions) is one length-prefixed frame: a `u32`
-//! little-endian payload length followed by the payload. Requests start
-//! with an opcode byte:
+//! little-endian payload length followed by the payload — the fabric's
+//! codec, [`cts_net::frame`], with no head. Requests start with an opcode
+//! byte:
 //!
 //! | op | request payload | OK response payload |
 //! |----|-----------------|---------------------|
@@ -74,7 +75,7 @@
 //! closed instead of answered, never answered wrongly.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -86,11 +87,9 @@ use cts_mapreduce::grep::Grep;
 use cts_mapreduce::runtime::{JobHandle, JobRuntime, JobStatus, RuntimeConfig};
 use cts_mapreduce::wordcount::WordCount;
 use cts_mapreduce::JobOutcome;
+use cts_net::frame;
 
 use crate::workload::TeraSortWorkload;
-
-/// Largest frame either side will accept (1 GiB).
-const MAX_FRAME: u32 = 1 << 30;
 
 const OP_SUBMIT: u8 = 0x01;
 const OP_STATUS: u8 = 0x02;
@@ -242,66 +241,6 @@ fn pct(sorted: &[u64], q: f64) -> u64 {
 /// The frame a client sends to stop the service: a one-byte payload, the
 /// SHUTDOWN opcode. A constant so a signal handler can `write` it.
 pub const SHUTDOWN_FRAME: [u8; 5] = [1, 0, 0, 0, OP_SHUTDOWN];
-
-/// Bytes a payload's buffer is reserved at before any arrive. Reserved pages
-/// are address space until bytes land in them; a larger payload's buffer
-/// grows as its bytes do.
-const RESERVED_MAX: usize = 64 << 20;
-
-/// Sends one frame — the length header, then the payload's `parts` back to
-/// back, each from where it lies — in one vectored write, looped over short
-/// writes (the idiom of `cts_net::tcp`). Both ends set `TCP_NODELAY`, so
-/// the frame leaves as it is written: "Waiting and stopping" in the module
-/// docs.
-fn write_frame(mut stream: &TcpStream, parts: &[&[u8]]) -> std::io::Result<()> {
-    let len = parts.iter().map(|part| part.len()).sum::<usize>();
-    let len = u32::try_from(len).map_err(|_| std::io::Error::other("frame too large"))?;
-    let header = len.to_le_bytes();
-    let mut slices: Vec<IoSlice<'_>> = std::iter::once(&header[..])
-        .chain(parts.iter().copied())
-        .map(IoSlice::new)
-        .collect();
-    let mut rest = &mut slices[..];
-    while !rest.is_empty() {
-        match stream.write_vectored(rest) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut rest, n),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Reads a frame header: the payload length, or `None` if the peer hung up
-/// instead of sending one.
-fn read_len(stream: &mut TcpStream) -> std::io::Result<Option<u32>> {
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        other => other?,
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        let what = format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap");
-        return Err(std::io::Error::other(what));
-    }
-    Ok(Some(len))
-}
-
-/// Reads the `len` bytes a header announced into one buffer, reserved at
-/// `len` up to [`RESERVED_MAX`]: the bytes are copied once, from the socket
-/// into the buffer the caller keeps, and a length that lies reserves
-/// address space, not memory.
-fn read_payload(stream: &mut TcpStream, len: u32) -> std::io::Result<Vec<u8>> {
-    let len = len as usize;
-    let mut payload = Vec::with_capacity(len.min(RESERVED_MAX));
-    stream.take(len as u64).read_to_end(&mut payload)?;
-    if payload.len() < len {
-        return Err(ErrorKind::UnexpectedEof.into());
-    }
-    Ok(payload)
-}
 
 fn take<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], String> {
     buf.get(at..at + N)
@@ -768,16 +707,24 @@ fn serve_connection(mut stream: TcpStream, inner: &Inner, idle: &AtomicBool) {
     if stream.set_nodelay(true).is_err() {
         return;
     }
-    while let Ok(Some(len)) = read_len(&mut stream) {
+    while let Ok(Some(([], len))) = frame::read_head::<0>(&mut stream) {
         idle.store(false, Ordering::SeqCst);
-        let Ok(req) = read_payload(&mut stream, len) else {
+        let Ok(req) = frame::read_body(&mut stream, len) else {
             return;
         };
         let mut head = vec![RESP_OK];
         let sent = match inner.handle_request(Bytes::from(req), &mut head) {
-            Ok(None) => write_frame(&stream, &[&head]),
+            Ok(None) => frame::write(&stream, &[], &[&head]),
             Ok(Some(outcome)) => write_parts(&stream, &head, &outcome.outputs),
-            Err(msg) => write_frame(&stream, &[&[RESP_ERR], msg.as_bytes()]),
+            Err(msg) => Err(std::io::Error::new(ErrorKind::InvalidInput, msg)),
+        };
+        // A refused request, or a reply over the cap (which left nothing on
+        // the wire, where the client would have refused it), gets the why.
+        let sent = match sent {
+            Err(e) if e.kind() == ErrorKind::InvalidInput => {
+                frame::write(&stream, &[], &[&[RESP_ERR], e.to_string().as_bytes()])
+            }
+            sent => sent,
         };
         if sent.is_err() {
             return;
@@ -803,7 +750,7 @@ fn write_parts(stream: &TcpStream, head: &[u8], outputs: &[Vec<u8>]) -> std::io:
     for (len, output) in lens.iter().zip(outputs) {
         parts.extend([&len[..], output]);
     }
-    write_frame(stream, &parts)
+    frame::write(stream, &[], &parts)
 }
 
 /// Answers one metrics scrape with the Prometheus dump and closes.
@@ -855,8 +802,8 @@ impl ServiceClient {
     /// up to its status byte: an OK payload's length, its bytes still
     /// unread; an error reply's message as `Err`.
     fn request(&mut self, parts: &[&[u8]]) -> Result<u32, String> {
-        write_frame(&self.stream, parts).map_err(|e| format!("send: {e}"))?;
-        let len = read_len(&mut self.stream)
+        frame::write(&self.stream, &[], parts).map_err(|e| format!("send: {e}"))?;
+        let ([], len) = frame::read_head::<0>(&mut self.stream)
             .map_err(recv)?
             .ok_or("service closed the connection")?;
         let len = len.checked_sub(1).ok_or("malformed response")?;
@@ -865,7 +812,7 @@ impl ServiceClient {
         if status[0] == RESP_OK {
             return Ok(len);
         }
-        let payload = read_payload(&mut self.stream, len).map_err(recv)?;
+        let payload = frame::read_body(&mut self.stream, len).map_err(recv)?;
         match status[0] {
             RESP_ERR => Err(String::from_utf8_lossy(&payload).into_owned()),
             _ => Err("malformed response".into()),
@@ -876,7 +823,7 @@ impl ServiceClient {
     /// buffer returned.
     fn roundtrip(&mut self, parts: &[&[u8]]) -> Result<Vec<u8>, String> {
         let len = self.request(parts)?;
-        read_payload(&mut self.stream, len).map_err(recv)
+        frame::read_body(&mut self.stream, len).map_err(recv)
     }
 
     /// A request payload: `op` followed by a job id.
@@ -990,7 +937,7 @@ fn read_parts(stream: &mut TcpStream, mut left: u32) -> Result<Vec<Vec<u8>>, Str
             format!("malformed FETCH reply: {n} bytes announced, {owed} left in the frame")
         })?;
         *left -= n;
-        read_payload(stream, n).map_err(recv)
+        frame::read_body(stream, n).map_err(recv)
     };
     let parts = u32::from_le_bytes(take::<4>(&next(&mut left, 4)?, 0)?);
     // Each partition takes 8 bytes at least: its length.
@@ -1320,6 +1267,60 @@ mod tests {
         assert_eq!(daemon.evicted.get(), 6);
         let aged_out = daemon.outcome_of(6).unwrap_err();
         assert!(aged_out.starts_with("job 6: result evicted"), "{aged_out}");
+    }
+
+    #[test]
+    fn a_sort_of_no_whole_records_fails_typed_and_the_next_job_runs() {
+        let (addr, server) = service(2, 1, 1);
+        let mut client = ServiceClient::connect(addr).unwrap();
+        let id = client.submit(&JobKind::Sort, 1, &[7u8; 150]).unwrap();
+        let err = client.digest(id).unwrap_err();
+        assert!(err.contains("input length 150"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        let input = generate(200, 1);
+        let id = client.submit(&JobKind::Sort, 1, &input).unwrap();
+        let local =
+            crate::driver::run_terasort(input, &crate::driver::SortJob::local(2, 1)).unwrap();
+        assert_eq!(
+            client.digest(id),
+            Ok(ResultDigest::of(&local.outcome.outputs))
+        );
+        client.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn garbage_requests_are_errors_not_panics() {
+        // Straight into the parser: every request cut short of its fixed
+        // fields, every unknown opcode and every unknown job kind.
+        let cfg = RuntimeConfig::new(EngineConfig::local(2, 1)).with_max_concurrent(1);
+        let daemon = SortService::bind("127.0.0.1:0", cfg).unwrap().inner;
+        let id = ServiceClient::job_request;
+        let whole: Vec<Vec<u8>> = vec![
+            vec![OP_SUBMIT, 2, 1, 3, 0, b'a', b'b', b'c'],
+            id(OP_STATUS, 1).to_vec(),
+            id(OP_DIGEST, 1).to_vec(),
+            id(OP_FETCH, 1).to_vec(),
+            id(OP_TIMELINE, 1).to_vec(),
+            vec![OP_STATS],
+            vec![OP_SHUTDOWN],
+        ];
+        let mut garbage: Vec<Vec<u8>> = (whole.iter())
+            .flat_map(|req| (0..req.len()).map(|cut| req[..cut].to_vec()))
+            .collect();
+        // A pattern longer than the frame is a cut, too.
+        garbage.push(vec![OP_SUBMIT, 2, 1, 0xFF, 0xFF, b'a']);
+        for op in (0..=u8::MAX).filter(|op| !(OP_SUBMIT..=OP_TIMELINE).contains(op)) {
+            garbage.extend([vec![op], vec![op, 1, 0, 0, 0]]);
+        }
+        for kind in 3..=u8::MAX {
+            garbage.push([&[OP_SUBMIT, kind, 1, 0, 0][..], &generate(2, 1)].concat());
+        }
+        for req in garbage {
+            let answer = daemon.handle_request(Bytes::from(req.clone()), &mut Vec::new());
+            assert!(answer.is_err(), "{req:?}");
+        }
+        assert!(daemon.jobs.lock().is_empty() && !daemon.stop.raised());
     }
 
     /// Polls `cond` (the daemon's own state, which no event reports to a
