@@ -8,11 +8,14 @@
 //! piece of the rank's own partition goes to the partition's
 //! [`Reducer`](crate::workload::Reducer) the moment the rank holds it whole,
 //! and the moment the last one is in the rank reduces what could not start
-//! without it; then it drains its NIC and synchronizes. The CPU stages run
+//! without it; then it drains its NIC and returns. The CPU stages run
 //! while the rank's NIC works through its queue, so a job costs about
-//! max(NIC, CPU) rather than their sum. Two synchronizations remain — after
-//! CodeGen and at the end of the Shuffle, which is the end of the job: a
-//! partition needs nothing from a peer but its pieces. What differs
+//! max(NIC, CPU) rather than their sum. A job's ranks meet only through their
+//! data: a rank posts under tags it computes by itself and a mailbox queues a
+//! message whether or not its receiver has started, so no stage ends in a
+//! barrier — a partition needs nothing from a peer but its pieces. Only
+//! recovery synchronizes, at the end of the Shuffle and at Recover, to agree
+//! on who died. What differs
 //! between conventional TeraSort (§III), CodedTeraSort (§IV) and the
 //! pod-partitioned scheme (§VI) is only the [`Layout`]: which files a node
 //! maps, which multicast groups it codes in, and which intermediates carry
@@ -42,7 +45,7 @@ use cts_net::message::Tag;
 use cts_net::registry::MembershipView;
 use cts_net::span::SpanLog;
 use cts_net::trace::Trace;
-use cts_net::{Communicator, Key, NetError, NicMeter};
+use cts_net::{Communicator, Key, NetError, NicMeter, Transport};
 use cts_netsim::stats::{NodeStats, RunStats};
 use parking_lot::Mutex;
 
@@ -321,6 +324,14 @@ pub fn run_on<W: Workload>(
         // output (which wins over anything the "dead" rank still produced);
         // its stats stay default — none of its work survived.
         if let Some(done) = result? {
+            // Every rank has joined, its NIC drained: what the quorum did not
+            // wait for sits in the mailbox on the in-memory fabric. Discard
+            // it, or the next job on this slot of a resident fabric would
+            // receive it as its own. Best effort — a dead sender's key errors —
+            // and never a blocking drain.
+            for &(tag, sender) in &done.late {
+                let _ = done.transport.try_recv(sender, tag);
+            }
             outputs[rank].get_or_insert(done.output);
             stats.per_node[rank] = done.stats;
             for (dead, output) in done.adopted {
@@ -355,6 +366,10 @@ struct Finished {
     /// Partitions adopted on behalf of dead ranks.
     adopted: Vec<(usize, Vec<u8>)>,
     stats: NodeStats,
+    /// The keys whose packet the quorum did not wait for, as `transport`
+    /// sees them: dropped once every rank has joined.
+    late: Vec<Key>,
+    transport: Arc<dyn Transport>,
 }
 
 /// One multicast group of a rank's pod, as CodeGen materializes it.
@@ -375,20 +390,19 @@ struct Rank<'a> {
     layout: Layout,
     me: usize,
     stats: NodeStats,
-    /// `None`: sync points are plain barriers. `Some`: the health layer is
-    /// running and every sync point is the alive-aware dead-mask exchange,
-    /// so a dead rank can never strand one.
+    /// `Some`: the health layer is running, and the job has sync points —
+    /// alive-aware dead-mask exchanges, so a dead rank can never strand one.
     recovery: Option<Box<Recovery>>,
 }
 
 impl Rank<'_> {
-    /// A sync point. Every rank walks the same sequence of them — after
-    /// CodeGen, at the end of the Shuffle\[, Recover\] — so the recovery
-    /// epochs line up by construction. Returns the agreed dead mask (0
-    /// without the health layer).
+    /// Recovery's sync point, the alive-aware dead-mask exchange. Every rank
+    /// of a job with recovery walks the same two — at the end of the Shuffle,
+    /// then at Recover — so the epochs line up by construction. A job without
+    /// recovery has none: it returns the empty dead mask at once.
     fn sync(&mut self) -> Result<u128> {
         match &mut self.recovery {
-            None => Ok(self.comm.barrier().map(|()| 0)?),
+            None => Ok(0),
             Some(rec) => rec.sync(self.comm),
         }
     }
@@ -578,7 +592,6 @@ fn node_main<W: Workload>(
                 ranks: layout.globalize(members, me).to_vec(),
             })
             .collect();
-        rank.sync()?;
     }
     // Ascending group id is colex order, like a rank's files: sorted by
     // largest member, so the packets a mapped file completes are the next
@@ -762,24 +775,18 @@ fn node_main<W: Workload>(
     }
 
     // ---- Reduce: what could not start before the last piece ------------------
-    // The partition is whole: nothing it needs is behind the synchronization
-    // below, so the rank reduces while its NIC drains and its peers receive.
+    // The partition is whole: nothing it needs is behind the close below, so
+    // the rank reduces while its NIC drains and its peers receive.
     comm.set_stage(stages::REDUCE);
     let output = reduce.reducer.finish(&pool);
 
     // ---- Shuffle: the close ---------------------------------------------------
-    // The stage ends when this rank's NIC has drained, its last expected
-    // message is in, and every peer can say the same.
+    // The stage ends when this rank's NIC has drained and its last expected
+    // message is in; with recovery on, also when the survivors agree on the
+    // dead.
     comm.set_stage(stages::SHUFFLE);
     comm.drain()?;
     rank.sync()?;
-    // Every sender has issued all its sends by now, so on the in-memory
-    // fabric whatever the quorum did not wait for sits in the mailbox:
-    // discard it, or the next job on this slot of a resident fabric would
-    // receive it as its own. Best effort — a dead sender's entry errors.
-    for (tag, sender) in late {
-        let _ = comm.transport().try_recv(sender, tag);
-    }
 
     // ---- Recover: speculative re-execution --------------------------------
     // This sync fixes the canonical dead set; survivors then rebuild each
@@ -806,6 +813,8 @@ fn node_main<W: Workload>(
         output,
         adopted,
         stats: rank.stats,
+        late,
+        transport: Arc::clone(comm.transport()),
     }))
 }
 
@@ -829,9 +838,9 @@ fn node_main<W: Workload>(
 /// ticked.
 ///
 /// Returns the keys whose packet never came (their group released without it
-/// — none under barrier-on-all), as the transport sees them, for the caller
-/// to discard once the stage has synchronized; a straggler still in flight on
-/// TCP then is not caught (ROADMAP 5(c)).
+/// — none under barrier-on-all), as the transport sees them, for the driver
+/// to discard after the ranks join; a straggler still in flight on TCP then
+/// is not caught (ROADMAP 6(c)).
 fn shuffle_receive(
     rank: &mut Rank<'_>,
     groups: &[&Group],

@@ -2,16 +2,18 @@
 //!
 //! This crate runs real MapReduce jobs over the `cts-net` substrate. One
 //! pipeline executes every scheme. The paper times its stages laid end to
-//! end; here only CodeGen and the Shuffle close on a synchronization, and in
-//! between each node walks the stages in one pass, so its CPU work runs
-//! while its NIC drains (paper §VI, "asynchronous execution"):
+//! end and closes them on barriers; here no stage closes on a
+//! synchronization (only failure recovery has one), and each node walks the
+//! stages in one pass, so its CPU work runs while its NIC drains (paper §VI,
+//! "asynchronous execution"):
 //!
 //! 1. **Placement** (untimed, the coordinator's job): the input splits
 //!    into `C(K, r)` files, file `F_S` staged on every node of `S`.
 //! 2. **CodeGen** (when there are groups): every node enumerates the
-//!    `C(K, r+1)` multicast groups (the paper's `MPI_Comm_split`; our
-//!    group communicators are member lists, so the real cost is
-//!    enumeration — the EC2 cost is modeled).
+//!    `C(K, r+1)` multicast groups (the paper's `MPI_Comm_split`, a
+//!    collective; our group communicators are member lists a node computes
+//!    by itself, so the real cost is enumeration — the EC2 cost is
+//!    modeled).
 //! 3. **Map**: each node hashes each of its files into `K` intermediates
 //!    and keeps them per the §IV-B rule — file by file, in the order that
 //!    completes a group soonest.
@@ -23,7 +25,7 @@
 //!    whatever travels uncoded — a post queues behind the node's NIC and
 //!    does not wait for it — and then receives whatever comes next until
 //!    every packet is in or, in quorum mode, each group decodes. The stage
-//!    ends when its NIC has drained too and every peer can say the same. The
+//!    ends when its NIC has drained too; no peer is waited for. The
 //!    paper sends one node at a time (Fig. 9); behind a NIC that shapes
 //!    egress this stage takes the busiest sender's egress time, and Map,
 //!    Encode, Decode and Reduce hide in it.
@@ -32,8 +34,8 @@
 //! 7. **Reduce**: everything a node reduces — kept, unicast and decoded
 //!    pieces — goes to the partition's [`workload::Reducer`] the moment the
 //!    node holds it, in whatever order that is; what the reducer can only do
-//!    with every piece in hand runs when the last one lands, before the
-//!    Shuffle's closing synchronization.
+//!    with every piece in hand runs when the last one lands, while the
+//!    node's NIC may still be draining.
 //!
 //! There is one entry point, [`run`] ([`run_on`] for a fabric that already
 //! exists), and the layout is a function of the [`EngineConfig`]:

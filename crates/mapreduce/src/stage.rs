@@ -62,11 +62,11 @@ impl std::str::FromStr for RecoveryMode {
 
 /// Wall-clock stage durations for one node. A CPU stage's wall is the time
 /// the node's thread spent in that work, its interleaved slices summed
-/// (CodeGen includes the wait at its closing synchronization); the Shuffle's
-/// runs from the node's first post to "its NIC drained and its last expected
-/// message in", plus the closing synchronization — Map, Encode, Decode and
-/// Reduce slices that ran meanwhile included, so the six can sum to more
-/// than the node's job took.
+/// (CodeGen is the enumeration alone: no synchronization closes it); the
+/// Shuffle's runs from the node's first post to its own drain and its last
+/// expected message — recovery's dead-mask exchange too, when recovery is
+/// on — with the Map, Encode, Decode and Reduce slices that ran meanwhile
+/// included, so the six can sum to more than the node's job took.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeWall {
     /// CodeGen duration.
@@ -91,9 +91,9 @@ impl NodeWall {
 }
 
 /// Cluster-wide wall times: the per-stage maximum over nodes, and the job's
-/// own wall beside them. Only CodeGen and the Shuffle close on a
-/// synchronization; in between a node's stages overlap each other, so
-/// `max.total()` exceeds `job` by what ran hidden behind the NIC.
+/// own wall beside them. No stage closes on a synchronization (recovery's
+/// aside): a node's stages overlap each other, so `max.total()` exceeds
+/// `job` by what ran hidden behind the NIC.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WallTimes {
     /// Slowest node per stage.
