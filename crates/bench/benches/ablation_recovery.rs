@@ -2,7 +2,7 @@
 //! stage boundary (mid-Map, mid-Encode, mid-Shuffle, pre-Reduce) and the
 //! sort runs once with speculative recovery and once with recovery off.
 //!
-//! With the MDS quorum decode a single death never starves a group, so
+//! With the quorum decode a single death never starves a group, so
 //! speculative recovery pays only *detection* (the health layer's probed
 //! death deadline) *plus the missing work* (re-executing the dead rank's
 //! replicated map share and adopting its reduce partition) — never a
@@ -20,7 +20,6 @@ use std::time::{Duration, Instant};
 use cts_bench::env_usize;
 use cts_bench::results::BenchDoc;
 use cts_core::decode::DecodeMode;
-use cts_core::field::FieldKind;
 use cts_mapreduce::error::EngineError;
 use cts_mapreduce::stage::{EngineConfig, RecoveryMode};
 use cts_net::fault::{CrashPoint, CrashSpec};
@@ -49,7 +48,6 @@ fn timed(
 ) -> (cts_mapreduce::Result<SortRun>, f64) {
     let mut job = SortJob::new(
         EngineConfig::local(k, r)
-            .with_field(FieldKind::Gf256)
             .with_decode(DecodeMode::Quorum)
             .with_recovery(recovery)
             .with_heartbeat(HEARTBEAT),
@@ -68,7 +66,7 @@ fn main() {
     let records = env_usize("CTS_RECORDS", 4_000).min(50_000);
     let input = teragen::generate(records, 2017);
 
-    println!("Recovery sweep — K = {k}, r = {r}, GF(256) quorum, victim rank {victim}");
+    println!("Recovery sweep — K = {k}, r = {r}, quorum decode, victim rank {victim}");
     println!(
         "({records} records; heartbeat {} ms, death deadline {} ms)\n",
         HEARTBEAT.as_millis(),
@@ -168,7 +166,6 @@ fn write_json(
         .config("r", Value::UInt(r as u64))
         .config("records", Value::UInt(records as u64))
         .config("victim_rank", Value::UInt(victim as u64))
-        .config("field", Value::Str("gf256".to_string()))
         .config("decode", Value::Str("quorum".to_string()))
         .config("heartbeat_ms", Value::UInt(HEARTBEAT.as_millis() as u64))
         .config("death_deadline_s", Value::Float(detect_s))

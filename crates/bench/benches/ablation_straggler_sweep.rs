@@ -2,7 +2,7 @@
 //! slowed {2×, 10×, ∞} and the sort runs under both decode disciplines.
 //!
 //! The paper's engines barrier on every coded packet, so the whole
-//! Shuffle inherits the slowest sender's delay. The MDS quorum decode
+//! Shuffle inherits the slowest sender's delay. The quorum decode
 //! (any `r−1` of `r` packets release a group) takes the straggler off
 //! every critical path: its makespan must stay inside the
 //! `cts_netsim::straggler` model's delay-independent bracket while the
@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 use cts_bench::env_usize;
 use cts_bench::results::BenchDoc;
 use cts_core::decode::DecodeMode;
-use cts_core::field::FieldKind;
 use cts_mapreduce::EngineConfig;
 use cts_net::fault::{straggler_blackhole_rule, straggler_delay_rule, FaultRule};
 use cts_netsim::straggler::{Slowdown, StragglerModel};
@@ -43,11 +42,7 @@ fn timed(
     decode: DecodeMode,
     fault: Option<(usize, Arc<FaultRule>)>,
 ) -> f64 {
-    let mut job = SortJob::new(
-        EngineConfig::local(k, r)
-            .with_field(FieldKind::Gf256)
-            .with_decode(decode),
-    );
+    let mut job = SortJob::new(EngineConfig::local(k, r).with_decode(decode));
     if let Some((victim, rule)) = fault {
         job.engine.cluster = job.engine.cluster.with_fault(victim, rule);
     }
@@ -64,7 +59,7 @@ fn main() {
     let records = env_usize("CTS_RECORDS", 4_000).min(50_000);
     let input = teragen::generate(records, 2017);
 
-    println!("Straggler sweep — K = {k}, r = {r}, GF(256), victim rank {victim}");
+    println!("Straggler sweep — K = {k}, r = {r}, victim rank {victim}");
     println!("({records} records; slowdown = extra delay on every victim multicast)\n");
 
     let healthy_s = timed(&input, k, r, DecodeMode::Quorum, None);
@@ -163,7 +158,6 @@ fn write_json(k: usize, r: usize, records: usize, healthy_s: f64, points: &[Poin
         .config("r", Value::UInt(r as u64))
         .config("records", Value::UInt(records as u64))
         .config("victim_rank", Value::UInt(1))
-        .config("field", Value::Str("gf256".to_string()))
         .config("healthy_quorum_makespan_s", Value::Float(healthy_s))
         .unit("injected_delay_s", "s")
         .unit("quorum_makespan_s", "s")

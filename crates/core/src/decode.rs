@@ -11,19 +11,24 @@
 //! it is missing (eq. (10)). Collecting one segment from each of the `r`
 //! senders in the group and merging them in ascending sender position yields
 //! the complete `I^k_{M\{k}}`.
+//!
+//! Under [`DecodeMode::Quorum`] the packets carry the quorum split instead
+//! ([`crate::segment::quorum_role`]): the same cancellation leaves one part
+//! of `I^k_{M\{k}}`, or the parity of its parts, and any `r − 1` of the
+//! `r` packets rebuild it.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::error::{CodedError, Result};
-use crate::field::FieldKind;
-use crate::gf256;
 use crate::groups::MulticastGroups;
 use crate::intermediate::IntermediateSource;
 use crate::packet::CodedPacket;
 use crate::pool::{self, BufPool};
-use crate::segment::{max_segment_len, segment_slice, segment_span};
-use crate::solve::{mds_parts, mds_point, mds_row, GroupSolver};
+use crate::segment::{
+    max_segment_len, mds_parts, quorum_role, segment_slice, segment_span, QuorumRole,
+};
 use crate::subset::{NodeId, NodeSet};
+use crate::xor::xor_into;
 
 /// When a receiver releases a multicast group's intermediate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -32,11 +37,9 @@ pub enum DecodeMode {
     /// cancel-and-divide each (the paper's Algorithm 2). The default.
     #[default]
     All,
-    /// Quorum: with MDS-mixed packets (GF(256)), release the group as
-    /// soon as the per-group solver reaches full rank — any
-    /// `s = r − 1` of the `r` packets suffice, so one straggling or dead
-    /// sender per group is tolerated. Over GF(2) (no binary MDS code)
-    /// every packet is needed, as under [`All`](DecodeMode::All).
+    /// Quorum: with single-parity-coded (wire v2) packets, release the
+    /// group as soon as any `s = r − 1` of its `r` packets are in, so one
+    /// straggling or dead sender per group is tolerated.
     Quorum,
 }
 
@@ -99,47 +102,26 @@ pub struct SegmentInfo {
 pub struct Decoder {
     groups: MulticastGroups,
     node: NodeId,
-    field: FieldKind,
 }
 
 impl Decoder {
-    /// Decoder for `node` in a `(K, r)` deployment over GF(2) — the
-    /// paper's XOR code and the byte-identical reference oracle.
+    /// Decoder for `node` in a `(K, r)` deployment.
     ///
     /// # Errors
     /// `InvalidParameters` if `(k, r)` is invalid or `node >= k`.
     pub fn new(k: usize, r: usize, node: NodeId) -> Result<Self> {
-        Self::with_field(k, r, node, FieldKind::Gf2)
-    }
-
-    /// Decoder over an explicit coding field — must match the field the
-    /// sender's [`Encoder`](crate::encode::Encoder) combined packets in
-    /// (the rule is deterministic, so no coefficients travel on the wire).
-    ///
-    /// # Errors
-    /// As [`new`](Decoder::new).
-    pub fn with_field(k: usize, r: usize, node: NodeId, field: FieldKind) -> Result<Self> {
         let groups = MulticastGroups::new(k, r)?;
         if node >= k {
             return Err(CodedError::InvalidParameters {
                 what: format!("node {node} out of range for K = {k}"),
             });
         }
-        Ok(Decoder {
-            groups,
-            node,
-            field,
-        })
+        Ok(Decoder { groups, node })
     }
 
     /// The node this decoder belongs to.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The coding field packets are cancelled in.
-    pub fn field(&self) -> FieldKind {
-        self.field
     }
 
     /// Recovers this node's segment from one received packet (eq. (10)).
@@ -180,23 +162,7 @@ impl Decoder {
         acc: &mut Vec<u8>,
     ) -> Result<SegmentInfo> {
         let m = packet.group;
-        if m.len() != self.groups.group_size() {
-            return Err(CodedError::PlanMismatch {
-                what: format!(
-                    "packet group {m} has {} members, expected {}",
-                    m.len(),
-                    self.groups.group_size()
-                ),
-            });
-        }
-        if !m.contains(self.node) || packet.sender == self.node {
-            return Err(CodedError::PlanMismatch {
-                what: format!(
-                    "packet for group {m} from {} not decodable at node {}",
-                    packet.sender, self.node
-                ),
-            });
-        }
+        self.check_group(packet)?;
         let my_len = packet
             .seg_len_for(self.node)
             .ok_or_else(|| CodedError::MalformedPacket {
@@ -211,9 +177,7 @@ impl Decoder {
             });
         }
 
-        // Cancel the locally known segments: t ∈ M \ {u, k}. In
-        // characteristic 2 subtraction is XOR, so cancellation re-applies
-        // the sender's own `coeff(u, t) ⊙ segment` terms.
+        // Cancel the locally known segments: t ∈ M \ {u, k}.
         acc.clear();
         acc.extend_from_slice(&packet.payload);
         for t in m.iter().filter(|&t| t != packet.sender && t != self.node) {
@@ -231,16 +195,11 @@ impl Decoder {
                     ),
                 });
             }
-            self.field
-                .add_scaled(acc, seg, self.field.coeff(packet.sender, t));
+            xor_into(acc, seg);
         }
 
         let file = m.without(self.node);
         acc.truncate(my_len);
-        // What remains is coeff(u, node) ⊙ I^node_{file, u}: divide by our
-        // own coefficient (a GF(2) no-op — the coefficient is 1).
-        let own = self.field.coeff(packet.sender, self.node);
-        self.field.scale(acc, self.field.inv(own));
         let position = file
             .position_of(packet.sender)
             .expect("sender is in M\\{node} by construction");
@@ -254,6 +213,30 @@ impl Decoder {
     /// Group enumeration shared with the encoder.
     pub fn groups(&self) -> &MulticastGroups {
         &self.groups
+    }
+
+    /// `PlanMismatch` unless `packet` belongs to a group of this
+    /// deployment that holds this node, from another member.
+    fn check_group(&self, packet: &CodedPacket) -> Result<()> {
+        let m = packet.group;
+        if m.len() != self.groups.group_size() {
+            return Err(CodedError::PlanMismatch {
+                what: format!(
+                    "packet group {m} has {} members, expected {}",
+                    m.len(),
+                    self.groups.group_size()
+                ),
+            });
+        }
+        if !m.contains(self.node) || packet.sender == self.node || !m.contains(packet.sender) {
+            return Err(CodedError::PlanMismatch {
+                what: format!(
+                    "packet for group {m} from {} not decodable at node {}",
+                    packet.sender, self.node
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -391,37 +374,38 @@ pub struct DecodePipeline {
     decoder: Decoder,
     mode: DecodeMode,
     slots: HashMap<u64, SegmentAssembler>,
-    /// Per-group MDS solvers, keyed by `file.bits()` — only populated in
-    /// [`DecodeMode::Quorum`] when MDS-mixed (wire v2) packets arrive.
+    /// Per-group quorum state, keyed by `file.bits()` — only populated in
+    /// [`DecodeMode::Quorum`] when quorum (wire v2) packets arrive.
     quorum_slots: HashMap<u64, QuorumSlot>,
     /// Groups already released by an early quorum: late packets for these
     /// are benign and ignored.
     released: HashSet<u64>,
 }
 
-/// In-flight MDS decode state for one group.
+/// In-flight quorum decode state for one group.
 #[derive(Debug)]
 struct QuorumSlot {
-    solver: GroupSolver,
-    /// Reconstruction length of the intermediate this node is missing,
-    /// as declared by the first packet (cross-checked on later ones).
+    /// Length of the intermediate this node is missing, as the first
+    /// packet declared it (later ones are cross-checked).
     total: usize,
+    /// The intermediate, grown to the end of the furthest part in: part
+    /// `j` is written at its span the moment it is decoded (appended when
+    /// the parts before it are in, as they usually are).
+    value: Vec<u8>,
+    /// Bit `j` set once part `j` is in `value`.
+    parts: u128,
+    /// The parity of the parts, zero-padded to part 0, once it is in.
+    parity: Option<Vec<u8>>,
 }
 
 impl DecodePipeline {
-    /// Pipeline for `node` in a `(K, r)` deployment over GF(2).
-    pub fn new(k: usize, r: usize, node: NodeId) -> Result<Self> {
-        Self::with_field(k, r, node, FieldKind::Gf2)
-    }
-
-    /// Pipeline over an explicit coding field (see
-    /// [`Decoder::with_field`]).
+    /// Pipeline for `node` in a `(K, r)` deployment.
     ///
     /// # Errors
-    /// As [`new`](DecodePipeline::new).
-    pub fn with_field(k: usize, r: usize, node: NodeId, field: FieldKind) -> Result<Self> {
+    /// `InvalidParameters` if `(k, r)` is invalid or `node >= k`.
+    pub fn new(k: usize, r: usize, node: NodeId) -> Result<Self> {
         Ok(DecodePipeline {
-            decoder: Decoder::with_field(k, r, node, field)?,
+            decoder: Decoder::new(k, r, node)?,
             mode: DecodeMode::All,
             slots: HashMap::new(),
             quorum_slots: HashMap::new(),
@@ -430,8 +414,8 @@ impl DecodePipeline {
     }
 
     /// Selects the release policy (builder form). Quorum mode is what
-    /// enables [`accept`](DecodePipeline::accept) to process MDS-mixed
-    /// (wire v2) packets through the [`GroupSolver`].
+    /// enables [`accept`](DecodePipeline::accept) to process quorum
+    /// (wire v2) packets.
     pub fn with_decode(mut self, mode: DecodeMode) -> Self {
         self.mode = mode;
         self
@@ -444,8 +428,7 @@ impl DecodePipeline {
 
     /// Processes one received packet; returns the completed `(file, value)`
     /// if this packet was the one that completed its group — the `r`-th
-    /// classic packet, or (quorum mode) the one whose equation brought the
-    /// group's MDS system to full rank.
+    /// classic packet, or (quorum mode) the `s`-th distinct quorum packet.
     pub fn accept<S: IntermediateSource>(
         &mut self,
         packet: &CodedPacket,
@@ -454,8 +437,7 @@ impl DecodePipeline {
         if packet.mds {
             if self.mode != DecodeMode::Quorum {
                 return Err(CodedError::PlanMismatch {
-                    what: "MDS-mixed packet received but pipeline is in all-barrier mode"
-                        .to_string(),
+                    what: "quorum packet received but pipeline is in all-barrier mode".to_string(),
                 });
             }
             return self.accept_mds(packet, source);
@@ -491,44 +473,22 @@ impl DecodePipeline {
         Ok(Some((info.file, out)))
     }
 
-    /// Quorum path for MDS-mixed (wire v2) packets: cancel the known
-    /// senders' mixes exactly as in Algorithm 2, then feed the residual —
-    /// `c(u,k) ⊙ Σ_j v_u^j ⊙ part_j(I^k_{M\{k}})` — into the group's
-    /// [`GroupSolver`] as one linear equation in the `s` unknown parts.
-    /// The group releases the moment any `s` independent equations have
-    /// arrived; packets from the slowest sender are never waited for, and
-    /// late arrivals after release are ignored.
+    /// Quorum path for single-parity (wire v2) packets: cancel the known
+    /// targets' roles exactly as in Algorithm 2, which leaves sender `u`'s
+    /// role for this node — one of the `s` parts of `I^k_{M\{k}}`, decoded
+    /// straight into place, or their parity. The group releases the moment
+    /// any `s` distinct roles are in, a missing part rebuilt as the parity
+    /// XOR the others: packets from the slowest sender are never waited
+    /// for, and late arrivals after release are ignored.
     fn accept_mds<S: IntermediateSource>(
         &mut self,
         packet: &CodedPacket,
         source: &S,
     ) -> Result<Option<(NodeSet, Vec<u8>)>> {
-        let field = self.decoder.field();
         let node = self.decoder.node();
-        if !field.supports_quorum() {
-            return Err(CodedError::PlanMismatch {
-                what: format!("MDS-mixed packet received but field {field} has no MDS code"),
-            });
-        }
+        self.decoder.check_group(packet)?;
         let m = packet.group;
-        if m.len() != self.decoder.groups().group_size() {
-            return Err(CodedError::PlanMismatch {
-                what: format!(
-                    "packet group {m} has {} members, expected {}",
-                    m.len(),
-                    self.decoder.groups().group_size()
-                ),
-            });
-        }
-        if !m.contains(node) || packet.sender == node {
-            return Err(CodedError::PlanMismatch {
-                what: format!(
-                    "packet for group {m} from {} not decodable at node {node}",
-                    packet.sender
-                ),
-            });
-        }
-        let my_total = packet
+        let total = packet
             .seg_len_for(node)
             .ok_or_else(|| CodedError::MalformedPacket {
                 what: format!("no reconstruction length for receiver {node}"),
@@ -539,7 +499,7 @@ impl DecodePipeline {
             return Ok(None); // group already met quorum: late packet
         }
         let s = mds_parts(m.len());
-        let l0 = max_segment_len(my_total, s);
+        let l0 = max_segment_len(total, s);
         if l0 > packet.payload.len() {
             return Err(CodedError::MalformedPacket {
                 what: format!(
@@ -548,97 +508,127 @@ impl DecodePipeline {
                 ),
             });
         }
-
-        // Cancel t ∈ M \ {u, k} by re-applying the sender's MDS mix of the
-        // locally held intermediates (characteristic 2: add = subtract).
-        let mut acc = pool::global().get(packet.payload.len());
-        Self::cancel_mds(field, packet, node, source, s, &mut acc)?;
-        acc.truncate(l0);
-        let row = mds_row(field, packet.sender, node, s);
         let slot = self.quorum_slots.entry(key).or_insert_with(|| QuorumSlot {
-            solver: GroupSolver::new(s, l0),
-            total: my_total,
+            total,
+            value: pool::global().get(total),
+            parts: 0,
+            parity: None,
         });
-        if slot.total != my_total {
+        if slot.total != total {
             return Err(CodedError::MalformedPacket {
                 what: format!(
-                    "packet declares reconstruction length {my_total}, earlier packets said {}",
+                    "packet declares reconstruction length {total}, earlier packets said {}",
                     slot.total
                 ),
             });
         }
-        let added = slot.solver.add_equation(&row, &acc);
-        pool::global().put(acc);
-        added?;
-        if !slot.solver.is_complete() {
-            return Ok(None);
-        }
-        let slot = self.quorum_slots.remove(&key).expect("slot just touched");
-        let parts = slot.solver.solve()?;
-        let mut out = pool::global().get(my_total);
-        for (j, part) in parts.iter().enumerate() {
-            let len = segment_span(my_total, s, j).len;
-            out.extend_from_slice(&part[..len]);
-        }
-        self.released.insert(key);
-        Ok(Some((file, out)))
-    }
-
-    /// Copies the payload into `acc` and cancels every locally known
-    /// sender-mix term, leaving only the receiver's unknown combination.
-    fn cancel_mds<S: IntermediateSource>(
-        field: FieldKind,
-        packet: &CodedPacket,
-        node: NodeId,
-        source: &S,
-        s: usize,
-        acc: &mut Vec<u8>,
-    ) -> Result<()> {
-        acc.clear();
-        acc.extend_from_slice(&packet.payload);
-        let v = mds_point(packet.sender);
-        for t in packet
-            .group
-            .iter()
-            .filter(|&t| t != packet.sender && t != node)
-        {
-            let file = packet.group.without(t);
-            let data = source
-                .intermediate(t, file)
-                .ok_or(CodedError::MissingIntermediate { target: t, file })?;
-            let declared = packet.seg_len_for(t).unwrap_or(u32::MAX) as usize;
-            if declared != data.len() {
+        let part = |j| {
+            let span = segment_span(total, s, j);
+            span.offset..span.offset + span.len
+        };
+        let role = quorum_role(m, node, packet.sender);
+        let held = match role {
+            QuorumRole::Part(j) if slot.parts & (1 << j) == 0 => {
+                let range = part(j);
+                let payload = &packet.payload[..range.len()];
+                if slot.value.len() <= range.start {
+                    slot.value.resize(range.start, 0);
+                    slot.value.extend_from_slice(payload);
+                } else {
+                    slot.value[range.clone()].copy_from_slice(payload);
+                }
+                cancel_mds(packet, node, source, s, &mut slot.value[range])?;
+                slot.parts |= 1 << j;
+                None
+            }
+            QuorumRole::Part(j) => Some(&slot.value[part(j)]),
+            QuorumRole::Parity if slot.parity.is_none() => {
+                let mut parity = pool::global().get(l0);
+                parity.extend_from_slice(&packet.payload[..l0]);
+                cancel_mds(packet, node, source, s, &mut parity)?;
+                slot.parity = Some(parity);
+                None
+            }
+            QuorumRole::Parity => slot.parity.as_deref(),
+        };
+        if let Some(held) = held {
+            // A role heard before: benign if it says the same thing again.
+            let mut again = pool::global().get(held.len());
+            again.extend_from_slice(&packet.payload[..held.len()]);
+            cancel_mds(packet, node, source, s, &mut again)?;
+            let same = again == held;
+            pool::global().put(again);
+            if !same {
                 return Err(CodedError::MalformedPacket {
                     what: format!(
-                        "packet declares {declared} bytes for target {t}, local copy has {}",
-                        data.len()
+                        "conflicting duplicate {role:?} from {} for {file}",
+                        packet.sender
                     ),
                 });
             }
-            let mut w = field.coeff(packet.sender, t);
-            for j in 0..s {
-                let span = segment_span(data.len(), s, j);
-                let seg = &data[span.offset..span.offset + span.len];
-                if seg.len() > acc.len() {
-                    return Err(CodedError::MalformedPacket {
-                        what: format!(
-                            "payload {} bytes cannot contain known part of {}",
-                            acc.len(),
-                            seg.len()
-                        ),
-                    });
-                }
-                gf256::add_scaled_slice(acc, seg, w);
-                w = gf256::mul(w, v);
-            }
+            return Ok(None);
         }
-        Ok(())
+        let roles = slot.parts.count_ones() as usize + usize::from(slot.parity.is_some());
+        if roles < s {
+            return Ok(None);
+        }
+        let mut slot = self.quorum_slots.remove(&key).expect("slot just touched");
+        slot.value.resize(total, 0);
+        if let Some(mut parity) = slot.parity.take() {
+            if let Some(j) = (0..s).find(|&j| slot.parts & (1 << j) == 0) {
+                for q in (0..s).filter(|&q| q != j) {
+                    xor_into(&mut parity, &slot.value[part(q)]);
+                }
+                let missing = part(j);
+                parity.truncate(missing.len());
+                slot.value[missing].copy_from_slice(&parity);
+            }
+            pool::global().put(parity);
+        }
+        self.released.insert(key);
+        Ok(Some((file, slot.value)))
     }
 
     /// Number of partially assembled intermediates still in flight.
     pub fn in_flight(&self) -> usize {
         self.slots.len() + self.quorum_slots.len()
     }
+}
+
+/// Turns `dst`, the first `dst.len()` payload bytes, into sender `u`'s
+/// quorum role for `node`: XORs out the role `u` plays for every target it
+/// and `node` both know (`t ∈ M \ {u, node}`), cut to `dst`.
+fn cancel_mds<S: IntermediateSource>(
+    packet: &CodedPacket,
+    node: NodeId,
+    source: &S,
+    s: usize,
+    dst: &mut [u8],
+) -> Result<()> {
+    let m = packet.group;
+    for t in m.iter().filter(|&t| t != packet.sender && t != node) {
+        let file = m.without(t);
+        let data = source
+            .intermediate(t, file)
+            .ok_or(CodedError::MissingIntermediate { target: t, file })?;
+        let declared = packet.seg_len_for(t).unwrap_or(u32::MAX) as usize;
+        if declared != data.len() {
+            return Err(CodedError::MalformedPacket {
+                what: format!(
+                    "packet declares {declared} bytes for target {t}, local copy has {}",
+                    data.len()
+                ),
+            });
+        }
+        for j in quorum_role(m, t, packet.sender).parts(s) {
+            let span = segment_span(data.len(), s, j);
+            xor_into(
+                dst,
+                &data[span.offset..span.offset + span.len.min(dst.len())],
+            );
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -694,20 +684,14 @@ mod tests {
     /// other group member decodes, and the recovered values must equal the
     /// originals.
     fn roundtrip(k: usize, r: usize, len_scale: usize) {
-        for field in FieldKind::ALL {
-            roundtrip_in(k, r, len_scale, field);
-        }
-    }
-
-    fn roundtrip_in(k: usize, r: usize, len_scale: usize, field: FieldKind) {
         let stores = stores(k, r, len_scale);
         let mut pipelines: Vec<DecodePipeline> = (0..k)
-            .map(|n| DecodePipeline::with_field(k, r, n, field).unwrap())
+            .map(|n| DecodePipeline::new(k, r, n).unwrap())
             .collect();
         let mut recovered: Vec<Vec<(NodeSet, Vec<u8>)>> = vec![Vec::new(); k];
 
         for sender in 0..k {
-            let enc = Encoder::with_field(k, r, sender, field).unwrap();
+            let enc = Encoder::new(k, r, sender).unwrap();
             for pkt in enc.encode_all(&stores[sender]).unwrap() {
                 // Wire roundtrip as the transport would do.
                 let pkt = CodedPacket::from_bytes(&pkt.to_bytes()).unwrap();
@@ -767,29 +751,6 @@ mod tests {
         // tail segments, exercising the padding paths.
         roundtrip(5, 3, 1);
         roundtrip(6, 4, 1);
-    }
-
-    #[test]
-    fn gf256_wire_bytes_differ_from_gf2_but_recover_the_same_values() {
-        // The q-ary code must actually change the coded payloads (its
-        // coefficients are not all 1) while both fields reconstruct the
-        // identical original intermediates — GF(2) is the oracle.
-        let (k, r, len_scale) = (5, 2, 6);
-        let stores = stores(k, r, len_scale);
-        let gf2 = Encoder::new(k, r, 0).unwrap();
-        let gf256 = Encoder::with_field(k, r, 0, FieldKind::Gf256).unwrap();
-        let pkts2 = gf2.encode_all(&stores[0]).unwrap();
-        let pkts256 = gf256.encode_all(&stores[0]).unwrap();
-        assert_eq!(pkts2.len(), pkts256.len());
-        let mut any_differ = false;
-        for (a, b) in pkts2.iter().zip(&pkts256) {
-            assert_eq!(a.group, b.group);
-            assert_eq!(a.seg_lens, b.seg_lens, "headers are field-independent");
-            any_differ |= a.payload != b.payload;
-        }
-        assert!(any_differ, "gf256 coefficients left every payload as XOR");
-        // Decoding mismatched fields must NOT silently agree.
-        roundtrip_in(k, r, len_scale, FieldKind::Gf256);
     }
 
     #[test]
@@ -939,7 +900,7 @@ mod tests {
         m: NodeSet,
         store: &MapOutputStore,
     ) -> CodedPacket {
-        let enc = Encoder::with_field(k, r, sender, FieldKind::Gf256).unwrap();
+        let enc = Encoder::new(k, r, sender).unwrap();
         let mut scratch = crate::encode::EncodeScratch::new();
         enc.encode_group_mds_into(m, store, &mut scratch).unwrap();
         let mut wire = Vec::new();
@@ -955,7 +916,7 @@ mod tests {
         let groups = MulticastGroups::new(k, r).unwrap();
         let mut pipelines: Vec<DecodePipeline> = (0..k)
             .map(|n| {
-                DecodePipeline::with_field(k, r, n, FieldKind::Gf256)
+                DecodePipeline::new(k, r, n)
                     .unwrap()
                     .with_decode(DecodeMode::Quorum)
             })
@@ -1002,9 +963,9 @@ mod tests {
 
     #[test]
     fn quorum_tolerates_one_missing_sender_per_group() {
-        // r >= 3 so s = r - 1 >= 2: one of the r packets per group never
-        // arrives, yet every group still reaches full rank.
-        for (k, r) in [(4, 3), (5, 3), (5, 4), (6, 3)] {
+        // One of the r packets per group never arrives, yet every group
+        // still releases (at r = 2, s = 1: either packet alone).
+        for (k, r) in [(4, 2), (4, 3), (5, 3), (5, 4), (6, 3)] {
             quorum_roundtrip_skipping(k, r, 6, 1);
         }
         quorum_roundtrip_skipping(5, 4, 1, 1);
@@ -1015,7 +976,7 @@ mod tests {
         let (k, r, len_scale) = (4, 3, 5);
         let stores = stores(k, r, len_scale);
         let m: NodeSet = fs(&[0, 1, 2, 3]);
-        let mut pipe = DecodePipeline::with_field(k, r, 0, FieldKind::Gf256)
+        let mut pipe = DecodePipeline::new(k, r, 0)
             .unwrap()
             .with_decode(DecodeMode::Quorum);
         // Senders 1 and 2 complete the quorum (s = 2); sender 3 is late.
@@ -1038,19 +999,7 @@ mod tests {
         let (k, r) = (4, 3);
         let stores = stores(k, r, 4);
         let pkt = mds_packet(k, r, 1, fs(&[0, 1, 2, 3]), &stores[1]);
-        let mut pipe = DecodePipeline::with_field(k, r, 0, FieldKind::Gf256).unwrap();
-        let err = pipe.accept(&pkt, &stores[0]).unwrap_err();
-        assert!(matches!(err, CodedError::PlanMismatch { .. }));
-    }
-
-    #[test]
-    fn gf2_quorum_pipeline_rejects_mds_packet() {
-        let (k, r) = (4, 3);
-        let stores = stores(k, r, 4);
-        let pkt = mds_packet(k, r, 1, fs(&[0, 1, 2, 3]), &stores[1]);
-        let mut pipe = DecodePipeline::new(k, r, 0)
-            .unwrap()
-            .with_decode(DecodeMode::Quorum);
+        let mut pipe = DecodePipeline::new(k, r, 0).unwrap();
         let err = pipe.accept(&pkt, &stores[0]).unwrap_err();
         assert!(matches!(err, CodedError::PlanMismatch { .. }));
     }

@@ -13,21 +13,22 @@
 //! `k ∈ M\{t}` means node `k` mapped file `F_{M\{t}}`, and `t ∉ M\{t}` means
 //! the keep rule retained `I^t_{M\{t}}`.
 //!
-//! Over a non-binary [`FieldKind`] the fold generalizes to the q-ary
-//! linear combination `Σ_t coeff(k, t) ⊙ segment_t` — same structure,
-//! nonzero per-segment coefficients, SIMD multiply-accumulate kernels.
+//! The quorum variant ([`Encoder::encode_group_mds_into`]) folds the same
+//! way over a different split: each target's intermediate is cut into
+//! `s = r − 1` parts, and the packet carries one part or the parity of all
+//! of them ([`quorum_role`]), so any `s` of a group's `r` packets decode.
 
 use bytes::Bytes;
 
 use crate::error::{CodedError, Result};
-use crate::field::FieldKind;
-use crate::gf256;
 use crate::groups::MulticastGroups;
 use crate::intermediate::IntermediateSource;
 use crate::packet::CodedPacket;
-use crate::segment::{max_segment_len, segment_for_node, segment_slice, segment_span};
-use crate::solve::{mds_parts, mds_point};
+use crate::segment::{
+    max_segment_len, mds_parts, quorum_role, segment_for_node, segment_slice, segment_span,
+};
 use crate::subset::{NodeId, NodeSet};
+use crate::xor::xor_into;
 
 /// Reusable buffers for the encode hot loop.
 ///
@@ -83,37 +84,21 @@ impl EncodeScratch {
 pub struct Encoder {
     groups: MulticastGroups,
     node: NodeId,
-    field: FieldKind,
 }
 
 impl Encoder {
-    /// Encoder for `node` in a `(K, r)` deployment over GF(2) — the
-    /// paper's XOR code and the byte-identical reference oracle.
+    /// Encoder for `node` in a `(K, r)` deployment.
     ///
     /// # Errors
     /// `InvalidParameters` if `(k, r)` is invalid or `node >= k`.
     pub fn new(k: usize, r: usize, node: NodeId) -> Result<Self> {
-        Self::with_field(k, r, node, FieldKind::Gf2)
-    }
-
-    /// Encoder over an explicit coding field: packets carry
-    /// `Σ_t field.coeff(node, t) ⊙ seg_t` instead of a plain XOR fold.
-    /// Decoders must be built over the same field.
-    ///
-    /// # Errors
-    /// As [`new`](Encoder::new).
-    pub fn with_field(k: usize, r: usize, node: NodeId, field: FieldKind) -> Result<Self> {
         let groups = MulticastGroups::new(k, r)?;
         if node >= k {
             return Err(CodedError::InvalidParameters {
                 what: format!("node {node} out of range for K = {k}"),
             });
         }
-        Ok(Encoder {
-            groups,
-            node,
-            field,
-        })
+        Ok(Encoder { groups, node })
     }
 
     /// The group enumeration shared with the decoder.
@@ -143,30 +128,26 @@ impl Encoder {
         })
     }
 
-    /// Builds the MDS-mixed quorum packet for group `m` — the wire-v2
-    /// variant behind any-`s`-of-`n` decode (see [`crate::solve`]).
+    /// Builds the quorum packet for group `m` — the wire-v2 variant
+    /// behind any-`s`-of-`r` decode.
     ///
     /// Each target's intermediate `I^t_{M\{t}}` splits into
-    /// `s = mds_parts(|m|)` zero-padded parts, mixed as
-    /// `c(node,t) ⊙ Σ_j v_node^j ⊙ part_j` — every sender of `M\{t}`
-    /// knows the *full* intermediate (it mapped the file), so any `s`
-    /// such packets let receiver `t` solve for all parts.
-    /// `scratch.seg_lens` records the per-target *total* lengths.
+    /// `s = mds_parts(|m|)` parts; the packet XORs, per target, the part
+    /// or the parity [`quorum_role`] gives this node, zero-padded to the
+    /// longest part 0. Every sender of `M\{t}` knows the *full*
+    /// intermediate (it mapped the file), and the roles of a target's `r`
+    /// senders are its `s` parts and their parity, so any `s` such packets
+    /// rebuild it. `scratch.seg_lens` records the per-target *total*
+    /// lengths.
     ///
     /// # Errors
-    /// `InvalidParameters` over GF(2) (no nontrivial binary MDS code at
-    /// these lengths); otherwise as [`encode_group`](Encoder::encode_group).
+    /// As [`encode_group`](Encoder::encode_group).
     pub fn encode_group_mds_into<S: IntermediateSource>(
         &self,
         m: NodeSet,
         source: &S,
         scratch: &mut EncodeScratch,
     ) -> Result<()> {
-        if !self.field.supports_quorum() {
-            return Err(CodedError::InvalidParameters {
-                what: format!("field {} does not support MDS quorum encode", self.field),
-            });
-        }
         self.groups.id_of(m)?; // validates size and universe
         if !m.contains(self.node) {
             return Err(CodedError::InvalidParameters {
@@ -177,26 +158,24 @@ impl Encoder {
         scratch.seg_lens.clear();
         let payload = &mut scratch.payload;
         let s = mds_parts(m.len());
-        let v = mds_point(self.node);
+        let mut padded = 0;
         for t in m.iter().filter(|&t| t != self.node) {
             let file = m.without(t);
             let data = source
                 .intermediate(t, file)
                 .ok_or(CodedError::MissingIntermediate { target: t, file })?;
-            let l0 = max_segment_len(data.len(), s);
-            if l0 > payload.len() {
-                payload.resize(l0, 0);
-            }
-            // All parts fold at offset 0, zero-padded to the part-0 span.
-            let mut w = self.field.coeff(self.node, t);
-            for j in 0..s {
+            padded = padded.max(max_segment_len(data.len(), s));
+            for j in quorum_role(m, t, self.node).parts(s) {
                 let span = segment_span(data.len(), s, j);
-                let seg = &data[span.offset..span.offset + span.len];
-                gf256::add_scaled_slice(payload, seg, w);
-                w = gf256::mul(w, v);
+                // XOR where the payload has bytes, append past its end.
+                let (head, tail) =
+                    data[span.offset..span.offset + span.len].split_at(span.len.min(payload.len()));
+                xor_into(payload, head);
+                payload.extend_from_slice(tail);
             }
             scratch.seg_lens.push((t, data.len() as u32));
         }
+        payload.resize(padded, 0);
         Ok(())
     }
 
@@ -233,8 +212,7 @@ impl Encoder {
             if seg.len() > payload.len() {
                 payload.resize(seg.len(), 0);
             }
-            self.field
-                .add_scaled(payload, seg, self.field.coeff(self.node, t));
+            xor_into(payload, seg);
             scratch.seg_lens.push((t, span.len as u32));
         }
         Ok(())
@@ -422,34 +400,29 @@ mod tests {
     fn mds_encode_reports_totals_and_pads_to_part_zero() {
         let (k, r, node) = (4, 3, 1);
         let store = full_store(k, r, node, |t, f| (t + 2) * 5 + f.len());
-        let enc = Encoder::with_field(k, r, node, FieldKind::Gf256).unwrap();
+        let enc = Encoder::new(k, r, node).unwrap();
         let mut scratch = EncodeScratch::new();
         let m = fs(&[0, 1, 2, 3]);
         enc.encode_group_mds_into(m, &store, &mut scratch).unwrap();
-        // seg_lens carry the *total* intermediate length per target.
-        let s = crate::solve::mds_parts(m.len());
-        let mut max_l0 = 0usize;
+        // seg_lens carry the *total* intermediate length per target, and
+        // the payload folds each target's part (or parity) at offset 0.
+        let s = mds_parts(m.len());
+        let mut expected = Vec::new();
         for &(t, total) in &scratch.seg_lens {
             let data = store.intermediate(t, m.without(t)).unwrap();
             assert_eq!(total as usize, data.len(), "target {t}");
-            max_l0 = max_l0.max(max_segment_len(data.len(), s));
+            expected.resize(expected.len().max(max_segment_len(data.len(), s)), 0);
+            let mut piece = vec![0u8; max_segment_len(data.len(), s)];
+            for j in quorum_role(m, t, node).parts(s) {
+                let span = segment_span(data.len(), s, j);
+                xor_into(&mut piece, &data[span.offset..span.offset + span.len]);
+            }
+            xor_into(&mut expected, &piece);
         }
-        assert_eq!(scratch.payload.len(), max_l0);
-        // The fold is linear with nonzero weights, so the payload cannot
-        // be the classic per-position encode.
-        let mut classic = EncodeScratch::new();
-        enc.encode_group_into(m, &store, &mut classic).unwrap();
-        assert_ne!(scratch.payload, classic.payload);
-    }
-
-    #[test]
-    fn mds_encode_rejects_gf2() {
-        let store = full_store(3, 2, 0, |_, _| 8);
-        let enc = Encoder::new(3, 2, 0).unwrap();
-        let err = enc
-            .encode_group_mds_into(fs(&[0, 1, 2]), &store, &mut EncodeScratch::new())
-            .unwrap_err();
-        assert!(matches!(err, CodedError::InvalidParameters { .. }));
+        assert_eq!(scratch.payload, expected);
+        // Node 1 carries the parity for target 0 (the member before it)
+        // and parts for the others.
+        assert_eq!(quorum_role(m, 0, node), crate::segment::QuorumRole::Parity);
     }
 
     #[test]

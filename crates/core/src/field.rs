@@ -1,144 +1,29 @@
-//! The coding field abstraction: GF(2) (XOR, the paper's code) and
-//! GF(256) (q-ary linear combinations over SIMD kernels).
+//! The field tag [`crate::solve::mds_row`] takes.
 //!
-//! The coded shuffle's algebra is a linear combination per packet:
-//!
-//! ```text
-//! E_{M,u} = Σ_{t ∈ M\{u}}  c(u, t) ⊙ I^t_{M\{t}, u}
-//! ```
-//!
-//! With [`FieldKind::Gf2`] every coefficient is 1 and `⊙`/`Σ` collapse to
-//! the paper's XOR fold (eq. (8)) — that path runs through
-//! [`crate::xor::xor_into`] unchanged and stays the byte-identical
-//! reference oracle. With [`FieldKind::Gf256`] the coefficients come from
-//! the deterministic rule [`FieldKind::coeff`], so a receiver `k` cancels
-//! the terms it knows and divides by its own coefficient:
-//!
-//! ```text
-//! I^k_{M\{k}, u} = c(u, k)^{-1} ⊙ (E_{M,u} ⊕ Σ_{t ∈ M\{u,k}} c(u, t) ⊙ I^t_{M\{t}, u})
-//! ```
-//!
-//! (in characteristic 2, subtraction *is* XOR). Because the rule is a pure
-//! function of `(sender, target)`, no coefficients travel on the wire —
-//! the packet format is identical for both fields; the encoder and
-//! decoder simply must agree on the field, which the engine config
-//! plumbs end to end. Nontrivial q-ary coefficients are the algebra that
-//! MDS-coded groups (any `s` of `n` symbols decode) build on — the
-//! prerequisite for fountain-coded shuffle and straggler tolerance.
+//! Library code the job path does not call; kept because `benchmark/`
+//! imports it; goes with ROADMAP 1(a). Every packet the engine sends is a
+//! binary (GF(2)) XOR fold: the paper's code under `--decode all`, the
+//! single-parity quorum code under `--decode quorum`
+//! ([`crate::segment::quorum_role`]).
 
 use crate::gf256;
 use crate::subset::NodeId;
-use crate::xor::xor_into;
 
-/// The finite field the coded shuffle's linear combinations live in.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// The finite field a Vandermonde row lives in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FieldKind {
-    /// Binary field: XOR folds with unit coefficients — the paper's code
-    /// and the default. Kept verbatim as the reference oracle.
-    #[default]
-    Gf2,
-    /// `GF(2^8)`: per-segment nonzero coefficients, multiplied by the
-    /// runtime-dispatched [`gf256`] kernels (scalar / AVX2 / NEON).
+    /// `GF(2^8)`: nonzero per-segment coefficients.
     Gf256,
 }
 
 impl FieldKind {
-    /// Both fields, for equivalence sweeps.
-    pub const ALL: [FieldKind; 2] = [FieldKind::Gf2, FieldKind::Gf256];
-
     /// The coefficient attached to target `t`'s segment in sender `u`'s
-    /// packet.
-    ///
-    /// GF(2) always answers 1. GF(256) answers `α^((31·u + 7·t + 1) mod 255)`
-    /// — a power of the generator, hence never zero, which is the only
-    /// property per-packet cancellation decoding needs (each receiver
-    /// divides by its own coefficient; it never solves across packets).
+    /// combination: `α^((31·u + 7·t + 1) mod 255)` — a power of the
+    /// generator, hence never zero.
     #[inline]
     pub fn coeff(self, sender: NodeId, target: NodeId) -> u8 {
         match self {
-            FieldKind::Gf2 => 1,
             FieldKind::Gf256 => gf256::EXP[(31 * sender + 7 * target + 1) % 255],
-        }
-    }
-
-    /// `dst[i] ^= c ⊙ src[i]` for `i < src.len()` — encode accumulation
-    /// and decode cancellation, zero-padding like
-    /// [`xor_into`].
-    ///
-    /// # Panics
-    /// Panics if `src.len() > dst.len()`, or (GF(2)) if `c != 1` — unit
-    /// coefficients are structural in the binary field.
-    #[inline]
-    pub fn add_scaled(self, dst: &mut [u8], src: &[u8], c: u8) {
-        match self {
-            FieldKind::Gf2 => {
-                assert!(c == 1, "gf2: coefficients are always 1, got {c}");
-                xor_into(dst, src);
-            }
-            FieldKind::Gf256 => gf256::add_scaled_slice(dst, src, c),
-        }
-    }
-
-    /// `buf[i] = c ⊙ buf[i]` — the decoder's final scaling by the inverse
-    /// coefficient. A no-op in GF(2) (`c` is necessarily 1).
-    #[inline]
-    pub fn scale(self, buf: &mut [u8], c: u8) {
-        match self {
-            FieldKind::Gf2 => {
-                assert!(c == 1, "gf2: coefficients are always 1, got {c}");
-            }
-            FieldKind::Gf256 => gf256::mul_slice(buf, c),
-        }
-    }
-
-    /// Whether this field supports nontrivial MDS-coded groups (any
-    /// `s`-of-`n` quorum decode via [`crate::solve::GroupSolver`]).
-    ///
-    /// GF(256) does: the Vandermonde mix in [`crate::solve::mds_row`]
-    /// needs `K` distinct nonzero evaluation points, which `α^u` provides
-    /// for every rank the 24-bit tag space can name. GF(2) has only one
-    /// nonzero element, so no nontrivial binary MDS code exists at these
-    /// lengths — quorum mode over GF(2) degenerates to waiting for every
-    /// packet (the engine still polls instead of barriering, but releases
-    /// nothing early).
-    #[inline]
-    pub fn supports_quorum(self) -> bool {
-        matches!(self, FieldKind::Gf256)
-    }
-
-    /// Multiplicative inverse of a nonzero coefficient.
-    ///
-    /// # Panics
-    /// Panics on `c = 0` (GF(256)) or `c != 1` (GF(2)).
-    #[inline]
-    pub fn inv(self, c: u8) -> u8 {
-        match self {
-            FieldKind::Gf2 => {
-                assert!(c == 1, "gf2: coefficients are always 1, got {c}");
-                1
-            }
-            FieldKind::Gf256 => gf256::inv(c),
-        }
-    }
-}
-
-impl std::fmt::Display for FieldKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FieldKind::Gf2 => "gf2",
-            FieldKind::Gf256 => "gf256",
-        })
-    }
-}
-
-impl std::str::FromStr for FieldKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "gf2" => Ok(FieldKind::Gf2),
-            "gf256" => Ok(FieldKind::Gf256),
-            other => Err(format!("unknown field `{other}` (expected gf2|gf256)")),
         }
     }
 }
@@ -146,15 +31,6 @@ impl std::str::FromStr for FieldKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gf2_coeffs_are_unit() {
-        for u in 0..20 {
-            for t in 0..20 {
-                assert_eq!(FieldKind::Gf2.coeff(u, t), 1);
-            }
-        }
-    }
 
     #[test]
     fn gf256_coeffs_are_nonzero_for_all_rank_pairs() {
@@ -170,39 +46,5 @@ mod tests {
         let f = FieldKind::Gf256;
         assert_ne!(f.coeff(0, 1), f.coeff(0, 2));
         assert_ne!(f.coeff(0, 1), f.coeff(1, 1));
-    }
-
-    #[test]
-    fn gf2_add_scaled_is_xor() {
-        let mut a = vec![0b1100u8; 9];
-        FieldKind::Gf2.add_scaled(&mut a, &[0b1010u8; 9], 1);
-        assert!(a.iter().all(|&b| b == 0b0110));
-    }
-
-    #[test]
-    #[should_panic(expected = "coefficients are always 1")]
-    fn gf2_rejects_nonunit_coeff() {
-        FieldKind::Gf2.add_scaled(&mut [0u8; 4], &[0u8; 4], 2);
-    }
-
-    #[test]
-    fn scale_then_inverse_scale_roundtrips() {
-        let original: Vec<u8> = (0..100).map(|i| (i * 3 + 1) as u8).collect();
-        for f in FieldKind::ALL {
-            let c = f.coeff(3, 5);
-            let mut buf = original.clone();
-            f.scale(&mut buf, c);
-            f.scale(&mut buf, f.inv(c));
-            assert_eq!(buf, original, "{f}");
-        }
-    }
-
-    #[test]
-    fn parse_display_roundtrip() {
-        for f in FieldKind::ALL {
-            assert_eq!(f.to_string().parse::<FieldKind>().unwrap(), f);
-        }
-        assert!("gf7".parse::<FieldKind>().is_err());
-        assert_eq!(FieldKind::default(), FieldKind::Gf2);
     }
 }

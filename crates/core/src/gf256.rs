@@ -1,18 +1,17 @@
-//! GF(256) arithmetic and SIMD slice kernels for the q-ary coding plane.
+//! GF(256) arithmetic and SIMD slice kernels.
+//!
+//! Library code the job path does not call; kept because `benchmark/`
+//! imports it; goes with ROADMAP 1(a). The engine codes every packet over
+//! GF(2) ([`crate::xor`]); this module backs [`crate::solve`] only.
 //!
 //! The field is `GF(2^8)` under the primitive polynomial
 //! `x^8 + x^4 + x^3 + x^2 + 1` (`0x11D`, the classic Reed–Solomon
-//! modulus) with generator `α = 2`. Addition is XOR — which is why the
-//! GF(2) coding path embeds unchanged — and multiplication goes through
-//! compile-time log/exp tables.
+//! modulus) with generator `α = 2`. Addition is XOR and multiplication
+//! goes through compile-time log/exp tables. Two slice operations:
 //!
-//! The coding hot loop needs exactly two slice operations:
-//!
-//! * [`add_scaled_slice`]: `dst[i] ^= c ⊗ src[i]` — the q-ary
-//!   generalization of [`crate::xor::xor_into`] (encode accumulation and
-//!   decode cancellation);
-//! * [`mul_slice`]: `dst[i] = c ⊗ dst[i]` — the decoder's final scaling
-//!   by the inverse coefficient.
+//! * [`add_scaled_slice`]: `dst[i] ^= c ⊗ src[i]`, the q-ary
+//!   generalization of [`crate::xor::xor_into`];
+//! * [`mul_slice`]: `dst[i] = c ⊗ dst[i]`.
 //!
 //! Both are implemented three ways and dispatched once per process:
 //!
@@ -577,5 +576,25 @@ mod tests {
             mul_slice(&mut acc, inv(c));
             assert_eq!(acc, x, "c = {c}");
         }
+    }
+
+    #[test]
+    fn forced_scalar_kernel_matches_active_kernel() {
+        // `Gf256Kernel::active()` latches once per process, so the scalar
+        // kernel is driven through the per-call `_with` entry points: a
+        // scale ∘ inverse-scale round trip over it must give exactly what
+        // the dispatched kernel gives. (CI runs the suite once more under
+        // CTS_FORCE_SCALAR=1 to cover the env override.)
+        let src: Vec<u8> = (0..4097).map(|i| (i * 31 % 251) as u8).collect();
+        let c = 0x53u8;
+        let round_trip = |kernel| {
+            let mut buf = vec![0u8; src.len()];
+            add_scaled_slice_with(kernel, &mut buf, &src, c);
+            mul_slice_with(kernel, &mut buf, inv(c));
+            buf
+        };
+        let via_active = round_trip(Gf256Kernel::active());
+        assert_eq!(via_active, round_trip(Gf256Kernel::Scalar));
+        assert_eq!(via_active, src, "scale ∘ inverse-scale must round-trip");
     }
 }

@@ -75,7 +75,7 @@
 #![warn(rust_2018_idioms)]
 // `deny`, not `forbid`: the crate has two audited `unsafe` surfaces — the
 // GF(256) SIMD kernels in `gf256::simd` (CPU intrinsics behind runtime
-// feature detection) and `exec::run_all`'s task lifetime erasure (a call
+// feature detection; library code kept for `benchmark/`) and `exec::run_all`'s task lifetime erasure (a call
 // that returns only once every task it handed to a parked thread is
 // done); everything else stays safe.
 #![deny(unsafe_code)]
@@ -105,13 +105,10 @@ pub use decode::{
 pub use encode::{EncodeScratch, Encoder};
 pub use error::{CodedError, Result};
 pub use exec::WorkerPool;
-pub use field::FieldKind;
-pub use gf256::Gf256Kernel;
 pub use groups::{GroupId, MulticastGroups, PodGroups};
 pub use intermediate::{IntermediateSource, MapOutputStore};
 pub use metrics::{Counter, Gauge, Histogram, MetricsHub};
 pub use packet::CodedPacket;
 pub use placement::{FileId, PlacementPlan};
 pub use pool::{BufPool, Scratch};
-pub use solve::GroupSolver;
 pub use subset::{NodeId, NodeSet};

@@ -19,17 +19,17 @@
 use bytes::Bytes;
 
 use crate::error::{CodedError, Result};
-use crate::segment::max_segment_len;
-use crate::solve::mds_parts;
+use crate::segment::{max_segment_len, mds_parts};
 use crate::subset::{NodeId, NodeSet};
 
 /// Format version of classic cancel-and-divide packets.
 pub const WIRE_VERSION: u8 = 1;
 
-/// Format version of MDS-mixed packets (quorum decode): the `seg_lens`
+/// Format version of quorum packets (quorum decode): the `seg_lens`
 /// entries carry the *total* intermediate length per target (identical
-/// across the senders of a group), and the payload is the Vandermonde mix
-/// of [`mds_parts`] zero-padded parts — see [`crate::solve`].
+/// across the senders of a group), and the payload XORs, per target, one
+/// of its [`mds_parts`] zero-padded parts or their parity — see
+/// [`crate::segment::quorum_role`].
 pub const WIRE_VERSION_MDS: u8 = 2;
 
 /// Magic bytes prefixing every serialized packet (`"CT"`).
@@ -45,7 +45,7 @@ pub struct CodedPacket {
     /// For each other member `t ∈ M\{k}` (ascending), the *original* length
     /// of the segment `I^t_{M\{t},k}` folded into the payload. Receiver `t`
     /// reads its own entry to strip zero padding from the recovered segment.
-    /// In MDS packets (`mds = true`) the entry is instead the total length
+    /// In quorum packets (`mds = true`) the entry is instead the total length
     /// of `I^t_{M\{t}}` — any single packet tells a receiver its full
     /// reconstruction size, which matters when a sender never delivers.
     pub seg_lens: Vec<(NodeId, u32)>,
@@ -53,8 +53,8 @@ pub struct CodedPacket {
     /// A [`Bytes`] view so parsed packets can borrow the received frame
     /// instead of copying it.
     pub payload: Bytes,
-    /// Whether this is an MDS-mixed packet ([`WIRE_VERSION_MDS`]) feeding
-    /// the per-group solver instead of cancel-and-divide.
+    /// Whether this is a quorum packet ([`WIRE_VERSION_MDS`]), decoded
+    /// by any `s` of a group's packets instead of all of them.
     pub mds: bool,
 }
 
@@ -118,7 +118,7 @@ impl CodedPacket {
         write_wire_versioned(WIRE_VERSION, group, sender, seg_lens, payload, out);
     }
 
-    /// Serializes an MDS-mixed (version 2) packet directly from its parts.
+    /// Serializes a quorum (version 2) packet directly from its parts.
     /// Appends to `out`.
     pub fn write_wire_mds(
         group: NodeSet,
@@ -206,7 +206,7 @@ impl CodedPacket {
             return Err(malformed(format!("{} trailing bytes", cursor.remaining())));
         }
         let expected = if version == WIRE_VERSION_MDS {
-            // MDS mix: each target contributes `mds_parts` zero-padded
+            // Quorum split: each target contributes `mds_parts` zero-padded
             // parts of its total, so the payload is the longest part-0
             // span across targets.
             let s = mds_parts(group.len());

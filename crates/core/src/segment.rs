@@ -81,6 +81,59 @@ pub fn max_segment_len(total_len: usize, parts: usize) -> usize {
     total_len.div_ceil(parts)
 }
 
+/// Number of parts a quorum-coded group of `group_size` members splits
+/// each intermediate into: `s = r − 1` (group size is `r + 1`), clamped
+/// to 1. A receiver expects `r` packets per group — the `s` parts and
+/// their parity — and needs any `s` of them, so one straggling or dead
+/// sender per group is tolerated.
+#[inline]
+pub fn mds_parts(group_size: usize) -> usize {
+    group_size.saturating_sub(2).max(1)
+}
+
+/// What one sender of a quorum group contributes of one target's
+/// intermediate `I^t_{M\{t}}`, split into `s` parts by [`segment_span`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QuorumRole {
+    /// Part `j`.
+    Part(usize),
+    /// The XOR of all `s` parts, zero-padded to part 0.
+    Parity,
+}
+
+impl QuorumRole {
+    /// The parts the role folds into a packet.
+    pub fn parts(self, s: usize) -> std::ops::Range<usize> {
+        match self {
+            QuorumRole::Part(j) => j..j + 1,
+            QuorumRole::Parity => 0..s,
+        }
+    }
+}
+
+/// The role of `sender` for `target` in quorum group `group`: the
+/// `(r, r − 1)` single-parity-check code, binary and MDS. Of the senders
+/// `group \ {target}` in ascending order, the one at index
+/// `pos(target in group) mod r` carries the parity and the others parts
+/// `0, 1, …` in order. That sender is the member after `target`
+/// (cyclically), so every member carries exactly one parity per group.
+///
+/// # Panics
+/// Panics if `target` or `sender` is not in `group`, or they are equal.
+pub fn quorum_role(group: NodeSet, target: NodeId, sender: NodeId) -> QuorumRole {
+    let senders = group.without(target);
+    let (pos, index) = match (group.position_of(target), senders.position_of(sender)) {
+        (Some(pos), Some(index)) => (pos, index),
+        _ => panic!("no quorum role for sender {sender}, target {target} in {group}"),
+    };
+    let parity = pos % senders.len();
+    match index.cmp(&parity) {
+        std::cmp::Ordering::Less => QuorumRole::Part(index),
+        std::cmp::Ordering::Equal => QuorumRole::Parity,
+        std::cmp::Ordering::Greater => QuorumRole::Part(index - 1),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

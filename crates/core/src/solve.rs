@@ -1,46 +1,33 @@
-//! Per-group GF(256) linear solves for MDS-coded groups.
+//! Per-group GF(256) linear solves for Vandermonde-mixed groups.
 //!
-//! The per-packet cancel-and-divide decoder ([`crate::decode::Decoder`])
-//! gives each receiver a *diagonal* system: sender `u`'s packet yields
-//! exactly one segment, so all `r` packets are needed. MDS-coded groups
-//! change the encode so that each packet carries a *mix* of all `s`
-//! parts of the receiver's intermediate, and any `s` of the `r` expected
-//! packets reach full rank:
+//! Library code the job path does not call; kept because `benchmark/`
+//! imports it; goes with ROADMAP 1(a). The engine's quorum decode runs the
+//! binary single-parity code ([`crate::segment::quorum_role`]) instead.
+//!
+//! A Vandermonde-mixed packet carries, per target, a *mix* of all `s`
+//! parts of the target's intermediate:
 //!
 //! ```text
 //! sender u's term for target t:   c(u,t) ⊙ Σ_{j<s} v_u^j ⊙ part_j(I^t)
 //! ```
 //!
-//! where `c(u,t)` is the deterministic PR-5 coefficient rule
-//! ([`FieldKind::coeff`]) and `v_u = α^u` ([`mds_point`]) is a distinct
-//! nonzero evaluation point per sender. After the receiver cancels every
-//! term it knows, sender `u` contributes one equation with coefficient
-//! row `c(u,k) · [v_u^0, …, v_u^{s-1}]` — a nonzero scalar times a
-//! Vandermonde row with distinct points, so **every** `s`-subset of rows
-//! is nonsingular: a true Reed–Solomon/MDS property, proven by
-//! `crates/core/tests/solve_props.rs` over random subsets.
+//! where `c(u,t)` is [`FieldKind::coeff`] and `v_u = α^u` ([`mds_point`])
+//! is a distinct nonzero evaluation point per sender. After the receiver
+//! cancels every term it knows, sender `u` contributes one equation with
+//! coefficient row `c(u,k) · [v_u^0, …, v_u^{s-1}]` — a nonzero scalar
+//! times a Vandermonde row with distinct points, so **every** `s`-subset
+//! of rows is nonsingular, proven by `crates/core/tests/solve_props.rs`
+//! over random subsets.
 //!
 //! [`GroupSolver`] is the incremental Gauss–Jordan eliminator behind
-//! that: equations stream in as packets arrive, rank is tracked, and the
-//! group releases the moment rank hits `s`. Singular, underdetermined,
-//! and inconsistent systems are reported as
-//! [`CodedError::SingularSystem`] — never panicked — because on a real
-//! fabric a bad equation is just another flavour of packet loss.
+//! that: equations stream in, rank is tracked, and the system is solved
+//! once rank hits `s`. Singular, underdetermined, and inconsistent systems
+//! are reported as [`CodedError::SingularSystem`] — never panicked.
 
 use crate::error::{CodedError, Result};
 use crate::field::FieldKind;
 use crate::gf256;
 use crate::subset::NodeId;
-
-/// Number of MDS parts a quorum-coded group of `group_size` members
-/// splits each intermediate into: `s = r − 1` (group size is `r + 1`),
-/// clamped to 1. A receiver expects `r` coded packets and needs any `s`
-/// of them, so exactly one straggling or dead sender per group is
-/// tolerated — matching the placement's `r`-fold redundancy budget.
-#[inline]
-pub fn mds_parts(group_size: usize) -> usize {
-    group_size.saturating_sub(2).max(1)
-}
 
 /// MDS evaluation point for `sender`: `α^sender`. Distinct and nonzero
 /// for every rank below 255, which covers the K ≤ 128 deployments the
@@ -53,9 +40,8 @@ pub fn mds_point(sender: NodeId) -> u8 {
 /// The coefficient row receiver `k` attributes to sender `u`'s packet in
 /// an `s`-part MDS group: `c(u,k) · [v_u^0, …, v_u^{s-1}]`.
 ///
-/// `field` must be GF(256) — the only field with enough distinct points.
+/// `field` is GF(256), the only [`FieldKind`].
 pub fn mds_row(field: FieldKind, sender: NodeId, receiver: NodeId, s: usize) -> Vec<u8> {
-    debug_assert!(field.supports_quorum(), "mds_row needs gf256");
     let c = field.coeff(sender, receiver);
     let v = mds_point(sender);
     let mut row = Vec::with_capacity(s);
@@ -309,10 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn mds_parts_and_points() {
-        assert_eq!(mds_parts(3), 1); // r = 2 → replication
-        assert_eq!(mds_parts(4), 2); // r = 3 → any 2 of 3
-        assert_eq!(mds_parts(2), 1); // r = 1 → single sender
+    fn mds_points_are_distinct_and_nonzero() {
         let points: Vec<u8> = (0..128).map(mds_point).collect();
         let distinct: std::collections::HashSet<u8> = points.iter().copied().collect();
         assert_eq!(distinct.len(), 128, "points must be distinct");

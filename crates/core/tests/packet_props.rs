@@ -1,5 +1,5 @@
 //! Property suite for the coded packet's wire reader
-//! (`CodedPacket::read_wire`), classic (v1) and MDS-mixed (v2) frames alike.
+//! (`CodedPacket::read_wire`), classic (v1) and quorum (v2) frames alike.
 //!
 //! Whatever bytes arrive — arbitrary ones, arbitrary ones behind a valid
 //! magic and version, a valid frame cut at any length, or a valid frame with
@@ -11,12 +11,12 @@
 use bytes::Bytes;
 use cts_core::error::CodedError;
 use cts_core::packet::{wire_len_for, CodedPacket, WIRE_MAGIC, WIRE_VERSION, WIRE_VERSION_MDS};
-use cts_core::solve::mds_parts;
+use cts_core::segment::mds_parts;
 use cts_core::subset::NodeSet;
 use proptest::prelude::*;
 
 /// The payload length a parsed header implies: the longest segment of a
-/// classic packet; of an MDS packet, the longest of each target's total cut
+/// classic packet; of a quorum packet, the longest of each target's total cut
 /// into `mds_parts` equal parts, rounded up.
 fn implied_payload(packet: &CodedPacket) -> usize {
     let lens = packet.seg_lens.iter().map(|&(_, len)| len as usize);

@@ -37,7 +37,7 @@ use cts_core::metrics::Counter;
 use cts_core::packet::{wire_len_for, CodedPacket};
 use cts_core::placement::{FileId, PlacementPlan};
 use cts_core::pool;
-use cts_core::solve::mds_parts;
+use cts_core::segment::mds_parts;
 use cts_core::subset::NodeSet;
 use cts_net::cluster::{JobBinding, SharedFabric};
 use cts_net::fault::CrashPoint;
@@ -265,10 +265,10 @@ pub fn run_on<W: Workload>(
         });
     }
     if cfg.recovery == RecoveryMode::Speculative {
-        if cfg.decode != DecodeMode::Quorum || !cfg.field.supports_quorum() || layout.r < 2 {
+        if cfg.decode != DecodeMode::Quorum || layout.r < 2 {
             return Err(EngineError::BadConfig {
-                what: "speculative recovery requires GF(256), quorum decode, and r >= 2 \
-                       (the MDS quorum absorbs one dead sender per group)"
+                what: "speculative recovery requires quorum decode and r >= 2 \
+                       (the quorum absorbs one dead sender per group)"
                     .into(),
             });
         }
@@ -448,9 +448,8 @@ impl Rank<'_> {
 /// Algorithm 1 for one rank: one coded packet per group it is in.
 struct Encode {
     encoder: Encoder,
-    /// Quorum decode needs MDS-mixed packets, which only GF(256) supports
-    /// (there is no nontrivial binary MDS code): over GF(2) a quorum job
-    /// sends the classic packets and needs all of them.
+    /// Quorum decode: send the single-parity quorum packets, any `r − 1`
+    /// of a group's `r` of which decode.
     mds: bool,
     r: usize,
     local: usize,
@@ -474,7 +473,7 @@ impl Encode {
         let (m, r) = (group.members, self.r as u64);
         let scalable = if self.mds {
             self.encoder.encode_group_mds_into(m, store, scratch)?;
-            // MDS payloads are ≈ total/s (seg_lens carry the r whole
+            // Quorum payloads are ≈ total/s (seg_lens carry the r whole
             // reconstruction lengths, each split into s parts).
             scratch.seg_len_sum() / (r * mds_parts(self.r + 1) as u64)
         } else {
@@ -620,8 +619,8 @@ fn node_main<W: Workload>(
     // Plain unicasts: (target, file, piece).
     let mut outbox: Vec<(usize, FileId, Bytes)> = Vec::new();
     let encode = Encode {
-        encoder: Encoder::with_field(g, r, local, cfg.field).expect("validated by driver"),
-        mds: cfg.decode == DecodeMode::Quorum && cfg.field.supports_quorum(),
+        encoder: Encoder::new(g, r, local).expect("validated by driver"),
+        mds: cfg.decode == DecodeMode::Quorum,
         r,
         local,
     };
@@ -742,7 +741,7 @@ fn node_main<W: Workload>(
     }
     let mut decode = Decode {
         comm,
-        pipeline: DecodePipeline::with_field(g, r, local, cfg.field)
+        pipeline: DecodePipeline::new(g, r, local)
             .expect("validated by driver")
             .with_decode(cfg.decode),
         shell: CodedPacket::empty(),
@@ -823,10 +822,9 @@ fn node_main<W: Workload>(
 /// to use as it is taken — a plain piece goes to the reducer, a packet to the
 /// decoder (Algorithm 2 takes a group's packets in any order) and, if it
 /// completes its group, the decoded piece to the reducer. The decoder says
-/// when a group is complete — with its `r`-th packet under barrier-on-all, at
-/// full rank under quorum: with MDS packets after any `r − 1` of the `r`
-/// sends, so that a straggling or dead sender delays nothing but its own
-/// groups' last equation.
+/// when a group is complete — with its `r`-th packet under barrier-on-all,
+/// under quorum after any `r − 1` of the `r` sends, so that a straggling or
+/// dead sender delays nothing but its own groups' last packet.
 ///
 /// The wait is one [`Transport::recv_any`](cts_net::Transport::recv_any)
 /// over the `(tag, sender)` keys still awaited — `plain`'s, each with the
@@ -975,7 +973,6 @@ mod tests {
     use super::*;
     use crate::testutil::{sample_input, ByteSort};
     use crate::verify::run_sequential;
-    use cts_core::field::FieldKind;
     use cts_net::fault::CrashSpec;
     use cts_net::trace::EventKind;
 
@@ -1142,21 +1139,19 @@ mod tests {
     #[test]
     fn quorum_decode_matches_all_decode() {
         let input = sample_input(2200);
-        for field in FieldKind::ALL {
-            for (k, r) in [(4, 2), (5, 3), (4, 1), (5, 4)] {
-                let cfg = EngineConfig::local(k, r).with_field(field);
-                let all = run(&ByteSort, input.clone(), &cfg).unwrap();
-                let quorum = run(
-                    &ByteSort,
-                    input.clone(),
-                    &cfg.clone().with_decode(DecodeMode::Quorum),
-                )
-                .unwrap();
-                assert_eq!(all.outputs, quorum.outputs, "k={k} r={r} field={field}");
-                // Traffic accounting stays sane: one multicast per group
-                // membership either way.
-                assert_eq!(all.stats.num_groups, quorum.stats.num_groups);
-            }
+        for (k, r) in [(4, 2), (5, 3), (4, 1), (5, 4)] {
+            let cfg = EngineConfig::local(k, r);
+            let all = run(&ByteSort, input.clone(), &cfg).unwrap();
+            let quorum = run(
+                &ByteSort,
+                input.clone(),
+                &cfg.clone().with_decode(DecodeMode::Quorum),
+            )
+            .unwrap();
+            assert_eq!(all.outputs, quorum.outputs, "k={k} r={r}");
+            // Traffic accounting stays sane: one multicast per group
+            // membership either way.
+            assert_eq!(all.stats.num_groups, quorum.stats.num_groups);
         }
     }
 
@@ -1167,9 +1162,7 @@ mod tests {
         let tcp = run(
             &ByteSort,
             input.clone(),
-            &EngineConfig::tcp(4, 3)
-                .with_field(FieldKind::Gf256)
-                .with_decode(DecodeMode::Quorum),
+            &EngineConfig::tcp(4, 3).with_decode(DecodeMode::Quorum),
         )
         .unwrap();
         assert_eq!(tcp.outputs, reference);
@@ -1177,7 +1170,6 @@ mod tests {
             &ByteSort,
             input,
             &EngineConfig::local(4, 3)
-                .with_field(FieldKind::Gf256)
                 .with_decode(DecodeMode::Quorum)
                 .with_threads(4),
         )
@@ -1188,9 +1180,7 @@ mod tests {
     #[test]
     fn speculative_recovery_matches_the_healthy_run() {
         let input = sample_input(3000);
-        let healthy_cfg = EngineConfig::local(6, 3)
-            .with_field(FieldKind::Gf256)
-            .with_decode(DecodeMode::Quorum);
+        let healthy_cfg = EngineConfig::local(6, 3).with_decode(DecodeMode::Quorum);
         let healthy = run(&ByteSort, input.clone(), &healthy_cfg).unwrap();
         for point in [
             CrashPoint::MidMap,
@@ -1212,7 +1202,6 @@ mod tests {
     fn recovery_off_fails_fast_with_the_crash_identity() {
         let input = sample_input(1500);
         let cfg = EngineConfig::local(5, 2)
-            .with_field(FieldKind::Gf256)
             .with_decode(DecodeMode::Quorum)
             .with_idle_timeout(std::time::Duration::from_secs(2))
             .with_crash(CrashSpec {
@@ -1233,7 +1222,6 @@ mod tests {
     fn two_deaths_exhaust_recovery_with_a_structured_report() {
         let input = sample_input(1500);
         let cfg = EngineConfig::local(5, 2)
-            .with_field(FieldKind::Gf256)
             .with_decode(DecodeMode::Quorum)
             .with_recovery(RecoveryMode::Speculative)
             .with_heartbeat(std::time::Duration::from_millis(5))
@@ -1256,17 +1244,14 @@ mod tests {
     }
 
     #[test]
-    fn speculative_recovery_requires_quorum_gf256_and_redundancy() {
+    fn speculative_recovery_requires_quorum_and_redundancy() {
         let input = sample_input(500);
         for cfg in [
             EngineConfig::local(4, 2).with_recovery(RecoveryMode::Speculative),
-            EngineConfig::local(4, 2)
-                .with_field(FieldKind::Gf256)
-                .with_recovery(RecoveryMode::Speculative),
             EngineConfig::local(4, 1)
-                .with_field(FieldKind::Gf256)
                 .with_decode(DecodeMode::Quorum)
                 .with_recovery(RecoveryMode::Speculative),
+            EngineConfig::local(4, 1).with_recovery(RecoveryMode::Speculative),
         ] {
             let err = run(&ByteSort, input.clone(), &cfg).unwrap_err();
             assert!(matches!(err, EngineError::BadConfig { .. }), "{cfg:?}");
@@ -1328,9 +1313,7 @@ mod tests {
     #[test]
     fn pods_decode_in_quorum_mode_too() {
         let input = sample_input(4_000);
-        let cfg = EngineConfig::local(8, 3)
-            .with_field(FieldKind::Gf256)
-            .with_decode(DecodeMode::Quorum);
+        let cfg = EngineConfig::local(8, 3).with_decode(DecodeMode::Quorum);
         let pods = run(&ByteSort, input.clone(), &cfg.with_pods(4)).unwrap();
         let unc = run(&ByteSort, input, &EngineConfig::local(8, 1)).unwrap();
         assert_eq!(pods.outputs, unc.outputs);

@@ -6,7 +6,7 @@ use cts_net::fault::CrashPoint;
 
 /// A structured post-mortem for a job that failure handling could not (or
 /// was not allowed to) save: who died, where, and which multicast groups
-/// lost more senders than the MDS quorum tolerates.
+/// lost more senders than the quorum tolerates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobReport {
     /// Ranks declared dead, ascending.

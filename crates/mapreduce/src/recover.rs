@@ -3,7 +3,7 @@
 //! partition on a deterministic successor.
 //!
 //! The recovery story leans on a CDC-specific fact: with
-//! quorum (MDS) decode, a single dead rank costs the shuffle *nothing* —
+//! quorum decode, a single dead rank costs the shuffle *nothing* —
 //! every multicast group that contained it still fields `r − 1` live
 //! senders, which is exactly the quorum each surviving receiver needs.
 //! The only thing actually lost is the dead rank's own reduce partition,

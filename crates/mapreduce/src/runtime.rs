@@ -54,7 +54,7 @@ use crate::workload::Workload;
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// The engine configuration every job starts from (cluster shape,
-    /// fabric, field, threads, …). Jobs may refine their own copy via
+    /// fabric, decode, threads, …). Jobs may refine their own copy via
     /// [`JobContext::cfg`] but the cluster world is fixed at build time.
     pub template: EngineConfig,
     /// Bound on jobs waiting for a dispatcher. Submissions beyond it fail
@@ -796,7 +796,6 @@ mod tests {
     fn shared_fabric_jobs_cannot_use_speculative_recovery() {
         use crate::stage::RecoveryMode;
         let template = EngineConfig::local(4, 2)
-            .with_field(cts_core::field::FieldKind::Gf256)
             .with_decode(cts_core::decode::DecodeMode::Quorum)
             .with_recovery(RecoveryMode::Speculative);
         let runtime =

@@ -41,8 +41,7 @@ pub enum RecoveryMode {
     /// Heartbeat failure detection plus speculative re-execution: a dead
     /// rank's map responsibilities are re-run by survivors holding the
     /// r-fold replicated inputs, and its reduce partition is adopted by a
-    /// deterministic successor. Requires GF(256), quorum decode, and
-    /// `r ≥ 2`.
+    /// deterministic successor. Requires quorum decode and `r ≥ 2`.
     Speculative,
 }
 
@@ -217,17 +216,11 @@ pub struct EngineConfig {
     /// emulation never oversubscribes the machine. Outputs are
     /// byte-identical for any value.
     pub threads: usize,
-    /// The finite field coded packets are combined in: `Gf2` (the paper's
-    /// XOR code, the default and reference oracle) or `Gf256` (q-ary
-    /// linear combinations over runtime-dispatched SIMD kernels). Sorted
-    /// outputs are byte-identical for either choice; only the coded wire
-    /// payloads differ.
-    pub field: FieldKind,
     /// When a receiver releases a decoded group: `All` (the paper's
-    /// barrier-on-all cancel-and-divide, the default) or `Quorum` — with
-    /// GF(256), MDS-mixed packets let any `r − 1` of a group's `r`
-    /// packets reach full rank, so the shuffle proceeds without its
-    /// slowest sender. Sorted outputs are byte-identical either way.
+    /// barrier-on-all cancel-and-divide, the default) or `Quorum` — the
+    /// single-parity quorum code lets any `r − 1` of a group's `r`
+    /// packets rebuild it, so the shuffle proceeds without its slowest
+    /// sender. Sorted outputs are byte-identical either way.
     pub decode: DecodeMode,
     /// How long the quorum shuffle's receive loop tolerates zero progress
     /// before declaring the shuffle stalled. Defaults to 10 s.
@@ -252,7 +245,6 @@ impl EngineConfig {
             pods: 0,
             cluster: ClusterConfig::local(k),
             threads: 1,
-            field: FieldKind::Gf2,
             decode: DecodeMode::All,
             idle_timeout: Duration::from_secs(10),
             recovery: RecoveryMode::Off,
@@ -282,11 +274,9 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the coding field for coded packets (GF(2)
-    /// XOR — the default — or GF(256) q-ary combinations). A pure
-    /// performance/algebra knob: outputs are byte-identical either way.
-    pub fn with_field(mut self, field: FieldKind) -> Self {
-        self.field = field;
+    /// Does nothing: every coded packet is a binary XOR fold. Kept
+    /// because `benchmark/` calls it; goes with ROADMAP 1(a).
+    pub fn with_field(self, _field: FieldKind) -> Self {
         self
     }
 
@@ -320,9 +310,9 @@ impl EngineConfig {
     }
 
     /// Selects the rank-death handling mode. `Speculative` requires
-    /// GF(256), quorum decode, and `r ≥ 2` — validated when the job runs
-    /// (`BadConfig` otherwise), since `field`/`decode`/`r` may be set
-    /// after this call.
+    /// quorum decode and `r ≥ 2` — validated when the job runs
+    /// (`BadConfig` otherwise), since `decode`/`r` may be set after this
+    /// call.
     pub fn with_recovery(mut self, recovery: RecoveryMode) -> Self {
         self.recovery = recovery;
         self

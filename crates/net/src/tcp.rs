@@ -5,7 +5,7 @@
 //! Every socket blocks, so every wait is the kernel's: each endpoint runs
 //! an **acceptor thread** blocked in `accept` on its listener and **one
 //! reader thread per accepted link**, blocked reading that link's frames,
-//! `[tag: u32 LE][len: u32 LE][payload]` ([`frame`](crate::frame)'s codec,
+//! `[tag: u32 LE][len: u32 LE][payload]` ([`frame`]'s codec,
 //! the tag its head), into the endpoint's [`Mailbox`]. A frame leaves in
 //! one vectored write under its link's lock;
 //! [`Transport::multicast`] writes its copies back to back into kernel

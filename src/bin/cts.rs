@@ -4,7 +4,7 @@
 //! cts gen    --records 100000 --out data.bin [--seed 7] [--skew 0.6]
 //! cts sort   --input data.bin --k 8 --r 3 [--pods 4] [--sampled 16]
 //!            [--tcp] [--sort-kernel key-index] [--threads 4]
-//!            [--fabric fanout] [--field gf256] [--decode quorum]
+//!            [--fabric fanout] [--decode quorum]
 //!            [--recovery speculative] [--heartbeat-ms 25]
 //!            [--idle-timeout-ms 10000] [--paper-nic] [--timeline trace.json]
 //! cts serve  --k 4 --r 2 --port 0 [--tcp] [--max-concurrent 4] [--queue 16]
@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use bytes::Bytes;
 use coded_terasort::bench::Experiment;
 use coded_terasort::prelude::*;
-use cts_netsim::{egress_floor_s, predict_fabric_shuffle_s, NetModelConfig, SHUFFLE_STAGE};
+use cts_netsim::{egress_floor_s, NetModelConfig, SHUFFLE_STAGE};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -77,28 +77,25 @@ USAGE:
                [--tcp] [--no-validate]
                [--sort-kernel comparison|key-index] [--threads T]
                [--fabric serial-unicast|fanout|multicast]
-               [--field gf2|gf256] [--decode all|quorum] [--paper-nic]
+               [--decode all|quorum] [--paper-nic]
                [--timeline FILE]
                sort a file on the one engine: r=1 → TeraSort, r>1 →
                CodedTeraSort, --pods G → coding inside pods of G nodes,
                --sort-kernel → Reduce sort algorithm,
                --threads → intra-node workers for
                  Map/Encode/Decode/Reduce (0 = all cores),
-               --field → finite field for coded packets (gf2 = the
-                 paper's XOR code, default; gf256 = q-ary combinations on
-                 SIMD kernels — same sorted output, different wire bytes),
                --fabric → how multicast groups hit the wire (multicast =
                  one crossing per group send, default; fanout = the
                  paper's MPI_Bcast, one copy per receiver),
                --decode → coded decode discipline (all = the paper's
                  barrier-on-all, default; quorum = release each group once
-                 any r-1 of r coded packets arrive — GF(256) MDS code, the
-                 shuffle outruns stragglers; same sorted output),
+                 any r-1 of r coded packets arrive — a single-parity XOR
+                 code, the shuffle outruns stragglers; same sorted output),
                --recovery off|speculative → rank-death handling (off =
                  fail fast with a typed error, default; speculative =
                  heartbeat failure detection + re-execution of the dead
-                 rank's work on survivors; needs --field gf256
-                 --decode quorum and r >= 2; same sorted output),
+                 rank's work on survivors; needs --decode quorum and
+                 r >= 2; same sorted output),
                --heartbeat-ms N → health beacon interval (death declared
                  after ~36 silent intervals; default 25),
                --idle-timeout-ms N → quorum shuffle zero-progress
@@ -237,7 +234,6 @@ const SORT_FLAGS: &[&str] = &[
     "threads",
     "sort-kernel",
     "fabric",
-    "field",
     "decode",
     "recovery",
     "heartbeat-ms",
@@ -257,7 +253,6 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     let threads: usize = opt(opts, "threads", 1)?;
     let kernel: SortKernel = choice(opts, "sort-kernel")?;
     let fabric: cts_net::ShuffleFabric = choice(opts, "fabric")?;
-    let field: cts_core::FieldKind = choice(opts, "field")?;
     let decode: cts_core::decode::DecodeMode = choice(opts, "decode")?;
     if decode == cts_core::decode::DecodeMode::Quorum && r <= 1 {
         return Err("--decode quorum needs --r 2 or more (no coded groups at r = 1)".to_string());
@@ -291,7 +286,6 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
         .with_pods(pods)
         .with_threads(threads)
         .with_fabric(fabric)
-        .with_field(field)
         .with_decode(decode)
         .with_recovery(recovery)
         .with_heartbeat(std::time::Duration::from_millis(heartbeat_ms))
@@ -305,13 +299,7 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     if decode == cts_core::decode::DecodeMode::Quorum {
         println!(
             "decode: quorum (any {} of {r} coded packets release a group)",
-            cts_core::solve::mds_parts(r + 1)
-        );
-    }
-    if field == cts_core::FieldKind::Gf256 {
-        println!(
-            "coding field: GF(256), kernel {}",
-            cts_core::Gf256Kernel::active()
+            cts_core::segment::mds_parts(r + 1)
         );
     }
     let nic = cts_net::NicProfile::paper_100mbps();
@@ -348,7 +336,6 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
         println!("stage timeline written to {path}");
     }
     if paper_nic {
-        // The emulated NIC shapes egress only; the fluid model caps ingress too.
         let net = NetModelConfig::of_nic(&nic);
         let shuffle_s = wall.shuffle.as_secs_f64();
         let floor_s = egress_floor_s(&outcome.trace, SHUFFLE_STAGE, fabric, &net);
@@ -357,10 +344,8 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
             "job = {:.2}× max(egress floor {floor_s:.3} s, Σ CPU stages {cpu_s:.3} s)",
             job_s / floor_s.max(cpu_s)
         );
-        let fluid_s = predict_fabric_shuffle_s(&outcome.trace, SHUFFLE_STAGE, fabric, &net, 1.0);
         println!(
-            "shuffle: {shuffle_s:.3} s = {:.2}× the egress floor {floor_s:.3} s \
-             (fluid model with ingress caps: {fluid_s:.3} s)",
+            "shuffle: {shuffle_s:.3} s = {:.2}× the egress floor {floor_s:.3} s",
             shuffle_s / floor_s
         );
         // What the Shuffle left over: a rank reduces as its pieces land.

@@ -59,8 +59,8 @@ pub use cts_terasort as terasort;
 pub mod prelude {
     pub use cts_core::theory;
     pub use cts_core::{
-        BufPool, CodedPacket, DecodeMode, Decoder, EncodeScratch, Encoder, FieldKind, Gf256Kernel,
-        MapOutputStore, MulticastGroups, NodeSet, PlacementPlan, WorkerPool,
+        BufPool, CodedPacket, DecodeMode, Decoder, EncodeScratch, Encoder, MapOutputStore,
+        MulticastGroups, NodeSet, PlacementPlan, WorkerPool,
     };
     pub use cts_mapreduce::{
         run, run_sequential, EngineConfig, InputFormat, JobRuntime, JobStatus, RuntimeConfig,

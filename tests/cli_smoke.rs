@@ -93,6 +93,7 @@ fn a_flag_the_subcommand_does_not_read_fails_naming_it() {
         (&["--decod", "quorum", "--fabrc", "fanout"][..], "--decod"),
         (&["--fabrc", "fanout"], "--fabrc"),
         (&["--port", "7117"], "--port"),
+        (&["--field", "gf256"], "--field"),
     ] {
         let (ok, stderr) = sort_small(&input, flags);
         assert!(!ok, "{flags:?} must exit nonzero");
@@ -101,6 +102,26 @@ fn a_flag_the_subcommand_does_not_read_fails_naming_it() {
             "{flags:?}: {stderr}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sort_with_quorum_decode_validates() {
+    let (dir, input) = small_input("quorum");
+    let sort = cts()
+        .args([
+            "sort", "--k", "5", "--r", "3", "--decode", "quorum", "--input",
+        ])
+        .arg(&input)
+        .output()
+        .expect("run cts sort");
+    let stdout = String::from_utf8_lossy(&sort.stdout);
+    assert!(sort.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("decode: quorum (any 2 of 3 coded packets release a group)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("TeraValidate passed"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -264,7 +285,7 @@ fn what_the_engine_refuses_reaches_the_user_in_its_words() {
         .output()
         .expect("run cts gen");
     assert!(gen.status.success());
-    let speculative = ["--field", "gf256", "--decode", "quorum"];
+    let speculative = ["--decode", "quorum"];
     for (flags, refusal) in [
         (
             [
@@ -275,9 +296,9 @@ fn what_the_engine_refuses_reaches_the_user_in_its_words() {
             "pod layouts do not support failure recovery; use the flat layout",
         ),
         (
-            vec!["--field", "gf256", "--recovery", "speculative"],
-            "speculative recovery requires GF(256), quorum decode, and r >= 2 \
-             (the MDS quorum absorbs one dead sender per group)",
+            vec!["--recovery", "speculative"],
+            "speculative recovery requires quorum decode and r >= 2 \
+             (the quorum absorbs one dead sender per group)",
         ),
         (
             vec!["--pods", "4"],

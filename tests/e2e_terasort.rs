@@ -175,10 +175,7 @@ fn back_to_back_jobs_of_every_kind_keep_their_bytes_apart() {
             job.engine = EngineConfig::tcp(K, r);
         }
         if mds {
-            job.engine = job
-                .engine
-                .with_field(FieldKind::Gf256)
-                .with_decode(DecodeMode::Quorum);
+            job.engine = job.engine.with_decode(DecodeMode::Quorum);
         }
         match fate {
             Finishes => {}

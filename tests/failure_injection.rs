@@ -1,6 +1,6 @@
 //! Failure injection: the coding layer must turn transport misbehaviour
-//! into errors, never into silently wrong output — and, with the MDS
-//! quorum decode, a straggling or dead sender must not hold the shuffle
+//! into errors, never into silently wrong output — and, with the quorum
+//! decode, a straggling or dead sender must not hold the shuffle
 //! hostage. The straggler tests inject deterministic slowdown rules
 //! ({2×, 10×, ∞}) on one rank and hold the measured makespans inside the
 //! `cts_netsim::straggler` model's brackets.
@@ -150,8 +150,9 @@ fn corrupted_wire_bytes_fail_engine_style_parsing() {
 }
 
 /// One rank failing must fail the job, not strand its peers: a truncated
-/// coded packet makes exactly one receiver's decode return `Err` while
-/// everybody else is healthy and waiting at the next synchronization.
+/// coded packet makes exactly one receiver's decode return `Err` (under
+/// quorum, if that receiver takes it before the group's quorum is met)
+/// while everybody else is healthy and waiting at the next synchronization.
 /// The failing rank shuts the job's endpoints down and the job reports
 /// *its* error, not the `Disconnected` the teardown hands the others. That
 /// costs a resident runtime those endpoints, not its life: the next job
@@ -159,10 +160,11 @@ fn corrupted_wire_bytes_fail_engine_style_parsing() {
 #[test]
 fn one_ranks_decode_error_fails_the_job_with_that_error() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    // Over GF(2) both shuffles need every packet of a group, so the bad one
-    // is always decoded. (The MDS quorum over GF(256) completes a group on
-    // any r − 1 of its r packets and would discard the bad one unread
-    // whenever it lost that race.)
+    // Barrier-on-all needs every packet of a group, so the bad one is
+    // always decoded. The quorum completes a group on any r − 1 of its r
+    // packets: it decodes the bad one (and fails the same way) unless the
+    // other sender's packet won the race, and then it never reads it and
+    // sorts correctly without it.
     // The third leg runs behind a NIC that takes ~0.4 s per rank: the error
     // strikes with every rank's later packets still queued, and the teardown
     // must release those queues too.
@@ -199,16 +201,26 @@ fn one_ranks_decode_error_fails_the_job_with_that_error() {
                 (job.wait().map(|outcome| outcome.outputs), reference)
             };
             let started = Instant::now();
-            let err = sort(1).0.unwrap_err();
+            let (first, reference) = sort(1);
             assert!(
                 started.elapsed() < Duration::from_secs(5),
                 "tcp={tcp} nic={nic:?} {decode}: took {:?}",
                 started.elapsed()
             );
-            assert!(
-                matches!(err, EngineError::Coded(CodedError::MalformedPacket { .. })),
-                "tcp={tcp} nic={nic:?} {decode}: {err}"
-            );
+            match first {
+                Err(err) => assert!(
+                    matches!(err, EngineError::Coded(CodedError::MalformedPacket { .. })),
+                    "tcp={tcp} nic={nic:?} {decode}: {err}"
+                ),
+                Ok(outputs) => {
+                    assert_eq!(
+                        decode,
+                        DecodeMode::Quorum,
+                        "tcp={tcp} nic={nic:?}: no error"
+                    );
+                    assert_eq!(outputs, reference, "tcp={tcp} nic={nic:?} {decode}");
+                }
+            }
             let (outputs, reference) = sort(2);
             assert_eq!(
                 outputs.unwrap(),
@@ -228,11 +240,7 @@ fn timed_run(
     decode: DecodeMode,
     fault: Option<(usize, Arc<coded_terasort::net::fault::FaultRule>)>,
 ) -> (Vec<Vec<u8>>, f64) {
-    let mut job = SortJob::new(
-        EngineConfig::local(k, r)
-            .with_field(FieldKind::Gf256)
-            .with_decode(decode),
-    );
+    let mut job = SortJob::new(EngineConfig::local(k, r).with_decode(decode));
     if let Some((victim, rule)) = fault {
         job.engine.cluster = job.engine.cluster.with_fault(victim, rule);
     }
@@ -324,7 +332,7 @@ fn quorum_decode_survives_a_dead_sender() {
     assert!(model.predicted_speedup().is_infinite());
 }
 
-/// One timed coded sort at (k, r) with GF(256) + quorum decode, optional
+/// One timed coded sort at (k, r) with quorum decode, optional
 /// fail-stop crash injection, and the given recovery mode. `tcp` selects
 /// the loopback-TCP cluster instead of the in-memory fabric.
 fn crash_run(
@@ -343,7 +351,6 @@ fn crash_run(
     };
     let mut job = SortJob::new(
         engine
-            .with_field(FieldKind::Gf256)
             .with_decode(DecodeMode::Quorum)
             .with_recovery(recovery)
             .with_heartbeat(heartbeat),
@@ -457,7 +464,6 @@ fn a_rank_killed_with_its_pieces_absorbed_is_rebuilt_byte_identically_behind_the
     nic.burst_bytes = 256.0;
     let healthy = SortJob::new(
         EngineConfig::local(k, r)
-            .with_field(FieldKind::Gf256)
             .with_decode(DecodeMode::Quorum)
             .with_recovery(RecoveryMode::Speculative)
             .with_heartbeat(Duration::from_millis(10))

@@ -27,12 +27,7 @@ fn a_job_without_recovery_records_no_internal_frame() {
         let legs = [
             ("uncoded", base(1)),
             ("coded", base(2)),
-            (
-                "quorum",
-                base(2)
-                    .with_field(FieldKind::Gf256)
-                    .with_decode(DecodeMode::Quorum),
-            ),
+            ("quorum", base(2).with_decode(DecodeMode::Quorum)),
             ("pods", base(2).with_pods(3)),
         ];
         for (leg, engine) in legs {
@@ -62,9 +57,7 @@ fn a_job_without_recovery_records_no_internal_frame() {
 fn back_to_back_quorum_jobs_on_one_slot_take_no_late_packet() {
     const K: usize = 4;
     const ROUNDS: u64 = 50;
-    let engine = EngineConfig::local(K, 2)
-        .with_field(FieldKind::Gf256)
-        .with_decode(DecodeMode::Quorum);
+    let engine = EngineConfig::local(K, 2).with_decode(DecodeMode::Quorum);
     let inputs: Vec<Bytes> = (0..2 * ROUNDS)
         .map(|i| teragen::generate(1_000, 3_500 + i))
         .collect();

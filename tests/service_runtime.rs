@@ -264,7 +264,6 @@ fn throttled_tenant_does_not_inflate_unshaped_p99() {
 #[test]
 fn consecutive_quorum_jobs_on_one_slot_do_not_see_each_others_packets() {
     let template = EngineConfig::local(5, 3)
-        .with_field(FieldKind::Gf256)
         .with_decode(DecodeMode::Quorum)
         .with_idle_timeout(Duration::from_secs(5));
     // Exclusive mode reuses slot 0; in multi mode a dispatcher's slot is its

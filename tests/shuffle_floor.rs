@@ -42,9 +42,7 @@ enum Leg {
 fn run_leg(leg: Leg, engine: EngineConfig, input: &Bytes) -> JobOutcome {
     let workload = TeraSortWorkload::range(K);
     let engine = match leg {
-        Leg::CodedQuorum => engine
-            .with_field(FieldKind::Gf256)
-            .with_decode(DecodeMode::Quorum),
+        Leg::CodedQuorum => engine.with_decode(DecodeMode::Quorum),
         Leg::Pods => engine.with_pods(4),
         _ => engine,
     };
@@ -263,9 +261,7 @@ fn cpu_stages_hide_behind_the_nic() {
         nic.burst_bytes = 256.0;
         let mut engine = EngineConfig::local(K, 3).with_nic(nic);
         if let Leg::CodedQuorum = leg {
-            engine = engine
-                .with_field(FieldKind::Gf256)
-                .with_decode(DecodeMode::Quorum);
+            engine = engine.with_decode(DecodeMode::Quorum);
         }
         let started = Instant::now();
         let outcome = run(&workload, input.clone(), &engine).unwrap();
