@@ -59,11 +59,6 @@ impl MapOutputStore {
         old
     }
 
-    /// Borrowed access as [`Bytes`] (cheaply cloneable).
-    pub fn get(&self, target: NodeId, file: NodeSet) -> Option<&Bytes> {
-        self.values.get(&(target, file.bits()))
-    }
-
     /// Sum of stored payload lengths — the memory-overhead quantity the
     /// paper's §V-C Reduce discussion refers to.
     pub fn total_bytes(&self) -> u64 {

@@ -4,37 +4,6 @@ use cts_core::error::CodedError;
 use cts_net::error::NetError;
 use cts_net::fault::CrashPoint;
 
-/// A structured post-mortem for a job that failure handling could not (or
-/// was not allowed to) save: who died, where, and which multicast groups
-/// lost more senders than the quorum tolerates.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JobReport {
-    /// Ranks declared dead, ascending.
-    pub dead: Vec<usize>,
-    /// Multicast groups whose decode became unsatisfiable (≥ 2 dead
-    /// senders: quorum needs any `r − 1` of `r`, so one death per group is
-    /// the recovery capacity). Ascending group ids; empty when the failure
-    /// was fatal for a different reason (stated in `what`).
-    pub unrecoverable_groups: Vec<u64>,
-    /// Human-readable summary of why the job could not be finished.
-    pub what: String,
-}
-
-impl std::fmt::Display for JobReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "dead ranks {:?}, {} unrecoverable group(s)",
-            self.dead,
-            self.unrecoverable_groups.len()
-        )?;
-        if !self.unrecoverable_groups.is_empty() {
-            write!(f, " {:?}", self.unrecoverable_groups)?;
-        }
-        write!(f, ": {}", self.what)
-    }
-}
-
 /// Errors surfaced by the MapReduce engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
@@ -56,17 +25,14 @@ pub enum EngineError {
         /// Description of the violation.
         what: String,
     },
-    /// A rank died while recovery was off: the job fails fast with the
-    /// crash's identity instead of hanging on the dead peer.
+    /// A rank died: the job fails fast with the crash's identity instead
+    /// of hanging on the dead peer.
     RankDied {
         /// The rank that died.
         rank: usize,
         /// Where in the job it died.
         point: CrashPoint,
     },
-    /// Recovery capacity was exhausted — the structured report names the
-    /// dead ranks and the groups whose quorum became unsatisfiable.
-    Unrecoverable(JobReport),
     /// The runtime refused the job at admission: its bounded queue is full
     /// (or it is shutting down). Backpressure surfaces here, at the
     /// submitter, instead of as a silent stall inside the runtime.
@@ -83,12 +49,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Net(e) => write!(f, "network error: {e}"),
             EngineError::Coded(e) => write!(f, "coding error: {e}"),
             EngineError::Protocol { what } => write!(f, "shuffle protocol violation: {what}"),
-            EngineError::RankDied { rank, point } => {
-                write!(f, "rank {rank} died at {point} (recovery off)")
-            }
-            EngineError::Unrecoverable(report) => {
-                write!(f, "unrecoverable failure: {report}")
-            }
+            EngineError::RankDied { rank, point } => write!(f, "rank {rank} died at {point}"),
             EngineError::Busy { what } => write!(f, "job refused at admission: {what}"),
         }
     }
@@ -139,23 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn failure_variants_render_structured_reports() {
+    fn a_dead_rank_renders_its_crash_identity() {
         let died = EngineError::RankDied {
             rank: 5,
             point: CrashPoint::MidMap,
         };
-        assert_eq!(died.to_string(), "rank 5 died at mid-map (recovery off)");
-        let report = JobReport {
-            dead: vec![1, 4],
-            unrecoverable_groups: vec![3, 17],
-            what: "2 dead senders in one group exceeds the quorum margin".into(),
-        };
-        let e = EngineError::Unrecoverable(report.clone());
-        let msg = e.to_string();
-        assert!(msg.contains("[1, 4]"));
-        assert!(msg.contains("2 unrecoverable group(s) [3, 17]"));
-        assert!(msg.contains("quorum margin"));
-        assert_eq!(e, EngineError::Unrecoverable(report));
+        assert_eq!(died.to_string(), "rank 5 died at mid-map");
     }
 
     #[test]

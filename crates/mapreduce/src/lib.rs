@@ -3,7 +3,7 @@
 //! This crate runs real MapReduce jobs over the `cts-net` substrate. One
 //! pipeline executes every scheme. The paper times its stages laid end to
 //! end and closes them on barriers; here no stage closes on a
-//! synchronization (only failure recovery has one), and each node walks the
+//! synchronization, and each node walks the
 //! stages in one pass, so its CPU work runs while its NIC drains (paper §VI,
 //! "asynchronous execution"):
 //!
@@ -76,7 +76,6 @@ mod engine;
 pub mod error;
 pub mod grep;
 pub mod invindex;
-pub mod recover;
 pub mod runtime;
 pub mod selfjoin;
 pub mod stage;
@@ -86,9 +85,9 @@ pub mod wordcount;
 pub mod workload;
 
 pub use engine::{run, run_on, JobOutcome};
-pub use error::{EngineError, JobReport, Result};
+pub use error::{EngineError, Result};
 pub use runtime::{JobContext, JobHandle, JobRuntime, JobStatus, RuntimeConfig};
-pub use stage::{EngineConfig, NodeWall, RecoveryMode, ReduceOverlap, WallTimes};
+pub use stage::{EngineConfig, NodeWall, ReduceOverlap, WallTimes};
 pub use timeline::{chrome_trace, stage_totals_ns};
 pub use verify::{diff_outputs, run_sequential};
 pub use workload::{InputFormat, PartitionShape, Reducer, Workload};

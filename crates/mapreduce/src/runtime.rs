@@ -28,12 +28,10 @@
 //! lets go last. Looking a job up by id is the business of whoever hands ids
 //! out (the service's job table).
 //!
-//! **Exclusive mode** (`max_concurrent == 1`) runs every job at slot 0:
-//! the full 24-bit tag space and speculative recovery stay available,
-//! exactly like a one-shot run, just resident. **Multi mode** runs
-//! dispatcher `i`'s jobs at slot `i + 1`, giving up recovery (unscoped
-//! heartbeats would poison neighbors) and 6 tag-sequence bits in exchange
-//! for true concurrency.
+//! **Exclusive mode** (`max_concurrent == 1`) runs every job at slot 0
+//! with the full 24-bit tag space, exactly like a one-shot run, just
+//! resident. **Multi mode** runs dispatcher `i`'s jobs at slot `i + 1`,
+//! giving up 6 tag-sequence bits in exchange for true concurrency.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,8 +59,8 @@ pub struct RuntimeConfig {
     /// fast with [`EngineError::Busy`].
     pub queue_capacity: usize,
     /// Dispatcher threads = jobs actually running at once, `1..=63`.
-    /// `1` selects exclusive mode (slot 0: full tag space, recovery
-    /// allowed); `> 1` gives each dispatcher a nonzero job slot.
+    /// `1` selects exclusive mode (slot 0: the full tag space); `> 1`
+    /// gives each dispatcher a nonzero job slot.
     pub max_concurrent: usize,
 }
 
@@ -383,8 +381,8 @@ impl JobRuntime {
                 // A dispatcher runs one job at a time, so a tag slot is its
                 // own for life: nothing to lease, and a slot is busy exactly
                 // when its dispatcher is (`cts_jobs_running`). An only
-                // dispatcher keeps slot 0, so one-shot semantics (full tag
-                // space, recovery) survive residency.
+                // dispatcher keeps slot 0, so a one-shot job's full tag
+                // space survives residency.
                 let slot = if cfg.max_concurrent == 1 {
                     0
                 } else {
@@ -793,11 +791,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_fabric_jobs_cannot_use_speculative_recovery() {
-        use crate::stage::RecoveryMode;
-        let template = EngineConfig::local(4, 2)
-            .with_decode(cts_core::decode::DecodeMode::Quorum)
-            .with_recovery(RecoveryMode::Speculative);
+    fn shared_fabric_jobs_refuse_groups_past_their_tag_space() {
+        // C(40, 5) = 658 008 groups fit 24 tag bits but not a nonzero
+        // slot's 18: refused before any rank starts.
+        let template = EngineConfig::local(40, 4);
         let runtime =
             JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();
         let err = runtime
@@ -806,6 +803,7 @@ mod tests {
             .wait()
             .unwrap_err();
         assert!(matches!(err, EngineError::BadConfig { .. }), "{err}");
+        assert!(err.to_string().contains("18-bit"), "{err}");
         runtime.shutdown();
     }
 }

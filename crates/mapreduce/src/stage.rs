@@ -25,47 +25,14 @@ pub mod stages {
     pub const UNPACK_DECODE: &str = "UnpackDecode";
     /// Local per-partition reduction.
     pub const REDUCE: &str = "Reduce";
-    /// Speculative re-execution traffic after a rank death (recovery mode
-    /// only).
-    pub const RECOVER: &str = "Recover";
-}
-
-/// Whether and how the engine recovers from rank deaths.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// No health layer: a dead rank fails the job fast with a typed error
-    /// (the failing rank tears the fabric down, so nobody hangs). The
-    /// default.
-    #[default]
-    Off,
-    /// Heartbeat failure detection plus speculative re-execution: a dead
-    /// rank's map responsibilities are re-run by survivors holding the
-    /// r-fold replicated inputs, and its reduce partition is adopted by a
-    /// deterministic successor. Requires quorum decode and `r ≥ 2`.
-    Speculative,
-}
-
-impl std::str::FromStr for RecoveryMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "off" => Ok(RecoveryMode::Off),
-            "speculative" => Ok(RecoveryMode::Speculative),
-            other => Err(format!(
-                "unknown recovery mode `{other}` (expected `speculative` or `off`)"
-            )),
-        }
-    }
 }
 
 /// Wall-clock stage durations for one node. A CPU stage's wall is the time
 /// the node's thread spent in that work, its interleaved slices summed
 /// (CodeGen is the enumeration alone: no synchronization closes it); the
 /// Shuffle's runs from the node's first post to its own drain and its last
-/// expected message — recovery's dead-mask exchange too, when recovery is
-/// on — with the Map, Encode, Decode and Reduce slices that ran meanwhile
-/// included, so the six can sum to more than the node's job took.
+/// expected message, with the Map, Encode, Decode and Reduce slices that ran
+/// meanwhile included, so the six can sum to more than the node's job took.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeWall {
     /// CodeGen duration.
@@ -90,9 +57,9 @@ impl NodeWall {
 }
 
 /// Cluster-wide wall times: the per-stage maximum over nodes, and the job's
-/// own wall beside them. No stage closes on a synchronization (recovery's
-/// aside): a node's stages overlap each other, so `max.total()` exceeds
-/// `job` by what ran hidden behind the NIC.
+/// own wall beside them. No stage closes on a synchronization: a node's
+/// stages overlap each other, so `max.total()` exceeds `job` by what ran
+/// hidden behind the NIC.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WallTimes {
     /// Slowest node per stage.
@@ -104,10 +71,8 @@ pub struct WallTimes {
 
 impl WallTimes {
     /// The walls of one job's span log — the only clock the engine keeps.
-    /// Each rank's stage walls ([`wall_ns`](cts_net::span::StageSpan::wall_ns);
-    /// Recover counts as Reduce: rebuilding a dead rank's partition is
-    /// reduce work done elsewhere) are aggregated, and the job's wall is
-    /// the extent of all spans.
+    /// Each rank's stage walls ([`wall_ns`](cts_net::span::StageSpan::wall_ns))
+    /// are aggregated, and the job's wall is the extent of all spans.
     pub fn from_spans(log: &SpanLog) -> Self {
         let mut nodes: Vec<NodeWall> = Vec::new();
         let (mut start, mut end) = (u64::MAX, 0);
@@ -125,7 +90,7 @@ impl WallTimes {
                 stages::PACK_ENCODE => &mut node.pack_encode,
                 stages::SHUFFLE => &mut node.shuffle,
                 stages::UNPACK_DECODE => &mut node.unpack_decode,
-                stages::REDUCE | stages::RECOVER => &mut node.reduce,
+                stages::REDUCE => &mut node.reduce,
                 _ => continue,
             };
             *slot += Duration::from_nanos(span.wall_ns);
@@ -155,8 +120,7 @@ impl WallTimes {
 /// One rank's Reduce against its Shuffle, read off the job's span log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReduceOverlap {
-    /// Time the rank's thread spent reducing, every slice (Recover counts
-    /// as Reduce, as in [`WallTimes`]).
+    /// Time the rank's thread spent reducing, every slice.
     pub busy: Duration,
     /// The part of `busy` that ran after the rank's Shuffle had closed.
     pub after_shuffle: Duration,
@@ -178,7 +142,7 @@ impl ReduceOverlap {
             let reduces = log
                 .spans
                 .iter()
-                .filter(|s| s.rank == rank && matches!(stage(s), stages::REDUCE | stages::RECOVER));
+                .filter(|s| s.rank == rank && stage(s) == stages::REDUCE);
             let (mut busy, mut after) = (0, 0);
             for s in reduces {
                 busy += s.wall_ns;
@@ -225,12 +189,6 @@ pub struct EngineConfig {
     /// How long the quorum shuffle's receive loop tolerates zero progress
     /// before declaring the shuffle stalled. Defaults to 10 s.
     pub idle_timeout: Duration,
-    /// Rank-death handling (see [`RecoveryMode`]).
-    pub recovery: RecoveryMode,
-    /// Heartbeat interval for the health layer when recovery is on; the
-    /// suspect/death deadlines derive from it
-    /// (see [`cts_net::health::HealthConfig::from_heartbeat`]).
-    pub heartbeat: Duration,
     /// Crash injection for failure testing: each spec kills one rank
     /// fail-stop at a stage point. Empty in production.
     pub crashes: Vec<CrashSpec>,
@@ -247,8 +205,6 @@ impl EngineConfig {
             threads: 1,
             decode: DecodeMode::All,
             idle_timeout: Duration::from_secs(10),
-            recovery: RecoveryMode::Off,
-            heartbeat: Duration::from_millis(25),
             crashes: Vec::new(),
         }
     }
@@ -309,23 +265,6 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the rank-death handling mode. `Speculative` requires
-    /// quorum decode and `r ≥ 2` — validated when the job runs
-    /// (`BadConfig` otherwise), since `decode`/`r` may be set after this
-    /// call.
-    pub fn with_recovery(mut self, recovery: RecoveryMode) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Sets the health layer's heartbeat interval (recovery mode only).
-    /// Death is declared after ~36 silent intervals (suspect deadline
-    /// plus three exponentially backed-off probe windows).
-    pub fn with_heartbeat(mut self, heartbeat: Duration) -> Self {
-        self.heartbeat = heartbeat;
-        self
-    }
-
     /// Adds a crash-at-point injection (failure testing).
     pub fn with_crash(mut self, spec: CrashSpec) -> Self {
         self.crashes.push(spec);
@@ -359,32 +298,25 @@ mod tests {
     }
 
     #[test]
-    fn recovery_knobs_round_trip() {
+    fn failure_knobs_round_trip() {
         let cfg = EngineConfig::local(4, 2)
-            .with_recovery(RecoveryMode::Speculative)
-            .with_heartbeat(Duration::from_millis(10))
             .with_idle_timeout(Duration::from_secs(3))
             .with_crash(CrashSpec {
                 rank: 2,
                 point: cts_net::fault::CrashPoint::MidMap,
             });
-        assert_eq!(cfg.recovery, RecoveryMode::Speculative);
-        assert_eq!(cfg.heartbeat, Duration::from_millis(10));
         assert_eq!(cfg.idle_timeout, Duration::from_secs(3));
         assert_eq!(
             cfg.crash_point_of(2),
             Some(cts_net::fault::CrashPoint::MidMap)
         );
         assert_eq!(cfg.crash_point_of(1), None);
-        assert_eq!("speculative".parse(), Ok(RecoveryMode::Speculative));
-        assert_eq!("off".parse(), Ok(RecoveryMode::Off));
-        assert!("on".parse::<RecoveryMode>().is_err());
     }
 
     #[test]
-    fn span_walls_take_the_slowest_rank_and_fold_recover_into_reduce() {
+    fn span_walls_sum_each_rank_then_take_the_slowest() {
         use cts_net::span::StageSpan;
-        let names = [stages::MAP, stages::REDUCE, stages::RECOVER, "Other"];
+        let names = [stages::MAP, stages::REDUCE, "Other"];
         let span = |rank: u16, stage: usize, start_ms: u64, end_ms: u64| StageSpan {
             job: 7,
             rank,
@@ -398,12 +330,12 @@ mod tests {
             spans: vec![
                 span(0, 0, 0, 10),
                 span(1, 0, 0, 4),
-                // Rank 0 recovers for 3 ms, then reduces for 5; rank 1 only
-                // reduces, for 6: the fold is per rank, before the max.
-                span(0, 2, 10, 13),
+                // Rank 0 reduces in two slices, 3 ms and 5; rank 1 in one, for
+                // 6: the sum is per rank, before the max.
+                span(0, 1, 10, 13),
                 span(0, 1, 13, 18),
                 span(1, 1, 4, 10),
-                span(1, 3, 10, 99),
+                span(1, 2, 10, 99),
             ],
         };
         let w = WallTimes::from_spans(&log);

@@ -89,9 +89,9 @@ impl StageClock {
 /// on one shared fabric neither cross-match messages nor see each other's
 /// traces. Slot 0 leaves tags byte-identical to unscoped ones — the
 /// exclusive one-shot path. Scoping is applied exactly once, at the API
-/// boundary; raw [`transport`](Communicator::transport) users (the
-/// health/recovery layer) bypass it and therefore require an exclusive
-/// fabric.
+/// boundary; a raw [`transport`](Communicator::transport) user (the
+/// engine's receive loop) scopes its keys itself with
+/// [`Communicator::scope`].
 pub(crate) struct JobScope {
     pub(crate) slot: u8,
     /// How [`Communicator::post_multicast`] realizes group sends.
@@ -101,7 +101,7 @@ pub(crate) struct JobScope {
     /// unshaped.
     pub(crate) meter: Option<Arc<NicMeter>>,
     /// The owning fabric's metric registry, so engines can register
-    /// job-level instruments (heartbeat transitions, decode progress)
+    /// job-level instruments (decode progress)
     /// without new plumbing.
     pub(crate) metrics: Arc<MetricsHub>,
     /// The endpoints the job runs on (see [`Communicator::abort`]).

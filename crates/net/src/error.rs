@@ -39,18 +39,6 @@ pub enum NetError {
         /// Description supplied by the fault rule.
         what: String,
     },
-    /// The health layer declared this peer dead: its heartbeats stopped
-    /// and the bounded probe budget expired. Unlike [`Disconnected`]
-    /// (whole-fabric teardown), this names the one peer that will never
-    /// speak again, so callers can recover around it.
-    ///
-    /// [`Disconnected`]: NetError::Disconnected
-    PeerDead {
-        /// Which endpoint observed the death.
-        rank: usize,
-        /// The peer declared dead.
-        peer: usize,
-    },
     /// A lazy TCP dial exhausted its bounded retry budget without the
     /// peer ever accepting.
     ConnectFailed {
@@ -78,9 +66,6 @@ impl std::fmt::Display for NetError {
             NetError::Io { what } => write!(f, "I/O error: {what}"),
             NetError::CollectiveMisuse { what } => write!(f, "collective misuse: {what}"),
             NetError::InjectedFault { what } => write!(f, "injected fault: {what}"),
-            NetError::PeerDead { rank, peer } => {
-                write!(f, "endpoint {rank}: peer {peer} declared dead")
-            }
             NetError::ConnectFailed {
                 rank,
                 addr,
@@ -126,9 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_and_connect_failures_name_the_peer() {
-        let dead = NetError::PeerDead { rank: 0, peer: 7 };
-        assert_eq!(dead.to_string(), "endpoint 0: peer 7 declared dead");
+    fn connect_failures_name_the_peer() {
         let conn = NetError::ConnectFailed {
             rank: 3,
             addr: "127.0.0.1:4242".into(),

@@ -211,10 +211,6 @@ impl Transport for FaultyTransport {
     fn shutdown(&self) {
         self.inner.shutdown()
     }
-
-    fn mark_peer_dead(&self, peer: usize) {
-        self.inner.mark_peer_dead(peer)
-    }
 }
 
 #[cfg(test)]

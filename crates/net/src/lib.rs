@@ -39,11 +39,7 @@
 //!   teardown, plus the resident [`SharedFabric`] that runs many
 //!   concurrent job-scoped SPMD programs over one set of transports;
 //! * [`fault`] — transport-level fault injection for failure testing,
-//!   including crash-at-point specs ([`fault::CrashSpec`]);
-//! * [`health`] — per-rank liveness (Alive/Suspect/Dead) driven by
-//!   heartbeat deadlines with bounded exponential backoff, feeding
-//!   [`registry::MembershipView`]s and typed
-//!   [`NetError::PeerDead`] receive failures.
+//!   including crash-at-point specs ([`fault::CrashSpec`]).
 //!
 //! ```
 //! use bytes::Bytes;
@@ -72,7 +68,6 @@ pub mod error;
 pub mod fabric;
 pub mod fault;
 pub mod frame;
-pub mod health;
 mod journal;
 pub mod local;
 pub mod mailbox;
@@ -91,10 +86,9 @@ pub use cluster::{
 pub use comm::Communicator;
 pub use error::{NetError, Result};
 pub use fabric::ShuffleFabric;
-pub use health::{HealthBoard, HealthConfig, Heartbeat, Liveness};
 pub use message::{Key, Message, Tag};
 pub use rate::{Nic, NicMeter, NicProfile};
-pub use registry::{MembershipView, RankRegistry};
+pub use registry::RankRegistry;
 pub use span::{SpanLog, StageSpan};
 pub use trace::{EventKind, Trace, TraceEvent};
 pub use transport::Transport;

@@ -144,10 +144,6 @@ impl Transport for LocalEndpoint {
     fn shutdown(&self) {
         self.mailboxes[self.rank].close();
     }
-
-    fn mark_peer_dead(&self, peer: usize) {
-        self.mailboxes[self.rank].mark_dead(peer);
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! exact tag and source — a [`Key`] — and leave in FIFO order per key: the
 //! matching semantics of MPI's `MPI_Recv` with an explicit source and tag.
 //! There is one way to wait: [`Mailbox::recv_any`] blocks until a message
-//! is queued under any of a set of keys, a listed source is dead or
-//! disconnected, the mailbox is closed, or a deadline passes. Every other
-//! receive in the crate is that call with one key and some deadline.
+//! is queued under any of a set of keys, a listed source disconnected, the
+//! mailbox is closed, or a deadline passes. Every other receive in the crate
+//! is that call with one key and some deadline.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -41,10 +41,6 @@ struct Inner {
     /// Per-source disconnect bits (bit `s` set = no further messages will
     /// ever arrive from source `s`; world sizes are ≤ 128).
     gone: u128,
-    /// Per-source death bits set by the health layer: like `gone`, but the
-    /// receiver learns *which* peer failed via `PeerDead` instead of the
-    /// anonymous `Disconnected`.
-    dead: u128,
 }
 
 impl Inner {
@@ -112,11 +108,10 @@ impl Mailbox {
     /// no rank of the fabric never matches.
     ///
     /// A queued message always drains first. With nothing queued, the wait
-    /// ends on the first of: a listed source the health layer declared dead
-    /// (`PeerDead`, naming it), a listed source that disconnected or a
-    /// closed mailbox (`Disconnected`), `deadline` passing (`Timeout`,
-    /// naming the first key). A deadline that has already passed makes the
-    /// call a non-blocking probe; `None` waits indefinitely.
+    /// ends on the first of: a listed source that disconnected or a closed
+    /// mailbox (`Disconnected`), `deadline` passing (`Timeout`, naming the
+    /// first key). A deadline that has already passed makes the call a
+    /// non-blocking probe; `None` waits indefinitely.
     pub fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
         let mut inner = self.inner.lock();
         let mut sources = None;
@@ -126,19 +121,13 @@ impl Mailbox {
             }
             // Whose messages these keys await matters only once somebody
             // is down, and costs a pass over them: worked out then, once.
-            let sources = match inner.dead | inner.gone {
+            let sources = match inner.gone {
                 0 => 0,
                 _ => *sources.get_or_insert_with(|| {
                     let listed = keys.iter().filter(|key| key.1 < 128);
                     listed.fold(0u128, |mask, key| mask | 1 << key.1)
                 }),
             };
-            if inner.dead & sources != 0 {
-                return Err(NetError::PeerDead {
-                    rank: self.rank,
-                    peer: (inner.dead & sources).trailing_zeros() as usize,
-                });
-            }
             if inner.closed || inner.gone & sources != 0 {
                 return Err(NetError::Disconnected { rank: self.rank });
             }
@@ -182,21 +171,6 @@ impl Mailbox {
         }
         let mut inner = self.inner.lock();
         inner.gone |= 1u128 << src;
-        drop(inner);
-        self.available.notify_all();
-    }
-
-    /// Marks one source as *dead* (declared by the health layer): queued
-    /// messages from it still drain, then blocked and future waits listing
-    /// that source fail with the typed `PeerDead` error — the receiver
-    /// learns exactly which peer will never speak again instead of
-    /// blocking until a generic timeout.
-    pub fn mark_dead(&self, src: usize) {
-        if src >= 128 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.dead |= 1u128 << src;
         drop(inner);
         self.available.notify_all();
     }
@@ -337,43 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn mark_dead_surfaces_typed_peer_death_after_drain() {
-        let mb = Arc::new(Mailbox::new(2));
-        mb.deliver(msg(0, Tag::app(0), b"queued"));
-        mb.mark_dead(0);
-        // Already-queued traffic from the dead peer still drains …
-        assert_eq!(mb.recv(0, Tag::app(0)).unwrap(), "queued");
-        // … then the death is typed, naming the peer.
-        assert!(matches!(
-            mb.recv(0, Tag::app(0)),
-            Err(NetError::PeerDead { rank: 2, peer: 0 })
-        ));
-        assert!(matches!(
-            mb.recv_timeout(0, Tag::app(0), Duration::from_millis(5)),
-            Err(NetError::PeerDead { rank: 2, peer: 0 })
-        ));
-        // Other sources are unaffected.
-        let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || mb2.recv(1, Tag::app(0)).unwrap());
-        std::thread::sleep(Duration::from_millis(20));
-        mb.deliver(msg(1, Tag::app(0), b"alive"));
-        assert_eq!(handle.join().unwrap(), "alive");
-    }
-
-    #[test]
-    fn mark_dead_wakes_blocked_receiver() {
-        let mb = Arc::new(Mailbox::new(6));
-        let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || mb2.recv(3, Tag::app(0)));
-        std::thread::sleep(Duration::from_millis(20));
-        mb.mark_dead(3);
-        assert!(matches!(
-            handle.join().unwrap(),
-            Err(NetError::PeerDead { rank: 6, peer: 3 })
-        ));
-    }
-
-    #[test]
     fn close_drops_future_deliveries() {
         let mb = Mailbox::new(0);
         mb.close();
@@ -396,15 +333,15 @@ mod tests {
         assert_eq!(mb.try_recv_checked(1, Tag::app(0)).unwrap(), None);
         // Queued traffic drains even after the terminal mark …
         mb.deliver(msg(1, Tag::app(0), b"last-words"));
-        mb.mark_dead(1);
+        mb.disconnect_src(1);
         assert_eq!(
             mb.try_recv_checked(1, Tag::app(0)).unwrap().unwrap(),
             "last-words"
         );
-        // … then the death is typed, while other sources stay pollable.
+        // … then the hang-up is typed, while other sources stay pollable.
         assert!(matches!(
             mb.try_recv_checked(1, Tag::app(0)),
-            Err(NetError::PeerDead { rank: 3, peer: 1 })
+            Err(NetError::Disconnected { rank: 3 })
         ));
         assert_eq!(mb.try_recv_checked(2, Tag::app(0)).unwrap(), None);
         // Closure fails every source fast — the poll loop cannot spin.
@@ -493,11 +430,7 @@ mod tests {
     #[test]
     fn terminal_states_during_a_multi_key_wait_wake_it() {
         type Mark = fn(&Mailbox);
-        let cases: [(Mark, NetError); 3] = [
-            (
-                |mb| mb.mark_dead(2),
-                NetError::PeerDead { rank: 9, peer: 2 },
-            ),
+        let cases: [(Mark, NetError); 2] = [
             (
                 |mb| mb.disconnect_src(1),
                 NetError::Disconnected { rank: 9 },
@@ -512,7 +445,6 @@ mod tests {
             };
             std::thread::sleep(Duration::from_millis(20));
             // A terminal mark on a source nobody listed wakes nothing.
-            mb.mark_dead(3);
             mb.disconnect_src(4);
             std::thread::sleep(Duration::from_millis(20));
             assert!(!waiter.is_finished());
@@ -526,12 +458,12 @@ mod tests {
         let mb = Mailbox::new(0);
         let keys = [(Tag::app(0), 1), (Tag::app(0), 2)];
         mb.deliver(msg(2, Tag::app(0), b"still-here"));
-        mb.mark_dead(1);
+        mb.disconnect_src(1);
         mb.close();
         assert_eq!(mb.recv_any(&keys, None).unwrap().1, "still-here");
         assert_eq!(
             mb.recv_any(&keys, None),
-            Err(NetError::PeerDead { rank: 0, peer: 1 })
+            Err(NetError::Disconnected { rank: 0 })
         );
     }
 

@@ -26,15 +26,6 @@ impl Tag {
     pub const BARRIER: u8 = 0xB0;
     /// Multicast payloads (one sub-tag per multicast group).
     pub const BCAST: u8 = 0xB1;
-    /// Heartbeat beacons from the health layer (one fixed sub-tag; the
-    /// monitor drains the whole queue on every tick).
-    pub const HEARTBEAT: u8 = 0xC3;
-    /// Liveness-aware barrier control messages (recovery mode): arrivals
-    /// carry the sender's dead-mask, releases carry the coordinator's.
-    pub const RBARRIER: u8 = 0xC4;
-    /// Recovery-plan data: re-executed or forwarded intermediate values
-    /// unicast from a helper to a dead rank's successor (sub-tag = file id).
-    pub const RECOVER: u8 = 0xC5;
 
     /// Builds a tag in the given purpose namespace with a 24-bit sequence.
     ///

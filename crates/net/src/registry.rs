@@ -100,59 +100,6 @@ impl RankRegistry {
     }
 }
 
-/// A point-in-time membership view: the registry's world filtered by the
-/// health layer's dead-mask. Successor choice is deterministic (next
-/// surviving rank, cyclically), so every survivor computes the same
-/// adoption plan without further coordination.
-///
-/// ```
-/// use cts_net::registry::MembershipView;
-///
-/// let view = MembershipView::new(4, 0b0100); // rank 2 is dead
-/// assert!(view.is_alive(1) && !view.is_alive(2));
-/// assert_eq!(view.dead_ranks(), vec![2]);
-/// assert_eq!(view.successor_of(2), Some(3));
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MembershipView {
-    world: usize,
-    dead_mask: u128,
-}
-
-impl MembershipView {
-    /// A view over `world` ranks with the given dead-mask (bit `i` set =
-    /// rank `i` is dead). Bits at or above `world` are ignored.
-    pub fn new(world: usize, dead_mask: u128) -> Self {
-        let keep = if world >= 128 {
-            u128::MAX
-        } else {
-            (1u128 << world) - 1
-        };
-        MembershipView {
-            world,
-            dead_mask: dead_mask & keep,
-        }
-    }
-
-    /// True if `rank` has not been declared dead.
-    pub fn is_alive(&self, rank: usize) -> bool {
-        rank < self.world && self.dead_mask & (1u128 << rank) == 0
-    }
-
-    /// Dead ranks, ascending.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        (0..self.world).filter(|&r| !self.is_alive(r)).collect()
-    }
-
-    /// The deterministic successor of `rank`: the next surviving rank
-    /// cyclically after it. `None` if nobody survives.
-    pub fn successor_of(&self, rank: usize) -> Option<usize> {
-        (1..=self.world)
-            .map(|step| (rank + step) % self.world)
-            .find(|&r| self.is_alive(r))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,23 +114,6 @@ mod tests {
             RankRegistry::bind_loopback(MAX_WORLD + 1),
             Err(NetError::InvalidRank { .. })
         ));
-    }
-
-    #[test]
-    fn membership_views_pick_deterministic_successors() {
-        let view = MembershipView::new(5, 0);
-        assert!(view.dead_ranks().is_empty());
-        assert_eq!(view.successor_of(4), Some(0), "succession wraps");
-
-        let holey = MembershipView::new(5, 0b11000); // 3 and 4 dead
-        assert_eq!(holey.dead_ranks(), vec![3, 4]);
-        assert_eq!(holey.successor_of(3), Some(0), "skips dead 4, wraps");
-        assert_eq!(holey.successor_of(2), Some(0));
-
-        // Out-of-world bits are masked off; a fully dead world has no
-        // successor.
-        assert!(MembershipView::new(3, !0b111).dead_ranks().is_empty());
-        assert_eq!(MembershipView::new(3, 0b111).successor_of(0), None);
     }
 
     #[test]

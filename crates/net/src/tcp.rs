@@ -362,10 +362,6 @@ impl Transport for TcpEndpoint {
         }
         self.inbound.mailbox.close();
     }
-
-    fn mark_peer_dead(&self, peer: usize) {
-        self.inbound.mailbox.mark_dead(peer);
-    }
 }
 
 impl Drop for TcpEndpoint {

@@ -76,10 +76,9 @@ pub trait Transport: Send + Sync {
     /// any of `keys` — exact tag and source, sorted ascending — and returns
     /// it with the index of its key, the lowest key first. A queued message
     /// always drains first; with nothing queued the wait ends with
-    /// `PeerDead` when a listed source has been declared dead,
-    /// `Disconnected` when one hung up or this endpoint shut down, and
-    /// `Timeout` once `deadline` passes (`None` waits indefinitely, a past
-    /// deadline only probes). See
+    /// `Disconnected` when a listed source hung up or this endpoint shut
+    /// down, and `Timeout` once `deadline` passes (`None` waits
+    /// indefinitely, a past deadline only probes). See
     /// [`Mailbox::recv_any`](crate::mailbox::Mailbox::recv_any).
     fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)>;
 
@@ -117,11 +116,4 @@ pub trait Transport: Send + Sync {
     /// `Disconnected`. Used for orderly shutdown and for aborting a fabric
     /// when a peer panics.
     fn shutdown(&self);
-
-    /// Records that `peer` has been declared dead by the health layer:
-    /// receives matching that source fail with the typed
-    /// [`PeerDead`](crate::error::NetError::PeerDead) once its queued
-    /// traffic drains, instead of blocking until a generic timeout.
-    /// Default: no-op, for transports without a per-source wait path.
-    fn mark_peer_dead(&self, _peer: usize) {}
 }

@@ -19,8 +19,6 @@
 //!   *asynchronous execution* future-work extension;
 //! * [`straggler`] — makespan brackets for one slow/dead sender under
 //!   barrier-on-all vs MDS quorum decode;
-//! * [`recovery`] — makespan brackets for a rank death: detection
-//!   latency plus speculative re-execution vs the fail-fast path;
 //! * [`model`] — run statistics + trace → [`breakdown::StageBreakdown`];
 //! * [`breakdown`] — stage breakdowns and paper-style table rendering;
 //! * [`timeline`] — ASCII Fig. 9 schedules.
@@ -35,7 +33,6 @@ pub mod breakdown;
 pub mod config;
 pub mod fluid;
 pub mod model;
-pub mod recovery;
 pub mod serial;
 pub mod stats;
 pub mod straggler;
@@ -45,7 +42,6 @@ pub use breakdown::{render_table, StageBreakdown, TableRow};
 pub use config::{ComputeModelConfig, NetModelConfig, PerfModelConfig};
 pub use fluid::{fabric_queues, predict_fabric_shuffle_s, simulate_parallel, FluidOutcome};
 pub use model::{PerfModel, SHUFFLE_STAGE};
-pub use recovery::RecoveryModel;
 pub use serial::{
     egress_floor_s, serial_fabric_makespan, serial_makespan, serial_schedule, transfers_by_sender,
     Schedule,

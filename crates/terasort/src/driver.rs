@@ -27,7 +27,8 @@ pub enum PartitionerKind {
 
 /// Configuration of one TeraSort / CodedTeraSort run: what the sort adds
 /// to the engine's own configuration. Everything else — `K`, `r`, pods,
-/// fabric, NIC, field, decode, threads, recovery — is set on `engine`.
+/// fabric, NIC, decode, threads, the quorum's idle timeout — is set on
+/// `engine`.
 #[derive(Clone, Debug)]
 pub struct SortJob {
     /// Reduce-stage sort kernel.

@@ -5,7 +5,6 @@
 //! cts sort   --input data.bin --k 8 --r 3 [--pods 4] [--sampled 16]
 //!            [--tcp] [--sort-kernel key-index] [--threads 4]
 //!            [--fabric fanout] [--decode quorum]
-//!            [--recovery speculative] [--heartbeat-ms 25]
 //!            [--idle-timeout-ms 10000] [--paper-nic] [--timeline trace.json]
 //! cts serve  --k 4 --r 2 --port 0 [--tcp] [--max-concurrent 4] [--queue 16]
 //!            [--metrics-port 9100]
@@ -91,13 +90,6 @@ USAGE:
                  barrier-on-all, default; quorum = release each group once
                  any r-1 of r coded packets arrive — a single-parity XOR
                  code, the shuffle outruns stragglers; same sorted output),
-               --recovery off|speculative → rank-death handling (off =
-                 fail fast with a typed error, default; speculative =
-                 heartbeat failure detection + re-execution of the dead
-                 rank's work on survivors; needs --decode quorum and
-                 r >= 2; same sorted output),
-               --heartbeat-ms N → health beacon interval (death declared
-                 after ~36 silent intervals; default 25),
                --idle-timeout-ms N → quorum shuffle zero-progress
                  deadline (default 10000),
                --paper-nic → emulate the paper's 100 Mbps NIC in real time,
@@ -235,8 +227,6 @@ const SORT_FLAGS: &[&str] = &[
     "sort-kernel",
     "fabric",
     "decode",
-    "recovery",
-    "heartbeat-ms",
     "idle-timeout-ms",
     "timeline",
 ];
@@ -257,8 +247,6 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     if decode == cts_core::decode::DecodeMode::Quorum && r <= 1 {
         return Err("--decode quorum needs --r 2 or more (no coded groups at r = 1)".to_string());
     }
-    let recovery: coded_terasort::mapreduce::RecoveryMode = choice(opts, "recovery")?;
-    let heartbeat_ms: u64 = opt(opts, "heartbeat-ms", 25)?;
     let idle_timeout_ms: u64 = opt(opts, "idle-timeout-ms", 10_000)?;
 
     let raw = std::fs::read(&input_path).map_err(|e| format!("reading {input_path}: {e}"))?;
@@ -287,15 +275,7 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
         .with_threads(threads)
         .with_fabric(fabric)
         .with_decode(decode)
-        .with_recovery(recovery)
-        .with_heartbeat(std::time::Duration::from_millis(heartbeat_ms))
         .with_idle_timeout(std::time::Duration::from_millis(idle_timeout_ms));
-    if recovery == coded_terasort::mapreduce::RecoveryMode::Speculative {
-        println!(
-            "recovery: speculative ({heartbeat_ms} ms heartbeats; a dead rank's partition is \
-             re-executed on its successor)"
-        );
-    }
     if decode == cts_core::decode::DecodeMode::Quorum {
         println!(
             "decode: quorum (any {} of {r} coded packets release a group)",

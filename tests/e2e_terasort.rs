@@ -127,18 +127,17 @@ fn paper_scale_k16_r3_smoke() {
 
 /// The record path's buffers outlive the job (ARCHITECTURE "Pool ownership
 /// rules"): the next job — whatever its size, code, fabric or fate — leases
-/// what this one returned. Twelve different jobs back to back in one
-/// process, one aborted mid-shuffle and one that loses a rank mid-Map, must
-/// each sort their own input: a recycled buffer is handed out cleared, and a
-/// job that dies holding leases costs the pool reuse, never the next job its
-/// bytes.
+/// what this one returned. Twelve different jobs run back to back in one
+/// process: one aborted mid-shuffle and one that loses a rank mid-Map fail
+/// with their typed errors, and every other must sort its own input: a
+/// recycled buffer is handed out cleared, and a job that dies holding leases
+/// costs the pool reuse, never the next job its bytes.
 #[test]
 fn back_to_back_jobs_of_every_kind_keep_their_bytes_apart() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
 
     use coded_terasort::coding::CodedError;
-    use coded_terasort::mapreduce::{EngineError, RecoveryMode};
+    use coded_terasort::mapreduce::EngineError;
     use coded_terasort::net::fault::{CrashPoint, CrashSpec, FaultAction, FaultRule};
 
     #[derive(Clone, Copy, PartialEq)]
@@ -146,7 +145,8 @@ fn back_to_back_jobs_of_every_kind_keep_their_bytes_apart() {
         Finishes,
         /// A coded packet arrives truncated: the job fails with that error.
         AbortedMidShuffle,
-        /// Rank 3 dies after its first Map step; its successor adopts.
+        /// Rank 3 dies after its first Map step: the job fails with the
+        /// crash's identity.
         LosesARankMidMap,
     }
     use Fate::*;
@@ -193,10 +193,6 @@ fn back_to_back_jobs_of_every_kind_keep_their_bytes_apart() {
                 job.engine.cluster = job.engine.cluster.with_fault(0, rule);
             }
             LosesARankMidMap => {
-                job.engine = job
-                    .engine
-                    .with_recovery(RecoveryMode::Speculative)
-                    .with_heartbeat(Duration::from_millis(10));
                 job.engine = job.engine.with_crash(CrashSpec {
                     rank: 3,
                     point: CrashPoint::MidMap,
@@ -212,6 +208,15 @@ fn back_to_back_jobs_of_every_kind_keep_their_bytes_apart() {
             let err = run.expect_err(&what);
             let typed = matches!(err, EngineError::Coded(CodedError::MalformedPacket { .. }));
             assert!(typed, "{what}: {err}");
+            continue;
+        }
+        if fate == LosesARankMidMap {
+            let err = run.expect_err(&what);
+            let died = EngineError::RankDied {
+                rank: 3,
+                point: CrashPoint::MidMap,
+            };
+            assert_eq!(err, died, "{what}");
             continue;
         }
         let reference = run_sequential(&TeraSortWorkload::range(K), &input, K);

@@ -3,7 +3,10 @@
 //! decode, a straggling or dead sender must not hold the shuffle
 //! hostage. The straggler tests inject deterministic slowdown rules
 //! ({2×, 10×, ∞}) on one rank and hold the measured makespans inside the
-//! `cts_netsim::straggler` model's brackets.
+//! `cts_netsim::straggler` model's brackets. Everything else fails fast: a
+//! crashed rank fails its job with its identity, and a message nothing can
+//! replace stalls a quorum shuffle into a typed error after its idle
+//! timeout.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,15 +18,14 @@ use coded_terasort::coding::intermediate::MapOutputStore;
 use coded_terasort::coding::packet::CodedPacket;
 use coded_terasort::coding::placement::PlacementPlan;
 use coded_terasort::coding::CodedError;
-use coded_terasort::mapreduce::{EngineError, RecoveryMode};
+use coded_terasort::mapreduce::EngineError;
 use coded_terasort::net::fault::{
     straggler_blackhole_rule, straggler_delay_rule, CrashPoint, CrashSpec, FaultAction,
     FaultyTransport,
 };
 use coded_terasort::net::local::LocalFabric;
-use coded_terasort::net::{HealthConfig, NetError, Tag, Transport};
+use coded_terasort::net::{NetError, Tag, Transport};
 use coded_terasort::netsim::straggler::{Slowdown, StragglerModel};
-use coded_terasort::netsim::RecoveryModel;
 use coded_terasort::prelude::*;
 use coded_terasort::terasort::SortRun;
 use proptest::prelude::*;
@@ -332,16 +334,14 @@ fn quorum_decode_survives_a_dead_sender() {
     assert!(model.predicted_speedup().is_infinite());
 }
 
-/// One timed coded sort at (k, r) with quorum decode, optional
-/// fail-stop crash injection, and the given recovery mode. `tcp` selects
-/// the loopback-TCP cluster instead of the in-memory fabric.
+/// One timed coded sort at (k, r) with quorum decode and optional
+/// fail-stop crash injection. `tcp` selects the loopback-TCP cluster
+/// instead of the in-memory fabric.
 fn crash_run(
     input: &Bytes,
     k: usize,
     r: usize,
     tcp: bool,
-    recovery: RecoveryMode,
-    heartbeat: Duration,
     crashes: &[CrashSpec],
 ) -> (coded_terasort::mapreduce::Result<SortRun>, f64) {
     let engine = if tcp {
@@ -349,12 +349,7 @@ fn crash_run(
     } else {
         EngineConfig::local(k, r)
     };
-    let mut job = SortJob::new(
-        engine
-            .with_decode(DecodeMode::Quorum)
-            .with_recovery(recovery)
-            .with_heartbeat(heartbeat),
-    );
+    let mut job = SortJob::new(engine.with_decode(DecodeMode::Quorum));
     for spec in crashes {
         job.engine = job.engine.with_crash(*spec);
     }
@@ -363,172 +358,94 @@ fn crash_run(
     (run, started.elapsed().as_secs_f64())
 }
 
-/// The tentpole acceptance sweep on one fabric: K = 16, r = 3, one rank
-/// killed fail-stop mid-Map.
-///
-/// * `--recovery speculative` must finish with output byte-identical to
-///   the healthy run's, with the makespan inside the
-///   [`RecoveryModel::speculative_bracket`] calibrated from the measured
-///   healthy makespan and the health layer's death deadline;
-/// * `--recovery off` must fail fast with the crash's identity as a typed
-///   [`EngineError::RankDied`] — no deadline waits, no hang — inside
-///   [`RecoveryModel::failfast_bracket`].
+/// K = 16, r = 3, one rank killed fail-stop mid-Map on one fabric: the job
+/// must fail fast with the crash's identity as a typed
+/// [`EngineError::RankDied`] — no deadline waits, no hang — within six
+/// healthy makespans plus half a second.
 fn kill_mid_map_acceptance(tcp: bool) {
     let (k, r) = (16usize, 3usize);
     let victim = 5usize;
-    // TCP runs 16 socket-fed ranks; under full-suite parallel load a
-    // heartbeat thread can starve long enough to miss a tight deadline,
-    // so the real-socket leg gets a wider interval than the in-memory one.
-    let heartbeat = Duration::from_millis(if tcp { 25 } else { 10 });
     let crash = CrashSpec {
         rank: victim,
         point: CrashPoint::MidMap,
     };
     let input = teragen::generate(3_000, 1617);
 
-    // Healthy baseline under the same config (recovery armed, heartbeats
-    // flowing, nobody dies): calibrates the recovery model's brackets.
-    let (healthy, healthy_s) =
-        crash_run(&input, k, r, tcp, RecoveryMode::Speculative, heartbeat, &[]);
-    let healthy = healthy.expect("healthy baseline");
-    healthy.validate().expect("TeraValidate healthy");
+    // Healthy baseline under the same config: calibrates the bound.
+    let (healthy, healthy_s) = crash_run(&input, k, r, tcp, &[]);
+    healthy
+        .expect("healthy baseline")
+        .validate()
+        .expect("TeraValidate healthy");
 
-    let detect_s = HealthConfig::from_heartbeat(heartbeat)
-        .death_deadline()
-        .as_secs_f64();
-    let model = RecoveryModel::new(healthy_s, detect_s);
-
-    // Speculative: survivors adopt the victim's partition; output is
-    // byte-identical and the makespan pays at most detection + headroom.
-    let (recovered, recovered_s) = crash_run(
-        &input,
-        k,
-        r,
-        tcp,
-        RecoveryMode::Speculative,
-        heartbeat,
-        &[crash],
-    );
-    let recovered = recovered.expect("speculative recovery must complete");
-    recovered.validate().expect("TeraValidate recovered");
-    assert_eq!(
-        recovered.outcome.outputs, healthy.outcome.outputs,
-        "recovered output diverged from the healthy run"
-    );
-    let bracket = model.speculative_bracket();
-    assert!(
-        bracket.contains(recovered_s),
-        "recovery makespan {recovered_s:.3}s outside [{:.3}, {:.3}]s",
-        bracket.lo_s,
-        bracket.hi_s
-    );
-
-    // Recovery off: the same death is a fast typed error, never a hang.
-    let (failed, failed_s) = crash_run(&input, k, r, tcp, RecoveryMode::Off, heartbeat, &[crash]);
+    let (failed, failed_s) = crash_run(&input, k, r, tcp, &[crash]);
     match failed {
         Err(EngineError::RankDied { rank, point }) => {
             assert_eq!(rank, victim);
             assert_eq!(point, CrashPoint::MidMap);
         }
-        other => panic!("recovery off must fail with RankDied, got {other:?}"),
+        other => panic!("a crashed rank must fail the job with RankDied, got {other:?}"),
     }
-    let bracket = model.failfast_bracket();
+    let bound_s = 6.0 * healthy_s + 0.5;
     assert!(
-        bracket.contains(failed_s),
-        "fail-fast took {failed_s:.3}s, outside [{:.3}, {:.3}]s",
-        bracket.lo_s,
-        bracket.hi_s
+        failed_s <= bound_s,
+        "fail-fast took {failed_s:.3}s, over the {bound_s:.3}s bound"
     );
 }
 
 #[test]
-fn killed_mid_map_rank_recovers_byte_identically_on_the_local_fabric() {
+fn killed_mid_map_rank_fails_the_job_fast_on_the_local_fabric() {
     kill_mid_map_acceptance(false);
 }
 
 #[test]
-fn killed_mid_map_rank_recovers_byte_identically_on_the_tcp_fabric() {
+fn killed_mid_map_rank_fails_the_job_fast_on_the_tcp_fabric() {
     kill_mid_map_acceptance(true);
 }
 
-/// A rank that dies with its pieces absorbed — what it kept, received and
-/// decoded is in its reducer, which it never finishes — leaves a partition
-/// its successor rebuilds through a reducer of the same shape, fed in whatever
-/// order the helpers answer. Behind a shaped NIC, where pieces really do land
-/// one by one over ~0.1 s, the output is the healthy run's byte for byte.
+/// A plain piece has one sender and nothing can rebuild it, so losing it
+/// leaves a quorum shuffle nothing to wait for: the receiver must give up
+/// `idle_timeout` after its last message with the typed stall error, not
+/// hang. One rank of a K = 8 job in pods of 4 drops every cross-pod
+/// unicast it sends; the job runs on a thread of its own so that a hang
+/// fails this test instead of stalling the suite.
 #[test]
-fn a_rank_killed_with_its_pieces_absorbed_is_rebuilt_byte_identically_behind_the_nic() {
-    let (k, r, victim) = (6usize, 3usize, 2usize);
-    let input = teragen::generate(3_000, 2424);
-    let mut nic = NicProfile::rate_limited(400e3).with_latency_s(1e-4);
-    nic.burst_bytes = 256.0;
-    let healthy = SortJob::new(
-        EngineConfig::local(k, r)
+fn a_lost_plain_piece_stalls_a_quorum_job_into_a_typed_error() {
+    let idle = Duration::from_millis(300);
+    let mut job = SortJob::new(
+        EngineConfig::local(8, 2)
+            .with_pods(4)
             .with_decode(DecodeMode::Quorum)
-            .with_recovery(RecoveryMode::Speculative)
-            .with_heartbeat(Duration::from_millis(10))
-            .with_nic(nic),
+            .with_idle_timeout(idle),
     );
-    let mut wounded = healthy.clone();
-    wounded.engine = wounded.engine.with_crash(CrashSpec {
-        rank: victim,
-        point: CrashPoint::PreReduce,
-    });
-    let healthy = run_coded_terasort(input.clone(), &healthy).expect("healthy run");
-    let recovered = run_coded_terasort(input, &wounded).expect("one death is recoverable");
-    recovered.validate().expect("TeraValidate recovered");
-    assert_eq!(recovered.outcome.outputs, healthy.outcome.outputs);
-    // The victim took part in the whole Shuffle: every packet went out.
-    let shuffled = |run: &SortRun| {
-        run.outcome
-            .trace
-            .stage_bytes(coded_terasort::netsim::SHUFFLE_STAGE)
-    };
-    assert_eq!(shuffled(&recovered), shuffled(&healthy));
-}
-
-#[test]
-fn more_deaths_than_the_code_tolerates_degrade_gracefully() {
-    // Two fail-stop deaths exceed the quorum code's one-dead-sender
-    // capacity: the job must abort with a structured report naming the
-    // dead ranks and the starved groups — quickly, never hanging on the
-    // idle deadline.
-    let (k, r) = (8usize, 3usize);
-    let heartbeat = Duration::from_millis(5);
-    let input = teragen::generate(1_200, 4242);
-    let crashes = [
-        CrashSpec {
-            rank: 1,
-            point: CrashPoint::MidMap,
-        },
-        CrashSpec {
-            rank: 6,
-            point: CrashPoint::MidMap,
-        },
-    ];
-    let started = Instant::now();
-    let (outcome, _) = crash_run(
-        &input,
-        k,
-        r,
-        false,
-        RecoveryMode::Speculative,
-        heartbeat,
-        &crashes,
-    );
-    match outcome {
-        Err(EngineError::Unrecoverable(report)) => {
-            assert_eq!(report.dead, vec![1, 6]);
-            assert!(
-                !report.unrecoverable_groups.is_empty(),
-                "the report must name the starved groups"
-            );
+    let rule: Arc<coded_terasort::net::fault::FaultRule> = Arc::new(|_, tag: Tag, _, _| {
+        if tag.purpose() == Tag::APP {
+            FaultAction::Drop
+        } else {
+            FaultAction::Deliver
         }
-        other => panic!("two deaths must be Unrecoverable, got {other:?}"),
+    });
+    job.engine.cluster = job.engine.cluster.with_fault(0, rule);
+    let input = teragen::generate(2_000, 3737);
+    let (done_tx, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let started = Instant::now();
+        let run = run_coded_terasort(input, &job).map(|_| ());
+        let _ = done_tx.send((run, started.elapsed()));
+    });
+    let slack = Duration::from_secs(10);
+    let (run, took) = done
+        .recv_timeout(idle + slack)
+        .expect("the stalled job hung past its idle timeout");
+    match run {
+        Err(EngineError::Protocol { what }) => {
+            assert!(what.contains("shuffle stalled"), "{what}")
+        }
+        other => panic!("a lost plain piece must stall the job, got {other:?}"),
     }
     assert!(
-        started.elapsed() < Duration::from_secs(20),
-        "graceful degradation must not hang"
+        idle <= took && took < idle + slack,
+        "stalled after {took:?} with a {idle:?} idle timeout"
     );
 }
 
@@ -536,11 +453,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Chaos sweep over (K, r, victim, crash point): any single fail-stop
-    /// death under speculative recovery sorts byte-identically to the
-    /// healthy run, and the same death with recovery off surfaces as the
-    /// typed crash identity — structured errors, never hangs.
+    /// death surfaces as the typed crash identity — structured errors,
+    /// never hangs.
     #[test]
-    fn chaos_single_death_recovers_or_fails_typed(
+    fn chaos_single_death_fails_typed(
         k in 4usize..=6,
         r_sel in 0usize..2,
         victim_sel in any::<u64>(),
@@ -557,32 +473,10 @@ proptest! {
             2 => CrashPoint::AfterSends(victim_sel % 4),
             _ => CrashPoint::PreReduce,
         };
-        // The in-memory leg's interval of the killed-mid-map tests: under
-        // the suite's parallel load a 5 ms deadline is missed by a live rank.
-        let heartbeat = Duration::from_millis(10);
         let crash = CrashSpec { rank: victim, point };
         let input = teragen::generate(records, seed);
 
-        let (healthy, _) = crash_run(
-            &input, k, r, false, RecoveryMode::Speculative, heartbeat, &[],
-        );
-        let healthy = healthy.expect("healthy chaos baseline");
-
-        let (recovered, _) = crash_run(
-            &input, k, r, false, RecoveryMode::Speculative, heartbeat, &[crash],
-        );
-        let recovered = recovered.expect("single death must be recoverable");
-        recovered.validate().expect("TeraValidate chaos");
-        prop_assert_eq!(
-            &recovered.outcome.outputs,
-            &healthy.outcome.outputs,
-            "k={} r={} victim={} point={}",
-            k, r, victim, point
-        );
-
-        let (failed, _) = crash_run(
-            &input, k, r, false, RecoveryMode::Off, heartbeat, &[crash],
-        );
+        let (failed, _) = crash_run(&input, k, r, false, &[crash]);
         match failed {
             Err(EngineError::RankDied { rank, point: p }) => {
                 prop_assert_eq!(rank, victim);
@@ -590,7 +484,7 @@ proptest! {
             }
             other => {
                 return Err(TestCaseError::fail(format!(
-                    "recovery off must fail typed, got {other:?}"
+                    "a crashed rank must fail the job typed, got {other:?}"
                 )));
             }
         }

@@ -1,8 +1,8 @@
 //! A job's ranks meet only through their data. A rank posts under tags it
 //! computes by itself and a mailbox queues a message whether or not its
-//! receiver has started, so a job without recovery crosses no barrier: it
-//! traces no control frame in any stage, on either fabric, for any layout
-//! or decode discipline. What the Shuffle's close used to guarantee — every
+//! receiver has started, so a job crosses no barrier: it traces no control
+//! frame in any stage, on either fabric, for any layout or decode
+//! discipline. What the Shuffle's close used to guarantee — every
 //! sender has posted before a rank drops the quorum packets it did not wait
 //! for — now comes from the ranks' join, and on the in-memory fabric a
 //! resident slot's next job never takes the last one's late packet as its
@@ -13,7 +13,7 @@ use coded_terasort::net::EventKind;
 use coded_terasort::prelude::*;
 
 #[test]
-fn a_job_without_recovery_records_no_internal_frame() {
+fn a_job_records_no_internal_frame() {
     const K: usize = 6;
     let input = teragen::generate(3_000, 35);
     for tcp in [false, true] {

@@ -149,8 +149,8 @@ fn fnv1a(data: &[u8]) -> u64 {
 
 /// What the Shuffle stage puts on the wire, pinned to values taken from the
 /// turn-taking schedule of the commit before this file existed, less the
-/// barrier frames its close sent: a job without recovery now crosses no
-/// barrier, and every event left is a piece or a packet.
+/// barrier frames its close sent: a job now crosses no barrier, and every
+/// event left is a piece or a packet.
 #[test]
 fn shuffle_event_multisets_are_the_turn_taking_schedules() {
     let _alone = alone();
@@ -178,8 +178,8 @@ const PINNED_UNCODED: (usize, u64) = (56, 0x48f2_5d7d_dc31_27b1);
 const PINNED_CODED: (usize, u64) = (280, 0xbf19_2a69_1038_4acc);
 const PINNED_PODS: (usize, u64) = (72, 0xbdce_6f4e_e60b_5b62);
 
-/// `AfterSends(n)` in all-mode with recovery off: the victim fails the job
-/// as `RankDied` having multicast to exactly `n` of its groups (all of them
+/// `AfterSends(n)` in all-mode: the victim fails the job as `RankDied`
+/// having multicast to exactly `n` of its groups (all of them
 /// for a budget at or past the total).
 #[test]
 fn after_sends_dies_with_exactly_n_group_sends_posted() {
