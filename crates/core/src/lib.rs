@@ -104,7 +104,6 @@ pub use decode::{
 };
 pub use encode::{EncodeScratch, Encoder};
 pub use error::{CodedError, Result};
-pub use exec::WorkerPool;
 pub use groups::{GroupId, MulticastGroups, PodGroups};
 pub use intermediate::{IntermediateSource, MapOutputStore};
 pub use metrics::{Counter, Gauge, Histogram, MetricsHub};

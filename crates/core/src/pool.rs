@@ -45,7 +45,7 @@ const fn max_capacity(request: usize) -> usize {
 /// service tenants rotating three variants over two daemons every sixth.
 const KEEP_JOBS: u64 = 8;
 
-/// The process-wide pool, beside [`exec`](crate::exec)'s thread budget and for
+/// The process-wide pool, beside [`exec`](crate::exec)'s parked threads and for
 /// the same reason: a pool that died with its job would recycle nothing.
 pub fn global() -> &'static BufPool {
     static POOL: OnceLock<BufPool> = OnceLock::new();

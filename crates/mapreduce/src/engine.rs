@@ -28,7 +28,6 @@ use std::time::Instant;
 use bytes::Bytes;
 use cts_core::decode::{DecodeMode, DecodePipeline};
 use cts_core::encode::{EncodeScratch, Encoder};
-use cts_core::exec::WorkerPool;
 use cts_core::groups::{MulticastGroups, PodGroups};
 use cts_core::intermediate::MapOutputStore;
 use cts_core::metrics::Counter;
@@ -480,7 +479,6 @@ fn node_main<W: Workload>(
     let base = layout.base_of(me);
     let local = me - base;
     let plan = layout.plan();
-    let pool = WorkerPool::new(cfg.threads);
     let mut rank = Rank {
         comm,
         cfg,
@@ -541,48 +539,36 @@ fn node_main<W: Workload>(
     let mut scratch = EncodeScratch::new();
     // Group packets posted so far: `my_groups[..sent]`.
     let mut sent = 0;
-    // Files hash independently: each step fans `threads` of them out over
-    // the worker pool (results come back in file order, so the outcome is
-    // identical for any thread count). A rank's only file is chunked
-    // instead.
-    for step in my_files.chunks(pool.threads()) {
+    for (fid, data) in &my_files {
         comm.set_stage(stages::MAP);
-        let mapped: Vec<Vec<Vec<u8>>> = match step {
-            [(_, file)] if my_files.len() == 1 => vec![workload.map_file_par(file, k, &pool)],
-            files => pool.map(files.len(), |i| {
-                let file = layout.globalize(plan.nodes_of_file(files[i].0), me);
-                // What `route` drops is never written.
-                let kept = (0..k).filter(|&t| layout.route(me, file, t) != Route::Drop);
-                workload.map_file(&files[i].1, k, kept.collect())
-            }),
-        };
-        for ((fid, data), intermediates) in step.iter().zip(mapped) {
-            let file_local = plan.nodes_of_file(*fid);
-            let file = layout.globalize(file_local, me);
-            rank.stats.map_input_bytes += data.len() as u64;
-            rank.stats.files_mapped += 1;
-            for (t, value) in intermediates.into_iter().enumerate() {
-                // Frozen through the pool it was leased from: back on the last drop.
-                let piece = || pool::global().freeze(value);
-                match layout.route(me, file, t) {
-                    Route::Keep => {
-                        let piece = piece();
-                        own_bytes += piece.len() as u64;
-                        own.push((file, piece));
-                    }
-                    Route::Code => {
-                        store.insert(t - base, file_local, piece());
-                    }
-                    Route::Unicast => outbox.push((t, *fid, piece())),
-                    Route::Drop => {}
+        let file_local = plan.nodes_of_file(*fid);
+        let file = layout.globalize(file_local, me);
+        // What `route` drops is never written.
+        let kept = (0..k).filter(|&t| layout.route(me, file, t) != Route::Drop);
+        let intermediates = workload.map_file(data, k, kept.collect());
+        rank.stats.map_input_bytes += data.len() as u64;
+        rank.stats.files_mapped += 1;
+        for (t, value) in intermediates.into_iter().enumerate() {
+            // Frozen through the pool it was leased from: back on the last drop.
+            let piece = || pool::global().freeze(value);
+            match layout.route(me, file, t) {
+                Route::Keep => {
+                    let piece = piece();
+                    own_bytes += piece.len() as u64;
+                    own.push((file, piece));
                 }
+                Route::Code => {
+                    store.insert(t - base, file_local, piece());
+                }
+                Route::Unicast => outbox.push((t, *fid, piece())),
+                Route::Drop => {}
             }
         }
         rank.crashed_at(CrashPoint::MidMap)?;
         // A group's packet XORs one piece of each of its r files this rank
         // holds; the last of them to be mapped is the group less its
         // smallest other member.
-        let mapped_through = plan.nodes_of_file(step[step.len() - 1].0).bits();
+        let mapped_through = file_local.bits();
         let ready = my_groups[sent..]
             .iter()
             .take_while(|group| {
@@ -595,16 +581,9 @@ fn node_main<W: Workload>(
         }
         comm.set_stage(stages::PACK_ENCODE);
         let ready = &my_groups[sent..sent + ready];
-        // Groups encode independently: several at once fan out over the
-        // pool, one warm scratch per worker.
-        let packets: Vec<Result<(Bytes, u64)>> = if pool.threads() > 1 && ready.len() > 1 {
-            pool.map_with(ready.len(), EncodeScratch::new, |scratch, i| {
-                encode.packet(ready[i], &store, scratch)
-            })
-        } else {
-            let mut one = |group: &&Group| encode.packet(group, &store, &mut scratch);
-            ready.iter().map(&mut one).collect()
-        };
+        let packets: Vec<Result<(Bytes, u64)>> = (ready.iter())
+            .map(|group| encode.packet(group, &store, &mut scratch))
+            .collect();
         rank.crashed_at(CrashPoint::MidEncode)?;
         // Over the configured [`ShuffleFabric`](cts_net::fabric::ShuffleFabric),
         // behind whatever the NIC still has queued: a post does not wait.
@@ -682,7 +661,7 @@ fn node_main<W: Workload>(
     // The partition is whole: nothing it needs is behind the close below, so
     // the rank reduces while its NIC drains and its peers receive.
     comm.set_stage(stages::REDUCE);
-    let output = reduce.reducer.finish(&pool);
+    let output = reduce.reducer.finish();
 
     // ---- Shuffle: the close ---------------------------------------------------
     // The stage ends when this rank's NIC has drained and its last expected
@@ -992,25 +971,16 @@ mod tests {
     }
 
     #[test]
-    fn quorum_decode_works_over_tcp_and_threads() {
+    fn quorum_decode_works_over_tcp() {
         let input = sample_input(1500);
         let reference = run_sequential(&ByteSort, &input, 4);
         let tcp = run(
             &ByteSort,
-            input.clone(),
+            input,
             &EngineConfig::tcp(4, 3).with_decode(DecodeMode::Quorum),
         )
         .unwrap();
         assert_eq!(tcp.outputs, reference);
-        let threaded = run(
-            &ByteSort,
-            input,
-            &EngineConfig::local(4, 3)
-                .with_decode(DecodeMode::Quorum)
-                .with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(threaded.outputs, reference);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The resident job runtime: ownership inverted.
 //!
 //! The one-shot entry point ([`run`](crate::run)) lets each job build and
-//! tear down its own cluster, fabric, and thread pool. A [`JobRuntime`]
-//! turns that inside out: *it* owns the [`SharedFabric`] (transports, one
-//! clock, the metric registry), the bounded admission queue and the
-//! dispatchers — and jobs are **submitted into it** (their worker pools
-//! lease extra threads from the one process-wide [`cts_core::exec`] budget,
-//! like a one-shot run's):
+//! tear down its own cluster and fabric. A [`JobRuntime`] turns that inside
+//! out: *it* owns the [`SharedFabric`] (transports, one clock, the metric
+//! registry), the bounded admission queue and the dispatchers — and jobs are
+//! **submitted into it** (their ranks run on the one process-wide set of
+//! parked [`cts_core::exec`] threads, like a one-shot run's):
 //!
 //! ```text
 //!                 ┌────────────────────────── JobRuntime ─┐
@@ -52,7 +51,7 @@ use crate::workload::Workload;
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// The engine configuration every job starts from (cluster shape,
-    /// fabric, decode, threads, …). Jobs may refine their own copy via
+    /// fabric, decode, …). Jobs may refine their own copy via
     /// [`JobContext::cfg`] but the cluster world is fixed at build time.
     pub template: EngineConfig,
     /// Bound on jobs waiting for a dispatcher. Submissions beyond it fail

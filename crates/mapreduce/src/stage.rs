@@ -173,13 +173,6 @@ pub struct EngineConfig {
     pub pods: usize,
     /// Cluster fabric configuration.
     pub cluster: ClusterConfig,
-    /// Intra-node worker threads for the CPU-bound stages (Map hashing,
-    /// per-group encode, the Reduce sort). `1` (the
-    /// default) runs every stage inline; higher values lease workers from
-    /// the process-wide [`cts_core::exec`] budget, so K-node single-host
-    /// emulation never oversubscribes the machine. Outputs are
-    /// byte-identical for any value.
-    pub threads: usize,
     /// When a receiver releases a decoded group: `All` (the paper's
     /// barrier-on-all cancel-and-divide, the default) or `Quorum` — the
     /// single-parity quorum code lets any `r − 1` of a group's `r`
@@ -202,7 +195,6 @@ impl EngineConfig {
             r,
             pods: 0,
             cluster: ClusterConfig::local(k),
-            threads: 1,
             decode: DecodeMode::All,
             idle_timeout: Duration::from_secs(10),
             crashes: Vec::new(),
@@ -220,13 +212,6 @@ impl EngineConfig {
     /// Codes inside pods of `g` nodes (see [`EngineConfig::pods`]).
     pub fn with_pods(mut self, g: usize) -> Self {
         self.pods = g;
-        self
-    }
-
-    /// Sets the intra-node worker-thread count for the CPU-bound stages
-    /// (`0` = the machine's available parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 

@@ -114,12 +114,10 @@ pub trait Workload: Send + Sync {
     /// all its intermediates. Must be insensitive to concatenation order.
     fn reduce(&self, partition: usize, data: &[u8]) -> Vec<u8>;
 
-    /// Parallel variant of [`map_file`](Workload::map_file) keeping every
-    /// partition, driven by the engine's
-    /// [`WorkerPool`](cts_core::exec::WorkerPool). The default ignores the
-    /// pool; workloads that can chunk their input (TeraSort's fixed-width
-    /// records) override this. **Must** produce output byte-identical to
-    /// `map_file` for every thread count.
+    /// [`map_file`](Workload::map_file) keeping every partition; the pool
+    /// is ignored. The engine never calls it: it is kept because
+    /// `benchmark/` times TeraSort's Map through it, and goes with
+    /// ROADMAP 1(a).
     fn map_file_par(
         &self,
         file: &[u8],
@@ -133,10 +131,10 @@ pub trait Workload: Send + Sync {
     /// The engine's Reduce entry: a [`Reducer`] for `partition`, which is
     /// about to receive `shape.pieces` pieces. **Must** produce output
     /// byte-identical to [`reduce`](Workload::reduce) of the pieces
-    /// concatenated in file order, whatever order they are absorbed in and
-    /// for every thread count — as the default does, which collects them and
-    /// calls `reduce`; a workload that can start on a piece before the last
-    /// one is in (TeraSort) moves that work inside the Shuffle.
+    /// concatenated in file order, whatever order they are absorbed in — as
+    /// the default does, which collects them and calls `reduce`; a workload
+    /// that can start on a piece before the last one is in (TeraSort) moves
+    /// that work inside the Shuffle.
     fn reducer(&self, partition: usize, shape: PartitionShape) -> Box<dyn Reducer + '_> {
         Box::new(Collect {
             workload: self,
@@ -174,7 +172,7 @@ pub trait Reducer {
     fn absorb(&mut self, file_rank: u64, piece: Bytes);
 
     /// Every piece is in: the partition's output.
-    fn finish(self: Box<Self>, pool: &cts_core::exec::WorkerPool) -> Vec<u8>;
+    fn finish(self: Box<Self>) -> Vec<u8>;
 }
 
 /// The default [`Reducer`]: holds the pieces, then reduces their
@@ -190,7 +188,7 @@ impl<W: Workload + ?Sized> Reducer for Collect<'_, W> {
         self.pieces.push((file_rank, piece));
     }
 
-    fn finish(mut self: Box<Self>, _: &cts_core::exec::WorkerPool) -> Vec<u8> {
+    fn finish(mut self: Box<Self>) -> Vec<u8> {
         self.pieces
             .sort_unstable_by_key(|(file_rank, _)| *file_rank);
         let in_order: Vec<&[u8]> = self.pieces.iter().map(|(_, piece)| &piece[..]).collect();

@@ -5,8 +5,12 @@
 //! map for the socket fabric: it binds one loopback listener per rank and
 //! records every rank's address. The [`tcp`](crate::tcp) endpoints bring
 //! links up **lazily** — a directed link is dialed on the first send that
-//! needs it, the dialer introducing itself with a 4-byte hello — so sparse
-//! communication patterns open only the file descriptors they use.
+//! needs it, the dialer introducing itself with a hello — so sparse
+//! communication patterns open only the file descriptors they use. The
+//! hello is the dialer's rank and a token drawn for the fabric when it
+//! binds: a connection that does not know the token is nobody's link, so
+//! a stray dialer on loopback cannot speak for a rank, nor cut it off when
+//! it hangs up.
 //!
 //! ```
 //! use cts_net::registry::RankRegistry;
@@ -19,6 +23,8 @@
 //! assert!(registry.addr(7).is_none());
 //! ```
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::net::{SocketAddr, TcpListener};
 
 use crate::error::{NetError, Result};
@@ -27,10 +33,16 @@ use crate::error::{NetError, Result};
 /// `u128` bitmasks.
 pub const MAX_WORLD: usize = 128;
 
+/// Bytes of a hello: the rank as a little-endian `u32`, then the token as a
+/// little-endian `u64`.
+pub(crate) const HELLO_LEN: usize = 12;
+
 /// Rank → socket address membership for one fabric.
 #[derive(Clone, Debug)]
 pub struct RankRegistry {
     addrs: Vec<SocketAddr>,
+    /// This fabric's, and no other's: std seeds every `RandomState` afresh.
+    token: u64,
 }
 
 impl RankRegistry {
@@ -70,7 +82,8 @@ impl RankRegistry {
             addrs.push(listener.local_addr()?);
             listeners.push(listener);
         }
-        Ok((RankRegistry { addrs }, listeners))
+        let token = RandomState::new().build_hasher().finish();
+        Ok((RankRegistry { addrs, token }, listeners))
     }
 
     fn bind_one_with_retry() -> Result<TcpListener> {
@@ -98,6 +111,25 @@ impl RankRegistry {
     pub fn addr(&self, rank: usize) -> Option<SocketAddr> {
         self.addrs.get(rank).copied()
     }
+
+    /// What `rank` writes first on a link it dials.
+    pub(crate) fn hello(&self, rank: usize) -> [u8; HELLO_LEN] {
+        let mut hello = [0u8; HELLO_LEN];
+        hello[..4].copy_from_slice(&(rank as u32).to_le_bytes());
+        hello[4..].copy_from_slice(&self.token.to_le_bytes());
+        hello
+    }
+
+    /// The rank `hello` names, if it carries this fabric's token and names
+    /// a registered rank.
+    pub(crate) fn rank_of(&self, hello: &[u8; HELLO_LEN]) -> Option<usize> {
+        let (rank, token) = hello.split_at(4);
+        if token != self.token.to_le_bytes() {
+            return None;
+        }
+        let rank = u32::from_le_bytes(rank.try_into().expect("4 bytes")) as usize;
+        (rank < self.world_size()).then_some(rank)
+    }
 }
 
 #[cfg(test)]
@@ -114,6 +146,15 @@ mod tests {
             RankRegistry::bind_loopback(MAX_WORLD + 1),
             Err(NetError::InvalidRank { .. })
         ));
+    }
+
+    #[test]
+    fn a_hello_names_its_rank_only_with_its_fabrics_token() {
+        let (ours, _listeners) = RankRegistry::bind_loopback(3).unwrap();
+        let (theirs, _listeners) = RankRegistry::bind_loopback(3).unwrap();
+        assert_eq!(ours.rank_of(&ours.hello(2)), Some(2));
+        assert_eq!(ours.rank_of(&theirs.hello(2)), None);
+        assert_eq!(ours.rank_of(&ours.hello(3)), None);
     }
 
     #[test]

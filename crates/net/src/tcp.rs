@@ -14,7 +14,8 @@
 //!
 //! Bring-up is **lazy**: the [`registry`](crate::registry) binds `K`
 //! listeners, and a directed link `i → j` is dialed when `i` first sends to
-//! `j`, which introduces itself with a 4-byte little-endian rank hello.
+//! `j`, which introduces itself with a hello: its rank and the fabric's
+//! token. A link whose hello lacks the token is dropped unread.
 //! Sparse patterns — pod-partitioned engines, coordinator-only barriers —
 //! open only the descriptors and reader threads they touch; a full mesh
 //! costs `K(K−1)` reader threads, and is tested to `K = 32`.
@@ -49,7 +50,7 @@ use crate::error::{NetError, Result};
 use crate::frame;
 use crate::mailbox::Mailbox;
 use crate::message::{Key, Message, Tag};
-use crate::registry::RankRegistry;
+use crate::registry::{RankRegistry, HELLO_LEN};
 use crate::transport::Transport;
 
 /// Builds a fully connected *capable* TCP fabric of `k` endpoints on
@@ -83,7 +84,8 @@ struct Reader {
 /// What an endpoint shares with its acceptor and link readers.
 struct Inbound {
     rank: usize,
-    world: usize,
+    /// Where each rank listens, and who a hello may name.
+    registry: RankRegistry,
     mailbox: Arc<Mailbox>,
     stop: AtomicBool,
     /// The live readers by thread. A reader removes its own entry as it
@@ -95,7 +97,6 @@ struct Inbound {
 /// the sockets down and joins every thread it started.
 pub struct TcpEndpoint {
     rank: usize,
-    registry: RankRegistry,
     /// Outbound simplex links, dialed on first send (peer rank → link).
     /// The map lock is held only for lookups/inserts — never across a
     /// dial — so sends to established peers don't queue behind a slow
@@ -113,7 +114,7 @@ impl TcpEndpoint {
         let world = registry.world_size();
         let inbound = Arc::new(Inbound {
             rank,
-            world,
+            registry,
             mailbox: Arc::new(Mailbox::new(rank)),
             stop: AtomicBool::new(false),
             readers: Mutex::new(HashMap::new()),
@@ -126,7 +127,6 @@ impl TcpEndpoint {
         };
         Ok(TcpEndpoint {
             rank,
-            registry,
             outbound: Mutex::new(HashMap::new()),
             dial_locks: (0..world).map(|_| Mutex::new(())).collect(),
             inbound,
@@ -135,16 +135,20 @@ impl TcpEndpoint {
     }
 
     /// Returns the link to `dst`, dialing it first if this is the first
-    /// send to that peer. The dial introduces this endpoint with a 4-byte
-    /// little-endian rank hello before any frame.
+    /// send to that peer. The dial introduces this endpoint with its hello
+    /// before any frame.
     fn link_to(&self, dst: usize) -> Result<Arc<PeerLink>> {
         if let Some(link) = self.outbound.lock().get(&dst) {
             return Ok(Arc::clone(link));
         }
-        let addr = self.registry.addr(dst).ok_or(NetError::InvalidRank {
-            rank: dst,
-            world: self.registry.world_size(),
-        })?;
+        let addr = self
+            .inbound
+            .registry
+            .addr(dst)
+            .ok_or(NetError::InvalidRank {
+                rank: dst,
+                world: self.inbound.registry.world_size(),
+            })?;
         // Dial under the per-destination lock only: concurrent first-sends
         // to `dst` agree on one link, while traffic to other peers flows.
         let _dialing = self.dial_locks[dst].lock();
@@ -153,7 +157,7 @@ impl TcpEndpoint {
         }
         let mut stream = dial_with_retry(self.rank, dst, addr)?;
         stream.set_nodelay(true)?;
-        stream.write_all(&(self.rank as u32).to_le_bytes())?;
+        stream.write_all(&self.inbound.registry.hello(self.rank))?;
         let link = Arc::new(PeerLink {
             stream,
             writing: Mutex::new(()),
@@ -255,22 +259,22 @@ impl Inbound {
         }
     }
 
-    /// Serves one accepted link: the dialer's rank hello, then frames into
-    /// the mailbox until EOF, an I/O error or a corrupt header. A hello
-    /// naming no other rank of the fabric drops the link. When a named link
-    /// ends, its source is disconnected — the dialer closes only at
-    /// teardown, so that peer is gone (queued messages stay readable; fresh
-    /// receives fail).
+    /// Serves one accepted link: the dialer's hello, then frames into the
+    /// mailbox until EOF, an I/O error or a corrupt header. A hello without
+    /// the fabric's token, or naming no other rank of it, drops the link
+    /// before a byte more is read. When a named link ends, its source is
+    /// disconnected — the dialer closes only at teardown, so that peer is
+    /// gone (queued messages stay readable; fresh receives fail).
     fn read_link(&self, stream: &TcpStream) {
         let mut reader = BufReader::new(stream);
-        let mut hello = [0u8; 4];
+        let mut hello = [0u8; HELLO_LEN];
         if reader.read_exact(&mut hello).is_err() {
             return;
         }
-        let peer = u32::from_le_bytes(hello) as usize;
-        if peer >= self.world || peer == self.rank {
+        let peer = self.registry.rank_of(&hello);
+        let Some(peer) = peer.filter(|&peer| peer != self.rank) else {
             return;
-        }
+        };
         while let Ok(Some((tag, len))) = frame::read_head::<4>(&mut reader) {
             let Ok(payload) = frame::read_body(&mut reader, len) else {
                 break;
@@ -291,7 +295,7 @@ impl Transport for TcpEndpoint {
     }
 
     fn world_size(&self) -> usize {
-        self.registry.world_size()
+        self.inbound.registry.world_size()
     }
 
     fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
@@ -350,7 +354,7 @@ impl Transport for TcpEndpoint {
 
     fn shutdown(&self) {
         if !self.inbound.stop.swap(true, Ordering::SeqCst) {
-            if let Some(addr) = self.registry.addr(self.rank) {
+            if let Some(addr) = self.inbound.registry.addr(self.rank) {
                 let _ = TcpStream::connect(addr); // wakes the acceptor
             }
         }
@@ -374,6 +378,8 @@ impl Drop for TcpEndpoint {
 mod tests {
     use super::*;
     use crate::frame::MAX_FRAME;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     /// Outbound links `ep` has dialed so far — with the lazy mesh, exactly
     /// the number of distinct peers it has sent to.
@@ -381,12 +387,18 @@ mod tests {
         ep.outbound.lock().len()
     }
 
-    /// A raw connection into `ep`'s listener that has sent `hello`.
-    fn raw_link(ep: &TcpEndpoint, hello: u32) -> TcpStream {
-        let mut stream = TcpStream::connect(ep.registry.addr(ep.rank).unwrap()).unwrap();
+    /// A raw connection into `ep`'s listener that has sent `bytes`.
+    fn raw_connection(ep: &TcpEndpoint, bytes: &[u8]) -> TcpStream {
+        let mut stream = TcpStream::connect(ep.inbound.registry.addr(ep.rank).unwrap()).unwrap();
         stream.set_nodelay(true).unwrap();
-        stream.write_all(&hello.to_le_bytes()).unwrap();
+        stream.write_all(bytes).unwrap();
         stream
+    }
+
+    /// A raw connection into `ep`'s listener that has sent the fabric's
+    /// hello naming `rank`: a link the endpoint believes.
+    fn raw_link(ep: &TcpEndpoint, rank: usize) -> TcpStream {
+        raw_connection(ep, &ep.inbound.registry.hello(rank))
     }
 
     /// A frame's header: the tag, then the length the payload claims.
@@ -473,8 +485,8 @@ mod tests {
     #[test]
     fn a_hello_naming_no_other_rank_is_dropped() {
         let endpoints = build_tcp_fabric(2).unwrap();
-        for hello in [2u32, 1, u32::MAX] {
-            let mut raw = raw_link(&endpoints[1], hello);
+        for rank in [2, 1, u32::MAX as usize] {
+            let mut raw = raw_link(&endpoints[1], rank);
             // Whatever follows is not read as a frame from anyone.
             let _ = raw.write_all(&header(Tag::app(0), 1));
             let _ = raw.write_all(b"x");
@@ -487,6 +499,81 @@ mod tests {
             .send(1, Tag::app(0), Bytes::from_static(b"real"))
             .unwrap();
         assert_eq!(endpoints[1].recv(0, Tag::app(0)).unwrap(), "real");
+    }
+
+    /// A connection that names rank 0 without the fabric's token, then
+    /// hangs up, is nobody's link: a receive waiting on rank 0 gets rank 0's
+    /// real message, not `Disconnected`.
+    #[test]
+    fn a_link_without_the_fabrics_token_disconnects_no_one() {
+        let endpoints = build_tcp_fabric(2).unwrap();
+        let mut forged = endpoints[1].inbound.registry.hello(0);
+        forged[HELLO_LEN - 1] ^= 1;
+        for hello in [&0u32.to_le_bytes()[..], &forged] {
+            let raw = raw_connection(&endpoints[1], hello);
+            raw.shutdown(Shutdown::Write).unwrap();
+            assert_closed(raw);
+        }
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| endpoints[1].recv(0, Tag::app(0)));
+            std::thread::sleep(Duration::from_millis(20));
+            endpoints[0]
+                .send(1, Tag::app(0), Bytes::from_static(b"alive"))
+                .unwrap();
+            assert_eq!(waiting.join().unwrap().unwrap(), "alive");
+        });
+    }
+
+    /// A live 3-rank fabric, every one of its links dialed, for the hello
+    /// fuzz to throw bytes at across cases.
+    fn fuzzed_fabric() -> &'static [TcpEndpoint] {
+        static FABRIC: OnceLock<Vec<TcpEndpoint>> = OnceLock::new();
+        FABRIC.get_or_init(|| {
+            let endpoints = build_tcp_fabric(3).unwrap();
+            every_link_carries_a_message(&endpoints);
+            endpoints
+        })
+    }
+
+    /// Sends one message over every link of `endpoints` and receives it.
+    fn every_link_carries_a_message(endpoints: &[TcpEndpoint]) {
+        for (src, dst) in (0..3).flat_map(|src| (0..3).map(move |dst| (src, dst))) {
+            if src != dst {
+                let payload = Bytes::copy_from_slice(&[src as u8, dst as u8]);
+                endpoints[src]
+                    .send(dst, Tag::app(0), payload.clone())
+                    .unwrap();
+                assert_eq!(endpoints[dst].recv(src, Tag::app(0)).unwrap(), payload);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whatever up to 24 bytes a stray connection sends before it hangs
+        /// up, its reader neither panics (a panicked reader never removes
+        /// its entry) nor delivers anything, and every real link still
+        /// works.
+        #[test]
+        fn a_stray_hello_delivers_nothing_and_cuts_no_link(
+            to in 0usize..3,
+            wire in collection::vec(any::<u8>(), 0..25),
+        ) {
+            let endpoints = fuzzed_fabric();
+            let ep = &endpoints[to];
+            let raw = raw_connection(ep, &wire);
+            // The endpoint may have hung up already.
+            let _ = raw.shutdown(Shutdown::Write);
+            assert_closed(raw);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while ep.inbound.readers.lock().len() != 2 {
+                prop_assert!(Instant::now() < deadline, "a stray link's reader never ended");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            prop_assert_eq!(ep.inbound.mailbox.queued(), 0);
+            every_link_carries_a_message(endpoints);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! What a TCP fabric costs its process when nothing is sent, and what a
 //! hostile dialer leaves behind: an idle fabric makes no wake-ups, a link
 //! that ends badly returns its descriptor and its thread, and a forged
-//! frame length of 512 MiB costs no allocation above 1 MiB.
+//! frame length of 512 MiB behind a hello without the fabric's token costs
+//! no allocation above 1 MiB and disconnects no rank.
 //!
 //! One test, alone in its process, so every `cts-*` thread, descriptor and
 //! allocation counted here is the fabric's. It reads `/proc/self` and skips
@@ -9,7 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{HashMap, HashSet};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -18,7 +19,6 @@ use bytes::Bytes;
 use cts_net::message::Tag;
 use cts_net::tcp::build_tcp_fabric;
 use cts_net::transport::Transport;
-use cts_net::NetError;
 
 /// The largest single allocation (or reallocation) since it was last reset.
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
@@ -155,8 +155,8 @@ fn an_idle_fabric_sleeps_and_hostile_dialers_leave_nothing_behind() {
     assert_eq!(ports.len(), k, "one listener per rank");
 
     // A frame claiming 512 MiB, 10 bytes of it, then EOF, on every
-    // listener. The hello names rank 1: rank 1 drops the link, every other
-    // rank reads the header, then disconnects source 1 at the EOF.
+    // listener. The hello names rank 1 but does not carry the fabric's
+    // token: every rank drops the link unread, and none disconnects rank 1.
     LARGEST.store(0, Ordering::SeqCst);
     for &port in &ports {
         let mut raw = TcpStream::connect(("127.0.0.1", port)).unwrap();
@@ -166,12 +166,14 @@ fn an_idle_fabric_sleeps_and_hostile_dialers_leave_nothing_behind() {
         wire.extend([7u8; 10]);
         let _ = raw.write_all(&wire);
         let _ = raw.shutdown(Shutdown::Write);
+        // Dropped: nothing more is read from it.
+        assert!(matches!(raw.read(&mut [0u8; 16]), Ok(0) | Err(_)));
     }
+    endpoints[1]
+        .multicast(&[0, 2, 3], Tag::app(1), Bytes::from_static(b"alive"))
+        .unwrap();
     for ep in endpoints.iter().filter(|ep| ep.rank() != 1) {
-        assert!(matches!(
-            ep.recv(1, Tag::app(1)),
-            Err(NetError::Disconnected { .. })
-        ));
+        assert_eq!(ep.recv(1, Tag::app(1)).unwrap(), "alive");
     }
     let largest = LARGEST.load(Ordering::SeqCst);
     assert!(

@@ -1,7 +1,7 @@
 //! `cts serve` — the multi-tenant sort service.
 //!
 //! A thin wire layer over [`cts_mapreduce::JobRuntime`]: the daemon owns
-//! one resident runtime (shared fabric, admission queue, thread budget)
+//! one resident runtime (shared fabric, admission queue, dispatchers)
 //! and clients submit sort / wordcount / grep jobs into it over TCP,
 //! poll status, and fetch results or digests.
 //!

@@ -28,8 +28,7 @@
 //!
 //! The total order is `(key, file order, position)` whichever order the
 //! pieces arrived in: both kernels are **stable** (equal keys keep input
-//! order), which makes every kernel — and every [`WorkerPool`] thread count,
-//! workers taking disjoint bucket ranges — produce byte-identical output.
+//! order), which makes every kernel produce byte-identical output.
 //!
 //! Entry arrays and the per-pass count/offset tables live in a reusable
 //! [`SortScratch`] (built on [`cts_core::pool::Scratch`]) sized to the largest
@@ -38,7 +37,6 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use cts_core::exec::WorkerPool;
 use cts_core::pool::{self, Scratch};
 use cts_mapreduce::workload::Reducer;
 
@@ -135,28 +133,27 @@ pub fn sort_records_with(data: &[u8], kernel: SortKernel, scratch: &mut SortScra
     let mut reducer = SortReducer::new(kernel, 0..1 << KEY_BITS, 1, record_count(data));
     std::mem::swap(&mut reducer.scratch, scratch);
     reducer.scatter(0, data);
-    let sorted = reducer.sorted(&WorkerPool::serial());
+    let sorted = reducer.sorted();
     std::mem::swap(&mut reducer.scratch, scratch);
     sorted
 }
 
-/// Sorts the concatenation of `pieces` by key without building it, with up to
-/// `pool.threads()` workers: what the engine's Reduce does with a partition,
-/// every piece absorbed before the first bucket is sorted.
+/// Sorts the concatenation of `pieces` by key without building it: what the
+/// engine's Reduce does with a partition, every piece absorbed before the
+/// first bucket is sorted.
 ///
-/// Because every kernel is stable, the output is byte-identical for *any*
-/// thread count and equal to the serial [`sort_records`] of the
+/// Because every kernel is stable, the output equals [`sort_records`] of the
 /// concatenated buffer.
 ///
 /// # Panics
 /// Panics if a piece's length is not a multiple of the record size.
-pub fn sort_pieces(pieces: &[&[u8]], kernel: SortKernel, pool: &WorkerPool) -> Vec<u8> {
+pub fn sort_pieces(pieces: &[&[u8]], kernel: SortKernel) -> Vec<u8> {
     let total: usize = pieces.iter().map(|piece| record_count(piece)).sum();
     let mut reducer = SortReducer::new(kernel, 0..1 << KEY_BITS, pieces.len(), total);
     for (file_rank, piece) in pieces.iter().enumerate() {
         reducer.scatter(file_rank as u64, piece);
     }
-    reducer.sorted(pool)
+    reducer.sorted()
 }
 
 /// One partition on its way to being sorted: every piece absorbed so far,
@@ -269,45 +266,20 @@ impl SortReducer {
     }
 
     /// The partition, sorted: the buckets in key order, each the runs of
-    /// every piece in file order. With more than one worker the buckets split
-    /// into contiguous ranges of about equal record counts, sorted apart and
-    /// joined; a range is never less than [`PAR_MIN_RECORDS_PER_CHUNK`].
-    fn sorted(&mut self, pool: &WorkerPool) -> Vec<u8> {
+    /// every piece in file order.
+    fn sorted(&mut self) -> Vec<u8> {
         self.pieces.sort_unstable_by_key(|piece| piece.file_rank);
-        let pieces = &self.pieces;
-        let size = |b| pieces.iter().map(|piece| piece.run(b).len()).sum::<usize>();
-        let sizes: Vec<usize> = (0..self.buckets).map(size).collect();
-        let total: usize = sizes.iter().sum();
-        // Each worker's buckets and their bytes: buckets are taken until the
-        // records seen reach the end of the worker's even share.
-        let mut ranges: Vec<(Range<usize>, usize)> = Vec::new();
-        let (mut b, mut seen) = (0, 0);
-        for share in pool.chunk_ranges(total / RECORD_LEN, PAR_MIN_RECORDS_PER_CHUNK) {
-            let (from, before) = (b, seen);
-            while b < self.buckets && seen < share.end * RECORD_LEN {
-                seen += sizes[b];
-                b += 1;
-            }
-            ranges.push((from..b, seen - before));
-        }
         let (kernel, first, shift) = (self.kernel, self.first, self.shift);
-        let sort = |scratch: &mut SortScratch, (buckets, bytes): &(Range<usize>, usize)| {
-            let mut out = Vec::with_capacity(*bytes);
-            let mut runs: Vec<&[u8]> = Vec::with_capacity(pieces.len());
-            for b in buckets.clone() {
-                runs.clear();
-                runs.extend(pieces.iter().map(|piece| piece.run(b)));
-                let bucket_first = first + ((b as u128) << shift);
-                sort_runs_into(&runs, bucket_first, shift, kernel, scratch, &mut out);
-            }
-            out
-        };
-        match &ranges[..] {
-            [all] => sort(&mut self.scratch, all),
-            _ => pool
-                .map_with(ranges.len(), SortScratch::new, |s, i| sort(s, &ranges[i]))
-                .concat(),
+        let (pieces, scratch) = (&self.pieces, &mut self.scratch);
+        let mut out = Vec::with_capacity(pieces.iter().map(|piece| piece.records.len()).sum());
+        let mut runs: Vec<&[u8]> = Vec::with_capacity(pieces.len());
+        for b in 0..self.buckets {
+            runs.clear();
+            runs.extend(pieces.iter().map(|piece| piece.run(b)));
+            let bucket_first = first + ((b as u128) << shift);
+            sort_runs_into(&runs, bucket_first, shift, kernel, scratch, &mut out);
         }
+        out
     }
 }
 
@@ -328,8 +300,8 @@ impl Reducer for SortReducer {
         }
     }
 
-    fn finish(mut self: Box<Self>, pool: &WorkerPool) -> Vec<u8> {
-        self.sorted(pool)
+    fn finish(mut self: Box<Self>) -> Vec<u8> {
+        self.sorted()
     }
 }
 
@@ -448,11 +420,6 @@ fn radix_sort_by_prefix(entries: &mut Vec<u64>, prefix: Range<u32>, scratch: &mu
     scratch.entries_tmp.restore(dst);
 }
 
-/// Minimum records per parallel chunk (~400 KiB of records): below this,
-/// chunking overhead beats the parallelism. Shared by the parallel sort and
-/// `TeraSortWorkload`'s parallel Map hash so both stages chunk identically.
-pub(crate) const PAR_MIN_RECORDS_PER_CHUNK: usize = 1 << 12;
-
 /// True if the buffer's records are in non-decreasing key order.
 pub fn is_sorted(data: &[u8]) -> bool {
     let mut prev: Option<&[u8]> = None;
@@ -558,27 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_for_all_kernels_and_threads() {
-        // Enough records that the parallel path actually chunks (the
-        // min-chunk guard is 4 096 records).
-        let data = generate(10_000, 321).to_vec();
-        let dup = duplicate_key_data(9_000, 3);
-        for input in [&data, &dup] {
-            let reference = sort_records(input, SortKernel::Comparison);
-            for kernel in SortKernel::ALL {
-                for threads in [1usize, 2, 4] {
-                    let pool = WorkerPool::new(threads);
-                    assert_eq!(
-                        sort_pieces(&[input], kernel, &pool),
-                        reference,
-                        "{kernel:?} threads {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pieces_sort_like_their_concatenation() {
         // Duplicate-heavy keys: only the (key, input position) order makes
         // the split invisible. Cuts at record boundaries, with empty pieces
@@ -597,17 +543,14 @@ mod tests {
             }
             pieces.push(&[]);
             for kernel in SortKernel::ALL {
-                let reference = sort_records(&data, kernel);
-                for threads in [1usize, 2, 4] {
-                    assert_eq!(
-                        sort_pieces(&pieces, kernel, &WorkerPool::new(threads)),
-                        reference,
-                        "{kernel:?} {cuts} pieces threads {threads}"
-                    );
-                }
+                assert_eq!(
+                    sort_pieces(&pieces, kernel),
+                    sort_records(&data, kernel),
+                    "{kernel:?} {cuts} pieces"
+                );
             }
         }
-        assert!(sort_pieces(&[], SortKernel::Comparison, &WorkerPool::serial()).is_empty());
+        assert!(sort_pieces(&[], SortKernel::Comparison).is_empty());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! full), and the buffers come back when the job lets go of what the engine
 //! froze them into.
 
-use cts_core::exec::WorkerPool;
 use cts_core::pool;
 use cts_mapreduce::workload::{InputFormat, NodeSet, PartitionShape, Reducer, Workload};
 
@@ -102,31 +101,6 @@ impl Workload for TeraSortWorkload {
 
     fn reduce(&self, _partition: usize, data: &[u8]) -> Vec<u8> {
         sort_records(data, self.kernel)
-    }
-
-    fn map_file_par(&self, file: &[u8], num_partitions: usize, pool: &WorkerPool) -> Vec<Vec<u8>> {
-        let ranges = pool.chunk_ranges(record_count(file), crate::sort::PAR_MIN_RECORDS_PER_CHUNK);
-        let all = NodeSet::full(num_partitions);
-        if ranges.len() <= 1 {
-            return self.map_file(file, num_partitions, all);
-        }
-        // Hash contiguous record chunks independently, then concatenate
-        // each partition's pieces in chunk order — identical bytes to the
-        // serial scan for any thread count.
-        let mut parts: Vec<Vec<Vec<u8>>> = pool.map(ranges.len(), |c| {
-            let r = &ranges[c];
-            let chunk = &file[r.start * RECORD_LEN..r.end * RECORD_LEN];
-            self.map_file(chunk, num_partitions, all)
-        });
-        let whole = |p: usize| {
-            let mut whole = pool::global().get(parts.iter().map(|chunk| chunk[p].len()).sum());
-            for chunk in &mut parts {
-                whole.extend_from_slice(&chunk[p]);
-                pool::global().put(std::mem::take(&mut chunk[p]));
-            }
-            whole
-        };
-        (0..num_partitions).map(whole).collect()
     }
 
     fn reducer(&self, partition: usize, shape: PartitionShape) -> Box<dyn Reducer + '_> {
@@ -309,31 +283,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_and_reduce_match_serial() {
+    fn the_reducer_matches_reduce() {
         let data = generate(9_000, 77);
         let w = TeraSortWorkload::range(5);
-        let serial_map = w.map_file(&data, 5, NodeSet::full(5));
-        let serial_reduce: Vec<Vec<u8>> = (0..5).map(|p| w.reduce(p, &serial_map[p])).collect();
-        for threads in [1usize, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            assert_eq!(w.map_file_par(&data, 5, &pool), serial_map, "{threads}");
-            for p in 0..5 {
-                // The partition's own key bounds, in two pieces, last first.
-                let shape = PartitionShape {
-                    pieces: 2,
-                    expected_bytes: serial_map[p].len(),
-                };
-                let mut reducer = w.reducer(p, shape);
-                let cut = record_count(&serial_map[p]) / 2 * RECORD_LEN;
-                let whole = bytes::Bytes::from(serial_map[p].clone());
-                reducer.absorb(1, whole.slice(cut..));
-                reducer.absorb(0, whole.slice(..cut));
-                assert_eq!(
-                    reducer.finish(&pool),
-                    serial_reduce[p],
-                    "partition {p} threads {threads}"
-                );
-            }
+        let map = w.map_file(&data, 5, NodeSet::full(5));
+        assert_eq!(
+            w.map_file_par(&data, 5, &cts_core::exec::WorkerPool::serial()),
+            map
+        );
+        for (p, part) in map.iter().enumerate() {
+            // The partition's own key bounds, in two pieces, last first.
+            let shape = PartitionShape {
+                pieces: 2,
+                expected_bytes: part.len(),
+            };
+            let mut reducer = w.reducer(p, shape);
+            let cut = record_count(part) / 2 * RECORD_LEN;
+            let whole = bytes::Bytes::from(part.clone());
+            reducer.absorb(1, whole.slice(cut..));
+            reducer.absorb(0, whole.slice(..cut));
+            assert_eq!(reducer.finish(), w.reduce(p, part), "partition {p}");
         }
     }
 

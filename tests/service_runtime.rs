@@ -5,6 +5,7 @@
 //! unshaped tenant's tail latency along.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -209,28 +210,36 @@ fn throttled_tenant_does_not_inflate_unshaped_p99() {
     let throttled_input = teragen::generate(1_500, 8);
     let stop = AtomicBool::new(false);
     let throttled_done = AtomicUsize::new(0);
+    // The unshaped stream starts only once the first throttled job is in:
+    // on a busy host the throttler's thread may otherwise first run after
+    // the whole stream is done.
+    let first_in = Barrier::new(2);
 
     let (contended, throttled_latency) = std::thread::scope(|s| {
         let throttler = s.spawn(|| {
             let mut total = Duration::ZERO;
+            let mut first = true;
             while !stop.load(Ordering::SeqCst) {
                 let input = throttled_input.clone();
                 let nic = slow_nic;
                 let started = Instant::now();
-                runtime
+                let job = runtime
                     .submit(move |ctx| {
                         let mut cfg = ctx.cfg.clone();
                         cfg.cluster.nic = Some(nic);
                         ctx.run(&TeraSortWorkload::range(cfg.k), input, &cfg)
                     })
-                    .unwrap()
-                    .wait()
                     .unwrap();
+                if std::mem::take(&mut first) {
+                    first_in.wait();
+                }
+                job.wait().unwrap();
                 total += started.elapsed();
                 throttled_done.fetch_add(1, Ordering::SeqCst);
             }
             total
         });
+        first_in.wait();
         let contended = drive_unshaped(&runtime, jobs, &fast_input);
         stop.store(true, Ordering::SeqCst);
         let total = throttler.join().unwrap();

@@ -1,9 +1,9 @@
 //! Property suite for the Reduce sort kernels: on duplicate-heavy keys,
 //! where only the `(key, input position)` order is deterministic, both
 //! kernels equal a stable `sort_by_key` of the records — from one buffer,
-//! from arbitrarily cut pieces, under every thread count, and whatever order
-//! a partition's reducer is handed the pieces in — and so they do on keys
-//! whose 8-byte sort entries tie, where only the full key tells them apart.
+//! from arbitrarily cut pieces, and whatever order a partition's reducer is
+//! handed the pieces in — and so they do on keys whose 8-byte sort entries
+//! tie, where only the full key tells them apart.
 
 use bytes::Bytes;
 use coded_terasort::mapreduce::workload::PartitionShape;
@@ -33,7 +33,6 @@ proptest! {
 
     #[test]
     fn kernels_equal_a_stable_sort_by_key(
-        // Past 8 192 records the parallel sort really chunks and merges.
         n in 0usize..12_000,
         distinct in 1u64..7,
         seed in any::<u64>(),
@@ -55,10 +54,8 @@ proptest! {
 
         for kernel in SortKernel::ALL {
             prop_assert_eq!(&sort_records(&data, kernel), &oracle, "{}", kernel);
-            for threads in [1usize, 2, 4] {
-                let sorted = sort_pieces(&pieces, kernel, &WorkerPool::new(threads));
-                prop_assert_eq!(&sorted, &oracle, "{} pieces {} threads {}", kernel, pieces.len(), threads);
-            }
+            let sorted = sort_pieces(&pieces, kernel);
+            prop_assert_eq!(&sorted, &oracle, "{} pieces {}", kernel, pieces.len());
         }
     }
 }
@@ -256,21 +253,18 @@ fn arrives_in_any_order(part: &Partition, pieces: usize, seed: u64) -> Result<()
     expected.sort_by_key(|rec| &rec[..KEY_LEN]);
     let expected = expected.concat();
     prop_assert!(part.workload.reduce(part.index, &whole) == expected);
-    for threads in [1usize, 2, 4] {
-        let mut reducer = part.workload.reducer(part.index, shape);
-        for &file in &order {
-            // Sparse, ascending file ranks, as the engine's node sets are.
-            reducer.absorb(file as u64 * 3 + 1, files[file].clone());
-        }
-        let sorted = reducer.finish(&WorkerPool::new(threads));
-        prop_assert!(
-            sorted == expected,
-            "{} pieces, threads {}, order {:?}",
-            files.len(),
-            threads,
-            order
-        );
+    let mut reducer = part.workload.reducer(part.index, shape);
+    for &file in &order {
+        // Sparse, ascending file ranks, as the engine's node sets are.
+        reducer.absorb(file as u64 * 3 + 1, files[file].clone());
     }
+    let sorted = reducer.finish();
+    prop_assert!(
+        sorted == expected,
+        "{} pieces, order {:?}",
+        files.len(),
+        order
+    );
     Ok(())
 }
 
