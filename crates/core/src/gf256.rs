@@ -1,4 +1,4 @@
-//! GF(256) arithmetic and SIMD slice kernels.
+//! GF(256) arithmetic and its two slice operations.
 //!
 //! Library code the job path does not call; kept because `benchmark/`
 //! imports it; goes with ROADMAP 1(a). The engine codes every packet over
@@ -7,29 +7,12 @@
 //! The field is `GF(2^8)` under the primitive polynomial
 //! `x^8 + x^4 + x^3 + x^2 + 1` (`0x11D`, the classic Reed–Solomon
 //! modulus) with generator `α = 2`. Addition is XOR and multiplication
-//! goes through compile-time log/exp tables. Two slice operations:
+//! goes through compile-time log/exp tables. Two slice operations, each one
+//! table walk per byte, allocation-free:
 //!
 //! * [`add_scaled_slice`]: `dst[i] ^= c ⊗ src[i]`, the q-ary
 //!   generalization of [`crate::xor::xor_into`];
 //! * [`mul_slice`]: `dst[i] = c ⊗ dst[i]`.
-//!
-//! Both are implemented three ways and dispatched once per process:
-//!
-//! | kernel | technique | width |
-//! |---|---|---|
-//! | `scalar`  | log/exp table lookups per byte | 1 B/step |
-//! | `avx2`    | PSHUFB 4-bit nibble tables (`_mm256_shuffle_epi8`) | 32 B/step |
-//! | `neon`    | `vqtbl1q_u8` nibble tables | 16 B/step |
-//!
-//! The SIMD kernels precompute two 16-entry tables per coefficient —
-//! `lo[n] = c ⊗ n` and `hi[n] = c ⊗ (n·16)` — so one product is two
-//! in-register table lookups and an XOR: `c ⊗ b = lo[b & 15] ^ hi[b >> 4]`.
-//! Selection happens at first use via runtime CPU-feature detection
-//! ([`Gf256Kernel::active`]); setting `CTS_FORCE_SCALAR=1` before first
-//! use pins the scalar kernel (the cross-checking arm in CI). All kernels
-//! are allocation-free: per-coefficient tables live on the stack.
-
-use std::sync::OnceLock;
 
 /// Compile-time log/exp tables for `GF(2^8) / 0x11D`, generator 2.
 ///
@@ -85,123 +68,36 @@ pub fn inv(a: u8) -> u8 {
     EXP[255 - LOG[a as usize] as usize]
 }
 
-/// The two 16-entry nibble product tables of one coefficient: a full
-/// byte product is `lo[b & 15] ^ hi[b >> 4]` by distributivity over the
-/// nibble split `b = (b & 15) ⊕ (b & 0xF0)`.
-#[derive(Clone, Copy, Debug)]
-pub struct NibbleTables {
-    /// `lo[n] = c ⊗ n`.
-    pub lo: [u8; 16],
-    /// `hi[n] = c ⊗ (n << 4)`.
-    pub hi: [u8; 16],
-}
-
-impl NibbleTables {
-    /// Builds the tables for coefficient `c` (30 field products, stack
-    /// only — the warm path allocates nothing).
-    #[inline]
-    pub fn for_coeff(c: u8) -> Self {
-        let mut lo = [0u8; 16];
-        let mut hi = [0u8; 16];
-        for n in 1..16u8 {
-            lo[n as usize] = mul(c, n);
-            hi[n as usize] = mul(c, n << 4);
-        }
-        NibbleTables { lo, hi }
-    }
-
-    /// One byte product via the tables.
-    #[inline]
-    fn mul_byte(&self, b: u8) -> u8 {
-        self.lo[(b & 0x0F) as usize] ^ self.hi[(b >> 4) as usize]
-    }
-}
-
-/// The available GF(256) slice-kernel implementations.
+/// The GF(256) slice kernel this build runs: the portable log/exp-table
+/// loop, the only one. Kept only because `benchmark/` prints it; goes with
+/// ROADMAP 1(a).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Gf256Kernel {
     /// Portable log/exp-table kernel, one byte per step.
     Scalar,
-    /// x86-64 AVX2 PSHUFB nibble-table kernel, 32 bytes per step.
-    Avx2,
-    /// AArch64 NEON `vqtbl1q_u8` nibble-table kernel, 16 bytes per step.
-    Neon,
 }
 
 impl Gf256Kernel {
-    /// Every kernel variant, for benches and equivalence sweeps.
-    pub const ALL: [Gf256Kernel; 3] = [Gf256Kernel::Scalar, Gf256Kernel::Avx2, Gf256Kernel::Neon];
-
-    /// Whether this process's CPU can run the kernel.
-    pub fn supported(self) -> bool {
-        match self {
-            Gf256Kernel::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Gf256Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(not(target_arch = "x86_64"))]
-            Gf256Kernel::Avx2 => false,
-            #[cfg(target_arch = "aarch64")]
-            Gf256Kernel::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-            #[cfg(not(target_arch = "aarch64"))]
-            Gf256Kernel::Neon => false,
-        }
-    }
-
-    /// The kernel the hot path uses: detected once per process — the
-    /// widest supported SIMD kernel, unless `CTS_FORCE_SCALAR=1` was set
-    /// at first use (the CI arm that keeps the portable kernel green).
+    /// The kernel [`add_scaled_slice`] and [`mul_slice`] run.
     pub fn active() -> Gf256Kernel {
-        static ACTIVE: OnceLock<Gf256Kernel> = OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            if std::env::var_os("CTS_FORCE_SCALAR").is_some_and(|v| v == "1") {
-                return Gf256Kernel::Scalar;
-            }
-            if Gf256Kernel::Avx2.supported() {
-                Gf256Kernel::Avx2
-            } else if Gf256Kernel::Neon.supported() {
-                Gf256Kernel::Neon
-            } else {
-                Gf256Kernel::Scalar
-            }
-        })
+        Gf256Kernel::Scalar
     }
 }
 
 impl std::fmt::Display for Gf256Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Gf256Kernel::Scalar => "gf256-scalar",
-            Gf256Kernel::Avx2 => "gf256-avx2",
-            Gf256Kernel::Neon => "gf256-neon",
-        })
+        f.write_str("gf256-scalar")
     }
 }
 
 /// `dst[i] ^= c ⊗ src[i]` for `i < src.len()`, with the same
 /// zero-padding convention as [`crate::xor::xor_into`]: a shorter `src`
 /// leaves the accumulator tail untouched (padding zeros scale to zero).
+/// `log c` is hoisted out; one table walk per nonzero source byte.
 ///
 /// # Panics
 /// Panics if `src.len() > dst.len()`.
-#[inline]
 pub fn add_scaled_slice(dst: &mut [u8], src: &[u8], c: u8) {
-    add_scaled_slice_with(Gf256Kernel::active(), dst, src, c);
-}
-
-/// `dst[i] = c ⊗ dst[i]` over the whole slice — the decoder's inverse
-/// scaling.
-#[inline]
-pub fn mul_slice(dst: &mut [u8], c: u8) {
-    mul_slice_with(Gf256Kernel::active(), dst, c);
-}
-
-/// [`add_scaled_slice`] with an explicit kernel — the benchmark and
-/// equivalence-test entry point.
-///
-/// # Panics
-/// Panics if `src.len() > dst.len()` or the kernel is unsupported on
-/// this CPU.
-pub fn add_scaled_slice_with(kernel: Gf256Kernel, dst: &mut [u8], src: &[u8], c: u8) {
     assert!(
         src.len() <= dst.len(),
         "add_scaled_slice: src ({}) longer than dst ({})",
@@ -211,233 +107,26 @@ pub fn add_scaled_slice_with(kernel: Gf256Kernel, dst: &mut [u8], src: &[u8], c:
     if c == 0 {
         return; // 0 ⊗ x = 0: XOR-ing zeros is the identity.
     }
-    let dst = &mut dst[..src.len()];
-    match kernel {
-        Gf256Kernel::Scalar => add_scaled_scalar(dst, src, c),
-        Gf256Kernel::Avx2 => simd::add_scaled_avx2(dst, src, c),
-        Gf256Kernel::Neon => simd::add_scaled_neon(dst, src, c),
-    }
-}
-
-/// [`mul_slice`] with an explicit kernel.
-///
-/// # Panics
-/// Panics if the kernel is unsupported on this CPU.
-pub fn mul_slice_with(kernel: Gf256Kernel, dst: &mut [u8], c: u8) {
-    if c == 1 {
-        return; // 1 is the multiplicative identity.
-    }
-    match kernel {
-        Gf256Kernel::Scalar => mul_slice_scalar(dst, c),
-        Gf256Kernel::Avx2 => simd::mul_slice_avx2(dst, c),
-        Gf256Kernel::Neon => simd::mul_slice_neon(dst, c),
-    }
-}
-
-/// The portable log/exp kernel: `log c` hoisted out, one table walk per
-/// nonzero source byte.
-fn add_scaled_scalar(dst: &mut [u8], src: &[u8], c: u8) {
     let log_c = LOG[c as usize] as usize;
-    for (d, &s) in dst.iter_mut().zip(src) {
+    for (d, &s) in dst[..src.len()].iter_mut().zip(src) {
         if s != 0 {
             *d ^= EXP[log_c + LOG[s as usize] as usize];
         }
     }
 }
 
-fn mul_slice_scalar(dst: &mut [u8], c: u8) {
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    let log_c = LOG[c as usize] as usize;
-    for d in dst.iter_mut() {
-        if *d != 0 {
-            *d = EXP[log_c + LOG[*d as usize] as usize];
+/// `dst[i] = c ⊗ dst[i]` over the whole slice — the decoder's inverse
+/// scaling.
+pub fn mul_slice(dst: &mut [u8], c: u8) {
+    match c {
+        0 => dst.fill(0),
+        1 => {} // 1 is the multiplicative identity.
+        _ => {
+            let log_c = LOG[c as usize] as usize;
+            for d in dst.iter_mut().filter(|d| **d != 0) {
+                *d = EXP[log_c + LOG[*d as usize] as usize];
+            }
         }
-    }
-}
-
-/// The hand-written SIMD kernels. This module is the crate's single
-/// `unsafe` surface: every intrinsic call is gated behind the matching
-/// CPU-feature check in the public `_with` dispatchers ([`Gf256Kernel`]
-/// panics on unsupported kernels before reaching them), loads/stores are
-/// unaligned-safe variants, and the scalar tail reuses the same nibble
-/// tables, so SIMD and scalar results are bit-identical.
-#[allow(unsafe_code)]
-mod simd {
-    use super::NibbleTables;
-
-    #[cfg(target_arch = "x86_64")]
-    pub(super) fn add_scaled_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-        assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "gf256: avx2 kernel selected on a CPU without AVX2"
-        );
-        let t = NibbleTables::for_coeff(c);
-        // SAFETY: AVX2 availability checked above; dst/src lengths are
-        // equal (caller trims) and the loop stays in bounds.
-        unsafe { add_scaled_avx2_impl(dst, src, &t) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn add_scaled_avx2_impl(dst: &mut [u8], src: &[u8], t: &NibbleTables) {
-        use std::arch::x86_64::*;
-        let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast()));
-        let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast()));
-        let mask = _mm256_set1_epi8(0x0F);
-        let len = dst.len();
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        let mut i = 0usize;
-        while i + 32 <= len {
-            let sv = _mm256_loadu_si256(s.add(i).cast());
-            let dv = _mm256_loadu_si256(d.add(i).cast());
-            let lo_n = _mm256_and_si256(sv, mask);
-            let hi_n = _mm256_and_si256(_mm256_srli_epi16(sv, 4), mask);
-            let prod = _mm256_xor_si256(
-                _mm256_shuffle_epi8(lo_t, lo_n),
-                _mm256_shuffle_epi8(hi_t, hi_n),
-            );
-            _mm256_storeu_si256(d.add(i).cast(), _mm256_xor_si256(dv, prod));
-            i += 32;
-        }
-        for j in i..len {
-            dst[j] ^= t.mul_byte(src[j]);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    pub(super) fn mul_slice_avx2(dst: &mut [u8], c: u8) {
-        assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "gf256: avx2 kernel selected on a CPU without AVX2"
-        );
-        let t = NibbleTables::for_coeff(c);
-        // SAFETY: AVX2 availability checked above; in-place over `dst`.
-        unsafe { mul_slice_avx2_impl(dst, &t) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_slice_avx2_impl(dst: &mut [u8], t: &NibbleTables) {
-        use std::arch::x86_64::*;
-        let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast()));
-        let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast()));
-        let mask = _mm256_set1_epi8(0x0F);
-        let len = dst.len();
-        let d = dst.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 32 <= len {
-            let dv = _mm256_loadu_si256(d.add(i).cast());
-            let lo_n = _mm256_and_si256(dv, mask);
-            let hi_n = _mm256_and_si256(_mm256_srli_epi16(dv, 4), mask);
-            let prod = _mm256_xor_si256(
-                _mm256_shuffle_epi8(lo_t, lo_n),
-                _mm256_shuffle_epi8(hi_t, hi_n),
-            );
-            _mm256_storeu_si256(d.add(i).cast(), prod);
-            i += 32;
-        }
-        for b in dst[i..].iter_mut() {
-            *b = t.mul_byte(*b);
-        }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    pub(super) fn add_scaled_neon(dst: &mut [u8], src: &[u8], c: u8) {
-        assert!(
-            std::arch::is_aarch64_feature_detected!("neon"),
-            "gf256: neon kernel selected on a CPU without NEON"
-        );
-        let t = NibbleTables::for_coeff(c);
-        // SAFETY: NEON availability checked above; bounds as in AVX2.
-        unsafe { add_scaled_neon_impl(dst, src, &t) }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn add_scaled_neon_impl(dst: &mut [u8], src: &[u8], t: &NibbleTables) {
-        use std::arch::aarch64::*;
-        let lo_t = vld1q_u8(t.lo.as_ptr());
-        let hi_t = vld1q_u8(t.hi.as_ptr());
-        let mask = vdupq_n_u8(0x0F);
-        let len = dst.len();
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        let mut i = 0usize;
-        while i + 16 <= len {
-            let sv = vld1q_u8(s.add(i));
-            let dv = vld1q_u8(d.add(i));
-            let prod = veorq_u8(
-                vqtbl1q_u8(lo_t, vandq_u8(sv, mask)),
-                vqtbl1q_u8(hi_t, vshrq_n_u8(sv, 4)),
-            );
-            vst1q_u8(d.add(i), veorq_u8(dv, prod));
-            i += 16;
-        }
-        for j in i..len {
-            dst[j] ^= t.mul_byte(src[j]);
-        }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    pub(super) fn mul_slice_neon(dst: &mut [u8], c: u8) {
-        assert!(
-            std::arch::is_aarch64_feature_detected!("neon"),
-            "gf256: neon kernel selected on a CPU without NEON"
-        );
-        let t = NibbleTables::for_coeff(c);
-        // SAFETY: NEON availability checked above; in-place over `dst`.
-        unsafe { mul_slice_neon_impl(dst, &t) }
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn mul_slice_neon_impl(dst: &mut [u8], t: &NibbleTables) {
-        use std::arch::aarch64::*;
-        let lo_t = vld1q_u8(t.lo.as_ptr());
-        let hi_t = vld1q_u8(t.hi.as_ptr());
-        let mask = vdupq_n_u8(0x0F);
-        let len = dst.len();
-        let d = dst.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 16 <= len {
-            let dv = vld1q_u8(d.add(i));
-            let prod = veorq_u8(
-                vqtbl1q_u8(lo_t, vandq_u8(dv, mask)),
-                vqtbl1q_u8(hi_t, vshrq_n_u8(dv, 4)),
-            );
-            vst1q_u8(d.add(i), prod);
-            i += 16;
-        }
-        for b in dst[i..].iter_mut() {
-            *b = t.mul_byte(*b);
-        }
-    }
-
-    // Cross-compilation stubs: the dispatchers only reach a kernel after
-    // `Gf256Kernel::supported()` filtering, so an off-architecture call is
-    // a logic error, not a runtime fallback.
-    #[cfg(not(target_arch = "x86_64"))]
-    pub(super) fn add_scaled_avx2(_dst: &mut [u8], _src: &[u8], _c: u8) {
-        unreachable!("gf256: avx2 kernel invoked on a non-x86-64 target");
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    pub(super) fn mul_slice_avx2(_dst: &mut [u8], _c: u8) {
-        unreachable!("gf256: avx2 kernel invoked on a non-x86-64 target");
-    }
-
-    #[cfg(not(target_arch = "aarch64"))]
-    pub(super) fn add_scaled_neon(_dst: &mut [u8], _src: &[u8], _c: u8) {
-        unreachable!("gf256: neon kernel invoked on a non-aarch64 target");
-    }
-
-    #[cfg(not(target_arch = "aarch64"))]
-    pub(super) fn mul_slice_neon(_dst: &mut [u8], _c: u8) {
-        unreachable!("gf256: neon kernel invoked on a non-aarch64 target");
     }
 }
 
@@ -499,40 +188,14 @@ mod tests {
     }
 
     #[test]
-    fn nibble_tables_reproduce_full_products() {
-        for c in [0u8, 1, 2, 0x1D, 0x57, 0xFF] {
-            let t = NibbleTables::for_coeff(c);
-            for b in 0..=255u8 {
-                assert_eq!(t.mul_byte(b), mul(c, b), "c={c} b={b}");
-            }
-        }
-    }
-
-    #[test]
     fn scalar_add_scaled_matches_bytewise_mul() {
         let src: Vec<u8> = (0..=255u8).collect();
         for c in [1u8, 2, 0x53, 0xCA] {
             let mut dst = vec![0xA5u8; 256];
-            add_scaled_slice_with(Gf256Kernel::Scalar, &mut dst, &src, c);
+            add_scaled_slice(&mut dst, &src, c);
             for (i, &d) in dst.iter().enumerate() {
                 assert_eq!(d, 0xA5 ^ mul(c, i as u8), "c={c} i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn active_kernel_matches_scalar_on_unaligned_lengths() {
-        let kernel = Gf256Kernel::active();
-        for len in [0usize, 1, 7, 31, 32, 33, 63, 100, 4095, 4096, 4097] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let mut a: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
-            let mut b = a.clone();
-            add_scaled_slice_with(Gf256Kernel::Scalar, &mut a, &src, 0x8E);
-            add_scaled_slice_with(kernel, &mut b, &src, 0x8E);
-            assert_eq!(a, b, "add_scaled len {len} via {kernel}");
-            mul_slice_with(Gf256Kernel::Scalar, &mut a, 0x3B);
-            mul_slice_with(kernel, &mut b, 0x3B);
-            assert_eq!(a, b, "mul_slice len {len} via {kernel}");
         }
     }
 
@@ -562,7 +225,7 @@ mod tests {
     #[test]
     fn mul_slice_by_zero_clears() {
         let mut dst = vec![7u8; 50];
-        mul_slice_with(Gf256Kernel::Scalar, &mut dst, 0);
+        mul_slice(&mut dst, 0);
         assert!(dst.iter().all(|&b| b == 0));
     }
 
@@ -576,25 +239,5 @@ mod tests {
             mul_slice(&mut acc, inv(c));
             assert_eq!(acc, x, "c = {c}");
         }
-    }
-
-    #[test]
-    fn forced_scalar_kernel_matches_active_kernel() {
-        // `Gf256Kernel::active()` latches once per process, so the scalar
-        // kernel is driven through the per-call `_with` entry points: a
-        // scale ∘ inverse-scale round trip over it must give exactly what
-        // the dispatched kernel gives. (CI runs the suite once more under
-        // CTS_FORCE_SCALAR=1 to cover the env override.)
-        let src: Vec<u8> = (0..4097).map(|i| (i * 31 % 251) as u8).collect();
-        let c = 0x53u8;
-        let round_trip = |kernel| {
-            let mut buf = vec![0u8; src.len()];
-            add_scaled_slice_with(kernel, &mut buf, &src, c);
-            mul_slice_with(kernel, &mut buf, inv(c));
-            buf
-        };
-        let via_active = round_trip(Gf256Kernel::active());
-        assert_eq!(via_active, round_trip(Gf256Kernel::Scalar));
-        assert_eq!(via_active, src, "scale ∘ inverse-scale must round-trip");
     }
 }

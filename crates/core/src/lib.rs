@@ -73,11 +73,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// `deny`, not `forbid`: the crate has two audited `unsafe` surfaces — the
-// GF(256) SIMD kernels in `gf256::simd` (CPU intrinsics behind runtime
-// feature detection; library code kept for `benchmark/`) and `exec::run_all`'s task lifetime erasure (a call
-// that returns only once every task it handed to a parked thread is
-// done); everything else stays safe.
+// `deny`, not `forbid`: the crate has one audited `unsafe` surface,
+// `exec::run_all`'s task lifetime erasure (a call that returns only once
+// every task it handed to a parked thread is done); everything else stays
+// safe.
 #![deny(unsafe_code)]
 
 pub mod combinatorics;

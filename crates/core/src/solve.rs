@@ -66,7 +66,7 @@ struct Row {
 ///
 /// Coefficient arithmetic is scalar (rows are at most 16 bytes — the
 /// node-set width); right-hand-side buffers are segment-sized and go
-/// through the SIMD-dispatched [`gf256`] slice kernels.
+/// through the [`gf256`] slice operations.
 ///
 /// ```
 /// use cts_core::solve::GroupSolver;

@@ -199,6 +199,20 @@ impl Layout {
     }
 }
 
+impl EngineConfig {
+    /// The engine's refusal of a shape it cannot lay out — `K` outside
+    /// `1..=64`, `r` outside `1..=K`, pods that do not divide `K` or do not
+    /// exceed `r` — the check [`run`] makes first. A caller that builds
+    /// something of its own over `K` before [`run`] (a partitioner, a
+    /// resident fabric) asks here first.
+    ///
+    /// # Errors
+    /// `BadConfig`, in the words of the placement or pod layout refusing it.
+    pub fn check(&self) -> Result<()> {
+        Layout::of(self).map(drop)
+    }
+}
+
 /// Runs `workload` over `input` as `cfg` lays it out, on an ephemeral
 /// [`SharedFabric`] at [`JobBinding::ROOT`] — the one-shot path and the
 /// resident runtime's per-job path are the same code.
@@ -211,7 +225,7 @@ impl Layout {
 /// rank's error.
 pub fn run<W: Workload>(workload: &W, input: Bytes, cfg: &EngineConfig) -> Result<JobOutcome> {
     // Checked before a fabric is built for it: K = 0 has no fabric to refuse it.
-    Layout::of(cfg)?;
+    cfg.check()?;
     let fabric = SharedFabric::build(&cfg.cluster)?;
     run_on(&fabric, JobBinding::ROOT, workload, input, cfg)
 }

@@ -338,9 +338,11 @@ impl JobRuntime {
     /// Builds the fabric and starts `max_concurrent` dispatcher threads.
     ///
     /// # Errors
-    /// `BadConfig` for an out-of-range configuration; fabric bring-up
-    /// failures propagate.
+    /// `BadConfig` for an out-of-range configuration or a template the
+    /// engine refuses ([`EngineConfig::check`]); fabric bring-up failures
+    /// propagate.
     pub fn start(cfg: RuntimeConfig) -> Result<JobRuntime> {
+        cfg.template.check()?;
         if cfg.max_concurrent == 0 || cfg.max_concurrent > usize::from(cts_net::Tag::MAX_JOB_SLOT) {
             return Err(EngineError::BadConfig {
                 what: format!(
@@ -787,6 +789,15 @@ mod tests {
             JobRuntime::start(RuntimeConfig::new(EngineConfig::local(2, 1)).with_queue_capacity(0)),
             Err(EngineError::BadConfig { .. })
         ));
+        // A K the engine would refuse every job of: refused up front, in the
+        // engine's words, before a fabric is built for it.
+        for k in [0, 100] {
+            let err = JobRuntime::start(RuntimeConfig::new(EngineConfig::local(k, 1)))
+                .err()
+                .unwrap_or_else(|| panic!("K = {k} started"));
+            assert!(matches!(err, EngineError::BadConfig { .. }), "{err}");
+            assert!(err.to_string().contains("K must be in 1..=64"), "{err}");
+        }
     }
 
     #[test]

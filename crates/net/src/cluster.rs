@@ -284,13 +284,18 @@ impl std::fmt::Debug for SharedFabric {
 impl SharedFabric {
     /// Builds the fabric for `config`: transports for all `k` ranks with any
     /// configured per-rank fault wrapper, and the clock origin.
+    ///
+    /// # Errors
+    /// `InvalidRank` if `k` is 0 or exceeds [`MAX_WORLD`] (trace masks are
+    /// 128-bit); transport bring-up failures propagate.
+    ///
+    /// [`MAX_WORLD`]: crate::registry::MAX_WORLD
     pub fn build(config: &ClusterConfig) -> Result<SharedFabric> {
         let k = config.k;
-        assert!(
-            (1..=crate::registry::MAX_WORLD).contains(&k),
-            "world size {k} outside 1..={} (trace masks are 128-bit)",
-            crate::registry::MAX_WORLD
-        );
+        let world = crate::registry::MAX_WORLD;
+        if k == 0 || k > world {
+            return Err(NetError::InvalidRank { rank: k, world });
+        }
         let metrics = Arc::new(MetricsHub::new());
         let nic_wait_hist = metrics.histogram_scaled("cts_nic_wait_seconds", 1e-9);
         Ok(SharedFabric {
@@ -585,6 +590,16 @@ mod tests {
             })
             .unwrap();
             assert_eq!(run.results, vec![0, 1, 2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn a_world_the_fabric_cannot_trace_is_refused_typed() {
+        for k in [0, crate::registry::MAX_WORLD + 1] {
+            assert!(matches!(
+                SharedFabric::build(&ClusterConfig::local(k)),
+                Err(NetError::InvalidRank { rank, .. }) if rank == k
+            ));
         }
     }
 

@@ -5,7 +5,6 @@ use cts_mapreduce::{run, EngineConfig, JobOutcome, Result};
 
 use crate::partition::SampledPartitioner;
 use crate::record::{key_of, records, KEY_LEN};
-use crate::sort::SortKernel;
 use crate::validate::{validate, ValidationError};
 use crate::workload::TeraSortWorkload;
 
@@ -27,12 +26,9 @@ pub enum PartitionerKind {
 
 /// Configuration of one TeraSort / CodedTeraSort run: what the sort adds
 /// to the engine's own configuration. Everything else — `K`, `r`, pods,
-/// fabric, NIC, decode, threads, the quorum's idle timeout — is set on
-/// `engine`.
+/// fabric, NIC, decode, the quorum's idle timeout — is set on `engine`.
 #[derive(Clone, Debug)]
 pub struct SortJob {
-    /// Reduce-stage sort kernel.
-    pub kernel: SortKernel,
     /// Key-domain partitioning strategy.
     pub partitioner: PartitionerKind,
     /// Engine/cluster configuration.
@@ -43,7 +39,6 @@ impl SortJob {
     /// A sort over `engine`'s cluster and layout.
     pub fn new(engine: EngineConfig) -> Self {
         SortJob {
-            kernel: SortKernel::default(),
             partitioner: PartitionerKind::default(),
             engine,
         }
@@ -54,12 +49,6 @@ impl SortJob {
         SortJob::new(EngineConfig::local(k, r))
     }
 
-    /// Overrides the sort kernel.
-    pub fn with_kernel(mut self, kernel: SortKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Uses quantile sampling instead of uniform ranges.
     pub fn with_sampling(mut self, sample_every: usize) -> Self {
         assert!(sample_every >= 1, "sampling stride must be >= 1");
@@ -67,10 +56,9 @@ impl SortJob {
         self
     }
 
-    /// The job's workload: the partitioner it names, built over `input`,
-    /// and its sort kernel.
+    /// The job's workload: the partitioner it names, built over `input`.
     fn workload(&self, input: &Bytes) -> TeraSortWorkload {
-        let w = match self.partitioner {
+        match self.partitioner {
             PartitionerKind::Range => TeraSortWorkload::range(self.engine.k),
             PartitionerKind::Sampled { sample_every } => {
                 // The paper's coordinator creates the key partitions
@@ -86,8 +74,7 @@ impl SortJob {
                 };
                 TeraSortWorkload::sampled(SampledPartitioner::from_samples(samples, self.engine.k))
             }
-        };
-        w.with_kernel(self.kernel)
+        }
     }
 }
 
@@ -118,6 +105,8 @@ pub fn run_terasort(input: Bytes, job: &SortJob) -> Result<SortRun> {
 /// Runs `job` on `input` as its engine configuration lays it out —
 /// CodedTeraSort (paper §IV) at redundancy `job.engine.r`.
 pub fn run_coded_terasort(input: Bytes, job: &SortJob) -> Result<SortRun> {
+    // The engine refuses a shape its partitioners would assert on (K = 0).
+    job.engine.check()?;
     let outcome = run(&job.workload(&input), input.clone(), &job.engine)?;
     Ok(SortRun { outcome, input })
 }
@@ -165,14 +154,14 @@ mod tests {
     }
 
     #[test]
-    fn key_index_kernel_validates_too() {
-        let input = generate(500, 74);
-        let run = run_coded_terasort(
-            input,
-            &SortJob::local(4, 2).with_kernel(SortKernel::KeyIndex),
-        )
-        .unwrap();
-        run.validate().unwrap();
+    fn a_job_the_engine_refuses_fails_typed_before_its_workload_is_built() {
+        for job in [SortJob::local(0, 1), SortJob::local(0, 1).with_sampling(4)] {
+            let err = run_coded_terasort(generate(100, 74), &job).unwrap_err();
+            assert!(
+                matches!(err, cts_mapreduce::EngineError::BadConfig { .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]

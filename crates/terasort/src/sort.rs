@@ -19,16 +19,18 @@
 //! prefixes — rare but for duplicate keys — is re-ordered by the full 10-byte
 //! key, then index.
 //!
-//! * [`SortKernel::Comparison`] — `sort_unstable` over a bucket's entries:
-//!   the paper's `std::sort` (§V-A), comparing one machine word per step
-//!   instead of dereferencing two records.
-//! * [`SortKernel::KeyIndex`] — least-significant-digit radix sort over the
-//!   prefix of the same entries: 16-bit digits over a large bucket, 8-bit
-//!   ones over a small one (whose count tables then stay small too).
+//! Every job sorts its buckets with `sort_unstable` over their entries
+//! ([`SortKernel::Comparison`]): the paper's `std::sort` (§V-A), comparing one
+//! machine word per step instead of dereferencing two records. The one other
+//! kernel, [`SortKernel::KeyIndex`] — least-significant-digit radix sort over
+//! the prefix of the same entries: 16-bit digits over a large bucket, 8-bit
+//! ones over a small one — wins at no bucket size measured. It is library
+//! code only, reached through [`sort_records`], [`sort_records_with`] and
+//! [`sort_pieces`] because `benchmark/` times it; it goes with ROADMAP 1(a).
 //!
 //! The total order is `(key, file order, position)` whichever order the
 //! pieces arrived in: both kernels are **stable** (equal keys keep input
-//! order), which makes every kernel produce byte-identical output.
+//! order), so they produce byte-identical output.
 //!
 //! Entry arrays and the per-pass count/offset tables live in a reusable
 //! [`SortScratch`] (built on [`cts_core::pool::Scratch`]) sized to the largest
@@ -42,12 +44,12 @@ use cts_mapreduce::workload::Reducer;
 
 use crate::record::{key_of, key_to_u128, record_count, records, KEY_LEN, RECORD_LEN};
 
-/// Which sorting algorithm orders a bucket of the Reduce stage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Which sorting algorithm orders a bucket: the Reduce stage's is always
+/// `Comparison`; the library sorts take either.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SortKernel {
     /// Comparison sort (the paper's `std::sort`) of packed `(key prefix,
     /// index)` entries, then a single copy of the records.
-    #[default]
     Comparison,
     /// Key-index LSD radix sort: stable counting-sort passes over the key
     /// prefix's digits (least significant first) of the same entries, then
@@ -56,31 +58,8 @@ pub enum SortKernel {
 }
 
 impl SortKernel {
-    /// All kernels, for ablations and equivalence tests.
+    /// Both kernels, for equivalence tests.
     pub const ALL: [SortKernel; 2] = [SortKernel::Comparison, SortKernel::KeyIndex];
-}
-
-impl std::fmt::Display for SortKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SortKernel::Comparison => "comparison",
-            SortKernel::KeyIndex => "key-index",
-        })
-    }
-}
-
-impl std::str::FromStr for SortKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "comparison" | "std" => Ok(SortKernel::Comparison),
-            "key-index" | "keyindex" => Ok(SortKernel::KeyIndex),
-            other => Err(format!(
-                "unknown sort kernel `{other}` (expected comparison | key-index)"
-            )),
-        }
-    }
 }
 
 /// Reusable buffers for the sort kernels (grow-only; see
@@ -551,15 +530,6 @@ mod tests {
             }
         }
         assert!(sort_pieces(&[], SortKernel::Comparison).is_empty());
-    }
-
-    #[test]
-    fn sort_kernel_parses_and_displays() {
-        for kernel in SortKernel::ALL {
-            assert_eq!(kernel.to_string().parse::<SortKernel>(), Ok(kernel));
-        }
-        assert_eq!("keyindex".parse::<SortKernel>(), Ok(SortKernel::KeyIndex));
-        assert!("bogosort".parse::<SortKernel>().is_err());
     }
 
     #[test]

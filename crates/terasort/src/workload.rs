@@ -15,12 +15,12 @@ use crate::sort::{sort_records, SortKernel, SortReducer};
 
 /// TeraSort as a [`Workload`]: Map hashes records into ordered key-range
 /// partitions (paper §III-A3); Reduce sorts the partition locally
-/// (§III-A5), scattering each piece over sub-ranges of the partition's keys
+/// (§III-A5) with the paper's `std::sort` ([`SortKernel::Comparison`]),
+/// scattering each piece over sub-ranges of the partition's keys
 /// as it arrives. Intermediates are packed record buffers, so arrival
 /// order is irrelevant to the sorted result.
 pub struct TeraSortWorkload {
     partitioner: Partitioner,
-    kernel: SortKernel,
 }
 
 enum Partitioner {
@@ -29,12 +29,10 @@ enum Partitioner {
 }
 
 impl TeraSortWorkload {
-    /// Uniform range partitioning over `k` partitions with the paper's
-    /// `std::sort` kernel.
+    /// Uniform range partitioning over `k` partitions.
     pub fn range(k: usize) -> Self {
         TeraSortWorkload {
             partitioner: Partitioner::Range(RangePartitioner::new(k)),
-            kernel: SortKernel::Comparison,
         }
     }
 
@@ -42,14 +40,7 @@ impl TeraSortWorkload {
     pub fn sampled(partitioner: SampledPartitioner) -> Self {
         TeraSortWorkload {
             partitioner: Partitioner::Sampled(partitioner),
-            kernel: SortKernel::Comparison,
         }
-    }
-
-    /// Selects the Reduce sort kernel.
-    pub fn with_kernel(mut self, kernel: SortKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 }
 
@@ -100,7 +91,7 @@ impl Workload for TeraSortWorkload {
     }
 
     fn reduce(&self, _partition: usize, data: &[u8]) -> Vec<u8> {
-        sort_records(data, self.kernel)
+        sort_records(data, SortKernel::Comparison)
     }
 
     fn reducer(&self, partition: usize, shape: PartitionShape) -> Box<dyn Reducer + '_> {
@@ -109,7 +100,12 @@ impl Workload for TeraSortWorkload {
             Partitioner::Sampled(p) => p.keys_of(partition),
         };
         let records = shape.expected_bytes / RECORD_LEN;
-        Box::new(SortReducer::new(self.kernel, keys, shape.pieces, records))
+        Box::new(SortReducer::new(
+            SortKernel::Comparison,
+            keys,
+            shape.pieces,
+            records,
+        ))
     }
 }
 
@@ -268,18 +264,6 @@ mod tests {
         // partitions property).
         let all: Vec<u8> = outputs.into_iter().flatten().collect();
         assert!(is_sorted(&all));
-    }
-
-    #[test]
-    fn key_index_kernel_matches_comparison() {
-        let data = generate(500, 33);
-        let a = run_sequential(&TeraSortWorkload::range(4), &data, 4);
-        let b = run_sequential(
-            &TeraSortWorkload::range(4).with_kernel(SortKernel::KeyIndex),
-            &data,
-            4,
-        );
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! ```text
 //! cts gen    --records 100000 --out data.bin [--seed 7] [--skew 0.6]
 //! cts sort   --input data.bin --k 8 --r 3 [--pods 4] [--sampled 16]
-//!            [--tcp] [--sort-kernel key-index] [--fabric fanout]
-//!            [--decode quorum]
+//!            [--tcp] [--fabric fanout] [--decode quorum]
 //!            [--idle-timeout-ms 10000] [--paper-nic] [--timeline trace.json]
 //! cts serve  --k 4 --r 2 --port 0 [--tcp] [--max-concurrent 4] [--queue 16]
 //!            [--metrics-port 9100]
@@ -71,16 +70,16 @@ cts — Coded TeraSort reproduction CLI
 
 USAGE:
   cts gen    --records N --out FILE [--seed S] [--skew F]
-               generate TeraGen records (100 B each; --skew hot-fraction)
+               generate TeraGen records (100 B each; --skew F → hot fraction, 0..=1)
   cts sort   --input FILE --k K [--r R] [--pods G] [--sampled STRIDE]
                [--tcp] [--no-validate]
-               [--sort-kernel comparison|key-index]
                [--fabric serial-unicast|fanout|multicast]
                [--decode all|quorum] [--paper-nic]
                [--timeline FILE]
-               sort a file on the one engine, one thread per node: r=1 →
+               sort a file on the one engine, one thread per node, each
+               partition sorted with the paper's std::sort: r=1 →
                TeraSort, r>1 → CodedTeraSort, --pods G → coding inside
-               pods of G nodes, --sort-kernel → Reduce sort algorithm,
+               pods of G nodes,
                --fabric → how multicast groups hit the wire (multicast =
                  one crossing per group send, default; fanout = the
                  paper's MPI_Bcast, one copy per receiver),
@@ -196,6 +195,9 @@ fn cmd_gen(opts: &Flags) -> Result<(), String> {
     let out: String = req(opts, "out")?;
     let seed: u64 = opt(opts, "seed", 2017)?;
     let skew: f64 = opt(opts, "skew", 0.0)?;
+    if !(0.0..=1.0).contains(&skew) {
+        return Err(format!("--skew: {skew} is not a hot fraction in [0, 1]"));
+    }
     let data = if skew > 0.0 {
         cts_terasort::teragen::generate_skewed(records, seed, skew, 16)
     } else {
@@ -219,7 +221,6 @@ const SORT_FLAGS: &[&str] = &[
     "tcp",
     "no-validate",
     "paper-nic",
-    "sort-kernel",
     "fabric",
     "decode",
     "idle-timeout-ms",
@@ -235,7 +236,6 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     let tcp = opts.contains_key("tcp");
     let validate = !opts.contains_key("no-validate");
     let paper_nic = opts.contains_key("paper-nic");
-    let kernel: SortKernel = choice(opts, "sort-kernel")?;
     let fabric: cts_net::ShuffleFabric = choice(opts, "fabric")?;
     let decode: cts_core::decode::DecodeMode = choice(opts, "decode")?;
     if decode == cts_core::decode::DecodeMode::Quorum && r <= 1 {
@@ -280,7 +280,7 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
         engine = engine.with_nic(nic);
         println!("emulating the paper's NIC: 100 Mbps egress, 0.1 ms/transfer, α = 0.30");
     }
-    let mut job = SortJob::new(engine).with_kernel(kernel);
+    let mut job = SortJob::new(engine);
     if sampled > 0 {
         job = job.with_sampling(sampled);
     }

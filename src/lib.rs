@@ -71,6 +71,6 @@ pub mod prelude {
     pub use cts_terasort::teragen;
     pub use cts_terasort::{
         run_coded_terasort, run_terasort, JobKind, PartitionerKind, RemoteStatus, ServiceClient,
-        SortJob, SortKernel, SortService, TeraSortWorkload,
+        SortJob, SortService, TeraSortWorkload,
     };
 }

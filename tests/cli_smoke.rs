@@ -86,9 +86,10 @@ fn sort_small(input: &std::path::Path, flags: &[&str]) -> (bool, String) {
     (sort.status.success(), stderr)
 }
 
-/// A removed flag, spelled in halves so the denylist of removed names does
-/// not flag the rows that pin its removal.
+/// Removed flags, spelled in halves so the denylist of removed names does
+/// not flag the rows that pin their removal.
 const THREADS: &str = concat!("--thr", "eads");
+const SORT_KERNEL: &str = concat!("--sort", "-kernel");
 
 #[test]
 fn a_flag_the_subcommand_does_not_read_fails_naming_it() {
@@ -109,6 +110,7 @@ fn a_flag_the_subcommand_does_not_read_fails_naming_it() {
             concat!("--heartbeat", "-ms"),
         ),
         (&[THREADS, "2"], THREADS),
+        (&[SORT_KERNEL, "key-index"], SORT_KERNEL),
     ] {
         let (ok, stderr) = sort_small(&input, flags);
         assert!(!ok, "{flags:?} must exit nonzero");
@@ -213,8 +215,8 @@ fn gen_then_sort_roundtrip() {
 }
 
 /// `--pods G` is a layout of the one job `cts sort` builds, not a second
-/// program: the run uses the partitioner `--sampled` names (and the kernel
-/// `--sort-kernel` names) whatever the layout. On a 90 %-hot input the
+/// program: the run uses the partitioner `--sampled` names whatever the
+/// layout. On a 90 %-hot input the
 /// sampled boundaries keep the largest partition under twice the mean; range
 /// partitioning puts the hot prefix — over four times the mean — in one.
 #[test]
@@ -232,7 +234,6 @@ fn sort_with_pods_still_uses_the_sampled_boundaries() {
     let largest_share = |sampled: &[&str]| -> f64 {
         let sort = cts()
             .args(["sort", "--k", "8", "--r", "2", "--pods", "4"])
-            .args(["--sort-kernel", "key-index"])
             .args(sampled)
             .arg("--input")
             .arg(&input)
@@ -312,16 +313,20 @@ fn what_the_engine_refuses_reaches_the_user_in_its_words() {
     assert!(gen.status.success());
     for (flags, refusal) in [
         (
-            ["--pods", "4"],
+            &["--k", "6", "--pods", "4"][..],
             "invalid parameters: pod size 4 must divide K = 6",
         ),
         (
-            ["--pods", "2"],
+            &["--k", "6", "--pods", "2"],
             "invalid parameters: r = 2 must be < pod size 2",
+        ),
+        (
+            &["--k", "0"],
+            "invalid parameters: K must be in 1..=64, got 0",
         ),
     ] {
         let sort = cts()
-            .args(["sort", "--k", "6", "--r", "2"])
+            .args(["sort", "--r", "2"])
             .args(flags)
             .arg("--input")
             .arg(&input)
@@ -336,6 +341,55 @@ fn what_the_engine_refuses_reaches_the_user_in_its_words() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Command-line input the library would assert on fails typed: exit 1, one
+/// `error: …` on stderr, no panic. A daemon that did start (a K every job of
+/// it would refuse) is killed after 10 s and fails the row.
+#[test]
+fn input_the_library_would_assert_on_exits_1_without_a_panic() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let out = std::env::temp_dir().join(format!("cts-cli-skew-{}.bin", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    for args in [
+        &["gen", "--records", "10", "--skew", "1.5", "--out", out][..],
+        &["gen", "--records", "10", "--skew", "NaN", "--out", out],
+        &["serve", "--k", "0", "--port", "0"],
+        &["serve", "--k", "100", "--port", "0"],
+    ] {
+        let mut child = cts()
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run cts");
+        let started = Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll cts") {
+                break Some(status);
+            }
+            if started.elapsed() > Duration::from_secs(10) {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut stderr)
+            .expect("read stderr");
+        assert_eq!(status.and_then(|s| s.code()), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && !stderr.contains("panicked"),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a refused gen wrote {out}"
+    );
 }
 
 /// The serve banner names the address it bound, K, the concurrency and the

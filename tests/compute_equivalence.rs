@@ -1,8 +1,7 @@
-//! Compute-plane equivalence: the sort kernel is a *performance* knob, never
-//! a *semantic* one. Every combination of layout × fabric × kernel must
-//! produce byte-identical sorted output (all kernels are stable), matching
-//! the Comparison reference, whatever order a reducer is handed its pieces
-//! in.
+//! Compute-plane equivalence: every layout and fabric produces byte-identical
+//! sorted output, equal to the library's key-index sort of the whole input
+//! (both sort kernels are stable), whatever order a reducer is handed its
+//! pieces in.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -11,6 +10,7 @@ use bytes::Bytes;
 use coded_terasort::mapreduce::workload::{PartitionShape, Reducer};
 use coded_terasort::net::fault::{FaultAction, FaultRule};
 use coded_terasort::prelude::*;
+use cts_terasort::sort::{sort_records, SortKernel};
 
 fn outputs(job: &SortJob, input: &bytes::Bytes, coded: bool) -> Vec<Vec<u8>> {
     let run = if coded {
@@ -26,12 +26,13 @@ fn outputs(job: &SortJob, input: &bytes::Bytes, coded: bool) -> Vec<Vec<u8>> {
 fn kernels_and_threads_are_byte_identical() {
     let input = teragen::generate(3_000, 2026);
     let reference = outputs(&SortJob::local(5, 2), &input, true);
-    for kernel in SortKernel::ALL {
-        let coded = outputs(&SortJob::local(5, 2).with_kernel(kernel), &input, true);
-        assert_eq!(coded, reference, "coded {kernel}");
-        let uncoded = outputs(&SortJob::local(5, 1).with_kernel(kernel), &input, false);
-        assert_eq!(uncoded, reference, "uncoded {kernel}");
-    }
+    let uncoded = outputs(&SortJob::local(5, 1), &input, false);
+    assert_eq!(uncoded, reference, "uncoded");
+    assert_eq!(
+        reference.concat(),
+        sort_records(&input, SortKernel::KeyIndex),
+        "the key-index sort of the whole input"
+    );
 }
 
 #[test]
@@ -45,11 +46,10 @@ fn duplicate_keys_stay_identical_across_kernels_and_threads() {
         rec[..10].copy_from_slice(&[0, 0, 0, 0, 0, 0, 0, 0, 0, class]);
     }
     let input = bytes::Bytes::from(data);
-    let reference = outputs(&SortJob::local(4, 2), &input, true);
-    for kernel in SortKernel::ALL {
-        let got = outputs(&SortJob::local(4, 2).with_kernel(kernel), &input, true);
-        assert_eq!(got, reference, "{kernel}");
-    }
+    let coded = outputs(&SortJob::local(4, 2), &input, true);
+    let uncoded = outputs(&SortJob::local(4, 1), &input, false);
+    assert_eq!(coded, uncoded);
+    assert_eq!(coded.concat(), sort_records(&input, SortKernel::KeyIndex));
 }
 
 #[test]
@@ -57,12 +57,9 @@ fn pods_and_the_resident_runtime_are_byte_identical() {
     let (k, r, g) = (6, 2, 3);
     let input = teragen::generate(3_000, 63);
     let reference = outputs(&SortJob::local(k, 1), &input, false);
-    let workload = move |kernel| TeraSortWorkload::range(k).with_kernel(kernel);
     let cfg = EngineConfig::local(k, r).with_pods(g);
-    for kernel in SortKernel::ALL {
-        let pods = run(&workload(kernel), input.clone(), &cfg).expect("pods run");
-        assert_eq!(pods.outputs, reference, "pods {kernel}");
-    }
+    let pods = run(&TeraSortWorkload::range(k), input.clone(), &cfg).expect("pods run");
+    assert_eq!(pods.outputs, reference, "pods");
     // The same layout as two jobs of a resident runtime running at once,
     // each on its own tag slot: both outputs equal the one-shot's.
     let runtime = JobRuntime::start(RuntimeConfig::new(cfg).with_max_concurrent(2)).unwrap();
@@ -70,10 +67,7 @@ fn pods_and_the_resident_runtime_are_byte_identical() {
         .map(|_| {
             let job_input = input.clone();
             runtime
-                .submit(move |ctx| {
-                    let w = workload(SortKernel::KeyIndex);
-                    ctx.run(&w, job_input, &ctx.cfg)
-                })
+                .submit(move |ctx| ctx.run(&TeraSortWorkload::range(k), job_input, &ctx.cfg))
                 .unwrap()
         })
         .collect();
@@ -89,7 +83,7 @@ fn pods_and_the_resident_runtime_are_byte_identical() {
 fn tcp_fabric_matches() {
     let input = teragen::generate(900, 55);
     let reference = outputs(&SortJob::local(4, 2), &input, true);
-    let mut job = SortJob::new(EngineConfig::tcp(4, 2)).with_kernel(SortKernel::KeyIndex);
+    let mut job = SortJob::new(EngineConfig::tcp(4, 2));
     assert_eq!(outputs(&job, &input, true), reference);
     // Behind a NIC slow enough (~0.1 s of egress per rank) that every rank's
     // pacer is writing to sockets while the rank threads map, post and

@@ -1,15 +1,15 @@
-//! Property suite for the Reduce sort kernels: on duplicate-heavy keys,
-//! where only the `(key, input position)` order is deterministic, both
-//! kernels equal a stable `sort_by_key` of the records — from one buffer,
-//! from arbitrarily cut pieces, and whatever order a partition's reducer is
-//! handed the pieces in — and so they do on keys whose 8-byte sort entries
-//! tie, where only the full key tells them apart.
+//! Property suite for the sort kernels: on duplicate-heavy keys, where only
+//! the `(key, input position)` order is deterministic, both kernels equal a
+//! stable `sort_by_key` of the records, from one buffer and from arbitrarily
+//! cut pieces; so does a partition's reducer (a job's, the comparison kernel)
+//! whatever order it is handed the pieces in; and all of them do on keys
+//! whose 8-byte sort entries tie, where only the full key tells them apart.
 
 use bytes::Bytes;
 use coded_terasort::mapreduce::workload::PartitionShape;
 use coded_terasort::prelude::*;
 use cts_terasort::record::{key_of, records, KEY_LEN, RECORD_LEN};
-use cts_terasort::sort::{sort_pieces, sort_records};
+use cts_terasort::sort::{sort_pieces, sort_records, SortKernel};
 use cts_terasort::SampledPartitioner;
 use proptest::prelude::*;
 
@@ -53,9 +53,9 @@ proptest! {
             .collect();
 
         for kernel in SortKernel::ALL {
-            prop_assert_eq!(&sort_records(&data, kernel), &oracle, "{}", kernel);
+            prop_assert_eq!(&sort_records(&data, kernel), &oracle, "{:?}", kernel);
             let sorted = sort_pieces(&pieces, kernel);
-            prop_assert_eq!(&sorted, &oracle, "{} pieces {}", kernel, pieces.len());
+            prop_assert_eq!(&sorted, &oracle, "{:?} pieces {}", kernel, pieces.len());
         }
     }
 }
@@ -91,13 +91,12 @@ fn partition_of(workload: TeraSortWorkload, index: usize, input: &[u8]) -> Parti
 }
 
 /// The inputs an arrival order could trip over, ~10 000 records each (enough
-/// for several buckets and, past 8 192, for more than one worker).
+/// for several buckets).
 fn partition(kind: usize, seed: u64) -> Partition {
-    let range = |kernel| TeraSortWorkload::range(K).with_kernel(kernel);
-    let kernel = SortKernel::ALL[seed as usize % 2];
+    let range = || TeraSortWorkload::range(K);
     match kind {
         // Uniform keys.
-        0 => partition_of(range(kernel), 2, &teragen::generate(40_000, seed)),
+        0 => partition_of(range(), 2, &teragen::generate(40_000, seed)),
         // Three distinct keys; one key (everything in one bucket).
         1 | 2 => {
             let distinct = if kind == 1 { 3 } else { 1 };
@@ -105,7 +104,7 @@ fn partition(kind: usize, seed: u64) -> Partition {
             for rec in records.chunks_exact_mut(RECORD_LEN) {
                 rec[0] |= 0x40; // partition 1 of 4
             }
-            partition_of(range(kernel), 1, &records)
+            partition_of(range(), 1, &records)
         }
         // Keys on the partition's first and last key and on every power-of-two
         // step from its first key — a bucket boundary whatever the bucket
@@ -122,7 +121,7 @@ fn partition(kind: usize, seed: u64) -> Partition {
                 let pick = (seed.wrapping_mul(u64::from(i) + 1) >> 7) as usize % keys.len();
                 records.extend_from_slice(&keyed(keys[pick].clamp(first, last), i));
             }
-            partition_of(range(kernel), 1, &records)
+            partition_of(range(), 1, &records)
         }
         // Skewed keys under the boundaries sampled from them.
         _ => {
@@ -130,7 +129,7 @@ fn partition(kind: usize, seed: u64) -> Partition {
             let samples = records(&input).step_by(16);
             let samples = samples.map(|rec| key_of(rec).try_into().unwrap());
             let sampled = SampledPartitioner::from_samples(samples.collect(), K);
-            let workload = TeraSortWorkload::sampled(sampled).with_kernel(kernel);
+            let workload = TeraSortWorkload::sampled(sampled);
             partition_of(workload, seed as usize % K, &input)
         }
     }
@@ -156,11 +155,11 @@ fn below_bit(next: &mut impl FnMut() -> u64, bits: u64) -> u128 {
 /// Inputs on which an 8-byte entry's key prefix ties, ~10 000 records each:
 /// a prefix is the key's offset in its bucket with its low bits cut, so the
 /// full key must order what the prefix cannot.
-fn tied_partition(kind: usize, seed: u64, kernel: SortKernel) -> Partition {
+fn tied_partition(kind: usize, seed: u64) -> Partition {
     let mut next = words(seed);
     // Partition 1 of 4 under the range partitioner.
     let (first, last) = (1u128 << 78, (1u128 << 79) - 1);
-    let range = TeraSortWorkload::range(K).with_kernel(kernel);
+    let range = TeraSortWorkload::range(K);
     let mut input = Vec::new();
     match kind {
         // Six clusters; within one, keys differ by 0 (exact duplicates) up to
@@ -211,19 +210,16 @@ fn tied_partition(kind: usize, seed: u64, kernel: SortKernel) -> Partition {
                 let key = (base + below_bit(&mut next, bits)).min((1 << 80) - 1);
                 input.extend_from_slice(&keyed(key, i));
             }
-            partition_of(
-                TeraSortWorkload::sampled(sampled).with_kernel(kernel),
-                0,
-                &input,
-            )
+            partition_of(TeraSortWorkload::sampled(sampled), 0, &input)
         }
     }
 }
 
 /// Cuts `part` into `pieces` files (an empty one first, in the middle and
-/// last), hands them to the partition's reducer in an order drawn from `seed`
-/// under 1, 2 and 4 threads, and checks each result, and the one-shot
-/// `reduce`, against a stable sort by key of the file-order concatenation.
+/// last), hands them to the partition's reducer in an order drawn from `seed`,
+/// and checks its result, the one-shot `reduce` and both library kernels over
+/// the pieces in file order against a stable sort by key of their
+/// concatenation.
 fn arrives_in_any_order(part: &Partition, pieces: usize, seed: u64) -> Result<(), TestCaseError> {
     let n = part.records.len() / RECORD_LEN;
     let whole = Bytes::from(part.records.clone());
@@ -253,6 +249,14 @@ fn arrives_in_any_order(part: &Partition, pieces: usize, seed: u64) -> Result<()
     expected.sort_by_key(|rec| &rec[..KEY_LEN]);
     let expected = expected.concat();
     prop_assert!(part.workload.reduce(part.index, &whole) == expected);
+    let in_file_order: Vec<&[u8]> = files.iter().map(|f| &f[..]).collect();
+    for kernel in SortKernel::ALL {
+        prop_assert!(
+            sort_pieces(&in_file_order, kernel) == expected,
+            "{:?}",
+            kernel
+        );
+    }
     let mut reducer = part.workload.reducer(part.index, shape);
     for &file in &order {
         // Sparse, ascending file ranks, as the engine's node sets are.
@@ -290,10 +294,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let pieces = [1, 8, 56][pieces];
-        for kernel in SortKernel::ALL {
-            let part = tied_partition(kind, seed, kernel);
-            arrives_in_any_order(&part, pieces, seed)
-                .map_err(|e| TestCaseError::fail(format!("kind {kind}, {kernel}: {e:?}")))?;
-        }
+        let part = tied_partition(kind, seed);
+        arrives_in_any_order(&part, pieces, seed)
+            .map_err(|e| TestCaseError::fail(format!("kind {kind}: {e:?}")))?;
     }
 }
