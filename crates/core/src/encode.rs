@@ -13,38 +13,39 @@
 //! `k ∈ M\{t}` means node `k` mapped file `F_{M\{t}}`, and `t ∉ M\{t}` means
 //! the keep rule retained `I^t_{M\{t}}`.
 //!
-//! The quorum variant ([`Encoder::encode_group_mds_into`]) folds the same
-//! way over a different split: each target's intermediate is cut into
-//! `s = r − 1` parts, and the packet carries one part or the parity of all
-//! of them ([`quorum_role`]), so any `s` of a group's `r` packets decode.
+//! [`Encoder::encode_frame`] writes the packet the engine posts: the header
+//! (each receiver's whole intermediate length) and then the fold, straight
+//! into one leased frame — the first share copied in, the others XORed over
+//! it, a longer one's tail appended, so no byte is zeroed first or copied
+//! twice. The quorum variant folds the same way over a different split: each
+//! target's intermediate is cut into `s = r − 1` parts, and the packet
+//! carries one part or the parity of all of them
+//! ([`quorum_role`](crate::segment::quorum_role)), so any
+//! `s` of a group's `r` packets decode.
 
 use bytes::Bytes;
 
 use crate::error::{CodedError, Result};
 use crate::groups::MulticastGroups;
 use crate::intermediate::IntermediateSource;
-use crate::packet::CodedPacket;
-use crate::segment::{
-    max_segment_len, mds_parts, quorum_role, segment_for_node, segment_slice, segment_span,
-};
+use crate::packet::{payload_len_of, wire_len_for, write_header, CodedPacket};
+use crate::segment::{mds_parts, segment_span, share};
 use crate::subset::{NodeId, NodeSet};
 use crate::xor::xor_into;
 
-/// Reusable buffers for the encode hot loop.
-///
-/// One scratch serves any number of [`Encoder::encode_group_into`] calls;
-/// the payload buffer grows to the largest segment ever encoded and is then
-/// reused without further allocation (grow-only). After a call, `payload`
-/// holds the XOR-folded packet body and `seg_lens` the per-receiver
-/// original segment lengths — exactly the parts
-/// [`CodedPacket::write_wire`] serializes.
+/// Buffers for [`Encoder::encode_group_into`] and
+/// [`Encoder::encode_group_mds_into`], which leave a packet's header entries
+/// and payload apart (the engine's path, [`Encoder::encode_frame`], needs
+/// none). Grow-only: a warm scratch encodes without allocating.
 #[derive(Clone, Debug, Default)]
 pub struct EncodeScratch {
-    /// The zero-padded XOR accumulator (packet payload).
+    /// The zero-padded XOR fold (packet payload).
     pub payload: Vec<u8>,
-    /// `(receiver, original segment length)` pairs in ascending receiver
-    /// order.
+    /// `(receiver, whole intermediate length)` pairs in ascending receiver
+    /// order — the header entries.
     pub seg_lens: Vec<(NodeId, u32)>,
+    /// Bytes of intermediates folded into `payload`.
+    folded: u64,
 }
 
 impl EncodeScratch {
@@ -53,10 +54,54 @@ impl EncodeScratch {
         Self::default()
     }
 
-    /// Sum of the true (unpadded) segment lengths of the last encoded
-    /// packet — the scalable part of its wire bytes.
+    /// The bytes of intermediates the last encode folded into its payload:
+    /// the true (unpadded) lengths of its shares, summed.
     pub fn seg_len_sum(&self) -> u64 {
-        self.seg_lens.iter().map(|(_, l)| *l as u64).sum()
+        self.folded
+    }
+}
+
+/// The intermediates a packet folds: `I^t_{M\{t}}` for each receiver `t`,
+/// ascending, as the encoding node holds them.
+struct Operands<'s> {
+    group: NodeSet,
+    sender: NodeId,
+    quorum: bool,
+    data: [(NodeId, &'s [u8]); 64],
+    n: usize,
+}
+
+impl Operands<'_> {
+    /// The header entries: each receiver's whole length.
+    fn lens(&self) -> impl ExactSizeIterator<Item = (NodeId, u32)> + '_ {
+        self.data[..self.n]
+            .iter()
+            .map(|&(t, data)| (t, data.len() as u32))
+    }
+
+    fn payload_len(&self) -> usize {
+        payload_len_of(self.quorum, self.group, self.sender, self.lens())
+    }
+
+    /// Appends the payload to `out`: each receiver's share XORed over what
+    /// is there, its tail appended past the end, the whole padded to
+    /// `payload_len`. Returns the bytes folded.
+    fn fold_into(&self, out: &mut Vec<u8>, payload_len: usize) -> u64 {
+        let base = out.len();
+        let mut folded = 0;
+        for &(t, data) in &self.data[..self.n] {
+            let (parts, role) = share(self.group, t, self.sender, self.quorum);
+            for j in role.parts(parts) {
+                let span = segment_span(data.len(), parts, j);
+                let piece = &data[span.offset..span.offset + span.len];
+                let over = piece.len().min(out.len() - base);
+                xor_into(&mut out[base..base + over], &piece[..over]);
+                out.extend_from_slice(&piece[over..]);
+                folded += piece.len() as u64;
+            }
+        }
+        out.resize(base + payload_len, 0);
+        folded
     }
 }
 
@@ -79,6 +124,8 @@ impl EncodeScratch {
 ///     .unwrap();
 /// // Node 0 is at position 0 in both {0,2} and {0,1}: segments "a" and "c".
 /// assert_eq!(pkt.payload, vec![b'a' ^ b'c']);
+/// // The header names each receiver's whole intermediate.
+/// assert_eq!(pkt.seg_lens, vec![(1, 2), (2, 2)]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Encoder {
@@ -106,6 +153,73 @@ impl Encoder {
         &self.groups
     }
 
+    /// Looks up what this node's packet for `m` folds (errors as
+    /// [`encode_group`](Encoder::encode_group)'s).
+    fn operands<'s, S: IntermediateSource>(
+        &self,
+        m: NodeSet,
+        source: &'s S,
+        quorum: bool,
+    ) -> Result<Operands<'s>> {
+        self.groups.id_of(m)?; // validates size and universe
+        if !m.contains(self.node) {
+            return Err(CodedError::InvalidParameters {
+                what: format!("node {} not in multicast group {m}", self.node),
+            });
+        }
+        let mut ops = Operands {
+            group: m,
+            sender: self.node,
+            quorum,
+            data: [(0, &[]); 64],
+            n: 0,
+        };
+        for t in m.iter().filter(|&t| t != self.node) {
+            let file = m.without(t);
+            let data = source
+                .intermediate(t, file)
+                .ok_or(CodedError::MissingIntermediate { target: t, file })?;
+            ops.data[ops.n] = (t, data);
+            ops.n += 1;
+        }
+        Ok(ops)
+    }
+
+    /// Writes `E_{M,node}` for group `m` as one wire frame — the Encode
+    /// stage's path. The frame comes from `lease`, asked for exactly its
+    /// final size; the header goes in, then the payload is folded in place
+    /// behind it. Under `quorum` the packet is the single-parity (wire v2)
+    /// one.
+    ///
+    /// Returns the frame and its *scalable* bytes: the mean over the `r`
+    /// receivers of what the packet stands for — a receiver's segment, or
+    /// under `quorum` an `s`-th of its intermediate. The rest of the frame
+    /// is header and zero padding, which do not grow with the input.
+    ///
+    /// # Errors
+    /// As [`encode_group`](Encoder::encode_group).
+    pub fn encode_frame<S: IntermediateSource>(
+        &self,
+        m: NodeSet,
+        source: &S,
+        quorum: bool,
+        lease: impl FnOnce(usize) -> Vec<u8>,
+    ) -> Result<(Vec<u8>, u64)> {
+        let ops = self.operands(m, source, quorum)?;
+        let payload_len = ops.payload_len();
+        let mut frame = lease(wire_len_for(ops.n, payload_len));
+        write_header(quorum, m, self.node, ops.lens(), payload_len, &mut frame);
+        let folded = ops.fold_into(&mut frame, payload_len);
+        let r = ops.n as u64;
+        let scalable = if quorum {
+            let whole: u64 = ops.lens().map(|(_, len)| u64::from(len)).sum();
+            whole / (r * mds_parts(m.len()) as u64)
+        } else {
+            folded / r
+        };
+        Ok((frame, scalable))
+    }
+
     /// Builds `E_{M,node}` for multicast group `m` (eq. (8)).
     ///
     /// # Errors
@@ -118,7 +232,7 @@ impl Encoder {
         source: &S,
     ) -> Result<CodedPacket> {
         let mut scratch = EncodeScratch::new();
-        self.encode_group_into(m, source, &mut scratch)?;
+        self.encode_into(m, source, false, &mut scratch)?;
         Ok(CodedPacket {
             group: m,
             sender: self.node,
@@ -128,17 +242,17 @@ impl Encoder {
         })
     }
 
-    /// Builds the quorum packet for group `m` — the wire-v2 variant
-    /// behind any-`s`-of-`r` decode.
+    /// Builds the quorum packet for group `m` into `scratch` — the wire-v2
+    /// variant behind any-`s`-of-`r` decode.
     ///
     /// Each target's intermediate `I^t_{M\{t}}` splits into
     /// `s = mds_parts(|m|)` parts; the packet XORs, per target, the part
-    /// or the parity [`quorum_role`] gives this node, zero-padded to the
-    /// longest part 0. Every sender of `M\{t}` knows the *full*
+    /// or the parity [`quorum_role`](crate::segment::quorum_role) gives
+    /// this node, zero-padded to the longest part 0. Every sender of
+    /// `M\{t}` knows the *full*
     /// intermediate (it mapped the file), and the roles of a target's `r`
     /// senders are its `s` parts and their parity, so any `s` such packets
-    /// rebuild it. `scratch.seg_lens` records the per-target *total*
-    /// lengths.
+    /// rebuild it.
     ///
     /// # Errors
     /// As [`encode_group`](Encoder::encode_group).
@@ -148,73 +262,36 @@ impl Encoder {
         source: &S,
         scratch: &mut EncodeScratch,
     ) -> Result<()> {
-        self.groups.id_of(m)?; // validates size and universe
-        if !m.contains(self.node) {
-            return Err(CodedError::InvalidParameters {
-                what: format!("node {} not in multicast group {m}", self.node),
-            });
-        }
-        scratch.payload.clear();
-        scratch.seg_lens.clear();
-        let payload = &mut scratch.payload;
-        let s = mds_parts(m.len());
-        let mut padded = 0;
-        for t in m.iter().filter(|&t| t != self.node) {
-            let file = m.without(t);
-            let data = source
-                .intermediate(t, file)
-                .ok_or(CodedError::MissingIntermediate { target: t, file })?;
-            padded = padded.max(max_segment_len(data.len(), s));
-            for j in quorum_role(m, t, self.node).parts(s) {
-                let span = segment_span(data.len(), s, j);
-                // XOR where the payload has bytes, append past its end.
-                let (head, tail) =
-                    data[span.offset..span.offset + span.len].split_at(span.len.min(payload.len()));
-                xor_into(payload, head);
-                payload.extend_from_slice(tail);
-            }
-            scratch.seg_lens.push((t, data.len() as u32));
-        }
-        payload.resize(padded, 0);
-        Ok(())
+        self.encode_into(m, source, true, scratch)
     }
 
-    /// Builds `E_{M,node}` into reusable buffers — the allocation-free hot
-    /// path of the Encode stage. `scratch.payload`/`scratch.seg_lens` are
-    /// cleared and refilled; capacities persist across calls, so a warm
-    /// scratch makes this loop heap-allocation-free.
+    /// Builds `E_{M,node}` into `scratch`, header entries and payload apart.
+    /// Only `benchmark/`'s encode probe calls it (ROADMAP 1(a)); the engine
+    /// encodes with [`encode_frame`](Encoder::encode_frame).
     ///
     /// # Errors
-    /// Identical to [`encode_group`](Encoder::encode_group).
+    /// As [`encode_group`](Encoder::encode_group).
     pub fn encode_group_into<S: IntermediateSource>(
         &self,
         m: NodeSet,
         source: &S,
         scratch: &mut EncodeScratch,
     ) -> Result<()> {
-        self.groups.id_of(m)?; // validates size and universe
-        if !m.contains(self.node) {
-            return Err(CodedError::InvalidParameters {
-                what: format!("node {} not in multicast group {m}", self.node),
-            });
-        }
-        scratch.payload.clear();
+        self.encode_into(m, source, false, scratch)
+    }
+
+    fn encode_into<S: IntermediateSource>(
+        &self,
+        m: NodeSet,
+        source: &S,
+        quorum: bool,
+        scratch: &mut EncodeScratch,
+    ) -> Result<()> {
+        let ops = self.operands(m, source, quorum)?;
         scratch.seg_lens.clear();
-        let payload = &mut scratch.payload;
-        for t in m.iter().filter(|&t| t != self.node) {
-            let file = m.without(t);
-            let data = source
-                .intermediate(t, file)
-                .ok_or(CodedError::MissingIntermediate { target: t, file })?;
-            let span = segment_for_node(data.len(), file, self.node);
-            let seg = segment_slice(data, file, self.node);
-            debug_assert_eq!(seg.len(), span.len);
-            if seg.len() > payload.len() {
-                payload.resize(seg.len(), 0);
-            }
-            xor_into(payload, seg);
-            scratch.seg_lens.push((t, span.len as u32));
-        }
+        scratch.seg_lens.extend(ops.lens());
+        scratch.payload.clear();
+        scratch.folded = ops.fold_into(&mut scratch.payload, ops.payload_len());
         Ok(())
     }
 
@@ -234,6 +311,7 @@ impl Encoder {
 mod tests {
     use super::*;
     use crate::intermediate::MapOutputStore;
+    use crate::segment::{max_segment_len, quorum_role, segment_for_node};
     use bytes::Bytes;
 
     fn fs(nodes: &[usize]) -> NodeSet {
@@ -274,7 +352,7 @@ mod tests {
         let pkt = enc.encode_group(fs(&[0, 1, 2]), &store).unwrap();
         // Node 0 is position 0 in both files; each 2-byte value splits 1+1.
         assert_eq!(pkt.payload, vec![10 ^ 30]);
-        assert_eq!(pkt.seg_lens, vec![(1, 1), (2, 1)]);
+        assert_eq!(pkt.seg_lens, vec![(1, 2), (2, 2)]);
         assert_eq!(pkt.sender, 0);
     }
 
@@ -327,8 +405,8 @@ mod tests {
         assert_eq!(pkt.payload.len(), 5);
         assert_eq!(&pkt.payload[..2], &[0xAA ^ 0xBB, 0xAA ^ 0xBB]);
         assert_eq!(&pkt.payload[2..], &[0xAA, 0xAA, 0xAA]);
-        assert_eq!(pkt.seg_len_for(1), Some(5));
-        assert_eq!(pkt.seg_len_for(2), Some(2));
+        assert_eq!(pkt.seg_len_for(1), Some(10));
+        assert_eq!(pkt.seg_len_for(2), Some(4));
     }
 
     #[test]
@@ -365,16 +443,64 @@ mod tests {
                 enc.encode_group_into(m, &store, &mut scratch).unwrap();
                 assert_eq!(scratch.payload, reference.payload, "pass {pass} {m}");
                 assert_eq!(scratch.seg_lens, reference.seg_lens, "pass {pass} {m}");
-                assert_eq!(
-                    scratch.seg_len_sum(),
-                    reference
-                        .seg_lens
-                        .iter()
-                        .map(|(_, l)| *l as u64)
-                        .sum::<u64>()
-                );
+                // Folded: this node's segment of each receiver's value.
+                let segments: u64 = (reference.seg_lens.iter())
+                    .map(|&(t, total)| segment_for_node(total as usize, m.without(t), node).len)
+                    .map(|len| len as u64)
+                    .sum();
+                assert_eq!(scratch.seg_len_sum(), segments);
             }
         }
+    }
+
+    #[test]
+    fn a_frame_is_the_packets_wire_bytes_in_one_exact_lease() {
+        let (k, r, node) = (6, 3, 2);
+        let store = full_store(k, r, node, |t, f| (t * 7 + f.bits() as usize) % 23);
+        let enc = Encoder::new(k, r, node).unwrap();
+        let mut scratch = EncodeScratch::new();
+        for quorum in [false, true] {
+            for (_, m) in enc.groups().groups_of_node(node) {
+                let mut asked = 0;
+                let (frame, scalable) = enc
+                    .encode_frame(m, &store, quorum, |len| {
+                        asked = len;
+                        Vec::with_capacity(len)
+                    })
+                    .unwrap();
+                assert_eq!((frame.len(), frame.capacity()), (asked, asked));
+                let mut want = Vec::new();
+                if quorum {
+                    enc.encode_group_mds_into(m, &store, &mut scratch).unwrap();
+                    let (lens, payload) = (&scratch.seg_lens, &scratch.payload);
+                    CodedPacket::write_wire_mds(m, node, lens, payload, &mut want);
+                    let whole: u64 = lens.iter().map(|&(_, l)| l as u64).sum();
+                    assert_eq!(scalable, whole / (r * mds_parts(r + 1)) as u64);
+                } else {
+                    enc.encode_group(m, &store).unwrap().write_into(&mut want);
+                    enc.encode_group_into(m, &store, &mut scratch).unwrap();
+                    assert_eq!(scalable, scratch.seg_len_sum() / r as u64);
+                }
+                assert_eq!(frame, want, "{m} quorum {quorum}");
+            }
+        }
+    }
+
+    #[test]
+    fn frames_append_behind_what_the_lease_holds() {
+        // The fold XORs into the payload region only, never the header.
+        let mut store = MapOutputStore::new();
+        store.insert(1, fs(&[0, 2]), Bytes::from(vec![0xFF; 9]));
+        store.insert(2, fs(&[0, 1]), Bytes::from(vec![0x0F; 3]));
+        let enc = Encoder::new(3, 2, 0).unwrap();
+        let m = fs(&[0, 1, 2]);
+        let (frame, _) = enc
+            .encode_frame(m, &store, false, Vec::with_capacity)
+            .unwrap();
+        let pkt = CodedPacket::from_bytes(&frame).unwrap();
+        assert_eq!(pkt.seg_lens, vec![(1, 9), (2, 3)]);
+        // Segments 5 of 0xFF and 2 of 0x0F.
+        assert_eq!(&pkt.payload[..], &[0xF0, 0xF0, 0xFF, 0xFF, 0xFF]);
     }
 
     #[test]

@@ -98,9 +98,7 @@ pub mod subset;
 pub mod theory;
 pub mod xor;
 
-pub use decode::{
-    DecodeMode, DecodePipeline, DecodedSegment, Decoder, SegmentAssembler, SegmentInfo,
-};
+pub use decode::{DecodeMode, DecodePipeline, DecodedSegment, Decoder};
 pub use encode::{EncodeScratch, Encoder};
 pub use error::{CodedError, Result};
 pub use groups::{GroupId, MulticastGroups, PodGroups};

@@ -1,35 +1,35 @@
 //! Coded packet structure and wire format.
 //!
 //! A [`CodedPacket`] is the unit of multicast in the coded shuffle: the XOR
-//! of `r` zero-padded segments (paper eq. (8)) plus the header metadata the
-//! receivers need to trim padding and attribute the recovered segment. The
-//! wire format is a compact little-endian layout with full structural
-//! validation on parse, so a corrupted or truncated packet is reported as a
-//! [`CodedError::MalformedPacket`] instead of garbage data.
+//! of `r` zero-padded shares (paper eq. (8)) plus a header naming, per
+//! receiver, the length of the whole intermediate it is rebuilding. Both
+//! versions carry whole lengths: from any one packet of its group a receiver
+//! knows the value it is rebuilding, where each share goes in it, and how
+//! long every share in the payload is — so it decodes a packet straight into
+//! place. The wire format is a compact little-endian layout with full
+//! structural validation on parse, so a corrupted or truncated packet is
+//! reported as a [`CodedError::MalformedPacket`] instead of garbage data.
 //!
-//! The hot-path APIs are allocation-aware:
-//!
-//! * [`CodedPacket::write_wire`] serializes straight from the encoder's
-//!   scratch buffers into a reusable output `Vec` — no `CodedPacket` is
-//!   ever materialized on the send side;
-//! * [`CodedPacket::read_wire`] parses *zero-copy*: the payload is a
-//!   [`Bytes`] slice borrowing the received frame's allocation, and the
-//!   header vector of a warm packet is reused across packets.
+//! The send side never builds a `CodedPacket`: the engine's frame is written
+//! by [`Encoder::encode_frame`](crate::encode::Encoder::encode_frame), header
+//! and XOR fold in one leased buffer. [`CodedPacket::read_wire`] parses
+//! *zero-copy*: the payload is a [`Bytes`] slice borrowing the received
+//! frame's allocation, and the header vector of a warm packet is reused
+//! across packets.
 
 use bytes::Bytes;
 
 use crate::error::{CodedError, Result};
-use crate::segment::{max_segment_len, mds_parts};
+use crate::segment::{max_segment_len, segment_span, share, QuorumRole};
 use crate::subset::{NodeId, NodeSet};
 
-/// Format version of classic cancel-and-divide packets.
+/// Format version of packets of the paper's code: each receiver's share is
+/// the segment of its intermediate at the sender's position (eq. (7)).
 pub const WIRE_VERSION: u8 = 1;
 
-/// Format version of quorum packets (quorum decode): the `seg_lens`
-/// entries carry the *total* intermediate length per target (identical
-/// across the senders of a group), and the payload XORs, per target, one
-/// of its [`mds_parts`] zero-padded parts or their parity — see
-/// [`crate::segment::quorum_role`].
+/// Format version of quorum packets (quorum decode): the payload XORs, per
+/// receiver, one of its [`mds_parts`](crate::segment::mds_parts) zero-padded
+/// parts or their parity — see [`crate::segment::quorum_role`].
 pub const WIRE_VERSION_MDS: u8 = 2;
 
 /// Magic bytes prefixing every serialized packet (`"CT"`).
@@ -42,16 +42,14 @@ pub struct CodedPacket {
     pub group: NodeSet,
     /// The sender `k ∈ M`.
     pub sender: NodeId,
-    /// For each other member `t ∈ M\{k}` (ascending), the *original* length
-    /// of the segment `I^t_{M\{t},k}` folded into the payload. Receiver `t`
-    /// reads its own entry to strip zero padding from the recovered segment.
-    /// In quorum packets (`mds = true`) the entry is instead the total length
-    /// of `I^t_{M\{t}}` — any single packet tells a receiver its full
-    /// reconstruction size, which matters when a sender never delivers.
+    /// For each other member `t ∈ M\{k}` (ascending), the length of its
+    /// whole intermediate `I^t_{M\{t}}` — identical across the senders of a
+    /// group, so any single packet tells a receiver its full reconstruction
+    /// size and the length of every share the payload folds.
     pub seg_lens: Vec<(NodeId, u32)>,
-    /// XOR of the `r` zero-padded segments; length = max original length.
-    /// A [`Bytes`] view so parsed packets can borrow the received frame
-    /// instead of copying it.
+    /// XOR of the zero-padded shares; as long as the longest
+    /// ([`payload_len_of`]). A [`Bytes`] view so parsed packets can borrow the
+    /// received frame instead of copying it.
     pub payload: Bytes,
     /// Whether this is a quorum packet ([`WIRE_VERSION_MDS`]), decoded
     /// by any `s` of a group's packets instead of all of them.
@@ -71,7 +69,7 @@ impl CodedPacket {
         wire_len_for(self.seg_lens.len(), self.payload.len())
     }
 
-    /// The original segment length recorded for receiver `t`, if present.
+    /// The whole intermediate length recorded for receiver `t`, if present.
     pub fn seg_len_for(&self, t: NodeId) -> Option<u32> {
         self.seg_lens
             .iter()
@@ -87,35 +85,16 @@ impl CodedPacket {
         out
     }
 
-    /// Appends the wire format to `out`. Reusing one grow-only `out`
-    /// across packets keeps serialization allocation-free in steady state.
+    /// Appends the wire format to `out`.
     pub fn write_into(&self, out: &mut Vec<u8>) {
-        let version = if self.mds {
-            WIRE_VERSION_MDS
-        } else {
-            WIRE_VERSION
-        };
-        write_wire_versioned(
-            version,
+        Self::write_parts(
+            self.mds,
             self.group,
             self.sender,
             &self.seg_lens,
             &self.payload,
             out,
         );
-    }
-
-    /// Serializes a classic (version 1) packet directly from its parts —
-    /// the encoder hot path, which writes from scratch buffers without
-    /// building a `CodedPacket`. Appends to `out`.
-    pub fn write_wire(
-        group: NodeSet,
-        sender: NodeId,
-        seg_lens: &[(NodeId, u32)],
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) {
-        write_wire_versioned(WIRE_VERSION, group, sender, seg_lens, payload, out);
     }
 
     /// Serializes a quorum (version 2) packet directly from its parts.
@@ -127,12 +106,27 @@ impl CodedPacket {
         payload: &[u8],
         out: &mut Vec<u8>,
     ) {
-        write_wire_versioned(WIRE_VERSION_MDS, group, sender, seg_lens, payload, out);
+        Self::write_parts(true, group, sender, seg_lens, payload, out);
+    }
+
+    fn write_parts(
+        mds: bool,
+        group: NodeSet,
+        sender: NodeId,
+        seg_lens: &[(NodeId, u32)],
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        out.reserve(wire_len_for(seg_lens.len(), payload.len()));
+        let lens = seg_lens.iter().copied();
+        write_header(mds, group, sender, lens, payload.len(), out);
+        out.extend_from_slice(payload);
     }
 
     /// Parses a packet from the wire format, validating structure:
-    /// magic/version, sender membership, header/segment consistency, and
-    /// that the payload length equals the longest recorded segment.
+    /// magic/version, sender membership, header consistency, and that the
+    /// payload is exactly as long as the recorded lengths imply
+    /// ([`payload_len_of`]).
     ///
     /// This variant copies the payload out of `buf`; prefer
     /// [`read_wire`](CodedPacket::read_wire) when the frame is already a
@@ -205,20 +199,8 @@ impl CodedPacket {
         if cursor.remaining() != 0 {
             return Err(malformed(format!("{} trailing bytes", cursor.remaining())));
         }
-        let expected = if version == WIRE_VERSION_MDS {
-            // Quorum split: each target contributes `mds_parts` zero-padded
-            // parts of its total, so the payload is the longest part-0
-            // span across targets.
-            let s = mds_parts(group.len());
-            self.seg_lens
-                .iter()
-                .map(|(_, l)| max_segment_len(*l as usize, s))
-                .max()
-                .unwrap_or(0)
-        } else {
-            // Payload must be padded to exactly the longest segment.
-            self.seg_lens.iter().map(|(_, l)| *l).max().unwrap_or(0) as usize
-        };
+        let mds = version == WIRE_VERSION_MDS;
+        let expected = payload_len_of(mds, group, sender, self.seg_lens.iter().copied());
         if payload_len != expected {
             return Err(malformed(format!(
                 "payload {payload_len} bytes but expected {expected} (version {version})",
@@ -226,31 +208,53 @@ impl CodedPacket {
         }
         self.group = group;
         self.sender = sender;
-        self.mds = version == WIRE_VERSION_MDS;
+        self.mds = mds;
         Ok((start, start + payload_len))
     }
 }
 
-fn write_wire_versioned(
-    version: u8,
+/// The payload length of `sender`'s packet for `group` whose header records
+/// `lens`: the longest share it folds — of each target's whole length, its
+/// segment at the sender's position under the paper's code; under the quorum
+/// code part 0, which every role is zero-padded to.
+pub fn payload_len_of(
+    quorum: bool,
     group: NodeSet,
     sender: NodeId,
-    seg_lens: &[(NodeId, u32)],
-    payload: &[u8],
+    lens: impl Iterator<Item = (NodeId, u32)>,
+) -> usize {
+    let padded = |(t, total): (NodeId, u32)| match share(group, t, sender, quorum) {
+        (parts, QuorumRole::Part(j)) if !quorum => segment_span(total as usize, parts, j).len,
+        (parts, _) => max_segment_len(total as usize, parts),
+    };
+    lens.map(padded).max().unwrap_or(0)
+}
+
+/// Appends a packet's header — magic, version, sender, group, the
+/// `(receiver, whole length)` entries and the payload length — to `out`;
+/// the payload follows it.
+pub(crate) fn write_header(
+    quorum: bool,
+    group: NodeSet,
+    sender: NodeId,
+    lens: impl ExactSizeIterator<Item = (NodeId, u32)>,
+    payload_len: usize,
     out: &mut Vec<u8>,
 ) {
-    out.reserve(wire_len_for(seg_lens.len(), payload.len()));
     out.extend_from_slice(&WIRE_MAGIC);
-    out.push(version);
+    out.push(if quorum {
+        WIRE_VERSION_MDS
+    } else {
+        WIRE_VERSION
+    });
     out.extend_from_slice(&(sender as u16).to_le_bytes());
     out.extend_from_slice(&group.bits().to_le_bytes());
-    out.extend_from_slice(&(seg_lens.len() as u16).to_le_bytes());
-    for (t, len) in seg_lens {
-        out.extend_from_slice(&(*t as u16).to_le_bytes());
+    out.extend_from_slice(&(lens.len() as u16).to_le_bytes());
+    for (t, len) in lens {
+        out.extend_from_slice(&(t as u16).to_le_bytes());
         out.extend_from_slice(&len.to_le_bytes());
     }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
 /// Serialized size of a packet with `nseg` segment entries and a
@@ -311,11 +315,14 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
+    /// Sender 0 of {0,1,2}: receiver 1's 6 bytes split 3 + 3 over {0,2},
+    /// receiver 2's 10 split 5 + 5 over {0,1}; sender 0 holds the first
+    /// segment of each, so the payload is 5 bytes.
     fn sample() -> CodedPacket {
         CodedPacket {
             group: NodeSet::from_iter([0usize, 1, 2]),
             sender: 0,
-            seg_lens: vec![(1, 3), (2, 5)],
+            seg_lens: vec![(1, 6), (2, 10)],
             payload: Bytes::from(vec![0xAA, 0xBB, 0xCC, 0xDD, 0xEE]),
             mds: false,
         }
@@ -385,19 +392,32 @@ mod tests {
     }
 
     #[test]
-    fn write_wire_matches_packet_serialization() {
+    fn seg_len_for_lookup() {
         let p = sample();
-        let mut out = Vec::new();
-        CodedPacket::write_wire(p.group, p.sender, &p.seg_lens, &p.payload, &mut out);
-        assert_eq!(out, p.to_bytes());
+        assert_eq!(p.seg_len_for(1), Some(6));
+        assert_eq!(p.seg_len_for(2), Some(10));
+        assert_eq!(p.seg_len_for(0), None);
     }
 
     #[test]
-    fn seg_len_for_lookup() {
-        let p = sample();
-        assert_eq!(p.seg_len_for(1), Some(3));
-        assert_eq!(p.seg_len_for(2), Some(5));
-        assert_eq!(p.seg_len_for(0), None);
+    fn classic_payload_is_the_senders_longest_segment() {
+        // Sender 2 of {0,1,2}: position 1 in both {1,2} and {0,2}. Totals 7
+        // and 4 split 4 + 3 and 2 + 2, so the payload is 3 bytes, not the
+        // 4 of the longest segment anywhere in the group.
+        let group = NodeSet::from_iter([0usize, 1, 2]);
+        assert_eq!(
+            payload_len_of(false, group, 2, [(0, 7), (1, 4)].into_iter()),
+            3
+        );
+        let mut w = Vec::new();
+        write_header(false, group, 2, [(0, 7), (1, 4)].into_iter(), 3, &mut w);
+        w.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(CodedPacket::from_bytes(&w).unwrap().payload.len(), 3);
+        w.clear();
+        write_header(false, group, 2, [(0, 7), (1, 4)].into_iter(), 4, &mut w);
+        w.extend_from_slice(&[1, 2, 3, 4]);
+        let err = CodedPacket::from_bytes(&w).unwrap_err();
+        assert!(err.to_string().contains("expected 3"), "{err}");
     }
 
     #[test]

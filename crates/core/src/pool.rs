@@ -10,14 +10,15 @@
 //! * [`BufPool`] — a thread-safe pool for buffers that cross ownership
 //!   boundaries. The record path leases from one process-wide instance,
 //!   [`global`]: Map's partition buffers, the coded wire frames, the
-//!   [`DecodePipeline`](crate::decode::DecodePipeline)'s accumulators and
-//!   completed intermediates; [`BufPool::freeze`] makes a filled buffer a
+//!   intermediates a [`DecodePipeline`](crate::decode::DecodePipeline)
+//!   decodes into; [`BufPool::freeze`] makes a filled buffer a
 //!   `Bytes` that brings it back when its last view drops, on whichever
-//!   thread, in whichever job.
+//!   thread, in whichever job. The few small buffers a thread returned last
+//!   wait on that thread for its next lease, which then takes no lock.
 //! * [`Scratch`] — a single-owner, grow-only workspace for state confined
-//!   to one loop (encode payloads, radix count/offset tables, key-index
-//!   entry arrays).
+//!   to one loop (radix count/offset tables, key-index entry arrays).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
@@ -26,8 +27,8 @@ use bytes::Bytes;
 
 /// Requests under a page bypass the pool, both ways: glibc serves them from
 /// bins inside pages it already holds, so pooling would buy a lock and nothing
-/// else. (At 16 KiB an 80 000-record job's 5.9 KB segment accumulators, until
-/// now recycled by the decoder itself, cost 0.63× the input afresh per job.)
+/// else. (At 16 KiB an 80 000-record job's 5.9 KB decode buffers cost 0.63×
+/// the input afresh per job.)
 const MIN_POOLED: usize = 4 << 10;
 
 /// A pooled buffer serves requests down to two thirds of its capacity: enough
@@ -37,6 +38,20 @@ const MIN_POOLED: usize = 4 << 10;
 /// took its piece buffers and every such piece then missed.
 const fn max_capacity(request: usize) -> usize {
     request.saturating_add(request / 2)
+}
+
+/// The global pool keeps each thread's last `RECENT_BUFS` returns of at most
+/// `RECENT_MAX` bytes on that thread (newest last; older ones move on to the
+/// shared map) for the thread's next lease they fit: a rank's next frame,
+/// piece or decoded value is the buffer it just let go of, still in its cache
+/// and taken without the shared map's lock — which a rank preempted while
+/// holding it made every other rank wait for. At most 256 KiB a thread, not
+/// counted as retained and not aged by [`tick`](BufPool::tick).
+const RECENT_MAX: usize = 32 << 10;
+const RECENT_BUFS: usize = 8;
+
+thread_local! {
+    static RECENT: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A buffer nobody has taken for this many finished jobs is freed. A caller
@@ -49,7 +64,10 @@ const KEEP_JOBS: u64 = 8;
 /// the same reason: a pool that died with its job would recycle nothing.
 pub fn global() -> &'static BufPool {
     static POOL: OnceLock<BufPool> = OnceLock::new();
-    POOL.get_or_init(BufPool::new)
+    POOL.get_or_init(|| BufPool {
+        recent: true,
+        ..BufPool::default()
+    })
 }
 
 /// A thread-safe pool of reusable byte buffers.
@@ -59,7 +77,8 @@ pub fn global() -> &'static BufPool {
 /// the last drop of a [`freeze`](BufPool::freeze)d view, returns it. Buffers
 /// are plain `Vec<u8>`s: one that never comes back (a caller keeps it, a
 /// quorum straggler pins it) is a leak of *reuse*, never of memory, and the
-/// pool holds only what was leased from it in the last `KEEP_JOBS` jobs.
+/// pool holds only what was leased from it in the last `KEEP_JOBS` jobs —
+/// [`global`]'s, besides, each thread's last few small returns.
 ///
 /// ```
 /// use cts_core::pool::BufPool;
@@ -77,6 +96,9 @@ pub fn global() -> &'static BufPool {
 pub struct BufPool {
     /// Free buffers by `(capacity, generation they came back in, address)`.
     free: Mutex<BTreeMap<(usize, u64, usize), Vec<u8>>>,
+    /// Whether a thread's small returns wait on the thread (`RECENT`): the
+    /// global pool's, whose leases and returns mostly happen on one rank.
+    recent: bool,
     generation: AtomicU64,
     retained: AtomicU64,
     hits: AtomicU64,
@@ -87,7 +109,7 @@ pub struct BufPool {
 /// A pool's counters; prints as the line `cts sort` and `cts stats` show.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Bytes of capacity sitting in the pool.
+    /// Bytes of capacity sitting in the pool's shared map.
     pub retained_bytes: u64,
     /// Leases served from the pool.
     pub hits: u64,
@@ -128,6 +150,19 @@ impl BufPool {
     /// Leases an empty buffer of capacity ≥ `min_capacity`: the smallest
     /// pooled one within `max_capacity`, else a fresh one of exactly that size.
     pub fn get(&self, min_capacity: usize) -> Vec<u8> {
+        let fit =
+            |buf: &Vec<u8>| (min_capacity..=max_capacity(min_capacity)).contains(&buf.capacity());
+        if self.recent && (MIN_POOLED..=RECENT_MAX).contains(&min_capacity) {
+            let recent = RECENT.try_with(|recent| {
+                let mut recent = recent.borrow_mut();
+                let at = recent.iter().rposition(fit)?;
+                Some(recent.remove(at))
+            });
+            if let Ok(Some(buf)) = recent {
+                self.hits.fetch_add(1, Relaxed);
+                return buf;
+            }
+        }
         if min_capacity >= MIN_POOLED {
             let mut free = self.free.lock().expect("BufPool lock");
             let fits = (min_capacity, 0, 0)..=(max_capacity(min_capacity), u64::MAX, usize::MAX);
@@ -148,6 +183,18 @@ impl BufPool {
             return;
         }
         buf.clear();
+        if self.recent && buf.capacity() <= RECENT_MAX {
+            let older = RECENT.try_with(|recent| {
+                let mut recent = recent.borrow_mut();
+                recent.push(std::mem::take(&mut buf));
+                (recent.len() > RECENT_BUFS).then(|| recent.remove(0))
+            });
+            match older {
+                Ok(None) => return,
+                Ok(Some(older)) => buf = older,
+                Err(_) => {} // the thread is ending: to the shared map
+            }
+        }
         let key = (
             buf.capacity(),
             self.generation.load(Relaxed),
@@ -368,6 +415,30 @@ mod tests {
         }
         assert_eq!(pool.stats().misses, 3 * 64);
         assert_eq!(pool.stats().retained_bytes, large + small);
+    }
+
+    #[test]
+    fn a_thread_keeps_its_last_few_small_returns_for_itself() {
+        std::thread::spawn(|| {
+            let pool = global();
+            let buf = pool.get(20 << 10);
+            let at = buf.as_ptr();
+            pool.put(buf);
+            // Back from this thread's own stack, whatever other threads do.
+            let again = pool.get(20 << 10);
+            assert_eq!((again.as_ptr(), again.len()), (at, 0));
+            pool.put(again);
+            for _ in 0..3 * RECENT_BUFS {
+                pool.put(Vec::with_capacity(8 << 10));
+            }
+            assert_eq!(RECENT.with(|r| r.borrow().len()), RECENT_BUFS);
+            // A larger one never waits on the thread.
+            pool.put(Vec::with_capacity(RECENT_MAX + 1));
+            let small = RECENT.with(|r| r.borrow().iter().all(|b| b.capacity() == 8 << 10));
+            assert!(small);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -68,12 +68,6 @@ pub fn segment_for_node(total_len: usize, file: NodeSet, node: NodeId) -> Segmen
     segment_span(total_len, file.len(), position)
 }
 
-/// Slices the segment of `data` addressed to `node` within file set `file`.
-pub fn segment_slice(data: &[u8], file: NodeSet, node: NodeId) -> &[u8] {
-    let span = segment_for_node(data.len(), file, node);
-    &data[span.offset..span.offset + span.len]
-}
-
 /// The maximum segment length when `total_len` bytes are split into `parts`
 /// (`⌈total_len / parts⌉`) — the zero-padded packet payload contribution.
 #[inline]
@@ -132,6 +126,26 @@ pub fn quorum_role(group: NodeSet, target: NodeId, sender: NodeId) -> QuorumRole
         std::cmp::Ordering::Equal => QuorumRole::Parity,
         std::cmp::Ordering::Greater => QuorumRole::Part(index - 1),
     }
+}
+
+/// What `sender` contributes of `target`'s intermediate `I^t_{M\{t}}` in
+/// group `group`, as `(parts, role)`: the intermediate splits into `parts`
+/// spans by [`segment_span`] and the sender's packet folds the role's. Under
+/// the paper's code the role is the segment at the sender's position in
+/// `M\{t}` (`parts = r`, eq. (7)); under the quorum code it is
+/// [`quorum_role`] (`parts = s`).
+///
+/// # Panics
+/// Panics if `target` or `sender` is not in `group`, or they are equal.
+pub fn share(group: NodeSet, target: NodeId, sender: NodeId, quorum: bool) -> (usize, QuorumRole) {
+    if quorum {
+        return (mds_parts(group.len()), quorum_role(group, target, sender));
+    }
+    let file = group.without(target);
+    let position = file
+        .position_of(sender)
+        .unwrap_or_else(|| panic!("sender {sender} not in {file}"));
+    (file.len(), QuorumRole::Part(position))
 }
 
 #[cfg(test)]
@@ -197,19 +211,6 @@ mod tests {
     #[should_panic(expected = "not in file set")]
     fn segment_for_node_rejects_non_member() {
         segment_for_node(10, NodeSet::from_iter([1usize, 2]), 0);
-    }
-
-    #[test]
-    fn segment_slice_matches_manual_split() {
-        let data: Vec<u8> = (0..23u8).collect();
-        let file = NodeSet::from_iter([0usize, 3, 9]);
-        let a = segment_slice(&data, file, 0);
-        let b = segment_slice(&data, file, 3);
-        let c = segment_slice(&data, file, 9);
-        let mut rejoined = a.to_vec();
-        rejoined.extend_from_slice(b);
-        rejoined.extend_from_slice(c);
-        assert_eq!(rejoined, data);
     }
 
     #[test]

@@ -5,26 +5,34 @@
 //! magic and version, a valid frame cut at any length, or a valid frame with
 //! one byte changed — the reader returns `Ok` or `Err(MalformedPacket)` and
 //! never panics. It returns `Ok` only for a whole frame: a sender inside its
-//! group, one segment length per other member, and a payload exactly as long
-//! as those lengths imply, with nothing trailing it.
+//! group, one whole-intermediate length per other member, and a payload
+//! exactly as long as those lengths imply, with nothing trailing it. Both
+//! versions carry whole lengths; what they imply differs by version.
 
 use bytes::Bytes;
 use cts_core::error::CodedError;
 use cts_core::packet::{wire_len_for, CodedPacket, WIRE_MAGIC, WIRE_VERSION, WIRE_VERSION_MDS};
-use cts_core::segment::mds_parts;
+use cts_core::segment::{mds_parts, segment_span};
 use cts_core::subset::NodeSet;
 use proptest::prelude::*;
 
-/// The payload length a parsed header implies: the longest segment of a
-/// classic packet; of a quorum packet, the longest of each target's total cut
-/// into `mds_parts` equal parts, rounded up.
+/// The payload length a parsed header implies. A classic packet carries,
+/// per target, the segment at the sender's position of the target's whole
+/// value cut into `r` (paper eq. (7)): the longest of those. A quorum packet
+/// carries each target's total cut into `mds_parts` equal parts, rounded up:
+/// the longest of those.
 fn implied_payload(packet: &CodedPacket) -> usize {
-    let lens = packet.seg_lens.iter().map(|&(_, len)| len as usize);
+    let (group, sender) = (packet.group, packet.sender);
+    let lens = packet.seg_lens.iter().map(|&(t, len)| (t, len as usize));
     if packet.mds {
-        let parts = mds_parts(packet.group.len());
-        lens.map(|len| len.div_ceil(parts)).max().unwrap_or(0)
+        let parts = mds_parts(group.len());
+        lens.map(|(_, len)| len.div_ceil(parts)).max().unwrap_or(0)
     } else {
-        lens.max().unwrap_or(0)
+        let segment = |(t, len)| {
+            let file = group.without(t);
+            segment_span(len, file.len(), file.position_of(sender).unwrap()).len
+        };
+        lens.map(segment).max().unwrap_or(0)
     }
 }
 
@@ -54,7 +62,7 @@ const RANKS: u64 = 0x0f0f_0000_00f0_0f00;
 
 /// A valid packet: a group of the `members` bits within [`RANKS`] (at least
 /// one member), sent by the member `pick` selects, each other member's
-/// segment a length drawn from `lens`, the payload filled from `fill`.
+/// whole length drawn from `lens`, the payload filled from `fill`.
 fn valid_packet(mds: bool, members: u64, pick: usize, lens: &[u32], fill: u8) -> CodedPacket {
     let group = NodeSet::from_bits((members & RANKS).max(1));
     let ranks = group.to_vec();
@@ -117,7 +125,7 @@ proptest! {
         mds in any::<bool>(),
         members in any::<u64>(),
         pick in 0usize..64,
-        lens in collection::vec(0u32..200, 1..8),
+        lens in collection::vec(0u32..600, 1..8),
         fill in any::<u8>(),
     ) {
         let packet = valid_packet(mds, members, pick, &lens, fill);
@@ -139,7 +147,7 @@ proptest! {
         mds in any::<bool>(),
         members in any::<u64>(),
         pick in 0usize..64,
-        lens in collection::vec(0u32..200, 1..8),
+        lens in collection::vec(0u32..600, 1..8),
         fill in any::<u8>(),
         flip in 1u8..=255,
     ) {
@@ -149,5 +157,31 @@ proptest! {
             mutated[at] ^= flip;
             check(&mutated)?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A classic frame whose payload is as long as the longest segment in
+    /// the group rather than the sender's own (what a header of segment
+    /// lengths would have implied) parses only where the two agree.
+    #[test]
+    fn a_classic_payload_follows_the_senders_positions(
+        members in any::<u64>(),
+        pick in 0usize..64,
+        lens in collection::vec(0u32..600, 1..8),
+        fill in any::<u8>(),
+    ) {
+        let packet = valid_packet(false, members, pick, &lens, fill);
+        let parts = packet.group.len().saturating_sub(1).max(1);
+        let longest = (packet.seg_lens.iter())
+            .map(|&(_, len)| (len as usize).div_ceil(parts))
+            .max()
+            .unwrap_or(0);
+        let mut other = packet.clone();
+        other.payload = Bytes::from(vec![fill; longest]);
+        let parsed = check(&other.to_bytes())?;
+        prop_assert_eq!(parsed.is_some(), longest == packet.payload.len());
     }
 }

@@ -5,7 +5,7 @@ use cts_core::combinatorics::{binomial, colex_rank, colex_unrank, Combinations};
 use cts_core::decode::DecodePipeline;
 use cts_core::encode::Encoder;
 use cts_core::intermediate::MapOutputStore;
-use cts_core::packet::CodedPacket;
+use cts_core::packet::{payload_len_of, CodedPacket};
 use cts_core::placement::PlacementPlan;
 use cts_core::segment::{max_segment_len, segment_span};
 use cts_core::subset::NodeSet;
@@ -81,18 +81,15 @@ proptest! {
         let group = NodeSet::from_bits(group_bits);
         prop_assume!(group.len() >= 2);
         let sender = group.min().unwrap();
-        let others: Vec<_> = group.iter().filter(|&n| n != sender).collect();
-        // Lengths: last one is the payload length (the longest), rest shorter.
-        let mut seg_lens: Vec<(usize, u32)> = others
-            .iter()
+        // Whole lengths around r × the payload, so the sender's segments are
+        // about as long as it.
+        let r = group.len() - 1;
+        let seg_lens: Vec<(usize, u32)> = (group.iter().filter(|&n| n != sender))
             .enumerate()
-            .map(|(i, &t)| (t, (payload.len().saturating_sub(i)) as u32))
+            .map(|(i, t)| (t, (payload.len() * r).saturating_sub(i) as u32))
             .collect();
-        seg_lens.sort_by_key(|(t, _)| *t);
-        // Ensure at least one segment claims the full payload length.
-        if let Some(first) = seg_lens.first_mut() {
-            first.1 = payload.len() as u32;
-        }
+        let len = payload_len_of(false, group, sender, seg_lens.iter().copied());
+        let payload: Vec<u8> = payload.iter().copied().cycle().take(len).collect();
         let pkt = CodedPacket { group, sender, seg_lens, payload: payload.into(), mds: false };
         let rt = CodedPacket::from_bytes(&pkt.to_bytes()).unwrap();
         prop_assert_eq!(pkt, rt);

@@ -27,14 +27,14 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use cts_core::decode::{DecodeMode, DecodePipeline};
-use cts_core::encode::{EncodeScratch, Encoder};
+use cts_core::encode::Encoder;
 use cts_core::groups::{MulticastGroups, PodGroups};
 use cts_core::intermediate::MapOutputStore;
 use cts_core::metrics::Counter;
-use cts_core::packet::{wire_len_for, CodedPacket};
+use cts_core::packet::CodedPacket;
 use cts_core::placement::{FileId, PlacementPlan};
 use cts_core::pool;
-use cts_core::segment::mds_parts;
+use cts_core::segment::segment_for_node;
 use cts_core::subset::NodeSet;
 use cts_net::cluster::{JobBinding, SharedFabric};
 use cts_net::fault::CrashPoint;
@@ -381,42 +381,20 @@ struct Encode {
     /// Quorum decode: send the single-parity quorum packets, any `r − 1`
     /// of a group's `r` of which decode.
     mds: bool,
-    r: usize,
-    local: usize,
 }
 
 impl Encode {
-    /// Encodes `group`'s packet into a wire frame written once, at its
-    /// final size, into the leased buffer that travels (`scratch` keeps the
-    /// loop otherwise allocation-free). The wire bytes split into a *scalable*
-    /// part (the mean segment length — the quantity that grows linearly
+    /// Encodes `group`'s packet straight into the leased frame that travels,
+    /// written once at its final size. The wire bytes split into a
+    /// *scalable* part (the mean share — the quantity that grows linearly
     /// with input size) and an *overhead* part (the fixed header plus
     /// zero-padding, a small-scale artifact: at paper scale segments are
     /// megabytes and max ≈ mean), which is returned with the frame. The
     /// model scales only the scalable part.
-    fn packet(
-        &self,
-        group: &Group,
-        store: &MapOutputStore,
-        scratch: &mut EncodeScratch,
-    ) -> Result<(Bytes, u64)> {
-        let (m, r) = (group.members, self.r as u64);
-        let scalable = if self.mds {
-            self.encoder.encode_group_mds_into(m, store, scratch)?;
-            // Quorum payloads are ≈ total/s (seg_lens carry the r whole
-            // reconstruction lengths, each split into s parts).
-            scratch.seg_len_sum() / (r * mds_parts(self.r + 1) as u64)
-        } else {
-            self.encoder.encode_group_into(m, store, scratch)?;
-            scratch.seg_len_sum() / r
-        };
-        let (lens, payload) = (&scratch.seg_lens, &scratch.payload);
-        let mut frame = pool::global().get(wire_len_for(lens.len(), payload.len()));
-        if self.mds {
-            CodedPacket::write_wire_mds(m, self.local, lens, payload, &mut frame);
-        } else {
-            CodedPacket::write_wire(m, self.local, lens, payload, &mut frame);
-        }
+    fn packet(&self, group: &Group, store: &MapOutputStore) -> Result<(Bytes, u64)> {
+        let lease = |len| pool::global().get(len);
+        let (frame, scalable) =
+            (self.encoder).encode_frame(group.members, store, self.mds, lease)?;
         let overhead = frame.len() as u64 - scalable.min(frame.len() as u64);
         Ok((pool::global().freeze(frame), overhead))
     }
@@ -438,15 +416,21 @@ struct Decode<'a> {
 }
 
 impl Decode<'_> {
-    /// Decodes one packet the moment it is taken — a slice of Decode inside
-    /// the Shuffle. A packet that completes its group yields the group's
-    /// intermediate, keyed by pod-local file.
-    fn packet(&mut self, raw: &Bytes, stats: &mut NodeStats) -> Result<Option<(NodeSet, Vec<u8>)>> {
+    /// Decodes one packet of the rank's `group`-th group the moment it is
+    /// taken — a slice of Decode inside the Shuffle — in place, into the
+    /// group's value. A packet that completes its group yields that value,
+    /// keyed by pod-local file.
+    fn packet(
+        &mut self,
+        group: usize,
+        raw: &Bytes,
+        stats: &mut NodeStats,
+    ) -> Result<Option<(NodeSet, Vec<u8>)>> {
         self.comm.set_stage(stages::UNPACK_DECODE);
         stats.recv_bytes += raw.len() as u64;
         self.shell.read_wire(raw)?;
         stats.decode_work_bytes += decode_work(&self.shell);
-        let done = self.pipeline.accept(&self.shell, self.store)?;
+        let done = self.pipeline.accept_at(group, &self.shell, self.store)?;
         self.progress.inc();
         self.recovered += usize::from(done.is_some());
         self.comm.set_stage(stages::SHUFFLE);
@@ -476,9 +460,14 @@ impl Reduce<'_> {
 
 /// Decode work: XOR `r-1` known segments against the payload plus the
 /// final merge — `r × payload` touched bytes, which at scale is the sum of
-/// the packet's true segment lengths.
+/// the packet's true segment lengths (of a quorum packet, of its whole
+/// lengths).
 fn decode_work(packet: &CodedPacket) -> u64 {
-    packet.seg_lens.iter().map(|(_, l)| u64::from(*l)).sum()
+    let share = |&(t, total): &(usize, u32)| match packet.mds {
+        true => total as usize,
+        false => segment_for_node(total as usize, packet.group.without(t), packet.sender).len,
+    };
+    packet.seg_lens.iter().map(share).sum::<usize>() as u64
 }
 
 fn node_main<W: Workload>(
@@ -547,10 +536,7 @@ fn node_main<W: Workload>(
     let encode = Encode {
         encoder: Encoder::new(g, r, local).expect("validated by driver"),
         mds: cfg.decode == DecodeMode::Quorum,
-        r,
-        local,
     };
-    let mut scratch = EncodeScratch::new();
     // Group packets posted so far: `my_groups[..sent]`.
     let mut sent = 0;
     for (fid, data) in &my_files {
@@ -596,7 +582,7 @@ fn node_main<W: Workload>(
         comm.set_stage(stages::PACK_ENCODE);
         let ready = &my_groups[sent..sent + ready];
         let packets: Vec<Result<(Bytes, u64)>> = (ready.iter())
-            .map(|group| encode.packet(group, &store, &mut scratch))
+            .map(|group| encode.packet(group, &store))
             .collect();
         rank.crashed_at(CrashPoint::MidEncode)?;
         // Over the configured [`ShuffleFabric`](cts_net::fabric::ShuffleFabric),
@@ -659,13 +645,12 @@ fn node_main<W: Workload>(
 
     // ---- Unpack / Decode: what is left of it -------------------------------
     comm.set_stage(stages::UNPACK_DECODE);
-    if decode.pipeline.in_flight() != 0 || decode.recovered != my_groups.len() {
+    if decode.recovered != my_groups.len() {
         return Err(EngineError::Protocol {
             what: format!(
-                "node {me}: recovered {}/{} intermediates with {} incomplete",
+                "node {me}: recovered {}/{} intermediates",
                 decode.recovered,
                 my_groups.len(),
-                decode.pipeline.in_flight()
             ),
         });
     }
@@ -786,7 +771,7 @@ fn shuffle_receive(
         if done[g] {
             continue;
         }
-        if let Some((file, piece)) = decode.packet(&message, &mut rank.stats)? {
+        if let Some((file, piece)) = decode.packet(g, &message, &mut rank.stats)? {
             let file = rank.layout.globalize(file, me);
             reduce.absorb(file, pool::global().freeze(piece), &mut rank.stats);
             done[g] = true;

@@ -68,8 +68,10 @@ struct StageClock {
     /// Index into `spans` of the stage the thread is in, and since when
     /// (ns on the fabric's clock).
     open: Option<(usize, u64)>,
-    /// First-entry order. The flag: the rank posted to its NIC in the stage.
-    spans: Vec<(StageSpan, bool)>,
+    /// First-entry order, each under its name: a switch to a stage the
+    /// rank has been in is resolved here, on the rank's own state. The flag:
+    /// the rank posted to its NIC in the stage.
+    spans: Vec<(StageSpan, bool, &'static str)>,
 }
 
 impl StageClock {
@@ -189,30 +191,30 @@ impl Communicator {
     /// the stage the thread was in, the time from now to `name`. A stage
     /// may be entered any number of times; its slices coalesce into one
     /// [`StageSpan`] — the engine's stage annotations double as the timing
-    /// brackets behind `cts stats` and `--timeline`. Takes no lock a rank
-    /// of another job can hold.
-    pub fn set_stage(&self, name: &str) {
+    /// brackets behind `cts stats` and `--timeline`. The rank keeps each
+    /// stage it enters under its (static) name: only its first entry to a
+    /// stage asks the job's journal for the stage's index, and every later
+    /// switch costs one clock read and a search of the rank's own stages.
+    pub fn set_stage(&self, name: &'static str) {
         let journal = &self.scope.journal;
-        let (stage, now) = (journal.stage(name), journal.now_ns());
-        self.stage.store(stage, Ordering::Relaxed);
+        let now = journal.now_ns();
         let mut clock = self.clock.lock();
         clock.close(now);
-        let at = clock
-            .spans
-            .iter()
-            .position(|(span, _)| span.stage == stage)
+        let at = (clock.spans.iter())
+            .position(|&(_, _, stage)| stage == name)
             .unwrap_or_else(|| {
                 let span = StageSpan {
                     job: journal.job(),
                     rank: self.transport.rank() as u16,
-                    stage,
+                    stage: journal.stage(name),
                     start_ns: now,
                     end_ns: now,
                     wall_ns: 0,
                 };
-                clock.spans.push((span, false));
+                clock.spans.push((span, false, name));
                 clock.spans.len() - 1
             });
+        self.stage.store(clock.spans[at].0.stage, Ordering::Relaxed);
         clock.open = Some((at, now));
     }
 
@@ -223,7 +225,7 @@ impl Communicator {
         let journal = &self.scope.journal;
         let mut clock = self.clock.lock();
         clock.close(journal.now_ns());
-        journal.record_spans(clock.spans.drain(..).map(|(mut span, posted)| {
+        journal.record_spans(clock.spans.drain(..).map(|(mut span, posted, _)| {
             if posted {
                 span.wall_ns = span.dur_ns();
             }

@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::span::{SpanLog, StageSpan};
 use crate::trace::{intern, Trace, TraceEvent};
@@ -24,7 +24,9 @@ pub(crate) struct Journal {
     /// spans on one timebase.
     origin: Instant,
     /// Indexed by [`TraceEvent::stage`] and [`StageSpan::stage`] alike.
-    stages: RwLock<Vec<String>>,
+    /// Locked once per rank and stage: a rank resolves the stages it has
+    /// entered itself.
+    stages: Mutex<Vec<String>>,
     events: Mutex<Vec<TraceEvent>>,
     spans: Mutex<Vec<StageSpan>>,
 }
@@ -37,7 +39,7 @@ impl Journal {
         Journal {
             job,
             origin,
-            stages: RwLock::new(vec!["init".to_string()]),
+            stages: Mutex::new(vec!["init".to_string()]),
             events: Mutex::new(Vec::new()),
             spans: Mutex::new(Vec::new()),
         }
@@ -52,13 +54,9 @@ impl Journal {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    /// The job's index for stage `name`. Ranks name the same few stages over
-    /// and over: all but each name's first caller share the read lock.
+    /// The job's index for stage `name`, interned on first use.
     pub(crate) fn stage(&self, name: &str) -> u16 {
-        if let Some(at) = self.stages.read().iter().position(|n| n == name) {
-            return at as u16;
-        }
-        intern(&mut self.stages.write(), name)
+        intern(&mut self.stages.lock(), name)
     }
 
     /// Appends one transfer, stamped with the job and its place in the log.
@@ -76,7 +74,7 @@ impl Journal {
 
     /// Moves out everything recorded so far.
     pub(crate) fn take(&self) -> (Trace, SpanLog) {
-        let names = self.stages.read().clone();
+        let names = self.stages.lock().clone();
         let events = std::mem::take(&mut *self.events.lock());
         let spans = std::mem::take(&mut *self.spans.lock());
         let trace = Trace {

@@ -531,6 +531,13 @@ fn cmd_model(opts: &Flags) -> Result<(), String> {
     let r: usize = req(opts, "r")?;
     let records: usize = opt(opts, "records", 120_000)?;
     let target_gb: f64 = opt(opts, "target-gb", 12.0)?;
+    if records == 0 {
+        return Err("--records 0: there is nothing to model".into());
+    }
+    // The shape the engine would refuse, refused in its words before a run.
+    EngineConfig::local(k, r)
+        .check()
+        .map_err(|e| e.to_string())?;
     let exp = Experiment {
         k,
         records,
@@ -558,6 +565,9 @@ const THEORY_FLAGS: &[&str] = &["k", "tmap", "tshuffle", "treduce"];
 
 fn cmd_theory(opts: &Flags) -> Result<(), String> {
     let k: usize = req(opts, "k")?;
+    if k == 0 {
+        return Err("--k 0: a cluster has at least one node".into());
+    }
     println!("communication loads at K = {k}:");
     println!("{:>3} {:>12} {:>12}", "r", "uncoded", "CMR");
     for r in 1..=k {

@@ -1,28 +1,32 @@
 //! Steady-state allocation audit of the compute-plane hot loop.
 //!
-//! A counting global allocator wraps `System`; after one warm-up round
-//! trip (which sizes every grow-only buffer), the full
-//! encode → pack → unpack → decode kernel must perform **zero** heap
-//! allocations per iteration:
+//! A counting global allocator wraps `System`. After one warm-up pass (which
+//! sizes every grow-only buffer and leaves the decoded values' pages in the
+//! pool), the loop a rank runs per packet must perform **zero** heap
+//! allocations, a group's last packet included:
 //!
-//! * encode: [`Encoder::encode_group_into`] into a warm `EncodeScratch`;
-//! * pack:   [`CodedPacket::write_wire`] into a reused wire buffer;
+//! * encode: [`Encoder::encode_frame`] — header and XOR fold written into
+//!   the frame the sender posts (here a warm one handed back each time);
 //! * unpack: [`CodedPacket::read_wire`] — zero-copy payload borrow plus a
 //!   reused header vector;
-//! * decode: [`Decoder::decode_packet_into`] into a warm accumulator.
+//! * decode: [`DecodePipeline::accept_at`] — the share decoded in place into
+//!   its group's value, leased from the pool at the group's first packet and
+//!   handed out whole at its last.
 //!
-//! The quorum code's encode → pack → unpack (wire v2) is audited the same
-//! way.
+//! The quorum code's loop (wire v2, any `r − 1` of a group's `r` packets) is
+//! audited the same way.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
-use cts_core::decode::Decoder;
-use cts_core::encode::{EncodeScratch, Encoder};
+use cts_core::decode::{DecodeMode, DecodePipeline};
+use cts_core::encode::Encoder;
+use cts_core::groups::MulticastGroups;
 use cts_core::intermediate::MapOutputStore;
 use cts_core::packet::CodedPacket;
 use cts_core::placement::PlacementPlan;
+use cts_core::pool;
 use cts_core::subset::NodeSet;
 
 /// Allocation counter (counts `alloc`, `alloc_zeroed`, and growth via
@@ -72,6 +76,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Byte `i` of the intermediate `I^t_file`.
+fn byte(t: usize, file: NodeSet, i: usize) -> u8 {
+    (t * 41 + i * 7 + file.bits() as usize) as u8
+}
+
 /// Keep-rule store for one node of a `(k, r)` deployment.
 fn store_for(k: usize, r: usize, node: usize, value_len: usize) -> MapOutputStore {
     let plan = PlacementPlan::new(k, r).unwrap();
@@ -80,9 +89,7 @@ fn store_for(k: usize, r: usize, node: usize, value_len: usize) -> MapOutputStor
         let file = plan.nodes_of_file(fid);
         for t in 0..k {
             if plan.keeps_intermediate(node, file, t) {
-                let data: Vec<u8> = (0..value_len)
-                    .map(|i| (t * 41 + i * 7 + file.bits() as usize) as u8)
-                    .collect();
+                let data: Vec<u8> = (0..value_len).map(|i| byte(t, file, i)).collect();
                 store.insert(t, file, Bytes::from(data));
             }
         }
@@ -109,153 +116,139 @@ fn empty_and_shared_bytes_allocate_nothing() {
     assert_eq!(allocs() - before, 0);
 }
 
-#[test]
-fn warm_round_trip_allocates_nothing() {
-    let (k, r, value_len) = (6usize, 3usize, 4096usize);
-    let sender = 0usize;
-    let receiver = 1usize;
-    let tx_store = store_for(k, r, sender, value_len);
-    let rx_store = store_for(k, r, receiver, value_len);
-    let encoder = Encoder::new(k, r, sender).unwrap();
-    let decoder = Decoder::new(k, r, receiver).unwrap();
-    // A group containing both endpoints.
-    let m: NodeSet = encoder
-        .groups()
-        .groups_of_node(sender)
-        .map(|(_, m)| m)
-        .find(|m| m.contains(receiver))
-        .expect("shared group");
-
-    let mut scratch = EncodeScratch::new();
-    let mut wire: Vec<u8> = Vec::new();
-    let mut shell = CodedPacket::empty();
-    let mut acc: Vec<u8> = Vec::new();
-
-    // Warm-up: size every grow-only buffer, and freeze one wire frame (the
-    // loop re-encodes the same group, so content is identical; receiving
-    // from a fabric would hand us a `Bytes` frame exactly like this one).
-    encoder
-        .encode_group_into(m, &tx_store, &mut scratch)
-        .unwrap();
-    wire.clear();
-    CodedPacket::write_wire(m, sender, &scratch.seg_lens, &scratch.payload, &mut wire);
-    let frame = Bytes::from(wire.clone());
-    shell.read_wire(&frame).unwrap();
-    decoder
-        .decode_packet_into(&shell, &rx_store, &mut acc)
-        .unwrap();
-    let warm_payload = scratch.payload.clone();
-    let warm_segment = acc.clone();
-    assert!(!warm_segment.is_empty(), "decode must recover bytes");
-
-    // Measured steady state: the full round trip, many times, zero allocs.
-    let before = allocs();
-    for _ in 0..100 {
-        encoder
-            .encode_group_into(m, &tx_store, &mut scratch)
-            .unwrap();
-        wire.clear();
-        CodedPacket::write_wire(m, sender, &scratch.seg_lens, &scratch.payload, &mut wire);
-        shell.read_wire(&frame).unwrap();
-        decoder
-            .decode_packet_into(&shell, &rx_store, &mut acc)
-            .unwrap();
-    }
-    let allocs = allocs() - before;
-    assert_eq!(
-        allocs, 0,
-        "warm encode→pack→unpack→decode round trip performed {allocs} heap allocations"
-    );
-
-    // And it still computes the right thing.
-    assert_eq!(scratch.payload, warm_payload);
-    assert_eq!(acc, warm_segment);
-    assert_eq!(wire, &frame[..]);
+/// Every packet `NODE` receives in a K = 6, r = 3 job, group by group in the
+/// order a rank takes them, with what each sender needs to encode it again.
+struct Job {
+    quorum: bool,
+    stores: Vec<MapOutputStore>,
+    encoders: Vec<Encoder>,
+    groups: Vec<NodeSet>,
+    /// `(group index, sender, frame)`.
+    packets: Vec<(usize, usize, Bytes)>,
+    value_len: usize,
 }
 
-/// The same steady-state audit on the quorum code: a warm single-parity
-/// encode → pack (wire v2) → unpack round trip works entirely in the
-/// caller's buffers, parity senders and part senders alike, so it must
-/// stay at zero heap allocations.
-#[test]
-fn warm_quorum_round_trip_allocates_nothing() {
-    let (k, r, value_len) = (6usize, 3usize, 4096usize);
-    let sender = 0usize;
-    let tx_store = store_for(k, r, sender, value_len);
-    let encoder = Encoder::new(k, r, sender).unwrap();
-    let groups: Vec<NodeSet> = encoder
-        .groups()
-        .groups_of_node(sender)
-        .map(|(_, m)| m)
-        .collect();
+const NODE: usize = 1;
 
-    let mut scratch = EncodeScratch::new();
-    let mut wire: Vec<u8> = Vec::new();
-    let mut shell = CodedPacket::empty();
-    // Warm-up: every buffer grows to its largest group once, and each
-    // group's frame is kept for the measured unpacks.
-    let frames: Vec<Bytes> = groups
-        .iter()
-        .map(|&m| {
-            encoder
-                .encode_group_mds_into(m, &tx_store, &mut scratch)
-                .unwrap();
-            wire.clear();
-            CodedPacket::write_wire_mds(m, sender, &scratch.seg_lens, &scratch.payload, &mut wire);
-            let frame = Bytes::from(wire.clone());
-            shell.read_wire(&frame).unwrap();
-            assert!(
-                shell.mds && !shell.payload.is_empty(),
-                "a v2 packet with bytes"
-            );
-            frame
-        })
-        .collect();
-
-    let before = allocs();
-    let mut same = true;
-    for _ in 0..100 {
-        for (&m, frame) in groups.iter().zip(&frames) {
-            encoder
-                .encode_group_mds_into(m, &tx_store, &mut scratch)
-                .unwrap();
-            wire.clear();
-            CodedPacket::write_wire_mds(m, sender, &scratch.seg_lens, &scratch.payload, &mut wire);
-            shell.read_wire(frame).unwrap();
-            same &= wire[..] == frame[..] && shell.group == m;
+impl Job {
+    fn new(quorum: bool, value_len: usize) -> Job {
+        let (k, r) = (6, 3);
+        let stores: Vec<MapOutputStore> = (0..k).map(|n| store_for(k, r, n, value_len)).collect();
+        let encoders: Vec<Encoder> = (0..k).map(|n| Encoder::new(k, r, n).unwrap()).collect();
+        let groups: Vec<NodeSet> = (MulticastGroups::new(k, r).unwrap().groups_of_node(NODE))
+            .map(|(_, m)| m)
+            .collect();
+        let mut packets = Vec::new();
+        for (g, m) in groups.iter().enumerate() {
+            for u in m.iter().filter(|&u| u != NODE) {
+                let encode = encoders[u].encode_frame(*m, &stores[u], quorum, Vec::with_capacity);
+                packets.push((g, u, Bytes::from(encode.unwrap().0)));
+            }
+        }
+        Job {
+            quorum,
+            stores,
+            encoders,
+            groups,
+            packets,
+            value_len,
         }
     }
-    let allocs = allocs() - before;
-    assert_eq!(
-        allocs, 0,
-        "warm quorum encode→pack→unpack round trip performed {allocs} heap allocations"
-    );
-    assert!(same, "a warm encode changed a packet's bytes");
+
+    fn pipeline(&self) -> DecodePipeline {
+        let mode = [DecodeMode::All, DecodeMode::Quorum][usize::from(self.quorum)];
+        DecodePipeline::new(6, 3, NODE).unwrap().with_decode(mode)
+    }
+
+    /// One pass of the per-packet loop over every packet: each sender's
+    /// frame encoded again into `frame`, the received copy parsed into
+    /// `shell` and decoded into `pipeline`, a released value checked and
+    /// given back to the pool; `tick` after each packet. Returns whether every
+    /// encode matched its frame and every value its intermediate, and how
+    /// many groups released.
+    fn pass(
+        &self,
+        pipeline: &mut DecodePipeline,
+        frame: &mut Vec<u8>,
+        shell: &mut CodedPacket,
+        mut tick: impl FnMut(u64),
+    ) -> (bool, usize) {
+        let (mut same, mut released) = (true, 0);
+        for (i, (g, u, wire)) in self.packets.iter().enumerate() {
+            let lease = |_| std::mem::take(frame);
+            let (m, store) = (self.groups[*g], &self.stores[*u]);
+            let (again, _) = self.encoders[*u]
+                .encode_frame(m, store, self.quorum, lease)
+                .unwrap();
+            same &= again[..] == wire[..];
+            *frame = again;
+            frame.clear();
+            shell.read_wire(wire).unwrap();
+            if let Some((file, value)) = pipeline.accept_at(*g, shell, &self.stores[NODE]).unwrap()
+            {
+                same &= value.len() == self.value_len;
+                same &= value
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &b)| b == byte(NODE, file, i));
+                pool::global().put(value);
+                released += 1;
+            }
+            tick(i as u64);
+        }
+        (same, released)
+    }
+
+    /// Allocations of a measured pass, after a warm-up pass.
+    fn warm_allocations(&self, tick: impl FnMut(u64)) -> u64 {
+        let (mut frame, mut shell) = (Vec::new(), CodedPacket::empty());
+        let (same, released) = self.pass(&mut self.pipeline(), &mut frame, &mut shell, |_| {});
+        assert!(same && released == self.groups.len(), "warm-up pass");
+        // A job's table of groups is built before its first packet.
+        let mut pipeline = self.pipeline();
+        let before = allocs();
+        let (same, released) = self.pass(&mut pipeline, &mut frame, &mut shell, tick);
+        let allocs = allocs() - before;
+        assert!(same, "a warm pass changed a frame or a value");
+        assert_eq!(released, self.groups.len());
+        assert_eq!(pipeline.in_flight(), 0);
+        allocs
+    }
 }
 
-/// The observability plane on the same warm round trip: metric
-/// instruments tick every iteration the way the engines tick them, and a
-/// rank's stage clock moves between stages it has entered before — all
-/// still at zero heap allocations. Instrument registration and a stage's
-/// first entry pay their allocations once, up front; the steady state is
-/// free, which is what lets the daemon keep them on by default.
+/// Every group's packets, the last that completes it included: encoded into
+/// a warm frame, parsed and decoded in place at zero heap allocations. (Each
+/// test decodes values of its own size: the pool serves a request from
+/// buffers up to 1.5× it, so the parallel tests never take each other's.)
+#[test]
+fn warm_round_trip_allocates_nothing() {
+    let allocs = Job::new(false, 16 << 10).warm_allocations(|_| {});
+    assert_eq!(
+        allocs, 0,
+        "warm encode → unpack → decode-in-place loop performed {allocs} heap allocations"
+    );
+}
+
+/// The same steady-state audit on the quorum code: parity senders and part
+/// senders alike, and the late packet of each group after it released.
+#[test]
+fn warm_quorum_round_trip_allocates_nothing() {
+    let allocs = Job::new(true, 64 << 10).warm_allocations(|_| {});
+    assert_eq!(
+        allocs, 0,
+        "warm quorum encode → unpack → decode-in-place loop performed {allocs} heap allocations"
+    );
+}
+
+/// The observability plane on the same warm loop: metric instruments tick
+/// every packet the way the engines tick them, and a rank's stage clock
+/// moves between stages it has entered before — all still at zero heap
+/// allocations. Instrument registration and a stage's first entry pay their
+/// allocations once, up front; the steady state is free, which is what lets
+/// the daemon keep them on by default.
 #[test]
 fn warm_metrics_enabled_round_trip_allocates_nothing() {
     use cts_core::metrics::MetricsHub;
-
-    let (k, r, value_len) = (6usize, 3usize, 4096usize);
-    let sender = 0usize;
-    let receiver = 1usize;
-    let tx_store = store_for(k, r, sender, value_len);
-    let rx_store = store_for(k, r, receiver, value_len);
-    let encoder = Encoder::new(k, r, sender).unwrap();
-    let decoder = Decoder::new(k, r, receiver).unwrap();
-    let m: NodeSet = encoder
-        .groups()
-        .groups_of_node(sender)
-        .map(|(_, m)| m)
-        .find(|m| m.contains(receiver))
-        .expect("shared group");
 
     // The instruments the engines touch per packet / per stage, created
     // (and their one-time registration allocations paid) before the
@@ -265,60 +258,34 @@ fn warm_metrics_enabled_round_trip_allocates_nothing() {
     let depth = hub.gauge("cts_admission_queue_depth");
     let shuffle_ns = hub.histogram_with("cts_stage_seconds", "stage", "Shuffle", 1e-9);
 
-    let mut scratch = EncodeScratch::new();
-    let mut wire: Vec<u8> = Vec::new();
-    let mut shell = CodedPacket::empty();
-    let mut acc: Vec<u8> = Vec::new();
-
-    // Warm-up: size the coding buffers.
-    encoder
-        .encode_group_into(m, &tx_store, &mut scratch)
-        .unwrap();
-    wire.clear();
-    CodedPacket::write_wire(m, sender, &scratch.seg_lens, &scratch.payload, &mut wire);
-    let frame = Bytes::from(wire.clone());
-    shell.read_wire(&frame).unwrap();
-    decoder
-        .decode_packet_into(&shell, &rx_store, &mut acc)
-        .unwrap();
-    let warm_segment = acc.clone();
-    assert!(!warm_segment.is_empty(), "decode must recover bytes");
-
-    // The engine moves a rank's stage clock twice per decoded packet.
+    // The engine moves a rank's stage clock twice per decoded packet and
+    // twice per absorbed piece.
     let run = cts_net::cluster::run_spmd(&cts_net::cluster::ClusterConfig::local(1), |comm| {
-        comm.set_stage("Shuffle");
-        comm.set_stage("UnpackDecode");
+        for stage in ["Shuffle", "UnpackDecode", "Reduce"] {
+            comm.set_stage(stage);
+        }
         let before = allocs();
         for _ in 0..100 {
-            comm.set_stage("Shuffle");
             comm.set_stage("UnpackDecode");
+            comm.set_stage("Shuffle");
+            comm.set_stage("Reduce");
+            comm.set_stage("Shuffle");
         }
         allocs() - before
     });
     assert_eq!(run.unwrap().results, vec![0], "warm set_stage allocated");
 
-    let before = allocs();
-    for i in 0..100u64 {
-        encoder
-            .encode_group_into(m, &tx_store, &mut scratch)
-            .unwrap();
-        wire.clear();
-        CodedPacket::write_wire(m, sender, &scratch.seg_lens, &scratch.payload, &mut wire);
-        shell.read_wire(&frame).unwrap();
-        decoder
-            .decode_packet_into(&shell, &rx_store, &mut acc)
-            .unwrap();
+    let job = Job::new(false, 256 << 10);
+    let allocs = job.warm_allocations(|i| {
         // Per-packet and per-stage observability, as the engines emit it.
         packets.inc();
         depth.set(i as i64);
         shuffle_ns.record(1 + i * 1_000);
-    }
-    let allocs = allocs() - before;
+    });
     assert_eq!(
         allocs, 0,
-        "metrics-enabled warm round trip performed {allocs} heap allocations"
+        "metrics-enabled warm loop performed {allocs} heap allocations"
     );
-    assert_eq!(acc, warm_segment);
-    assert_eq!(packets.get(), 100);
-    assert_eq!(shuffle_ns.count(), 100);
+    assert_eq!(packets.get(), job.packets.len() as u64);
+    assert_eq!(shuffle_ns.count(), job.packets.len() as u64);
 }

@@ -358,6 +358,11 @@ fn input_the_library_would_assert_on_exits_1_without_a_panic() {
         &["gen", "--records", "10", "--skew", "NaN", "--out", out],
         &["serve", "--k", "0", "--port", "0"],
         &["serve", "--k", "100", "--port", "0"],
+        &["model", "--k", "0", "--r", "1"],
+        &["model", "--k", "70", "--r", "2"],
+        &["model", "--k", "4", "--r", "9"],
+        &["model", "--k", "4", "--r", "2", "--records", "0"],
+        &["theory", "--k", "0"],
     ] {
         let mut child = cts()
             .args(args)
