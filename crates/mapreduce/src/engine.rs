@@ -41,7 +41,7 @@ use cts_net::fault::CrashPoint;
 use cts_net::message::Tag;
 use cts_net::span::SpanLog;
 use cts_net::trace::Trace;
-use cts_net::{Communicator, Key, NetError, NicMeter, Transport};
+use cts_net::{Communicator, Key, NetError, NicMeter};
 use cts_netsim::stats::{NodeStats, RunStats};
 use parking_lot::Mutex;
 
@@ -112,7 +112,18 @@ impl Layout {
         } else {
             PodGroups::new(k, r, g).map_err(bad_config)?;
         }
-        Ok(Layout { k, g, r })
+        let layout = Layout { k, g, r };
+        // A group's packets and a file's plain pieces travel under a tag of
+        // their own, and a tag's sequence has 24 bits.
+        let (groups, files) = (layout.num_groups(), layout.plan().num_files());
+        if groups.max(files) >= 1 << 24 {
+            return Err(EngineError::BadConfig {
+                what: format!(
+                    "{groups} multicast groups / {files} files per pod exceed the 24-bit tag space"
+                ),
+            });
+        }
+        Ok(layout)
     }
 
     /// The in-pod placement (pod-local node and file ids).
@@ -202,7 +213,8 @@ impl Layout {
 impl EngineConfig {
     /// The engine's refusal of a shape it cannot lay out — `K` outside
     /// `1..=64`, `r` outside `1..=K`, pods that do not divide `K` or do not
-    /// exceed `r` — the check [`run`] makes first. A caller that builds
+    /// exceed `r`, more groups or files than 24 tag bits number — the
+    /// check [`run`] and [`run_on`] make first. A caller that builds
     /// something of its own over `K` before [`run`] (a partitioner, a
     /// resident fabric) asks here first.
     ///
@@ -231,16 +243,11 @@ pub fn run<W: Workload>(workload: &W, input: Bytes, cfg: &EngineConfig) -> Resul
 }
 
 /// Runs [`run`]'s job on an existing [`SharedFabric`], isolated under
-/// `binding` (tags, the emulated NIC of `cfg.cluster.nic` and the returned
-/// trace are the job's own).
-///
-/// Jobs on nonzero slots live in an 18-bit tag-sequence space
-/// ([`Tag::JOB_SEQ_BITS`]), which bounds `C(K, r+1)`; a job at slot 0 has
-/// the full 24 bits.
+/// `binding` (its messages, the emulated NIC of `cfg.cluster.nic` and the
+/// returned trace are the job's own).
 ///
 /// # Errors
-/// As [`run`]; also `BadConfig` if `cfg.k` is not the fabric's world size
-/// or the job's groups or files exceed its tag space.
+/// As [`run`]; also `BadConfig` if `cfg.k` is not the fabric's world size.
 pub fn run_on<W: Workload>(
     fabric: &SharedFabric,
     binding: JobBinding,
@@ -255,21 +262,6 @@ pub fn run_on<W: Workload>(
             what: format!("job wants K = {k} on a fabric of {} ranks", fabric.k()),
         });
     }
-    let (tag_bits, tag_space) = if binding.slot == 0 {
-        (24, "24-bit tag")
-    } else {
-        (Tag::JOB_SEQ_BITS, "18-bit job-scoped tag")
-    };
-    let files = layout.plan().num_files();
-    if layout.num_groups().max(files) >= 1u64 << tag_bits {
-        return Err(EngineError::BadConfig {
-            what: format!(
-                "{} multicast groups / {files} files per pod exceed the {tag_space} space",
-                layout.num_groups()
-            ),
-        });
-    }
-
     // An input the format cannot split fails here, typed, not in `place`.
     (workload.format().check(&input)).map_err(|what| EngineError::BadConfig { what })?;
     let inputs = layout.place(workload.format(), &input);
@@ -298,13 +290,6 @@ pub fn run_on<W: Workload>(
     stats.num_groups = layout.num_groups();
     for (rank, result) in run.results.into_iter().enumerate() {
         let done = result?;
-        // Every rank has joined, its NIC drained: what the quorum did not
-        // wait for sits in the mailbox on the in-memory fabric. Discard it,
-        // or the next job on this slot of a resident fabric would receive it
-        // as its own. Best effort, and never a blocking drain.
-        for &(tag, sender) in &done.late {
-            let _ = done.transport.try_recv(sender, tag);
-        }
         outputs.push(done.output);
         stats.per_node[rank] = done.stats;
     }
@@ -322,10 +307,6 @@ pub fn run_on<W: Workload>(
 struct Finished {
     output: Vec<u8>,
     stats: NodeStats,
-    /// The keys whose packet the quorum did not wait for, as `transport`
-    /// sees them: dropped once every rank has joined.
-    late: Vec<Key>,
-    transport: Arc<dyn Transport>,
 }
 
 /// One multicast group of a rank's pod, as CodeGen materializes it.
@@ -638,10 +619,10 @@ fn node_main<W: Workload>(
     // Everything is posted: what a rank receives is queued by the time it
     // asks, unless its sender's NIC has not reached it yet.
     let mut plain: Vec<(Key, NodeSet)> = (layout.unicasts_to(me).into_iter())
-        .map(|(sender, fid, file)| ((comm.scope(Tag::app(fid.0 as u32)), sender), file))
+        .map(|(sender, fid, file)| ((Tag::app(fid.0 as u32), sender), file))
         .collect();
     plain.sort_unstable_by_key(|&(key, _)| key);
-    let late = shuffle_receive(&mut rank, &my_groups, &plain, &mut decode, &mut reduce)?;
+    shuffle_receive(&mut rank, &my_groups, &plain, &mut decode, &mut reduce)?;
 
     // ---- Unpack / Decode: what is left of it -------------------------------
     comm.set_stage(stages::UNPACK_DECODE);
@@ -670,8 +651,6 @@ fn node_main<W: Workload>(
     Ok(Finished {
         output,
         stats: rank.stats,
-        late,
-        transport: Arc::clone(comm.transport()),
     })
 }
 
@@ -684,67 +663,44 @@ fn node_main<W: Workload>(
 /// under quorum after any `r − 1` of the `r` sends, so that a straggling or
 /// dead sender delays nothing but its own groups' last packet.
 ///
-/// The wait is one [`Transport::recv_any`](cts_net::Transport::recv_any)
-/// over the `(tag, sender)` keys still awaited — `plain`'s, each with the
-/// global file its piece was mapped from, and those of the groups still open:
-/// only such a message ends it. A quorum receive fails the job after
-/// `idle_timeout` without a message; barrier-on-all waits for as long as its
-/// senders live (a failing rank aborts the endpoints).
-///
-/// Returns the keys whose packet never came (their group released without it
-/// — none under barrier-on-all), as the transport sees them, for the driver
-/// to discard after the ranks join; a straggler still in flight on TCP then
-/// is not caught (ROADMAP 6(c)).
+/// The wait is one [`Communicator::recv_any`] over every `(tag, sender)`
+/// key a message is expected under — `plain`'s, each with the global file
+/// its piece was mapped from, and those of the rank's groups. A group
+/// released by its quorum stays listed: its last packet is taken and
+/// dropped when it comes, and one still in flight when the job ends is
+/// dropped by the job's close. A quorum receive fails the job after
+/// `idle_timeout` without a message; barrier-on-all waits for as long as
+/// its senders live (a failing rank aborts the endpoints).
 fn shuffle_receive(
     rank: &mut Rank<'_>,
     groups: &[&Group],
     plain: &[(Key, NodeSet)],
     decode: &mut Decode<'_>,
     reduce: &mut Reduce<'_>,
-) -> Result<Vec<Key>> {
+) -> Result<()> {
     let (comm, me) = (rank.comm, rank.me);
-    let transport = comm.transport().as_ref();
     // Every key a message is expected under, sorted: `recv_any` hands messages
     // out lowest tag first, so the plain pieces come ahead of the packets, a
     // group's packets come together and the group releases (and frees its
     // decode state) before the next one starts. Groups ascend by tag, so a
     // tag's place among them names its group; a plain key is its own.
-    let tags: Vec<Tag> = groups.iter().map(|group| comm.scope(group.tag)).collect();
-    let group_of = |tag: Tag| tags.binary_search(&tag).expect("a listed tag");
+    let group_of =
+        |tag: Tag| (groups.binary_search_by_key(&tag, |group| group.tag)).expect("a listed tag");
     let piece_of = |key: Key| plain.binary_search_by_key(&key, |&(key, _)| key);
-    let mut keys: Vec<Key> = (groups.iter().zip(&tags))
-        .flat_map(|(group, &tag)| {
+    let mut keys: Vec<Key> = (groups.iter())
+        .flat_map(|group| {
             let senders = group.ranks.iter().filter(|&&sender| sender != me);
-            senders.map(move |&sender| (tag, sender))
+            senders.map(move |&sender| (group.tag, sender))
         })
         .chain(plain.iter().map(|&(key, _)| key))
         .collect();
     keys.sort_unstable();
-    // Per group: the senders heard from, one bit per rank.
-    let mut heard = vec![0u128; groups.len()];
     let mut done = vec![false; groups.len()];
-    let mut landed = vec![false; plain.len()];
     let mut open = groups.len() + plain.len();
-    // Messages come roughly in key order, so the keys nobody waits for any
-    // more are a prefix: `keys[first_open..]` is the wait. (A released group
-    // behind an open one stays listed; its late packet is taken and dropped.)
-    let mut first_open = 0;
     let idle = (rank.cfg.decode == DecodeMode::Quorum).then_some(rank.cfg.idle_timeout);
     let mut stalled_at = idle.map(|idle| Instant::now() + idle);
     while open > 0 {
-        let released = first_open;
-        let settled = |key: Key| match piece_of(key) {
-            Ok(p) => landed[p],
-            Err(_) => done[group_of(key.0)],
-        };
-        while first_open < keys.len() && settled(keys[first_open]) {
-            first_open += 1;
-        }
-        // When the prefix grows, a zero-deadline probe drops the late packets under
-        // it: held to the end of the stage they are 12 MB of a 100 MB quorum job's peak.
-        let late = &keys[..first_open];
-        while first_open > released && transport.recv_any(late, Some(Instant::now())).is_ok() {}
-        let (hit, message) = match transport.recv_any(&keys[first_open..], stalled_at) {
+        let (hit, message) = match comm.recv_any(&keys, stalled_at) {
             Ok(hit) => hit,
             Err(NetError::Timeout { .. }) => {
                 return Err(EngineError::Protocol {
@@ -757,17 +713,15 @@ fn shuffle_receive(
             Err(e) => return Err(e.into()),
         };
         stalled_at = idle.map(|idle| Instant::now() + idle);
-        let key @ (tag, sender) = keys[first_open + hit];
+        let key = keys[hit];
         if let Ok(p) = piece_of(key) {
             rank.stats.recv_bytes += message.len() as u64;
             rank.stats.unpack_bytes += message.len() as u64;
             reduce.absorb(plain[p].1, message, &mut rank.stats);
-            landed[p] = true;
             open -= 1;
             continue;
         }
-        let g = group_of(tag);
-        heard[g] |= 1 << sender;
+        let g = group_of(key.0);
         if done[g] {
             continue;
         }
@@ -778,8 +732,7 @@ fn shuffle_receive(
             open -= 1;
         }
     }
-    keys.retain(|&key| piece_of(key).is_err() && heard[group_of(key.0)] & (1 << key.1) == 0);
-    Ok(keys)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,10 +14,10 @@
 //!                 │   │ dequeue                           │
 //!                 │   ▼                                   │
 //!                 │ dispatcher i of max_concurrent        │
-//!                 │   = tag slot i + 1, for its lifetime  │
+//!                 │   runs one job at a time              │
 //!                 │   ▼                                   │
-//!                 │ SharedFabric::run_job(binding, …)     │
-//!                 │   tags/journal/NIC of the job's own   │
+//!                 │ SharedFabric::run_job(job id, …)      │
+//!                 │   messages/journal/NIC the job's own  │
 //!                 └───────────────────────────────────────┘
 //! ```
 //!
@@ -27,10 +27,10 @@
 //! lets go last. Looking a job up by id is the business of whoever hands ids
 //! out (the service's job table).
 //!
-//! **Exclusive mode** (`max_concurrent == 1`) runs every job at slot 0
-//! with the full 24-bit tag space, exactly like a one-shot run, just
-//! resident. **Multi mode** runs dispatcher `i`'s jobs at slot `i + 1`,
-//! giving up 6 tag-sequence bits in exchange for true concurrency.
+//! A job runs under the id it was admitted with ([`JobHandle::id`]): every
+//! message it sends carries that id, and the fabric drops whatever of it is
+//! still queued or in flight when it ends, so no later job — on the same
+//! dispatcher or another — can take it as its own. Ids are never reused.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,6 +47,11 @@ use crate::error::{EngineError, Result};
 use crate::stage::EngineConfig;
 use crate::workload::Workload;
 
+/// The most dispatchers a runtime starts. Each one runs a job's K rank
+/// threads while it holds one, so this bounds the daemon's threads, not
+/// anything on the wire.
+pub const MAX_CONCURRENT_JOBS: usize = 63;
+
 /// Construction parameters for a [`JobRuntime`].
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
@@ -57,9 +62,8 @@ pub struct RuntimeConfig {
     /// Bound on jobs waiting for a dispatcher. Submissions beyond it fail
     /// fast with [`EngineError::Busy`].
     pub queue_capacity: usize,
-    /// Dispatcher threads = jobs actually running at once, `1..=63`.
-    /// `1` selects exclusive mode (slot 0: the full tag space); `> 1`
-    /// gives each dispatcher a nonzero job slot.
+    /// Dispatcher threads = jobs actually running at once,
+    /// `1..=`[`MAX_CONCURRENT_JOBS`].
     pub max_concurrent: usize,
 }
 
@@ -113,7 +117,7 @@ impl JobStatus {
 pub struct JobContext<'a> {
     /// The resident fabric the job runs over.
     pub fabric: &'a SharedFabric,
-    /// This job's slot + trace id.
+    /// This job's id: on its messages, its trace and its spans.
     pub binding: JobBinding,
     /// Per-job engine configuration. Jobs may clone and refine it (e.g.
     /// its redundancy, or a per-tenant NIC profile) before calling
@@ -343,12 +347,11 @@ impl JobRuntime {
     /// propagate.
     pub fn start(cfg: RuntimeConfig) -> Result<JobRuntime> {
         cfg.template.check()?;
-        if cfg.max_concurrent == 0 || cfg.max_concurrent > usize::from(cts_net::Tag::MAX_JOB_SLOT) {
+        if !(1..=MAX_CONCURRENT_JOBS).contains(&cfg.max_concurrent) {
             return Err(EngineError::BadConfig {
                 what: format!(
-                    "max_concurrent {} outside 1..={}",
-                    cfg.max_concurrent,
-                    cts_net::Tag::MAX_JOB_SLOT
+                    "max_concurrent {} outside 1..={MAX_CONCURRENT_JOBS}",
+                    cfg.max_concurrent
                 ),
             });
         }
@@ -364,11 +367,12 @@ impl JobRuntime {
         let hub = Arc::clone(fabric.metrics());
         let metrics = Arc::new(RuntimeMetrics::register(&hub));
         hub.gauge("cts_admission_queue_capacity")
-            .set(cfg.queue_capacity as i64);
+            .set(i64::try_from(cfg.queue_capacity).unwrap_or(i64::MAX));
         let queue = Arc::new(Queue {
             capacity: cfg.queue_capacity,
+            // Nothing reserved: `try_enqueue` keeps the queue in its bound.
             state: Mutex::new(QueueState {
-                jobs: VecDeque::with_capacity(cfg.queue_capacity),
+                jobs: VecDeque::new(),
                 closed: false,
                 issued: 0,
             }),
@@ -378,17 +382,7 @@ impl JobRuntime {
         });
 
         let dispatchers = (0..cfg.max_concurrent)
-            .map(|i| {
-                // A dispatcher runs one job at a time, so a tag slot is its
-                // own for life: nothing to lease, and a slot is busy exactly
-                // when its dispatcher is (`cts_jobs_running`). An only
-                // dispatcher keeps slot 0, so a one-shot job's full tag
-                // space survives residency.
-                let slot = if cfg.max_concurrent == 1 {
-                    0
-                } else {
-                    i as u8 + 1
-                };
+            .map(|_| {
                 let fabric = Arc::clone(&fabric);
                 let queue = Arc::clone(&queue);
                 let metrics = Arc::clone(&metrics);
@@ -399,7 +393,7 @@ impl JobRuntime {
                         metrics.running.add(1);
                         let ctx = JobContext {
                             fabric: &fabric,
-                            binding: JobBinding { slot, id },
+                            binding: JobBinding { id },
                             cfg: template.clone(),
                         };
                         // A panicking job takes the fabric's endpoints
@@ -604,8 +598,8 @@ mod tests {
     }
 
     #[test]
-    fn a_dispatcher_runs_every_job_of_its_own_at_its_own_slot() {
-        for (max_concurrent, slots) in [(3usize, vec![1u8, 2, 3]), (1, vec![0])] {
+    fn a_dispatcher_runs_one_job_at_a_time_each_under_its_own_id() {
+        for max_concurrent in [3usize, 1] {
             let runtime = JobRuntime::start(
                 RuntimeConfig::new(EngineConfig::local(2, 1)).with_max_concurrent(max_concurrent),
             )
@@ -613,53 +607,63 @@ mod tests {
             // The first `max_concurrent` jobs meet at a barrier, so every
             // dispatcher holds a job at once.
             let together = Arc::new(std::sync::Barrier::new(max_concurrent));
-            let live = Arc::new(Mutex::new(Vec::<u8>::new()));
-            let seen = Arc::new(Mutex::new(Vec::<u8>::new()));
+            let live = Arc::new(Mutex::new(Vec::<u32>::new()));
+            let seen = Arc::new(Mutex::new(Vec::<u32>::new()));
             let clashed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let most = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             let handles: Vec<JobHandle> = (0..12)
                 .map(|i| {
-                    let (together, live, seen, clashed) = (
+                    let (together, live, seen, clashed, most) = (
                         Arc::clone(&together),
                         Arc::clone(&live),
                         Arc::clone(&seen),
                         Arc::clone(&clashed),
+                        Arc::clone(&most),
                     );
                     runtime
                         .submit(move |ctx| {
-                            let slot = ctx.binding.slot;
+                            let id = ctx.binding.id;
                             {
                                 // Noted, not asserted: a panic here would
                                 // leave the others at the barrier.
                                 let mut live = live.lock();
-                                if live.contains(&slot) {
+                                if live.contains(&id) {
                                     clashed.store(true, std::sync::atomic::Ordering::SeqCst);
                                 }
-                                live.push(slot);
+                                live.push(id);
+                                most.fetch_max(live.len(), std::sync::atomic::Ordering::SeqCst);
                             }
-                            seen.lock().push(slot);
+                            seen.lock().push(id);
                             if i < max_concurrent {
                                 together.wait();
                             }
                             let outcome = ctx.run(&ByteSort, sample_input(300), &ctx.cfg);
-                            live.lock().retain(|s| *s != slot);
+                            live.lock().retain(|&live| live != id);
                             outcome
                         })
                         .unwrap()
                 })
                 .collect();
+            let ids: Vec<u32> = handles.iter().map(JobHandle::id).collect();
             for handle in handles {
                 handle.wait().unwrap();
             }
             runtime.shutdown();
             assert!(
                 !clashed.load(std::sync::atomic::Ordering::SeqCst),
-                "two live jobs on one slot"
+                "two live jobs under one id"
             );
+            // Every dispatcher held a job at once, and no more ran.
+            assert_eq!(
+                most.load(std::sync::atomic::Ordering::SeqCst),
+                max_concurrent
+            );
+            // Each job ran once, under the id its handle names.
             let mut seen = seen.lock().clone();
             assert_eq!(seen.len(), 12);
             seen.sort_unstable();
             seen.dedup();
-            assert_eq!(seen, slots, "max_concurrent = {max_concurrent}");
+            assert_eq!(seen, ids, "max_concurrent = {max_concurrent}");
         }
     }
 
@@ -801,19 +805,35 @@ mod tests {
     }
 
     #[test]
-    fn shared_fabric_jobs_refuse_groups_past_their_tag_space() {
-        // C(40, 5) = 658 008 groups fit 24 tag bits but not a nonzero
-        // slot's 18: refused before any rank starts.
+    fn a_resident_job_gets_the_full_24_bit_tag_space() {
+        // C(40, 5) = 658 008 groups: more than 18 tag bits number, fewer
+        // than 24. The check `run_on` makes first passes them, and a
+        // runtime serving that shape starts — no such job is run.
         let template = EngineConfig::local(40, 4);
-        let runtime =
-            JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2)).unwrap();
-        let err = runtime
-            .submit(|ctx| ctx.run(&ByteSort, sample_input(200), &ctx.cfg))
+        let groups = cts_core::combinatorics::binomial(40, 5);
+        assert!((1 << 18..1 << 24).contains(&groups), "{groups}");
+        template.check().unwrap();
+        JobRuntime::start(RuntimeConfig::new(template).with_max_concurrent(2))
             .unwrap()
-            .wait()
-            .unwrap_err();
+            .shutdown();
+        // Past 24 bits the shape is refused, in those words.
+        let err = EngineConfig::local(64, 8).check().unwrap_err();
         assert!(matches!(err, EngineError::BadConfig { .. }), "{err}");
-        assert!(err.to_string().contains("18-bit"), "{err}");
+        assert!(err.to_string().contains("24-bit tag space"), "{err}");
+    }
+
+    #[test]
+    fn an_unbounded_queue_bound_reserves_nothing() {
+        let runtime = JobRuntime::start(
+            RuntimeConfig::new(EngineConfig::local(2, 1)).with_queue_capacity(usize::MAX),
+        )
+        .unwrap();
+        // The gauge saturates instead of wrapping negative.
+        let text = runtime.fabric().render_prometheus();
+        assert!(
+            text.contains(&format!("cts_admission_queue_capacity {}", i64::MAX)),
+            "{text}"
+        );
         runtime.shutdown();
     }
 }

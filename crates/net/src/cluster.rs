@@ -155,21 +155,21 @@ pub struct ClusterRun<R> {
     pub nic: Option<Arc<NicMeter>>,
 }
 
-/// A job's identity on a [`SharedFabric`]: the tag-namespace `slot`
-/// (0 = exclusive, [`Tag::scoped`](crate::message::Tag::scoped)) and a
-/// process-unique `id` stamped on its trace events and spans.
+/// A job's identity on a [`SharedFabric`]: the `id` every one of its
+/// messages carries ([`Message::job`](crate::message::Message::job)) and
+/// its trace events and spans are stamped with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobBinding {
-    /// Tag-namespace slot, `0..=`[`Tag::MAX_JOB_SLOT`](crate::message::Tag::MAX_JOB_SLOT).
-    pub slot: u8,
-    /// Trace/job identifier (need not be dense; must be unique per live job).
+    /// Job identifier (need not be dense). Unique per live job; an id used
+    /// again after its job ended takes in whatever of the old job is still
+    /// in flight, so a resident fabric never reuses one.
     pub id: u32,
 }
 
 impl JobBinding {
-    /// The exclusive binding used by one-shot runs: slot 0 (identity tag
-    /// scoping, full 24-bit sequence space), job id 0.
-    pub const ROOT: JobBinding = JobBinding { slot: 0, id: 0 };
+    /// The binding of one-shot runs: job 0, the job open on a fresh
+    /// transport.
+    pub const ROOT: JobBinding = JobBinding { id: 0 };
 }
 
 /// One generation of a fabric's per-rank endpoints. A shut-down transport
@@ -243,9 +243,11 @@ impl Endpoints {
 /// serves many [`run_job`](SharedFabric::run_job) calls — concurrently, from
 /// multiple threads — each isolated by its [`JobBinding`]:
 ///
-/// - **tags**: every `Communicator` entry point rewrites tags into the
-///   job's slot namespace, so two jobs using `Tag::app(0)` on the same
-///   mailbox never cross-match;
+/// - **messages**: every message carries its job's id and a mailbox
+///   matches on (job, tag, source), so two jobs using `Tag::app(0)` on the
+///   same mailbox never cross-match. A mailbox queues a job's messages
+///   only while the job runs: whatever a job leaves queued, or still has in
+///   flight when it ends, is dropped, not taken by the next job;
 /// - **records**: each job writes its transfers and stage spans into a
 ///   journal of its own and gets them back as [`ClusterRun::trace`] and
 ///   [`ClusterRun::spans`], with its NIC meter beside them; the fabric
@@ -344,9 +346,10 @@ impl SharedFabric {
         self.endpoints.lock().shutdown();
     }
 
-    /// Opens a job: its scope — a fresh journal, a meter when it runs
-    /// shaped — and one communicator per rank, each behind its own NIC, on
-    /// the live endpoints (built anew if the last job tore them down).
+    /// Opens a job: its id on every rank's mailbox, its scope — a fresh
+    /// journal, a meter when it runs shaped — and one communicator per
+    /// rank, each behind its own NIC, on the live endpoints (built anew if
+    /// the last job tore them down).
     pub(crate) fn open_job(
         &self,
         binding: JobBinding,
@@ -373,8 +376,10 @@ impl SharedFabric {
             live.retain(|(_, nic)| nic.strong_count() > 0);
             live.extend(nics.iter().flatten().map(Arc::downgrade).enumerate());
         }
+        for transport in &endpoints.transports {
+            transport.mailbox().open_job(binding.id);
+        }
         let scope = Arc::new(JobScope {
-            slot: binding.slot,
             fabric: self.config.fabric,
             journal: Journal::new(binding.id, self.origin),
             meter: shaped.map(|(_, meter)| meter),
@@ -390,20 +395,22 @@ impl SharedFabric {
     }
 
     /// Runs one SPMD job over the shared fabric: `f` on every rank with
-    /// `inputs[rank]`, each rank's [`Communicator`] scoped to `binding`.
+    /// `inputs[rank]`, each rank's [`Communicator`] bound to `binding`.
     ///
     /// `nic_override` replaces the cluster-default NIC profile for this job
     /// only — the per-job backpressure hook: a throttled tenant's token
     /// buckets pace that tenant's sends without touching anyone else's.
     ///
     /// Safe to call concurrently from multiple threads as long as each live
-    /// job uses a distinct nonzero slot (slot 0 is reserved for exclusive
-    /// runs). If any rank panics the job's endpoints are shut down and
-    /// the first panic re-raised; a rank calling [`Communicator::abort`]
-    /// shuts them down the same way and the run returns normally. The
-    /// first job to start after a teardown builds fresh endpoints (and
-    /// fails if that fails). What the job recorded leaves with the returned
-    /// [`ClusterRun`]: the fabric keeps nothing of a finished job.
+    /// job has an id of its own. However the job ends, its id is closed on
+    /// every rank once the ranks have joined, dropping what it left queued
+    /// and anything of it still in flight. If any rank panics the job's
+    /// endpoints are shut down and the first panic re-raised; a rank
+    /// calling [`Communicator::abort`] shuts them down the same way and the
+    /// run returns normally. The first job to start after a teardown builds
+    /// fresh endpoints (and fails if that fails). What the job recorded
+    /// leaves with the returned [`ClusterRun`]: the fabric keeps nothing of
+    /// a finished job.
     ///
     /// # Panics
     /// Panics if `inputs.len() != k`.
@@ -453,6 +460,9 @@ impl SharedFabric {
             .into_iter()
             .map(|r| r.expect("panics are caught"))
             .collect();
+        for transport in &scope.endpoints.transports {
+            transport.mailbox().close_job(binding.id);
+        }
 
         if let Some(first) = panics.into_inner().into_iter().next() {
             resume_unwind(first);
@@ -608,10 +618,10 @@ mod tests {
         // Two jobs, same world, same tags, interleaved on one fabric: each
         // must see only its own traffic and its own trace events.
         let fabric = SharedFabric::build(&ClusterConfig::local(3)).unwrap();
-        let run_ring = |slot: u8, id: u32, byte: u8| {
+        let run_ring = |id: u32, byte: u8| {
             fabric
                 .run_job(
-                    JobBinding { slot, id },
+                    JobBinding { id },
                     None,
                     vec![byte; 3],
                     |comm: &Communicator, b: u8| {
@@ -630,8 +640,8 @@ mod tests {
                 .unwrap()
         };
         let (a, b) = std::thread::scope(|s| {
-            let ja = s.spawn(|| run_ring(1, 0xA1, 0x11));
-            let jb = s.spawn(|| run_ring(2, 0xB2, 0x22));
+            let ja = s.spawn(|| run_ring(0xA1, 0x11));
+            let jb = s.spawn(|| run_ring(0xB2, 0x22));
             (ja.join().unwrap(), jb.join().unwrap())
         });
         assert_eq!(a.results, vec![0x11; 3]);
@@ -648,7 +658,7 @@ mod tests {
         let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
         for id in 1..=5u32 {
             let run = fabric
-                .run_job(JobBinding { slot: 1, id }, None, vec![(); 2], |comm, ()| {
+                .run_job(JobBinding { id }, None, vec![(); 2], |comm, ()| {
                     comm.set_stage("Shuffle");
                     let peer = 1 - comm.rank();
                     comm.send(peer, Tag::app(0), Bytes::from(vec![0u8; 10]))
@@ -705,7 +715,7 @@ mod tests {
             for rank in [0, 2] {
                 assert!(run.results[rank].is_err(), "{:?}", run.results[rank]);
             }
-            // Same slot, same tags: the next job neither finds the fabric
+            // Same id, same tags: the next job neither finds the fabric
             // shut nor the failed job's leftovers.
             let run = fabric
                 .run_job(JobBinding::ROOT, None, vec![(); 3], |comm, ()| {
@@ -726,7 +736,7 @@ mod tests {
         let fabric = SharedFabric::build(&ClusterConfig::local(3)).unwrap();
         let run = fabric
             .run_job(
-                JobBinding { slot: 1, id: 42 },
+                JobBinding { id: 42 },
                 None,
                 vec![(); 3],
                 |comm: &Communicator, ()| {
@@ -755,10 +765,10 @@ mod tests {
 
     /// Three stages, one unicast to the next rank and a barrier: what every
     /// job of the journal tests below runs.
-    fn ring_job(fabric: &SharedFabric, slot: u8, id: u32) -> ClusterRun<()> {
+    fn ring_job(fabric: &SharedFabric, id: u32) -> ClusterRun<()> {
         let k = fabric.k();
         fabric
-            .run_job(JobBinding { slot, id }, None, vec![(); k], |comm, ()| {
+            .run_job(JobBinding { id }, None, vec![(); k], |comm, ()| {
                 comm.set_stage("Map");
                 comm.set_stage("Shuffle");
                 let payload = Bytes::from(vec![id as u8; 10]);
@@ -793,7 +803,7 @@ mod tests {
         let fabric = SharedFabric::build(&ClusterConfig::local(3)).unwrap();
         let mut last_end = 0;
         for id in 1..=200u32 {
-            let run = ring_job(&fabric, 1, id);
+            let run = ring_job(&fabric, id);
             assert_own_records_only(&run, id, 3);
             // One clock for the fabric's whole life: each job starts after
             // the one before it ended.
@@ -803,10 +813,10 @@ mod tests {
         }
         // Concurrent tenants: the same, with the three journals open at once.
         let runs: Vec<ClusterRun<()>> = std::thread::scope(|s| {
-            let jobs: Vec<_> = (1..=3u8)
-                .map(|slot| {
+            let jobs: Vec<_> = (1_001..=1_003)
+                .map(|id| {
                     let fabric = &fabric;
-                    s.spawn(move || ring_job(fabric, slot, 1_000 + u32::from(slot)))
+                    s.spawn(move || ring_job(fabric, id))
                 })
                 .collect();
             jobs.into_iter().map(|j| j.join().unwrap()).collect()
@@ -826,7 +836,7 @@ mod tests {
         let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
         let run = fabric
             .run_job(
-                JobBinding { slot: 1, id: 7 },
+                JobBinding { id: 7 },
                 Some(crawl),
                 vec![(); 2],
                 |comm, ()| {
@@ -852,10 +862,10 @@ mod tests {
         // The next tenant runs while the pacer is still holding job 7's
         // last payload, and after it let go: its log never sees job 7's
         // late event.
-        let next = ring_job(&fabric, 2, 8);
+        let next = ring_job(&fabric, 8);
         assert_own_records_only(&next, 8, 2);
         std::thread::sleep(std::time::Duration::from_millis(150));
-        let after = ring_job(&fabric, 2, 9);
+        let after = ring_job(&fabric, 9);
         assert_own_records_only(&after, 9, 2);
     }
 
@@ -868,7 +878,7 @@ mod tests {
         let run = |id: u32, nic: Option<NicProfile>| {
             fabric
                 .run_job(
-                    JobBinding { slot: 1, id },
+                    JobBinding { id },
                     nic,
                     vec![(); 2],
                     |comm: &Communicator, ()| {
@@ -897,9 +907,9 @@ mod tests {
     #[test]
     fn shared_fabric_reuses_transports_across_sequential_jobs() {
         let fabric = SharedFabric::build(&ClusterConfig::tcp(2)).unwrap();
-        for (slot, id) in [(1u8, 7u32), (2, 8), (1, 9)] {
+        for id in [7, 8, 9] {
             let run = fabric
-                .run_job(JobBinding { slot, id }, None, vec![(); 2], |comm, ()| {
+                .run_job(JobBinding { id }, None, vec![(); 2], |comm, ()| {
                     if comm.rank() == 0 {
                         comm.send(1, Tag::app(3), Bytes::from(vec![id as u8; 4]))
                             .unwrap();

@@ -4,8 +4,10 @@
 //!
 //! One `Communicator` is handed to each SPMD node closure by the
 //! [`cluster`](crate::cluster) runner; the K of one job share a scope —
-//! the job's tag slot, its shuffle fabric and the journal their transfers
-//! and stage spans are written into. It mirrors the Open MPI surface the
+//! the job's id, its shuffle fabric and the journal their transfers and
+//! stage spans are written into. Every message a communicator sends carries
+//! the job's id and every receive waits in that job, so a job's tags are its
+//! own, the way an MPI communicator's are. It mirrors the Open MPI surface the
 //! paper's C++ implementation uses: `MPI_Send`/`MPI_Recv`, `MPI_Bcast`
 //! within a multicast group, and `MPI_Barrier` between stages — plus the
 //! non-blocking pair the engine streams its shuffle through,
@@ -36,6 +38,7 @@
 
 use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -46,7 +49,7 @@ use crate::cluster::Endpoints;
 use crate::error::{NetError, Result};
 use crate::fabric::ShuffleFabric;
 use crate::journal::Journal;
-use crate::message::Tag;
+use crate::message::{Key, Tag};
 use crate::rate::{Nic, NicMeter};
 use crate::span::StageSpan;
 use crate::trace::{EventKind, TraceEvent};
@@ -85,17 +88,11 @@ impl StageClock {
     }
 }
 
-/// What the K communicators of one job share. Every tag passing through a
-/// public [`Communicator`] method is rewritten into `slot`'s namespace (see
-/// [`Tag::scoped`]) and every record goes to `journal`, so concurrent jobs
-/// on one shared fabric neither cross-match messages nor see each other's
-/// traces. Slot 0 leaves tags byte-identical to unscoped ones — the
-/// exclusive one-shot path. Scoping is applied exactly once, at the API
-/// boundary; a raw [`transport`](Communicator::transport) user (the
-/// engine's receive loop) scopes its keys itself with
-/// [`Communicator::scope`].
+/// What the K communicators of one job share. Every message they send
+/// carries the journal's job id and every wait names it, and every record
+/// goes to `journal`, so concurrent jobs on one shared fabric neither
+/// cross-match messages nor see each other's traces.
 pub(crate) struct JobScope {
-    pub(crate) slot: u8,
     /// How [`Communicator::post_multicast`] realizes group sends.
     pub(crate) fabric: ShuffleFabric,
     pub(crate) journal: Journal,
@@ -156,24 +153,10 @@ impl Communicator {
         self.scope.endpoints.shutdown();
     }
 
-    /// `tag` as it travels on the transport, in this job's slot namespace.
-    /// Every method here applies it to the tags it is given; callers need
-    /// it only to build the keys of a [`Transport::recv_any`] wait on the
-    /// raw [`transport`](Self::transport).
+    /// The job every message of this communicator belongs to.
     #[inline]
-    pub fn scope(&self, tag: Tag) -> Tag {
-        tag.scoped(self.scope.slot)
-    }
-
-    /// The epoch mask for internally generated tags: job-scoped
-    /// communicators must leave room for the slot bits.
-    #[inline]
-    fn epoch_mask(&self) -> u32 {
-        if self.scope.slot == 0 {
-            0x00FF_FFFF
-        } else {
-            (1 << Tag::JOB_SEQ_BITS) - 1
-        }
+    fn job(&self) -> u32 {
+        self.scope.journal.job()
     }
 
     /// This node's rank.
@@ -231,11 +214,6 @@ impl Communicator {
             }
             span
         }));
-    }
-
-    /// The underlying transport (for tests and wrappers).
-    pub fn transport(&self) -> &Arc<dyn Transport> {
-        &self.transport
     }
 
     /// Hands one transfer of `cost` charged bytes to the egress: through the
@@ -303,9 +281,9 @@ impl Communicator {
         }
         let bytes = payload.len() as u64;
         let record = self.recorder(1u128 << dst, bytes, 0, 1, EventKind::AppUnicast);
-        let (transport, tag) = (Arc::clone(&self.transport), self.scope(tag));
+        let (transport, job) = (Arc::clone(&self.transport), self.job());
         self.egress(bytes, move || {
-            transport.send(dst, tag, payload)?;
+            transport.send(dst, job, tag, payload)?;
             record();
             Ok(())
         })
@@ -334,36 +312,44 @@ impl Communicator {
     /// Barrier control send — an empty frame, excluded from
     /// communication-load accounting and from NIC pacing (the per-transfer
     /// latency would charge every stage transition a shuffle's worth of
-    /// setup time). `tag` is already scoped.
+    /// setup time).
     fn send_internal(&self, dst: usize, tag: Tag) -> Result<()> {
         self.recorder(1u128 << dst, 0, 0, 1, EventKind::Internal)();
-        self.transport.send(dst, tag, Bytes::new())
+        self.transport.send(dst, self.job(), tag, Bytes::new())
     }
 
     /// Blocking receive matched on `(src, tag)`.
     pub fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
-        self.transport.recv(src, self.scope(tag))
+        self.transport.recv(src, self.job(), tag)
+    }
+
+    /// Blocks until a message of this job is queued under any of `keys` —
+    /// `(tag, src)`, sorted ascending — and returns it with the index of its
+    /// key, the lowest key first; `deadline` as in
+    /// [`Transport::recv_any`], which this is in the communicator's job.
+    pub fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
+        self.transport.recv_any(self.job(), keys, deadline)
     }
 
     /// Global barrier across all ranks (flat coordinator pattern through
     /// rank 0, like the paper's synchronous stage transitions).
     pub fn barrier(&self) -> Result<()> {
         let epoch = self.barrier_epoch.fetch_add(1, Ordering::Relaxed);
-        let tag = self.scope(Tag::new(Tag::BARRIER, epoch & self.epoch_mask()));
+        let tag = Tag::new(Tag::BARRIER, epoch & 0x00FF_FFFF);
         let k = self.world_size();
         if k == 1 {
             return Ok(());
         }
         if self.rank() == 0 {
             for src in 1..k {
-                self.transport.recv(src, tag)?;
+                self.recv(src, tag)?;
             }
             for dst in 1..k {
                 self.send_internal(dst, tag)?;
             }
         } else {
             self.send_internal(0, tag)?;
-            self.transport.recv(0, tag)?;
+            self.recv(0, tag)?;
         }
         Ok(())
     }
@@ -429,7 +415,7 @@ impl Communicator {
     ) -> Result<()> {
         let root = self.rank();
         self.validate_group(root, members)?;
-        let tag = self.scope(tag);
+        let job = self.job();
         let dsts: Vec<usize> = members.iter().copied().filter(|&n| n != root).collect();
         let fanout = dsts.len();
         let bytes = payload.len() as u64;
@@ -451,17 +437,17 @@ impl Communicator {
         if self.scope.fabric == ShuffleFabric::SerialUnicast {
             for &dst in rest {
                 let (transport, payload) = (Arc::clone(&transport), payload.clone());
-                self.egress(cost, move || transport.send(dst, tag, payload))?;
+                self.egress(cost, move || transport.send(dst, job, tag, payload))?;
             }
             // The event goes in with the last copy.
             return self.egress(cost, move || {
-                transport.send(last, tag, payload)?;
+                transport.send(last, job, tag, payload)?;
                 record();
                 Ok(())
             });
         }
         self.egress(cost, move || {
-            transport.multicast(&dsts, tag, payload)?;
+            transport.multicast(&dsts, job, tag, payload)?;
             record();
             Ok(())
         })
@@ -658,12 +644,12 @@ mod tests {
 
     #[test]
     fn job_scoping_isolates_identical_tags_on_one_fabric() {
-        // Two "jobs" share one fabric and both use Tag::app(7). Without
-        // scoping the receives could match either sender's payload; with
-        // per-job slots each job sees exactly its own bytes.
+        // Two jobs share one fabric and both use Tag::app(7). Were the
+        // messages not stamped with their job the receives could match
+        // either sender's payload; as they are, each job sees its own bytes.
         let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
-        let open = |slot: u8, id: u32| fabric.open_job(JobBinding { slot, id }, None).unwrap();
-        let ((scope_a, a), (scope_b, b)) = (open(1, 101), open(2, 202));
+        let open = |id: u32| fabric.open_job(JobBinding { id }, None).unwrap();
+        let ((scope_a, a), (scope_b, b)) = (open(101), open(202));
         // Job B's payload is already queued when job A sends on the same
         // logical (src, tag); A must still receive A's payload.
         b[0].send(1, Tag::app(7), Bytes::from_static(b"job-b"))
@@ -683,9 +669,9 @@ mod tests {
     #[test]
     fn job_scoped_collectives_do_not_cross_jobs() {
         let fabric = SharedFabric::build(&ClusterConfig::local(3)).unwrap();
-        let open = |slot: u8| {
-            let id = u32::from(slot);
-            fabric.open_job(JobBinding { slot, id }, None).unwrap().1
+        let open = |id: u8| {
+            let id = u32::from(id);
+            fabric.open_job(JobBinding { id }, None).unwrap().1
         };
         let (a, b) = (open(1), open(2));
         // Run both jobs' multicasts concurrently over the same endpoints

@@ -21,20 +21,21 @@
 //!     Arc::new(fabric.endpoint(0)),
 //!     Box::new(|_, _, _, idx| if idx == 0 { FaultAction::Drop } else { FaultAction::Deliver }),
 //! );
-//! faulty.send(1, Tag::app(0), Bytes::from_static(b"lost")).unwrap();
-//! faulty.send(1, Tag::app(0), Bytes::from_static(b"kept")).unwrap();
+//! faulty.send(1, 0, Tag::app(0), Bytes::from_static(b"lost")).unwrap();
+//! faulty.send(1, 0, Tag::app(0), Bytes::from_static(b"kept")).unwrap();
 //! assert_eq!(faulty.dropped(), 1);
-//! assert_eq!(fabric.endpoint(1).recv(0, Tag::app(0)).unwrap(), "kept");
+//! assert_eq!(fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap(), "kept");
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 
 use crate::error::{NetError, Result};
-use crate::message::{Key, Tag};
+use crate::mailbox::Mailbox;
+use crate::message::Tag;
 use crate::transport::Transport;
 
 /// Decision returned by a fault rule for one outgoing message.
@@ -48,7 +49,8 @@ pub enum FaultAction {
     /// Deliver, but only after `Duration` — a slow link or straggling
     /// sender. The `send` call itself returns immediately (the delay runs
     /// on a detached thread), modeling a node whose NIC queue drains
-    /// slowly rather than one that blocks its own compute.
+    /// slowly rather than one that blocks its own compute. A message that
+    /// lands after its job ended is dropped by the receiver.
     Delay(Duration),
     /// Fail the `send` call itself with an error.
     FailSend,
@@ -174,17 +176,17 @@ impl Transport for FaultyTransport {
         self.inner.world_size()
     }
 
-    fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
+    fn send(&self, dst: usize, job: u32, tag: Tag, payload: Bytes) -> Result<()> {
         let idx = self.sends.fetch_add(1, Ordering::Relaxed);
         match (self.rule)(dst, tag, &payload, idx) {
-            FaultAction::Deliver => self.inner.send(dst, tag, payload),
+            FaultAction::Deliver => self.inner.send(dst, job, tag, payload),
             FaultAction::Drop => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             FaultAction::Corrupt(bad) => {
                 self.corrupted.fetch_add(1, Ordering::Relaxed);
-                self.inner.send(dst, tag, bad)
+                self.inner.send(dst, job, tag, bad)
             }
             FaultAction::Delay(d) => {
                 self.delayed.fetch_add(1, Ordering::Relaxed);
@@ -194,7 +196,7 @@ impl Transport for FaultyTransport {
                     // The receiver may have shut down by the time a long
                     // delay drains; a late send failing is the same
                     // observable as a drop.
-                    let _ = inner.send(dst, tag, payload);
+                    let _ = inner.send(dst, job, tag, payload);
                 });
                 Ok(())
             }
@@ -204,8 +206,8 @@ impl Transport for FaultyTransport {
         }
     }
 
-    fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
-        self.inner.recv_any(keys, deadline)
+    fn mailbox(&self) -> &Mailbox {
+        self.inner.mailbox()
     }
 
     fn shutdown(&self) {
@@ -226,9 +228,9 @@ mod tests {
             Box::new(|_, _, _, _| FaultAction::Deliver),
         );
         faulty
-            .send(1, Tag::app(0), Bytes::from_static(b"ok"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"ok"))
             .unwrap();
-        assert_eq!(fabric.endpoint(1).recv(0, Tag::app(0)).unwrap(), "ok");
+        assert_eq!(fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap(), "ok");
     }
 
     #[test]
@@ -245,14 +247,14 @@ mod tests {
             }),
         );
         faulty
-            .send(1, Tag::app(0), Bytes::from_static(b"lost"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"lost"))
             .unwrap();
         faulty
-            .send(1, Tag::app(0), Bytes::from_static(b"kept"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"kept"))
             .unwrap();
         assert_eq!(faulty.dropped(), 1);
         // The first message that arrives is the second one sent.
-        assert_eq!(fabric.endpoint(1).recv(0, Tag::app(0)).unwrap(), "kept");
+        assert_eq!(fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap(), "kept");
     }
 
     #[test]
@@ -269,10 +271,10 @@ mod tests {
             }),
         );
         faulty
-            .send(1, Tag::app(0), Bytes::from_static(b"abc"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"abc"))
             .unwrap();
         assert_eq!(faulty.corrupted(), 1);
-        let got = fabric.endpoint(1).recv(0, Tag::app(0)).unwrap();
+        let got = fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap();
         assert_eq!(got[0], b'a' ^ 0xFF);
         assert_eq!(&got[1..], b"bc");
     }
@@ -286,14 +288,19 @@ mod tests {
         );
         let t0 = std::time::Instant::now();
         faulty
-            .send(1, Tag::new(Tag::BCAST, 0), Bytes::from_static(b"late"))
+            .send(1, 0, Tag::new(Tag::BCAST, 0), Bytes::from_static(b"late"))
             .unwrap();
         // The send itself returns immediately (detached delivery).
         assert!(t0.elapsed() < Duration::from_millis(25));
         assert_eq!(faulty.delayed(), 1);
         let got = fabric
             .endpoint(1)
-            .recv_timeout(0, Tag::new(Tag::BCAST, 0), Duration::from_secs(2))
+            .recv_from(
+                0,
+                0,
+                Tag::new(Tag::BCAST, 0),
+                Some(t0 + Duration::from_secs(2)),
+            )
             .unwrap();
         assert_eq!(got, "late");
         assert!(t0.elapsed() >= Duration::from_millis(30));
@@ -340,7 +347,7 @@ mod tests {
             Arc::new(fabric.endpoint(0)),
             Box::new(|_, _, _, _| FaultAction::FailSend),
         );
-        let err = faulty.send(1, Tag::app(0), Bytes::new()).unwrap_err();
+        let err = faulty.send(1, 0, Tag::app(0), Bytes::new()).unwrap_err();
         assert!(matches!(err, NetError::InjectedFault { .. }));
     }
 }

@@ -4,8 +4,8 @@
 //! an EC2 cluster. There is no comparable Rust substrate, so this crate
 //! builds one from scratch:
 //!
-//! * [`mailbox`] — blocking, `(source, tag)`-matched message queues with
-//!   MPI receive semantics;
+//! * [`mailbox`] — blocking, `(job, tag, source)`-matched message queues
+//!   with MPI receive semantics, the job playing the communicator's part;
 //! * [`local`] — an in-process fabric (threads + shared mailboxes) that
 //!   moves real bytes at memory speed, with zero-copy native multicast;
 //! * [`registry`] — the rank → address registry and deterministic mesh
@@ -37,7 +37,8 @@
 //! * [`cluster`] — SPMD runners ([`run_spmd`]) spawning
 //!   one thread per rank over either fabric, with panic- and abort-safe
 //!   teardown, plus the resident [`SharedFabric`] that runs many
-//!   concurrent job-scoped SPMD programs over one set of transports;
+//!   concurrent SPMD programs over one set of transports, each message
+//!   stamped with its job's id and dropped once that job has ended;
 //! * [`fault`] — transport-level fault injection for failure testing,
 //!   including crash-at-point specs ([`fault::CrashSpec`]).
 //!

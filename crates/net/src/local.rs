@@ -16,18 +16,17 @@
 //!
 //! let fabric = LocalFabric::new(2);
 //! let (a, b) = (fabric.endpoint(0), fabric.endpoint(1));
-//! a.send(1, Tag::app(0), Bytes::from_static(b"ping")).unwrap();
-//! assert_eq!(b.recv(0, Tag::app(0)).unwrap(), "ping");
+//! a.send(1, 0, Tag::app(0), Bytes::from_static(b"ping")).unwrap();
+//! assert_eq!(b.recv(0, 0, Tag::app(0)).unwrap(), "ping");
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 
 use crate::error::{NetError, Result};
 use crate::mailbox::Mailbox;
-use crate::message::{Key, Message, Tag};
+use crate::message::{Message, Tag};
 use crate::transport::Transport;
 
 /// The shared state of an in-process fabric.
@@ -105,10 +104,11 @@ impl Transport for LocalEndpoint {
         self.mailboxes.len()
     }
 
-    fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
+    fn send(&self, dst: usize, job: u32, tag: Tag, payload: Bytes) -> Result<()> {
         self.check(dst)?;
         self.mailboxes[dst].deliver(Message {
             src: self.rank,
+            job,
             tag,
             payload,
         });
@@ -119,7 +119,7 @@ impl Transport for LocalEndpoint {
     /// handle to the *same* buffer (`Bytes` is reference-counted), which is
     /// the in-memory analog of network-layer multicast — the payload exists
     /// once no matter how many nodes hear it.
-    fn multicast(&self, dsts: &[usize], tag: Tag, payload: Bytes) -> Result<()> {
+    fn multicast(&self, dsts: &[usize], job: u32, tag: Tag, payload: Bytes) -> Result<()> {
         for &dst in dsts {
             self.check(dst)?;
         }
@@ -130,6 +130,7 @@ impl Transport for LocalEndpoint {
             }
             self.mailboxes[dst].deliver(Message {
                 src: self.rank,
+                job,
                 tag,
                 payload: payload.clone(),
             });
@@ -137,8 +138,8 @@ impl Transport for LocalEndpoint {
         Ok(())
     }
 
-    fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
-        self.mailboxes[self.rank].recv_any(keys, deadline)
+    fn mailbox(&self) -> &Mailbox {
+        &self.mailboxes[self.rank]
     }
 
     fn shutdown(&self) {
@@ -149,17 +150,19 @@ impl Transport for LocalEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn ping_pong() {
         let fabric = LocalFabric::new(2);
         let a = fabric.endpoint(0);
         let b = fabric.endpoint(1);
-        a.send(1, Tag::app(0), Bytes::from_static(b"ping")).unwrap();
-        assert_eq!(b.recv(0, Tag::app(0)).unwrap(), "ping");
-        b.send(0, Tag::app(0), Bytes::from_static(b"pong")).unwrap();
-        assert_eq!(a.recv(1, Tag::app(0)).unwrap(), "pong");
+        a.send(1, 0, Tag::app(0), Bytes::from_static(b"ping"))
+            .unwrap();
+        assert_eq!(b.recv(0, 0, Tag::app(0)).unwrap(), "ping");
+        b.send(0, 0, Tag::app(0), Bytes::from_static(b"pong"))
+            .unwrap();
+        assert_eq!(a.recv(1, 0, Tag::app(0)).unwrap(), "pong");
     }
 
     #[test]
@@ -167,11 +170,11 @@ mod tests {
         let fabric = LocalFabric::new(2);
         let a = fabric.endpoint(0);
         assert!(matches!(
-            a.send(5, Tag::app(0), Bytes::new()),
+            a.send(5, 0, Tag::app(0), Bytes::new()),
             Err(NetError::InvalidRank { rank: 5, world: 2 })
         ));
         assert!(a
-            .recv_timeout(9, Tag::app(0), Duration::from_millis(1))
+            .recv_from(9, 0, Tag::app(0), Some(Instant::now()))
             .is_err());
     }
 
@@ -179,8 +182,9 @@ mod tests {
     fn self_send_is_allowed() {
         let fabric = LocalFabric::new(1);
         let a = fabric.endpoint(0);
-        a.send(0, Tag::app(3), Bytes::from_static(b"me")).unwrap();
-        assert_eq!(a.recv(0, Tag::app(3)).unwrap(), "me");
+        a.send(0, 0, Tag::app(3), Bytes::from_static(b"me"))
+            .unwrap();
+        assert_eq!(a.recv(0, 0, Tag::app(3)).unwrap(), "me");
     }
 
     #[test]
@@ -194,12 +198,12 @@ mod tests {
                     let k = ep.world_size();
                     // Everyone sends its rank to everyone else …
                     for dst in (0..k).filter(|&d| d != me) {
-                        ep.send(dst, Tag::app(1), Bytes::copy_from_slice(&[me as u8]))
+                        ep.send(dst, 0, Tag::app(1), Bytes::copy_from_slice(&[me as u8]))
                             .unwrap();
                     }
                     // … and receives K-1 ranks back.
                     for src in (0..k).filter(|&s| s != me) {
-                        let got = ep.recv(src, Tag::app(1)).unwrap();
+                        let got = ep.recv(src, 0, Tag::app(1)).unwrap();
                         assert_eq!(got[0] as usize, src);
                     }
                 });
@@ -211,7 +215,7 @@ mod tests {
     fn abort_wakes_blocked_receivers() {
         let fabric = LocalFabric::new(2);
         let a = fabric.endpoint(0);
-        let handle = std::thread::spawn(move || a.recv(1, Tag::app(0)));
+        let handle = std::thread::spawn(move || a.recv(1, 0, Tag::app(0)));
         std::thread::sleep(Duration::from_millis(20));
         fabric.abort();
         assert!(matches!(
@@ -224,11 +228,14 @@ mod tests {
     fn multicast_duplicates_deliver_once() {
         let fabric = LocalFabric::new(3);
         let a = fabric.endpoint(0);
-        a.multicast(&[1, 2, 1], Tag::app(0), Bytes::from_static(b"set"))
+        a.multicast(&[1, 2, 1], 0, Tag::app(0), Bytes::from_static(b"set"))
             .unwrap();
         let b = fabric.endpoint(1);
-        assert_eq!(b.recv(0, Tag::app(0)).unwrap(), "set");
-        assert_eq!(b.try_recv(0, Tag::app(0)).unwrap(), None);
+        assert_eq!(b.recv(0, 0, Tag::app(0)).unwrap(), "set");
+        assert!(matches!(
+            b.recv_from(0, 0, Tag::app(0), Some(Instant::now())),
+            Err(NetError::Timeout { .. })
+        ));
     }
 
     #[test]
@@ -238,8 +245,8 @@ mod tests {
         let b = fabric.endpoint(1);
         let payload = Bytes::from(vec![7u8; 1024]);
         let ptr = payload.as_ptr();
-        a.send(1, Tag::app(0), payload).unwrap();
-        let got = b.recv(0, Tag::app(0)).unwrap();
+        a.send(1, 0, Tag::app(0), payload).unwrap();
+        let got = b.recv(0, 0, Tag::app(0)).unwrap();
         assert_eq!(got.as_ptr(), ptr, "local delivery must not copy");
     }
 }

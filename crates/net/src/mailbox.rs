@@ -1,12 +1,16 @@
 //! Tag-matched mailboxes.
 //!
-//! Each endpoint owns one [`Mailbox`]. Incoming messages are queued by
-//! exact tag and source — a [`Key`] — and leave in FIFO order per key: the
-//! matching semantics of MPI's `MPI_Recv` with an explicit source and tag.
-//! There is one way to wait: [`Mailbox::recv_any`] blocks until a message
-//! is queued under any of a set of keys, a listed source disconnected, the
-//! mailbox is closed, or a deadline passes. Every other receive in the crate
-//! is that call with one key and some deadline.
+//! Each endpoint owns one [`Mailbox`]. Incoming messages are queued by job,
+//! exact tag and source, and leave in FIFO order per key: the matching
+//! semantics of MPI's `MPI_Recv` with an explicit communicator, source and
+//! tag. A mailbox queues a message only while its job is open there
+//! ([`open_job`](Mailbox::open_job));
+//! [`close_job`](Mailbox::close_job) drops whatever the job left behind,
+//! and from then on anything that still arrives for it is dropped on
+//! arrival. There is one way to wait: [`Mailbox::recv_any`] blocks until a
+//! message of one job is queued under any of a set of keys, a listed source
+//! disconnected, the mailbox is closed, or a deadline passes. Every other
+//! receive in the crate is that call with one key and some deadline.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -14,11 +18,15 @@
 //! use cts_net::message::{Message, Tag};
 //!
 //! let mb = Mailbox::new(0);
-//! mb.deliver(Message { src: 2, tag: Tag::app(7), payload: Bytes::from_static(b"hi") });
-//! // Matching is on exact tag and source; the hit names the key it came under.
+//! mb.open_job(9);
+//! let msg = |job| Message { src: 2, job, tag: Tag::app(7), payload: Bytes::from_static(b"hi") };
+//! mb.deliver(msg(9));
+//! mb.deliver(msg(8)); // job 8 is not open here: dropped
+//! // Matching is on job, exact tag and source; the hit names its key.
 //! let keys = [(Tag::app(7), 1), (Tag::app(7), 2)];
-//! let (key, payload) = mb.recv_any(&keys, None).unwrap();
+//! let (key, payload) = mb.recv_any(9, &keys, None).unwrap();
 //! assert_eq!((key, &payload[..]), (1, &b"hi"[..]));
+//! assert_eq!(mb.queued(), 0);
 //! ```
 
 use std::collections::BTreeMap;
@@ -32,10 +40,13 @@ use crate::message::{Key, Message, Tag};
 
 #[derive(Default)]
 struct Inner {
-    /// Every queued message under its key and arrival number, so that the
-    /// messages of one key sit together, oldest first, and the map's size
-    /// is the backlog — not the history of keys ever used.
-    queued: BTreeMap<(Tag, usize, u64), Bytes>,
+    /// Every queued message under its job, key and arrival number, so that
+    /// the messages of one key sit together, oldest first, and the map's
+    /// size is the backlog — not the history of keys ever used.
+    queued: BTreeMap<(u32, Tag, usize, u64), Bytes>,
+    /// The jobs whose messages are queued; a message of any other job is
+    /// dropped on arrival.
+    open: Vec<u32>,
     arrivals: u64,
     closed: bool,
     /// Per-source disconnect bits (bit `s` set = no further messages will
@@ -44,20 +55,23 @@ struct Inner {
 }
 
 impl Inner {
-    /// Takes the oldest message of the lowest queued key in `keys` (sorted),
-    /// with the index of that key. The two sorted sets leapfrog: from a
-    /// listed key to the first queued message at or after it, from there —
-    /// unless it is a hit — to the first listed key after it. A step is two
-    /// logarithmic searches and skips a whole run of misses, so a wait on
-    /// tens of thousands of keys costs no more per wake-up than a wait on
-    /// one.
-    fn take(&mut self, keys: &[Key]) -> Option<(usize, Bytes)> {
+    /// Takes job `job`'s oldest message of the lowest queued key in `keys`
+    /// (sorted), with the index of that key. The two sorted sets leapfrog:
+    /// from a listed key to the first queued message at or after it, from
+    /// there — unless it is a hit — to the first listed key after it. A step
+    /// is two logarithmic searches and skips a whole run of misses, so a
+    /// wait on tens of thousands of keys costs no more per wake-up than a
+    /// wait on one.
+    fn take(&mut self, job: u32, keys: &[Key]) -> Option<(usize, Bytes)> {
         let mut at = 0;
         while let Some(&(tag, src)) = keys.get(at) {
-            let (&(tag, src, arrival), _) = self.queued.range((tag, src, 0)..).next()?;
+            let (&(of, tag, src, arrival), _) = self.queued.range((job, tag, src, 0)..).next()?;
+            if of != job {
+                return None;
+            }
             match keys[at..].binary_search(&(tag, src)) {
                 Ok(i) => {
-                    let payload = self.queued.remove(&(tag, src, arrival))?;
+                    let payload = self.queued.remove(&(job, tag, src, arrival))?;
                     return Some((at + i, payload));
                 }
                 Err(i) => at += i,
@@ -75,48 +89,75 @@ pub struct Mailbox {
 }
 
 impl Mailbox {
-    /// Creates the mailbox for endpoint `rank`.
+    /// Creates the mailbox for endpoint `rank`, with job 0 open: the job of
+    /// a bare transport's traffic and of a one-shot run
+    /// ([`JobBinding::ROOT`](crate::cluster::JobBinding::ROOT)).
     pub fn new(rank: usize) -> Self {
         Mailbox {
             rank,
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                open: vec![0],
+                ..Inner::default()
+            }),
             available: Condvar::new(),
         }
     }
 
     /// Enqueues a message (called by the transport's delivery path).
     ///
-    /// Delivery to a closed mailbox is silently dropped — the owner has
-    /// already stopped receiving.
+    /// A message of a job that is not open here, or delivered to a closed
+    /// mailbox, is silently dropped — nobody will receive it.
     pub fn deliver(&self, msg: Message) {
         let mut inner = self.inner.lock();
-        if inner.closed {
+        if inner.closed || !inner.open.contains(&msg.job) {
             return;
         }
         inner.arrivals += 1;
-        let at = (msg.tag, msg.src, inner.arrivals);
+        let at = (msg.job, msg.tag, msg.src, inner.arrivals);
         inner.queued.insert(at, msg.payload);
         drop(inner);
         self.available.notify_all();
     }
 
-    /// Blocks until a message is queued under one of `keys` and returns it
-    /// with the index of its key. `keys` must be sorted ascending — by tag,
-    /// then source. When several have messages the lowest key wins, so a
-    /// caller that numbers its work in tags takes it in that order;
-    /// messages under one key leave in arrival order. A key whose source is
-    /// no rank of the fabric never matches.
+    /// Opens job `job` here: its messages are queued from now on.
+    pub fn open_job(&self, job: u32) {
+        let mut inner = self.inner.lock();
+        if !inner.open.contains(&job) {
+            inner.open.push(job);
+        }
+    }
+
+    /// Ends job `job` here: what it left queued is dropped, and so is
+    /// anything of it that arrives later.
+    pub fn close_job(&self, job: u32) {
+        let mut inner = self.inner.lock();
+        inner.open.retain(|&open| open != job);
+        let left = (job, Tag(0), 0, 0)..=(job, Tag(u32::MAX), usize::MAX, u64::MAX);
+        inner.queued.extract_if(left, |_, _| true).for_each(drop);
+    }
+
+    /// Blocks until a message of job `job` is queued under one of `keys` and
+    /// returns it with the index of its key. `keys` must be sorted ascending
+    /// — by tag, then source. When several have messages the lowest key
+    /// wins, so a caller that numbers its work in tags takes it in that
+    /// order; messages under one key leave in arrival order. A key whose
+    /// source is no rank of the fabric never matches.
     ///
     /// A queued message always drains first. With nothing queued, the wait
     /// ends on the first of: a listed source that disconnected or a closed
     /// mailbox (`Disconnected`), `deadline` passing (`Timeout`, naming the
     /// first key). A deadline that has already passed makes the call a
     /// non-blocking probe; `None` waits indefinitely.
-    pub fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
+    pub fn recv_any(
+        &self,
+        job: u32,
+        keys: &[Key],
+        deadline: Option<Instant>,
+    ) -> Result<(usize, Bytes)> {
         let mut inner = self.inner.lock();
         let mut sources = None;
         loop {
-            if let Some(hit) = inner.take(keys) {
+            if let Some(hit) = inner.take(job, keys) {
                 return Ok(hit);
             }
             // Whose messages these keys await matters only once somebody
@@ -182,19 +223,20 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// The single-key receives the transports build over `recv_any`.
+    /// The single-key receives the transports build over `recv_any`, in
+    /// job 0.
     impl Mailbox {
         fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
-            Ok(self.recv_any(&[(tag, src)], None)?.1)
+            Ok(self.recv_any(0, &[(tag, src)], None)?.1)
         }
 
         fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
             let deadline = Instant::now() + timeout;
-            Ok(self.recv_any(&[(tag, src)], Some(deadline))?.1)
+            Ok(self.recv_any(0, &[(tag, src)], Some(deadline))?.1)
         }
 
         fn try_recv_checked(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
-            match self.recv_any(&[(tag, src)], Some(Instant::now())) {
+            match self.recv_any(0, &[(tag, src)], Some(Instant::now())) {
                 Ok((_, payload)) => Ok(Some(payload)),
                 Err(NetError::Timeout { .. }) => Ok(None),
                 Err(e) => Err(e),
@@ -209,6 +251,7 @@ mod tests {
     fn msg(src: usize, tag: Tag, bytes: &'static [u8]) -> Message {
         Message {
             src,
+            job: 0,
             tag,
             payload: Bytes::from_static(bytes),
         }
@@ -375,6 +418,7 @@ mod tests {
         for src in (0..8usize).rev() {
             mb.deliver(Message {
                 src,
+                job: 0,
                 tag: Tag::app(src as u32),
                 payload: Bytes::copy_from_slice(&[src as u8]),
             });
@@ -392,7 +436,7 @@ mod tests {
         let waiter = {
             let mb = Arc::clone(&mb);
             std::thread::spawn(move || {
-                let hit = mb.recv_any(&keys, None).unwrap();
+                let hit = mb.recv_any(0, &keys, None).unwrap();
                 woke_tx.send(()).unwrap();
                 hit
             })
@@ -416,13 +460,14 @@ mod tests {
         mb.deliver(msg(1, Tag::app(40), b"a"));
         mb.deliver(msg(1, Tag::app(40), b"b"));
         mb.deliver(msg(1, Tag::app(7), b"c"));
-        let order: Vec<(usize, Bytes)> =
-            (0..3).map(|_| mb.recv_any(&keys, None).unwrap()).collect();
+        let order: Vec<(usize, Bytes)> = (0..3)
+            .map(|_| mb.recv_any(0, &keys, None).unwrap())
+            .collect();
         assert_eq!(order[0], (7, Bytes::from_static(b"c")));
         assert_eq!(order[1], (40, Bytes::from_static(b"a")));
         assert_eq!(order[2], (40, Bytes::from_static(b"b")));
         assert!(matches!(
-            mb.recv_any(&keys, Some(Instant::now())),
+            mb.recv_any(0, &keys, Some(Instant::now())),
             Err(NetError::Timeout { src: 1, tag: 0 })
         ));
     }
@@ -441,7 +486,9 @@ mod tests {
             let mb = Arc::new(Mailbox::new(9));
             let waiter = {
                 let mb = Arc::clone(&mb);
-                std::thread::spawn(move || mb.recv_any(&[(Tag::app(0), 1), (Tag::app(0), 2)], None))
+                std::thread::spawn(move || {
+                    mb.recv_any(0, &[(Tag::app(0), 1), (Tag::app(0), 2)], None)
+                })
             };
             std::thread::sleep(Duration::from_millis(20));
             // A terminal mark on a source nobody listed wakes nothing.
@@ -460,9 +507,9 @@ mod tests {
         mb.deliver(msg(2, Tag::app(0), b"still-here"));
         mb.disconnect_src(1);
         mb.close();
-        assert_eq!(mb.recv_any(&keys, None).unwrap().1, "still-here");
+        assert_eq!(mb.recv_any(0, &keys, None).unwrap().1, "still-here");
         assert_eq!(
-            mb.recv_any(&keys, None),
+            mb.recv_any(0, &keys, None),
             Err(NetError::Disconnected { rank: 0 })
         );
     }
@@ -480,5 +527,50 @@ mod tests {
             mb.recv(t as usize % 8, Tag::app(t)).unwrap();
         }
         assert!(mb.inner.lock().queued.is_empty());
+    }
+
+    /// The message `msg(src, tag, bytes)` makes, in job `job`.
+    fn of(job: u32, src: usize, bytes: &'static [u8]) -> Message {
+        Message {
+            job,
+            ..msg(src, Tag::app(3), bytes)
+        }
+    }
+
+    #[test]
+    fn jobs_with_the_same_keys_never_cross() {
+        let mb = Mailbox::new(0);
+        mb.open_job(7);
+        mb.deliver(of(7, 1, b"job-7"));
+        mb.deliver(of(0, 1, b"job-0"));
+        let keys = [(Tag::app(3), 1)];
+        assert_eq!(mb.recv_any(0, &keys, None).unwrap().1, "job-0");
+        assert_eq!(mb.recv_any(7, &keys, None).unwrap().1, "job-7");
+        // A wait in one job is not ended by another job's message.
+        mb.deliver(of(7, 1, b"job-7-again"));
+        assert!(matches!(
+            mb.recv_any(0, &keys, Some(Instant::now())),
+            Err(NetError::Timeout { src: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn a_job_that_is_not_open_queues_nothing() {
+        let mb = Mailbox::new(0);
+        mb.deliver(of(5, 1, b"early"));
+        assert_eq!(mb.queued(), 0);
+        mb.open_job(5);
+        mb.open_job(5);
+        mb.deliver(of(5, 1, b"left-behind"));
+        mb.deliver(of(6, 1, b"never-opened"));
+        assert_eq!(mb.queued(), 1);
+        // Closing drops what the job left, and what arrives for it after.
+        mb.close_job(5);
+        assert_eq!(mb.queued(), 0);
+        mb.deliver(of(5, 1, b"late"));
+        assert_eq!(mb.queued(), 0);
+        // Other jobs are untouched.
+        mb.deliver(of(0, 1, b"root"));
+        assert_eq!(mb.queued(), 1);
     }
 }

@@ -5,9 +5,10 @@
 //! Every socket blocks, so every wait is the kernel's: each endpoint runs
 //! an **acceptor thread** blocked in `accept` on its listener and **one
 //! reader thread per accepted link**, blocked reading that link's frames,
-//! `[tag: u32 LE][len: u32 LE][payload]` ([`frame`]'s codec,
-//! the tag its head), into the endpoint's [`Mailbox`]. A frame leaves in
-//! one vectored write under its link's lock;
+//! `[job: u32 LE][tag: u32 LE][len: u32 LE][payload]` ([`frame`]'s codec,
+//! the job and tag its head), into the endpoint's [`Mailbox`], which drops
+//! a frame of a job that is not open there. A frame leaves in one vectored
+//! write under its link's lock;
 //! [`Transport::multicast`] writes its copies back to back into kernel
 //! buffers that the receivers' readers drain concurrently — the
 //! fanout/multicast fabrics of [`fabric`](crate::fabric).
@@ -29,10 +30,10 @@
 //! let endpoints = build_tcp_fabric(3).unwrap();
 //! // One native multicast: rank 0 → ranks 1 and 2, written back to back.
 //! endpoints[0]
-//!     .multicast(&[1, 2], Tag::app(0), Bytes::from_static(b"coded"))
+//!     .multicast(&[1, 2], 0, Tag::app(0), Bytes::from_static(b"coded"))
 //!     .unwrap();
-//! assert_eq!(endpoints[1].recv(0, Tag::app(0)).unwrap(), "coded");
-//! assert_eq!(endpoints[2].recv(0, Tag::app(0)).unwrap(), "coded");
+//! assert_eq!(endpoints[1].recv(0, 0, Tag::app(0)).unwrap(), "coded");
+//! assert_eq!(endpoints[2].recv(0, 0, Tag::app(0)).unwrap(), "coded");
 //! ```
 
 use std::collections::HashMap;
@@ -41,7 +42,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{JoinHandle, ThreadId};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -49,7 +50,7 @@ use parking_lot::Mutex;
 use crate::error::{NetError, Result};
 use crate::frame;
 use crate::mailbox::Mailbox;
-use crate::message::{Key, Message, Tag};
+use crate::message::{Message, Tag};
 use crate::registry::{RankRegistry, HELLO_LEN};
 use crate::transport::Transport;
 
@@ -64,6 +65,11 @@ pub fn build_tcp_fabric(k: usize) -> Result<Vec<TcpEndpoint>> {
         .enumerate()
         .map(|(rank, listener)| TcpEndpoint::start(rank, registry.clone(), listener))
         .collect()
+}
+
+/// A link frame's head: the message's job, then its tag, each `u32` LE.
+fn head(job: u32, tag: Tag) -> [u8; 8] {
+    (u64::from(tag.0) << 32 | u64::from(job)).to_le_bytes()
 }
 
 /// An outbound simplex link. The lock serializes this endpoint's frame
@@ -275,13 +281,15 @@ impl Inbound {
         let Some(peer) = peer.filter(|&peer| peer != self.rank) else {
             return;
         };
-        while let Ok(Some((tag, len))) = frame::read_head::<4>(&mut reader) {
+        while let Ok(Some((head, len))) = frame::read_head::<8>(&mut reader) {
             let Ok(payload) = frame::read_body(&mut reader, len) else {
                 break;
             };
+            let head = u64::from_le_bytes(head);
             self.mailbox.deliver(Message {
                 src: peer,
-                tag: Tag(u32::from_le_bytes(tag)),
+                job: head as u32,
+                tag: Tag((head >> 32) as u32),
                 payload: Bytes::from(payload),
             });
         }
@@ -298,11 +306,12 @@ impl Transport for TcpEndpoint {
         self.inbound.registry.world_size()
     }
 
-    fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
+    fn send(&self, dst: usize, job: u32, tag: Tag, payload: Bytes) -> Result<()> {
         if dst == self.rank {
             // Loopback without touching the wire, like MPI self-sends.
             self.inbound.mailbox.deliver(Message {
                 src: self.rank,
+                job,
                 tag,
                 payload,
             });
@@ -310,11 +319,11 @@ impl Transport for TcpEndpoint {
         }
         let link = self.link_to(dst)?;
         let _writing = link.writing.lock();
-        frame::write(&link.stream, &tag.0.to_le_bytes(), &[&payload])?;
+        frame::write(&link.stream, &head(job, tag), &[&payload])?;
         Ok(())
     }
 
-    fn multicast(&self, dsts: &[usize], tag: Tag, payload: Bytes) -> Result<()> {
+    fn multicast(&self, dsts: &[usize], job: u32, tag: Tag, payload: Bytes) -> Result<()> {
         // Validate + dial first so no copy is sent on a bad destination
         // list. `dsts` is a set (trait contract): dedupe — a duplicate
         // would re-lock a peer's non-reentrant writer mutex — and sort, so
@@ -332,6 +341,7 @@ impl Transport for TcpEndpoint {
         if distinct.contains(&self.rank) {
             self.inbound.mailbox.deliver(Message {
                 src: self.rank,
+                job,
                 tag,
                 payload: payload.clone(),
             });
@@ -339,17 +349,17 @@ impl Transport for TcpEndpoint {
         let _writing: Vec<_> = links.iter().map(|link| link.writing.lock()).collect();
         // A failed copy does not cut the others short: every healthy link
         // gets a whole frame, and the first error is reported after.
-        let mut first_err = None;
+        let (head, mut first_err) = (head(job, tag), None);
         for link in &links {
-            if let Err(e) = frame::write(&link.stream, &tag.0.to_le_bytes(), &[&payload]) {
+            if let Err(e) = frame::write(&link.stream, &head, &[&payload]) {
                 first_err.get_or_insert(e);
             }
         }
         first_err.map_or(Ok(()), |e| Err(e.into()))
     }
 
-    fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)> {
-        self.inbound.mailbox.recv_any(keys, deadline)
+    fn mailbox(&self) -> &Mailbox {
+        &self.inbound.mailbox
     }
 
     fn shutdown(&self) {
@@ -380,6 +390,7 @@ mod tests {
     use crate::frame::MAX_FRAME;
     use proptest::prelude::*;
     use std::sync::OnceLock;
+    use std::time::Instant;
 
     /// Outbound links `ep` has dialed so far — with the lazy mesh, exactly
     /// the number of distinct peers it has sent to.
@@ -401,9 +412,17 @@ mod tests {
         raw_connection(ep, &ep.inbound.registry.hello(rank))
     }
 
-    /// A frame's header: the tag, then the length the payload claims.
-    fn header(tag: Tag, len: u32) -> Vec<u8> {
-        [tag.0.to_le_bytes(), len.to_le_bytes()].concat()
+    /// A frame's header: the job, the tag, then the length the payload
+    /// claims.
+    fn header(job: u32, tag: Tag, len: u32) -> Vec<u8> {
+        [&head(job, tag)[..], &len.to_le_bytes()].concat()
+    }
+
+    /// Whether `ep` has nothing of job 0 queued under `(tag, src)`: a probe
+    /// with a deadline that has already passed.
+    fn nothing_from(ep: &TcpEndpoint, src: usize, tag: Tag) -> bool {
+        let probe = ep.recv_from(src, 0, tag, Some(Instant::now()));
+        matches!(probe, Err(NetError::Timeout { .. }))
     }
 
     /// Blocks until the endpoint closes `stream`: a read finds EOF or a
@@ -417,20 +436,21 @@ mod tests {
     fn mesh_ping_pong() {
         let endpoints = build_tcp_fabric(2).unwrap();
         let (a, b) = (&endpoints[0], &endpoints[1]);
-        a.send(1, Tag::app(0), Bytes::from_static(b"over tcp"))
+        a.send(1, 0, Tag::app(0), Bytes::from_static(b"over tcp"))
             .unwrap();
-        assert_eq!(b.recv(0, Tag::app(0)).unwrap(), "over tcp");
-        b.send(0, Tag::app(1), Bytes::from_static(b"back")).unwrap();
-        assert_eq!(a.recv(1, Tag::app(1)).unwrap(), "back");
+        assert_eq!(b.recv(0, 0, Tag::app(0)).unwrap(), "over tcp");
+        b.send(0, 0, Tag::app(1), Bytes::from_static(b"back"))
+            .unwrap();
+        assert_eq!(a.recv(1, 0, Tag::app(1)).unwrap(), "back");
     }
 
     #[test]
     fn self_send_loops_back() {
         let endpoints = build_tcp_fabric(1).unwrap();
         endpoints[0]
-            .send(0, Tag::app(0), Bytes::from_static(b"self"))
+            .send(0, 0, Tag::app(0), Bytes::from_static(b"self"))
             .unwrap();
-        assert_eq!(endpoints[0].recv(0, Tag::app(0)).unwrap(), "self");
+        assert_eq!(endpoints[0].recv(0, 0, Tag::app(0)).unwrap(), "self");
     }
 
     #[test]
@@ -440,9 +460,9 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761)) as u8)
             .collect();
         endpoints[0]
-            .send(1, Tag::app(5), Bytes::from(big.clone()))
+            .send(1, 0, Tag::app(5), Bytes::from(big.clone()))
             .unwrap();
-        let got = endpoints[1].recv(0, Tag::app(5)).unwrap();
+        let got = endpoints[1].recv(0, 0, Tag::app(5)).unwrap();
         assert_eq!(got.len(), big.len());
         assert_eq!(&got[..], &big[..]);
     }
@@ -451,20 +471,21 @@ mod tests {
     fn an_oversized_header_closes_the_link_and_disconnects_its_source() {
         let endpoints = build_tcp_fabric(2).unwrap();
         let mut raw = raw_link(&endpoints[1], 0);
-        raw.write_all(&header(Tag::app(0), MAX_FRAME + 1)).unwrap();
+        raw.write_all(&header(0, Tag::app(0), MAX_FRAME + 1))
+            .unwrap();
         assert!(matches!(
-            endpoints[1].recv(0, Tag::app(0)),
+            endpoints[1].recv(0, 0, Tag::app(0)),
             Err(NetError::Disconnected { .. })
         ));
         assert_closed(raw);
         // The endpoint itself carries on.
         endpoints[0]
-            .send(1, Tag::app(1), Bytes::from_static(b"still here"))
+            .send(1, 0, Tag::app(1), Bytes::from_static(b"still here"))
             .unwrap();
         endpoints[1]
-            .send(0, Tag::app(1), Bytes::from_static(b"and here"))
+            .send(0, 0, Tag::app(1), Bytes::from_static(b"and here"))
             .unwrap();
-        assert_eq!(endpoints[0].recv(1, Tag::app(1)).unwrap(), "and here");
+        assert_eq!(endpoints[0].recv(1, 0, Tag::app(1)).unwrap(), "and here");
     }
 
     #[test]
@@ -472,11 +493,11 @@ mod tests {
         // 512 MiB claimed, 10 bytes sent, then EOF.
         let endpoints = build_tcp_fabric(2).unwrap();
         let mut raw = raw_link(&endpoints[1], 0);
-        raw.write_all(&header(Tag::app(0), 512 << 20)).unwrap();
+        raw.write_all(&header(0, Tag::app(0), 512 << 20)).unwrap();
         raw.write_all(&[7u8; 10]).unwrap();
         raw.shutdown(Shutdown::Write).unwrap();
         assert!(matches!(
-            endpoints[1].recv(0, Tag::app(0)),
+            endpoints[1].recv(0, 0, Tag::app(0)),
             Err(NetError::Disconnected { .. })
         ));
         assert_closed(raw);
@@ -488,17 +509,17 @@ mod tests {
         for rank in [2, 1, u32::MAX as usize] {
             let mut raw = raw_link(&endpoints[1], rank);
             // Whatever follows is not read as a frame from anyone.
-            let _ = raw.write_all(&header(Tag::app(0), 1));
+            let _ = raw.write_all(&header(0, Tag::app(0), 1));
             let _ = raw.write_all(b"x");
             assert_closed(raw);
         }
-        assert!(endpoints[1].try_recv(0, Tag::app(0)).unwrap().is_none());
-        assert!(endpoints[1].try_recv(1, Tag::app(0)).unwrap().is_none());
+        assert!(nothing_from(&endpoints[1], 0, Tag::app(0)));
+        assert!(nothing_from(&endpoints[1], 1, Tag::app(0)));
         // No source was disconnected either: rank 0's real link still works.
         endpoints[0]
-            .send(1, Tag::app(0), Bytes::from_static(b"real"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"real"))
             .unwrap();
-        assert_eq!(endpoints[1].recv(0, Tag::app(0)).unwrap(), "real");
+        assert_eq!(endpoints[1].recv(0, 0, Tag::app(0)).unwrap(), "real");
     }
 
     /// A connection that names rank 0 without the fabric's token, then
@@ -515,13 +536,43 @@ mod tests {
             assert_closed(raw);
         }
         std::thread::scope(|scope| {
-            let waiting = scope.spawn(|| endpoints[1].recv(0, Tag::app(0)));
+            let waiting = scope.spawn(|| endpoints[1].recv(0, 0, Tag::app(0)));
             std::thread::sleep(Duration::from_millis(20));
             endpoints[0]
-                .send(1, Tag::app(0), Bytes::from_static(b"alive"))
+                .send(1, 0, Tag::app(0), Bytes::from_static(b"alive"))
                 .unwrap();
             assert_eq!(waiting.join().unwrap().unwrap(), "alive");
         });
+    }
+
+    /// A whole frame of a job the endpoint has not opened — one that ended,
+    /// or never ran there — is read and dropped: nothing is queued, and
+    /// neither the link nor its source goes down.
+    #[test]
+    fn a_frame_for_a_job_that_is_not_open_is_dropped_and_disconnects_no_one() {
+        let endpoints = build_tcp_fabric(2).unwrap();
+        let ep = &endpoints[1];
+        let mut raw = raw_link(ep, 0);
+        raw.write_all(&[header(7, Tag::app(0), 5), b"stale".to_vec()].concat())
+            .unwrap();
+        // Behind it on the same link, a frame of job 0, which is open.
+        raw.write_all(&[header(0, Tag::app(0), 5), b"fresh".to_vec()].concat())
+            .unwrap();
+        assert_eq!(ep.recv(0, 0, Tag::app(0)).unwrap(), "fresh");
+        assert_eq!(ep.inbound.mailbox.queued(), 0);
+        // Opening the job later does not bring the dropped frame back; its
+        // next frame on the same link lands.
+        ep.mailbox().open_job(7);
+        let probe = ep.recv_from(0, 7, Tag::app(0), Some(Instant::now()));
+        assert!(matches!(probe, Err(NetError::Timeout { .. })), "{probe:?}");
+        raw.write_all(&[header(7, Tag::app(1), 2), b"ok".to_vec()].concat())
+            .unwrap();
+        assert_eq!(ep.recv(0, 7, Tag::app(1)).unwrap(), "ok");
+        // Rank 0's real link works too.
+        endpoints[0]
+            .send(1, 0, Tag::app(2), Bytes::from_static(b"real"))
+            .unwrap();
+        assert_eq!(ep.recv(0, 0, Tag::app(2)).unwrap(), "real");
     }
 
     /// A live 3-rank fabric, every one of its links dialed, for the hello
@@ -541,9 +592,9 @@ mod tests {
             if src != dst {
                 let payload = Bytes::copy_from_slice(&[src as u8, dst as u8]);
                 endpoints[src]
-                    .send(dst, Tag::app(0), payload.clone())
+                    .send(dst, 0, Tag::app(0), payload.clone())
                     .unwrap();
-                assert_eq!(endpoints[dst].recv(src, Tag::app(0)).unwrap(), payload);
+                assert_eq!(endpoints[dst].recv(src, 0, Tag::app(0)).unwrap(), payload);
             }
         }
     }
@@ -586,13 +637,14 @@ mod tests {
                     for dst in (0..4).filter(|&d| d != me) {
                         ep.send(
                             dst,
+                            0,
                             Tag::app(0),
                             Bytes::copy_from_slice(&[me as u8, dst as u8]),
                         )
                         .unwrap();
                     }
                     for src in (0..4).filter(|&s| s != me) {
-                        let got = ep.recv(src, Tag::app(0)).unwrap();
+                        let got = ep.recv(src, 0, Tag::app(0)).unwrap();
                         assert_eq!(&got[..], &[src as u8, me as u8]);
                     }
                 });
@@ -605,11 +657,11 @@ mod tests {
         let endpoints = build_tcp_fabric(2).unwrap();
         for i in 0..100u32 {
             endpoints[0]
-                .send(1, Tag::app(0), Bytes::copy_from_slice(&i.to_le_bytes()))
+                .send(1, 0, Tag::app(0), Bytes::copy_from_slice(&i.to_le_bytes()))
                 .unwrap();
         }
         for i in 0..100u32 {
-            let got = endpoints[1].recv(0, Tag::app(0)).unwrap();
+            let got = endpoints[1].recv(0, 0, Tag::app(0)).unwrap();
             assert_eq!(u32::from_le_bytes(got[..].try_into().unwrap()), i);
         }
     }
@@ -619,18 +671,18 @@ mod tests {
         let endpoints = build_tcp_fabric(6).unwrap();
         // Only 0 → 1 traffic: no other endpoint opens a data link.
         endpoints[0]
-            .send(1, Tag::app(0), Bytes::from_static(b"sparse"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"sparse"))
             .unwrap();
-        assert_eq!(endpoints[1].recv(0, Tag::app(0)).unwrap(), "sparse");
+        assert_eq!(endpoints[1].recv(0, 0, Tag::app(0)).unwrap(), "sparse");
         assert_eq!(outbound_links(&endpoints[0]), 1);
         for ep in &endpoints[1..] {
             assert_eq!(outbound_links(ep), 0, "rank {}", ep.rank());
         }
         // Repeat sends reuse the dialed link instead of opening more.
         endpoints[0]
-            .send(1, Tag::app(1), Bytes::from_static(b"again"))
+            .send(1, 0, Tag::app(1), Bytes::from_static(b"again"))
             .unwrap();
-        assert_eq!(endpoints[1].recv(0, Tag::app(1)).unwrap(), "again");
+        assert_eq!(endpoints[1].recv(0, 0, Tag::app(1)).unwrap(), "again");
         assert_eq!(outbound_links(&endpoints[0]), 1);
     }
 
@@ -639,10 +691,10 @@ mod tests {
         let endpoints = build_tcp_fabric(4).unwrap();
         let payload: Vec<u8> = (0..500_000u32).map(|i| (i % 251) as u8).collect();
         endpoints[1]
-            .multicast(&[0, 2, 3], Tag::app(9), Bytes::from(payload.clone()))
+            .multicast(&[0, 2, 3], 0, Tag::app(9), Bytes::from(payload.clone()))
             .unwrap();
         for dst in [0usize, 2, 3] {
-            let got = endpoints[dst].recv(1, Tag::app(9)).unwrap();
+            let got = endpoints[dst].recv(1, 0, Tag::app(9)).unwrap();
             assert_eq!(&got[..], &payload[..], "dst {dst}");
         }
     }
@@ -651,47 +703,47 @@ mod tests {
     fn multicast_including_self_delivers_locally() {
         let endpoints = build_tcp_fabric(2).unwrap();
         endpoints[0]
-            .multicast(&[0, 1], Tag::app(2), Bytes::from_static(b"both"))
+            .multicast(&[0, 1], 0, Tag::app(2), Bytes::from_static(b"both"))
             .unwrap();
-        assert_eq!(endpoints[0].recv(0, Tag::app(2)).unwrap(), "both");
-        assert_eq!(endpoints[1].recv(0, Tag::app(2)).unwrap(), "both");
+        assert_eq!(endpoints[0].recv(0, 0, Tag::app(2)).unwrap(), "both");
+        assert_eq!(endpoints[1].recv(0, 0, Tag::app(2)).unwrap(), "both");
     }
 
     #[test]
     fn multicast_duplicate_destinations_deliver_once_without_deadlock() {
         let endpoints = build_tcp_fabric(2).unwrap();
         endpoints[0]
-            .multicast(&[1, 1], Tag::app(0), Bytes::from_static(b"dup"))
+            .multicast(&[1, 1], 0, Tag::app(0), Bytes::from_static(b"dup"))
             .unwrap();
-        assert_eq!(endpoints[1].recv(0, Tag::app(0)).unwrap(), "dup");
-        assert!(endpoints[1].try_recv(0, Tag::app(0)).unwrap().is_none());
+        assert_eq!(endpoints[1].recv(0, 0, Tag::app(0)).unwrap(), "dup");
+        assert!(nothing_from(&endpoints[1], 0, Tag::app(0)));
     }
 
     #[test]
     fn multicast_rejects_invalid_rank_before_sending() {
         let endpoints = build_tcp_fabric(2).unwrap();
         let err = endpoints[0]
-            .multicast(&[1, 9], Tag::app(0), Bytes::from_static(b"x"))
+            .multicast(&[1, 9], 0, Tag::app(0), Bytes::from_static(b"x"))
             .unwrap_err();
         assert!(matches!(err, NetError::InvalidRank { rank: 9, .. }));
         // Nothing was sent to the valid destination either.
-        assert!(endpoints[1].try_recv(0, Tag::app(0)).unwrap().is_none());
+        assert!(nothing_from(&endpoints[1], 0, Tag::app(0)));
     }
 
     #[test]
     fn multicast_finishes_the_healthy_copies_and_reports_the_failed_one() {
         let mut endpoints = build_tcp_fabric(3).unwrap();
         endpoints[0]
-            .multicast(&[1, 2], Tag::app(0), Bytes::from_static(b"warm"))
+            .multicast(&[1, 2], 0, Tag::app(0), Bytes::from_static(b"warm"))
             .unwrap();
-        assert_eq!(endpoints[2].recv(0, Tag::app(0)).unwrap(), "warm");
+        assert_eq!(endpoints[2].recv(0, 0, Tag::app(0)).unwrap(), "warm");
         // Rank 1 goes away; its end of the 0 → 1 link resets the writes.
         drop(endpoints.remove(1));
         let payload = Bytes::from(vec![3u8; 1 << 20]);
         let mut result = Ok(());
         for round in 1..=8 {
-            result = endpoints[0].multicast(&[1, 2], Tag::app(round), payload.clone());
-            let got = endpoints[1].recv(0, Tag::app(round)).unwrap();
+            result = endpoints[0].multicast(&[1, 2], 0, Tag::app(round), payload.clone());
+            let got = endpoints[1].recv(0, 0, Tag::app(round)).unwrap();
             assert_eq!(got, payload, "round {round}: rank 2's copy is whole");
             if result.is_err() {
                 break;
@@ -755,10 +807,10 @@ mod tests {
         // pair has no socket to observe; the cluster layer covers that case
         // by shutting every endpoint down explicitly on abort).
         endpoints[0]
-            .send(1, Tag::app(7), Bytes::from_static(b"warm"))
+            .send(1, 0, Tag::app(7), Bytes::from_static(b"warm"))
             .unwrap();
-        assert_eq!(b.recv(0, Tag::app(7)).unwrap(), "warm");
-        let handle = std::thread::spawn(move || b.recv(0, Tag::app(0)));
+        assert_eq!(b.recv(0, 0, Tag::app(7)).unwrap(), "warm");
+        let handle = std::thread::spawn(move || b.recv(0, 0, Tag::app(0)));
         std::thread::sleep(Duration::from_millis(20));
         drop(endpoints); // drops endpoint 0 → socket shutdown → b's reader EOFs
         let result = handle.join().unwrap();
@@ -769,7 +821,7 @@ mod tests {
     fn invalid_rank_rejected() {
         let endpoints = build_tcp_fabric(2).unwrap();
         assert!(matches!(
-            endpoints[0].send(7, Tag::app(0), Bytes::new()),
+            endpoints[0].send(7, 0, Tag::app(0), Bytes::new()),
             Err(NetError::InvalidRank { .. })
         ));
     }
@@ -786,9 +838,9 @@ mod tests {
                 let big = &big;
                 scope.spawn(move || {
                     let other = 1 - ep.rank();
-                    ep.send(other, Tag::app(0), Bytes::from(big.clone()))
+                    ep.send(other, 0, Tag::app(0), Bytes::from(big.clone()))
                         .unwrap();
-                    let got = ep.recv(other, Tag::app(0)).unwrap();
+                    let got = ep.recv(other, 0, Tag::app(0)).unwrap();
                     assert_eq!(got.len(), big.len());
                 });
             }
@@ -804,13 +856,13 @@ mod tests {
             for t in 0..4u32 {
                 let ep = &endpoints[0];
                 scope.spawn(move || {
-                    ep.send(1, Tag::app(t), Bytes::copy_from_slice(&[t as u8]))
+                    ep.send(1, 0, Tag::app(t), Bytes::copy_from_slice(&[t as u8]))
                         .unwrap();
                 });
             }
         });
         for t in 0..4u32 {
-            assert_eq!(endpoints[1].recv(0, Tag::app(t)).unwrap()[0], t as u8);
+            assert_eq!(endpoints[1].recv(0, 0, Tag::app(t)).unwrap()[0], t as u8);
         }
         assert_eq!(outbound_links(&endpoints[0]), 1);
     }

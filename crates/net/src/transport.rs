@@ -8,19 +8,21 @@
 //!
 //! let fabric = LocalFabric::new(3);
 //! let sender = fabric.endpoint(0);
-//! // One native multicast serves both receivers from a single buffer.
+//! // One native multicast serves both receivers from a single buffer. Job 0
+//! // is open on a fresh fabric.
 //! sender
-//!     .multicast(&[1, 2], Tag::app(0), Bytes::from_static(b"pkt"))
+//!     .multicast(&[1, 2], 0, Tag::app(0), Bytes::from_static(b"pkt"))
 //!     .unwrap();
-//! assert_eq!(fabric.endpoint(1).recv(0, Tag::app(0)).unwrap(), "pkt");
-//! assert_eq!(fabric.endpoint(2).recv(0, Tag::app(0)).unwrap(), "pkt");
+//! assert_eq!(fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap(), "pkt");
+//! assert_eq!(fabric.endpoint(2).recv(0, 0, Tag::app(0)).unwrap(), "pkt");
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 
 use crate::error::{NetError, Result};
+use crate::mailbox::Mailbox;
 use crate::message::{Key, Tag};
 
 /// A message transport for one endpoint of a fabric.
@@ -32,8 +34,11 @@ use crate::message::{Key, Tag};
 ///
 /// Semantics mirror MPI's point-to-point layer:
 /// * `send` is asynchronous and never blocks on the receiver (buffered);
-/// * receives match on exact source *and* tag;
-/// * messages between one `(src, dst, tag)` triple arrive in send order;
+/// * every message belongs to a job, the part an MPI communicator plays:
+///   an endpoint's [`mailbox`](Self::mailbox) queues a job's messages only
+///   while the job is open there;
+/// * receives match on job, exact source *and* tag;
+/// * messages between one `(src, dst, job, tag)` arrive in send order;
 /// * `multicast` delivers one payload to a destination set, overlapping the
 ///   copies where the fabric can (shared buffer in memory; on TCP, copies
 ///   written back to back into kernel buffers that the receivers drain
@@ -45,11 +50,11 @@ pub trait Transport: Send + Sync {
     /// Number of endpoints in the fabric.
     fn world_size(&self) -> usize;
 
-    /// Sends `payload` to `dst` under `tag`.
-    fn send(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()>;
+    /// Sends `payload` to `dst` as job `job`'s message under `tag`.
+    fn send(&self, dst: usize, job: u32, tag: Tag, payload: Bytes) -> Result<()>;
 
-    /// Delivers `payload` to every rank in `dsts` under `tag` — the
-    /// one-to-many primitive of the coded shuffle.
+    /// Delivers `payload` to every rank in `dsts` as job `job`'s message
+    /// under `tag` — the one-to-many primitive of the coded shuffle.
     ///
     /// `dsts` is a destination *set*: duplicate entries receive a single
     /// copy. The default implementation is serial-unicast emulation (one
@@ -58,7 +63,7 @@ pub trait Transport: Send + Sync {
     /// [`LocalEndpoint`](crate::local::LocalEndpoint) delivers one shared
     /// buffer, [`TcpEndpoint`](crate::tcp::TcpEndpoint) writes the copies
     /// back to back under every destination's lock at once.
-    fn multicast(&self, dsts: &[usize], tag: Tag, payload: Bytes) -> Result<()> {
+    fn multicast(&self, dsts: &[usize], job: u32, tag: Tag, payload: Bytes) -> Result<()> {
         let mut seen = vec![false; self.world_size()];
         for &dst in dsts {
             if let Some(flag) = seen.get_mut(dst) {
@@ -67,49 +72,47 @@ pub trait Transport: Send + Sync {
                 }
             }
             // Out-of-range destinations fall through for `send` to reject.
-            self.send(dst, tag, payload.clone())?;
+            self.send(dst, job, tag, payload.clone())?;
         }
         Ok(())
     }
 
-    /// The one way to wait for a message: blocks until one is queued under
-    /// any of `keys` — exact tag and source, sorted ascending — and returns
-    /// it with the index of its key, the lowest key first. A queued message
-    /// always drains first; with nothing queued the wait ends with
-    /// `Disconnected` when a listed source hung up or this endpoint shut
-    /// down, and `Timeout` once `deadline` passes (`None` waits
-    /// indefinitely, a past deadline only probes). See
-    /// [`Mailbox::recv_any`](crate::mailbox::Mailbox::recv_any).
-    fn recv_any(&self, keys: &[Key], deadline: Option<Instant>) -> Result<(usize, Bytes)>;
+    /// The mailbox this endpoint receives from: where the fabric queues
+    /// the messages of the jobs open on it.
+    fn mailbox(&self) -> &Mailbox;
 
-    /// A wait on the one key `(src, tag)`, with the rank checked — what the
-    /// three receives below share.
-    fn recv_from(&self, src: usize, tag: Tag, deadline: Option<Instant>) -> Result<Bytes> {
+    /// The one way to wait for a message: blocks until one of job `job` is
+    /// queued under any of `keys` — exact tag and source, sorted ascending —
+    /// and returns it with the index of its key, the lowest key first. See
+    /// [`Mailbox::recv_any`].
+    fn recv_any(
+        &self,
+        job: u32,
+        keys: &[Key],
+        deadline: Option<Instant>,
+    ) -> Result<(usize, Bytes)> {
+        self.mailbox().recv_any(job, keys, deadline)
+    }
+
+    /// A wait on the one key `(tag, src)` of job `job` until `deadline`,
+    /// with the rank checked.
+    fn recv_from(
+        &self,
+        src: usize,
+        job: u32,
+        tag: Tag,
+        deadline: Option<Instant>,
+    ) -> Result<Bytes> {
         let world = self.world_size();
         if src >= world {
             return Err(NetError::InvalidRank { rank: src, world });
         }
-        Ok(self.recv_any(&[(tag, src)], deadline)?.1)
+        Ok(self.recv_any(job, &[(tag, src)], deadline)?.1)
     }
 
-    /// Blocks until a message from `(src, tag)` arrives.
-    fn recv(&self, src: usize, tag: Tag) -> Result<Bytes> {
-        self.recv_from(src, tag, None)
-    }
-
-    /// Blocking receive with a deadline.
-    fn recv_timeout(&self, src: usize, tag: Tag, timeout: Duration) -> Result<Bytes> {
-        self.recv_from(src, tag, Some(Instant::now() + timeout))
-    }
-
-    /// Non-blocking receive: `Ok(None)` when nothing is queued and the
-    /// source can still speak.
-    fn try_recv(&self, src: usize, tag: Tag) -> Result<Option<Bytes>> {
-        match self.recv_from(src, tag, Some(Instant::now())) {
-            Ok(payload) => Ok(Some(payload)),
-            Err(NetError::Timeout { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
+    /// Blocks until a message of job `job` from `(src, tag)` arrives.
+    fn recv(&self, src: usize, job: u32, tag: Tag) -> Result<Bytes> {
+        self.recv_from(src, job, tag, None)
     }
 
     /// Tears down this endpoint: wakes blocked receivers with

@@ -126,11 +126,11 @@ fn an_idle_fabric_sleeps_and_hostile_dialers_leave_nothing_behind() {
             scope.spawn(move || {
                 let me = ep.rank();
                 for dst in (0..k).filter(|&d| d != me) {
-                    ep.send(dst, Tag::app(0), Bytes::from_static(b"warm"))
+                    ep.send(dst, 0, Tag::app(0), Bytes::from_static(b"warm"))
                         .unwrap();
                 }
                 for src in (0..k).filter(|&s| s != me) {
-                    assert_eq!(ep.recv(src, Tag::app(0)).unwrap(), "warm");
+                    assert_eq!(ep.recv(src, 0, Tag::app(0)).unwrap(), "warm");
                 }
             });
         }
@@ -170,10 +170,10 @@ fn an_idle_fabric_sleeps_and_hostile_dialers_leave_nothing_behind() {
         assert!(matches!(raw.read(&mut [0u8; 16]), Ok(0) | Err(_)));
     }
     endpoints[1]
-        .multicast(&[0, 2, 3], Tag::app(1), Bytes::from_static(b"alive"))
+        .multicast(&[0, 2, 3], 0, Tag::app(1), Bytes::from_static(b"alive"))
         .unwrap();
     for ep in endpoints.iter().filter(|ep| ep.rank() != 1) {
-        assert_eq!(ep.recv(1, Tag::app(1)).unwrap(), "alive");
+        assert_eq!(ep.recv(1, 0, Tag::app(1)).unwrap(), "alive");
     }
     let largest = LARGEST.load(Ordering::SeqCst);
     assert!(

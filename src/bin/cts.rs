@@ -98,8 +98,8 @@ USAGE:
                (shared fabric + admission queue) that clients submit
                sort/wordcount/grep jobs into. --port 0 picks an ephemeral
                port and prints it. --tcp backs the fabric with real
-               sockets; --max-concurrent bounds in-flight jobs (1 =
-               exclusive mode, full tag space); --queue bounds admitted-
+               sockets; --max-concurrent bounds in-flight jobs (1..=63,
+               one dispatcher thread each); --queue bounds admitted-
                but-not-running jobs (beyond it, submits are refused);
                --metrics-port binds a Prometheus text endpoint
                (`curl http://127.0.0.1:P/metrics`). SIGINT/SIGTERM drain

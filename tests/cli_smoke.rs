@@ -358,6 +358,7 @@ fn input_the_library_would_assert_on_exits_1_without_a_panic() {
         &["gen", "--records", "10", "--skew", "NaN", "--out", out],
         &["serve", "--k", "0", "--port", "0"],
         &["serve", "--k", "100", "--port", "0"],
+        &["serve", "--k", "3", "--max-concurrent", "64", "--port", "0"],
         &["model", "--k", "0", "--r", "1"],
         &["model", "--k", "70", "--r", "2"],
         &["model", "--k", "4", "--r", "9"],
@@ -390,6 +391,13 @@ fn input_the_library_would_assert_on_exits_1_without_a_panic() {
             stderr.starts_with("error: ") && !stderr.contains("panicked"),
             "{args:?}: {stderr}"
         );
+        // A dispatcher per concurrent job: 64 is refused before one starts.
+        if args.contains(&"--max-concurrent") {
+            assert!(
+                stderr.contains("max_concurrent 64 outside 1..=63"),
+                "{args:?}: {stderr}"
+            );
+        }
     }
     assert!(
         !std::path::Path::new(out).exists(),

@@ -61,7 +61,7 @@ fn pods_and_the_resident_runtime_are_byte_identical() {
     let pods = run(&TeraSortWorkload::range(k), input.clone(), &cfg).expect("pods run");
     assert_eq!(pods.outputs, reference, "pods");
     // The same layout as two jobs of a resident runtime running at once,
-    // each on its own tag slot: both outputs equal the one-shot's.
+    // each under its own job id: both outputs equal the one-shot's.
     let runtime = JobRuntime::start(RuntimeConfig::new(cfg).with_max_concurrent(2)).unwrap();
     let handles: Vec<_> = (0..2)
         .map(|_| {

@@ -117,13 +117,12 @@ fn dropped_frames_surface_as_timeouts() {
         Box::new(|_, _, _, _| FaultAction::Drop),
     );
     lossy
-        .send(1, Tag::app(0), Bytes::from_static(b"vanishes"))
+        .send(1, 0, Tag::app(0), Bytes::from_static(b"vanishes"))
         .unwrap();
     assert_eq!(lossy.dropped(), 1);
     let rx = fabric.endpoint(1);
-    let err = rx
-        .recv_timeout(0, Tag::app(0), std::time::Duration::from_millis(30))
-        .unwrap_err();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(30);
+    let err = rx.recv_from(0, 0, Tag::app(0), Some(deadline)).unwrap_err();
     assert!(matches!(err, NetError::Timeout { .. }));
 }
 
@@ -144,9 +143,9 @@ fn corrupted_wire_bytes_fail_engine_style_parsing() {
         }),
     );
     corruptor
-        .send(1, Tag::app(0), Bytes::from(pkt.to_bytes()))
+        .send(1, 0, Tag::app(0), Bytes::from(pkt.to_bytes()))
         .unwrap();
-    let raw = fabric.endpoint(1).recv(0, Tag::app(0)).unwrap();
+    let raw = fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap();
     let err = CodedPacket::from_bytes(&raw).unwrap_err();
     assert!(matches!(err, CodedError::MalformedPacket { .. }));
 }
@@ -158,7 +157,8 @@ fn corrupted_wire_bytes_fail_engine_style_parsing() {
 /// The failing rank shuts the job's endpoints down and the job reports
 /// *its* error, not the `Disconnected` the teardown hands the others. That
 /// costs a resident runtime those endpoints, not its life: the next job
-/// runs on fresh ones, in the slot the failed job left its traffic in.
+/// runs on fresh ones, with the same tags the failed job left its traffic
+/// under.
 #[test]
 fn one_ranks_decode_error_fails_the_job_with_that_error() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -499,7 +499,7 @@ fn peer_shutdown_mid_shuffle_disconnects_cleanly() {
     // Node 2 dies (its mailbox closes); node 0's later receive from it
     // must fail with Disconnected instead of hanging.
     b.shutdown();
-    let handle = std::thread::spawn(move || a.recv(2, Tag::app(0)));
+    let handle = std::thread::spawn(move || a.recv(2, 0, Tag::app(0)));
     std::thread::sleep(std::time::Duration::from_millis(20));
     fabric.abort(); // cluster teardown path
     assert!(matches!(

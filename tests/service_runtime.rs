@@ -268,15 +268,16 @@ fn throttled_tenant_does_not_inflate_unshaped_p99() {
 
 /// A quorum job returns once `r − 1` of each group's `r` packets decoded;
 /// the last one must not stay behind in the mailbox, where the next
-/// quorum job on the same tag slot would receive it as its own (different
-/// input ⇒ malformed packet, a stall, or a silently wrong equation).
+/// quorum job waiting under the same tags would receive it as its own
+/// (different input ⇒ malformed packet, a stall, or a silently wrong
+/// equation).
 #[test]
-fn consecutive_quorum_jobs_on_one_slot_do_not_see_each_others_packets() {
+fn consecutive_quorum_jobs_do_not_see_each_others_packets() {
     let template = EngineConfig::local(5, 3)
         .with_decode(DecodeMode::Quorum)
         .with_idle_timeout(Duration::from_secs(5));
-    // Exclusive mode reuses slot 0; in multi mode a dispatcher's slot is its
-    // own, so four jobs on two dispatchers must reuse one (pigeonhole).
+    // One dispatcher runs the four jobs one after another; two run them on
+    // either, each under its own job id and the same tags.
     for max_concurrent in [1, 2] {
         let runtime = JobRuntime::start(
             RuntimeConfig::new(template.clone()).with_max_concurrent(max_concurrent),
