@@ -1,15 +1,14 @@
-//! Parked threads: whatever runs beside its caller — a job's ranks, a NIC's
-//! pacer — runs on one process-wide set of `cts-exec` threads, not on
-//! threads spawned for the call.
+//! Parked threads: whatever runs beside its caller — a job's ranks — runs
+//! on one process-wide set of `cts-exec` threads, not on threads spawned
+//! for the call.
 //!
 //! [`run_all`] runs its first task on the calling thread, hands each other
 //! one a parked thread (spawning one only when none is parked) and returns
-//! when all are done; [`detach`] hands over one task and returns at once. A
-//! thread parks again when its task ends, panicked or not, and sleeps
-//! without a deadline until it is handed the next. No task ever waits
-//! behind another, so there are never more of them than the most tasks the
-//! process had in flight at once, and tasks that wait on each other (a
-//! job's ranks) run exactly as if each had been spawned.
+//! when all are done. A thread parks again when its task ends, panicked or
+//! not, and sleeps without a deadline until it is handed the next. No task
+//! ever waits behind another, so there are never more of them than the most
+//! tasks the process had in flight at once, and tasks that wait on each
+//! other (a job's ranks) run exactly as if each had been spawned.
 //!
 //! ```
 //! use cts_core::exec::run_all;
@@ -32,7 +31,7 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// A task handed to a parked thread, and whom to tell once it has run.
 struct Job {
     task: Task,
-    done: Option<Sender<()>>,
+    done: Sender<()>,
 }
 
 /// A parked thread: where it takes its next job from.
@@ -82,15 +81,12 @@ fn serve(mut job: Job) {
     });
     loop {
         let Job { task, done } = job;
-        // `run_all`'s tasks catch their own panics; a detached task's ends
-        // here, and the thread lives on.
-        let _ = catch_unwind(AssertUnwindSafe(task));
+        // `run_all`'s tasks catch their own panics.
+        task();
         // Parked before it says so: a caller that has seen its tasks done
         // finds their threads parked, and its next call spawns none.
         lock(&IDLE).push(Arc::clone(&me));
-        if let Some(done) = done {
-            let _ = done.send(());
-        }
+        let _ = done.send(());
         job = loop {
             if let Some(next) = lock(&me.job).take() {
                 break next;
@@ -100,21 +96,6 @@ fn serve(mut job: Job) {
             thread::park();
         };
     }
-}
-
-/// Runs `task` on a parked thread and returns at once. A panic in `task`
-/// is reported by the panic hook and otherwise dropped.
-///
-/// # Panics
-/// If no thread is parked and the OS refuses a new one.
-pub fn detach<F>(task: F)
-where
-    F: FnOnce() + Send + 'static,
-{
-    dispatch(Job {
-        task: Box::new(task),
-        done: None,
-    });
 }
 
 /// Runs every task at once and returns each one's outcome, in task order,
@@ -160,7 +141,7 @@ where
         let task = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
         dispatch(Job {
             task,
-            done: Some(done.clone()),
+            done: done.clone(),
         });
         out.pending += 1;
     }
@@ -279,14 +260,5 @@ mod tests {
             );
             thread::sleep(Duration::from_millis(1));
         }
-    }
-
-    #[test]
-    fn detached_tasks_run_on_exec_threads_after_one_panics() {
-        detach(|| panic!("detached task failed"));
-        let (tx, rx) = channel();
-        detach(move || tx.send(thread::current().name().map(String::from)).unwrap());
-        let name = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(name.as_deref(), Some("cts-exec"));
     }
 }

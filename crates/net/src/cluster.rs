@@ -179,7 +179,7 @@ pub(crate) struct Endpoints {
     transports: Vec<Arc<dyn Transport>>,
     down: AtomicBool,
     /// The emulated NICs of the jobs in flight, by rank: a teardown fails
-    /// them too, so no rank sits out a queue that will never drain.
+    /// them too, so no rank sits out a drain that will never end.
     nics: Mutex<Vec<(usize, Weak<Nic>)>>,
 }
 
@@ -827,10 +827,10 @@ mod tests {
     }
 
     #[test]
-    fn a_hand_over_that_outlives_its_job_reaches_no_log() {
-        // 10 KB/s behind a 1 KB burst: rank 0's third post sits in its NIC's
-        // queue for 100 ms while the rank gives up without draining and the
-        // job returns.
+    fn a_post_still_held_when_its_job_ends_is_dropped_by_its_close() {
+        // 10 KB/s behind a 1 KB burst: rank 0's second and third posts are
+        // booked to end 100 and 200 ms in, while the rank gives up without
+        // draining and the job returns.
         let mut crawl = NicProfile::rate_limited(10_000.0);
         crawl.burst_bytes = 1_000.0;
         let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
@@ -854,17 +854,17 @@ mod tests {
             )
             .unwrap();
         assert!(run.results[0].is_err() && run.results[1].is_ok());
-        assert_eq!(
-            run.trace.stage_bytes("Shuffle"),
-            2_000,
-            "one post is queued"
-        );
-        // The next tenant runs while the pacer is still holding job 7's
-        // last payload, and after it let go: its log never sees job 7's
-        // late event.
+        // Every post was traced when it was made.
+        assert_eq!(run.trace.stage_bytes("Shuffle"), 3_000);
+        // Job 7's close dropped the two rank 1 still held …
+        let mailbox = |rank: usize| fabric.endpoints.lock().transports[rank].mailbox().queued();
+        assert_eq!(mailbox(1), 0, "held posts outlived their job");
+        // … so the next tenants, one before their booked ends and one
+        // after, see only their own traffic.
         let next = ring_job(&fabric, 8);
         assert_own_records_only(&next, 8, 2);
-        std::thread::sleep(std::time::Duration::from_millis(150));
+        std::thread::sleep(std::time::Duration::from_millis(250));
+        assert_eq!(mailbox(1), 0);
         let after = ring_job(&fabric, 9);
         assert_own_records_only(&after, 9, 2);
     }

@@ -216,38 +216,26 @@ impl Communicator {
         }));
     }
 
-    /// Hands one transfer of `cost` charged bytes to the egress: through the
-    /// NIC's queue when there is one, straight to `deliver` otherwise. The
-    /// open stage becomes one whose wall is its extent (see
-    /// [`StageSpan::wall_ns`]).
-    fn egress<F>(&self, cost: u64, deliver: F) -> Result<()>
-    where
-        F: FnOnce() -> Result<()> + Send + 'static,
-    {
+    /// Books one transfer of `cost` charged bytes on the rank's NIC and
+    /// returns its stamp (`None` without a NIC or on a free one). The open
+    /// stage becomes one whose wall is its extent ([`StageSpan::wall_ns`]).
+    fn egress(&self, cost: u64) -> Result<Option<Instant>> {
         let mut clock = self.clock.lock();
         if let Some((at, _)) = clock.open {
             clock.spans[at].1 = true;
         }
         drop(clock);
         match &self.nic {
-            Some(nic) => nic.post(cost, deliver),
-            None => deliver(),
+            Some(nic) => nic.post(cost),
+            None => Ok(None),
         }
     }
 
-    /// What a transfer's hand-over runs once the fabric accepted every copy:
-    /// the trace event, under the stage the transfer was *posted* in (a
-    /// refused one leaves no phantom traffic for the netsim oracle).
-    fn recorder(
-        &self,
-        dsts: u128,
-        bytes: u64,
-        overhead: u64,
-        wire_copies: u16,
-        kind: EventKind,
-    ) -> impl FnOnce() + Send + 'static {
-        let scope = Arc::clone(&self.scope);
-        let event = TraceEvent {
+    /// Writes the trace event of a transfer the fabric accepted, under the
+    /// stage it was posted in (a refused one leaves no phantom traffic for
+    /// the netsim oracle).
+    fn record(&self, dsts: u128, bytes: u64, overhead: u64, wire_copies: u16, kind: EventKind) {
+        self.scope.journal.record(TraceEvent {
             // The journal numbers the event and stamps its job.
             seq: 0,
             job: 0,
@@ -258,18 +246,16 @@ impl Communicator {
             overhead,
             wire_copies,
             kind,
-        };
-        move || scope.journal.record(event)
+        });
     }
 
-    /// Non-blocking point-to-point send (recorded as shuffle traffic):
-    /// returns once the payload is with the fabric or in this rank's NIC
-    /// queue, whichever the emulated NIC says. A transfer occupies the NIC
-    /// for its setup latency plus its payload's egress drain time, the
-    /// payload goes to the fabric at the start of that, and nothing waits
-    /// for the end of it but [`drain`](Self::drain): the rank computes
-    /// while its NIC is occupied for exactly as long as a blocking sender's
-    /// would be — the quantity the shuffle fabrics differ in.
+    /// Non-blocking point-to-point send (recorded as shuffle traffic): books
+    /// the transfer on this rank's emulated NIC — its setup latency plus its
+    /// payload's drain time, behind everything posted before it — and hands
+    /// the payload to the fabric at once, stamped with the booked end, until
+    /// which the receiver's mailbox holds it. Only [`drain`](Self::drain)
+    /// waits for that end: the rank computes while its NIC is busy exactly as
+    /// long as a blocking sender's would be. A fabric's refusal is the error.
     pub fn post(&self, dst: usize, tag: Tag, payload: Bytes) -> Result<()> {
         // Bound-check before the trace mask shift (`1u128 << dst`) so an
         // out-of-range destination errors instead of overflowing.
@@ -280,20 +266,15 @@ impl Communicator {
             });
         }
         let bytes = payload.len() as u64;
-        let record = self.recorder(1u128 << dst, bytes, 0, 1, EventKind::AppUnicast);
-        let (transport, job) = (Arc::clone(&self.transport), self.job());
-        self.egress(bytes, move || {
-            transport.send(dst, job, tag, payload)?;
-            record();
-            Ok(())
-        })
+        let ready = self.egress(bytes)?;
+        self.transport.send(dst, self.job(), tag, payload, ready)?;
+        self.record(1u128 << dst, bytes, 0, 1, EventKind::AppUnicast);
+        Ok(())
     }
 
     /// Blocks until everything this rank posted has left its emulated NIC
-    /// (at once, without one). A queued transfer the fabric refused fails
-    /// this — or the next post — with the fabric's error, and
-    /// [`abort`](Self::abort) on any rank of the fabric fails it with
-    /// `Disconnected`.
+    /// (at once, without one). [`abort`](Self::abort) on any rank of the
+    /// fabric fails it — and every later post — with `Disconnected`.
     pub fn drain(&self) -> Result<()> {
         match &self.nic {
             Some(nic) => nic.drain(),
@@ -314,8 +295,9 @@ impl Communicator {
     /// latency would charge every stage transition a shuffle's worth of
     /// setup time).
     fn send_internal(&self, dst: usize, tag: Tag) -> Result<()> {
-        self.recorder(1u128 << dst, 0, 0, 1, EventKind::Internal)();
-        self.transport.send(dst, self.job(), tag, Bytes::new())
+        self.record(1u128 << dst, 0, 0, 1, EventKind::Internal);
+        self.transport
+            .send(dst, self.job(), tag, Bytes::new(), None)
     }
 
     /// Blocking receive matched on `(src, tag)`.
@@ -419,38 +401,29 @@ impl Communicator {
         let dsts: Vec<usize> = members.iter().copied().filter(|&n| n != root).collect();
         let fanout = dsts.len();
         let bytes = payload.len() as u64;
-        let record = self.recorder(
-            group_mask(members, root),
-            bytes,
-            overhead,
-            self.scope.fabric.wire_copies(fanout) as u16,
-            EventKind::Multicast,
-        );
-        let Some((&last, rest)) = dsts.split_last() else {
-            record();
-            return Ok(());
-        };
-        let transport = Arc::clone(&self.transport);
         let alpha = (self.nic.as_ref()).map_or(0.0, |nic| nic.profile().multicast_alpha);
         let (_, bytes_each) = self.scope.fabric.egress(bytes as f64, fanout, alpha);
         let cost = bytes_each.round() as u64;
         if self.scope.fabric == ShuffleFabric::SerialUnicast {
-            for &dst in rest {
-                let (transport, payload) = (Arc::clone(&transport), payload.clone());
-                self.egress(cost, move || transport.send(dst, job, tag, payload))?;
+            for &dst in &dsts {
+                let ready = self.egress(cost)?;
+                self.transport.send(dst, job, tag, payload.clone(), ready)?;
             }
-            // The event goes in with the last copy.
-            return self.egress(cost, move || {
-                transport.send(last, job, tag, payload)?;
-                record();
-                Ok(())
-            });
+        } else if fanout > 0 {
+            let ready = self.egress(cost)?;
+            self.transport.multicast(&dsts, job, tag, payload, ready)?;
         }
-        self.egress(cost, move || {
-            transport.multicast(&dsts, job, tag, payload)?;
-            record();
-            Ok(())
-        })
+        // One event, once every copy is with the fabric.
+        let wire_copies = self.scope.fabric.wire_copies(fanout) as u16;
+        let kind = EventKind::Multicast;
+        self.record(
+            group_mask(members, root),
+            bytes,
+            overhead,
+            wire_copies,
+            kind,
+        );
+        Ok(())
     }
 
     /// Blocking SPMD multicast within a member group: every member calls
@@ -701,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn posts_behind_a_busy_nic_return_at_once_and_arrive_in_order_as_it_drains() {
+    fn posts_behind_a_busy_nic_return_at_once_and_each_lands_at_its_booked_end() {
         use std::time::{Duration, Instant};
         // 1 MB/s, 1 KB burst: each 20 KB payload occupies the NIC 20 ms.
         let (comms, _) = job(&shaped(2, 1_000_000.0, 0.0));
@@ -714,11 +687,12 @@ mod tests {
             assert!(posted.elapsed() < Duration::from_millis(1), "post {i}");
         }
         for i in 0..5u8 {
-            // Handed over at the start of its drain: payload i once the i
-            // before it have left, (20 i − 1) ms in.
+            // Seen when its last byte has left: payload i once it and the i
+            // before it have, 19 + 20 i ms in (the burst paid 1 KB of the
+            // first) — never earlier.
             assert_eq!(rx.recv(0, Tag::app(0)).unwrap()[0], i);
             let at = start.elapsed();
-            let due = Duration::from_millis((20 * u64::from(i)).saturating_sub(3));
+            let due = Duration::from_millis(19 + 20 * u64::from(i));
             assert!(
                 at >= due && at < due + Duration::from_millis(40),
                 "{i}: {at:?}"
@@ -750,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn a_queued_posts_transport_error_comes_out_of_drain_and_leaves_no_trace_event() {
+    fn a_posts_transport_error_is_its_own_and_leaves_no_trace_event() {
         use crate::fault::FaultAction;
         // The second message to leave rank 0 fails in the transport.
         let cfg = shaped(2, 1_000_000.0, 0.0).with_fault(
@@ -761,19 +735,19 @@ mod tests {
             }),
         );
         let (comms, scope) = job(&cfg);
-        let tx = &comms[0];
+        let (tx, rx) = (&comms[0], &comms[1]);
         tx.set_stage("Shuffle");
-        for _ in 0..3 {
-            tx.post(1, Tag::app(0), Bytes::from(vec![0u8; 10_000]))
-                .unwrap();
-        }
-        assert!(matches!(tx.drain(), Err(NetError::InjectedFault { .. })));
-        assert!(matches!(
-            tx.post(1, Tag::app(0), Bytes::new()),
-            Err(NetError::InjectedFault { .. })
-        ));
+        let posts: Vec<Result<()>> = (0..3u8)
+            .map(|i| tx.post(1, Tag::app(0), Bytes::from(vec![i; 10_000])))
+            .collect();
+        assert!(posts[0].is_ok() && posts[2].is_ok(), "{posts:?}");
+        assert!(matches!(posts[1], Err(NetError::InjectedFault { .. })));
+        // It fails nothing after it: the NIC drains, and the others land.
+        tx.drain().unwrap();
+        assert_eq!(rx.recv(0, Tag::app(0)).unwrap()[0], 0);
+        assert_eq!(rx.recv(0, Tag::app(0)).unwrap()[0], 2);
         // Only what the fabric accepted was traced.
-        assert_eq!(trace_of(&scope).stage_bytes("Shuffle"), 10_000);
+        assert_eq!(trace_of(&scope).stage_bytes("Shuffle"), 20_000);
     }
 
     #[test]

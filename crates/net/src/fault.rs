@@ -21,15 +21,15 @@
 //!     Arc::new(fabric.endpoint(0)),
 //!     Box::new(|_, _, _, idx| if idx == 0 { FaultAction::Drop } else { FaultAction::Deliver }),
 //! );
-//! faulty.send(1, 0, Tag::app(0), Bytes::from_static(b"lost")).unwrap();
-//! faulty.send(1, 0, Tag::app(0), Bytes::from_static(b"kept")).unwrap();
+//! faulty.send(1, 0, Tag::app(0), Bytes::from_static(b"lost"), None).unwrap();
+//! faulty.send(1, 0, Tag::app(0), Bytes::from_static(b"kept"), None).unwrap();
 //! assert_eq!(faulty.dropped(), 1);
 //! assert_eq!(fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap(), "kept");
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -176,17 +176,24 @@ impl Transport for FaultyTransport {
         self.inner.world_size()
     }
 
-    fn send(&self, dst: usize, job: u32, tag: Tag, payload: Bytes) -> Result<()> {
+    fn send(
+        &self,
+        dst: usize,
+        job: u32,
+        tag: Tag,
+        payload: Bytes,
+        ready: Option<Instant>,
+    ) -> Result<()> {
         let idx = self.sends.fetch_add(1, Ordering::Relaxed);
         match (self.rule)(dst, tag, &payload, idx) {
-            FaultAction::Deliver => self.inner.send(dst, job, tag, payload),
+            FaultAction::Deliver => self.inner.send(dst, job, tag, payload, ready),
             FaultAction::Drop => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             FaultAction::Corrupt(bad) => {
                 self.corrupted.fetch_add(1, Ordering::Relaxed);
-                self.inner.send(dst, job, tag, bad)
+                self.inner.send(dst, job, tag, bad, ready)
             }
             FaultAction::Delay(d) => {
                 self.delayed.fetch_add(1, Ordering::Relaxed);
@@ -196,7 +203,7 @@ impl Transport for FaultyTransport {
                     // The receiver may have shut down by the time a long
                     // delay drains; a late send failing is the same
                     // observable as a drop.
-                    let _ = inner.send(dst, job, tag, payload);
+                    let _ = inner.send(dst, job, tag, payload, ready);
                 });
                 Ok(())
             }
@@ -228,7 +235,7 @@ mod tests {
             Box::new(|_, _, _, _| FaultAction::Deliver),
         );
         faulty
-            .send(1, 0, Tag::app(0), Bytes::from_static(b"ok"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"ok"), None)
             .unwrap();
         assert_eq!(fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap(), "ok");
     }
@@ -247,10 +254,10 @@ mod tests {
             }),
         );
         faulty
-            .send(1, 0, Tag::app(0), Bytes::from_static(b"lost"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"lost"), None)
             .unwrap();
         faulty
-            .send(1, 0, Tag::app(0), Bytes::from_static(b"kept"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"kept"), None)
             .unwrap();
         assert_eq!(faulty.dropped(), 1);
         // The first message that arrives is the second one sent.
@@ -271,7 +278,7 @@ mod tests {
             }),
         );
         faulty
-            .send(1, 0, Tag::app(0), Bytes::from_static(b"abc"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"abc"), None)
             .unwrap();
         assert_eq!(faulty.corrupted(), 1);
         let got = fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap();
@@ -288,7 +295,13 @@ mod tests {
         );
         let t0 = std::time::Instant::now();
         faulty
-            .send(1, 0, Tag::new(Tag::BCAST, 0), Bytes::from_static(b"late"))
+            .send(
+                1,
+                0,
+                Tag::new(Tag::BCAST, 0),
+                Bytes::from_static(b"late"),
+                None,
+            )
             .unwrap();
         // The send itself returns immediately (detached delivery).
         assert!(t0.elapsed() < Duration::from_millis(25));
@@ -347,7 +360,9 @@ mod tests {
             Arc::new(fabric.endpoint(0)),
             Box::new(|_, _, _, _| FaultAction::FailSend),
         );
-        let err = faulty.send(1, 0, Tag::app(0), Bytes::new()).unwrap_err();
+        let err = faulty
+            .send(1, 0, Tag::app(0), Bytes::new(), None)
+            .unwrap_err();
         assert!(matches!(err, NetError::InjectedFault { .. }));
     }
 }

@@ -1,7 +1,7 @@
 //! The one frame codec under both TCP sockets, the fabric's links
 //! ([`tcp`](crate::tcp)) and the `cts serve` client wire: a frame is
 //! `[head][len: u32 LE][body]`, the head of a size the caller fixes (a
-//! link's 8-byte job and tag; none on the service wire). A frame leaves in one
+//! link's 16-byte job, tag and ripening stamp; none on the service wire). A frame leaves in one
 //! vectored write; a reader refuses a length over [`MAX_FRAME`] and
 //! reserves at most 1 MiB before a body's bytes arrive, so a forged length
 //! costs no more than the larger of that and twice what was really sent.

@@ -2,14 +2,12 @@
 //! it runs.
 //!
 //! [`SharedFabric::run_job`](crate::cluster::SharedFabric::run_job) creates
-//! one per job and the job's K communicators share it: a hand-over appends
-//! its [`TraceEvent`] on whichever thread runs it, a rank appends its
+//! one per job and the job's K communicators share it: a rank appends a
+//! [`TraceEvent`] for each transfer the fabric took, as it posts it, and its
 //! coalesced [`StageSpan`]s when its closure returns, and
 //! [`take`](Journal::take) moves both out as the job's [`Trace`] and
 //! [`SpanLog`]. Nothing in it outlives the job or is shared with another, so
-//! a tenant's log holds its own records by construction, and a hand-over
-//! that completes after its job has returned writes into vectors nobody
-//! reads.
+//! a tenant's log holds its own records by construction.
 
 use std::time::Instant;
 

@@ -2,8 +2,10 @@
 //!
 //! This is the default substrate for experiments — it moves real bytes
 //! between real per-node state with MPI matching semantics, at memory
-//! speed, and its native [`Transport::multicast`] delivers one shared
-//! reference-counted buffer to every destination (zero-copy one-to-many).
+//! speed. A send is a queue push, so [`Transport::multicast`]'s default —
+//! one send per distinct destination — hands every destination a handle
+//! to one reference-counted buffer: the in-memory analog of network-layer
+//! multicast, the payload existing once however many nodes hear it.
 //! Wall-clock realism comes either from an emulated
 //! [`Nic`](crate::rate::Nic) or from replaying the recorded trace through
 //! `cts-netsim`.
@@ -16,11 +18,12 @@
 //!
 //! let fabric = LocalFabric::new(2);
 //! let (a, b) = (fabric.endpoint(0), fabric.endpoint(1));
-//! a.send(1, 0, Tag::app(0), Bytes::from_static(b"ping")).unwrap();
+//! a.send(1, 0, Tag::app(0), Bytes::from_static(b"ping"), None).unwrap();
 //! assert_eq!(b.recv(0, 0, Tag::app(0)).unwrap(), "ping");
 //! ```
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use bytes::Bytes;
 
@@ -104,37 +107,22 @@ impl Transport for LocalEndpoint {
         self.mailboxes.len()
     }
 
-    fn send(&self, dst: usize, job: u32, tag: Tag, payload: Bytes) -> Result<()> {
+    fn send(
+        &self,
+        dst: usize,
+        job: u32,
+        tag: Tag,
+        payload: Bytes,
+        ready: Option<Instant>,
+    ) -> Result<()> {
         self.check(dst)?;
         self.mailboxes[dst].deliver(Message {
             src: self.rank,
             job,
             tag,
             payload,
+            ready,
         });
-        Ok(())
-    }
-
-    /// Native one-to-many: every distinct destination mailbox receives a
-    /// handle to the *same* buffer (`Bytes` is reference-counted), which is
-    /// the in-memory analog of network-layer multicast — the payload exists
-    /// once no matter how many nodes hear it.
-    fn multicast(&self, dsts: &[usize], job: u32, tag: Tag, payload: Bytes) -> Result<()> {
-        for &dst in dsts {
-            self.check(dst)?;
-        }
-        let mut seen = vec![false; self.mailboxes.len()];
-        for &dst in dsts {
-            if std::mem::replace(&mut seen[dst], true) {
-                continue;
-            }
-            self.mailboxes[dst].deliver(Message {
-                src: self.rank,
-                job,
-                tag,
-                payload: payload.clone(),
-            });
-        }
         Ok(())
     }
 
@@ -150,17 +138,17 @@ impl Transport for LocalEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     #[test]
     fn ping_pong() {
         let fabric = LocalFabric::new(2);
         let a = fabric.endpoint(0);
         let b = fabric.endpoint(1);
-        a.send(1, 0, Tag::app(0), Bytes::from_static(b"ping"))
+        a.send(1, 0, Tag::app(0), Bytes::from_static(b"ping"), None)
             .unwrap();
         assert_eq!(b.recv(0, 0, Tag::app(0)).unwrap(), "ping");
-        b.send(0, 0, Tag::app(0), Bytes::from_static(b"pong"))
+        b.send(0, 0, Tag::app(0), Bytes::from_static(b"pong"), None)
             .unwrap();
         assert_eq!(a.recv(1, 0, Tag::app(0)).unwrap(), "pong");
     }
@@ -170,7 +158,7 @@ mod tests {
         let fabric = LocalFabric::new(2);
         let a = fabric.endpoint(0);
         assert!(matches!(
-            a.send(5, 0, Tag::app(0), Bytes::new()),
+            a.send(5, 0, Tag::app(0), Bytes::new(), None),
             Err(NetError::InvalidRank { rank: 5, world: 2 })
         ));
         assert!(a
@@ -182,7 +170,7 @@ mod tests {
     fn self_send_is_allowed() {
         let fabric = LocalFabric::new(1);
         let a = fabric.endpoint(0);
-        a.send(0, 0, Tag::app(3), Bytes::from_static(b"me"))
+        a.send(0, 0, Tag::app(3), Bytes::from_static(b"me"), None)
             .unwrap();
         assert_eq!(a.recv(0, 0, Tag::app(3)).unwrap(), "me");
     }
@@ -198,8 +186,14 @@ mod tests {
                     let k = ep.world_size();
                     // Everyone sends its rank to everyone else …
                     for dst in (0..k).filter(|&d| d != me) {
-                        ep.send(dst, 0, Tag::app(1), Bytes::copy_from_slice(&[me as u8]))
-                            .unwrap();
+                        ep.send(
+                            dst,
+                            0,
+                            Tag::app(1),
+                            Bytes::copy_from_slice(&[me as u8]),
+                            None,
+                        )
+                        .unwrap();
                     }
                     // … and receives K-1 ranks back.
                     for src in (0..k).filter(|&s| s != me) {
@@ -228,7 +222,7 @@ mod tests {
     fn multicast_duplicates_deliver_once() {
         let fabric = LocalFabric::new(3);
         let a = fabric.endpoint(0);
-        a.multicast(&[1, 2, 1], 0, Tag::app(0), Bytes::from_static(b"set"))
+        a.multicast(&[1, 2, 1], 0, Tag::app(0), Bytes::from_static(b"set"), None)
             .unwrap();
         let b = fabric.endpoint(1);
         assert_eq!(b.recv(0, 0, Tag::app(0)).unwrap(), "set");
@@ -245,7 +239,7 @@ mod tests {
         let b = fabric.endpoint(1);
         let payload = Bytes::from(vec![7u8; 1024]);
         let ptr = payload.as_ptr();
-        a.send(1, 0, Tag::app(0), payload).unwrap();
+        a.send(1, 0, Tag::app(0), payload, None).unwrap();
         let got = b.recv(0, 0, Tag::app(0)).unwrap();
         assert_eq!(got.as_ptr(), ptr, "local delivery must not copy");
     }

@@ -3,14 +3,17 @@
 //! Each endpoint owns one [`Mailbox`]. Incoming messages are queued by job,
 //! exact tag and source, and leave in FIFO order per key: the matching
 //! semantics of MPI's `MPI_Recv` with an explicit communicator, source and
-//! tag. A mailbox queues a message only while its job is open there
-//! ([`open_job`](Mailbox::open_job));
+//! tag. A message stamped with when its sender's emulated NIC sends its last
+//! byte ([`Message::ready`]) is held out of sight until then, and so is what
+//! its source sends after it. A mailbox queues a message only
+//! while its job is open there ([`open_job`](Mailbox::open_job));
 //! [`close_job`](Mailbox::close_job) drops whatever the job left behind,
-//! and from then on anything that still arrives for it is dropped on
-//! arrival. There is one way to wait: [`Mailbox::recv_any`] blocks until a
-//! message of one job is queued under any of a set of keys, a listed source
-//! disconnected, the mailbox is closed, or a deadline passes. Every other
-//! receive in the crate is that call with one key and some deadline.
+//! held or not, and from then on anything that still arrives for it is
+//! dropped on arrival. There is one way to wait: [`Mailbox::recv_any`]
+//! blocks until a ripe message of one job is queued under any of a set of
+//! keys, a listed source disconnected, the mailbox is closed, or a deadline
+//! passes. Every other receive in the crate is that call with one key and
+//! some deadline.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -19,7 +22,13 @@
 //!
 //! let mb = Mailbox::new(0);
 //! mb.open_job(9);
-//! let msg = |job| Message { src: 2, job, tag: Tag::app(7), payload: Bytes::from_static(b"hi") };
+//! let msg = |job| Message {
+//!     src: 2,
+//!     job,
+//!     tag: Tag::app(7),
+//!     payload: Bytes::from_static(b"hi"),
+//!     ready: None, // ripe on arrival
+//! };
 //! mb.deliver(msg(9));
 //! mb.deliver(msg(8)); // job 8 is not open here: dropped
 //! // Matching is on job, exact tag and source; the hit names its key.
@@ -29,7 +38,7 @@
 //! assert_eq!(mb.queued(), 0);
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -38,12 +47,21 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::{NetError, Result};
 use crate::message::{Key, Message, Tag};
 
+/// A message's place in the queue: its job, tag, source and arrival number.
+type Place = (u32, Tag, usize, u64);
+
 #[derive(Default)]
 struct Inner {
-    /// Every queued message under its job, key and arrival number, so that
-    /// the messages of one key sit together, oldest first, and the map's
-    /// size is the backlog — not the history of keys ever used.
-    queued: BTreeMap<(u32, Tag, usize, u64), Bytes>,
+    /// Every ripe queued message by its place, so that the messages of one
+    /// key sit together, oldest first, and the map's size is the backlog —
+    /// not the history of keys ever used.
+    queued: BTreeMap<Place, Bytes>,
+    /// The messages not yet ripe, by when they ripen, each with its place
+    /// in `queued`: it moves there once its time has come and a wait looks.
+    held: BTreeMap<(Instant, Place), Bytes>,
+    /// Per job and source: when its latest held message ripens (or did). A
+    /// message ripens no earlier, so a source's messages surface in order.
+    last: HashMap<(u32, usize), Instant>,
     /// The jobs whose messages are queued; a message of any other job is
     /// dropped on arrival.
     open: Vec<u32>,
@@ -55,13 +73,28 @@ struct Inner {
 }
 
 impl Inner {
-    /// Takes job `job`'s oldest message of the lowest queued key in `keys`
-    /// (sorted), with the index of that key. The two sorted sets leapfrog:
-    /// from a listed key to the first queued message at or after it, from
-    /// there — unless it is a hit — to the first listed key after it. A step
-    /// is two logarithmic searches and skips a whole run of misses, so a
-    /// wait on tens of thousands of keys costs no more per wake-up than a
-    /// wait on one.
+    /// Moves every held message whose time has come into `queued`, and
+    /// returns when the earliest one still held ripens. The clock is read
+    /// only when something is held.
+    fn ripen(&mut self) -> Option<Instant> {
+        let now = self.held.first_key_value().map(|_| Instant::now())?;
+        while let Some(entry) = self.held.first_entry() {
+            let &(ready, at) = entry.key();
+            if ready > now {
+                return Some(ready);
+            }
+            self.queued.insert(at, entry.remove());
+        }
+        None
+    }
+
+    /// Takes job `job`'s oldest ripe message of the lowest queued key in
+    /// `keys` (sorted), with the index of that key. The two sorted sets
+    /// leapfrog: from a listed key to the first queued message at or after
+    /// it, from there — unless it is a hit — to the first listed key after
+    /// it. A step is two logarithmic searches and skips a whole run of
+    /// misses, so a wait on tens of thousands of keys costs no more per
+    /// wake-up than a wait on one.
     fn take(&mut self, job: u32, keys: &[Key]) -> Option<(usize, Bytes)> {
         let mut at = 0;
         while let Some(&(tag, src)) = keys.get(at) {
@@ -103,7 +136,9 @@ impl Mailbox {
         }
     }
 
-    /// Enqueues a message (called by the transport's delivery path).
+    /// Enqueues a message (called by the transport's delivery path). A
+    /// stamped message, or one from a source with a stamped message before
+    /// it, is held until it is ripe.
     ///
     /// A message of a job that is not open here, or delivered to a closed
     /// mailbox, is silently dropped — nobody will receive it.
@@ -114,9 +149,24 @@ impl Mailbox {
         }
         inner.arrivals += 1;
         let at = (msg.job, msg.tag, msg.src, inner.arrivals);
-        inner.queued.insert(at, msg.payload);
+        let behind = inner.last.get(&(msg.job, msg.src)).copied();
+        // The later of the two (`None` is the least): ripe at once only if
+        // neither holds it.
+        let Some(ready) = msg.ready.max(behind) else {
+            inner.queued.insert(at, msg.payload);
+            drop(inner);
+            self.available.notify_all();
+            return;
+        };
+        inner.last.insert((msg.job, msg.src), ready);
+        // A wait sleeps until the earliest held message ripens: only a new
+        // earliest moves that.
+        let earliest = (inner.held.first_key_value()).is_none_or(|(&(first, _), _)| ready < first);
+        inner.held.insert((ready, at), msg.payload);
         drop(inner);
-        self.available.notify_all();
+        if earliest {
+            self.available.notify_all();
+        }
     }
 
     /// Opens job `job` here: its messages are queued from now on.
@@ -127,26 +177,30 @@ impl Mailbox {
         }
     }
 
-    /// Ends job `job` here: what it left queued is dropped, and so is
-    /// anything of it that arrives later.
+    /// Ends job `job` here: what it left queued or held is dropped, and so
+    /// is anything of it that arrives later.
     pub fn close_job(&self, job: u32) {
         let mut inner = self.inner.lock();
         inner.open.retain(|&open| open != job);
         let left = (job, Tag(0), 0, 0)..=(job, Tag(u32::MAX), usize::MAX, u64::MAX);
         inner.queued.extract_if(left, |_, _| true).for_each(drop);
+        inner.held.retain(|&(_, (of, ..)), _| of != job);
+        inner.last.retain(|&(of, _), _| of != job);
     }
 
-    /// Blocks until a message of job `job` is queued under one of `keys` and
-    /// returns it with the index of its key. `keys` must be sorted ascending
-    /// — by tag, then source. When several have messages the lowest key
-    /// wins, so a caller that numbers its work in tags takes it in that
-    /// order; messages under one key leave in arrival order. A key whose
-    /// source is no rank of the fabric never matches.
+    /// Blocks until a ripe message of job `job` is queued under one of
+    /// `keys` and returns it with the index of its key. `keys` must be sorted
+    /// ascending — by tag, then source. When several have messages the
+    /// lowest key wins, so a caller that numbers its work in tags takes it
+    /// in that order; messages under one key leave in arrival order. A key
+    /// whose source is no rank of the fabric never matches.
     ///
-    /// A queued message always drains first. With nothing queued, the wait
-    /// ends on the first of: a listed source that disconnected or a closed
-    /// mailbox (`Disconnected`), `deadline` passing (`Timeout`, naming the
-    /// first key). A deadline that has already passed makes the call a
+    /// A queued message always drains first. With nothing ripe, the wait
+    /// sleeps until a delivery, the mailbox's earliest held message's
+    /// stamp, or `deadline`, and ends on the first of: a listed source that
+    /// disconnected or a closed mailbox (`Disconnected`) — unless a message
+    /// is held under a listed key — `deadline` passing (`Timeout`, naming
+    /// the first key). A deadline that has already passed makes the call a
     /// non-blocking probe; `None` waits indefinitely.
     pub fn recv_any(
         &self,
@@ -156,7 +210,9 @@ impl Mailbox {
     ) -> Result<(usize, Bytes)> {
         let mut inner = self.inner.lock();
         let mut sources = None;
+        let mut expired = false;
         loop {
+            let ripens = inner.ripen();
             if let Some(hit) = inner.take(job, keys) {
                 return Ok(hit);
             }
@@ -169,30 +225,38 @@ impl Mailbox {
                     listed.fold(0u128, |mask, key| mask | 1 << key.1)
                 }),
             };
-            if inner.closed || inner.gone & sources != 0 {
+            // A message held under a listed key is still to come.
+            let holds =
+                |&(_, (of, tag, src, _)): &_| of == job && keys.binary_search(&(tag, src)).is_ok();
+            if (inner.closed || inner.gone & sources != 0) && !inner.held.keys().any(holds) {
                 return Err(NetError::Disconnected { rank: self.rank });
             }
-            let timed_out = match deadline {
+            if expired {
+                let (tag, src) = keys.first().copied().unwrap_or((Tag(0), self.rank));
+                return Err(NetError::Timeout { src, tag: tag.0 });
+            }
+            expired = match ripens.into_iter().chain(deadline).min() {
                 None => {
                     self.available.wait(&mut inner);
                     false
                 }
-                Some(at) => self.available.wait_until(&mut inner, at).timed_out(),
+                Some(at) => {
+                    let timed_out = self.available.wait_until(&mut inner, at).timed_out();
+                    timed_out && Some(at) == deadline
+                }
             };
-            if timed_out {
-                let (tag, src) = keys.first().copied().unwrap_or((Tag(0), self.rank));
-                return Err(NetError::Timeout { src, tag: tag.0 });
-            }
         }
     }
 
-    /// Total queued messages (diagnostics).
+    /// Total queued messages, ripe or held (diagnostics).
     pub fn queued(&self) -> usize {
-        self.inner.lock().queued.len()
+        let inner = self.inner.lock();
+        inner.queued.len() + inner.held.len()
     }
 
     /// Closes the mailbox: queued messages stay receivable, but blocked and
-    /// future waits that find nothing queued fail with `Disconnected`.
+    /// future waits that find nothing queued or held under their keys fail
+    /// with `Disconnected`.
     pub fn close(&self) {
         let mut inner = self.inner.lock();
         inner.closed = true;
@@ -201,11 +265,11 @@ impl Mailbox {
     }
 
     /// Marks one source as disconnected: already-queued messages from it
-    /// remain receivable, but once its queues drain, blocked and future
-    /// waits listing that source fail with `Disconnected`. Other sources
-    /// are unaffected — the lazy TCP mesh calls this when a single peer's
-    /// link EOFs, where closing the whole mailbox would wrongly unblock
-    /// receives from still-healthy peers.
+    /// remain receivable, held ones once they ripen, but once its queues
+    /// drain, blocked and future waits listing that source fail with
+    /// `Disconnected`. Other sources are unaffected — the lazy TCP mesh
+    /// calls this when a single peer's link EOFs, where closing the whole
+    /// mailbox would wrongly unblock receives from still-healthy peers.
     pub fn disconnect_src(&self, src: usize) {
         if src >= 128 {
             return;
@@ -254,6 +318,7 @@ mod tests {
             job: 0,
             tag,
             payload: Bytes::from_static(bytes),
+            ready: None,
         }
     }
 
@@ -421,6 +486,7 @@ mod tests {
                 job: 0,
                 tag: Tag::app(src as u32),
                 payload: Bytes::copy_from_slice(&[src as u8]),
+                ready: None,
             });
         }
         for (src, h) in handles.into_iter().enumerate() {
@@ -572,5 +638,132 @@ mod tests {
         // Other jobs are untouched.
         mb.deliver(of(0, 1, b"root"));
         assert_eq!(mb.queued(), 1);
+    }
+
+    /// Long enough that a stalled test thread still probes before it.
+    const HELD: Duration = Duration::from_millis(200);
+
+    /// `msg(src, tag, bytes)`, ripe `after` from now.
+    fn held(src: usize, tag: Tag, bytes: &'static [u8], after: Duration) -> Message {
+        Message {
+            ready: Some(Instant::now() + after),
+            ..msg(src, tag, bytes)
+        }
+    }
+
+    #[test]
+    fn a_probe_does_not_see_a_message_before_it_is_ripe() {
+        let mb = Mailbox::new(0);
+        let due = Instant::now() + HELD;
+        mb.deliver(held(1, Tag::app(0), b"later", HELD));
+        assert_eq!(mb.try_recv(1, Tag::app(0)), None);
+        assert_eq!(mb.queued(), 1);
+        // A stamp already past is ripe.
+        mb.deliver(held(2, Tag::app(0), b"now", Duration::ZERO));
+        assert_eq!(mb.try_recv(2, Tag::app(0)).unwrap(), "now");
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        assert_eq!(mb.try_recv(1, Tag::app(0)).unwrap(), "later");
+    }
+
+    #[test]
+    fn a_wait_wakes_at_the_stamp_with_no_further_delivery() {
+        let mb = Arc::new(Mailbox::new(0));
+        let start = Instant::now();
+        let waiter = {
+            let mb = Arc::clone(&mb);
+            let wait = Duration::from_secs(5);
+            std::thread::spawn(move || {
+                let got = mb.recv_timeout(1, Tag::app(0), wait).unwrap();
+                (got, start.elapsed())
+            })
+        };
+        // The waiter is asleep before the message comes: the delivery must
+        // set its alarm.
+        std::thread::sleep(Duration::from_millis(10));
+        mb.deliver(held(1, Tag::app(0), b"ripe", Duration::from_millis(40)));
+        let (payload, at) = waiter.join().unwrap();
+        assert_eq!(payload, "ripe");
+        assert!(at >= Duration::from_millis(50), "{at:?}");
+        assert!(at < Duration::from_millis(500), "{at:?}");
+        // A deadline before the stamp times out; one after it receives.
+        mb.deliver(held(1, Tag::app(0), b"next", HELD));
+        assert!(matches!(
+            mb.recv_timeout(1, Tag::app(0), Duration::from_millis(10)),
+            Err(NetError::Timeout { src: 1, .. })
+        ));
+        let got = mb.recv_timeout(1, Tag::app(0), Duration::from_secs(5));
+        assert_eq!(got.unwrap(), "next");
+    }
+
+    #[test]
+    fn an_unripe_head_holds_a_ripe_younger_message_of_its_key() {
+        let mb = Mailbox::new(0);
+        mb.deliver(held(1, Tag::app(0), b"older", HELD));
+        mb.deliver(msg(1, Tag::app(0), b"younger"));
+        // Another source's ripe message is not held behind it.
+        mb.deliver(msg(2, Tag::app(0), b"other"));
+        let keys = [(Tag::app(0), 1), (Tag::app(0), 2)];
+        let probe = |mb: &Mailbox| mb.recv_any(0, &keys, Some(Instant::now()));
+        assert_eq!(probe(&mb).unwrap(), (1, Bytes::from_static(b"other")));
+        assert!(matches!(probe(&mb), Err(NetError::Timeout { .. })));
+        assert_eq!(mb.recv(1, Tag::app(0)).unwrap(), "older");
+        assert_eq!(mb.try_recv(1, Tag::app(0)).unwrap(), "younger");
+        // An earlier stamp behind a later one of its source waits for it,
+        // under another tag too.
+        mb.deliver(held(1, Tag::app(0), b"first", HELD));
+        mb.deliver(held(1, Tag::app(1), b"second", Duration::ZERO));
+        // Another job's message from the same source is not.
+        mb.open_job(7);
+        mb.deliver(of(7, 1, b"job-7"));
+        assert_eq!(mb.try_recv(1, Tag::app(1)), None);
+        let job_7 = mb.recv_any(7, &[(Tag::app(3), 1)], Some(Instant::now()));
+        assert_eq!(job_7.unwrap().1, "job-7");
+        assert_eq!(mb.recv(1, Tag::app(0)).unwrap(), "first");
+        assert_eq!(mb.try_recv(1, Tag::app(1)).unwrap(), "second");
+    }
+
+    #[test]
+    fn a_gone_sources_unripe_message_is_received_before_disconnected() {
+        for mark in [
+            |mb: &Mailbox| mb.disconnect_src(1),
+            |mb: &Mailbox| mb.close(),
+        ] {
+            let mb = Mailbox::new(3);
+            mb.deliver(held(1, Tag::app(0), b"in-flight", HELD));
+            mark(&mb);
+            // The wait holds for it: no `Disconnected` while it is held …
+            assert!(matches!(mb.try_recv_checked(1, Tag::app(0)), Ok(None)));
+            assert_eq!(mb.recv(1, Tag::app(0)).unwrap(), "in-flight");
+            // … and it is the source's last word.
+            assert!(matches!(
+                mb.recv(1, Tag::app(0)),
+                Err(NetError::Disconnected { rank: 3 })
+            ));
+        }
+    }
+
+    #[test]
+    fn close_job_drops_unripe_messages() {
+        let mb = Mailbox::new(0);
+        mb.open_job(5);
+        mb.deliver(Message {
+            job: 5,
+            ..held(1, Tag::app(0), b"held", Duration::from_millis(10))
+        });
+        mb.deliver(Message {
+            job: 5,
+            ..msg(1, Tag::app(0), b"behind-it")
+        });
+        mb.deliver(held(1, Tag::app(0), b"job-0", Duration::from_millis(10)));
+        assert_eq!(mb.queued(), 3);
+        mb.close_job(5);
+        assert_eq!(mb.queued(), 1);
+        mb.open_job(5);
+        std::thread::sleep(Duration::from_millis(10));
+        assert!(matches!(
+            mb.recv_any(5, &[(Tag::app(0), 1)], Some(Instant::now())),
+            Err(NetError::Timeout { .. })
+        ));
+        assert_eq!(mb.recv(1, Tag::app(0)).unwrap(), "job-0");
     }
 }

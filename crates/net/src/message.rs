@@ -13,6 +13,8 @@
 //! assert_ne!(tag, Tag::app(1234)); // purposes never collide
 //! ```
 
+use std::time::Instant;
+
 use bytes::Bytes;
 
 /// A 32-bit message tag: `purpose << 24 | sequence`.
@@ -67,7 +69,8 @@ impl std::fmt::Display for Tag {
 /// messages out in when a wait lists several keys.
 pub type Key = (Tag, usize);
 
-/// An in-flight message: source rank, job, tag, and payload.
+/// An in-flight message: source rank, job, tag, payload, and when it may be
+/// seen.
 #[derive(Clone, Debug)]
 pub struct Message {
     /// Sender's rank.
@@ -81,6 +84,9 @@ pub struct Message {
     /// Payload bytes (cheaply cloneable; in-memory transport shares the
     /// underlying buffer with the sender).
     pub payload: Bytes,
+    /// When the sender's emulated NIC sends its last byte: a mailbox holds
+    /// the message until then. `None`: ripe on arrival.
+    pub ready: Option<Instant>,
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Real-time NIC emulation: a token-bucket egress that drains by itself.
+//! Real-time NIC emulation: a token-bucket egress schedule.
 //!
 //! The paper caps every EC2 instance at 100 Mbps with `tc` (§V-B, footnote
 //! 5). A [`Nic`] reproduces that in *real time* for one rank: every
@@ -12,37 +12,33 @@
 //! benchmarks still use the virtual-time model, which is exact and doesn't
 //! burn wall-clock seconds.
 //!
-//! The NIC is a FIFO queue, not a sleep in the sender. A payload is handed
-//! to the transport at the *start* of its drain: inline, on the caller's
-//! thread, by a post on a free NIC, which books how long the NIC stays
-//! busy with it; by a pacer — a task on a parked thread
-//! ([`cts_core::exec::detach`]), handed over with the first transfer
-//! queued behind a busy NIC and done when the queue runs empty — otherwise.
-//! [`Nic::drain`] is the one wait: until everything posted has left the
-//! NIC. A caller that drains after every post (a blocking send) never
-//! starts a pacer, and an unshaped NIC is never busy.
+//! The NIC is a schedule, like the kernel queue `tc` shapes — not a sleep
+//! in the sender, not a thread. [`Nic::post`] books a transfer behind
+//! everything booked before it and returns the booked end, which the
+//! communicator stamps on the message it hands the transport at once; the
+//! receiving [`Mailbox`](crate::mailbox::Mailbox) holds the message until
+//! then. [`Nic::drain`] waits until everything posted has left the NIC; a
+//! blocking send is a post and a drain.
 //!
 //! ```
-//! use std::sync::Arc;
 //! use cts_net::rate::{Nic, NicProfile};
 //!
 //! // 8 MB/s egress, 0.1 ms per transfer, α = 0.3 — an emulated paper NIC.
 //! let profile = NicProfile::rate_limited(8e6)
 //!     .with_latency_s(1e-4)
 //!     .with_multicast_alpha(0.3);
-//! let nic = Arc::new(Nic::new(profile));
-//! // One 512-byte transfer: handed over at once, the NIC busy ~0.1 ms.
-//! nic.post(512, || Ok(())).unwrap();
+//! let nic = Nic::new(profile);
+//! // One 512-byte transfer: booked at once, the NIC busy ~0.1 ms.
+//! let first = nic.post(512).unwrap().expect("a shaped NIC books");
+//! // The next one starts where it ends.
+//! assert!(nic.post(512).unwrap().unwrap() > first);
 //! nic.drain().unwrap();
 //! assert!(cts_net::fabric::multicast_penalty(profile.multicast_alpha, 4) > 1.0);
 //! ```
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cts_core::exec;
 use cts_core::metrics::{Counter, Histogram};
 use parking_lot::{Condvar, Mutex};
 
@@ -134,10 +130,6 @@ impl NicProfile {
     }
 }
 
-/// What the pacer runs at the start of a queued transfer's drain: the
-/// hand-over to the transport.
-type Deliver = Box<dyn FnOnce() -> Result<()> + Send>;
-
 /// The egress side of a [`Nic`], under its lock.
 struct Egress {
     /// The token bucket (bytes; negative: debt) as of `refilled`.
@@ -145,14 +137,7 @@ struct Egress {
     refilled: Instant,
     /// When the transfers booked so far will have left the NIC.
     busy_until: Instant,
-    /// Transfers posted while the NIC was busy, in post order, each with
-    /// the bytes it is charged.
-    queue: VecDeque<(u64, Deliver)>,
-    /// A pacer is running (and will look at `queue` again before it
-    /// returns).
-    pacing: bool,
-    /// The first failed queued transfer, or the abort: every later post
-    /// and drain returns it.
+    /// The abort: every later post and drain returns it.
     failed: Option<NetError>,
 }
 
@@ -164,8 +149,8 @@ pub struct Nic {
     meter: Option<Arc<NicMeter>>,
     wait_hist: Option<Arc<Histogram>>,
     egress: Mutex<Egress>,
-    /// Signalled when the pacer returns and when the NIC fails — what
-    /// [`drain`](Nic::drain) and a pacer waiting out `busy_until` block on.
+    /// Signalled by the abort — what a [`drain`](Nic::drain) waiting out
+    /// `busy_until` blocks on.
     changed: Condvar,
 }
 
@@ -182,8 +167,6 @@ impl Nic {
                 tokens: profile.burst_bytes,
                 refilled: now,
                 busy_until: now,
-                queue: VecDeque::new(),
-                pacing: false,
                 failed: None,
             }),
             changed: Condvar::new(),
@@ -234,73 +217,26 @@ impl Nic {
         }
     }
 
-    /// Posts one transfer of `bytes` charged bytes without waiting for it:
-    /// `deliver` hands the payload to the transport at the start of the
-    /// transfer's drain — now, on this thread, when the NIC is free (always,
-    /// when unshaped), else on the pacer once every earlier transfer has
-    /// drained. An inline hand-over's error is returned; a queued one's
-    /// comes out of the next post or [`drain`](Nic::drain).
-    pub fn post<F>(self: &Arc<Self>, bytes: u64, deliver: F) -> Result<()>
-    where
-        F: FnOnce() -> Result<()> + Send + 'static,
-    {
+    /// Books one transfer of `bytes` charged bytes, starting when the last
+    /// booked one ends (or now), and returns when it will have left the NIC:
+    /// when its receivers may see it. `None` on a NIC with no rate and no
+    /// latency, where a transfer leaves as it is posted. Nothing waits here;
+    /// after an [`abort`](Nic::abort) every post returns its error.
+    pub fn post(&self, bytes: u64) -> Result<Option<Instant>> {
         let mut egress = self.egress.lock();
         if let Some(e) = &egress.failed {
             return Err(e.clone());
         }
-        let now = Instant::now();
-        if !egress.pacing && now >= egress.busy_until {
-            self.book(&mut egress, now, bytes);
-            drop(egress);
-            return deliver();
+        if self.profile.rate_bytes_per_sec.is_none() && self.latency.is_zero() {
+            return Ok(None);
         }
-        egress.queue.push_back((bytes, Box::new(deliver)));
-        if !egress.pacing {
-            egress.pacing = true;
-            let nic = Arc::clone(self);
-            exec::detach(move || nic.pace());
-        }
-        Ok(())
-    }
-
-    /// The pacer: hands each queued transfer over when the one before it
-    /// has drained, and returns when the queue is empty. A backlog drains back
-    /// to back in booked time — a transfer starts when its predecessor ends,
-    /// not when this thread got to run — so waking late never adds up.
-    fn pace(&self) {
-        let mut egress = self.egress.lock();
-        loop {
-            let until = egress.busy_until;
-            if Instant::now() < until && !egress.queue.is_empty() {
-                // An abort empties the queue and wakes this early.
-                self.changed.wait_until(&mut egress, until);
-                continue;
-            }
-            let Some((bytes, deliver)) = egress.queue.pop_front() else {
-                break;
-            };
-            self.book(&mut egress, until, bytes);
-            drop(egress);
-            // Nobody waits for this task: a hand-over that panics must fail
-            // the NIC like one that errs, not strand whoever drains it.
-            let sent = catch_unwind(AssertUnwindSafe(deliver)).unwrap_or_else(|_| {
-                Err(NetError::Io {
-                    what: "a queued transfer's hand-over panicked".into(),
-                })
-            });
-            egress = self.egress.lock();
-            if let Err(e) = sent {
-                egress.fail(e);
-            }
-        }
-        egress.pacing = false;
-        drop(egress);
-        self.changed.notify_all();
+        let start = Instant::now().max(egress.busy_until);
+        self.book(&mut egress, start, bytes);
+        Ok(Some(egress.busy_until))
     }
 
     /// Blocks until every posted transfer has left the NIC — no earlier
-    /// than the last booked byte — or fails with the first queued
-    /// transfer's error (or the abort's).
+    /// than the last booked byte — or fails with the abort's error.
     pub fn drain(&self) -> Result<()> {
         let mut egress = self.egress.lock();
         loop {
@@ -308,48 +244,42 @@ impl Nic {
                 return Err(e.clone());
             }
             let until = egress.busy_until;
-            if egress.pacing {
-                self.changed.wait(&mut egress);
-            } else if Instant::now() < until {
-                self.changed.wait_until(&mut egress, until);
-            } else {
+            if Instant::now() >= until {
                 return Ok(());
             }
+            self.changed.wait_until(&mut egress, until);
         }
     }
 
-    /// Fails the NIC with `why`: queued transfers are dropped unsent and
-    /// every blocked or later [`drain`](Nic::drain) and post returns `why`.
+    /// Fails the NIC with `why`: every blocked or later
+    /// [`drain`](Nic::drain) and post returns `why`.
     pub fn abort(&self, why: NetError) {
-        self.egress.lock().fail(why);
+        self.egress.lock().failed.get_or_insert(why);
         self.changed.notify_all();
-    }
-}
-
-impl Egress {
-    fn fail(&mut self, why: NetError) {
-        self.failed.get_or_insert(why);
-        self.queue.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn shaped(rate: f64, burst: f64) -> Arc<Nic> {
+    fn shaped(rate: f64, burst: f64) -> Nic {
         let mut profile = NicProfile::rate_limited(rate);
         profile.burst_bytes = burst;
-        Arc::new(Nic::new(profile))
+        Nic::new(profile)
     }
 
     /// Posts `n` transfers of `bytes`, draining after each: a blocking send.
-    fn send_each(nic: &Arc<Nic>, n: usize, bytes: u64) {
+    fn send_each(nic: &Nic, n: usize, bytes: u64) {
         for _ in 0..n {
-            nic.post(bytes, || Ok(())).unwrap();
+            nic.post(bytes).unwrap();
             nic.drain().unwrap();
         }
+    }
+
+    /// The gaps between consecutive booked ends.
+    fn gaps(ends: &[Instant]) -> Vec<Duration> {
+        ends.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     #[test]
@@ -393,17 +323,12 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_nic_is_free_and_starts_no_pacer() {
-        let nic = Arc::new(Nic::new(NicProfile::unlimited()));
+    fn unlimited_nic_is_free_and_books_nothing() {
+        let nic = Nic::new(NicProfile::unlimited());
         let start = Instant::now();
-        let me = std::thread::current().id();
         for _ in 0..100 {
-            // Inline, on the poster's thread, whatever was posted before.
-            nic.post(100_000_000, move || {
-                assert_eq!(std::thread::current().id(), me);
-                Ok(())
-            })
-            .unwrap();
+            // Ripe on arrival: no stamp, whatever was posted before.
+            assert_eq!(nic.post(100_000_000), Ok(None));
         }
         nic.drain().unwrap();
         assert!(start.elapsed() < Duration::from_millis(20));
@@ -417,42 +342,56 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(9));
     }
 
+    /// Posts `bytes` and returns its booked end, bracketed by the moments
+    /// just before and just after the post.
+    fn post_timed(nic: &Nic, bytes: u64) -> (Instant, Instant, Instant) {
+        let posted = Instant::now();
+        let end = nic.post(bytes).unwrap().expect("a shaped NIC books");
+        (posted, end, Instant::now())
+    }
+
     #[test]
-    fn a_post_on_a_busy_nic_returns_at_once_and_is_delivered_in_fifo_order() {
+    fn a_post_on_a_busy_nic_returns_at_once_with_its_booked_end_in_fifo_order() {
         // 1 MB/s, 1 KB burst: each 20 KB transfer keeps the NIC busy 20 ms.
         let nic = shaped(1_000_000.0, 1_000.0);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let start = Instant::now();
-        for i in 0..5usize {
-            let (order, posted) = (Arc::clone(&order), Instant::now());
-            nic.post(20_000, move || {
-                order.lock().push((i, start.elapsed()));
-                Ok(())
-            })
-            .unwrap();
-            assert!(
-                posted.elapsed() < Duration::from_millis(1),
-                "post {i}: {:?}",
-                posted.elapsed()
-            );
+        let posts: Vec<_> = (0..5).map(|_| post_timed(&nic, 20_000)).collect();
+        for (i, &(posted, _, returned)) in posts.iter().enumerate() {
+            let took = returned - posted;
+            assert!(took < Duration::from_millis(1), "post {i}: {took:?}");
         }
+        // The first drains its 19 KB of debt from the moment it was posted;
+        // each later one starts where the one before it ends, to the
+        // nanosecond.
+        let (posted, first, returned) = posts[0];
+        let debt = Duration::from_millis(19);
+        assert!(posted + debt <= first && first <= returned + debt);
+        let ends: Vec<Instant> = posts.iter().map(|&(_, end, _)| end).collect();
+        assert_eq!(gaps(&ends), vec![Duration::from_millis(20); 4]);
         nic.drain().unwrap();
         // No earlier than the last booked byte: 100 KB less the burst.
-        let elapsed = start.elapsed();
+        let elapsed = posted.elapsed();
+        assert!(Instant::now() >= ends[4]);
         assert!(elapsed >= Duration::from_millis(95), "{elapsed:?}");
         assert!(elapsed < Duration::from_millis(300), "{elapsed:?}");
-        let order = order.lock();
-        assert_eq!(
-            order.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
-        );
-        // Each payload was handed over at the start of its drain: transfer
-        // i when the i before it had left, ~19 ms + (i − 1) × 20 ms in.
-        for &(i, at) in order.iter().skip(1) {
-            let due = Duration::from_millis(19 + 20 * (i as u64 - 1));
-            assert!(at >= due - Duration::from_millis(2), "{i}: {at:?}");
-            assert!(at < due + Duration::from_millis(40), "{i}: {at:?}");
-        }
+    }
+
+    #[test]
+    fn the_paper_nic_books_32_posts_of_64_kib_to_the_nanosecond() {
+        // The burst absorbs the first: it is booked 0.1 ms after its post.
+        // Each later one starts where the one before it ends and leaves
+        // 0.1 ms + 65 536 B ÷ 12.5 MB/s = 5.24288 ms after it: 0.1 ms +
+        // 31 × 5.24288 ms in all. (32 blocking sends book the same, as long
+        // as no drain wakes a whole transfer late.)
+        let nic = Nic::new(NicProfile::paper_100mbps());
+        let (posted, first, returned) = post_timed(&nic, 64 * 1024);
+        let latency = Duration::from_micros(100);
+        assert!(posted + latency <= first && first <= returned + latency);
+        let rest = (1..32).map(|_| nic.post(64 * 1024).unwrap().expect("booked"));
+        let ends: Vec<Instant> = std::iter::once(first).chain(rest).collect();
+        assert_eq!(gaps(&ends), vec![Duration::from_nanos(5_242_880); 31]);
+        assert_eq!(ends[31] - ends[0], Duration::from_nanos(31 * 5_242_880));
+        nic.drain().unwrap();
+        assert!(Instant::now() >= ends[31]);
     }
 
     #[test]
@@ -473,55 +412,30 @@ mod tests {
     }
 
     #[test]
-    fn a_queued_transfers_error_comes_out_of_drain_and_drops_the_rest() {
+    fn an_abort_fails_every_later_post_and_drain() {
         let nic = shaped(1_000_000.0, 1_000.0);
-        let delivered = Arc::new(AtomicUsize::new(0));
-        let io = || NetError::Io {
+        assert!(nic.post(10_000).unwrap().is_some());
+        let cut = NetError::Io {
             what: "wire cut".into(),
         };
-        for i in 0..4 {
-            let delivered = Arc::clone(&delivered);
-            nic.post(10_000, move || {
-                delivered.fetch_add(1, Ordering::SeqCst);
-                if i == 1 {
-                    Err(io())
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap();
-        }
-        assert_eq!(nic.drain(), Err(io()));
-        assert_eq!(
-            delivered.load(Ordering::SeqCst),
-            2,
-            "nothing after the failure"
-        );
-        // Sticky: the NIC stays failed.
-        assert_eq!(nic.post(1, || Ok(())), Err(io()));
-        // So does a hand-over that panics on the pacer.
-        let nic = shaped(1_000_000.0, 1_000.0);
-        nic.post(10_000, || Ok(())).unwrap();
-        nic.post(10_000, || panic!("transport bug")).unwrap();
-        assert!(matches!(nic.drain(), Err(NetError::Io { .. })));
-        // An inline hand-over's error is the post's own and fails nothing.
-        let free = Arc::new(Nic::new(NicProfile::unlimited()));
-        assert_eq!(free.post(1, move || Err(io())), Err(io()));
-        free.drain().unwrap();
+        nic.abort(cut.clone());
+        // Sticky: the NIC stays failed, and the first abort is the one
+        // it reports.
+        nic.abort(NetError::Disconnected { rank: 1 });
+        assert_eq!(nic.post(1), Err(cut.clone()));
+        assert_eq!(nic.drain(), Err(cut.clone()));
+        // A free NIC is failed the same way.
+        let free = Nic::new(NicProfile::unlimited());
+        free.abort(cut.clone());
+        assert_eq!(free.post(1), Err(cut));
     }
 
     #[test]
     fn abort_releases_a_blocked_drain() {
-        // 1 KB/s: the second transfer is due in 10 s, the drain in 20.
+        // 1 KB/s: the second transfer is booked to end in 20 s.
         let nic = shaped(1_000.0, 1.0);
-        let delivered = Arc::new(AtomicUsize::new(0));
         for _ in 0..2 {
-            let delivered = Arc::clone(&delivered);
-            nic.post(10_000, move || {
-                delivered.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            })
-            .unwrap();
+            nic.post(10_000).unwrap();
         }
         let start = Instant::now();
         let down = NetError::Disconnected { rank: 3 };
@@ -532,11 +446,6 @@ mod tests {
             assert_eq!(waiter.join().unwrap(), Err(down.clone()));
         });
         assert!(start.elapsed() < Duration::from_secs(5));
-        assert_eq!(
-            delivered.load(Ordering::SeqCst),
-            1,
-            "the queued one is dropped"
-        );
     }
 
     #[test]
@@ -545,10 +454,8 @@ mod tests {
         // into debt.
         let meter = Arc::new(NicMeter::new());
         let hist = Arc::new(Histogram::new());
-        let nic = Arc::new(
-            Nic::new(NicProfile::rate_limited(1_000_000.0))
-                .with_meter(Arc::clone(&meter), Some(Arc::clone(&hist))),
-        );
+        let nic = Nic::new(NicProfile::rate_limited(1_000_000.0))
+            .with_meter(Arc::clone(&meter), Some(Arc::clone(&hist)));
         send_each(&nic, 2, 100_000);
         assert!(meter.waits.get() >= 1, "stall not counted");
         assert!(
@@ -559,9 +466,8 @@ mod tests {
         assert_eq!(hist.count(), meter.waits.get());
         // An unshaped NIC never stalls, metered or not.
         let free_meter = Arc::new(NicMeter::new());
-        let free =
-            Arc::new(Nic::new(NicProfile::unlimited()).with_meter(Arc::clone(&free_meter), None));
-        send_each(&free, 1, 10_000_000);
+        let free = Nic::new(NicProfile::unlimited()).with_meter(Arc::clone(&free_meter), None);
+        assert_eq!(free.post(10_000_000), Ok(None));
         assert_eq!(free_meter.waits.get(), 0);
     }
 

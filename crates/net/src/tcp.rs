@@ -5,10 +5,10 @@
 //! Every socket blocks, so every wait is the kernel's: each endpoint runs
 //! an **acceptor thread** blocked in `accept` on its listener and **one
 //! reader thread per accepted link**, blocked reading that link's frames,
-//! `[job: u32 LE][tag: u32 LE][len: u32 LE][payload]` ([`frame`]'s codec,
-//! the job and tag its head), into the endpoint's [`Mailbox`], which drops
-//! a frame of a job that is not open there. A frame leaves in one vectored
-//! write under its link's lock;
+//! `[job: u32 LE][tag: u32 LE][ready: u64 LE][len: u32 LE][payload]`
+//! ([`frame`]'s codec), into the endpoint's [`Mailbox`], which drops a frame
+//! of a job that is not open there and holds one until its `ready` stamp. A
+//! frame leaves in one vectored write under its link's lock;
 //! [`Transport::multicast`] writes its copies back to back into kernel
 //! buffers that the receivers' readers drain concurrently — the
 //! fanout/multicast fabrics of [`fabric`](crate::fabric).
@@ -30,7 +30,7 @@
 //! let endpoints = build_tcp_fabric(3).unwrap();
 //! // One native multicast: rank 0 → ranks 1 and 2, written back to back.
 //! endpoints[0]
-//!     .multicast(&[1, 2], 0, Tag::app(0), Bytes::from_static(b"coded"))
+//!     .multicast(&[1, 2], 0, Tag::app(0), Bytes::from_static(b"coded"), None)
 //!     .unwrap();
 //! assert_eq!(endpoints[1].recv(0, 0, Tag::app(0)).unwrap(), "coded");
 //! assert_eq!(endpoints[2].recv(0, 0, Tag::app(0)).unwrap(), "coded");
@@ -40,9 +40,9 @@ use std::collections::HashMap;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, ThreadId};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -67,9 +67,30 @@ pub fn build_tcp_fabric(k: usize) -> Result<Vec<TcpEndpoint>> {
         .collect()
 }
 
-/// A link frame's head: the message's job, then its tag, each `u32` LE.
-fn head(job: u32, tag: Tag) -> [u8; 8] {
-    (u64::from(tag.0) << 32 | u64::from(job)).to_le_bytes()
+/// What a frame's ripening stamp counts from, one for the whole process.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// A link frame's head: the message's job and tag, each `u32` LE, then
+/// when it ripens, `u64` LE ns since the [`epoch`] — 0 (as is any stamp
+/// before it) for ripe on arrival.
+fn head(job: u32, tag: Tag, ready: Option<Instant>) -> [u8; 16] {
+    let ns = ready.map_or(0, |at| at.saturating_duration_since(epoch()).as_nanos());
+    (ns << 64 | u128::from(tag.0) << 32 | u128::from(job)).to_le_bytes()
+}
+
+/// Reads a frame head back: job, tag and when the message ripens — `None`
+/// for a stamp no clock can read, past `i64::MAX` ns (the monotonic clock's
+/// signed nanosecond count) or past what `Instant` can add.
+fn parse_head(head: [u8; 16]) -> Option<(u32, Tag, Option<Instant>)> {
+    let head = u128::from_le_bytes(head);
+    let ready = match head >> 64 {
+        0 => None,
+        ns => Some(epoch().checked_add(Duration::from_nanos(i64::try_from(ns).ok()? as u64))?),
+    };
+    Some((head as u32, Tag((head >> 32) as u32), ready))
 }
 
 /// An outbound simplex link. The lock serializes this endpoint's frame
@@ -266,7 +287,8 @@ impl Inbound {
     }
 
     /// Serves one accepted link: the dialer's hello, then frames into the
-    /// mailbox until EOF, an I/O error or a corrupt header. A hello without
+    /// mailbox until EOF, an I/O error or a corrupt header — a length over
+    /// the cap or a stamp no clock can read. A hello without
     /// the fabric's token, or naming no other rank of it, drops the link
     /// before a byte more is read. When a named link ends, its source is
     /// disconnected — the dialer closes only at teardown, so that peer is
@@ -281,16 +303,19 @@ impl Inbound {
         let Some(peer) = peer.filter(|&peer| peer != self.rank) else {
             return;
         };
-        while let Ok(Some((head, len))) = frame::read_head::<8>(&mut reader) {
+        while let Ok(Some((head, len))) = frame::read_head::<16>(&mut reader) {
+            let Some((job, tag, ready)) = parse_head(head) else {
+                break;
+            };
             let Ok(payload) = frame::read_body(&mut reader, len) else {
                 break;
             };
-            let head = u64::from_le_bytes(head);
             self.mailbox.deliver(Message {
                 src: peer,
-                job: head as u32,
-                tag: Tag((head >> 32) as u32),
+                job,
+                tag,
                 payload: Bytes::from(payload),
+                ready,
             });
         }
         self.mailbox.disconnect_src(peer);
@@ -306,7 +331,14 @@ impl Transport for TcpEndpoint {
         self.inbound.registry.world_size()
     }
 
-    fn send(&self, dst: usize, job: u32, tag: Tag, payload: Bytes) -> Result<()> {
+    fn send(
+        &self,
+        dst: usize,
+        job: u32,
+        tag: Tag,
+        payload: Bytes,
+        ready: Option<Instant>,
+    ) -> Result<()> {
         if dst == self.rank {
             // Loopback without touching the wire, like MPI self-sends.
             self.inbound.mailbox.deliver(Message {
@@ -314,16 +346,24 @@ impl Transport for TcpEndpoint {
                 job,
                 tag,
                 payload,
+                ready,
             });
             return Ok(());
         }
         let link = self.link_to(dst)?;
         let _writing = link.writing.lock();
-        frame::write(&link.stream, &head(job, tag), &[&payload])?;
+        frame::write(&link.stream, &head(job, tag, ready), &[&payload])?;
         Ok(())
     }
 
-    fn multicast(&self, dsts: &[usize], job: u32, tag: Tag, payload: Bytes) -> Result<()> {
+    fn multicast(
+        &self,
+        dsts: &[usize],
+        job: u32,
+        tag: Tag,
+        payload: Bytes,
+        ready: Option<Instant>,
+    ) -> Result<()> {
         // Validate + dial first so no copy is sent on a bad destination
         // list. `dsts` is a set (trait contract): dedupe — a duplicate
         // would re-lock a peer's non-reentrant writer mutex — and sort, so
@@ -344,12 +384,13 @@ impl Transport for TcpEndpoint {
                 job,
                 tag,
                 payload: payload.clone(),
+                ready,
             });
         }
         let _writing: Vec<_> = links.iter().map(|link| link.writing.lock()).collect();
         // A failed copy does not cut the others short: every healthy link
         // gets a whole frame, and the first error is reported after.
-        let (head, mut first_err) = (head(job, tag), None);
+        let (head, mut first_err) = (head(job, tag, ready), None);
         for link in &links {
             if let Err(e) = frame::write(&link.stream, &head, &[&payload]) {
                 first_err.get_or_insert(e);
@@ -412,10 +453,10 @@ mod tests {
         raw_connection(ep, &ep.inbound.registry.hello(rank))
     }
 
-    /// A frame's header: the job, the tag, then the length the payload
-    /// claims.
+    /// A frame's header: the job, the tag, ripe on arrival, then the
+    /// length the payload claims.
     fn header(job: u32, tag: Tag, len: u32) -> Vec<u8> {
-        [&head(job, tag)[..], &len.to_le_bytes()].concat()
+        [&head(job, tag, None)[..], &len.to_le_bytes()].concat()
     }
 
     /// Whether `ep` has nothing of job 0 queued under `(tag, src)`: a probe
@@ -436,10 +477,10 @@ mod tests {
     fn mesh_ping_pong() {
         let endpoints = build_tcp_fabric(2).unwrap();
         let (a, b) = (&endpoints[0], &endpoints[1]);
-        a.send(1, 0, Tag::app(0), Bytes::from_static(b"over tcp"))
+        a.send(1, 0, Tag::app(0), Bytes::from_static(b"over tcp"), None)
             .unwrap();
         assert_eq!(b.recv(0, 0, Tag::app(0)).unwrap(), "over tcp");
-        b.send(0, 0, Tag::app(1), Bytes::from_static(b"back"))
+        b.send(0, 0, Tag::app(1), Bytes::from_static(b"back"), None)
             .unwrap();
         assert_eq!(a.recv(1, 0, Tag::app(1)).unwrap(), "back");
     }
@@ -448,7 +489,7 @@ mod tests {
     fn self_send_loops_back() {
         let endpoints = build_tcp_fabric(1).unwrap();
         endpoints[0]
-            .send(0, 0, Tag::app(0), Bytes::from_static(b"self"))
+            .send(0, 0, Tag::app(0), Bytes::from_static(b"self"), None)
             .unwrap();
         assert_eq!(endpoints[0].recv(0, 0, Tag::app(0)).unwrap(), "self");
     }
@@ -460,7 +501,7 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761)) as u8)
             .collect();
         endpoints[0]
-            .send(1, 0, Tag::app(5), Bytes::from(big.clone()))
+            .send(1, 0, Tag::app(5), Bytes::from(big.clone()), None)
             .unwrap();
         let got = endpoints[1].recv(0, 0, Tag::app(5)).unwrap();
         assert_eq!(got.len(), big.len());
@@ -480,10 +521,10 @@ mod tests {
         assert_closed(raw);
         // The endpoint itself carries on.
         endpoints[0]
-            .send(1, 0, Tag::app(1), Bytes::from_static(b"still here"))
+            .send(1, 0, Tag::app(1), Bytes::from_static(b"still here"), None)
             .unwrap();
         endpoints[1]
-            .send(0, 0, Tag::app(1), Bytes::from_static(b"and here"))
+            .send(0, 0, Tag::app(1), Bytes::from_static(b"and here"), None)
             .unwrap();
         assert_eq!(endpoints[0].recv(1, 0, Tag::app(1)).unwrap(), "and here");
     }
@@ -517,7 +558,7 @@ mod tests {
         assert!(nothing_from(&endpoints[1], 1, Tag::app(0)));
         // No source was disconnected either: rank 0's real link still works.
         endpoints[0]
-            .send(1, 0, Tag::app(0), Bytes::from_static(b"real"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"real"), None)
             .unwrap();
         assert_eq!(endpoints[1].recv(0, 0, Tag::app(0)).unwrap(), "real");
     }
@@ -539,7 +580,7 @@ mod tests {
             let waiting = scope.spawn(|| endpoints[1].recv(0, 0, Tag::app(0)));
             std::thread::sleep(Duration::from_millis(20));
             endpoints[0]
-                .send(1, 0, Tag::app(0), Bytes::from_static(b"alive"))
+                .send(1, 0, Tag::app(0), Bytes::from_static(b"alive"), None)
                 .unwrap();
             assert_eq!(waiting.join().unwrap().unwrap(), "alive");
         });
@@ -570,9 +611,73 @@ mod tests {
         assert_eq!(ep.recv(0, 7, Tag::app(1)).unwrap(), "ok");
         // Rank 0's real link works too.
         endpoints[0]
-            .send(1, 0, Tag::app(2), Bytes::from_static(b"real"))
+            .send(1, 0, Tag::app(2), Bytes::from_static(b"real"), None)
             .unwrap();
         assert_eq!(ep.recv(0, 0, Tag::app(2)).unwrap(), "real");
+    }
+
+    #[test]
+    fn a_stamp_survives_a_frame_and_holds_the_message_until_it_is_due() {
+        // To the nanosecond through the head …
+        let due = Instant::now() + Duration::from_millis(40);
+        for ready in [None, Some(due), Some(epoch())] {
+            let expect = ready.filter(|&at| at > epoch());
+            assert_eq!(
+                parse_head(head(9, Tag::app(3), ready)),
+                Some((9, Tag::app(3), expect))
+            );
+        }
+        // … and across a link: in the mailbox at once, seen at `due`.
+        let endpoints = build_tcp_fabric(2).unwrap();
+        let sent = Instant::now();
+        let due = sent + Duration::from_millis(40);
+        endpoints[0]
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"stamped"), Some(due))
+            .unwrap();
+        let mailbox = endpoints[1].mailbox();
+        let deadline = sent + Duration::from_secs(10);
+        while mailbox.queued() == 0 {
+            assert!(Instant::now() < deadline, "the frame never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if Instant::now() < due {
+            assert!(nothing_from(&endpoints[1], 0, Tag::app(0)));
+        }
+        assert_eq!(endpoints[1].recv(0, 0, Tag::app(0)).unwrap(), "stamped");
+        assert!(Instant::now() >= due);
+    }
+
+    #[test]
+    fn a_stamp_no_clock_can_read_closes_the_link_without_a_panic() {
+        for ns in [1u64 << 63, u64::MAX] {
+            let endpoints = build_tcp_fabric(2).unwrap();
+            let mut raw = raw_link(&endpoints[1], 0);
+            let job_and_tag = head(0, Tag::app(0), None);
+            let wire = [
+                &job_and_tag[..8],
+                &ns.to_le_bytes(),
+                &2u32.to_le_bytes(),
+                b"no",
+            ];
+            raw.write_all(&wire.concat()).unwrap();
+            // Not a message held for centuries: the link is gone.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            assert!(matches!(
+                endpoints[1].recv_from(0, 0, Tag::app(0), Some(deadline)),
+                Err(NetError::Disconnected { .. })
+            ));
+            assert_closed(raw);
+            // The reader returned rather than unwound: it removed its own
+            // entry, and the endpoint carries on.
+            while !endpoints[1].inbound.readers.lock().is_empty() {
+                assert!(Instant::now() < deadline, "the reader never ended");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            endpoints[1]
+                .send(0, 0, Tag::app(1), Bytes::from_static(b"alive"), None)
+                .unwrap();
+            assert_eq!(endpoints[0].recv(1, 0, Tag::app(1)).unwrap(), "alive");
+        }
     }
 
     /// A live 3-rank fabric, every one of its links dialed, for the hello
@@ -592,7 +697,7 @@ mod tests {
             if src != dst {
                 let payload = Bytes::copy_from_slice(&[src as u8, dst as u8]);
                 endpoints[src]
-                    .send(dst, 0, Tag::app(0), payload.clone())
+                    .send(dst, 0, Tag::app(0), payload.clone(), None)
                     .unwrap();
                 assert_eq!(endpoints[dst].recv(src, 0, Tag::app(0)).unwrap(), payload);
             }
@@ -640,6 +745,7 @@ mod tests {
                             0,
                             Tag::app(0),
                             Bytes::copy_from_slice(&[me as u8, dst as u8]),
+                            None,
                         )
                         .unwrap();
                     }
@@ -657,7 +763,13 @@ mod tests {
         let endpoints = build_tcp_fabric(2).unwrap();
         for i in 0..100u32 {
             endpoints[0]
-                .send(1, 0, Tag::app(0), Bytes::copy_from_slice(&i.to_le_bytes()))
+                .send(
+                    1,
+                    0,
+                    Tag::app(0),
+                    Bytes::copy_from_slice(&i.to_le_bytes()),
+                    None,
+                )
                 .unwrap();
         }
         for i in 0..100u32 {
@@ -671,7 +783,7 @@ mod tests {
         let endpoints = build_tcp_fabric(6).unwrap();
         // Only 0 → 1 traffic: no other endpoint opens a data link.
         endpoints[0]
-            .send(1, 0, Tag::app(0), Bytes::from_static(b"sparse"))
+            .send(1, 0, Tag::app(0), Bytes::from_static(b"sparse"), None)
             .unwrap();
         assert_eq!(endpoints[1].recv(0, 0, Tag::app(0)).unwrap(), "sparse");
         assert_eq!(outbound_links(&endpoints[0]), 1);
@@ -680,7 +792,7 @@ mod tests {
         }
         // Repeat sends reuse the dialed link instead of opening more.
         endpoints[0]
-            .send(1, 0, Tag::app(1), Bytes::from_static(b"again"))
+            .send(1, 0, Tag::app(1), Bytes::from_static(b"again"), None)
             .unwrap();
         assert_eq!(endpoints[1].recv(0, 0, Tag::app(1)).unwrap(), "again");
         assert_eq!(outbound_links(&endpoints[0]), 1);
@@ -691,7 +803,13 @@ mod tests {
         let endpoints = build_tcp_fabric(4).unwrap();
         let payload: Vec<u8> = (0..500_000u32).map(|i| (i % 251) as u8).collect();
         endpoints[1]
-            .multicast(&[0, 2, 3], 0, Tag::app(9), Bytes::from(payload.clone()))
+            .multicast(
+                &[0, 2, 3],
+                0,
+                Tag::app(9),
+                Bytes::from(payload.clone()),
+                None,
+            )
             .unwrap();
         for dst in [0usize, 2, 3] {
             let got = endpoints[dst].recv(1, 0, Tag::app(9)).unwrap();
@@ -703,7 +821,7 @@ mod tests {
     fn multicast_including_self_delivers_locally() {
         let endpoints = build_tcp_fabric(2).unwrap();
         endpoints[0]
-            .multicast(&[0, 1], 0, Tag::app(2), Bytes::from_static(b"both"))
+            .multicast(&[0, 1], 0, Tag::app(2), Bytes::from_static(b"both"), None)
             .unwrap();
         assert_eq!(endpoints[0].recv(0, 0, Tag::app(2)).unwrap(), "both");
         assert_eq!(endpoints[1].recv(0, 0, Tag::app(2)).unwrap(), "both");
@@ -713,7 +831,7 @@ mod tests {
     fn multicast_duplicate_destinations_deliver_once_without_deadlock() {
         let endpoints = build_tcp_fabric(2).unwrap();
         endpoints[0]
-            .multicast(&[1, 1], 0, Tag::app(0), Bytes::from_static(b"dup"))
+            .multicast(&[1, 1], 0, Tag::app(0), Bytes::from_static(b"dup"), None)
             .unwrap();
         assert_eq!(endpoints[1].recv(0, 0, Tag::app(0)).unwrap(), "dup");
         assert!(nothing_from(&endpoints[1], 0, Tag::app(0)));
@@ -723,7 +841,7 @@ mod tests {
     fn multicast_rejects_invalid_rank_before_sending() {
         let endpoints = build_tcp_fabric(2).unwrap();
         let err = endpoints[0]
-            .multicast(&[1, 9], 0, Tag::app(0), Bytes::from_static(b"x"))
+            .multicast(&[1, 9], 0, Tag::app(0), Bytes::from_static(b"x"), None)
             .unwrap_err();
         assert!(matches!(err, NetError::InvalidRank { rank: 9, .. }));
         // Nothing was sent to the valid destination either.
@@ -734,7 +852,7 @@ mod tests {
     fn multicast_finishes_the_healthy_copies_and_reports_the_failed_one() {
         let mut endpoints = build_tcp_fabric(3).unwrap();
         endpoints[0]
-            .multicast(&[1, 2], 0, Tag::app(0), Bytes::from_static(b"warm"))
+            .multicast(&[1, 2], 0, Tag::app(0), Bytes::from_static(b"warm"), None)
             .unwrap();
         assert_eq!(endpoints[2].recv(0, 0, Tag::app(0)).unwrap(), "warm");
         // Rank 1 goes away; its end of the 0 → 1 link resets the writes.
@@ -742,7 +860,7 @@ mod tests {
         let payload = Bytes::from(vec![3u8; 1 << 20]);
         let mut result = Ok(());
         for round in 1..=8 {
-            result = endpoints[0].multicast(&[1, 2], 0, Tag::app(round), payload.clone());
+            result = endpoints[0].multicast(&[1, 2], 0, Tag::app(round), payload.clone(), None);
             let got = endpoints[1].recv(0, 0, Tag::app(round)).unwrap();
             assert_eq!(got, payload, "round {round}: rank 2's copy is whole");
             if result.is_err() {
@@ -807,7 +925,7 @@ mod tests {
         // pair has no socket to observe; the cluster layer covers that case
         // by shutting every endpoint down explicitly on abort).
         endpoints[0]
-            .send(1, 0, Tag::app(7), Bytes::from_static(b"warm"))
+            .send(1, 0, Tag::app(7), Bytes::from_static(b"warm"), None)
             .unwrap();
         assert_eq!(b.recv(0, 0, Tag::app(7)).unwrap(), "warm");
         let handle = std::thread::spawn(move || b.recv(0, 0, Tag::app(0)));
@@ -821,7 +939,7 @@ mod tests {
     fn invalid_rank_rejected() {
         let endpoints = build_tcp_fabric(2).unwrap();
         assert!(matches!(
-            endpoints[0].send(7, 0, Tag::app(0), Bytes::new()),
+            endpoints[0].send(7, 0, Tag::app(0), Bytes::new(), None),
             Err(NetError::InvalidRank { .. })
         ));
     }
@@ -838,7 +956,7 @@ mod tests {
                 let big = &big;
                 scope.spawn(move || {
                     let other = 1 - ep.rank();
-                    ep.send(other, 0, Tag::app(0), Bytes::from(big.clone()))
+                    ep.send(other, 0, Tag::app(0), Bytes::from(big.clone()), None)
                         .unwrap();
                     let got = ep.recv(other, 0, Tag::app(0)).unwrap();
                     assert_eq!(got.len(), big.len());
@@ -856,7 +974,7 @@ mod tests {
             for t in 0..4u32 {
                 let ep = &endpoints[0];
                 scope.spawn(move || {
-                    ep.send(1, 0, Tag::app(t), Bytes::copy_from_slice(&[t as u8]))
+                    ep.send(1, 0, Tag::app(t), Bytes::copy_from_slice(&[t as u8]), None)
                         .unwrap();
                 });
             }

@@ -1,7 +1,7 @@
 //! Transfer tracing.
 //!
-//! Every hand-over a communicator makes — a unicast, a group cast, a barrier
-//! frame — is one [`TraceEvent`] in its job's journal, and the job returns
+//! Every transfer a communicator hands the fabric — a unicast, a group
+//! cast, a barrier frame — is one [`TraceEvent`] in its job's journal, and the job returns
 //! them as a [`Trace`]: stage-labelled events in record order. That is what
 //! `cts-netsim` replays under a network model to produce the paper's stage
 //! timings, and what the Fig. 9 timeline renderer draws.

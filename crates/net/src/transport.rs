@@ -11,7 +11,7 @@
 //! // One native multicast serves both receivers from a single buffer. Job 0
 //! // is open on a fresh fabric.
 //! sender
-//!     .multicast(&[1, 2], 0, Tag::app(0), Bytes::from_static(b"pkt"))
+//!     .multicast(&[1, 2], 0, Tag::app(0), Bytes::from_static(b"pkt"), None)
 //!     .unwrap();
 //! assert_eq!(fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap(), "pkt");
 //! assert_eq!(fabric.endpoint(2).recv(0, 0, Tag::app(0)).unwrap(), "pkt");
@@ -42,7 +42,9 @@ use crate::message::{Key, Tag};
 /// * `multicast` delivers one payload to a destination set, overlapping the
 ///   copies where the fabric can (shared buffer in memory; on TCP, copies
 ///   written back to back into kernel buffers that the receivers drain
-///   concurrently).
+///   concurrently);
+/// * a message stamped `ready` (its sender NIC's booked end) is handed over
+///   at once and held by the receiving mailbox until then.
 pub trait Transport: Send + Sync {
     /// This endpoint's rank in `0..world_size`.
     fn rank(&self) -> usize;
@@ -51,19 +53,32 @@ pub trait Transport: Send + Sync {
     fn world_size(&self) -> usize;
 
     /// Sends `payload` to `dst` as job `job`'s message under `tag`.
-    fn send(&self, dst: usize, job: u32, tag: Tag, payload: Bytes) -> Result<()>;
+    fn send(
+        &self,
+        dst: usize,
+        job: u32,
+        tag: Tag,
+        payload: Bytes,
+        ready: Option<Instant>,
+    ) -> Result<()>;
 
     /// Delivers `payload` to every rank in `dsts` as job `job`'s message
     /// under `tag` — the one-to-many primitive of the coded shuffle.
     ///
     /// `dsts` is a destination *set*: duplicate entries receive a single
-    /// copy. The default implementation is serial-unicast emulation (one
-    /// `send` per distinct destination, back to back); fabrics with a
-    /// genuine concurrent path override it:
-    /// [`LocalEndpoint`](crate::local::LocalEndpoint) delivers one shared
-    /// buffer, [`TcpEndpoint`](crate::tcp::TcpEndpoint) writes the copies
-    /// back to back under every destination's lock at once.
-    fn multicast(&self, dsts: &[usize], job: u32, tag: Tag, payload: Bytes) -> Result<()> {
+    /// copy. The default implementation is one `send` per distinct
+    /// destination, back to back — on [`LocalEndpoint`](crate::local::LocalEndpoint)
+    /// a queue push each, every copy sharing the one buffer;
+    /// [`TcpEndpoint`](crate::tcp::TcpEndpoint) overrides it to write the
+    /// copies back to back under every destination's lock at once.
+    fn multicast(
+        &self,
+        dsts: &[usize],
+        job: u32,
+        tag: Tag,
+        payload: Bytes,
+        ready: Option<Instant>,
+    ) -> Result<()> {
         let mut seen = vec![false; self.world_size()];
         for &dst in dsts {
             if let Some(flag) = seen.get_mut(dst) {
@@ -72,7 +87,7 @@ pub trait Transport: Send + Sync {
                 }
             }
             // Out-of-range destinations fall through for `send` to reject.
-            self.send(dst, job, tag, payload.clone())?;
+            self.send(dst, job, tag, payload.clone(), ready)?;
         }
         Ok(())
     }

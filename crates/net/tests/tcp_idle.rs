@@ -126,7 +126,7 @@ fn an_idle_fabric_sleeps_and_hostile_dialers_leave_nothing_behind() {
             scope.spawn(move || {
                 let me = ep.rank();
                 for dst in (0..k).filter(|&d| d != me) {
-                    ep.send(dst, 0, Tag::app(0), Bytes::from_static(b"warm"))
+                    ep.send(dst, 0, Tag::app(0), Bytes::from_static(b"warm"), None)
                         .unwrap();
                 }
                 for src in (0..k).filter(|&s| s != me) {
@@ -162,6 +162,7 @@ fn an_idle_fabric_sleeps_and_hostile_dialers_leave_nothing_behind() {
         let mut raw = TcpStream::connect(("127.0.0.1", port)).unwrap();
         let mut wire = 1u32.to_le_bytes().to_vec();
         wire.extend(Tag::app(1).0.to_le_bytes());
+        wire.extend(0u64.to_le_bytes()); // ripe on arrival
         wire.extend((512u32 << 20).to_le_bytes());
         wire.extend([7u8; 10]);
         let _ = raw.write_all(&wire);
@@ -170,7 +171,13 @@ fn an_idle_fabric_sleeps_and_hostile_dialers_leave_nothing_behind() {
         assert!(matches!(raw.read(&mut [0u8; 16]), Ok(0) | Err(_)));
     }
     endpoints[1]
-        .multicast(&[0, 2, 3], 0, Tag::app(1), Bytes::from_static(b"alive"))
+        .multicast(
+            &[0, 2, 3],
+            0,
+            Tag::app(1),
+            Bytes::from_static(b"alive"),
+            None,
+        )
         .unwrap();
     for ep in endpoints.iter().filter(|ep| ep.rank() != 1) {
         assert_eq!(ep.recv(1, 0, Tag::app(1)).unwrap(), "alive");

@@ -117,7 +117,7 @@ fn dropped_frames_surface_as_timeouts() {
         Box::new(|_, _, _, _| FaultAction::Drop),
     );
     lossy
-        .send(1, 0, Tag::app(0), Bytes::from_static(b"vanishes"))
+        .send(1, 0, Tag::app(0), Bytes::from_static(b"vanishes"), None)
         .unwrap();
     assert_eq!(lossy.dropped(), 1);
     let rx = fabric.endpoint(1);
@@ -143,7 +143,7 @@ fn corrupted_wire_bytes_fail_engine_style_parsing() {
         }),
     );
     corruptor
-        .send(1, 0, Tag::app(0), Bytes::from(pkt.to_bytes()))
+        .send(1, 0, Tag::app(0), Bytes::from(pkt.to_bytes()), None)
         .unwrap();
     let raw = fabric.endpoint(1).recv(0, 0, Tag::app(0)).unwrap();
     let err = CodedPacket::from_bytes(&raw).unwrap_err();

@@ -181,7 +181,7 @@ fn p99(latencies: &[f64]) -> f64 {
 
 /// The acceptance criterion: a tenant whose emulated NIC token bucket is
 /// saturated backpressures *itself* — per-job Nic instances mean its
-/// pacing sleeps never touch the other tenant's flows — so the unshaped
+/// booked transfers never delay the other tenant's flows — so the unshaped
 /// tenant's p99 stays within 2× of its uncontended p99.
 #[test]
 fn throttled_tenant_does_not_inflate_unshaped_p99() {
