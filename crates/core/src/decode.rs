@@ -603,36 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn a_group_decodes_into_the_one_value_it_hands_out() {
-        // Values of 20–100 KB: buffers the shared pool keeps.
-        let (k, r) = (5, 2);
-        let stores = stores(k, r, 20_000);
-        let mut pipeline = DecodePipeline::new(k, r, 0).unwrap();
-        let mut done = Vec::new();
-        for sender in 1..k {
-            let enc = Encoder::new(k, r, sender).unwrap();
-            for pkt in enc.encode_all(&stores[sender]).unwrap() {
-                if pkt.group.contains(0) {
-                    done.extend(pipeline.accept(&pkt, &stores[0]).unwrap());
-                }
-            }
-        }
-        assert_eq!(done.len() as u64, pipeline.decoder.groups.groups_per_node());
-        assert_eq!(pipeline.in_flight(), 0);
-        for (file, value) in &done {
-            // Leased at its exact size and filled to it: nothing regrew it.
-            assert_eq!(value.capacity(), value.len(), "{file}");
-        }
-        // A completed value goes back when its holder lets go of it.
-        let (_, value) = done.pop().unwrap();
-        let cap = value.capacity();
-        drop(pool::global().freeze(value));
-        let hits = pool::global().stats().hits;
-        assert_eq!(pool::global().get(cap).capacity(), cap);
-        assert!(pool::global().stats().hits > hits);
-    }
-
-    #[test]
     fn decode_packet_into_matches_decode_packet() {
         let (k, r) = (4, 2);
         let stores = stores(k, r, 7);

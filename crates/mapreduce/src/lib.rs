@@ -47,9 +47,9 @@
 //! * pieces that cross pods travel as unicasts (paper §VI, `pods = g < K`).
 //!
 //! The engine is generic over a byte-oriented [`workload::Workload`] —
-//! TeraSort lives in `cts-terasort`; [`wordcount::WordCount`],
-//! [`grep::Grep`] and [`invindex::InvertedIndex`] here realize the paper's
-//! §VI "beyond sorting" direction. A run returns a
+//! TeraSort lives in `cts-terasort`; [`wordcount::WordCount`] here is the
+//! one workload beyond sorting (Coded MapReduce's own example, the paper's
+//! §VI direction), and the check that the engine is not a sort. A run returns a
 //! [`JobOutcome`]: per-partition outputs, a transfer trace, the
 //! stage spans with the wall times derived from them, and the
 //! [`cts_netsim::RunStats`] the performance model consumes. A rank that
@@ -74,10 +74,7 @@
 
 mod engine;
 pub mod error;
-pub mod grep;
-pub mod invindex;
 pub mod runtime;
-pub mod selfjoin;
 pub mod stage;
 pub mod timeline;
 pub mod verify;

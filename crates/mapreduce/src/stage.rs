@@ -124,7 +124,9 @@ pub struct ReduceOverlap {
     pub busy: Duration,
     /// The part of `busy` that ran after the rank's Shuffle had closed.
     pub after_shuffle: Duration,
-    /// From the rank's Shuffle closing to the job's last span ending.
+    /// From the rank's Shuffle closing to the rank's own last span ending:
+    /// what the rank still did once its Shuffle was over. Other ranks'
+    /// closes do not count, so ranks that close apart do not inflate it.
     pub tail: Duration,
 }
 
@@ -133,25 +135,22 @@ impl ReduceOverlap {
     /// the Shuffle closed are contiguous (nothing interleaves with them any
     /// more), so what lies past the close is what was busy past it.
     pub fn of(log: &SpanLog) -> Vec<ReduceOverlap> {
-        let job_end = log.spans.iter().map(|s| s.end_ns).max().unwrap_or(0);
         let stage = |s: &cts_net::span::StageSpan| log.stage_name(s.stage);
         let shuffles = log.spans.iter().filter(|s| stage(s) == stages::SHUFFLE);
         let mut closes: Vec<(u16, u64)> = shuffles.map(|s| (s.rank, s.end_ns)).collect();
         closes.sort_unstable();
         let overlap = |&(rank, close): &(u16, u64)| {
-            let reduces = log
-                .spans
-                .iter()
-                .filter(|s| s.rank == rank && stage(s) == stages::REDUCE);
+            let own = log.spans.iter().filter(|s| s.rank == rank);
+            let rank_end = own.clone().map(|s| s.end_ns).max().unwrap_or(close);
             let (mut busy, mut after) = (0, 0);
-            for s in reduces {
+            for s in own.filter(|s| stage(s) == stages::REDUCE) {
                 busy += s.wall_ns;
                 after += (s.end_ns.saturating_sub(close.max(s.start_ns))).min(s.wall_ns);
             }
             ReduceOverlap {
                 busy: Duration::from_nanos(busy),
                 after_shuffle: Duration::from_nanos(after),
-                tail: Duration::from_nanos(job_end - close),
+                tail: Duration::from_nanos(rank_end - close),
             }
         };
         closes.iter().map(overlap).collect()
@@ -391,9 +390,43 @@ mod tests {
             after_shuffle: ms(after_shuffle),
             tail: ms(tail),
         };
+        // Rank 0 did nothing past its close; rank 1 reduced 4 ms past its own.
         assert_eq!(
             ReduceOverlap::of(&log),
-            vec![overlap(12, 0, 4), overlap(16, 4, 4)]
+            vec![overlap(12, 0, 0), overlap(16, 4, 4)]
+        );
+    }
+
+    #[test]
+    fn a_ranks_tail_is_its_own_not_how_far_apart_the_ranks_closed() {
+        use cts_net::span::StageSpan;
+        let names = [stages::SHUFFLE, stages::REDUCE];
+        let us = |us: u64| us * 1_000;
+        let span = |rank: u16, stage: u16, start_us, end_us, wall_us| StageSpan {
+            job: 0,
+            rank,
+            stage,
+            start_ns: us(start_us),
+            end_ns: us(end_us),
+            wall_ns: us(wall_us),
+        };
+        // Rank 0's Shuffle closes at 60 ms and its last Reduce slice 200 us
+        // later; rank 1's closes 30 ms after that, its Reduce 300 us after
+        // its own close. Each rank's tail is its own few hundred microseconds,
+        // not the 30 ms between the two closes.
+        let log = SpanLog {
+            names: names.iter().map(|n| n.to_string()).collect(),
+            spans: vec![
+                span(0, 0, 0, 60_000, 60_000),
+                span(0, 1, 10_000, 60_200, 5_000),
+                span(1, 0, 0, 90_000, 90_000),
+                span(1, 1, 10_000, 90_300, 6_000),
+            ],
+        };
+        let tails: Vec<Duration> = (ReduceOverlap::of(&log).iter()).map(|o| o.tail).collect();
+        assert_eq!(
+            tails,
+            [Duration::from_micros(200), Duration::from_micros(300)]
         );
     }
 }

@@ -1,5 +1,5 @@
-//! The workload abstraction: what varies between TeraSort, WordCount,
-//! Grep, … (the paper's §VI "beyond sorting" direction).
+//! The workload abstraction: what varies between TeraSort and WordCount
+//! (the paper's §VI "beyond sorting" direction).
 //!
 //! A [`Workload`] is byte-oriented, mirroring the paper's implementation
 //! where intermediate values are serialized buffers and the shuffle layer

@@ -24,8 +24,6 @@
 //! assert_eq!(trace.stage_wire_sends("Shuffle"), 2); // 1 unicast + 1 native multicast
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// The index of `name` in a stage-name table, appended on first sight. A job
 /// names fewer than ten stages: the table is searched linearly.
 pub(crate) fn intern(names: &mut Vec<String>, name: &str) -> u16 {
@@ -37,7 +35,7 @@ pub(crate) fn intern(names: &mut Vec<String>, name: &str) -> u16 {
 }
 
 /// What kind of transfer an event describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// An application point-to-point send (TeraSort's unicast shuffle, or
     /// any engine `send`).
@@ -51,7 +49,7 @@ pub enum EventKind {
 }
 
 /// One recorded transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Record order within the job (monotonic across its nodes).
     pub seq: u64,
@@ -86,7 +84,7 @@ impl TraceEvent {
 }
 
 /// One job's trace: its stage names plus its events in record order.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Stage names, indexed by [`TraceEvent::stage`].
     pub stages: Vec<String>,

@@ -1,10 +1,8 @@
 //! Stage breakdowns and paper-style table rendering.
 
-use serde::{Deserialize, Serialize};
-
 /// Modeled (or measured) per-stage times in seconds, following the paper's
 //  table columns.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StageBreakdown {
     /// CodeGen: multicast-group initialization (0 for TeraSort).
     pub codegen_s: f64,
@@ -50,7 +48,7 @@ impl StageBreakdown {
 }
 
 /// One labelled row of a paper-style results table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TableRow {
     /// Row label, e.g. `"CodedTeraSort: r = 3"`.
     pub label: String,

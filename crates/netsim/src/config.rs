@@ -22,10 +22,9 @@
 //! | memory-pressure penalty | 9 %/unit of (r−1) on Reduce | §V-C Reduce observation |
 
 use cts_net::rate::NicProfile;
-use serde::{Deserialize, Serialize};
 
 /// Network-side model parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetModelConfig {
     /// Link rate in **bits** per second (the paper's `tc` cap: 100 Mbps).
     pub bandwidth_bits_per_sec: f64,
@@ -86,7 +85,7 @@ impl NetModelConfig {
 }
 
 /// Compute-side model parameters (per-node rates on m3.large).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ComputeModelConfig {
     /// Map hashing throughput, bytes/second.
     pub hash_bytes_per_sec: f64,
@@ -130,7 +129,7 @@ impl ComputeModelConfig {
 }
 
 /// Complete model: network + compute.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PerfModelConfig {
     /// Network parameters.
     pub net: NetModelConfig,
@@ -200,10 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn config_serializes() {
+    fn config_debug_names_its_fields() {
         let cfg = PerfModelConfig::ec2_paper();
-        // serde round-trip through the derive (used by the bench harness to
-        // dump the calibration next to results).
+        // The calibration prints with its field names next to results.
         let as_debug = format!("{cfg:?}");
         assert!(as_debug.contains("bandwidth_bits_per_sec"));
     }

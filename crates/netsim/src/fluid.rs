@@ -44,13 +44,12 @@
 
 use cts_net::fabric::ShuffleFabric;
 use cts_net::trace::{Trace, TraceEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::config::NetModelConfig;
 use crate::serial::transfers_by_sender;
 
 /// One flow scheduled by the fluid simulator.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FluidFlow {
     /// Sender rank.
     pub src: u16,
@@ -65,7 +64,7 @@ pub struct FluidFlow {
 }
 
 /// Result of a fluid simulation.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FluidOutcome {
     /// All flows with their simulated start/end times.
     pub flows: Vec<FluidFlow>,

@@ -30,12 +30,11 @@
 
 use cts_net::fabric::ShuffleFabric;
 use cts_net::trace::{EventKind, Trace, TraceEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::config::NetModelConfig;
 
 /// One scheduled transfer in virtual time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScheduledTransfer {
     /// Virtual start time (seconds from stage start).
     pub start_s: f64,
@@ -50,7 +49,7 @@ pub struct ScheduledTransfer {
 }
 
 /// The result of evaluating a stage's transfers under a schedule.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schedule {
     /// Transfers with virtual start/end times, schedule order.
     pub transfers: Vec<ScheduledTransfer>,

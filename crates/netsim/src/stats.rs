@@ -8,10 +8,8 @@
 //! stage is linear in bytes while counts (files, groups, transfers) are
 //! pure topology.
 
-use serde::{Deserialize, Serialize};
-
 /// Work performed by one node during a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Bytes hashed in the Map stage (`r×` the node's input share when
     /// coded).
@@ -37,7 +35,7 @@ pub struct NodeStats {
 }
 
 /// Statistics for a whole run, plus the scale factor to the target size.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Number of worker nodes `K`.
     pub k: usize,

@@ -19,10 +19,8 @@
 //! `tests/failure_injection.rs` holds measured runs inside these brackets;
 //! `crates/bench` records the sweep they bracket.
 
-use serde::{Deserialize, Serialize};
-
 /// How much slower the victim's multicasts are than a healthy sender's.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Slowdown {
     /// Every multicast send is delayed by this many seconds (a `c×`
     /// slowdown shows up as a fixed per-send delay under the fault
@@ -46,7 +44,7 @@ impl Slowdown {
 }
 
 /// An inclusive `[lo_s, hi_s]` makespan bracket in seconds.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Bracket {
     /// Least admissible makespan.
     pub lo_s: f64,
@@ -67,7 +65,7 @@ impl Bracket {
 /// `K`, `r`, fabric), not from first principles — the model only claims
 /// how the straggler *changes* the makespan, which is the part the decode
 /// discipline controls.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StragglerModel {
     /// Measured makespan of the healthy (no-fault) run, seconds.
     pub healthy_s: f64,

@@ -2,8 +2,8 @@
 //!
 //! A thin wire layer over [`cts_mapreduce::JobRuntime`]: the daemon owns
 //! one resident runtime (shared fabric, admission queue, dispatchers)
-//! and clients submit sort / wordcount / grep jobs into it over TCP,
-//! poll status, and fetch results or digests.
+//! and clients submit sort jobs into it over TCP, poll status, and fetch
+//! results or digests.
 //!
 //! ## Wire protocol
 //!
@@ -14,7 +14,7 @@
 //!
 //! | op | request payload | OK response payload |
 //! |----|-----------------|---------------------|
-//! | `0x01` SUBMIT | `kind u8, r u8, pat_len u16 LE, pattern, input…` | `job_id u32 LE` |
+//! | `0x01` SUBMIT | `kind u8, r u8, input…` | `job_id u32 LE` |
 //! | `0x02` STATUS | `job_id u32 LE` | `state u8` (+ error text when failed) |
 //! | `0x03` DIGEST | `job_id u32 LE` (blocks until done) | `parts u32`, per part `len u64 + xxh64 u64`, `total u64` (XXH64 of the `(len, xxh64)` list) |
 //! | `0x04` FETCH  | `job_id u32 LE` (blocks until done) | `parts u32`, per part `len u64 + bytes` |
@@ -22,8 +22,8 @@
 //! | `0x06` STATS | — | UTF-8 live-stats table (see [`ServiceClient::stats`]) |
 //! | `0x07` TIMELINE | `job_id u32 LE` (blocks until done) | Chrome trace-event JSON |
 //!
-//! `kind` is 0 = sort (TeraGen records, range partitioner), 1 =
-//! wordcount, 2 = grep (`pattern` required). `r` is the redundancy the
+//! `kind` is 0 = sort (TeraGen records, range partitioner), the one job
+//! the daemon runs; any other kind is refused. `r` is the redundancy the
 //! engine runs at: `r ≤ 1` is conventional (uncoded) execution, `r > 1`
 //! coded. Responses lead
 //! with a status byte: `0x00` OK (payload follows), `0xFF` error (UTF-8
@@ -83,9 +83,7 @@ use std::thread::{JoinHandle, ThreadId};
 
 use bytes::Bytes;
 use cts_core::metrics::Counter;
-use cts_mapreduce::grep::Grep;
 use cts_mapreduce::runtime::{JobHandle, JobRuntime, JobStatus, RuntimeConfig};
-use cts_mapreduce::wordcount::WordCount;
 use cts_mapreduce::JobOutcome;
 use cts_net::frame;
 
@@ -107,18 +105,12 @@ const RESP_ERR: u8 = 0xFF;
 pub enum JobKind {
     /// TeraSort over 100-byte TeraGen records (range partitioner).
     Sort,
-    /// Word counting over newline-delimited text.
-    WordCount,
-    /// Line grep for the contained byte pattern.
-    Grep(Vec<u8>),
 }
 
 impl JobKind {
     fn code(&self) -> u8 {
         match self {
             JobKind::Sort => 0,
-            JobKind::WordCount => 1,
-            JobKind::Grep(_) => 2,
         }
     }
 }
@@ -472,7 +464,7 @@ impl Inner {
         out
     }
 
-    fn submit(&self, kind: JobKind, r: usize, input: Bytes) -> Result<u32, String> {
+    fn submit(&self, r: usize, input: Bytes) -> Result<u32, String> {
         // Admitted under the table's lock: entries go in in id order, so
         // `entry` can tell an issued id from a made-up one by comparison.
         let mut jobs = self.jobs.lock();
@@ -482,11 +474,7 @@ impl Inner {
                 let mut cfg = ctx.cfg.clone();
                 // The protocol lets `r = 0` stand for conventional too.
                 cfg.r = r.max(1);
-                match &kind {
-                    JobKind::Sort => ctx.run(&TeraSortWorkload::range(cfg.k), input, &cfg),
-                    JobKind::WordCount => ctx.run(&WordCount, input, &cfg),
-                    JobKind::Grep(pattern) => ctx.run(&Grep::new(pattern.clone()), input, &cfg),
-                }
+                ctx.run(&TeraSortWorkload::range(cfg.k), input, &cfg)
             })
             .map_err(|e| e.to_string())?;
         let id = handle.id();
@@ -507,21 +495,11 @@ impl Inner {
         let op = *req.first().ok_or("empty frame")?;
         match op {
             OP_SUBMIT => {
-                let kind_code = *req.get(1).ok_or("truncated SUBMIT")?;
-                let r = usize::from(*req.get(2).ok_or("truncated SUBMIT")?);
-                let pat_len = usize::from(u16::from_le_bytes(take::<2>(&req, 3)?));
-                let pattern = req
-                    .get(5..5 + pat_len)
-                    .ok_or("truncated SUBMIT pattern")?
-                    .to_vec();
-                let input = req.slice(5 + pat_len..);
-                let kind = match kind_code {
-                    0 => JobKind::Sort,
-                    1 => JobKind::WordCount,
-                    2 => JobKind::Grep(pattern),
-                    other => return Err(format!("unknown job kind {other}")),
-                };
-                let id = self.submit(kind, r, input)?;
+                let [kind, r] = take::<2>(&req, 1)?;
+                if kind != JobKind::Sort.code() {
+                    return Err(format!("unknown job kind {kind}"));
+                }
+                let id = self.submit(usize::from(r), req.slice(3..))?;
                 out.extend_from_slice(&id.to_le_bytes());
             }
             OP_STATUS => {
@@ -834,16 +812,10 @@ impl ServiceClient {
 
     /// Submits a job; returns its service-wide id immediately.
     pub fn submit(&mut self, kind: &JobKind, r: usize, input: &[u8]) -> Result<u32, String> {
-        let pattern: &[u8] = match kind {
-            JobKind::Grep(p) => p,
-            _ => &[],
-        };
         let r = u8::try_from(r).map_err(|_| "r exceeds 255".to_string())?;
-        let pat_len = u16::try_from(pattern.len()).map_err(|_| "pattern too long".to_string())?;
-        let [lo, hi] = pat_len.to_le_bytes();
-        let head = [OP_SUBMIT, kind.code(), r, lo, hi];
+        let head = [OP_SUBMIT, kind.code(), r];
         // The input leaves from the caller's slice.
-        let resp = self.roundtrip(&[&head, pattern, input])?;
+        let resp = self.roundtrip(&[&head, input])?;
         Ok(u32::from_le_bytes(take::<4>(&resp, 0)?))
     }
 
@@ -1056,24 +1028,18 @@ mod tests {
     }
 
     #[test]
-    fn wordcount_and_grep_jobs_serve_too() {
+    fn a_kind_other_than_sort_is_refused_and_the_next_sort_runs() {
         let (addr, server) = service(3, 2, 2);
-        let text = b"the quick brown fox\nthe lazy dog\nthe end\n";
         let mut client = ServiceClient::connect(addr).unwrap();
-        let wc = client.submit(&JobKind::WordCount, 2, text).unwrap();
-        let gr = client
-            .submit(&JobKind::Grep(b"the".to_vec()), 1, text)
-            .unwrap();
-        let wc_out = client.fetch(wc).unwrap();
-        let gr_out = client.fetch(gr).unwrap();
-        assert_eq!(
-            wc_out,
-            run_sequential(&WordCount, &Bytes::copy_from_slice(text), 3)
-        );
-        assert_eq!(
-            gr_out,
-            run_sequential(&Grep::new(&b"the"[..]), &Bytes::copy_from_slice(text), 3)
-        );
+        for kind in [1u8, 2] {
+            let head = [OP_SUBMIT, kind, 2];
+            let err = client.roundtrip(&[&head, b"the lazy dog\n"]).unwrap_err();
+            assert_eq!(err, format!("unknown job kind {kind}"));
+        }
+        let input = generate(300, 5);
+        let id = client.submit(&JobKind::Sort, 2, &input).unwrap();
+        let sort = TeraSortWorkload::range(3);
+        assert_eq!(client.fetch(id).unwrap(), run_sequential(&sort, &input, 3));
         client.shutdown().unwrap();
         server.join().unwrap();
     }
@@ -1177,7 +1143,7 @@ mod tests {
         let input = generate(20, 3);
         let mut newest = 0;
         for _ in 0..100 {
-            newest = daemon.submit(JobKind::Sort, 1, input.clone()).unwrap();
+            newest = daemon.submit(1, input.clone()).unwrap();
             daemon.outcome_of(newest).unwrap();
             assert!(daemon.jobs.lock().len() <= FINISHED_JOBS_KEPT);
         }
@@ -1209,7 +1175,7 @@ mod tests {
         let mut newest = 0;
         while newest < 500 {
             // Refused while the queue is full: a sloppy client just retries.
-            match daemon.submit(JobKind::Sort, 1, input.clone()) {
+            match daemon.submit(1, input.clone()) {
                 Ok(id) => newest = id,
                 Err(busy) => assert!(busy.contains("admission queue full"), "{busy}"),
             }
@@ -1297,7 +1263,7 @@ mod tests {
         let daemon = SortService::bind("127.0.0.1:0", cfg).unwrap().inner;
         let id = ServiceClient::job_request;
         let whole: Vec<Vec<u8>> = vec![
-            vec![OP_SUBMIT, 2, 1, 3, 0, b'a', b'b', b'c'],
+            vec![OP_SUBMIT, 0, 1],
             id(OP_STATUS, 1).to_vec(),
             id(OP_DIGEST, 1).to_vec(),
             id(OP_FETCH, 1).to_vec(),
@@ -1308,13 +1274,11 @@ mod tests {
         let mut garbage: Vec<Vec<u8>> = (whole.iter())
             .flat_map(|req| (0..req.len()).map(|cut| req[..cut].to_vec()))
             .collect();
-        // A pattern longer than the frame is a cut, too.
-        garbage.push(vec![OP_SUBMIT, 2, 1, 0xFF, 0xFF, b'a']);
         for op in (0..=u8::MAX).filter(|op| !(OP_SUBMIT..=OP_TIMELINE).contains(op)) {
             garbage.extend([vec![op], vec![op, 1, 0, 0, 0]]);
         }
-        for kind in 3..=u8::MAX {
-            garbage.push([&[OP_SUBMIT, kind, 1, 0, 0][..], &generate(2, 1)].concat());
+        for kind in 1..=u8::MAX {
+            garbage.push([&[OP_SUBMIT, kind, 1][..], &generate(2, 1)].concat());
         }
         for req in garbage {
             let answer = daemon.handle_request(Bytes::from(req.clone()), &mut Vec::new());
@@ -1462,14 +1426,11 @@ mod tests {
         assert!(sorted.iter().any(Vec::is_empty));
         let sort = TeraSortWorkload::range(4);
         assert_eq!(sorted, run_sequential(&sort, &records, 4));
-        // A grep with no match leaves them all empty.
-        let text = Bytes::from_static(b"the quick brown fox\nthe lazy dog\n");
-        let id = client
-            .submit(&JobKind::Grep(b"cat".to_vec()), 2, &text)
-            .unwrap();
-        let grepped = client.fetch(id).unwrap();
-        assert!(grepped.len() == 4 && grepped.iter().all(Vec::is_empty));
-        assert_eq!(grepped, run_sequential(&Grep::new(&b"cat"[..]), &text, 4));
+        // A sort of no records leaves them all empty.
+        let id = client.submit(&JobKind::Sort, 2, &[]).unwrap();
+        let none = client.fetch(id).unwrap();
+        assert!(none.len() == 4 && none.iter().all(Vec::is_empty));
+        assert_eq!(none, run_sequential(&sort, &Bytes::new(), 4));
         client.shutdown().unwrap();
         server.join().unwrap();
     }

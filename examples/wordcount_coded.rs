@@ -3,14 +3,13 @@
 //! The coded shuffle is workload-agnostic — anything with
 //! concatenation-mergeable intermediates and an order-insensitive reduce
 //! gains the same r× communication reduction. This example runs WordCount
-//! (and Grep) uncoded and coded over synthetic text and compares traffic.
+//! uncoded and coded over synthetic text and compares traffic.
 //!
 //! ```sh
 //! cargo run --release --example wordcount_coded
 //! ```
 
 use bytes::Bytes;
-use coded_terasort::mapreduce::grep::Grep;
 use coded_terasort::mapreduce::wordcount::WordCount;
 use coded_terasort::prelude::*;
 use rand::rngs::StdRng;
@@ -48,8 +47,7 @@ fn main() {
 
     let uncoded =
         run(&WordCount, input.clone(), &EngineConfig::local(k, 1)).expect("uncoded wordcount");
-    let coded =
-        run(&WordCount, input.clone(), &EngineConfig::local(k, r)).expect("coded wordcount");
+    let coded = run(&WordCount, input, &EngineConfig::local(k, r)).expect("coded wordcount");
 
     assert_eq!(
         uncoded.outputs, coded.outputs,
@@ -88,22 +86,5 @@ fn main() {
         "  gain    : {:.2}×  (ideal r-fold gain bounded by (1-1/K)/((1/r)(1-r/K)) = {:.2}×)",
         uncoded.stats.shuffle_bytes() as f64 / coded.stats.shuffle_bytes() as f64,
         theory::uncoded_comm_load(1, k) / theory::coded_comm_load(r, k)
-    );
-
-    // Grep too (the paper names it explicitly).
-    let grep = Grep::new(&b"code"[..]);
-    let g_uncoded = run(&grep, input.clone(), &EngineConfig::local(k, 1)).expect("uncoded grep");
-    let g_coded = run(&grep, input, &EngineConfig::local(k, r)).expect("coded grep");
-    assert_eq!(g_uncoded.outputs, g_coded.outputs);
-    let matches: usize = g_coded
-        .outputs
-        .iter()
-        .map(|o| o.iter().filter(|&&b| b == b'\n').count())
-        .sum();
-    println!("\nGrep \"code\": {matches} matching lines; both runs agree. ✓");
-    println!(
-        "  uncoded shuffle {} B  vs coded {} B",
-        g_uncoded.stats.shuffle_bytes(),
-        g_coded.stats.shuffle_bytes()
     );
 }

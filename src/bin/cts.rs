@@ -7,7 +7,7 @@
 //!            [--idle-timeout-ms 10000] [--paper-nic] [--timeline trace.json]
 //! cts serve  --k 4 --r 2 --port 0 [--tcp] [--max-concurrent 4] [--queue 16]
 //!            [--metrics-port 9100]
-//! cts submit --addr 127.0.0.1:7117 --kind sort --records 10000 [--r 2]
+//! cts submit --addr 127.0.0.1:7117 --records 10000 [--r 2]
 //!            [--timeline trace.json]
 //! cts stats  --addr 127.0.0.1:7117
 //! cts model  --k 16 --r 3 [--records 120000] [--target-gb 12]
@@ -96,7 +96,7 @@ USAGE:
                [--queue N] [--metrics-port P]
                run the multi-tenant sort service: a resident job runtime
                (shared fabric + admission queue) that clients submit
-               sort/wordcount/grep jobs into. --port 0 picks an ephemeral
+               sort jobs into. --port 0 picks an ephemeral
                port and prints it. --tcp backs the fabric with real
                sockets; --max-concurrent bounds in-flight jobs (1..=63,
                one dispatcher thread each); --queue bounds admitted-
@@ -104,11 +104,11 @@ USAGE:
                --metrics-port binds a Prometheus text endpoint
                (`curl http://127.0.0.1:P/metrics`). SIGINT/SIGTERM drain
                gracefully: admission stops, in-flight jobs finish, exit 0
-  cts submit --addr HOST:PORT --kind sort|wordcount|grep
-               (--input FILE | --records N [--seed S]) [--pattern P]
+  cts submit --addr HOST:PORT (--input FILE | --records N [--seed S])
                [--r R] [--out FILE] [--no-wait] [--shutdown]
                [--timeline FILE]
-               submit a job to a running `cts serve`. Default waits and
+               submit a sort of the TeraGen records in FILE (or of N
+               generated ones) to a running `cts serve`. Default waits and
                prints the result digest; --out also fetches the full
                output; --no-wait prints the job id and returns;
                --timeline writes the job's per-rank stage timeline as
@@ -388,7 +388,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         let maddr = service.serve_metrics(("127.0.0.1", mport))?;
         println!("metrics endpoint: curl http://{maddr}/metrics");
     }
-    println!("submit with: cts submit --addr {addr} --kind sort --records 1000");
+    println!("submit with: cts submit --addr {addr} --records 1000");
     signals::install(addr).map_err(|e| format!("signal connection: {e}"))?;
     service.run()
 }
@@ -449,8 +449,7 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
 }
 
 const SUBMIT_FLAGS: &[&str] = &[
-    "addr", "shutdown", "kind", "pattern", "r", "input", "records", "seed", "no-wait", "out",
-    "timeline",
+    "addr", "shutdown", "r", "input", "records", "seed", "no-wait", "out", "timeline",
 ];
 
 fn cmd_submit(opts: &Flags) -> Result<(), String> {
@@ -462,32 +461,21 @@ fn cmd_submit(opts: &Flags) -> Result<(), String> {
         return Ok(());
     }
 
-    let kind_name: String = req(opts, "kind")?;
-    let kind = match kind_name.as_str() {
-        "sort" => JobKind::Sort,
-        "wordcount" => JobKind::WordCount,
-        "grep" => {
-            let pattern: String = req(opts, "pattern")?;
-            JobKind::Grep(pattern.into_bytes())
-        }
-        other => return Err(format!("--kind: unknown job kind `{other}`")),
-    };
     let r: usize = opt(opts, "r", 1)?;
 
     let input: Vec<u8> = match opts.get("input") {
         Some(path) => std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?,
-        None if kind == JobKind::Sort => {
+        None => {
             let records: usize = req(opts, "records")
                 .map_err(|_| "--input FILE or --records N is required".to_string())?;
             let seed: u64 = opt(opts, "seed", 2017)?;
             teragen::generate(records, seed).to_vec()
         }
-        None => return Err("--input FILE is required for this kind".to_string()),
     };
 
-    let id = client.submit(&kind, r, &input)?;
+    let id = client.submit(&JobKind::Sort, r, &input)?;
     println!(
-        "job {id} submitted: {kind_name}, r = {r}, {:.1} KB input",
+        "job {id} submitted: sort, r = {r}, {:.1} KB input",
         input.len() as f64 / 1e3
     );
     if opts.contains_key("no-wait") {

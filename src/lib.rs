@@ -16,7 +16,7 @@
 //! | [`coding`] | the coding layer: placement, groups, Algorithm 1 (encode), Algorithm 2 (decode), CMR theory |
 //! | [`net`] | MPI-like substrate: mailboxes, in-memory + TCP fabrics, collectives, tracing, rate limiting |
 //! | [`netsim`] | the EC2 stand-in: calibrated performance model, serial schedule, parallel-shuffle simulator |
-//! | [`mapreduce`] | the engine: one `run`, whose `EngineConfig` lays out the uncoded (§III), coded (§IV) and pod (§VI) schemes of one pipeline; WordCount/Grep/inverted-index workloads |
+//! | [`mapreduce`] | the engine: one `run`, whose `EngineConfig` lays out the uncoded (§III), coded (§IV) and pod (§VI) schemes of one pipeline; resident job runtime; the WordCount workload |
 //! | [`terasort`] | TeraGen, partitioners, sort kernels, TeraSort/CodedTeraSort drivers, TeraValidate |
 //! | [`bench`](mod@bench) | the experiment harness regenerating every table and figure |
 //!

@@ -129,6 +129,18 @@ fn a_flag_the_subcommand_does_not_read_fails_naming_it() {
         stderr.starts_with(&format!("error: unknown flag `{THREADS}`")),
         "serve: {stderr}"
     );
+    // The daemon serves sorts only, so a job kind is not a flag; flags are
+    // read before any connection is made.
+    let submit = cts()
+        .args(["submit", "--addr", "127.0.0.1:1", "--kind", "grep"])
+        .output()
+        .expect("run cts submit");
+    assert_eq!(submit.status.code(), Some(1), "submit --kind must exit 1");
+    let stderr = String::from_utf8_lossy(&submit.stderr);
+    assert!(
+        stderr.starts_with("error: unknown flag `--kind`") && !stderr.contains("panicked"),
+        "submit: {stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -475,7 +487,7 @@ fn submit_digest_matches_the_bytes_it_fetches() {
         panic!("banner names no address: {banner:?}");
     };
     let submit = cts()
-        .args(["submit", "--kind", "sort", "--records", "5000"])
+        .args(["submit", "--records", "5000"])
         .args(["--addr", addr, "--out"])
         .arg(&out)
         .output()

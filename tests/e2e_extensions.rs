@@ -1,64 +1,31 @@
-//! Integration coverage of the §VI extensions: SelfJoin, the pod engine,
-//! and skewed-input sampling — across engines and fabrics.
+//! Integration coverage of the §VI extensions: the pod engine and
+//! skewed-input sampling — across engines and fabrics.
 
 use bytes::Bytes;
-use coded_terasort::mapreduce::selfjoin::SelfJoin;
 use coded_terasort::mapreduce::wordcount::WordCount;
 use coded_terasort::prelude::*;
 use cts_terasort::teragen::generate_skewed;
 
-fn selfjoin_corpus() -> Bytes {
-    let mut s = String::new();
-    for i in 0..1200 {
-        s.push_str(&format!("user{}\titem{}\n", i % 40, i % 9));
-    }
-    Bytes::from(s)
-}
-
-#[test]
-fn selfjoin_all_engines_agree() {
-    let input = selfjoin_corpus();
-    let seq = run_sequential(&SelfJoin, &input, 4);
-    let unc = run(&SelfJoin, input.clone(), &EngineConfig::local(4, 1)).unwrap();
-    let coded = run(&SelfJoin, input.clone(), &EngineConfig::local(4, 2)).unwrap();
-    let pods = run(&SelfJoin, input, &EngineConfig::local(4, 1).with_pods(2)).unwrap();
-    assert_eq!(seq, unc.outputs);
-    assert_eq!(seq, coded.outputs);
-    assert_eq!(seq, pods.outputs);
-    // There is real join output.
-    let total: usize = seq.iter().map(|o| o.len()).sum();
-    assert!(total > 0);
-}
-
-#[test]
-fn selfjoin_emits_all_pairs_for_a_key() {
-    // user0 pairs all distinct items it ever saw: C(n, 2) lines.
-    let input = selfjoin_corpus();
-    let outputs = run_sequential(&SelfJoin, &input, 3);
-    let text: String = outputs
-        .iter()
-        .map(|o| String::from_utf8_lossy(o).to_string())
-        .collect();
-    let user0_lines = text.lines().filter(|l| l.starts_with("user0: ")).count();
-    // user0 occurs with i % 9 item ids → distinct items for user0 depend
-    // on the residues of i ≡ 0 (mod 40): items {0%9,40%9,80%9,…}.
-    let mut items: Vec<usize> = (0..1200).filter(|i| i % 40 == 0).map(|i| i % 9).collect();
-    items.sort_unstable();
-    items.dedup();
-    let expected = items.len() * (items.len() - 1) / 2;
-    assert_eq!(user0_lines, expected);
+fn word_corpus() -> Bytes {
+    Bytes::from(
+        (0..2000)
+            .map(|i| format!("w{} common tail{}\n", i % 311, i % 5))
+            .collect::<String>(),
+    )
 }
 
 #[test]
 fn pods_work_over_tcp() {
-    let input = selfjoin_corpus();
+    let input = word_corpus();
+    let seq = run_sequential(&WordCount, &input, 6);
     let tcp = run(
-        &SelfJoin,
+        &WordCount,
         input.clone(),
         &EngineConfig::tcp(6, 2).with_pods(3),
     )
     .unwrap();
-    let local = run(&SelfJoin, input, &EngineConfig::local(6, 2).with_pods(3)).unwrap();
+    let local = run(&WordCount, input, &EngineConfig::local(6, 2).with_pods(3)).unwrap();
+    assert_eq!(seq, tcp.outputs);
     assert_eq!(tcp.outputs, local.outputs);
 }
 
@@ -109,11 +76,7 @@ fn skewed_sort_end_to_end_with_sampling() {
 
 #[test]
 fn wordcount_through_pod_engine() {
-    let input = Bytes::from(
-        (0..2000)
-            .map(|i| format!("w{} common tail{}\n", i % 311, i % 5))
-            .collect::<String>(),
-    );
+    let input = word_corpus();
     let seq = run_sequential(&WordCount, &input, 6);
     let pods = run(&WordCount, input, &EngineConfig::local(6, 2).with_pods(3)).unwrap();
     assert_eq!(seq, pods.outputs);

@@ -1,8 +1,7 @@
-//! Beyond-sorting workloads (paper §VI): coded == uncoded == sequential.
+//! The workload beyond sorting (paper §VI), WordCount: coded == uncoded ==
+//! sequential, and coding saves shuffle bytes on it as on TeraSort.
 
 use bytes::Bytes;
-use coded_terasort::mapreduce::grep::Grep;
-use coded_terasort::mapreduce::invindex::InvertedIndex;
 use coded_terasort::mapreduce::wordcount::WordCount;
 use coded_terasort::prelude::*;
 
@@ -14,20 +13,6 @@ fn text_corpus() -> Bytes {
             i % 97,
             i % 13,
             i % 7
-        ));
-    }
-    Bytes::from(s)
-}
-
-fn docs_corpus() -> Bytes {
-    let mut s = String::new();
-    for i in 0..2000 {
-        s.push_str(&format!(
-            "d{:04}\tterm{} term{} shared{} coded shuffle\n",
-            i,
-            i % 53,
-            (i * 7) % 101,
-            i % 3
         ));
     }
     Bytes::from(s)
@@ -68,64 +53,22 @@ fn wordcount_totals_conserved() {
 }
 
 #[test]
-fn grep_all_engines_agree() {
-    let input = text_corpus();
-    let grep = Grep::new(&b"node 7"[..]);
-    let seq = run_sequential(&grep, &input, 3);
-    let unc = run(&grep, input.clone(), &EngineConfig::local(3, 1)).unwrap();
-    let coded = run(&grep, input.clone(), &EngineConfig::local(3, 2)).unwrap();
-    assert_eq!(seq, unc.outputs);
-    assert_eq!(seq, coded.outputs);
-    // Every emitted line really matches.
-    for out in &coded.outputs {
-        for line in out.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
-            assert!(line.windows(6).any(|w| w == b"node 7"));
-        }
-    }
-}
-
-#[test]
-fn inverted_index_all_engines_agree() {
-    let input = docs_corpus();
-    let seq = run_sequential(&InvertedIndex, &input, 4);
-    let unc = run(&InvertedIndex, input.clone(), &EngineConfig::local(4, 1)).unwrap();
-    let coded = run(&InvertedIndex, input.clone(), &EngineConfig::local(4, 3)).unwrap();
-    assert_eq!(seq, unc.outputs);
-    assert_eq!(seq, coded.outputs);
-    // "shared0" must list many documents, comma separated and sorted.
-    let joined: String = coded
-        .outputs
-        .iter()
-        .map(|o| String::from_utf8_lossy(o).to_string())
-        .collect();
-    let line = joined
-        .lines()
-        .find(|l| l.starts_with("shared0: "))
-        .expect("shared0 posting list");
-    let docs: Vec<&str> = line["shared0: ".len()..].split(',').collect();
-    assert!(docs.len() > 500);
-    let mut sorted = docs.clone();
-    sorted.sort_unstable();
-    assert_eq!(docs, sorted);
-}
-
-#[test]
 fn coded_shuffle_saves_bytes_on_every_workload() {
-    let input = text_corpus();
     let configs = (EngineConfig::local(5, 1), EngineConfig::local(5, 2));
     // WordCount.
+    let input = text_corpus();
     let u = run(&WordCount, input.clone(), &configs.0).unwrap();
     let c = run(&WordCount, input.clone(), &configs.1).unwrap();
+    assert_eq!(u.outputs, run_sequential(&WordCount, &input, 5));
+    assert_eq!(c.outputs, u.outputs);
     assert!(c.stats.shuffle_bytes() < u.stats.shuffle_bytes());
-    // Grep.
-    let grep = Grep::new(&b"coded"[..]);
-    let u = run(&grep, input.clone(), &configs.0).unwrap();
-    let c = run(&grep, input.clone(), &configs.1).unwrap();
-    assert!(c.stats.shuffle_bytes() < u.stats.shuffle_bytes());
-    // Inverted index.
-    let input = docs_corpus();
-    let u = run(&InvertedIndex, input.clone(), &configs.0).unwrap();
-    let c = run(&InvertedIndex, input, &configs.1).unwrap();
+    // TeraSort.
+    let input = teragen::generate(4_000, 45);
+    let sort = TeraSortWorkload::range(5);
+    let u = run(&sort, input.clone(), &configs.0).unwrap();
+    let c = run(&sort, input.clone(), &configs.1).unwrap();
+    cts_terasort::validate(&input, &u.outputs).unwrap();
+    assert_eq!(c.outputs, u.outputs);
     assert!(c.stats.shuffle_bytes() < u.stats.shuffle_bytes());
 }
 
