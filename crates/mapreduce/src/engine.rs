@@ -668,9 +668,11 @@ fn node_main<W: Workload>(
 /// its piece was mapped from, and those of the rank's groups. A group
 /// released by its quorum stays listed: its last packet is taken and
 /// dropped when it comes, and one still in flight when the job ends is
-/// dropped by the job's close. A quorum receive fails the job after
-/// `idle_timeout` without a message; barrier-on-all waits for as long as
-/// its senders live (a failing rank aborts the endpoints).
+/// dropped by the job's close. The receive fails the job after
+/// `idle_timeout` without a message, under either decode: a message lost
+/// on the wire (a plain piece, or a coded packet its group cannot do
+/// without) would otherwise hold the job, and a daemon's dispatcher slot,
+/// for good. A rank that dies aborts the endpoints at once.
 fn shuffle_receive(
     rank: &mut Rank<'_>,
     groups: &[&Group],
@@ -697,10 +699,10 @@ fn shuffle_receive(
     keys.sort_unstable();
     let mut done = vec![false; groups.len()];
     let mut open = groups.len() + plain.len();
-    let idle = (rank.cfg.decode == DecodeMode::Quorum).then_some(rank.cfg.idle_timeout);
-    let mut stalled_at = idle.map(|idle| Instant::now() + idle);
+    let idle = rank.cfg.idle_timeout;
+    let mut stalled_at = Instant::now() + idle;
     while open > 0 {
-        let (hit, message) = match comm.recv_any(&keys, stalled_at) {
+        let (hit, message) = match comm.recv_any(&keys, Some(stalled_at)) {
             Ok(hit) => hit,
             Err(NetError::Timeout { .. }) => {
                 return Err(EngineError::Protocol {
@@ -712,7 +714,7 @@ fn shuffle_receive(
             }
             Err(e) => return Err(e.into()),
         };
-        stalled_at = idle.map(|idle| Instant::now() + idle);
+        stalled_at = Instant::now() + idle;
         let key = keys[hit];
         if let Ok(p) = piece_of(key) {
             rank.stats.recv_bytes += message.len() as u64;

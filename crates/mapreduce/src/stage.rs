@@ -178,8 +178,9 @@ pub struct EngineConfig {
     /// packets rebuild it, so the shuffle proceeds without its slowest
     /// sender. Sorted outputs are byte-identical either way.
     pub decode: DecodeMode,
-    /// How long the quorum shuffle's receive loop tolerates zero progress
-    /// before declaring the shuffle stalled. Defaults to 10 s.
+    /// How long a rank's shuffle receive loop tolerates zero progress
+    /// before declaring the shuffle stalled, under either decode. Defaults
+    /// to 10 s.
     pub idle_timeout: Duration,
     /// Crash injection for failure testing: each spec kills one rank
     /// fail-stop at a stage point. Empty in production.

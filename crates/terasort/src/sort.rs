@@ -2,22 +2,31 @@
 //!
 //! Sort time is key comparisons plus *record movement* (the observation
 //! behind offset-value coding, arXiv:2209.08420), and on 100-byte records the
-//! movement is most of it. A partition is therefore partitioned a second
-//! time, as it arrives: the partition's reducer range-scatters each piece into
-//! ~128–512-record key sub-ranges (*buckets*) the moment the Shuffle
-//! completes it — a copy of the piece, bucket by bucket, in a buffer leased
-//! from [`cts_core::pool`] while the piece itself goes back to it. What is
-//! left once the last piece is in is one pass over the buckets in key order,
-//! each small enough to stay in cache: read each key once into an 8-byte
-//! entry, order the entries, and copy the records **once** into the output.
+//! movement is most of it. The last pass over a partition reads each key once
+//! into an 8-byte entry, orders the entries, and copies the records **once**
+//! into the output; it is fast while what it reads stays in cache. Where the
+//! partition is put for that pass depends on its size, so its reducer picks
+//! one of two regimes from the partition's expected bytes when it is made:
+//!
+//! - **In cache** — up to `IN_CACHE_BYTES`, one core's L2: each piece is
+//!   kept where the Shuffle landed it, and the last pass runs over the whole
+//!   partition as one *bucket*. It fits in L2 already, so a copy to make it
+//!   fit would be pure cost: a record moves once.
+//! - **Scattered** — a larger partition is partitioned a second time, as it
+//!   arrives: the reducer range-scatters each piece into ~128–512-record key
+//!   sub-ranges (buckets) the moment the Shuffle completes it — a copy of the
+//!   piece, bucket by bucket, in a buffer leased from [`cts_core::pool`] while
+//!   the piece itself goes back to it. The last pass then runs bucket by
+//!   bucket in key order, each small enough to stay in cache: a record moves
+//!   twice, and the first move pays for itself in the second.
 //!
 //! An entry is a `u64`: the key's offset from its bucket's first key, cut to
 //! the bits the index leaves (a normalized key prefix, the idea behind
 //! offset-value coding), above the index, which counts the bucket's records
-//! in file order, then position. A bucket spans a small slice of the key
-//! space, so the cut drops only low bits: a run of entries with equal
-//! prefixes — rare but for duplicate keys — is re-ordered by the full 10-byte
-//! key, then index.
+//! in file order, then position. A scattered bucket spans a small slice of the
+//! key space, and an in-cache one holds few records (a narrow index), so the
+//! cut drops only low bits: a run of entries with equal prefixes — rare but
+//! for duplicate keys — is re-ordered by the full 10-byte key, then index.
 //!
 //! Every job sorts its buckets with `sort_unstable` over their entries
 //! ([`SortKernel::Comparison`]): the paper's `std::sort` (§V-A), comparing one
@@ -35,6 +44,8 @@
 //! Entry arrays and the per-pass count/offset tables live in a reusable
 //! [`SortScratch`] (built on [`cts_core::pool::Scratch`]) sized to the largest
 //! bucket, so the output buffer is a warm sort's only allocation of any size.
+//! The library sorts plan their buckets as a reducer does, so an input that
+//! fits `IN_CACHE_BYTES` is sorted from where it lies too.
 
 use std::ops::Range;
 
@@ -83,6 +94,19 @@ impl SortScratch {
 /// Width of a key.
 const KEY_BITS: usize = 8 * KEY_LEN;
 
+/// The largest partition, in bytes, sorted in cache: kept where its pieces
+/// land and sorted as one bucket. It is one core's L2 — 2 MiB on the 2-core
+/// x86 host the regimes were measured on — because the one-bucket pass is as
+/// fast as a bucket-by-bucket one only while the partition stays in L2, and
+/// the scatter copy is the price of that. Job CPU, one bucket against the
+/// scatter (through `JobRuntime`, two submitters, r = 1 and 2, alternated
+/// runs): −8 to −22 % at 0.05–1 MB partitions and −4 to −15 % at 2 MB
+/// (K = 4). Past the limit the gain thins and turns: a median −8 % at
+/// 2.5 MB and K = 4 but +0.6 % at K = 8 (ahead in 4 of 8 pairs), and +3 %
+/// at 5 MB and K = 8 (ahead in 3 of 8). A limit at the L2 keeps every size
+/// that gained at both K and none that lost.
+pub(crate) const IN_CACHE_BYTES: usize = 2 << 20;
+
 /// The smallest bucket the reducer aims for, in records; the largest is four
 /// times that (a bucket is a power-of-two slice of the partition's key
 /// range). Measured on a 62 500-record partition in 56 pieces, 60 interleaved
@@ -109,12 +133,7 @@ pub fn sort_records(data: &[u8], kernel: SortKernel) -> Vec<u8> {
 /// # Panics
 /// As [`sort_pieces`].
 pub fn sort_records_with(data: &[u8], kernel: SortKernel, scratch: &mut SortScratch) -> Vec<u8> {
-    let mut reducer = SortReducer::new(kernel, 0..1 << KEY_BITS, 1, record_count(data));
-    std::mem::swap(&mut reducer.scratch, scratch);
-    reducer.scatter(0, data);
-    let sorted = reducer.sorted();
-    std::mem::swap(&mut reducer.scratch, scratch);
-    sorted
+    sort_in_buckets(&[data], plan(1, record_count(data)), kernel, scratch)
 }
 
 /// Sorts the concatenation of `pieces` by key without building it: what the
@@ -128,15 +147,49 @@ pub fn sort_records_with(data: &[u8], kernel: SortKernel, scratch: &mut SortScra
 /// Panics if a piece's length is not a multiple of the record size.
 pub fn sort_pieces(pieces: &[&[u8]], kernel: SortKernel) -> Vec<u8> {
     let total: usize = pieces.iter().map(|piece| record_count(piece)).sum();
-    let mut reducer = SortReducer::new(kernel, 0..1 << KEY_BITS, pieces.len(), total);
+    let buckets = plan(pieces.len(), total);
+    sort_in_buckets(pieces, buckets, kernel, &mut SortScratch::new())
+}
+
+/// Sorts the concatenation of `pieces` as a reducer planned for about
+/// `buckets` buckets does: one bucket sorts them where they lie, more
+/// scatter each piece first.
+fn sort_in_buckets(
+    pieces: &[&[u8]],
+    buckets: usize,
+    kernel: SortKernel,
+    scratch: &mut SortScratch,
+) -> Vec<u8> {
+    if buckets <= 1 {
+        // The one bucket spans the whole key space.
+        let mut out = Vec::with_capacity(pieces.iter().map(|piece| piece.len()).sum());
+        sort_runs_into(pieces, 0, KEY_BITS as u32, kernel, scratch, &mut out);
+        return out;
+    }
+    let mut reducer = SortReducer::with_buckets(kernel, 0..1 << KEY_BITS, pieces.len(), buckets);
+    std::mem::swap(&mut reducer.scratch, scratch);
     for (file_rank, piece) in pieces.iter().enumerate() {
         reducer.scatter(file_rank as u64, piece);
     }
-    reducer.sorted()
+    let sorted = reducer.sorted();
+    std::mem::swap(&mut reducer.scratch, scratch);
+    sorted
 }
 
-/// One partition on its way to being sorted: every piece absorbed so far,
-/// range-scattered into the same key sub-ranges, and the kernel's scratch.
+/// How many buckets a partition of `records` records in `pieces` pieces is
+/// planned in: one if it fits `IN_CACHE_BYTES`, else enough for buckets of
+/// `BUCKET_RECORDS` or more and runs of `MIN_RUN_RECORDS` or more.
+fn plan(pieces: usize, records: usize) -> usize {
+    if records.saturating_mul(RECORD_LEN) <= IN_CACHE_BYTES {
+        return 1;
+    }
+    let runs = records / pieces.max(1) / MIN_RUN_RECORDS;
+    (records / BUCKET_RECORDS).min(runs).clamp(1, MAX_BUCKETS)
+}
+
+/// One partition on its way to being sorted: every piece absorbed so far —
+/// as it landed if the partition is one bucket, else range-scattered into
+/// the same key sub-ranges — and the kernel's scratch.
 pub(crate) struct SortReducer {
     kernel: SortKernel,
     /// A record's bucket is `(key − first) >> shift`, held to `0..buckets`:
@@ -149,7 +202,7 @@ pub(crate) struct SortReducer {
     /// numbers in bucket order.
     ids: Vec<u16>,
     order: Vec<u32>,
-    /// Sized to the largest bucket, not the partition.
+    /// Sized to the largest bucket: the partition only if it is one bucket.
     scratch: SortScratch,
 }
 
@@ -173,16 +226,21 @@ impl Scattered {
 impl SortReducer {
     /// A reducer for a partition holding the keys of `keys`, expected to come
     /// in `pieces` pieces of `expected_records` records in all. The bucket
-    /// count follows from the three; a partition that turns out skewed has
-    /// some buckets larger than planned, which sort as any other.
+    /// count follows from the three ([`plan`]); a partition that turns out
+    /// skewed has some buckets larger than planned, which sort as any other,
+    /// and one larger than `IN_CACHE_BYTES` in one bucket still sorts
+    /// correctly.
     pub(crate) fn new(
         kernel: SortKernel,
         keys: Range<u128>,
         pieces: usize,
         expected_records: usize,
     ) -> Self {
-        let runs = expected_records / pieces.max(1) / MIN_RUN_RECORDS;
-        let want = (expected_records / BUCKET_RECORDS).min(runs);
+        Self::with_buckets(kernel, keys, pieces, plan(pieces, expected_records))
+    }
+
+    /// A reducer whose partition is cut into about `want` buckets.
+    fn with_buckets(kernel: SortKernel, keys: Range<u128>, pieces: usize, want: usize) -> Self {
         let want = want.clamp(1, MAX_BUCKETS);
         // The narrowest power-of-two sub-range that cuts the span into at most
         // `want` buckets — more than half of `want` when it is a power of two.
@@ -420,14 +478,84 @@ mod tests {
     use crate::record::checksum;
     use crate::teragen::generate;
 
+    /// The bucket counts every test sorts in: one (in cache) and sixteen
+    /// (scattered), whatever the input's size.
+    const PLANS: [usize; 2] = [1, 16];
+
+    /// Every plan with every kernel.
+    fn plans_and_kernels() -> impl Iterator<Item = (usize, SortKernel)> {
+        PLANS
+            .into_iter()
+            .flat_map(|buckets| SortKernel::ALL.map(|kernel| (buckets, kernel)))
+    }
+
+    /// `data` sorted in `buckets` buckets.
+    fn sort_planned(data: &[u8], kernel: SortKernel, buckets: usize) -> Vec<u8> {
+        sort_in_buckets(&[data], buckets, kernel, &mut SortScratch::new())
+    }
+
+    #[test]
+    fn the_plan_is_one_bucket_up_to_one_l2() {
+        let limit = IN_CACHE_BYTES / RECORD_LEN;
+        let keys = 1u128 << 78..1 << 79;
+        for pieces in [1, 8, 56] {
+            for records in [0, 1, 500, limit] {
+                let reducer =
+                    SortReducer::new(SortKernel::Comparison, keys.clone(), pieces, records);
+                assert_eq!(reducer.buckets, 1, "{records} records in {pieces} pieces");
+            }
+            for records in [limit + 1, 50_000, 125_000] {
+                let reducer =
+                    SortReducer::new(SortKernel::Comparison, keys.clone(), pieces, records);
+                assert!(reducer.buckets > 1, "{records} records in {pieces} pieces");
+            }
+        }
+    }
+
+    #[test]
+    fn one_bucket_keeps_each_piece_where_it_lies_and_more_copy_it() {
+        let data = bytes::Bytes::from(generate(3_000, 41).to_vec());
+        let cut = 1_000 * RECORD_LEN;
+        for buckets in PLANS {
+            let keys = 0..1 << KEY_BITS;
+            let mut reducer = SortReducer::with_buckets(SortKernel::Comparison, keys, 2, buckets);
+            reducer.absorb(1, data.slice(cut..));
+            reducer.absorb(0, data.slice(..cut));
+            let kept = reducer.pieces.iter().map(|piece| piece.records.as_ptr());
+            let landed = [data[cut..].as_ptr(), data.as_ptr()];
+            let in_place = kept
+                .zip(landed)
+                .filter(|(kept, landed)| kept == landed)
+                .count();
+            assert_eq!(
+                in_place,
+                if buckets == 1 { 2 } else { 0 },
+                "{buckets} buckets"
+            );
+            let sorted = Box::new(reducer).finish();
+            assert_eq!(
+                sorted,
+                sort_planned(&data, SortKernel::Comparison, 1),
+                "{buckets} buckets"
+            );
+        }
+    }
+
     #[test]
     fn all_kernels_sort() {
         let data = generate(500, 99);
-        for kernel in SortKernel::ALL {
-            let sorted = sort_records(&data, kernel);
-            assert!(is_sorted(&sorted), "{kernel:?}");
+        for (buckets, kernel) in plans_and_kernels() {
+            let sorted = sort_planned(&data, kernel, buckets);
+            assert!(is_sorted(&sorted), "{kernel:?} in {buckets}");
             assert_eq!(sorted.len(), data.len());
-            assert_eq!(checksum(&sorted), checksum(&data), "{kernel:?}");
+            assert_eq!(
+                checksum(&sorted),
+                checksum(&data),
+                "{kernel:?} in {buckets}"
+            );
+        }
+        for kernel in SortKernel::ALL {
+            assert_eq!(sort_records(&data, kernel), sort_planned(&data, kernel, 1));
         }
     }
 
@@ -435,7 +563,13 @@ mod tests {
     fn kernels_agree_exactly() {
         let data = generate(1000, 123);
         let reference = sort_records(&data, SortKernel::Comparison);
-        assert_eq!(reference, sort_records(&data, SortKernel::KeyIndex));
+        for (buckets, kernel) in plans_and_kernels() {
+            assert_eq!(
+                reference,
+                sort_planned(&data, kernel, buckets),
+                "{kernel:?} in {buckets}"
+            );
+        }
     }
 
     /// Input with heavy key duplication, distinguishable values.
@@ -452,11 +586,17 @@ mod tests {
     #[test]
     fn kernels_agree_on_duplicate_keys() {
         // All kernels are stable, so even massive key duplication yields
-        // byte-identical outputs.
+        // byte-identical outputs, in one bucket or scattered.
         let data = duplicate_key_data(997, 5);
         let reference = sort_records(&data, SortKernel::Comparison);
         assert!(is_sorted(&reference));
-        assert_eq!(reference, sort_records(&data, SortKernel::KeyIndex));
+        for (buckets, kernel) in plans_and_kernels() {
+            assert_eq!(
+                reference,
+                sort_planned(&data, kernel, buckets),
+                "{kernel:?} in {buckets}"
+            );
+        }
     }
 
     #[test]
@@ -465,19 +605,19 @@ mod tests {
         let mut data = vec![0u8; 2 * RECORD_LEN];
         data[10] = b'a'; // first record's value
         data[RECORD_LEN + 10] = b'b';
-        for kernel in SortKernel::ALL {
-            let sorted = sort_records(&data, kernel);
-            assert_eq!(sorted[10], b'a', "{kernel:?}");
-            assert_eq!(sorted[RECORD_LEN + 10], b'b', "{kernel:?}");
+        for (buckets, kernel) in plans_and_kernels() {
+            let sorted = sort_planned(&data, kernel, buckets);
+            assert_eq!(sorted[10], b'a', "{kernel:?} in {buckets}");
+            assert_eq!(sorted[RECORD_LEN + 10], b'b', "{kernel:?} in {buckets}");
         }
     }
 
     #[test]
     fn empty_and_single() {
-        for kernel in SortKernel::ALL {
-            assert!(sort_records(&[], kernel).is_empty());
+        for (buckets, kernel) in plans_and_kernels() {
+            assert!(sort_planned(&[], kernel, buckets).is_empty());
             let one = generate(1, 5);
-            assert_eq!(sort_records(&one, kernel), one.to_vec());
+            assert_eq!(sort_planned(&one, kernel, buckets), one.to_vec());
         }
     }
 
@@ -485,7 +625,13 @@ mod tests {
     fn already_sorted_is_fixed_point() {
         let data = generate(200, 44);
         let once = sort_records(&data, SortKernel::Comparison);
-        assert_eq!(once, sort_records(&once, SortKernel::KeyIndex));
+        for (buckets, kernel) in plans_and_kernels() {
+            assert_eq!(
+                once,
+                sort_planned(&once, kernel, buckets),
+                "{kernel:?} in {buckets}"
+            );
+        }
     }
 
     #[test]
@@ -498,6 +644,12 @@ mod tests {
                     sort_records_with(&data, kernel, &mut scratch),
                     sort_records(&data, kernel),
                     "{kernel:?} seed {seed}"
+                );
+                // The scattered plan's buckets, sorted in the same scratch.
+                assert_eq!(
+                    sort_in_buckets(&[&data], PLANS[1], kernel, &mut scratch),
+                    sort_records(&data, kernel),
+                    "{kernel:?} seed {seed}, scattered"
                 );
             }
         }
@@ -522,11 +674,19 @@ mod tests {
             }
             pieces.push(&[]);
             for kernel in SortKernel::ALL {
+                let whole = sort_records(&data, kernel);
                 assert_eq!(
                     sort_pieces(&pieces, kernel),
-                    sort_records(&data, kernel),
+                    whole,
                     "{kernel:?} {cuts} pieces"
                 );
+                for buckets in PLANS {
+                    assert_eq!(
+                        sort_in_buckets(&pieces, buckets, kernel, &mut SortScratch::new()),
+                        whole,
+                        "{kernel:?} {cuts} pieces in {buckets}"
+                    );
+                }
             }
         }
         assert!(sort_pieces(&[], SortKernel::Comparison).is_empty());

@@ -127,7 +127,7 @@ mod tests {
 
     use super::*;
     use crate::record::KEY_LEN;
-    use crate::sort::is_sorted;
+    use crate::sort::{is_sorted, IN_CACHE_BYTES};
     use crate::teragen::{generate, generate_skewed};
     use cts_mapreduce::run_sequential;
 
@@ -268,25 +268,34 @@ mod tests {
 
     #[test]
     fn the_reducer_matches_reduce() {
-        let data = generate(9_000, 77);
-        let w = TeraSortWorkload::range(5);
-        let map = w.map_file(&data, 5, NodeSet::full(5));
-        assert_eq!(
-            w.map_file_par(&data, 5, &cts_core::exec::WorkerPool::serial()),
-            map
-        );
-        for (p, part) in map.iter().enumerate() {
-            // The partition's own key bounds, in two pieces, last first.
-            let shape = PartitionShape {
-                pieces: 2,
-                expected_bytes: part.len(),
-            };
-            let mut reducer = w.reducer(p, shape);
-            let cut = record_count(part) / 2 * RECORD_LEN;
-            let whole = bytes::Bytes::from(part.clone());
-            reducer.absorb(1, whole.slice(cut..));
-            reducer.absorb(0, whole.slice(..cut));
-            assert_eq!(reducer.finish(), w.reduce(p, part), "partition {p}");
+        // Partitions of 180 KB, sorted in cache, and of 2.5 MB, scattered.
+        for (n, k) in [(9_000, 5), (50_000, 2)] {
+            let data = generate(n, 77);
+            let w = TeraSortWorkload::range(k);
+            let map = w.map_file(&data, k, NodeSet::full(k));
+            assert_eq!(
+                w.map_file_par(&data, k, &cts_core::exec::WorkerPool::serial()),
+                map
+            );
+            let in_cache = n * RECORD_LEN / k <= IN_CACHE_BYTES;
+            assert_eq!(in_cache, n == 9_000, "{n} records, K = {k}");
+            for (p, part) in map.iter().enumerate() {
+                // The partition's own key bounds, in two pieces, last first.
+                let shape = PartitionShape {
+                    pieces: 2,
+                    expected_bytes: part.len(),
+                };
+                let mut reducer = w.reducer(p, shape);
+                let cut = record_count(part) / 2 * RECORD_LEN;
+                let whole = bytes::Bytes::from(part.clone());
+                reducer.absorb(1, whole.slice(cut..));
+                reducer.absorb(0, whole.slice(..cut));
+                assert_eq!(
+                    reducer.finish(),
+                    w.reduce(p, part),
+                    "{n} records, partition {p}"
+                );
+            }
         }
     }
 

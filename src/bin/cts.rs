@@ -87,8 +87,8 @@ USAGE:
                  barrier-on-all, default; quorum = release each group once
                  any r-1 of r coded packets arrive — a single-parity XOR
                  code, the shuffle outruns stragglers; same sorted output),
-               --idle-timeout-ms N → quorum shuffle zero-progress
-                 deadline (default 10000),
+               --idle-timeout-ms N → shuffle zero-progress deadline,
+                 either decode (default 10000),
                --paper-nic → emulate the paper's 100 Mbps NIC in real time,
                --timeline → write the run's per-rank stage timeline as
                  Chrome trace-event JSON (open in chrome://tracing)

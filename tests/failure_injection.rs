@@ -5,9 +5,10 @@
 //! ({2×, 10×, ∞}) on one rank and hold the measured makespans inside the
 //! `cts_netsim::straggler` model's brackets. Everything else fails fast: a
 //! crashed rank fails its job with its identity, and a message nothing can
-//! replace stalls a quorum shuffle into a typed error after its idle
-//! timeout.
+//! replace stalls the shuffle, under either decode, into a typed error after
+//! its idle timeout.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -403,12 +404,37 @@ fn killed_mid_map_rank_fails_the_job_fast_on_the_tcp_fabric() {
     kill_mid_map_acceptance(true);
 }
 
+/// Runs `job` on `input` on a thread of its own, so that a hang fails the
+/// caller instead of stalling the suite, and checks that it fails with the
+/// typed stall error no sooner than `idle` after it starts.
+fn stalls_into_a_typed_error(job: SortJob, input: Bytes, idle: Duration) {
+    let (done_tx, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let started = Instant::now();
+        let run = run_coded_terasort(input, &job).map(|_| ());
+        let _ = done_tx.send((run, started.elapsed()));
+    });
+    let slack = Duration::from_secs(10);
+    let (run, took) = done
+        .recv_timeout(idle + slack)
+        .expect("the stalled job hung past its idle timeout");
+    match run {
+        Err(EngineError::Protocol { what }) => {
+            assert!(what.contains("shuffle stalled"), "{what}")
+        }
+        other => panic!("a lost message must stall the job, got {other:?}"),
+    }
+    assert!(
+        idle <= took && took < idle + slack,
+        "stalled after {took:?} with a {idle:?} idle timeout"
+    );
+}
+
 /// A plain piece has one sender and nothing can rebuild it, so losing it
 /// leaves a quorum shuffle nothing to wait for: the receiver must give up
 /// `idle_timeout` after its last message with the typed stall error, not
 /// hang. One rank of a K = 8 job in pods of 4 drops every cross-pod
-/// unicast it sends; the job runs on a thread of its own so that a hang
-/// fails this test instead of stalling the suite.
+/// unicast it sends.
 #[test]
 fn a_lost_plain_piece_stalls_a_quorum_job_into_a_typed_error() {
     let idle = Duration::from_millis(300);
@@ -426,27 +452,38 @@ fn a_lost_plain_piece_stalls_a_quorum_job_into_a_typed_error() {
         }
     });
     job.engine.cluster = job.engine.cluster.with_fault(0, rule);
-    let input = teragen::generate(2_000, 3737);
-    let (done_tx, done) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let started = Instant::now();
-        let run = run_coded_terasort(input, &job).map(|_| ());
-        let _ = done_tx.send((run, started.elapsed()));
-    });
-    let slack = Duration::from_secs(10);
-    let (run, took) = done
-        .recv_timeout(idle + slack)
-        .expect("the stalled job hung past its idle timeout");
-    match run {
-        Err(EngineError::Protocol { what }) => {
-            assert!(what.contains("shuffle stalled"), "{what}")
+    stalls_into_a_typed_error(job, teragen::generate(2_000, 3737), idle);
+}
+
+/// Barrier-on-all decodes a group from every one of its packets, so one
+/// lost coded packet leaves its receiver nothing to wait for either: the
+/// same deadline fails the job with the same typed error. One rank of a
+/// K = 5, r = 2 job drops one copy of one of its multicasts.
+fn a_lost_coded_packet_stalls_an_all_decode_job(engine: EngineConfig) {
+    let idle = Duration::from_millis(300);
+    let mut job = SortJob::new(engine.with_idle_timeout(idle));
+    assert_eq!(job.engine.decode, DecodeMode::All);
+    let dropped = std::sync::atomic::AtomicBool::new(false);
+    let rule: Arc<coded_terasort::net::fault::FaultRule> = Arc::new(move |_, tag: Tag, _, _| {
+        let first = tag.purpose() == Tag::BCAST && !dropped.swap(true, Ordering::Relaxed);
+        if first {
+            FaultAction::Drop
+        } else {
+            FaultAction::Deliver
         }
-        other => panic!("a lost plain piece must stall the job, got {other:?}"),
-    }
-    assert!(
-        idle <= took && took < idle + slack,
-        "stalled after {took:?} with a {idle:?} idle timeout"
-    );
+    });
+    job.engine.cluster = job.engine.cluster.with_fault(0, rule);
+    stalls_into_a_typed_error(job, teragen::generate(2_000, 3737), idle);
+}
+
+#[test]
+fn a_lost_coded_packet_stalls_an_all_decode_job_into_a_typed_error_on_the_local_fabric() {
+    a_lost_coded_packet_stalls_an_all_decode_job(EngineConfig::local(5, 2));
+}
+
+#[test]
+fn a_lost_coded_packet_stalls_an_all_decode_job_into_a_typed_error_on_the_tcp_fabric() {
+    a_lost_coded_packet_stalls_an_all_decode_job(EngineConfig::tcp(5, 2));
 }
 
 proptest! {

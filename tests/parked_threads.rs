@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use coded_terasort::prelude::*;
@@ -43,6 +43,22 @@ fn exec_threads() -> HashMap<String, u64> {
         threads.insert(task.file_name().to_string_lossy().into_owned(), switches);
     }
     threads
+}
+
+/// Whether every live `cts-exec` thread is asleep: state `S` in its `stat`.
+fn exec_threads_asleep() -> bool {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .flatten()
+        .all(|task| {
+            let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+            let stat = std::fs::read_to_string(task.path().join("stat")).unwrap_or_default();
+            // The state is the first field after the command's closing paren.
+            let state = stat
+                .rsplit_once(") ")
+                .map(|(_, rest)| rest.starts_with('S'));
+            comm.trim_end() != "cts-exec" || state.unwrap_or(true)
+        })
 }
 
 /// Submits one sort of `input` and checks its output against `expected`;
@@ -120,6 +136,13 @@ fn jobs_reuse_parked_threads_and_idle_ones_sleep() {
         "threads after job {JOBS}, and after job 2"
     );
 
+    // A thread reports its job done before it parks, so one that has not
+    // parked yet would count its own first `park()` as a wake-up: wait, a
+    // bounded time, for all of them to be asleep.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !exec_threads_asleep() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let before = exec_threads();
     std::thread::sleep(Duration::from_millis(500));
     let after = exec_threads();

@@ -4,6 +4,9 @@
 //! cut pieces; so does a partition's reducer (a job's, the comparison kernel)
 //! whatever order it is handed the pieces in; and all of them do on keys
 //! whose 8-byte sort entries tie, where only the full key tells them apart.
+//! Every property runs on partitions that fit one core's L2, which are
+//! sorted where their pieces lie, and on larger ones, which are scattered
+//! into key sub-ranges first.
 
 use bytes::Bytes;
 use coded_terasort::mapreduce::workload::PartitionShape;
@@ -28,6 +31,36 @@ fn duplicate_heavy(n: usize, distinct: u64, mut seed: u64) -> Vec<u8> {
     data
 }
 
+/// Both library kernels, on `n` duplicate-heavy records whole and cut at
+/// `cuts`, against a stable sort by key.
+fn kernels_sort_stably(
+    n: usize,
+    distinct: u64,
+    seed: u64,
+    cuts: Vec<usize>,
+) -> Result<(), TestCaseError> {
+    let data = duplicate_heavy(n, distinct, seed);
+    let mut oracle: Vec<&[u8]> = data.chunks_exact(RECORD_LEN).collect();
+    oracle.sort_by_key(|rec| &rec[..KEY_LEN]);
+    let oracle = oracle.concat();
+
+    // Cut points in records, repeats allowed: repeats make empty pieces.
+    let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(n)).collect();
+    cuts.extend([0, n]);
+    cuts.sort_unstable();
+    let pieces: Vec<&[u8]> = cuts
+        .windows(2)
+        .map(|w| &data[w[0] * RECORD_LEN..w[1] * RECORD_LEN])
+        .collect();
+
+    for kernel in SortKernel::ALL {
+        prop_assert_eq!(&sort_records(&data, kernel), &oracle, "{:?}", kernel);
+        let sorted = sort_pieces(&pieces, kernel);
+        prop_assert_eq!(&sorted, &oracle, "{:?} pieces {}", kernel, pieces.len());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -38,25 +71,22 @@ proptest! {
         seed in any::<u64>(),
         cuts in proptest::collection::vec(0usize..12_000, 0..9),
     ) {
-        let data = duplicate_heavy(n, distinct, seed);
-        let mut oracle: Vec<&[u8]> = data.chunks_exact(RECORD_LEN).collect();
-        oracle.sort_by_key(|rec| &rec[..KEY_LEN]);
-        let oracle = oracle.concat();
+        kernels_sort_stably(n, distinct, seed, cuts)?;
+    }
+}
 
-        // Cut points in records, repeats allowed: repeats make empty pieces.
-        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(n)).collect();
-        cuts.extend([0, n]);
-        cuts.sort_unstable();
-        let pieces: Vec<&[u8]> = cuts
-            .windows(2)
-            .map(|w| &data[w[0] * RECORD_LEN..w[1] * RECORD_LEN])
-            .collect();
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-        for kernel in SortKernel::ALL {
-            prop_assert_eq!(&sort_records(&data, kernel), &oracle, "{:?}", kernel);
-            let sorted = sort_pieces(&pieces, kernel);
-            prop_assert_eq!(&sorted, &oracle, "{:?} pieces {}", kernel, pieces.len());
-        }
+    /// Inputs of 2.1–3 MB: over the in-cache limit (2 MiB), so scattered.
+    #[test]
+    fn kernels_equal_a_stable_sort_by_key_past_the_cache_limit(
+        n in 21_000usize..30_000,
+        distinct in 1u64..7,
+        seed in any::<u64>(),
+        cuts in proptest::collection::vec(0usize..30_000, 0..9),
+    ) {
+        kernels_sort_stably(n, distinct, seed, cuts)?;
     }
 }
 
@@ -90,17 +120,22 @@ fn partition_of(workload: TeraSortWorkload, index: usize, input: &[u8]) -> Parti
     }
 }
 
-/// The inputs an arrival order could trip over, ~10 000 records each (enough
+/// Records in a partition that fits one core's L2 (1 MB), and in one that
+/// does not (3 MB): each is sorted in its own regime.
+const IN_CACHE: usize = 10_000;
+const PAST_THE_CACHE: usize = 30_000;
+
+/// The inputs an arrival order could trip over, ~`n` records each (enough
 /// for several buckets).
-fn partition(kind: usize, seed: u64) -> Partition {
+fn partition(kind: usize, seed: u64, n: usize) -> Partition {
     let range = || TeraSortWorkload::range(K);
     match kind {
         // Uniform keys.
-        0 => partition_of(range(), 2, &teragen::generate(40_000, seed)),
+        0 => partition_of(range(), 2, &teragen::generate(K * n, seed)),
         // Three distinct keys; one key (everything in one bucket).
         1 | 2 => {
             let distinct = if kind == 1 { 3 } else { 1 };
-            let mut records = duplicate_heavy(10_000, distinct, seed);
+            let mut records = duplicate_heavy(n, distinct, seed);
             for rec in records.chunks_exact_mut(RECORD_LEN) {
                 rec[0] |= 0x40; // partition 1 of 4
             }
@@ -117,7 +152,7 @@ fn partition(kind: usize, seed: u64) -> Partition {
             });
             let keys: Vec<u128> = steps.chain([first, last]).collect();
             let mut records = Vec::new();
-            for i in 0..10_000u32 {
+            for i in 0..n as u32 {
                 let pick = (seed.wrapping_mul(u64::from(i) + 1) >> 7) as usize % keys.len();
                 records.extend_from_slice(&keyed(keys[pick].clamp(first, last), i));
             }
@@ -125,7 +160,7 @@ fn partition(kind: usize, seed: u64) -> Partition {
         }
         // Skewed keys under the boundaries sampled from them.
         _ => {
-            let input = teragen::generate_skewed(40_000, seed, 0.6, 12);
+            let input = teragen::generate_skewed(K * n, seed, 0.6, 12);
             let samples = records(&input).step_by(16);
             let samples = samples.map(|rec| key_of(rec).try_into().unwrap());
             let sampled = SampledPartitioner::from_samples(samples.collect(), K);
@@ -152,10 +187,10 @@ fn below_bit(next: &mut impl FnMut() -> u64, bits: u64) -> u128 {
     word & ((1u128 << bits) - 1)
 }
 
-/// Inputs on which an 8-byte entry's key prefix ties, ~10 000 records each:
+/// Inputs on which an 8-byte entry's key prefix ties, ~`n` records each:
 /// a prefix is the key's offset in its bucket with its low bits cut, so the
 /// full key must order what the prefix cannot.
-fn tied_partition(kind: usize, seed: u64) -> Partition {
+fn tied_partition(kind: usize, seed: u64, n: usize) -> Partition {
     let mut next = words(seed);
     // Partition 1 of 4 under the range partitioner.
     let (first, last) = (1u128 << 78, (1u128 << 79) - 1);
@@ -163,11 +198,12 @@ fn tied_partition(kind: usize, seed: u64) -> Partition {
     let mut input = Vec::new();
     match kind {
         // Six clusters; within one, keys differ by 0 (exact duplicates) up to
-        // 2^47, on both sides of the cut (a bucket here spans 2^72 keys or
-        // more, so the cut is 8 bits plus the index's, ≈ 20 in all).
+        // 2^47, on both sides of the cut (a scattered bucket here spans 2^72
+        // keys or more, so the cut is 8 bits plus the index's, ≈ 20 in all;
+        // the one bucket of an in-cache partition spans 2^78, 28–30).
         0 => {
             let bases: Vec<u128> = (0..6).map(|_| first + below_bit(&mut next, 77)).collect();
-            for i in 0..10_000u32 {
+            for i in 0..n as u32 {
                 let base = bases[next() as usize % bases.len()];
                 let bits = next() % 48;
                 let key = (base + below_bit(&mut next, bits)).min(last);
@@ -179,7 +215,7 @@ fn tied_partition(kind: usize, seed: u64) -> Partition {
         // multiple of every power of two from the partition's first key, and
         // keys a little under it (a tie) or at the next bucket's first.
         1 => {
-            for i in 0..10_000u32 {
+            for i in 0..n as u32 {
                 let step = next() % 78;
                 let edge = first + ((1 + below_bit(&mut next, 78 - step)) << step);
                 let (pick, bits) = (next() % 3, next() % 40);
@@ -202,7 +238,11 @@ fn tied_partition(kind: usize, seed: u64) -> Partition {
                 key.to_be_bytes()[16 - KEY_LEN..].try_into().unwrap()
             });
             let sampled = SampledPartitioner::from_samples(samples.collect(), K);
-            let n = if seed.is_multiple_of(2) { 100 } else { 10_000 };
+            let n = if seed.is_multiple_of(2) {
+                100
+            } else {
+                n as u32
+            };
             let bases: Vec<u128> = (0..4).map(|_| below_bit(&mut next, 80)).collect();
             for i in 0..n {
                 let base = bases[next() as usize % bases.len()];
@@ -282,7 +322,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let pieces = [1, 8, 56][pieces];
-        let part = partition(kind, seed);
+        let part = partition(kind, seed, IN_CACHE);
         arrives_in_any_order(&part, pieces, seed)
             .map_err(|e| TestCaseError::fail(format!("kind {kind}: {e:?}")))?;
     }
@@ -294,7 +334,35 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let pieces = [1, 8, 56][pieces];
-        let part = tied_partition(kind, seed);
+        let part = tied_partition(kind, seed, IN_CACHE);
+        arrives_in_any_order(&part, pieces, seed)
+            .map_err(|e| TestCaseError::fail(format!("kind {kind}: {e:?}")))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn past_the_cache_limit_any_arrival_order_equals_the_sort_of_the_file_order_concatenation(
+        kind in 0usize..5,
+        pieces in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let pieces = [1, 8, 56][pieces];
+        let part = partition(kind, seed, PAST_THE_CACHE);
+        arrives_in_any_order(&part, pieces, seed)
+            .map_err(|e| TestCaseError::fail(format!("kind {kind}: {e:?}")))?;
+    }
+
+    #[test]
+    fn past_the_cache_limit_ties_on_the_key_prefix_order_by_the_full_key(
+        kind in 0usize..3,
+        pieces in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let pieces = [1, 8, 56][pieces];
+        let part = tied_partition(kind, seed, PAST_THE_CACHE);
         arrives_in_any_order(&part, pieces, seed)
             .map_err(|e| TestCaseError::fail(format!("kind {kind}: {e:?}")))?;
     }
