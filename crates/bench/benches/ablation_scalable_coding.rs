@@ -17,7 +17,7 @@
 //! ```
 
 use cts_core::combinatorics::binomial;
-use cts_core::groups::PodGroups;
+use cts_core::groups::MulticastGroups;
 use cts_core::theory;
 use cts_netsim::config::{NetModelConfig, PerfModelConfig};
 
@@ -30,10 +30,18 @@ fn flat_cost(k: usize, r: usize, d: f64, net: &NetModelConfig) -> (f64, f64) {
     (codegen, shuffle)
 }
 
+/// Multicast groups over `K / g` pods of `g`: `(K/g)·C(g, r+1)`.
+fn pod_groups(k: usize, r: usize, g: usize) -> u64 {
+    assert!(
+        k.is_multiple_of(g) && r < g,
+        "pods of {g} at K = {k}, r = {r}"
+    );
+    (k / g) as u64 * MulticastGroups::new(g, r).unwrap().num_groups()
+}
+
 /// CodeGen + shuffle for pods of size `g`.
 fn pod_cost(k: usize, r: usize, g: usize, d: f64, net: &NetModelConfig) -> (f64, f64) {
-    let pods = PodGroups::new(k, r, g).unwrap();
-    let codegen = pods.num_groups() as f64 * net.group_setup_s;
+    let codegen = pod_groups(k, r, g) as f64 * net.group_setup_s;
     let in_pod = d * (g as f64 / k as f64) * (1.0 - r as f64 / g as f64) / r as f64;
     let cross = d * (1.0 - g as f64 / k as f64);
     let shuffle =
@@ -73,7 +81,7 @@ fn main() {
         println!(
             "{k:>4} {:>12} {fcg:>10.1} {flat_total:>10.1} | {:>10} {pcg:>10.1} {pod_total:>10.1} {winner:>8}",
             binomial(k as u64, r as u64 + 1),
-            PodGroups::new(k, r, g).unwrap().num_groups(),
+            pod_groups(k, r, g),
         );
     }
 
@@ -84,10 +92,7 @@ fn main() {
         } else {
             theory::pod_comm_load(r, 20, g2)
         };
-        let reduction = binomial(20, r as u64 + 1) as f64
-            / PodGroups::new(20, r, g2)
-                .map(|p| p.num_groups() as f64)
-                .unwrap_or(binomial(20, r as u64 + 1) as f64);
+        let reduction = binomial(20, r as u64 + 1) as f64 / pod_groups(20, r, g2) as f64;
         println!("  g = {g2:>2}: L = {load:.4}, CodeGen reduction {reduction:>6.1}×");
     }
 

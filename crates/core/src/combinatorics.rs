@@ -39,7 +39,26 @@ pub fn binomial_checked(n: u64, k: u64) -> Option<u64> {
     Some(acc as u64)
 }
 
-/// `C(n, k)`, panicking on u64 overflow (cannot happen for `n ≤ 64`).
+/// `C(n, k)` for every `n ≤ 64` — Pascal's triangle, built at compile time
+/// (`C(64, 32)` is its largest entry and fits): ranking a subset costs one
+/// lookup per member, not a division loop.
+static PASCAL: [[u64; 65]; 65] = {
+    let mut t = [[0u64; 65]; 65];
+    let mut n = 0;
+    while n <= 64 {
+        t[n][0] = 1;
+        let mut k = 1;
+        while k <= n {
+            t[n][k] = t[n - 1][k - 1] + t[n - 1][k];
+            k += 1;
+        }
+        n += 1;
+    }
+    t
+};
+
+/// `C(n, k)`, panicking on u64 overflow (cannot happen for `n ≤ 64`, which
+/// is a table lookup).
 ///
 /// ```
 /// use cts_core::combinatorics::binomial;
@@ -48,7 +67,10 @@ pub fn binomial_checked(n: u64, k: u64) -> Option<u64> {
 /// ```
 #[inline]
 pub fn binomial(n: u64, k: u64) -> u64 {
-    binomial_checked(n, k).expect("binomial overflow")
+    match PASCAL.get(n as usize) {
+        Some(row) => row.get(k as usize).copied().unwrap_or(0),
+        None => binomial_checked(n, k).expect("binomial overflow"),
+    }
 }
 
 /// Colexicographic rank of `set` among all subsets of its size.
@@ -216,6 +238,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_table_is_the_checked_product() {
+        for n in 0..=64u64 {
+            for k in 0..=66u64 {
+                assert_eq!(Some(binomial(n, k)), binomial_checked(n, k), "C({n},{k})");
+            }
+        }
+        // Past the table: the product again.
+        assert_eq!(binomial(70, 3), 54_740);
     }
 
     #[test]

@@ -1,16 +1,26 @@
-//! Multicast group enumeration (paper §IV-C/D) and the *scalable coding*
-//! extension (paper §VI).
+//! Multicast group enumeration (paper §IV-C/D), and where the *scalable
+//! coding* extension (paper §VI) draws its groups from.
 //!
 //! Coded exchange happens within every `(r+1)`-subset `M` of nodes: each
 //! member multicasts one coded packet to the other `r` members. There are
 //! `C(K, r+1)` such groups — the quantity that drives the paper's CodeGen
 //! stage cost (observed ≈ 3.3 ms per group on EC2, Tables II–III).
 //!
+//! A node takes part in `C(K-1, r)` of them, and
+//! [`MulticastGroups::groups_of_node`] walks exactly those, lazily and
+//! already in ascending id: it inserts the node into each `r`-subset of the
+//! other nodes, taken in colex order (the order of their positions among the
+//! other nodes, which ascend with the nodes). Colex order compares two sets
+//! by the largest member in which they differ, and a member both sets share
+//! is never that member — so inserting the same node into every subset keeps
+//! their order, and the walk needs no sort.
+//!
 //! The paper's *Scalable Coding* future direction asks for coding procedures
-//! whose overhead does not grow as `C(K, r+1)`. [`PodGroups`] implements the
-//! natural pod-partitioned variant: nodes are split into disjoint pods of
-//! size `g`, and coding is applied only within each pod, shrinking the group
-//! count to `(K/g)·C(g, r+1)` at the price of uncoded cross-pod traffic.
+//! whose overhead does not grow as `C(K, r+1)`. The engine's pod layout
+//! (`EngineConfig::pods`) is the natural pod-partitioned variant: nodes are
+//! split into disjoint pods of size `g`, each pod codes with the
+//! `MulticastGroups` of `(g, r)`, and the group count falls to
+//! `(K/g)·C(g, r+1)` at the price of uncoded cross-pod traffic.
 
 use crate::combinatorics::{binomial, colex_rank, colex_unrank, combinations_of, Combinations};
 use crate::error::{CodedError, Result};
@@ -117,70 +127,20 @@ impl MulticastGroups {
             .map(|(i, m)| (GroupId(i as u64), m))
     }
 
-    /// Iterates the groups containing `node`, ascending by id.
+    /// Iterates the `C(K-1, r)` groups containing `node`, ascending by id:
+    /// `node` inserted into each `r`-subset of the other nodes in colex
+    /// order, which inserting a member every set shares leaves in colex
+    /// order (module docs) — lazily, with no sort and no group collected.
     ///
     /// # Panics
     /// Panics if `node >= K`.
     pub fn groups_of_node(&self, node: NodeId) -> impl Iterator<Item = (GroupId, NodeSet)> + '_ {
         assert!(node < self.k, "node {node} out of range");
         let rest = NodeSet::full(self.k).without(node);
-        let mut all: Vec<(GroupId, NodeSet)> = combinations_of(rest, self.r)
-            .map(|s| {
-                let m = s.with(node);
-                (GroupId(colex_rank(m)), m)
-            })
-            .collect();
-        all.sort_unstable_by_key(|(id, _)| *id);
-        all.into_iter()
-    }
-}
-
-/// Pod-partitioned multicast groups — the *scalable coding* extension.
-///
-/// The `K` nodes are split into `K / g` disjoint pods of `g` consecutive
-/// nodes (requires `g | K` and `r < g`). Coded exchange runs independently
-/// inside each pod; intermediate values destined outside a node's pod are
-/// shuffled uncoded. Total group count falls from `C(K, r+1)` to
-/// `(K/g)·C(g, r+1)`.
-///
-/// ```
-/// use cts_core::groups::PodGroups;
-/// // K=20, r=3 coded over pods of 10 → 2·C(10,4) = 420 groups instead of
-/// // C(20,4) = 4845: an 11.5× CodeGen reduction.
-/// let pods = PodGroups::new(20, 3, 10).unwrap();
-/// assert_eq!(pods.num_groups(), 420);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PodGroups {
-    k: usize,
-    r: usize,
-    pod_size: usize,
-}
-
-impl PodGroups {
-    /// Builds pod groups for `K` nodes, redundancy `r`, pods of `pod_size`.
-    ///
-    /// # Errors
-    /// `InvalidParameters` if `pod_size` does not divide `K`, or
-    /// `r >= pod_size`, or the base parameters are invalid.
-    pub fn new(k: usize, r: usize, pod_size: usize) -> Result<Self> {
-        MulticastGroups::new(k, r)?; // validate k, r
-        if pod_size == 0 || !k.is_multiple_of(pod_size) {
-            return Err(CodedError::InvalidParameters {
-                what: format!("pod size {pod_size} must divide K = {k}"),
-            });
-        }
-        if r >= pod_size {
-            return Err(CodedError::InvalidParameters {
-                what: format!("r = {r} must be < pod size {pod_size}"),
-            });
-        }
-        Ok(PodGroups { k, r, pod_size })
-    }
-
-    /// Total multicast groups across all pods: `(K/g)·C(g, r+1)`.
-    pub fn num_groups(&self) -> u64 {
-        (self.k / self.pod_size) as u64 * binomial(self.pod_size as u64, (self.r + 1) as u64)
+        combinations_of(rest, self.r).map(move |s| {
+            let m = s.with(node);
+            (GroupId(colex_rank(m)), m)
+        })
     }
 }
 
@@ -209,15 +169,20 @@ mod tests {
 
     #[test]
     fn groups_of_node_complete_and_sorted() {
-        let g = MulticastGroups::new(7, 2).unwrap();
-        for node in 0..7 {
-            let list: Vec<(GroupId, NodeSet)> = g.groups_of_node(node).collect();
-            assert_eq!(list.len() as u64, g.groups_per_node());
-            for w in list.windows(2) {
-                assert!(w[0].0 < w[1].0);
-            }
-            for (_, m) in &list {
-                assert!(m.contains(node));
+        // The lazy walk is the whole-set enumeration filtered to the node:
+        // the same ids, the same members, in the same order.
+        for k in 1..=10 {
+            for r in 1..k {
+                let g = MulticastGroups::new(k, r).unwrap();
+                for node in 0..k {
+                    let list: Vec<(GroupId, NodeSet)> = g.groups_of_node(node).collect();
+                    let filtered: Vec<(GroupId, NodeSet)> = (g.iter_groups())
+                        .filter(|(_, m)| m.contains(node))
+                        .collect();
+                    assert_eq!(list, filtered, "K = {k}, r = {r}, node {node}");
+                    assert_eq!(list.len() as u64, g.groups_per_node());
+                    assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
+                }
             }
         }
     }
@@ -251,18 +216,5 @@ mod tests {
         assert!(g.id_of(NodeSet::from_iter([0usize, 1])).is_err());
         assert!(g.id_of(NodeSet::from_iter([0usize, 1, 2, 3])).is_err());
         assert!(g.id_of(NodeSet::from_iter([0usize, 1, 6])).is_err());
-    }
-
-    #[test]
-    fn pod_group_count() {
-        let p = PodGroups::new(20, 3, 10).unwrap();
-        assert_eq!(p.num_groups(), 2 * binomial(10, 4));
-    }
-
-    #[test]
-    fn pod_validation() {
-        assert!(PodGroups::new(10, 3, 3).is_err()); // 3 ∤ 10
-        assert!(PodGroups::new(12, 4, 4).is_err()); // r >= g
-        assert!(PodGroups::new(12, 3, 4).is_ok());
     }
 }

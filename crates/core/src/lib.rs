@@ -101,7 +101,7 @@ pub mod xor;
 pub use decode::{DecodeMode, DecodePipeline, DecodedSegment, Decoder};
 pub use encode::{EncodeScratch, Encoder};
 pub use error::{CodedError, Result};
-pub use groups::{GroupId, MulticastGroups, PodGroups};
+pub use groups::{GroupId, MulticastGroups};
 pub use intermediate::{IntermediateSource, MapOutputStore};
 pub use metrics::{Counter, Gauge, Histogram, MetricsHub};
 pub use packet::CodedPacket;

@@ -28,7 +28,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use cts_core::decode::{DecodeMode, DecodePipeline};
 use cts_core::encode::Encoder;
-use cts_core::groups::{MulticastGroups, PodGroups};
+use cts_core::groups::MulticastGroups;
 use cts_core::intermediate::MapOutputStore;
 use cts_core::metrics::Counter;
 use cts_core::packet::CodedPacket;
@@ -107,10 +107,13 @@ impl Layout {
     fn of(cfg: &EngineConfig) -> Result<Layout> {
         let (k, r) = (cfg.k, cfg.r);
         let g = if cfg.pods == 0 { k } else { cfg.pods };
-        if g == k {
-            PlacementPlan::new(k, r).map_err(bad_config)?;
-        } else {
-            PodGroups::new(k, r, g).map_err(bad_config)?;
+        PlacementPlan::new(k, r).map_err(bad_config)?;
+        let refuse = |what| Err(bad_config(cts_core::CodedError::InvalidParameters { what }));
+        if !k.is_multiple_of(g) {
+            return refuse(format!("pod size {g} must divide K = {k}"));
+        }
+        if g < k && r >= g {
+            return refuse(format!("r = {r} must be < pod size {g}"));
         }
         let layout = Layout { k, g, r };
         // A group's packets and a file's plain pieces travel under a tag of
@@ -150,6 +153,21 @@ impl Layout {
     /// First rank of `node`'s pod.
     fn base_of(&self, node: usize) -> usize {
         node / self.g * self.g
+    }
+
+    /// `me`'s own groups as CodeGen lists them, `(tag, pod-local members)`
+    /// ascending by group id — the `C(g − 1, r)` groups of its pod that hold
+    /// it, walked once and in order ([`MulticastGroups::groups_of_node`]).
+    /// A group's tag is its id shifted past the groups of the pods before
+    /// `me`'s, so no two groups of the job share one.
+    fn groups_of(&self, me: usize) -> Vec<(Tag, NodeSet)> {
+        let Some(groups) = self.groups() else {
+            return Vec::new();
+        };
+        let first = (me / self.g) as u64 * groups.num_groups();
+        (groups.groups_of_node(me % self.g))
+            .map(|(id, members)| (Tag::new(Tag::BCAST, (first + id.0) as u32), members))
+            .collect()
     }
 
     /// A pod-local node set of `node`'s pod, in global ranks.
@@ -309,15 +327,6 @@ struct Finished {
     stats: NodeStats,
 }
 
-/// One multicast group of a rank's pod, as CodeGen materializes it.
-struct Group {
-    tag: Tag,
-    /// Pod-local member set (what the coder is addressed in).
-    members: NodeSet,
-    /// Members as ascending global ranks (what the fabric is addressed in).
-    ranks: Vec<usize>,
-}
-
 /// The per-rank state every stage touches.
 struct Rank<'a> {
     comm: &'a Communicator,
@@ -372,10 +381,9 @@ impl Encode {
     /// zero-padding, a small-scale artifact: at paper scale segments are
     /// megabytes and max ≈ mean), which is returned with the frame. The
     /// model scales only the scalable part.
-    fn packet(&self, group: &Group, store: &MapOutputStore) -> Result<(Bytes, u64)> {
+    fn packet(&self, members: NodeSet, store: &MapOutputStore) -> Result<(Bytes, u64)> {
         let lease = |len| pool::global().get(len);
-        let (frame, scalable) =
-            (self.encoder).encode_frame(group.members, store, self.mds, lease)?;
+        let (frame, scalable) = (self.encoder).encode_frame(members, store, self.mds, lease)?;
         let overhead = frame.len() as u64 - scalable.min(frame.len() as u64);
         Ok((pool::global().freeze(frame), overhead))
     }
@@ -472,29 +480,15 @@ fn node_main<W: Workload>(
     };
 
     // ---- CodeGen -------------------------------------------------------
-    // Every group of the pod with its sorted member list (the paper's
-    // MPI_Comm_split loop over all C(g, r+1) groups); skipped by layouts
-    // that have none.
-    let mut schedule: Vec<Group> = Vec::new();
-    if let Some(groups) = layout.groups() {
+    // The paper's MPI_Comm_split loop runs over all C(K, r+1) groups; a rank
+    // here lists only its own C(g − 1, r), once, already in group id order —
+    // colex order, like its files: sorted by largest member, so the packets
+    // a mapped file completes are the next ones in line. Their global ranks
+    // are derived when a packet is posted. Skipped by layouts with no groups.
+    if layout.groups().is_some() {
         comm.set_stage(stages::CODEGEN);
-        let first = (base / g) as u64 * groups.num_groups();
-        schedule = groups
-            .iter_groups()
-            .map(|(gid, members)| Group {
-                tag: Tag::new(Tag::BCAST, (first + gid.0) as u32),
-                members,
-                ranks: layout.globalize(members, me).to_vec(),
-            })
-            .collect();
     }
-    // Ascending group id is colex order, like a rank's files: sorted by
-    // largest member, so the packets a mapped file completes are the next
-    // ones in line.
-    let my_groups: Vec<&Group> = schedule
-        .iter()
-        .filter(|group| group.members.contains(local))
-        .collect();
+    let my_groups = layout.groups_of(me);
 
     // ---- Map → Pack/Encode (Algorithm 1) → post, group by group ----------
     // What the coder reads, in pod-local ids.
@@ -552,9 +546,9 @@ fn node_main<W: Workload>(
         let mapped_through = file_local.bits();
         let ready = my_groups[sent..]
             .iter()
-            .take_while(|group| {
-                let other = group.members.without(local).min().expect("r ≥ 1 others");
-                group.members.without(other).bits() <= mapped_through
+            .take_while(|&&(_, members)| {
+                let other = members.without(local).min().expect("r ≥ 1 others");
+                members.without(other).bits() <= mapped_through
             })
             .count();
         if ready == 0 {
@@ -563,17 +557,18 @@ fn node_main<W: Workload>(
         comm.set_stage(stages::PACK_ENCODE);
         let ready = &my_groups[sent..sent + ready];
         let packets: Vec<Result<(Bytes, u64)>> = (ready.iter())
-            .map(|group| encode.packet(group, &store))
+            .map(|&(_, members)| encode.packet(members, &store))
             .collect();
         rank.crashed_at(CrashPoint::MidEncode)?;
         // Over the configured [`ShuffleFabric`](cts_net::fabric::ShuffleFabric),
         // behind whatever the NIC still has queued: a post does not wait.
         comm.set_stage(stages::SHUFFLE);
-        for (group, packet) in ready.iter().zip(packets) {
+        for (&(tag, members), packet) in ready.iter().zip(packets) {
             let (packet, header) = packet?;
             rank.crashed_after_sends(sent as u64, false)?;
             rank.stats.sent_bytes += packet.len() as u64;
-            comm.post_multicast(&group.ranks, group.tag, packet, header)?;
+            let ranks = layout.globalize(members, me).to_vec();
+            comm.post_multicast(&ranks, tag, packet, header)?;
             sent += 1;
         }
         // The NIC has its next packets: now the rank's own pieces.
@@ -675,28 +670,31 @@ fn node_main<W: Workload>(
 /// for good. A rank that dies aborts the endpoints at once.
 fn shuffle_receive(
     rank: &mut Rank<'_>,
-    groups: &[&Group],
+    groups: &[(Tag, NodeSet)],
     plain: &[(Key, NodeSet)],
     decode: &mut Decode<'_>,
     reduce: &mut Reduce<'_>,
 ) -> Result<()> {
-    let (comm, me) = (rank.comm, rank.me);
-    // Every key a message is expected under, sorted: `recv_any` hands messages
-    // out lowest tag first, so the plain pieces come ahead of the packets, a
+    let (comm, me, r) = (rank.comm, rank.me, rank.layout.r);
+    // Every key a message is expected under, listed in ascending order:
+    // `plain`'s sorted keys, then each group's `r` senders — every plain tag
+    // (`Tag::APP`) is below every group's (`Tag::BCAST`), groups ascend by
+    // tag, and a group's senders by rank. `recv_any` hands messages out
+    // lowest key first, so the plain pieces come ahead of the packets, a
     // group's packets come together and the group releases (and frees its
-    // decode state) before the next one starts. Groups ascend by tag, so a
-    // tag's place among them names its group; a plain key is its own.
-    let group_of =
-        |tag: Tag| (groups.binary_search_by_key(&tag, |group| group.tag)).expect("a listed tag");
-    let piece_of = |key: Key| plain.binary_search_by_key(&key, |&(key, _)| key);
-    let mut keys: Vec<Key> = (groups.iter())
-        .flat_map(|group| {
-            let senders = group.ranks.iter().filter(|&&sender| sender != me);
-            senders.map(move |&sender| (group.tag, sender))
-        })
-        .chain(plain.iter().map(|&(key, _)| key))
+    // decode state) before the next one starts. A key's index names what it
+    // is: plain piece `i`, or group `(i − plain.len()) / r`.
+    let senders = |&(tag, members): &(Tag, NodeSet)| {
+        let ranks = rank.layout.globalize(members, me).without(me);
+        ranks.iter().map(move |sender| (tag, sender))
+    };
+    let keys: Vec<Key> = (plain.iter().map(|&(key, _)| key))
+        .chain(groups.iter().flat_map(senders))
         .collect();
-    keys.sort_unstable();
+    debug_assert!(
+        keys.windows(2).all(|pair| pair[0] < pair[1]),
+        "keys listed in order"
+    );
     let mut done = vec![false; groups.len()];
     let mut open = groups.len() + plain.len();
     let idle = rank.cfg.idle_timeout;
@@ -715,15 +713,14 @@ fn shuffle_receive(
             Err(e) => return Err(e.into()),
         };
         stalled_at = Instant::now() + idle;
-        let key = keys[hit];
-        if let Ok(p) = piece_of(key) {
+        if let Some(&(_, file)) = plain.get(hit) {
             rank.stats.recv_bytes += message.len() as u64;
             rank.stats.unpack_bytes += message.len() as u64;
-            reduce.absorb(plain[p].1, message, &mut rank.stats);
+            reduce.absorb(file, message, &mut rank.stats);
             open -= 1;
             continue;
         }
-        let g = group_of(key.0);
+        let g = (hit - plain.len()) / r;
         if done[g] {
             continue;
         }
@@ -1049,6 +1046,28 @@ mod tests {
                 flat.trace.stage_bytes(stages::SHUFFLE),
                 "r={r}"
             );
+        }
+    }
+
+    #[test]
+    fn each_rank_lists_its_own_groups_in_id_order() {
+        // The flat layout and pods of 4, at K = 8, r = 2: a rank's list is
+        // its pod's groups that hold it, tagged past the pods before it.
+        for pods in [0, 4] {
+            let layout = Layout::of(&EngineConfig::local(8, 2).with_pods(pods)).unwrap();
+            let groups = layout.groups().unwrap();
+            let mut listed = 0;
+            for me in 0..8 {
+                let first = (me / layout.g) as u64 * groups.num_groups();
+                let expected: Vec<(Tag, NodeSet)> = (groups.iter_groups())
+                    .filter(|(_, members)| members.contains(me % layout.g))
+                    .map(|(id, members)| (Tag::new(Tag::BCAST, (first + id.0) as u32), members))
+                    .collect();
+                assert_eq!(layout.groups_of(me), expected, "pods {pods}, rank {me}");
+                listed += expected.len() as u64;
+            }
+            // Every group of the job is listed once by each of its r + 1 members.
+            assert_eq!(listed, 3 * layout.num_groups(), "pods {pods}");
         }
     }
 

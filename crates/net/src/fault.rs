@@ -46,11 +46,13 @@ pub enum FaultAction {
     Drop,
     /// Deliver a corrupted payload instead.
     Corrupt(Bytes),
-    /// Deliver, but only after `Duration` — a slow link or straggling
-    /// sender. The `send` call itself returns immediately (the delay runs
-    /// on a detached thread), modeling a node whose NIC queue drains
-    /// slowly rather than one that blocks its own compute. A message that
-    /// lands after its job ended is dropped by the receiver.
+    /// Deliver, but ripe only `Duration` from now — a slow link or
+    /// straggling sender. The message goes to the fabric at once with its
+    /// `ready` stamp pushed to `max(ready, now + Duration)`; the receiving
+    /// mailbox holds it until then, and what its source sends behind it
+    /// too, as a slow NIC queue would. The `send` call returns at once: the
+    /// node's NIC is slow, not its compute. A message still held when its
+    /// job ends is dropped.
     Delay(Duration),
     /// Fail the `send` call itself with an error.
     FailSend,
@@ -61,8 +63,10 @@ pub type FaultRule = dyn Fn(usize, Tag, &Bytes, u64) -> FaultAction + Send + Syn
 
 /// A straggler rule: every coded-shuffle multicast this node sends
 /// (purpose [`Tag::BCAST`]) is delayed by `delay`; barrier and other
-/// control traffic flows normally, so stage synchronization still works —
-/// the node is slow at shuffling, not partitioned.
+/// control traffic is not delayed itself (only held behind a delayed packet
+/// sent ahead of it to the same receiver, as in a slow NIC's queue), so
+/// stage synchronization still works — the node is slow at shuffling, not
+/// partitioned.
 pub fn straggler_delay_rule(delay: Duration) -> Arc<FaultRule> {
     Arc::new(move |_dst, tag: Tag, _payload: &Bytes, _idx| {
         if tag.purpose() == Tag::BCAST {
@@ -197,15 +201,9 @@ impl Transport for FaultyTransport {
             }
             FaultAction::Delay(d) => {
                 self.delayed.fetch_add(1, Ordering::Relaxed);
-                let inner = Arc::clone(&self.inner);
-                std::thread::spawn(move || {
-                    std::thread::sleep(d);
-                    // The receiver may have shut down by the time a long
-                    // delay drains; a late send failing is the same
-                    // observable as a drop.
-                    let _ = inner.send(dst, job, tag, payload, ready);
-                });
-                Ok(())
+                let late = Instant::now() + d;
+                let ready = ready.map_or(late, |ready| ready.max(late));
+                self.inner.send(dst, job, tag, payload, Some(ready))
             }
             FaultAction::FailSend => Err(NetError::InjectedFault {
                 what: format!("send #{idx} to {dst} {tag} failed by rule"),
@@ -303,7 +301,9 @@ mod tests {
                 None,
             )
             .unwrap();
-        // The send itself returns immediately (detached delivery).
+        // The send itself returns immediately, and the message is with the
+        // receiver at once, held there until its stamp.
+        assert_eq!(fabric.endpoint(1).mailbox().queued(), 1);
         assert!(t0.elapsed() < Duration::from_millis(25));
         assert_eq!(faulty.delayed(), 1);
         let got = fabric
