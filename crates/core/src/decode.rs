@@ -11,14 +11,16 @@
 //! it is missing (eq. (10)). One segment from each of the `r` senders in the
 //! group, each at the sender's position, make the complete `I^k_{M\{k}}`.
 //!
-//! [`DecodePipeline`] does this in place. It holds one slot per group of its
-//! node, and a slot one value buffer: a packet's header names the whole
-//! length of the value, so the group's first packet leases it, and every
-//! packet's share is copied from the payload straight to its span there and
-//! the known segments cancelled over it. The buffer fills in arrival order
-//! (appended to when the shares come in order, as the engine takes them) and
-//! is handed out whole when the group completes, to be the piece Reduce
-//! absorbs — no per-packet buffer, and no assembly copy.
+//! [`DecodePipeline`] does this in place, in one slot per group of its node.
+//! Everything `k` XORs out of a group's packets is one of the `r` values
+//! `I^t_{M\{t}}`, `t ∈ M \ {k}`, its own Map produced: the group's first
+//! packet reads them from the store into the slot, and leases the value,
+//! whose whole length every header names. Each packet's share is copied
+//! from the payload straight to its span there and the known segments
+//! cancelled over it. The buffer fills in arrival order (appended to when
+//! the shares come in order, as the engine takes them) and is handed out
+//! whole when the group completes, to be the piece Reduce absorbs — no
+//! per-packet buffer or store lookup, and no assembly copy.
 //!
 //! Under [`DecodeMode::Quorum`] the packets carry the quorum split instead
 //! ([`crate::segment::quorum_role`]): the same cancellation leaves one part
@@ -26,10 +28,12 @@
 //! `r` packets rebuild it — the parity, decoded into the span of a part not
 //! yet in, becomes the missing part when the others are XORed over it.
 
+use bytes::Bytes;
+
 use crate::error::{CodedError, Result};
 use crate::groups::MulticastGroups;
-use crate::intermediate::IntermediateSource;
-use crate::packet::CodedPacket;
+use crate::intermediate::MapOutputStore;
+use crate::packet::{malformed, CodedPacket};
 use crate::pool;
 use crate::segment::{segment_span, share, QuorumRole, SegmentSpan};
 use crate::subset::{NodeId, NodeSet};
@@ -90,8 +94,8 @@ pub struct DecodedSegment {
     pub data: Vec<u8>,
 }
 
-/// Per-node decoder for the coded shuffle: the checks and the cancellation
-/// every decode shares.
+/// Per-node decoder for the coded shuffle: one packet of the paper's code at
+/// a time, apart from any table.
 #[derive(Clone, Debug)]
 pub struct Decoder {
     groups: MulticastGroups,
@@ -118,10 +122,10 @@ impl Decoder {
     ///
     /// # Errors
     /// As [`decode_packet_into`](Decoder::decode_packet_into).
-    pub fn decode_packet<S: IntermediateSource>(
+    pub fn decode_packet(
         &self,
         packet: &CodedPacket,
-        source: &S,
+        source: &MapOutputStore,
     ) -> Result<DecodedSegment> {
         let mut data = Vec::new();
         self.decode_packet_into(packet, source, &mut data)?;
@@ -135,115 +139,104 @@ impl Decoder {
     }
 
     /// Recovers this node's segment of one packet of the paper's code into
-    /// `acc` (cleared first). Only `benchmark/`'s decode probe calls it
+    /// `acc` (cleared first), reading the group's known values from `source`
+    /// for this packet alone. Only `benchmark/`'s decode probe calls it
     /// (ROADMAP 1(a)); a job decodes through [`DecodePipeline`].
     ///
     /// # Errors
     /// * `PlanMismatch` if the packet's group does not include this node, or
     ///   the group size disagrees with `r+1`, or this node is the sender, or
     ///   it is a quorum packet;
+    /// * `MissingIntermediate` if a cancelling value is locally absent;
     /// * `MalformedPacket` if the packet lacks a length for this node, its
     ///   payload is shorter than the segment, or a length it declares
-    ///   disagrees with this node's copy of that intermediate;
-    /// * `MissingIntermediate` if a cancelling value is locally absent.
-    pub fn decode_packet_into<S: IntermediateSource>(
+    ///   disagrees with this node's copy of that intermediate.
+    pub fn decode_packet_into(
         &self,
         packet: &CodedPacket,
-        source: &S,
+        source: &MapOutputStore,
         acc: &mut Vec<u8>,
     ) -> Result<()> {
-        if packet.mds {
-            return Err(CodedError::PlanMismatch {
-                what: "a quorum packet decodes through DecodePipeline".to_string(),
-            });
+        let (m, u, node) = (packet.group, packet.sender, self.node);
+        let file = m.without(node);
+        if packet.mds || m.len() != self.groups.group_size() || !of_group(packet, node, file) {
+            let code = ["", "quorum "][usize::from(packet.mds)];
+            let what = format!("{code}packet for group {m} from {u} not decodable at node {node}");
+            return Err(CodedError::PlanMismatch { what });
         }
-        let (total, _, role) = self.check(packet)?;
-        let QuorumRole::Part(position) = role else {
-            unreachable!("the paper's code has no parity")
-        };
-        let span = segment_span(total, packet.group.len() - 1, position);
+        let mut known = vec![Bytes::new(); file.len()];
+        resolve(source, m, node, &mut known)?;
+        let total = own_len(packet, node, &known)?;
+        let span = segment_span(total, file.len(), file.position_of(u).expect("checked"));
         acc.clear();
         acc.extend_from_slice(payload_prefix(packet, span.len)?);
-        self.cancel(packet, source, acc)
-    }
-
-    /// Checks that `packet` belongs to a group of this deployment that
-    /// holds this node, from another member, and says what it carries for
-    /// this node: the whole length of the value, and the share of it —
-    /// `(parts, role)` of [`share`].
-    fn check(&self, packet: &CodedPacket) -> Result<(usize, usize, QuorumRole)> {
-        let m = packet.group;
-        if m.len() != self.groups.group_size() {
-            return Err(CodedError::PlanMismatch {
-                what: format!(
-                    "packet group {m} has {} members, expected {}",
-                    m.len(),
-                    self.groups.group_size()
-                ),
-            });
-        }
-        if !m.contains(self.node) || packet.sender == self.node || !m.contains(packet.sender) {
-            return Err(CodedError::PlanMismatch {
-                what: format!(
-                    "packet for group {m} from {} not decodable at node {}",
-                    packet.sender, self.node
-                ),
-            });
-        }
-        let total = packet
-            .seg_len_for(self.node)
-            .ok_or_else(|| CodedError::MalformedPacket {
-                what: format!("no length for receiver {}", self.node),
-            })?;
-        let (parts, role) = share(m, self.node, packet.sender, packet.mds);
-        Ok((total as usize, parts, role))
-    }
-
-    /// Turns `dst`, the first `dst.len()` payload bytes, into the sender's
-    /// share for this node: XORs out what the sender folded of every target
-    /// it and this node both know (`t ∈ M \ {u, node}`), cut to `dst`.
-    fn cancel<S: IntermediateSource>(
-        &self,
-        packet: &CodedPacket,
-        source: &S,
-        dst: &mut [u8],
-    ) -> Result<()> {
-        let m = packet.group;
-        for &(t, declared) in packet.seg_lens.iter().filter(|(t, _)| *t != self.node) {
-            let file = m.without(t);
-            let data = source
-                .intermediate(t, file)
-                .ok_or(CodedError::MissingIntermediate { target: t, file })?;
-            if declared as usize != data.len() {
-                return Err(CodedError::MalformedPacket {
-                    what: format!(
-                        "packet declares {declared} bytes for target {t}, local copy has {}",
-                        data.len()
-                    ),
-                });
-            }
-            let (parts, role) = share(m, t, packet.sender, packet.mds);
-            for j in role.parts(parts) {
-                let span = segment_span(data.len(), parts, j);
-                let len = span.len.min(dst.len());
-                xor_into(dst, &data[span.offset..span.offset + len]);
-            }
-        }
+        cancel(packet, node, &known, acc);
         Ok(())
+    }
+}
+
+/// Whether `packet` is of the group `file ∪ {node}` and from one of `file`:
+/// another member than `node`.
+fn of_group(packet: &CodedPacket, node: NodeId, file: NodeSet) -> bool {
+    packet.group == file.with(node) && file.contains(packet.sender)
+}
+
+/// Reads what `node` cancels out of group `m`'s packets into `known`: its
+/// own copy of `I^t_{M\{t}}` for each `t ∈ M \ {node}`, ascending.
+///
+/// # Errors
+/// `MissingIntermediate` if one is not in `source`.
+fn resolve(source: &MapOutputStore, m: NodeSet, node: NodeId, known: &mut [Bytes]) -> Result<()> {
+    for (t, slot) in m.without(node).iter().zip(known) {
+        *slot = source.intermediate(t, m.without(t))?.clone();
+    }
+    Ok(())
+}
+
+/// The whole length `packet` declares for `node`, its entries for the
+/// other targets read against `known` (as [`resolve`] left it).
+///
+/// # Errors
+/// `MalformedPacket` if the header has no entry for `node`, names a target
+/// outside the group, or declares a known target's length other than
+/// `node`'s copy.
+fn own_len(packet: &CodedPacket, node: NodeId, known: &[Bytes]) -> Result<usize> {
+    let file = packet.group.without(node);
+    let mut own = None;
+    for &(t, declared) in &packet.seg_lens {
+        match file.position_of(t).map(|i| known[i].len()) {
+            _ if t == node => own = Some(declared as usize),
+            Some(ours) if ours == declared as usize => {}
+            ours => {
+                let what = format!("{declared} bytes declared for {t}, local copy: {ours:?}");
+                return Err(malformed(what));
+            }
+        }
+    }
+    own.ok_or_else(|| malformed(format!("no length for receiver {node}")))
+}
+
+/// Turns `dst`, the first `dst.len()` payload bytes of `packet`, into the
+/// sender's share for `node`: XORs out what the sender folded of every
+/// target the two both know (`t ∈ M \ {u, node}`, read from `known`), cut
+/// to `dst`.
+fn cancel(packet: &CodedPacket, node: NodeId, known: &[Bytes], dst: &mut [u8]) {
+    let m = packet.group;
+    let targets = m.without(node).iter().zip(known);
+    for (t, data) in targets.filter(|&(t, _)| t != packet.sender) {
+        let (parts, role) = share(m, t, packet.sender, packet.mds);
+        for j in role.parts(parts) {
+            let span = segment_span(data.len(), parts, j);
+            let len = span.len.min(dst.len());
+            xor_into(dst, &data[span.offset..span.offset + len]);
+        }
     }
 }
 
 /// The first `len` payload bytes.
 fn payload_prefix(packet: &CodedPacket, len: usize) -> Result<&[u8]> {
-    packet
-        .payload
-        .get(..len)
-        .ok_or_else(|| CodedError::MalformedPacket {
-            what: format!(
-                "payload {} bytes shorter than the share of {len}",
-                packet.payload.len()
-            ),
-        })
+    let short = || format!("payload {} bytes, a share of {len}", packet.payload.len());
+    packet.payload.get(..len).ok_or_else(|| malformed(short()))
 }
 
 /// Drives decoding across all groups of a node: feeds packets in any order,
@@ -254,7 +247,8 @@ fn payload_prefix(packet: &CodedPacket, len: usize) -> Result<&[u8]> {
 /// and finishes with `C(K-1, r)` recovered intermediates — exactly the
 /// `{I^k_S : k ∉ S}` set of paper §IV-E. It keeps one slot per group, in
 /// ascending group order (the order the engine lists a rank's groups in), and
-/// decodes each packet in place into its slot's value.
+/// decodes each packet in place into its slot's value, against the `r` known
+/// values the slot read at the group's first packet.
 ///
 /// A value is leased from the shared [`pool::global`] and goes back when the
 /// caller lets go of it ([`BufPool::freeze`](crate::pool::BufPool::freeze)),
@@ -264,6 +258,9 @@ pub struct DecodePipeline {
     decoder: Decoder,
     mode: DecodeMode,
     slots: Vec<Slot>,
+    /// The slots' known values, `r` a slot: slot `at`'s are
+    /// `known[at * r..][..r]`, [`resolve`]d at its group's first packet.
+    known: Vec<Bytes>,
 }
 
 /// One group's decode state.
@@ -314,7 +311,7 @@ impl DecodePipeline {
     /// `InvalidParameters` if `(k, r)` is invalid or `node >= k`.
     pub fn new(k: usize, r: usize, node: NodeId) -> Result<Self> {
         let decoder = Decoder::new(k, r, node)?;
-        let slots = (decoder.groups.groups_of_node(node))
+        let slots: Vec<Slot> = (decoder.groups.groups_of_node(node))
             .map(|(_, m)| Slot {
                 file: m.without(node),
                 value: Vec::new(),
@@ -327,6 +324,7 @@ impl DecodePipeline {
         Ok(DecodePipeline {
             decoder,
             mode: DecodeMode::All,
+            known: vec![Bytes::new(); slots.len() * r],
             slots,
         })
     }
@@ -346,10 +344,10 @@ impl DecodePipeline {
     /// # Errors
     /// As [`accept_at`](DecodePipeline::accept_at); `PlanMismatch` for a
     /// packet of a group this node is not in.
-    pub fn accept<S: IntermediateSource>(
+    pub fn accept(
         &mut self,
         packet: &CodedPacket,
-        source: &S,
+        source: &MapOutputStore,
     ) -> Result<Option<(NodeSet, Vec<u8>)>> {
         let file = packet.group.without(self.decoder.node).bits();
         let at = self
@@ -361,22 +359,26 @@ impl DecodePipeline {
     /// [`accept`](DecodePipeline::accept) for a packet of the node's
     /// `at`-th group in ascending order, which the caller already knows.
     ///
+    /// `source` is read at the group's first packet only: the slot then
+    /// holds the group's `r` known values, and its later packets are decoded
+    /// against those.
+    ///
     /// # Errors
-    /// * `PlanMismatch` if the packet is not for that group or is of the
-    ///   other decode discipline, or if its group is not one of this
-    ///   deployment holding this node, or its sender is this node;
-    /// * `MalformedPacket` if its length for this node disagrees with the
-    ///   group's earlier packets, its payload is short, a known target's
-    ///   length disagrees with the local copy, or it repeats a share heard
-    ///   before with different bytes;
-    /// * `MissingIntermediate` if a cancelling value is locally absent.
+    /// * `PlanMismatch` if the packet is not of that group, is from this
+    ///   node, or is of the other decode discipline;
+    /// * `MissingIntermediate` if a known value is not in `source` at the
+    ///   group's first packet;
+    /// * `MalformedPacket` if it has no length for this node, or that length
+    ///   disagrees with the group's earlier packets, its payload is short, a
+    ///   known target's length disagrees with the local copy, or it repeats
+    ///   a share heard before with different bytes.
     ///
     /// An error fails the job: the group's slot is left as the error found it.
-    pub fn accept_at<S: IntermediateSource>(
+    pub fn accept_at(
         &mut self,
         at: usize,
         packet: &CodedPacket,
-        source: &S,
+        source: &MapOutputStore,
     ) -> Result<Option<(NodeSet, Vec<u8>)>> {
         if packet.mds != (self.mode == DecodeMode::Quorum) {
             return Err(CodedError::PlanMismatch {
@@ -387,31 +389,34 @@ impl DecodePipeline {
                 ),
             });
         }
-        let (total, parts, role) = self.decoder.check(packet)?;
-        let decoder = &self.decoder;
+        let node = self.decoder.node;
         let slot = (self.slots.get_mut(at))
-            .filter(|slot| slot.file == packet.group.without(decoder.node))
+            .filter(|slot| of_group(packet, node, slot.file))
             .ok_or_else(|| CodedError::PlanMismatch {
                 what: format!(
-                    "packet for group {} is not this node's group #{at}",
-                    packet.group
+                    "packet for group {} from {} is not for node {node}'s group #{at}",
+                    packet.group, packet.sender
                 ),
             })?;
         if slot.released {
             return Ok(None); // the group is complete: a late packet
         }
-        if slot.have == 0 && slot.parity.is_none() {
+        let r = slot.file.len();
+        let known = &mut self.known[at * r..][..r];
+        let first = slot.have == 0 && slot.parity.is_none();
+        if first {
+            resolve(source, packet.group, node, known)?;
+        }
+        let total = own_len(packet, node, known)?;
+        if first {
             slot.total = total as u32;
             slot.value = pool::global().get(total);
         } else if slot.total as usize != total {
-            return Err(CodedError::MalformedPacket {
-                what: format!(
-                    "packet declares reconstruction length {total}, earlier packets said {}",
-                    slot.total
-                ),
-            });
+            let what = format!("length {total}, earlier packets said {}", slot.total);
+            return Err(malformed(what));
         }
         // Where the share goes: its own span, or the parity's.
+        let (parts, role) = share(packet.group, node, packet.sender, packet.mds);
         let (j, heard) = match role {
             QuorumRole::Part(j) => (j, slot.have & (1 << j) != 0),
             QuorumRole::Parity => match slot.parity {
@@ -424,14 +429,10 @@ impl DecodePipeline {
         if heard {
             // A share heard before: benign if it says the same thing again.
             let mut again = payload.to_vec();
-            decoder.cancel(packet, source, &mut again)?;
+            cancel(packet, node, known, &mut again);
             if again != slot.value[range] {
-                return Err(CodedError::MalformedPacket {
-                    what: format!(
-                        "conflicting duplicate {role:?} from {} for {}",
-                        packet.sender, slot.file
-                    ),
-                });
+                let what = format!("conflicting {role:?} from {}", packet.sender);
+                return Err(malformed(what));
             }
             return Ok(None);
         }
@@ -455,7 +456,7 @@ impl DecodePipeline {
             slot.have |= 1 << j;
         }
         slot.put(range.clone(), payload);
-        decoder.cancel(packet, source, &mut slot.value[range])?;
+        cancel(packet, node, known, &mut slot.value[range]);
 
         let roles = slot.have.count_ones() as usize + usize::from(slot.parity.is_some());
         if roles < parts {
@@ -764,6 +765,78 @@ mod tests {
         let mut pipe = DecodePipeline::new(k, r, 0).unwrap();
         let err = pipe.accept(&pkt, &stores[0]).unwrap_err();
         assert!(matches!(err, CodedError::PlanMismatch { .. }));
+    }
+
+    /// Sender `u`'s packet for group `m` under `mode`, through the wire
+    /// format as the engine sends it.
+    fn packet(
+        mode: DecodeMode,
+        (k, r): (usize, usize),
+        u: NodeId,
+        m: NodeSet,
+        store: &MapOutputStore,
+    ) -> CodedPacket {
+        let enc = Encoder::new(k, r, u).unwrap();
+        let quorum = mode == DecodeMode::Quorum;
+        let (frame, _) = enc
+            .encode_frame(m, store, quorum, Vec::with_capacity)
+            .unwrap();
+        CodedPacket::from_bytes(&frame).unwrap()
+    }
+
+    /// A group's known values are read at its first packet only: its later
+    /// packets, offered with an empty store, still decode, and the group
+    /// releases exactly its value.
+    #[test]
+    fn a_group_reads_the_store_at_its_first_packet_only() {
+        let (k, r, len_scale) = (5, 3, 6);
+        let stores = stores(k, r, len_scale);
+        let empty = MapOutputStore::new();
+        let groups = MulticastGroups::new(k, r).unwrap();
+        for mode in DecodeMode::ALL {
+            for node in 0..k {
+                let mut pipe = DecodePipeline::new(k, r, node).unwrap().with_decode(mode);
+                for (at, (_, m)) in groups.groups_of_node(node).enumerate() {
+                    let mut released = Vec::new();
+                    for (i, u) in m.iter().filter(|&u| u != node).enumerate() {
+                        let pkt = packet(mode, (k, r), u, m, &stores[u]);
+                        let store = if i == 0 { &stores[node] } else { &empty };
+                        released.extend(pipe.accept_at(at, &pkt, store).unwrap());
+                    }
+                    let file = m.without(node);
+                    let want = (file, value_for(node, file, len_scale));
+                    assert_eq!(released, [want], "{mode} node {node} group {m}");
+                }
+                assert_eq!(pipe.in_flight(), 0);
+            }
+        }
+    }
+
+    /// A classic packet declaring a known target's length other than the
+    /// receiver's copy is malformed — as a group's first packet and as a
+    /// later one.
+    #[test]
+    fn a_classic_packet_with_a_wrong_known_length_is_malformed() {
+        let (k, r) = (4, 3);
+        let stores = stores(k, r, 5);
+        let m = fs(&[0, 1, 2, 3]);
+        let honest = packet(DecodeMode::All, (k, r), 1, m, &stores[1]);
+        let mut bad = packet(DecodeMode::All, (k, r), 2, m, &stores[2]);
+        for entry in bad.seg_lens.iter_mut().filter(|(t, _)| *t == 3) {
+            entry.1 += 1;
+        }
+        let mut pipe = DecodePipeline::new(k, r, 0).unwrap();
+        let err = pipe.accept_at(0, &bad, &stores[0]);
+        assert!(
+            matches!(err, Err(CodedError::MalformedPacket { .. })),
+            "{err:?}"
+        );
+        assert_eq!(pipe.accept_at(0, &honest, &stores[0]).unwrap(), None);
+        let err = pipe.accept_at(0, &bad, &stores[0]);
+        assert!(
+            matches!(err, Err(CodedError::MalformedPacket { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ use bytes::Bytes;
 
 use crate::error::{CodedError, Result};
 use crate::groups::MulticastGroups;
-use crate::intermediate::IntermediateSource;
+use crate::intermediate::MapOutputStore;
 use crate::packet::{payload_len_of, wire_len_for, write_header, CodedPacket};
 use crate::segment::{mds_parts, segment_span, share};
 use crate::subset::{NodeId, NodeSet};
@@ -155,10 +155,10 @@ impl Encoder {
 
     /// Looks up what this node's packet for `m` folds (errors as
     /// [`encode_group`](Encoder::encode_group)'s).
-    fn operands<'s, S: IntermediateSource>(
+    fn operands<'s>(
         &self,
         m: NodeSet,
-        source: &'s S,
+        source: &'s MapOutputStore,
         quorum: bool,
     ) -> Result<Operands<'s>> {
         self.groups.id_of(m)?; // validates size and universe
@@ -175,11 +175,7 @@ impl Encoder {
             n: 0,
         };
         for t in m.iter().filter(|&t| t != self.node) {
-            let file = m.without(t);
-            let data = source
-                .intermediate(t, file)
-                .ok_or(CodedError::MissingIntermediate { target: t, file })?;
-            ops.data[ops.n] = (t, data);
+            ops.data[ops.n] = (t, &source.intermediate(t, m.without(t))?[..]);
             ops.n += 1;
         }
         Ok(ops)
@@ -198,10 +194,10 @@ impl Encoder {
     ///
     /// # Errors
     /// As [`encode_group`](Encoder::encode_group).
-    pub fn encode_frame<S: IntermediateSource>(
+    pub fn encode_frame(
         &self,
         m: NodeSet,
-        source: &S,
+        source: &MapOutputStore,
         quorum: bool,
         lease: impl FnOnce(usize) -> Vec<u8>,
     ) -> Result<(Vec<u8>, u64)> {
@@ -226,11 +222,7 @@ impl Encoder {
     /// * `InvalidParameters` if `node ∉ m` or `|m| != r+1`;
     /// * `MissingIntermediate` if a required `I^t_{M\{t}}` is absent from
     ///   `source` (keep-rule violation upstream).
-    pub fn encode_group<S: IntermediateSource>(
-        &self,
-        m: NodeSet,
-        source: &S,
-    ) -> Result<CodedPacket> {
+    pub fn encode_group(&self, m: NodeSet, source: &MapOutputStore) -> Result<CodedPacket> {
         let mut scratch = EncodeScratch::new();
         self.encode_into(m, source, false, &mut scratch)?;
         Ok(CodedPacket {
@@ -256,10 +248,10 @@ impl Encoder {
     ///
     /// # Errors
     /// As [`encode_group`](Encoder::encode_group).
-    pub fn encode_group_mds_into<S: IntermediateSource>(
+    pub fn encode_group_mds_into(
         &self,
         m: NodeSet,
-        source: &S,
+        source: &MapOutputStore,
         scratch: &mut EncodeScratch,
     ) -> Result<()> {
         self.encode_into(m, source, true, scratch)
@@ -271,19 +263,19 @@ impl Encoder {
     ///
     /// # Errors
     /// As [`encode_group`](Encoder::encode_group).
-    pub fn encode_group_into<S: IntermediateSource>(
+    pub fn encode_group_into(
         &self,
         m: NodeSet,
-        source: &S,
+        source: &MapOutputStore,
         scratch: &mut EncodeScratch,
     ) -> Result<()> {
         self.encode_into(m, source, false, scratch)
     }
 
-    fn encode_into<S: IntermediateSource>(
+    fn encode_into(
         &self,
         m: NodeSet,
-        source: &S,
+        source: &MapOutputStore,
         quorum: bool,
         scratch: &mut EncodeScratch,
     ) -> Result<()> {
@@ -298,7 +290,7 @@ impl Encoder {
     /// Encodes the packets for *all* groups containing this node, in
     /// ascending group order — the node's complete send list for the
     /// Multicast Shuffling stage (`C(K-1, r)` packets, paper §IV-C).
-    pub fn encode_all<S: IntermediateSource>(&self, source: &S) -> Result<Vec<CodedPacket>> {
+    pub fn encode_all(&self, source: &MapOutputStore) -> Result<Vec<CodedPacket>> {
         let mut out = Vec::with_capacity(self.groups.groups_per_node() as usize);
         for (_, m) in self.groups.groups_of_node(self.node) {
             out.push(self.encode_group(m, source)?);

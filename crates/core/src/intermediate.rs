@@ -3,39 +3,27 @@
 //! The Map stage hashes each local file `F` into `K` intermediate values
 //! `{I^1_F, …, I^K_F}` — serialized byte buffers of the KV pairs destined to
 //! each reduce partition. [`MapOutputStore`] holds the values a node *keeps*
-//! under the paper's §IV-B rule and serves them to the encoder/decoder via
-//! the [`IntermediateSource`] trait.
+//! under the paper's §IV-B rule; the encoder reads a packet's operands from
+//! it, the decoder a group's once, at the group's first packet.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 
+use crate::error::{CodedError, Result};
 use crate::subset::{NodeId, NodeSet};
-
-/// Read access to locally known intermediate values `I^t_F`.
-///
-/// The encoder needs `I^t_{M\{t}}` for every other member `t` of each of its
-/// multicast groups; the decoder needs the same values to cancel known
-/// segments out of received packets. Both only ever request values the keep
-/// rule guarantees to be present — a `None` therefore indicates a protocol
-/// violation, not an expected condition.
-pub trait IntermediateSource {
-    /// Returns `I^t_F` (serialized KV pairs of file `F` for reduce target
-    /// `t`) if locally known.
-    fn intermediate(&self, target: NodeId, file: NodeSet) -> Option<&[u8]>;
-}
 
 /// In-memory store of kept intermediate values, keyed by `(target, file)`.
 ///
 /// ```
-/// use cts_core::intermediate::{IntermediateSource, MapOutputStore};
+/// use cts_core::intermediate::MapOutputStore;
 /// use cts_core::subset::NodeSet;
 ///
 /// let mut store = MapOutputStore::new();
 /// let file = NodeSet::from_iter([0usize, 1]);
 /// store.insert(2, file, vec![1, 2, 3].into());
-/// assert_eq!(store.intermediate(2, file), Some(&[1u8, 2, 3][..]));
-/// assert_eq!(store.intermediate(3, file), None);
+/// assert_eq!(&store.intermediate(2, file).unwrap()[..], &[1u8, 2, 3]);
+/// assert!(store.intermediate(3, file).is_err());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct MapOutputStore {
@@ -59,22 +47,21 @@ impl MapOutputStore {
         old
     }
 
+    /// Returns `I^target_file` (serialized KV pairs of `file` for reduce
+    /// target `target`).
+    ///
+    /// # Errors
+    /// `MissingIntermediate` if it is not kept here. The coder asks only for
+    /// values the keep rule guarantees, so this is a violation upstream.
+    pub fn intermediate(&self, target: NodeId, file: NodeSet) -> Result<&Bytes> {
+        (self.values.get(&(target, file.bits())))
+            .ok_or(CodedError::MissingIntermediate { target, file })
+    }
+
     /// Sum of stored payload lengths — the memory-overhead quantity the
     /// paper's §V-C Reduce discussion refers to.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-}
-
-impl IntermediateSource for MapOutputStore {
-    fn intermediate(&self, target: NodeId, file: NodeSet) -> Option<&[u8]> {
-        self.values.get(&(target, file.bits())).map(|b| b.as_ref())
-    }
-}
-
-impl<S: IntermediateSource + ?Sized> IntermediateSource for &S {
-    fn intermediate(&self, target: NodeId, file: NodeSet) -> Option<&[u8]> {
-        (**self).intermediate(target, file)
     }
 }
 
@@ -86,6 +73,10 @@ mod tests {
         nodes.iter().copied().collect()
     }
 
+    fn get(store: &MapOutputStore, target: NodeId, file: NodeSet) -> Option<&[u8]> {
+        store.intermediate(target, file).ok().map(|b| &b[..])
+    }
+
     #[test]
     fn insert_and_get() {
         let mut store = MapOutputStore::new();
@@ -93,8 +84,8 @@ mod tests {
         store.insert(0, fs(&[0, 1]), Bytes::from_static(b"abc"));
         store.insert(2, fs(&[0, 1]), Bytes::from_static(b"defg"));
         assert_eq!(store.total_bytes(), 7);
-        assert_eq!(store.intermediate(0, fs(&[0, 1])), Some(&b"abc"[..]));
-        assert_eq!(store.intermediate(1, fs(&[0, 1])), None);
+        assert_eq!(get(&store, 0, fs(&[0, 1])), Some(&b"abc"[..]));
+        assert_eq!(get(&store, 1, fs(&[0, 1])), None);
     }
 
     #[test]
@@ -112,15 +103,15 @@ mod tests {
         let f = fs(&[2, 3]);
         store.insert(0, f, Bytes::from_static(b"a"));
         store.insert(1, f, Bytes::from_static(b"b"));
-        assert_eq!(store.intermediate(0, f), Some(&b"a"[..]));
-        assert_eq!(store.intermediate(1, f), Some(&b"b"[..]));
+        assert_eq!(get(&store, 0, f), Some(&b"a"[..]));
+        assert_eq!(get(&store, 1, f), Some(&b"b"[..]));
     }
 
     #[test]
     fn empty_payloads_are_representable() {
         let mut store = MapOutputStore::new();
         store.insert(0, fs(&[0, 1]), Bytes::new());
-        assert_eq!(store.intermediate(0, fs(&[0, 1])), Some(&[][..]));
+        assert_eq!(get(&store, 0, fs(&[0, 1])), Some(&[][..]));
         assert_eq!(store.total_bytes(), 0);
     }
 }

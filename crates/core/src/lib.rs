@@ -18,10 +18,11 @@
 //! | §II loads and execution-time theory, eqs. (2)–(5) | [`theory`] |
 //! | combinatorial number system underpinning ids | [`combinatorics`] |
 //!
-//! The crate is transport-agnostic: encoders consume an
-//! [`intermediate::IntermediateSource`] and produce [`packet::CodedPacket`]s;
-//! how packets move between nodes is the business of `cts-net`, and how long
-//! that takes on a 100 Mbps EC2 cluster is modeled by `cts-netsim`.
+//! The crate is transport-agnostic: encoders read a node's
+//! [`intermediate::MapOutputStore`] and produce [`packet::CodedPacket`]s,
+//! which decoders cancel against the same store; how packets move between
+//! nodes is the business of `cts-net`, and how long that takes on a 100 Mbps
+//! EC2 cluster is modeled by `cts-netsim`.
 //!
 //! ## Quick example
 //!
@@ -102,7 +103,7 @@ pub use decode::{DecodeMode, DecodePipeline, DecodedSegment, Decoder};
 pub use encode::{EncodeScratch, Encoder};
 pub use error::{CodedError, Result};
 pub use groups::{GroupId, MulticastGroups};
-pub use intermediate::{IntermediateSource, MapOutputStore};
+pub use intermediate::MapOutputStore;
 pub use metrics::{Counter, Gauge, Histogram, MetricsHub};
 pub use packet::CodedPacket;
 pub use placement::{FileId, PlacementPlan};

@@ -263,7 +263,7 @@ pub fn wire_len_for(nseg: usize, payload_len: usize) -> usize {
     2 + 1 + 2 + 8 + 2 + nseg * 6 + 4 + payload_len
 }
 
-fn malformed(what: impl Into<String>) -> CodedError {
+pub(crate) fn malformed(what: impl Into<String>) -> CodedError {
     CodedError::MalformedPacket { what: what.into() }
 }
 

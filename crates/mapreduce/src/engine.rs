@@ -390,8 +390,9 @@ impl Encode {
 }
 
 /// Algorithm 2 with its working state: parses each received packet
-/// (zero-copy, reusing one shell), cancels it against the local Map
-/// outputs and hands back the intermediate a packet completes.
+/// (zero-copy, reusing one shell), cancels it against the group's known
+/// values — read from the rank's Map outputs at the group's first packet —
+/// and hands back the intermediate a packet completes.
 struct Decode<'a> {
     comm: &'a Communicator,
     pipeline: DecodePipeline,

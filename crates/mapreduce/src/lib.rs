@@ -9,11 +9,11 @@
 //!
 //! 1. **Placement** (untimed, the coordinator's job): the input splits
 //!    into `C(K, r)` files, file `F_S` staged on every node of `S`.
-//! 2. **CodeGen** (when there are groups): every node enumerates the
-//!    `C(K, r+1)` multicast groups (the paper's `MPI_Comm_split`, a
-//!    collective; our group communicators are member lists a node computes
-//!    by itself, so the real cost is enumeration — the EC2 cost is
-//!    modeled).
+//! 2. **CodeGen** (when there are groups): where the paper's
+//!    `MPI_Comm_split` loops over all `C(K, r+1)` multicast groups, a node
+//!    lists only its own `C(g − 1, r)` of its pod of `g` (`g = K` without
+//!    pods), once and in group id order: a group communicator is a member
+//!    list a node computes by itself (the EC2 cost is modeled).
 //! 3. **Map**: each node hashes each of its files into `K` intermediates
 //!    and keeps them per the §IV-B rule — file by file, in the order that
 //!    completes a group soonest.

@@ -47,6 +47,7 @@
 //! The library sorts plan their buckets as a reducer does, so an input that
 //! fits `IN_CACHE_BYTES` is sorted from where it lies too.
 
+use std::cell::Cell;
 use std::ops::Range;
 
 use bytes::Bytes;
@@ -187,6 +188,12 @@ fn plan(pieces: usize, records: usize) -> usize {
     (records / BUCKET_RECORDS).min(runs).clamp(1, MAX_BUCKETS)
 }
 
+thread_local! {
+    /// The thread's sort scratch between reducers: taken when one is built,
+    /// given back by its `finish` (a failed job's reducer drops it).
+    static SCRATCH: Cell<SortScratch> = Cell::default();
+}
+
 /// One partition on its way to being sorted: every piece absorbed so far —
 /// as it landed if the partition is one bucket, else range-scattered into
 /// the same key sub-ranges — and the kernel's scratch.
@@ -203,6 +210,7 @@ pub(crate) struct SortReducer {
     ids: Vec<u16>,
     order: Vec<u32>,
     /// Sized to the largest bucket: the partition only if it is one bucket.
+    /// The thread's `SCRATCH` while the reducer lives.
     scratch: SortScratch,
 }
 
@@ -254,7 +262,7 @@ impl SortReducer {
             pieces: Vec::with_capacity(pieces),
             ids: Vec::new(),
             order: Vec::new(),
-            scratch: SortScratch::new(),
+            scratch: SCRATCH.take(),
         }
     }
 
@@ -338,7 +346,9 @@ impl Reducer for SortReducer {
     }
 
     fn finish(mut self: Box<Self>) -> Vec<u8> {
-        self.sorted()
+        let out = self.sorted();
+        SCRATCH.set(std::mem::take(&mut self.scratch));
+        out
     }
 }
 
@@ -375,7 +385,7 @@ fn sort_runs_into(
     let prefix = |key: u128| ((key.saturating_sub(first) >> cut).min(top) as u64) << index_bits;
     let mut entries = scratch.entries.take();
     entries.clear();
-    entries.reserve(n);
+    entries.reserve_exact(n); // a scratch a little short grows by that little
     for (p, run) in runs.iter().enumerate() {
         let base = (p as u64) << rec_bits;
         for (i, rec) in records(run).enumerate() {

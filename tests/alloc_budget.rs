@@ -88,9 +88,9 @@ fn a_sort_job_allocates_a_bounded_multiple_of_its_input() {
     // the output and the partition's sort entries (0.08), and Map, which
     // leases a partition before it has counted it, asks for a 32nd over its
     // share and swaps the third of this job's 178-record shares that outgrow
-    // that for buffers an eighth larger. Warm it measures 1.09–1.11 at r = 1
-    // (the output and the entries, which each job's reducer allocates
-    // afresh; 1.03–1.08 when the scatter cut them to a bucket's) and
+    // that for buffers an eighth larger. Warm it measures 1.01–1.04 at r = 1
+    // (the output: a reducer sorts in its thread's scratch, sized by the job
+    // before; 1.09–1.11 when each reducer allocated its own entries) and
     // 1.18–1.28 at r = 3 (1.12–1.52 with the scatter, whose leases raced
     // Map's for one size class). Before the record path was made copy-free
     // this job measured 4.89 and 10.61, before it kept its pages 2.21 and
@@ -99,11 +99,11 @@ fn a_sort_job_allocates_a_bounded_multiple_of_its_input() {
     // 400 000 records: 5 MB partitions, scattered. The scattered copy is
     // leased at its piece's size and the piece goes back at once, so one
     // extra buffer per rank is in flight and the entries are a bucket's:
-    // cold 2.08–2.13 and 3.93–4.08, warm 1.02–1.08 and 1.03–1.16 (30 runs
+    // cold 2.08–2.14 and 3.95–4.08, warm 1.02–1.03 and 1.03–1.11 (30 runs
     // each). A scatter that kept its pieces, or copied a partition once more,
     // would add a whole multiple of the input.
     for (records, legs) in [
-        (80_000, [(1usize, 2.4f64, 1.15f64), (3, 4.6, 1.5)]),
+        (80_000, [(1usize, 2.4f64, 1.08f64), (3, 4.6, 1.5)]),
         (400_000, [(1, 2.3, 1.15), (3, 4.4, 1.5)]),
     ] {
         let input = teragen::generate(records, 2017);
