@@ -102,7 +102,10 @@ fn serve(mut job: Job) {
 /// when all have finished. The calling thread runs the first task itself —
 /// it would otherwise only wait — and every other task gets a parked
 /// thread of its own, so tasks may borrow from the caller's stack and may
-/// wait on each other: none is queued behind another.
+/// wait on each other: none is queued behind another. (Tasks that need not
+/// wait on each other, like the halves of a small job's ranks, are cheaper
+/// run one after another on the caller, which wakes no thread:
+/// `cts_net::cluster::Schedule::InTurn`.)
 ///
 /// A task's panic comes back as its `Err`, after every other task has
 /// finished; the thread that ran it is parked again by then.

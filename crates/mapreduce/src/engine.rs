@@ -13,7 +13,13 @@
 //! max(NIC, CPU) rather than their sum. A job's ranks meet only through their
 //! data: a rank posts under tags it computes by itself and a mailbox queues a
 //! message whether or not its receiver has started, so no stage ends in a
-//! barrier — a partition needs nothing from a peer but its pieces. What
+//! barrier — a partition needs nothing from a peer but its pieces. So a
+//! rank's pass splits at its receive into a send half that never waits on a
+//! peer and a receive half that waits only for messages, and a small
+//! unshaped job ([`IN_TURN_BYTES`]) runs its ranks in turn on the calling
+//! thread — every rank's send half, then every rank's receive half, so every
+//! send precedes every receive — where a larger or shaped one gives each rank
+//! a thread and runs them all at once. What
 //! differs between conventional TeraSort (§III), CodedTeraSort (§IV) and the
 //! pod-partitioned scheme (§VI) is only the [`Layout`]: which files a node
 //! maps, which multicast groups it codes in, and which intermediates carry
@@ -36,7 +42,7 @@ use cts_core::placement::{FileId, PlacementPlan};
 use cts_core::pool;
 use cts_core::segment::segment_for_node;
 use cts_core::subset::NodeSet;
-use cts_net::cluster::{JobBinding, SharedFabric};
+use cts_net::cluster::{JobBinding, Schedule, SharedFabric};
 use cts_net::fault::CrashPoint;
 use cts_net::message::Tag;
 use cts_net::span::SpanLog;
@@ -66,6 +72,9 @@ pub struct JobOutcome {
     /// The token-bucket stalls of the job's emulated NICs; `None` for a job
     /// that ran unshaped.
     pub nic: Option<Arc<NicMeter>>,
+    /// Where the ranks ran: a thread each, or in turn on the caller's — then
+    /// `wall`'s stage walls are one rank's own uninterrupted time.
+    pub schedule: Schedule,
 }
 
 /// Where one intermediate `I^t_S` goes after its holder mapped file `F_S`.
@@ -260,9 +269,76 @@ pub fn run<W: Workload>(workload: &W, input: Bytes, cfg: &EngineConfig) -> Resul
     run_on(&fabric, JobBinding::ROOT, workload, input, cfg)
 }
 
+/// The most work per rank at which a job's ranks run in turn on the calling
+/// thread ([`Schedule::InTurn`]) rather than on a thread each, if no NIC
+/// shapes the job (a shaped job's ranks must overlap their CPU with their
+/// NICs). A rank's work is its Map input, `r × input ÷ K` bytes, plus
+/// [`MESSAGE_BYTES`] for each message it receives. Below the limit a job
+/// costs less than the hand-offs between its threads; above it, one thread
+/// doing every rank's work costs more than the core it leaves idle.
+///
+/// The limit is the largest size at which a lone in-turn job is no slower
+/// than a threaded one, measured like the sort's `IN_CACHE_BYTES`: one
+/// submitter through `JobRuntime`, 300 jobs a run after 50 of warm-up, five
+/// alternated pairs of runs per row on the 2-core x86 host; medians of the
+/// runs' per-job wall p50, process CPU and voluntary switches (threaded →
+/// in turn; † runs in turn under the limit; the 12.5 KB row is two pairs):
+///
+/// | K | r | messages | Map work per rank | wall µs | CPU µs | switches |
+/// |---|---|---|---|---|---|---|
+/// | 4 | 1 | 3 | 25 KB † | 106 → 76 | 167 → 67 | 10.8 → 3 |
+/// | 4 | 1 | 3 | 50 KB † | 140 → 109 | 233 → 133 | 11.0 → 3 |
+/// | 4 | 1 | 3 | 65 KB | 170 → 152 | 233 → 167 | 12.4 → 3 |
+/// | 4 | 1 | 3 | 75 KB | 158 → 160 | 233 → 133 | 11.4 → 3 |
+/// | 4 | 1 | 3 | 100 KB | 154 → 172 | 267 → 200 | 10.8 → 3 |
+/// | 4 | 2 | 6 | 25 KB † | 152 → 111 | 233 → 133 | 12.1 → 3 |
+/// | 4 | 2 | 6 | 50 KB | 180 → 183 | 267 → 167 | 13.0 → 3 |
+/// | 4 | 2 | 6 | 65 KB | 201 → 229 | 367 → 233 | 9.8 → 3 |
+/// | 4 | 2 | 6 | 100 KB | 241 → 274 | 400 → 267 | 10.2 → 3 |
+/// | 8 | 1 | 7 | 25 KB † | 261 → 252 | 467 → 267 | 25.3 → 3 |
+/// | 8 | 1 | 7 | 50 KB | 303 → 442 | 533 → 433 | 20.7 → 3 |
+/// | 8 | 1 | 7 | 100 KB | 441 → 999 | 733 → 1000 | 22.5 → 3 |
+/// | 8 | 2 | 42 | 12.5 KB | 925 → 950 | 1683 → 950 | 27 → 3 |
+/// | 8 | 2 | 42 | 25 KB | 929 → 1130 | 1767 → 1067 | 25.9 → 3 |
+/// | 8 | 2 | 42 | 100 KB | 1267 → 1861 | 2333 → 1833 | 25.6 → 3 |
+///
+/// In turn a job always takes less CPU, and alone it is faster while its
+/// work is small. Map work per rank alone does not say when: at K = 8,
+/// r = 2 a rank receives 42 packets and the threaded job wins at every size,
+/// because the job's CPU is its messages' — hence their weight.
+pub const IN_TURN_BYTES: usize = 64 << 10;
+
+/// What a message a rank receives weighs against [`IN_TURN_BYTES`]: the
+/// Map work that costs a rank as much CPU. A K = 8, r = 2 job spends
+/// ≈ 2.7 µs of a rank's CPU per message it receives (its post, delivery,
+/// wait and decode) where Map and Reduce spend ≈ 0.65 ns per byte of
+/// Map input.
+pub const MESSAGE_BYTES: usize = 4 << 10;
+
+/// Where `layout`'s ranks run for an input of `input` bytes: in turn if the
+/// job is small enough ([`IN_TURN_BYTES`]) and no NIC shapes it, else on a
+/// thread each.
+fn schedule_for(layout: &Layout, input: usize, shaped: bool) -> Schedule {
+    let (k, g, r) = (layout.k, layout.g, layout.r);
+    // Each of a rank's groups sends it r packets; it is in (r + 1) / g of
+    // its pod's groups.
+    let groups = layout
+        .groups()
+        .map_or(0, |groups| groups.num_groups() as usize * (r + 1) / g);
+    let messages = layout.unicasts_to(0).len() + r * groups;
+    let work = (r.saturating_mul(input) / k).saturating_add(messages.saturating_mul(MESSAGE_BYTES));
+    if work <= IN_TURN_BYTES && !shaped {
+        Schedule::InTurn
+    } else {
+        Schedule::Threaded
+    }
+}
+
 /// Runs [`run`]'s job on an existing [`SharedFabric`], isolated under
 /// `binding` (its messages, the emulated NIC of `cfg.cluster.nic` and the
-/// returned trace are the job's own).
+/// returned trace are the job's own). Its ranks run in turn on the calling
+/// thread when the job is small and unshaped ([`IN_TURN_BYTES`]), else on a
+/// thread each; the outputs are the same bytes either way.
 ///
 /// # Errors
 /// As [`run`]; also `BadConfig` if `cfg.k` is not the fabric's world size.
@@ -272,6 +348,20 @@ pub fn run_on<W: Workload>(
     workload: &W,
     input: Bytes,
     cfg: &EngineConfig,
+) -> Result<JobOutcome> {
+    let shaped = cfg.cluster.nic.or(fabric.nic()).is_some();
+    let schedule = schedule_for(&Layout::of(cfg)?, input.len(), shaped);
+    run_scheduled(fabric, binding, workload, input, cfg, schedule)
+}
+
+/// [`run_on`] on the schedule it is given.
+fn run_scheduled<W: Workload>(
+    fabric: &SharedFabric,
+    binding: JobBinding,
+    workload: &W,
+    input: Bytes,
+    cfg: &EngineConfig,
+    schedule: Schedule,
 ) -> Result<JobOutcome> {
     let layout = Layout::of(cfg)?;
     let k = layout.k;
@@ -288,14 +378,18 @@ pub fn run_on<W: Workload>(
     // that came first, not the `Disconnected`s the teardown hands everybody
     // else.
     let first_failure: Mutex<Option<EngineError>> = Mutex::new(None);
-    let run = fabric.run_job(binding, cfg.cluster.nic, inputs, |comm, my_files| {
-        let outcome = node_main(workload, comm, my_files, cfg, layout);
-        if let Err(e) = &outcome {
-            first_failure.lock().get_or_insert_with(|| e.clone());
-            comm.abort();
-        }
-        outcome
-    });
+    let failed = |comm: &Communicator, e: &EngineError| {
+        first_failure.lock().get_or_insert_with(|| e.clone());
+        comm.abort();
+    };
+    let send = |comm: &Communicator, my_files| {
+        send_half(workload, comm, my_files, cfg, layout).inspect_err(|e| failed(comm, e))
+    };
+    let receive = |comm: &Communicator, sent: Result<Sent<'_>>| {
+        receive_half(comm, cfg, layout, sent?).inspect_err(|e| failed(comm, e))
+    };
+    let nic = cfg.cluster.nic;
+    let run = fabric.run_split(binding, nic, schedule, inputs, send, receive);
     // One more job the pool's idle buffers have sat out, finished or failed.
     pool::global().tick();
     let run = run?;
@@ -318,6 +412,7 @@ pub fn run_on<W: Workload>(
         wall: WallTimes::from_spans(&run.spans),
         spans: run.spans,
         nic: run.nic,
+        schedule: run.schedule,
     })
 }
 
@@ -325,6 +420,16 @@ pub fn run_on<W: Workload>(
 struct Finished {
     output: Vec<u8>,
     stats: NodeStats,
+}
+
+/// What a rank's send half hands its receive half: its counts, its groups,
+/// what it mapped for them, and its partition's reducer with the rank's own
+/// pieces in it.
+struct Sent<'w> {
+    stats: NodeStats,
+    groups: Vec<(Tag, NodeSet)>,
+    store: MapOutputStore,
+    reducer: Box<dyn Reducer + 'w>,
 }
 
 /// The per-rank state every stage touches.
@@ -362,6 +467,16 @@ impl Rank<'_> {
             }
             _ => Ok(()),
         }
+    }
+
+    /// Gives the partition's reducer the piece mapped from `file` (global
+    /// ranks) — a slice of Reduce inside the Shuffle, the stage a rank with
+    /// a whole piece in hand is in.
+    fn absorb(&mut self, reducer: &mut dyn Reducer, file: NodeSet, piece: Bytes) {
+        self.comm.set_stage(stages::REDUCE);
+        self.stats.reduce_input_bytes += piece.len() as u64;
+        reducer.absorb(file.bits(), piece);
+        self.comm.set_stage(stages::SHUFFLE);
     }
 }
 
@@ -428,26 +543,6 @@ impl Decode<'_> {
     }
 }
 
-/// The rank's own partition on its way through Reduce: handed each piece the
-/// moment the rank holds it whole — kept from its own Map, received plain, or
-/// decoded — so only what needs the last piece is left for when it lands.
-struct Reduce<'a> {
-    comm: &'a Communicator,
-    reducer: Box<dyn Reducer + 'a>,
-}
-
-impl Reduce<'_> {
-    /// Gives the reducer the piece mapped from `file` (global ranks) — a slice
-    /// of Reduce inside the Shuffle, the stage a rank with a whole piece in
-    /// hand is in.
-    fn absorb(&mut self, file: NodeSet, piece: Bytes, stats: &mut NodeStats) {
-        self.comm.set_stage(stages::REDUCE);
-        stats.reduce_input_bytes += piece.len() as u64;
-        self.reducer.absorb(file.bits(), piece);
-        self.comm.set_stage(stages::SHUFFLE);
-    }
-}
-
 /// Decode work: XOR `r-1` known segments against the payload plus the
 /// final merge — `r × payload` touched bytes, which at scale is the sum of
 /// the packet's true segment lengths (of a quorum packet, of its whole
@@ -460,13 +555,16 @@ fn decode_work(packet: &CodedPacket) -> u64 {
     packet.seg_lens.iter().map(share).sum::<usize>() as u64
 }
 
-fn node_main<W: Workload>(
-    workload: &W,
+/// A rank's send half: CodeGen, Map, Encode, every post, and the rank's own
+/// pieces into its reducer. It never waits on a peer, so a job's send
+/// halves may run one after another on one thread.
+fn send_half<'w, W: Workload>(
+    workload: &'w W,
     comm: &Communicator,
     my_files: Vec<(FileId, Bytes)>,
     cfg: &EngineConfig,
     layout: Layout,
-) -> Result<Finished> {
+) -> Result<Sent<'w>> {
     let (k, g, r) = (layout.k, layout.g, layout.r);
     let me = comm.rank();
     let base = layout.base_of(me);
@@ -499,10 +597,7 @@ fn node_main<W: Workload>(
         // A rank maps r/K of the input.
         expected_bytes: my_files.iter().map(|(_, file)| file.len()).sum::<usize>() / r,
     };
-    let mut reduce = Reduce {
-        comm,
-        reducer: workload.reducer(me, shape),
-    };
+    let mut reducer = workload.reducer(me, shape);
     // This rank's own share of the files mapped since its last post, by
     // global file: absorbed behind the posts, never ahead of them.
     let mut own: Vec<(NodeSet, Bytes)> = Vec::new();
@@ -574,7 +669,7 @@ fn node_main<W: Workload>(
         }
         // The NIC has its next packets: now the rank's own pieces.
         for (file, piece) in own.drain(..) {
-            reduce.absorb(file, piece, &mut rank.stats);
+            rank.absorb(reducer.as_mut(), file, piece);
         }
     }
     comm.set_stage(stages::PACK_ENCODE);
@@ -592,7 +687,7 @@ fn node_main<W: Workload>(
     rank.crashed_at(CrashPoint::MidEncode)?;
     rank.crashed_after_sends(sent as u64, true)?;
 
-    // ---- Shuffle: the rest of the sends, then receive ----------------------
+    // ---- Shuffle: the rest of the sends ------------------------------------
     comm.set_stage(stages::SHUFFLE);
     // Whatever travels uncoded (paper §V-A: one flow per intermediate).
     for (target, fid, piece) in outbox {
@@ -600,11 +695,43 @@ fn node_main<W: Workload>(
         comm.post(target, Tag::app(fid.0 as u32), piece)?;
     }
     for (file, piece) in own.drain(..) {
-        reduce.absorb(file, piece, &mut rank.stats);
+        rank.absorb(reducer.as_mut(), file, piece);
     }
+    Ok(Sent {
+        stats: rank.stats,
+        groups: my_groups,
+        store,
+        reducer,
+    })
+}
+
+/// A rank's receive half: the receive, the recovered-count check, the
+/// reducer's last pass and the drain.
+fn receive_half(
+    comm: &Communicator,
+    cfg: &EngineConfig,
+    layout: Layout,
+    sent: Sent<'_>,
+) -> Result<Finished> {
+    let Sent {
+        stats,
+        groups,
+        store,
+        mut reducer,
+    } = sent;
+    let me = comm.rank();
+    let mut rank = Rank {
+        comm,
+        cfg,
+        layout,
+        me,
+        stats,
+    };
+    // ---- Shuffle: receive --------------------------------------------------
+    comm.set_stage(stages::SHUFFLE);
     let mut decode = Decode {
         comm,
-        pipeline: DecodePipeline::new(g, r, local)
+        pipeline: DecodePipeline::new(layout.g, layout.r, me - layout.base_of(me))
             .expect("validated by driver")
             .with_decode(cfg.decode),
         shell: CodedPacket::empty(),
@@ -618,16 +745,16 @@ fn node_main<W: Workload>(
         .map(|(sender, fid, file)| ((Tag::app(fid.0 as u32), sender), file))
         .collect();
     plain.sort_unstable_by_key(|&(key, _)| key);
-    shuffle_receive(&mut rank, &my_groups, &plain, &mut decode, &mut reduce)?;
+    shuffle_receive(&mut rank, &groups, &plain, &mut decode, reducer.as_mut())?;
 
     // ---- Unpack / Decode: what is left of it -------------------------------
     comm.set_stage(stages::UNPACK_DECODE);
-    if decode.recovered != my_groups.len() {
+    if decode.recovered != groups.len() {
         return Err(EngineError::Protocol {
             what: format!(
                 "node {me}: recovered {}/{} intermediates",
                 decode.recovered,
-                my_groups.len(),
+                groups.len(),
             ),
         });
     }
@@ -637,7 +764,7 @@ fn node_main<W: Workload>(
     // The partition is whole: nothing it needs is behind the close below, so
     // the rank reduces while its NIC drains and its peers receive.
     comm.set_stage(stages::REDUCE);
-    let output = reduce.reducer.finish();
+    let output = reducer.finish();
 
     // ---- Shuffle: the close ---------------------------------------------------
     // The stage ends when this rank's NIC has drained and its last expected
@@ -674,7 +801,7 @@ fn shuffle_receive(
     groups: &[(Tag, NodeSet)],
     plain: &[(Key, NodeSet)],
     decode: &mut Decode<'_>,
-    reduce: &mut Reduce<'_>,
+    reducer: &mut dyn Reducer,
 ) -> Result<()> {
     let (comm, me, r) = (rank.comm, rank.me, rank.layout.r);
     // Every key a message is expected under, listed in ascending order:
@@ -717,7 +844,7 @@ fn shuffle_receive(
         if let Some(&(_, file)) = plain.get(hit) {
             rank.stats.recv_bytes += message.len() as u64;
             rank.stats.unpack_bytes += message.len() as u64;
-            reduce.absorb(file, message, &mut rank.stats);
+            rank.absorb(reducer, file, message);
             open -= 1;
             continue;
         }
@@ -727,7 +854,7 @@ fn shuffle_receive(
         }
         if let Some((file, piece)) = decode.packet(g, &message, &mut rank.stats)? {
             let file = rank.layout.globalize(file, me);
-            reduce.absorb(file, pool::global().freeze(piece), &mut rank.stats);
+            rank.absorb(reducer, file, pool::global().freeze(piece));
             done[g] = true;
             open -= 1;
         }
@@ -740,8 +867,9 @@ mod tests {
     use super::*;
     use crate::testutil::{sample_input, ByteSort};
     use crate::verify::run_sequential;
-    use cts_net::fault::CrashSpec;
+    use cts_net::fault::{CrashSpec, FaultAction, FaultRule};
     use cts_net::trace::EventKind;
+    use std::time::Duration;
 
     // ---- r = 1: conventional TeraSort (paper §III) ---------------------------
 
@@ -982,6 +1110,137 @@ mod tests {
             .iter()
             .filter(|e| e.kind == EventKind::Multicast)
             .all(|e| e.fanout() == 2));
+    }
+
+    // ---- the two schedules ------------------------------------------------------
+
+    /// `cfg`'s job run threaded, then in turn, each on a fabric of its own.
+    fn both_ways(cfg: &EngineConfig, input: &Bytes) -> [Result<JobOutcome>; 2] {
+        [Schedule::Threaded, Schedule::InTurn].map(|schedule| {
+            let fabric = SharedFabric::build(&cfg.cluster).unwrap();
+            let input = input.clone();
+            run_scheduled(&fabric, JobBinding::ROOT, &ByteSort, input, cfg, schedule)
+        })
+    }
+
+    #[test]
+    fn both_schedules_give_the_same_bytes_and_traffic() {
+        let input = sample_input(2_000);
+        let shapes = [
+            ("r = 1", EngineConfig::local(4, 1)),
+            ("r = 2, all", EngineConfig::local(4, 2)),
+            (
+                "r = 2, quorum",
+                EngineConfig::local(4, 2).with_decode(DecodeMode::Quorum),
+            ),
+            ("pods", EngineConfig::local(8, 3).with_pods(4)),
+            ("K = 1", EngineConfig::local(1, 1)),
+            ("tcp", EngineConfig::tcp(4, 2)),
+        ];
+        for (shape, cfg) in shapes {
+            let [threaded, in_turn] = both_ways(&cfg, &input).map(Result::unwrap);
+            assert_eq!(threaded.schedule, Schedule::Threaded);
+            assert_eq!(in_turn.schedule, Schedule::InTurn);
+            assert_eq!(threaded.outputs, in_turn.outputs, "{shape}");
+            assert_eq!(threaded.outputs, run_sequential(&ByteSort, &input, cfg.k));
+            let bytes = |o: &JobOutcome| o.stats.shuffle_bytes();
+            assert_eq!(bytes(&threaded), bytes(&in_turn), "{shape}");
+            let sends = |o: &JobOutcome| o.trace.stage_wire_sends(stages::SHUFFLE);
+            assert_eq!(sends(&threaded), sends(&in_turn), "{shape}");
+        }
+    }
+
+    #[test]
+    fn both_schedules_fail_with_the_same_typed_error() {
+        let input = sample_input(2_000);
+        let cfg = EngineConfig::local(4, 2).with_idle_timeout(Duration::from_millis(300));
+        for point in [
+            CrashPoint::MidMap,
+            CrashPoint::MidEncode,
+            CrashPoint::AfterSends(0),
+            CrashPoint::AfterSends(2),
+            CrashPoint::PreReduce,
+        ] {
+            let cfg = cfg.clone().with_crash(CrashSpec { rank: 2, point });
+            let [threaded, in_turn] = both_ways(&cfg, &input).map(Result::unwrap_err);
+            assert_eq!(threaded, EngineError::RankDied { rank: 2, point });
+            assert_eq!(in_turn, threaded, "{point}");
+        }
+        // Rank 1's first coded packet to its first receiver is lost: that
+        // receiver's group never completes, and it stalls into the error.
+        let lose_first: Arc<FaultRule> = Arc::new(|_, tag: Tag, _: &Bytes, idx| {
+            if tag.purpose() == Tag::BCAST && idx == 0 {
+                FaultAction::Drop
+            } else {
+                FaultAction::Deliver
+            }
+        });
+        let mut cfg = cfg;
+        cfg.cluster = cfg.cluster.with_fault(1, lose_first);
+        let [threaded, in_turn] = both_ways(&cfg, &input).map(Result::unwrap_err);
+        assert!(
+            matches!(&threaded, EngineError::Protocol { what } if what.contains("stalled")),
+            "{threaded:?}"
+        );
+        assert_eq!(in_turn, threaded);
+    }
+
+    #[test]
+    fn an_in_turn_jobs_ranks_never_run_at_once() {
+        let input = sample_input(4_000);
+        let [_, in_turn] = both_ways(&EngineConfig::local(4, 2), &input).map(Result::unwrap);
+        let log = &in_turn.spans;
+        // One thread ran every slice of every rank, one at a time: together
+        // they fill no more than the job's wall.
+        let busy: u64 = log.spans.iter().map(|s| s.wall_ns).sum();
+        let job = in_turn.wall.job.as_nanos() as u64;
+        assert!(busy <= job, "ranks busy {busy} ns in a {job} ns job");
+        // A stage of one half only lies wholly before the next rank's.
+        for stage in [stages::MAP, stages::UNPACK_DECODE] {
+            let at = log.stage_index(stage).unwrap();
+            let mut extents: Vec<(u16, u64, u64)> = (log.spans.iter())
+                .filter(|s| s.stage == at)
+                .map(|s| (s.rank, s.start_ns, s.end_ns))
+                .collect();
+            extents.sort_unstable();
+            assert_eq!(extents.len(), 4, "{stage}");
+            for pair in extents.windows(2) {
+                assert!(pair[0].2 <= pair[1].1, "{stage}: {pair:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_small_unshaped_job_runs_in_turn_and_a_shaped_or_larger_one_threaded() {
+        // 2 000 one-byte records at K = 4: r × 500 B of Map work per rank.
+        let small = sample_input(2_000);
+        let large = sample_input(4 * IN_TURN_BYTES + 4);
+        let nic = cts_net::NicProfile::rate_limited(1e9);
+        let cases = [
+            (EngineConfig::local(4, 2), &small, Schedule::InTurn),
+            (EngineConfig::local(4, 1), &large, Schedule::Threaded),
+            (
+                EngineConfig::local(4, 2).with_nic(nic),
+                &small,
+                Schedule::Threaded,
+            ),
+            // 42 packets a rank outweigh its 500 bytes.
+            (EngineConfig::local(8, 2), &small, Schedule::Threaded),
+        ];
+        for (cfg, input, schedule) in cases {
+            let outcome = run(&ByteSort, input.clone(), &cfg).unwrap();
+            assert_eq!(outcome.schedule, schedule);
+        }
+        // A fabric that shapes every job shapes this one too.
+        let shaped = SharedFabric::build(&cts_net::ClusterConfig::local(4).with_nic(nic)).unwrap();
+        let outcome = run_on(
+            &shaped,
+            JobBinding::ROOT,
+            &ByteSort,
+            small.clone(),
+            &EngineConfig::local(4, 2),
+        );
+        assert_eq!(outcome.unwrap().schedule, Schedule::Threaded);
     }
 
     // ---- pods of g < K: coded inside, unicast across (paper §VI) -------------

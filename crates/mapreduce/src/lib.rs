@@ -81,7 +81,7 @@ pub mod verify;
 pub mod wordcount;
 pub mod workload;
 
-pub use engine::{run, run_on, JobOutcome};
+pub use engine::{run, run_on, JobOutcome, IN_TURN_BYTES, MESSAGE_BYTES};
 pub use error::{EngineError, Result};
 pub use runtime::{JobContext, JobHandle, JobRuntime, JobStatus, RuntimeConfig};
 pub use stage::{EngineConfig, NodeWall, ReduceOverlap, WallTimes};

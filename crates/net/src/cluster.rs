@@ -2,17 +2,20 @@
 //!
 //! The paper's deployment (Fig. 8) is a coordinator plus `K` worker
 //! processes running the same program, long-lived workers that take one
-//! job after another. Here each worker is a thread running the user's
-//! closure against its own [`Communicator`] — rank 0 on the calling thread,
-//! every other rank on a parked thread that outlives the job
-//! ([`cts_core::exec::run_all`]), so a job spawns no thread once the
-//! process has run one of its size; the calling thread also plays the
-//! coordinator (it stages per-node inputs before the run and collects
-//! results and the transfer trace after). Workers communicate only
-//! through the fabric — in-memory channels or real TCP sockets. The
-//! in-memory fabric takes worlds of up to `K = 128` ranks on one host; TCP
-//! costs one reader thread per used link and is tested to a `K = 32` full
-//! mesh.
+//! job after another. Here each worker runs the user's closure against its
+//! own [`Communicator`], on one of two [`Schedule`]s. Threaded, each worker
+//! is a thread — rank 0 on the calling thread, every other rank on a parked
+//! thread that outlives the job ([`cts_core::exec::run_all`]), so a job
+//! spawns no thread once the process has run one of its size. In turn, a
+//! job split into a send and a receive half per rank
+//! ([`SharedFabric::run_split`]) runs on the calling thread alone: every
+//! rank's send half, then every rank's receive half. Either way the calling
+//! thread also plays the coordinator (it stages per-node inputs before the
+//! run and collects results and the transfer trace after). Workers
+//! communicate only through the fabric — in-memory channels or real TCP
+//! sockets. The in-memory fabric takes worlds of up to `K = 128` ranks on
+//! one host; TCP costs one reader thread per used link and is tested to a
+//! `K = 32` full mesh.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -153,6 +156,31 @@ pub struct ClusterRun<R> {
     /// What the job's emulated NICs counted their stalls on; `None` for a
     /// job that ran unshaped.
     pub nic: Option<Arc<NicMeter>>,
+    /// Where the job's ranks ran.
+    pub schedule: Schedule,
+}
+
+/// Where the ranks of one job run ([`SharedFabric::run_split`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Schedule {
+    /// One thread per rank, each running the rank's send half and then its
+    /// receive half, every rank at once — the paper's K machines.
+    Threaded,
+    /// The calling thread runs every rank's send half, then every rank's
+    /// receive half: no thread is woken and no rank waits on another,
+    /// because every message is queued before the first receive.
+    InTurn,
+}
+
+impl Schedule {
+    /// How `k` ranks ran, as `cts sort` and `cts stats` say it:
+    /// `ranks: 4 in turn on one thread`, `ranks: 8 threads`.
+    pub fn describe(self, k: usize) -> String {
+        match self {
+            Schedule::Threaded => format!("ranks: {k} threads"),
+            Schedule::InTurn => format!("ranks: {k} in turn on one thread"),
+        }
+    }
 }
 
 /// A job's identity on a [`SharedFabric`]: the `id` every one of its
@@ -394,26 +422,21 @@ impl SharedFabric {
         Ok((scope, comms))
     }
 
+    /// The NIC profile every job of this fabric runs behind unless it
+    /// brings its own; `None` for an unshaped fabric.
+    pub fn nic(&self) -> Option<NicProfile> {
+        self.config.nic
+    }
+
     /// Runs one SPMD job over the shared fabric: `f` on every rank with
-    /// `inputs[rank]`, each rank's [`Communicator`] bound to `binding`.
-    ///
-    /// `nic_override` replaces the cluster-default NIC profile for this job
-    /// only — the per-job backpressure hook: a throttled tenant's token
-    /// buckets pace that tenant's sends without touching anyone else's.
-    ///
-    /// Safe to call concurrently from multiple threads as long as each live
-    /// job has an id of its own. However the job ends, its id is closed on
-    /// every rank once the ranks have joined, dropping what it left queued
-    /// and anything of it still in flight. If any rank panics the job's
-    /// endpoints are shut down and the first panic re-raised; a rank
-    /// calling [`Communicator::abort`] shuts them down the same way and the
-    /// run returns normally. The first job to start after a teardown builds
-    /// fresh endpoints (and fails if that fails). What the job recorded
-    /// leaves with the returned [`ClusterRun`]: the fabric keeps nothing of
-    /// a finished job.
+    /// `inputs[rank]`, each rank's [`Communicator`] bound to `binding` and on
+    /// a thread of its own ([`Schedule::Threaded`]) — [`run_split`] with no
+    /// receive half.
     ///
     /// # Panics
     /// Panics if `inputs.len() != k`.
+    ///
+    /// [`run_split`]: SharedFabric::run_split
     pub fn run_job<I, R, F>(
         &self,
         binding: JobBinding,
@@ -426,40 +449,88 @@ impl SharedFabric {
         R: Send,
         F: Fn(&Communicator, I) -> R + Send + Sync,
     {
+        let keep = |_: &Communicator, r: R| r;
+        self.run_split(binding, nic_override, Schedule::Threaded, inputs, f, keep)
+    }
+
+    /// Runs one SPMD job over the shared fabric in two halves per rank:
+    /// `send` on every rank with `inputs[rank]`, then `receive` with what
+    /// that rank's `send` returned, each rank's [`Communicator`] bound to
+    /// `binding`. `schedule` says where the halves run: each rank's pair on
+    /// a thread of its own, or every `send` and then every `receive` on the
+    /// calling thread — which is sound only when no `send` waits on another
+    /// rank, because none of them runs until the one before it returns.
+    ///
+    /// `nic_override` replaces the cluster-default NIC profile for this job
+    /// only — the per-job backpressure hook: a throttled tenant's token
+    /// buckets pace that tenant's sends without touching anyone else's.
+    ///
+    /// Safe to call concurrently from multiple threads as long as each live
+    /// job has an id of its own. However the job ends, its id is closed on
+    /// every rank once the ranks are done, dropping what it left queued
+    /// and anything of it still in flight. If any half panics the job's
+    /// endpoints are shut down, that rank's `receive` does not run, and the
+    /// first panic is re-raised once every rank is done; a rank calling
+    /// [`Communicator::abort`] shuts them down the same way and the run
+    /// returns normally. The first job to start after a teardown builds
+    /// fresh endpoints (and fails if that fails). What the job recorded
+    /// leaves with the returned [`ClusterRun`]: the fabric keeps nothing of
+    /// a finished job.
+    ///
+    /// # Panics
+    /// Panics if `inputs.len() != k`.
+    pub fn run_split<I, S, R, F, G>(
+        &self,
+        binding: JobBinding,
+        nic_override: Option<NicProfile>,
+        schedule: Schedule,
+        inputs: Vec<I>,
+        send: F,
+        receive: G,
+    ) -> Result<ClusterRun<R>>
+    where
+        I: Send,
+        R: Send,
+        F: Fn(&Communicator, I) -> S + Send + Sync,
+        G: Fn(&Communicator, S) -> R + Send + Sync,
+    {
         assert_eq!(
             inputs.len(),
             self.config.k,
             "need exactly one input per node"
         );
         let (scope, comms) = self.open_job(binding, nic_override)?;
-        let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = Mutex::new(Vec::new());
-
-        let ranks: Vec<_> = comms
-            .iter()
-            .zip(inputs)
-            .map(|(comm, input)| {
-                let (f, panics) = (&f, &panics);
-                move || {
-                    match catch_unwind(AssertUnwindSafe(|| f(comm, input))) {
-                        Ok(r) => {
-                            comm.finish();
-                            Some(r)
-                        }
-                        Err(payload) => {
-                            // Unblock every peer — including other jobs'
-                            // ranks — before propagating.
-                            comm.abort();
-                            panics.lock().push(payload);
-                            None
-                        }
-                    }
-                }
-            })
-            .collect();
-        let results: Vec<Option<R>> = exec::run_all(ranks)
-            .into_iter()
-            .map(|r| r.expect("panics are caught"))
-            .collect();
+        let panics: Mutex<Vec<Panic>> = Mutex::new(Vec::new());
+        let send_half = |comm: &Communicator, input: I| {
+            let sent = guarded(comm, &panics, || send(comm, input));
+            // The rank's clock stops until its receive half starts.
+            comm.pause();
+            sent
+        };
+        let receive_half = |comm: &Communicator, sent: Option<S>| {
+            let done = sent.and_then(|sent| guarded(comm, &panics, || receive(comm, sent)));
+            comm.finish();
+            done
+        };
+        let results: Vec<Option<R>> = match schedule {
+            Schedule::Threaded => {
+                let ranks = comms.iter().zip(inputs).map(|(comm, input)| {
+                    let (send_half, receive_half) = (&send_half, &receive_half);
+                    move || receive_half(comm, send_half(comm, input))
+                });
+                (exec::run_all(ranks.collect()).into_iter())
+                    .map(|r| r.expect("panics are caught"))
+                    .collect()
+            }
+            Schedule::InTurn => {
+                let sent: Vec<Option<S>> = (comms.iter().zip(inputs))
+                    .map(|(comm, input)| send_half(comm, input))
+                    .collect();
+                (comms.iter().zip(sent))
+                    .map(|(comm, sent)| receive_half(comm, sent))
+                    .collect()
+            }
+        };
         for transport in &scope.endpoints.transports {
             transport.mailbox().close_job(binding.id);
         }
@@ -474,7 +545,29 @@ impl SharedFabric {
             trace,
             spans,
             nic: scope.meter.clone(),
+            schedule,
         })
+    }
+}
+
+/// A caught panic's payload.
+type Panic = Box<dyn std::any::Any + Send>;
+
+/// Runs one half of a rank. A panic in it shuts the job's endpoints down —
+/// unblocking every peer, other jobs' ranks included — and is kept in
+/// `panics` to be re-raised once the job is done.
+fn guarded<T>(
+    comm: &Communicator,
+    panics: &Mutex<Vec<Panic>>,
+    half: impl FnOnce() -> T,
+) -> Option<T> {
+    match catch_unwind(AssertUnwindSafe(half)) {
+        Ok(out) => Some(out),
+        Err(payload) => {
+            comm.abort();
+            panics.lock().push(payload);
+            None
+        }
     }
 }
 
@@ -729,6 +822,45 @@ mod tests {
                 .unwrap();
             assert_eq!(run.results[2].as_deref(), Some(&b"fresh"[..]));
         }
+    }
+
+    #[test]
+    fn a_split_job_in_turn_runs_every_send_then_every_receive_on_the_caller() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let fabric = SharedFabric::build(&ClusterConfig::local(3)).unwrap();
+        let run = fabric
+            .run_split(
+                JobBinding { id: 5 },
+                None,
+                Schedule::InTurn,
+                vec![(); 3],
+                |comm, ()| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    order.lock().push(("send", comm.rank()));
+                    let next = (comm.rank() + 1) % 3;
+                    comm.post(
+                        next,
+                        Tag::app(0),
+                        Bytes::copy_from_slice(&[comm.rank() as u8]),
+                    )
+                },
+                |comm, sent: Result<()>| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    order.lock().push(("receive", comm.rank()));
+                    sent?;
+                    // Queued before the first receive: a probe finds it.
+                    let keys = [(Tag::app(0), (comm.rank() + 2) % 3)];
+                    comm.recv_any(&keys, Some(Instant::now()))
+                        .map(|(_, got)| got[0])
+                },
+            )
+            .unwrap();
+        assert_eq!(run.schedule, Schedule::InTurn);
+        assert_eq!(run.results, vec![Ok(2), Ok(0), Ok(1)]);
+        let halves = ["send", "send", "send", "receive", "receive", "receive"];
+        let expected: Vec<(&str, usize)> = halves.into_iter().zip([0, 1, 2, 0, 1, 2]).collect();
+        assert_eq!(order.into_inner(), expected);
     }
 
     #[test]

@@ -201,6 +201,16 @@ impl Communicator {
         clock.open = Some((at, now));
     }
 
+    /// Stops the rank's stage clock: the time up to now is booked to the
+    /// stage the thread was in, and none after it until the next
+    /// [`set_stage`](Self::set_stage). The cluster runner calls this between
+    /// a rank's send and receive halves, which the thread may leave apart
+    /// to run other ranks.
+    pub(crate) fn pause(&self) {
+        let now = self.scope.journal.now_ns();
+        self.clock.lock().close(now);
+    }
+
     /// Closes the open stage and hands the journal the rank's spans, one
     /// per stage it entered. The cluster runner calls this when the rank's
     /// job closure returns.
@@ -217,18 +227,20 @@ impl Communicator {
     }
 
     /// Books one transfer of `cost` charged bytes on the rank's NIC and
-    /// returns its stamp (`None` without a NIC or on a free one). The open
-    /// stage becomes one whose wall is its extent ([`StageSpan::wall_ns`]).
+    /// returns its stamp (`None` without a NIC or on a free one). Behind a
+    /// NIC, the open stage becomes one whose wall is its extent
+    /// ([`StageSpan::wall_ns`]): the NIC works on while the thread is
+    /// elsewhere. Without one nothing does, and the wall stays the slices.
     fn egress(&self, cost: u64) -> Result<Option<Instant>> {
+        let Some(nic) = &self.nic else {
+            return Ok(None);
+        };
         let mut clock = self.clock.lock();
         if let Some((at, _)) = clock.open {
             clock.spans[at].1 = true;
         }
         drop(clock);
-        match &self.nic {
-            Some(nic) => nic.post(cost),
-            None => Ok(None),
-        }
+        nic.post(cost)
     }
 
     /// Writes the trace event of a transfer the fabric accepted, under the
@@ -753,27 +765,54 @@ mod tests {
     #[test]
     fn stage_slices_coalesce_into_one_span_and_a_posting_stage_spans_its_extent() {
         use std::time::Duration;
-        let (comms, scope) = job(&ClusterConfig::local(2));
-        let tx = &comms[0];
-        for _ in 0..3 {
-            tx.set_stage("Map");
-            std::thread::sleep(Duration::from_millis(4));
-            tx.set_stage("Shuffle");
-            tx.post(1, Tag::app(0), Bytes::from_static(b"piece"))
-                .unwrap();
+        // Behind a NIC the posting stage's wall is its extent; without one
+        // nothing works while the thread is elsewhere, so it is its slices.
+        let fast = NicProfile::rate_limited(1e9);
+        for cfg in [
+            ClusterConfig::local(2).with_nic(fast),
+            ClusterConfig::local(2),
+        ] {
+            let (comms, scope) = job(&cfg);
+            let tx = &comms[0];
+            for _ in 0..3 {
+                tx.set_stage("Map");
+                std::thread::sleep(Duration::from_millis(4));
+                tx.set_stage("Shuffle");
+                tx.post(1, Tag::app(0), Bytes::from_static(b"piece"))
+                    .unwrap();
+            }
+            tx.set_stage("Reduce");
+            tx.finish();
+            let (trace, log) = scope.journal.take();
+            assert_eq!(log.stages_in_order(), vec!["Map", "Shuffle", "Reduce"]);
+            assert_eq!(log.spans.len(), 3, "one span per stage");
+            let (map, shuffle) = (log.spans[0], log.spans[1]);
+            // Map: three 4 ms slices inside a longer extent. Shuffle's extent
+            // starts before Map's ends.
+            assert!(map.wall_ns >= 12_000_000 && map.wall_ns <= map.dur_ns());
+            assert!(shuffle.start_ns < map.end_ns && shuffle.dur_ns() >= 8_000_000);
+            if cfg.nic.is_some() {
+                assert_eq!(shuffle.wall_ns, shuffle.dur_ns());
+            } else {
+                assert!(shuffle.wall_ns < shuffle.dur_ns() / 2, "{shuffle:?}");
+            }
+            // Every post was traced under the stage it was posted in.
+            assert_eq!(trace.stage_wire_sends("Shuffle"), 3);
         }
-        tx.set_stage("Reduce");
-        tx.finish();
-        let (trace, log) = scope.journal.take();
-        assert_eq!(log.stages_in_order(), vec!["Map", "Shuffle", "Reduce"]);
-        assert_eq!(log.spans.len(), 3, "one span per stage");
-        let (map, shuffle) = (log.spans[0], log.spans[1]);
-        // Map: three 4 ms slices inside a longer extent. Shuffle: it posted,
-        // so its wall is its extent, which starts before Map's ends.
-        assert!(map.wall_ns >= 12_000_000 && map.wall_ns <= map.dur_ns());
-        assert_eq!(shuffle.wall_ns, shuffle.dur_ns());
-        assert!(shuffle.start_ns < map.end_ns && shuffle.dur_ns() >= 8_000_000);
-        // Every post was traced under the stage it was posted in.
-        assert_eq!(trace.stage_wire_sends("Shuffle"), 3);
+    }
+
+    #[test]
+    fn a_paused_clock_books_nothing_until_the_next_stage() {
+        use std::time::Duration;
+        let (comms, scope) = job(&ClusterConfig::local(1));
+        let rank = &comms[0];
+        rank.set_stage("Shuffle");
+        rank.pause();
+        std::thread::sleep(Duration::from_millis(10));
+        rank.set_stage("Shuffle");
+        rank.finish();
+        let shuffle = scope.journal.take().1.spans[0];
+        assert!(shuffle.dur_ns() >= 10_000_000);
+        assert!(shuffle.wall_ns < shuffle.dur_ns() / 2, "{shuffle:?}");
     }
 }

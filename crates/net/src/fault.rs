@@ -59,6 +59,13 @@ pub enum FaultAction {
 }
 
 /// The rule signature: `(dst, tag, payload, send_index)` → action.
+///
+/// A rule runs on the sending rank's thread, inside its post. One that
+/// waits on other ranks' progress — say, until they have absorbed what they
+/// can without this rank — needs the job to run
+/// [`Schedule::Threaded`](crate::cluster::Schedule::Threaded): in turn, the
+/// ranks after the sender have not run at all while it sends, and the
+/// engine runs only small unshaped jobs in turn.
 pub type FaultRule = dyn Fn(usize, Tag, &Bytes, u64) -> FaultAction + Send + Sync;
 
 /// A straggler rule: every coded-shuffle multicast this node sends

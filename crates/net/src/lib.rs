@@ -34,9 +34,10 @@
 //!   by the engines' `set_stage` annotations (`WallTimes`, `cts stats`,
 //!   `--timeline`); a job writes both into a journal of its own and gets
 //!   them back with its results;
-//! * [`cluster`] — SPMD runners ([`run_spmd`]) spawning
-//!   one thread per rank over either fabric, with panic- and abort-safe
-//!   teardown, plus the resident [`SharedFabric`] that runs many
+//! * [`cluster`] — SPMD runners ([`run_spmd`]) running each rank on a
+//!   thread of its own over either fabric — or, for a job split into a
+//!   send and a receive half, every rank in turn on the caller — with
+//!   panic- and abort-safe teardown, plus the resident [`SharedFabric`] that runs many
 //!   concurrent SPMD programs over one set of transports, each message
 //!   stamped with its job's id and dropped once that job has ended;
 //! * [`fault`] — transport-level fault injection for failure testing,
@@ -81,7 +82,7 @@ pub mod trace;
 pub mod transport;
 
 pub use cluster::{
-    run_spmd, run_spmd_with_inputs, ClusterConfig, ClusterRun, JobBinding, SharedFabric,
+    run_spmd, run_spmd_with_inputs, ClusterConfig, ClusterRun, JobBinding, Schedule, SharedFabric,
     TransportKind,
 };
 pub use comm::Communicator;

@@ -66,6 +66,9 @@ struct Inner {
     /// dropped on arrival.
     open: Vec<u32>,
     arrivals: u64,
+    /// Receivers asleep in [`Mailbox::recv_any`]: a delivery with none to
+    /// wake skips the notify, a futex call nobody needed.
+    waiters: usize,
     closed: bool,
     /// Per-source disconnect bits (bit `s` set = no further messages will
     /// ever arrive from source `s`; world sizes are ≤ 128).
@@ -152,10 +155,13 @@ impl Mailbox {
         let behind = inner.last.get(&(msg.job, msg.src)).copied();
         // The later of the two (`None` is the least): ripe at once only if
         // neither holds it.
+        let asleep = inner.waiters > 0;
         let Some(ready) = msg.ready.max(behind) else {
             inner.queued.insert(at, msg.payload);
             drop(inner);
-            self.available.notify_all();
+            if asleep {
+                self.available.notify_all();
+            }
             return;
         };
         inner.last.insert((msg.job, msg.src), ready);
@@ -164,7 +170,7 @@ impl Mailbox {
         let earliest = (inner.held.first_key_value()).is_none_or(|(&(first, _), _)| ready < first);
         inner.held.insert((ready, at), msg.payload);
         drop(inner);
-        if earliest {
+        if asleep && earliest {
             self.available.notify_all();
         }
     }
@@ -235,6 +241,7 @@ impl Mailbox {
                 let (tag, src) = keys.first().copied().unwrap_or((Tag(0), self.rank));
                 return Err(NetError::Timeout { src, tag: tag.0 });
             }
+            inner.waiters += 1;
             expired = match ripens.into_iter().chain(deadline).min() {
                 None => {
                     self.available.wait(&mut inner);
@@ -245,6 +252,7 @@ impl Mailbox {
                     timed_out && Some(at) == deadline
                 }
             };
+            inner.waiters -= 1;
         }
     }
 
@@ -739,6 +747,43 @@ mod tests {
                 mb.recv(1, Tag::app(0)),
                 Err(NetError::Disconnected { rank: 3 })
             ));
+        }
+    }
+
+    /// Blocks until a receiver is asleep in `mb`'s wait.
+    fn until_asleep(mb: &Mailbox) {
+        while mb.inner.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_sleeper_wakes_on_a_delivery_and_on_a_new_earliest_held_message() {
+        // Far enough that only a wake-up ends the wait in time.
+        let far = Duration::from_secs(30);
+        for deadline in [None, Some(Instant::now() + far)] {
+            let mb = Arc::new(Mailbox::new(0));
+            let keys = [(Tag::app(0), 1), (Tag::app(1), 1)];
+            let waiter = |mb: &Arc<Mailbox>| {
+                let mb = Arc::clone(mb);
+                std::thread::spawn(move || mb.recv_any(0, &keys, deadline).unwrap())
+            };
+            // A delivery wakes it.
+            let start = Instant::now();
+            let handle = waiter(&mb);
+            until_asleep(&mb);
+            mb.deliver(msg(1, Tag::app(0), b"now"));
+            assert_eq!(handle.join().unwrap().1, "now");
+            // Asleep until another source's held message ripens, far off: a
+            // listed one held for less is the new earliest and wakes it to
+            // sleep until that one's stamp instead.
+            mb.deliver(held(2, Tag::app(0), b"unlisted", far));
+            let handle = waiter(&mb);
+            until_asleep(&mb);
+            mb.deliver(held(1, Tag::app(1), b"soon", Duration::from_millis(20)));
+            assert_eq!(handle.join().unwrap().1, "soon");
+            assert!(start.elapsed() < far / 2, "{:?}", start.elapsed());
+            assert_eq!(mb.inner.lock().waiters, 0);
         }
     }
 

@@ -458,6 +458,8 @@ impl Inner {
                         m.wait_ns.get() as f64 / 1e6
                     );
                 }
+                let k = outcome.outputs.len();
+                let _ = write!(out, "  {}", outcome.schedule.describe(k));
             }
             let _ = writeln!(out);
         }

@@ -168,13 +168,10 @@ fn sort_in_buckets(
         return out;
     }
     let mut reducer = SortReducer::with_buckets(kernel, 0..1 << KEY_BITS, pieces.len(), buckets);
-    std::mem::swap(&mut reducer.scratch, scratch);
     for (file_rank, piece) in pieces.iter().enumerate() {
         reducer.scatter(file_rank as u64, piece);
     }
-    let sorted = reducer.sorted();
-    std::mem::swap(&mut reducer.scratch, scratch);
-    sorted
+    reducer.sorted(scratch)
 }
 
 /// How many buckets a partition of `records` records in `pieces` pieces is
@@ -189,14 +186,16 @@ fn plan(pieces: usize, records: usize) -> usize {
 }
 
 thread_local! {
-    /// The thread's sort scratch between reducers: taken when one is built,
-    /// given back by its `finish` (a failed job's reducer drops it).
+    /// The thread's sort scratch between sorts: taken by a reducer's
+    /// `finish` and given back once it has sorted, so that every reducer a
+    /// thread finishes — the ranks of a job that run in turn on it too —
+    /// sorts in the one scratch.
     static SCRATCH: Cell<SortScratch> = Cell::default();
 }
 
 /// One partition on its way to being sorted: every piece absorbed so far —
 /// as it landed if the partition is one bucket, else range-scattered into
-/// the same key sub-ranges — and the kernel's scratch.
+/// the same key sub-ranges.
 pub(crate) struct SortReducer {
     kernel: SortKernel,
     /// A record's bucket is `(key − first) >> shift`, held to `0..buckets`:
@@ -209,9 +208,6 @@ pub(crate) struct SortReducer {
     /// numbers in bucket order.
     ids: Vec<u16>,
     order: Vec<u32>,
-    /// Sized to the largest bucket: the partition only if it is one bucket.
-    /// The thread's `SCRATCH` while the reducer lives.
-    scratch: SortScratch,
 }
 
 /// One absorbed piece: its records bucket by bucket, in their order within
@@ -262,7 +258,6 @@ impl SortReducer {
             pieces: Vec::with_capacity(pieces),
             ids: Vec::new(),
             order: Vec::new(),
-            scratch: SCRATCH.take(),
         }
     }
 
@@ -310,12 +305,13 @@ impl SortReducer {
         });
     }
 
-    /// The partition, sorted: the buckets in key order, each the runs of
-    /// every piece in file order.
-    fn sorted(&mut self) -> Vec<u8> {
+    /// The partition, sorted in `scratch` (sized to the largest bucket: the
+    /// partition only if it is one bucket): the buckets in key order, each
+    /// the runs of every piece in file order.
+    fn sorted(&mut self, scratch: &mut SortScratch) -> Vec<u8> {
         self.pieces.sort_unstable_by_key(|piece| piece.file_rank);
         let (kernel, first, shift) = (self.kernel, self.first, self.shift);
-        let (pieces, scratch) = (&self.pieces, &mut self.scratch);
+        let pieces = &self.pieces;
         let mut out = Vec::with_capacity(pieces.iter().map(|piece| piece.records.len()).sum());
         let mut runs: Vec<&[u8]> = Vec::with_capacity(pieces.len());
         for b in 0..self.buckets {
@@ -346,8 +342,9 @@ impl Reducer for SortReducer {
     }
 
     fn finish(mut self: Box<Self>) -> Vec<u8> {
-        let out = self.sorted();
-        SCRATCH.set(std::mem::take(&mut self.scratch));
+        let mut scratch = SCRATCH.take();
+        let out = self.sorted(&mut scratch);
+        SCRATCH.set(scratch);
         out
     }
 }

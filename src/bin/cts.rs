@@ -299,6 +299,7 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     println!("wall-clock: {elapsed:.2?}");
     let wall = outcome.wall.max;
     println!("stage walls, slowest rank each: {wall:.1?}");
+    println!("{}", outcome.schedule.describe(outcome.outputs.len()));
     // The stages overlap: a rank maps, encodes and decodes while its NIC drains.
     let (job_s, stages_s) = (outcome.wall.job.as_secs_f64(), wall.total().as_secs_f64());
     let hidden_s = outcome.wall.hidden().as_secs_f64();
