@@ -152,9 +152,8 @@ pub fn env_f64(name: &str, default: f64) -> f64 {
 /// Machine-readable bench output: `BENCH_<target>.json` files written
 /// next to the console report (gated on `CTS_BENCH_JSON_DIR`).
 pub mod results {
-    use cts_netsim::breakdown::TableRow;
+    use cts_netsim::breakdown::{StageBreakdown, TableRow};
     use serde::json::Value;
-    use serde::Serialize;
 
     /// Serializes experiment rows (per-stage breakdowns + speedups) and
     /// writes them as `BENCH_<target>.json` via [`BenchDoc`].
@@ -171,12 +170,33 @@ pub mod results {
         ] {
             doc = doc.unit(field, "seconds");
         }
-        if let Value::Array(rows) = rows.to_json() {
-            for row in rows {
-                doc.push_row_value(row);
-            }
+        for row in rows {
+            doc.push_row_value(row_json(row));
         }
         doc.write()
+    }
+
+    /// One table row: its label, its stage breakdown and its speedup
+    /// (`null` for the baseline).
+    fn row_json(row: &TableRow) -> Value {
+        Value::object([
+            ("label", Value::Str(row.label.clone())),
+            ("breakdown", breakdown_json(&row.breakdown)),
+            ("speedup", row.speedup.map_or(Value::Null, Value::Float)),
+        ])
+    }
+
+    /// The six stage times and their total, in seconds.
+    fn breakdown_json(b: &StageBreakdown) -> Value {
+        Value::object([
+            ("codegen_s", Value::Float(b.codegen_s)),
+            ("map_s", Value::Float(b.map_s)),
+            ("pack_encode_s", Value::Float(b.pack_encode_s)),
+            ("shuffle_s", Value::Float(b.shuffle_s)),
+            ("unpack_decode_s", Value::Float(b.unpack_decode_s)),
+            ("reduce_s", Value::Float(b.reduce_s)),
+            ("total_s", Value::Float(b.total_s())),
+        ])
     }
 
     /// The one shared `BENCH_*.json` schema every artifact uses, so

@@ -22,8 +22,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
+
+use crate::sync::lock;
 
 /// A task a parked thread runs.
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -42,12 +44,6 @@ struct Parked {
 
 /// The threads parked right now, the most recently parked last.
 static IDLE: Mutex<Vec<Arc<Parked>>> = Mutex::new(Vec::new());
-
-/// Locks `m`. Every critical section on these mutexes is a push, a pop or
-/// a swap that cannot panic halfway, so a poisoned one is still whole.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Hands `job` to the most recently parked thread, or to a new one when
 /// none is parked.
@@ -234,7 +230,7 @@ mod tests {
                 move || {
                     met.wait();
                     if i == 2 {
-                        *panicked_on.lock().unwrap() = Some(thread::current().id());
+                        *lock(panicked_on) = Some(thread::current().id());
                         panic!("task 2 failed");
                     }
                     thread::sleep(Duration::from_millis(20));
@@ -254,7 +250,7 @@ mod tests {
         let payload = reraised.expect_err("task 2's panic is re-raised");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 2 failed"));
         // Other tests may borrow the thread meanwhile; it comes back.
-        let id = panicked_on.lock().unwrap().expect("task 2 ran");
+        let id = lock(&panicked_on).expect("task 2 ran");
         let deadline = Instant::now() + Duration::from_secs(10);
         while !lock(&IDLE).iter().any(|p| p.thread.id() == id) {
             assert!(

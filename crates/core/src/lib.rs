@@ -96,6 +96,7 @@ pub mod pool;
 pub mod segment;
 pub mod solve;
 pub mod subset;
+pub mod sync;
 pub mod theory;
 pub mod xor;
 

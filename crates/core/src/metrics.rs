@@ -32,6 +32,8 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::sync::lock;
+
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -266,7 +268,7 @@ pub struct MetricsHub {
 
 impl std::fmt::Debug for MetricsHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         f.debug_struct("MetricsHub")
             .field("series", &inner.len())
             .finish()
@@ -283,7 +285,7 @@ impl MetricsHub {
     where
         F: Fn(&Instrument) -> Option<T>,
     {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         inner
             .iter()
             .find(|r| {
@@ -301,7 +303,7 @@ impl MetricsHub {
             return c;
         }
         let c = Arc::new(Counter::new());
-        self.inner.lock().unwrap().push(Registration {
+        lock(&self.inner).push(Registration {
             name: name.to_string(),
             label: None,
             instrument: Instrument::Counter(Arc::clone(&c)),
@@ -318,7 +320,7 @@ impl MetricsHub {
             return g;
         }
         let g = Arc::new(Gauge::new());
-        self.inner.lock().unwrap().push(Registration {
+        lock(&self.inner).push(Registration {
             name: name.to_string(),
             label: None,
             instrument: Instrument::Gauge(Arc::clone(&g)),
@@ -350,7 +352,7 @@ impl MetricsHub {
             return h;
         }
         let h = Arc::new(Histogram::new());
-        self.inner.lock().unwrap().push(Registration {
+        lock(&self.inner).push(Registration {
             name: name.to_string(),
             label: label.map(|(k, v)| (k.to_string(), v.to_string())),
             instrument: Instrument::Histogram(Arc::clone(&h), Scale(scale)),
@@ -364,7 +366,7 @@ impl MetricsHub {
     /// summary form (`{quantile="0.5"|"0.99"}`, `_max`, `_sum`, `_count`)
     /// with sample values multiplied by the registered scale.
     pub fn render_prometheus(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         let mut out = String::new();
         let mut typed: Vec<&str> = Vec::new();
         for reg in inner.iter() {

@@ -25,6 +25,8 @@ use std::sync::{Mutex, OnceLock};
 
 use bytes::Bytes;
 
+use crate::sync::lock;
+
 /// Requests under a page bypass the pool, both ways: glibc serves them from
 /// bins inside pages it already holds, so pooling would buy a lock and nothing
 /// else. (At 16 KiB an 80 000-record job's 5.9 KB decode buffers cost 0.63×
@@ -164,7 +166,7 @@ impl BufPool {
             }
         }
         if min_capacity >= MIN_POOLED {
-            let mut free = self.free.lock().expect("BufPool lock");
+            let mut free = lock(&self.free);
             let fits = (min_capacity, 0, 0)..=(max_capacity(min_capacity), u64::MAX, usize::MAX);
             let best = free.range(fits).next().map(|(&key, _)| key);
             if let Some(buf) = best.and_then(|key| free.remove(&key)) {
@@ -201,10 +203,9 @@ impl BufPool {
             buf.as_ptr() as usize,
         );
         // May run in a drop while a panic unwinds: never panic here.
-        if let Ok(mut free) = self.free.lock() {
-            self.retained.fetch_add(key.0 as u64, Relaxed);
-            free.insert(key, buf);
-        }
+        let mut free = lock(&self.free);
+        self.retained.fetch_add(key.0 as u64, Relaxed);
+        free.insert(key, buf);
     }
 
     /// Freezes a leased buffer, uncopied; it comes back with its last view.
@@ -220,7 +221,7 @@ impl BufPool {
     pub fn tick(&self) {
         let now = self.generation.fetch_add(1, Relaxed) + 1;
         let mut freed = 0;
-        let mut free = self.free.lock().expect("BufPool lock");
+        let mut free = lock(&self.free);
         free.retain(|&(capacity, returned, _), _| {
             let keep = now.saturating_sub(returned) < KEEP_JOBS;
             freed += if keep { 0 } else { capacity as u64 };

@@ -28,7 +28,7 @@
 //! [`cts_core::pool::global`] and frozen through it, so a job's pages outlive
 //! it for the next one; only the Reduce output is fresh, and the caller's.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -42,6 +42,7 @@ use cts_core::placement::{FileId, PlacementPlan};
 use cts_core::pool;
 use cts_core::segment::segment_for_node;
 use cts_core::subset::NodeSet;
+use cts_core::sync::{lock, unpoison};
 use cts_net::cluster::{JobBinding, Schedule, SharedFabric};
 use cts_net::fault::CrashPoint;
 use cts_net::message::Tag;
@@ -49,7 +50,6 @@ use cts_net::span::SpanLog;
 use cts_net::trace::Trace;
 use cts_net::{Communicator, Key, NetError, NicMeter};
 use cts_netsim::stats::{NodeStats, RunStats};
-use parking_lot::Mutex;
 
 use crate::error::{EngineError, Result};
 use crate::stage::{stages, EngineConfig, WallTimes};
@@ -379,7 +379,7 @@ fn run_scheduled<W: Workload>(
     // else.
     let first_failure: Mutex<Option<EngineError>> = Mutex::new(None);
     let failed = |comm: &Communicator, e: &EngineError| {
-        first_failure.lock().get_or_insert_with(|| e.clone());
+        lock(&first_failure).get_or_insert_with(|| e.clone());
         comm.abort();
     };
     let send = |comm: &Communicator, my_files| {
@@ -393,7 +393,7 @@ fn run_scheduled<W: Workload>(
     // One more job the pool's idle buffers have sat out, finished or failed.
     pool::global().tick();
     let run = run?;
-    if let Some(e) = first_failure.into_inner() {
+    if let Some(e) = unpoison(first_failure.into_inner()) {
         return Err(e);
     }
 

@@ -34,13 +34,13 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use cts_core::metrics::{Counter, Gauge, Histogram};
+use cts_core::sync::{lock, unpoison};
 use cts_net::cluster::{JobBinding, SharedFabric};
-use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{run_on, JobOutcome};
 use crate::error::{EngineError, Result};
@@ -221,7 +221,7 @@ struct Cell {
 
 impl Cell {
     fn set(&self, status: JobStatus, outcome: Option<Result<JobOutcome>>) {
-        *self.state.lock() = (status, outcome);
+        *lock(&self.state) = (status, outcome);
         self.cv.notify_all();
     }
 }
@@ -249,18 +249,14 @@ impl JobHandle {
 
     /// Where the job is in its lifecycle right now.
     pub fn status(&self) -> JobStatus {
-        self.cell.state.lock().0.clone()
+        lock(&self.cell.state).0.clone()
     }
 
     /// Blocks until the job finishes and returns its outcome.
     pub fn wait(self) -> Result<JobOutcome> {
-        let mut state = self.cell.state.lock();
-        loop {
-            if let Some(outcome) = state.1.take() {
-                return outcome;
-            }
-            self.cell.cv.wait(&mut state);
-        }
+        let Cell { state, cv } = &*self.cell;
+        let mut state = unpoison(cv.wait_while(lock(state), |(_, outcome)| outcome.is_none()));
+        state.1.take().expect("set when the job ended")
     }
 }
 
@@ -289,7 +285,7 @@ struct Queue {
 impl Queue {
     /// Admits the job under the next id if there is room.
     fn try_enqueue(&self, run: BoxedJob, cell: Arc<Cell>) -> Result<u32> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if st.closed {
             return Err(EngineError::Busy {
                 what: "runtime closed to new jobs".into(),
@@ -311,21 +307,15 @@ impl Queue {
     }
 
     fn dequeue(&self) -> Option<Submission> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(sub) = st.jobs.pop_front() {
-                self.depth.set(st.jobs.len() as i64);
-                return Some(sub);
-            }
-            if st.closed {
-                return None;
-            }
-            self.cv.wait(&mut st);
-        }
+        let idle = |st: &mut QueueState| st.jobs.is_empty() && !st.closed;
+        let mut st = unpoison(self.cv.wait_while(lock(&self.state), idle));
+        let sub = st.jobs.pop_front()?;
+        self.depth.set(st.jobs.len() as i64);
+        Some(sub)
     }
 
     fn close(&self) {
-        self.state.lock().closed = true;
+        lock(&self.state).closed = true;
         self.cv.notify_all();
     }
 }
@@ -532,12 +522,8 @@ mod tests {
         let g = Arc::clone(&gate);
         let first = runtime
             .submit(move |ctx| {
-                let (lock, cv) = &*g;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-                drop(open);
+                let (open, cv) = &*g;
+                drop(unpoison(cv.wait_while(lock(open), |open| !*open)));
                 ctx.run(&ByteSort, sample_input(64), &ctx.cfg)
             })
             .unwrap();
@@ -553,8 +539,8 @@ mod tests {
             matches!(refused, Err(EngineError::Busy { .. })),
             "{refused:?}"
         );
-        let (lock, cv) = &*gate;
-        *lock.lock() = true;
+        let (open, cv) = &*gate;
+        *lock(open) = true;
         cv.notify_all();
         first.wait().unwrap();
         second.wait().unwrap();
@@ -626,19 +612,19 @@ mod tests {
                             {
                                 // Noted, not asserted: a panic here would
                                 // leave the others at the barrier.
-                                let mut live = live.lock();
+                                let mut live = lock(&live);
                                 if live.contains(&id) {
                                     clashed.store(true, std::sync::atomic::Ordering::SeqCst);
                                 }
                                 live.push(id);
                                 most.fetch_max(live.len(), std::sync::atomic::Ordering::SeqCst);
                             }
-                            seen.lock().push(id);
+                            lock(&seen).push(id);
                             if i < max_concurrent {
                                 together.wait();
                             }
                             let outcome = ctx.run(&ByteSort, sample_input(300), &ctx.cfg);
-                            live.lock().retain(|&live| live != id);
+                            lock(&live).retain(|&live| live != id);
                             outcome
                         })
                         .unwrap()
@@ -659,7 +645,7 @@ mod tests {
                 max_concurrent
             );
             // Each job ran once, under the id its handle names.
-            let mut seen = seen.lock().clone();
+            let mut seen = lock(&seen).clone();
             assert_eq!(seen.len(), 12);
             seen.sort_unstable();
             seen.dedup();

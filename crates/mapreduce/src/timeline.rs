@@ -16,7 +16,7 @@
 //! — a daemon's jobs share one timebase; durations under 1 µs round up to 1 so hairline
 //! stages stay visible.
 
-use serde::json::Value;
+use std::fmt::Write as _;
 
 use crate::uncoded::JobOutcome;
 
@@ -36,30 +36,42 @@ fn us(ns: u64) -> u64 {
 /// ready to write to disk and load into a trace viewer.
 pub fn chrome_trace(outcome: &JobOutcome, job_id: u32) -> String {
     let log = &outcome.spans;
-    let events: Vec<Value> = log
-        .spans
-        .iter()
-        .map(|s| {
-            Value::object([
-                ("name", Value::Str(log.stage_name(s.stage).to_string())),
-                ("cat", Value::Str("stage".to_string())),
-                ("ph", Value::Str("X".to_string())),
-                ("ts", Value::UInt(us(s.start_ns))),
-                ("dur", Value::UInt(us(s.dur_ns()))),
-                ("pid", Value::UInt(u64::from(job_id))),
-                ("tid", Value::UInt(u64::from(s.rank))),
-                (
-                    "args",
-                    Value::object([("wall_us", Value::UInt(us(s.wall_ns)))]),
-                ),
-            ])
-        })
-        .collect();
-    Value::object([
-        ("traceEvents", Value::Array(events)),
-        ("displayTimeUnit", Value::Str("ms".to_string())),
-    ])
-    .render()
+    let mut out = String::from("{\"traceEvents\":[");
+    for (i, s) in log.spans.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        push_json_str(&mut out, log.stage_name(s.stage));
+        let _ = write!(
+            out,
+            ",\"cat\":\"stage\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{job_id},\"tid\":{},\"args\":{{\"wall_us\":{}}}}}",
+            us(s.start_ns),
+            us(s.dur_ns()),
+            s.rank,
+            us(s.wall_ns),
+        );
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
+}
+
+/// Appends `s` as a JSON string literal.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Per-stage wall totals (ns) of the spans behind [`chrome_trace`], in
@@ -79,6 +91,7 @@ mod tests {
     use crate::run;
     use crate::stage::{stages, EngineConfig};
     use crate::testutil::{sample_input, ByteSort};
+    use cts_net::span::{SpanLog, StageSpan};
 
     #[test]
     fn chrome_trace_covers_every_rank_and_stage() {
@@ -115,5 +128,32 @@ mod tests {
         let totals = stage_totals_ns(&outcome);
         assert_eq!(totals.len(), 5);
         assert!(totals.iter().all(|(_, ns)| *ns > 0));
+    }
+
+    /// One event, key for key and byte for byte: the layout a trace
+    /// viewer loads, a sub-microsecond wall rounded up to 1 and a stage
+    /// name escaped.
+    #[test]
+    fn one_event_renders_exactly() {
+        let mut outcome = run(&ByteSort, sample_input(50), &EngineConfig::local(2, 1)).unwrap();
+        outcome.spans = SpanLog {
+            names: vec!["init".into(), "Pack/Encode \"v2\"".into()],
+            spans: vec![StageSpan {
+                job: 7,
+                rank: 2,
+                stage: 1,
+                start_ns: 1_500_000,
+                end_ns: 3_000_400,
+                wall_ns: 400,
+            }],
+        };
+        assert_eq!(
+            chrome_trace(&outcome, 7),
+            concat!(
+                r#"{"traceEvents":[{"name":"Pack/Encode \"v2\"","cat":"stage","ph":"X","#,
+                r#""ts":1500,"dur":1500,"pid":7,"tid":2,"args":{"wall_us":1}}],"#,
+                r#""displayTimeUnit":"ms"}"#,
+            )
+        );
     }
 }

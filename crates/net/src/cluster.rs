@@ -35,12 +35,12 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 use cts_core::exec;
 use cts_core::metrics::{Histogram, MetricsHub};
-use parking_lot::Mutex;
+use cts_core::sync::{lock, unpoison};
 
 use crate::comm::{Communicator, JobScope};
 use crate::error::{NetError, Result};
@@ -255,7 +255,7 @@ impl Endpoints {
         for t in &self.transports {
             t.shutdown();
         }
-        for (rank, nic) in self.nics.lock().drain(..) {
+        for (rank, nic) in lock(&self.nics).drain(..) {
             if let Some(nic) = nic.upgrade() {
                 nic.abort(NetError::Disconnected { rank });
             }
@@ -371,7 +371,7 @@ impl SharedFabric {
     /// Shuts down every live transport, waking any blocked receiver and
     /// failing the jobs in flight.
     pub fn shutdown(&self) {
-        self.endpoints.lock().shutdown();
+        lock(&self.endpoints).shutdown();
     }
 
     /// Opens a job: its id on every rank's mailbox, its scope — a fresh
@@ -384,7 +384,7 @@ impl SharedFabric {
         nic_override: Option<NicProfile>,
     ) -> Result<(Arc<JobScope>, Vec<Communicator>)> {
         let endpoints = {
-            let mut live = self.endpoints.lock();
+            let mut live = lock(&self.endpoints);
             if live.down.load(Ordering::Acquire) {
                 *live = Arc::new(Endpoints::build(&self.config)?);
             }
@@ -400,7 +400,7 @@ impl SharedFabric {
             .map(|_| shaped.as_ref().map(nic))
             .collect();
         if shaped.is_some() {
-            let mut live = endpoints.nics.lock();
+            let mut live = lock(&endpoints.nics);
             live.retain(|(_, nic)| nic.strong_count() > 0);
             live.extend(nics.iter().flatten().map(Arc::downgrade).enumerate());
         }
@@ -535,7 +535,7 @@ impl SharedFabric {
             transport.mailbox().close_job(binding.id);
         }
 
-        if let Some(first) = panics.into_inner().into_iter().next() {
+        if let Some(first) = unpoison(panics.into_inner()).into_iter().next() {
             resume_unwind(first);
         }
 
@@ -565,7 +565,7 @@ fn guarded<T>(
         Ok(out) => Some(out),
         Err(payload) => {
             comm.abort();
-            panics.lock().push(payload);
+            lock(panics).push(payload);
             None
         }
     }
@@ -837,7 +837,7 @@ mod tests {
                 vec![(); 3],
                 |comm, ()| {
                     assert_eq!(std::thread::current().id(), caller);
-                    order.lock().push(("send", comm.rank()));
+                    lock(&order).push(("send", comm.rank()));
                     let next = (comm.rank() + 1) % 3;
                     comm.post(
                         next,
@@ -847,7 +847,7 @@ mod tests {
                 },
                 |comm, sent: Result<()>| {
                     assert_eq!(std::thread::current().id(), caller);
-                    order.lock().push(("receive", comm.rank()));
+                    lock(&order).push(("receive", comm.rank()));
                     sent?;
                     // Queued before the first receive: a probe finds it.
                     let keys = [(Tag::app(0), (comm.rank() + 2) % 3)];
@@ -860,7 +860,7 @@ mod tests {
         assert_eq!(run.results, vec![Ok(2), Ok(0), Ok(1)]);
         let halves = ["send", "send", "send", "receive", "receive", "receive"];
         let expected: Vec<(&str, usize)> = halves.into_iter().zip([0, 1, 2, 0, 1, 2]).collect();
-        assert_eq!(order.into_inner(), expected);
+        assert_eq!(unpoison(order.into_inner()), expected);
     }
 
     #[test]
@@ -989,7 +989,7 @@ mod tests {
         // Every post was traced when it was made.
         assert_eq!(run.trace.stage_bytes("Shuffle"), 3_000);
         // Job 7's close dropped the two rank 1 still held …
-        let mailbox = |rank: usize| fabric.endpoints.lock().transports[rank].mailbox().queued();
+        let mailbox = |rank: usize| lock(&fabric.endpoints).transports[rank].mailbox().queued();
         assert_eq!(mailbox(1), 0, "held posts outlived their job");
         // … so the next tenants, one before their booked ends and one
         // after, see only their own traffic.

@@ -37,13 +37,13 @@
 //! ```
 
 use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use cts_core::metrics::MetricsHub;
+use cts_core::sync::lock;
 
 use crate::cluster::Endpoints;
 use crate::error::{NetError, Result};
@@ -181,7 +181,7 @@ impl Communicator {
     pub fn set_stage(&self, name: &'static str) {
         let journal = &self.scope.journal;
         let now = journal.now_ns();
-        let mut clock = self.clock.lock();
+        let mut clock = lock(&self.clock);
         clock.close(now);
         let at = (clock.spans.iter())
             .position(|&(_, _, stage)| stage == name)
@@ -208,7 +208,7 @@ impl Communicator {
     /// to run other ranks.
     pub(crate) fn pause(&self) {
         let now = self.scope.journal.now_ns();
-        self.clock.lock().close(now);
+        lock(&self.clock).close(now);
     }
 
     /// Closes the open stage and hands the journal the rank's spans, one
@@ -216,7 +216,7 @@ impl Communicator {
     /// job closure returns.
     pub(crate) fn finish(&self) {
         let journal = &self.scope.journal;
-        let mut clock = self.clock.lock();
+        let mut clock = lock(&self.clock);
         clock.close(journal.now_ns());
         journal.record_spans(clock.spans.drain(..).map(|(mut span, posted, _)| {
             if posted {
@@ -235,7 +235,7 @@ impl Communicator {
         let Some(nic) = &self.nic else {
             return Ok(None);
         };
-        let mut clock = self.clock.lock();
+        let mut clock = lock(&self.clock);
         if let Some((at, _)) = clock.open {
             clock.spans[at].1 = true;
         }

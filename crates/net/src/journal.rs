@@ -11,7 +11,9 @@
 
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
+use cts_core::sync::lock;
 
 use crate::span::{SpanLog, StageSpan};
 use crate::trace::{intern, Trace, TraceEvent};
@@ -54,27 +56,27 @@ impl Journal {
 
     /// The job's index for stage `name`, interned on first use.
     pub(crate) fn stage(&self, name: &str) -> u16 {
-        intern(&mut self.stages.lock(), name)
+        intern(&mut lock(&self.stages), name)
     }
 
     /// Appends one transfer, stamped with the job and its place in the log.
     pub(crate) fn record(&self, mut event: TraceEvent) {
         debug_assert!(event.overhead <= event.bytes, "overhead exceeds bytes");
-        let mut events = self.events.lock();
+        let mut events = lock(&self.events);
         (event.job, event.seq) = (self.job, events.len() as u64);
         events.push(event);
     }
 
     /// Appends one rank's closed spans.
     pub(crate) fn record_spans(&self, spans: impl Iterator<Item = StageSpan>) {
-        self.spans.lock().extend(spans);
+        lock(&self.spans).extend(spans);
     }
 
     /// Moves out everything recorded so far.
     pub(crate) fn take(&self) -> (Trace, SpanLog) {
-        let names = self.stages.lock().clone();
-        let events = std::mem::take(&mut *self.events.lock());
-        let spans = std::mem::take(&mut *self.spans.lock());
+        let names = lock(&self.stages).clone();
+        let events = std::mem::take(&mut *lock(&self.events));
+        let spans = std::mem::take(&mut *lock(&self.spans));
         let trace = Trace {
             stages: names.clone(),
             events,

@@ -39,10 +39,11 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use cts_core::sync::{lock, unpoison};
 
 use crate::error::{NetError, Result};
 use crate::message::{Key, Message, Tag};
@@ -146,7 +147,7 @@ impl Mailbox {
     /// A message of a job that is not open here, or delivered to a closed
     /// mailbox, is silently dropped — nobody will receive it.
     pub fn deliver(&self, msg: Message) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.closed || !inner.open.contains(&msg.job) {
             return;
         }
@@ -177,7 +178,7 @@ impl Mailbox {
 
     /// Opens job `job` here: its messages are queued from now on.
     pub fn open_job(&self, job: u32) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if !inner.open.contains(&job) {
             inner.open.push(job);
         }
@@ -186,7 +187,7 @@ impl Mailbox {
     /// Ends job `job` here: what it left queued or held is dropped, and so
     /// is anything of it that arrives later.
     pub fn close_job(&self, job: u32) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.open.retain(|&open| open != job);
         let left = (job, Tag(0), 0, 0)..=(job, Tag(u32::MAX), usize::MAX, u64::MAX);
         inner.queued.extract_if(left, |_, _| true).for_each(drop);
@@ -214,7 +215,7 @@ impl Mailbox {
         keys: &[Key],
         deadline: Option<Instant>,
     ) -> Result<(usize, Bytes)> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let mut sources = None;
         let mut expired = false;
         loop {
@@ -244,12 +245,14 @@ impl Mailbox {
             inner.waiters += 1;
             expired = match ripens.into_iter().chain(deadline).min() {
                 None => {
-                    self.available.wait(&mut inner);
+                    inner = unpoison(self.available.wait(inner));
                     false
                 }
                 Some(at) => {
-                    let timed_out = self.available.wait_until(&mut inner, at).timed_out();
-                    timed_out && Some(at) == deadline
+                    let timeout = at.saturating_duration_since(Instant::now());
+                    let (guard, waited) = unpoison(self.available.wait_timeout(inner, timeout));
+                    inner = guard;
+                    waited.timed_out() && Some(at) == deadline
                 }
             };
             inner.waiters -= 1;
@@ -258,7 +261,7 @@ impl Mailbox {
 
     /// Total queued messages, ripe or held (diagnostics).
     pub fn queued(&self) -> usize {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner.queued.len() + inner.held.len()
     }
 
@@ -266,7 +269,7 @@ impl Mailbox {
     /// future waits that find nothing queued or held under their keys fail
     /// with `Disconnected`.
     pub fn close(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.closed = true;
         drop(inner);
         self.available.notify_all();
@@ -282,7 +285,7 @@ impl Mailbox {
         if src >= 128 {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.gone |= 1u128 << src;
         drop(inner);
         self.available.notify_all();
@@ -596,11 +599,11 @@ mod tests {
         for t in 0..10_000u32 {
             mb.deliver(msg(t as usize % 8, Tag::app(t), b"x"));
         }
-        assert_eq!(mb.inner.lock().queued.len(), 10_000);
+        assert_eq!(lock(&mb.inner).queued.len(), 10_000);
         for t in 0..10_000u32 {
             mb.recv(t as usize % 8, Tag::app(t)).unwrap();
         }
-        assert!(mb.inner.lock().queued.is_empty());
+        assert!(lock(&mb.inner).queued.is_empty());
     }
 
     /// The message `msg(src, tag, bytes)` makes, in job `job`.
@@ -752,7 +755,7 @@ mod tests {
 
     /// Blocks until a receiver is asleep in `mb`'s wait.
     fn until_asleep(mb: &Mailbox) {
-        while mb.inner.lock().waiters == 0 {
+        while lock(&mb.inner).waiters == 0 {
             std::thread::yield_now();
         }
     }
@@ -783,7 +786,7 @@ mod tests {
             mb.deliver(held(1, Tag::app(1), b"soon", Duration::from_millis(20)));
             assert_eq!(handle.join().unwrap().1, "soon");
             assert!(start.elapsed() < far / 2, "{:?}", start.elapsed());
-            assert_eq!(mb.inner.lock().waiters, 0);
+            assert_eq!(lock(&mb.inner).waiters, 0);
         }
     }
 

@@ -36,11 +36,11 @@
 //! assert!(cts_net::fabric::multicast_penalty(profile.multicast_alpha, 4) > 1.0);
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cts_core::metrics::{Counter, Histogram};
-use parking_lot::{Condvar, Mutex};
+use cts_core::sync::{lock, unpoison};
 
 use crate::error::{NetError, Result};
 
@@ -223,7 +223,7 @@ impl Nic {
     /// latency, where a transfer leaves as it is posted. Nothing waits here;
     /// after an [`abort`](Nic::abort) every post returns its error.
     pub fn post(&self, bytes: u64) -> Result<Option<Instant>> {
-        let mut egress = self.egress.lock();
+        let mut egress = lock(&self.egress);
         if let Some(e) = &egress.failed {
             return Err(e.clone());
         }
@@ -238,23 +238,23 @@ impl Nic {
     /// Blocks until every posted transfer has left the NIC — no earlier
     /// than the last booked byte — or fails with the abort's error.
     pub fn drain(&self) -> Result<()> {
-        let mut egress = self.egress.lock();
+        let mut egress = lock(&self.egress);
         loop {
             if let Some(e) = &egress.failed {
                 return Err(e.clone());
             }
-            let until = egress.busy_until;
-            if Instant::now() >= until {
+            let left = egress.busy_until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Ok(());
             }
-            self.changed.wait_until(&mut egress, until);
+            egress = unpoison(self.changed.wait_timeout(egress, left)).0;
         }
     }
 
     /// Fails the NIC with `why`: every blocked or later
     /// [`drain`](Nic::drain) and post returns `why`.
     pub fn abort(&self, why: NetError) {
-        self.egress.lock().failed.get_or_insert(why);
+        lock(&self.egress).failed.get_or_insert(why);
         self.changed.notify_all();
     }
 }

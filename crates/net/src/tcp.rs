@@ -40,12 +40,12 @@ use std::collections::HashMap;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use cts_core::sync::lock;
 
 use crate::error::{NetError, Result};
 use crate::frame;
@@ -165,7 +165,7 @@ impl TcpEndpoint {
     /// send to that peer. The dial introduces this endpoint with its hello
     /// before any frame.
     fn link_to(&self, dst: usize) -> Result<Arc<PeerLink>> {
-        if let Some(link) = self.outbound.lock().get(&dst) {
+        if let Some(link) = lock(&self.outbound).get(&dst) {
             return Ok(Arc::clone(link));
         }
         let addr = self
@@ -178,8 +178,8 @@ impl TcpEndpoint {
             })?;
         // Dial under the per-destination lock only: concurrent first-sends
         // to `dst` agree on one link, while traffic to other peers flows.
-        let _dialing = self.dial_locks[dst].lock();
-        if let Some(link) = self.outbound.lock().get(&dst) {
+        let _dialing = lock(&self.dial_locks[dst]);
+        if let Some(link) = lock(&self.outbound).get(&dst) {
             return Ok(Arc::clone(link)); // raced: the other dialer won
         }
         let mut stream = dial_with_retry(self.rank, dst, addr)?;
@@ -189,18 +189,18 @@ impl TcpEndpoint {
             stream,
             writing: Mutex::new(()),
         });
-        self.outbound.lock().insert(dst, Arc::clone(&link));
+        lock(&self.outbound).insert(dst, Arc::clone(&link));
         Ok(link)
     }
 
     /// Joins the acceptor and every reader after shutting the sockets down.
     fn teardown(&self) {
         self.shutdown();
-        if let Some(acceptor) = self.acceptor.lock().take() {
+        if let Some(acceptor) = lock(&self.acceptor).take() {
             let _ = acceptor.join();
         }
         // Out of the map before joining: a reader's last act takes its lock.
-        let readers = std::mem::take(&mut *self.inbound.readers.lock());
+        let readers = std::mem::take(&mut *lock(&self.inbound.readers));
         for reader in readers.into_values() {
             let _ = reader.thread.join();
         }
@@ -269,7 +269,7 @@ impl Inbound {
             // reader's last act and `shutdown()` take: the entry is there
             // before the reader can remove it, and a reader started before
             // the stop is one whose stream `shutdown()` closes.
-            let mut live = self.readers.lock();
+            let mut live = lock(&self.readers);
             if self.stop.load(Ordering::SeqCst) {
                 return; // the self-connect that woke us, or a dialer racing the stop
             }
@@ -278,7 +278,7 @@ impl Inbound {
                 .name(format!("cts-link-{}", self.rank))
                 .spawn(move || {
                     inbound.read_link(&link);
-                    inbound.readers.lock().remove(&std::thread::current().id());
+                    lock(&inbound.readers).remove(&std::thread::current().id());
                 });
             if let Ok(thread) = spawned {
                 live.insert(thread.thread().id(), Reader { stream, thread });
@@ -351,7 +351,7 @@ impl Transport for TcpEndpoint {
             return Ok(());
         }
         let link = self.link_to(dst)?;
-        let _writing = link.writing.lock();
+        let _writing = lock(&link.writing);
         frame::write(&link.stream, &head(job, tag, ready), &[&payload])?;
         Ok(())
     }
@@ -387,7 +387,7 @@ impl Transport for TcpEndpoint {
                 ready,
             });
         }
-        let _writing: Vec<_> = links.iter().map(|link| link.writing.lock()).collect();
+        let _writing: Vec<_> = links.iter().map(|link| lock(&link.writing)).collect();
         // A failed copy does not cut the others short: every healthy link
         // gets a whole frame, and the first error is reported after.
         let (head, mut first_err) = (head(job, tag, ready), None);
@@ -409,10 +409,10 @@ impl Transport for TcpEndpoint {
                 let _ = TcpStream::connect(addr); // wakes the acceptor
             }
         }
-        for link in self.outbound.lock().values() {
+        for link in lock(&self.outbound).values() {
             let _ = link.stream.shutdown(Shutdown::Both);
         }
-        for reader in self.inbound.readers.lock().values() {
+        for reader in lock(&self.inbound.readers).values() {
             let _ = reader.stream.shutdown(Shutdown::Both);
         }
         self.inbound.mailbox.close();
@@ -436,7 +436,7 @@ mod tests {
     /// Outbound links `ep` has dialed so far — with the lazy mesh, exactly
     /// the number of distinct peers it has sent to.
     fn outbound_links(ep: &TcpEndpoint) -> usize {
-        ep.outbound.lock().len()
+        lock(&ep.outbound).len()
     }
 
     /// A raw connection into `ep`'s listener that has sent `bytes`.
@@ -669,7 +669,7 @@ mod tests {
             assert_closed(raw);
             // The reader returned rather than unwound: it removed its own
             // entry, and the endpoint carries on.
-            while !endpoints[1].inbound.readers.lock().is_empty() {
+            while !lock(&endpoints[1].inbound.readers).is_empty() {
                 assert!(Instant::now() < deadline, "the reader never ended");
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -723,7 +723,7 @@ mod tests {
             let _ = raw.shutdown(Shutdown::Write);
             assert_closed(raw);
             let deadline = Instant::now() + Duration::from_secs(10);
-            while ep.inbound.readers.lock().len() != 2 {
+            while lock(&ep.inbound.readers).len() != 2 {
                 prop_assert!(Instant::now() < deadline, "a stray link's reader never ended");
                 std::thread::sleep(Duration::from_millis(1));
             }

@@ -58,42 +58,6 @@ pub struct TableRow {
     pub speedup: Option<f64>,
 }
 
-impl serde::ser::Serialize for StageBreakdown {
-    fn to_json(&self) -> serde::json::Value {
-        serde::json::Value::object([
-            ("codegen_s", serde::json::Value::Float(self.codegen_s)),
-            ("map_s", serde::json::Value::Float(self.map_s)),
-            (
-                "pack_encode_s",
-                serde::json::Value::Float(self.pack_encode_s),
-            ),
-            ("shuffle_s", serde::json::Value::Float(self.shuffle_s)),
-            (
-                "unpack_decode_s",
-                serde::json::Value::Float(self.unpack_decode_s),
-            ),
-            ("reduce_s", serde::json::Value::Float(self.reduce_s)),
-            ("total_s", serde::json::Value::Float(self.total_s())),
-        ])
-    }
-}
-
-impl serde::ser::Serialize for TableRow {
-    fn to_json(&self) -> serde::json::Value {
-        serde::json::Value::object([
-            ("label", serde::json::Value::Str(self.label.clone())),
-            ("breakdown", serde::ser::Serialize::to_json(&self.breakdown)),
-            (
-                "speedup",
-                match self.speedup {
-                    Some(s) => serde::json::Value::Float(s),
-                    None => serde::json::Value::Null,
-                },
-            ),
-        ])
-    }
-}
-
 /// Renders rows in the layout of the paper's Tables I–III.
 pub fn render_table(title: &str, rows: &[TableRow]) -> String {
     let mut out = String::new();

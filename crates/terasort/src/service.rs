@@ -78,11 +78,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{JoinHandle, ThreadId};
 
 use bytes::Bytes;
 use cts_core::metrics::Counter;
+use cts_core::sync::lock;
 use cts_mapreduce::runtime::{JobHandle, JobRuntime, JobStatus, RuntimeConfig};
 use cts_mapreduce::JobOutcome;
 use cts_net::frame;
@@ -255,14 +256,14 @@ type Settled = Result<Arc<JobOutcome>, String>;
 /// outcome (or the table's sweep finds the job ended), the outcome after.
 /// Whoever asks first waits on the handle, everybody else on `outcome`.
 struct Entry {
-    handle: parking_lot::Mutex<Option<JobHandle>>,
+    handle: Mutex<Option<JobHandle>>,
     outcome: OnceLock<Settled>,
 }
 
 impl Entry {
     fn new(handle: JobHandle) -> Arc<Entry> {
         Arc::new(Entry {
-            handle: parking_lot::Mutex::new(Some(handle)),
+            handle: Mutex::new(Some(handle)),
             outcome: OnceLock::new(),
         })
     }
@@ -272,14 +273,14 @@ impl Entry {
             Some(Ok(_)) => JobStatus::Done,
             Some(Err(msg)) => JobStatus::Failed(msg.clone()),
             // No handle either: a client is blocked on it, the job running or about to.
-            None => (self.handle.lock().as_ref()).map_or(JobStatus::Running, JobHandle::status),
+            None => (lock(&self.handle).as_ref()).map_or(JobStatus::Running, JobHandle::status),
         }
     }
 
     /// The outcome, waited for if the job has not ended.
     fn settle(&self) -> Settled {
         let wait = || {
-            let handle = self.handle.lock().take().expect("taken once, here");
+            let handle = lock(&self.handle).take().expect("taken once, here");
             handle.wait().map(Arc::new).map_err(|e| e.to_string())
         };
         self.outcome.get_or_init(wait).clone()
@@ -289,7 +290,7 @@ impl Entry {
 struct Inner {
     runtime: JobRuntime,
     /// The one place a resident job is kept, by id (see the module docs).
-    jobs: parking_lot::Mutex<BTreeMap<u32, Arc<Entry>>>,
+    jobs: Mutex<BTreeMap<u32, Arc<Entry>>>,
     evicted: Arc<Counter>,
     stop: StopHandle,
 }
@@ -298,7 +299,7 @@ struct Inner {
 struct StopState {
     raised: AtomicBool,
     /// Every listener a thread may be blocked accepting on.
-    listeners: parking_lot::Mutex<Vec<SocketAddr>>,
+    listeners: Mutex<Vec<SocketAddr>>,
 }
 
 /// The one stop mechanism (see the module docs). The service hands a clone
@@ -316,7 +317,7 @@ impl StopHandle {
     /// connection for its accept loop to find the flag behind.
     pub fn stop(&self) {
         if !self.0.raised.swap(true, Ordering::SeqCst) {
-            for addr in self.0.listeners.lock().iter() {
+            for addr in lock(&self.0.listeners).iter() {
                 let _ = TcpStream::connect(addr);
             }
         }
@@ -326,7 +327,7 @@ impl StopHandle {
 impl Inner {
     /// The table's entry for `id`, or why it has none.
     fn entry(&self, id: u32) -> Result<Arc<Entry>, String> {
-        let jobs = self.jobs.lock();
+        let jobs = lock(&self.jobs);
         // Ids count up from 1 and the newest entry is never evicted.
         let newest = jobs.last_key_value().map_or(0, |(id, _)| *id);
         jobs.get(&id).cloned().ok_or_else(|| {
@@ -343,7 +344,7 @@ impl Inner {
     /// The job's outcome, waited for if need be; its bytes count from here on.
     fn outcome_of(&self, id: u32) -> Settled {
         let settled = self.entry(id)?.settle();
-        self.sweep(&mut self.jobs.lock());
+        self.sweep(&mut lock(&self.jobs));
         settled
     }
 
@@ -427,7 +428,7 @@ impl Inner {
             "per-job stage walls (ms; slowest rank) and NIC stalls:"
         );
         let jobs: Vec<(u32, Arc<Entry>)> = {
-            let mut jobs = self.jobs.lock();
+            let mut jobs = lock(&self.jobs);
             self.sweep(&mut jobs);
             jobs.iter().map(|(id, e)| (*id, Arc::clone(e))).collect()
         };
@@ -469,7 +470,7 @@ impl Inner {
     fn submit(&self, r: usize, input: Bytes) -> Result<u32, String> {
         // Admitted under the table's lock: entries go in in id order, so
         // `entry` can tell an issued id from a made-up one by comparison.
-        let mut jobs = self.jobs.lock();
+        let mut jobs = lock(&self.jobs);
         let handle = self
             .runtime
             .submit(move |ctx| {
@@ -550,7 +551,7 @@ impl Inner {
 /// joins. A handler's entry goes when the handler does, so a resident
 /// daemon holds one per open connection, not one per connection ever
 /// served.
-type Registry = Arc<parking_lot::Mutex<HashMap<ThreadId, Conn>>>;
+type Registry = Arc<Mutex<HashMap<ThreadId, Conn>>>;
 
 struct Conn {
     /// A second handle on the handler's socket, for the drain to close.
@@ -581,14 +582,14 @@ fn accept_loop(
         let (inner, registry, flag) = (Arc::clone(inner), Arc::clone(conns), Arc::clone(&idle));
         // Registered under the lock the handler's last act takes, so the
         // entry is there before the handler can remove it.
-        let mut live = conns.lock();
+        let mut live = lock(conns);
         let handler = std::thread::spawn(move || {
             serve(stream, &inner, &flag);
             // Let go of the runtime first: once the entry is gone nobody
             // joins this thread, and `run` must not return while it could
             // still be the one keeping the runtime from draining.
             drop(inner);
-            registry.lock().remove(&std::thread::current().id());
+            lock(&registry).remove(&std::thread::current().id());
         });
         let conn = Conn {
             stream: peer,
@@ -621,12 +622,12 @@ impl SortService {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind: {e}"))?;
         let stop = StopHandle::default();
         let bound = listener.local_addr().map_err(|e| e.to_string())?;
-        stop.0.listeners.lock().push(bound);
+        lock(&stop.0.listeners).push(bound);
         Ok(SortService {
             listener,
             inner: Arc::new(Inner {
                 runtime,
-                jobs: parking_lot::Mutex::new(BTreeMap::new()),
+                jobs: Mutex::new(BTreeMap::new()),
                 evicted,
                 stop,
             }),
@@ -643,7 +644,7 @@ impl SortService {
     pub fn serve_metrics(&mut self, addr: impl ToSocketAddrs) -> Result<SocketAddr, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("metrics bind: {e}"))?;
         let bound = listener.local_addr().map_err(|e| e.to_string())?;
-        self.inner.stop.0.listeners.lock().push(bound);
+        lock(&self.inner.stop.0.listeners).push(bound);
         let (inner, conns) = (Arc::clone(&self.inner), Arc::clone(&self.conns));
         self.metrics_threads.push(std::thread::spawn(move || {
             let _ = accept_loop(&listener, &inner, &conns, serve_scrape);
@@ -668,7 +669,7 @@ impl SortService {
         // However accepting ended, everything else now ends the same way.
         self.inner.stop.stop();
         let handlers: Vec<JoinHandle<()>> = {
-            let mut live = self.conns.lock();
+            let mut live = lock(&self.conns);
             for conn in live.values().filter(|c| c.idle.load(Ordering::SeqCst)) {
                 let _ = conn.stream.shutdown(Shutdown::Both);
             }
@@ -1147,7 +1148,7 @@ mod tests {
         for _ in 0..100 {
             newest = daemon.submit(1, input.clone()).unwrap();
             daemon.outcome_of(newest).unwrap();
-            assert!(daemon.jobs.lock().len() <= FINISHED_JOBS_KEPT);
+            assert!(lock(&daemon.jobs).len() <= FINISHED_JOBS_KEPT);
         }
         let stats = daemon.render_stats();
         // The counts cover every job since boot, the table the last 64.
@@ -1181,7 +1182,7 @@ mod tests {
                 Ok(id) => newest = id,
                 Err(busy) => assert!(busy.contains("admission queue full"), "{busy}"),
             }
-            assert!(daemon.jobs.lock().len() <= FINISHED_JOBS_KEPT + in_flight);
+            assert!(lock(&daemon.jobs).len() <= FINISHED_JOBS_KEPT + in_flight);
         }
         let reference = ResultDigest::of(&daemon.outcome_of(newest).unwrap().outputs);
         // All but the last 64 were evicted unasked, and each of those ids
@@ -1197,7 +1198,7 @@ mod tests {
         let never_issued = daemon.handle_request(request(OP_DIGEST, 501), &mut reply);
         assert_eq!(never_issued.unwrap_err(), "unknown job id 501");
         daemon.render_stats();
-        let kept: Vec<u32> = daemon.jobs.lock().keys().copied().collect();
+        let kept: Vec<u32> = lock(&daemon.jobs).keys().copied().collect();
         assert_eq!(kept, (437..=500).collect::<Vec<u32>>());
         assert_eq!(daemon.evicted.get(), 436);
         let oldest = daemon.outcome_of(437).unwrap();
@@ -1219,9 +1220,9 @@ mod tests {
             };
             let handle = daemon.runtime.submit(claim).unwrap();
             let id = handle.id();
-            daemon.jobs.lock().insert(id, Entry::new(handle));
+            lock(&daemon.jobs).insert(id, Entry::new(handle));
             daemon.outcome_of(id).unwrap();
-            daemon.jobs.lock().keys().copied().collect::<Vec<u32>>()
+            lock(&daemon.jobs).keys().copied().collect::<Vec<u32>>()
         };
         assert_eq!(finish(100), vec![1]);
         assert_eq!(finish(100), vec![1, 2]);
@@ -1286,7 +1287,7 @@ mod tests {
             let answer = daemon.handle_request(Bytes::from(req.clone()), &mut Vec::new());
             assert!(answer.is_err(), "{req:?}");
         }
-        assert!(daemon.jobs.lock().is_empty() && !daemon.stop.raised());
+        assert!(lock(&daemon.jobs).is_empty() && !daemon.stop.raised());
     }
 
     /// Polls `cond` (the daemon's own state, which no event reports to a
@@ -1360,7 +1361,7 @@ mod tests {
         let mut client = ServiceClient::connect(addr).unwrap();
         let id = client.submit(&JobKind::Sort, 1, &input).unwrap();
         let busy = || {
-            let live = conns.lock();
+            let live = lock(&conns);
             live.values().any(|conn| !conn.idle.load(Ordering::SeqCst))
         };
         eventually("the handler is back at the frame boundary", || !busy());
@@ -1385,11 +1386,11 @@ mod tests {
             ServiceClient::connect(addr).unwrap().stats().unwrap();
         }
         eventually("every finished handler removed its entry", || {
-            conns.lock().is_empty()
+            lock(&conns).is_empty()
         });
         let mut client = ServiceClient::connect(addr).unwrap();
         client.stats().unwrap();
-        assert_eq!(conns.lock().len(), 1);
+        assert_eq!(lock(&conns).len(), 1);
         client.shutdown().unwrap();
         server.join().unwrap().unwrap();
     }

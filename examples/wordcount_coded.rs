@@ -12,23 +12,28 @@
 use bytes::Bytes;
 use coded_terasort::mapreduce::wordcount::WordCount;
 use coded_terasort::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Synthetic prose: a handful of hot stop-words plus a large long-tail
 /// vocabulary (Zipf-flavored), so per-file intermediates grow with file
 /// size the way real text corpora do.
 fn synthetic_text(words: usize, seed: u64) -> Bytes {
     const HOT: &[&str] = &["the", "of", "and", "to", "in", "code", "data", "sort"];
-    let mut rng = StdRng::seed_from_u64(seed);
+    // splitmix64: a deterministic draw per call.
+    let mut state = seed;
+    let mut next_u64 = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
     let mut out = String::new();
     for i in 0..words {
-        let z = (rng.next_u64() % 100) as usize;
+        let z = (next_u64() % 100) as usize;
         if z < 30 {
-            out.push_str(HOT[rng.next_u64() as usize % HOT.len()]);
+            out.push_str(HOT[next_u64() as usize % HOT.len()]);
         } else {
             // Long tail: ~60k distinct word forms.
-            out.push_str(&format!("w{}", rng.next_u64() % 60_000));
+            out.push_str(&format!("w{}", next_u64() % 60_000));
         }
         out.push(if i % 12 == 11 { '\n' } else { ' ' });
     }

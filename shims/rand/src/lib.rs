@@ -3,8 +3,9 @@
 //! Provides the subset the workspace uses: `rngs::StdRng`,
 //! `SeedableRng::seed_from_u64`, and the `Rng` methods `next_u32`,
 //! `next_u64`, `fill_bytes`, and `gen_range`. The generator is
-//! xoshiro256** seeded via splitmix64 — deterministic across platforms,
-//! which the reproduction relies on for stable TeraGen inputs.
+//! xoshiro256** seeded via splitmix64, deterministic across platforms.
+//! No product code draws from it: TeraGen keeps its own copy of the
+//! algorithm in `crates/terasort/src/teragen.rs`.
 
 /// Core + convenience RNG methods (collapsed `RngCore`/`Rng` surface).
 pub trait Rng {

@@ -9,9 +9,10 @@
 //!
 //! The derive macros remain no-ops (the shim has no `syn`); types that
 //! want JSON output implement [`Serialize`] by hand, which for the handful
-//! of result structs is a few lines each. Swap this shim for the real
-//! crate by dropping the `[patch.crates-io]` entry once the build
-//! environment has registry access.
+//! of result structs is a few lines each. The `json` module is this
+//! shim's own API — the real crate has none — so its users (`crates/bench`,
+//! `benchmark/`) need a JSON writer of their own before the real crate
+//! can replace the shim.
 
 pub use serde_derive::{Deserialize, Serialize};
 
