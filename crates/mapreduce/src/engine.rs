@@ -28,7 +28,7 @@
 //! [`cts_core::pool::global`] and frozen through it, so a job's pages outlive
 //! it for the next one; only the Reduce output is fresh, and the caller's.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -48,7 +48,7 @@ use cts_net::fault::CrashPoint;
 use cts_net::message::Tag;
 use cts_net::span::SpanLog;
 use cts_net::trace::Trace;
-use cts_net::{Communicator, Key, NetError, NicMeter};
+use cts_net::{Communicator, Key, NetError, NicLedger};
 use cts_netsim::stats::{NodeStats, RunStats};
 
 use crate::error::{EngineError, Result};
@@ -69,9 +69,10 @@ pub struct JobOutcome {
     /// Wall-clock stage times (slowest node per stage), derived from
     /// `spans`.
     pub wall: WallTimes,
-    /// The token-bucket stalls of the job's emulated NICs; `None` for a job
-    /// that ran unshaped.
-    pub nic: Option<Arc<NicMeter>>,
+    /// What each rank's emulated NIC booked, rank order — transfers, bytes,
+    /// busy time and token-bucket stalls; empty for a job that ran unshaped.
+    /// [`NicLedger::egress_floor`] of it is the least the Shuffle can take.
+    pub nic: Vec<NicLedger>,
     /// Where the ranks ran: a thread each, or in turn on the caller's — then
     /// `wall`'s stage walls are one rank's own uninterrupted time.
     pub schedule: Schedule,
@@ -869,6 +870,7 @@ mod tests {
     use crate::verify::run_sequential;
     use cts_net::fault::{CrashSpec, FaultAction, FaultRule};
     use cts_net::trace::EventKind;
+    use std::sync::Arc;
     use std::time::Duration;
 
     // ---- r = 1: conventional TeraSort (paper §III) ---------------------------

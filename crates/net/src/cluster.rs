@@ -48,7 +48,7 @@ use crate::fabric::ShuffleFabric;
 use crate::fault::{FaultRule, FaultyTransport};
 use crate::journal::Journal;
 use crate::local::LocalFabric;
-use crate::rate::{Nic, NicMeter, NicProfile};
+use crate::rate::{Nic, NicLedger, NicProfile};
 use crate::span::SpanLog;
 use crate::tcp::build_tcp_fabric;
 use crate::trace::Trace;
@@ -144,7 +144,7 @@ impl ClusterConfig {
 }
 
 /// The outcome of an SPMD run: one result per rank plus what the job
-/// recorded — its own transfers, spans and NIC stalls, nobody else's.
+/// recorded — its own transfers, spans and NIC bookings, nobody else's.
 #[derive(Debug)]
 pub struct ClusterRun<R> {
     /// Per-rank return values, rank order.
@@ -153,9 +153,9 @@ pub struct ClusterRun<R> {
     pub trace: Trace,
     /// The job's stage spans: one per rank per stage entered.
     pub spans: SpanLog,
-    /// What the job's emulated NICs counted their stalls on; `None` for a
-    /// job that ran unshaped.
-    pub nic: Option<Arc<NicMeter>>,
+    /// What each rank's emulated NIC booked, rank order; empty for a job
+    /// that ran without one.
+    pub nic: Vec<NicLedger>,
     /// Where the job's ranks ran.
     pub schedule: Schedule,
 }
@@ -278,7 +278,7 @@ impl Endpoints {
 ///   flight when it ends, is dropped, not taken by the next job;
 /// - **records**: each job writes its transfers and stage spans into a
 ///   journal of its own and gets them back as [`ClusterRun::trace`] and
-///   [`ClusterRun::spans`], with its NIC meter beside them; the fabric
+///   [`ClusterRun::spans`], with its NICs' ledgers beside them; the fabric
 ///   keeps nothing of a finished job;
 /// - **pacing**: each job gets its own emulated [`Nic`] token buckets
 ///   (from `nic_override` or the cluster default), so one tenant
@@ -375,9 +375,8 @@ impl SharedFabric {
     }
 
     /// Opens a job: its id on every rank's mailbox, its scope — a fresh
-    /// journal, a meter when it runs shaped — and one communicator per
-    /// rank, each behind its own NIC, on the live endpoints (built anew if
-    /// the last job tore them down).
+    /// journal — and one communicator per rank, each behind its own NIC, on
+    /// the live endpoints (built anew if the last job tore them down).
     pub(crate) fn open_job(
         &self,
         binding: JobBinding,
@@ -391,14 +390,11 @@ impl SharedFabric {
             Arc::clone(&live)
         };
         let shaped = nic_override.or(self.config.nic);
-        let shaped = shaped.map(|profile| (profile, Arc::new(NicMeter::new())));
-        let nic = |(profile, meter): &(NicProfile, Arc<NicMeter>)| {
-            let hist = Some(Arc::clone(&self.nic_wait_hist));
-            Arc::new(Nic::new(*profile).with_meter(Arc::clone(meter), hist))
+        let nic = |profile| {
+            let hist = Arc::clone(&self.nic_wait_hist);
+            Arc::new(Nic::new(profile).with_wait_hist(hist))
         };
-        let nics: Vec<Option<Arc<Nic>>> = (0..self.config.k)
-            .map(|_| shaped.as_ref().map(nic))
-            .collect();
+        let nics: Vec<Option<Arc<Nic>>> = (0..self.config.k).map(|_| shaped.map(nic)).collect();
         if shaped.is_some() {
             let mut live = lock(&endpoints.nics);
             live.retain(|(_, nic)| nic.strong_count() > 0);
@@ -410,7 +406,6 @@ impl SharedFabric {
         let scope = Arc::new(JobScope {
             fabric: self.config.fabric,
             journal: Journal::new(binding.id, self.origin),
-            meter: shaped.map(|(_, meter)| meter),
             metrics: Arc::clone(&self.metrics),
             endpoints: Arc::clone(&endpoints),
         });
@@ -544,7 +539,7 @@ impl SharedFabric {
             results: results.into_iter().flatten().collect(),
             trace,
             spans,
-            nic: scope.meter.clone(),
+            nic: comms.iter().filter_map(Communicator::ledger).collect(),
             schedule,
         })
     }
@@ -611,6 +606,7 @@ mod tests {
     use super::*;
     use crate::message::Tag;
     use bytes::Bytes;
+    use std::time::Duration;
 
     #[test]
     fn spmd_ring_local() {
@@ -1002,9 +998,9 @@ mod tests {
     }
 
     #[test]
-    fn a_jobs_nic_meter_leaves_with_its_run() {
+    fn a_jobs_nic_ledgers_leave_with_its_run() {
         // Job 1 is rate-limited hard, job 2 runs unshaped: only a shaped
-        // job has a meter, and it holds that job's token-bucket stalls.
+        // job has ledgers, one per rank, and they hold that job's bookings.
         let fabric = SharedFabric::build(&ClusterConfig::local(2)).unwrap();
         let slow = NicProfile::rate_limited(1_000_000.0);
         let run = |id: u32, nic: Option<NicProfile>| {
@@ -1027,13 +1023,19 @@ mod tests {
                 )
                 .unwrap()
         };
-        let meter = run(1, Some(slow)).nic.expect("a shaped job is metered");
-        assert!(meter.waits.get() >= 1);
-        assert!(meter.wait_ns.get() > 0);
-        assert!(run(2, None).nic.is_none(), "unshaped jobs create no meter");
+        let ledgers = run(1, Some(slow)).nic;
+        let [sender, receiver] = ledgers[..] else {
+            panic!("one ledger per rank: {ledgers:?}")
+        };
+        assert_eq!((sender.transfers, sender.bytes), (2, 300_001));
+        assert!(sender.stalls >= 1 && sender.stalled > Duration::ZERO);
+        assert_eq!(NicLedger::egress_floor(&ledgers), sender.busy);
+        assert_eq!(receiver, NicLedger::default(), "rank 1 sent nothing");
+        assert!(run(2, None).nic.is_empty(), "an unshaped job books nothing");
         // The fabric-wide histogram saw the same stalls.
         let text = fabric.render_prometheus();
-        assert!(text.contains("cts_nic_wait_seconds_count"));
+        let count = format!("cts_nic_wait_seconds_count {}", sender.stalls);
+        assert!(text.contains(&count), "{text}");
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::error::{NetError, Result};
 use crate::fabric::ShuffleFabric;
 use crate::journal::Journal;
 use crate::message::{Key, Tag};
-use crate::rate::{Nic, NicMeter};
+use crate::rate::{Nic, NicLedger};
 use crate::span::StageSpan;
 use crate::trace::{EventKind, TraceEvent};
 use crate::transport::Transport;
@@ -96,9 +96,6 @@ pub(crate) struct JobScope {
     /// How [`Communicator::post_multicast`] realizes group sends.
     pub(crate) fabric: ShuffleFabric,
     pub(crate) journal: Journal,
-    /// What the job's NICs count their stalls on; `None` when it runs
-    /// unshaped.
-    pub(crate) meter: Option<Arc<NicMeter>>,
     /// The owning fabric's metric registry, so engines can register
     /// job-level instruments (decode progress)
     /// without new plumbing.
@@ -199,6 +196,11 @@ impl Communicator {
             });
         self.stage.store(clock.spans[at].0.stage, Ordering::Relaxed);
         clock.open = Some((at, now));
+    }
+
+    /// What this rank's emulated NIC has booked; `None` without one.
+    pub(crate) fn ledger(&self) -> Option<NicLedger> {
+        self.nic.as_ref().map(|nic| nic.ledger())
     }
 
     /// Stops the rank's stage clock: the time up to now is booked to the
@@ -383,18 +385,21 @@ impl Communicator {
     /// `members` must be sorted ascending and contain the caller; each
     /// receiver takes the payload with a plain [`recv`](Self::recv) from
     /// this rank (no relaying), so the receive path is fabric-independent.
-    /// What changes per fabric is how the copies leave the machine and how
-    /// long they occupy the emulated NIC — [`ShuffleFabric::egress`], the
-    /// rule `cts-netsim` predicts from:
+    /// What changes per fabric is how the copies leave the machine and what
+    /// the emulated NIC books for them — [`ShuffleFabric::egress`]:
     ///
-    /// * `SerialUnicast` — one transfer per receiver, each paying its own
-    ///   NIC latency and egress bytes;
+    /// * `SerialUnicast` — one transfer per receiver, each booked with its
+    ///   own NIC latency and bytes;
     /// * `Fanout` — one transfer whose `m` copies leave through one
     ///   [`Transport::multicast`] (on TCP, back to back into kernel buffers
-    ///   that the receivers' link readers drain concurrently): the NIC pays
-    ///   one latency, and egress still moves `m × bytes`;
+    ///   that the receivers' link readers drain concurrently): one latency,
+    ///   and `m × bytes` charged;
     /// * `Multicast` — one transfer charged `bytes × (1 + α·log2 m)` once,
     ///   genuine one-to-many.
+    ///
+    /// Each transfer is booked as [`Nic::post`] says — its latency, during
+    /// which the token bucket refills, then its charged bytes — and goes
+    /// into the rank's [`NicLedger`].
     ///
     /// The trace records **one** `Multicast` event (bytes counted once —
     /// the paper's communication-load convention) whose

@@ -14,11 +14,13 @@
 //!
 //! [`ShuffleFabric::wire_copies`] is the per-fabric egress frame count the
 //! trace records, and [`ShuffleFabric::egress`] the one rule for what a
-//! group send costs its sender's NIC: the emulated NIC
+//! group send costs its sender's NIC: how many transfers, and how many
+//! charged bytes each. The emulated NIC
 //! ([`Communicator::post_multicast`](crate::comm::Communicator::post_multicast))
-//! charges it and the netsim oracle (`cts-netsim::serial`'s
-//! `serial_fabric_makespan` and `egress_floor_s`) predicts shuffle time
-//! from it.
+//! books them and keeps what it booked in its
+//! [`NicLedger`](crate::rate::NicLedger); the netsim projections
+//! (`cts-netsim::serial`'s `serial_fabric_makespan`, `cts-netsim::fluid`'s
+//! `predict_fabric_shuffle_s`) price the same transfers `L + B/rate` each.
 //!
 //! ```
 //! use cts_net::fabric::ShuffleFabric;
@@ -76,14 +78,19 @@ impl ShuffleFabric {
     }
 
     /// What sending `bytes` to `fanout` receivers costs the sender's NIC:
-    /// `(transfers, bytes_each)`, a transfer occupying the NIC for its
-    /// setup latency `L` plus `bytes_each / rate`. With `m` = `fanout`:
+    /// `(transfers, bytes_each)`. With `m` = `fanout`:
     ///
-    /// * `SerialUnicast` — one transfer per receiver: `m·(L + B/rate)`;
-    /// * `Fanout` — one setup, `m` copies sharing the egress:
-    ///   `L + m·B/rate`;
+    /// * `SerialUnicast` — one transfer of `B` per receiver: `m` of them;
+    /// * `Fanout` — one transfer, `m` copies sharing the egress: `m·B`;
     /// * `Multicast` — one transmission with the software multicast penalty
-    ///   ([`multicast_penalty`]): `L + B·(1 + α·log2 m)/rate`.
+    ///   ([`multicast_penalty`]): `B·(1 + α·log2 m)`.
+    ///
+    /// The emulated NIC ([`Nic::post`](crate::rate::Nic::post)) books each
+    /// transfer as its latency `L` and then its bytes out of a token bucket
+    /// that refills during `L`: one sent hard behind another is booked for
+    /// about `max(L, bytes_each / rate)`, an isolated one for `L` plus what
+    /// the burst does not cover. The netsim projections charge `L +
+    /// bytes_each / rate` a transfer.
     pub fn egress(self, bytes: f64, fanout: usize, alpha: f64) -> (usize, f64) {
         match self {
             ShuffleFabric::SerialUnicast => (fanout, bytes),

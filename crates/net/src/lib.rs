@@ -89,7 +89,7 @@ pub use comm::Communicator;
 pub use error::{NetError, Result};
 pub use fabric::ShuffleFabric;
 pub use message::{Key, Message, Tag};
-pub use rate::{Nic, NicMeter, NicProfile};
+pub use rate::{Nic, NicLedger, NicProfile};
 pub use registry::RankRegistry;
 pub use span::{SpanLog, StageSpan};
 pub use trace::{EventKind, Trace, TraceEvent};

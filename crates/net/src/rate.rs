@@ -18,7 +18,9 @@
 //! communicator stamps on the message it hands the transport at once; the
 //! receiving [`Mailbox`](crate::mailbox::Mailbox) holds the message until
 //! then. [`Nic::drain`] waits until everything posted has left the NIC; a
-//! blocking send is a post and a drain.
+//! blocking send is a post and a drain. What a NIC booked is its
+//! [`NicLedger`], the one account of its time: a job's egress floor is
+//! read there, not modeled.
 //!
 //! ```
 //! use cts_net::rate::{Nic, NicProfile};
@@ -39,29 +41,53 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cts_core::metrics::{Counter, Histogram};
+use cts_core::metrics::Histogram;
 use cts_core::sync::{lock, unpoison};
 
 use crate::error::{NetError, Result};
 
-/// Per-NIC observability sink: totals of token-bucket stalls, owned by
-/// whoever built the NIC (the shared fabric keeps one per job so `cts
-/// stats` can attribute egress backpressure to tenants). Plain atomics —
-/// recording allocates nothing.
-#[derive(Debug, Default)]
-pub struct NicMeter {
-    /// Nanoseconds the egress spent repaying token-bucket debt — how long
-    /// the transfers would have stalled a sender that waited for each.
-    pub wait_ns: Counter,
-    /// Number of transfers that ran the bucket into debt (transfers the
-    /// burst absorbed are not counted).
-    pub waits: Counter,
+/// What one rank's [`Nic`] booked: every transfer [`Nic::post`] charged to
+/// it, kept under the lock the post takes. A NIC books each transfer behind
+/// the one before, so no two bookings overlap and `busy` never exceeds
+/// `last_end − first_start`: the busiest rank's `busy` is the egress floor
+/// of a job, the least time its Shuffle can take ([`NicLedger::egress_floor`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NicLedger {
+    /// Transfers booked.
+    pub transfers: u64,
+    /// Charged bytes booked ([`ShuffleFabric::egress`](crate::fabric::ShuffleFabric::egress)).
+    pub bytes: u64,
+    /// The sum over the bookings of each one's time on the NIC: from its
+    /// start (its post, or the end of the one before) to its booked end.
+    pub busy: Duration,
+    /// Transfers that ran the token bucket into debt (transfers the burst
+    /// absorbed are not counted).
+    pub stalls: u64,
+    /// Time the NIC spent repaying that debt — how long the transfers
+    /// would have stalled a sender that waited for each.
+    pub stalled: Duration,
+    /// When the first booking started; `None` until one did.
+    pub first_start: Option<Instant>,
+    /// When the last booking ends; `None` until one was made.
+    pub last_end: Option<Instant>,
 }
 
-impl NicMeter {
-    /// A zeroed meter.
-    pub fn new() -> NicMeter {
-        NicMeter::default()
+impl NicLedger {
+    /// The egress floor of a job behind these NICs, one ledger per rank:
+    /// the busiest rank's booked time. A rank's Shuffle runs from its first
+    /// post to its NIC drained, so it covers every booking and no Shuffle
+    /// wall is shorter.
+    pub fn egress_floor(ledgers: &[NicLedger]) -> Duration {
+        ledgers.iter().map(|l| l.busy).max().unwrap_or_default()
+    }
+
+    /// Books one transfer of `bytes` from `start` to `end`.
+    fn book(&mut self, start: Instant, end: Instant, bytes: u64) {
+        self.transfers += 1;
+        self.bytes += bytes;
+        self.busy += end - start;
+        self.first_start.get_or_insert(start);
+        self.last_end = Some(end);
     }
 }
 
@@ -137,6 +163,8 @@ struct Egress {
     refilled: Instant,
     /// When the transfers booked so far will have left the NIC.
     busy_until: Instant,
+    /// What was booked so far.
+    ledger: NicLedger,
     /// The abort: every later post and drain returns it.
     failed: Option<NetError>,
 }
@@ -146,7 +174,7 @@ struct Egress {
 pub struct Nic {
     profile: NicProfile,
     latency: Duration,
-    meter: Option<Arc<NicMeter>>,
+    /// Where each token-bucket stall's duration (ns) is recorded as well.
     wait_hist: Option<Arc<Histogram>>,
     egress: Mutex<Egress>,
     /// Signalled by the abort — what a [`drain`](Nic::drain) waiting out
@@ -167,20 +195,19 @@ impl Nic {
                 tokens: profile.burst_bytes,
                 refilled: now,
                 busy_until: now,
+                ledger: NicLedger::default(),
                 failed: None,
             }),
             changed: Condvar::new(),
             profile,
-            meter: None,
             wait_hist: None,
         }
     }
 
-    /// Attaches a per-job wait meter (totals) and an optional shared
-    /// histogram (distribution of individual stall durations, ns).
-    pub fn with_meter(mut self, meter: Arc<NicMeter>, hist: Option<Arc<Histogram>>) -> Self {
-        self.meter = Some(meter);
-        self.wait_hist = hist;
+    /// Records each token-bucket stall's duration (ns) in `hist` as well
+    /// as in the NIC's own ledger.
+    pub(crate) fn with_wait_hist(mut self, hist: Arc<Histogram>) -> Self {
+        self.wait_hist = Some(hist);
         self
     }
 
@@ -189,32 +216,39 @@ impl Nic {
         &self.profile
     }
 
+    /// What this NIC has booked so far.
+    pub fn ledger(&self) -> NicLedger {
+        lock(&self.egress).ledger
+    }
+
     /// Books one transfer that starts at `start`: the fixed setup latency,
     /// then `bytes` out of a classic token bucket — `rate` tokens a second,
-    /// at most `burst` of them. A request the bucket cannot cover is admitted
-    /// by letting the count go negative, and the NIC is busy until the debt
-    /// is repaid: long-run throughput is exact for any message size.
+    /// at most `burst` of them. The bucket refills while the latency
+    /// elapses, so a transfer the bucket covers leaves after the latency
+    /// alone, and one sent hard behind another is booked for about
+    /// `max(latency, bytes ÷ rate)`, not their sum. A request the bucket
+    /// cannot cover is admitted by letting the count go negative, and the NIC
+    /// is busy until the debt is repaid: long-run throughput is exact for
+    /// any message size. The booking goes into the NIC's [`NicLedger`].
     fn book(&self, egress: &mut Egress, start: Instant, bytes: u64) {
         let at = start + self.latency;
         egress.busy_until = at;
-        let Some(rate) = self.profile.rate_bytes_per_sec else {
-            return;
-        };
-        let refill = at.saturating_duration_since(egress.refilled).as_secs_f64() * rate;
-        egress.tokens = (egress.tokens + refill).min(self.profile.burst_bytes) - bytes as f64;
-        egress.refilled = at;
-        if egress.tokens < 0.0 {
-            let stall = Duration::from_secs_f64(-egress.tokens / rate);
-            egress.busy_until += stall;
-            let ns = stall.as_nanos() as u64;
-            if let Some(m) = &self.meter {
-                m.wait_ns.add(ns);
-                m.waits.inc();
-            }
-            if let Some(h) = &self.wait_hist {
-                h.record(ns);
+        if let Some(rate) = self.profile.rate_bytes_per_sec {
+            let refill = at.saturating_duration_since(egress.refilled).as_secs_f64() * rate;
+            egress.tokens = (egress.tokens + refill).min(self.profile.burst_bytes) - bytes as f64;
+            egress.refilled = at;
+            if egress.tokens < 0.0 {
+                let stall = Duration::from_secs_f64(-egress.tokens / rate);
+                egress.busy_until += stall;
+                egress.ledger.stalls += 1;
+                egress.ledger.stalled += stall;
+                if let Some(h) = &self.wait_hist {
+                    h.record(stall.as_nanos() as u64);
+                }
             }
         }
+        let end = egress.busy_until;
+        egress.ledger.book(start, end, bytes);
     }
 
     /// Books one transfer of `bytes` charged bytes, starting when the last
@@ -379,9 +413,11 @@ mod tests {
     fn the_paper_nic_books_32_posts_of_64_kib_to_the_nanosecond() {
         // The burst absorbs the first: it is booked 0.1 ms after its post.
         // Each later one starts where the one before it ends and leaves
-        // 0.1 ms + 65 536 B ÷ 12.5 MB/s = 5.24288 ms after it: 0.1 ms +
-        // 31 × 5.24288 ms in all. (32 blocking sends book the same, as long
-        // as no drain wakes a whole transfer late.)
+        // 65 536 B ÷ 12.5 MB/s = 5.24288 ms after it — its bytes alone: the
+        // bucket refills 1 250 B during its 0.1 ms latency, and the stall
+        // repays the other 64 286 B in 5.14288 ms. 0.1 ms + 31 × 5.24288 ms
+        // in all. (32 blocking sends book the same, as long as no drain
+        // wakes a whole transfer late.)
         let nic = Nic::new(NicProfile::paper_100mbps());
         let (posted, first, returned) = post_timed(&nic, 64 * 1024);
         let latency = Duration::from_micros(100);
@@ -390,6 +426,18 @@ mod tests {
         let ends: Vec<Instant> = std::iter::once(first).chain(rest).collect();
         assert_eq!(gaps(&ends), vec![Duration::from_nanos(5_242_880); 31]);
         assert_eq!(ends[31] - ends[0], Duration::from_nanos(31 * 5_242_880));
+        // The ledger books the same, to the nanosecond.
+        let ledger = nic.ledger();
+        assert_eq!((ledger.transfers, ledger.bytes), (32, 2 * 1024 * 1024));
+        assert_eq!(ledger.busy, Duration::from_nanos(100_000 + 31 * 5_242_880));
+        assert_eq!(ledger.stalls, 31);
+        assert_eq!(ledger.stalled, Duration::from_nanos(31 * 5_142_880));
+        assert_eq!(ledger.first_start, Some(first - latency));
+        assert_eq!(ledger.last_end, Some(ends[31]));
+        assert_eq!(
+            NicLedger::egress_floor(&[NicLedger::default(), ledger]),
+            ledger.busy
+        );
         nic.drain().unwrap();
         assert!(Instant::now() >= ends[31]);
     }
@@ -449,26 +497,26 @@ mod tests {
     }
 
     #[test]
-    fn meter_counts_stalls_and_reports_wait_time() {
+    fn the_ledger_counts_stalls_and_the_histogram_sees_each() {
         // 1 MB/s, 64 KiB burst: the second 100 KB transfer runs ~100 ms
-        // into debt.
-        let meter = Arc::new(NicMeter::new());
+        // into debt (the first one's too: 100 KB is over the burst).
         let hist = Arc::new(Histogram::new());
-        let nic = Nic::new(NicProfile::rate_limited(1_000_000.0))
-            .with_meter(Arc::clone(&meter), Some(Arc::clone(&hist)));
+        let nic = Nic::new(NicProfile::rate_limited(1_000_000.0)).with_wait_hist(Arc::clone(&hist));
         send_each(&nic, 2, 100_000);
-        assert!(meter.waits.get() >= 1, "stall not counted");
-        assert!(
-            meter.wait_ns.get() >= 50_000_000,
-            "wait_ns {} too small",
-            meter.wait_ns.get()
-        );
-        assert_eq!(hist.count(), meter.waits.get());
-        // An unshaped NIC never stalls, metered or not.
-        let free_meter = Arc::new(NicMeter::new());
-        let free = Nic::new(NicProfile::unlimited()).with_meter(Arc::clone(&free_meter), None);
+        let ledger = nic.ledger();
+        assert_eq!((ledger.transfers, ledger.bytes), (2, 200_000));
+        assert_eq!(ledger.stalls, 2);
+        assert!(ledger.stalled >= Duration::from_millis(100), "{ledger:?}");
+        // Without latency a booking is its stall.
+        assert_eq!(ledger.busy, ledger.stalled);
+        let (first, last) = (ledger.first_start.unwrap(), ledger.last_end.unwrap());
+        assert!(last - first >= ledger.busy);
+        assert_eq!(hist.count(), ledger.stalls);
+        // An unshaped NIC books nothing, however much it is handed.
+        let free = Nic::new(NicProfile::unlimited());
         assert_eq!(free.post(10_000_000), Ok(None));
-        assert_eq!(free_meter.waits.get(), 0);
+        assert_eq!(free.ledger(), NicLedger::default());
+        assert_eq!(NicLedger::egress_floor(&[]), Duration::ZERO);
     }
 
     #[test]

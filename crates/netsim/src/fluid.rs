@@ -257,10 +257,10 @@ pub fn fabric_queues(
 /// makespan when every sender streams at once on a cluster that caps
 /// *ingress as well as egress*. The engine does send that way, but the
 /// NIC it is measured behind (`cts_net::rate`) shapes egress only, so a
-/// NIC-emulated run sits on
-/// [`egress_floor_s`](crate::serial::egress_floor_s) — at or below this
-/// projection, far below it for coded packets, whose `r`-fold fan-in is
-/// free there — and under the one-sender-at-a-time bound
+/// NIC-emulated run sits on its busiest rank's booked NIC time
+/// (`cts_net::NicLedger::egress_floor`) — at or below this projection, far
+/// below it for coded packets, whose `r`-fold fan-in is free there — and
+/// under the one-sender-at-a-time projection
 /// ([`serial_fabric_makespan`](crate::serial::serial_fabric_makespan)).
 pub fn predict_fabric_shuffle_s(
     trace: &Trace,

@@ -43,8 +43,7 @@ pub use config::{ComputeModelConfig, NetModelConfig, PerfModelConfig};
 pub use fluid::{fabric_queues, predict_fabric_shuffle_s, simulate_parallel, FluidOutcome};
 pub use model::{PerfModel, SHUFFLE_STAGE};
 pub use serial::{
-    egress_floor_s, serial_fabric_makespan, serial_makespan, serial_schedule, transfers_by_sender,
-    Schedule,
+    serial_fabric_makespan, serial_makespan, serial_schedule, transfers_by_sender, Schedule,
 };
 pub use stats::{NodeStats, RunStats};
 pub use straggler::{Bracket, Slowdown, StragglerModel};

@@ -7,9 +7,10 @@
 //! which the model computes from the traced byte counts, the calibrated
 //! link rate, the per-transfer latency, and the logarithmic multicast
 //! penalty. [`serial_fabric_makespan`] extends the same sum to the three
-//! shuffle fabrics, as the upper-bound half of the measured-vs-modeled
-//! validation oracle; [`egress_floor_s`] is the lower-bound half — the
-//! engine itself does not take turns, every rank sends at once.
+//! shuffle fabrics: what the shuffle would take if the ranks took turns.
+//! The engine itself does not take turns, every rank sends at once; its
+//! lower bound is no model but what the emulated NICs booked
+//! (`cts_net::NicLedger::egress_floor`).
 //!
 //! ```
 //! use cts_net::fabric::ShuffleFabric;
@@ -118,14 +119,16 @@ pub fn serial_makespan(trace: &Trace, stage: &str, net: &NetModelConfig, scale: 
 }
 
 /// Models the makespan of a strictly serial schedule under each
-/// [`ShuffleFabric`] — the closed-form upper-bound half of the
-/// measured-vs-modeled validation oracle (the fluid simulator's
+/// [`ShuffleFabric`] — a closed-form projection, not a bound on the
+/// emulator (the fluid simulator's
 /// [`predict_fabric_shuffle_s`](crate::fluid::predict_fabric_shuffle_s)
 /// is the projection for a cluster that caps ingress too). Each
 /// non-internal event costs what [`ShuffleFabric::egress`] says a send of
-/// its scaled bytes to its fanout costs — the rule the real-time NIC
-/// emulation in `cts-net` charges by, so a rate-limited run's measured
-/// shuffle wall-clock lands between [`egress_floor_s`] and this bound.
+/// its scaled bytes to its fanout costs, a transfer `L + B/rate`. The
+/// real-time NIC in `cts-net` charges the same bytes but refills its token
+/// bucket during each latency, so a run behind it books less than this sum
+/// even with one sender; its own lower bound is its booked time
+/// (`cts_net::NicLedger::egress_floor`).
 pub fn serial_fabric_makespan(
     trace: &Trace,
     stage: &str,
@@ -152,27 +155,6 @@ fn fabric_transfer_s(
     let m = e.fanout().max(1) as usize;
     let (transfers, bytes_each) = fabric.egress(bytes, m, net.multicast_alpha);
     transfers as f64 * (net.per_transfer_latency_s + net.transfer_seconds(bytes_each, 1))
-}
-
-/// The floor of a stage behind the *emulated* NIC, which shapes egress
-/// only (`cts_net::rate`, like a plain `tc` qdisc): the busiest sender's
-/// own egress time — per transfer, the term [`serial_fabric_makespan`]
-/// sums over all senders. A schedule meets it when no sender ever waits
-/// for a peer; a cluster that also caps ingress cannot (the fluid model's
-/// [`predict_fabric_shuffle_s`](crate::fluid::predict_fabric_shuffle_s)).
-/// Sends smaller than the token bucket's burst can undercut it: the bucket
-/// refills while their latency elapses.
-pub fn egress_floor_s(
-    trace: &Trace,
-    stage: &str,
-    fabric: ShuffleFabric,
-    net: &NetModelConfig,
-) -> f64 {
-    let egress_s = |e: &TraceEvent| fabric_transfer_s(e, fabric, net, 1.0);
-    transfers_by_sender(trace, stage, 1.0)
-        .iter()
-        .map(|sent| sent.iter().map(egress_s).sum::<f64>())
-        .fold(0.0, f64::max)
 }
 
 /// Evaluates the *tree-decomposed* cost of multicasts: instead of the
@@ -387,30 +369,6 @@ mod tests {
             "{mcast}"
         );
         assert!(mcast < fanout && fanout < serial);
-    }
-
-    #[test]
-    fn egress_floor_is_the_busiest_senders_share_of_the_serial_sum() {
-        // Sender 0: two multicasts to 3 receivers; sender 1: one unicast.
-        let t = trace_with(&[
-            (0, 0b1110, 10_000_000, EventKind::Multicast),
-            (1, 0b0001, 5_000_000, EventKind::AppUnicast),
-            (0, 0b1110, 10_000_000, EventKind::Multicast),
-            (1, 0b0001, 1_000_000, EventKind::Internal), // free
-        ]);
-        let n = net();
-        for fabric in ShuffleFabric::ALL {
-            let serial = serial_fabric_makespan(&t, "Shuffle", fabric, &n, 1.0);
-            let floor = egress_floor_s(&t, "Shuffle", fabric, &n);
-            // Sender 1's 0.501 s overlaps sender 0's egress.
-            assert!((serial - floor - 0.501).abs() < 1e-9, "{fabric}");
-        }
-        let mcast = egress_floor_s(&t, "Shuffle", ShuffleFabric::Multicast, &n);
-        assert!((mcast - 2.0 * (0.001 + 1.0 + 0.5 * 3f64.log2())).abs() < 1e-9);
-        assert_eq!(
-            egress_floor_s(&trace_with(&[]), "Shuffle", ShuffleFabric::Multicast, &n),
-            0.0
-        );
     }
 
     #[test]

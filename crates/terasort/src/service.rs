@@ -80,6 +80,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{JoinHandle, ThreadId};
+use std::time::Duration;
 
 use bytes::Bytes;
 use cts_core::metrics::Counter;
@@ -451,12 +452,13 @@ impl Inner {
                         pct(&durs, 0.99) as f64 / 1e6,
                     );
                 }
-                if let Some(m) = &outcome.nic {
+                if !outcome.nic.is_empty() {
+                    let stalls: u64 = outcome.nic.iter().map(|l| l.stalls).sum();
+                    let stalled: Duration = outcome.nic.iter().map(|l| l.stalled).sum();
                     let _ = write!(
                         out,
-                        "  nic_waits={} stall_ms={:.2}",
-                        m.waits.get(),
-                        m.wait_ns.get() as f64 / 1e6
+                        "  nic_waits={stalls} stall_ms={:.2}",
+                        stalled.as_secs_f64() * 1e3
                     );
                 }
                 let k = outcome.outputs.len();
@@ -1165,6 +1167,31 @@ mod tests {
             last.contains(" Map=") && last.contains(" Reduce="),
             "{last}"
         );
+    }
+
+    #[test]
+    fn a_shaped_jobs_stats_row_sums_its_nic_ledgers() {
+        // 2 MB/s behind a 1 KiB burst: each rank's ~100 KB piece stalls.
+        let mut nic = cts_net::NicProfile::rate_limited(2e6);
+        nic.burst_bytes = 1024.0;
+        let cfg =
+            RuntimeConfig::new(EngineConfig::local(2, 1).with_nic(nic)).with_max_concurrent(1);
+        let daemon = SortService::bind("127.0.0.1:0", cfg).unwrap().inner;
+        let id = daemon.submit(1, generate(2_000, 3)).unwrap();
+        let outcome = daemon.outcome_of(id).unwrap();
+        assert_eq!(outcome.nic.len(), 2, "one ledger per rank");
+        let stalls: u64 = outcome.nic.iter().map(|l| l.stalls).sum();
+        let stalled: Duration = outcome.nic.iter().map(|l| l.stalled).sum();
+        assert!(stalls >= 2 && stalled > Duration::ZERO, "{:?}", outcome.nic);
+        let stats = daemon.render_stats();
+        let row = (stats.lines())
+            .find(|l| l.starts_with(&format!("  job {id:<5} done")))
+            .unwrap_or_else(|| panic!("no row for job {id}:\n{stats}"));
+        let sums = format!(
+            "  nic_waits={stalls} stall_ms={:.2}",
+            stalled.as_secs_f64() * 1e3
+        );
+        assert!(row.contains(&sums), "{row} lacks {sums}");
     }
 
     #[test]

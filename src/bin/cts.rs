@@ -15,12 +15,24 @@
 //! ```
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::process::ExitCode;
 
 use bytes::Bytes;
 use coded_terasort::bench::Experiment;
 use coded_terasort::prelude::*;
-use cts_netsim::{egress_floor_s, NetModelConfig, SHUFFLE_STAGE};
+
+/// `println!` for a subcommand: a stdout that is gone (`cts theory | head
+/// -1`) ends the subcommand with its `error:` line instead of a panic.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_gone)?
+    };
+}
+
+fn stdout_gone(e: std::io::Error) -> String {
+    format!("writing stdout: {e}")
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,10 +48,7 @@ fn main() -> ExitCode {
         "stats" => (cmd_stats, STATS_FLAGS),
         "model" => (cmd_model, MODEL_FLAGS),
         "theory" => (cmd_theory, THEORY_FLAGS),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+        "help" | "--help" | "-h" => return usage(),
         other => {
             eprintln!("error: unknown command `{other}`");
             return ExitCode::FAILURE;
@@ -47,10 +56,7 @@ fn main() -> ExitCode {
     };
     let opts = match parse_flags(rest, known) {
         Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+        Ok(None) => return usage(),
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
@@ -60,6 +66,17 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Prints USAGE for `--help`.
+fn usage() -> ExitCode {
+    match writeln!(std::io::stdout(), "{USAGE}") {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {}", stdout_gone(e));
             ExitCode::FAILURE
         }
     }
@@ -204,7 +221,7 @@ fn cmd_gen(opts: &Flags) -> Result<(), String> {
         teragen::generate(records, seed)
     };
     std::fs::write(&out, &data).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
+    say!(
         "wrote {} records ({:.1} MB) to {out}",
         records,
         data.len() as f64 / 1e6
@@ -245,7 +262,7 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
 
     let raw = std::fs::read(&input_path).map_err(|e| format!("reading {input_path}: {e}"))?;
     let input = Bytes::from(raw);
-    println!(
+    say!(
         "sorting {:.1} MB with K = {k}, r = {r}{}{} over {}…",
         input.len() as f64 / 1e6,
         if pods > 0 {
@@ -270,15 +287,14 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
         .with_decode(decode)
         .with_idle_timeout(std::time::Duration::from_millis(idle_timeout_ms));
     if decode == cts_core::decode::DecodeMode::Quorum {
-        println!(
+        say!(
             "decode: quorum (any {} of {r} coded packets release a group)",
             cts_core::segment::mds_parts(r + 1)
         );
     }
-    let nic = cts_net::NicProfile::paper_100mbps();
     if paper_nic {
-        engine = engine.with_nic(nic);
-        println!("emulating the paper's NIC: 100 Mbps egress, 0.1 ms/transfer, α = 0.30");
+        engine = engine.with_nic(cts_net::NicProfile::paper_100mbps());
+        say!("emulating the paper's NIC: 100 Mbps egress, 0.1 ms/transfer, α = 0.30");
     }
     let mut job = SortJob::new(engine);
     if sampled > 0 {
@@ -294,31 +310,31 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
     if validate {
         cts_terasort::validate(&input, &outcome.outputs)
             .map_err(|e| format!("TeraValidate: {e}"))?;
-        println!("TeraValidate passed ✓");
+        say!("TeraValidate passed ✓");
     }
-    println!("wall-clock: {elapsed:.2?}");
+    say!("wall-clock: {elapsed:.2?}");
     let wall = outcome.wall.max;
-    println!("stage walls, slowest rank each: {wall:.1?}");
-    println!("{}", outcome.schedule.describe(outcome.outputs.len()));
+    say!("stage walls, slowest rank each: {wall:.1?}");
+    say!("{}", outcome.schedule.describe(outcome.outputs.len()));
     // The stages overlap: a rank maps, encodes and decodes while its NIC drains.
     let (job_s, stages_s) = (outcome.wall.job.as_secs_f64(), wall.total().as_secs_f64());
     let hidden_s = outcome.wall.hidden().as_secs_f64();
-    println!("job {job_s:.3} s; stages Σ {stages_s:.3} s; {hidden_s:.3} s hidden behind the NIC");
+    say!("job {job_s:.3} s; stages Σ {stages_s:.3} s; {hidden_s:.3} s hidden behind the NIC");
     if let Some(path) = opts.get("timeline") {
         std::fs::write(path, coded_terasort::mapreduce::chrome_trace(&outcome, 0))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("stage timeline written to {path}");
+        say!("stage timeline written to {path}");
     }
     if paper_nic {
-        let net = NetModelConfig::of_nic(&nic);
+        // The least the Shuffle can take: the busiest rank's booked NIC time.
         let shuffle_s = wall.shuffle.as_secs_f64();
-        let floor_s = egress_floor_s(&outcome.trace, SHUFFLE_STAGE, fabric, &net);
+        let floor_s = cts_net::NicLedger::egress_floor(&outcome.nic).as_secs_f64();
         let cpu_s = stages_s - shuffle_s;
-        println!(
+        say!(
             "job = {:.2}× max(egress floor {floor_s:.3} s, Σ CPU stages {cpu_s:.3} s)",
             job_s / floor_s.max(cpu_s)
         );
-        println!(
+        say!(
             "shuffle: {shuffle_s:.3} s = {:.2}× the egress floor {floor_s:.3} s",
             shuffle_s / floor_s
         );
@@ -327,22 +343,22 @@ fn cmd_sort(opts: &Flags) -> Result<(), String> {
         let tail = overlaps.iter().map(|o| o.tail).max().unwrap_or_default();
         let slowest = overlaps.iter().max_by_key(|o| o.busy).copied();
         let (busy, after) = slowest.map_or_else(Default::default, |o| (o.busy, o.after_shuffle));
-        println!(
+        say!(
             "tail after the Shuffle: {:.1} ms (Reduce {:.1} ms busy, {:.1} ms of it inside the Shuffle)",
             tail.as_secs_f64() * 1e3,
             busy.as_secs_f64() * 1e3,
             (busy - after).as_secs_f64() * 1e3
         );
     }
-    println!("{}", cts_core::pool::global().stats());
-    println!(
+    say!("{}", cts_core::pool::global().stats());
+    say!(
         "shuffle: {} bytes across the wire (load {:.4}; TeraSort baseline {:.4})",
         outcome.stats.shuffle_bytes(),
         outcome.stats.comm_load(input.len() as u64),
         theory::uncoded_comm_load(1, k),
     );
     let largest = outcome.outputs.iter().map(Vec::len).max().unwrap_or(0);
-    println!(
+    say!(
         "largest partition: {:.3} of the records",
         largest as f64 / input.len().max(1) as f64
     );
@@ -377,7 +393,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         .with_queue_capacity(queue);
     let mut service = SortService::bind(("127.0.0.1", port), cfg).map_err(|e| e.to_string())?;
     let addr = service.local_addr().map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "cts serve listening on {addr} (K = {k}, default r = {r}, {} fabric, \
          {max_concurrent} concurrent jobs, queue depth {queue})",
         if tcp { "TCP" } else { "in-memory" },
@@ -387,9 +403,9 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("--metrics-port: cannot parse `{mp}`"))?;
         let maddr = service.serve_metrics(("127.0.0.1", mport))?;
-        println!("metrics endpoint: curl http://{maddr}/metrics");
+        say!("metrics endpoint: curl http://{maddr}/metrics");
     }
-    println!("submit with: cts submit --addr {addr} --records 1000");
+    say!("submit with: cts submit --addr {addr} --records 1000");
     signals::install(addr).map_err(|e| format!("signal connection: {e}"))?;
     service.run()
 }
@@ -445,7 +461,7 @@ const STATS_FLAGS: &[&str] = &["addr"];
 fn cmd_stats(opts: &Flags) -> Result<(), String> {
     let addr: String = req(opts, "addr")?;
     let mut client = ServiceClient::connect(&*addr)?;
-    print!("{}", client.stats()?);
+    write!(std::io::stdout(), "{}", client.stats()?).map_err(stdout_gone)?;
     Ok(())
 }
 
@@ -458,7 +474,7 @@ fn cmd_submit(opts: &Flags) -> Result<(), String> {
     let mut client = ServiceClient::connect(&*addr)?;
     if opts.contains_key("shutdown") {
         client.shutdown()?;
-        println!("service at {addr} shutting down");
+        say!("service at {addr} shutting down");
         return Ok(());
     }
 
@@ -475,7 +491,7 @@ fn cmd_submit(opts: &Flags) -> Result<(), String> {
     };
 
     let id = client.submit(&JobKind::Sort, r, &input)?;
-    println!(
+    say!(
         "job {id} submitted: sort, r = {r}, {:.1} KB input",
         input.len() as f64 / 1e3
     );
@@ -485,13 +501,13 @@ fn cmd_submit(opts: &Flags) -> Result<(), String> {
 
     let digest = client.digest(id)?;
     let total_bytes: u64 = digest.partitions.iter().map(|(len, _)| len).sum();
-    println!(
+    say!(
         "job {id} done: {} partitions, {total_bytes} output bytes, digest {:016x}",
         digest.partitions.len(),
         digest.total
     );
     for (p, (len, hash)) in digest.partitions.iter().enumerate() {
-        println!("  partition {p}: {len:>10} bytes  xxh64 {hash:016x}");
+        say!("  partition {p}: {len:>10} bytes  xxh64 {hash:016x}");
     }
     if let Some(out) = opts.get("out") {
         let outputs = client.fetch(id)?;
@@ -500,12 +516,12 @@ fn cmd_submit(opts: &Flags) -> Result<(), String> {
             all.extend_from_slice(o);
         }
         std::fs::write(out, &all).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {} bytes to {out}", all.len());
+        say!("wrote {} bytes to {out}", all.len());
     }
     if let Some(path) = opts.get("timeline") {
         let json = client.timeline(id)?;
         std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
+        say!(
             "wrote stage timeline ({} bytes) to {path} — load in chrome://tracing",
             json.len()
         );
@@ -540,7 +556,7 @@ fn cmd_model(opts: &Flags) -> Result<(), String> {
     } else {
         vec![base.row(None)]
     };
-    println!(
+    say!(
         "{}",
         render_table(
             &format!("modeled at {target_gb} GB, K = {k}, 100 Mbps (EC2 calibration)"),
@@ -557,10 +573,10 @@ fn cmd_theory(opts: &Flags) -> Result<(), String> {
     if k == 0 {
         return Err("--k 0: a cluster has at least one node".into());
     }
-    println!("communication loads at K = {k}:");
-    println!("{:>3} {:>12} {:>12}", "r", "uncoded", "CMR");
+    say!("communication loads at K = {k}:");
+    say!("{:>3} {:>12} {:>12}", "r", "uncoded", "CMR");
     for r in 1..=k {
-        println!(
+        say!(
             "{r:>3} {:>12.4} {:>12.4}",
             theory::uncoded_comm_load(r, k),
             theory::coded_comm_load(r, k)
@@ -572,7 +588,7 @@ fn cmd_theory(opts: &Flags) -> Result<(), String> {
         req::<f64>(opts, "treduce"),
     ) {
         let r_star = theory::optimal_r(tm, ts, tr, k);
-        println!(
+        say!(
             "\nr* = {r_star} (√(Ts/Tm) = {:.2}); predicted total at r*: {:.1} s vs baseline {:.1} s",
             theory::optimal_r_real(tm, ts),
             theory::predicted_total_time(r_star, tm, ts, tr),

@@ -190,6 +190,43 @@ fn theory_reports_loads_and_optimum() {
     assert!(text.contains("CMR"), "stdout:\n{text}");
 }
 
+/// `cts theory --k K | head -1`: the reader takes one line and closes the
+/// pipe. `cts` must end with at most one `error:` line, not a panic. At
+/// K = 128 the whole table may fit the pipe's buffer before the reader
+/// closes it; at K = 4096 it cannot, so there the closed pipe is certain
+/// to be written to.
+#[test]
+fn a_closed_stdout_ends_cts_without_a_panic() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    for k in ["128", "4096"] {
+        let mut child = cts()
+            .args(["theory", "--k", k])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run cts theory");
+        let mut first = String::new();
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped"));
+        stdout.read_line(&mut first).expect("one line");
+        assert!(
+            first.starts_with("communication loads"),
+            "K = {k}: {first:?}"
+        );
+        drop(stdout);
+        let mut stderr = String::new();
+        let mut pipe = child.stderr.take().expect("piped");
+        pipe.read_to_string(&mut stderr).expect("stderr");
+        let status = child.wait().expect("cts exits");
+        assert!(!stderr.contains("panicked"), "K = {k}: {stderr}");
+        assert!(
+            stderr.is_empty() || (stderr.starts_with("error: ") && stderr.lines().count() == 1),
+            "K = {k}: {stderr}"
+        );
+        assert_ne!(status.code(), Some(101), "K = {k}: a panic's exit code");
+    }
+}
+
 #[test]
 fn gen_then_sort_roundtrip() {
     let dir = std::env::temp_dir().join(format!("cts-cli-smoke-{}", std::process::id()));
